@@ -152,23 +152,8 @@ fn batch_rate(mut pop: CountPopulation<TableProtocol>, seed: u64, chunk: u64) ->
     throughput(|| pop.step_batch(&mut rng, chunk).executed)
 }
 
-/// [`batch_rate`] at an explicit worker-thread setting for the sharded
-/// collision path (the trajectory is identical at every setting; only the
-/// wall-clock changes).
-fn batch_rate_threads(
-    mut pop: CountPopulation<TableProtocol>,
-    seed: u64,
-    chunk: u64,
-    threads: usize,
-) -> f64 {
-    pop.set_threads(threads);
-    let mut rng = SimRng::seed_from(seed);
-    throughput(|| pop.step_batch(&mut rng, chunk).executed)
-}
-
-/// Physical cores visible to this bench run — recorded alongside the
-/// thread-scaling rows so the numbers are interpretable (a 1-core CI box
-/// cannot show 4-thread scaling, and should not pretend to).
+/// Cores visible to this bench run, recorded alongside the rates so the
+/// numbers are interpretable. Each run is single-threaded.
 fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -229,12 +214,8 @@ struct DenseRow {
     n: u64,
     step_per_sec: f64,
     batch_per_sec: f64,
-    /// Sharded batch throughput pinned to 1 and 4 worker threads.
-    batch_t1_per_sec: f64,
-    batch_t4_per_sec: f64,
     collision_epochs: u64,
     collision_batched_steps: u64,
-    shard_rounds: u64,
     mean_epoch_len: f64,
     epoch_len_log2_buckets: Vec<u64>,
 }
@@ -251,8 +232,6 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         let dense = || CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
         let step_per_sec = step_rate(dense(), 21);
         let batch_per_sec = batch_rate(dense(), 22, 1 << 20);
-        let batch_t1_per_sec = batch_rate_threads(dense(), 22, 1 << 20, 1);
-        let batch_t4_per_sec = batch_rate_threads(dense(), 22, 1 << 20, 4);
 
         // Distribution capture: enough steps for thousands of epochs at
         // every n without dominating wall-clock at n = 1e8.
@@ -266,7 +245,6 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         metrics::disable();
         let collision_epochs = snap.counter("collision_epochs");
         let collision_batched_steps = snap.counter("collision_batched_steps");
-        let shard_rounds = snap.counter("shard_rounds");
         let mean_epoch_len = if collision_epochs > 0 {
             collision_batched_steps as f64 / collision_epochs as f64
         } else {
@@ -275,23 +253,18 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         let epoch_len_log2_buckets = snap.hist("epoch_len").unwrap_or(&[]).to_vec();
 
         println!(
-            "dense_cycle3   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)   t1 {:>10.3e}/s   t4 {:>10.3e}/s   mean epoch {:.1}",
+            "dense_cycle3   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)   mean epoch {:.1}",
             step_per_sec,
             batch_per_sec,
             batch_per_sec / step_per_sec,
-            batch_t1_per_sec,
-            batch_t4_per_sec,
             mean_epoch_len
         );
         rows.push(DenseRow {
             n,
             step_per_sec,
             batch_per_sec,
-            batch_t1_per_sec,
-            batch_t4_per_sec,
             collision_epochs,
             collision_batched_steps,
-            shard_rounds,
             mean_epoch_len,
             epoch_len_log2_buckets,
         });
@@ -311,8 +284,6 @@ fn write_dense_json(rows: &[DenseRow]) {
         ("backend", Json::from("CountPopulation")),
         ("scenario", Json::from("dense_cycle3")),
         ("unit", Json::from("interactions_per_second")),
-        // Thread-scaling rows are only interpretable relative to the host:
-        // a 1-core runner cannot exhibit 4-thread scaling.
         ("host_cores", Json::from(host_cores() as u64)),
         (
             "rows",
@@ -322,18 +293,11 @@ fn write_dense_json(rows: &[DenseRow]) {
                     ("step_per_sec", Json::from(r.step_per_sec)),
                     ("batch_per_sec", Json::from(r.batch_per_sec)),
                     ("speedup", Json::from(r.batch_per_sec / r.step_per_sec)),
-                    ("batch_t1_per_sec", Json::from(r.batch_t1_per_sec)),
-                    ("batch_t4_per_sec", Json::from(r.batch_t4_per_sec)),
-                    (
-                        "parallel_speedup_t4",
-                        Json::from(r.batch_t4_per_sec / r.batch_t1_per_sec),
-                    ),
                     ("collision_epochs", Json::from(r.collision_epochs)),
                     (
                         "collision_batched_steps",
                         Json::from(r.collision_batched_steps),
                     ),
-                    ("shard_rounds", Json::from(r.shard_rounds)),
                     ("mean_epoch_len", Json::from(r.mean_epoch_len)),
                     (
                         "epoch_len_log2_buckets",
@@ -392,23 +356,6 @@ fn append_dense_history(rows: &[DenseRow]) {
                     metric: "batch_per_sec",
                     rate: r.batch_per_sec,
                 },
-                // New keys (PR 9): pinned-thread rates for the sharded
-                // collision path. Old histories simply lack them;
-                // bench-diff compares shared keys only.
-                HistoryRecord {
-                    bench: "engine_dense",
-                    scenario: "dense_cycle3",
-                    n: r.n,
-                    metric: "batch_t1_per_sec",
-                    rate: r.batch_t1_per_sec,
-                },
-                HistoryRecord {
-                    bench: "engine_dense",
-                    scenario: "dense_cycle3",
-                    n: r.n,
-                    metric: "batch_t4_per_sec",
-                    rate: r.batch_t4_per_sec,
-                },
             ]
         })
         .collect();
@@ -434,36 +381,7 @@ fn run_smoke() {
         "smoke: dense collision-batch speedup at n={} is {speedup:.1}x, need > 10x",
         last.n
     );
-    assert!(
-        last.shard_rounds > 0,
-        "smoke: dense run at n={} never took the sharded super-epoch path",
-        last.n
-    );
-    // Parallel-scaling gate: only meaningful when the host actually has
-    // the cores. On smaller runners the gate is skipped *loudly* — an
-    // honest skip beats a number measured under oversubscription.
-    let cores = host_cores();
-    if cores >= 4 {
-        let pspeed = last.batch_t4_per_sec / last.batch_t1_per_sec;
-        assert!(
-            pspeed >= 2.0,
-            "smoke: 4-thread sharded speedup at n={} is {pspeed:.2}x, need >= 2x \
-             (t1 {:.3e}/s, t4 {:.3e}/s, {cores} cores)",
-            last.n,
-            last.batch_t1_per_sec,
-            last.batch_t4_per_sec
-        );
-        println!(
-            "smoke OK: dense speedup {speedup:.1}x, 4-thread scaling {pspeed:.2}x at n={}",
-            last.n
-        );
-    } else {
-        println!(
-            "smoke OK: dense speedup {speedup:.1}x at n={} \
-             (4-thread scaling gate SKIPPED: host has {cores} core(s), need >= 4)",
-            last.n
-        );
-    }
+    println!("smoke OK: dense speedup {speedup:.1}x at n={}", last.n);
 }
 
 fn main() {

@@ -16,16 +16,14 @@
 //! probabilistic rule may resolve to identity); only pairs that can never
 //! react are skipped, which is what keeps the acceleration exact.
 
-use crate::collision::{self, BirthdayCdf, CollisionScratch, PlanTable};
+use crate::collision::{self, BirthdayCdf, CollisionScratch};
 use crate::json::Json;
-use crate::metrics::{self, record_batch, BatchScratch, Counter};
-use crate::pardense;
+use crate::metrics::{self, record_batch, BatchScratch};
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
-use crate::sweep;
 use crate::trace::{self, DispatchRecord};
 
 /// Minimum expected reactive interactions per collision-free epoch for the
@@ -72,12 +70,6 @@ pub struct AcceleratedPopulation<P> {
     /// Birthday-process table for the collision-batch regime, built lazily
     /// (keyed only on `n`, which never changes).
     birthday: Option<BirthdayCdf>,
-    /// Full k×k cell-plan table for sharded super-epochs, built lazily at
-    /// sharding scale (depends only on the protocol, so never invalidated).
-    plan_table: Option<PlanTable>,
-    /// Physical worker-thread knob for sharded super-epochs (0 = auto).
-    /// Execution-only: never snapshotted, never affects the trajectory.
-    threads: usize,
     /// Working memory for collision epochs (urns + cell-plan cache).
     scratch: CollisionScratch,
 }
@@ -113,8 +105,6 @@ impl<P: Protocol> AcceleratedPopulation<P> {
             steps: 0,
             reactive_pairs: 0,
             birthday: None,
-            plan_table: None,
-            threads: 0,
             scratch: CollisionScratch::new(),
         };
         this.reactive_pairs = this.recount_reactive_pairs();
@@ -299,55 +289,6 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
             let p = self.reactive_pairs as f64 / total_pairs as f64;
             if p * epoch_len >= COLLISION_MIN_REACTIVE {
                 let birthday = self.birthday.get_or_insert_with(|| BirthdayCdf::new(n));
-                let expected = birthday.expected_interactions();
-                if pardense::scale_eligible(n, remaining, expected) {
-                    // Sharded super-epoch: engages on eligibility alone —
-                    // never on the thread knob — so the trajectory is
-                    // thread-count independent (see `counts.rs`).
-                    let num_states = self.counts.len();
-                    let table = self
-                        .plan_table
-                        .get_or_insert_with(|| PlanTable::build(&self.protocol, num_states));
-                    if table.complete() {
-                        let window = pardense::shard_window(n, remaining);
-                        let epoch_seed = rng.next_u64();
-                        let workers =
-                            sweep::resolve_workers(self.threads, pardense::LOGICAL_SHARDS);
-                        let shard_span = prof::section_if(pf, Section::ShardRound);
-                        let se = pardense::run_super_epoch(
-                            table,
-                            &self.counts,
-                            birthday,
-                            epoch_seed,
-                            window,
-                            workers,
-                        );
-                        drop(shard_span);
-                        let merge_span = prof::section_if(pf, Section::ShardMerge);
-                        for (s, &d) in se.delta.iter().enumerate() {
-                            if d != 0 {
-                                self.counts[s] = (self.counts[s] as i64 + d) as u64;
-                            }
-                        }
-                        self.reactive_pairs =
-                            self.scratch.reactive_pairs(&self.reactive, &self.counts);
-                        drop(merge_span);
-                        out.executed += se.executed;
-                        out.changed += se.changed;
-                        if rec {
-                            metrics::add(Counter::ShardRounds, 1);
-                            metrics::add(Counter::ShardMergeConflicts, se.shards_dropped as u64);
-                            for &len in &se.epoch_lens {
-                                stats.record_epoch(len);
-                            }
-                        }
-                        if disp {
-                            first_regime.get_or_insert("collision_sharded");
-                            d_epochs += se.epoch_lens.len() as u64;
-                        }
-                        continue;
-                    }
-                }
                 let ep = collision::run_epoch(
                     &self.protocol,
                     &mut self.counts,
@@ -416,10 +357,6 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
             });
         }
         out
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     fn backend_tag(&self) -> &'static str {

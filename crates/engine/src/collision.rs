@@ -158,61 +158,6 @@ enum CellPlan {
     Fallback,
 }
 
-/// The full k×k cell-plan table of a protocol, built eagerly so collision
-/// epochs can run as pure data + RNG — no protocol reference, hence no
-/// `Sync` bound — on shard worker threads (see [`crate::pardense`]).
-///
-/// A table is [`PlanTable::complete`] when no cell needed the opaque
-/// [`CellPlan::Fallback`]; only complete tables are usable for sharded
-/// execution (an opaque cell requires `Protocol::interact` calls, which
-/// stay on the sequential path).
-#[derive(Debug, Clone)]
-pub struct PlanTable {
-    k: usize,
-    /// Row-major k×k plans.
-    cells: Vec<CellPlan>,
-    complete: bool,
-}
-
-impl PlanTable {
-    /// Builds the table by querying every ordered state pair once.
-    ///
-    /// Cost is O(k²) protocol queries, paid once per population lifetime
-    /// (the plans depend only on the protocol, which is fixed).
-    #[must_use]
-    pub fn build<P: Protocol + ?Sized>(protocol: &P, k: usize) -> Self {
-        let mut cells = Vec::with_capacity(k * k);
-        let mut complete = true;
-        for a in 0..k {
-            for b in 0..k {
-                let plan = if !protocol.is_reactive(a, b) {
-                    CellPlan::NonReactive
-                } else if let Some(outcomes) = protocol.outcome_table(a, b) {
-                    CellPlan::Enumerated(outcomes)
-                } else {
-                    complete = false;
-                    CellPlan::Fallback
-                };
-                cells.push(plan);
-            }
-        }
-        Self { k, cells, complete }
-    }
-
-    /// Whether every cell was enumerable (no opaque fallback cells), i.e.
-    /// whether epochs can be settled from the table alone.
-    #[must_use]
-    pub fn complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Number of states the table was built for.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
 /// Reusable working memory for [`run_epoch`], owned by a backend alongside
 /// its count vector.
 ///
@@ -262,15 +207,6 @@ impl CollisionScratch {
         if self.v.len() != k {
             self.v.resize(k, 0);
             self.delta.resize(k, 0);
-            // Plans are keyed on the same k; drop stale ones. They are
-            // re-sized lazily by `ensure_plans` because the planned
-            // (shard-side) epoch runner never touches them.
-            self.plans.clear();
-        }
-    }
-
-    fn ensure_plans(&mut self, k: usize) {
-        if self.plans.len() != k * k {
             self.plans.clear();
             self.plans.resize(k * k, None);
         }
@@ -340,58 +276,12 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     remaining: u64,
 ) -> EpochOutcome {
     let pf = prof::enabled();
-    scratch.ensure(counts.len());
-    scratch.ensure_plans(counts.len());
-    // The plan cache moves out of the scratch for the duration of the call
-    // so the cell source can borrow it mutably alongside the other scratch
-    // buffers.
-    let mut plans = std::mem::take(&mut scratch.plans);
-    let mut source = ProtocolSource {
-        protocol,
-        plans: &mut plans,
-        k: counts.len(),
-    };
-    let out = run_epoch_core(&mut source, counts, cdf, scratch, rng, remaining, pf);
-    scratch.plans = plans;
-    out
-}
-
-/// Runs one collision-free epoch entirely from a prebuilt [`PlanTable`] —
-/// the shard-worker entry point: no protocol reference, no profiler spans
-/// (shard work is attributed to its enclosing `shard_round` section by the
-/// caller), otherwise the identical epoch law as [`run_epoch`].
-///
-/// # Panics
-///
-/// Panics if the table is not [`PlanTable::complete`] and a fallback cell
-/// is hit; callers gate sharded execution on completeness.
-pub fn run_epoch_planned(
-    table: &PlanTable,
-    counts: &mut [u64],
-    cdf: &BirthdayCdf,
-    scratch: &mut CollisionScratch,
-    rng: &mut SimRng,
-    remaining: u64,
-) -> EpochOutcome {
-    debug_assert_eq!(table.k, counts.len());
-    scratch.ensure(counts.len());
-    let mut source = PlannedSource { table };
-    run_epoch_core(&mut source, counts, cdf, scratch, rng, remaining, false)
-}
-
-fn run_epoch_core<S: CellSource>(
-    source: &mut S,
-    counts: &mut [u64],
-    cdf: &BirthdayCdf,
-    scratch: &mut CollisionScratch,
-    rng: &mut SimRng,
-    remaining: u64,
-    pf: bool,
-) -> EpochOutcome {
     let _epoch_span = prof::section_if(pf, Section::CollisionEpoch);
     let n = cdf.n();
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
     debug_assert!(remaining >= 1);
+    let k = counts.len();
+    scratch.ensure(k);
 
     scratch.occupied.clear();
     scratch.c_start.clear();
@@ -466,7 +356,18 @@ fn run_epoch_core<S: CellSource>(
             }
             scratch.rem_r[j] -= t_ab;
             let b = scratch.occupied[j];
-            changed += source.apply_cell(a, b, t_ab, &mut scratch.v, &mut scratch.delta, rng, pf);
+            changed += apply_cell(
+                protocol,
+                a,
+                b,
+                t_ab,
+                k,
+                &mut scratch.plans,
+                &mut scratch.v,
+                &mut scratch.delta,
+                rng,
+                pf,
+            );
         }
         drop(settle_span);
     }
@@ -510,7 +411,7 @@ fn run_epoch_core<S: CellSource>(
             let sr = sample_dense(&scratch.v, draws, rng);
             (si, sr)
         };
-        let (a2, b2) = source.boundary(si, sr, rng);
+        let (a2, b2) = protocol.interact(si, sr, rng);
         if (a2, b2) != (si, sr) {
             counts[si] -= 1;
             counts[sr] -= 1;
@@ -530,185 +431,86 @@ fn run_epoch_core<S: CellSource>(
     EpochOutcome { executed, changed }
 }
 
-/// What [`run_epoch_core`] needs from the protocol layer: settling one
-/// contingency-table cell and executing the boundary interaction. The two
-/// implementations are the lazy protocol-backed source (sequential path)
-/// and the prebuilt [`PlanTable`] source (shard workers).
-trait CellSource {
-    /// Settles all `t_ab` interactions of cell `(a, b)`, accumulating the
-    /// post-state urn `v` and net movement `delta`. Returns how many of
-    /// them changed a state.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_cell(
-        &mut self,
-        a: usize,
-        b: usize,
-        t_ab: u64,
-        v: &mut [u64],
-        delta: &mut [i64],
-        rng: &mut SimRng,
-        pf: bool,
-    ) -> u64;
-
-    /// Executes the single boundary interaction `(si, sr)`.
-    fn boundary(&mut self, si: usize, sr: usize, rng: &mut SimRng) -> (usize, usize);
-}
-
-/// Settles an enumerated cell: multinomial split via sequential conditional
-/// binomials — each of the `t_ab` interactions independently picks an
-/// outcome. Residual mass the table does not cover is the identity.
+/// Settles all `t_ab` interactions of cell `(a, b)`, accumulating the
+/// post-state urn `v` and net movement `delta`. Returns how many of them
+/// changed a state.
 #[allow(clippy::too_many_arguments)]
-fn settle_enumerated(
-    outcomes: &[((usize, usize), f64)],
+fn apply_cell<P: Protocol + ?Sized>(
+    protocol: &P,
     a: usize,
     b: usize,
     t_ab: u64,
+    k: usize,
+    plans: &mut [Option<CellPlan>],
     v: &mut [u64],
     delta: &mut [i64],
     rng: &mut SimRng,
     pf: bool,
 ) -> u64 {
-    // One span per cell's whole conditional chain (see the margins note).
-    let _pmf_span = prof::section_if(pf, Section::PmfInversion);
-    let mut rem_t = t_ab;
-    let mut rem_p = 1.0f64;
-    let mut changed = 0u64;
-    for &((a2, b2), p) in outcomes {
-        if rem_t == 0 || rem_p <= 0.0 {
-            break;
+    let plan = plans[a * k + b].get_or_insert_with(|| {
+        if !protocol.is_reactive(a, b) {
+            CellPlan::NonReactive
+        } else if let Some(outcomes) = protocol.outcome_table(a, b) {
+            CellPlan::Enumerated(outcomes)
+        } else {
+            CellPlan::Fallback
         }
-        let q = (p / rem_p).clamp(0.0, 1.0);
-        let cnt = rng.binomial(rem_t, q);
-        rem_p -= p;
-        if cnt == 0 {
-            continue;
+    });
+    match plan {
+        CellPlan::NonReactive => {
+            v[a] += t_ab;
+            v[b] += t_ab;
+            0
         }
-        rem_t -= cnt;
-        v[a2] += cnt;
-        v[b2] += cnt;
-        if (a2, b2) != (a, b) {
-            delta[a] -= cnt as i64;
-            delta[b] -= cnt as i64;
-            delta[a2] += cnt as i64;
-            delta[b2] += cnt as i64;
-            changed += cnt;
-        }
-    }
-    v[a] += rem_t;
-    v[b] += rem_t;
-    changed
-}
-
-/// Lazy protocol-backed cell source: plans fill on first touch, opaque
-/// cells fall back to per-interaction `Protocol::interact` calls.
-struct ProtocolSource<'a, P: ?Sized> {
-    protocol: &'a P,
-    plans: &'a mut Vec<Option<CellPlan>>,
-    k: usize,
-}
-
-impl<P: Protocol + ?Sized> CellSource for ProtocolSource<'_, P> {
-    fn apply_cell(
-        &mut self,
-        a: usize,
-        b: usize,
-        t_ab: u64,
-        v: &mut [u64],
-        delta: &mut [i64],
-        rng: &mut SimRng,
-        pf: bool,
-    ) -> u64 {
-        let protocol = self.protocol;
-        let plan = self.plans[a * self.k + b].get_or_insert_with(|| {
-            if !protocol.is_reactive(a, b) {
-                CellPlan::NonReactive
-            } else if let Some(outcomes) = protocol.outcome_table(a, b) {
-                CellPlan::Enumerated(outcomes)
-            } else {
-                CellPlan::Fallback
-            }
-        });
-        match plan {
-            CellPlan::NonReactive => {
-                v[a] += t_ab;
-                v[b] += t_ab;
-                0
-            }
-            CellPlan::Enumerated(outcomes) => {
-                settle_enumerated(outcomes, a, b, t_ab, v, delta, rng, pf)
-            }
-            CellPlan::Fallback => {
-                let mut changed = 0u64;
-                for _ in 0..t_ab {
-                    let (a2, b2) = protocol.interact(a, b, rng);
-                    v[a2] += 1;
-                    v[b2] += 1;
-                    if (a2, b2) != (a, b) {
-                        delta[a] -= 1;
-                        delta[b] -= 1;
-                        delta[a2] += 1;
-                        delta[b2] += 1;
-                        changed += 1;
-                    }
+        CellPlan::Enumerated(outcomes) => {
+            // Multinomial split via sequential conditional binomials: each
+            // of the t_ab interactions independently picks an outcome. One
+            // span per cell's whole conditional chain (see the margins note).
+            let _pmf_span = prof::section_if(pf, Section::PmfInversion);
+            let mut rem_t = t_ab;
+            let mut rem_p = 1.0f64;
+            let mut changed = 0u64;
+            for &((a2, b2), p) in outcomes.iter() {
+                if rem_t == 0 || rem_p <= 0.0 {
+                    break;
                 }
-                changed
-            }
-        }
-    }
-
-    fn boundary(&mut self, si: usize, sr: usize, rng: &mut SimRng) -> (usize, usize) {
-        self.protocol.interact(si, sr, rng)
-    }
-}
-
-/// Prebuilt-table cell source for shard workers: pure data + RNG, no
-/// protocol reference. Requires a [`PlanTable::complete`] table.
-struct PlannedSource<'a> {
-    table: &'a PlanTable,
-}
-
-impl CellSource for PlannedSource<'_> {
-    fn apply_cell(
-        &mut self,
-        a: usize,
-        b: usize,
-        t_ab: u64,
-        v: &mut [u64],
-        delta: &mut [i64],
-        rng: &mut SimRng,
-        pf: bool,
-    ) -> u64 {
-        match &self.table.cells[a * self.table.k + b] {
-            CellPlan::NonReactive => {
-                v[a] += t_ab;
-                v[b] += t_ab;
-                0
-            }
-            CellPlan::Enumerated(outcomes) => {
-                settle_enumerated(outcomes, a, b, t_ab, v, delta, rng, pf)
-            }
-            CellPlan::Fallback => unreachable!("planned epochs require a complete plan table"),
-        }
-    }
-
-    fn boundary(&mut self, si: usize, sr: usize, rng: &mut SimRng) -> (usize, usize) {
-        // Sample the boundary interaction's outcome from the cell's
-        // enumerated distribution — same law as one `interact` call, drawn
-        // from the plan instead of the protocol. Residual mass the table
-        // does not cover is the identity, matching `settle_enumerated`.
-        match &self.table.cells[si * self.table.k + sr] {
-            CellPlan::NonReactive => (si, sr),
-            CellPlan::Enumerated(outcomes) => {
-                let mut u = rng.f64();
-                for &(out, p) in outcomes {
-                    if u < p {
-                        return out;
-                    }
-                    u -= p;
+                let q = (p / rem_p).clamp(0.0, 1.0);
+                let cnt = rng.binomial(rem_t, q);
+                rem_p -= p;
+                if cnt == 0 {
+                    continue;
                 }
-                (si, sr)
+                rem_t -= cnt;
+                v[a2] += cnt;
+                v[b2] += cnt;
+                if (a2, b2) != (a, b) {
+                    delta[a] -= cnt as i64;
+                    delta[b] -= cnt as i64;
+                    delta[a2] += cnt as i64;
+                    delta[b2] += cnt as i64;
+                    changed += cnt;
+                }
             }
-            CellPlan::Fallback => unreachable!("planned epochs require a complete plan table"),
+            // Residual mass the table did not cover is the identity.
+            v[a] += rem_t;
+            v[b] += rem_t;
+            changed
+        }
+        CellPlan::Fallback => {
+            let mut changed = 0u64;
+            for _ in 0..t_ab {
+                let (a2, b2) = protocol.interact(a, b, rng);
+                v[a2] += 1;
+                v[b2] += 1;
+                if (a2, b2) != (a, b) {
+                    delta[a] -= 1;
+                    delta[b] -= 1;
+                    delta[a2] += 1;
+                    delta[b2] += 1;
+                    changed += 1;
+                }
+            }
+            changed
         }
     }
 }

@@ -13,17 +13,15 @@
 //! ([`crate::population::Population`]); a property test asserts the
 //! statistical equivalence.
 
-use crate::collision::{self, BirthdayCdf, CollisionScratch, PlanTable};
+use crate::collision::{self, BirthdayCdf, CollisionScratch};
 use crate::fenwick::Fenwick;
 use crate::json::Json;
 use crate::metrics::{self, record_batch, BatchScratch, Counter};
-use crate::pardense;
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
-use crate::sweep;
 use crate::trace::{self, DispatchRecord};
 
 /// Largest state space for which [`CountPopulation`] builds the `k × k`
@@ -158,15 +156,6 @@ pub struct CountPopulation<P> {
     /// Birthday-process table for the collision-batch regime. Keyed only on
     /// `n`, which never changes, so it survives batch-cache invalidations.
     birthday: Option<BirthdayCdf>,
-    /// Full k×k cell-plan table for sharded super-epochs, built lazily the
-    /// first time the population reaches sharding scale. Depends only on
-    /// the protocol (fixed for the population's lifetime), so it survives
-    /// batch-cache invalidations and restores.
-    plan_table: Option<PlanTable>,
-    /// Physical worker-thread knob for sharded super-epochs (0 = auto via
-    /// [`sweep::resolve_workers`]). Execution-only: never snapshotted, and
-    /// by construction it cannot affect the simulated trajectory.
-    threads: usize,
     /// Working memory for collision epochs (urns + cell-plan cache).
     scratch: CollisionScratch,
 }
@@ -193,8 +182,6 @@ impl<P: Protocol> CountPopulation<P> {
             steps: 0,
             batch: None,
             birthday: None,
-            plan_table: None,
-            threads: 0,
             scratch: CollisionScratch::new(),
         }
     }
@@ -344,13 +331,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     ///
     /// 1. **Collision batches** (reactive-dense, `p · E[T]/2 ≥ 8`): settle
     ///    ≈ √n activations per [`collision::run_epoch`] contingency-table
-    ///    sample — `O(q²)` distribution draws per epoch. At sharding scale
-    ///    (complete plan table and a window of ≥ 16 expected epochs, i.e.
-    ///    n ≳ 3·10⁴ — see [`pardense`]) whole *super-epochs* of them are
-    ///    settled as [`pardense::LOGICAL_SHARDS`] independent shard chains
-    ///    merged in fixed order, amortizing the Fenwick sync and pair
-    ///    recount over ~100 epochs and scaling across worker threads with
-    ///    thread-count-independent output.
+    ///    sample — `O(q²)` distribution draws per epoch.
     /// 2. **No-op leaping** (sparse): between reactive interactions, the
     ///    number of consecutive no-op activations is geometric with success
     ///    probability `p`, so the loop draws the skip length in `O(1)`
@@ -413,7 +394,6 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             return out;
         }
         let n = self.n;
-        let num_states = self.protocol.num_states();
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
         let entry_pairs = self.batch.as_ref().expect("cache built above").pairs;
@@ -429,64 +409,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             let remaining = max_steps - out.executed;
             let p = pairs as f64 / total_pairs as f64;
             if p * epoch_len >= COLLISION_MIN_REACTIVE {
-                // Collision-batch regime: one contingency-table epoch, or a
-                // sharded super-epoch of them at scale.
+                // Collision-batch regime: one contingency-table epoch.
                 let birthday = self.birthday.get_or_insert_with(|| BirthdayCdf::new(n));
-                let expected = birthday.expected_interactions();
-                if pardense::scale_eligible(n, remaining, expected) {
-                    // The sharded path engages whenever it is *eligible* —
-                    // independent of the thread knob — so the trajectory is
-                    // identical across thread counts by construction.
-                    let table = self
-                        .plan_table
-                        .get_or_insert_with(|| PlanTable::build(&self.protocol, num_states));
-                    if table.complete() {
-                        let window = pardense::shard_window(n, remaining);
-                        // One main-stream word seeds all shard streams; the
-                        // main stream advances identically regardless of how
-                        // many threads run the shards.
-                        let epoch_seed = rng.next_u64();
-                        let workers =
-                            sweep::resolve_workers(self.threads, pardense::LOGICAL_SHARDS);
-                        let shard_span = prof::section_if(pf, Section::ShardRound);
-                        let se = pardense::run_super_epoch(
-                            table,
-                            &cache.dense,
-                            birthday,
-                            epoch_seed,
-                            window,
-                            workers,
-                        );
-                        drop(shard_span);
-                        let merge_span = prof::section_if(pf, Section::ShardMerge);
-                        for (s, &d) in se.delta.iter().enumerate() {
-                            if d != 0 {
-                                cache.dense[s] = (cache.dense[s] as i64 + d) as u64;
-                                self.counts.add(s, d);
-                            }
-                        }
-                        cache.pairs = self.scratch.reactive_pairs(&cache.reactive, &cache.dense);
-                        drop(merge_span);
-                        debug_assert!(
-                            cache.pairs == cache.recount()
-                                && cache.dense == self.counts.to_weights()
-                        );
-                        out.executed += se.executed;
-                        out.changed += se.changed;
-                        if rec {
-                            metrics::add(Counter::ShardRounds, 1);
-                            metrics::add(Counter::ShardMergeConflicts, se.shards_dropped as u64);
-                            for &len in &se.epoch_lens {
-                                stats.record_epoch(len);
-                            }
-                        }
-                        if disp {
-                            first_regime.get_or_insert("collision_sharded");
-                            d_epochs += se.epoch_lens.len() as u64;
-                        }
-                        continue;
-                    }
-                }
                 let ep = collision::run_epoch(
                     &self.protocol,
                     &mut cache.dense,
@@ -589,10 +513,6 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             });
         }
         out
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     fn backend_tag(&self) -> &'static str {

@@ -875,10 +875,6 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
         out
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
-    }
-
     fn backend_tag(&self) -> &'static str {
         "faulty"
     }

@@ -74,7 +74,6 @@ pub mod meanfield;
 pub mod metrics;
 pub mod obj;
 pub mod observe;
-pub mod pardense;
 pub mod population;
 pub mod prof;
 pub mod protocol;

@@ -108,17 +108,11 @@ pub enum Counter {
     /// Dispatch decisions that fell back to the uncached dense loop (one
     /// per `step_batch` call with `k` over the batch-cache limit).
     RegimeDenseFallback,
-    /// Sharded super-epoch rounds run by the dense backends
-    /// ([`crate::pardense`]).
-    ShardRounds,
-    /// Shards dropped by the fixed-order merge's non-negativity check;
-    /// their budget is re-dispatched by the outer batch loop.
-    ShardMergeConflicts,
 }
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 24] = [
         Counter::InteractionsExecuted,
         Counter::InteractionsChanged,
         Counter::NoopLeaps,
@@ -143,8 +137,6 @@ impl Counter {
         Counter::RegimeLeap,
         Counter::RegimePerStep,
         Counter::RegimeDenseFallback,
-        Counter::ShardRounds,
-        Counter::ShardMergeConflicts,
     ];
 
     /// Stable snake_case name used in reports.
@@ -175,8 +167,6 @@ impl Counter {
             Counter::RegimeLeap => "regime_leap",
             Counter::RegimePerStep => "regime_per_step",
             Counter::RegimeDenseFallback => "regime_dense_fallback",
-            Counter::ShardRounds => "shard_rounds",
-            Counter::ShardMergeConflicts => "shard_merge_conflicts",
         }
     }
 }

@@ -91,12 +91,6 @@ pub enum Section {
     /// Exact mode-centered pmf inversion in `SimRng` (binomial and
     /// hypergeometric draws — the collision chain's conditionals).
     PmfInversion,
-    /// One sharded super-epoch round: all shard chains, spawn to join
-    /// ([`crate::pardense::run_super_epoch`]).
-    ShardRound,
-    /// Fixed-order merge of per-shard deltas plus the count-structure sync
-    /// after a super-epoch.
-    ShardMerge,
     /// Fault-plan trigger splitting and due-injection application in
     /// `FaultyPopulation::step_batch`.
     FaultSplit,
@@ -107,7 +101,7 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 21] = [
+    pub const ALL: [Section; 19] = [
         Section::BatchCount,
         Section::BatchAccel,
         Section::BatchAgents,
@@ -125,8 +119,6 @@ impl Section {
         Section::FenwickSync,
         Section::FenwickRebuild,
         Section::PmfInversion,
-        Section::ShardRound,
-        Section::ShardMerge,
         Section::FaultSplit,
         Section::Observer,
     ];
@@ -152,8 +144,6 @@ impl Section {
             Section::FenwickSync => "fenwick_sync",
             Section::FenwickRebuild => "fenwick_rebuild",
             Section::PmfInversion => "pmf_inversion",
-            Section::ShardRound => "shard_round",
-            Section::ShardMerge => "shard_merge",
             Section::FaultSplit => "fault_split",
             Section::Observer => "observer",
         }

@@ -70,6 +70,10 @@ impl BatchOutcome {
 /// states only), [`crate::accel::AcceleratedPopulation`] (count vector with
 /// exact no-op leaping), [`crate::matching::MatchingPopulation`]
 /// (random-matching scheduler).
+///
+/// A simulator runs on the calling thread, so its trajectory is a function
+/// of the initial configuration and the RNG alone. Parallelism belongs
+/// across independent runs ([`crate::sweep`]).
 pub trait Simulator {
     /// Population size `n`.
     fn n(&self) -> u64;
@@ -122,7 +126,7 @@ pub trait Simulator {
     ///
     /// The sampled process is identical in distribution to calling
     /// [`Simulator::step`] `max_steps` times — batching is an execution
-    /// strategy, not an approximation. The default implementation loops
+    /// strategy, not an approximation, at every `n`. The default implementation loops
     /// `step()`; backends override it with tight inner loops and no-op
     /// leaping (an order of magnitude faster at large `n`).
     fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
@@ -145,20 +149,6 @@ pub trait Simulator {
     /// Sum of counts over a set of states (a "boolean formula" count).
     fn count_any(&self, states: &[usize]) -> u64 {
         states.iter().map(|&s| self.count(s)).sum()
-    }
-
-    /// Sets the worker-thread count for backends with internal parallelism
-    /// (the dense backends' sharded collision epochs, see
-    /// [`crate::pardense`]). `0` (the default) resolves automatically via
-    /// `sweep::resolve_workers` (`PP_THREADS` env, then available
-    /// parallelism); explicit values pin the physical thread count.
-    ///
-    /// This is an execution knob, not simulation state: results are
-    /// byte-identical for every thread count, so it is neither
-    /// snapshotted nor restored. Backends without internal parallelism
-    /// ignore it.
-    fn set_threads(&mut self, threads: usize) {
-        let _ = threads;
     }
 
     /// Stable tag naming this backend in snapshot headers (`"agents"`,

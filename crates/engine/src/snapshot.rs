@@ -23,11 +23,13 @@
 //!
 //! Two JSON lines. The first is a header
 //! `{"kind":"pp_snapshot","version":V,"checksum":"<crc64 hex>"}`; the
-//! second is the payload object. The checksum is CRC-64 (reflected
-//! ECMA-182 polynomial) over the exact payload-line bytes, so truncation
-//! and single-bit flips anywhere in the payload are detected before any
-//! field is parsed; header corruption fails the parse or the checksum
-//! comparison. Raw `u64` material that does not fit JSON's 2⁵³ exact-
+//! second is the payload object. `V` is [`FORMAT_VERSION`]; the reader also
+//! takes version 1 and refuses version 2, whose runs came from the retired
+//! sharded dense engine and cannot be continued byte-identically. The
+//! checksum is CRC-64 (reflected ECMA-182 polynomial) over the exact
+//! payload-line bytes, so truncation and single-bit flips anywhere in the
+//! payload are detected before any field is parsed; header corruption
+//! fails the parse or the checksum comparison. Raw `u64` material that does not fit JSON's 2⁵³ exact-
 //! integer range (RNG words, step counters, disarmed trigger sentinels) is
 //! hex-encoded via [`hex_u64`].
 //!
@@ -51,17 +53,22 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the on-disk snapshot format. Bumped on any change to the
-/// header or payload schema — and on semantic boundaries: version 2 marks
-/// runs that may contain sharded super-epochs (`pardense`), whose
-/// trajectories a version-1 engine cannot reproduce. The payload schema is
-/// unchanged from version 1, so [`RunSnapshot::decode`] accepts both (see
-/// [`MIN_FORMAT_VERSION`]); shard RNG streams live and die inside a single
-/// `step_batch` call, so the four main-stream words still capture the
-/// complete resume state (DESIGN.md §16).
-pub const FORMAT_VERSION: u64 = 2;
+/// header or payload schema, and on semantic boundaries where an older
+/// engine's trajectory cannot be continued byte-identically. The payload
+/// schema has not changed since version 1:
+///
+/// * version 1 came from the exact engine before sharding;
+/// * version 2 came from the engine that settled large dense batches in
+///   sharded super-epochs against frozen window-start counts, a law the
+///   exact engine does not reproduce, so [`RunSnapshot::decode`] rejects it;
+/// * version 3 marks the return to one exact collision-epoch chain
+///   (DESIGN.md §16).
+///
+/// The reader accepts versions 1 and 3.
+pub const FORMAT_VERSION: u64 = 3;
 
-/// Oldest snapshot format version [`RunSnapshot::decode`] still reads.
-pub const MIN_FORMAT_VERSION: u64 = 1;
+/// The version written by the sharded dense engine, refused on read.
+const SHARDED_FORMAT_VERSION: u64 = 2;
 
 /// CRC-64 (reflected ECMA-182 polynomial, as used by XZ) over `bytes`.
 ///
@@ -246,11 +253,20 @@ impl RunSnapshot {
         if header.get("kind").and_then(Json::as_str) != Some("pp_snapshot") {
             return Err("not a pp_snapshot document".to_string());
         }
-        let version = header.get("version").and_then(Json::as_u64);
-        if !version.is_some_and(|v| (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&v)) {
-            return Err(format!(
-                "unsupported snapshot version (reader supports {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
-            ));
+        match header.get("version").and_then(Json::as_u64) {
+            Some(1 | FORMAT_VERSION) => {}
+            Some(SHARDED_FORMAT_VERSION) => {
+                return Err(format!(
+                    "snapshot version {SHARDED_FORMAT_VERSION} came from the sharded dense \
+                     engine and cannot be continued byte-identically by the exact engine \
+                     (reader supports versions 1 and {FORMAT_VERSION})"
+                ));
+            }
+            _ => {
+                return Err(format!(
+                    "unsupported snapshot version (reader supports versions 1 and {FORMAT_VERSION})"
+                ));
+            }
         }
         let stored = header
             .get("checksum")
@@ -577,18 +593,25 @@ mod tests {
     #[test]
     fn decode_rejects_version_and_kind_mismatch() {
         let text = sample_snapshot().encode();
-        let other = text.replacen("\"version\":2", "\"version\":999", 1);
+        let other = text.replacen("\"version\":3", "\"version\":999", 1);
         assert!(RunSnapshot::decode(&other).is_err());
+        let sharded = text.replacen("\"version\":3", "\"version\":2", 1);
+        assert_ne!(text, sharded, "header rewrite must take effect");
+        let err = RunSnapshot::decode(&sharded).unwrap_err();
+        assert!(err.contains("sharded dense engine"), "{err}");
+        assert!(err.contains("byte-identically"), "{err}");
         let foreign = text.replacen("pp_snapshot", "pp_snapshoT", 1);
         assert!(RunSnapshot::decode(&foreign).is_err());
     }
 
     #[test]
     fn decode_accepts_previous_format_version() {
-        // Version-1 snapshots (pre-sharding) have the identical payload
-        // schema; the reader must keep accepting them.
+        // Version-1 snapshots (exact engine, before sharding) have the
+        // identical payload schema; the reader must keep accepting them
+        // alongside the current version.
         let text = sample_snapshot().encode();
-        let v1 = text.replacen("\"version\":2", "\"version\":1", 1);
+        assert!(RunSnapshot::decode(&text).is_ok());
+        let v1 = text.replacen("\"version\":3", "\"version\":1", 1);
         assert_ne!(text, v1, "header rewrite must take effect");
         assert!(RunSnapshot::decode(&v1).is_ok());
     }

@@ -35,13 +35,14 @@ fn env_threads() -> Option<usize> {
 
 /// Resolves a requested worker count for `count` parallel tasks.
 ///
-/// Precedence: an explicit `workers > 0` (the `--threads` flag) wins; then
-/// the `PP_THREADS` environment variable; then the OS-reported available
+/// Precedence: an explicit `workers > 0` from the caller wins; then the
+/// `PP_THREADS` environment variable; then the OS-reported available
 /// parallelism. The result never exceeds the task count (in particular,
-/// zero tasks resolve to zero workers). Shared by the sweep harness and the
-/// dense shard pool ([`crate::pardense`]).
+/// zero tasks resolve to zero workers). Parallelism lives here, across
+/// independent seeds, which keeps every run's trajectory exact; a single
+/// run never splits across threads.
 #[must_use]
-pub fn resolve_workers(workers: usize, count: usize) -> usize {
+fn resolve_workers(workers: usize, count: usize) -> usize {
     if count == 0 {
         return 0;
     }

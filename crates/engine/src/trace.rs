@@ -61,9 +61,8 @@ pub struct DispatchRecord {
     pub p: f64,
     /// Expected collision-epoch length `√(πn/8)` (birthday bound).
     pub expected_epoch: f64,
-    /// First regime chosen at batch entry: `"collision"`,
-    /// `"collision_sharded"` (super-epoch of shard chains, see
-    /// [`crate::pardense`]), `"per_step"`, `"leap"`, or `"dense_fallback"`.
+    /// First regime chosen at batch entry: `"collision"`, `"per_step"`,
+    /// `"leap"`, or `"dense_fallback"`.
     pub regime: &'static str,
     /// Interactions executed by the batch.
     pub executed: u64,

@@ -95,7 +95,6 @@ const NUM_FLAGS: &[&str] = &[
     "byz-every",
     "window",
     "checkpoint-every",
-    "threads",
 ];
 /// String-valued flags (paths plus `--corrupt-mode randomize|zero`).
 const STR_FLAGS: &[&str] = &[
@@ -550,16 +549,10 @@ fn backend_name(command: &str) -> &'static str {
 /// Runs the DK18 oscillator with the profiler on; returns the run-loop wall
 /// time, the label of the streamed observable, and its samples (dominance
 /// periods in rounds).
-fn profile_oscillator(
-    n: u64,
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-) -> (u64, &'static str, Vec<f64>) {
+fn profile_oscillator(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
     let x = ((n as f64).powf(0.3) as u64).max(1);
     let osc = Dk18Oscillator::new();
     let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
-    pop.set_threads(threads);
     let mut rng = SimRng::seed_from(seed);
     let mut rows = Vec::new();
     let wall = std::time::Instant::now();
@@ -582,12 +575,7 @@ fn profile_oscillator(
 
 /// Runs 10 seeded epidemic trials with the profiler on; the streamed
 /// observable is the per-trial convergence time in parallel rounds.
-fn profile_epidemic(
-    n: u64,
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-) -> (u64, &'static str, Vec<f64>) {
+fn profile_epidemic(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
     let p = TableProtocol::new(2, "epidemic")
         .rule(1, 0, 1, 1)
         .rule(0, 1, 1, 1);
@@ -595,7 +583,6 @@ fn profile_epidemic(
     let wall = std::time::Instant::now();
     for trial in 0..10 {
         let mut pop = CountPopulation::from_counts(&p, &[n - 1, 1]);
-        pop.set_threads(threads);
         let mut rng = SimRng::seed_from(seed.wrapping_add(trial));
         if let Some(t) = run_until(&mut pop, &mut rng, rounds as f64, n, |s| s.count(0) == 0) {
             let _obs = prof::section(prof::Section::Observer);
@@ -622,14 +609,13 @@ fn run_profile(args: &[String]) -> u8 {
     let mut n = 100_000u64;
     let mut rounds = 300u64;
     let mut seed = 42u64;
-    let mut threads = 0u64;
     let mut json = false;
     let mut dispatch_path: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--json" => json = true,
-            key @ ("--builtin" | "--n" | "--rounds" | "--seed" | "--threads" | "--dispatch") => {
+            key @ ("--builtin" | "--n" | "--rounds" | "--seed" | "--dispatch") => {
                 let Some(value) = args.get(i + 1) else {
                     eprintln!("error: flag {key} is missing a value");
                     return 1;
@@ -645,7 +631,6 @@ fn run_profile(args: &[String]) -> u8 {
                         match key {
                             "--n" => n = parsed,
                             "--rounds" => rounds = parsed,
-                            "--threads" => threads = parsed,
                             _ => seed = parsed,
                         }
                     }
@@ -656,7 +641,7 @@ fn run_profile(args: &[String]) -> u8 {
                 eprintln!(
                     "error: unknown profile argument {other:?} (usage: ppsim profile \
                      [--builtin oscillator|epidemic] [--n N] [--rounds R] [--seed S] \
-                     [--threads T] [--dispatch FILE] [--json])"
+                     [--dispatch FILE] [--json])"
                 );
                 return 1;
             }
@@ -679,9 +664,9 @@ fn run_profile(args: &[String]) -> u8 {
     let _ = trace::drain_dispatch();
     trace::enable_dispatch();
     let (wall_ns, quantile_label, samples) = if builtin == "oscillator" {
-        profile_oscillator(n, rounds, seed, threads as usize)
+        profile_oscillator(n, rounds, seed)
     } else {
-        profile_epidemic(n, rounds, seed, threads as usize)
+        profile_epidemic(n, rounds, seed)
     };
     prof::disable();
     metrics::disable();
@@ -717,9 +702,6 @@ fn run_profile(args: &[String]) -> u8 {
     }
     let regimes = [
         ("collision", snap.counter("regime_collision")),
-        // Super-epoch rounds; their logical epochs also count under
-        // `collision` (each is a real collision epoch).
-        ("sharded_rounds", snap.counter("shard_rounds")),
         ("leap", snap.counter("regime_leap")),
         ("per_step", snap.counter("regime_per_step")),
         ("dense_fallback", snap.counter("regime_dense_fallback")),
@@ -944,7 +926,7 @@ fn usage() -> ExitCode {
          \tmajority     [--n --a --b --seed]  exact majority (Thm 3.2)\n\
          \tplurality    [--n --colors --seed] plurality consensus\n\
          \tparity       [--n --a --seed]      #A odd? (slow blackbox)\n\
-         \toscillator   [--n --x --rounds --seed --threads T]  the DK18-style oscillator\n\
+         \toscillator   [--n --x --rounds --seed]  the DK18-style oscillator\n\
          \tresume       <snapshot.snap|checkpoint-dir>  continue an interrupted\n\
          \t             checkpointed oscillator/faults run, byte-identically\n\
          \tfaults       [--n --x --rounds --seed --spec FILE --faults-log FILE\n\
@@ -952,8 +934,7 @@ fn usage() -> ExitCode {
          \t              --churn-every R --churn-pct P --churn-state S\n\
          \t              --byz-count K --byz-state S --byz-every R --window R]\n\
          \t             oscillator under fault injection + recovery report\n\
-         \tprofile      [--builtin oscillator|epidemic --n --rounds --seed --threads T\n\
-         \t              --dispatch FILE --json]\n\
+         \tprofile      [--builtin oscillator|epidemic --n --rounds --seed --dispatch FILE --json]\n\
          \t             run with the section profiler on; self/total-time tree report\n\
          \tbench-diff   <baseline.jsonl> <current.jsonl> [--tolerance-pct T]\n\
          \t             compare two BENCH_history.jsonl snapshots (exit 1 on regression)\n\
@@ -963,10 +944,7 @@ fn usage() -> ExitCode {
          \t                 including per-batch regime-dispatch decision events\n\
          \t--checkpoint-every N --checkpoint-dir DIR  (oscillator, faults)\n\
          \t                 write a crash-safe rotating snapshot every N steps;\n\
-         \t                 resume with `ppsim resume DIR`\n\
-         \t--threads T      worker threads for sharded collision epochs\n\
-         \t                 (0 = auto; flag > PP_THREADS env > available cores);\n\
-         \t                 execution-only — never changes the simulated trajectory"
+         \t                 resume with `ppsim resume DIR`"
     );
     ExitCode::FAILURE
 }
@@ -1190,16 +1168,7 @@ fn run_command(
                     return 1;
                 }
             };
-            run_oscillator(
-                n,
-                x,
-                rounds,
-                seed,
-                flags.num("threads", 0) as usize,
-                None,
-                ckpt,
-                tracer,
-            )
+            run_oscillator(n, x, rounds, seed, None, ckpt, tracer)
         }
         "faults" => run_faults(flags, tracer),
         "resume" => run_resume(path, flags, tracer, meta_command),
@@ -1289,20 +1258,17 @@ fn capture_checkpoint<S: Simulator + ?Sized>(sim: &S, rng: &SimRng) -> Result<Ru
 /// oscillator, optionally checkpointing every `--checkpoint-every` steps,
 /// and print the dominance summary over the whole run — including rows
 /// carried over in a resumed snapshot's meta.
-#[allow(clippy::too_many_arguments)]
 fn run_oscillator(
     n: u64,
     x: u64,
     rounds: u64,
     seed: u64,
-    threads: usize,
     resume: Option<&RunSnapshot>,
     mut ckpt: Option<Checkpointer>,
     tracer: &mut Option<Tracer>,
 ) -> u8 {
     let osc = Dk18Oscillator::new();
     let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
-    pop.set_threads(threads);
     let mut trace: Vec<(f64, [u64; NUM_SPECIES])> = Vec::new();
     let mut rng = if let Some(snap) = resume {
         match resume_run_state(snap, &mut pop, &mut trace) {
@@ -1419,8 +1385,7 @@ fn run_faults_core(
     tracer: &mut Option<Tracer>,
 ) -> u8 {
     let osc = Dk18Oscillator::new();
-    let mut inner = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
-    inner.set_threads(flags.num("threads", 0) as usize);
+    let inner = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
     let mut pop = match FaultyPopulation::new(inner, spec) {
         Ok(p) => p,
         Err(e) => {
@@ -1657,16 +1622,7 @@ fn run_resume(
         }
     });
     match command.as_str() {
-        "oscillator" => run_oscillator(
-            n,
-            x,
-            rounds,
-            seed,
-            flags.num("threads", 0) as usize,
-            Some(&snap),
-            ckpt,
-            tracer,
-        ),
+        "oscillator" => run_oscillator(n, x, rounds, seed, Some(&snap), ckpt, tracer),
         "faults" => {
             let spec = match meta.get("spec") {
                 Some(j) => match FaultSpec::parse(&j.render()) {
@@ -1781,10 +1737,9 @@ fn main() -> ExitCode {
         snapshot.set_meta("command", &meta_command);
         snapshot.set_meta("backend", backend_name(&meta_command));
         println!(
-            "metrics: backend={} | regimes: collision={} sharded_rounds={} leap={} per_step={} dense_fallback={}",
+            "metrics: backend={} | regimes: collision={} leap={} per_step={} dense_fallback={}",
             backend_name(&meta_command),
             snapshot.counter("regime_collision"),
-            snapshot.counter("shard_rounds"),
             snapshot.counter("regime_leap"),
             snapshot.counter("regime_per_step"),
             snapshot.counter("regime_dense_fallback"),

@@ -92,11 +92,11 @@ fn drive_stepwise(sim: &mut dyn Simulator, rng: &mut SimRng, target: u64) {
 }
 
 /// Advances `sim` to at least `target` steps using `step_batch` in chunks
-/// (exercising batch-boundary truncation by using a chunk that does not
+/// of `chunk` (exercising batch-boundary truncation when the chunk does not
 /// divide the target).
-fn drive_batched(sim: &mut dyn Simulator, rng: &mut SimRng, target: u64) {
+fn drive_batched(sim: &mut dyn Simulator, rng: &mut SimRng, target: u64, chunk: u64) {
     while sim.steps() < target {
-        let out = sim.step_batch(rng, (target - sim.steps()).min(97));
+        let out = sim.step_batch(rng, (target - sim.steps()).min(chunk));
         if out.silent || out.executed == 0 {
             break;
         }
@@ -117,7 +117,7 @@ fn per_run_observations<S: Simulator>(
             let mut sim = make();
             let mut rng = SimRng::seed_from(seed_base + run);
             if batched {
-                drive_batched(&mut sim, &mut rng, EQUIV_TARGET_STEPS);
+                drive_batched(&mut sim, &mut rng, EQUIV_TARGET_STEPS, 97);
             } else {
                 drive_stepwise(&mut sim, &mut rng, EQUIV_TARGET_STEPS);
             }
@@ -126,15 +126,19 @@ fn per_run_observations<S: Simulator>(
         .collect()
 }
 
-/// Bins two samples on a shared equal-width grid and chi-squares the
-/// histograms. Each sample element must be an independent observation.
+/// Bins two samples on a shared equal-width grid spanning their pooled
+/// range and chi-squares the histograms. Each sample element must be an
+/// independent observation. The grid starts at the pooled minimum, not at
+/// zero: dense-suite observables sit far from zero, and a zero-based grid
+/// would put them all in one or two bins.
 fn binned_chi_square(a: &[f64], b: &[f64], bins: usize) -> (f64, usize, f64) {
-    let max = a.iter().chain(b).fold(0.0f64, |m, &v| m.max(v));
-    let width = (max + 1e-9) / bins as f64;
+    let lo = a.iter().chain(b).fold(f64::INFINITY, |m, &v| m.min(v));
+    let hi = a.iter().chain(b).fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+    let width = (hi - lo + 1e-9) / bins as f64;
     let hist = |data: &[f64]| {
         let mut h = vec![0u64; bins];
         for &v in data {
-            h[((v / width) as usize).min(bins - 1)] += 1;
+            h[(((v - lo) / width) as usize).min(bins - 1)] += 1;
         }
         h
     };
@@ -202,29 +206,54 @@ fn step_batch_matches_step_on_matching_population() {
     );
 }
 
-/// Initial counts for the reactive-dense equivalence suite: at n = 3000 a
-/// collision-free epoch covers ≈ 34 interactions of which ≈ 11 are
-/// reactive, so `CountPopulation` and `AcceleratedPopulation` route their
-/// batches through the contingency-table collision path (the per-step and
-/// agent-array backends provide the reference distribution).
-const DENSE_N: [u64; 3] = [1_000, 1_000, 1_000];
-const DENSE_RUNS: u64 = 100;
-const DENSE_TARGET_STEPS: u64 = 3_000 * 2; // 2 parallel rounds at n = 3000
+/// One input of the reactive-dense equivalence suite: initial counts, runs,
+/// the step target each run is driven to, and the `step_batch` chunk.
+struct DenseInput {
+    counts: [u64; 3],
+    runs: u64,
+    target: u64,
+    chunk: u64,
+}
 
-/// As [`per_run_observations`] but for the dense scenario.
+/// At n = 3000 a collision-free epoch covers ≈ 34 interactions of which
+/// ≈ 11 are reactive, so `CountPopulation` and `AcceleratedPopulation`
+/// route their batches through the contingency-table collision path (the
+/// per-step and agent-array backends provide the reference distribution).
+/// Two parallel rounds.
+const DENSE: DenseInput = DenseInput {
+    counts: [1_000, 1_000, 1_000],
+    runs: 100,
+    target: 3_000 * 2,
+    chunk: 97,
+};
+
+/// The large-n input of the dense suite: one parallel round at n = 48 000,
+/// where each batch chains about twenty collision epochs (≈ 137
+/// interactions each). The chunk of 2 971 does not divide the target, so the last epoch
+/// of every batch is truncated at the boundary. Runs are costly at this
+/// size; 60 runs over 6 bins keep expected bin counts ≈ 10.
+const DENSE_LARGE: DenseInput = DenseInput {
+    counts: [20_000, 14_000, 14_000],
+    runs: 60,
+    target: 48_000,
+    chunk: 2_971,
+};
+
+/// As [`per_run_observations`] but for a dense-suite input.
 fn dense_observations<S: Simulator>(
     make: impl Fn() -> S,
+    input: &DenseInput,
     seed_base: u64,
     batched: bool,
 ) -> Vec<f64> {
-    (0..DENSE_RUNS)
+    (0..input.runs)
         .map(|run| {
             let mut sim = make();
             let mut rng = SimRng::seed_from(seed_base + run);
             if batched {
-                drive_batched(&mut sim, &mut rng, DENSE_TARGET_STEPS);
+                drive_batched(&mut sim, &mut rng, input.target, input.chunk);
             } else {
-                drive_stepwise(&mut sim, &mut rng, DENSE_TARGET_STEPS);
+                drive_stepwise(&mut sim, &mut rng, input.target);
             }
             sim.count(0) as f64
         })
@@ -233,13 +262,19 @@ fn dense_observations<S: Simulator>(
 
 /// Chi-square homogeneity of step vs step_batch driving on the dense
 /// cycle-3 workload (collision-batch regime for the count backends).
-fn assert_dense_step_batch_equivalent<S: Simulator>(name: &str, make: impl Fn() -> S, seed: u64) {
-    let stepwise = dense_observations(&make, seed, false);
-    let batched = dense_observations(&make, seed + 50_000, true);
+fn assert_dense_step_batch_equivalent<S: Simulator>(
+    name: &str,
+    make: impl Fn() -> S,
+    input: &DenseInput,
+    seed: u64,
+) {
+    let stepwise = dense_observations(&make, input, seed, false);
+    let batched = dense_observations(&make, input, seed + 50_000, true);
     let (stat, dof, p) = binned_chi_square(&stepwise, &batched, 6);
+    let n: u64 = input.counts.iter().sum();
     assert!(
         p > 0.001,
-        "{name} (dense): step vs step_batch distributions differ \
+        "{name} (dense, n = {n}): step vs step_batch distributions differ \
          (chi² = {stat:.2}, dof = {dof}, p = {p:.5})"
     );
 }
@@ -248,7 +283,8 @@ fn assert_dense_step_batch_equivalent<S: Simulator>(name: &str, make: impl Fn() 
 fn dense_step_batch_matches_step_on_population() {
     assert_dense_step_batch_equivalent(
         "Population",
-        || Population::from_counts(cycle(), &DENSE_N),
+        || Population::from_counts(cycle(), &DENSE.counts),
+        &DENSE,
         1_100,
     );
 }
@@ -257,7 +293,8 @@ fn dense_step_batch_matches_step_on_population() {
 fn dense_step_batch_matches_step_on_count_population() {
     assert_dense_step_batch_equivalent(
         "CountPopulation",
-        || CountPopulation::from_counts(cycle(), &DENSE_N),
+        || CountPopulation::from_counts(cycle(), &DENSE.counts),
+        &DENSE,
         1_200,
     );
 }
@@ -266,7 +303,8 @@ fn dense_step_batch_matches_step_on_count_population() {
 fn dense_step_batch_matches_step_on_sparse_count_population() {
     assert_dense_step_batch_equivalent(
         "SparseCountPopulation",
-        || SparseCountPopulation::from_dense(cycle(), &DENSE_N),
+        || SparseCountPopulation::from_dense(cycle(), &DENSE.counts),
+        &DENSE,
         1_300,
     );
 }
@@ -275,8 +313,27 @@ fn dense_step_batch_matches_step_on_sparse_count_population() {
 fn dense_step_batch_matches_step_on_accelerated_population() {
     assert_dense_step_batch_equivalent(
         "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), &DENSE_N),
+        || AcceleratedPopulation::from_counts(cycle(), &DENSE.counts),
+        &DENSE,
         1_400,
+    );
+}
+
+/// The large-n input on both dense count backends: every batch chains many
+/// collision epochs and truncates its last one at the chunk boundary.
+#[test]
+fn dense_step_batch_matches_stepwise_distribution_at_large_n() {
+    assert_dense_step_batch_equivalent(
+        "CountPopulation",
+        || CountPopulation::from_counts(cycle(), &DENSE_LARGE.counts),
+        &DENSE_LARGE,
+        9_000,
+    );
+    assert_dense_step_batch_equivalent(
+        "AcceleratedPopulation",
+        || AcceleratedPopulation::from_counts(cycle(), &DENSE_LARGE.counts),
+        &DENSE_LARGE,
+        19_000,
     );
 }
 
@@ -284,7 +341,8 @@ fn dense_step_batch_matches_step_on_accelerated_population() {
 fn dense_step_batch_matches_step_on_matching_population() {
     assert_dense_step_batch_equivalent(
         "MatchingPopulation",
-        || MatchingPopulation::from_counts(cycle(), &DENSE_N),
+        || MatchingPopulation::from_counts(cycle(), &DENSE.counts),
+        &DENSE,
         1_500,
     );
 }
@@ -298,11 +356,11 @@ fn dense_step_batch_matches_step_on_matching_population() {
 fn dense_scenario_uses_collision_epochs() {
     metrics::enable();
     let before = metrics::snapshot();
-    let mut count_pop = CountPopulation::from_counts(cycle(), &DENSE_N);
-    let mut accel_pop = AcceleratedPopulation::from_counts(cycle(), &DENSE_N);
+    let mut count_pop = CountPopulation::from_counts(cycle(), &DENSE.counts);
+    let mut accel_pop = AcceleratedPopulation::from_counts(cycle(), &DENSE.counts);
     let mut rng = SimRng::seed_from(77);
-    count_pop.step_batch(&mut rng, DENSE_TARGET_STEPS);
-    accel_pop.step_batch(&mut rng, DENSE_TARGET_STEPS);
+    count_pop.step_batch(&mut rng, DENSE.target);
+    accel_pop.step_batch(&mut rng, DENSE.target);
     let after = metrics::snapshot();
     metrics::disable();
     let epochs = after.counter("collision_epochs") - before.counter("collision_epochs");
@@ -311,7 +369,7 @@ fn dense_scenario_uses_collision_epochs() {
     // Two backends × 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 300 epochs.
     assert!(epochs >= 100, "only {epochs} collision epochs recorded");
     assert!(
-        steps >= 2 * DENSE_TARGET_STEPS - 200,
+        steps >= 2 * DENSE.target - 200,
         "only {steps} steps settled via collision batches"
     );
 }

@@ -102,4 +102,13 @@ fn unknown_flag_is_a_hard_error() {
     assert!(!out.status.success(), "unknown flag must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --bogus"), "stderr: {stderr}");
+
+    // Runs are single-threaded and exact; there is no thread knob.
+    let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(["oscillator", "--threads", "2"])
+        .output()
+        .expect("spawn ppsim");
+    assert!(!out.status.success(), "--threads must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --threads"), "stderr: {stderr}");
 }

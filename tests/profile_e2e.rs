@@ -82,18 +82,14 @@ fn oscillator_profile_attributes_dense_wall_time() {
         );
     }
 
-    // Dense oscillator at this size runs in the collision regime — and at
-    // n = 50000 the sharded super-epoch path engages from the first batch
-    // (the plan table is complete and the window clears the epoch floor),
-    // so the first dispatch record carries the sharded regime tag. The
-    // logical epochs still tally under the plain collision counter.
+    // Dense oscillator at this size runs in the collision regime, and the
+    // dispatch records agree with the regime counters.
     let regimes = doc.get("regimes").expect("regimes present");
     assert!(regimes.get("collision").and_then(Json::as_u64) > Some(0));
-    assert!(regimes.get("sharded_rounds").and_then(Json::as_u64) > Some(0));
     assert!(doc.get("dispatch_records").and_then(Json::as_u64) > Some(0));
     assert_eq!(
         doc.get("first_regime").and_then(Json::as_str),
-        Some("collision_sharded")
+        Some("collision")
     );
 
     // The P² percentiles of the oscillator period came out of the run.
@@ -145,15 +141,7 @@ fn profile_dispatch_log_is_valid_jsonl() {
         );
         let regime = rec.get("regime").and_then(Json::as_str).expect("regime");
         assert!(
-            [
-                "collision",
-                "collision_sharded",
-                "leap",
-                "per_step",
-                "dense_fallback",
-                "silent"
-            ]
-            .contains(&regime),
+            ["collision", "leap", "per_step", "dense_fallback", "silent"].contains(&regime),
             "unexpected regime {regime:?}"
         );
         let executed = rec
