@@ -17,26 +17,23 @@
 //! react are skipped, which is what keeps the acceleration exact.
 
 use crate::collision::{self, BirthdayCdf, CollisionScratch};
+use crate::counts::{estimated_epoch_len, parse_count_snapshot, COLLISION_MIN_REACTIVE};
 use crate::json::Json;
 use crate::metrics::{self, record_batch, BatchScratch};
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
+use crate::reactivity::ReactivityIndex;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
-use crate::snapshot::{hex_u64, parse_hex_u64};
+use crate::snapshot::hex_u64;
 use crate::trace::{self, DispatchRecord};
-
-/// Minimum expected reactive interactions per collision-free epoch for the
-/// contingency-table path to engage (same dispatch rule as
-/// `CountPopulation`; see `counts.rs`).
-const COLLISION_MIN_REACTIVE: f64 = 8.0;
 
 /// Count-based backend with exact geometric leaping over non-reactive pairs.
 ///
-/// Per-step cost is `O(k)` in the number of states `k` (to maintain reactive
-/// pair counts), so this backend pays off when the protocol is sparse in
-/// reactive pairs and `k` is modest — precisely the regime of converged or
-/// slow-moving finite-state protocols.
+/// Per-change cost is `O(occupied)` in the number of occupied states (to
+/// maintain reactive pair counts), so this backend pays off when the
+/// protocol is sparse in reactive pairs — precisely the regime of converged
+/// or slow-moving finite-state protocols.
 ///
 /// # Examples
 ///
@@ -58,15 +55,10 @@ const COLLISION_MIN_REACTIVE: f64 = 8.0;
 #[derive(Debug, Clone)]
 pub struct AcceleratedPopulation<P> {
     protocol: P,
-    counts: Vec<u64>,
-    /// `reactive[a * k + b]`: interaction (a, b) can change states.
-    reactive: Vec<bool>,
-    /// `row[a]` = Σ_b reactive(a,b) · c'_b where c' excludes one agent of
-    /// state a (ordered-pair convention); recomputed lazily per step.
+    /// Counts, occupancy, and the reactive-pair count `R`.
+    index: ReactivityIndex,
     n: u64,
     steps: u64,
-    /// Number of reactive ordered pairs of distinct agents.
-    reactive_pairs: u64,
     /// Birthday-process table for the collision-batch regime, built lazily
     /// (keyed only on `n`, which never changes).
     birthday: Option<BirthdayCdf>,
@@ -77,7 +69,8 @@ pub struct AcceleratedPopulation<P> {
 impl<P: Protocol> AcceleratedPopulation<P> {
     /// Creates a population with `counts[s]` agents in state `s`.
     ///
-    /// Precomputes the `k × k` reactivity table, so construction is `O(k²)`.
+    /// Asks [`Protocol::is_reactive`] only about pairs of occupied states,
+    /// so construction is `O(k + occupied²)`.
     ///
     /// # Panics
     ///
@@ -91,102 +84,15 @@ impl<P: Protocol> AcceleratedPopulation<P> {
         assert!(n >= 2, "population must have at least 2 agents");
         let mut full = vec![0u64; k];
         full[..counts.len()].copy_from_slice(counts);
-        let mut reactive = vec![false; k * k];
-        for a in 0..k {
-            for b in 0..k {
-                reactive[a * k + b] = protocol.is_reactive(a, b);
-            }
-        }
-        let mut this = Self {
+        let index = ReactivityIndex::new(&protocol, full);
+        Self {
             protocol,
-            counts: full,
-            reactive,
+            index,
             n,
             steps: 0,
-            reactive_pairs: 0,
             birthday: None,
             scratch: CollisionScratch::new(),
-        };
-        this.reactive_pairs = this.recount_reactive_pairs();
-        this
-    }
-
-    /// Full `O(k²)` recount of reactive ordered pairs (used at construction
-    /// and in debug assertions).
-    fn recount_reactive_pairs(&self) -> u64 {
-        let k = self.counts.len();
-        let mut total = 0u64;
-        for a in 0..k {
-            let ca = self.counts[a];
-            if ca == 0 {
-                continue;
-            }
-            for b in 0..k {
-                if self.reactive[a * k + b] {
-                    let cb = if a == b { ca - 1 } else { self.counts[b] };
-                    total += ca * cb;
-                }
-            }
         }
-        total
-    }
-
-    /// Adjusts `reactive_pairs` for a count change `c_u += delta`, given the
-    /// *current* counts already reflect the change. `O(k)`.
-    fn adjust_reactive_pairs(&mut self, u: usize, delta: i64) {
-        let k = self.counts.len();
-        let cu = self.counts[u] as i64;
-        let old_cu = cu - delta;
-        let mut d = 0i64;
-        for v in 0..k {
-            let cv = self.counts[v] as i64;
-            if v == u {
-                // Ordered pairs within state u: c(c-1).
-                if self.reactive[u * k + u] {
-                    d += cu * (cu - 1) - old_cu * (old_cu - 1);
-                }
-                continue;
-            }
-            if self.reactive[u * k + v] {
-                d += delta * cv;
-            }
-            if self.reactive[v * k + u] {
-                d += cv * delta;
-            }
-        }
-        self.reactive_pairs = (self.reactive_pairs as i64 + d) as u64;
-    }
-
-    fn apply_count_change(&mut self, state: usize, delta: i64) {
-        self.counts[state] = (self.counts[state] as i64 + delta) as u64;
-        self.adjust_reactive_pairs(state, delta);
-    }
-
-    /// Samples an ordered reactive pair `(a, b)` of states, proportional to
-    /// the number of agent pairs realizing it. `O(k²)` worst case but the
-    /// row scan short-circuits on empty states.
-    fn sample_reactive_pair(&mut self, rng: &mut SimRng) -> (usize, usize) {
-        debug_assert!(self.reactive_pairs > 0);
-        let mut r = rng.below(self.reactive_pairs);
-        let k = self.counts.len();
-        for a in 0..k {
-            let ca = self.counts[a];
-            if ca == 0 {
-                continue;
-            }
-            for b in 0..k {
-                if !self.reactive[a * k + b] {
-                    continue;
-                }
-                let cb = if a == b { ca - 1 } else { self.counts[b] };
-                let w = ca * cb;
-                if r < w {
-                    return (a, b);
-                }
-                r -= w;
-            }
-        }
-        unreachable!("rank exhausted the reactive pair mass");
     }
 }
 
@@ -196,7 +102,7 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
     }
 
     fn num_states(&self) -> usize {
-        self.counts.len()
+        self.index.counts().len()
     }
 
     fn steps(&self) -> u64 {
@@ -204,26 +110,27 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
     }
 
     fn count(&self, state: usize) -> u64 {
-        self.counts[state]
+        self.index.counts()[state]
     }
 
     fn counts(&self) -> Vec<u64> {
-        self.counts.clone()
+        self.index.counts().to_vec()
     }
 
     /// Applies both count deltas through the incremental reactive-pair
-    /// maintenance, so silence detection stays exact after the edit. `O(k)`.
+    /// maintenance, so silence detection stays exact after the edit.
+    /// `O(occupied)`.
     fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        let states = self.counts.len();
+        let states = self.num_states();
         assert!(from < states, "migrate source state out of range");
         assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.counts[from]);
+        let moved = k.min(self.count(from));
         if from == to || moved == 0 {
             return 0;
         }
-        self.apply_count_change(from, -(moved as i64));
-        self.apply_count_change(to, moved as i64);
-        debug_assert_eq!(self.reactive_pairs, self.recount_reactive_pairs());
+        self.index.add(&self.protocol, from, -(moved as i64));
+        self.index.add(&self.protocol, to, moved as i64);
+        debug_assert!(self.index.is_consistent(&self.protocol));
         moved
     }
 
@@ -232,25 +139,23 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
     /// reactive interaction. Returns [`StepOutcome::Silent`] if no reactive
     /// pair exists.
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        if self.reactive_pairs == 0 {
+        let pairs = self.index.pairs();
+        if pairs == 0 {
             return StepOutcome::Silent;
         }
         let total_pairs = self.n * (self.n - 1);
-        let p = self.reactive_pairs as f64 / total_pairs as f64;
+        let p = pairs as f64 / total_pairs as f64;
         if p < 1.0 {
             self.steps += rng.geometric(p);
         }
         self.steps += 1;
-        let (a, b) = self.sample_reactive_pair(rng);
+        let (a, b) = self.index.sample_reactive_pair(rng);
         let (a2, b2) = self.protocol.interact(a, b, rng);
         if (a2, b2) == (a, b) {
             return StepOutcome::Unchanged;
         }
-        self.apply_count_change(a, -1);
-        self.apply_count_change(b, -1);
-        self.apply_count_change(a2, 1);
-        self.apply_count_change(b2, 1);
-        debug_assert_eq!(self.reactive_pairs, self.recount_reactive_pairs());
+        self.index.apply(&self.protocol, a, b, a2, b2);
+        debug_assert!(self.index.is_consistent(&self.protocol));
         StepOutcome::Changed
     }
 
@@ -276,28 +181,29 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
         let mut out = BatchOutcome::default();
         let n = self.n;
         let total_pairs = n * (n - 1);
-        let epoch_len = (std::f64::consts::PI * n as f64 / 8.0).sqrt();
-        let entry_pairs = self.reactive_pairs;
+        let epoch_len = estimated_epoch_len(n);
+        let entry_pairs = self.index.pairs();
         let mut first_regime: Option<&'static str> = None;
         let (mut d_epochs, mut d_leaps) = (0u64, 0u64);
         while out.executed < max_steps {
-            if self.reactive_pairs == 0 {
+            let pairs = self.index.pairs();
+            if pairs == 0 {
                 out.silent = true;
                 break;
             }
             let remaining = max_steps - out.executed;
-            let p = self.reactive_pairs as f64 / total_pairs as f64;
+            let p = pairs as f64 / total_pairs as f64;
             if p * epoch_len >= COLLISION_MIN_REACTIVE {
                 let birthday = self.birthday.get_or_insert_with(|| BirthdayCdf::new(n));
                 let ep = collision::run_epoch(
                     &self.protocol,
-                    &mut self.counts,
+                    self.index.counts_mut(),
                     birthday,
                     &mut self.scratch,
                     rng,
                     remaining,
                 );
-                self.reactive_pairs = self.scratch.reactive_pairs(&self.reactive, &self.counts);
+                self.index.sync_epoch(&self.protocol, self.scratch.delta());
                 out.executed += ep.executed;
                 out.changed += ep.changed;
                 if rec {
@@ -326,17 +232,14 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
                 stats.record_leap(skip);
             }
             out.executed += skip + 1;
-            let (a, b) = self.sample_reactive_pair(rng);
+            let (a, b) = self.index.sample_reactive_pair(rng);
             let (a2, b2) = self.protocol.interact(a, b, rng);
             if (a2, b2) != (a, b) {
                 out.changed += 1;
-                self.apply_count_change(a, -1);
-                self.apply_count_change(b, -1);
-                self.apply_count_change(a2, 1);
-                self.apply_count_change(b2, 1);
+                self.index.apply(&self.protocol, a, b, a2, b2);
             }
         }
-        debug_assert_eq!(self.reactive_pairs, self.recount_reactive_pairs());
+        debug_assert!(self.index.is_consistent(&self.protocol));
         self.steps += out.executed;
         if rec {
             stats.flush();
@@ -363,47 +266,23 @@ impl<P: Protocol> Simulator for AcceleratedPopulation<P> {
         "accel"
     }
 
-    /// Serializes the count vector and step counter. The reactivity table
-    /// depends only on the protocol, and the reactive-pair count, birthday
-    /// table, and collision scratch derive RNG-free from the counts, so all
-    /// are rebuilt on restore.
+    /// Serializes the count vector and step counter. The reactivity index,
+    /// birthday table, and collision scratch derive RNG-free from the counts
+    /// and the protocol, so all are rebuilt on restore.
     fn snapshot(&self) -> Result<Json, String> {
         Ok(Json::obj([
             (
                 "counts",
-                Json::Arr(self.counts.iter().map(|&c| hex_u64(c)).collect()),
+                Json::Arr(self.index.counts().iter().map(|&c| hex_u64(c)).collect()),
             ),
             ("steps", hex_u64(self.steps)),
         ]))
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let arr = state
-            .get("counts")
-            .and_then(Json::as_arr)
-            .ok_or("accel snapshot missing count array")?;
-        if arr.len() != self.counts.len() {
-            return Err(format!(
-                "snapshot has {} states, simulator protocol has {}",
-                arr.len(),
-                self.counts.len()
-            ));
-        }
-        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
-        let mut counts = Vec::with_capacity(arr.len());
-        for j in arr {
-            counts.push(parse_hex_u64(j)?);
-        }
-        let total: u64 = counts.iter().sum();
-        if total != self.n {
-            return Err(format!(
-                "snapshot population {total} does not match simulator population {}",
-                self.n
-            ));
-        }
-        self.counts = counts;
+        let (counts, steps) = parse_count_snapshot(state, self.num_states(), self.n, "accel")?;
+        self.index = ReactivityIndex::new(&self.protocol, counts);
         self.steps = steps;
-        self.reactive_pairs = self.recount_reactive_pairs();
         self.birthday = None;
         Ok(())
     }

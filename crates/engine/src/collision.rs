@@ -196,8 +196,8 @@ impl CollisionScratch {
     }
 
     /// Net per-state count movement of the last [`run_epoch`] call, for
-    /// callers that mirror the dense counts into another structure (the
-    /// Fenwick tree in `CountPopulation`).
+    /// callers that mirror the dense counts into other structures (the
+    /// reactivity index's occupancy, `CountPopulation`'s Fenwick tree).
     #[must_use]
     pub fn delta(&self) -> &[i64] {
         &self.delta
@@ -210,31 +210,6 @@ impl CollisionScratch {
             self.plans.clear();
             self.plans.resize(k * k, None);
         }
-    }
-
-    /// Allocation-free [`reactive_pairs`], reusing the scratch's occupied
-    /// buffer — called once per epoch on the hot path, where a fresh Vec
-    /// per call would cost more than the count itself.
-    #[must_use]
-    pub fn reactive_pairs(&mut self, reactive: &[bool], counts: &[u64]) -> u64 {
-        let k = counts.len();
-        debug_assert_eq!(reactive.len(), k * k);
-        self.occupied.clear();
-        for (s, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                self.occupied.push(s);
-            }
-        }
-        let mut pairs = 0u64;
-        for &a in &self.occupied {
-            let row = &reactive[a * k..(a + 1) * k];
-            for &b in &self.occupied {
-                if row[b] {
-                    pairs += counts[a] * (counts[b] - u64::from(a == b));
-                }
-            }
-        }
-        pairs
     }
 }
 
@@ -542,26 +517,6 @@ fn sample_counts_minus_one(counts: &[u64], n: u64, skip: usize, rng: &mut SimRng
     unreachable!("rank draw exceeded total weight")
 }
 
-/// Recounts ordered reactive pairs over the occupied states only —
-/// O(k + k'²) for k' occupied of k total, versus the O(k²) full recount.
-/// `reactive` is the row-major k×k reactivity table.
-#[must_use]
-pub fn reactive_pairs(reactive: &[bool], counts: &[u64]) -> u64 {
-    let k = counts.len();
-    debug_assert_eq!(reactive.len(), k * k);
-    let occupied: Vec<usize> = (0..k).filter(|&s| counts[s] > 0).collect();
-    let mut pairs = 0u64;
-    for &a in &occupied {
-        let row = &reactive[a * k..(a + 1) * k];
-        for &b in &occupied {
-            if row[b] {
-                pairs += counts[a] * (counts[b] - u64::from(a == b));
-            }
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,27 +633,5 @@ mod tests {
             assert!(out.executed <= remaining);
             assert_eq!(counts.iter().sum::<u64>(), n);
         }
-    }
-
-    #[test]
-    fn reactive_pairs_matches_bruteforce() {
-        let p = cycle3();
-        let k = 3;
-        let mut reactive = vec![false; k * k];
-        for a in 0..k {
-            for b in 0..k {
-                reactive[a * k + b] = p.is_reactive(a, b);
-            }
-        }
-        let counts = vec![5u64, 0, 7];
-        let mut expect = 0u64;
-        for a in 0..k {
-            for b in 0..k {
-                if reactive[a * k + b] {
-                    expect += counts[a] * (counts[b] - u64::from(a == b));
-                }
-            }
-        }
-        assert_eq!(reactive_pairs(&reactive, &counts), expect);
     }
 }

@@ -19,113 +19,65 @@ use crate::json::Json;
 use crate::metrics::{self, record_batch, BatchScratch, Counter};
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
+use crate::reactivity::ReactivityIndex;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
 use crate::trace::{self, DispatchRecord};
 
-/// Largest state space for which [`CountPopulation`] builds the `k × k`
-/// reactivity cache that powers batched no-op leaping. Above this, the
-/// `O(k²)` table build and reactive-pair scans would dominate, so
-/// `step_batch` falls back to a tight Fenwick-sampled loop.
+/// Largest state space for which [`CountPopulation`] builds the reactivity
+/// index that powers batched no-op leaping and collision epochs; above it,
+/// `step_batch` runs a tight Fenwick-sampled loop. The index costs
+/// `O(k + occupied²)` to build, which does not need the limit; it stays
+/// because lifting it would change which regime runs above 1 024 states,
+/// and with it the trajectories of those protocols.
 const BATCH_STATE_LIMIT: usize = 1024;
 
 /// Minimum expected number of *reactive* interactions per collision-free
 /// epoch for the contingency-table path to engage. An epoch costs a fixed
 /// handful of distribution draws; below this threshold the geometric no-op
-/// leap settles the same work with less overhead.
-const COLLISION_MIN_REACTIVE: f64 = 8.0;
+/// leap settles the same work with less overhead. Shared by
+/// [`crate::accel::AcceleratedPopulation`].
+pub(crate) const COLLISION_MIN_REACTIVE: f64 = 8.0;
 
 /// Expected collision-free interactions per epoch, `E[T]/2 ≈ 0.6267 √n`,
 /// estimated without building the birthday table (used only for regime
 /// dispatch; the exact table is built lazily on first collision use).
-fn estimated_epoch_len(n: u64) -> f64 {
+pub(crate) fn estimated_epoch_len(n: u64) -> f64 {
     (std::f64::consts::PI * n as f64 / 8.0).sqrt()
 }
 
-/// Lazily built state for batched stepping: the protocol's reactivity table,
-/// a dense shadow of the Fenwick counts, and the number of ordered reactive
-/// pairs of distinct agents.
-#[derive(Debug, Clone)]
-struct BatchCache {
-    /// `reactive[a * k + b]`: interaction `(a, b)` can change states.
-    reactive: Vec<bool>,
-    /// Dense mirror of the Fenwick counts (kept in sync by `apply_change`).
-    dense: Vec<u64>,
-    /// Number of ordered reactive pairs of distinct agents.
-    pairs: u64,
-}
-
-impl BatchCache {
-    fn recount(&self) -> u64 {
-        let k = self.dense.len();
-        let mut total = 0u64;
-        for a in 0..k {
-            let ca = self.dense[a];
-            if ca == 0 {
-                continue;
-            }
-            for b in 0..k {
-                if self.reactive[a * k + b] {
-                    let cb = if a == b { ca - 1 } else { self.dense[b] };
-                    total += ca * cb;
-                }
-            }
-        }
-        total
+/// Parses the `counts` array and step counter of a dense count backend's
+/// snapshot, checking them against the simulator's `k` states and `n`
+/// agents.
+pub(crate) fn parse_count_snapshot(
+    state: &Json,
+    k: usize,
+    n: u64,
+    backend: &str,
+) -> Result<(Vec<u64>, u64), String> {
+    let arr = state
+        .get("counts")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{backend} snapshot missing count array"))?;
+    if arr.len() != k {
+        return Err(format!(
+            "snapshot has {} states, simulator protocol has {k}",
+            arr.len()
+        ));
     }
-
-    /// Adjusts `pairs` for a count change `dense[u] += delta`, with `dense`
-    /// already reflecting the change. `O(k)`.
-    fn adjust(&mut self, u: usize, delta: i64) {
-        let k = self.dense.len();
-        let cu = self.dense[u] as i64;
-        let old_cu = cu - delta;
-        let mut d = 0i64;
-        for v in 0..k {
-            let cv = self.dense[v] as i64;
-            if v == u {
-                if self.reactive[u * k + u] {
-                    d += cu * (cu - 1) - old_cu * (old_cu - 1);
-                }
-                continue;
-            }
-            if self.reactive[u * k + v] {
-                d += delta * cv;
-            }
-            if self.reactive[v * k + u] {
-                d += cv * delta;
-            }
-        }
-        self.pairs = (self.pairs as i64 + d) as u64;
+    let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
+    let counts = arr
+        .iter()
+        .map(parse_hex_u64)
+        .collect::<Result<Vec<_>, _>>()?;
+    let total: u64 = counts.iter().sum();
+    if total != n {
+        return Err(format!(
+            "snapshot population {total} does not match simulator population {n}"
+        ));
     }
-
-    /// Samples an ordered reactive state pair proportional to the number of
-    /// agent pairs realizing it. `O(k²)` worst case; rows of empty states
-    /// short-circuit.
-    fn sample_reactive_pair(&self, rng: &mut SimRng) -> (usize, usize) {
-        debug_assert!(self.pairs > 0);
-        let mut r = rng.below(self.pairs);
-        let k = self.dense.len();
-        for a in 0..k {
-            let ca = self.dense[a];
-            if ca == 0 {
-                continue;
-            }
-            for b in 0..k {
-                if !self.reactive[a * k + b] {
-                    continue;
-                }
-                let cb = if a == b { ca - 1 } else { self.dense[b] };
-                let w = ca * cb;
-                if r < w {
-                    return (a, b);
-                }
-                r -= w;
-            }
-        }
-        unreachable!("rank exhausted the reactive pair mass");
-    }
+    Ok((counts, steps))
 }
 
 /// A population represented by per-state agent counts.
@@ -150,11 +102,12 @@ pub struct CountPopulation<P> {
     counts: Fenwick,
     n: u64,
     steps: u64,
-    /// Built on the first `step_batch` call (for `k ≤ BATCH_STATE_LIMIT`);
+    /// Reactivity index over a dense mirror of the Fenwick counts. Built on
+    /// the first `step_batch` call (for `k ≤ BATCH_STATE_LIMIT`);
     /// invalidated by out-of-band count edits ([`CountPopulation::reassign`]).
-    batch: Option<BatchCache>,
+    index: Option<ReactivityIndex>,
     /// Birthday-process table for the collision-batch regime. Keyed only on
-    /// `n`, which never changes, so it survives batch-cache invalidations.
+    /// `n`, which never changes, so it survives index invalidations.
     birthday: Option<BirthdayCdf>,
     /// Working memory for collision epochs (urns + cell-plan cache).
     scratch: CollisionScratch,
@@ -180,7 +133,7 @@ impl<P: Protocol> CountPopulation<P> {
             counts: Fenwick::from_weights(&full),
             n,
             steps: 0,
-            batch: None,
+            index: None,
             birthday: None,
             scratch: CollisionScratch::new(),
         }
@@ -220,9 +173,9 @@ impl<P: Protocol> CountPopulation<P> {
         assert!(to < self.protocol.num_states());
         self.counts.add(from, -(how_many as i64));
         self.counts.add(to, how_many as i64);
-        // Out-of-band edit: the batch cache's dense mirror and reactive-pair
-        // count are stale; rebuild lazily on the next step_batch.
-        self.batch = None;
+        // Out-of-band edit: the index's dense mirror and reactive-pair count
+        // are stale; rebuild lazily on the next step_batch.
+        self.index = None;
     }
 
     /// Samples the states of a uniformly random ordered pair of distinct
@@ -237,44 +190,35 @@ impl<P: Protocol> CountPopulation<P> {
     }
 
     /// Applies one interaction's count changes to the Fenwick tree and, if
-    /// present, the batch cache (dense mirror + reactive pair count).
+    /// present, the reactivity index.
     fn apply_change(&mut self, a: usize, b: usize, a2: usize, b2: usize) {
         for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
             self.counts.add(s, d);
-            if let Some(cache) = &mut self.batch {
-                cache.dense[s] = (cache.dense[s] as i64 + d) as u64;
-                cache.adjust(s, d);
-            }
         }
-        debug_assert!(self
-            .batch
-            .as_ref()
-            .is_none_or(|c| c.pairs == c.recount() && c.dense == self.counts.to_weights()));
+        if let Some(index) = &mut self.index {
+            index.apply(&self.protocol, a, b, a2, b2);
+        }
+        debug_assert!(self.index_is_consistent());
     }
 
-    /// Ensures the batch cache exists; returns false when the state space is
-    /// too large for `O(k²)` caching to pay off.
-    fn ensure_batch_cache(&mut self) -> bool {
-        let k = self.protocol.num_states();
-        if k > BATCH_STATE_LIMIT {
+    /// Debug check: the index agrees with a direct recount and its dense
+    /// mirror with the Fenwick weights.
+    fn index_is_consistent(&self) -> bool {
+        self.index.as_ref().is_none_or(|index| {
+            index.is_consistent(&self.protocol) && index.counts() == self.counts.to_weights()
+        })
+    }
+
+    /// Ensures the reactivity index exists; returns false above
+    /// `BATCH_STATE_LIMIT`.
+    fn ensure_index(&mut self) -> bool {
+        if self.protocol.num_states() > BATCH_STATE_LIMIT {
             return false;
         }
-        if self.batch.is_none() {
+        if self.index.is_none() {
             metrics::add(Counter::BatchCacheRebuilds, 1);
             let dense = self.counts.to_weights();
-            let mut reactive = vec![false; k * k];
-            for a in 0..k {
-                for b in 0..k {
-                    reactive[a * k + b] = self.protocol.is_reactive(a, b);
-                }
-            }
-            let mut cache = BatchCache {
-                reactive,
-                dense,
-                pairs: 0,
-            };
-            cache.pairs = cache.recount();
-            self.batch = Some(cache);
+            self.index = Some(ReactivityIndex::new(&self.protocol, dense));
         }
         true
     }
@@ -302,7 +246,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     /// Delegates to [`CountPopulation::reassign`], which invalidates the
-    /// batch cache (the dense mirror and reactive-pair count go stale).
+    /// reactivity index (its dense mirror and reactive-pair count go stale).
     fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
         let states = self.protocol.num_states();
         assert!(from < states, "migrate source state out of range");
@@ -354,8 +298,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let _batch_span = prof::section_if(pf, Section::BatchCount);
         let mut stats = BatchScratch::new();
         let mut out = BatchOutcome::default();
-        if !self.ensure_batch_cache() {
-            // Huge state space: no reactivity cache, just a tight loop.
+        if !self.ensure_index() {
+            // Huge state space: no reactivity index, just a tight loop.
             if rec {
                 metrics::add(Counter::DenseFallbackEntries, 1);
                 metrics::add(Counter::RegimeDenseFallback, 1);
@@ -378,7 +322,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 trace::record_dispatch(DispatchRecord {
                     backend: "CountPopulation",
                     n: self.n,
-                    // No reactivity cache exists in this regime, so the
+                    // No reactivity index exists in this regime, so the
                     // dispatch inputs p and E[epoch] are unknown (NaN
                     // serializes as JSON null).
                     pairs: 0,
@@ -396,12 +340,12 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let n = self.n;
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
-        let entry_pairs = self.batch.as_ref().expect("cache built above").pairs;
+        let entry_pairs = self.index.as_ref().expect("index built above").pairs();
         let mut first_regime: Option<&'static str> = None;
         let (mut d_epochs, mut d_leaps, mut d_steps) = (0u64, 0u64, 0u64);
         while out.executed < max_steps {
-            let cache = self.batch.as_mut().expect("cache built above");
-            let pairs = cache.pairs;
+            let index = self.index.as_mut().expect("index built above");
+            let pairs = index.pairs();
             if pairs == 0 {
                 out.silent = true;
                 break;
@@ -413,25 +357,23 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 let birthday = self.birthday.get_or_insert_with(|| BirthdayCdf::new(n));
                 let ep = collision::run_epoch(
                     &self.protocol,
-                    &mut cache.dense,
+                    index.counts_mut(),
                     birthday,
                     &mut self.scratch,
                     rng,
                     remaining,
                 );
-                // Sync the Fenwick tree and reactive-pair count from the
-                // epoch's net movement (touches only the states that moved).
+                // Sync the Fenwick tree, occupancy and reactive-pair count
+                // from the epoch's net movement.
                 let sync_span = prof::section_if(pf, Section::FenwickSync);
                 for (s, &d) in self.scratch.delta().iter().enumerate() {
                     if d != 0 {
                         self.counts.add(s, d);
                     }
                 }
-                cache.pairs = self.scratch.reactive_pairs(&cache.reactive, &cache.dense);
+                index.sync_epoch(&self.protocol, self.scratch.delta());
                 drop(sync_span);
-                debug_assert!(
-                    cache.pairs == cache.recount() && cache.dense == self.counts.to_weights()
-                );
+                debug_assert!(self.index_is_consistent());
                 out.executed += ep.executed;
                 out.changed += ep.changed;
                 if rec {
@@ -483,9 +425,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             }
             out.executed += skip + 1;
             let (a, b) = self
-                .batch
+                .index
                 .as_ref()
-                .expect("cache built above")
+                .expect("index built above")
                 .sample_reactive_pair(rng);
             let (a2, b2) = self.protocol.interact(a, b, rng);
             if (a2, b2) != (a, b) {
@@ -520,10 +462,10 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     /// Serializes the count vector and step counter. The Fenwick tree,
-    /// batch cache, birthday table, and collision scratch are all derived
+    /// reactivity index, birthday table, and collision scratch are all derived
     /// deterministically (and RNG-free) from the counts, so they are
     /// rebuilt on restore rather than stored — only the *presence* of the
-    /// batch cache is recorded, so that a resumed run rebuilds it at exactly
+    /// index is recorded, so that a resumed run rebuilds it at exactly
     /// the same point in its metrics stream as the uninterrupted run.
     fn snapshot(&self) -> Result<Json, String> {
         Ok(Json::obj([
@@ -538,46 +480,25 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 ),
             ),
             ("steps", hex_u64(self.steps)),
-            ("cached", Json::Bool(self.batch.is_some())),
+            ("cached", Json::Bool(self.index.is_some())),
         ]))
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let arr = state
-            .get("counts")
-            .and_then(Json::as_arr)
-            .ok_or("counts snapshot missing count array")?;
-        if arr.len() != self.protocol.num_states() {
-            return Err(format!(
-                "snapshot has {} states, simulator protocol has {}",
-                arr.len(),
-                self.protocol.num_states()
-            ));
-        }
-        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
-        let mut weights = Vec::with_capacity(arr.len());
-        for j in arr {
-            weights.push(parse_hex_u64(j)?);
-        }
-        let total: u64 = weights.iter().sum();
-        if total != self.n {
-            return Err(format!(
-                "snapshot population {total} does not match simulator population {}",
-                self.n
-            ));
-        }
+        let (weights, steps) =
+            parse_count_snapshot(state, self.protocol.num_states(), self.n, "counts")?;
         let cached = state.get("cached").and_then(Json::as_bool).unwrap_or(false);
         self.counts = Fenwick::from_weights(&weights);
         self.steps = steps;
-        self.batch = None;
+        self.index = None;
         self.birthday = None;
         if cached {
             // Rebuild eagerly so the rebuild's metrics bump lands during
             // restore (before any saved metrics registry is reloaded),
             // keeping a resumed run's counters identical to the
-            // uninterrupted run's — which had the cache live at this point
+            // uninterrupted run's — which had the index live at this point
             // and so will not rebuild it on its next batch.
-            let _ = self.ensure_batch_cache();
+            let _ = self.ensure_index();
         }
         Ok(())
     }

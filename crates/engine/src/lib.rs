@@ -22,9 +22,9 @@
 //! | Backend | Representation | Per-step cost | Batch cost (per `step_batch` of `m` steps) | Use case |
 //! |---|---|---|---|---|
 //! | [`population::Population`] | explicit agent array | `O(1)` | `O(m)` tight loop | per-agent inspection, matching scheduler |
-//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(k)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n` |
+//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n` |
 //! | [`counts::SparseCountPopulation`] | occupied states only | `O(occupied)` | `O(m · occupied)` tight loop | huge nominal `k`, few occupied states |
-//! | [`accel::AcceleratedPopulation`] | count vector + reactivity | `O(k)` per *reactive* step | `O(k)` per reactive interaction, `O(1)` per no-op stretch | sparse dynamics, silence detection |
+//! | [`accel::AcceleratedPopulation`] | count vector + reactivity index | `O(occupied)` per *reactive* step | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch | sparse dynamics, silence detection |
 //! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
@@ -77,6 +77,7 @@ pub mod observe;
 pub mod population;
 pub mod prof;
 pub mod protocol;
+pub(crate) mod reactivity;
 pub mod report;
 pub mod rng;
 pub mod ruletable;

@@ -62,16 +62,16 @@ pub enum Counter {
     NoopLeaps,
     /// Total activations skipped by no-op leaps.
     NoopStepsLeaped,
-    /// `step_batch` calls that ran without a reactivity cache because the
-    /// state space exceeds the `CountPopulation` batch-cache limit.
+    /// `step_batch` calls that ran without a reactivity index because the
+    /// state space exceeds `CountPopulation`'s `BATCH_STATE_LIMIT`.
     DenseFallbackEntries,
     /// Plain Fenwick-sampled steps taken in the reactive-dense regime,
     /// where a geometric draw would cost more than it skips.
     ReactiveDenseSteps,
     /// Fenwick trees built from a full weight vector.
     FenwickRebuilds,
-    /// `CountPopulation` batch caches built (first batch, or after an
-    /// out-of-band count edit invalidated the cache).
+    /// `CountPopulation` reactivity indexes built (first batch, or after an
+    /// out-of-band count edit invalidated the index).
     BatchCacheRebuilds,
     /// `step_batch` calls across all backends.
     Batches,

@@ -65,7 +65,7 @@ pub enum Section {
     BatchSparse,
     /// One `MatchingPopulation::step_batch` call.
     BatchMatching,
-    /// The no-reactivity-cache tight loop (`k > BATCH_STATE_LIMIT`).
+    /// The no-reactivity-index tight loop (`k > BATCH_STATE_LIMIT`).
     DenseFallback,
     /// One Fenwick-sampled step in the reactive-dense per-step regime.
     PerStep,

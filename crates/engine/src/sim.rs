@@ -168,7 +168,7 @@ pub trait Simulator {
     /// [`Simulator::restore`]) and driving it with the same RNG stream
     /// continues the run *exactly* — identical counts, step counter, and
     /// RNG consumption — as if the run had never been interrupted. Derived
-    /// caches (Fenwick trees, reactivity tables, batch caches) are *not*
+    /// caches (Fenwick trees, reactivity indexes) are *not*
     /// serialized; restore rebuilds them deterministically.
     ///
     /// The RNG itself is external to the simulator and saved separately by

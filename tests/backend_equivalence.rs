@@ -2,7 +2,8 @@
 //! accelerated, and matching simulators must realize the same stochastic
 //! process, per-step `step()` and batched `step_batch()` must induce the
 //! same run distribution, and the rules formalism must agree with
-//! hand-coded protocols.
+//! hand-coded protocols. The count backends must also ask the protocol
+//! about reactivity only for pairs of states that have been occupied.
 //!
 //! Random cases are drawn from seeded [`SimRng`] streams, so every failure
 //! reproduces from the printed case index.
@@ -12,13 +13,15 @@ use population_protocols::core::engine::counts::{CountPopulation, SparseCountPop
 use population_protocols::core::engine::matching::MatchingPopulation;
 use population_protocols::core::engine::metrics;
 use population_protocols::core::engine::population::Population;
-use population_protocols::core::engine::protocol::TableProtocol;
+use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::{run_until, Simulator, StepOutcome};
 use population_protocols::core::engine::stats::{
     chi_square_p_value, chi_square_two_sample, Summary,
 };
 use population_protocols::core::rules::{parse::parse_ruleset, FlagProtocol, VarSet};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Mean fratricide completion time for each backend over several seeds.
 fn fratricide_mean(backend: &str, leaders: u64, followers: u64, runs: u64) -> f64 {
@@ -207,12 +210,14 @@ fn step_batch_matches_step_on_matching_population() {
 }
 
 /// One input of the reactive-dense equivalence suite: initial counts, runs,
-/// the step target each run is driven to, and the `step_batch` chunk.
+/// the step target each run is driven to, the `step_batch` chunk, and the
+/// state whose count each run reports at the target.
 struct DenseInput {
-    counts: [u64; 3],
+    counts: &'static [u64],
     runs: u64,
     target: u64,
     chunk: u64,
+    observed: usize,
 }
 
 /// At n = 3000 a collision-free epoch covers ≈ 34 interactions of which
@@ -221,10 +226,11 @@ struct DenseInput {
 /// per-step and agent-array backends provide the reference distribution).
 /// Two parallel rounds.
 const DENSE: DenseInput = DenseInput {
-    counts: [1_000, 1_000, 1_000],
+    counts: &[1_000, 1_000, 1_000],
     runs: 100,
     target: 3_000 * 2,
     chunk: 97,
+    observed: 0,
 };
 
 /// The large-n input of the dense suite: one parallel round at n = 48 000,
@@ -233,13 +239,15 @@ const DENSE: DenseInput = DenseInput {
 /// of every batch is truncated at the boundary. Runs are costly at this
 /// size; 60 runs over 6 bins keep expected bin counts ≈ 10.
 const DENSE_LARGE: DenseInput = DenseInput {
-    counts: [20_000, 14_000, 14_000],
+    counts: &[20_000, 14_000, 14_000],
     runs: 60,
     target: 48_000,
     chunk: 2_971,
+    observed: 0,
 };
 
-/// As [`per_run_observations`] but for a dense-suite input.
+/// As [`per_run_observations`] but for a dense-suite input, reporting the
+/// count of its `observed` state.
 fn dense_observations<S: Simulator>(
     make: impl Fn() -> S,
     input: &DenseInput,
@@ -255,13 +263,13 @@ fn dense_observations<S: Simulator>(
             } else {
                 drive_stepwise(&mut sim, &mut rng, input.target);
             }
-            sim.count(0) as f64
+            sim.count(input.observed) as f64
         })
         .collect()
 }
 
-/// Chi-square homogeneity of step vs step_batch driving on the dense
-/// cycle-3 workload (collision-batch regime for the count backends).
+/// Chi-square homogeneity of step vs step_batch driving on a dense-suite
+/// input (collision-batch regime for the count backends).
 fn assert_dense_step_batch_equivalent<S: Simulator>(
     name: &str,
     make: impl Fn() -> S,
@@ -283,7 +291,7 @@ fn assert_dense_step_batch_equivalent<S: Simulator>(
 fn dense_step_batch_matches_step_on_population() {
     assert_dense_step_batch_equivalent(
         "Population",
-        || Population::from_counts(cycle(), &DENSE.counts),
+        || Population::from_counts(cycle(), DENSE.counts),
         &DENSE,
         1_100,
     );
@@ -293,7 +301,7 @@ fn dense_step_batch_matches_step_on_population() {
 fn dense_step_batch_matches_step_on_count_population() {
     assert_dense_step_batch_equivalent(
         "CountPopulation",
-        || CountPopulation::from_counts(cycle(), &DENSE.counts),
+        || CountPopulation::from_counts(cycle(), DENSE.counts),
         &DENSE,
         1_200,
     );
@@ -303,7 +311,7 @@ fn dense_step_batch_matches_step_on_count_population() {
 fn dense_step_batch_matches_step_on_sparse_count_population() {
     assert_dense_step_batch_equivalent(
         "SparseCountPopulation",
-        || SparseCountPopulation::from_dense(cycle(), &DENSE.counts),
+        || SparseCountPopulation::from_dense(cycle(), DENSE.counts),
         &DENSE,
         1_300,
     );
@@ -313,7 +321,7 @@ fn dense_step_batch_matches_step_on_sparse_count_population() {
 fn dense_step_batch_matches_step_on_accelerated_population() {
     assert_dense_step_batch_equivalent(
         "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), &DENSE.counts),
+        || AcceleratedPopulation::from_counts(cycle(), DENSE.counts),
         &DENSE,
         1_400,
     );
@@ -325,15 +333,59 @@ fn dense_step_batch_matches_step_on_accelerated_population() {
 fn dense_step_batch_matches_stepwise_distribution_at_large_n() {
     assert_dense_step_batch_equivalent(
         "CountPopulation",
-        || CountPopulation::from_counts(cycle(), &DENSE_LARGE.counts),
+        || CountPopulation::from_counts(cycle(), DENSE_LARGE.counts),
         &DENSE_LARGE,
         9_000,
     );
     assert_dense_step_batch_equivalent(
         "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), &DENSE_LARGE.counts),
+        || AcceleratedPopulation::from_counts(cycle(), DENSE_LARGE.counts),
         &DENSE_LARGE,
         19_000,
+    );
+}
+
+/// States on the occupancy-churn ring counter.
+const RING_STATES: usize = 128;
+
+/// A ring counter over [`RING_STATES`] states: two agents sharing a state
+/// both advance to the next one. From a common start the agents spread
+/// along the ring, vacating states and entering new ones throughout, so
+/// the count backends' reactivity index keeps filling memo cells for newly
+/// occupied states and dropping vacated ones from its occupied list.
+fn ring() -> TableProtocol {
+    (0..RING_STATES).fold(TableProtocol::new(RING_STATES, "ring"), |p, s| {
+        let next = (s + 1) % RING_STATES;
+        p.rule(s, s, next, next)
+    })
+}
+
+/// The churn input: 200 agents in state 0, five parallel rounds. Every pair
+/// is reactive at the start, so the first batches run collision epochs;
+/// per-step and leap batches take over as the agents spread out. The
+/// observed state 2 is entered and vacated throughout the run (≈ 37
+/// agents at the target).
+const RING: DenseInput = DenseInput {
+    counts: &[200],
+    runs: 100,
+    target: 200 * 5,
+    chunk: 97,
+    observed: 2,
+};
+
+#[test]
+fn churn_step_batch_matches_step_on_count_backends() {
+    assert_dense_step_batch_equivalent(
+        "CountPopulation",
+        || CountPopulation::from_counts(ring(), RING.counts),
+        &RING,
+        2_100,
+    );
+    assert_dense_step_batch_equivalent(
+        "AcceleratedPopulation",
+        || AcceleratedPopulation::from_counts(ring(), RING.counts),
+        &RING,
+        2_200,
     );
 }
 
@@ -341,7 +393,7 @@ fn dense_step_batch_matches_stepwise_distribution_at_large_n() {
 fn dense_step_batch_matches_step_on_matching_population() {
     assert_dense_step_batch_equivalent(
         "MatchingPopulation",
-        || MatchingPopulation::from_counts(cycle(), &DENSE.counts),
+        || MatchingPopulation::from_counts(cycle(), DENSE.counts),
         &DENSE,
         1_500,
     );
@@ -356,8 +408,8 @@ fn dense_step_batch_matches_step_on_matching_population() {
 fn dense_scenario_uses_collision_epochs() {
     metrics::enable();
     let before = metrics::snapshot();
-    let mut count_pop = CountPopulation::from_counts(cycle(), &DENSE.counts);
-    let mut accel_pop = AcceleratedPopulation::from_counts(cycle(), &DENSE.counts);
+    let mut count_pop = CountPopulation::from_counts(cycle(), DENSE.counts);
+    let mut accel_pop = AcceleratedPopulation::from_counts(cycle(), DENSE.counts);
     let mut rng = SimRng::seed_from(77);
     count_pop.step_batch(&mut rng, DENSE.target);
     accel_pop.step_batch(&mut rng, DENSE.target);
@@ -688,4 +740,64 @@ fn accel_silence_is_sound() {
             }
         }
     }
+}
+
+/// A protocol wrapper that records every [`Protocol::is_reactive`] query.
+struct AskCounter {
+    inner: TableProtocol,
+    asked: RefCell<HashMap<(usize, usize), u64>>,
+}
+
+impl Protocol for AskCounter {
+    fn num_states(&self) -> usize {
+        self.inner.num_states()
+    }
+    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        self.inner.interact(a, b, rng)
+    }
+    fn is_reactive(&self, a: usize, b: usize) -> bool {
+        *self.asked.borrow_mut().entry((a, b)).or_default() += 1;
+        self.inner.is_reactive(a, b)
+    }
+    fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+        self.inner.outcome_table(a, b)
+    }
+}
+
+/// With 1 024 declared states (the batching limit) and only states 0–2
+/// ever occupied, the count backends ask `is_reactive` about at most
+/// 3² = 9 pairs; an eager `k × k` table would ask 1 048 576 times. Debug
+/// builds also recount every occupied pair through the protocol in their
+/// consistency assertions, so the total number of calls is pinned in
+/// release builds only; the pairs asked about are pinned in both.
+#[test]
+fn count_backends_ask_only_about_occupied_pairs() {
+    let counts = [9_000u64, 10, 10];
+    let check = |p: &AskCounter, what: &str| {
+        let asked = p.asked.borrow();
+        let outside = asked.keys().filter(|&&(a, b)| a >= 3 || b >= 3).count();
+        assert_eq!(outside, 0, "{what} asked about {outside} unoccupied pairs");
+        let calls: u64 = asked.values().sum();
+        if cfg!(not(debug_assertions)) {
+            assert!(calls <= 9, "{what} made {calls} is_reactive calls");
+        }
+    };
+    let protocol = || AskCounter {
+        inner: TableProtocol::new(1_024, "cycle")
+            .rule(0, 1, 1, 1)
+            .rule(1, 2, 2, 2)
+            .rule(2, 0, 0, 0),
+        asked: RefCell::new(HashMap::new()),
+    };
+    let mut rng = SimRng::seed_from(61);
+    let p = protocol();
+    let mut pop = CountPopulation::from_counts(&p, &counts);
+    pop.step_batch(&mut rng, 9_020);
+    check(&p, "CountPopulation::step_batch");
+    let p = protocol();
+    let mut pop = AcceleratedPopulation::from_counts(&p, &counts);
+    for _ in 0..50 {
+        pop.step(&mut rng);
+    }
+    check(&p, "AcceleratedPopulation");
 }
