@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the simulation substrate: per-interaction
-//! throughput of every backend, Fenwick vs linear sampling, the geometric
-//! no-op accelerator (E14 / design-ablation benches from DESIGN.md §6),
+//! throughput of every backend, Fenwick vs linear sampling, geometric
+//! no-op leaping (E14 / design-ablation benches from DESIGN.md §6),
 //! and the headline `step` vs `step_batch` comparison on
 //! `CountPopulation`, whose results are written to `BENCH_batch.json` at
 //! the workspace root. The reactive-dense rows (collision-batch regime,
@@ -16,7 +16,6 @@
 
 use pp_bench::history::{self, HistoryRecord};
 use pp_bench::timing::{bench, throughput};
-use pp_engine::accel::AcceleratedPopulation;
 use pp_engine::counts::CountPopulation;
 use pp_engine::fenwick::Fenwick;
 use pp_engine::json::Json;
@@ -64,19 +63,18 @@ fn bench_backends() {
     }
 }
 
-fn bench_accelerator() {
-    // E14: sparse dynamics — 4 leaders among n agents. The accelerated
-    // backend jumps the dead time; the naive one slogs through it (so the
-    // naive side only runs at the smaller n).
-    println!("\n== accel_sparse_fratricide (full run to 1 leader) ==");
+fn bench_noop_leap() {
+    // E14: sparse dynamics — 4 leaders among n agents. Batched stepping
+    // leaps the dead time until the configuration is silent; per-step
+    // driving slogs through it (so the naive side only runs at the
+    // smaller n).
+    println!("\n== leap_sparse_fratricide (full run to 1 leader) ==");
     let p = TableProtocol::new(2, "frat").rule(1, 1, 1, 0);
     for n in [1_000u64, 10_000] {
-        bench(&format!("accelerated n={n}"), || {
-            let mut pop = AcceleratedPopulation::from_counts(&p, &[n - 4, 4]);
+        bench(&format!("count_step_batch n={n}"), || {
+            let mut pop = CountPopulation::from_counts(&p, &[n - 4, 4]);
             let mut rng = SimRng::seed_from(7);
-            while pop.count(1) > 1 {
-                pop.step(&mut rng);
-            }
+            while !pop.step_batch(&mut rng, u64::MAX).silent {}
             pop.steps()
         });
     }
@@ -392,7 +390,7 @@ fn main() {
     println!("engine micro-benchmarks (median of 5 samples per line)");
     bench_backends();
     bench_fenwick();
-    bench_accelerator();
+    bench_noop_leap();
     bench_epidemic_completion();
     let rows = bench_step_vs_batch();
     write_batch_json(&rows);

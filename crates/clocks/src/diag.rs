@@ -10,7 +10,7 @@
 //!   5.1 predicts a rotation period of `Θ(log n)`; the recorded median
 //!   period makes that measurable per run.
 //! * [`TickTracer`] — tracks the majority phase of every level of a
-//!   [`ClockHierarchy`] population and records each majority-phase change
+//!   [`crate::hierarchy::ClockHierarchy`] population and records each majority-phase change
 //!   ("tick") with its parallel time. Adjacent levels should tick at rates
 //!   separated by `Θ(log n)` (Section 5.3); the per-level tick lists expose
 //!   exactly that. Ticks can be re-emitted as [`pp_engine::trace`] events.

@@ -16,9 +16,9 @@
 //! configuration distributed *exactly* as sequential stepping. DESIGN.md
 //! §12 gives the full exactness argument.
 //!
-//! `CountPopulation` and `AcceleratedPopulation` route through this module
-//! when the configuration is reactive-dense enough that no-op leaping stops
-//! paying (see their three-regime dispatch); the chi-square suite in
+//! `CountPopulation` routes through this module when the configuration is
+//! reactive-dense enough that no-op leaping stops paying (see its
+//! three-regime dispatch); the chi-square suite in
 //! `tests/backend_equivalence.rs` pins the step-vs-epoch equivalence.
 
 use crate::prof::{self, Section};

@@ -36,8 +36,7 @@ const BATCH_STATE_LIMIT: usize = 1024;
 /// Minimum expected number of *reactive* interactions per collision-free
 /// epoch for the contingency-table path to engage. An epoch costs a fixed
 /// handful of distribution draws; below this threshold the geometric no-op
-/// leap settles the same work with less overhead. Shared by
-/// [`crate::accel::AcceleratedPopulation`].
+/// leap settles the same work with less overhead.
 pub(crate) const COLLISION_MIN_REACTIVE: f64 = 8.0;
 
 /// Expected collision-free interactions per epoch, `E[T]/2 ≈ 0.6267 √n`,

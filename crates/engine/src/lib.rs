@@ -22,9 +22,8 @@
 //! | Backend | Representation | Per-step cost | Batch cost (per `step_batch` of `m` steps) | Use case |
 //! |---|---|---|---|---|
 //! | [`population::Population`] | explicit agent array | `O(1)` | `O(m)` tight loop | per-agent inspection, matching scheduler |
-//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n` |
+//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
 //! | [`counts::SparseCountPopulation`] | occupied states only | `O(occupied)` | `O(m · occupied)` tight loop | huge nominal `k`, few occupied states |
-//! | [`accel::AcceleratedPopulation`] | count vector + reactivity index | `O(occupied)` per *reactive* step | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch | sparse dynamics, silence detection |
 //! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
@@ -63,7 +62,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod accel;
 pub mod collision;
 pub mod counts;
 pub mod faults;

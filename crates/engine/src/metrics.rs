@@ -13,7 +13,7 @@
 //!   ordering. Sweep worker threads aggregate into the same registry, so a
 //!   snapshot reflects the whole process.
 //!
-//! Capture points live on the hot paths of all five backends: interactions
+//! Capture points live on the hot paths of all four backends: interactions
 //! executed/changed, no-op leap counts and leap-length distribution
 //! ([`Hist::LeapLen`]), `CountPopulation` dense-fallback entries, Fenwick
 //! (re)builds, batch-cache rebuilds, batch sizes, observer callbacks,

@@ -57,8 +57,6 @@ use std::time::Instant;
 pub enum Section {
     /// One `CountPopulation::step_batch` call (the three-regime dispatcher).
     BatchCount,
-    /// One `AcceleratedPopulation::step_batch` call.
-    BatchAccel,
     /// One agent-array `Population::step_batch` call.
     BatchAgents,
     /// One `SparseCountPopulation::step_batch` call.
@@ -101,9 +99,8 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 19] = [
+    pub const ALL: [Section; 18] = [
         Section::BatchCount,
-        Section::BatchAccel,
         Section::BatchAgents,
         Section::BatchSparse,
         Section::BatchMatching,
@@ -128,7 +125,6 @@ impl Section {
     pub const fn name(self) -> &'static str {
         match self {
             Section::BatchCount => "count_step_batch",
-            Section::BatchAccel => "accel_step_batch",
             Section::BatchAgents => "agents_step_batch",
             Section::BatchSparse => "sparse_step_batch",
             Section::BatchMatching => "matching_step_batch",

@@ -1,5 +1,5 @@
-//! The reactivity index shared by the dense count backends
-//! ([`crate::counts::CountPopulation`], [`crate::accel::AcceleratedPopulation`]).
+//! The reactivity index of the dense count backend,
+//! [`crate::counts::CountPopulation`].
 //!
 //! It holds the dense counts, the occupied states in ascending order, a
 //! `k × k` memo of [`Protocol::is_reactive`] filled for a pair the first

@@ -8,7 +8,7 @@
 //! integers, Bernoulli, binomial, hypergeometric, multivariate
 //! hypergeometric, geometric, normal) are inherent methods. The discrete
 //! large-count samplers are *exact*: they invert the true pmf from its mode
-//! in `O(sd)` expected work, anchored by one [`ln_fact`]-based pmf
+//! in `O(sd)` expected work, anchored by one `ln_fact`-based pmf
 //! evaluation — no normal approximation anywhere.
 //!
 //! # Examples
@@ -539,8 +539,8 @@ impl SimRng {
     /// Samples a geometric random variable: the number of independent
     /// Bernoulli(`p`) failures before the first success (support `0, 1, …`).
     ///
-    /// Used by the no-op leaping accelerator to jump over silent interaction
-    /// stretches in one step. For very small `p` this uses the inversion
+    /// Used by the count backend's no-op leaping to jump over silent
+    /// interaction stretches in one step. For very small `p` this uses the inversion
     /// formula `⌊ln U / ln(1−p)⌋`, which is exact in distribution.
     ///
     /// # Panics

@@ -15,8 +15,8 @@
 //! wall-clock. [`Simulator::step_batch`] advances up to `max_steps`
 //! activations in one call and reports an aggregate [`BatchOutcome`];
 //! backends override it with tight inner loops (agent-array), count-vector
-//! no-op leaping (count-based), folded geometric acceleration (accelerated),
-//! or whole matching rounds. The run loops ([`run_rounds`], [`run_until`])
+//! no-op leaping and collision epochs (count-based), or whole matching
+//! rounds. The run loops ([`run_rounds`], [`run_until`])
 //! size batches from observer checkpoint strides, so measurement granularity
 //! — not per-step callbacks — bounds the batch length.
 
@@ -67,9 +67,8 @@ impl BatchOutcome {
 /// Implementations: [`crate::population::Population`] (explicit agent
 /// array), [`crate::counts::CountPopulation`] (state-count vector with
 /// Fenwick sampling), [`crate::counts::SparseCountPopulation`] (occupied
-/// states only), [`crate::accel::AcceleratedPopulation`] (count vector with
-/// exact no-op leaping), [`crate::matching::MatchingPopulation`]
-/// (random-matching scheduler).
+/// states only), [`crate::matching::MatchingPopulation`] (random-matching
+/// scheduler).
 ///
 /// A simulator runs on the calling thread, so its trajectory is a function
 /// of the initial configuration and the RNG alone. Parallelism belongs
@@ -152,7 +151,7 @@ pub trait Simulator {
     }
 
     /// Stable tag naming this backend in snapshot headers (`"agents"`,
-    /// `"counts"`, `"sparse"`, `"accel"`, `"matching"`, `"faulty"`).
+    /// `"counts"`, `"sparse"`, `"matching"`, `"faulty"`).
     ///
     /// [`Simulator::restore`] refuses state saved under a different tag, so
     /// a snapshot can never be silently deserialized into the wrong backend
@@ -177,7 +176,7 @@ pub trait Simulator {
     /// # Errors
     ///
     /// The default implementation reports that the backend has no snapshot
-    /// support; the five native backends and
+    /// support; the four native backends and
     /// [`crate::faults::FaultyPopulation`] never fail.
     fn snapshot(&self) -> Result<Json, String> {
         Err(format!(

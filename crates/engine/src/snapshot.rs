@@ -617,6 +617,24 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_foreign_backend_tag() {
+        // A snapshot tagged by any other backend, including one this build
+        // does not have, is refused before any state is touched.
+        let mut snap = sample_snapshot();
+        snap.backend = "accel".to_string();
+        let p = TableProtocol::new(2, "epidemic")
+            .rule(1, 0, 1, 1)
+            .rule(0, 1, 1, 1);
+        let mut pop = CountPopulation::from_counts(&p, &[500, 12]);
+        let err = snap
+            .resume_into(&mut pop)
+            .expect_err("a foreign backend tag must be refused");
+        assert!(err.contains("\"accel\""), "{err}");
+        assert_eq!(pop.counts(), vec![500, 12]);
+        assert_eq!(pop.steps(), 0);
+    }
+
+    #[test]
     fn zero_rng_words_cannot_resume() {
         let mut snap = sample_snapshot();
         snap.rng_words = [0; 4];

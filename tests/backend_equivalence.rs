@@ -1,14 +1,13 @@
 //! Cross-backend equivalence tests: the agent-array, count-based, sparse,
-//! accelerated, and matching simulators must realize the same stochastic
-//! process, per-step `step()` and batched `step_batch()` must induce the
-//! same run distribution, and the rules formalism must agree with
-//! hand-coded protocols. The count backends must also ask the protocol
+//! and matching simulators must realize the same stochastic process,
+//! per-step `step()` and batched `step_batch()` must induce the same run
+//! distribution, and the rules formalism must agree with hand-coded
+//! protocols. The count backend must also ask the protocol
 //! about reactivity only for pairs of states that have been occupied.
 //!
 //! Random cases are drawn from seeded [`SimRng`] streams, so every failure
 //! reproduces from the printed case index.
 
-use population_protocols::core::engine::accel::AcceleratedPopulation;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::matching::MatchingPopulation;
 use population_protocols::core::engine::metrics;
@@ -43,11 +42,6 @@ fn fratricide_mean(backend: &str, leaders: u64, followers: u64, runs: u64) -> f6
                         SparseCountPopulation::from_dense(&protocol, &[followers, leaders]);
                     run_until(&mut pop, &mut rng, 1e7, 1, |s| s.count(1) == 1).unwrap()
                 }
-                "accel" => {
-                    let mut pop =
-                        AcceleratedPopulation::from_counts(&protocol, &[followers, leaders]);
-                    run_until(&mut pop, &mut rng, 1e7, 1, |s| s.count(1) == 1).unwrap()
-                }
                 _ => unreachable!(),
             }
         })
@@ -60,9 +54,8 @@ fn all_backends_agree_on_fratricide_time() {
     let agents = fratricide_mean("agents", 16, 112, 40);
     let counts = fratricide_mean("counts", 16, 112, 40);
     let sparse = fratricide_mean("sparse", 16, 112, 40);
-    let accel = fratricide_mean("accel", 16, 112, 40);
     let reference = agents;
-    for (name, value) in [("counts", counts), ("sparse", sparse), ("accel", accel)] {
+    for (name, value) in [("counts", counts), ("sparse", sparse)] {
         let rel = (value - reference).abs() / reference;
         assert!(
             rel < 0.25,
@@ -192,15 +185,6 @@ fn step_batch_matches_step_on_sparse_count_population() {
 }
 
 #[test]
-fn step_batch_matches_step_on_accelerated_population() {
-    assert_step_batch_equivalent(
-        "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), &EQUIV_N),
-        400,
-    );
-}
-
-#[test]
 fn step_batch_matches_step_on_matching_population() {
     assert_step_batch_equivalent(
         "MatchingPopulation",
@@ -221,9 +205,9 @@ struct DenseInput {
 }
 
 /// At n = 3000 a collision-free epoch covers ≈ 34 interactions of which
-/// ≈ 11 are reactive, so `CountPopulation` and `AcceleratedPopulation`
-/// route their batches through the contingency-table collision path (the
-/// per-step and agent-array backends provide the reference distribution).
+/// ≈ 11 are reactive, so `CountPopulation` routes its batches through the
+/// contingency-table collision path (the per-step and agent-array backends
+/// provide the reference distribution).
 /// Two parallel rounds.
 const DENSE: DenseInput = DenseInput {
     counts: &[1_000, 1_000, 1_000],
@@ -269,7 +253,7 @@ fn dense_observations<S: Simulator>(
 }
 
 /// Chi-square homogeneity of step vs step_batch driving on a dense-suite
-/// input (collision-batch regime for the count backends).
+/// input (collision-batch regime for the count backend).
 fn assert_dense_step_batch_equivalent<S: Simulator>(
     name: &str,
     make: impl Fn() -> S,
@@ -317,17 +301,7 @@ fn dense_step_batch_matches_step_on_sparse_count_population() {
     );
 }
 
-#[test]
-fn dense_step_batch_matches_step_on_accelerated_population() {
-    assert_dense_step_batch_equivalent(
-        "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), DENSE.counts),
-        &DENSE,
-        1_400,
-    );
-}
-
-/// The large-n input on both dense count backends: every batch chains many
+/// The large-n input on the dense count backend: every batch chains many
 /// collision epochs and truncates its last one at the chunk boundary.
 #[test]
 fn dense_step_batch_matches_stepwise_distribution_at_large_n() {
@@ -337,12 +311,6 @@ fn dense_step_batch_matches_stepwise_distribution_at_large_n() {
         &DENSE_LARGE,
         9_000,
     );
-    assert_dense_step_batch_equivalent(
-        "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(cycle(), DENSE_LARGE.counts),
-        &DENSE_LARGE,
-        19_000,
-    );
 }
 
 /// States on the occupancy-churn ring counter.
@@ -351,7 +319,7 @@ const RING_STATES: usize = 128;
 /// A ring counter over [`RING_STATES`] states: two agents sharing a state
 /// both advance to the next one. From a common start the agents spread
 /// along the ring, vacating states and entering new ones throughout, so
-/// the count backends' reactivity index keeps filling memo cells for newly
+/// the count backend's reactivity index keeps filling memo cells for newly
 /// occupied states and dropping vacated ones from its occupied list.
 fn ring() -> TableProtocol {
     (0..RING_STATES).fold(TableProtocol::new(RING_STATES, "ring"), |p, s| {
@@ -381,12 +349,6 @@ fn churn_step_batch_matches_step_on_count_backends() {
         &RING,
         2_100,
     );
-    assert_dense_step_batch_equivalent(
-        "AcceleratedPopulation",
-        || AcceleratedPopulation::from_counts(ring(), RING.counts),
-        &RING,
-        2_200,
-    );
 }
 
 #[test]
@@ -408,20 +370,18 @@ fn dense_step_batch_matches_step_on_matching_population() {
 fn dense_scenario_uses_collision_epochs() {
     metrics::enable();
     let before = metrics::snapshot();
-    let mut count_pop = CountPopulation::from_counts(cycle(), DENSE.counts);
-    let mut accel_pop = AcceleratedPopulation::from_counts(cycle(), DENSE.counts);
+    let mut pop = CountPopulation::from_counts(cycle(), DENSE.counts);
     let mut rng = SimRng::seed_from(77);
-    count_pop.step_batch(&mut rng, DENSE.target);
-    accel_pop.step_batch(&mut rng, DENSE.target);
+    pop.step_batch(&mut rng, DENSE.target);
     let after = metrics::snapshot();
     metrics::disable();
     let epochs = after.counter("collision_epochs") - before.counter("collision_epochs");
     let steps =
         after.counter("collision_batched_steps") - before.counter("collision_batched_steps");
-    // Two backends × 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 300 epochs.
+    // 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 170 epochs.
     assert!(epochs >= 100, "only {epochs} collision epochs recorded");
     assert!(
-        steps >= 2 * DENSE.target - 200,
+        steps >= DENSE.target - 100,
         "only {steps} steps settled via collision batches"
     );
 }
@@ -611,10 +571,6 @@ fn batch_executed_matches_steps_delta_exactly() {
                 Box::new(SparseCountPopulation::from_dense(cycle(), &EQUIV_N)),
             ),
             (
-                "accel",
-                Box::new(AcceleratedPopulation::from_counts(cycle(), &EQUIV_N)),
-            ),
-            (
                 "matching",
                 Box::new(MatchingPopulation::from_counts(cycle(), &EQUIV_N)),
             ),
@@ -652,18 +608,12 @@ fn batch_executed_matches_steps_delta_exactly() {
 }
 
 /// A silent configuration yields `executed == 0`, `silent == true`, and no
-/// `steps()` movement on the reactivity-tracking backends.
+/// `steps()` movement on the reactivity-tracking count backend.
 #[test]
 fn silent_batches_consume_nothing() {
     let protocol = TableProtocol::new(2, "fratricide").rule(1, 1, 1, 0);
     let mut rng = SimRng::seed_from(42);
     // One leader: no reactive pair exists.
-    let mut accel = AcceleratedPopulation::from_counts(&protocol, &[9, 1]);
-    let out = accel.step_batch(&mut rng, 1_000);
-    assert!(out.silent);
-    assert_eq!(out.executed, 0);
-    assert_eq!(accel.steps(), 0);
-
     let mut counts = CountPopulation::from_counts(&protocol, &[9, 1]);
     let out = counts.step_batch(&mut rng, 1_000);
     assert!(out.silent);
@@ -723,21 +673,27 @@ fn dsl_epidemic_matches_table_epidemic() {
     }
 }
 
-/// The accelerated backend never reports Silent while a reactive pair
-/// exists, and vice versa.
+/// The count backend never reports a silent batch while a reactive pair
+/// exists, and vice versa: a one-step batch is silent and executes nothing
+/// exactly when fewer than two leaders remain.
 #[test]
-fn accel_silence_is_sound() {
+fn count_silence_is_sound() {
     let protocol = TableProtocol::new(2, "fratricide").rule(1, 1, 1, 0);
     for leaders in 0u64..6 {
         for followers in 2u64..40 {
-            let mut pop = AcceleratedPopulation::from_counts(&protocol, &[followers, leaders]);
+            let mut pop = CountPopulation::from_counts(&protocol, &[followers, leaders]);
             let mut rng = SimRng::seed_from(leaders * 100 + followers);
-            let outcome = pop.step(&mut rng);
-            if leaders >= 2 {
-                assert_ne!(outcome, StepOutcome::Silent, "{leaders} leaders");
-            } else {
-                assert_eq!(outcome, StepOutcome::Silent, "{leaders} leaders");
-            }
+            let out = pop.step_batch(&mut rng, 1);
+            assert_eq!(
+                out.silent,
+                leaders < 2,
+                "{leaders} leaders, {followers} followers"
+            );
+            assert_eq!(
+                out.executed,
+                u64::from(leaders >= 2),
+                "{leaders} leaders, {followers} followers"
+            );
         }
     }
 }
@@ -765,7 +721,7 @@ impl Protocol for AskCounter {
 }
 
 /// With 1 024 declared states (the batching limit) and only states 0–2
-/// ever occupied, the count backends ask `is_reactive` about at most
+/// ever occupied, the count backend asks `is_reactive` about at most
 /// 3² = 9 pairs; an eager `k × k` table would ask 1 048 576 times. Debug
 /// builds also recount every occupied pair through the protocol in their
 /// consistency assertions, so the total number of calls is pinned in
@@ -794,10 +750,4 @@ fn count_backends_ask_only_about_occupied_pairs() {
     let mut pop = CountPopulation::from_counts(&p, &counts);
     pop.step_batch(&mut rng, 9_020);
     check(&p, "CountPopulation::step_batch");
-    let p = protocol();
-    let mut pop = AcceleratedPopulation::from_counts(&p, &counts);
-    for _ in 0..50 {
-        pop.step(&mut rng);
-    }
-    check(&p, "AcceleratedPopulation");
 }

@@ -110,5 +110,8 @@ fn unknown_flag_is_a_hard_error() {
         .expect("spawn ppsim");
     assert!(!out.status.success(), "--threads must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag --threads"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown flag --threads"),
+        "stderr: {stderr}"
+    );
 }

@@ -8,7 +8,6 @@
 //! `tests/determinism.rs`, which owns the registry), so they can run in
 //! parallel.
 
-use population_protocols::core::engine::accel::AcceleratedPopulation;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::Json;
@@ -116,15 +115,6 @@ fn every_backend_roundtrips_at_random_batch_boundaries() {
             "sparse",
             SparseCountPopulation::from_dense(&p, &counts),
             SparseCountPopulation::from_dense(&p, &counts),
-            seed,
-            n,
-            cut,
-            tail,
-        );
-        assert_roundtrip_exact(
-            "accel",
-            AcceleratedPopulation::from_counts(&p, &counts),
-            AcceleratedPopulation::from_counts(&p, &counts),
             seed,
             n,
             cut,
