@@ -19,9 +19,9 @@ use pp_bench::timing::{bench, throughput};
 use pp_engine::counts::CountPopulation;
 use pp_engine::fenwick::Fenwick;
 use pp_engine::json::Json;
-use pp_engine::metrics;
 use pp_engine::population::Population;
 use pp_engine::protocol::TableProtocol;
+use pp_engine::recorder::Recorder;
 use pp_engine::rng::SimRng;
 use pp_engine::sim::Simulator;
 use std::path::PathBuf;
@@ -221,7 +221,7 @@ struct DenseRow {
 /// Dense `cycle3` rows for `BENCH_dense.json`: step vs collision-batch
 /// throughput at each n, plus the observed per-epoch batch-size
 /// distribution (log2-bucketed `epoch_len` histogram) captured from a
-/// separate metrics-instrumented run so the instrumentation never taxes
+/// separate recorded run so the instrumentation never taxes
 /// the timed loops.
 fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
     println!("\n== dense collision-batch rows (cycle3) ==");
@@ -234,13 +234,14 @@ fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
         // Distribution capture: enough steps for thousands of epochs at
         // every n without dominating wall-clock at n = 1e8.
         let capture_steps = (4 * n).min((2_000_000u64).max(n / 4));
-        metrics::reset();
-        metrics::enable();
-        let mut pop = dense();
-        let mut rng = SimRng::seed_from(23);
-        pop.step_batch(&mut rng, capture_steps);
-        let snap = metrics::snapshot();
-        metrics::disable();
+        let mut recorder = Recorder::new();
+        {
+            let _installed = recorder.install();
+            let mut pop = dense();
+            let mut rng = SimRng::seed_from(23);
+            pop.step_batch(&mut rng, capture_steps);
+        }
+        let snap = recorder.metrics();
         let collision_epochs = snap.counter("collision_epochs");
         let collision_batched_steps = snap.counter("collision_batched_steps");
         let mean_epoch_len = if collision_epochs > 0 {

@@ -11,7 +11,7 @@
 pub mod history;
 pub mod timing;
 
-use pp_engine::metrics;
+use pp_engine::recorder::{self, Recorder};
 use pp_engine::report::Table;
 use std::path::PathBuf;
 
@@ -29,18 +29,20 @@ pub enum Scale {
 impl Scale {
     /// Parses the scale from `std::env::args` (`--quick` / `--full`).
     ///
-    /// Also arms the engine's global [`metrics`] registry (unless
-    /// `--no-metrics` is given), so every experiment binary emits a
-    /// telemetry snapshot next to its CSV via [`emit`]. The counters cost a
-    /// few relaxed atomics per batch/leap — negligible against the
-    /// simulations the experiments time, and the dedicated overhead
-    /// micro-benchmark (`benches/metrics.rs`) runs without this path.
+    /// Also installs a [`Recorder`] on the calling thread for the rest of
+    /// the process (unless `--no-metrics` is given), so every experiment
+    /// binary emits a telemetry snapshot next to its CSV via [`emit`];
+    /// sweeps started from this thread merge their tasks' counts into it.
+    /// The counters cost a few plain adds per batch — negligible against
+    /// the simulations the experiments time, and the dedicated overhead
+    /// micro-benchmark (`benches/recorder.rs`) runs without this path.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         if !args.iter().any(|a| a == "--no-metrics") {
-            metrics::reset();
-            metrics::enable();
+            // The experiment is the run: the guard is leaked, so the
+            // recorder stays installed for as long as the process lives.
+            std::mem::forget(Recorder::new().install());
         }
         if args.iter().any(|a| a == "--quick") {
             Scale::Quick
@@ -64,7 +66,7 @@ impl Scale {
 
 /// Prints the table and writes it to `target/experiments/<name>.csv`.
 ///
-/// When the engine metrics registry is enabled (the default via
+/// When a recorder is installed on the calling thread (the default via
 /// [`Scale::from_args`]), also writes a telemetry snapshot to
 /// `target/experiments/<name>_metrics.json`.
 pub fn emit(name: &str, table: &Table) {
@@ -74,9 +76,9 @@ pub fn emit(name: &str, table: &Table) {
         Ok(()) => println!("(csv written to {})", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-    if metrics::enabled() {
+    if let Some(report) = recorder::installed_metrics() {
         let mpath = PathBuf::from("target/experiments").join(format!("{name}_metrics.json"));
-        match metrics::snapshot().write_json(&mpath) {
+        match report.write_json(&mpath) {
             Ok(()) => println!("(metrics written to {})", mpath.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", mpath.display()),
         }

@@ -250,7 +250,7 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     rng: &mut SimRng,
     remaining: u64,
 ) -> EpochOutcome {
-    let pf = prof::enabled();
+    let pf = crate::recorder::capture().sections;
     let _epoch_span = prof::section_if(pf, Section::CollisionEpoch);
     let n = cdf.n();
     debug_assert_eq!(counts.iter().sum::<u64>(), n);

@@ -16,14 +16,14 @@
 use crate::collision::{self, BirthdayCdf, CollisionScratch};
 use crate::fenwick::Fenwick;
 use crate::json::Json;
-use crate::metrics::{self, record_batch, BatchScratch, Counter};
+use crate::metrics::Counter;
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::reactivity::ReactivityIndex;
+use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
-use crate::trace::{self, DispatchRecord};
 
 /// Largest state space for which [`CountPopulation`] builds the reactivity
 /// index that powers batched no-op leaping and collision epochs; above it,
@@ -215,7 +215,7 @@ impl<P: Protocol> CountPopulation<P> {
             return false;
         }
         if self.index.is_none() {
-            metrics::add(Counter::BatchCacheRebuilds, 1);
+            recorder::add(Counter::BatchCacheRebuilds, 1);
             let dense = self.counts.to_weights();
             self.index = Some(ReactivityIndex::new(&self.protocol, dense));
         }
@@ -288,21 +288,14 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     /// equivalence is pinned in `tests/backend_equivalence.rs`). Reports
     /// silence when no reactive pair remains.
     fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
-        // One relaxed load per batch (for each of metrics, prof, dispatch);
-        // inner loops branch on the cached bools and accumulate into local
-        // scratch flushed once at batch end.
-        let rec = metrics::enabled();
-        let pf = prof::enabled();
-        let disp = trace::dispatch_enabled();
+        // One recorder-slot load per batch; inner loops branch on the cached
+        // bools and tally into a local struct handed over once at batch end.
+        let cap = recorder::capture();
+        let pf = cap.sections;
         let _batch_span = prof::section_if(pf, Section::BatchCount);
-        let mut stats = BatchScratch::new();
         let mut out = BatchOutcome::default();
         if !self.ensure_index() {
             // Huge state space: no reactivity index, just a tight loop.
-            if rec {
-                metrics::add(Counter::DenseFallbackEntries, 1);
-                metrics::add(Counter::RegimeDenseFallback, 1);
-            }
             let _fallback_span = prof::section_if(pf, Section::DenseFallback);
             while out.executed < max_steps {
                 let (a, b) = self.sample_pair(rng);
@@ -314,25 +307,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 }
             }
             self.steps += out.executed;
-            if rec {
-                record_batch(&out);
-            }
-            if disp {
-                trace::record_dispatch(DispatchRecord {
-                    backend: "CountPopulation",
-                    n: self.n,
-                    // No reactivity index exists in this regime, so the
-                    // dispatch inputs p and E[epoch] are unknown (NaN
-                    // serializes as JSON null).
-                    pairs: 0,
-                    p: f64::NAN,
-                    expected_epoch: f64::NAN,
-                    regime: "dense_fallback",
-                    executed: out.executed,
-                    collision_epochs: 0,
-                    leaps: 0,
-                    per_steps: out.executed,
-                });
+            if cap.on {
+                let tally = BatchTally::dense_fallback(self.n);
+                recorder::with(|r| r.record_tallied_batch(&out, tally));
             }
             return out;
         }
@@ -340,8 +317,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
         let entry_pairs = self.index.as_ref().expect("index built above").pairs();
-        let mut first_regime: Option<&'static str> = None;
-        let (mut d_epochs, mut d_leaps, mut d_steps) = (0u64, 0u64, 0u64);
+        let mut tally = cap.on.then(|| BatchTally::new(n, entry_pairs));
         while out.executed < max_steps {
             let index = self.index.as_mut().expect("index built above");
             let pairs = index.pairs();
@@ -375,12 +351,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 debug_assert!(self.index_is_consistent());
                 out.executed += ep.executed;
                 out.changed += ep.changed;
-                if rec {
-                    stats.record_epoch(ep.executed);
-                }
-                if disp {
-                    first_regime.get_or_insert("collision");
-                    d_epochs += 1;
+                if let Some(t) = &mut tally {
+                    t.epoch(ep.executed);
                 }
                 continue;
             }
@@ -395,32 +367,24 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                     out.changed += 1;
                     self.apply_change(a, b, a2, b2);
                 }
-                if rec {
-                    stats.record_dense_step();
-                }
-                if disp {
-                    first_regime.get_or_insert("per_step");
-                    d_steps += 1;
+                if let Some(t) = &mut tally {
+                    t.per_step();
                 }
                 continue;
             }
             let _leap_span = prof::section_if(pf, Section::Leap);
-            if disp {
-                first_regime.get_or_insert("leap");
-                d_leaps += 1;
-            }
             let skip = rng.geometric(p);
             if skip >= remaining {
                 // The whole rest of the batch is provably no-ops; truncating
                 // the geometric at the boundary is exact by memorylessness.
-                if rec {
-                    stats.record_leap(remaining);
+                if let Some(t) = &mut tally {
+                    t.leap(remaining);
                 }
                 out.executed = max_steps;
                 break;
             }
-            if rec {
-                stats.record_leap(skip);
+            if let Some(t) = &mut tally {
+                t.leap(skip);
             }
             out.executed += skip + 1;
             let (a, b) = self
@@ -435,23 +399,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             }
         }
         self.steps += out.executed;
-        if rec {
-            stats.flush();
-            record_batch(&out);
-        }
-        if disp {
-            trace::record_dispatch(DispatchRecord {
-                backend: "CountPopulation",
-                n,
-                pairs: entry_pairs,
-                p: entry_pairs as f64 / total_pairs as f64,
-                expected_epoch: epoch_len,
-                regime: first_regime.unwrap_or("silent"),
-                executed: out.executed,
-                collision_epochs: d_epochs,
-                leaps: d_leaps,
-                per_steps: d_steps,
-            });
+        if let Some(t) = tally {
+            recorder::with(|r| r.record_tallied_batch(&out, t));
         }
         out
     }
@@ -492,11 +441,10 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         self.index = None;
         self.birthday = None;
         if cached {
-            // Rebuild eagerly so the rebuild's metrics bump lands during
-            // restore (before any saved metrics registry is reloaded),
-            // keeping a resumed run's counters identical to the
-            // uninterrupted run's — which had the index live at this point
-            // and so will not rebuild it on its next batch.
+            // Rebuild eagerly, during restore, so the next batch does not
+            // count a rebuild the uninterrupted run never made: that run
+            // had the index live at this point. The run's restored
+            // recorder is installed only after this returns.
             let _ = self.ensure_index();
         }
         Ok(())
@@ -833,9 +781,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
             changed,
             silent: false,
         };
-        if metrics::enabled() {
-            record_batch(&out);
-        }
+        recorder::record_batch(&out);
         out
     }
 

@@ -16,7 +16,7 @@
 //!   backend. Batches are split at trigger boundaries, injections are
 //!   applied through [`Simulator::migrate`] (count-level state surgery, no
 //!   scheduler steps consumed), and every injection is recorded as a
-//!   [`FaultEvent`] and counted in the global [`crate::metrics`] registry.
+//!   [`FaultEvent`] and counted by the run's [`crate::recorder::Recorder`].
 //!
 //! ## The fault model
 //!
@@ -41,7 +41,8 @@
 //! `steps / n`, so recovery measurements downstream compare like with like.
 
 use crate::json::{Json, JsonError};
-use crate::metrics::{self, Counter};
+use crate::metrics::Counter;
+use crate::recorder;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
@@ -470,10 +471,10 @@ impl FaultPlan {
                     hit,
                     moved,
                 });
-                if metrics::enabled() {
-                    metrics::add(Counter::FaultInjections, 1);
-                    metrics::add(Counter::FaultAgentsMoved, moved);
-                }
+                recorder::with(|r| {
+                    r.add(Counter::FaultInjections, 1);
+                    r.add(Counter::FaultAgentsMoved, moved);
+                });
                 fired += 1;
                 let t = &mut self.triggers[i];
                 t.next = if t.period == 0 {
@@ -841,7 +842,7 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
     /// inner outcome ends the batch — step-indexed triggers can never fire
     /// in a configuration whose step count no longer advances.
     fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
-        let pf = crate::prof::enabled();
+        let pf = recorder::capture().sections;
         let target = self.inner.steps() + max_steps;
         let mut out = BatchOutcome::default();
         loop {

@@ -44,7 +44,7 @@ impl Fenwick {
     /// Builds a tree from initial weights in `O(len)`.
     #[must_use]
     pub fn from_weights(weights: &[u64]) -> Self {
-        crate::metrics::add(crate::metrics::Counter::FenwickRebuilds, 1);
+        crate::recorder::add(crate::metrics::Counter::FenwickRebuilds, 1);
         let _span = crate::prof::section(crate::prof::Section::FenwickRebuild);
         let len = weights.len();
         let mut tree = vec![0u64; len + 1];

@@ -34,13 +34,15 @@
 //!
 //! ## Telemetry
 //!
-//! Every backend hot path carries capture points for the global [`metrics`]
-//! registry (counters + log₂ histograms; near-zero cost while disabled,
-//! which is the default), scoped timers for the hierarchical [`prof`]
-//! section profiler (same single-flag cost model), and [`trace`] records
-//! span/event timelines — plus per-batch regime-dispatch decision records —
-//! as JSON Lines via the in-repo [`json`] writer/reader. See `DESIGN.md`
-//! §10 and §14.
+//! Every backend hot path carries capture points for the run's
+//! [`recorder::Recorder`]: [`metrics`] counters and log₂ histograms, scoped
+//! timers for the hierarchical [`prof`] section profiler, and per-batch
+//! regime-dispatch records ([`trace::DispatchRecord`]). A run installs its
+//! recorder on its thread; with none installed, a backend pays one
+//! thread-local load per batch. Sweeps give each task its own recorder and
+//! merge them in task order. [`trace`] records span/event timelines as JSON
+//! Lines via the in-repo [`json`] writer/reader. See `DESIGN.md` §10 and
+//! §14.
 //!
 //! ## Example
 //!
@@ -76,6 +78,7 @@ pub mod population;
 pub mod prof;
 pub mod protocol;
 pub(crate) mod reactivity;
+pub mod recorder;
 pub mod report;
 pub mod rng;
 pub mod ruletable;

@@ -11,9 +11,10 @@
 //! random-matching scheduler; experiment E12 checks this empirically.
 
 use crate::json::Json;
-use crate::metrics::{self, record_batch, Counter};
+use crate::metrics::Counter;
 use crate::population::Population;
 use crate::protocol::Protocol;
+use crate::recorder;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
@@ -181,10 +182,10 @@ impl<P: Protocol> Simulator for MatchingPopulation<P> {
             changed,
             silent: false,
         };
-        if metrics::enabled() {
-            metrics::add(Counter::MatchingRounds, self.rounds - start_rounds);
-            record_batch(&out);
-        }
+        recorder::with(|r| {
+            r.add(Counter::MatchingRounds, self.rounds - start_rounds);
+            r.record_batch(&out);
+        });
         out
     }
 

@@ -1,50 +1,20 @@
-//! Engine-wide telemetry: hot-path counters and log₂-bucketed histograms.
+//! Telemetry vocabulary: hot-path counters, log₂-bucketed histograms, and
+//! the frozen [`MetricsReport`] they render into.
 //!
-//! The simulation backends are fast because they do almost nothing per
-//! interaction; a measurement layer must not change that. This module keeps
-//! one process-global registry of relaxed atomic counters behind a single
-//! `enabled` flag:
+//! The counts themselves live on the run's [`crate::recorder::Recorder`];
+//! this module names them. Capture points sit on the hot paths of every
+//! backend: interactions executed/changed, no-op leap counts and
+//! leap-length distribution ([`Hist::LeapLen`]), collision epochs and their
+//! lengths, `CountPopulation` dense-fallback entries, Fenwick (re)builds,
+//! batch-cache rebuilds, batch sizes, observer callbacks, matching rounds,
+//! silence detections, fault injections, and sweep task timings.
 //!
-//! * **Disabled (default):** every capture point is one relaxed atomic load
-//!   and a predicted-not-taken branch, hoisted out of inner loops — each
-//!   `step_batch` call pays the check once, not per step. No allocation, no
-//!   locks, no timestamps.
-//! * **Enabled:** capture points add to shared atomics with relaxed
-//!   ordering. Sweep worker threads aggregate into the same registry, so a
-//!   snapshot reflects the whole process.
-//!
-//! Capture points live on the hot paths of all four backends: interactions
-//! executed/changed, no-op leap counts and leap-length distribution
-//! ([`Hist::LeapLen`]), `CountPopulation` dense-fallback entries, Fenwick
-//! (re)builds, batch-cache rebuilds, batch sizes, observer callbacks,
-//! matching rounds, silence detections, and sweep task timings.
-//!
-//! [`snapshot`] freezes the registry into a [`MetricsReport`] that renders
-//! to JSON via [`crate::json`]; `ppsim --metrics <path>` and the bench
-//! binaries write these reports next to their other outputs.
-//!
-//! # Examples
-//!
-//! ```
-//! use pp_engine::counts::CountPopulation;
-//! use pp_engine::metrics;
-//! use pp_engine::protocol::TableProtocol;
-//! use pp_engine::rng::SimRng;
-//! use pp_engine::sim::Simulator;
-//!
-//! metrics::reset();
-//! metrics::enable();
-//! let p = TableProtocol::new(2, "token").rule(1, 0, 0, 1);
-//! let mut pop = CountPopulation::from_counts(&p, &[9_990, 10]);
-//! pop.step_batch(&mut SimRng::seed_from(1), 100_000);
-//! let report = metrics::snapshot();
-//! metrics::disable();
-//! assert_eq!(report.counter("interactions_executed"), 100_000);
-//! assert!(report.counter("noop_leaps") > 0, "sparse run must leap");
-//! ```
+//! [`crate::recorder::Recorder::metrics`] freezes a recorder into a
+//! [`MetricsReport`] that renders to JSON via [`crate::json`]; `ppsim
+//! --metrics <path>` and the experiment binaries write these reports next
+//! to their other outputs.
 
 use crate::json::Json;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Number of log₂ buckets per histogram: bucket `i` holds values in
 /// `[2^(i−1), 2^i)` (bucket 0 holds the value 0).
@@ -98,21 +68,11 @@ pub enum Counter {
     /// Activations settled in bulk via contingency-table epochs (includes
     /// the per-epoch boundary interaction processed individually).
     CollisionBatchedSteps,
-    /// Dispatch decisions that chose the collision-epoch regime (one per
-    /// epoch run by the dense batch loops).
-    RegimeCollision,
-    /// Dispatch decisions that chose the geometric no-op-leap regime.
-    RegimeLeap,
-    /// Dispatch decisions that chose the per-step Fenwick-sampled regime.
-    RegimePerStep,
-    /// Dispatch decisions that fell back to the uncached dense loop (one
-    /// per `step_batch` call with `k` over the batch-cache limit).
-    RegimeDenseFallback,
 }
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 20] = [
         Counter::InteractionsExecuted,
         Counter::InteractionsChanged,
         Counter::NoopLeaps,
@@ -133,10 +93,6 @@ impl Counter {
         Counter::SweepTimeouts,
         Counter::CollisionEpochs,
         Counter::CollisionBatchedSteps,
-        Counter::RegimeCollision,
-        Counter::RegimeLeap,
-        Counter::RegimePerStep,
-        Counter::RegimeDenseFallback,
     ];
 
     /// Stable snake_case name used in reports.
@@ -163,10 +119,6 @@ impl Counter {
             Counter::SweepTimeouts => "sweep_timeouts",
             Counter::CollisionEpochs => "collision_epochs",
             Counter::CollisionBatchedSteps => "collision_batched_steps",
-            Counter::RegimeCollision => "regime_collision",
-            Counter::RegimeLeap => "regime_leap",
-            Counter::RegimePerStep => "regime_per_step",
-            Counter::RegimeDenseFallback => "regime_dense_fallback",
         }
     }
 }
@@ -207,52 +159,6 @@ impl Hist {
     }
 }
 
-const NUM_COUNTERS: usize = Counter::ALL.len();
-const NUM_HISTS: usize = Hist::ALL.len();
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
-static HISTS: [AtomicU64; NUM_HISTS * HIST_BUCKETS] =
-    [const { AtomicU64::new(0) }; NUM_HISTS * HIST_BUCKETS];
-
-/// Whether the registry is currently recording. Hot loops load this once
-/// per batch and branch on the cached result.
-#[inline]
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns recording on (all capture points start counting).
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns recording off. Counts accumulated so far are kept.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Zeroes every counter and histogram (recording state is unchanged).
-pub fn reset() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    for b in &HISTS {
-        b.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Adds `delta` to a counter. No-op while disabled; callers on per-step
-/// paths should hoist [`enabled`] out of their loop instead of relying on
-/// this check.
-#[inline]
-pub fn add(counter: Counter, delta: u64) {
-    if enabled() {
-        COUNTERS[counter as usize].fetch_add(delta, Ordering::Relaxed);
-    }
-}
-
 /// The log₂ bucket index for `value` (0 → bucket 0, else `⌊log₂ v⌋ + 1`).
 #[inline]
 #[must_use]
@@ -260,143 +166,8 @@ pub fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 
-/// Records `value` into a histogram. No-op while disabled.
-#[inline]
-pub fn observe(hist: Hist, value: u64) {
-    if enabled() {
-        let idx = hist as usize * HIST_BUCKETS + bucket_of(value);
-        HISTS[idx].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records the aggregate of one `step_batch` call: executed/changed
-/// interactions, the batch counter, the batch-size histogram, and silence
-/// detection. Backends call this once per batch after checking [`enabled`].
-#[inline]
-pub fn record_batch(out: &crate::sim::BatchOutcome) {
-    add(Counter::InteractionsExecuted, out.executed);
-    add(Counter::InteractionsChanged, out.changed);
-    add(Counter::Batches, 1);
-    observe(Hist::BatchSize, out.executed);
-    if out.silent {
-        add(Counter::SilenceDetections, 1);
-    }
-}
-
-/// Records one geometric no-op leap that skipped `skip` activations.
-#[inline]
-pub fn record_leap(skip: u64) {
-    add(Counter::NoopLeaps, 1);
-    add(Counter::NoopStepsLeaped, skip);
-    observe(Hist::LeapLen, skip);
-}
-
-/// Adds `delta` observations to one bucket of a histogram. No-op while
-/// disabled. Used by [`BatchScratch::flush`] to merge locally accumulated
-/// bucket counts in one atomic add per non-empty bucket.
-#[inline]
-pub fn observe_bucket(hist: Hist, bucket: usize, delta: u64) {
-    if enabled() {
-        let idx = hist as usize * HIST_BUCKETS + bucket.min(HIST_BUCKETS - 1);
-        HISTS[idx].fetch_add(delta, Ordering::Relaxed);
-    }
-}
-
-/// Local accumulator for hot-loop capture points, flushed to the global
-/// registry once per `step_batch` call.
-///
-/// Leap-heavy and epoch-heavy batches fire thousands of capture points per
-/// batch; paying a shared atomic RMW for each one costs 15–22% of enabled
-/// throughput. Backends instead stack-allocate a `BatchScratch`, record into
-/// plain fields inside the loop, and call [`BatchScratch::flush`] once at
-/// batch end — turning per-event atomics into at most a few dozen per batch
-/// (one per counter plus one per non-empty histogram bucket).
-#[derive(Debug)]
-pub struct BatchScratch {
-    leaps: u64,
-    leaped_steps: u64,
-    leap_hist: [u64; HIST_BUCKETS],
-    dense_steps: u64,
-    collision_epochs: u64,
-    collision_steps: u64,
-    epoch_hist: [u64; HIST_BUCKETS],
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BatchScratch {
-    /// A zeroed scratch accumulator.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            leaps: 0,
-            leaped_steps: 0,
-            leap_hist: [0; HIST_BUCKETS],
-            dense_steps: 0,
-            collision_epochs: 0,
-            collision_steps: 0,
-            epoch_hist: [0; HIST_BUCKETS],
-        }
-    }
-
-    /// Records one geometric no-op leap that skipped `skip` activations.
-    #[inline]
-    pub fn record_leap(&mut self, skip: u64) {
-        self.leaps += 1;
-        self.leaped_steps += skip;
-        self.leap_hist[bucket_of(skip)] += 1;
-    }
-
-    /// Records one Fenwick-sampled step in the reactive-dense regime.
-    #[inline]
-    pub fn record_dense_step(&mut self) {
-        self.dense_steps += 1;
-    }
-
-    /// Records one collision-free epoch that settled `steps` activations.
-    #[inline]
-    pub fn record_epoch(&mut self, steps: u64) {
-        self.collision_epochs += 1;
-        self.collision_steps += steps;
-        self.epoch_hist[bucket_of(steps)] += 1;
-    }
-
-    /// Merges the accumulated events into the global registry. No-op while
-    /// recording is disabled; callers may flush unconditionally.
-    pub fn flush(&mut self) {
-        if self.leaps > 0 {
-            add(Counter::NoopLeaps, self.leaps);
-            add(Counter::RegimeLeap, self.leaps);
-            add(Counter::NoopStepsLeaped, self.leaped_steps);
-            for (bucket, &count) in self.leap_hist.iter().enumerate() {
-                if count > 0 {
-                    observe_bucket(Hist::LeapLen, bucket, count);
-                }
-            }
-        }
-        if self.dense_steps > 0 {
-            add(Counter::ReactiveDenseSteps, self.dense_steps);
-            add(Counter::RegimePerStep, self.dense_steps);
-        }
-        if self.collision_epochs > 0 {
-            add(Counter::CollisionEpochs, self.collision_epochs);
-            add(Counter::RegimeCollision, self.collision_epochs);
-            add(Counter::CollisionBatchedSteps, self.collision_steps);
-            for (bucket, &count) in self.epoch_hist.iter().enumerate() {
-                if count > 0 {
-                    observe_bucket(Hist::EpochLen, bucket, count);
-                }
-            }
-        }
-        *self = Self::new();
-    }
-}
-
-/// A frozen snapshot of the registry, suitable for reporting.
+/// A frozen copy of a recorder's counters and histograms, suitable for
+/// reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsReport {
     counters: Vec<(&'static str, u64)>,
@@ -405,57 +176,6 @@ pub struct MetricsReport {
     /// (backend name, command, …) — set by the harness via
     /// [`MetricsReport::set_meta`], round-tripped through the JSON form.
     meta: Vec<(String, String)>,
-}
-
-/// Freezes the current registry contents into a [`MetricsReport`].
-///
-/// Individual counters are read with relaxed ordering, so a snapshot taken
-/// while workers are recording is approximate (each counter is internally
-/// consistent).
-#[must_use]
-pub fn snapshot() -> MetricsReport {
-    let counters = Counter::ALL
-        .iter()
-        .map(|&c| (c.name(), COUNTERS[c as usize].load(Ordering::Relaxed)))
-        .collect();
-    let hists = Hist::ALL
-        .iter()
-        .map(|&h| {
-            let base = h as usize * HIST_BUCKETS;
-            let mut buckets: Vec<u64> = (0..HIST_BUCKETS)
-                .map(|i| HISTS[base + i].load(Ordering::Relaxed))
-                .collect();
-            while buckets.last() == Some(&0) && buckets.len() > 1 {
-                buckets.pop();
-            }
-            (h.name(), buckets)
-        })
-        .collect();
-    MetricsReport {
-        counters,
-        hists,
-        meta: Vec::new(),
-    }
-}
-
-/// Overwrites the registry with the contents of a previously captured
-/// report, so a resumed process continues counting exactly where the
-/// interrupted one stopped ([`crate::snapshot`] stores a report alongside
-/// the simulator state). Counters and histogram buckets absent from the
-/// report are zeroed; the `enabled` flag and the report's meta entries are
-/// untouched (meta describes a run, not the registry).
-pub fn load(report: &MetricsReport) {
-    for &c in &Counter::ALL {
-        COUNTERS[c as usize].store(report.counter(c.name()), Ordering::Relaxed);
-    }
-    for &h in &Hist::ALL {
-        let base = h as usize * HIST_BUCKETS;
-        let buckets = report.hist(h.name()).unwrap_or(&[]);
-        for i in 0..HIST_BUCKETS {
-            let v = buckets.get(i).copied().unwrap_or(0);
-            HISTS[base + i].store(v, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Upper-exclusive value bound of log₂ bucket `i`: bucket 0 holds only the
@@ -471,6 +191,31 @@ pub fn bucket_bound(i: usize) -> u64 {
 }
 
 impl MetricsReport {
+    /// Freezes raw counter and histogram arrays (indexed as
+    /// [`Counter::ALL`] and [`Hist::ALL`]), trimming each histogram's
+    /// trailing zero buckets.
+    pub(crate) fn from_raw(counters: &[u64], hists: &[[u64; HIST_BUCKETS]]) -> Self {
+        let counters = Counter::ALL
+            .iter()
+            .map(|&c| (c.name(), counters[c as usize]))
+            .collect();
+        let hists = Hist::ALL
+            .iter()
+            .map(|&h| {
+                let mut buckets = hists[h as usize].to_vec();
+                while buckets.last() == Some(&0) && buckets.len() > 1 {
+                    buckets.pop();
+                }
+                (h.name(), buckets)
+            })
+            .collect();
+        MetricsReport {
+            counters,
+            hists,
+            meta: Vec::new(),
+        }
+    }
+
     /// The value of a counter by report name (0 if unknown).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
@@ -643,18 +388,11 @@ impl MetricsReport {
     }
 }
 
-/// Serializes tests (across modules of this crate) that flip the global
-/// `enabled` flag, so concurrently running tests don't observe each other's
-/// recording windows.
-#[cfg(test)]
-pub(crate) static TEST_MUTEX: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The registry is process-global, so tests that enable/disable it hold
-    // TEST_MUTEX for their whole recording window.
+    use crate::recorder::{self, Recorder};
+    use crate::sim::BatchOutcome;
 
     #[test]
     fn bucket_of_is_log2() {
@@ -668,12 +406,16 @@ mod tests {
 
     #[test]
     fn disabled_capture_points_do_not_record() {
-        let _guard = TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
-        disable();
-        let before = snapshot().counter("matching_rounds");
-        add(Counter::MatchingRounds, 17);
-        observe(Hist::SweepTaskMicros, 5);
-        assert_eq!(snapshot().counter("matching_rounds"), before);
+        // No recorder installed: capture points are no-ops...
+        recorder::add(Counter::MatchingRounds, 17);
+        assert!(recorder::installed_metrics().is_none());
+        // ...and a recorder installed afterwards starts from zero.
+        let mut rec = Recorder::new();
+        {
+            let _installed = rec.install();
+        }
+        recorder::add(Counter::MatchingRounds, 17);
+        assert_eq!(rec.metrics(), Recorder::new().metrics());
     }
 
     #[test]
@@ -752,7 +494,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_bucket_bounds() {
-        let report = snapshot();
+        let report = Recorder::new().metrics();
         let text = report.to_json().render();
         assert!(MetricsReport::parse(&text).is_ok());
         // Corrupt one bound: the reader must notice the scheme mismatch.
@@ -769,50 +511,61 @@ mod tests {
     }
 
     #[test]
-    fn batch_scratch_flush_matches_direct_recording() {
-        let _guard = TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
-        let before = snapshot();
-        enable();
-        let mut scratch = BatchScratch::new();
-        scratch.record_leap(5);
-        scratch.record_leap(9);
-        scratch.record_dense_step();
-        scratch.record_epoch(500);
-        scratch.flush();
-        disable();
-        let after = snapshot();
-        assert!(after.counter("noop_leaps") >= before.counter("noop_leaps") + 2);
-        assert!(after.counter("noop_steps_leaped") >= before.counter("noop_steps_leaped") + 14);
-        assert!(after.counter("reactive_dense_steps") > before.counter("reactive_dense_steps"));
-        assert!(after.counter("collision_epochs") > before.counter("collision_epochs"));
-        assert!(
-            after.counter("collision_batched_steps")
-                >= before.counter("collision_batched_steps") + 500
+    fn parse_reads_documents_with_the_retired_regime_counters() {
+        // Reports written before the four `regime_*` counters were dropped
+        // carry 24 counters; the extra four duplicate kept ones and are
+        // ignored on read.
+        // `ppsim oscillator --n 20000 --rounds 600 --seed 7 --metrics` as
+        // written before the drop.
+        let text = concat!(
+            r#"{"kind":"metrics_report","meta":{"command":"oscillator","#,
+            r#""backend":"CountPopulation"},"counters":{"interactions_executed":12000000,"#,
+            r#""interactions_changed":2395543,"noop_leaps":110654,"#,
+            r#""noop_steps_leaped":1223506,"dense_fallback_entries":0,"#,
+            r#""reactive_dense_steps":0,"fenwick_rebuilds":1,"batch_cache_rebuilds":1,"#,
+            r#""batches":600,"observer_callbacks":0,"silence_detections":0,"#,
+            r#""matching_rounds":0,"sweep_tasks":0,"fault_injections":0,"#,
+            r#""fault_agents_moved":0,"sweep_retries":0,"sweep_panics":0,"#,
+            r#""sweep_timeouts":0,"collision_epochs":119541,"#,
+            r#""collision_batched_steps":10665898,"regime_collision":119541,"#,
+            r#""regime_leap":110654,"regime_per_step":0,"regime_dense_fallback":0},"#,
+            r#""histograms":{"leap_len":{"count":110654,"log2_buckets":[9215,8539,14832,"#,
+            r#"22941,27448,20756,6439,480,4],"bucket_bounds":[1,2,4,8,16,32,64,128,256]},"#,
+            r#""batch_size":{"count":600,"log2_buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+            r#"600],"bucket_bounds":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,"#,
+            r#"16384,32768]},"sweep_task_micros":{"count":0,"log2_buckets":[0],"#,
+            r#""bucket_bounds":[1]},"epoch_len":{"count":119541,"log2_buckets":[0,6,88,"#,
+            r#"464,2079,8106,28287,56595,23723,193],"bucket_bounds":[1,2,4,8,16,32,64,"#,
+            r#"128,256,512]}}}"#,
         );
-        assert!(after.hist_count("epoch_len") > before.hist_count("epoch_len"));
-        // Flushing resets the scratch: a second flush adds nothing.
-        enable();
-        let mid = snapshot();
-        scratch.flush();
-        disable();
-        assert_eq!(
-            snapshot().counter("collision_epochs"),
-            mid.counter("collision_epochs")
-        );
+        let report = MetricsReport::parse(text).expect("a 24-counter report parses");
+        assert_eq!(report.counter("collision_epochs"), 119_541);
+        assert_eq!(report.counter("noop_leaps"), 110_654);
+        assert_eq!(report.counter("regime_collision"), 0, "no longer a counter");
+        assert_eq!(report.hist_count("epoch_len"), 119_541);
+        assert_eq!(report.meta("backend"), Some("CountPopulation"));
+        let rendered = report.to_json().render();
+        assert!(!rendered.contains("regime_"), "{rendered}");
+        assert_eq!(MetricsReport::parse(&rendered).unwrap(), report);
     }
 
     #[test]
     fn enabled_capture_points_record() {
-        let _guard = TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
-        let before = snapshot();
-        enable();
-        add(Counter::SweepTasks, 3);
-        observe(Hist::LeapLen, 6);
-        disable();
-        // Other tests may record concurrently inside our window, so the
-        // deltas are lower bounds.
-        let after = snapshot();
-        assert!(after.counter("sweep_tasks") >= before.counter("sweep_tasks") + 3);
-        assert!(after.hist_count("leap_len") > before.hist_count("leap_len"));
+        let mut rec = Recorder::new();
+        {
+            let _installed = rec.install();
+            recorder::add(Counter::SweepTasks, 3);
+            recorder::record_batch(&BatchOutcome {
+                executed: 6,
+                changed: 2,
+                silent: false,
+            });
+        }
+        let m = rec.metrics();
+        assert_eq!(m.counter("sweep_tasks"), 3);
+        assert_eq!(m.counter("interactions_executed"), 6);
+        assert_eq!(m.counter("interactions_changed"), 2);
+        assert_eq!(m.counter("batches"), 1);
+        assert_eq!(m.hist("batch_size"), Some(&[0, 0, 0, 1][..]));
     }
 }

@@ -8,8 +8,9 @@
 //! stores each agent's state as a plain Rust value and never enumerates the
 //! space.
 
-use crate::metrics::{self, Counter, Hist};
+use crate::recorder;
 use crate::rng::SimRng;
+use crate::sim::BatchOutcome;
 
 /// A population protocol over structured states.
 ///
@@ -147,9 +148,11 @@ impl<P: ObjProtocol> ObjPopulation<P> {
 
     /// Executes `max_steps` asynchronous-scheduler interactions as one
     /// batch with the population size and agent buffer access hoisted out
-    /// of the per-step path. Returns how many interactions changed at least
-    /// one agent's state.
-    pub fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> u64 {
+    /// of the per-step path. Only the run's recorder counts the
+    /// interactions that changed an agent's state, so without one the
+    /// state comparisons are skipped.
+    pub fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) {
+        let record = recorder::capture().on;
         let n = self.agents.len();
         let mut changed = 0u64;
         for _ in 0..max_steps {
@@ -161,20 +164,20 @@ impl<P: ObjProtocol> ObjPopulation<P> {
             let (a2, b2) = self
                 .protocol
                 .interact(&self.agents[i], &self.agents[j], rng);
-            if a2 != self.agents[i] || b2 != self.agents[j] {
+            if record && (a2 != self.agents[i] || b2 != self.agents[j]) {
                 changed += 1;
             }
             self.agents[i] = a2;
             self.agents[j] = b2;
         }
         self.steps += max_steps;
-        if metrics::enabled() {
-            metrics::add(Counter::InteractionsExecuted, max_steps);
-            metrics::add(Counter::InteractionsChanged, changed);
-            metrics::add(Counter::Batches, 1);
-            metrics::observe(Hist::BatchSize, max_steps);
+        if record {
+            recorder::record_batch(&BatchOutcome {
+                executed: max_steps,
+                changed,
+                silent: false,
+            });
         }
-        changed
     }
 
     /// Runs for `rounds` parallel rounds (batched internally).
@@ -258,6 +261,20 @@ mod tests {
         let t = pop.run_until(&mut rng, 1e5, 4, |p| p.count_where(|&s| s) == 1);
         assert!(t.is_some());
         assert_eq!(pop.count_where(|&s| s), 1);
+    }
+
+    #[test]
+    fn a_recorder_counts_the_changed_interactions() {
+        // Two leaders: only the first interaction changes a state.
+        let mut pop = ObjPopulation::from_fn(Annihilate, 2, |_| true);
+        let mut rec = crate::recorder::Recorder::new();
+        {
+            let _installed = rec.install();
+            pop.step_batch(&mut SimRng::seed_from(3), 10);
+        }
+        let m = rec.metrics();
+        let counts = ["interactions_executed", "interactions_changed", "batches"];
+        assert_eq!(counts.map(|c| m.counter(c)), [10, 1, 1]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! random-matching scheduler ([`crate::matching`]) builds on.
 
 use crate::json::Json;
-use crate::metrics::{self, record_batch};
 use crate::protocol::Protocol;
+use crate::recorder;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
@@ -231,9 +231,7 @@ impl<P: Protocol> Simulator for Population<P> {
             changed,
             silent: false,
         };
-        if metrics::enabled() {
-            record_batch(&out);
-        }
+        recorder::record_batch(&out);
         out
     }
 

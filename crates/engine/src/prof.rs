@@ -2,23 +2,22 @@
 //!
 //! Where [`crate::metrics`] counts *how often* things happen, this module
 //! measures *where the time goes*: monotonic-clock scoped timers attached to
-//! a fixed set of named [`Section`]s, stacked per thread so nested sections
-//! attribute self-time vs child-time correctly. Aggregation is keyed on
-//! (parent, child) edges, so the same section (say
-//! [`Section::PmfInversion`]) shows up separately under each caller in the
-//! rendered tree.
+//! a fixed set of named [`Section`]s, stacked so nested sections attribute
+//! self-time vs child-time correctly. Aggregation is keyed on (parent,
+//! child) edges, so the same section (say [`Section::PmfInversion`]) shows
+//! up separately under each caller in the rendered tree.
 //!
-//! The cost model mirrors `metrics`:
+//! Section times belong to the run's [`crate::recorder::Recorder`], and
+//! only to one built [`with_sections`](crate::recorder::Recorder::with_sections):
 //!
-//! * **Disabled (default):** every capture point is one relaxed atomic load
-//!   and a predicted-not-taken branch. Backends hoist the flag out of their
-//!   batch loops with [`enabled`] + [`section_if`], so a disabled profiler
-//!   adds one load per `step_batch` call plus one per pmf draw — nothing
-//!   per interaction. No timestamps are taken, no thread-local is touched.
-//! * **Enabled:** opening a scope pushes a frame on a thread-local stack
-//!   and reads the monotonic clock; closing it reads the clock again,
-//!   subtracts accumulated child time, and adds (calls, total, self) to
-//!   shared relaxed atomics keyed by the (parent, child) edge.
+//! * **Not timing (default):** a capture point is one load of the
+//!   thread's recorder slot and a predicted-not-taken branch. Backends read
+//!   the slot once per batch and pass the cached answer to [`section_if`],
+//!   so nothing is paid per interaction. No timestamps are taken.
+//! * **Timing:** opening a scope pushes a frame on the recorder's stack and
+//!   reads the monotonic clock; closing it reads the clock again, subtracts
+//!   accumulated child time, and adds (calls, total, self) to the
+//!   recorder's (parent, child) edge.
 //!
 //! Sections were chosen over sampling deliberately: the hot paths are a few
 //! microseconds per epoch and heavily regime-dependent, so a statistical
@@ -29,22 +28,21 @@
 //!
 //! ```
 //! use pp_engine::prof::{self, Section};
+//! use pp_engine::recorder::Recorder;
 //!
-//! prof::reset();
-//! prof::enable();
+//! let mut recorder = Recorder::new().with_sections();
 //! {
+//!     let _installed = recorder.install();
 //!     let _outer = prof::section(Section::BatchCount);
 //!     let _inner = prof::section(Section::CollisionEpoch);
 //! } // guards drop here, attributing elapsed time
-//! prof::disable();
-//! let report = prof::snapshot();
+//! let report = recorder.profile();
 //! assert_eq!(report.calls_of("count_step_batch"), 1);
 //! assert_eq!(report.calls_of("collision_epoch"), 1);
 //! ```
 
 use crate::json::Json;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::recorder;
 use std::time::Instant;
 
 /// Named timed sections of the engine's hot paths.
@@ -152,50 +150,90 @@ const NUM_SECTIONS: usize = Section::ALL.len();
 const NUM_PARENTS: usize = NUM_SECTIONS + 1;
 const NUM_EDGES: usize = NUM_PARENTS * NUM_SECTIONS;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EDGE_CALLS: [AtomicU64; NUM_EDGES] = [const { AtomicU64::new(0) }; NUM_EDGES];
-static EDGE_TOTAL_NS: [AtomicU64; NUM_EDGES] = [const { AtomicU64::new(0) }; NUM_EDGES];
-static EDGE_SELF_NS: [AtomicU64; NUM_EDGES] = [const { AtomicU64::new(0) }; NUM_EDGES];
-
+#[derive(Debug)]
 struct Frame {
     section: usize,
     start: Instant,
     child_ns: u64,
 }
 
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+/// A recorder's section times: (calls, total, self) per (parent, child)
+/// edge, plus the stack of open sections.
+#[derive(Debug)]
+pub(crate) struct SectionTable {
+    calls: [u64; NUM_EDGES],
+    total_ns: [u64; NUM_EDGES],
+    self_ns: [u64; NUM_EDGES],
+    stack: Vec<Frame>,
 }
 
-/// Whether the profiler is currently recording. Hot loops load this once
-/// per batch and pass the cached result to [`section_if`].
-#[inline]
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns recording on (all capture points start timing).
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns recording off. Edges accumulated so far are kept; sections already
-/// open still attribute on drop.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Zeroes every accumulated edge (recording state is unchanged).
-pub fn reset() {
-    for c in &EDGE_CALLS {
-        c.store(0, Ordering::Relaxed);
+impl Default for SectionTable {
+    fn default() -> Self {
+        Self {
+            calls: [0; NUM_EDGES],
+            total_ns: [0; NUM_EDGES],
+            self_ns: [0; NUM_EDGES],
+            stack: Vec::new(),
+        }
     }
-    for t in &EDGE_TOTAL_NS {
-        t.store(0, Ordering::Relaxed);
+}
+
+impl SectionTable {
+    pub(crate) fn open(&mut self, s: Section) {
+        self.stack.push(Frame {
+            section: s as usize,
+            start: Instant::now(),
+            child_ns: 0,
+        });
     }
-    for s in &EDGE_SELF_NS {
-        s.store(0, Ordering::Relaxed);
+
+    /// Closes the innermost open section. A guard that outlives the
+    /// recorder it was opened on finds nothing to close here.
+    pub(crate) fn close(&mut self) {
+        let Some(frame) = self.stack.pop() else {
+            return;
+        };
+        let elapsed = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let self_ns = elapsed.saturating_sub(frame.child_ns);
+        let parent = match self.stack.last_mut() {
+            Some(p) => {
+                p.child_ns = p.child_ns.saturating_add(elapsed);
+                p.section + 1
+            }
+            None => 0,
+        };
+        let edge = parent * NUM_SECTIONS + frame.section;
+        self.calls[edge] += 1;
+        self.total_ns[edge] += elapsed;
+        self.self_ns[edge] += self_ns;
+    }
+
+    pub(crate) fn merge(&mut self, other: &SectionTable) {
+        for edge in 0..NUM_EDGES {
+            self.calls[edge] += other.calls[edge];
+            self.total_ns[edge] += other.total_ns[edge];
+            self.self_ns[edge] += other.self_ns[edge];
+        }
+    }
+
+    pub(crate) fn report(&self) -> ProfReport {
+        let mut edges = Vec::new();
+        for parent in 0..NUM_PARENTS {
+            for child in 0..NUM_SECTIONS {
+                let edge = parent * NUM_SECTIONS + child;
+                if self.calls[edge] == 0 {
+                    continue;
+                }
+                edges.push(ProfEdge {
+                    parent: parent.checked_sub(1).map(|p| Section::ALL[p].name()),
+                    name: Section::ALL[child].name(),
+                    calls: self.calls[edge],
+                    total_ns: self.total_ns[edge],
+                    self_ns: self.self_ns[edge],
+                });
+            }
+        }
+        ProfReport { edges }
     }
 }
 
@@ -210,52 +248,33 @@ pub struct SectionGuard {
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-/// Opens a scoped timer for `s` under the innermost open section of this
-/// thread. Returns `None` (and does nothing else) while disabled.
+/// Opens a scoped timer for `s` under the innermost open section of the
+/// current thread's recorder. Returns `None` (and does nothing else) unless
+/// that recorder times sections.
 #[inline]
 pub fn section(s: Section) -> Option<SectionGuard> {
-    section_if(enabled(), s)
+    recorder::with(|r| r.sections.as_mut().map(|t| t.open(s)))
+        .flatten()
+        .map(|()| SectionGuard {
+            _not_send: std::marker::PhantomData,
+        })
 }
 
-/// [`section`] with the enabled flag hoisted by the caller: batch loops
-/// load [`enabled`] once and pass it here per iteration, skipping even the
-/// relaxed atomic load while disabled.
+/// [`section`] with the slot read hoisted by the caller: batch loops read
+/// once whether the recorder times sections and pass the answer here per
+/// iteration, skipping even the slot load when it does not.
 #[inline]
 pub fn section_if(on: bool, s: Section) -> Option<SectionGuard> {
-    if !on {
-        return None;
+    if on {
+        section(s)
+    } else {
+        None
     }
-    STACK.with(|stack| {
-        stack.borrow_mut().push(Frame {
-            section: s as usize,
-            start: Instant::now(),
-            child_ns: 0,
-        });
-    });
-    Some(SectionGuard {
-        _not_send: std::marker::PhantomData,
-    })
 }
 
 impl Drop for SectionGuard {
     fn drop(&mut self) {
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let frame = stack.pop().expect("section guard with empty stack");
-            let elapsed = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let self_ns = elapsed.saturating_sub(frame.child_ns);
-            let parent = match stack.last_mut() {
-                Some(p) => {
-                    p.child_ns = p.child_ns.saturating_add(elapsed);
-                    p.section + 1
-                }
-                None => 0,
-            };
-            let edge = parent * NUM_SECTIONS + frame.section;
-            EDGE_CALLS[edge].fetch_add(1, Ordering::Relaxed);
-            EDGE_TOTAL_NS[edge].fetch_add(elapsed, Ordering::Relaxed);
-            EDGE_SELF_NS[edge].fetch_add(self_ns, Ordering::Relaxed);
-        });
+        recorder::with(|r| r.sections.as_mut().map(|t| t.close()));
     }
 }
 
@@ -275,41 +294,11 @@ pub struct ProfEdge {
     pub self_ns: u64,
 }
 
-/// A frozen snapshot of the profiler registry.
-///
-/// Edges are read with relaxed ordering, so a snapshot taken while other
-/// threads are recording is approximate; take it after the timed region.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A frozen copy of a recorder's section times.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfReport {
     /// Non-empty edges, in section-enum order grouped by parent.
     pub edges: Vec<ProfEdge>,
-}
-
-/// Freezes the current profiler contents into a [`ProfReport`].
-#[must_use]
-pub fn snapshot() -> ProfReport {
-    let mut edges = Vec::new();
-    for parent in 0..NUM_PARENTS {
-        for child in 0..NUM_SECTIONS {
-            let edge = parent * NUM_SECTIONS + child;
-            let calls = EDGE_CALLS[edge].load(Ordering::Relaxed);
-            if calls == 0 {
-                continue;
-            }
-            edges.push(ProfEdge {
-                parent: if parent == 0 {
-                    None
-                } else {
-                    Some(Section::ALL[parent - 1].name())
-                },
-                name: Section::ALL[child].name(),
-                calls,
-                total_ns: EDGE_TOTAL_NS[edge].load(Ordering::Relaxed),
-                self_ns: EDGE_SELF_NS[edge].load(Ordering::Relaxed),
-            });
-        }
-    }
-    ProfReport { edges }
 }
 
 /// Formats nanoseconds for the human-readable tree.
@@ -345,18 +334,6 @@ impl ProfReport {
             .iter()
             .filter(|e| e.name == name)
             .map(|e| e.calls)
-            .sum()
-    }
-
-    /// Total nanoseconds of a section summed across all parents. Nested
-    /// occurrences of the same section double-count here; use the edge list
-    /// for exact accounting.
-    #[must_use]
-    pub fn total_ns_of(&self, name: &str) -> u64 {
-        self.edges
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| e.total_ns)
             .sum()
     }
 
@@ -441,36 +418,29 @@ impl ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::Recorder;
     use std::time::Duration;
-
-    // The registry is process-global and other engine tests run
-    // concurrently, so these tests only assert on edges whose parent chain
-    // they alone can produce (rooted at Section::Observer, which no backend
-    // opens), and they serialize behind the shared metrics test mutex so
-    // reset() cannot clobber a sibling's recording window.
 
     #[test]
     fn disabled_sections_record_nothing() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        disable();
-        reset();
+        assert!(section(Section::Observer).is_none(), "no recorder");
+        let mut rec = Recorder::new();
         {
+            let _installed = rec.install();
             let g = section(Section::Observer);
-            assert!(g.is_none(), "disabled profiler must not open sections");
+            assert!(
+                g.is_none(),
+                "a recorder without sections must not open them"
+            );
         }
-        assert_eq!(snapshot().calls_of("observer"), 0);
+        assert_eq!(rec.profile(), ProfReport::default());
     }
 
     #[test]
     fn nested_scopes_split_self_and_child_time() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        reset();
-        enable();
+        let mut rec = Recorder::new().with_sections();
         {
+            let _installed = rec.install();
             let _outer = section(Section::Observer);
             std::thread::sleep(Duration::from_millis(15));
             {
@@ -479,8 +449,8 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        disable();
-        let report = snapshot();
+        let report = rec.profile();
+        assert_eq!(report.edges.len(), 2, "{report:?}");
         let outer = report.edge(None, "observer").expect("outer edge").clone();
         let inner = report
             .edge(Some("observer"), "fault_split")
@@ -495,22 +465,20 @@ mod tests {
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
         assert!(outer.self_ns >= 20_000_000, "self {}", outer.self_ns);
         assert_eq!(inner.self_ns, inner.total_ns, "leaf self == total");
+        assert_eq!(report.attributed_ns(), outer.total_ns);
     }
 
     #[test]
     fn report_renders_tree_and_json() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        reset();
-        enable();
+        let mut rec = Recorder::new().with_sections();
         {
+            let _installed = rec.install();
             let _outer = section(Section::Observer);
             let _inner = section(Section::PmfInversion);
         }
-        disable();
-        let report = snapshot();
+        let report = rec.profile();
         let tree = report.render_tree();
+        assert_eq!(tree.lines().count(), 3, "header + two edges:\n{tree}");
         assert!(tree.contains("observer"));
         assert!(tree.contains("  pmf_inversion"), "child indented:\n{tree}");
         let doc = report.to_json(Some(report.attributed_ns().max(1)));
@@ -518,25 +486,30 @@ mod tests {
             doc.get("kind").and_then(Json::as_str),
             Some("profile_report")
         );
+        assert_eq!(
+            doc.get("sections")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(2)
+        );
         let frac = doc.get("attributed_frac").and_then(Json::as_f64).unwrap();
         assert!(frac > 0.9, "attribution {frac}");
     }
 
     #[test]
     fn attribution_sums_children_into_parent_total() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        reset();
-        enable();
-        for _ in 0..100 {
-            let _outer = section(Section::Observer);
-            for _ in 0..3 {
-                let _inner = section(Section::EpochLenSample);
+        let mut rec = Recorder::new().with_sections();
+        {
+            let _installed = rec.install();
+            for _ in 0..100 {
+                let _outer = section(Section::Observer);
+                for _ in 0..3 {
+                    let _inner = section(Section::EpochLenSample);
+                }
             }
         }
-        disable();
-        let report = snapshot();
+        let report = rec.profile();
+        assert_eq!(report.edges.len(), 2);
         let outer = report.edge(None, "observer").expect("outer").clone();
         let inner = report
             .edge(Some("observer"), "epoch_len_sample")

@@ -21,8 +21,9 @@
 //! — not per-step callbacks — bounds the batch length.
 
 use crate::json::Json;
-use crate::metrics::{self, record_batch, Counter};
+use crate::metrics::Counter;
 use crate::observe::Observer;
+use crate::recorder;
 use crate::rng::SimRng;
 
 /// Result of advancing a simulator by one scheduler activation.
@@ -139,9 +140,7 @@ pub trait Simulator {
             }
         }
         out.executed = self.steps() - start;
-        if metrics::enabled() {
-            record_batch(&out);
-        }
+        recorder::record_batch(&out);
         out
     }
 
@@ -244,7 +243,7 @@ pub fn run_rounds<S: Simulator>(
         let remaining = target - sim.steps();
         let batch = checkpoint_batch(sim, observers, remaining);
         let outcome = sim.step_batch(rng, batch);
-        metrics::add(Counter::ObserverCallbacks, observers.len() as u64);
+        recorder::add(Counter::ObserverCallbacks, observers.len() as u64);
         for obs in observers.iter_mut() {
             obs.observe(sim.steps(), sim);
         }

@@ -14,10 +14,10 @@
 //! words plus the banked Box–Muller spare ([`SimRng::state_words`] /
 //! [`SimRng::spare_normal_bits`]), the backend's own resumable state from
 //! [`Simulator::snapshot`] (counts / agent arrays / fault-trigger progress;
-//! derived caches are rebuilt on restore), an optional frozen
-//! [`MetricsReport`] so a resumed process continues counting where the
-//! interrupted one stopped, and a free-form `meta` object for the harness
-//! (command, n, seed, checkpoint cadence, …).
+//! derived caches are rebuilt on restore), the counters of the run's
+//! [`Recorder`] when one was installed, so a resumed process continues
+//! counting where the interrupted one stopped, and a free-form `meta`
+//! object for the harness (command, n, seed, checkpoint cadence, …).
 //!
 //! ## On-disk format
 //!
@@ -46,6 +46,7 @@
 
 use crate::json::Json;
 use crate::metrics::MetricsReport;
+use crate::recorder::{self, Recorder};
 use crate::rng::SimRng;
 use crate::sim::Simulator;
 use crate::sweep::Incident;
@@ -114,7 +115,7 @@ pub fn parse_hex_u64(j: &Json) -> Result<u64, String> {
 }
 
 /// A complete resumable checkpoint of one run: backend state, word-exact
-/// RNG state, optional metrics-registry contents, and harness metadata.
+/// RNG state, the run's recorded counters, and harness metadata.
 #[derive(Debug, Clone)]
 pub struct RunSnapshot {
     /// [`Simulator::backend_tag`] of the simulator that produced `state`.
@@ -125,9 +126,9 @@ pub struct RunSnapshot {
     pub spare_normal: Option<u64>,
     /// Backend-specific resumable state from [`Simulator::snapshot`].
     pub state: Json,
-    /// Frozen metrics registry at the checkpoint, when the producing run
-    /// was recording; restored via [`crate::metrics::load`] so counters
-    /// continue instead of restarting from zero.
+    /// The run's counters at the checkpoint, when it had a recorder
+    /// installed; [`RunSnapshot::resume`] restores them so counting
+    /// continues instead of restarting from zero.
     pub metrics: Option<MetricsReport>,
     /// Free-form harness metadata (command, n, seed, …); [`Json::Null`]
     /// when unused.
@@ -135,9 +136,9 @@ pub struct RunSnapshot {
 }
 
 impl RunSnapshot {
-    /// Captures the resumable state of `sim` and `rng` (no metrics, no
-    /// meta — attach those with [`RunSnapshot::with_metrics`] /
-    /// [`RunSnapshot::with_meta`]).
+    /// Captures the resumable state of `sim` and `rng`, plus the counters
+    /// of the recorder installed on this thread, if any (no meta — attach
+    /// it with [`RunSnapshot::with_meta`]).
     ///
     /// # Errors
     ///
@@ -148,16 +149,9 @@ impl RunSnapshot {
             rng_words: rng.state_words(),
             spare_normal: rng.spare_normal_bits(),
             state: sim.snapshot()?,
-            metrics: None,
+            metrics: recorder::installed_metrics(),
             meta: Json::Null,
         })
-    }
-
-    /// Attaches a frozen metrics report to the snapshot.
-    #[must_use]
-    pub fn with_metrics(mut self, report: MetricsReport) -> Self {
-        self.metrics = Some(report);
-        self
     }
 
     /// Attaches harness metadata to the snapshot.
@@ -197,6 +191,29 @@ impl RunSnapshot {
         }
         let rng = self.rng()?;
         sim.restore(&self.state)?;
+        Ok(rng)
+    }
+
+    /// [`RunSnapshot::resume_into`], then restores the saved counters into
+    /// `recorder` (left as it is when the snapshot carries none).
+    ///
+    /// `recorder` is borrowed here, so it cannot be installed while `sim`
+    /// is restored: counters that reconstruction bumps (Fenwick recounts,
+    /// index rebuilds) never reach it. Install it afterwards and the
+    /// continued run counts exactly as the uninterrupted one did.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunSnapshot::resume_into`]; `recorder` is unchanged then.
+    pub fn resume<S: Simulator + ?Sized>(
+        &self,
+        sim: &mut S,
+        recorder: &mut Recorder,
+    ) -> Result<SimRng, String> {
+        let rng = self.resume_into(sim)?;
+        if let Some(report) = &self.metrics {
+            recorder.load(report);
+        }
         Ok(rng)
     }
 

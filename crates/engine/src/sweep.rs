@@ -4,16 +4,23 @@
 //! Every experiment in the harness is of the form "for each (n, parameter,
 //! seed) run a simulation and extract a number". Tasks are embarrassingly
 //! parallel; this module distributes them over scoped threads pulling from an
-//! atomic ticket counter, so stragglers don't serialize the sweep. Each task
-//! writes its result directly into its own pre-allocated output slot — there
-//! is no shared lock, so short tasks never contend with long ones on result
+//! atomic ticket counter, so stragglers don't serialize the sweep. Each worker
+//! keeps its own results, put in index order after the join — there is no
+//! shared lock, so short tasks never contend with long ones on result
 //! collection.
+//!
+//! When the caller has a [`Recorder`] installed, every task runs under a
+//! fresh recorder configured like it, which also counts the task
+//! (`sweep_tasks`) and its wall time (`sweep_task_micros`). After the join
+//! the task recorders merge into the caller's in task-index order, so the
+//! merged report, dispatch log included, does not depend on the worker
+//! count (the wall-time histogram aside).
 
 use crate::json::Json;
-use crate::metrics::{self, Counter, Hist};
+use crate::metrics::{Counter, Hist};
+use crate::recorder::{self, Recorder};
 use crate::rng::SimRng;
 use crate::snapshot::SnapshotStore;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,24 +63,13 @@ fn resolve_workers(workers: usize, count: usize) -> usize {
     workers.min(count)
 }
 
-/// Per-index output slots written concurrently, one writer per slot.
-///
-/// Safety contract: callers must ensure no two threads write the same index
-/// and that all writes happen-before the final drain (both are guaranteed by
-/// the ticket counter in [`run_indexed`] plus thread join).
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: slots are only accessed mutably through disjoint indices handed out
-// exactly once by an atomic fetch_add, and the vector is only drained after
-// every worker has been joined.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
 /// Runs `tasks(i)` for every `i` in `0..count` across `workers` threads and
 /// returns the results in index order.
 ///
 /// The task closure must be `Sync` because multiple workers call it
 /// concurrently (on distinct indices). Worker count 0 selects the available
-/// parallelism reported by the OS.
+/// parallelism reported by the OS. Each task records into its own recorder,
+/// merged into the caller's afterwards (see the module docs).
 ///
 /// # Examples
 ///
@@ -93,148 +89,44 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = resolve_workers(workers, count);
-
-    let slots = Slots((0..count).map(|_| UnsafeCell::new(None)).collect());
+    let template = recorder::with(|r| r.like());
     let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        // Capture a reference to the whole `Slots` wrapper (not its field) so
-        // the closure's Send bound goes through the wrapper's Sync impl.
-        let slots = &slots;
-        let next = &next;
-        let task = &task;
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let value = task(i);
-                // SAFETY: index `i` was claimed exactly once by fetch_add, so
-                // this thread is the unique writer of slot `i`.
-                unsafe {
-                    *slots.0[i].get() = Some(value);
-                }
-            });
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            let mut rec = template.as_ref().map(Recorder::like);
+            let t0 = Instant::now();
+            let value = {
+                let _installed = rec.as_mut().map(Recorder::install);
+                task(i)
+            };
+            if let Some(rec) = &mut rec {
+                rec.add(Counter::SweepTasks, 1);
+                rec.observe(Hist::SweepTaskMicros, t0.elapsed().as_micros() as u64);
+            }
+            done.push((i, value, rec));
         }
+    };
+    let mut done: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    slots
-        .0
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("every slot is written before workers join")
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    done.into_iter()
+        .map(|(_, value, rec)| {
+            if let Some(rec) = rec {
+                recorder::with(|r| r.merge(rec));
+            }
+            value
         })
         .collect()
-}
-
-/// Wall-clock summary of one profiled sweep: per-task durations plus
-/// worker-utilization aggregates.
-#[derive(Debug, Clone)]
-pub struct SweepProfile {
-    /// Number of tasks executed.
-    pub tasks: usize,
-    /// Worker threads actually used (after resolving worker count 0).
-    pub workers: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_s: f64,
-    /// Wall-clock seconds of each task, in index order.
-    pub task_s: Vec<f64>,
-}
-
-impl SweepProfile {
-    /// Sum of all task durations (total useful work).
-    #[must_use]
-    pub fn total_task_s(&self) -> f64 {
-        self.task_s.iter().sum()
-    }
-
-    /// Duration of the slowest task — the lower bound on sweep wall-clock.
-    #[must_use]
-    pub fn max_task_s(&self) -> f64 {
-        self.task_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Fraction of worker·wall-clock capacity spent inside tasks, in
-    /// `[0, 1]` up to timer noise. Low utilization with many workers means
-    /// stragglers or too few tasks.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        let capacity = self.workers as f64 * self.wall_s;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            self.total_task_s() / capacity
-        }
-    }
-
-    /// Renders the summary (not the per-task list) as a JSON object, for
-    /// embedding in run traces and metrics snapshots.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("tasks", Json::from(self.tasks)),
-            ("workers", Json::from(self.workers)),
-            ("wall_s", Json::from(self.wall_s)),
-            ("total_task_s", Json::from(self.total_task_s())),
-            ("max_task_s", Json::from(self.max_task_s())),
-            ("utilization", Json::from(self.utilization())),
-        ])
-    }
-}
-
-/// Like [`run_indexed`], but additionally measures per-task wall-clock and
-/// returns a [`SweepProfile`]. When the global [`crate::metrics`] registry
-/// is enabled, each task also bumps the `sweep_tasks` counter and feeds the
-/// `sweep_task_micros` histogram.
-///
-/// # Examples
-///
-/// ```
-/// use pp_engine::sweep::run_indexed_profiled;
-///
-/// let (squares, profile) = run_indexed_profiled(4, 2, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// assert_eq!(profile.tasks, 4);
-/// assert_eq!(profile.task_s.len(), 4);
-/// assert!(profile.wall_s >= profile.max_task_s());
-/// ```
-///
-/// # Panics
-///
-/// Propagates panics from task closures.
-pub fn run_indexed_profiled<T, F>(count: usize, workers: usize, task: F) -> (Vec<T>, SweepProfile)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = resolve_workers(workers, count);
-    let start = Instant::now();
-    let timed = run_indexed(count, workers, |i| {
-        let t0 = Instant::now();
-        let value = task(i);
-        let dur = t0.elapsed();
-        metrics::add(Counter::SweepTasks, 1);
-        metrics::observe(Hist::SweepTaskMicros, dur.as_micros() as u64);
-        (value, dur.as_secs_f64())
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    let mut values = Vec::with_capacity(count);
-    let mut task_s = Vec::with_capacity(count);
-    for (v, s) in timed {
-        values.push(v);
-        task_s.push(s);
-    }
-    (
-        values,
-        SweepProfile {
-            tasks: count,
-            workers,
-            wall_s,
-            task_s,
-        },
-    )
 }
 
 /// Convenience wrapper: maps `task` over a slice of configurations in
@@ -475,9 +367,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// that honor [`TaskCtx::cancelled`] stop at their next batch boundary; ones
 /// that don't still burn a CPU until they finish.
 ///
-/// When the global [`crate::metrics`] registry is enabled, failures bump the
-/// `sweep_panics` / `sweep_timeouts` counters and every extra attempt bumps
-/// `sweep_retries`.
+/// Under a recorder, failures bump the `sweep_panics` / `sweep_timeouts`
+/// counters and every extra attempt bumps `sweep_retries`. Each attempt
+/// records into its own recorder, and only the attempt whose value fills
+/// the slot is merged: a failed or abandoned attempt's counts are dropped
+/// with it.
 ///
 /// # Examples
 ///
@@ -504,42 +398,11 @@ where
     T: Send + 'static,
     F: Fn(&TaskCtx) -> T + Send + Sync + 'static,
 {
-    let workers = resolve_workers(workers, count);
     let task = Arc::new(task);
-    let slots = Slots((0..count).map(|_| UnsafeCell::new(None)).collect());
-    let next = AtomicUsize::new(0);
     let incidents = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        let slots = &slots;
-        let next = &next;
-        let incidents = &incidents;
-        let task = &task;
-        let policy = &policy;
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = attempt_with_policy(task, i, policy, incidents);
-                // SAFETY: index `i` was claimed exactly once by fetch_add, so
-                // this thread is the unique writer of slot `i`.
-                unsafe {
-                    *slots.0[i].get() = Some(result);
-                }
-            });
-        }
+    let results = run_indexed(count, workers, |i| {
+        attempt_with_policy(&task, i, &policy, &incidents)
     });
-
-    let results = slots
-        .0
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("every claimed slot is written before workers join")
-        })
-        .collect();
     (
         results,
         incidents.into_inner().unwrap_or_else(|e| e.into_inner()),
@@ -565,7 +428,7 @@ where
     let mut last_failure: Option<String> = None;
     for attempt in 0..=policy.retries {
         if attempt > 0 {
-            metrics::add(Counter::SweepRetries, 1);
+            recorder::add(Counter::SweepRetries, 1);
             std::thread::sleep(backoff_delay(policy, i, attempt));
         }
         // Backoff that will precede the *next* attempt, recorded in this
@@ -585,19 +448,28 @@ where
             checkpoint_dir: task_checkpoint_dir.clone(),
             checkpoint_keep: policy.checkpoint_keep,
         };
+        let mut rec = recorder::with(|r| r.like());
         let t0 = Instant::now();
         // Detached on purpose: a hung attempt must not block the sweep, and
         // scoped threads cannot be abandoned. The channel send fails
         // harmlessly if the receiver has already given up.
         std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| task(&ctx)));
-            let _ = tx.send(outcome);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let _installed = rec.as_mut().map(Recorder::install);
+                task(&ctx)
+            }));
+            let _ = tx.send((outcome, rec));
         });
         match rx.recv_timeout(policy.deadline) {
-            Ok(Ok(value)) => return TaskResult::Ok(value),
-            Ok(Err(payload)) => {
+            Ok((Ok(value), rec)) => {
+                if let Some(rec) = rec {
+                    recorder::with(|r| r.merge(rec));
+                }
+                return TaskResult::Ok(value);
+            }
+            Ok((Err(payload), _)) => {
                 let detail = panic_message(payload.as_ref());
-                metrics::add(Counter::SweepPanics, 1);
+                recorder::add(Counter::SweepPanics, 1);
                 incidents
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -616,7 +488,7 @@ where
                 // next batch boundary; its eventual result is discarded.
                 cancel.store(true, Ordering::Relaxed);
                 last_failure = None;
-                metrics::add(Counter::SweepTimeouts, 1);
+                recorder::add(Counter::SweepTimeouts, 1);
                 incidents
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -689,26 +561,6 @@ mod tests {
     fn more_workers_than_tasks() {
         let out = run_indexed(3, 16, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn profiled_sweep_reports_consistent_summary() {
-        let (out, profile) = run_indexed_profiled(6, 2, |i| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            i * 10
-        });
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
-        assert_eq!(profile.tasks, 6);
-        assert_eq!(profile.workers, 2);
-        assert_eq!(profile.task_s.len(), 6);
-        assert!(profile.task_s.iter().all(|&s| s > 0.0));
-        assert!(profile.wall_s + 1e-3 >= profile.max_task_s());
-        assert!(profile.total_task_s() >= profile.max_task_s());
-        let u = profile.utilization();
-        assert!((0.0..=1.5).contains(&u), "utilization {u}");
-        let j = profile.to_json();
-        assert_eq!(j.get("tasks").and_then(crate::json::Json::as_u64), Some(6));
-        assert!(j.get("utilization").is_some());
     }
 
     #[test]
@@ -953,34 +805,41 @@ mod tests {
 
     #[test]
     fn resilient_sweep_feeds_failure_counters() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::metrics::reset();
-        crate::metrics::enable();
-        let (_, _) = run_indexed_resilient(2, 1, fast_policy(1), |ctx| {
-            assert!(!(ctx.index == 0 && ctx.attempt == 0), "first attempt fails");
-            ctx.index
-        });
-        crate::metrics::disable();
-        let snap = crate::metrics::snapshot();
+        let mut rec = Recorder::new();
+        {
+            let _installed = rec.install();
+            let (_, _) = run_indexed_resilient(2, 1, fast_policy(1), |ctx| {
+                assert!(!(ctx.index == 0 && ctx.attempt == 0), "first attempt fails");
+                crate::recorder::add(Counter::MatchingRounds, 10 + ctx.attempt as u64);
+                ctx.index
+            });
+        }
+        let snap = rec.metrics();
         assert_eq!(snap.counter("sweep_panics"), 1);
         assert_eq!(snap.counter("sweep_retries"), 1);
         assert_eq!(snap.counter("sweep_timeouts"), 0);
+        // Task 0 kept its retry (11), task 1 its first attempt (10); the
+        // panicked attempt recorded nothing before failing.
+        assert_eq!(snap.counter("matching_rounds"), 21);
     }
 
     #[test]
-    fn profiled_sweep_feeds_metrics_when_enabled() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::metrics::reset();
-        crate::metrics::enable();
-        let (_, profile) = run_indexed_profiled(5, 2, |i| i);
-        crate::metrics::disable();
-        assert_eq!(profile.tasks, 5);
-        let snap = crate::metrics::snapshot();
-        assert!(snap.counter("sweep_tasks") >= 5);
-        assert!(snap.hist_count("sweep_task_micros") >= 5);
+    fn sweep_tasks_feed_the_callers_recorder() {
+        let mut rec = Recorder::new();
+        {
+            let _installed = rec.install();
+            let out = run_indexed(5, 2, |i| {
+                crate::recorder::add(Counter::MatchingRounds, i as u64);
+                i
+            });
+            assert_eq!(out, [0, 1, 2, 3, 4]);
+        }
+        let snap = rec.metrics();
+        assert_eq!(snap.counter("sweep_tasks"), 5);
+        assert_eq!(snap.hist_count("sweep_task_micros"), 5);
+        assert_eq!(snap.counter("matching_rounds"), 10);
+        // Without a recorder the tasks get none either.
+        let installed = run_indexed(3, 2, |_| crate::recorder::installed_metrics().is_some());
+        assert_eq!(installed, [false; 3]);
     }
 }

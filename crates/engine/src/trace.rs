@@ -12,15 +12,15 @@
 //! thread. Code that wants tracing takes a `&mut Tracer` (or an
 //! `Option<&mut Tracer>`); code that doesn't pays nothing.
 //!
-//! The one global piece is the *regime-dispatch log*: the dense backends
-//! cannot take a `&mut Tracer` through `Simulator::step_batch`, so when
-//! [`dispatch_enabled`] is switched on (same single-atomic-flag pattern as
-//! [`crate::metrics`]) each batch records one [`DispatchRecord`] carrying
-//! the inputs that drove the three-regime dispatch decision — `n`, the
-//! reactive-pair probability `p`, the expected collision-epoch length — and
-//! the regime(s) actually executed. Drain with [`drain_dispatch`] and emit
-//! as JSONL via [`DispatchRecord::to_json`]. The schema is documented in
-//! `DESIGN.md` §14.
+//! The *regime-dispatch log* cannot ride on a `Tracer`: the dense backends
+//! cannot take one through `Simulator::step_batch`. It lives on the run's
+//! [`crate::recorder::Recorder`] instead: one built
+//! [`with_dispatch_log`](crate::recorder::Recorder::with_dispatch_log)
+//! keeps one [`DispatchRecord`] per batch, carrying the inputs that drove
+//! the three-regime dispatch decision — `n`, the reactive-pair probability
+//! `p`, the expected collision-epoch length — and the regime(s) actually
+//! executed. Emit them as JSONL via [`DispatchRecord::to_json`]. The schema
+//! is documented in `DESIGN.md` §14.
 //!
 //! # Examples
 //!
@@ -38,8 +38,6 @@
 //! ```
 
 use crate::json::{to_jsonl, Json};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// One regime-dispatch decision: why a dense backend's `step_batch` picked
@@ -92,42 +90,6 @@ impl DispatchRecord {
             ("per_steps", Json::from(self.per_steps)),
         ])
     }
-}
-
-static DISPATCH_ENABLED: AtomicBool = AtomicBool::new(false);
-static DISPATCH_LOG: Mutex<Vec<DispatchRecord>> = Mutex::new(Vec::new());
-
-/// Whether dispatch recording is on. Hot paths read this once per batch
-/// (relaxed load — same cost model as [`crate::metrics::enabled`]).
-#[inline]
-#[must_use]
-pub fn dispatch_enabled() -> bool {
-    DISPATCH_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Switches dispatch recording on (process-global).
-pub fn enable_dispatch() {
-    DISPATCH_ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Switches dispatch recording off. Buffered records stay until drained.
-pub fn disable_dispatch() {
-    DISPATCH_ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Appends one dispatch record to the global log. Callers gate on
-/// [`dispatch_enabled`] so the disabled path never touches the mutex.
-pub fn record_dispatch(rec: DispatchRecord) {
-    DISPATCH_LOG
-        .lock()
-        .expect("dispatch log poisoned")
-        .push(rec);
-}
-
-/// Removes and returns all buffered dispatch records, in arrival order.
-#[must_use]
-pub fn drain_dispatch() -> Vec<DispatchRecord> {
-    std::mem::take(&mut *DISPATCH_LOG.lock().expect("dispatch log poisoned"))
 }
 
 /// Handle to an open span, returned by [`Tracer::begin_span`] and consumed
@@ -362,15 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_log_records_and_drains() {
-        let _guard = crate::metrics::TEST_MUTEX
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = drain_dispatch();
-        assert!(!dispatch_enabled());
-        enable_dispatch();
-        assert!(dispatch_enabled());
-        record_dispatch(DispatchRecord {
+    fn dispatch_record_renders_as_jsonl_object() {
+        let rec = DispatchRecord {
             backend: "CountPopulation",
             n: 1_000_000,
             pairs: 999_999_000_000,
@@ -381,18 +336,16 @@ mod tests {
             collision_epochs: 1595,
             leaps: 0,
             per_steps: 0,
-        });
-        disable_dispatch();
-        let drained = drain_dispatch();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].regime, "collision");
-        let doc = drained[0].to_json();
+        };
+        let doc = rec.to_json();
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("dispatch"));
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(1_000_000));
-        let text = doc.render();
-        let back = Json::parse(&text).unwrap();
+        let back = Json::parse(&doc.render()).unwrap();
         assert_eq!(back.get("regime").and_then(Json::as_str), Some("collision"));
-        assert!(drain_dispatch().is_empty());
+        assert_eq!(
+            back.get("collision_epochs").and_then(Json::as_u64),
+            Some(1595)
+        );
     }
 
     #[test]

@@ -50,16 +50,16 @@ use population_protocols::core::clocks::oscillator::{
 use population_protocols::core::engine::counts::CountPopulation;
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::Json;
-use population_protocols::core::engine::metrics;
 use population_protocols::core::engine::prof;
 use population_protocols::core::engine::protocol::TableProtocol;
+use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::{run_until, Simulator};
 use population_protocols::core::engine::snapshot::{
     hex_u64, load_path, parse_hex_u64, RunSnapshot, SnapshotStore,
 };
 use population_protocols::core::engine::stats::P2Quantile;
-use population_protocols::core::engine::trace::{self, DispatchRecord, Tracer};
+use population_protocols::core::engine::trace::{DispatchRecord, Tracer};
 use population_protocols::core::lang::ast::Program;
 use population_protocols::core::lang::interp::Executor;
 use population_protocols::core::lang::parse::parse_program;
@@ -657,23 +657,18 @@ fn run_profile(args: &[String]) -> u8 {
         return 1;
     }
 
-    prof::reset();
-    prof::enable();
-    metrics::reset();
-    metrics::enable();
-    let _ = trace::drain_dispatch();
-    trace::enable_dispatch();
-    let (wall_ns, quantile_label, samples) = if builtin == "oscillator" {
-        profile_oscillator(n, rounds, seed)
-    } else {
-        profile_epidemic(n, rounds, seed)
+    let mut recorder = Recorder::new().with_sections().with_dispatch_log();
+    let (wall_ns, quantile_label, samples) = {
+        let _installed = recorder.install();
+        if builtin == "oscillator" {
+            profile_oscillator(n, rounds, seed)
+        } else {
+            profile_epidemic(n, rounds, seed)
+        }
     };
-    prof::disable();
-    metrics::disable();
-    trace::disable_dispatch();
-    let report = prof::snapshot();
-    let snap = metrics::snapshot();
-    let dispatch = trace::drain_dispatch();
+    let report = recorder.profile();
+    let snap = recorder.metrics();
+    let dispatch = recorder.dispatch();
 
     if let Some(path) = dispatch_path {
         let text: String = dispatch
@@ -701,10 +696,10 @@ fn run_profile(args: &[String]) -> u8 {
         }
     }
     let regimes = [
-        ("collision", snap.counter("regime_collision")),
-        ("leap", snap.counter("regime_leap")),
-        ("per_step", snap.counter("regime_per_step")),
-        ("dense_fallback", snap.counter("regime_dense_fallback")),
+        ("collision", snap.counter("collision_epochs")),
+        ("leap", snap.counter("noop_leaps")),
+        ("per_step", snap.counter("reactive_dense_steps")),
+        ("dense_fallback", snap.counter("dense_fallback_entries")),
     ];
     let first_regime = dispatch.first().map_or("none", |d| d.regime);
     let attributed = report.attributed_ns();
@@ -956,6 +951,7 @@ fn run_command(
     flags: &Flags,
     tracer: &mut Option<Tracer>,
     meta_command: &mut String,
+    recorder: Option<&mut Recorder>,
 ) -> u8 {
     let n = flags.num("n", 1_000);
     let seed = flags.num("seed", 42);
@@ -1168,10 +1164,10 @@ fn run_command(
                     return 1;
                 }
             };
-            run_oscillator(n, x, rounds, seed, None, ckpt, tracer)
+            run_oscillator(n, x, rounds, seed, None, ckpt, None, tracer)
         }
         "faults" => run_faults(flags, tracer),
-        "resume" => run_resume(path, flags, tracer, meta_command),
+        "resume" => run_resume(path, flags, recorder, tracer, meta_command),
         _ => {
             let _ = usage();
             1
@@ -1222,42 +1218,28 @@ fn fault_spec_from_flags(flags: &Flags, n: u64, seed: u64) -> Result<FaultSpec, 
     Ok(spec)
 }
 
-/// Restores a snapshot into a freshly built simulator and hands back the
-/// resumed RNG plus the trace rows recorded before the checkpoint. When the
-/// current process is recording metrics, the saved registry is loaded
-/// **after** [`RunSnapshot::resume_into`], so any counters the restore
-/// itself bumped (cache rebuilds) are overwritten and the continued stream
-/// matches the uninterrupted run exactly.
+/// Restores a snapshot into a freshly built simulator, and its counters
+/// into the run's (not yet installed) recorder; hands back the resumed RNG
+/// plus the trace rows recorded before the checkpoint.
 fn resume_run_state<S: Simulator + ?Sized>(
     snap: &RunSnapshot,
     sim: &mut S,
     trace: &mut Vec<(f64, [u64; NUM_SPECIES])>,
+    recorder: Option<&mut Recorder>,
 ) -> Result<SimRng, String> {
-    let rng = snap.resume_into(sim)?;
+    let rng = match recorder {
+        Some(rec) => snap.resume(sim, rec)?,
+        None => snap.resume_into(sim)?,
+    };
     *trace = rows_from_json(snap.meta.get("rows"))?;
-    if metrics::enabled() {
-        if let Some(report) = &snap.metrics {
-            metrics::load(report);
-        }
-    }
     Ok(rng)
-}
-
-/// Captures a checkpoint of `sim`/`rng`, attaching the live metrics
-/// registry when this run is recording metrics.
-fn capture_checkpoint<S: Simulator + ?Sized>(sim: &S, rng: &SimRng) -> Result<RunSnapshot, String> {
-    let snap = RunSnapshot::capture(sim, rng)?;
-    Ok(if metrics::enabled() {
-        snap.with_metrics(metrics::snapshot())
-    } else {
-        snap
-    })
 }
 
 /// `ppsim oscillator` (and its `resume` continuation): run the DK18-style
 /// oscillator, optionally checkpointing every `--checkpoint-every` steps,
 /// and print the dominance summary over the whole run — including rows
 /// carried over in a resumed snapshot's meta.
+#[allow(clippy::too_many_arguments)]
 fn run_oscillator(
     n: u64,
     x: u64,
@@ -1265,13 +1247,14 @@ fn run_oscillator(
     seed: u64,
     resume: Option<&RunSnapshot>,
     mut ckpt: Option<Checkpointer>,
+    mut recorder: Option<&mut Recorder>,
     tracer: &mut Option<Tracer>,
 ) -> u8 {
     let osc = Dk18Oscillator::new();
     let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
     let mut trace: Vec<(f64, [u64; NUM_SPECIES])> = Vec::new();
     let mut rng = if let Some(snap) = resume {
-        match resume_run_state(snap, &mut pop, &mut trace) {
+        match resume_run_state(snap, &mut pop, &mut trace, recorder.as_deref_mut()) {
             Ok(rng) => rng,
             Err(e) => {
                 eprintln!("error: cannot resume: {e}");
@@ -1281,6 +1264,9 @@ fn run_oscillator(
     } else {
         SimRng::seed_from(seed)
     };
+    // Only a resumed run hands its recorder down: it is installed once the
+    // snapshot's counters are in it. A fresh run's was installed by `main`.
+    let _installed = recorder.map(Recorder::install);
     while pop.time() < rounds as f64 {
         let out = pop.step_batch(&mut rng, n);
         let sp = osc.species_counts(&pop.counts());
@@ -1298,7 +1284,7 @@ fn run_oscillator(
         }
         if let Some(c) = ckpt.as_mut() {
             c.maybe_save(pop.steps(), |every, next| {
-                capture_checkpoint(&pop, &rng).map(|s| {
+                RunSnapshot::capture(&pop, &rng).map(|s| {
                     s.with_meta(checkpoint_meta(
                         "oscillator",
                         n,
@@ -1367,7 +1353,7 @@ fn run_faults(flags: &Flags, tracer: &mut Option<Tracer>) -> u8 {
             return 1;
         }
     };
-    run_faults_core(n, x, rounds, seed, &spec, None, ckpt, flags, tracer)
+    run_faults_core(n, x, rounds, seed, &spec, None, ckpt, flags, None, tracer)
 }
 
 /// The checkpointable faults run loop, shared by `ppsim faults` and its
@@ -1382,6 +1368,7 @@ fn run_faults_core(
     resume: Option<&RunSnapshot>,
     mut ckpt: Option<Checkpointer>,
     flags: &Flags,
+    mut recorder: Option<&mut Recorder>,
     tracer: &mut Option<Tracer>,
 ) -> u8 {
     let osc = Dk18Oscillator::new();
@@ -1395,7 +1382,7 @@ fn run_faults_core(
     };
     let mut trace: Vec<(f64, [u64; NUM_SPECIES])> = Vec::new();
     let mut rng = if let Some(snap) = resume {
-        match resume_run_state(snap, &mut pop, &mut trace) {
+        match resume_run_state(snap, &mut pop, &mut trace, recorder.as_deref_mut()) {
             Ok(rng) => rng,
             Err(e) => {
                 eprintln!("error: cannot resume: {e}");
@@ -1405,12 +1392,13 @@ fn run_faults_core(
     } else {
         SimRng::seed_from(seed)
     };
+    let _installed = recorder.map(Recorder::install);
     while pop.time() < rounds as f64 {
         let out = pop.step_batch(&mut rng, n);
         trace.push((pop.time(), osc.species_counts(&pop.counts())));
         if let Some(c) = ckpt.as_mut() {
             c.maybe_save(pop.steps(), |every, next| {
-                capture_checkpoint(&pop, &rng).map(|s| {
+                RunSnapshot::capture(&pop, &rng).map(|s| {
                     s.with_meta(checkpoint_meta(
                         "faults",
                         n,
@@ -1574,6 +1562,7 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
 fn run_resume(
     path: Option<&str>,
     flags: &Flags,
+    recorder: Option<&mut Recorder>,
     tracer: &mut Option<Tracer>,
     meta_command: &mut String,
 ) -> u8 {
@@ -1622,7 +1611,7 @@ fn run_resume(
         }
     });
     match command.as_str() {
-        "oscillator" => run_oscillator(n, x, rounds, seed, Some(&snap), ckpt, tracer),
+        "oscillator" => run_oscillator(n, x, rounds, seed, Some(&snap), ckpt, recorder, tracer),
         "faults" => {
             let spec = match meta.get("spec") {
                 Some(j) => match FaultSpec::parse(&j.render()) {
@@ -1637,7 +1626,18 @@ fn run_resume(
                     return 1;
                 }
             };
-            run_faults_core(n, x, rounds, seed, &spec, Some(&snap), ckpt, flags, tracer)
+            run_faults_core(
+                n,
+                x,
+                rounds,
+                seed,
+                &spec,
+                Some(&snap),
+                ckpt,
+                flags,
+                recorder,
+                tracer,
+            )
         }
         other => {
             eprintln!("error: snapshot was produced by non-resumable command {other:?}");
@@ -1686,16 +1686,16 @@ fn main() -> ExitCode {
 
     let metrics_path = flags.strs.get("metrics").cloned();
     let trace_path = flags.strs.get("trace").cloned();
-    if metrics_path.is_some() {
-        metrics::reset();
-        metrics::enable();
-    }
     let mut tracer = trace_path.is_some().then(Tracer::new);
-    if tracer.is_some() {
-        // Dispatch decisions ride along in the trace as `dispatch` events.
-        let _ = trace::drain_dispatch();
-        trace::enable_dispatch();
-    }
+    // Dispatch decisions ride along in the trace as `dispatch` events.
+    let mut recorder = (metrics_path.is_some() || tracer.is_some()).then(|| {
+        let rec = Recorder::new();
+        if tracer.is_some() {
+            rec.with_dispatch_log()
+        } else {
+            rec
+        }
+    });
     let root = tracer.as_mut().map(|tr| {
         tr.begin_span(
             "run",
@@ -1711,12 +1711,25 @@ fn main() -> ExitCode {
     // the metrics meta (and backend header) of a resumed run match the
     // uninterrupted reference byte for byte.
     let mut meta_command = command.to_string();
-    let code = run_command(command, path, &flags, &mut tracer, &mut meta_command);
+    let code = if command == "resume" {
+        // The snapshot's counters must reach the recorder before it is
+        // installed, so the resumed run installs it after the restore.
+        run_command(
+            command,
+            path,
+            &flags,
+            &mut tracer,
+            &mut meta_command,
+            recorder.as_mut(),
+        )
+    } else {
+        let _installed = recorder.as_mut().map(Recorder::install);
+        run_command(command, path, &flags, &mut tracer, &mut meta_command, None)
+    };
 
-    if let Some(tr) = tracer.as_mut() {
-        trace::disable_dispatch();
-        for d in trace::drain_dispatch() {
-            tr.event("dispatch", &dispatch_fields(&d));
+    if let (Some(tr), Some(rec)) = (tracer.as_mut(), &recorder) {
+        for d in rec.dispatch() {
+            tr.event("dispatch", &dispatch_fields(d));
         }
     }
     if let (Some(tr), Some(span)) = (tracer.as_mut(), root) {
@@ -1728,9 +1741,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = metrics_path {
-        let mut snapshot = metrics::snapshot();
-        metrics::disable();
+    if let (Some(path), Some(rec)) = (metrics_path, &recorder) {
+        let mut snapshot = rec.metrics();
         // Header: which backend executed the run, and how the three-regime
         // dispatcher split the work, both in the snapshot meta and echoed
         // on stdout.
@@ -1739,10 +1751,10 @@ fn main() -> ExitCode {
         println!(
             "metrics: backend={} | regimes: collision={} leap={} per_step={} dense_fallback={}",
             backend_name(&meta_command),
-            snapshot.counter("regime_collision"),
-            snapshot.counter("regime_leap"),
-            snapshot.counter("regime_per_step"),
-            snapshot.counter("regime_dense_fallback"),
+            snapshot.counter("collision_epochs"),
+            snapshot.counter("noop_leaps"),
+            snapshot.counter("reactive_dense_steps"),
+            snapshot.counter("dense_fallback_entries"),
         );
         if let Err(e) = snapshot.write_json(&path) {
             eprintln!("cannot write metrics {path}: {e}");

@@ -10,9 +10,9 @@
 
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::matching::MatchingPopulation;
-use population_protocols::core::engine::metrics;
 use population_protocols::core::engine::population::Population;
 use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
+use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::{run_until, Simulator, StepOutcome};
 use population_protocols::core::engine::stats::{
@@ -363,21 +363,25 @@ fn dense_step_batch_matches_step_on_matching_population() {
 
 /// The dense scenario must actually route through the collision-batch
 /// regime (otherwise the dense equivalence tests above silently degrade to
-/// re-testing the leap path). Counter deltas are lower bounds because the
-/// metrics registry is process-global and other tests may record
-/// concurrently.
+/// re-testing the leap path).
 #[test]
 fn dense_scenario_uses_collision_epochs() {
-    metrics::enable();
-    let before = metrics::snapshot();
     let mut pop = CountPopulation::from_counts(cycle(), DENSE.counts);
     let mut rng = SimRng::seed_from(77);
-    pop.step_batch(&mut rng, DENSE.target);
-    let after = metrics::snapshot();
-    metrics::disable();
-    let epochs = after.counter("collision_epochs") - before.counter("collision_epochs");
-    let steps =
-        after.counter("collision_batched_steps") - before.counter("collision_batched_steps");
+    let mut recorder = Recorder::new().with_dispatch_log();
+    {
+        let _installed = recorder.install();
+        pop.step_batch(&mut rng, DENSE.target);
+    }
+    let report = recorder.metrics();
+    let epochs = report.counter("collision_epochs");
+    let steps = report.counter("collision_batched_steps");
+    assert_eq!(report.counter("interactions_executed"), DENSE.target);
+    assert_eq!(report.counter("batches"), 1);
+    let [dispatch] = recorder.dispatch() else {
+        panic!("one batch, one dispatch record: {:?}", recorder.dispatch());
+    };
+    assert_eq!(epochs, dispatch.collision_epochs);
     // 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 170 epochs.
     assert!(epochs >= 100, "only {epochs} collision epochs recorded");
     assert!(

@@ -4,18 +4,15 @@
 //!
 //! This is what makes injected-fault debugging workable: any incident from
 //! a sweep or CI run replays exactly from its seed, fault RNG included.
-//!
-//! The whole check is one `#[test]` because the metrics registry is
-//! process-global; a single test keeps the two runs being compared from
-//! interleaving with anything else.
+//! Every run records into its own recorder, so the tests run in parallel.
 
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::{to_jsonl, Json};
 use population_protocols::core::engine::matching::MatchingPopulation;
-use population_protocols::core::engine::metrics;
 use population_protocols::core::engine::population::Population;
 use population_protocols::core::engine::protocol::TableProtocol;
+use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
 use population_protocols::core::engine::snapshot::RunSnapshot;
@@ -51,8 +48,8 @@ fn row_json<S: Simulator + ?Sized>(pop: &S) -> Json {
 /// deterministic artifact: a JSONL trace of `(steps, counts)` rows, the
 /// fault-event JSONL, and the rendered metrics snapshot.
 fn run_once<S: Simulator>(inner: S, seed: u64, n: u64, rounds: u64) -> (String, String, String) {
-    metrics::reset();
-    metrics::enable();
+    let mut recorder = Recorder::new();
+    let installed = recorder.install();
     let mut pop = FaultyPopulation::new(inner, &spec()).expect("valid spec");
     let mut rng = SimRng::seed_from(seed);
     let mut rows = Vec::new();
@@ -63,17 +60,16 @@ fn run_once<S: Simulator>(inner: S, seed: u64, n: u64, rounds: u64) -> (String, 
             break;
         }
     }
-    let report = metrics::snapshot().to_json().render();
-    metrics::disable();
+    drop(installed);
+    let report = recorder.metrics().to_json().render();
     (to_jsonl(&rows), pop.events_jsonl(), report)
 }
 
 /// Runs the same scenario but "crashes" at round `cut`: checkpoints there
-/// (metrics attached, via the full on-disk text encoding), discards the
-/// simulator and the metrics registry, then restores into a freshly built
-/// simulator — exactly what `ppsim resume` does after a SIGKILL — and
-/// finishes the run. The returned artifacts must be byte-identical to
-/// [`run_once`]'s.
+/// (counters attached, via the full on-disk text encoding), discards the
+/// simulator and the recorder, then restores both into fresh ones —
+/// exactly what `ppsim resume` does after a SIGKILL — and finishes the run.
+/// The returned artifacts must be byte-identical to [`run_once`]'s.
 fn run_interrupted<S: Simulator>(
     make: impl Fn() -> S,
     seed: u64,
@@ -81,12 +77,12 @@ fn run_interrupted<S: Simulator>(
     rounds: u64,
     cut: u64,
 ) -> (String, String, String) {
-    // Build before enabling metrics, matching `run_once`'s call-site
-    // argument evaluation — construction-time counter bumps are not part
-    // of the recorded run in either flow.
+    // Build before installing the recorder, matching `run_once`'s
+    // call-site argument evaluation — construction-time counter bumps are
+    // not part of the recorded run in either flow.
     let inner = make();
-    metrics::reset();
-    metrics::enable();
+    let mut recorder = Recorder::new();
+    let installed = recorder.install();
     let mut pop = FaultyPopulation::new(inner, &spec()).expect("valid spec");
     let mut rng = SimRng::seed_from(seed);
     let mut rows = Vec::new();
@@ -97,20 +93,20 @@ fn run_interrupted<S: Simulator>(
     }
     let text = RunSnapshot::capture(&pop, &rng)
         .expect("faulty wrapper snapshots")
-        .with_metrics(metrics::snapshot())
         .encode();
-    // The "process" dies here: simulator and registry both start over.
+    // The "process" dies here: simulator and recorder both start over.
     drop(pop);
-    metrics::reset();
-    metrics::enable();
+    drop(installed);
     let snap = RunSnapshot::decode(&text).expect("snapshot survives the disk round-trip");
+    assert!(snap.metrics.is_some(), "capture attached the counters");
     let mut pop = FaultyPopulation::new(make(), &spec()).expect("valid spec");
+    let mut recorder = Recorder::new();
+    // The recorder is installed only after the restore, so restore-time
+    // counter bumps (cache rebuilds) cannot reach it.
     let mut rng = snap
-        .resume_into(&mut pop)
+        .resume(&mut pop, &mut recorder)
         .expect("resume into a fresh simulator");
-    // Load the saved registry AFTER restore, so restore-time counter bumps
-    // (cache rebuilds) cannot desynchronize the metrics stream.
-    metrics::load(snap.metrics.as_ref().expect("metrics attached"));
+    let installed = recorder.install();
     for _ in cut..rounds {
         let out = pop.step_batch(&mut rng, n);
         rows.push(row_json(&pop));
@@ -118,8 +114,8 @@ fn run_interrupted<S: Simulator>(
             break;
         }
     }
-    let report = metrics::snapshot().to_json().render();
-    metrics::disable();
+    drop(installed);
+    let report = recorder.metrics().to_json().render();
     (to_jsonl(&rows), pop.events_jsonl(), report)
 }
 
@@ -273,23 +269,43 @@ fn assert_enumerated_replay_byte_identical(seed: u64) {
     assert_eq!(a, b, "enumerated: compiled run must replay exactly");
 }
 
+// Sparse-ish scenario: n = 1000 keeps the count backends on the
+// geometric-leap path.
+const LEAP: &[u64] = &[400, 300, 300];
+// Reactive-dense scenario: at n = 4000 the count backends route their
+// batches through the collision-epoch path, so this pins that fault
+// triggers split contingency-table batches deterministically (epoch
+// truncation at the trigger boundary included).
+const DENSE: &[u64] = &[1_600, 1_200, 1_200];
+
 #[test]
-fn same_seed_same_backend_is_byte_identical() {
-    // Sparse-ish scenario: n = 1000 keeps the count backends on the
-    // geometric-leap path.
-    assert_replay_byte_identical("leap", &[400, 300, 300], 2718, 12);
-    // Reactive-dense scenario: at n = 4000 the count backends route their
-    // batches through the collision-epoch path, so this pins that fault
-    // triggers split contingency-table batches deterministically (epoch
-    // truncation at the trigger boundary included).
-    assert_replay_byte_identical("dense", &[1_600, 1_200, 1_200], 3141, 12);
-    // Crash-and-resume at a mid-run checkpoint must be invisible in every
-    // artifact, on both dispatch regimes. The cut lands after fault
-    // triggers have partially fired, so trigger progress, the event log,
-    // and the metrics registry all ride through the snapshot.
-    assert_interrupt_resume_byte_identical("leap", &[400, 300, 300], 2718, 12, 7);
-    assert_interrupt_resume_byte_identical("dense", &[1_600, 1_200, 1_200], 3141, 12, 5);
-    // The enumeration backend (analyzer-guided live-state compilation) must
-    // replay exactly too: same seed, same compiled tables, same artifact.
+fn leap_replay_is_byte_identical() {
+    assert_replay_byte_identical("leap", LEAP, 2718, 12);
+}
+
+#[test]
+fn dense_replay_is_byte_identical() {
+    assert_replay_byte_identical("dense", DENSE, 3141, 12);
+}
+
+// Crash-and-resume at a mid-run checkpoint must be invisible in every
+// artifact, on both dispatch regimes. The cut lands after fault triggers
+// have partially fired, so trigger progress, the event log, and the
+// recorder's counters all ride through the snapshot.
+
+#[test]
+fn leap_resume_is_byte_identical() {
+    assert_interrupt_resume_byte_identical("leap", LEAP, 2718, 12, 7);
+}
+
+#[test]
+fn dense_resume_is_byte_identical() {
+    assert_interrupt_resume_byte_identical("dense", DENSE, 3141, 12, 5);
+}
+
+/// The enumeration backend (analyzer-guided live-state compilation) must
+/// replay exactly too: same seed, same compiled tables, same artifact.
+#[test]
+fn enumerated_replay_is_byte_identical() {
     assert_enumerated_replay_byte_identical(1618);
 }

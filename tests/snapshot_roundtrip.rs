@@ -3,10 +3,8 @@
 //! on-disk format must reject any corruption, and a resilient-sweep task
 //! must resume from its per-task checkpoint store after a crash.
 //!
-//! These tests deliberately leave the process-global metrics registry
-//! alone (metrics-stream equality across an interrupt is pinned by
-//! `tests/determinism.rs`, which owns the registry), so they can run in
-//! parallel.
+//! These tests install no recorder: metrics-stream equality across an
+//! interrupt is pinned by `tests/determinism.rs`.
 
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
