@@ -22,7 +22,7 @@ use crate::protocol::Protocol;
 use crate::reactivity::ReactivityIndex;
 use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
-use crate::sim::{BatchOutcome, Simulator, StepOutcome};
+use crate::sim::{run_rounds, BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
 
 /// Largest state space for which [`CountPopulation`] builds the reactivity
@@ -560,6 +560,46 @@ mod tests {
     }
 }
 
+/// Above this many nominal states [`run_counts`] switches to the sparse
+/// backend: reachable configurations of wide flag spaces occupy only a
+/// handful of states, so dense Fenwick construction would dominate.
+const SPARSE_THRESHOLD: usize = 4096;
+
+/// Runs `protocol` for `rounds` parallel rounds on the count vector
+/// `counts`, in place: on [`CountPopulation`], or on
+/// [`SparseCountPopulation`] when `counts` spans more than 4 096 states.
+/// The one dispatch point of the program executors' scheduler runs.
+pub fn run_counts<P: Protocol>(protocol: P, counts: &mut Vec<u64>, rounds: f64, rng: &mut SimRng) {
+    if counts.len() > SPARSE_THRESHOLD {
+        let mut pop = SparseCountPopulation::from_dense(protocol, counts);
+        // Write back by occupied state, not by rebuilding all k counts.
+        for (state, _) in pop.iter_counts() {
+            counts[state] = 0;
+        }
+        run_rounds(&mut pop, rounds, rng, &mut []);
+        for (state, count) in pop.iter_counts() {
+            counts[state] = count;
+        }
+    } else {
+        let mut pop = CountPopulation::from_counts(protocol, counts);
+        run_rounds(&mut pop, rounds, rng, &mut []);
+        *counts = pop.counts();
+    }
+}
+
+/// Occupied slots per block of [`SparseCountPopulation`]'s second sampling
+/// level. With at most this many occupied states there is one block, and a
+/// draw is the plain linear scan plus one compare.
+const SLOT_BLOCK: usize = 32;
+
+/// Per-block count sums of an occupied list.
+fn block_sums(occupied: &[(usize, u64)]) -> Vec<u64> {
+    occupied
+        .chunks(SLOT_BLOCK)
+        .map(|block| block.iter().map(|&(_, c)| c).sum())
+        .collect()
+}
+
 /// A population represented by a *sparse* map of per-state agent counts.
 ///
 /// Protocol compositions over boolean flag spaces can have huge nominal
@@ -567,7 +607,13 @@ mod tests {
 /// occupies only a handful of states. The dense [`CountPopulation`] pays
 /// `O(k)` to build and `O(log k)` per step regardless; this backend stores
 /// only the occupied states, so construction is `O(occupied)` and each step
-/// is `O(occupied)` — orders of magnitude faster when `occupied ≪ k`.
+/// is `O(occupied/B + B)` with `B = 32` — orders of magnitude faster when
+/// `occupied ≪ k`.
+///
+/// Sampling scans per-block count sums over runs of `B` consecutive
+/// occupied slots, then the one block holding the rank. The rank → state
+/// map is that of a linear scan in insertion order, so the block level
+/// changes speed only, never trajectories.
 ///
 /// The sampled process is identical in distribution to the dense backends.
 ///
@@ -590,6 +636,9 @@ pub struct SparseCountPopulation<P> {
     protocol: P,
     /// Occupied states and their counts, in insertion order.
     occupied: Vec<(usize, u64)>,
+    /// `blocks[j]` = count sum of `occupied[j·B .. (j+1)·B]`, `B` =
+    /// `SLOT_BLOCK`. Derived from `occupied`, so never serialized.
+    blocks: Vec<u64>,
     /// State → index into `occupied`.
     index: std::collections::HashMap<usize, usize>,
     n: u64,
@@ -622,6 +671,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
         assert!(n >= 2, "population must have at least 2 agents");
         Self {
             protocol,
+            blocks: block_sums(&occupied),
             occupied,
             index,
             n,
@@ -636,12 +686,17 @@ impl<P: Protocol> SparseCountPopulation<P> {
     /// As [`SparseCountPopulation::from_pairs`].
     #[must_use]
     pub fn from_dense(protocol: P, counts: &[u64]) -> Self {
-        let pairs: Vec<(usize, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(s, &c)| (s, c))
-            .collect();
+        // Wide flag spaces are mostly zeros: one OR over a chunk skips it
+        // before any single count is looked at.
+        const CHUNK: usize = 16;
+        let mut pairs = Vec::new();
+        for (j, chunk) in counts.chunks(CHUNK).enumerate() {
+            if chunk.iter().fold(0, |acc, &c| acc | c) == 0 {
+                continue;
+            }
+            let occupied = chunk.iter().enumerate().filter(|&(_, &c)| c > 0);
+            pairs.extend(occupied.map(|(i, &c)| (j * CHUNK + i, c)));
+        }
         Self::from_pairs(protocol, &pairs)
     }
 
@@ -668,40 +723,90 @@ impl<P: Protocol> SparseCountPopulation<P> {
 
     fn add(&mut self, state: usize, delta: i64) {
         match self.index.get(&state) {
-            Some(&i) => {
-                let entry = &mut self.occupied[i];
-                entry.1 = (entry.1 as i64 + delta) as u64;
-                if entry.1 == 0 {
-                    // Swap-remove, fixing the moved entry's index.
-                    let last = self.occupied.len() - 1;
-                    self.occupied.swap(i, last);
-                    self.occupied.pop();
-                    self.index.remove(&state);
-                    if i < self.occupied.len() {
-                        let moved_state = self.occupied[i].0;
-                        self.index.insert(moved_state, i);
-                    }
-                }
+            Some(&slot) => {
+                self.add_at(slot, delta);
             }
             None => {
                 assert!(delta > 0, "removing from empty state {state}");
-                self.index.insert(state, self.occupied.len());
+                let slot = self.occupied.len();
+                self.index.insert(state, slot);
                 self.occupied.push((state, delta as u64));
+                if slot.is_multiple_of(SLOT_BLOCK) {
+                    self.blocks.push(delta as u64);
+                } else {
+                    *self.blocks.last_mut().expect("open trailing block") += delta as u64;
+                }
             }
         }
     }
 
-    /// Samples a state by rank among `total` agents, excluding one agent of
-    /// `exclude` (pass `usize::MAX` to exclude nothing).
+    /// Adds `delta` to the count at `slot`. A slot that empties is
+    /// swap-removed; the return value is then the former slot of the entry
+    /// moved into it, if one moved.
+    fn add_at(&mut self, slot: usize, delta: i64) -> Option<usize> {
+        let entry = &mut self.occupied[slot];
+        entry.1 = entry.1.wrapping_add_signed(delta);
+        let (state, count) = *entry;
+        let block = &mut self.blocks[slot / SLOT_BLOCK];
+        *block = block.wrapping_add_signed(delta);
+        if count != 0 {
+            return None;
+        }
+        // Swap-remove, fixing the moved entry's index and moving its count
+        // to its new block; a trailing block left empty is dropped.
+        let last = self.occupied.len() - 1;
+        self.occupied.swap_remove(slot);
+        self.index.remove(&state);
+        let moved_from = (slot < last).then(|| {
+            let (moved_state, moved) = self.occupied[slot];
+            self.index.insert(moved_state, slot);
+            self.blocks[last / SLOT_BLOCK] -= moved;
+            self.blocks[slot / SLOT_BLOCK] += moved;
+            last
+        });
+        if last.is_multiple_of(SLOT_BLOCK) {
+            self.blocks.pop();
+        }
+        moved_from
+    }
+
+    /// Samples an agent by `rank` in insertion order and returns its slot
+    /// in `occupied`, with one agent of slot `exclude` left out (pass
+    /// `usize::MAX` to exclude nothing). Scans block sums, then the one
+    /// block that holds the rank: `O(occupied/B + B)`. A single block is
+    /// scanned slot by slot straight away.
+    #[inline]
     fn sample(&self, mut rank: u64, exclude: usize) -> usize {
-        for &(state, count) in &self.occupied {
-            let c = if state == exclude { count - 1 } else { count };
+        let mut start = 0;
+        if self.blocks.len() > 1 {
+            let exclude_block = exclude / SLOT_BLOCK;
+            for (j, &sum) in self.blocks.iter().enumerate() {
+                let sum = sum - u64::from(j == exclude_block);
+                if rank < sum {
+                    start = j * SLOT_BLOCK;
+                    break;
+                }
+                rank -= sum;
+            }
+        }
+        for (slot, &(_, count)) in self.occupied.iter().enumerate().skip(start) {
+            let c = count - u64::from(slot == exclude);
             if rank < c {
-                return state;
+                return slot;
             }
             rank -= c;
         }
         unreachable!("rank exceeded population");
+    }
+
+    /// Moves the initiator at slot `sa` to state `a2` and the responder at
+    /// slot `sb` to `b2`. The slots are known from sampling, so the two
+    /// removals skip the state → slot lookup.
+    fn apply(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) {
+        let moved_from = self.add_at(sa, -1);
+        self.add_at(if moved_from == Some(sb) { sa } else { sb }, -1);
+        self.add(a2, 1);
+        self.add(b2, 1);
     }
 }
 
@@ -742,36 +847,32 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        let a = self.sample(rng.below(self.n), usize::MAX);
-        let b = self.sample(rng.below(self.n - 1), a);
+        let sa = self.sample(rng.below(self.n), usize::MAX);
+        let sb = self.sample(rng.below(self.n - 1), sa);
         self.steps += 1;
+        let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
         let (a2, b2) = self.protocol.interact(a, b, rng);
         if (a2, b2) == (a, b) {
             return StepOutcome::Unchanged;
         }
-        self.add(a, -1);
-        self.add(b, -1);
-        self.add(a2, 1);
-        self.add(b2, 1);
+        self.apply(sa, sb, a2, b2);
         StepOutcome::Changed
     }
 
-    /// Tight inner loop: the linear scans over occupied states already make
-    /// each step `O(occupied)`, so batching here only removes per-step
-    /// dispatch and outcome plumbing. Never reports silence.
+    /// Tight inner loop: the block scans already make each step
+    /// `O(occupied/B + B)`, so batching here only removes per-step dispatch
+    /// and outcome plumbing. Never reports silence.
     fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
         let _batch_span = prof::section(Section::BatchSparse);
         let n = self.n;
         let mut changed = 0u64;
         for _ in 0..max_steps {
-            let a = self.sample(rng.below(n), usize::MAX);
-            let b = self.sample(rng.below(n - 1), a);
+            let sa = self.sample(rng.below(n), usize::MAX);
+            let sb = self.sample(rng.below(n - 1), sa);
+            let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
             let (a2, b2) = self.protocol.interact(a, b, rng);
             if (a2, b2) != (a, b) {
-                self.add(a, -1);
-                self.add(b, -1);
-                self.add(a2, 1);
-                self.add(b2, 1);
+                self.apply(sa, sb, a2, b2);
                 changed += 1;
             }
         }
@@ -790,10 +891,10 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
     }
 
     /// Serializes the occupied list *in insertion order* plus the step
-    /// counter. The order is RNG-visible — `sample` scans it linearly and
+    /// counter. The order is RNG-visible — `sample` maps ranks in it and
     /// `add` swap-removes vacated entries — so a dense round-trip would
     /// change which agents later draws land on; the state → slot index map
-    /// is derived and rebuilt on restore.
+    /// and the block sums are derived and rebuilt on restore.
     fn snapshot(&self) -> Result<Json, String> {
         Ok(Json::obj([
             (
@@ -842,6 +943,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
                 self.n
             ));
         }
+        self.blocks = block_sums(&occupied);
         self.occupied = occupied;
         self.index = index;
         self.steps = steps;
@@ -939,6 +1041,143 @@ mod sparse_tests {
             pop.step(&mut rng);
             assert_eq!(pop.count(1), 1);
         }
+    }
+
+    impl<P: Protocol> SparseCountPopulation<P> {
+        /// The single-level sampler the block sampler replaced: a linear
+        /// scan in insertion order, returning a state and excluding one
+        /// agent of state `exclude`.
+        fn sample_linear(&self, mut rank: u64, exclude: usize) -> usize {
+            for &(state, count) in &self.occupied {
+                let c = if state == exclude { count - 1 } else { count };
+                if rank < c {
+                    return state;
+                }
+                rank -= c;
+            }
+            unreachable!("rank exceeded population");
+        }
+    }
+
+    /// Block sums equal a recount, and the block sampler lands on the
+    /// reference's state at every rank, with no exclusion and with each
+    /// occupied slot excluded in turn.
+    fn assert_sampler_matches_reference<P: Protocol>(pop: &SparseCountPopulation<P>) {
+        assert_eq!(pop.blocks, block_sums(&pop.occupied), "block sums drifted");
+        for rank in 0..pop.n {
+            let slot = pop.sample(rank, usize::MAX);
+            assert_eq!(pop.occupied[slot].0, pop.sample_linear(rank, usize::MAX));
+        }
+        for (excluded, &(state, _)) in pop.occupied.iter().enumerate() {
+            for rank in 0..pop.n - 1 {
+                let slot = pop.sample(rank, excluded);
+                assert_ne!((slot, pop.occupied[slot].1), (excluded, 1));
+                assert_eq!(pop.occupied[slot].0, pop.sample_linear(rank, state));
+            }
+        }
+    }
+
+    #[test]
+    fn block_sampler_matches_linear_reference_through_growth_and_shrinkage() {
+        let k = 4096;
+        let n = 140;
+        let p = TableProtocol::new(k, "inert");
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, n)]);
+        let mut rng = SimRng::seed_from(0xb10c);
+        let random_slot = |pop: &SparseCountPopulation<_>, rng: &mut SimRng| {
+            pop.occupied[rng.index(pop.occupied.len())]
+        };
+        // Grow to five blocks: mostly split one agent off a random state
+        // onto a fresh one (appends, opening blocks); sometimes vacate a
+        // random state into another (swap-removes).
+        while pop.blocks.len() < 5 {
+            if rng.chance(0.8) {
+                let from = loop {
+                    let (s, count) = random_slot(&pop, &mut rng);
+                    if count >= 2 {
+                        break s;
+                    }
+                };
+                let fresh = loop {
+                    let s = rng.index(k);
+                    if pop.count(s) == 0 {
+                        break s;
+                    }
+                };
+                assert_eq!(pop.migrate(from, fresh, 1), 1);
+            } else {
+                let (from, count) = random_slot(&pop, &mut rng);
+                let (to, _) = random_slot(&pop, &mut rng);
+                pop.migrate(from, to, count);
+            }
+            assert_sampler_matches_reference(&pop);
+        }
+        // Shrink to one state: merge random states, wholly or in part,
+        // into others, so swap-removes cross block boundaries and emptied
+        // trailing blocks pop.
+        while pop.occupied_states() > 1 {
+            let (from, count) = random_slot(&pop, &mut rng);
+            let (to, _) = random_slot(&pop, &mut rng);
+            let amount = if rng.chance(0.2) { 1 } else { count };
+            pop.migrate(from, to, amount);
+            assert_sampler_matches_reference(&pop);
+        }
+        assert_eq!(pop.blocks, vec![n]);
+    }
+
+    /// `apply`'s removals by sampled slot leave the occupied list,
+    /// block sums and index exactly as removals by state lookup would, for
+    /// every slot pair: swap-removes that move the responder's entry,
+    /// same-state pairs, and emptied trailing blocks included.
+    #[test]
+    fn slot_removals_match_state_removals() {
+        let k = 64;
+        let p = TableProtocol::new(k, "inert");
+        let pairs: Vec<(usize, u64)> = (0..SLOT_BLOCK + 1).map(|s| (s, 1 + s as u64 % 2)).collect();
+        let pop = SparseCountPopulation::from_pairs(&p, &pairs);
+        for sa in 0..pop.occupied.len() {
+            for sb in 0..pop.occupied.len() {
+                if sa == sb && pop.occupied[sa].1 < 2 {
+                    continue;
+                }
+                let (a, b) = (pop.occupied[sa].0, pop.occupied[sb].0);
+                let mut by_slot = pop.clone();
+                by_slot.apply(sa, sb, (a + 1) % k, b);
+                let mut by_state = pop.clone();
+                by_state.add(a, -1);
+                by_state.add(b, -1);
+                by_state.add((a + 1) % k, 1);
+                by_state.add(b, 1);
+                assert_eq!(by_slot.occupied, by_state.occupied);
+                assert_eq!(by_slot.blocks, by_state.blocks);
+                assert_eq!(by_slot.index, by_state.index);
+            }
+        }
+    }
+
+    /// `run_counts` above the sparse threshold leaves exactly the counts of
+    /// a sparse run from the same start and seed, in place.
+    #[test]
+    fn run_counts_writes_back_the_sparse_run() {
+        /// The initiator steps forward around a cycle of `k` states.
+        struct Drift(usize);
+        impl Protocol for Drift {
+            fn num_states(&self) -> usize {
+                self.0
+            }
+            fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+                ((a + 1) % self.0, b)
+            }
+        }
+        let k = SPARSE_THRESHOLD + 1;
+        let mut counts = vec![0u64; k];
+        for s in (0..k).step_by(97) {
+            counts[s] = 1 + s as u64 % 3;
+        }
+        let mut reference = SparseCountPopulation::from_dense(Drift(k), &counts);
+        run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11), &mut []);
+        run_counts(Drift(k), &mut counts, 3.0, &mut SimRng::seed_from(11));
+        assert_eq!(counts, reference.to_dense());
     }
 
     #[test]

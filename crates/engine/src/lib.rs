@@ -23,7 +23,7 @@
 //! |---|---|---|---|---|
 //! | [`population::Population`] | explicit agent array | `O(1)` | `O(m)` tight loop | per-agent inspection, matching scheduler |
 //! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
-//! | [`counts::SparseCountPopulation`] | occupied states only | `O(occupied)` | `O(m · occupied)` tight loop | huge nominal `k`, few occupied states |
+//! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums | `O(occupied/B + B)`, `B = 32` | `O(m · (occupied/B + B))` tight loop | huge nominal `k`, few occupied states |
 //! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!

@@ -40,10 +40,9 @@
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
 use crate::interp::ExecOptions;
-use pp_engine::counts::{CountPopulation, SparseCountPopulation};
+use pp_engine::counts::run_counts;
 use pp_engine::rng::SimRng;
 use pp_engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
-use pp_engine::sim::{run_rounds, Simulator};
 use pp_rules::reach::{support_closure, AbstractAssign, SupportModel};
 use pp_rules::{Guard, Ruleset, Var, VarSet};
 use std::collections::HashMap;
@@ -404,10 +403,10 @@ fn escaped(vars: &VarSet, rule: &pp_rules::Rule, s: u32, t: u32) -> EnumError {
 /// state space — the drop-in compiled counterpart of
 /// [`crate::interp::Executor`].
 ///
-/// Counts are indexed by dense live-state id; scheduler runs drive a
-/// [`CountPopulation`] over `q = live` states (with full collision-epoch
-/// batching via the tabulated [`RuleTableProtocol`]) instead of the
-/// interpreter's `2^bits` nominal space.
+/// Counts are indexed by dense live-state id; scheduler runs go through
+/// [`run_counts`] over `q = live` states (on the dense count backend, with
+/// full collision-epoch batching via the tabulated [`RuleTableProtocol`])
+/// instead of the interpreter's `2^bits` nominal space.
 ///
 /// # Examples
 ///
@@ -698,7 +697,7 @@ impl<'p> EnumExecutor<'p> {
                 self.rounds += duration;
                 let key = std::ptr::from_ref(ruleset) as usize;
                 if let Some(protocol) = self.sites.get(&key) {
-                    drive(&mut self.counts, &mut self.rng, protocol, duration);
+                    run_counts(protocol, &mut self.counts, duration, &mut self.rng);
                 }
             }
         }
@@ -747,28 +746,8 @@ impl<'p> EnumExecutor<'p> {
         let duration = (loops * self.opts.overhead_c) as f64 * self.ln_n;
         self.rounds += duration;
         if let Some(protocol) = &self.overhead {
-            drive(&mut self.counts, &mut self.rng, protocol, duration);
+            run_counts(protocol, &mut self.counts, duration, &mut self.rng);
         }
-    }
-}
-
-/// State-count threshold above which scheduler runs use the sparse count
-/// backend — the same heuristic as the interpreter's `SPARSE_THRESHOLD`:
-/// a population of `n` agents occupies at most `n` distinct ids, so for
-/// wide live sets iterating only the occupied ids beats dense scans.
-const SPARSE_THRESHOLD: usize = 4096;
-
-/// Runs a lowered protocol over the id-count vector for `duration` rounds
-/// on the count backend (dense, or sparse above [`SPARSE_THRESHOLD`]).
-fn drive(counts: &mut Vec<u64>, rng: &mut SimRng, protocol: &RuleTableProtocol, duration: f64) {
-    if counts.len() > SPARSE_THRESHOLD {
-        let mut pop = SparseCountPopulation::from_dense(protocol, counts.as_slice());
-        run_rounds(&mut pop, duration, rng, &mut []);
-        *counts = pop.counts();
-    } else {
-        let mut pop = CountPopulation::from_counts(protocol, counts.as_slice());
-        run_rounds(&mut pop, duration, rng, &mut []);
-        *counts = pop.counts();
     }
 }
 

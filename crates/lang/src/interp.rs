@@ -21,15 +21,9 @@
 //! `O((log n)^{c+1})` rounds per iteration for loop depth `c`.
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
-use pp_engine::counts::{CountPopulation, SparseCountPopulation};
+use pp_engine::counts::run_counts;
 use pp_engine::rng::SimRng;
-use pp_engine::sim::{run_rounds, Simulator};
 use pp_rules::{FlagProtocol, Guard, Ruleset, Var};
-
-/// Above this many nominal states the executor's scheduler runs switch to
-/// the sparse count backend (reachable configurations occupy only a
-/// handful of states, so dense Fenwick construction dominates otherwise).
-const SPARSE_THRESHOLD: usize = 4096;
 
 /// Tuning and fault-injection options for the executor.
 #[derive(Debug, Clone)]
@@ -321,15 +315,7 @@ impl<'p> Executor<'p> {
             return;
         }
         let protocol = FlagProtocol::new(self.program.vars.clone(), combined, "exec");
-        if self.counts.len() > SPARSE_THRESHOLD {
-            let mut pop = SparseCountPopulation::from_dense(&protocol, &self.counts);
-            run_rounds(&mut pop, duration, &mut self.rng, &mut []);
-            self.counts = pop.counts();
-        } else {
-            let mut pop = CountPopulation::from_counts(&protocol, &self.counts);
-            run_rounds(&mut pop, duration, &mut self.rng, &mut []);
-            self.counts = pop.counts();
-        }
+        run_counts(&protocol, &mut self.counts, duration, &mut self.rng);
     }
 }
 

@@ -25,6 +25,29 @@ fn rps() -> TableProtocol {
         .rule(2, 0, 2, 2)
 }
 
+/// Every interaction advances the initiator one step around a cycle of `k`
+/// states: never silent, and once agents spread out nearly every state
+/// stays occupied.
+fn drift(k: usize) -> TableProtocol {
+    let mut p = TableProtocol::new(k, "drift");
+    for a in 0..k {
+        for b in 0..k {
+            p = p.rule(a, b, (a + 1) % k, b);
+        }
+    }
+    p
+}
+
+/// States of the wide scenario: with 1–7 agents on each, the sparse backend
+/// samples through ⌈300/32⌉ = 10 slot blocks.
+const WIDE_STATES: usize = 300;
+
+/// The wide scenario's start: state `s` holds `1 + s mod 7` agents
+/// (n = 1 197).
+fn wide_counts() -> Vec<u64> {
+    (0..WIDE_STATES as u64).map(|s| 1 + s % 7).collect()
+}
+
 /// A plan mixing all three injector kinds, compiled fresh per run.
 fn spec() -> FaultSpec {
     FaultSpec::new(0xdead)
@@ -89,7 +112,10 @@ fn run_interrupted<S: Simulator>(
     for _ in 0..cut {
         let out = pop.step_batch(&mut rng, n);
         rows.push(row_json(&pop));
-        assert!(!(out.silent && out.executed == 0), "rps never goes silent");
+        assert!(
+            !(out.silent && out.executed == 0),
+            "the scenarios never go silent"
+        );
     }
     let text = RunSnapshot::capture(&pop, &rng)
         .expect("faulty wrapper snapshots")
@@ -121,26 +147,27 @@ fn run_interrupted<S: Simulator>(
 
 /// Replays every backend twice on one scenario and asserts byte equality
 /// of trace, fault events, and metrics.
-fn assert_replay_byte_identical(scenario: &str, counts: &[u64], seed: u64, rounds: u64) {
+fn assert_replay_byte_identical(
+    scenario: &str,
+    p: &TableProtocol,
+    counts: &[u64],
+    seed: u64,
+    rounds: u64,
+) {
     let n: u64 = counts.iter().sum();
     let backends: &[&str] = &["agents", "counts", "sparse", "matching"];
     for &backend in backends {
-        let run = || {
-            let p = rps();
-            match backend {
-                "agents" => run_once(Population::from_counts(&p, counts), seed, n, rounds),
-                "counts" => run_once(CountPopulation::from_counts(&p, counts), seed, n, rounds),
-                "sparse" => run_once(
-                    SparseCountPopulation::from_dense(&p, counts),
-                    seed,
-                    n,
-                    rounds,
-                ),
-                "matching" => {
-                    run_once(MatchingPopulation::from_counts(&p, counts), seed, n, rounds)
-                }
-                _ => unreachable!("unknown backend"),
-            }
+        let run = || match backend {
+            "agents" => run_once(Population::from_counts(p, counts), seed, n, rounds),
+            "counts" => run_once(CountPopulation::from_counts(p, counts), seed, n, rounds),
+            "sparse" => run_once(
+                SparseCountPopulation::from_dense(p, counts),
+                seed,
+                n,
+                rounds,
+            ),
+            "matching" => run_once(MatchingPopulation::from_counts(p, counts), seed, n, rounds),
+            _ => unreachable!("unknown backend"),
         };
         let (trace_a, events_a, metrics_a) = run();
         let (trace_b, events_b, metrics_b) = run();
@@ -172,6 +199,7 @@ fn assert_replay_byte_identical(scenario: &str, counts: &[u64], seed: u64, round
 /// byte-identical to the uninterrupted run's.
 fn assert_interrupt_resume_byte_identical(
     scenario: &str,
+    p: &TableProtocol,
     counts: &[u64],
     seed: u64,
     rounds: u64,
@@ -180,39 +208,38 @@ fn assert_interrupt_resume_byte_identical(
     let n: u64 = counts.iter().sum();
     let backends: &[&str] = &["agents", "counts", "sparse", "matching"];
     for &backend in backends {
-        let p = rps();
         let full = match backend {
-            "agents" => run_once(Population::from_counts(&p, counts), seed, n, rounds),
-            "counts" => run_once(CountPopulation::from_counts(&p, counts), seed, n, rounds),
+            "agents" => run_once(Population::from_counts(p, counts), seed, n, rounds),
+            "counts" => run_once(CountPopulation::from_counts(p, counts), seed, n, rounds),
             "sparse" => run_once(
-                SparseCountPopulation::from_dense(&p, counts),
+                SparseCountPopulation::from_dense(p, counts),
                 seed,
                 n,
                 rounds,
             ),
-            "matching" => run_once(MatchingPopulation::from_counts(&p, counts), seed, n, rounds),
+            "matching" => run_once(MatchingPopulation::from_counts(p, counts), seed, n, rounds),
             _ => unreachable!("unknown backend"),
         };
         let resumed = match backend {
             "agents" => {
-                run_interrupted(|| Population::from_counts(&p, counts), seed, n, rounds, cut)
+                run_interrupted(|| Population::from_counts(p, counts), seed, n, rounds, cut)
             }
             "counts" => run_interrupted(
-                || CountPopulation::from_counts(&p, counts),
+                || CountPopulation::from_counts(p, counts),
                 seed,
                 n,
                 rounds,
                 cut,
             ),
             "sparse" => run_interrupted(
-                || SparseCountPopulation::from_dense(&p, counts),
+                || SparseCountPopulation::from_dense(p, counts),
                 seed,
                 n,
                 rounds,
                 cut,
             ),
             "matching" => run_interrupted(
-                || MatchingPopulation::from_counts(&p, counts),
+                || MatchingPopulation::from_counts(p, counts),
                 seed,
                 n,
                 rounds,
@@ -280,12 +307,20 @@ const DENSE: &[u64] = &[1_600, 1_200, 1_200];
 
 #[test]
 fn leap_replay_is_byte_identical() {
-    assert_replay_byte_identical("leap", LEAP, 2718, 12);
+    assert_replay_byte_identical("leap", &rps(), LEAP, 2718, 12);
 }
 
 #[test]
 fn dense_replay_is_byte_identical() {
-    assert_replay_byte_identical("dense", DENSE, 3141, 12);
+    assert_replay_byte_identical("dense", &rps(), DENSE, 3141, 12);
+}
+
+// Wide scenario: hundreds of occupied states, so the sparse backend's
+// block sums are maintained through swap-removes across blocks and, on
+// resume, rebuilt from the restored occupied list.
+#[test]
+fn wide_replay_is_byte_identical() {
+    assert_replay_byte_identical("wide", &drift(WIDE_STATES), &wide_counts(), 1414, 12);
 }
 
 // Crash-and-resume at a mid-run checkpoint must be invisible in every
@@ -295,12 +330,61 @@ fn dense_replay_is_byte_identical() {
 
 #[test]
 fn leap_resume_is_byte_identical() {
-    assert_interrupt_resume_byte_identical("leap", LEAP, 2718, 12, 7);
+    assert_interrupt_resume_byte_identical("leap", &rps(), LEAP, 2718, 12, 7);
 }
 
 #[test]
 fn dense_resume_is_byte_identical() {
-    assert_interrupt_resume_byte_identical("dense", DENSE, 3141, 12, 5);
+    assert_interrupt_resume_byte_identical("dense", &rps(), DENSE, 3141, 12, 5);
+}
+
+#[test]
+fn wide_resume_is_byte_identical() {
+    let p = drift(WIDE_STATES);
+    assert_interrupt_resume_byte_identical("wide", &p, &wide_counts(), 1414, 12, 6);
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// FNV-1a of the wide run's final dense counts under the linear-scan sampler.
+const GOLDEN_HASH: u64 = 0xbcbf_df55_fafd_fea0;
+
+/// The generator's state words at the end of that run.
+const GOLDEN_RNG: [u64; 4] = [
+    0xa5ad_6655_a2c2_5eb1,
+    0x0db5_9047_db20_0226,
+    0xdb04_fb23_d5c2_746a,
+    0x4d44_e596_16a8_ec7f,
+];
+
+/// Pins the sparse backend's trajectory at wide occupancy: the final
+/// counts and generator state after four rounds must equal those of the
+/// single-level linear-scan sampler, recorded from it. Replay tests only
+/// compare a sampler with itself; this one fails for any sampler whose
+/// rank → state map or RNG consumption differs.
+#[test]
+fn sparse_wide_trajectory_matches_pinned_golden() {
+    let p = drift(WIDE_STATES);
+    let counts = wide_counts();
+    let n: u64 = counts.iter().sum();
+    let mut pop = SparseCountPopulation::from_dense(&p, &counts);
+    let mut rng = SimRng::seed_from(0x60_1de2);
+    for _ in 0..4 {
+        pop.step_batch(&mut rng, n);
+    }
+    assert!(pop.occupied_states() >= 200, "occupancy stays wide");
+    assert_eq!(fnv1a(&pop.counts()), GOLDEN_HASH);
+    assert_eq!(rng.state_words(), GOLDEN_RNG);
 }
 
 /// The enumeration backend (analyzer-guided live-state compilation) must

@@ -28,6 +28,19 @@ fn rps() -> TableProtocol {
         .rule(2, 0, 2, 2)
 }
 
+/// Every interaction advances the initiator one step around a cycle of `k`
+/// states: never silent, and once agents spread out nearly every state
+/// stays occupied.
+fn drift(k: usize) -> TableProtocol {
+    let mut p = TableProtocol::new(k, "drift");
+    for a in 0..k {
+        for b in 0..k {
+            p = p.rule(a, b, (a + 1) % k, b);
+        }
+    }
+    p
+}
+
 /// Drives `original` to a cut point, snapshots it through the full on-disk
 /// text encoding, restores into `fresh`, then runs both simulators side by
 /// side to the horizon asserting identical counts and step counters after
@@ -83,6 +96,11 @@ fn assert_roundtrip_exact<S: Simulator>(
 fn every_backend_roundtrips_at_random_batch_boundaries() {
     let counts = [500u64, 300, 200];
     let n: u64 = counts.iter().sum();
+    // Wide sparse input: 300 occupied states of 1–7 agents, so the sparse
+    // snapshot restores into ten slot blocks whose sums it must rebuild.
+    let wide_p = drift(300);
+    let wide: Vec<u64> = (0..300).map(|s| 1 + s % 7).collect();
+    let wide_n: u64 = wide.iter().sum();
     // Deterministically "random" cut points, different per backend and per
     // repetition, covering cut-at-zero as well as deep cuts.
     let mut picker = SimRng::seed_from(0x5eed_cafe);
@@ -115,6 +133,15 @@ fn every_backend_roundtrips_at_random_batch_boundaries() {
             SparseCountPopulation::from_dense(&p, &counts),
             seed,
             n,
+            cut,
+            tail,
+        );
+        assert_roundtrip_exact(
+            "sparse",
+            SparseCountPopulation::from_dense(&wide_p, &wide),
+            SparseCountPopulation::from_dense(&wide_p, &wide),
+            seed,
+            wide_n,
             cut,
             tail,
         );
