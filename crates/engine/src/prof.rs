@@ -84,8 +84,11 @@ pub enum Section {
     FenwickSync,
     /// Fenwick tree construction from a full weight vector.
     FenwickRebuild,
-    /// Exact mode-centered pmf inversion in `SimRng` (binomial and
-    /// hypergeometric draws — the collision chain's conditionals).
+    /// Every exact discrete draw in `SimRng` — binomial and
+    /// hypergeometric, by bit-parallel lanes, mode-centred inversion or
+    /// ratio of uniforms — that is, the collision chain's conditionals.
+    /// The name predates the rejection paths and is kept so recorded
+    /// profiles stay comparable.
     PmfInversion,
     /// Fault-plan trigger splitting and due-injection application in
     /// `FaultyPopulation::step_batch`.

@@ -6,10 +6,30 @@
 //! SplitMix64 — rather than depending on the platform entropy source or an
 //! external crate. All sampling primitives the simulators need (uniform
 //! integers, Bernoulli, binomial, hypergeometric, multivariate
-//! hypergeometric, geometric, normal) are inherent methods. The discrete
-//! large-count samplers are *exact*: they invert the true pmf from its mode
-//! in `O(sd)` expected work, anchored by one `ln_fact`-based pmf
-//! evaluation — no normal approximation anywhere.
+//! hypergeometric, geometric, normal) are inherent methods.
+//!
+//! The binomial and hypergeometric samplers are *exact* — no normal
+//! approximation anywhere — and pick one of three paths per draw:
+//!
+//! * **Bit-parallel lanes** (`binomial` with `count ≤ 64`): lane `i`
+//!   succeeds iff its uniform is below `p`. All lanes' uniforms are
+//!   revealed together, one `next_u64` per bit of `p`'s exact binary
+//!   expansion, until no lane is undecided; the outcome is exact for the
+//!   f64 `p`, at about `log₂ count + 2` words.
+//! * **Mode-centred inversion** (variance below `ROU_MIN_VARIANCE` = 4): one
+//!   uniform, one `ln_fact`-based pmf evaluation at the mode, then exact
+//!   ratio recurrences walked outward, `O(σ)` expected steps.
+//! * **Ratio of uniforms** (variance at or above the threshold):
+//!   Stadlober's table-mountain hat (HRUA for the hypergeometric, BRUA for
+//!   the binomial; Stadlober, *J. Comput. Appl. Math.* 31, 1990), constant
+//!   expected work at every scale. A pair `(u, v)` proposes
+//!   `k = ⌊a + h(v − ½)/u⌋` and is accepted iff `u² ≤ f(k)/f(m)`, i.e.
+//!   `2 ln u ≤ t` with `t` the exact `ln_fact` log-pmf ratio to the mode
+//!   `m`. This is exact provided the hat covers the pmf:
+//!   `√(f(k)/f(m))·max(|k−a|, |k+1−a|) ≤ h/2` for every `k` in the
+//!   support (the unit tests check it over a grid reaching `N = 10⁸`).
+//!   The two squeezes only shortcut that final test — they bound `2 ln u`
+//!   from above and below on `(0, 1]` — and the support is not truncated.
 //!
 //! # Examples
 //!
@@ -141,6 +161,97 @@ fn pmf_scan_block(
     }
     *p_frontier = p;
     None
+}
+
+/// Variance at and above which [`SimRng::binomial`] and
+/// [`SimRng::hypergeometric`] take the ratio-of-uniforms path instead of
+/// mode-centred inversion. Chosen by measurement (DESIGN.md §12): below
+/// it inversion's short scan beats the rejection loop's set-up, above it
+/// the loop's flat cost wins.
+const ROU_MIN_VARIANCE: f64 = 4.0;
+
+/// Widest binomial the bit-parallel lane path takes: one lane per bit of
+/// a `next_u64` word.
+const LANES: u64 = 64;
+
+/// `2√(2/e)`: the scale of Stadlober's hat width in `√(σ² + ½)`.
+const ROU_H_SCALE: f64 = 1.715_527_769_921_413_5;
+
+/// `3 − 2√(3/e)`: the constant part of Stadlober's hat width.
+const ROU_H_OFFSET: f64 = 0.898_916_162_058_898_8;
+
+/// One ratio-of-uniforms draw target (Stadlober 1990): the table-mountain
+/// hat centred at `a = μ + ½` with width `h = 2√(2/e)·√(σ²+½) + 3 − 2√(3/e)`
+/// over the support `0..=max`, and `ln_ratio(k) = ln f(k) − ln f(m)`, the
+/// exact `ln_fact` log-pmf ratio to the mode `m`. The two families differ
+/// only in `ln_ratio`.
+struct RouTarget<F> {
+    a: f64,
+    h: f64,
+    max: u64,
+    ln_ratio: F,
+}
+
+impl<F: Fn(u64) -> f64> RouTarget<F> {
+    fn new(mean: f64, variance: f64, max: u64, ln_ratio: F) -> Self {
+        Self {
+            a: mean + 0.5,
+            h: ROU_H_SCALE * (variance + 0.5).sqrt() + ROU_H_OFFSET,
+            max,
+            ln_ratio,
+        }
+    }
+}
+
+/// The binomial target for `Binomial(count, q)` with `q ≤ ½` (BRUA):
+/// `t(k) = ln m! + ln(count−m)! − ln k! − ln(count−k)! + (k − m)·ln(q/(1−q))`.
+fn binomial_target(count: u64, q: f64) -> RouTarget<impl Fn(u64) -> f64> {
+    let lf = ln_fact_table();
+    let mode = ((((count + 1) as f64) * q) as u64).min(count);
+    let at_mode = ln_fact_in(lf, mode) + ln_fact_in(lf, count - mode);
+    let ln_odds = (q / (1.0 - q)).ln();
+    let mean = count as f64 * q;
+    RouTarget::new(mean, mean * (1.0 - q), count, move |k| {
+        at_mode - ln_fact_in(lf, k) - ln_fact_in(lf, count - k) + (k as f64 - mode as f64) * ln_odds
+    })
+}
+
+/// The hypergeometric target (HRUA) for `tagged, draws ≤ total/2`, whose
+/// support is `0..=min(tagged, draws)`; `variance` is the caller's.
+fn hypergeometric_target(
+    total: u64,
+    tagged: u64,
+    draws: u64,
+    variance: f64,
+) -> RouTarget<impl Fn(u64) -> f64> {
+    let lf = ln_fact_table();
+    let nt = total - tagged;
+    let mode = hypergeometric_mode(total, tagged, draws);
+    let ln_den = move |k: u64| {
+        ln_fact_in(lf, k)
+            + ln_fact_in(lf, tagged - k)
+            + ln_fact_in(lf, draws - k)
+            + ln_fact_in(lf, nt + k - draws)
+    };
+    let at_mode = ln_den(mode);
+    let mean = draws as f64 * (tagged as f64 / total as f64);
+    RouTarget::new(mean, variance, tagged.min(draws), move |k| {
+        at_mode - ln_den(k)
+    })
+}
+
+/// The mode `⌊(draws+1)(tagged+1)/(total+2)⌋` of the hypergeometric with
+/// `tagged + draws ≤ total`.
+#[inline]
+fn hypergeometric_mode(total: u64, tagged: u64, draws: u64) -> u64 {
+    // u64 division suffices whenever the numerator cannot overflow (both
+    // factors below 2³²) — the u128 path costs a libcall.
+    let mode = if total < (1 << 32) {
+        (draws + 1) * (tagged + 1) / (total + 2)
+    } else {
+        (((draws + 1) as u128 * (tagged + 1) as u128) / (total + 2) as u128) as u64
+    };
+    mode.min(tagged.min(draws))
 }
 
 /// SplitMix64 stepper, used to expand a 64-bit seed into xoshiro state.
@@ -349,14 +460,75 @@ impl SimRng {
         }
     }
 
+    /// Stadlober's ratio-of-uniforms loop over one [`RouTarget`].
+    ///
+    /// Each round draws `u ∈ (0, 1]` and `v ∈ [0, 1)` and proposes
+    /// `k = ⌊a + h(v − ½)/u⌋`, rejected outright outside `0..=max`. The
+    /// exact test is `2 ln u ≤ t` with `t = ln f(k) − ln f(m) ≤ 0`; the two
+    /// squeezes only decide it early, because on `(0, 1]`
+    /// `u − 1/u ≤ 2 ln u ≤ u(4 − u) − 3`: `u(4−u)−3 ≤ t` implies acceptance
+    /// and `u(u−t) ≥ 1` implies rejection.
+    fn ratio_of_uniforms(&mut self, target: &RouTarget<impl Fn(u64) -> f64>) -> u64 {
+        loop {
+            let u = ((self.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+            let v = self.f64();
+            let x = target.a + target.h * (v - 0.5) / u;
+            if x < 0.0 {
+                continue;
+            }
+            let k = x as u64;
+            if k > target.max {
+                continue;
+            }
+            let t = (target.ln_ratio)(k);
+            if u * (4.0 - u) - 3.0 <= t {
+                return k;
+            }
+            if u * (u - t) >= 1.0 {
+                continue;
+            }
+            if 2.0 * u.ln() <= t {
+                return k;
+            }
+        }
+    }
+
+    /// `Binomial(count ≤ 64, p)` as 64 bit-parallel Bernoulli lanes.
+    ///
+    /// Lane `i` succeeds iff its uniform `U_i` is below `p`. Word `j`
+    /// reveals bit `j` of every lane's `U_i` at once and compares it with
+    /// bit `j` of `p`: where `p`'s bit is 1 a 0-bit decides success, where
+    /// it is 0 a 1-bit decides failure, and equal bits leave the lane
+    /// undecided. `frac *= 2` and `frac -= 1` are exact in f64, so the walk
+    /// follows `p`'s exact binary expansion; once it runs out, an undecided
+    /// lane has `U_i ≥ p` and fails.
+    fn binomial_lanes(&mut self, count: u64, p: f64) -> u64 {
+        debug_assert!(0 < count && count <= LANES);
+        let mut undecided = u64::MAX >> (LANES - count);
+        let mut success = 0u64;
+        let mut frac = p;
+        while undecided != 0 && frac != 0.0 {
+            let w = self.next_u64();
+            frac *= 2.0;
+            if frac >= 1.0 {
+                frac -= 1.0;
+                success |= undecided & !w;
+                undecided &= w;
+            } else {
+                undecided &= !w;
+            }
+        }
+        u64::from(success.count_ones())
+    }
+
     /// Samples a binomial random variable `Binomial(count, p)` — exact for
     /// every count.
     ///
-    /// `p = 1/2` with `count ≤ 4096` uses bit counting; everything else
-    /// inverts the exact pmf from its mode (one `ln_fact`-based pmf
-    /// evaluation plus ratio recurrences), which costs `O(√(count·p·(1−p)))`
-    /// expected work instead of the `O(count)` Bernoulli loop and replaces
-    /// the former large-count normal approximation.
+    /// Three paths (module docs): `p = 1/2` with `count ≤ 4096` counts the
+    /// bits of raw words; `count ≤ 64` runs bit-parallel lanes; everything
+    /// else works on `q = min(p, 1−p)` and either inverts the exact pmf
+    /// from its mode (variance below 4) or runs the ratio-of-uniforms loop,
+    /// whose expected cost is flat in the count.
     ///
     /// # Panics
     ///
@@ -383,10 +555,27 @@ impl SimRng {
             }
             return total;
         }
+        if count <= LANES {
+            return self.binomial_lanes(count, p);
+        }
         // Work on q = min(p, 1−p) so the mode stays in the lower half, and
         // reflect the sample back at the end.
         let flipped = p > 0.5;
         let q = if flipped { 1.0 - p } else { p };
+        let x = if count as f64 * q * (1.0 - q) >= ROU_MIN_VARIANCE {
+            self.ratio_of_uniforms(&binomial_target(count, q))
+        } else {
+            self.binomial_inversion(count, q)
+        };
+        if flipped {
+            count - x
+        } else {
+            x
+        }
+    }
+
+    /// Mode-centred inversion of `Binomial(count, q)` for `q ≤ ½`.
+    fn binomial_inversion(&mut self, count: u64, q: f64) -> u64 {
         let mode = (((count + 1) as f64) * q) as u64;
         let mode = mode.min(count);
         let lf = ln_fact_table();
@@ -395,26 +584,24 @@ impl SimRng {
                 + mode as f64 * q.ln()
                 + (count - mode) as f64 * (-q).ln_1p();
         let odds = q / (1.0 - q);
-        let x = self.invert_from_mode(
+        self.invert_from_mode(
             mode,
             0,
             count,
             ln_pmf_mode,
             |x| ((count - x) as f64 * odds, (x + 1) as f64),
             |x| (x as f64, (count - x + 1) as f64 * odds),
-        );
-        if flipped {
-            count - x
-        } else {
-            x
-        }
+        )
     }
 
     /// Samples a hypergeometric random variable: the number of tagged items
     /// among `draws` drawn without replacement from a pool of `total` items
-    /// of which `tagged` are tagged. Exact (mode-centered inversion of the
-    /// true pmf), `O(sd)` expected work after one `ln_fact`-based pmf
-    /// evaluation.
+    /// of which `tagged` are tagged. Exact: after the symmetry reductions
+    /// (`tagged, draws ≤ total/2`, so the support starts at 0) it inverts
+    /// the true pmf from its mode when the variance is below 4, in `O(σ)`
+    /// expected work after one `ln_fact`-based pmf evaluation, and
+    /// otherwise runs the ratio-of-uniforms loop (HRUA), whose expected
+    /// cost is flat in `σ`.
     ///
     /// This is the workhorse of the collision-batch stepper
     /// ([`crate::collision`]): contingency tables over the count vector are
@@ -443,16 +630,17 @@ impl SimRng {
         if draws * 2 > total {
             return tagged - self.hypergeometric(total, tagged, total - draws);
         }
-        let lo_min = (tagged + draws).saturating_sub(total);
+        // The variance is `draws·K(N−K)(N−draws) / (N²(N−1))`; the switch
+        // compares it without dividing, since most draws stay below it.
+        let (nf, kf, df) = (total as f64, tagged as f64, draws as f64);
+        let spread = df * kf * (nf - kf) * (nf - df);
+        let scale = nf * nf * (nf - 1.0);
+        if spread >= ROU_MIN_VARIANCE * scale {
+            let target = hypergeometric_target(total, tagged, draws, spread / scale);
+            return self.ratio_of_uniforms(&target);
+        }
         let hi_max = tagged.min(draws);
-        // u64 division suffices whenever the numerator cannot overflow
-        // (both factors below 2³²) — the u128 path costs a libcall.
-        let mode = if total < (1 << 32) {
-            (draws + 1) * (tagged + 1) / (total + 2)
-        } else {
-            (((draws + 1) as u128 * (tagged + 1) as u128) / (total + 2) as u128) as u64
-        };
-        let mode = mode.clamp(lo_min, hi_max);
+        let mode = hypergeometric_mode(total, tagged, draws);
         let nt = total - tagged;
         let lf = ln_fact_table();
         let ln_pmf_mode =
@@ -465,7 +653,7 @@ impl SimRng {
                 + ln_fact_in(lf, total - draws);
         self.invert_from_mode(
             mode,
-            lo_min,
+            0,
             hi_max,
             ln_pmf_mode,
             |x| {
@@ -759,6 +947,87 @@ mod tests {
             (var - expect_var).abs() < expect_var * 0.1,
             "variance {var} vs {expect_var}"
         );
+    }
+
+    /// Largest `√(f(k)/f(m))·max(|k−a|, |k+1−a|) / (h/2)` over the
+    /// support, asserting on the way that no `k` beats the mode `m` by
+    /// more than the f64 rounding of the `ln_fact` sums (`ln_fact(scale)`
+    /// bounds their magnitude). Values within `64σ + 64` of the centre
+    /// are checked one by one; past that the pmfs, being log-concave, have
+    /// `t(k) ≤ t(edge)·(k−m)/(edge−m)`, and with `t(edge) ≤ −500` the
+    /// product stays below `(k−a+1)·e^{−250(k−m)/(edge−m)}`, which is
+    /// negligible and falling.
+    fn hat_cover_ratio(target: &RouTarget<impl Fn(u64) -> f64>, sd: f64, scale: u64) -> f64 {
+        let tol = 1e-15 * ln_fact(scale).max(1.0);
+        let lo = (target.a - 64.0 * sd - 64.0).max(0.0) as u64;
+        let hi = ((target.a + 64.0 * sd + 64.0) as u64).min(target.max);
+        for edge in [lo, hi] {
+            if edge != 0 && edge != target.max {
+                assert!(
+                    (target.ln_ratio)(edge) <= -500.0,
+                    "window edge {edge} too close"
+                );
+            }
+        }
+        let mut worst = 0.0f64;
+        for k in lo..=hi {
+            let t = (target.ln_ratio)(k);
+            assert!(t <= tol, "k = {k} beats the mode: t = {t:e}");
+            let reach = (k as f64 - target.a)
+                .abs()
+                .max((k as f64 + 1.0 - target.a).abs());
+            worst = worst.max((t / 2.0).exp() * reach / (target.h / 2.0));
+        }
+        worst
+    }
+
+    /// The ratio-of-uniforms hat covers the pmf at every support point —
+    /// the condition that makes the rejection loop exact — over a grid of
+    /// shapes whose variances straddle [`ROU_MIN_VARIANCE`] (from 2 up to
+    /// 2.5·10⁷), with skewed `p`/`K/N` and urns up to `N = 10⁸`.
+    #[test]
+    fn rou_hat_covers_the_pmf_over_a_grid() {
+        let mut shapes = 0;
+        let mut worst = 0.0f64;
+        let mut note = |ratio: f64, what: String| {
+            assert!(ratio <= 1.0, "{what}: hat misses the pmf (ratio {ratio})");
+            shapes += 1;
+            worst = worst.max(ratio);
+        };
+        for &total in &[60u64, 1_254, 10_000, 1_000_000, 100_000_000] {
+            for &kf in &[0.5f64, 0.3, 0.1, 0.01, 0.001] {
+                for &df in &[0.5f64, 0.2, 0.05, 0.01, 0.001, 0.000_1] {
+                    let tagged = (total as f64 * kf) as u64;
+                    let draws = (total as f64 * df) as u64;
+                    if tagged == 0 || draws == 0 {
+                        continue;
+                    }
+                    let frac = tagged as f64 / total as f64;
+                    let variance = draws as f64 * frac * (1.0 - frac) * (total - draws) as f64
+                        / (total - 1) as f64;
+                    if variance < 2.0 {
+                        continue;
+                    }
+                    let target = hypergeometric_target(total, tagged, draws, variance);
+                    let ratio = hat_cover_ratio(&target, variance.sqrt(), total);
+                    note(ratio, format!("hypergeometric({total}, {tagged}, {draws})"));
+                }
+            }
+        }
+        for &count in &[65u64, 200, 1_254, 100_000, 100_000_000] {
+            for &p in &[0.5f64, 0.3, 0.1, 0.03, 0.01, 1e-4, 1e-6] {
+                let variance = count as f64 * p * (1.0 - p);
+                if variance < 2.0 {
+                    continue;
+                }
+                let ratio = hat_cover_ratio(&binomial_target(count, p), variance.sqrt(), count);
+                note(ratio, format!("binomial({count}, {p})"));
+            }
+        }
+        assert!(shapes >= 100, "grid too small: {shapes} shapes");
+        // The hat approaches the pmf only as σ → ∞; a worst ratio far
+        // below 1 would mean the grid never reached that regime.
+        assert!(worst > 0.999, "worst ratio {worst}");
     }
 
     #[test]

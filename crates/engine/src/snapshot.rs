@@ -24,8 +24,10 @@
 //! Two JSON lines. The first is a header
 //! `{"kind":"pp_snapshot","version":V,"checksum":"<crc64 hex>"}`; the
 //! second is the payload object. `V` is [`FORMAT_VERSION`]; the reader also
-//! takes version 1 and refuses version 2, whose runs came from the retired
-//! sharded dense engine and cannot be continued byte-identically. The
+//! takes versions 1 and 3 except from the `counts` and `faulty` backends,
+//! whose binomial and hypergeometric draws those versions made with the
+//! inversion-only samplers, and refuses version 2, whose runs came from the
+//! retired sharded dense engine; neither can be continued byte-identically. The
 //! checksum is CRC-64 (reflected ECMA-182 polynomial) over the exact
 //! payload-line bytes, so truncation and single-bit flips anywhere in the
 //! payload are detected before any field is parsed; header corruption
@@ -63,13 +65,23 @@ use std::path::{Path, PathBuf};
 ///   sharded super-epochs against frozen window-start counts, a law the
 ///   exact engine does not reproduce, so [`RunSnapshot::decode`] rejects it;
 /// * version 3 marks the return to one exact collision-epoch chain
-///   (DESIGN.md §16).
+///   (DESIGN.md §16);
+/// * version 4 marks the exact ratio-of-uniforms and bit-parallel samplers
+///   (DESIGN.md §12), which changed the trajectories of every backend that
+///   draws binomials or hypergeometrics: `counts` (collision epochs) and
+///   `faulty` (corruption splits).
 ///
-/// The reader accepts versions 1 and 3.
-pub const FORMAT_VERSION: u64 = 3;
+/// The reader accepts version 4, and versions 1 and 3 from the backends
+/// that draw nothing from those samplers (`agents`, `sparse`, `matching`).
+pub const FORMAT_VERSION: u64 = 4;
 
 /// The version written by the sharded dense engine, refused on read.
 const SHARDED_FORMAT_VERSION: u64 = 2;
+
+/// Backends whose runs draw from [`SimRng::binomial`] or
+/// [`SimRng::hypergeometric`]; their snapshots from before
+/// [`FORMAT_VERSION`] 4 are refused on read.
+const SAMPLER_BACKENDS: [&str; 2] = ["counts", "faulty"];
 
 /// CRC-64 (reflected ECMA-182 polynomial, as used by XZ) over `bytes`.
 ///
@@ -270,21 +282,22 @@ impl RunSnapshot {
         if header.get("kind").and_then(Json::as_str) != Some("pp_snapshot") {
             return Err("not a pp_snapshot document".to_string());
         }
-        match header.get("version").and_then(Json::as_u64) {
-            Some(1 | FORMAT_VERSION) => {}
+        let version = match header.get("version").and_then(Json::as_u64) {
+            Some(v @ (1 | 3 | FORMAT_VERSION)) => v,
             Some(SHARDED_FORMAT_VERSION) => {
                 return Err(format!(
                     "snapshot version {SHARDED_FORMAT_VERSION} came from the sharded dense \
                      engine and cannot be continued byte-identically by the exact engine \
-                     (reader supports versions 1 and {FORMAT_VERSION})"
+                     (reader supports versions 1, 3 and {FORMAT_VERSION})"
                 ));
             }
             _ => {
                 return Err(format!(
-                    "unsupported snapshot version (reader supports versions 1 and {FORMAT_VERSION})"
+                    "unsupported snapshot version (reader supports versions 1, 3 and \
+                     {FORMAT_VERSION})"
                 ));
             }
-        }
+        };
         let stored = header
             .get("checksum")
             .ok_or_else(|| "snapshot header is missing its checksum".to_string())
@@ -309,6 +322,13 @@ impl RunSnapshot {
             .and_then(Json::as_str)
             .ok_or_else(|| "snapshot payload is missing its backend tag".to_string())?
             .to_string();
+        if version != FORMAT_VERSION && SAMPLER_BACKENDS.contains(&backend.as_str()) {
+            return Err(format!(
+                "snapshot version {version} from the {backend:?} backend was drawn by the \
+                 inversion-only samplers; cannot be continued byte-identically \
+                 (version {FORMAT_VERSION} required)"
+            ));
+        }
         let words_json = payload
             .get("rng")
             .and_then(|r| r.get("words"))
@@ -535,6 +555,7 @@ fn corruption_incident(gen: u64, path: &Path, detail: &str) -> Incident {
 mod tests {
     use super::*;
     use crate::counts::CountPopulation;
+    use crate::population::Population;
     use crate::protocol::TableProtocol;
     use crate::sim::Simulator;
 
@@ -607,30 +628,79 @@ mod tests {
         }
     }
 
+    /// `snap` encoded under header version `version`.
+    fn encode_as_version(snap: &RunSnapshot, version: u64) -> String {
+        let text = snap.encode();
+        let current = format!("\"version\":{FORMAT_VERSION}");
+        let rewritten = text.replacen(&current, &format!("\"version\":{version}"), 1);
+        assert!(
+            version == FORMAT_VERSION || rewritten != text,
+            "header rewrite must take effect"
+        );
+        rewritten
+    }
+
+    /// A snapshot of the agent backend, which draws nothing from the
+    /// binomial or hypergeometric samplers.
+    fn agents_snapshot() -> RunSnapshot {
+        let p = TableProtocol::new(2, "epidemic")
+            .rule(1, 0, 1, 1)
+            .rule(0, 1, 1, 1);
+        let mut pop = Population::from_counts(p, &[50, 2]);
+        let mut rng = SimRng::seed_from(0xbeef);
+        pop.step_batch(&mut rng, 70);
+        RunSnapshot::capture(&pop, &rng).expect("agents backend supports snapshots")
+    }
+
     #[test]
     fn decode_rejects_version_and_kind_mismatch() {
-        let text = sample_snapshot().encode();
-        let other = text.replacen("\"version\":3", "\"version\":999", 1);
-        assert!(RunSnapshot::decode(&other).is_err());
-        let sharded = text.replacen("\"version\":3", "\"version\":2", 1);
-        assert_ne!(text, sharded, "header rewrite must take effect");
-        let err = RunSnapshot::decode(&sharded).unwrap_err();
+        let snap = sample_snapshot();
+        let text = snap.encode();
+        assert!(RunSnapshot::decode(&encode_as_version(&snap, 999)).is_err());
+        let err = RunSnapshot::decode(&encode_as_version(&snap, 2)).unwrap_err();
         assert!(err.contains("sharded dense engine"), "{err}");
         assert!(err.contains("byte-identically"), "{err}");
+        // Counts and faulty snapshots from versions 1 and 3 were drawn by
+        // the inversion-only samplers and are refused with that reason.
+        let mut faulty = snap.clone();
+        faulty.backend = "faulty".to_string();
+        for old in [&snap, &faulty] {
+            for version in [1, 3] {
+                let err = RunSnapshot::decode(&encode_as_version(old, version)).unwrap_err();
+                assert!(
+                    err.contains("drawn by the inversion-only samplers; cannot be continued byte-identically"),
+                    "{err}"
+                );
+                assert!(err.contains(&format!("{:?}", old.backend)), "{err}");
+            }
+        }
         let foreign = text.replacen("pp_snapshot", "pp_snapshoT", 1);
         assert!(RunSnapshot::decode(&foreign).is_err());
     }
 
     #[test]
     fn decode_accepts_previous_format_version() {
-        // Version-1 snapshots (exact engine, before sharding) have the
-        // identical payload schema; the reader must keep accepting them
-        // alongside the current version.
-        let text = sample_snapshot().encode();
-        assert!(RunSnapshot::decode(&text).is_ok());
-        let v1 = text.replacen("\"version\":3", "\"version\":1", 1);
-        assert_ne!(text, v1, "header rewrite must take effect");
-        assert!(RunSnapshot::decode(&v1).is_ok());
+        // Versions 1 and 3 have the identical payload schema; the reader
+        // keeps accepting them from backends that draw nothing from the
+        // binomial or hypergeometric samplers, alongside the current
+        // version from every backend.
+        let counts = sample_snapshot();
+        let mut faulty = counts.clone();
+        faulty.backend = "faulty".to_string();
+        for snap in [&counts, &faulty] {
+            assert!(RunSnapshot::decode(&snap.encode()).is_ok());
+        }
+        let agents = agents_snapshot();
+        for backend in ["agents", "sparse", "matching"] {
+            let mut snap = agents.clone();
+            snap.backend = backend.to_string();
+            for version in [1, 3, FORMAT_VERSION] {
+                let back = RunSnapshot::decode(&encode_as_version(&snap, version))
+                    .unwrap_or_else(|e| panic!("{backend} v{version}: {e}"));
+                assert_eq!(back.backend, backend);
+                assert_eq!(back.rng_words, snap.rng_words);
+            }
+        }
     }
 
     #[test]

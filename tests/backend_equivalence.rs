@@ -409,41 +409,42 @@ impl LnFact {
     }
 }
 
-/// One-sample chi-square of integer samples against an exact pmf: bins a
-/// ±5σ window around the mean, folds the tails into the edge bins, merges
-/// cells until each expects ≥ 5 observations, and tests at α = 0.001.
+/// One-sample chi-square of integer samples against an exact pmf on the
+/// support `min..=max`, at significance `alpha`.
+///
+/// Every value within `8σ + 8` of the mean (clipped to the support) gets
+/// its exact mass, so both tails are tested, not folded away; samples past
+/// that window (mass below 10⁻¹² for these families) count in the edge
+/// cells.
+/// Values are grouped into cells of width `⌈σ/4⌉`, and adjacent cells merge
+/// until each expects ≥ 5 observations.
 fn assert_matches_exact_pmf(
     name: &str,
     samples: &[u64],
+    (min, max): (u64, u64),
     mean: f64,
     sd: f64,
+    alpha: f64,
     ln_pmf: impl Fn(u64) -> f64,
 ) {
-    let lo = (mean - 5.0 * sd).floor().max(0.0) as u64;
-    let hi = (mean + 5.0 * sd).ceil() as u64;
-    let bins = 24usize;
-    let width = ((hi - lo) / bins as u64).max(1);
-    let bin_of = |x: u64| -> usize {
-        if x < lo {
-            0
-        } else {
-            (((x - lo) / width) as usize).min(bins - 1)
-        }
-    };
-    let mut probs = vec![0.0f64; bins];
+    let reach = 8.0 * sd + 8.0;
+    let lo = ((mean - reach).floor().max(0.0) as u64).max(min);
+    let hi = ((mean + reach).ceil() as u64).min(max);
+    let width = (sd / 4.0).ceil().max(1.0) as u64;
+    let cells_in_window = ((hi - lo) / width + 1) as usize;
+    let cell_of = |x: u64| (x.clamp(lo, hi) - lo) as usize / width as usize;
+    let mut probs = vec![0.0f64; cells_in_window];
     for x in lo..=hi {
-        probs[bin_of(x)] += ln_pmf(x).exp();
+        probs[cell_of(x)] += ln_pmf(x).exp();
     }
-    // The mass outside ±5σ (≈ 6·10⁻⁷) goes to the edge bins; splitting it
-    // evenly misattributes at most half of that, far below bin resolution.
-    let leftover = (1.0 - probs.iter().sum::<f64>()).max(0.0);
-    probs[0] += leftover / 2.0;
-    probs[bins - 1] += leftover / 2.0;
-    let mut obs = vec![0u64; bins];
+    let mut obs = vec![0u64; cells_in_window];
     for &s in samples {
-        obs[bin_of(s)] += 1;
+        assert!(
+            (min..=max).contains(&s),
+            "{name}: sample {s} outside the support"
+        );
+        obs[cell_of(s)] += 1;
     }
-    // Merge adjacent cells until each expects ≥ 5 observations.
     let total = samples.len() as f64;
     let mut cells: Vec<(f64, f64)> = Vec::new();
     let mut acc = (0.0f64, 0.0f64);
@@ -455,65 +456,183 @@ fn assert_matches_exact_pmf(
             acc = (0.0, 0.0);
         }
     }
-    if acc.1 > 0.0 {
-        if let Some(last) = cells.last_mut() {
-            last.0 += acc.0;
-            last.1 += acc.1;
-        }
+    if let Some(last) = cells.last_mut() {
+        last.0 += acc.0;
+        last.1 += acc.1;
     }
+    // The window holds all but the far tails' mass; the rest of the gap is
+    // the f64 rounding of `ln x!` sums near 10⁷, about 10⁻⁸ relative.
+    let window_mass: f64 = probs.iter().sum();
+    assert!(
+        (window_mass - 1.0).abs() < 1e-6,
+        "{name}: window mass {window_mass}"
+    );
+    assert!(cells.len() >= 2, "{name}: too few cells for a test");
     let stat: f64 = cells.iter().map(|&(o, e)| (o - e) * (o - e) / e).sum();
     let dof = cells.len() - 1;
     let p = chi_square_p_value(stat, dof);
     assert!(
-        p > 0.001,
+        p > alpha,
         "{name}: samples deviate from the exact pmf \
-         (chi² = {stat:.2}, dof = {dof}, p = {p:.5})"
+         (chi² = {stat:.2}, dof = {dof}, p = {p:.6}, alpha = {alpha:.1e})"
     );
 }
 
-/// `rng.binomial` at count = 10⁶ against the exact binomial pmf — the
-/// regime the removed normal-approximation path used to cover (it was
-/// *not* exact; the mode-inversion sampler must be).
-#[test]
-fn binomial_marginal_matches_exact_pmf_at_large_count() {
-    let count = 1_000_000u64;
-    let p = 0.3f64;
-    let lf = LnFact::new(count as usize);
-    let ln_pmf = |x: u64| {
+/// `ln P(Binomial(count, p) = x)` against an exact factorial table.
+fn binomial_ln_pmf(lf: &LnFact, count: u64, p: f64) -> impl Fn(u64) -> f64 + '_ {
+    move |x| {
         lf.get(count) - lf.get(x) - lf.get(count - x)
             + x as f64 * p.ln()
-            + (count - x) as f64 * (1.0 - p).ln()
-    };
-    let mut rng = SimRng::seed_from(314);
-    let samples: Vec<u64> = (0..20_000).map(|_| rng.binomial(count, p)).collect();
-    let mean = count as f64 * p;
-    let sd = (count as f64 * p * (1.0 - p)).sqrt();
-    assert_matches_exact_pmf("binomial(1e6, 0.3)", &samples, mean, sd, ln_pmf);
+            + (count - x) as f64 * (-p).ln_1p()
+    }
 }
 
-/// `rng.hypergeometric` with a 10⁶-agent urn against the exact pmf — the
-/// marginal that anchors the collision-batch contingency-table chain.
-#[test]
-fn hypergeometric_marginal_matches_exact_pmf_at_large_count() {
-    let total = 1_000_000u64;
-    let tagged = 333_333u64;
-    let draws = 1_254u64; // ≈ 2ℓ for an epoch at n = 10⁶
-    let lf = LnFact::new(total as usize);
-    let ln_pmf = |x: u64| {
+/// `ln P(X = x)` for `X` the tagged count among `draws` drawn without
+/// replacement from `total` items of which `tagged` are tagged.
+fn hypergeometric_ln_pmf(
+    lf: &LnFact,
+    total: u64,
+    tagged: u64,
+    draws: u64,
+) -> impl Fn(u64) -> f64 + '_ {
+    move |x| {
         lf.get(tagged) - lf.get(x) - lf.get(tagged - x) + lf.get(total - tagged)
             - lf.get(draws - x)
             - lf.get(total - tagged - (draws - x))
             - (lf.get(total) - lf.get(draws) - lf.get(total - draws))
-    };
-    let mut rng = SimRng::seed_from(2_718);
-    let samples: Vec<u64> = (0..20_000)
+    }
+}
+
+/// `samples` draws of `Binomial(count, p)` against the exact pmf.
+fn check_binomial(lf: &LnFact, count: u64, p: f64, samples: usize, seed: u64, alpha: f64) {
+    let mut rng = SimRng::seed_from(seed);
+    let xs: Vec<u64> = (0..samples).map(|_| rng.binomial(count, p)).collect();
+    let mean = count as f64 * p;
+    let sd = (mean * (1.0 - p)).sqrt();
+    assert_matches_exact_pmf(
+        &format!("binomial({count}, {p})"),
+        &xs,
+        (0, count),
+        mean,
+        sd,
+        alpha,
+        binomial_ln_pmf(lf, count, p),
+    );
+}
+
+/// `samples` draws of the hypergeometric against the exact pmf.
+fn check_hypergeometric(
+    lf: &LnFact,
+    (total, tagged, draws): (u64, u64, u64),
+    samples: usize,
+    seed: u64,
+    alpha: f64,
+) {
+    let mut rng = SimRng::seed_from(seed);
+    let xs: Vec<u64> = (0..samples)
         .map(|_| rng.hypergeometric(total, tagged, draws))
         .collect();
     let frac = tagged as f64 / total as f64;
     let mean = draws as f64 * frac;
     let fpc = (total - draws) as f64 / (total - 1) as f64;
     let sd = (draws as f64 * frac * (1.0 - frac) * fpc).sqrt();
-    assert_matches_exact_pmf("hypergeometric(1e6, 1/3, 1254)", &samples, mean, sd, ln_pmf);
+    let support = (draws.saturating_sub(total - tagged), tagged.min(draws));
+    assert_matches_exact_pmf(
+        &format!("hypergeometric({total}, {tagged}, {draws})"),
+        &xs,
+        support,
+        mean,
+        sd,
+        alpha,
+        hypergeometric_ln_pmf(lf, total, tagged, draws),
+    );
+}
+
+/// `rng.binomial` at count = 10⁶ against the exact binomial pmf — the
+/// regime the removed normal-approximation path used to cover (it was
+/// *not* exact; the ratio-of-uniforms sampler must be). α = 0.001.
+#[test]
+fn binomial_marginal_matches_exact_pmf_at_large_count() {
+    let lf = LnFact::new(1_000_000);
+    check_binomial(&lf, 1_000_000, 0.3, 20_000, 314, 0.001);
+}
+
+/// `rng.hypergeometric` with a 10⁶-agent urn against the exact pmf — the
+/// marginal that anchors the collision-batch contingency-table chain.
+/// α = 0.001.
+#[test]
+fn hypergeometric_marginal_matches_exact_pmf_at_large_count() {
+    let lf = LnFact::new(1_000_000);
+    // 1 254 draws ≈ 2ℓ for an epoch at n = 10⁶.
+    check_hypergeometric(&lf, (1_000_000, 333_333, 1_254), 20_000, 2_718, 0.001);
+}
+
+/// Binomial shapes across all three sampler paths: bit-parallel lanes
+/// (counts 1–64, dyadic and non-dyadic `p`, both sides of ½), then
+/// inversion and ratio-of-uniforms on either side of the variance switch
+/// at 4, with `p` reflected above ½ and skewed down to 10⁻⁵ at count 10⁶.
+const BINOMIAL_GRID: &[(u64, f64)] = &[
+    (1, 0.3),
+    (2, 0.75),
+    (7, 0.125),
+    (26, 0.25),
+    (33, 1.0 / 3.0),
+    (40, 1.0 / 1024.0),
+    (63, 0.9),
+    (64, 0.01),
+    (64, 0.1),
+    (64, 0.6),
+    (100, 0.04),
+    (100, 0.0425),
+    (200, 0.985),
+    (200, 0.97),
+    (10_000, 0.001),
+    (1_000_000, 0.000_003),
+    (1_000_000, 0.000_01),
+    (5_000, 0.5),
+];
+
+/// Hypergeometric `(total, tagged, draws)` shapes on either side of the
+/// variance switch at 4, in urns of 60 to 10⁶, including reflected
+/// (`tagged` or `draws` above half the urn) and Poisson-skewed shapes.
+const HYPERGEOMETRIC_GRID: &[(u64, u64, u64)] = &[
+    (60, 30, 20),
+    (60, 30, 30),
+    (200, 100, 20),
+    (1_254, 16, 600),
+    (1_254, 17, 600),
+    (10_000, 9_990, 5_000),
+    (1_000_000, 3_100, 1_254),
+    (1_000_000, 3_300, 1_254),
+    (1_000_000, 50, 400_000),
+    (1_000_000, 700_000, 500_000),
+];
+
+/// Family-wise error rate of the two grid tests below, each: Bonferroni
+/// over its grid, so each shape is tested at `FAMILY_ALPHA / grid size`.
+const FAMILY_ALPHA: f64 = 0.001;
+
+/// `rng.binomial` matches the exact pmf on every [`BINOMIAL_GRID`] shape
+/// (100 000 samples each). Family-wise error rate ≤ 0.001 (Bonferroni).
+#[test]
+fn binomial_marginals_match_exact_pmf_across_sampler_paths() {
+    let lf = LnFact::new(1_000_000);
+    let alpha = FAMILY_ALPHA / BINOMIAL_GRID.len() as f64;
+    for (i, &(count, p)) in BINOMIAL_GRID.iter().enumerate() {
+        check_binomial(&lf, count, p, 100_000, 40_000 + i as u64, alpha);
+    }
+}
+
+/// `rng.hypergeometric` matches the exact pmf on every
+/// [`HYPERGEOMETRIC_GRID`] shape (100 000 samples each). Family-wise error
+/// rate ≤ 0.001 (Bonferroni).
+#[test]
+fn hypergeometric_marginals_match_exact_pmf_across_sampler_paths() {
+    let lf = LnFact::new(1_000_000);
+    let alpha = FAMILY_ALPHA / HYPERGEOMETRIC_GRID.len() as f64;
+    for (i, &shape) in HYPERGEOMETRIC_GRID.iter().enumerate() {
+        check_hypergeometric(&lf, shape, 100_000, 50_000 + i as u64, alpha);
+    }
 }
 
 /// The leaping batch path must also agree: fratricide on the count backend

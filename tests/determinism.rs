@@ -6,6 +6,7 @@
 //! a sweep or CI run replays exactly from its seed, fault RNG included.
 //! Every run records into its own recorder, so the tests run in parallel.
 
+use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator};
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::{to_jsonl, Json};
@@ -385,6 +386,45 @@ fn sparse_wide_trajectory_matches_pinned_golden() {
     assert!(pop.occupied_states() >= 200, "occupancy stays wide");
     assert_eq!(fnv1a(&pop.counts()), GOLDEN_HASH);
     assert_eq!(rng.state_words(), GOLDEN_RNG);
+}
+
+/// FNV-1a of the dense DK18 run's final counts under the ratio-of-uniforms
+/// and bit-parallel samplers.
+const DENSE_GOLDEN_HASH: u64 = 0x34bb_7419_7dc8_a769;
+
+/// The generator's state words at the end of that run.
+const DENSE_GOLDEN_RNG: [u64; 4] = [
+    0x431e_fa9a_16e1_65b9,
+    0xc82d_d51e_68ac_b21c,
+    0x3035_1557_5dae_46f4,
+    0x1190_ea36_faa1_a1d7,
+];
+
+/// Pins the dense count backend's trajectory: DK18 at n = 10⁵ settles its
+/// rounds in collision epochs, whose margin and row hypergeometrics take
+/// the ratio-of-uniforms path and whose per-cell binomial splits take the
+/// bit-parallel lanes. The final counts and generator state after three
+/// rounds must equal those recorded with these samplers, so any change to
+/// a sampler's draw order or RNG consumption fails here, while the replay
+/// tests above only compare a sampler with itself.
+#[test]
+fn dense_oscillator_trajectory_matches_pinned_golden() {
+    let n = 100_000u64;
+    let osc = Dk18Oscillator::new();
+    let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, 31));
+    let mut rng = SimRng::seed_from(0xd18);
+    let mut recorder = Recorder::new();
+    {
+        let _installed = recorder.install();
+        for _ in 0..3 {
+            pop.step_batch(&mut rng, n);
+        }
+    }
+    let epochs = recorder.metrics().counter("collision_epochs");
+    assert!(epochs > 1_000, "only {epochs} collision epochs");
+    assert_eq!(pop.steps(), 3 * n);
+    assert_eq!(fnv1a(&pop.counts()), DENSE_GOLDEN_HASH);
+    assert_eq!(rng.state_words(), DENSE_GOLDEN_RNG);
 }
 
 /// The enumeration backend (analyzer-guided live-state compilation) must

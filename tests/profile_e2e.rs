@@ -159,13 +159,39 @@ fn profile_dispatch_log_is_valid_jsonl() {
     }
     // The epidemic run crosses from the leap regime into collision epochs
     // as the infection spreads — the decision inputs must show p rising.
+    // The log concatenates 10 trials, each starting at p = 2/n (one
+    // infected agent) and ending near S = 1 at the same p, so the first
+    // trial is the prefix up to the first record that falls back to the
+    // starting p after rising above it.
     let ps: Vec<f64> = records
         .iter()
-        .filter_map(|r| r.get("p").and_then(Json::as_f64))
+        .map(|r| r.get("p").and_then(Json::as_f64).expect("p"))
         .collect();
-    assert!(ps.len() >= 2, "too few dispatch records with p");
+    let start = ps[0];
+    let rise = ps
+        .iter()
+        .position(|&p| p > start)
+        .unwrap_or_else(|| panic!("reactive probability never rose: {ps:?}"));
+    let end = ps[rise..]
+        .iter()
+        .position(|&p| p <= start)
+        .map_or(ps.len(), |i| rise + i);
+    let peak = ps[..end].iter().copied().fold(start, f64::max);
     assert!(
-        ps.last().unwrap() > ps.first().unwrap(),
-        "reactive probability did not rise over the epidemic: {ps:?}"
+        peak > start,
+        "reactive probability did not rise in the first trial: {:?}",
+        &ps[..end]
     );
+    let first_of = |regime: &str| {
+        records[..end]
+            .iter()
+            .position(|r| r.get("regime").and_then(Json::as_str) == Some(regime))
+    };
+    match (first_of("leap"), first_of("collision")) {
+        (Some(leap), Some(collision)) => assert!(
+            leap < collision,
+            "the first trial reached collision epochs before leaping"
+        ),
+        other => panic!("the first trial lacks a leap or collision record: {other:?}"),
+    }
 }
