@@ -5,7 +5,7 @@
 //! * [`analyze`] — static analysis: ruleset and program lints, support
 //!   reachability, exact small-`n` stabilization checking;
 //! * [`engine`] — simulation substrate: schedulers, fast backends,
-//!   mean-field ODEs, observers, statistics, parallel sweeps;
+//!   mean-field ODEs, the observer hook, statistics, parallel sweeps;
 //! * [`rules`] — the boolean-flag rule formalism of Section 1.3;
 //! * [`clocks`] — oscillators, phase clocks, `#X` control, and the clock
 //!   hierarchy of Section 5;

@@ -760,23 +760,10 @@ impl<S: Simulator> FaultyPopulation<S> {
         Ok(Self { inner, plan })
     }
 
-    /// Wraps `inner` with an already-compiled plan.
-    #[must_use]
-    pub fn with_plan(inner: S, plan: FaultPlan) -> Self {
-        Self { inner, plan }
-    }
-
     /// The wrapped backend.
     #[must_use]
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Consumes the wrapper, returning the backend and the plan (with its
-    /// event log).
-    #[must_use]
-    pub fn into_parts(self) -> (S, FaultPlan) {
-        (self.inner, self.plan)
     }
 
     /// Every injection applied so far, in firing order.

@@ -6,8 +6,8 @@
 //! reproduction of *Population Protocols Are Fast* (Kosowski & Uznański,
 //! PODC 2018): the protocol crates define transition functions, and this
 //! crate supplies exact schedulers, fast simulation backends, the mean-field
-//! (continuous-limit) integrator, measurement observers, statistics, and a
-//! parallel sweep harness.
+//! (continuous-limit) integrator, the checkpoint hook that measurement
+//! observers attach to, statistics, and a parallel sweep harness.
 //!
 //! ## Backends
 //!

@@ -57,12 +57,6 @@ pub enum Counter {
     FaultInjections,
     /// Agents whose state a fault injection actually changed.
     FaultAgentsMoved,
-    /// Resilient-sweep task attempts retried after a panic or timeout.
-    SweepRetries,
-    /// Resilient-sweep task attempts that panicked.
-    SweepPanics,
-    /// Resilient-sweep task attempts that exceeded their deadline.
-    SweepTimeouts,
     /// Collision-free epochs executed by the contingency-table batch path.
     CollisionEpochs,
     /// Activations settled in bulk via contingency-table epochs (includes
@@ -72,7 +66,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 17] = [
         Counter::InteractionsExecuted,
         Counter::InteractionsChanged,
         Counter::NoopLeaps,
@@ -88,9 +82,6 @@ impl Counter {
         Counter::SweepTasks,
         Counter::FaultInjections,
         Counter::FaultAgentsMoved,
-        Counter::SweepRetries,
-        Counter::SweepPanics,
-        Counter::SweepTimeouts,
         Counter::CollisionEpochs,
         Counter::CollisionBatchedSteps,
     ];
@@ -114,9 +105,6 @@ impl Counter {
             Counter::SweepTasks => "sweep_tasks",
             Counter::FaultInjections => "fault_injections",
             Counter::FaultAgentsMoved => "fault_agents_moved",
-            Counter::SweepRetries => "sweep_retries",
-            Counter::SweepPanics => "sweep_panics",
-            Counter::SweepTimeouts => "sweep_timeouts",
             Counter::CollisionEpochs => "collision_epochs",
             Counter::CollisionBatchedSteps => "collision_batched_steps",
         }
@@ -514,9 +502,11 @@ mod tests {
     fn parse_reads_documents_with_the_retired_regime_counters() {
         // Reports written before the four `regime_*` counters were dropped
         // carry 24 counters; the extra four duplicate kept ones and are
-        // ignored on read.
+        // ignored on read. So are `sweep_retries`, `sweep_panics` and
+        // `sweep_timeouts`, retired with the resilient sweep that bumped
+        // them: older reports and snapshot-frozen counters still load.
         // `ppsim oscillator --n 20000 --rounds 600 --seed 7 --metrics` as
-        // written before the drop.
+        // written before the drops.
         let text = concat!(
             r#"{"kind":"metrics_report","meta":{"command":"oscillator","#,
             r#""backend":"CountPopulation"},"counters":{"interactions_executed":12000000,"#,
@@ -542,6 +532,7 @@ mod tests {
         assert_eq!(report.counter("collision_epochs"), 119_541);
         assert_eq!(report.counter("noop_leaps"), 110_654);
         assert_eq!(report.counter("regime_collision"), 0, "no longer a counter");
+        assert_eq!(report.counter("sweep_retries"), 0, "no longer a counter");
         assert_eq!(report.hist_count("epoch_len"), 119_541);
         assert_eq!(report.meta("backend"), Some("CountPopulation"));
         let rendered = report.to_json().render();

@@ -304,15 +304,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator, e.g. one per sweep task.
-    ///
-    /// The child is seeded from fresh output of `self`, so distinct calls
-    /// yield distinct streams while keeping the parent deterministic.
-    #[must_use]
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from(self.next_u64())
-    }
-
     /// The four xoshiro256\*\* state words, exactly as they are now.
     ///
     /// Together with [`SimRng::spare_normal_bits`] this is the *complete*
@@ -757,27 +748,6 @@ impl SimRng {
 }
 
 impl SimRng {
-    /// Creates a generator from a full 256-bit seed (little-endian words).
-    ///
-    /// An all-zero seed (the forbidden xoshiro fixed point) falls back to
-    /// `seed_from(0)`.
-    #[must_use]
-    pub fn from_seed(seed: [u8; 32]) -> Self {
-        let mut s = [0u64; 4];
-        for (i, word) in s.iter_mut().enumerate() {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-            *word = u64::from_le_bytes(bytes);
-        }
-        if s.iter().all(|&w| w == 0) {
-            return Self::seed_from(0);
-        }
-        Self {
-            s,
-            spare_normal: None,
-        }
-    }
-
     /// Returns the next raw 64-bit output of the generator.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -791,25 +761,6 @@ impl SimRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Returns the next 32 random bits (upper half of [`SimRng::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
     }
 }
 
@@ -1149,37 +1100,5 @@ mod tests {
             c,
             (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
         );
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = SimRng::seed_from(23);
-        let mut child = parent.fork();
-        let a: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = SimRng::seed_from(41);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn seedable_from_seed_roundtrip() {
-        let seed = [7u8; 32];
-        let mut a = SimRng::from_seed(seed);
-        let mut b = SimRng::from_seed(seed);
-        assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn all_zero_seed_is_recovered() {
-        let mut rng = SimRng::from_seed([0u8; 32]);
-        // Must not get stuck at zero.
-        assert_ne!(rng.next_u64() | rng.next_u64(), 0);
     }
 }

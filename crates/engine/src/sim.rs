@@ -314,6 +314,56 @@ mod tests {
         assert_eq!(pop.steps(), 300);
     }
 
+    /// Samples every count on a grid of `every` steps and counts its
+    /// callbacks.
+    struct Grid {
+        every: u64,
+        next: u64,
+        calls: u64,
+        rows: Vec<(u64, Vec<u64>)>,
+    }
+
+    impl Observer for Grid {
+        fn observe(&mut self, steps: u64, sim: &dyn Simulator) {
+            self.calls += 1;
+            if steps >= self.next {
+                let counts = (0..sim.num_states()).map(|s| sim.count(s)).collect();
+                self.rows.push((steps, counts));
+                self.next = steps + self.every;
+            }
+        }
+
+        fn stride(&self, steps: u64, _sim: &dyn Simulator) -> u64 {
+            self.next.saturating_sub(steps).max(1)
+        }
+    }
+
+    #[test]
+    fn run_rounds_drives_an_observer_on_its_stride() {
+        let p = epidemic();
+        let mut pop = Population::from_counts(&p, &[63, 1]);
+        let mut grid = Grid {
+            every: 2 * 64,
+            next: 0,
+            calls: 0,
+            rows: Vec::new(),
+        };
+        let mut rng = SimRng::seed_from(1);
+        let mut rec = recorder::Recorder::new();
+        {
+            let _installed = rec.install();
+            run_rounds(&mut pop, 10.0, &mut rng, &mut [&mut grid]);
+        }
+        assert!(grid.rows.len() >= 5, "rows {}", grid.rows.len());
+        for w in grid.rows.windows(2) {
+            assert!(w[1].0 > w[0].0, "step stamps increase");
+        }
+        for (_, counts) in &grid.rows {
+            assert_eq!(counts.iter().sum::<u64>(), 64);
+        }
+        assert_eq!(rec.metrics().counter("observer_callbacks"), grid.calls);
+    }
+
     #[test]
     fn run_until_detects_epidemic_completion() {
         let p = epidemic();

@@ -1,8 +1,7 @@
 //! Crash-safe checkpointing and exact resume.
 //!
-//! Long runs at production scale (hours at `n = 10⁸`, sweeps of thousands
-//! of tasks) must survive panics, deadline overruns, and process kills
-//! without throwing completed work away. Determinism makes that cheap: a
+//! Long runs at production scale (hours at `n = 10⁸`) must survive process
+//! kills without throwing completed work away. Determinism makes that cheap: a
 //! run is a pure function of `(initial configuration, RNG state)`, so a
 //! snapshot of the simulator state plus the word-exact RNG state resumes
 //! the run *byte-identically* — same trace, same fault events, same
@@ -42,8 +41,8 @@
 //! kill at any instant leaves either the old snapshot or the new one —
 //! never a torn file. [`SnapshotStore`] rotates the last `keep`
 //! generations; [`SnapshotStore::load_latest`] validates newest-first,
-//! logging each corrupt generation as an [`Incident`] and degrading to the
-//! previous one (or to a clean restart when none survive) instead of
+//! reporting each corrupt generation as a [`Rejected`] record and degrading
+//! to the previous one (or to a clean restart when none survive) instead of
 //! aborting.
 
 use crate::json::Json;
@@ -51,7 +50,6 @@ use crate::metrics::MetricsReport;
 use crate::recorder::{self, Recorder};
 use crate::rng::SimRng;
 use crate::sim::Simulator;
-use crate::sweep::Incident;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -411,6 +409,25 @@ pub fn load_path(path: &Path) -> Result<RunSnapshot, String> {
     RunSnapshot::decode(&text)
 }
 
+/// One snapshot generation that [`SnapshotStore::load_latest`] skipped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rejected {
+    /// The skipped generation (0 when the directory scan itself failed).
+    pub generation: u64,
+    /// The rejected file (or the unreadable directory) and why, as
+    /// `<path>: <reason>`.
+    pub detail: String,
+}
+
+impl Rejected {
+    fn new(generation: u64, path: &Path, reason: &str) -> Self {
+        Self {
+            generation,
+            detail: format!("{}: {reason}", path.display()),
+        }
+    }
+}
+
 /// A rotating on-disk checkpoint directory: generation-numbered snapshot
 /// files (`gen-NNNNNNNNNN.snap`), the last `keep` of them retained, loaded
 /// newest-first with per-generation corruption fallback.
@@ -447,12 +464,6 @@ impl SnapshotStore {
             keep: keep.max(1),
             next_gen,
         })
-    }
-
-    /// The checkpoint directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// All snapshot generations currently on disk, ascending.
@@ -500,12 +511,11 @@ impl SnapshotStore {
 
     /// Loads the newest valid snapshot, degrading past corruption instead
     /// of aborting: each unreadable or checksum-rejected generation is
-    /// recorded as an [`Incident`] (cause `"snapshot_corrupt"`, index =
-    /// generation) and the next-older one is tried. Returns `None` with
-    /// the incident log when no generation survives — the caller falls
-    /// back to a clean restart.
+    /// recorded as [`Rejected`] and the next-older one is tried. Returns
+    /// `None` with the rejections when no generation survives — the caller
+    /// falls back to a clean restart.
     #[must_use]
-    pub fn load_latest(&self) -> (Option<(u64, PathBuf, RunSnapshot)>, Vec<Incident>) {
+    pub fn load_latest(&self) -> (Option<(u64, PathBuf, RunSnapshot)>, Vec<Rejected>) {
         self.load_latest_at_most(None)
     }
 
@@ -516,13 +526,13 @@ impl SnapshotStore {
     pub fn load_latest_at_most(
         &self,
         max_gen: Option<u64>,
-    ) -> (Option<(u64, PathBuf, RunSnapshot)>, Vec<Incident>) {
-        let mut incidents = Vec::new();
+    ) -> (Option<(u64, PathBuf, RunSnapshot)>, Vec<Rejected>) {
+        let mut rejected = Vec::new();
         let gens = match Self::scan(&self.dir) {
             Ok(g) => g,
             Err(e) => {
-                incidents.push(corruption_incident(0, &self.dir, &e.to_string()));
-                return (None, incidents);
+                rejected.push(Rejected::new(0, &self.dir, &e.to_string()));
+                return (None, rejected);
             }
         };
         for (gen, path) in gens
@@ -531,23 +541,11 @@ impl SnapshotStore {
             .filter(|&(g, _)| max_gen.is_none_or(|m| g <= m))
         {
             match load_path(&path) {
-                Ok(snap) => return (Some((gen, path, snap)), incidents),
-                Err(detail) => incidents.push(corruption_incident(gen, &path, &detail)),
+                Ok(snap) => return (Some((gen, path, snap)), rejected),
+                Err(reason) => rejected.push(Rejected::new(gen, &path, &reason)),
             }
         }
-        (None, incidents)
-    }
-}
-
-/// An [`Incident`] describing one rejected snapshot generation.
-fn corruption_incident(gen: u64, path: &Path, detail: &str) -> Incident {
-    Incident {
-        index: usize::try_from(gen).unwrap_or(usize::MAX),
-        attempt: 0,
-        cause: "snapshot_corrupt",
-        detail: format!("{}: {detail}", path.display()),
-        elapsed_s: 0.0,
-        backoff_s: 0.0,
+        (None, rejected)
     }
 }
 
@@ -750,13 +748,14 @@ mod tests {
         let flip = bytes.len() - 10;
         bytes[flip] ^= 0x01;
         std::fs::write(newest, &bytes).unwrap();
-        let (loaded, incidents) = store.load_latest();
+        let (loaded, rejected) = store.load_latest();
         let (gen, path, _) = loaded.expect("older generation must survive");
         assert_eq!(gen, 3, "fallback picks the previous generation");
         assert_eq!(path, gens[1].1);
-        assert_eq!(incidents.len(), 1);
-        assert_eq!(incidents[0].cause, "snapshot_corrupt");
-        assert_eq!(incidents[0].index, 4);
+        assert_eq!(rejected.len(), 1);
+        assert_eq!(rejected[0].generation, 4);
+        let prefix = format!("{}: ", newest.display());
+        assert!(rejected[0].detail.starts_with(&prefix), "{rejected:?}");
         // Reopening continues the generation sequence past the corrupt one.
         let mut reopened = SnapshotStore::open(&dir, 3).unwrap();
         let next = reopened.save(&snap).unwrap();
@@ -769,13 +768,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pp_snap_empty_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir, 2).unwrap();
-        let (loaded, incidents) = store.load_latest();
+        let (loaded, rejected) = store.load_latest();
         assert!(loaded.is_none());
-        assert!(incidents.is_empty());
+        assert!(rejected.is_empty());
         std::fs::write(dir.join("gen-0000000000.snap"), "garbage\n{oops").unwrap();
-        let (loaded, incidents) = store.load_latest();
+        let (loaded, rejected) = store.load_latest();
         assert!(loaded.is_none(), "garbage never parses into a state");
-        assert_eq!(incidents.len(), 1);
+        assert_eq!(rejected.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,6 @@
 //! Run-scoped telemetry through the public API: installation and merging,
-//! and isolation — concurrent runs, sweeps at any worker count, and
-//! abandoned sweep attempts each report exactly what their own work
-//! recorded.
+//! and isolation — concurrent runs and sweeps at any worker count each
+//! report exactly what their own work recorded.
 
 use pp_engine::counts::CountPopulation;
 use pp_engine::fenwick::Fenwick;
@@ -11,9 +10,8 @@ use pp_engine::protocol::TableProtocol;
 use pp_engine::recorder::{installed_metrics, Recorder};
 use pp_engine::rng::SimRng;
 use pp_engine::sim::Simulator;
-use pp_engine::sweep::{map_configs, run_indexed_resilient, ResiliencePolicy, TaskResult};
+use pp_engine::sweep::map_configs;
 use std::sync::Barrier;
-use std::time::Duration;
 
 /// A public capture point: every tree built bumps `fenwick_rebuilds`.
 fn bump() {
@@ -101,36 +99,6 @@ fn merge_adds_counts_sections_and_dispatch_in_order() {
     let merged = a.profile();
     assert_eq!(merged.calls_of("count_step_batch"), 2);
     assert_eq!(edge(&merged), edge(&pa) + edge(&pb));
-}
-
-#[test]
-fn resilient_sweep_drops_the_counts_of_abandoned_attempts() {
-    let policy = ResiliencePolicy {
-        deadline: Duration::from_millis(200),
-        retries: 1,
-        backoff: Duration::from_millis(1),
-        ..ResiliencePolicy::default()
-    };
-    let mut rec = Recorder::new();
-    {
-        let _installed = rec.install();
-        let (results, _) = run_indexed_resilient(1, 1, policy, |ctx| {
-            bump();
-            if ctx.attempt == 0 {
-                // Overrun the deadline; this attempt is abandoned.
-                while !ctx.cancelled() {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                bump();
-            }
-            ctx.attempt
-        });
-        assert_eq!(results[0], TaskResult::Ok(1));
-    }
-    let m = rec.metrics();
-    assert_eq!(m.counter("sweep_timeouts"), 1);
-    assert_eq!(m.counter("sweep_retries"), 1);
-    assert_eq!(m.counter("fenwick_rebuilds"), 1, "only the kept attempt");
 }
 
 fn cycle() -> TableProtocol {

@@ -1492,9 +1492,9 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
                 return None;
             }
         };
-        let (found, incidents) = store.load_latest();
-        for inc in &incidents {
-            eprintln!("warning: {}: {}", inc.cause, inc.detail);
+        let (found, rejected) = store.load_latest();
+        for r in &rejected {
+            eprintln!("warning: snapshot_corrupt: {}", r.detail);
         }
         return match found {
             Some((gen, file, snap)) => {
@@ -1532,9 +1532,9 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
                     return None;
                 }
             };
-            let (found, incidents) = store.load_latest_at_most(Some(prev));
-            for inc in &incidents {
-                eprintln!("warning: {}: {}", inc.cause, inc.detail);
+            let (found, rejected) = store.load_latest_at_most(Some(prev));
+            for r in &rejected {
+                eprintln!("warning: snapshot_corrupt: {}", r.detail);
             }
             match found {
                 Some((gen, file, snap)) => {

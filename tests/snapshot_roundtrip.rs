@@ -1,7 +1,6 @@
 //! Snapshot/restore round-trips: every backend checkpointed at arbitrary
-//! batch boundaries must continue exactly as if never interrupted, the
-//! on-disk format must reject any corruption, and a resilient-sweep task
-//! must resume from its per-task checkpoint store after a crash.
+//! batch boundaries must continue exactly as if never interrupted, and the
+//! on-disk format must reject any corruption.
 //!
 //! These tests install no recorder: metrics-stream equality across an
 //! interrupt is pinned by `tests/determinism.rs`.
@@ -14,11 +13,7 @@ use population_protocols::core::engine::population::Population;
 use population_protocols::core::engine::protocol::TableProtocol;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
-use population_protocols::core::engine::snapshot::{hex_u64, parse_hex_u64, RunSnapshot};
-use population_protocols::core::engine::sweep::{
-    run_indexed_resilient, ResiliencePolicy, TaskCtx, TaskResult,
-};
-use std::time::Duration;
+use population_protocols::core::engine::snapshot::{hex_u64, RunSnapshot};
 
 /// Rock-paper-scissors cycling: never silent, touches every state.
 fn rps() -> TableProtocol {
@@ -246,101 +241,4 @@ fn bit_flipped_snapshots_are_rejected_by_the_checksum() {
             "bit flip at byte {pos} (mask {bit:#04x}) must be rejected"
         );
     }
-}
-
-/// Epidemic protocol for the sweep test: short, always progressing.
-fn epidemic() -> TableProtocol {
-    TableProtocol::new(2, "epidemic")
-        .rule(1, 0, 1, 1)
-        .rule(0, 1, 1, 1)
-}
-
-#[test]
-fn sweep_task_resumes_from_its_checkpoint_store_after_a_crash() {
-    let root = std::env::temp_dir().join(format!(
-        "pp_sweep_resume_{}_{:x}",
-        std::process::id(),
-        0x51eeu64
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    let policy = ResiliencePolicy {
-        deadline: Duration::from_secs(30),
-        retries: 1,
-        backoff: Duration::from_millis(1),
-        checkpoint_dir: Some(root.clone()),
-        checkpoint_keep: 2,
-    };
-    let total_rounds = 6u64;
-    let run_task = move |index: usize, attempt: u32, store_ctx: Option<&TaskCtx>| -> Vec<u64> {
-        let p = epidemic();
-        let mut pop = CountPopulation::from_counts(&p, &[900, 100]);
-        let mut rng = SimRng::seed_from(7 + index as u64);
-        let mut round = 0u64;
-        if let Some(ctx) = store_ctx {
-            let store = ctx
-                .checkpoint_store()
-                .expect("store opens")
-                .expect("policy configured a checkpoint dir");
-            if attempt > 0 {
-                // Retry: resume from the last good snapshot instead of
-                // restarting from round 0.
-                let (found, incidents) = store.load_latest();
-                assert!(
-                    incidents.is_empty(),
-                    "no corruption expected: {incidents:?}"
-                );
-                let (_gen, _path, snap) = found.expect("attempt 0 left snapshots behind");
-                rng = snap.resume_into(&mut pop).expect("resume");
-                round = parse_hex_u64(snap.meta.get("round").expect("round in meta"))
-                    .expect("valid round");
-                assert!(round >= 3, "the crash happened at round 3");
-            }
-            let mut store = store;
-            while round < total_rounds {
-                pop.step_batch(&mut rng, 1_000);
-                round += 1;
-                let snap = RunSnapshot::capture(&pop, &rng)
-                    .expect("snapshot")
-                    .with_meta(Json::obj([("round", hex_u64(round))]));
-                store.save(&snap).expect("checkpoint save");
-                if index == 1 && attempt == 0 && round == 3 {
-                    panic!("injected mid-run crash after the round-3 checkpoint");
-                }
-            }
-        } else {
-            // Reference path (no sweep context): uninterrupted run.
-            while round < total_rounds {
-                pop.step_batch(&mut rng, 1_000);
-                round += 1;
-            }
-        }
-        pop.counts()
-    };
-
-    let reference = run_task(1, 0, None);
-    let task = run_task;
-    let (results, incidents) = run_indexed_resilient(3, 2, policy, move |ctx| {
-        task(ctx.index, ctx.attempt, Some(ctx))
-    });
-
-    assert_eq!(results.len(), 3);
-    match &results[1] {
-        TaskResult::Ok(counts) => assert_eq!(
-            counts, &reference,
-            "the resumed task finishes with the exact uninterrupted result"
-        ),
-        other => panic!("task 1 must complete on retry, got {other:?}"),
-    }
-    for (i, r) in results.iter().enumerate() {
-        assert!(matches!(r, TaskResult::Ok(_)), "slot {i} completes: {r:?}");
-    }
-    let panics: Vec<_> = incidents.iter().filter(|i| i.cause == "panic").collect();
-    assert_eq!(panics.len(), 1, "exactly one crash incident: {incidents:?}");
-    assert_eq!(panics[0].index, 1);
-    assert_eq!(panics[0].attempt, 0);
-    assert!(
-        panics[0].backoff_s > 0.0,
-        "a retry is pending, so the incident records its backoff"
-    );
-    let _ = std::fs::remove_dir_all(&root);
 }
