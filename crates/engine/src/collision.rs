@@ -184,8 +184,43 @@ pub struct CollisionScratch {
     v: Vec<u64>,
     /// Net count movement of the epoch's table, dense over all states.
     delta: Vec<i64>,
-    /// Row-major k×k cell-plan cache, filled lazily per cell.
-    plans: Vec<Option<CellPlan>>,
+    /// Cell-plan cache, filled lazily per cell.
+    plans: CellPlans,
+}
+
+/// The cell-plan cache: a row-major k×k index (0 = not planned yet, else
+/// one more than the plan's position in `list`) over the plans made so
+/// far. Four zeroed bytes per cell, so a 512-state protocol's table costs
+/// 1 MB, not the 6 MB of an `Option<CellPlan>` per cell, and only the
+/// cells an epoch meets ever hold a plan.
+#[derive(Debug, Default, Clone)]
+struct CellPlans {
+    index: Vec<u32>,
+    list: Vec<CellPlan>,
+}
+
+impl CellPlans {
+    /// The plan of cell `(a, b)`, made on first use.
+    fn get<P: Protocol + ?Sized>(
+        &mut self,
+        protocol: &P,
+        a: usize,
+        b: usize,
+        k: usize,
+    ) -> &CellPlan {
+        let slot = &mut self.index[a * k + b];
+        if *slot == 0 {
+            self.list.push(if !protocol.is_reactive(a, b) {
+                CellPlan::NonReactive
+            } else if let Some(outcomes) = protocol.outcome_table(a, b) {
+                CellPlan::Enumerated(outcomes)
+            } else {
+                CellPlan::Fallback
+            });
+            *slot = u32::try_from(self.list.len()).expect("fewer than 2³² planned cells");
+        }
+        &self.list[*slot as usize - 1]
+    }
 }
 
 impl CollisionScratch {
@@ -207,8 +242,10 @@ impl CollisionScratch {
         if self.v.len() != k {
             self.v.resize(k, 0);
             self.delta.resize(k, 0);
-            self.plans.clear();
-            self.plans.resize(k * k, None);
+            self.plans = CellPlans {
+                index: vec![0; k * k],
+                list: Vec::new(),
+            };
         }
     }
 }
@@ -416,22 +453,13 @@ fn apply_cell<P: Protocol + ?Sized>(
     b: usize,
     t_ab: u64,
     k: usize,
-    plans: &mut [Option<CellPlan>],
+    plans: &mut CellPlans,
     v: &mut [u64],
     delta: &mut [i64],
     rng: &mut SimRng,
     pf: bool,
 ) -> u64 {
-    let plan = plans[a * k + b].get_or_insert_with(|| {
-        if !protocol.is_reactive(a, b) {
-            CellPlan::NonReactive
-        } else if let Some(outcomes) = protocol.outcome_table(a, b) {
-            CellPlan::Enumerated(outcomes)
-        } else {
-            CellPlan::Fallback
-        }
-    });
-    match plan {
+    match plans.get(protocol, a, b, k) {
         CellPlan::NonReactive => {
             v[a] += t_ab;
             v[b] += t_ab;

@@ -316,8 +316,11 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let n = self.n;
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
-        let entry_pairs = self.index.as_ref().expect("index built above").pairs();
-        let mut tally = cap.on.then(|| BatchTally::new(n, entry_pairs));
+        let entry = self.index.as_ref().expect("index built above");
+        let (entry_occupied, entry_pairs) = (entry.occupied() as u64, entry.pairs());
+        let mut tally = cap
+            .on
+            .then(|| BatchTally::new(n, entry_occupied, entry_pairs));
         while out.executed < max_steps {
             let index = self.index.as_mut().expect("index built above");
             let pairs = index.pairs();
@@ -560,615 +563,124 @@ mod tests {
     }
 }
 
-/// Above this many nominal states [`run_counts`] switches to the sparse
+pub use crate::sparse::SparseCountPopulation;
+
+/// Above this many nominal states a [`CountSite`] runs on the sparse
 /// backend: reachable configurations of wide flag spaces occupy only a
 /// handful of states, so dense Fenwick construction would dominate.
 const SPARSE_THRESHOLD: usize = 4096;
 
-/// Runs `protocol` for `rounds` parallel rounds on the count vector
-/// `counts`, in place: on [`CountPopulation`], or on
-/// [`SparseCountPopulation`] when `counts` spans more than 4 096 states.
-/// The one dispatch point of the program executors' scheduler runs.
-pub fn run_counts<P: Protocol>(protocol: P, counts: &mut Vec<u64>, rounds: f64, rng: &mut SimRng) {
-    if counts.len() > SPARSE_THRESHOLD {
-        let mut pop = SparseCountPopulation::from_dense(protocol, counts);
-        // Write back by occupied state, not by rebuilding all k counts.
-        for (state, _) in pop.iter_counts() {
-            counts[state] = 0;
+/// One scheduler-run site of a program executor: a protocol run again and
+/// again, for some rounds each time, on a count vector that changes in
+/// between. The one dispatch point of the executors' scheduler runs: up to
+/// 4 096 states each run builds a fresh [`CountPopulation`]; above that
+/// the site keeps one [`SparseCountPopulation`] across runs, so its
+/// interned states and weight memo carry over and a run's set-up and
+/// write-back cost `O(occupied)`.
+#[derive(Debug, Clone)]
+pub struct CountSite<P> {
+    /// The protocol, until a sparse population takes it over.
+    protocol: Option<P>,
+    sparse: Option<SparseCountPopulation<P>>,
+}
+
+impl<P: Protocol> CountSite<P> {
+    /// A site that runs `protocol`.
+    #[must_use]
+    pub fn new(protocol: P) -> Self {
+        Self {
+            protocol: Some(protocol),
+            sparse: None,
         }
-        run_rounds(&mut pop, rounds, rng, &mut []);
+    }
+
+    /// Runs the protocol for `rounds` parallel rounds on `counts`, in
+    /// place. A caller that tracks its occupied states passes them as
+    /// `occupied`, in ascending order, and gets them back updated; without
+    /// them a sparse run finds them with one scan of `counts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` holds fewer than 2 agents or spans more states
+    /// than the protocol has.
+    pub fn run(
+        &mut self,
+        counts: &mut [u64],
+        occupied: Option<&mut Vec<usize>>,
+        rounds: f64,
+        rng: &mut SimRng,
+    ) {
+        if counts.len() <= SPARSE_THRESHOLD {
+            let protocol = self
+                .protocol
+                .as_ref()
+                .expect("a dense site keeps its protocol");
+            let mut pop = CountPopulation::from_counts(protocol, counts);
+            run_rounds(&mut pop, rounds, rng, &mut []);
+            counts.copy_from_slice(&pop.counts()[..counts.len()]);
+            if let Some(occupied) = occupied {
+                occupied.clear();
+                occupied.extend((0..counts.len()).filter(|&s| counts[s] > 0));
+            }
+            return;
+        }
+        let pairs: Vec<(usize, u64)> = match &occupied {
+            Some(occupied) => occupied.iter().map(|&s| (s, counts[s])).collect(),
+            None => (0..counts.len())
+                .filter(|&s| counts[s] > 0)
+                .map(|s| (s, counts[s]))
+                .collect(),
+        };
+        let pop = match (&mut self.sparse, self.protocol.take()) {
+            (Some(pop), _) => {
+                pop.load(&pairs);
+                pop
+            }
+            (slot, Some(protocol)) => {
+                slot.insert(SparseCountPopulation::from_pairs(protocol, &pairs))
+            }
+            (None, None) => unreachable!("a site holds its protocol or its population"),
+        };
+        for &(s, _) in &pairs {
+            counts[s] = 0;
+        }
+        run_rounds(pop, rounds, rng, &mut []);
         for (state, count) in pop.iter_counts() {
             counts[state] = count;
         }
-    } else {
-        let mut pop = CountPopulation::from_counts(protocol, counts);
-        run_rounds(&mut pop, rounds, rng, &mut []);
-        *counts = pop.counts();
-    }
-}
-
-/// Occupied slots per block of [`SparseCountPopulation`]'s second sampling
-/// level. With at most this many occupied states there is one block, and a
-/// draw is the plain linear scan plus one compare.
-const SLOT_BLOCK: usize = 32;
-
-/// Per-block count sums of an occupied list.
-fn block_sums(occupied: &[(usize, u64)]) -> Vec<u64> {
-    occupied
-        .chunks(SLOT_BLOCK)
-        .map(|block| block.iter().map(|&(_, c)| c).sum())
-        .collect()
-}
-
-/// A population represented by a *sparse* map of per-state agent counts.
-///
-/// Protocol compositions over boolean flag spaces can have huge nominal
-/// state spaces (`2^18` and beyond) of which any reachable configuration
-/// occupies only a handful of states. The dense [`CountPopulation`] pays
-/// `O(k)` to build and `O(log k)` per step regardless; this backend stores
-/// only the occupied states, so construction is `O(occupied)` and each step
-/// is `O(occupied/B + B)` with `B = 32` — orders of magnitude faster when
-/// `occupied ≪ k`.
-///
-/// Sampling scans per-block count sums over runs of `B` consecutive
-/// occupied slots, then the one block holding the rank. The rank → state
-/// map is that of a linear scan in insertion order, so the block level
-/// changes speed only, never trajectories.
-///
-/// The sampled process is identical in distribution to the dense backends.
-///
-/// # Examples
-///
-/// ```
-/// use pp_engine::counts::SparseCountPopulation;
-/// use pp_engine::protocol::TableProtocol;
-/// use pp_engine::rng::SimRng;
-/// use pp_engine::sim::{run_until, Simulator};
-///
-/// let p = TableProtocol::new(2, "epidemic").rule(1, 0, 1, 1).rule(0, 1, 1, 1);
-/// let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 999), (1, 1)]);
-/// let mut rng = SimRng::seed_from(0);
-/// let t = run_until(&mut pop, &mut rng, 200.0, 64, |s| s.count(0) == 0);
-/// assert!(t.is_some());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SparseCountPopulation<P> {
-    protocol: P,
-    /// Occupied states and their counts, in insertion order.
-    occupied: Vec<(usize, u64)>,
-    /// `blocks[j]` = count sum of `occupied[j·B .. (j+1)·B]`, `B` =
-    /// `SLOT_BLOCK`. Derived from `occupied`, so never serialized.
-    blocks: Vec<u64>,
-    /// State → index into `occupied`.
-    index: std::collections::HashMap<usize, usize>,
-    n: u64,
-    steps: u64,
-}
-
-impl<P: Protocol> SparseCountPopulation<P> {
-    /// Creates a population from `(state, count)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a state is out of range, a state repeats, or the total
-    /// population is smaller than 2.
-    #[must_use]
-    pub fn from_pairs(protocol: P, pairs: &[(usize, u64)]) -> Self {
-        let k = protocol.num_states();
-        let mut occupied = Vec::new();
-        let mut index = std::collections::HashMap::new();
-        let mut n = 0u64;
-        for &(state, count) in pairs {
-            assert!(state < k, "state {state} out of range");
-            if count == 0 {
-                continue;
-            }
-            assert!(!index.contains_key(&state), "state {state} listed twice");
-            index.insert(state, occupied.len());
-            occupied.push((state, count));
-            n += count;
+        if let Some(occupied) = occupied {
+            occupied.clear();
+            occupied.extend(pop.iter_counts().map(|(s, _)| s));
+            occupied.sort_unstable();
         }
-        assert!(n >= 2, "population must have at least 2 agents");
-        Self {
-            protocol,
-            blocks: block_sums(&occupied),
-            occupied,
-            index,
-            n,
-            steps: 0,
-        }
-    }
-
-    /// Creates a population from a dense count vector (skipping zeros).
-    ///
-    /// # Panics
-    ///
-    /// As [`SparseCountPopulation::from_pairs`].
-    #[must_use]
-    pub fn from_dense(protocol: P, counts: &[u64]) -> Self {
-        // Wide flag spaces are mostly zeros: one OR over a chunk skips it
-        // before any single count is looked at.
-        const CHUNK: usize = 16;
-        let mut pairs = Vec::new();
-        for (j, chunk) in counts.chunks(CHUNK).enumerate() {
-            if chunk.iter().fold(0, |acc, &c| acc | c) == 0 {
-                continue;
-            }
-            let occupied = chunk.iter().enumerate().filter(|&(_, &c)| c > 0);
-            pairs.extend(occupied.map(|(i, &c)| (j * CHUNK + i, c)));
-        }
-        Self::from_pairs(protocol, &pairs)
-    }
-
-    /// Number of distinct occupied states.
-    #[must_use]
-    pub fn occupied_states(&self) -> usize {
-        self.occupied.len()
-    }
-
-    /// Iterates over `(state, count)` pairs of occupied states.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.occupied.iter().copied()
-    }
-
-    /// The dense count vector (mostly zeros; allocates `num_states`).
-    #[must_use]
-    pub fn to_dense(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.protocol.num_states()];
-        for &(s, c) in &self.occupied {
-            out[s] = c;
-        }
-        out
-    }
-
-    fn add(&mut self, state: usize, delta: i64) {
-        match self.index.get(&state) {
-            Some(&slot) => {
-                self.add_at(slot, delta);
-            }
-            None => {
-                assert!(delta > 0, "removing from empty state {state}");
-                let slot = self.occupied.len();
-                self.index.insert(state, slot);
-                self.occupied.push((state, delta as u64));
-                if slot.is_multiple_of(SLOT_BLOCK) {
-                    self.blocks.push(delta as u64);
-                } else {
-                    *self.blocks.last_mut().expect("open trailing block") += delta as u64;
-                }
-            }
-        }
-    }
-
-    /// Adds `delta` to the count at `slot`. A slot that empties is
-    /// swap-removed; the return value is then the former slot of the entry
-    /// moved into it, if one moved.
-    fn add_at(&mut self, slot: usize, delta: i64) -> Option<usize> {
-        let entry = &mut self.occupied[slot];
-        entry.1 = entry.1.wrapping_add_signed(delta);
-        let (state, count) = *entry;
-        let block = &mut self.blocks[slot / SLOT_BLOCK];
-        *block = block.wrapping_add_signed(delta);
-        if count != 0 {
-            return None;
-        }
-        // Swap-remove, fixing the moved entry's index and moving its count
-        // to its new block; a trailing block left empty is dropped.
-        let last = self.occupied.len() - 1;
-        self.occupied.swap_remove(slot);
-        self.index.remove(&state);
-        let moved_from = (slot < last).then(|| {
-            let (moved_state, moved) = self.occupied[slot];
-            self.index.insert(moved_state, slot);
-            self.blocks[last / SLOT_BLOCK] -= moved;
-            self.blocks[slot / SLOT_BLOCK] += moved;
-            last
-        });
-        if last.is_multiple_of(SLOT_BLOCK) {
-            self.blocks.pop();
-        }
-        moved_from
-    }
-
-    /// Samples an agent by `rank` in insertion order and returns its slot
-    /// in `occupied`, with one agent of slot `exclude` left out (pass
-    /// `usize::MAX` to exclude nothing). Scans block sums, then the one
-    /// block that holds the rank: `O(occupied/B + B)`. A single block is
-    /// scanned slot by slot straight away.
-    #[inline]
-    fn sample(&self, mut rank: u64, exclude: usize) -> usize {
-        let mut start = 0;
-        if self.blocks.len() > 1 {
-            let exclude_block = exclude / SLOT_BLOCK;
-            for (j, &sum) in self.blocks.iter().enumerate() {
-                let sum = sum - u64::from(j == exclude_block);
-                if rank < sum {
-                    start = j * SLOT_BLOCK;
-                    break;
-                }
-                rank -= sum;
-            }
-        }
-        for (slot, &(_, count)) in self.occupied.iter().enumerate().skip(start) {
-            let c = count - u64::from(slot == exclude);
-            if rank < c {
-                return slot;
-            }
-            rank -= c;
-        }
-        unreachable!("rank exceeded population");
-    }
-
-    /// Moves the initiator at slot `sa` to state `a2` and the responder at
-    /// slot `sb` to `b2`. The slots are known from sampling, so the two
-    /// removals skip the state → slot lookup.
-    fn apply(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) {
-        let moved_from = self.add_at(sa, -1);
-        self.add_at(if moved_from == Some(sb) { sa } else { sb }, -1);
-        self.add(a2, 1);
-        self.add(b2, 1);
-    }
-}
-
-impl<P: Protocol> Simulator for SparseCountPopulation<P> {
-    fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn num_states(&self) -> usize {
-        self.protocol.num_states()
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    fn count(&self, state: usize) -> u64 {
-        self.index.get(&state).map_or(0, |&i| self.occupied[i].1)
-    }
-
-    fn counts(&self) -> Vec<u64> {
-        self.to_dense()
-    }
-
-    /// Adjusts the occupied-state list directly; vacated states are
-    /// swap-removed and new states appended, as for interactions.
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        let states = self.protocol.num_states();
-        assert!(from < states, "migrate source state out of range");
-        assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.count(from));
-        if from == to || moved == 0 {
-            return 0;
-        }
-        self.add(from, -(moved as i64));
-        self.add(to, moved as i64);
-        moved
-    }
-
-    fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        let sa = self.sample(rng.below(self.n), usize::MAX);
-        let sb = self.sample(rng.below(self.n - 1), sa);
-        self.steps += 1;
-        let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
-        let (a2, b2) = self.protocol.interact(a, b, rng);
-        if (a2, b2) == (a, b) {
-            return StepOutcome::Unchanged;
-        }
-        self.apply(sa, sb, a2, b2);
-        StepOutcome::Changed
-    }
-
-    /// Tight inner loop: the block scans already make each step
-    /// `O(occupied/B + B)`, so batching here only removes per-step dispatch
-    /// and outcome plumbing. Never reports silence.
-    fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
-        let _batch_span = prof::section(Section::BatchSparse);
-        let n = self.n;
-        let mut changed = 0u64;
-        for _ in 0..max_steps {
-            let sa = self.sample(rng.below(n), usize::MAX);
-            let sb = self.sample(rng.below(n - 1), sa);
-            let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
-            let (a2, b2) = self.protocol.interact(a, b, rng);
-            if (a2, b2) != (a, b) {
-                self.apply(sa, sb, a2, b2);
-                changed += 1;
-            }
-        }
-        self.steps += max_steps;
-        let out = BatchOutcome {
-            executed: max_steps,
-            changed,
-            silent: false,
-        };
-        recorder::record_batch(&out);
-        out
-    }
-
-    fn backend_tag(&self) -> &'static str {
-        "sparse"
-    }
-
-    /// Serializes the occupied list *in insertion order* plus the step
-    /// counter. The order is RNG-visible — `sample` maps ranks in it and
-    /// `add` swap-removes vacated entries — so a dense round-trip would
-    /// change which agents later draws land on; the state → slot index map
-    /// and the block sums are derived and rebuilt on restore.
-    fn snapshot(&self) -> Result<Json, String> {
-        Ok(Json::obj([
-            (
-                "occupied",
-                Json::Arr(
-                    self.occupied
-                        .iter()
-                        .map(|&(s, c)| Json::Arr(vec![Json::from(s as u64), hex_u64(c)]))
-                        .collect(),
-                ),
-            ),
-            ("steps", hex_u64(self.steps)),
-        ]))
-    }
-
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let arr = state
-            .get("occupied")
-            .and_then(Json::as_arr)
-            .ok_or("sparse snapshot missing occupied list")?;
-        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
-        let k = self.protocol.num_states();
-        let mut occupied = Vec::with_capacity(arr.len());
-        let mut index = std::collections::HashMap::new();
-        let mut n = 0u64;
-        for j in arr {
-            let pair = j
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("bad occupied entry")?;
-            let s = pair[0].as_u64().ok_or("occupied state is not an integer")? as usize;
-            let c = parse_hex_u64(&pair[1])?;
-            if s >= k {
-                return Err(format!("occupied state {s} out of range (k = {k})"));
-            }
-            if c == 0 || index.contains_key(&s) {
-                return Err(format!("occupied state {s} empty or repeated"));
-            }
-            index.insert(s, occupied.len());
-            occupied.push((s, c));
-            n += c;
-        }
-        if n != self.n {
-            return Err(format!(
-                "snapshot population {n} does not match simulator population {}",
-                self.n
-            ));
-        }
-        self.blocks = block_sums(&occupied);
-        self.occupied = occupied;
-        self.index = index;
-        self.steps = steps;
-        Ok(())
     }
 }
 
 #[cfg(test)]
-mod sparse_tests {
+mod site_tests {
     use super::*;
-    use crate::protocol::TableProtocol;
-    use crate::sim::run_until;
 
-    fn epidemic() -> TableProtocol {
-        TableProtocol::new(2, "epidemic")
-            .rule(1, 0, 1, 1)
-            .rule(0, 1, 1, 1)
+    /// The initiator steps forward around a cycle of `k` states.
+    #[derive(Clone)]
+    struct Drift(usize);
+    impl Protocol for Drift {
+        fn num_states(&self) -> usize {
+            self.0
+        }
+        fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+            ((a + 1) % self.0, b)
+        }
     }
 
+    fn occupied(counts: &[u64]) -> Vec<usize> {
+        (0..counts.len()).filter(|&s| counts[s] > 0).collect()
+    }
+
+    /// A site above the sparse threshold leaves exactly the counts of a
+    /// sparse run from the same start and seed, in place, and its next run
+    /// continues from counts edited in between.
     #[test]
-    fn conservation_and_occupancy() {
-        let p = TableProtocol::new(3, "cycle")
-            .rule(0, 1, 1, 1)
-            .rule(1, 2, 2, 2)
-            .rule(2, 0, 0, 0);
-        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 40), (1, 30), (2, 30)]);
-        let mut rng = SimRng::seed_from(1);
-        for _ in 0..5_000 {
-            pop.step(&mut rng);
-            assert_eq!(pop.counts().iter().sum::<u64>(), 100);
-            assert!(pop.occupied_states() <= 3);
-        }
-    }
-
-    #[test]
-    fn matches_dense_backend_statistics() {
-        let runs = 25;
-        let mut t_sparse = 0.0;
-        let mut t_dense = 0.0;
-        for seed in 0..runs {
-            let p = epidemic();
-            let mut a = SparseCountPopulation::from_pairs(&p, &[(0, 499), (1, 1)]);
-            let mut rng = SimRng::seed_from(4_000 + seed);
-            t_sparse += run_until(&mut a, &mut rng, 500.0, 1, |s| s.count(0) == 0).unwrap();
-
-            let p = epidemic();
-            let mut b = CountPopulation::from_counts(&p, &[499, 1]);
-            let mut rng = SimRng::seed_from(8_000 + seed);
-            t_dense += run_until(&mut b, &mut rng, 500.0, 1, |s| s.count(0) == 0).unwrap();
-        }
-        let ms = t_sparse / runs as f64;
-        let md = t_dense / runs as f64;
-        assert!(
-            (ms - md).abs() / md < 0.15,
-            "sparse {ms} vs dense {md} completion times"
-        );
-    }
-
-    #[test]
-    fn empty_states_are_dropped_and_revived() {
-        let p = TableProtocol::new(3, "move")
-            .rule(0, 0, 1, 1)
-            .rule(1, 1, 2, 2)
-            .rule(2, 2, 0, 0);
-        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 4)]);
-        let mut rng = SimRng::seed_from(3);
-        for _ in 0..200 {
-            pop.step(&mut rng);
-        }
-        assert_eq!(pop.counts().iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn from_dense_skips_zeros() {
-        let p = epidemic();
-        let pop = SparseCountPopulation::from_dense(&p, &[0, 5]);
-        assert_eq!(pop.occupied_states(), 1);
-        assert_eq!(pop.count(1), 5);
-        assert_eq!(pop.count(0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "listed twice")]
-    fn duplicate_states_rejected() {
-        let p = epidemic();
-        let _ = SparseCountPopulation::from_pairs(&p, &[(1, 2), (1, 3)]);
-    }
-
-    #[test]
-    fn pair_sampling_excludes_self() {
-        let p = TableProtocol::new(2, "selfpair").rule(1, 1, 0, 0);
-        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 50), (1, 1)]);
-        let mut rng = SimRng::seed_from(5);
-        for _ in 0..5_000 {
-            pop.step(&mut rng);
-            assert_eq!(pop.count(1), 1);
-        }
-    }
-
-    impl<P: Protocol> SparseCountPopulation<P> {
-        /// The single-level sampler the block sampler replaced: a linear
-        /// scan in insertion order, returning a state and excluding one
-        /// agent of state `exclude`.
-        fn sample_linear(&self, mut rank: u64, exclude: usize) -> usize {
-            for &(state, count) in &self.occupied {
-                let c = if state == exclude { count - 1 } else { count };
-                if rank < c {
-                    return state;
-                }
-                rank -= c;
-            }
-            unreachable!("rank exceeded population");
-        }
-    }
-
-    /// Block sums equal a recount, and the block sampler lands on the
-    /// reference's state at every rank, with no exclusion and with each
-    /// occupied slot excluded in turn.
-    fn assert_sampler_matches_reference<P: Protocol>(pop: &SparseCountPopulation<P>) {
-        assert_eq!(pop.blocks, block_sums(&pop.occupied), "block sums drifted");
-        for rank in 0..pop.n {
-            let slot = pop.sample(rank, usize::MAX);
-            assert_eq!(pop.occupied[slot].0, pop.sample_linear(rank, usize::MAX));
-        }
-        for (excluded, &(state, _)) in pop.occupied.iter().enumerate() {
-            for rank in 0..pop.n - 1 {
-                let slot = pop.sample(rank, excluded);
-                assert_ne!((slot, pop.occupied[slot].1), (excluded, 1));
-                assert_eq!(pop.occupied[slot].0, pop.sample_linear(rank, state));
-            }
-        }
-    }
-
-    #[test]
-    fn block_sampler_matches_linear_reference_through_growth_and_shrinkage() {
-        let k = 4096;
-        let n = 140;
-        let p = TableProtocol::new(k, "inert");
-        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, n)]);
-        let mut rng = SimRng::seed_from(0xb10c);
-        let random_slot = |pop: &SparseCountPopulation<_>, rng: &mut SimRng| {
-            pop.occupied[rng.index(pop.occupied.len())]
-        };
-        // Grow to five blocks: mostly split one agent off a random state
-        // onto a fresh one (appends, opening blocks); sometimes vacate a
-        // random state into another (swap-removes).
-        while pop.blocks.len() < 5 {
-            if rng.chance(0.8) {
-                let from = loop {
-                    let (s, count) = random_slot(&pop, &mut rng);
-                    if count >= 2 {
-                        break s;
-                    }
-                };
-                let fresh = loop {
-                    let s = rng.index(k);
-                    if pop.count(s) == 0 {
-                        break s;
-                    }
-                };
-                assert_eq!(pop.migrate(from, fresh, 1), 1);
-            } else {
-                let (from, count) = random_slot(&pop, &mut rng);
-                let (to, _) = random_slot(&pop, &mut rng);
-                pop.migrate(from, to, count);
-            }
-            assert_sampler_matches_reference(&pop);
-        }
-        // Shrink to one state: merge random states, wholly or in part,
-        // into others, so swap-removes cross block boundaries and emptied
-        // trailing blocks pop.
-        while pop.occupied_states() > 1 {
-            let (from, count) = random_slot(&pop, &mut rng);
-            let (to, _) = random_slot(&pop, &mut rng);
-            let amount = if rng.chance(0.2) { 1 } else { count };
-            pop.migrate(from, to, amount);
-            assert_sampler_matches_reference(&pop);
-        }
-        assert_eq!(pop.blocks, vec![n]);
-    }
-
-    /// `apply`'s removals by sampled slot leave the occupied list,
-    /// block sums and index exactly as removals by state lookup would, for
-    /// every slot pair: swap-removes that move the responder's entry,
-    /// same-state pairs, and emptied trailing blocks included.
-    #[test]
-    fn slot_removals_match_state_removals() {
-        let k = 64;
-        let p = TableProtocol::new(k, "inert");
-        let pairs: Vec<(usize, u64)> = (0..SLOT_BLOCK + 1).map(|s| (s, 1 + s as u64 % 2)).collect();
-        let pop = SparseCountPopulation::from_pairs(&p, &pairs);
-        for sa in 0..pop.occupied.len() {
-            for sb in 0..pop.occupied.len() {
-                if sa == sb && pop.occupied[sa].1 < 2 {
-                    continue;
-                }
-                let (a, b) = (pop.occupied[sa].0, pop.occupied[sb].0);
-                let mut by_slot = pop.clone();
-                by_slot.apply(sa, sb, (a + 1) % k, b);
-                let mut by_state = pop.clone();
-                by_state.add(a, -1);
-                by_state.add(b, -1);
-                by_state.add((a + 1) % k, 1);
-                by_state.add(b, 1);
-                assert_eq!(by_slot.occupied, by_state.occupied);
-                assert_eq!(by_slot.blocks, by_state.blocks);
-                assert_eq!(by_slot.index, by_state.index);
-            }
-        }
-    }
-
-    /// `run_counts` above the sparse threshold leaves exactly the counts of
-    /// a sparse run from the same start and seed, in place.
-    #[test]
-    fn run_counts_writes_back_the_sparse_run() {
-        /// The initiator steps forward around a cycle of `k` states.
-        struct Drift(usize);
-        impl Protocol for Drift {
-            fn num_states(&self) -> usize {
-                self.0
-            }
-            fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-                ((a + 1) % self.0, b)
-            }
-        }
+    fn sparse_site_writes_back_the_sparse_run() {
         let k = SPARSE_THRESHOLD + 1;
         let mut counts = vec![0u64; k];
         for s in (0..k).step_by(97) {
@@ -1176,20 +688,49 @@ mod sparse_tests {
         }
         let mut reference = SparseCountPopulation::from_dense(Drift(k), &counts);
         run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11), &mut []);
-        run_counts(Drift(k), &mut counts, 3.0, &mut SimRng::seed_from(11));
+        let mut site = CountSite::new(Drift(k));
+        let mut occ = occupied(&counts);
+        let mut rng = SimRng::seed_from(11);
+        site.run(&mut counts, Some(&mut occ), 3.0, &mut rng);
         assert_eq!(counts, reference.to_dense());
+        assert_eq!(occ, occupied(&counts));
+        // Move everyone to state 0; the next run starts from there.
+        let n: u64 = counts.iter().sum();
+        counts.iter_mut().for_each(|c| *c = 0);
+        counts[0] = n;
+        let mut fresh = SparseCountPopulation::from_dense(Drift(k), &counts);
+        let mut fresh_rng = rng.clone();
+        run_rounds(&mut fresh, 1.0, &mut fresh_rng, &mut []);
+        occ = vec![0];
+        site.run(&mut counts, Some(&mut occ), 1.0, &mut rng);
+        assert_eq!(counts, fresh.to_dense());
+        assert_eq!(occ, occupied(&counts));
+        // A caller that does not track its occupied states gets the same
+        // run from the same start.
+        let before = counts.clone();
+        let mut untracked = site.clone();
+        let mut untracked_counts = counts.clone();
+        let mut untracked_rng = rng.clone();
+        site.run(&mut counts, Some(&mut occ), 1.0, &mut rng);
+        untracked.run(&mut untracked_counts, None, 1.0, &mut untracked_rng);
+        assert_ne!(counts, before);
+        assert_eq!(untracked_counts, counts);
     }
 
+    /// At or below the threshold a site's run is a fresh dense run.
     #[test]
-    fn migrate_updates_occupied_list() {
-        let p = epidemic();
-        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 6), (1, 2)]);
-        assert_eq!(pop.migrate(0, 1, 6), 6, "vacating a state is allowed");
-        assert_eq!(pop.occupied_states(), 1);
-        assert_eq!(pop.count(1), 8);
-        assert_eq!(pop.migrate(1, 0, 3), 3, "repopulating a state re-adds it");
-        assert_eq!(pop.occupied_states(), 2);
-        assert_eq!(pop.migrate(0, 0, 2), 0);
-        assert_eq!(pop.steps(), 0);
+    fn dense_site_matches_a_fresh_dense_run() {
+        let k = 64;
+        let mut counts: Vec<u64> = (0..k as u64).map(|s| s % 3).collect();
+        let mut reference = CountPopulation::from_counts(Drift(k), &counts);
+        run_rounds(&mut reference, 2.0, &mut SimRng::seed_from(5), &mut []);
+        let mut occ = occupied(&counts);
+        let mut untracked = counts.clone();
+        let mut site = CountSite::new(Drift(k));
+        site.run(&mut counts, Some(&mut occ), 2.0, &mut SimRng::seed_from(5));
+        assert_eq!(counts, reference.counts());
+        assert_eq!(occ, occupied(&counts));
+        site.run(&mut untracked, None, 2.0, &mut SimRng::seed_from(5));
+        assert_eq!(untracked, counts);
     }
 }

@@ -23,14 +23,16 @@
 //! |---|---|---|---|---|
 //! | [`population::Population`] | explicit agent array | `O(1)` | `O(m)` tight loop | per-agent inspection, matching scheduler |
 //! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
-//! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums | `O(occupied/B + B)`, `B = 32` | `O(m · (occupied/B + B))` tight loop | huge nominal `k`, few occupied states |
+//! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums; interned ids with a rule-weight memo | `O(occupied/B + B)`, `B = 32` | `O(occupied)` per effective step and `O(1)` per stretch of ineffective rule draws where `p · words · (occupied + 80) < 25`; `O(m · (occupied/B + B))` otherwise | huge nominal `k`, few occupied states (program sites via [`counts::CountSite`]) |
 //! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
 //! All stochastic backends implement the same distribution over runs, and
 //! `step_batch` induces the same run distribution as iterated `step` — the
 //! leaping backends are exact because they only skip interactions that
-//! provably cannot change state (see `DESIGN.md` for the argument).
+//! provably cannot change state, or, on the sparse backend, rule draws
+//! that thin out by the protocol's weight contract (see `DESIGN.md` §9 for
+//! the arguments).
 //!
 //! ## Telemetry
 //!
@@ -84,6 +86,7 @@ pub mod rng;
 pub mod ruletable;
 pub mod sim;
 pub mod snapshot;
+mod sparse;
 pub mod stats;
 pub mod sweep;
 pub mod trace;

@@ -57,16 +57,24 @@ pub enum Section {
     BatchCount,
     /// One agent-array `Population::step_batch` call.
     BatchAgents,
-    /// One `SparseCountPopulation::step_batch` call.
+    /// One `SparseCountPopulation::step_batch` call: the leap/per-step
+    /// dispatcher, whose regimes open [`Section::SparseLeap`] and
+    /// [`Section::PerStep`].
     BatchSparse,
     /// One `MatchingPopulation::step_batch` call.
     BatchMatching,
     /// The no-reactivity-index tight loop (`k > BATCH_STATE_LIMIT`).
     DenseFallback,
-    /// One Fenwick-sampled step in the reactive-dense per-step regime.
+    /// The per-step regime: one Fenwick-sampled step of
+    /// `CountPopulation`, or one run of block-sampled steps of
+    /// `SparseCountPopulation` up to its next window check.
     PerStep,
     /// One geometric no-op leap plus its reactive interaction.
     Leap,
+    /// One sparse leap: the geometric skip over ineffective steps, the
+    /// rule-weighted pair draw, the reactive interaction and the row-sum
+    /// upkeep of `SparseCountPopulation`.
+    SparseLeap,
     /// One collision-free contingency-table epoch ([`crate::collision`]).
     CollisionEpoch,
     /// Epoch-length draw: guided CDF inversion of the birthday law.
@@ -100,7 +108,7 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 18] = [
+    pub const ALL: [Section; 19] = [
         Section::BatchCount,
         Section::BatchAgents,
         Section::BatchSparse,
@@ -108,6 +116,7 @@ impl Section {
         Section::DenseFallback,
         Section::PerStep,
         Section::Leap,
+        Section::SparseLeap,
         Section::CollisionEpoch,
         Section::EpochLenSample,
         Section::EpochMargins,
@@ -132,6 +141,7 @@ impl Section {
             Section::DenseFallback => "dense_fallback",
             Section::PerStep => "per_step",
             Section::Leap => "noop_leap",
+            Section::SparseLeap => "sparse_leap",
             Section::CollisionEpoch => "collision_epoch",
             Section::EpochLenSample => "epoch_len_sample",
             Section::EpochMargins => "epoch_margins",

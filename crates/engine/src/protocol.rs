@@ -64,6 +64,52 @@ pub trait Protocol {
         true
     }
 
+    /// How many of [`Protocol::weight_scale`] equally likely rule draws are
+    /// *effective* on `(a, b)`, that is, can change either state.
+    ///
+    /// Together with [`Protocol::weight_scale`] and
+    /// [`Protocol::interact_reactive`] this splits an interaction into a
+    /// thinning coin and a reactive part: `interact(a, b)` must have the
+    /// same law as "with probability `w / scale` run
+    /// `interact_reactive(a, b)`, otherwise return `(a, b)`", where `w` is
+    /// this weight. [`crate::counts::SparseCountPopulation`] leaps over the
+    /// draws that miss, reading the weight through
+    /// [`Protocol::rule_masks`], so a finer weight lets it skip more. The
+    /// default is
+    /// [`Protocol::is_reactive`] as 0 or 1 over a scale of 1, with
+    /// `interact_reactive` = `interact`, which satisfies the contract for
+    /// every protocol.
+    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+        u32::from(self.is_reactive(a, b))
+    }
+
+    /// The denominator of [`Protocol::reactive_weight`]: the number of
+    /// equally likely rule draws an interaction makes. At least 1.
+    fn weight_scale(&self) -> u32 {
+        1
+    }
+
+    /// The interaction `(a, b)` conditioned on an effective rule draw; see
+    /// [`Protocol::reactive_weight`] for the law it must satisfy. Called
+    /// only on pairs of positive weight.
+    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        self.interact(a, b, rng)
+    }
+
+    /// Per-state rule masks that factor [`Protocol::reactive_weight`], for
+    /// protocols that draw one of [`Protocol::weight_scale`] rule slots:
+    /// with `m(s)` this method's answer for state `s`,
+    /// `reactive_weight(a, b)` must equal [`RuleMasks::weight`]`(m(a), m(b))`.
+    ///
+    /// The hook [`crate::counts::SparseCountPopulation`] leaps through: it
+    /// keeps the masks of every state it reaches, so that a pair's weight
+    /// costs a few word operations instead of one guard evaluation per
+    /// rule. With `None` (the default) it runs every step.
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        let _ = state;
+        None
+    }
+
     /// The full outcome distribution of an interaction `(a, b)`, if the
     /// protocol can enumerate it: `((a', b'), probability)` entries summing
     /// to 1.
@@ -104,6 +150,18 @@ impl<P: Protocol + ?Sized> Protocol for &P {
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         (**self).is_reactive(a, b)
     }
+    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+        (**self).reactive_weight(a, b)
+    }
+    fn weight_scale(&self) -> u32 {
+        (**self).weight_scale()
+    }
+    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        (**self).interact_reactive(a, b, rng)
+    }
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        (**self).rule_masks(state)
+    }
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         (**self).outcome_table(a, b)
     }
@@ -125,6 +183,18 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         (**self).is_reactive(a, b)
     }
+    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+        (**self).reactive_weight(a, b)
+    }
+    fn weight_scale(&self) -> u32 {
+        (**self).weight_scale()
+    }
+    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        (**self).interact_reactive(a, b, rng)
+    }
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        (**self).rule_masks(state)
+    }
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         (**self).outcome_table(a, b)
     }
@@ -133,6 +203,59 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     }
     fn name(&self) -> &str {
         (**self).name()
+    }
+}
+
+/// One state's rule-slot bitmasks ([`Protocol::rule_masks`]): bit `r % 64`
+/// of word `r / 64` of each field describes rule slot `r`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RuleMasks {
+    /// The slot's initiator guard holds in this state.
+    pub init: Vec<u64>,
+    /// The slot's initiator update changes this state.
+    pub init_moves: Vec<u64>,
+    /// The slot's responder guard holds in this state.
+    pub resp: Vec<u64>,
+    /// The slot's responder update changes this state.
+    pub resp_moves: Vec<u64>,
+}
+
+impl RuleMasks {
+    /// Empty masks for `slots` rule slots.
+    #[must_use]
+    pub fn new(slots: usize) -> Self {
+        let words = slots.div_ceil(64);
+        Self {
+            init: vec![0; words],
+            init_moves: vec![0; words],
+            resp: vec![0; words],
+            resp_moves: vec![0; words],
+        }
+    }
+
+    /// Sets slot `r`'s four bits.
+    pub fn set(&mut self, r: usize, init: bool, init_moves: bool, resp: bool, resp_moves: bool) {
+        let (w, bit) = (r / 64, 1u64 << (r % 64));
+        for (field, on) in [
+            (&mut self.init, init),
+            (&mut self.init_moves, init_moves),
+            (&mut self.resp, resp),
+            (&mut self.resp_moves, resp_moves),
+        ] {
+            if on {
+                field[w] |= bit;
+            }
+        }
+    }
+
+    /// The number of slots effective on the ordered pair (initiator in
+    /// `a`'s state, responder in `b`'s): both guards hold and at least one
+    /// update changes its agent.
+    #[must_use]
+    pub fn weight(a: &RuleMasks, b: &RuleMasks) -> u32 {
+        (0..a.init.len())
+            .map(|w| (a.init[w] & b.resp[w] & (a.init_moves[w] | b.resp_moves[w])).count_ones())
+            .sum()
     }
 }
 

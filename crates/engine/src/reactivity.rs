@@ -62,6 +62,11 @@ impl ReactivityIndex {
         self.pairs
     }
 
+    /// Number of occupied states.
+    pub(crate) fn occupied(&self) -> usize {
+        self.occupied.len()
+    }
+
     /// Per-state agent counts.
     pub(crate) fn counts(&self) -> &[u64] {
         &self.dense

@@ -302,7 +302,7 @@ pub fn installed_metrics() -> Option<MetricsReport> {
     with(|r| r.metrics())
 }
 
-/// One `CountPopulation::step_batch` call's regime tallies.
+/// One count-backend `step_batch` call's regime tallies.
 ///
 /// Leap- and epoch-heavy batches fire thousands of capture points each;
 /// the batch loop counts them into this local scratch recorder and hands
@@ -310,33 +310,63 @@ pub fn installed_metrics() -> Option<MetricsReport> {
 /// counters and forms the batch's [`DispatchRecord`].
 #[derive(Debug)]
 pub(crate) struct BatchTally {
-    /// Population size and reactive ordered pairs at batch entry.
+    backend: &'static str,
+    /// Population size, occupied states (when tracked) and weighted
+    /// reactive ordered pairs (when known) at batch entry, and the weight
+    /// scale: `p = pairs / (n(n−1)·scale)`.
     n: u64,
-    pairs: u64,
+    occupied: Option<u64>,
+    pairs: Option<u64>,
+    scale: u64,
+    /// Expected collision-epoch length; NaN where the backend has none.
+    expected_epoch: f64,
     /// First regime chosen; `None` when the batch entered silent.
     first: Option<&'static str>,
     counts: Recorder,
 }
 
 impl BatchTally {
-    /// An empty tally for a batch entering with `pairs` reactive ordered
-    /// pairs among `n` agents.
-    pub(crate) fn new(n: u64, pairs: u64) -> Self {
+    /// An empty `CountPopulation` tally for a batch entering with `pairs`
+    /// reactive ordered pairs among `n` agents in `occupied` states.
+    pub(crate) fn new(n: u64, occupied: u64, pairs: u64) -> Self {
         Self {
+            backend: "CountPopulation",
             n,
-            pairs,
+            occupied: Some(occupied),
+            pairs: Some(pairs),
+            scale: 1,
+            expected_epoch: estimated_epoch_len(n),
             first: None,
             counts: Recorder::new(),
         }
     }
 
-    /// A batch that ran the uncached dense loop: no reactivity index, so
-    /// its reactive pairs are unknown.
+    /// A `CountPopulation` batch that ran the uncached dense loop: no
+    /// reactivity index, so its occupancy and reactive pairs are unknown.
     pub(crate) fn dense_fallback(n: u64) -> Self {
-        let mut tally = Self::new(n, 0);
+        let mut tally = Self::new(n, 0, 0);
+        tally.occupied = None;
+        tally.pairs = None;
+        tally.expected_epoch = f64::NAN;
         tally.first = Some("dense_fallback");
         tally.counts.add(Counter::DenseFallbackEntries, 1);
         tally
+    }
+
+    /// An empty `SparseCountPopulation` tally: `weight` is `W`, the
+    /// rule-weighted reactive pairs over a weight scale of `scale`, known
+    /// when the batch enters leaping.
+    pub(crate) fn sparse(n: u64, occupied: u64, weight: Option<u64>, scale: u64) -> Self {
+        Self {
+            backend: "SparseCountPopulation",
+            n,
+            occupied: Some(occupied),
+            pairs: weight,
+            scale,
+            expected_epoch: f64::NAN,
+            first: None,
+            counts: Recorder::new(),
+        }
     }
 
     /// One collision-free epoch that settled `steps` activations.
@@ -348,11 +378,17 @@ impl BatchTally {
         self.counts.observe(Hist::EpochLen, steps);
     }
 
-    /// One Fenwick-sampled step in the reactive-dense regime.
+    /// One individually sampled step in the per-step regime.
     #[inline]
     pub(crate) fn per_step(&mut self) {
+        self.per_steps(1);
+    }
+
+    /// `steps` individually sampled steps in the per-step regime.
+    #[inline]
+    pub(crate) fn per_steps(&mut self, steps: u64) {
         self.first.get_or_insert("per_step");
-        self.counts.add(Counter::ReactiveDenseSteps, 1);
+        self.counts.add(Counter::ReactiveDenseSteps, steps);
     }
 
     /// One geometric no-op leap that skipped `skip` activations.
@@ -364,29 +400,28 @@ impl BatchTally {
         self.counts.observe(Hist::LeapLen, skip);
     }
 
-    /// The batch's dispatch record. A dense-fallback batch has no decision
-    /// inputs (`p` and the expected epoch are NaN, rendered as JSON null)
-    /// and counts every executed interaction as a per-step one.
+    /// The batch's dispatch record. Unknown inputs (a dense-fallback
+    /// batch's pairs, a per-step sparse batch's `W`) give a NaN `p`,
+    /// rendered as JSON null; a dense-fallback batch counts every executed
+    /// interaction as a per-step one.
     fn dispatch_record(&self, executed: u64) -> DispatchRecord {
         let count = |c: Counter| self.counts.counters[c as usize];
-        let (p, expected_epoch, per_steps) = if count(Counter::DenseFallbackEntries) > 0 {
-            (f64::NAN, f64::NAN, executed)
+        let per_steps = if count(Counter::DenseFallbackEntries) > 0 {
+            executed
         } else {
-            let total_pairs = self.n * (self.n - 1);
-            let p = self.pairs as f64 / total_pairs as f64;
-            (
-                p,
-                estimated_epoch_len(self.n),
-                count(Counter::ReactiveDenseSteps),
-            )
+            count(Counter::ReactiveDenseSteps)
         };
+        let p = self.pairs.map_or(f64::NAN, |pairs| {
+            pairs as f64 / (self.n * (self.n - 1)) as f64 / self.scale as f64
+        });
         DispatchRecord {
-            // The count backend is the only one that tallies its regimes.
-            backend: "CountPopulation",
+            backend: self.backend,
             n: self.n,
-            pairs: self.pairs,
+            occupied: self.occupied,
+            pairs: self.pairs.unwrap_or(0),
+            scale: self.scale,
             p,
-            expected_epoch,
+            expected_epoch: self.expected_epoch,
             regime: self.first.unwrap_or("silent"),
             executed,
             collision_epochs: count(Counter::CollisionEpochs),
@@ -407,7 +442,7 @@ mod tests {
             changed: 9,
             silent: true,
         };
-        let mut tally = BatchTally::new(1000, 9_990);
+        let mut tally = BatchTally::new(1000, 3, 9_990);
         tally.leap(5);
         tally.leap(9);
         tally.per_step();
@@ -431,15 +466,41 @@ mod tests {
         assert_eq!(d.regime, "leap", "first regime chosen wins");
         assert_eq!((d.collision_epochs, d.leaps, d.per_steps), (1, 2, 1));
         assert_eq!((d.n, d.pairs, d.executed), (1000, 9_990, 520));
+        assert_eq!(
+            (d.backend, d.occupied, d.scale),
+            ("CountPopulation", Some(3), 1)
+        );
         assert_eq!(d.p, 0.01);
         assert_eq!(d.expected_epoch, estimated_epoch_len(1000));
         // A batch that entered silent, and one on the uncached dense loop,
         // which counts every executed interaction as a per-step one.
-        tallied.record_tallied_batch(&out, BatchTally::new(1000, 0));
+        tallied.record_tallied_batch(&out, BatchTally::new(1000, 1, 0));
         tallied.record_tallied_batch(&out, BatchTally::dense_fallback(100));
-        let [_, silent, fallback] = tallied.dispatch() else {
-            panic!("three batches, three records")
+        // A sparse batch that entered leaping with W = 66 over a scale of
+        // 33, and one that entered per step, with W unknown.
+        let mut leaping = BatchTally::sparse(100, 7, Some(66), 33);
+        leaping.leap(3);
+        leaping.per_steps(4);
+        tallied.record_tallied_batch(&out, leaping);
+        let mut stepping = BatchTally::sparse(100, 7, None, 33);
+        stepping.per_steps(520);
+        tallied.record_tallied_batch(&out, stepping);
+        let [_, silent, fallback, leaping, stepping] = tallied.dispatch() else {
+            panic!("five batches, five records")
         };
+        assert_eq!(leaping.backend, "SparseCountPopulation");
+        assert_eq!(
+            (leaping.regime, leaping.leaps, leaping.per_steps),
+            ("leap", 1, 4)
+        );
+        assert_eq!(
+            (leaping.pairs, leaping.scale, leaping.occupied),
+            (66, 33, Some(7))
+        );
+        assert_eq!(leaping.p, 66.0 / 9_900.0 / 33.0);
+        assert!(leaping.expected_epoch.is_nan());
+        assert_eq!((stepping.regime, stepping.per_steps), ("per_step", 520));
+        assert!(stepping.p.is_nan());
         assert_eq!(silent.regime, "silent");
         assert_eq!(
             (fallback.regime, fallback.per_steps),
@@ -447,7 +508,10 @@ mod tests {
         );
         assert!(fallback.p.is_nan() && fallback.expected_epoch.is_nan());
         assert_eq!(tallied.metrics().counter("dense_fallback_entries"), 1);
-        assert_eq!(tallied.metrics().counter("reactive_dense_steps"), 1);
+        assert_eq!(
+            tallied.metrics().counter("reactive_dense_steps"),
+            1 + 4 + 520
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`Protocol::outcome_table`] (collision-epoch binomial splits), so
 //! enumerated protocols ride the fast count-backend paths.
 
-use crate::protocol::Protocol;
+use crate::protocol::{Protocol, RuleMasks};
 use crate::rng::SimRng;
 
 /// One rule lowered to dense per-state tables over `q` enumerated states.
@@ -166,6 +166,19 @@ impl RuleTableProtocol {
         self.draw.len()
     }
 
+    /// The live rules effective on `(a, b)`, with their draw-slot
+    /// multiplicities.
+    fn effective(&self, a: usize, b: usize) -> impl Iterator<Item = (&RuleTable, u32)> {
+        self.rules
+            .iter()
+            .zip(self.mult.iter().copied())
+            .filter(move |(r, _)| {
+                r.match_a[a]
+                    && r.match_b[b]
+                    && (r.apply_a[a] as usize != a || r.apply_b[b] as usize != b)
+            })
+    }
+
     /// How many draw slots belong to stripped dead rules (no-ops).
     #[must_use]
     pub fn stripped_rules(&self) -> usize {
@@ -201,6 +214,55 @@ impl Protocol for RuleTableProtocol {
                 && r.match_b[b]
                 && (r.apply_a[a] as usize != a || r.apply_b[b] as usize != b)
         })
+    }
+
+    /// The draw slots effective on the pair: the multiplicities of the
+    /// live rules that match it and move either agent.
+    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+        self.effective(a, b).map(|(_, m)| m).sum()
+    }
+
+    fn weight_scale(&self) -> u32 {
+        self.draw.len() as u32
+    }
+
+    /// Draws an effective rule with probability proportional to its draw
+    /// slots, then fires it with its probability: the slot draw of
+    /// [`Protocol::interact`] conditioned on an effective slot.
+    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        let mut pick = rng.below(u64::from(self.reactive_weight(a, b)));
+        let (rule, _) = self
+            .effective(a, b)
+            .find(|&(_, m)| {
+                let hit = pick < u64::from(m);
+                pick = pick.saturating_sub(u64::from(m));
+                hit
+            })
+            .expect("pick is below the weight");
+        if rule.probability >= 1.0 || rng.chance(rule.probability) {
+            (rule.apply_a[a] as usize, rule.apply_b[b] as usize)
+        } else {
+            (a, b)
+        }
+    }
+
+    /// One mask bit per draw slot; stripped slots stay clear.
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        let mut masks = RuleMasks::new(self.draw.len());
+        for (slot, &r) in self.draw.iter().enumerate() {
+            if r == NO_RULE {
+                continue;
+            }
+            let rule = &self.rules[r as usize];
+            masks.set(
+                slot,
+                rule.match_a[state],
+                rule.apply_a[state] as usize != state,
+                rule.match_b[state],
+                rule.apply_b[state] as usize != state,
+            );
+        }
+        Some(masks)
     }
 
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {

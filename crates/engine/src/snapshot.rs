@@ -23,10 +23,13 @@
 //! Two JSON lines. The first is a header
 //! `{"kind":"pp_snapshot","version":V,"checksum":"<crc64 hex>"}`; the
 //! second is the payload object. `V` is [`FORMAT_VERSION`]; the reader also
-//! takes versions 1 and 3 except from the `counts` and `faulty` backends,
-//! whose binomial and hypergeometric draws those versions made with the
-//! inversion-only samplers, and refuses version 2, whose runs came from the
-//! retired sharded dense engine; neither can be continued byte-identically. The
+//! takes version 4 except from the `sparse` backend (bare or wrapped by
+//! `faulty`), whose runs it made without the rule-weighted leap, and
+//! versions 1 and 3 except from `sparse` and from the `counts` and `faulty`
+//! backends, whose binomial and hypergeometric draws those versions made
+//! with the inversion-only samplers; it refuses version 2, whose runs came
+//! from the retired sharded dense engine. None of the refused runs can be
+//! continued byte-identically. The
 //! checksum is CRC-64 (reflected ECMA-182 polynomial) over the exact
 //! payload-line bytes, so truncation and single-bit flips anywhere in the
 //! payload are detected before any field is parsed; header corruption
@@ -55,8 +58,7 @@ use std::path::{Path, PathBuf};
 
 /// Version tag of the on-disk snapshot format. Bumped on any change to the
 /// header or payload schema, and on semantic boundaries where an older
-/// engine's trajectory cannot be continued byte-identically. The payload
-/// schema has not changed since version 1:
+/// engine's trajectory cannot be continued byte-identically:
 ///
 /// * version 1 came from the exact engine before sharding;
 /// * version 2 came from the engine that settled large dense batches in
@@ -67,18 +69,27 @@ use std::path::{Path, PathBuf};
 /// * version 4 marks the exact ratio-of-uniforms and bit-parallel samplers
 ///   (DESIGN.md §12), which changed the trajectories of every backend that
 ///   draws binomials or hypergeometrics: `counts` (collision epochs) and
-///   `faulty` (corruption splits).
+///   `faulty` (corruption splits);
+/// * version 5 marks the sparse backend's rule-weighted leap (DESIGN.md
+///   §9), which changed the trajectories of `sparse` runs and added their
+///   regime and per-step window to the `sparse` payload.
 ///
-/// The reader accepts version 4, and versions 1 and 3 from the backends
-/// that draw nothing from those samplers (`agents`, `sparse`, `matching`).
-pub const FORMAT_VERSION: u64 = 4;
+/// The reader accepts version 5; version 4 except from `sparse` (bare or
+/// wrapped by `faulty`); and versions 1 and 3 from the backends that draw
+/// nothing from the exact samplers and are not sparse (`agents`,
+/// `matching`).
+pub const FORMAT_VERSION: u64 = 5;
 
 /// The version written by the sharded dense engine, refused on read.
 const SHARDED_FORMAT_VERSION: u64 = 2;
 
+/// The first version whose `counts` and `faulty` runs used the exact
+/// ratio-of-uniforms and bit-parallel samplers.
+const EXACT_SAMPLER_VERSION: u64 = 4;
+
 /// Backends whose runs draw from [`SimRng::binomial`] or
 /// [`SimRng::hypergeometric`]; their snapshots from before
-/// [`FORMAT_VERSION`] 4 are refused on read.
+/// [`EXACT_SAMPLER_VERSION`] are refused on read.
 const SAMPLER_BACKENDS: [&str; 2] = ["counts", "faulty"];
 
 /// CRC-64 (reflected ECMA-182 polynomial, as used by XZ) over `bytes`.
@@ -112,15 +123,24 @@ pub fn hex_u64(v: u64) -> Json {
     Json::from(format!("{v:016x}"))
 }
 
-/// Decodes a `u64` previously encoded with [`hex_u64`].
+/// Decodes a `u64` previously encoded with [`hex_u64`]: exactly 16
+/// lowercase hex digits. Anything else is refused, so that a bit flip that
+/// only changes a digit's case (`a` ↔ `A`) cannot leave a field — the
+/// snapshot header's checksum among them — reading the same value.
 ///
 /// # Errors
 ///
-/// Returns a description when the value is not a string or not valid hex.
+/// Returns a description when the value is not a string of 16 lowercase
+/// hex digits.
 pub fn parse_hex_u64(j: &Json) -> Result<u64, String> {
     let s = j
         .as_str()
         .ok_or_else(|| format!("expected a hex string, got {}", j.render()))?;
+    if s.len() != 16 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return Err(format!(
+            "bad hex u64 {s:?}: expected 16 lowercase hex digits"
+        ));
+    }
     u64::from_str_radix(s, 16).map_err(|e| format!("bad hex u64 {s:?}: {e}"))
 }
 
@@ -281,17 +301,17 @@ impl RunSnapshot {
             return Err("not a pp_snapshot document".to_string());
         }
         let version = match header.get("version").and_then(Json::as_u64) {
-            Some(v @ (1 | 3 | FORMAT_VERSION)) => v,
+            Some(v @ (1 | 3 | EXACT_SAMPLER_VERSION | FORMAT_VERSION)) => v,
             Some(SHARDED_FORMAT_VERSION) => {
                 return Err(format!(
                     "snapshot version {SHARDED_FORMAT_VERSION} came from the sharded dense \
                      engine and cannot be continued byte-identically by the exact engine \
-                     (reader supports versions 1, 3 and {FORMAT_VERSION})"
+                     (reader supports versions 1, 3, 4 and {FORMAT_VERSION})"
                 ));
             }
             _ => {
                 return Err(format!(
-                    "unsupported snapshot version (reader supports versions 1, 3 and \
+                    "unsupported snapshot version (reader supports versions 1, 3, 4 and \
                      {FORMAT_VERSION})"
                 ));
             }
@@ -320,10 +340,20 @@ impl RunSnapshot {
             .and_then(Json::as_str)
             .ok_or_else(|| "snapshot payload is missing its backend tag".to_string())?
             .to_string();
-        if version != FORMAT_VERSION && SAMPLER_BACKENDS.contains(&backend.as_str()) {
+        if version < EXACT_SAMPLER_VERSION && SAMPLER_BACKENDS.contains(&backend.as_str()) {
             return Err(format!(
                 "snapshot version {version} from the {backend:?} backend was drawn by the \
                  inversion-only samplers; cannot be continued byte-identically \
+                 (version {EXACT_SAMPLER_VERSION} or later required)"
+            ));
+        }
+        let inner = payload.get("state").and_then(|s| s.get("inner_backend"));
+        let sparse = backend == "sparse"
+            || (backend == "faulty" && inner.and_then(Json::as_str) == Some("sparse"));
+        if version < FORMAT_VERSION && sparse {
+            return Err(format!(
+                "snapshot version {version} from the {backend:?} backend was taken before \
+                 the sparse leap; cannot be continued byte-identically \
                  (version {FORMAT_VERSION} required)"
             ));
         }
@@ -600,6 +630,10 @@ mod tests {
         }
         assert!(parse_hex_u64(&Json::from(17u64)).is_err());
         assert!(parse_hex_u64(&Json::from("not hex")).is_err());
+        // Only the encoder's own form: 16 digits, lowercase.
+        assert!(parse_hex_u64(&Json::from("00000000000000ff")).is_ok());
+        assert!(parse_hex_u64(&Json::from("00000000000000FF")).is_err());
+        assert!(parse_hex_u64(&Json::from("ff")).is_err());
     }
 
     #[test]
@@ -678,26 +712,67 @@ mod tests {
 
     #[test]
     fn decode_accepts_previous_format_version() {
-        // Versions 1 and 3 have the identical payload schema; the reader
-        // keeps accepting them from backends that draw nothing from the
-        // binomial or hypergeometric samplers, alongside the current
-        // version from every backend.
+        // Versions 1, 3 and 4 have the payload schema of every backend but
+        // `sparse`. The reader keeps accepting version 4 from the backends
+        // whose trajectories it did not change, and versions 1 and 3 from
+        // those that also draw nothing from the exact samplers.
         let counts = sample_snapshot();
         let mut faulty = counts.clone();
         faulty.backend = "faulty".to_string();
         for snap in [&counts, &faulty] {
-            assert!(RunSnapshot::decode(&snap.encode()).is_ok());
+            for version in [EXACT_SAMPLER_VERSION, FORMAT_VERSION] {
+                assert!(RunSnapshot::decode(&encode_as_version(snap, version)).is_ok());
+            }
         }
         let agents = agents_snapshot();
-        for backend in ["agents", "sparse", "matching"] {
+        for backend in ["agents", "matching"] {
             let mut snap = agents.clone();
             snap.backend = backend.to_string();
-            for version in [1, 3, FORMAT_VERSION] {
+            for version in [1, 3, EXACT_SAMPLER_VERSION, FORMAT_VERSION] {
                 let back = RunSnapshot::decode(&encode_as_version(&snap, version))
                     .unwrap_or_else(|e| panic!("{backend} v{version}: {e}"));
                 assert_eq!(back.backend, backend);
                 assert_eq!(back.rng_words, snap.rng_words);
             }
+        }
+    }
+
+    /// A sparse run from before the rule-weighted leap, bare or inside the
+    /// fault wrapper, cannot be continued byte-identically, so its
+    /// snapshot is refused with that reason; one taken now decodes.
+    #[test]
+    fn decode_refuses_sparse_snapshots_from_before_the_leap() {
+        let p = TableProtocol::new(3, "cycle")
+            .rule(0, 1, 1, 1)
+            .rule(1, 2, 2, 2)
+            .rule(2, 0, 0, 0);
+        let mut pop = crate::counts::SparseCountPopulation::from_pairs(&p, &[(0, 40), (1, 30)]);
+        let mut rng = SimRng::seed_from(0x5a);
+        pop.step_batch(&mut rng, 500);
+        let sparse = RunSnapshot::capture(&pop, &rng).expect("sparse backend snapshots");
+        let mut faulty = sparse.clone();
+        faulty.backend = "faulty".to_string();
+        faulty.state = Json::obj([
+            ("inner_backend", Json::from("sparse")),
+            ("inner", sparse.state.clone()),
+        ]);
+        for snap in [&sparse, &faulty] {
+            for version in [1, 3, EXACT_SAMPLER_VERSION] {
+                let err = RunSnapshot::decode(&encode_as_version(snap, version)).unwrap_err();
+                if snap.backend == "faulty" && version < EXACT_SAMPLER_VERSION {
+                    assert!(err.contains("inversion-only samplers"), "{err}");
+                    continue;
+                }
+                assert!(
+                    err.contains(
+                        "taken before the sparse leap; cannot be continued byte-identically"
+                    ),
+                    "{err}"
+                );
+                assert!(err.contains(&format!("{:?}", snap.backend)), "{err}");
+            }
+            let back = RunSnapshot::decode(&snap.encode()).expect("current version decodes");
+            assert_eq!(back.state.render(), snap.state.render());
         }
     }
 

@@ -1,0 +1,1439 @@
+//! The sparse count backend, [`SparseCountPopulation`]: occupied states
+//! only, for protocols whose nominal state space is far larger than the set
+//! of states a run reaches.
+//!
+//! It has two regimes, chosen by one rule ([`leaps`]) from the probability
+//! `p` that a step is effective and the number of occupied states:
+//!
+//! * **Per step.** Each step samples its pair through per-block count sums
+//!   over the occupied list and calls [`Protocol::interact`]; the rank →
+//!   state map is that of a linear scan in insertion order. Nothing else is
+//!   maintained, so a change costs `O(1)` upkeep.
+//! * **Leap.** Every state the population reaches is interned into a dense
+//!   id that never changes, and a weight memo over ids gives
+//!   `w(a, b)` = [`Protocol::reactive_weight`] from the states'
+//!   [`RuleMasks`](crate::protocol::RuleMasks) ([`Protocol::rule_masks`]),
+//!   so a pair's weight is a popcount. The leap keeps the row
+//!   sums `R_a = Σ_b c'_b w(a, b)` over occupied states (`c'` excludes one
+//!   agent of `a`) and `W = Σ_a c_a R_a`. A step is effective with
+//!   probability `p = W / (n(n−1)·scale)`, so the number of ineffective
+//!   steps before the next effective one is geometric; the leap draws it,
+//!   samples the pair `∝ c_a c'_b w(a, b)`, and calls
+//!   [`Protocol::interact_reactive`]. By the weight contract this is the
+//!   law of the stepped chain (thinning; DESIGN.md §9). Upkeep is
+//!   `O(occupied)` per change.
+//!
+//! Only a protocol with rule masks leaps; any other stays per step. A
+//! state's masks are asked for at most once over the population's life,
+//! which [`SparseCountPopulation::load`] preserves across the runs of a
+//! program site.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use crate::json::Json;
+use crate::prof::{self, Section};
+use crate::protocol::Protocol;
+use crate::recorder::{self, BatchTally};
+use crate::rng::SimRng;
+use crate::sim::{BatchOutcome, Simulator, StepOutcome};
+use crate::snapshot::{hex_u64, parse_hex_u64};
+
+/// Occupied slots per block of the per-step sampler's second level. With
+/// at most this many occupied states there is one block, and a draw is the
+/// plain linear scan plus one compare.
+const SLOT_BLOCK: usize = 32;
+
+/// `slot_of` entry of an interned state that is not occupied.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Slot visits one leap event costs beyond its `O(occupied)` scans: the
+/// geometric draw, the reactive interaction and the write-back, measured
+/// in units of one occupied slot's upkeep with one-word masks.
+const LEAP_EVENT_SLOTS: f64 = 80.0;
+
+/// Slot visits per step the leap may spend and still beat the per-step
+/// sampler, whose step costs about this many slot visits' time.
+const LEAP_SLOT_BUDGET: f64 = 25.0;
+
+/// The sparse backend's one dispatch rule: leap while the expected upkeep
+/// of a step, `p · words · (occupied + LEAP_EVENT_SLOTS)` slot visits,
+/// stays below the per-step sampler's cost. `words` is the rule masks'
+/// length in 64-slot words: every weight the upkeep works out, and the
+/// reactive interaction's pick among the rule slots, cost that many times
+/// more per visit. A per-step population enters the leap only under three
+/// quarters of the budget, so a `p` near the boundary does not rebuild the
+/// row sums over and over.
+fn leaps(p: f64, occupied: usize, words: usize, leaping: bool) -> bool {
+    let budget = if leaping {
+        LEAP_SLOT_BUDGET
+    } else {
+        0.75 * LEAP_SLOT_BUDGET
+    };
+    p * words as f64 * (occupied as f64 + LEAP_EVENT_SLOTS) < budget
+}
+
+/// Steps a per-step window observes before the changed fraction is checked
+/// against [`leaps`]: `n`, but at least this many.
+const MIN_WINDOW: u64 = 256;
+
+/// A failed leap attempt doubles the window, up to this many base windows.
+const MAX_WINDOW_GROWTH: u64 = 64;
+
+/// Multiplicative hasher for state keys: states are dense integers, so the
+/// SipHash default buys nothing and costs a lookup per changed agent.
+#[derive(Debug, Default, Clone, Copy)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+type StateIds = HashMap<usize, u32, BuildHasherDefault<StateHasher>>;
+
+/// Per-block count sums of an occupied list.
+fn block_sums(occupied: &[(usize, u64)]) -> Vec<u64> {
+    occupied
+        .chunks(SLOT_BLOCK)
+        .map(|block| block.iter().map(|&(_, c)| c).sum())
+        .collect()
+}
+
+/// `w(a, b)` from one-word rule masks `[init, init_moves, resp,
+/// resp_moves]`: the slots whose guards both hold and whose update moves
+/// either agent.
+#[inline(always)]
+fn mask_weight(a: &[u64; 4], b: &[u64; 4]) -> u64 {
+    u64::from((a[0] & b[2] & (a[1] | b[3])).count_ones())
+}
+
+/// Defines each hot loop over one-word masks twice over: compiled with the
+/// `popcnt` instruction, which the portable x86-64 target lacks, and
+/// portably; the CPU is asked once per call (a cached load).
+macro_rules! popcnt_dispatch {
+    ($($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block)*) => {$(
+        $(#[$doc])*
+        fn $name($($arg: $ty),*) -> $ret {
+            #[inline(always)]
+            fn body($($arg: $ty),*) -> $ret $body
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "popcnt")]
+                fn with_popcnt($($arg: $ty),*) -> $ret {
+                    body($($arg),*)
+                }
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    // SAFETY: the running CPU has the instruction.
+                    return unsafe { with_popcnt($($arg),*) };
+                }
+            }
+            body($($arg),*)
+        }
+    )*};
+}
+
+popcnt_dispatch! {
+    /// Applies `moves` (agents moved from the first masks' state to the
+    /// second's) to the row sums of the slots whose masks are `masks`, and
+    /// returns their `Σ c · R`.
+    fn update_rows(
+        rows: &mut [u64],
+        occupied: &[(usize, u64)],
+        masks: &[[u64; 4]],
+        moves: &[([u64; 4], [u64; 4])],
+    ) -> u64 {
+        let mut total = 0u64;
+        for ((r, &(_, c)), mx) in rows.iter_mut().zip(occupied).zip(masks) {
+            for (from, to) in moves {
+                *r = *r + mask_weight(mx, to) - mask_weight(mx, from);
+            }
+            total += c * *r;
+        }
+        total
+    }
+
+    /// The slot of rank `v` under the weights `c'_b · w(a, b)`, with `a`'s
+    /// masks `ma` and one agent of slot `sa` left out.
+    fn pick_responder(
+        masks: &[[u64; 4]],
+        occupied: &[(usize, u64)],
+        ma: &[u64; 4],
+        sa: usize,
+        v: u64,
+    ) -> usize {
+        let mut v = v;
+        for (slot, (mb, &(_, c))) in masks.iter().zip(occupied).enumerate() {
+            let m = (c - u64::from(slot == sa)) * mask_weight(ma, mb);
+            if v < m {
+                return slot;
+            }
+            v -= m;
+        }
+        unreachable!("rank exceeded the row sum");
+    }
+
+    /// `Σ_b c_b w(a, b)` over the occupied slots, `a`'s masks `ma`, each
+    /// slot's masks looked up by id in `table`.
+    fn masked_row(
+        table: &[[u64; 4]],
+        ids: &[u32],
+        occupied: &[(usize, u64)],
+        ma: &[u64; 4],
+    ) -> u64 {
+        ids.iter()
+            .zip(occupied)
+            .map(|(&b, &(_, c))| c * mask_weight(ma, &table[b as usize]))
+            .sum()
+    }
+}
+
+/// The weight memo over interned ids: each id's
+/// [`RuleMasks`](crate::protocol::RuleMasks), one
+/// `[init, init_moves, resp, resp_moves]` entry per 64 rule slots at
+/// `masks[id · words ..]`, `known[id]` once filled.
+#[derive(Debug, Clone)]
+struct Memo {
+    words: usize,
+    masks: Vec<[u64; 4]>,
+    known: Vec<bool>,
+}
+
+impl Memo {
+    /// `w(a, b)` for ids whose masks are filled.
+    #[inline]
+    fn weight(&self, a: u32, b: u32) -> u64 {
+        let (a, b) = (a as usize * self.words, b as usize * self.words);
+        (0..self.words)
+            .map(|k| mask_weight(&self.masks[a + k], &self.masks[b + k]))
+            .sum()
+    }
+
+    /// The id-indexed mask table when the protocol's rule slots fit one
+    /// word, the hot loops' fast path.
+    #[inline]
+    fn one_word(&self) -> Option<&[[u64; 4]]> {
+        (self.words == 1).then_some(&self.masks)
+    }
+}
+
+/// The leap regime's sums, valid while leaping.
+#[derive(Debug, Clone)]
+struct LeapRows {
+    /// `R` per occupied slot, parallel to the occupied list.
+    rows: Vec<u64>,
+    /// With one-word masks, each occupied slot's masks, parallel to the
+    /// occupied list; empty otherwise.
+    masks: Vec<[u64; 4]>,
+    /// `W = Σ c_a R_a`.
+    total: u64,
+}
+
+/// Which regime the population is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Regime {
+    /// Not decided yet: the next batch works out `p` exactly.
+    Undecided,
+    /// Per-step sampling, re-checking [`leaps`] every window.
+    PerStep,
+    /// Geometric leaps; the row sums are rebuilt when missing.
+    Leap,
+}
+
+impl Regime {
+    fn name(self) -> &'static str {
+        match self {
+            Regime::Undecided => "undecided",
+            Regime::PerStep => "per_step",
+            Regime::Leap => "leap",
+        }
+    }
+
+    fn parse(name: &str) -> Option<Self> {
+        [Regime::Undecided, Regime::PerStep, Regime::Leap]
+            .into_iter()
+            .find(|r| r.name() == name)
+    }
+}
+
+/// A population represented by a *sparse* map of per-state agent counts.
+///
+/// Protocol compositions over boolean flag spaces can have huge nominal
+/// state spaces (`2^18` and beyond) of which any reachable configuration
+/// occupies only a few hundred states. The dense
+/// [`crate::counts::CountPopulation`] pays `O(k)` to build and `O(log k)`
+/// per step regardless; this backend stores only the occupied states, so
+/// construction is `O(occupied)`. A per-step step costs
+/// `O(occupied/B + B)` with `B = 32`; where few steps change anything, it
+/// leaps over the ineffective ones at `O(occupied)` per effective step
+/// (see the module documentation).
+///
+/// The sampled process is identical in distribution to the dense backends.
+///
+/// # Examples
+///
+/// ```
+/// use pp_engine::counts::SparseCountPopulation;
+/// use pp_engine::protocol::TableProtocol;
+/// use pp_engine::rng::SimRng;
+/// use pp_engine::sim::{run_until, Simulator};
+///
+/// let p = TableProtocol::new(2, "epidemic").rule(1, 0, 1, 1).rule(0, 1, 1, 1);
+/// let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 999), (1, 1)]);
+/// let mut rng = SimRng::seed_from(0);
+/// let t = run_until(&mut pop, &mut rng, 200.0, 64, |s| s.count(0) == 0);
+/// assert!(t.is_some());
+/// ```
+#[derive(Debug, Clone)]
+pub struct SparseCountPopulation<P> {
+    protocol: P,
+    /// Occupied states and their counts, in insertion order.
+    occupied: Vec<(usize, u64)>,
+    /// Interned id of each occupied slot.
+    slot_ids: Vec<u32>,
+    /// `blocks[j]` = count sum of `occupied[j·B .. (j+1)·B]`, `B` =
+    /// `SLOT_BLOCK`. Derived from `occupied`, so never serialized.
+    blocks: Vec<u64>,
+    /// State → interned id, for every state ever reached.
+    ids: StateIds,
+    /// Interned id → state.
+    states: Vec<usize>,
+    /// Interned id → slot in `occupied`, or [`NO_SLOT`].
+    slot_of: Vec<u32>,
+    n: u64,
+    steps: u64,
+    /// Built on the first leap; stays `None` for a protocol without rule
+    /// masks, which never leaps.
+    memo: Option<Memo>,
+    /// Present while leaping; dropped by out-of-band edits.
+    leap: Option<LeapRows>,
+    regime: Regime,
+    /// Per-step window: length, steps seen, changes seen.
+    window: [u64; 3],
+}
+
+impl<P: Protocol> SparseCountPopulation<P> {
+    /// Creates a population from `(state, count)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state is out of range, a state repeats, or the total
+    /// population is smaller than 2.
+    #[must_use]
+    pub fn from_pairs(protocol: P, pairs: &[(usize, u64)]) -> Self {
+        let mut pop = Self {
+            protocol,
+            occupied: Vec::new(),
+            slot_ids: Vec::new(),
+            blocks: Vec::new(),
+            ids: StateIds::default(),
+            states: Vec::new(),
+            slot_of: Vec::new(),
+            n: 0,
+            steps: 0,
+            memo: None,
+            leap: None,
+            regime: Regime::Undecided,
+            window: [0; 3],
+        };
+        if let Err(e) = pop.fill(pairs) {
+            panic!("{e}");
+        }
+        pop.window[0] = pop.base_window();
+        pop
+    }
+
+    /// Creates a population from a dense count vector (skipping zeros).
+    ///
+    /// # Panics
+    ///
+    /// As [`SparseCountPopulation::from_pairs`].
+    #[must_use]
+    pub fn from_dense(protocol: P, counts: &[u64]) -> Self {
+        // Wide flag spaces are mostly zeros: one OR over a chunk skips it
+        // before any single count is looked at.
+        const CHUNK: usize = 16;
+        let mut pairs = Vec::new();
+        for (j, chunk) in counts.chunks(CHUNK).enumerate() {
+            if chunk.iter().fold(0, |acc, &c| acc | c) == 0 {
+                continue;
+            }
+            let occupied = chunk.iter().enumerate().filter(|&(_, &c)| c > 0);
+            pairs.extend(occupied.map(|(i, &c)| (j * CHUNK + i, c)));
+        }
+        Self::from_pairs(protocol, &pairs)
+    }
+
+    /// Replaces the counts with `pairs`, occupied in the order given, as
+    /// [`SparseCountPopulation::from_pairs`] would, but keeping the
+    /// interned states, their weight memo, the regime and the step count:
+    /// the per-call work of a program site that runs again on counts
+    /// changed in between. `O(occupied)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`SparseCountPopulation::from_pairs`].
+    pub fn load(&mut self, pairs: &[(usize, u64)]) {
+        for &id in &self.slot_ids {
+            self.slot_of[id as usize] = NO_SLOT;
+        }
+        self.occupied.clear();
+        self.slot_ids.clear();
+        self.leap = None;
+        if let Err(e) = self.fill(pairs) {
+            panic!("{e}");
+        }
+    }
+
+    /// Occupies `pairs` in order on an empty occupied list and sets `n`.
+    fn fill(&mut self, pairs: &[(usize, u64)]) -> Result<(), String> {
+        let k = self.protocol.num_states();
+        let mut n = 0u64;
+        for &(state, count) in pairs {
+            if state >= k {
+                return Err(format!("state {state} out of range (k = {k})"));
+            }
+            if count == 0 {
+                continue;
+            }
+            let id = self.intern(state);
+            if self.slot_of[id as usize] != NO_SLOT {
+                return Err(format!("state {state} listed twice"));
+            }
+            self.slot_of[id as usize] = self.occupied.len() as u32;
+            self.occupied.push((state, count));
+            self.slot_ids.push(id);
+            n += count;
+        }
+        if n < 2 {
+            return Err("population must have at least 2 agents".to_string());
+        }
+        self.blocks = block_sums(&self.occupied);
+        self.n = n;
+        Ok(())
+    }
+
+    /// The per-step window length a fresh window starts with.
+    fn base_window(&self) -> u64 {
+        self.n.max(MIN_WINDOW)
+    }
+
+    /// Number of distinct occupied states.
+    #[must_use]
+    pub fn occupied_states(&self) -> usize {
+        self.occupied.len()
+    }
+
+    /// Iterates over `(state, count)` pairs of occupied states.
+    pub fn iter_counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.occupied.iter().copied()
+    }
+
+    /// The dense count vector (mostly zeros; allocates `num_states`).
+    #[must_use]
+    pub fn to_dense(&self) -> Vec<u64> {
+        let mut out = vec![0u64; self.protocol.num_states()];
+        for &(s, c) in &self.occupied {
+            out[s] = c;
+        }
+        out
+    }
+
+    /// The interned id of `state`, interning it if new.
+    #[inline]
+    fn intern(&mut self, state: usize) -> u32 {
+        let next = self.states.len() as u32;
+        let id = *self.ids.entry(state).or_insert(next);
+        if id == next {
+            self.states.push(state);
+            self.slot_of.push(NO_SLOT);
+        }
+        id
+    }
+
+    /// Adds `delta` agents to `state`, appending a slot if it was empty;
+    /// returns whether it did.
+    fn add(&mut self, state: usize, delta: i64) -> bool {
+        let id = self.intern(state);
+        let slot = self.slot_of[id as usize];
+        if slot != NO_SLOT {
+            self.add_at(slot as usize, delta);
+            return false;
+        }
+        assert!(delta > 0, "removing from empty state {state}");
+        let slot = self.occupied.len();
+        self.slot_of[id as usize] = slot as u32;
+        self.occupied.push((state, delta as u64));
+        self.slot_ids.push(id);
+        if let Some(leap) = &mut self.leap {
+            leap.rows.push(0);
+            if !leap.masks.is_empty() {
+                leap.masks.push([0; 4]);
+            }
+        }
+        if slot.is_multiple_of(SLOT_BLOCK) {
+            self.blocks.push(delta as u64);
+        } else {
+            *self.blocks.last_mut().expect("open trailing block") += delta as u64;
+        }
+        true
+    }
+
+    /// Adds `delta` to the count at `slot`. A slot that empties is
+    /// swap-removed; the return value is then the former slot of the entry
+    /// moved into it, if one moved.
+    fn add_at(&mut self, slot: usize, delta: i64) -> Option<usize> {
+        let entry = &mut self.occupied[slot];
+        entry.1 = entry.1.wrapping_add_signed(delta);
+        let count = entry.1;
+        let block = &mut self.blocks[slot / SLOT_BLOCK];
+        *block = block.wrapping_add_signed(delta);
+        if count != 0 {
+            return None;
+        }
+        // Swap-remove, fixing the moved entry's slot and moving its count
+        // to its new block; a trailing block left empty is dropped.
+        let last = self.occupied.len() - 1;
+        self.occupied.swap_remove(slot);
+        let id = self.slot_ids.swap_remove(slot);
+        self.slot_of[id as usize] = NO_SLOT;
+        if let Some(leap) = &mut self.leap {
+            leap.rows.swap_remove(slot);
+            if !leap.masks.is_empty() {
+                leap.masks.swap_remove(slot);
+            }
+        }
+        let moved_from = (slot < last).then(|| {
+            let moved = self.occupied[slot].1;
+            self.slot_of[self.slot_ids[slot] as usize] = slot as u32;
+            self.blocks[last / SLOT_BLOCK] -= moved;
+            self.blocks[slot / SLOT_BLOCK] += moved;
+            last
+        });
+        if last.is_multiple_of(SLOT_BLOCK) {
+            self.blocks.pop();
+        }
+        moved_from
+    }
+
+    /// Samples an agent by `rank` in insertion order and returns its slot
+    /// in `occupied`, with one agent of slot `exclude` left out (pass
+    /// `usize::MAX` to exclude nothing). Scans block sums, then the one
+    /// block that holds the rank: `O(occupied/B + B)`. A single block is
+    /// scanned slot by slot straight away.
+    #[inline]
+    fn sample(&self, mut rank: u64, exclude: usize) -> usize {
+        let mut start = 0;
+        if self.blocks.len() > 1 {
+            let exclude_block = exclude / SLOT_BLOCK;
+            for (j, &sum) in self.blocks.iter().enumerate() {
+                let sum = sum - u64::from(j == exclude_block);
+                if rank < sum {
+                    start = j * SLOT_BLOCK;
+                    break;
+                }
+                rank -= sum;
+            }
+        }
+        for (slot, &(_, count)) in self.occupied.iter().enumerate().skip(start) {
+            let c = count - u64::from(slot == exclude);
+            if rank < c {
+                return slot;
+            }
+            rank -= c;
+        }
+        unreachable!("rank exceeded population");
+    }
+
+    /// Moves the initiator at slot `sa` to state `a2` and the responder at
+    /// slot `sb` to `b2`. The slots are known from sampling, so the two
+    /// removals skip the state → slot lookup. Returns how many slots the
+    /// additions appended (they are the last ones).
+    fn apply(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) -> usize {
+        let moved_from = self.add_at(sa, -1);
+        self.add_at(if moved_from == Some(sb) { sa } else { sb }, -1);
+        usize::from(self.add(a2, 1)) + usize::from(self.add(b2, 1))
+    }
+
+    /// One per-step step: sample a pair, interact, apply. Returns whether
+    /// it changed anything.
+    #[inline]
+    fn step_once(&mut self, rng: &mut SimRng) -> bool {
+        let sa = self.sample(rng.below(self.n), usize::MAX);
+        let sb = self.sample(rng.below(self.n - 1), sa);
+        let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
+        let (a2, b2) = self.protocol.interact(a, b, rng);
+        if (a2, b2) == (a, b) {
+            return false;
+        }
+        self.apply(sa, sb, a2, b2);
+        true
+    }
+
+    /// Fills the memo's masks of id `id` if they are not known yet.
+    fn cover(&mut self, id: u32) {
+        let memo = self.memo.as_mut().expect("the leap built the memo");
+        let ids = self.states.len();
+        if memo.known.len() < ids {
+            memo.known.resize(ids, false);
+            memo.masks.resize(ids * memo.words, [0; 4]);
+        }
+        let i = id as usize;
+        if memo.known[i] {
+            return;
+        }
+        let m = self
+            .protocol
+            .rule_masks(self.states[i])
+            .expect("a protocol with rule masks has them for every state");
+        for k in 0..memo.words {
+            let word = |f: &[u64]| f.get(k).copied().unwrap_or(0);
+            memo.masks[i * memo.words + k] = [
+                word(&m.init),
+                word(&m.init_moves),
+                word(&m.resp),
+                word(&m.resp_moves),
+            ];
+        }
+        memo.known[i] = true;
+    }
+
+    /// `R` of `slot` from scratch: `Σ_b c_b w(a, b) − w(a, a)`.
+    fn row_sum(&self, slot: usize) -> u64 {
+        let memo = self.memo.as_ref().expect("memo covers the occupied states");
+        let a = self.slot_ids[slot];
+        let sum: u64 = match memo.one_word() {
+            Some(table) => masked_row(table, &self.slot_ids, &self.occupied, &table[a as usize]),
+            None => self
+                .slot_ids
+                .iter()
+                .zip(&self.occupied)
+                .map(|(&b, &(_, c))| c * memo.weight(a, b))
+                .sum(),
+        };
+        sum - memo.weight(a, a)
+    }
+
+    /// `n(n−1)·scale`, the denominator of `p`, if `W` cannot overflow.
+    fn pair_draws(&self) -> Option<u64> {
+        let draws = u128::from(self.n)
+            * u128::from(self.n - 1)
+            * u128::from(self.protocol.weight_scale().max(1));
+        u64::try_from(draws).ok()
+    }
+
+    /// Builds the row sums from scratch, `O(occupied²)` weight lookups.
+    /// Returns `W`, or `None` when the protocol has no rule masks or `u64`
+    /// cannot hold `n(n−1)·scale`.
+    fn build_leap(&mut self) -> Option<u64> {
+        self.pair_draws()?;
+        if self.memo.is_none() {
+            let words = self.protocol.rule_masks(self.occupied[0].0)?.init.len();
+            self.memo = Some(Memo {
+                words: words.max(1),
+                masks: Vec::new(),
+                known: Vec::new(),
+            });
+        }
+        for slot in 0..self.slot_ids.len() {
+            self.cover(self.slot_ids[slot]);
+        }
+        let rows: Vec<u64> = (0..self.occupied.len()).map(|s| self.row_sum(s)).collect();
+        let total = rows
+            .iter()
+            .zip(&self.occupied)
+            .map(|(&r, &(_, c))| c * r)
+            .sum();
+        let memo = self.memo.as_ref().expect("memo covers the occupied states");
+        let masks = memo.one_word().map_or_else(Vec::new, |m| {
+            self.slot_ids.iter().map(|&id| m[id as usize]).collect()
+        });
+        self.leap = Some(LeapRows { rows, masks, total });
+        Some(total)
+    }
+
+    /// Builds the row sums and enters the leap if [`leaps`] says so at the
+    /// exact `p` (or the population is silent); otherwise drops them and
+    /// stays per step.
+    fn try_leap(&mut self) -> bool {
+        let entered = match (self.build_leap(), self.pair_draws()) {
+            (Some(total), Some(draws)) => {
+                let p = total as f64 / draws as f64;
+                total == 0 || leaps(p, self.occupied.len(), self.mask_words(), false)
+            }
+            _ => false,
+        };
+        if entered {
+            self.regime = Regime::Leap;
+        } else {
+            self.leap = None;
+            self.regime = Regime::PerStep;
+        }
+        entered
+    }
+
+    /// The rule masks' length in words, 1 before the first leap.
+    fn mask_words(&self) -> usize {
+        self.memo.as_ref().map_or(1, |m| m.words)
+    }
+
+    /// Leaves the leap for the per-step regime with a fresh window.
+    fn leave_leap(&mut self) {
+        self.leap = None;
+        self.regime = Regime::PerStep;
+        self.window = [self.base_window(), 0, 0];
+    }
+
+    /// Samples the ordered slot pair of an effective step,
+    /// `∝ c_a c'_b w(a, b)`: the initiator by rank under `c_a R_a`, then
+    /// the responder by rank under `c'_b w(a, b)`.
+    fn sample_leap_pair(&self, rng: &mut SimRng) -> (usize, usize) {
+        let leap = self.leap.as_ref().expect("leaping");
+        let sa = self.initiator_at(rng.below(leap.total));
+        (sa, self.responder_at(sa, rng.below(leap.rows[sa])))
+    }
+
+    /// The initiator slot of rank `u < W` under the weights `c_a R_a`.
+    fn initiator_at(&self, mut u: u64) -> usize {
+        let leap = self.leap.as_ref().expect("leaping");
+        for (slot, (&r, &(_, c))) in leap.rows.iter().zip(&self.occupied).enumerate() {
+            let m = c * r;
+            if u < m {
+                return slot;
+            }
+            u -= m;
+        }
+        unreachable!("rank exceeded W");
+    }
+
+    /// The responder slot of rank `v < R_a` under the weights
+    /// `c'_b w(a, b)`, `a` the initiator at slot `sa`.
+    fn responder_at(&self, sa: usize, mut v: u64) -> usize {
+        let leap = self.leap.as_ref().expect("leaping");
+        if let Some(ma) = leap.masks.get(sa) {
+            return pick_responder(&leap.masks, &self.occupied, ma, sa, v);
+        }
+        let memo = self.memo.as_ref().expect("memo covers the occupied states");
+        let a = self.slot_ids[sa];
+        for (slot, (&b, &(_, c))) in self.slot_ids.iter().zip(&self.occupied).enumerate() {
+            let m = (c - u64::from(slot == sa)) * memo.weight(a, b);
+            if v < m {
+                return slot;
+            }
+            v -= m;
+        }
+        unreachable!("rank exceeded the row sum");
+    }
+
+    /// [`SparseCountPopulation::apply`] plus the row-sum upkeep:
+    /// `R_x += Σ_s δ_s w(x, s)` for every slot that was occupied before,
+    /// `R` from scratch for appended slots, then `W`. `O(occupied)`.
+    fn apply_leap(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) {
+        let (ia, ib) = (self.slot_ids[sa], self.slot_ids[sb]);
+        let appended = self.apply(sa, sb, a2, b2);
+        let (ia2, ib2) = (self.ids[&a2], self.ids[&b2]);
+        let len = self.occupied.len();
+        let kept = len - appended;
+        for slot in kept..len {
+            self.cover(self.slot_ids[slot]);
+        }
+        // The moves that happened: agents of `from` now in `to`.
+        let moves: Vec<(u32, u32)> = [(ia, ia2), (ib, ib2)]
+            .into_iter()
+            .filter(|(from, to)| from != to)
+            .collect();
+        let memo = self.memo.as_ref().expect("memo covers the occupied states");
+        let leap = self.leap.as_mut().expect("leaping");
+        let mut total = 0u64;
+        if let Some(table) = memo.one_word() {
+            for (slot, &id) in self.slot_ids[kept..].iter().enumerate() {
+                leap.masks[kept + slot] = table[id as usize];
+            }
+            let moves: Vec<([u64; 4], [u64; 4])> = moves
+                .iter()
+                .map(|&(from, to)| (table[from as usize], table[to as usize]))
+                .collect();
+            total = update_rows(&mut leap.rows[..kept], &self.occupied, &leap.masks, &moves);
+        } else {
+            let old = leap.rows[..kept].iter_mut().zip(&self.occupied);
+            for ((r, &(_, c)), &x) in old.zip(&self.slot_ids) {
+                for &(from, to) in &moves {
+                    *r = *r + memo.weight(x, to) - memo.weight(x, from);
+                }
+                total += c * *r;
+            }
+        }
+        for slot in kept..len {
+            let r = self.row_sum(slot);
+            self.leap.as_mut().expect("leaping").rows[slot] = r;
+            total += self.occupied[slot].1 * r;
+        }
+        self.leap.as_mut().expect("leaping").total = total;
+        debug_assert!(self.leap_is_consistent());
+    }
+
+    /// Debug check: the row sums and `W` equal a recount.
+    fn leap_is_consistent(&self) -> bool {
+        self.leap.as_ref().is_none_or(|leap| {
+            let rows: Vec<u64> = (0..self.occupied.len()).map(|s| self.row_sum(s)).collect();
+            let total: u64 = rows
+                .iter()
+                .zip(&self.occupied)
+                .map(|(&r, &(_, c))| c * r)
+                .sum();
+            rows == leap.rows && total == leap.total
+        })
+    }
+}
+
+impl<P: Protocol> Simulator for SparseCountPopulation<P> {
+    fn n(&self) -> u64 {
+        self.n
+    }
+
+    fn num_states(&self) -> usize {
+        self.protocol.num_states()
+    }
+
+    fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    fn count(&self, state: usize) -> u64 {
+        self.ids
+            .get(&state)
+            .map(|&id| self.slot_of[id as usize])
+            .filter(|&slot| slot != NO_SLOT)
+            .map_or(0, |slot| self.occupied[slot as usize].1)
+    }
+
+    fn counts(&self) -> Vec<u64> {
+        self.to_dense()
+    }
+
+    /// Adjusts the occupied-state list directly; vacated states are
+    /// swap-removed and new states appended, as for interactions. Drops
+    /// the leap's row sums, which the next batch rebuilds.
+    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
+        let states = self.protocol.num_states();
+        assert!(from < states, "migrate source state out of range");
+        assert!(to < states, "migrate target state out of range");
+        let moved = k.min(self.count(from));
+        if from == to || moved == 0 {
+            return 0;
+        }
+        self.leap = None;
+        self.add(from, -(moved as i64));
+        self.add(to, moved as i64);
+        moved
+    }
+
+    fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
+        // A lone step keeps no row sums; the next batch rebuilds them.
+        self.leap = None;
+        self.steps += 1;
+        if self.step_once(rng) {
+            StepOutcome::Changed
+        } else {
+            StepOutcome::Unchanged
+        }
+    }
+
+    /// Runs the regime the dispatch rule picks (`leaps`; DESIGN.md §9),
+    /// switching as `p` moves: geometric leaps over ineffective steps
+    /// where changes are rare, block-sampled steps where they are dense.
+    /// A per-step population checks the changed fraction of each window
+    /// against the rule, and enters the leap if the exact `p` agrees.
+    /// Reports silence when no pair has a positive weight.
+    fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
+        let cap = recorder::capture();
+        let pf = cap.sections;
+        let _batch_span = prof::section_if(pf, Section::BatchSparse);
+        let mut out = BatchOutcome::default();
+        if self.regime == Regime::Undecided || (self.regime == Regime::Leap && self.leap.is_none())
+        {
+            self.try_leap();
+        }
+        let draws = self.pair_draws().unwrap_or(u64::MAX);
+        let mut tally = cap.on.then(|| {
+            BatchTally::sparse(
+                self.n,
+                self.occupied.len() as u64,
+                self.leap.as_ref().map(|l| l.total),
+                u64::from(self.protocol.weight_scale().max(1)),
+            )
+        });
+        while out.executed < max_steps {
+            let remaining = max_steps - out.executed;
+            if self.regime == Regime::Leap {
+                if self.leap.is_none() && !self.try_leap() {
+                    continue;
+                }
+                let total = self.leap.as_ref().expect("leaping").total;
+                if total == 0 {
+                    out.silent = true;
+                    break;
+                }
+                let p = total as f64 / draws as f64;
+                if !leaps(p, self.occupied.len(), self.mask_words(), true) {
+                    self.leave_leap();
+                    continue;
+                }
+                let _leap_span = prof::section_if(pf, Section::SparseLeap);
+                let skip = rng.geometric(p);
+                if skip >= remaining {
+                    // The rest of the batch is ineffective; truncating the
+                    // geometric at the boundary is exact by memorylessness.
+                    if let Some(t) = &mut tally {
+                        t.leap(remaining);
+                    }
+                    out.executed = max_steps;
+                    break;
+                }
+                if let Some(t) = &mut tally {
+                    t.leap(skip);
+                }
+                out.executed += skip + 1;
+                let (sa, sb) = self.sample_leap_pair(rng);
+                let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
+                let (a2, b2) = self.protocol.interact_reactive(a, b, rng);
+                if (a2, b2) != (a, b) {
+                    out.changed += 1;
+                    self.apply_leap(sa, sb, a2, b2);
+                }
+                continue;
+            }
+            let _step_span = prof::section_if(pf, Section::PerStep);
+            let [len, seen, _] = self.window;
+            let chunk = remaining.min(len - seen);
+            let mut changed = 0;
+            for _ in 0..chunk {
+                changed += u64::from(self.step_once(rng));
+            }
+            out.executed += chunk;
+            out.changed += changed;
+            if let Some(t) = &mut tally {
+                t.per_steps(chunk);
+            }
+            self.window[1] += chunk;
+            self.window[2] += changed;
+            if self.window[1] == len {
+                let f = self.window[2] as f64 / len as f64;
+                self.window[1] = 0;
+                self.window[2] = 0;
+                if leaps(f, self.occupied.len(), self.mask_words(), false) {
+                    if self.try_leap() {
+                        self.window[0] = self.base_window();
+                    } else {
+                        self.window[0] = (2 * len).min(MAX_WINDOW_GROWTH * self.base_window());
+                    }
+                }
+            }
+        }
+        self.steps += out.executed;
+        match tally {
+            Some(t) => {
+                recorder::with(|r| r.record_tallied_batch(&out, t));
+            }
+            None => recorder::record_batch(&out),
+        }
+        out
+    }
+
+    fn backend_tag(&self) -> &'static str {
+        "sparse"
+    }
+
+    /// Serializes the occupied list *in insertion order*, the step counter,
+    /// the regime and the per-step window. The order is RNG-visible —
+    /// both samplers map ranks in it and `add` swap-removes vacated
+    /// entries — and so are the regime and window, which decide when the
+    /// population leaps. The interned ids, the weight memo, the row sums
+    /// and the block sums are derived and RNG-free, so they are rebuilt.
+    fn snapshot(&self) -> Result<Json, String> {
+        Ok(Json::obj([
+            (
+                "occupied",
+                Json::Arr(
+                    self.occupied
+                        .iter()
+                        .map(|&(s, c)| Json::Arr(vec![Json::from(s as u64), hex_u64(c)]))
+                        .collect(),
+                ),
+            ),
+            ("steps", hex_u64(self.steps)),
+            ("regime", Json::from(self.regime.name())),
+            (
+                "window",
+                Json::Arr(self.window.iter().map(|&w| hex_u64(w)).collect()),
+            ),
+        ]))
+    }
+
+    fn restore(&mut self, state: &Json) -> Result<(), String> {
+        let arr = state
+            .get("occupied")
+            .and_then(Json::as_arr)
+            .ok_or("sparse snapshot missing occupied list")?;
+        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
+        let regime = state
+            .get("regime")
+            .and_then(Json::as_str)
+            .and_then(Regime::parse)
+            .ok_or("sparse snapshot missing its regime")?;
+        let window = state
+            .get("window")
+            .and_then(Json::as_arr)
+            .filter(|w| w.len() == 3)
+            .ok_or("sparse snapshot window needs 3 entries")?;
+        let window = [
+            parse_hex_u64(&window[0])?,
+            parse_hex_u64(&window[1])?,
+            parse_hex_u64(&window[2])?,
+        ];
+        if window[0] == 0 || window[1] >= window[0] || window[2] > window[1] {
+            return Err("sparse snapshot window is inconsistent".to_string());
+        }
+        let mut pairs = Vec::with_capacity(arr.len());
+        for j in arr {
+            let pair = j
+                .as_arr()
+                .filter(|p| p.len() == 2)
+                .ok_or("bad occupied entry")?;
+            let s = pair[0].as_u64().ok_or("occupied state is not an integer")? as usize;
+            let c = parse_hex_u64(&pair[1])?;
+            if c == 0 {
+                return Err(format!("occupied state {s} empty"));
+            }
+            pairs.push((s, c));
+        }
+        let total: u64 = pairs.iter().map(|&(_, c)| c).sum();
+        if total != self.n {
+            return Err(format!(
+                "snapshot population {total} does not match simulator population {}",
+                self.n
+            ));
+        }
+        // Fill a scratch copy so a bad list leaves the simulator untouched.
+        let mut restored = SparseCountPopulation {
+            protocol: &self.protocol,
+            occupied: Vec::new(),
+            slot_ids: Vec::new(),
+            blocks: Vec::new(),
+            ids: self.ids.clone(),
+            states: self.states.clone(),
+            slot_of: vec![NO_SLOT; self.states.len()],
+            n: 0,
+            steps: 0,
+            memo: None,
+            leap: None,
+            regime,
+            window,
+        };
+        restored.fill(&pairs)?;
+        let SparseCountPopulation {
+            occupied,
+            slot_ids,
+            blocks,
+            ids,
+            states,
+            slot_of,
+            ..
+        } = restored;
+        self.occupied = occupied;
+        self.slot_ids = slot_ids;
+        self.blocks = blocks;
+        self.ids = ids;
+        self.states = states;
+        self.slot_of = slot_of;
+        self.leap = None;
+        self.steps = steps;
+        self.regime = regime;
+        self.window = window;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counts::CountPopulation;
+    use crate::protocol::TableProtocol;
+    use crate::sim::run_until;
+
+    fn epidemic() -> TableProtocol {
+        TableProtocol::new(2, "epidemic")
+            .rule(1, 0, 1, 1)
+            .rule(0, 1, 1, 1)
+    }
+
+    #[test]
+    fn conservation_and_occupancy() {
+        let p = TableProtocol::new(3, "cycle")
+            .rule(0, 1, 1, 1)
+            .rule(1, 2, 2, 2)
+            .rule(2, 0, 0, 0);
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 40), (1, 30), (2, 30)]);
+        let mut rng = SimRng::seed_from(1);
+        for _ in 0..5_000 {
+            pop.step(&mut rng);
+            assert_eq!(pop.counts().iter().sum::<u64>(), 100);
+            assert!(pop.occupied_states() <= 3);
+        }
+    }
+
+    #[test]
+    fn matches_dense_backend_statistics() {
+        let runs = 25;
+        let mut t_sparse = 0.0;
+        let mut t_dense = 0.0;
+        for seed in 0..runs {
+            let p = epidemic();
+            let mut a = SparseCountPopulation::from_pairs(&p, &[(0, 499), (1, 1)]);
+            let mut rng = SimRng::seed_from(4_000 + seed);
+            t_sparse += run_until(&mut a, &mut rng, 500.0, 1, |s| s.count(0) == 0).unwrap();
+
+            let p = epidemic();
+            let mut b = CountPopulation::from_counts(&p, &[499, 1]);
+            let mut rng = SimRng::seed_from(8_000 + seed);
+            t_dense += run_until(&mut b, &mut rng, 500.0, 1, |s| s.count(0) == 0).unwrap();
+        }
+        let ms = t_sparse / runs as f64;
+        let md = t_dense / runs as f64;
+        assert!(
+            (ms - md).abs() / md < 0.15,
+            "sparse {ms} vs dense {md} completion times"
+        );
+    }
+
+    #[test]
+    fn empty_states_are_dropped_and_revived() {
+        let p = TableProtocol::new(3, "move")
+            .rule(0, 0, 1, 1)
+            .rule(1, 1, 2, 2)
+            .rule(2, 2, 0, 0);
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 4)]);
+        let mut rng = SimRng::seed_from(3);
+        for _ in 0..200 {
+            pop.step(&mut rng);
+        }
+        assert_eq!(pop.counts().iter().sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn from_dense_skips_zeros() {
+        let p = epidemic();
+        let pop = SparseCountPopulation::from_dense(&p, &[0, 5]);
+        assert_eq!(pop.occupied_states(), 1);
+        assert_eq!(pop.count(1), 5);
+        assert_eq!(pop.count(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn duplicate_states_rejected() {
+        let p = epidemic();
+        let _ = SparseCountPopulation::from_pairs(&p, &[(1, 2), (1, 3)]);
+    }
+
+    #[test]
+    fn pair_sampling_excludes_self() {
+        let p = TableProtocol::new(2, "selfpair").rule(1, 1, 0, 0);
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 50), (1, 1)]);
+        let mut rng = SimRng::seed_from(5);
+        for _ in 0..5_000 {
+            pop.step(&mut rng);
+            assert_eq!(pop.count(1), 1);
+        }
+        // The leap never draws the lone agent against itself either: the
+        // one rule slot fires on (1, 1) only, so the population is silent.
+        let p = Masked::new(1, vec![[0; 4], [1; 4]]);
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 50), (1, 1)]);
+        let out = pop.step_batch(&mut rng, 1_000);
+        assert!(out.silent && out.executed == 0, "{out:?}");
+    }
+
+    impl<P: Protocol> SparseCountPopulation<P> {
+        /// The single-level sampler the block sampler replaced: a linear
+        /// scan in insertion order, returning a state and excluding one
+        /// agent of state `exclude`.
+        fn sample_linear(&self, mut rank: u64, exclude: usize) -> usize {
+            for &(state, count) in &self.occupied {
+                let c = if state == exclude { count - 1 } else { count };
+                if rank < c {
+                    return state;
+                }
+                rank -= c;
+            }
+            unreachable!("rank exceeded population");
+        }
+
+        /// The slot of each occupied state, by state.
+        fn slot_map(&self) -> Vec<(usize, u32)> {
+            let mut map: Vec<(usize, u32)> = self
+                .occupied
+                .iter()
+                .map(|&(s, _)| (s, self.slot_of[self.ids[&s] as usize]))
+                .collect();
+            map.sort_unstable();
+            map
+        }
+    }
+
+    /// Block sums equal a recount, and the block sampler lands on the
+    /// reference's state at every rank, with no exclusion and with each
+    /// occupied slot excluded in turn.
+    fn assert_sampler_matches_reference<P: Protocol>(pop: &SparseCountPopulation<P>) {
+        assert_eq!(pop.blocks, block_sums(&pop.occupied), "block sums drifted");
+        for rank in 0..pop.n {
+            let slot = pop.sample(rank, usize::MAX);
+            assert_eq!(pop.occupied[slot].0, pop.sample_linear(rank, usize::MAX));
+        }
+        for (excluded, &(state, _)) in pop.occupied.iter().enumerate() {
+            for rank in 0..pop.n - 1 {
+                let slot = pop.sample(rank, excluded);
+                assert_ne!((slot, pop.occupied[slot].1), (excluded, 1));
+                assert_eq!(pop.occupied[slot].0, pop.sample_linear(rank, state));
+            }
+        }
+    }
+
+    #[test]
+    fn block_sampler_matches_linear_reference_through_growth_and_shrinkage() {
+        let k = 4096;
+        let n = 140;
+        let p = TableProtocol::new(k, "inert");
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, n)]);
+        let mut rng = SimRng::seed_from(0xb10c);
+        let random_slot = |pop: &SparseCountPopulation<_>, rng: &mut SimRng| {
+            pop.occupied[rng.index(pop.occupied.len())]
+        };
+        // Grow to five blocks: mostly split one agent off a random state
+        // onto a fresh one (appends, opening blocks); sometimes vacate a
+        // random state into another (swap-removes).
+        while pop.blocks.len() < 5 {
+            if rng.chance(0.8) {
+                let from = loop {
+                    let (s, count) = random_slot(&pop, &mut rng);
+                    if count >= 2 {
+                        break s;
+                    }
+                };
+                let fresh = loop {
+                    let s = rng.index(k);
+                    if pop.count(s) == 0 {
+                        break s;
+                    }
+                };
+                assert_eq!(pop.migrate(from, fresh, 1), 1);
+            } else {
+                let (from, count) = random_slot(&pop, &mut rng);
+                let (to, _) = random_slot(&pop, &mut rng);
+                pop.migrate(from, to, count);
+            }
+            assert_sampler_matches_reference(&pop);
+        }
+        // Shrink to one state: merge random states, wholly or in part,
+        // into others, so swap-removes cross block boundaries and emptied
+        // trailing blocks pop.
+        while pop.occupied_states() > 1 {
+            let (from, count) = random_slot(&pop, &mut rng);
+            let (to, _) = random_slot(&pop, &mut rng);
+            let amount = if rng.chance(0.2) { 1 } else { count };
+            pop.migrate(from, to, amount);
+            assert_sampler_matches_reference(&pop);
+        }
+        assert_eq!(pop.blocks, vec![n]);
+    }
+
+    /// `apply`'s removals by sampled slot leave the occupied list,
+    /// block sums and slot map exactly as removals by state lookup would,
+    /// for every slot pair: swap-removes that move the responder's entry,
+    /// same-state pairs, and emptied trailing blocks included.
+    #[test]
+    fn slot_removals_match_state_removals() {
+        let k = 64;
+        let p = TableProtocol::new(k, "inert");
+        let pairs: Vec<(usize, u64)> = (0..SLOT_BLOCK + 1).map(|s| (s, 1 + s as u64 % 2)).collect();
+        let pop = SparseCountPopulation::from_pairs(&p, &pairs);
+        for sa in 0..pop.occupied.len() {
+            for sb in 0..pop.occupied.len() {
+                if sa == sb && pop.occupied[sa].1 < 2 {
+                    continue;
+                }
+                let (a, b) = (pop.occupied[sa].0, pop.occupied[sb].0);
+                let mut by_slot = pop.clone();
+                by_slot.apply(sa, sb, (a + 1) % k, b);
+                let mut by_state = pop.clone();
+                by_state.add(a, -1);
+                by_state.add(b, -1);
+                by_state.add((a + 1) % k, 1);
+                by_state.add(b, 1);
+                assert_eq!(by_slot.occupied, by_state.occupied);
+                assert_eq!(by_slot.blocks, by_state.blocks);
+                assert_eq!(by_slot.slot_map(), by_state.slot_map());
+            }
+        }
+    }
+
+    /// A protocol whose `64 · words` rule slots are given per state as
+    /// masks, `[init, init_moves, resp, resp_moves]` per word at
+    /// `masks[state · words ..]`; `interact` leaves every pair as it is.
+    struct Masked {
+        words: usize,
+        masks: Vec<[u64; 4]>,
+    }
+
+    impl Masked {
+        fn new(words: usize, masks: Vec<[u64; 4]>) -> Self {
+            assert!(masks.len().is_multiple_of(words));
+            Self { words, masks }
+        }
+
+        fn of(&self, state: usize) -> &[[u64; 4]] {
+            &self.masks[state * self.words..(state + 1) * self.words]
+        }
+    }
+
+    impl Protocol for Masked {
+        fn num_states(&self) -> usize {
+            self.masks.len() / self.words
+        }
+        fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+            (a, b)
+        }
+        fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+            let pairs = self.of(a).iter().zip(self.of(b));
+            pairs.map(|(ma, mb)| mask_weight(ma, mb) as u32).sum()
+        }
+        fn weight_scale(&self) -> u32 {
+            64 * self.words as u32
+        }
+        fn rule_masks(&self, state: usize) -> Option<crate::protocol::RuleMasks> {
+            let field = |f: usize| self.of(state).iter().map(|m| m[f]).collect();
+            Some(crate::protocol::RuleMasks {
+                init: field(0),
+                init_moves: field(1),
+                resp: field(2),
+                resp_moves: field(3),
+            })
+        }
+    }
+
+    /// Over every rank, the leap's initiator draw lands on slot `a`
+    /// exactly `c_a R_a` times, and its responder draw for initiator `a`
+    /// on slot `b` exactly `c'_b w(a, b)` times (`c'` without the
+    /// initiator), with `R` and `W` equal to a recount from the protocol's
+    /// weights, with one-word and with three-word masks, from the first
+    /// build and after leap-mode moves that empty, refill and append slots
+    /// and reach states not interned before.
+    #[test]
+    fn leap_sampler_draws_pairs_by_exact_weight() {
+        fn check<P: Protocol>(pop: &SparseCountPopulation<P>) {
+            let leap = pop.leap.as_ref().expect("leaping");
+            let n = pop.occupied.len();
+            let c = |s: usize| pop.occupied[s].1;
+            let w = |a: usize, b: usize| {
+                let (sa, sb) = (pop.occupied[a].0, pop.occupied[b].0);
+                u64::from(pop.protocol.reactive_weight(sa, sb))
+            };
+            let rows: Vec<u64> = (0..n)
+                .map(|a| (0..n).map(|b| (c(b) - u64::from(a == b)) * w(a, b)).sum())
+                .collect();
+            assert_eq!(leap.rows, rows, "row sums");
+            let total: u64 = (0..n).map(|a| c(a) * rows[a]).sum();
+            assert_eq!(leap.total, total, "W");
+            let mut initiators = vec![0u64; n];
+            for u in 0..total {
+                initiators[pop.initiator_at(u)] += 1;
+            }
+            assert_eq!(
+                initiators,
+                (0..n).map(|a| c(a) * rows[a]).collect::<Vec<_>>()
+            );
+            for a in 0..n {
+                let mut responders = vec![0u64; n];
+                for v in 0..rows[a] {
+                    responders[pop.responder_at(a, v)] += 1;
+                }
+                let want: Vec<u64> = (0..n)
+                    .map(|b| (c(b) - u64::from(a == b)) * w(a, b))
+                    .collect();
+                assert_eq!(responders, want, "responders of slot {a}");
+            }
+        }
+        fn run<P: Protocol>(p: P) {
+            let k = p.num_states();
+            // Odd states start empty, so the moves intern them mid-leap.
+            let pairs: Vec<(usize, u64)> = (0..k)
+                .step_by(2)
+                .map(|s| (s, 2 + (s as u64 * 7) % 4))
+                .collect();
+            let mut pop = SparseCountPopulation::from_pairs(p, &pairs);
+            pop.build_leap().expect("the protocol has rule masks");
+            check(&pop);
+            let mut rng = SimRng::seed_from(0x1ea9);
+            for _ in 0..60 {
+                let sa = rng.index(pop.occupied.len());
+                let sb = loop {
+                    let sb = rng.index(pop.occupied.len());
+                    if sb != sa || pop.occupied[sa].1 > 1 {
+                        break sb;
+                    }
+                };
+                let (a2, b2) = (rng.index(k), rng.index(k));
+                pop.apply_leap(sa, sb, a2, b2);
+                check(&pop);
+            }
+        }
+        let mut rng = SimRng::seed_from(0x3a5c);
+        for words in [1, 3] {
+            let masks = (0..6 * words)
+                .map(|_| [0; 4].map(|_: u64| rng.next_u64()))
+                .collect();
+            run(Masked::new(words, masks));
+        }
+    }
+
+    /// A protocol without rule masks never leaps, however rarely its steps
+    /// change anything.
+    #[test]
+    fn maskless_protocol_stays_per_step() {
+        let p = TableProtocol::new(3, "rare").rule(1, 2, 2, 2);
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 500), (1, 1), (2, 1)]);
+        let mut rng = SimRng::seed_from(7);
+        for _ in 0..20 {
+            pop.step_batch(&mut rng, 1_000);
+            assert!(pop.memo.is_none() && pop.leap.is_none());
+            assert_ne!(pop.regime, Regime::Leap);
+        }
+    }
+
+    #[test]
+    fn migrate_updates_occupied_list() {
+        let p = epidemic();
+        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 6), (1, 2)]);
+        assert_eq!(pop.migrate(0, 1, 6), 6, "vacating a state is allowed");
+        assert_eq!(pop.occupied_states(), 1);
+        assert_eq!(pop.count(1), 8);
+        assert_eq!(pop.migrate(1, 0, 3), 3, "repopulating a state re-adds it");
+        assert_eq!(pop.occupied_states(), 2);
+        assert_eq!(pop.migrate(0, 0, 2), 0);
+        assert_eq!(pop.steps(), 0);
+    }
+}

@@ -53,14 +53,22 @@ pub struct DispatchRecord {
     pub backend: &'static str,
     /// Population size `n`.
     pub n: u64,
-    /// Reactive (non-null) ordered agent pairs at batch entry.
+    /// Occupied states at batch entry, where the backend tracks them.
+    pub occupied: Option<u64>,
+    /// Reactive ordered agent pairs at batch entry, each counted with its
+    /// rule weight (`W` of the sparse leap; plain pairs on
+    /// `CountPopulation`, whose scale is 1); 0 where unknown.
     pub pairs: u64,
-    /// Probability `p = pairs / (n(n−1))` that one interaction is reactive.
+    /// The weight scale: rule draws per interaction.
+    pub scale: u64,
+    /// Probability `p = pairs / (n(n−1)·scale)` that one interaction is
+    /// effective; NaN where `pairs` is unknown.
     pub p: f64,
-    /// Expected collision-epoch length `√(πn/8)` (birthday bound).
+    /// Expected collision-epoch length `√(πn/8)` (birthday bound); NaN on
+    /// backends without collision epochs.
     pub expected_epoch: f64,
     /// First regime chosen at batch entry: `"collision"`, `"per_step"`,
-    /// `"leap"`, or `"dense_fallback"`.
+    /// `"leap"`, `"dense_fallback"`, or `"silent"`.
     pub regime: &'static str,
     /// Interactions executed by the batch.
     pub executed: u64,
@@ -80,7 +88,9 @@ impl DispatchRecord {
             ("kind", Json::from("dispatch")),
             ("backend", Json::from(self.backend)),
             ("n", Json::from(self.n)),
+            ("occupied", self.occupied.map_or(Json::Null, Json::from)),
             ("pairs", Json::from(self.pairs)),
+            ("scale", Json::from(self.scale)),
             ("p", Json::from(self.p)),
             ("expected_epoch", Json::from(self.expected_epoch)),
             ("regime", Json::from(self.regime)),
@@ -328,7 +338,9 @@ mod tests {
         let rec = DispatchRecord {
             backend: "CountPopulation",
             n: 1_000_000,
+            occupied: Some(3),
             pairs: 999_999_000_000,
+            scale: 1,
             p: 0.999_999,
             expected_epoch: 626.657,
             regime: "collision",

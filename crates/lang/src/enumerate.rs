@@ -40,7 +40,7 @@
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
 use crate::interp::ExecOptions;
-use pp_engine::counts::run_counts;
+use pp_engine::counts::CountSite;
 use pp_engine::rng::SimRng;
 use pp_engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
 use pp_rules::reach::{support_closure, AbstractAssign, SupportModel};
@@ -403,10 +403,12 @@ fn escaped(vars: &VarSet, rule: &pp_rules::Rule, s: u32, t: u32) -> EnumError {
 /// state space — the drop-in compiled counterpart of
 /// [`crate::interp::Executor`].
 ///
-/// Counts are indexed by dense live-state id; scheduler runs go through
-/// [`run_counts`] over `q = live` states (on the dense count backend, with
-/// full collision-epoch batching via the tabulated [`RuleTableProtocol`])
-/// instead of the interpreter's `2^bits` nominal space.
+/// Counts are indexed by dense live-state id; scheduler runs go through a
+/// [`CountSite`] per site over `q = live` states (on the dense count
+/// backend, with full collision-epoch batching via the tabulated
+/// [`RuleTableProtocol`], up to 4 096 live states; on the sparse backend's
+/// rule-weighted leap above) instead of the interpreter's `2^bits` nominal
+/// space.
 ///
 /// # Examples
 ///
@@ -447,11 +449,11 @@ pub struct EnumExecutor<'p> {
     opts: ExecOptions,
     ln_n: f64,
     /// Raw threads composed, lowered once (runs during overhead charging).
-    overhead: Option<RuleTableProtocol>,
+    overhead: Option<CountSite<RuleTableProtocol>>,
     /// Per-`execute`-site lowered protocols (site ruleset LCM-composed
     /// with the raw threads), keyed by the ruleset's address inside the
     /// borrowed program — stable for the executor's lifetime.
-    sites: HashMap<usize, RuleTableProtocol>,
+    sites: HashMap<usize, CountSite<RuleTableProtocol>>,
 }
 
 impl<'p> EnumExecutor<'p> {
@@ -504,12 +506,12 @@ impl<'p> EnumExecutor<'p> {
             Some(Ruleset::compose(&raws))
         };
         let overhead = match &raw {
-            Some(r) if !r.is_empty() => Some(lower_ruleset(
+            Some(r) if !r.is_empty() => Some(CountSite::new(lower_ruleset(
                 &program.vars,
                 r,
                 &plan.live,
                 &format!("{}/raw", program.name),
-            )?),
+            )?)),
             _ => None,
         };
         let mut sites = HashMap::new();
@@ -535,7 +537,10 @@ impl<'p> EnumExecutor<'p> {
                 &plan.live,
                 &format!("{}/enum", program.name),
             )?;
-            sites.insert(std::ptr::from_ref(ruleset) as usize, lowered);
+            sites.insert(
+                std::ptr::from_ref(ruleset) as usize,
+                CountSite::new(lowered),
+            );
         }
 
         let mut counts = vec![0u64; plan.live.len()];
@@ -696,8 +701,8 @@ impl<'p> EnumExecutor<'p> {
                 let duration = *c as f64 * self.ln_n;
                 self.rounds += duration;
                 let key = std::ptr::from_ref(ruleset) as usize;
-                if let Some(protocol) = self.sites.get(&key) {
-                    run_counts(protocol, &mut self.counts, duration, &mut self.rng);
+                if let Some(site) = self.sites.get_mut(&key) {
+                    site.run(&mut self.counts, None, duration, &mut self.rng);
                 }
             }
         }
@@ -745,8 +750,8 @@ impl<'p> EnumExecutor<'p> {
     fn charge_overhead(&mut self, loops: u32) {
         let duration = (loops * self.opts.overhead_c) as f64 * self.ln_n;
         self.rounds += duration;
-        if let Some(protocol) = &self.overhead {
-            run_counts(protocol, &mut self.counts, duration, &mut self.rng);
+        if let Some(site) = &mut self.overhead {
+            site.run(&mut self.counts, None, duration, &mut self.rng);
         }
     }
 }

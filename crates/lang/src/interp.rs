@@ -20,10 +20,16 @@
 //! Time accounting therefore reproduces the paper's round counts:
 //! `O((log n)^{c+1})` rounds per iteration for loop depth `c`.
 
+use std::collections::HashMap;
+
 use crate::ast::{AssignValue, Instr, Program, Thread};
-use pp_engine::counts::run_counts;
+use pp_engine::counts::CountSite;
 use pp_engine::rng::SimRng;
 use pp_rules::{FlagProtocol, Guard, Ruleset, Var};
+
+/// Site key of the raw-only run that charges assignments and conditions
+/// (no ruleset lives at address 0).
+const OVERHEAD_SITE: usize = 0;
 
 /// Tuning and fault-injection options for the executor.
 #[derive(Debug, Clone)]
@@ -83,12 +89,20 @@ pub struct Executor<'p> {
     program: &'p Program,
     n: u64,
     counts: Vec<u64>,
+    /// The states with a nonzero count, ascending.
+    occupied: Vec<usize>,
     rng: SimRng,
     rounds: f64,
     iterations: u64,
     raw: Option<Ruleset>,
     opts: ExecOptions,
     ln_n: f64,
+    /// Per-site scheduler runs, built on first use: each `execute` site
+    /// (keyed by its ruleset's address inside the borrowed program, stable
+    /// for the executor's life) composed with the raw threads, and the
+    /// raw threads alone under [`OVERHEAD_SITE`]. `None` where the
+    /// composition has no rule to run.
+    sites: HashMap<usize, Option<CountSite<FlagProtocol>>>,
 }
 
 impl<'p> Executor<'p> {
@@ -123,6 +137,13 @@ impl<'p> Executor<'p> {
             n += count;
         }
         assert!(n >= 2, "population must have at least 2 agents");
+        let mut occupied: Vec<usize> = groups
+            .iter()
+            .filter(|(_, count)| *count > 0)
+            .map(|(vars_on, _)| program.initial_state(vars_on) as usize)
+            .collect();
+        occupied.sort_unstable();
+        occupied.dedup();
         let raws: Vec<Ruleset> = program.raw_threads().map(|(_, rs)| rs.clone()).collect();
         let raw = if raws.is_empty() {
             None
@@ -133,12 +154,14 @@ impl<'p> Executor<'p> {
             program,
             n,
             counts,
+            occupied,
             rng: SimRng::seed_from(seed),
             rounds: 0.0,
             iterations: 0,
             raw,
             opts,
             ln_n: (n as f64).ln(),
+            sites: HashMap::new(),
         }
     }
 
@@ -175,11 +198,10 @@ impl<'p> Executor<'p> {
     /// Number of agents satisfying a guard.
     #[must_use]
     pub fn count_where(&self, guard: &Guard) -> u64 {
-        self.counts
+        self.occupied
             .iter()
-            .enumerate()
-            .filter(|&(s, &c)| c > 0 && guard.eval(s as u32))
-            .map(|(_, &c)| c)
+            .filter(|&&s| guard.eval(s as u32))
+            .map(|&s| self.counts[s])
             .sum()
     }
 
@@ -187,17 +209,11 @@ impl<'p> Executor<'p> {
     /// body (threads executed in declaration order), with raw threads
     /// running throughout.
     pub fn run_iteration(&mut self) {
-        let bodies: Vec<Vec<Instr>> = self
-            .program
-            .threads
-            .iter()
-            .filter_map(|t| match t {
-                Thread::Structured { body, .. } => Some(body.clone()),
-                Thread::Raw { .. } => None,
-            })
-            .collect();
-        for body in &bodies {
-            self.exec_block(body);
+        let program = self.program;
+        for thread in &program.threads {
+            if let Thread::Structured { body, .. } = thread {
+                self.exec_block(body);
+            }
         }
         self.iterations += 1;
     }
@@ -222,13 +238,13 @@ impl<'p> Executor<'p> {
         None
     }
 
-    fn exec_block(&mut self, instrs: &[Instr]) {
+    fn exec_block(&mut self, instrs: &'p [Instr]) {
         for instr in instrs {
             self.exec_instr(instr);
         }
     }
 
-    fn exec_instr(&mut self, instr: &Instr) {
+    fn exec_instr(&mut self, instr: &'p Instr) {
         match instr {
             Instr::Assign { var, value } => {
                 self.exec_assign(*var, value);
@@ -258,64 +274,88 @@ impl<'p> Executor<'p> {
             }
             Instr::Execute { c, ruleset } => {
                 let duration = *c as f64 * self.ln_n;
-                self.run_scheduler(Some(ruleset), duration);
+                self.run_scheduler(
+                    std::ptr::from_ref(ruleset) as usize,
+                    Some(ruleset),
+                    duration,
+                );
             }
         }
     }
 
     /// Applies an assignment to every agent (modulo injected failures).
+    /// Visits the occupied states in ascending order, so the failure and
+    /// coin draws come in the order a scan over all states would make them.
+    /// `O(occupied)`.
     fn exec_assign(&mut self, var: Var, value: &AssignValue) {
-        let k = self.counts.len();
-        let mut next = vec![0u64; k];
-        for s in 0..k {
+        let occupied = std::mem::take(&mut self.occupied);
+        let mut moved: Vec<(usize, u64)> = Vec::with_capacity(2 * occupied.len());
+        for &s in &occupied {
             let c = self.counts[s];
-            if c == 0 {
-                continue;
-            }
             let (applied, skipped) = if self.opts.assign_failure > 0.0 {
                 let skipped = self.rng.binomial(c, self.opts.assign_failure);
                 (c - skipped, skipped)
             } else {
                 (c, 0)
             };
-            next[s] += skipped;
+            moved.push((s, skipped));
             match value {
                 AssignValue::Formula(g) => {
                     let target = var.assign(s as u32, g.eval(s as u32)) as usize;
-                    next[target] += applied;
+                    moved.push((target, applied));
                 }
                 AssignValue::RandomBit => {
                     let ones = self.rng.binomial(applied, 0.5);
-                    next[var.assign(s as u32, true) as usize] += ones;
-                    next[var.assign(s as u32, false) as usize] += applied - ones;
+                    moved.push((var.assign(s as u32, true) as usize, ones));
+                    moved.push((var.assign(s as u32, false) as usize, applied - ones));
                 }
             }
         }
-        self.counts = next;
+        for &s in &occupied {
+            self.counts[s] = 0;
+        }
+        for &(t, c) in &moved {
+            self.counts[t] += c;
+        }
+        self.occupied = moved
+            .into_iter()
+            .filter(|&(_, c)| c > 0)
+            .map(|(t, _)| t)
+            .collect();
+        self.occupied.sort_unstable();
+        self.occupied.dedup();
     }
 
     /// Charges `loops · overhead_c · ln n` rounds of parallel time, during
     /// which raw threads continue to run.
     fn charge_overhead(&mut self, loops: u32) {
         let duration = (loops * self.opts.overhead_c) as f64 * self.ln_n;
-        self.run_scheduler(None, duration);
+        self.run_scheduler(OVERHEAD_SITE, None, duration);
     }
 
     /// Runs `ruleset` (if any) composed with the raw threads under the fair
-    /// scheduler for `duration` rounds.
-    fn run_scheduler(&mut self, ruleset: Option<&Ruleset>, duration: f64) {
+    /// scheduler for `duration` rounds, on the site `key`'s runner.
+    fn run_scheduler(&mut self, key: usize, ruleset: Option<&Ruleset>, duration: f64) {
         self.rounds += duration;
-        let combined = match (ruleset, &self.raw) {
-            (Some(rs), Some(raw)) => Ruleset::compose(&[rs.clone(), raw.clone()]),
-            (Some(rs), None) => rs.clone(),
-            (None, Some(raw)) => raw.clone(),
-            (None, None) => return,
-        };
-        if combined.is_empty() {
-            return;
+        let (program, raw) = (self.program, &self.raw);
+        let site = self.sites.entry(key).or_insert_with(|| {
+            let combined = match (ruleset, raw) {
+                (Some(rs), Some(raw)) => Ruleset::compose(&[rs.clone(), raw.clone()]),
+                (Some(rs), None) => rs.clone(),
+                (None, Some(raw)) => raw.clone(),
+                (None, None) => return None,
+            };
+            (!combined.is_empty())
+                .then(|| CountSite::new(FlagProtocol::new(program.vars.clone(), combined, "exec")))
+        });
+        if let Some(site) = site {
+            site.run(
+                &mut self.counts,
+                Some(&mut self.occupied),
+                duration,
+                &mut self.rng,
+            );
         }
-        let protocol = FlagProtocol::new(self.program.vars.clone(), combined, "exec");
-        run_counts(&protocol, &mut self.counts, duration, &mut self.rng);
     }
 }
 

@@ -8,9 +8,9 @@
 //! [`ExecutionMode::FirstMatch`]; the paper notes protocols translate
 //! between the conventions.
 
-use crate::rule::Ruleset;
+use crate::rule::{Rule, Ruleset};
 use crate::var::VarSet;
-use pp_engine::protocol::{Protocol, ProtocolSpec};
+use pp_engine::protocol::{Protocol, ProtocolSpec, RuleMasks};
 use pp_engine::rng::SimRng;
 
 /// How a ruleset resolves an interaction.
@@ -96,6 +96,16 @@ impl FlagProtocol {
         &self.ruleset
     }
 
+    /// The rules (replicas included, in ruleset order) effective on the
+    /// ordered pair `(a, b)`.
+    fn effective_rules(&self, a: usize, b: usize) -> impl Iterator<Item = &Rule> + '_ {
+        let (a, b) = (a as u32, b as u32);
+        self.ruleset
+            .rules()
+            .iter()
+            .filter(move |r| r.is_effective_on(a, b))
+    }
+
     /// Renders all rules in the paper's notation, one per line.
     #[must_use]
     pub fn render(&self) -> String {
@@ -141,10 +151,65 @@ impl Protocol for FlagProtocol {
     }
 
     fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.ruleset
-            .rules()
-            .iter()
-            .any(|r| r.is_effective_on(a as u32, b as u32))
+        self.effective_rules(a, b).next().is_some()
+    }
+
+    /// In [`ExecutionMode::UniformRule`], the number of rules (replicas
+    /// included) effective on the pair; in [`ExecutionMode::FirstMatch`],
+    /// [`Protocol::is_reactive`] as 0 or 1.
+    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+        match self.mode {
+            ExecutionMode::UniformRule => self.effective_rules(a, b).count() as u32,
+            ExecutionMode::FirstMatch => u32::from(self.is_reactive(a, b)),
+        }
+    }
+
+    fn weight_scale(&self) -> u32 {
+        match self.mode {
+            ExecutionMode::UniformRule => self.ruleset.len() as u32,
+            ExecutionMode::FirstMatch => 1,
+        }
+    }
+
+    /// In [`ExecutionMode::UniformRule`], draws one of the effective rules
+    /// uniformly and applies it with its probability: the uniform rule
+    /// draw of [`Protocol::interact`] conditioned on hitting an effective
+    /// rule, since a drawn rule that is not effective leaves the pair as it
+    /// is.
+    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        if self.mode == ExecutionMode::FirstMatch {
+            return self.interact(a, b, rng);
+        }
+        let weight = self.effective_rules(a, b).count();
+        let pick = rng.index(weight);
+        let rule = self
+            .effective_rules(a, b)
+            .nth(pick)
+            .expect("pick is below the weight");
+        if rule.probability >= 1.0 || rng.chance(rule.probability) {
+            let (a2, b2) = rule.apply(a as u32, b as u32);
+            (a2 as usize, b2 as usize)
+        } else {
+            (a, b)
+        }
+    }
+
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        if self.mode == ExecutionMode::FirstMatch {
+            return None;
+        }
+        let s = state as u32;
+        let mut masks = RuleMasks::new(self.ruleset.len());
+        for (r, rule) in self.ruleset.rules().iter().enumerate() {
+            masks.set(
+                r,
+                rule.guard_a.eval(s),
+                rule.update_a.changes(s),
+                rule.guard_b.eval(s),
+                rule.update_b.changes(s),
+            );
+        }
+        Some(masks)
     }
 
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {

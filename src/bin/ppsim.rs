@@ -540,7 +540,8 @@ fn backend_name(command: &str) -> &'static str {
         "oscillator" => "CountPopulation",
         "faults" => "FaultyPopulation<CountPopulation>",
         "run-file" | "leader" | "leader-exact" | "majority" | "plurality" | "parity" => {
-            "Executor (CountPopulation; SparseCountPopulation above the state-space threshold)"
+            "Executor (CountPopulation; SparseCountPopulation with rule-weighted leaps \
+             above 4096 states)"
         }
         _ => "none",
     }
@@ -593,6 +594,31 @@ fn profile_epidemic(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f
     (wall_ns, "convergence time (rounds)", times)
 }
 
+/// Runs plurality-exact-three on the interpreter (2¹⁸ nominal states, so
+/// its scheduler runs take the sparse backend's leap), colours split
+/// 30/33/37%, one iteration at a time until `rounds` parallel rounds have
+/// passed; returns the wall time and each iteration's simulated rounds.
+fn profile_plurality_exact(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
+    let program = plurality_exact_three();
+    let colour = |i: usize| program.vars.get(&format!("C{i}")).expect("colour flag");
+    let (c1, c2) = (n * 30 / 100, n * 33 / 100);
+    let groups = [
+        (vec![colour(1)], c1),
+        (vec![colour(2)], c2),
+        (vec![colour(3)], n - c1 - c2),
+    ];
+    let mut exec = Executor::new(&program, &groups, seed);
+    let mut iterations = Vec::new();
+    let wall = std::time::Instant::now();
+    while exec.rounds() < rounds as f64 {
+        let before = exec.rounds();
+        exec.run_iteration();
+        iterations.push(exec.rounds() - before);
+    }
+    let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    (wall_ns, "iteration length (rounds)", iterations)
+}
+
 fn fmt_ms(ns: u64) -> String {
     format!("{:.2} ms", ns as f64 / 1e6)
 }
@@ -600,7 +626,7 @@ fn fmt_ms(ns: u64) -> String {
 /// `ppsim profile`: run a built-in protocol under the section profiler and
 /// report a self-time/total-time tree, regime dispatch, and P² percentiles.
 ///
-/// Own grammar (like `lint`): `--builtin oscillator|epidemic`, `--n N`,
+/// Own grammar (like `lint`): `--builtin oscillator|epidemic|plurality-exact`, `--n N`,
 /// `--rounds R`, `--seed S`, `--dispatch FILE` (write the per-batch
 /// dispatch-decision records as JSONL), `--json`.
 #[allow(clippy::too_many_lines)]
@@ -640,7 +666,8 @@ fn run_profile(args: &[String]) -> u8 {
             other => {
                 eprintln!(
                     "error: unknown profile argument {other:?} (usage: ppsim profile \
-                     [--builtin oscillator|epidemic] [--n N] [--rounds R] [--seed S] \
+                     [--builtin oscillator|epidemic|plurality-exact] [--n N] [--rounds R] \
+                     [--seed S] \
                      [--dispatch FILE] [--json])"
                 );
                 return 1;
@@ -648,8 +675,10 @@ fn run_profile(args: &[String]) -> u8 {
         }
         i += 1;
     }
-    if !matches!(builtin, "oscillator" | "epidemic") {
-        eprintln!("error: unknown profile builtin {builtin:?} (oscillator or epidemic)");
+    if !matches!(builtin, "oscillator" | "epidemic" | "plurality-exact") {
+        eprintln!(
+            "error: unknown profile builtin {builtin:?} (oscillator, epidemic or plurality-exact)"
+        );
         return 1;
     }
     if n < 2 {
@@ -660,10 +689,10 @@ fn run_profile(args: &[String]) -> u8 {
     let mut recorder = Recorder::new().with_sections().with_dispatch_log();
     let (wall_ns, quantile_label, samples) = {
         let _installed = recorder.install();
-        if builtin == "oscillator" {
-            profile_oscillator(n, rounds, seed)
-        } else {
-            profile_epidemic(n, rounds, seed)
+        match builtin {
+            "oscillator" => profile_oscillator(n, rounds, seed),
+            "epidemic" => profile_epidemic(n, rounds, seed),
+            _ => profile_plurality_exact(n, rounds, seed),
         }
     };
     let report = recorder.profile();
@@ -929,7 +958,8 @@ fn usage() -> ExitCode {
          \t              --churn-every R --churn-pct P --churn-state S\n\
          \t              --byz-count K --byz-state S --byz-every R --window R]\n\
          \t             oscillator under fault injection + recovery report\n\
-         \tprofile      [--builtin oscillator|epidemic --n --rounds --seed --dispatch FILE --json]\n\
+         \tprofile      [--builtin oscillator|epidemic|plurality-exact --n --rounds --seed\n\
+         \t              --dispatch FILE --json]\n\
          \t             run with the section profiler on; self/total-time tree report\n\
          \tbench-diff   <baseline.jsonl> <current.jsonl> [--tolerance-pct T]\n\
          \t             compare two BENCH_history.jsonl snapshots (exit 1 on regression)\n\

@@ -11,7 +11,7 @@
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::matching::MatchingPopulation;
 use population_protocols::core::engine::population::Population;
-use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
+use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::{run_until, Simulator, StepOutcome};
@@ -190,6 +190,193 @@ fn step_batch_matches_step_on_matching_population() {
         "MatchingPopulation",
         || MatchingPopulation::from_counts(cycle(), &EQUIV_N),
         500,
+    );
+}
+
+/// Runs per side of each sparse-leap scenario, one seed each.
+const LEAP_RUNS: u64 = 120;
+
+/// Per-scenario α of the sparse-leap suite: its four scenarios share a
+/// family-wise α of 0.004 (Bonferroni).
+const LEAP_ALPHA: f64 = 0.001;
+
+/// The sparse-leap suite's flag protocol: an epidemic thread (2 rules,
+/// replicated 3×) composed with a 3-rule mixing thread (replicated 2×)
+/// whose rules fire with probability ½ or ¼, one of them on a disjunctive
+/// guard. Eight states, 12 rule slots.
+fn leap_ruleset() -> (VarSet, population_protocols::core::rules::Ruleset) {
+    let mut vars = VarSet::new();
+    let epidemic = parse_ruleset(
+        "(I) + (!I) -> (.) + (I)\n(!I) + (I) -> (I) + (.)",
+        &mut vars,
+    )
+    .unwrap();
+    let mixer = parse_ruleset(
+        "(A & !B) + (B) -> (.) + (!B) @ 0.5\n\
+         (!A | I) + (A) -> (A) + (.) @ 0.25\n\
+         (B) + (!B) -> (!B) + (B)",
+        &mut vars,
+    )
+    .unwrap();
+    let composed = population_protocols::core::rules::Ruleset::compose(&[epidemic, mixer]);
+    (vars, composed)
+}
+
+/// The flag scenario's start over its 8 states (bit 0 = I, 1 = A, 2 = B):
+/// three infected among 300 agents, A and B mixed.
+const LEAP_FLAG_COUNTS: [u64; 8] = [100, 3, 80, 0, 60, 0, 57, 0];
+
+/// Agents with I set (odd states).
+fn infected<S: Simulator>(sim: &S) -> f64 {
+    (1..8).step_by(2).map(|s| sim.count(s)).sum::<u64>() as f64
+}
+
+/// Chi-square homogeneity of an observable at `target` steps under
+/// `step` vs `step_batch` driving of a sparse population, at α =
+/// [`LEAP_ALPHA`]. Returns the leaps and per-step steps of one batched run.
+fn assert_sparse_leap_equivalent<P: Protocol>(
+    name: &str,
+    make: impl Fn() -> SparseCountPopulation<P>,
+    observe: impl Fn(&SparseCountPopulation<P>) -> f64,
+    target: u64,
+    seed: u64,
+) -> (u64, u64) {
+    let observations = |batched: bool, base: u64| -> Vec<f64> {
+        (0..LEAP_RUNS)
+            .map(|run| {
+                let mut sim = make();
+                let mut rng = SimRng::seed_from(base + run);
+                if batched {
+                    drive_batched(&mut sim, &mut rng, target, 97);
+                } else {
+                    drive_stepwise(&mut sim, &mut rng, target);
+                }
+                observe(&sim)
+            })
+            .collect()
+    };
+    let stepwise = observations(false, seed);
+    let batched = observations(true, seed + 50_000);
+    let (stat, dof, p) = binned_chi_square(&stepwise, &batched, 6);
+    assert!(
+        p > LEAP_ALPHA,
+        "{name}: step vs leaping step_batch distributions differ \
+         (chi² = {stat:.2}, dof = {dof}, p = {p:.5})"
+    );
+    let mut recorder = Recorder::new();
+    {
+        let _installed = recorder.install();
+        drive_batched(&mut make(), &mut SimRng::seed_from(seed), target, 97);
+    }
+    let report = recorder.metrics();
+    (
+        report.counter("noop_leaps"),
+        report.counter("reactive_dense_steps"),
+    )
+}
+
+/// A [`TableProtocol`] given rule masks, one slot per table rule `(a, b) →
+/// (a', b')`, so the sparse backend leaps on it: a pair's weight is the
+/// number of its rules that move an agent, over a scale of 1, and the
+/// reactive interaction is the table's own (rule probabilities included).
+struct Slotted {
+    table: TableProtocol,
+    rules: Vec<[usize; 4]>,
+}
+
+impl Slotted {
+    fn new(states: usize, name: &str, rules: &[([usize; 4], f64)]) -> Self {
+        let table = rules.iter().fold(
+            TableProtocol::new(states, name),
+            |t, &([a, b, a2, b2], p)| t.rule_p(a, b, a2, b2, p),
+        );
+        let rules = rules.iter().map(|&(r, _)| r).collect();
+        Self { table, rules }
+    }
+}
+
+impl Protocol for Slotted {
+    fn num_states(&self) -> usize {
+        self.table.num_states()
+    }
+    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        self.table.interact(a, b, rng)
+    }
+    fn is_reactive(&self, a: usize, b: usize) -> bool {
+        self.table.is_reactive(a, b)
+    }
+    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
+        let moves = |&&[ra, rb, ra2, rb2]: &&[usize; 4]| (ra, rb) == (a, b) && (ra2, rb2) != (a, b);
+        self.rules.iter().filter(moves).count() as u32
+    }
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        let mut masks = RuleMasks::new(self.rules.len());
+        for (r, &[a, b, a2, b2]) in self.rules.iter().enumerate() {
+            masks.set(r, state == a, a2 != a, state == b, b2 != b);
+        }
+        Some(masks)
+    }
+}
+
+/// The sparse backend's rule-weighted leap realizes the stepped chain, on
+/// the rule masks of a [`FlagProtocol`] (LCM replicas, probabilistic
+/// rules, a disjunctive guard), of the same ruleset lowered to a
+/// `RuleTableProtocol` (its draw slots), and of two [`TableProtocol`]s
+/// with one slot per rule ([`Slotted`]). Between them the runs cross the
+/// regime boundary both ways: the epidemic's `p` climbs out of the leap
+/// into per-step sampling, the fratricide's falls from per-step sampling
+/// into the leap.
+#[test]
+fn sparse_leap_matches_stepwise_distribution() {
+    let (vars, rules) = leap_ruleset();
+    let flag = FlagProtocol::new(vars.clone(), rules.clone(), "leap-flag");
+    let (leaps, _) = assert_sparse_leap_equivalent(
+        "FlagProtocol",
+        || SparseCountPopulation::from_dense(&flag, &LEAP_FLAG_COUNTS),
+        infected,
+        300 * 7,
+        700,
+    );
+    assert!(leaps > 0, "FlagProtocol: the batched run never leapt");
+    let live: Vec<u32> = (0..8).collect();
+    let tables = population_protocols::core::lang::enumerate::lower_ruleset(
+        &vars,
+        &rules,
+        &live,
+        "leap-tables",
+    )
+    .unwrap();
+    let (leaps, _) = assert_sparse_leap_equivalent(
+        "RuleTableProtocol",
+        || SparseCountPopulation::from_dense(&tables, &LEAP_FLAG_COUNTS),
+        infected,
+        300 * 7,
+        800,
+    );
+    assert!(leaps > 0, "RuleTableProtocol: the batched run never leapt");
+    let epidemic = Slotted::new(2, "epidemic", &[([1, 0, 1, 1], 0.5), ([0, 1, 1, 1], 1.0)]);
+    let (leaps, steps) = assert_sparse_leap_equivalent(
+        "TableProtocol epidemic",
+        || SparseCountPopulation::from_dense(&epidemic, &[236, 4]),
+        |sim| sim.count(1) as f64,
+        240 * 3,
+        900,
+    );
+    assert!(
+        leaps > 0 && steps > 0,
+        "epidemic: {leaps} leaps, {steps} steps"
+    );
+    let fratricide = Slotted::new(2, "fratricide", &[([1, 1, 1, 0], 1.0)]);
+    let (leaps, steps) = assert_sparse_leap_equivalent(
+        "TableProtocol fratricide",
+        || SparseCountPopulation::from_dense(&fratricide, &[0, 240]),
+        |sim| sim.count(1) as f64,
+        240 * 6,
+        1_000,
+    );
+    assert!(
+        leaps > 0 && steps > 0,
+        "fratricide: {leaps} leaps, {steps} steps"
     );
 }
 

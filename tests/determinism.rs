@@ -11,8 +11,9 @@ use population_protocols::core::engine::counts::{CountPopulation, SparseCountPop
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::{to_jsonl, Json};
 use population_protocols::core::engine::matching::MatchingPopulation;
+use population_protocols::core::engine::metrics::MetricsReport;
 use population_protocols::core::engine::population::Population;
-use population_protocols::core::engine::protocol::TableProtocol;
+use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
@@ -24,6 +25,31 @@ fn rps() -> TableProtocol {
         .rule(0, 1, 0, 0)
         .rule(1, 2, 1, 1)
         .rule(2, 0, 2, 2)
+}
+
+/// [`rps`] with one rule slot per rule, so the sparse backend leaps on it:
+/// slot `r` fires when an initiator in `r` meets a responder in `r + 1`
+/// and converts the responder.
+struct SlottedRps(TableProtocol);
+
+impl Protocol for SlottedRps {
+    fn num_states(&self) -> usize {
+        3
+    }
+    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        self.0.interact(a, b, rng)
+    }
+    fn is_reactive(&self, a: usize, b: usize) -> bool {
+        self.0.is_reactive(a, b)
+    }
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        let mut masks = RuleMasks::new(3);
+        for r in 0..3 {
+            let prey = state == (r + 1) % 3;
+            masks.set(r, state == r, false, prey, prey);
+        }
+        Some(masks)
+    }
 }
 
 /// Every interaction advances the initiator one step around a cycle of `k`
@@ -93,14 +119,15 @@ fn run_once<S: Simulator>(inner: S, seed: u64, n: u64, rounds: u64) -> (String, 
 /// (counters attached, via the full on-disk text encoding), discards the
 /// simulator and the recorder, then restores both into fresh ones —
 /// exactly what `ppsim resume` does after a SIGKILL — and finishes the run.
-/// The returned artifacts must be byte-identical to [`run_once`]'s.
+/// The returned artifacts must be byte-identical to [`run_once`]'s; the
+/// snapshot's text comes last.
 fn run_interrupted<S: Simulator>(
     make: impl Fn() -> S,
     seed: u64,
     n: u64,
     rounds: u64,
     cut: u64,
-) -> (String, String, String) {
+) -> (String, String, String, String) {
     // Build before installing the recorder, matching `run_once`'s
     // call-site argument evaluation — construction-time counter bumps are
     // not part of the recorded run in either flow.
@@ -143,7 +170,7 @@ fn run_interrupted<S: Simulator>(
     }
     drop(installed);
     let report = recorder.metrics().to_json().render();
-    (to_jsonl(&rows), pop.events_jsonl(), report)
+    (to_jsonl(&rows), pop.events_jsonl(), report, text)
 }
 
 /// Replays every backend twice on one scenario and asserts byte equality
@@ -343,6 +370,43 @@ fn dense_resume_is_byte_identical() {
 fn wide_resume_is_byte_identical() {
     let p = drift(WIDE_STATES);
     assert_interrupt_resume_byte_identical("wide", &p, &wide_counts(), 1414, 12, 6);
+}
+
+/// Crash-and-resume while the sparse backend leaps: rock-paper-scissors
+/// (with rule masks) from a dominant state (n = 1 000, about 2% of pairs reactive) leaps
+/// until the fault plan's corruption spreads the agents out, then steps.
+/// The cut lands in the leap, so the regime and the per-step window ride
+/// through the snapshot, and the interned states, weight memo and row sums
+/// are rebuilt from the counts.
+#[test]
+fn sparse_leap_resume_is_byte_identical() {
+    let p = SlottedRps(rps());
+    let counts = [980, 10, 10];
+    let make = || SparseCountPopulation::from_dense(&p, &counts);
+    let full = run_once(make(), 2024, 1_000, 12);
+    let (trace, events, metrics, snapshot) = run_interrupted(make, 2024, 1_000, 12, 3);
+    assert!(
+        snapshot.contains("\"regime\":\"leap\""),
+        "the cut must land in the leap"
+    );
+    assert_eq!(
+        full.0, trace,
+        "sparse leap: resumed trace must be byte-identical"
+    );
+    assert_eq!(
+        full.1, events,
+        "sparse leap: resumed fault events must be byte-identical"
+    );
+    assert_eq!(
+        full.2, metrics,
+        "sparse leap: resumed metrics must be byte-identical"
+    );
+    let report = MetricsReport::parse(&metrics).expect("metrics parse");
+    assert!(report.counter("noop_leaps") > 0, "the run leapt");
+    assert!(
+        report.counter("reactive_dense_steps") > 0,
+        "the run stepped"
+    );
 }
 
 /// FNV-1a over the little-endian bytes of `words`.

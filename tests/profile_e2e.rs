@@ -195,3 +195,57 @@ fn profile_dispatch_log_is_valid_jsonl() {
         other => panic!("the first trial lacks a leap or collision record: {other:?}"),
     }
 }
+
+/// A program above 4 096 states runs on the sparse backend, and the
+/// profile names what it ran: `sparse_leap` sections under
+/// `sparse_step_batch`, the leap in the regime counters, and dispatch
+/// records from `SparseCountPopulation` carrying `p`, the occupancy and
+/// the rule-weighted pair count `W` over its scale.
+#[test]
+fn plurality_exact_profile_names_the_sparse_leap() {
+    let log = tmp("sparse-dispatch.jsonl");
+    let log_arg = log.to_str().expect("utf8 temp path");
+    let doc = profile_json(&[
+        "--builtin",
+        "plurality-exact",
+        "--n",
+        "2000",
+        "--dispatch",
+        log_arg,
+    ]);
+    let leap = sections(&doc)
+        .into_iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("sparse_leap"))
+        .expect("sparse_leap section present");
+    assert_eq!(
+        leap.get("parent").and_then(Json::as_str),
+        Some("sparse_step_batch")
+    );
+    assert!(leap.get("calls").and_then(Json::as_u64) > Some(0));
+    let regimes = doc.get("regimes").expect("regimes present");
+    assert!(regimes.get("leap").and_then(Json::as_u64) > Some(0));
+    assert_eq!(doc.get("first_regime").and_then(Json::as_str), Some("leap"));
+    let text = std::fs::read_to_string(&log).expect("dispatch log written");
+    let _ = std::fs::remove_file(&log);
+    let records = parse_jsonl(&text).expect("dispatch log is JSONL");
+    assert!(!records.is_empty(), "one record per batch");
+    for r in &records {
+        assert_eq!(
+            r.get("backend").and_then(Json::as_str),
+            Some("SparseCountPopulation")
+        );
+        assert_eq!(r.get("scale").and_then(Json::as_u64), Some(33));
+        assert!(r.get("occupied").and_then(Json::as_u64) > Some(0));
+        if r.get("regime").and_then(Json::as_str) == Some("leap") {
+            let p = r
+                .get("p")
+                .and_then(Json::as_f64)
+                .expect("a leaping batch knows p");
+            let pairs = r.get("pairs").and_then(Json::as_u64).expect("W present") as f64;
+            assert!(
+                (p - pairs / (2000.0 * 1999.0 * 33.0)).abs() < 1e-12,
+                "p = W/(n(n-1)·scale)"
+            );
+        }
+    }
+}
