@@ -117,7 +117,8 @@ fn main() {
     // --- Compiled vs interpreted path ------------------------------------
     // The exact comparison projects to 21 packed bits on its main thread;
     // the enumeration backend compiles it over its live states. Record
-    // both rates plus their ratio so `bench-diff` gates the compiled path.
+    // both rates, which `bench-diff` gates, plus their ratio, which it
+    // only reports.
     let program = semilinear_comparison_exact(1);
     let a = program.vars.get("A").expect("A");
     let b = program.vars.get("B").expect("B");

@@ -93,7 +93,7 @@ fn main() {
     // the flag budget; the enumeration backend compiles it over its live
     // support-reachable states instead. Measure full protocol iterations
     // per second on both paths and record the trajectory so `bench-diff`
-    // gates the compiled rate.
+    // gates both rates (their ratio is only reported).
     let program = plurality(3, 2);
     let colors: Vec<_> = (1..=3)
         .map(|i| program.vars.get(&format!("C{i}")).unwrap())

@@ -5,6 +5,7 @@
 //! gaps, and reports the separation ratio at two population sizes.
 
 use pp_bench::{emit, Scale};
+use pp_clocks::diag::TickTracer;
 use pp_clocks::hierarchy::ClockHierarchy;
 use pp_clocks::junta::PairwiseElimination;
 use pp_clocks::oscillator::Dk18Oscillator;
@@ -23,36 +24,24 @@ fn measure(n: usize, horizon: f64, seed: u64) -> (Vec<LevelStats>, u64) {
     let mut pop = ObjPopulation::from_fn(&h, n, |_| h.initial_agent());
     let mut rng = SimRng::seed_from(seed);
     let warmup = 150.0;
-    let mut last = [None::<u8>; 2];
-    let mut ticks: [Vec<(f64, u8)>; 2] = [Vec::new(), Vec::new()];
+    let mut tracer = TickTracer::new(2, 12);
     while pop.time() < horizon {
         pop.step_batch(&mut rng, n as u64);
-        if pop.time() < warmup {
-            continue;
-        }
-        for lvl in 0..2 {
-            let mut hist = [0u64; 12];
-            for a in pop.iter() {
-                hist[a.cur[lvl].phase as usize] += 1;
-            }
-            let maj = (0..12).max_by_key(|&p| hist[p]).unwrap() as u8;
-            if last[lvl] != Some(maj) {
-                ticks[lvl].push((pop.time(), maj));
-                last[lvl] = Some(maj);
-            }
+        if pop.time() >= warmup {
+            tracer.observe(&pop);
         }
     }
     let x = pop.count_where(|a| h.is_x(a));
-    let stats = ticks
-        .iter()
-        .map(|t| {
-            let gaps: Vec<f64> = t.windows(2).map(|w| w[1].0 - w[0].0).collect();
+    let stats = (0..2)
+        .map(|level| {
+            let t = tracer.ticks(level);
+            let gaps: Vec<f64> = t.windows(2).map(|w| w[1].time - w[0].time).collect();
             LevelStats {
                 ticks: t.len(),
                 mean_gap: gaps.iter().sum::<f64>() / gaps.len().max(1) as f64,
                 bad_seq: t
                     .windows(2)
-                    .filter(|w| (w[1].1 + 12 - w[0].1) % 12 != 1)
+                    .filter(|w| (w[1].phase + 12 - w[0].phase) % 12 != 1)
                     .count(),
             }
         })

@@ -22,15 +22,19 @@ use crate::protocol::Protocol;
 use crate::reactivity::ReactivityIndex;
 use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
-use crate::sim::{run_rounds, BatchOutcome, Simulator, StepOutcome};
+use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
+
+pub use crate::sparse::SparseCountPopulation;
 
 /// Largest state space for which [`CountPopulation`] builds the reactivity
 /// index that powers batched no-op leaping and collision epochs; above it,
 /// `step_batch` runs a tight Fenwick-sampled loop. The index costs
-/// `O(k + occupied²)` to build, which does not need the limit; it stays
-/// because lifting it would change which regime runs above 1 024 states,
-/// and with it the trajectories of those protocols.
+/// `O(k + occupied²)` to build. The loop serves the experiments with wide
+/// dense state spaces: E6 (`k = 9 072`), E9's `SyncMajority`
+/// (`k = 2 880`) and E15 (`k = 54 432`). With the index built at every
+/// `k`, E6 at `--quick` scale took ~47 s instead of ~4 s, and E15 at
+/// `--quick` scale aborted.
 const BATCH_STATE_LIMIT: usize = 1024;
 
 /// Minimum expected number of *reactive* interactions per collision-free
@@ -560,177 +564,5 @@ mod tests {
         assert_eq!(pop.migrate(1, 1, 5), 0, "self-moves are no-ops");
         assert_eq!(pop.migrate(0, 1, 5), 0, "empty source moves nothing");
         assert_eq!(pop.steps(), 0, "migrate consumes no steps");
-    }
-}
-
-pub use crate::sparse::SparseCountPopulation;
-
-/// Above this many nominal states a [`CountSite`] runs on the sparse
-/// backend: reachable configurations of wide flag spaces occupy only a
-/// handful of states, so dense Fenwick construction would dominate.
-const SPARSE_THRESHOLD: usize = 4096;
-
-/// One scheduler-run site of a program executor: a protocol run again and
-/// again, for some rounds each time, on a count vector that changes in
-/// between. The one dispatch point of the executors' scheduler runs: up to
-/// 4 096 states each run builds a fresh [`CountPopulation`]; above that
-/// the site keeps one [`SparseCountPopulation`] across runs, so its
-/// interned states and weight memo carry over and a run's set-up and
-/// write-back cost `O(occupied)`.
-#[derive(Debug, Clone)]
-pub struct CountSite<P> {
-    /// The protocol, until a sparse population takes it over.
-    protocol: Option<P>,
-    sparse: Option<SparseCountPopulation<P>>,
-}
-
-impl<P: Protocol> CountSite<P> {
-    /// A site that runs `protocol`.
-    #[must_use]
-    pub fn new(protocol: P) -> Self {
-        Self {
-            protocol: Some(protocol),
-            sparse: None,
-        }
-    }
-
-    /// Runs the protocol for `rounds` parallel rounds on `counts`, in
-    /// place. A caller that tracks its occupied states passes them as
-    /// `occupied`, in ascending order, and gets them back updated; without
-    /// them a sparse run finds them with one scan of `counts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` holds fewer than 2 agents or spans more states
-    /// than the protocol has.
-    pub fn run(
-        &mut self,
-        counts: &mut [u64],
-        occupied: Option<&mut Vec<usize>>,
-        rounds: f64,
-        rng: &mut SimRng,
-    ) {
-        if counts.len() <= SPARSE_THRESHOLD {
-            let protocol = self
-                .protocol
-                .as_ref()
-                .expect("a dense site keeps its protocol");
-            let mut pop = CountPopulation::from_counts(protocol, counts);
-            run_rounds(&mut pop, rounds, rng, &mut []);
-            counts.copy_from_slice(&pop.counts()[..counts.len()]);
-            if let Some(occupied) = occupied {
-                occupied.clear();
-                occupied.extend((0..counts.len()).filter(|&s| counts[s] > 0));
-            }
-            return;
-        }
-        let pairs: Vec<(usize, u64)> = match &occupied {
-            Some(occupied) => occupied.iter().map(|&s| (s, counts[s])).collect(),
-            None => (0..counts.len())
-                .filter(|&s| counts[s] > 0)
-                .map(|s| (s, counts[s]))
-                .collect(),
-        };
-        let pop = match (&mut self.sparse, self.protocol.take()) {
-            (Some(pop), _) => {
-                pop.load(&pairs);
-                pop
-            }
-            (slot, Some(protocol)) => {
-                slot.insert(SparseCountPopulation::from_pairs(protocol, &pairs))
-            }
-            (None, None) => unreachable!("a site holds its protocol or its population"),
-        };
-        for &(s, _) in &pairs {
-            counts[s] = 0;
-        }
-        run_rounds(pop, rounds, rng, &mut []);
-        for (state, count) in pop.iter_counts() {
-            counts[state] = count;
-        }
-        if let Some(occupied) = occupied {
-            occupied.clear();
-            occupied.extend(pop.iter_counts().map(|(s, _)| s));
-            occupied.sort_unstable();
-        }
-    }
-}
-
-#[cfg(test)]
-mod site_tests {
-    use super::*;
-
-    /// The initiator steps forward around a cycle of `k` states.
-    #[derive(Clone)]
-    struct Drift(usize);
-    impl Protocol for Drift {
-        fn num_states(&self) -> usize {
-            self.0
-        }
-        fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-            ((a + 1) % self.0, b)
-        }
-    }
-
-    fn occupied(counts: &[u64]) -> Vec<usize> {
-        (0..counts.len()).filter(|&s| counts[s] > 0).collect()
-    }
-
-    /// A site above the sparse threshold leaves exactly the counts of a
-    /// sparse run from the same start and seed, in place, and its next run
-    /// continues from counts edited in between.
-    #[test]
-    fn sparse_site_writes_back_the_sparse_run() {
-        let k = SPARSE_THRESHOLD + 1;
-        let mut counts = vec![0u64; k];
-        for s in (0..k).step_by(97) {
-            counts[s] = 1 + s as u64 % 3;
-        }
-        let mut reference = SparseCountPopulation::from_dense(Drift(k), &counts);
-        run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11), &mut []);
-        let mut site = CountSite::new(Drift(k));
-        let mut occ = occupied(&counts);
-        let mut rng = SimRng::seed_from(11);
-        site.run(&mut counts, Some(&mut occ), 3.0, &mut rng);
-        assert_eq!(counts, reference.to_dense());
-        assert_eq!(occ, occupied(&counts));
-        // Move everyone to state 0; the next run starts from there.
-        let n: u64 = counts.iter().sum();
-        counts.iter_mut().for_each(|c| *c = 0);
-        counts[0] = n;
-        let mut fresh = SparseCountPopulation::from_dense(Drift(k), &counts);
-        let mut fresh_rng = rng.clone();
-        run_rounds(&mut fresh, 1.0, &mut fresh_rng, &mut []);
-        occ = vec![0];
-        site.run(&mut counts, Some(&mut occ), 1.0, &mut rng);
-        assert_eq!(counts, fresh.to_dense());
-        assert_eq!(occ, occupied(&counts));
-        // A caller that does not track its occupied states gets the same
-        // run from the same start.
-        let before = counts.clone();
-        let mut untracked = site.clone();
-        let mut untracked_counts = counts.clone();
-        let mut untracked_rng = rng.clone();
-        site.run(&mut counts, Some(&mut occ), 1.0, &mut rng);
-        untracked.run(&mut untracked_counts, None, 1.0, &mut untracked_rng);
-        assert_ne!(counts, before);
-        assert_eq!(untracked_counts, counts);
-    }
-
-    /// At or below the threshold a site's run is a fresh dense run.
-    #[test]
-    fn dense_site_matches_a_fresh_dense_run() {
-        let k = 64;
-        let mut counts: Vec<u64> = (0..k as u64).map(|s| s % 3).collect();
-        let mut reference = CountPopulation::from_counts(Drift(k), &counts);
-        run_rounds(&mut reference, 2.0, &mut SimRng::seed_from(5), &mut []);
-        let mut occ = occupied(&counts);
-        let mut untracked = counts.clone();
-        let mut site = CountSite::new(Drift(k));
-        site.run(&mut counts, Some(&mut occ), 2.0, &mut SimRng::seed_from(5));
-        assert_eq!(counts, reference.counts());
-        assert_eq!(occ, occupied(&counts));
-        site.run(&mut untracked, None, 2.0, &mut SimRng::seed_from(5));
-        assert_eq!(untracked, counts);
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! Only a protocol with rule masks leaps; any other stays per step. A
 //! state's masks are asked for at most once over the population's life,
-//! which [`SparseCountPopulation::load`] preserves across the runs of a
+//! which [`SparseCountPopulation::run_on`] preserves across the runs of a
 //! program site.
 
 use std::collections::HashMap;
@@ -36,7 +36,7 @@ use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
-use crate::sim::{BatchOutcome, Simulator, StepOutcome};
+use crate::sim::{run_rounds, BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
 
 /// Occupied slots per block of the per-step sampler's second level. With
@@ -106,6 +106,23 @@ impl Hasher for StateHasher {
 }
 
 type StateIds = HashMap<usize, u32, BuildHasherDefault<StateHasher>>;
+
+/// The `(state, count)` pairs of a dense count vector's nonzero entries,
+/// in ascending state order.
+fn dense_pairs(counts: &[u64]) -> Vec<(usize, u64)> {
+    // Wide flag spaces are mostly zeros: one OR over a chunk skips it
+    // before any single count is looked at.
+    const CHUNK: usize = 16;
+    let mut pairs = Vec::new();
+    for (j, chunk) in counts.chunks(CHUNK).enumerate() {
+        if chunk.iter().fold(0, |acc, &c| acc | c) == 0 {
+            continue;
+        }
+        let occupied = chunk.iter().enumerate().filter(|&(_, &c)| c > 0);
+        pairs.extend(occupied.map(|(i, &c)| (j * CHUNK + i, c)));
+    }
+    pairs
+}
 
 /// Per-block count sums of an occupied list.
 fn block_sums(occupied: &[(usize, u64)]) -> Vec<u64> {
@@ -238,8 +255,8 @@ struct LeapRows {
     /// `R` per occupied slot, parallel to the occupied list.
     rows: Vec<u64>,
     /// With one-word masks, each occupied slot's masks, parallel to the
-    /// occupied list; empty otherwise.
-    masks: Vec<[u64; 4]>,
+    /// occupied list; `None` otherwise.
+    masks: Option<Vec<[u64; 4]>>,
     /// `W = Σ c_a R_a`.
     total: u64,
 }
@@ -365,38 +382,55 @@ impl<P: Protocol> SparseCountPopulation<P> {
     /// As [`SparseCountPopulation::from_pairs`].
     #[must_use]
     pub fn from_dense(protocol: P, counts: &[u64]) -> Self {
-        // Wide flag spaces are mostly zeros: one OR over a chunk skips it
-        // before any single count is looked at.
-        const CHUNK: usize = 16;
-        let mut pairs = Vec::new();
-        for (j, chunk) in counts.chunks(CHUNK).enumerate() {
-            if chunk.iter().fold(0, |acc, &c| acc | c) == 0 {
-                continue;
-            }
-            let occupied = chunk.iter().enumerate().filter(|&(_, &c)| c > 0);
-            pairs.extend(occupied.map(|(i, &c)| (j * CHUNK + i, c)));
-        }
-        Self::from_pairs(protocol, &pairs)
+        Self::from_pairs(protocol, &dense_pairs(counts))
     }
 
-    /// Replaces the counts with `pairs`, occupied in the order given, as
-    /// [`SparseCountPopulation::from_pairs`] would, but keeping the
-    /// interned states, their weight memo, the regime and the step count:
-    /// the per-call work of a program site that runs again on counts
-    /// changed in between. `O(occupied)`.
+    /// Runs the protocol for `rounds` parallel rounds on the dense count
+    /// vector `counts`, in place: the run of a program site, which keeps
+    /// one population across runs on counts changed in between. The
+    /// population takes over `counts`, occupied in ascending state order
+    /// as [`SparseCountPopulation::from_dense`] would, but keeps its
+    /// interned states, their weight memo, the regime and the step count,
+    /// so set-up and write-back cost `O(occupied)`. A caller that tracks
+    /// its occupied states passes them as `occupied`, in ascending order,
+    /// and gets them back updated; without them the run finds them with
+    /// one scan of `counts`.
     ///
     /// # Panics
     ///
-    /// As [`SparseCountPopulation::from_pairs`].
-    pub fn load(&mut self, pairs: &[(usize, u64)]) {
+    /// Panics if `counts` holds fewer than 2 agents or occupies a state
+    /// the protocol does not have.
+    pub fn run_on(
+        &mut self,
+        counts: &mut [u64],
+        occupied: Option<&mut Vec<usize>>,
+        rounds: f64,
+        rng: &mut SimRng,
+    ) {
+        let pairs = match &occupied {
+            Some(occupied) => occupied.iter().map(|&s| (s, counts[s])).collect(),
+            None => dense_pairs(counts),
+        };
         for &id in &self.slot_ids {
             self.slot_of[id as usize] = NO_SLOT;
         }
         self.occupied.clear();
         self.slot_ids.clear();
         self.leap = None;
-        if let Err(e) = self.fill(pairs) {
+        if let Err(e) = self.fill(&pairs) {
             panic!("{e}");
+        }
+        for &(s, _) in &pairs {
+            counts[s] = 0;
+        }
+        run_rounds(self, rounds, rng, &mut []);
+        for &(state, count) in &self.occupied {
+            counts[state] = count;
+        }
+        if let Some(occupied) = occupied {
+            occupied.clear();
+            occupied.extend(self.occupied.iter().map(|&(s, _)| s));
+            occupied.sort_unstable();
         }
     }
 
@@ -439,11 +473,6 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.occupied.len()
     }
 
-    /// Iterates over `(state, count)` pairs of occupied states.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.occupied.iter().copied()
-    }
-
     /// The dense count vector (mostly zeros; allocates `num_states`).
     #[must_use]
     pub fn to_dense(&self) -> Vec<u64> {
@@ -482,8 +511,8 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.slot_ids.push(id);
         if let Some(leap) = &mut self.leap {
             leap.rows.push(0);
-            if !leap.masks.is_empty() {
-                leap.masks.push([0; 4]);
+            if let Some(masks) = &mut leap.masks {
+                masks.push([0; 4]);
             }
         }
         if slot.is_multiple_of(SLOT_BLOCK) {
@@ -514,8 +543,8 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.slot_of[id as usize] = NO_SLOT;
         if let Some(leap) = &mut self.leap {
             leap.rows.swap_remove(slot);
-            if !leap.masks.is_empty() {
-                leap.masks.swap_remove(slot);
+            if let Some(masks) = &mut leap.masks {
+                masks.swap_remove(slot);
             }
         }
         let moved_from = (slot < last).then(|| {
@@ -660,9 +689,9 @@ impl<P: Protocol> SparseCountPopulation<P> {
             .map(|(&r, &(_, c))| c * r)
             .sum();
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
-        let masks = memo.one_word().map_or_else(Vec::new, |m| {
-            self.slot_ids.iter().map(|&id| m[id as usize]).collect()
-        });
+        let masks = memo
+            .one_word()
+            .map(|m| self.slot_ids.iter().map(|&id| m[id as usize]).collect());
         self.leap = Some(LeapRows { rows, masks, total });
         Some(total)
     }
@@ -725,8 +754,8 @@ impl<P: Protocol> SparseCountPopulation<P> {
     /// `c'_b w(a, b)`, `a` the initiator at slot `sa`.
     fn responder_at(&self, sa: usize, mut v: u64) -> usize {
         let leap = self.leap.as_ref().expect("leaping");
-        if let Some(ma) = leap.masks.get(sa) {
-            return pick_responder(&leap.masks, &self.occupied, ma, sa, v);
+        if let Some(masks) = &leap.masks {
+            return pick_responder(masks, &self.occupied, &masks[sa], sa, v);
         }
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
         let a = self.slot_ids[sa];
@@ -760,15 +789,15 @@ impl<P: Protocol> SparseCountPopulation<P> {
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
         let leap = self.leap.as_mut().expect("leaping");
         let mut total = 0u64;
-        if let Some(table) = memo.one_word() {
+        if let (Some(table), Some(masks)) = (memo.one_word(), &mut leap.masks) {
             for (slot, &id) in self.slot_ids[kept..].iter().enumerate() {
-                leap.masks[kept + slot] = table[id as usize];
+                masks[kept + slot] = table[id as usize];
             }
             let moves: Vec<([u64; 4], [u64; 4])> = moves
                 .iter()
                 .map(|&(from, to)| (table[from as usize], table[to as usize]))
                 .collect();
-            total = update_rows(&mut leap.rows[..kept], &self.occupied, &leap.masks, &moves);
+            total = update_rows(&mut leap.rows[..kept], &self.occupied, masks, &moves);
         } else {
             let old = leap.rows[..kept].iter_mut().zip(&self.occupied);
             for ((r, &(_, c)), &x) in old.zip(&self.slot_ids) {
@@ -1408,6 +1437,79 @@ mod tests {
                 .collect();
             run(Masked::new(words, masks));
         }
+    }
+
+    /// At n = 2 one effective step can empty every occupied slot before
+    /// the step's additions refill any; the one-word mask rows must still
+    /// follow the occupied list, whether the two agents leave two states
+    /// or one.
+    #[test]
+    fn leap_at_two_agents_survives_emptying_every_slot() {
+        let p = Masked::new(1, vec![[1; 4]; 4]);
+        for (start, (a2, b2)) in [(vec![(0, 1), (1, 1)], (2, 3)), (vec![(0, 2)], (1, 1))] {
+            let mut pop = SparseCountPopulation::from_pairs(&p, &start);
+            pop.build_leap().expect("the protocol has rule masks");
+            pop.apply_leap(0, start.len() - 1, a2, b2);
+            let leap = pop.leap.as_ref().expect("leaping");
+            let masks = leap.masks.as_ref().expect("one-word masks");
+            assert_eq!(masks.len(), pop.occupied.len());
+            assert!(pop.leap_is_consistent());
+        }
+    }
+
+    /// The initiator steps forward around a cycle of `k` states.
+    #[derive(Clone)]
+    struct Drift(usize);
+
+    impl Protocol for Drift {
+        fn num_states(&self) -> usize {
+            self.0
+        }
+        fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+            ((a + 1) % self.0, b)
+        }
+    }
+
+    /// `run_on` leaves exactly the counts of a fresh run from the same
+    /// start and seed, in place, with its occupied states tracked or not,
+    /// and its next run continues from counts edited in between.
+    #[test]
+    fn run_on_writes_back_a_fresh_run() {
+        let k = 600;
+        let occupied = |counts: &[u64]| (0..k).filter(|&s| counts[s] > 0).collect::<Vec<_>>();
+        let mut counts = vec![0u64; k];
+        for s in (0..k).step_by(97) {
+            counts[s] = 1 + s as u64 % 3;
+        }
+        let mut reference = SparseCountPopulation::from_dense(Drift(k), &counts);
+        run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11), &mut []);
+        let mut site = SparseCountPopulation::from_dense(Drift(k), &counts);
+        let mut occ = occupied(&counts);
+        let mut rng = SimRng::seed_from(11);
+        site.run_on(&mut counts, Some(&mut occ), 3.0, &mut rng);
+        assert_eq!(counts, reference.to_dense());
+        assert_eq!(occ, occupied(&counts));
+        // Move everyone to state 0; the next run starts from there.
+        let n: u64 = counts.iter().sum();
+        counts.iter_mut().for_each(|c| *c = 0);
+        counts[0] = n;
+        let mut fresh = SparseCountPopulation::from_dense(Drift(k), &counts);
+        let mut fresh_rng = rng.clone();
+        run_rounds(&mut fresh, 1.0, &mut fresh_rng, &mut []);
+        occ = vec![0];
+        site.run_on(&mut counts, Some(&mut occ), 1.0, &mut rng);
+        assert_eq!(counts, fresh.to_dense());
+        assert_eq!(occ, occupied(&counts));
+        // A caller that does not track its occupied states gets the same
+        // run from the same start.
+        let before = counts.clone();
+        let mut untracked = site.clone();
+        let mut untracked_counts = counts.clone();
+        let mut untracked_rng = rng.clone();
+        site.run_on(&mut counts, Some(&mut occ), 1.0, &mut rng);
+        untracked.run_on(&mut untracked_counts, None, 1.0, &mut untracked_rng);
+        assert_ne!(counts, before);
+        assert_eq!(untracked_counts, counts);
     }
 
     /// A protocol without rule masks never leaps, however rarely its steps

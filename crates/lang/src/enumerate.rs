@@ -13,8 +13,8 @@
 //! This backend enumerates exactly those live states, interns them into
 //! dense `u32` ids (ascending packed order, so ids are deterministic), and
 //! lowers every scheduler-visible ruleset into per-rule dense tables
-//! ([`RuleTableProtocol`]) that run on the count backends'
-//! collision-batching paths. Program structure (assignments, branches,
+//! ([`RuleTableProtocol`]) that run on the sparse count backend's
+//! rule-weighted leap. Program structure (assignments, branches,
 //! loops) is executed by [`EnumExecutor`] under exactly the good-iteration
 //! semantics of [`crate::interp::Executor`], with identical time
 //! accounting — only the state space is id-compressed, never the dynamics:
@@ -40,7 +40,7 @@
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
 use crate::interp::ExecOptions;
-use pp_engine::counts::CountSite;
+use pp_engine::counts::SparseCountPopulation;
 use pp_engine::rng::SimRng;
 use pp_engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
 use pp_rules::reach::{support_closure, AbstractAssign, SupportModel};
@@ -403,12 +403,10 @@ fn escaped(vars: &VarSet, rule: &pp_rules::Rule, s: u32, t: u32) -> EnumError {
 /// state space — the drop-in compiled counterpart of
 /// [`crate::interp::Executor`].
 ///
-/// Counts are indexed by dense live-state id; scheduler runs go through a
-/// [`CountSite`] per site over `q = live` states (on the dense count
-/// backend, with full collision-epoch batching via the tabulated
-/// [`RuleTableProtocol`], up to 4 096 live states; on the sparse backend's
-/// rule-weighted leap above) instead of the interpreter's `2^bits` nominal
-/// space.
+/// Counts are indexed by dense live-state id; scheduler runs go through
+/// one [`SparseCountPopulation`] per site, kept across the site's runs,
+/// over the `q = live` states of the tabulated [`RuleTableProtocol`]
+/// instead of the interpreter's `2^bits` nominal space.
 ///
 /// # Examples
 ///
@@ -449,11 +447,11 @@ pub struct EnumExecutor<'p> {
     opts: ExecOptions,
     ln_n: f64,
     /// Raw threads composed, lowered once (runs during overhead charging).
-    overhead: Option<CountSite<RuleTableProtocol>>,
+    overhead: Option<SparseCountPopulation<RuleTableProtocol>>,
     /// Per-`execute`-site lowered protocols (site ruleset LCM-composed
     /// with the raw threads), keyed by the ruleset's address inside the
     /// borrowed program — stable for the executor's lifetime.
-    sites: HashMap<usize, CountSite<RuleTableProtocol>>,
+    sites: HashMap<usize, SparseCountPopulation<RuleTableProtocol>>,
 }
 
 impl<'p> EnumExecutor<'p> {
@@ -499,6 +497,23 @@ impl<'p> EnumExecutor<'p> {
         verify_enumeration(&program.vars, &plan.live, &model.rulesets, &model.assigns)
             .map_err(EnumError::Verification)?;
 
+        let mut counts = vec![0u64; plan.live.len()];
+        let mut n = 0u64;
+        for (vars_on, count) in groups {
+            let packed = program.initial_state(vars_on);
+            let id = plan
+                .live
+                .binary_search(&packed)
+                .expect("initial states are enumerated by construction");
+            counts[id] += count;
+            n += count;
+        }
+        assert!(n >= 2, "population must have at least 2 agents");
+        let site = |ruleset: &Ruleset, name: &str| {
+            let lowered = lower_ruleset(&program.vars, ruleset, &plan.live, name)?;
+            Ok::<_, EnumError>(SparseCountPopulation::from_dense(lowered, &counts))
+        };
+
         let raws: Vec<Ruleset> = program.raw_threads().map(|(_, rs)| rs.clone()).collect();
         let raw = if raws.is_empty() {
             None
@@ -506,12 +521,7 @@ impl<'p> EnumExecutor<'p> {
             Some(Ruleset::compose(&raws))
         };
         let overhead = match &raw {
-            Some(r) if !r.is_empty() => Some(CountSite::new(lower_ruleset(
-                &program.vars,
-                r,
-                &plan.live,
-                &format!("{}/raw", program.name),
-            )?)),
+            Some(r) if !r.is_empty() => Some(site(r, &format!("{}/raw", program.name))?),
             _ => None,
         };
         let mut sites = HashMap::new();
@@ -531,30 +541,11 @@ impl<'p> EnumExecutor<'p> {
             if composed.is_empty() {
                 continue; // nothing to run; overhead-only site
             }
-            let lowered = lower_ruleset(
-                &program.vars,
-                &composed,
-                &plan.live,
-                &format!("{}/enum", program.name),
-            )?;
             sites.insert(
                 std::ptr::from_ref(ruleset) as usize,
-                CountSite::new(lowered),
+                site(&composed, &format!("{}/enum", program.name))?,
             );
         }
-
-        let mut counts = vec![0u64; plan.live.len()];
-        let mut n = 0u64;
-        for (vars_on, count) in groups {
-            let packed = program.initial_state(vars_on);
-            let id = plan
-                .live
-                .binary_search(&packed)
-                .expect("initial states are enumerated by construction");
-            counts[id] += count;
-            n += count;
-        }
-        assert!(n >= 2, "population must have at least 2 agents");
         Ok(Self {
             program,
             dead_rules: plan.dead_rules,
@@ -702,7 +693,7 @@ impl<'p> EnumExecutor<'p> {
                 self.rounds += duration;
                 let key = std::ptr::from_ref(ruleset) as usize;
                 if let Some(site) = self.sites.get_mut(&key) {
-                    site.run(&mut self.counts, None, duration, &mut self.rng);
+                    site.run_on(&mut self.counts, None, duration, &mut self.rng);
                 }
             }
         }
@@ -751,7 +742,7 @@ impl<'p> EnumExecutor<'p> {
         let duration = (loops * self.opts.overhead_c) as f64 * self.ln_n;
         self.rounds += duration;
         if let Some(site) = &mut self.overhead {
-            site.run(&mut self.counts, None, duration, &mut self.rng);
+            site.run_on(&mut self.counts, None, duration, &mut self.rng);
         }
     }
 }

@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
-use pp_engine::counts::CountSite;
+use pp_engine::counts::SparseCountPopulation;
 use pp_engine::rng::SimRng;
 use pp_rules::{FlagProtocol, Guard, Ruleset, Var};
 
@@ -97,12 +97,13 @@ pub struct Executor<'p> {
     raw: Option<Ruleset>,
     opts: ExecOptions,
     ln_n: f64,
-    /// Per-site scheduler runs, built on first use: each `execute` site
-    /// (keyed by its ruleset's address inside the borrowed program, stable
-    /// for the executor's life) composed with the raw threads, and the
-    /// raw threads alone under [`OVERHEAD_SITE`]. `None` where the
-    /// composition has no rule to run.
-    sites: HashMap<usize, Option<CountSite<FlagProtocol>>>,
+    /// Per-site populations, built from the counts at first use and kept
+    /// across the site's runs: each `execute` site (keyed by its ruleset's
+    /// address inside the borrowed program, stable for the executor's
+    /// life) composed with the raw threads, and the raw threads alone
+    /// under [`OVERHEAD_SITE`]. `None` where the composition has no rule
+    /// to run.
+    sites: HashMap<usize, Option<SparseCountPopulation<FlagProtocol>>>,
 }
 
 impl<'p> Executor<'p> {
@@ -334,10 +335,11 @@ impl<'p> Executor<'p> {
     }
 
     /// Runs `ruleset` (if any) composed with the raw threads under the fair
-    /// scheduler for `duration` rounds, on the site `key`'s runner.
+    /// scheduler for `duration` rounds, on the site `key`'s population.
     fn run_scheduler(&mut self, key: usize, ruleset: Option<&Ruleset>, duration: f64) {
         self.rounds += duration;
-        let (program, raw) = (self.program, &self.raw);
+        let (program, raw, counts) = (self.program, &self.raw, &self.counts);
+        let occupied = &self.occupied;
         let site = self.sites.entry(key).or_insert_with(|| {
             let combined = match (ruleset, raw) {
                 (Some(rs), Some(raw)) => Ruleset::compose(&[rs.clone(), raw.clone()]),
@@ -345,11 +347,14 @@ impl<'p> Executor<'p> {
                 (None, Some(raw)) => raw.clone(),
                 (None, None) => return None,
             };
-            (!combined.is_empty())
-                .then(|| CountSite::new(FlagProtocol::new(program.vars.clone(), combined, "exec")))
+            (!combined.is_empty()).then(|| {
+                let protocol = FlagProtocol::new(program.vars.clone(), combined, "exec");
+                let pairs: Vec<_> = occupied.iter().map(|&s| (s, counts[s])).collect();
+                SparseCountPopulation::from_pairs(protocol, &pairs)
+            })
         });
         if let Some(site) = site {
-            site.run(
+            site.run_on(
                 &mut self.counts,
                 Some(&mut self.occupied),
                 duration,

@@ -540,8 +540,7 @@ fn backend_name(command: &str) -> &'static str {
         "oscillator" => "CountPopulation",
         "faults" => "FaultyPopulation<CountPopulation>",
         "run-file" | "leader" | "leader-exact" | "majority" | "plurality" | "parity" => {
-            "Executor (CountPopulation; SparseCountPopulation with rule-weighted leaps \
-             above 4096 states)"
+            "Executor (SparseCountPopulation per site, with rule-weighted leaps)"
         }
         _ => "none",
     }
@@ -853,10 +852,13 @@ fn bench_history_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
 
 /// `ppsim bench-diff`: compare two `BENCH_history.jsonl` snapshots.
 ///
-/// Exit 0 when every shared metric is within tolerance, 1 when any shared
-/// metric's current rate fell more than `--tolerance-pct` (default 25)
-/// below its baseline, 2 on usage or input errors (including snapshots
-/// that share no keys — a silent empty comparison must not pass CI).
+/// Exit 0 when every shared rate is within tolerance, 1 when any shared
+/// rate fell more than `--tolerance-pct` (default 25) below its baseline,
+/// 2 on usage or input errors (including snapshots that share no rate —
+/// a silent empty comparison must not pass CI). Records whose metric is
+/// `ratio` are printed and marked `reported`, never gated: a ratio of two
+/// rates falls when its denominator speeds up, and the two rates are
+/// gated themselves.
 fn run_bench_diff(args: &[String]) -> u8 {
     let mut tolerance_pct = 25.0f64;
     let mut paths: Vec<&str> = Vec::new();
@@ -904,12 +906,18 @@ fn run_bench_diff(args: &[String]) -> u8 {
         }
     };
     let mut shared = 0usize;
+    let mut reported = 0usize;
     let mut regressed = 0usize;
     for (key, base_rate) in &base {
         let Some((_, cur_rate)) = cur.iter().find(|(k, _)| k == key) else {
             println!("  {key}: missing from current snapshot");
             continue;
         };
+        if key.ends_with("/ratio") {
+            reported += 1;
+            println!("  {key}: {base_rate:.3e} -> {cur_rate:.3e} reported");
+            continue;
+        }
         shared += 1;
         if *base_rate <= 0.0 {
             println!("  {key}: baseline rate is zero, skipping comparison");
@@ -926,12 +934,12 @@ fn run_bench_diff(args: &[String]) -> u8 {
         println!("  {key}: {base_rate:.3e} -> {cur_rate:.3e} ({delta_pct:+.1}%) {verdict}");
     }
     if shared == 0 {
-        eprintln!("error: the snapshots share no bench keys (nothing was compared)");
+        eprintln!("error: the snapshots share no rate (nothing was compared)");
         return 2;
     }
     println!(
-        "bench-diff: {shared} shared metric(s), {regressed} regression(s) beyond \
-         {tolerance_pct}% tolerance"
+        "bench-diff: {shared} shared rate(s), {reported} ratio(s) reported, \
+         {regressed} regression(s) beyond {tolerance_pct}% tolerance"
     );
     u8::from(regressed > 0)
 }

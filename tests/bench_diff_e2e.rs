@@ -111,6 +111,49 @@ fn speedups_and_new_keys_pass() {
 }
 
 #[test]
+fn falling_ratios_are_reported_not_gated() {
+    // A ratio of two rates (e10/e11's enumerated ÷ interpreted
+    // `compiled_speedup`) falls when its denominator speeds up; only the
+    // rates themselves are gated.
+    let base = write_history(
+        "ratio-base.jsonl",
+        &[(90, "iter_per_sec", 100.0), (90, "ratio", 4.2)],
+    );
+    let faster = write_history(
+        "ratio-faster.jsonl",
+        &[(90, "iter_per_sec", 2_000.0), (90, "ratio", 0.32)],
+    );
+    let (code, text) = bench_diff(&[
+        base.to_str().unwrap(),
+        faster.to_str().unwrap(),
+        "--tolerance-pct",
+        "50",
+    ]);
+    assert_eq!(code, 0, "a falling ratio must not fail the gate: {text}");
+    assert!(text.contains("reported"), "ratio not reported: {text}");
+    assert!(!text.contains("REGRESSION"), "no rate fell: {text}");
+
+    let slower = write_history(
+        "ratio-slower.jsonl",
+        &[(90, "iter_per_sec", 40.0), (90, "ratio", 10.0)],
+    );
+    let (code, text) = bench_diff(&[
+        base.to_str().unwrap(),
+        slower.to_str().unwrap(),
+        "--tolerance-pct",
+        "50",
+    ]);
+    for path in [&base, &faster, &slower] {
+        let _ = std::fs::remove_file(path);
+    }
+    assert_eq!(code, 1, "a falling rate must still fail the gate: {text}");
+    assert!(
+        text.contains("REGRESSION"),
+        "regression not reported: {text}"
+    );
+}
+
+#[test]
 fn last_record_per_key_wins() {
     // History files are append-only; only the newest record per key counts.
     let base = write_history(

@@ -291,7 +291,7 @@ fn assert_interrupt_resume_byte_identical(
 }
 
 /// Runs the enumeration-compiled executor (dense live-state ids +
-/// `RuleTableProtocol` tables batched on `CountPopulation`) twice with the
+/// `RuleTableProtocol` tables on `SparseCountPopulation`) twice with the
 /// same seed and asserts the full artifact — per-state counts, rounds, and
 /// iterations — replays byte-identically once rendered.
 fn assert_enumerated_replay_byte_identical(seed: u64) {
@@ -496,4 +496,50 @@ fn dense_oscillator_trajectory_matches_pinned_golden() {
 #[test]
 fn enumerated_replay_is_byte_identical() {
     assert_enumerated_replay_byte_identical(1618);
+}
+
+/// Runs the interpreter on `program` for `iterations` good iterations
+/// and returns the FNV-1a of its final dense counts and its rounds.
+fn interpreted_run(
+    program: &population_protocols::core::lang::ast::Program,
+    groups: &[(Vec<population_protocols::core::rules::Var>, u64)],
+    seed: u64,
+    iterations: u64,
+) -> (u64, f64) {
+    use population_protocols::core::lang::interp::Executor;
+    let mut exec = Executor::new(program, groups, seed);
+    for _ in 0..iterations {
+        exec.run_iteration();
+    }
+    (fnv1a(exec.counts()), exec.rounds())
+}
+
+/// Pins the interpreter's trajectories on two programs whose nominal
+/// state spaces exceed 4 096 states (exact-three plurality, the exact
+/// semilinear comparison): their `execute` sites ran on the sparse
+/// backend before the dense site path was removed, and must still end on
+/// the same counts after the same rounds.
+#[test]
+fn wide_program_sites_match_pinned_golden() {
+    use population_protocols::core::protocols::plurality::plurality_exact_three;
+    use population_protocols::core::protocols::semilinear::semilinear_comparison_exact;
+
+    let program = plurality_exact_three();
+    let c: Vec<_> = (1..=3)
+        .map(|i| program.vars.get(&format!("C{i}")).unwrap())
+        .collect();
+    let groups = [(vec![c[0]], 22u64), (vec![c[1]], 20), (vec![c[2]], 18)];
+    assert_eq!(
+        interpreted_run(&program, &groups, 0x5eed_0003, 2),
+        (0xc7b8_e7f0_894c_efe5, 147.396_404_239_995_6)
+    );
+
+    let program = semilinear_comparison_exact(1);
+    let a = program.vars.get("A").unwrap();
+    let b = program.vars.get("B").unwrap();
+    let groups = [(vec![a], 26u64), (vec![b], 26), (vec![], 8)];
+    assert_eq!(
+        interpreted_run(&program, &groups, 0x5eed_0021, 1),
+        (0xcf12_4f85_6286_aec5, 171.962_471_613_328_26)
+    );
 }

@@ -156,3 +156,38 @@ fn deterministic_given_seed() {
     assert_eq!(run(77), run(77));
     assert_ne!(run(77), run(78), "different seeds should differ");
 }
+
+/// Every program command of the `ppsim` binary finishes at n = 2 and
+/// n = 3 with its answer's exit code (0 or 1), never a panic: one step
+/// there can empty every occupied state at once, and a protocol can fall
+/// silent in its first batch.
+#[test]
+fn program_commands_survive_tiny_populations() {
+    let protocol_file = concat!(env!("CARGO_MANIFEST_DIR"), "/protocols/leader_election.pp");
+    let commands: [&[&str]; 7] = [
+        &["leader"],
+        &["leader-exact"],
+        &["majority"],
+        &["plurality"],
+        &["parity", "--a", "1"],
+        &["run-file", protocol_file],
+        &["profile", "--builtin", "plurality-exact"],
+    ];
+    for n in ["2", "3"] {
+        for args in commands {
+            for seed in ["1", "2"] {
+                let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppsim"))
+                    .args(args)
+                    .args(["--n", n, "--seed", seed])
+                    .output()
+                    .expect("spawn ppsim");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    matches!(out.status.code(), Some(0 | 1)) && !stderr.contains("panicked"),
+                    "ppsim {args:?} --n {n} --seed {seed}: {}\n{stderr}",
+                    out.status
+                );
+            }
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! Compiled-vs-interpreted equivalence for the enumeration backend: the
 //! `EnumExecutor` (dense live-state ids + `RuleTableProtocol` tables on
-//! `CountPopulation`) must realize the same stochastic process as the
+//! `SparseCountPopulation`) must realize the same stochastic process as the
 //! reference interpreter (`Executor` over the full packed state space) on
 //! the three protocols that exceed the precompile flag budget — plurality,
 //! exact-three plurality, and the exact semilinear comparison.

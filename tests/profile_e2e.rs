@@ -196,7 +196,7 @@ fn profile_dispatch_log_is_valid_jsonl() {
     }
 }
 
-/// A program above 4 096 states runs on the sparse backend, and the
+/// A program's sites run on the sparse backend, and the
 /// profile names what it ran: `sparse_leap` sections under
 /// `sparse_step_batch`, the leap in the regime counters, and dispatch
 /// records from `SparseCountPopulation` carrying `p`, the occupancy and
