@@ -71,10 +71,17 @@ pub enum Section {
     PerStep,
     /// One geometric no-op leap plus its reactive interaction.
     Leap,
-    /// One sparse leap: the geometric skip over ineffective steps, the
-    /// rule-weighted pair draw, the reactive interaction and the row-sum
-    /// upkeep of `SparseCountPopulation`.
+    /// One sparse leap of `SparseCountPopulation`: the geometric skip over
+    /// ineffective steps and the rule slot's interaction, with the pick and
+    /// the upkeep as child sections ([`Section::LeapPick`],
+    /// [`Section::LeapUpkeep`]).
     SparseLeap,
+    /// A sparse leap's pick of the effective step: the rule slot, then
+    /// the initiator and the responder by bit-filtered scans.
+    LeapPick,
+    /// A sparse leap's write-back of a change: the occupied-list update
+    /// and the per-rule-slot agent counts.
+    LeapUpkeep,
     /// One collision-free contingency-table epoch ([`crate::collision`]).
     CollisionEpoch,
     /// Epoch-length draw: guided CDF inversion of the birthday law.
@@ -108,7 +115,7 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 19] = [
+    pub const ALL: [Section; 21] = [
         Section::BatchCount,
         Section::BatchAgents,
         Section::BatchSparse,
@@ -117,6 +124,8 @@ impl Section {
         Section::PerStep,
         Section::Leap,
         Section::SparseLeap,
+        Section::LeapPick,
+        Section::LeapUpkeep,
         Section::CollisionEpoch,
         Section::EpochLenSample,
         Section::EpochMargins,
@@ -142,6 +151,8 @@ impl Section {
             Section::PerStep => "per_step",
             Section::Leap => "noop_leap",
             Section::SparseLeap => "sparse_leap",
+            Section::LeapPick => "leap_pick",
+            Section::LeapUpkeep => "leap_upkeep",
             Section::CollisionEpoch => "collision_epoch",
             Section::EpochLenSample => "epoch_len_sample",
             Section::EpochMargins => "epoch_margins",

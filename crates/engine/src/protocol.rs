@@ -64,47 +64,39 @@ pub trait Protocol {
         true
     }
 
-    /// How many of [`Protocol::weight_scale`] equally likely rule draws are
-    /// *effective* on `(a, b)`, that is, can change either state.
-    ///
-    /// Together with [`Protocol::weight_scale`] and
-    /// [`Protocol::interact_reactive`] this splits an interaction into a
-    /// thinning coin and a reactive part: `interact(a, b)` must have the
-    /// same law as "with probability `w / scale` run
-    /// `interact_reactive(a, b)`, otherwise return `(a, b)`", where `w` is
-    /// this weight. [`crate::counts::SparseCountPopulation`] leaps over the
-    /// draws that miss, reading the weight through
-    /// [`Protocol::rule_masks`], so a finer weight lets it skip more. The
-    /// default is
-    /// [`Protocol::is_reactive`] as 0 or 1 over a scale of 1, with
-    /// `interact_reactive` = `interact`, which satisfies the contract for
-    /// every protocol.
-    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-        u32::from(self.is_reactive(a, b))
-    }
-
-    /// The denominator of [`Protocol::reactive_weight`]: the number of
-    /// equally likely rule draws an interaction makes. At least 1.
+    /// The number of equally likely rule slots an interaction draws from,
+    /// the denominator of the slot contract ([`Protocol::interact_slot`]).
+    /// At least 1.
     fn weight_scale(&self) -> u32 {
         1
     }
 
-    /// The interaction `(a, b)` conditioned on an effective rule draw; see
-    /// [`Protocol::reactive_weight`] for the law it must satisfy. Called
-    /// only on pairs of positive weight.
-    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+    /// Fires rule slot `slot` on the ordered pair `(a, b)`, its probability
+    /// coin included: the interaction conditioned on drawing that slot.
+    ///
+    /// The slot contract, for a protocol with [`Protocol::rule_masks`]:
+    /// `interact(a, b)` draws `r` uniformly among the `weight_scale()` rule
+    /// slots; if `r` is effective on `(a, b)` ([`RuleMasks`]) it runs
+    /// `interact_slot(a, b, r)`, else it returns `(a, b)`.
+    /// [`crate::counts::SparseCountPopulation`] leaps over the draws that
+    /// miss and calls this only with a slot effective on the pair. The
+    /// default is [`Protocol::interact`].
+    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
+        let _ = slot;
         self.interact(a, b, rng)
     }
 
-    /// Per-state rule masks that factor [`Protocol::reactive_weight`], for
-    /// protocols that draw one of [`Protocol::weight_scale`] rule slots:
-    /// with `m(s)` this method's answer for state `s`,
-    /// `reactive_weight(a, b)` must equal [`RuleMasks::weight`]`(m(a), m(b))`.
+    /// Per-state rule masks for protocols that draw one of
+    /// [`Protocol::weight_scale`] rule slots: for each slot, whether each
+    /// guard holds in `state` and whether each update moves it. Slot `r` is
+    /// *effective* on `(a, b)` when both guards hold and at least one update
+    /// moves its agent; see [`Protocol::interact_slot`] for the contract
+    /// that ties the slots to [`Protocol::interact`].
     ///
     /// The hook [`crate::counts::SparseCountPopulation`] leaps through: it
-    /// keeps the masks of every state it reaches, so that a pair's weight
-    /// costs a few word operations instead of one guard evaluation per
-    /// rule. With `None` (the default) it runs every step.
+    /// asks for the masks of every state it reaches once, and keeps per
+    /// rule slot the number of agents in each guard class. With `None`
+    /// (the default) it runs every step.
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
         let _ = state;
         None
@@ -150,14 +142,11 @@ impl<P: Protocol + ?Sized> Protocol for &P {
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         (**self).is_reactive(a, b)
     }
-    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-        (**self).reactive_weight(a, b)
-    }
     fn weight_scale(&self) -> u32 {
         (**self).weight_scale()
     }
-    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        (**self).interact_reactive(a, b, rng)
+    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
+        (**self).interact_slot(a, b, slot, rng)
     }
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
         (**self).rule_masks(state)
@@ -183,14 +172,11 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         (**self).is_reactive(a, b)
     }
-    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-        (**self).reactive_weight(a, b)
-    }
     fn weight_scale(&self) -> u32 {
         (**self).weight_scale()
     }
-    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        (**self).interact_reactive(a, b, rng)
+    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
+        (**self).interact_slot(a, b, slot, rng)
     }
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
         (**self).rule_masks(state)
@@ -248,14 +234,13 @@ impl RuleMasks {
         }
     }
 
-    /// The number of slots effective on the ordered pair (initiator in
+    /// Whether rule slot `r` is effective on the ordered pair (initiator in
     /// `a`'s state, responder in `b`'s): both guards hold and at least one
-    /// update changes its agent.
+    /// update moves its agent.
     #[must_use]
-    pub fn weight(a: &RuleMasks, b: &RuleMasks) -> u32 {
-        (0..a.init.len())
-            .map(|w| (a.init[w] & b.resp[w] & (a.init_moves[w] | b.resp_moves[w])).count_ones())
-            .sum()
+    pub fn effective(a: &RuleMasks, b: &RuleMasks, r: usize) -> bool {
+        let (w, bit) = (r / 64, 1u64 << (r % 64));
+        a.init[w] & b.resp[w] & (a.init_moves[w] | b.resp_moves[w]) & bit != 0
     }
 }
 

@@ -15,10 +15,12 @@
 //! distribution is exactly the unstripped protocol's while the per-draw
 //! guard evaluation cost drops to a single bounds check.
 //!
-//! Because every rule is tabulated, the protocol also implements the two
-//! batching hooks exactly: [`Protocol::is_reactive`] (no-op leaping) and
-//! [`Protocol::outcome_table`] (collision-epoch binomial splits), so
-//! enumerated protocols ride the fast count-backend paths.
+//! Because every rule is tabulated, the protocol also implements the
+//! batching hooks exactly: [`Protocol::is_reactive`] (no-op leaping),
+//! [`Protocol::outcome_table`] (collision-epoch binomial splits), and
+//! per-draw-slot [`Protocol::rule_masks`] with [`Protocol::interact_slot`]
+//! (the sparse backend's leap), so enumerated protocols ride the fast
+//! count-backend paths.
 
 use crate::protocol::{Protocol, RuleMasks};
 use crate::rng::SimRng;
@@ -166,19 +168,6 @@ impl RuleTableProtocol {
         self.draw.len()
     }
 
-    /// The live rules effective on `(a, b)`, with their draw-slot
-    /// multiplicities.
-    fn effective(&self, a: usize, b: usize) -> impl Iterator<Item = (&RuleTable, u32)> {
-        self.rules
-            .iter()
-            .zip(self.mult.iter().copied())
-            .filter(move |(r, _)| {
-                r.match_a[a]
-                    && r.match_b[b]
-                    && (r.apply_a[a] as usize != a || r.apply_b[b] as usize != b)
-            })
-    }
-
     /// How many draw slots belong to stripped dead rules (no-ops).
     #[must_use]
     pub fn stripped_rules(&self) -> usize {
@@ -216,29 +205,15 @@ impl Protocol for RuleTableProtocol {
         })
     }
 
-    /// The draw slots effective on the pair: the multiplicities of the
-    /// live rules that match it and move either agent.
-    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-        self.effective(a, b).map(|(_, m)| m).sum()
-    }
-
     fn weight_scale(&self) -> u32 {
         self.draw.len() as u32
     }
 
-    /// Draws an effective rule with probability proportional to its draw
-    /// slots, then fires it with its probability: the slot draw of
-    /// [`Protocol::interact`] conditioned on an effective slot.
-    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        let mut pick = rng.below(u64::from(self.reactive_weight(a, b)));
-        let (rule, _) = self
-            .effective(a, b)
-            .find(|&(_, m)| {
-                let hit = pick < u64::from(m);
-                pick = pick.saturating_sub(u64::from(m));
-                hit
-            })
-            .expect("pick is below the weight");
+    /// Fires the rule behind draw slot `slot` with its probability:
+    /// [`Protocol::interact`] after drawing that slot.
+    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
+        let rule = &self.rules[self.draw[slot] as usize];
+        debug_assert!(rule.match_a[a] && rule.match_b[b]);
         if rule.probability >= 1.0 || rng.chance(rule.probability) {
             (rule.apply_a[a] as usize, rule.apply_b[b] as usize)
         } else {

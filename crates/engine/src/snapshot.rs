@@ -23,8 +23,8 @@
 //! Two JSON lines. The first is a header
 //! `{"kind":"pp_snapshot","version":V,"checksum":"<crc64 hex>"}`; the
 //! second is the payload object. `V` is [`FORMAT_VERSION`]; the reader also
-//! takes version 4 except from the `sparse` backend (bare or wrapped by
-//! `faulty`), whose runs it made without the rule-weighted leap, and
+//! takes versions 4 and 5 except from the `sparse` backend (bare or wrapped
+//! by `faulty`), whose runs they made without the slot-sampled leap, and
 //! versions 1 and 3 except from `sparse` and from the `counts` and `faulty`
 //! backends, whose binomial and hypergeometric draws those versions made
 //! with the inversion-only samplers; it refuses version 2, whose runs came
@@ -72,13 +72,20 @@ use std::path::{Path, PathBuf};
 ///   `faulty` (corruption splits);
 /// * version 5 marks the sparse backend's rule-weighted leap (DESIGN.md
 ///   §9), which changed the trajectories of `sparse` runs and added their
-///   regime and per-step window to the `sparse` payload.
+///   regime and per-step window to the `sparse` payload;
+/// * version 6 marks the slot-sampled leap (DESIGN.md §9), whose effective
+///   steps draw their rule slot, initiator and responder from one rank
+///   and whose dispatch rule weighs the masks' words differently, which
+///   changed the trajectories of leaping `sparse` runs again.
 ///
-/// The reader accepts version 5; version 4 except from `sparse` (bare or
-/// wrapped by `faulty`); and versions 1 and 3 from the backends that draw
-/// nothing from the exact samplers and are not sparse (`agents`,
-/// `matching`).
-pub const FORMAT_VERSION: u64 = 5;
+/// The reader accepts version 6; versions 4 and 5 except from `sparse`
+/// (bare or wrapped by `faulty`); and versions 1 and 3 from the backends
+/// that draw nothing from the exact samplers and are not sparse
+/// (`agents`, `matching`).
+pub const FORMAT_VERSION: u64 = 6;
+
+/// The first version whose `sparse` runs leapt, by rule-weighted row sums.
+const SPARSE_LEAP_VERSION: u64 = 5;
 
 /// The version written by the sharded dense engine, refused on read.
 const SHARDED_FORMAT_VERSION: u64 = 2;
@@ -301,17 +308,17 @@ impl RunSnapshot {
             return Err("not a pp_snapshot document".to_string());
         }
         let version = match header.get("version").and_then(Json::as_u64) {
-            Some(v @ (1 | 3 | EXACT_SAMPLER_VERSION | FORMAT_VERSION)) => v,
+            Some(v @ (1 | 3 | EXACT_SAMPLER_VERSION | SPARSE_LEAP_VERSION | FORMAT_VERSION)) => v,
             Some(SHARDED_FORMAT_VERSION) => {
                 return Err(format!(
                     "snapshot version {SHARDED_FORMAT_VERSION} came from the sharded dense \
                      engine and cannot be continued byte-identically by the exact engine \
-                     (reader supports versions 1, 3, 4 and {FORMAT_VERSION})"
+                     (reader supports versions 1, 3, 4, 5 and {FORMAT_VERSION})"
                 ));
             }
             _ => {
                 return Err(format!(
-                    "unsupported snapshot version (reader supports versions 1, 3, 4 and \
+                    "unsupported snapshot version (reader supports versions 1, 3, 4, 5 and \
                      {FORMAT_VERSION})"
                 ));
             }
@@ -351,9 +358,14 @@ impl RunSnapshot {
         let sparse = backend == "sparse"
             || (backend == "faulty" && inner.and_then(Json::as_str) == Some("sparse"));
         if version < FORMAT_VERSION && sparse {
+            let before = if version < SPARSE_LEAP_VERSION {
+                "the sparse leap"
+            } else {
+                "slot-sampled leaps"
+            };
             return Err(format!(
                 "snapshot version {version} from the {backend:?} backend was taken before \
-                 the sparse leap; cannot be continued byte-identically \
+                 {before}; cannot be continued byte-identically \
                  (version {FORMAT_VERSION} required)"
             ));
         }
@@ -713,14 +725,15 @@ mod tests {
     #[test]
     fn decode_accepts_previous_format_version() {
         // Versions 1, 3 and 4 have the payload schema of every backend but
-        // `sparse`. The reader keeps accepting version 4 from the backends
-        // whose trajectories it did not change, and versions 1 and 3 from
-        // those that also draw nothing from the exact samplers.
+        // `sparse`, version 5 of every backend. The reader keeps accepting
+        // versions 4 and 5 from the backends whose trajectories it did not
+        // change, and versions 1 and 3 from those that also draw nothing
+        // from the exact samplers.
         let counts = sample_snapshot();
         let mut faulty = counts.clone();
         faulty.backend = "faulty".to_string();
         for snap in [&counts, &faulty] {
-            for version in [EXACT_SAMPLER_VERSION, FORMAT_VERSION] {
+            for version in [EXACT_SAMPLER_VERSION, SPARSE_LEAP_VERSION, FORMAT_VERSION] {
                 assert!(RunSnapshot::decode(&encode_as_version(snap, version)).is_ok());
             }
         }
@@ -728,7 +741,13 @@ mod tests {
         for backend in ["agents", "matching"] {
             let mut snap = agents.clone();
             snap.backend = backend.to_string();
-            for version in [1, 3, EXACT_SAMPLER_VERSION, FORMAT_VERSION] {
+            for version in [
+                1,
+                3,
+                EXACT_SAMPLER_VERSION,
+                SPARSE_LEAP_VERSION,
+                FORMAT_VERSION,
+            ] {
                 let back = RunSnapshot::decode(&encode_as_version(&snap, version))
                     .unwrap_or_else(|e| panic!("{backend} v{version}: {e}"));
                 assert_eq!(back.backend, backend);
@@ -737,11 +756,8 @@ mod tests {
         }
     }
 
-    /// A sparse run from before the rule-weighted leap, bare or inside the
-    /// fault wrapper, cannot be continued byte-identically, so its
-    /// snapshot is refused with that reason; one taken now decodes.
-    #[test]
-    fn decode_refuses_sparse_snapshots_from_before_the_leap() {
+    /// A sparse snapshot, bare and inside the fault wrapper.
+    fn sparse_snapshots() -> [RunSnapshot; 2] {
         let p = TableProtocol::new(3, "cycle")
             .rule(0, 1, 1, 1)
             .rule(1, 2, 2, 2)
@@ -756,7 +772,15 @@ mod tests {
             ("inner_backend", Json::from("sparse")),
             ("inner", sparse.state.clone()),
         ]);
-        for snap in [&sparse, &faulty] {
+        [sparse, faulty]
+    }
+
+    /// A sparse run from before the rule-weighted leap, bare or inside the
+    /// fault wrapper, cannot be continued byte-identically, so its
+    /// snapshot is refused with that reason; one taken now decodes.
+    #[test]
+    fn decode_refuses_sparse_snapshots_from_before_the_leap() {
+        for snap in &sparse_snapshots() {
             for version in [1, 3, EXACT_SAMPLER_VERSION] {
                 let err = RunSnapshot::decode(&encode_as_version(snap, version)).unwrap_err();
                 if snap.backend == "faulty" && version < EXACT_SAMPLER_VERSION {
@@ -773,6 +797,28 @@ mod tests {
             }
             let back = RunSnapshot::decode(&snap.encode()).expect("current version decodes");
             assert_eq!(back.state.render(), snap.state.render());
+        }
+    }
+
+    /// A version-5 sparse run leapt by rule-weighted row sums, whose RNG use
+    /// the slot-sampled leap does not reproduce, so its snapshot is refused
+    /// with that reason, bare or inside the fault wrapper.
+    #[test]
+    fn decode_refuses_sparse_snapshots_from_before_slot_sampled_leaps() {
+        for snap in &sparse_snapshots() {
+            let err =
+                RunSnapshot::decode(&encode_as_version(snap, SPARSE_LEAP_VERSION)).unwrap_err();
+            assert!(
+                err.contains(
+                    "taken before slot-sampled leaps; cannot be continued byte-identically"
+                ),
+                "{err}"
+            );
+            assert!(err.contains(&format!("{:?}", snap.backend)), "{err}");
+            assert!(
+                err.contains(&format!("version {FORMAT_VERSION} required")),
+                "{err}"
+            );
         }
     }
 

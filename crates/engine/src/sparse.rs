@@ -10,18 +10,26 @@
 //!   state map is that of a linear scan in insertion order. Nothing else is
 //!   maintained, so a change costs `O(1)` upkeep.
 //! * **Leap.** Every state the population reaches is interned into a dense
-//!   id that never changes, and a weight memo over ids gives
-//!   `w(a, b)` = [`Protocol::reactive_weight`] from the states'
-//!   [`RuleMasks`](crate::protocol::RuleMasks) ([`Protocol::rule_masks`]),
-//!   so a pair's weight is a popcount. The leap keeps the row
-//!   sums `R_a = Σ_b c'_b w(a, b)` over occupied states (`c'` excludes one
-//!   agent of `a`) and `W = Σ_a c_a R_a`. A step is effective with
+//!   id that never changes, and a memo over ids keeps each state's guard
+//!   classes per rule slot, from its
+//!   [`RuleMasks`](crate::protocol::RuleMasks) ([`Protocol::rule_masks`]).
+//!   For each rule slot `r` the leap counts the agents whose initiator
+//!   guard holds and who move (`IM_r`) or do not (`I0_r`), whose
+//!   responder guard holds (`B_r`) and who move (`BM_r`), and the two
+//!   overlaps `IM_r ∩ B_r` and `I0_r ∩ BM_r`; then
+//!   `W_r = |IM_r|·|B_r| − |IM_r ∩ B_r| + |I0_r|·|BM_r| − |I0_r ∩ BM_r|`
+//!   is exactly the number of ordered pairs of distinct agents on which
+//!   slot `r` is effective, and `W = Σ_r W_r`. A step is effective with
 //!   probability `p = W / (n(n−1)·scale)`, so the number of ineffective
 //!   steps before the next effective one is geometric; the leap draws it,
-//!   samples the pair `∝ c_a c'_b w(a, b)`, and calls
-//!   [`Protocol::interact_reactive`]. By the weight contract this is the
-//!   law of the stepped chain (thinning; DESIGN.md §9). Upkeep is
-//!   `O(occupied)` per change.
+//!   picks `(r, a, b)` with probability `c_a c'_b / W` among the effective
+//!   triples (`c'` without one agent of `a`) — the slot by `W_r`, the
+//!   initiator and the responder by bit-filtered scans of the occupied
+//!   list — and calls [`Protocol::interact_slot`]. By the slot contract
+//!   this is the law of the stepped chain (thinning; DESIGN.md §9). A
+//!   change costs `O(set bits)` upkeep: an agent's move shifts only the
+//!   counts of the rule slots whose class bits differ between its two
+//!   states.
 //!
 //! Only a protocol with rule masks leaps; any other stays per step. A
 //! state's masks are asked for at most once over the population's life,
@@ -47,30 +55,35 @@ const SLOT_BLOCK: usize = 32;
 /// `slot_of` entry of an interned state that is not occupied.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Slot visits one leap event costs beyond its `O(occupied)` scans: the
-/// geometric draw, the reactive interaction and the write-back, measured
-/// in units of one occupied slot's upkeep with one-word masks.
+/// Occupied-slot visits one leap event costs beyond its two bit-filtered
+/// scans of the occupied list: the geometric draw, the rule-slot pick,
+/// the slot's interaction and the write-back with its slot-count upkeep,
+/// for rule masks of one word.
 const LEAP_EVENT_SLOTS: f64 = 80.0;
 
-/// Slot visits per step the leap may spend and still beat the per-step
-/// sampler, whose step costs about this many slot visits' time.
+/// Occupied-slot visits each further mask word adds to a leap event: the
+/// slot-count upkeep and the guard-class columns visit every word of the
+/// moved states.
+const LEAP_WORD_SLOTS: f64 = 100.0;
+
+/// Occupied-slot visits per step the leap may spend and still beat the
+/// per-step sampler, whose step costs about this many visits' time.
 const LEAP_SLOT_BUDGET: f64 = 25.0;
 
-/// The sparse backend's one dispatch rule: leap while the expected upkeep
-/// of a step, `p · words · (occupied + LEAP_EVENT_SLOTS)` slot visits,
-/// stays below the per-step sampler's cost. `words` is the rule masks'
-/// length in 64-slot words: every weight the upkeep works out, and the
-/// reactive interaction's pick among the rule slots, cost that many times
-/// more per visit. A per-step population enters the leap only under three
-/// quarters of the budget, so a `p` near the boundary does not rebuild the
-/// row sums over and over.
+/// The sparse backend's one dispatch rule: leap while the expected cost of
+/// a step, `p · (occupied + LEAP_EVENT_SLOTS + LEAP_WORD_SLOTS · (words −
+/// 1))` occupied-slot visits, stays below the per-step sampler's. `words`
+/// is the rule masks' length in 64-slot words. A per-step population
+/// enters the leap only under three quarters of the budget, so a `p` near
+/// the boundary does not rebuild the slot counts over and over.
 fn leaps(p: f64, occupied: usize, words: usize, leaping: bool) -> bool {
     let budget = if leaping {
         LEAP_SLOT_BUDGET
     } else {
         0.75 * LEAP_SLOT_BUDGET
     };
-    p * words as f64 * (occupied as f64 + LEAP_EVENT_SLOTS) < budget
+    let extra_words = words.saturating_sub(1) as f64;
+    p * (occupied as f64 + LEAP_EVENT_SLOTS + LEAP_WORD_SLOTS * extra_words) < budget
 }
 
 /// Steps a per-step window observes before the changed fraction is checked
@@ -132,133 +145,213 @@ fn block_sums(occupied: &[(usize, u64)]) -> Vec<u64> {
         .collect()
 }
 
-/// `w(a, b)` from one-word rule masks `[init, init_moves, resp,
-/// resp_moves]`: the slots whose guards both hold and whose update moves
-/// either agent.
-#[inline(always)]
-fn mask_weight(a: &[u64; 4], b: &[u64; 4]) -> u64 {
-    u64::from((a[0] & b[2] & (a[1] | b[3])).count_ones())
+/// The guard classes of one state over one mask word's 64 rule slots,
+/// `[IM, I0, B, BM]` from its [`RuleMasks`](crate::protocol::RuleMasks):
+/// the initiator guard holds and the initiator moves (`IM`) or does not
+/// (`I0`); the responder guard holds (`B`) and the responder moves
+/// (`BM`). Slot `r` is effective on `(a, b)` exactly when `a ∈ IM_r` and
+/// `b ∈ B_r`, or `a ∈ I0_r` and `b ∈ BM_r`, and never both.
+fn guard_classes(init: u64, init_moves: u64, resp: u64, resp_moves: u64) -> [u64; 4] {
+    [
+        init & init_moves,
+        init & !init_moves,
+        resp,
+        resp & resp_moves,
+    ]
 }
 
-/// Defines each hot loop over one-word masks twice over: compiled with the
-/// `popcnt` instruction, which the portable x86-64 target lacks, and
-/// portably; the CPU is asked once per call (a cached load).
-macro_rules! popcnt_dispatch {
-    ($($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block)*) => {$(
-        $(#[$doc])*
-        fn $name($($arg: $ty),*) -> $ret {
-            #[inline(always)]
-            fn body($($arg: $ty),*) -> $ret $body
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "popcnt")]
-                fn with_popcnt($($arg: $ty),*) -> $ret {
-                    body($($arg),*)
-                }
-                if std::arch::is_x86_feature_detected!("popcnt") {
-                    // SAFETY: the running CPU has the instruction.
-                    return unsafe { with_popcnt($($arg),*) };
-                }
-            }
-            body($($arg),*)
-        }
-    )*};
+/// [`guard_classes`] plus the two overlaps the self-pair correction needs:
+/// `[IM, I0, B, BM, IM ∩ B, I0 ∩ BM]`.
+#[inline]
+fn with_overlaps(m: [u64; 4]) -> [u64; 6] {
+    [m[0], m[1], m[2], m[3], m[0] & m[2], m[1] & m[3]]
 }
 
-popcnt_dispatch! {
-    /// Applies `moves` (agents moved from the first masks' state to the
-    /// second's) to the row sums of the slots whose masks are `masks`, and
-    /// returns their `Σ c · R`.
-    fn update_rows(
-        rows: &mut [u64],
-        occupied: &[(usize, u64)],
-        masks: &[[u64; 4]],
-        moves: &[([u64; 4], [u64; 4])],
-    ) -> u64 {
-        let mut total = 0u64;
-        for ((r, &(_, c)), mx) in rows.iter_mut().zip(occupied).zip(masks) {
-            for (from, to) in moves {
-                *r = *r + mask_weight(mx, to) - mask_weight(mx, from);
-            }
-            total += c * *r;
-        }
-        total
-    }
-
-    /// The slot of rank `v` under the weights `c'_b · w(a, b)`, with `a`'s
-    /// masks `ma` and one agent of slot `sa` left out.
-    fn pick_responder(
-        masks: &[[u64; 4]],
-        occupied: &[(usize, u64)],
-        ma: &[u64; 4],
-        sa: usize,
-        v: u64,
-    ) -> usize {
-        let mut v = v;
-        for (slot, (mb, &(_, c))) in masks.iter().zip(occupied).enumerate() {
-            let m = (c - u64::from(slot == sa)) * mask_weight(ma, mb);
-            if v < m {
-                return slot;
-            }
-            v -= m;
-        }
-        unreachable!("rank exceeded the row sum");
-    }
-
-    /// `Σ_b c_b w(a, b)` over the occupied slots, `a`'s masks `ma`, each
-    /// slot's masks looked up by id in `table`.
-    fn masked_row(
-        table: &[[u64; 4]],
-        ids: &[u32],
-        occupied: &[(usize, u64)],
-        ma: &[u64; 4],
-    ) -> u64 {
-        ids.iter()
-            .zip(occupied)
-            .map(|(&b, &(_, c))| c * mask_weight(ma, &table[b as usize]))
-            .sum()
-    }
+/// `W_r`, the ordered pairs of distinct agents on which rule slot `r` is
+/// effective, from its class counts `[IM, I0, B, BM, IM ∩ B, I0 ∩ BM]`:
+/// `|IM|·|B| − |IM ∩ B| + |I0|·|BM| − |I0 ∩ BM|`. The products may exceed
+/// `u64` only when the result does too, which `pair_draws` rules out, so
+/// wrapping arithmetic gives it exactly.
+#[inline]
+fn slot_weight(c: &[u64; 6]) -> u64 {
+    c[0].wrapping_mul(c[2])
+        .wrapping_sub(c[4])
+        .wrapping_add(c[1].wrapping_mul(c[3]))
+        .wrapping_sub(c[5])
 }
 
-/// The weight memo over interned ids: each id's
-/// [`RuleMasks`](crate::protocol::RuleMasks), one
-/// `[init, init_moves, resp, resp_moves]` entry per 64 rule slots at
-/// `masks[id · words ..]`, `known[id]` once filled.
+/// The set bits of `bits`, lowest first.
+#[inline]
+fn bit_positions(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            r
+        })
+    })
+}
+
+/// The guard-class memo over interned ids: each id's [`guard_classes`],
+/// one entry per 64 rule slots at `classes[id · words ..]`, `known[id]`
+/// once filled.
 #[derive(Debug, Clone)]
 struct Memo {
     words: usize,
-    masks: Vec<[u64; 4]>,
+    classes: Vec<[u64; 4]>,
     known: Vec<bool>,
 }
 
-impl Memo {
-    /// `w(a, b)` for ids whose masks are filled.
-    #[inline]
-    fn weight(&self, a: u32, b: u32) -> u64 {
-        let (a, b) = (a as usize * self.words, b as usize * self.words);
-        (0..self.words)
-            .map(|k| mask_weight(&self.masks[a + k], &self.masks[b + k]))
-            .sum()
-    }
-
-    /// The id-indexed mask table when the protocol's rule slots fit one
-    /// word, the hot loops' fast path.
-    #[inline]
-    fn one_word(&self) -> Option<&[[u64; 4]]> {
-        (self.words == 1).then_some(&self.masks)
-    }
+/// The leap regime's per-rule-slot agent counts, valid while leaping.
+/// Sized by the rule slots (`64 · words`), not by the occupied states.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotCounts {
+    /// Per rule slot: the agents in `[IM, I0, B, BM, IM ∩ B, I0 ∩ BM]`.
+    counts: Vec<[u64; 6]>,
+    /// `W_r` per rule slot.
+    weights: Vec<u64>,
+    /// `Σ W_r` per mask word.
+    word_totals: Vec<u64>,
+    /// Per mask word, each occupied slot's guard classes, parallel to the
+    /// occupied list: the scans' contiguous rows.
+    columns: Vec<Vec<[u64; 4]>>,
+    /// `W = Σ_r W_r`.
+    total: u64,
 }
 
-/// The leap regime's sums, valid while leaping.
-#[derive(Debug, Clone)]
-struct LeapRows {
-    /// `R` per occupied slot, parallel to the occupied list.
-    rows: Vec<u64>,
-    /// With one-word masks, each occupied slot's masks, parallel to the
-    /// occupied list; `None` otherwise.
-    masks: Option<Vec<[u64; 4]>>,
-    /// `W = Σ c_a R_a`.
-    total: u64,
+impl SlotCounts {
+    /// Counts the occupied states from scratch, `O(occupied · words)` plus
+    /// one visit per set class bit.
+    fn build(memo: &Memo, occupied: &[(usize, u64)], ids: &[u32]) -> Self {
+        let words = memo.words;
+        let columns: Vec<Vec<[u64; 4]>> = (0..words)
+            .map(|w| {
+                ids.iter()
+                    .map(|&id| memo.classes[id as usize * words + w])
+                    .collect()
+            })
+            .collect();
+        let mut leap = Self {
+            counts: vec![[0; 6]; words * 64],
+            weights: vec![0; words * 64],
+            word_totals: vec![0; words],
+            columns: Vec::new(),
+            total: 0,
+        };
+        for (w, column) in columns.iter().enumerate() {
+            let mut touched = 0;
+            for (&classes, &(_, c)) in column.iter().zip(occupied) {
+                touched |= leap.add_state(w, classes, c);
+            }
+            leap.reweigh(w, touched);
+        }
+        leap.columns = columns;
+        leap
+    }
+
+    /// Adds `delta` agents (modulo 2⁶⁴, so a wrapped negative removes) of a
+    /// state with word-`w` classes `classes`. Returns the rule slots of
+    /// word `w` whose counts changed.
+    fn add_state(&mut self, w: usize, classes: [u64; 4], delta: u64) -> u64 {
+        let counts = &mut self.counts[w * 64..(w + 1) * 64];
+        for (k, bits) in with_overlaps(classes).into_iter().enumerate() {
+            for r in bit_positions(bits) {
+                counts[r][k] = counts[r][k].wrapping_add(delta);
+            }
+        }
+        classes[0] | classes[1] | classes[2]
+    }
+
+    /// Moves one agent from a state with word-`w` classes `from` to one
+    /// with `to`: only the class bits that differ change a count. Returns
+    /// the rule slots of word `w` whose counts changed.
+    #[inline]
+    fn shift(&mut self, w: usize, from: [u64; 4], to: [u64; 4]) -> u64 {
+        let (from, to) = (with_overlaps(from), with_overlaps(to));
+        let counts = &mut self.counts[w * 64..(w + 1) * 64];
+        let mut touched = 0;
+        for k in 0..6 {
+            let (gone, came) = (from[k] & !to[k], to[k] & !from[k]);
+            touched |= gone | came;
+            for r in bit_positions(gone) {
+                counts[r][k] -= 1;
+            }
+            for r in bit_positions(came) {
+                counts[r][k] += 1;
+            }
+        }
+        touched
+    }
+
+    /// Recomputes `W_r` for the rule slots `touched` of word `w`, and with
+    /// them the word's total and `W`.
+    #[inline]
+    fn reweigh(&mut self, w: usize, touched: u64) {
+        for r in bit_positions(touched).map(|r| w * 64 + r) {
+            let new = slot_weight(&self.counts[r]);
+            let old = std::mem::replace(&mut self.weights[r], new);
+            self.word_totals[w] = self.word_totals[w].wrapping_sub(old).wrapping_add(new);
+            self.total = self.total.wrapping_sub(old).wrapping_add(new);
+        }
+    }
+
+    /// The effective step of rank `u < W`: its rule slot, initiator slot
+    /// and responder slot, each `(r, a, b)` of weight `c_a c'_b` taking
+    /// that many ranks (`c'` without one agent of the initiator's state).
+    /// The rank picks `r` under `W_r` and one of its two terms, then the
+    /// initiator under `c_a · (|Y| − [a ∈ Y])` among the term's initiator
+    /// class, `Y` its responder class; what is left of the rank, modulo
+    /// `|Y| − [a ∈ Y]`, picks the responder among `Y`. One bit-filtered
+    /// scan of the occupied list each.
+    fn pick(&self, occupied: &[(usize, u64)], mut u: u64) -> (usize, usize, usize) {
+        let mut w = 0;
+        while u >= self.word_totals[w] {
+            u -= self.word_totals[w];
+            w += 1;
+        }
+        let mut r = w * 64;
+        while u >= self.weights[r] {
+            u -= self.weights[r];
+            r += 1;
+        }
+        let c = &self.counts[r];
+        let first = c[0].wrapping_mul(c[2]).wrapping_sub(c[4]);
+        let (init, resp, size) = if u < first {
+            (0, 2, c[2])
+        } else {
+            u -= first;
+            (1, 3, c[3])
+        };
+        let bit = 1u64 << (r % 64);
+        let column = &self.columns[w];
+        let rows = column.iter().zip(occupied).enumerate();
+        let (sa, others) = rows
+            .clone()
+            .filter(|(_, (classes, _))| classes[init] & bit != 0)
+            .find_map(|(slot, (classes, &(_, count)))| {
+                let others = size - u64::from(classes[resp] & bit != 0);
+                let m = count * others;
+                if u < m {
+                    return Some((slot, others));
+                }
+                u -= m;
+                None
+            })
+            .expect("rank exceeded W");
+        let mut v = u % others;
+        let sb = rows
+            .filter(|(_, (classes, _))| classes[resp] & bit != 0)
+            .find_map(|(slot, (_, &(_, count)))| {
+                let m = count - u64::from(slot == sa);
+                if v < m {
+                    return Some(slot);
+                }
+                v -= m;
+                None
+            })
+            .expect("rank exceeded the responder class");
+        (r, sa, sb)
+    }
 }
 
 /// Which regime the population is in.
@@ -268,7 +361,7 @@ enum Regime {
     Undecided,
     /// Per-step sampling, re-checking [`leaps`] every window.
     PerStep,
-    /// Geometric leaps; the row sums are rebuilt when missing.
+    /// Geometric leaps; the slot counts are rebuilt when missing.
     Leap,
 }
 
@@ -297,8 +390,9 @@ impl Regime {
 /// per step regardless; this backend stores only the occupied states, so
 /// construction is `O(occupied)`. A per-step step costs
 /// `O(occupied/B + B)` with `B = 32`; where few steps change anything, it
-/// leaps over the ineffective ones at `O(occupied)` per effective step
-/// (see the module documentation).
+/// leaps over the ineffective ones at two bit-filtered `O(occupied)` scans
+/// and `O(set bits)` upkeep per effective step (see the module
+/// documentation).
 ///
 /// The sampled process is identical in distribution to the dense backends.
 ///
@@ -338,7 +432,7 @@ pub struct SparseCountPopulation<P> {
     /// masks, which never leaps.
     memo: Option<Memo>,
     /// Present while leaping; dropped by out-of-band edits.
-    leap: Option<LeapRows>,
+    leap: Option<SlotCounts>,
     regime: Regime,
     /// Per-step window: length, steps seen, changes seen.
     window: [u64; 3],
@@ -390,11 +484,11 @@ impl<P: Protocol> SparseCountPopulation<P> {
     /// one population across runs on counts changed in between. The
     /// population takes over `counts`, occupied in ascending state order
     /// as [`SparseCountPopulation::from_dense`] would, but keeps its
-    /// interned states, their weight memo, the regime and the step count,
-    /// so set-up and write-back cost `O(occupied)`. A caller that tracks
-    /// its occupied states passes them as `occupied`, in ascending order,
-    /// and gets them back updated; without them the run finds them with
-    /// one scan of `counts`.
+    /// interned states, their guard-class memo, the regime and the step
+    /// count, so set-up and write-back cost `O(occupied)`. A caller that
+    /// tracks its occupied states passes them as `occupied`, in ascending
+    /// order, and gets them back updated; without them the run finds them
+    /// with one scan of `counts`.
     ///
     /// # Panics
     ///
@@ -496,31 +590,26 @@ impl<P: Protocol> SparseCountPopulation<P> {
     }
 
     /// Adds `delta` agents to `state`, appending a slot if it was empty;
-    /// returns whether it did.
-    fn add(&mut self, state: usize, delta: i64) -> bool {
+    /// returns the state's interned id. An appended slot's guard-class
+    /// columns are the leap's to fill ([`Self::apply_leap`]).
+    fn add(&mut self, state: usize, delta: i64) -> u32 {
         let id = self.intern(state);
         let slot = self.slot_of[id as usize];
         if slot != NO_SLOT {
             self.add_at(slot as usize, delta);
-            return false;
+            return id;
         }
         assert!(delta > 0, "removing from empty state {state}");
         let slot = self.occupied.len();
         self.slot_of[id as usize] = slot as u32;
         self.occupied.push((state, delta as u64));
         self.slot_ids.push(id);
-        if let Some(leap) = &mut self.leap {
-            leap.rows.push(0);
-            if let Some(masks) = &mut leap.masks {
-                masks.push([0; 4]);
-            }
-        }
         if slot.is_multiple_of(SLOT_BLOCK) {
             self.blocks.push(delta as u64);
         } else {
             *self.blocks.last_mut().expect("open trailing block") += delta as u64;
         }
-        true
+        id
     }
 
     /// Adds `delta` to the count at `slot`. A slot that empties is
@@ -542,9 +631,8 @@ impl<P: Protocol> SparseCountPopulation<P> {
         let id = self.slot_ids.swap_remove(slot);
         self.slot_of[id as usize] = NO_SLOT;
         if let Some(leap) = &mut self.leap {
-            leap.rows.swap_remove(slot);
-            if let Some(masks) = &mut leap.masks {
-                masks.swap_remove(slot);
+            for column in &mut leap.columns {
+                column.swap_remove(slot);
             }
         }
         let moved_from = (slot < last).then(|| {
@@ -591,12 +679,12 @@ impl<P: Protocol> SparseCountPopulation<P> {
 
     /// Moves the initiator at slot `sa` to state `a2` and the responder at
     /// slot `sb` to `b2`. The slots are known from sampling, so the two
-    /// removals skip the state → slot lookup. Returns how many slots the
-    /// additions appended (they are the last ones).
-    fn apply(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) -> usize {
+    /// removals skip the state → slot lookup. Returns the interned ids of
+    /// `a2` and `b2`. Slots the additions append come last.
+    fn apply(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) -> (u32, u32) {
         let moved_from = self.add_at(sa, -1);
         self.add_at(if moved_from == Some(sb) { sa } else { sb }, -1);
-        usize::from(self.add(a2, 1)) + usize::from(self.add(b2, 1))
+        (self.add(a2, 1), self.add(b2, 1))
     }
 
     /// One per-step step: sample a pair, interact, apply. Returns whether
@@ -614,13 +702,14 @@ impl<P: Protocol> SparseCountPopulation<P> {
         true
     }
 
-    /// Fills the memo's masks of id `id` if they are not known yet.
+    /// Fills the memo's guard classes of id `id` if they are not known
+    /// yet: the state's one call to [`Protocol::rule_masks`].
     fn cover(&mut self, id: u32) {
         let memo = self.memo.as_mut().expect("the leap built the memo");
         let ids = self.states.len();
         if memo.known.len() < ids {
             memo.known.resize(ids, false);
-            memo.masks.resize(ids * memo.words, [0; 4]);
+            memo.classes.resize(ids * memo.words, [0; 4]);
         }
         let i = id as usize;
         if memo.known[i] {
@@ -632,30 +721,14 @@ impl<P: Protocol> SparseCountPopulation<P> {
             .expect("a protocol with rule masks has them for every state");
         for k in 0..memo.words {
             let word = |f: &[u64]| f.get(k).copied().unwrap_or(0);
-            memo.masks[i * memo.words + k] = [
+            memo.classes[i * memo.words + k] = guard_classes(
                 word(&m.init),
                 word(&m.init_moves),
                 word(&m.resp),
                 word(&m.resp_moves),
-            ];
+            );
         }
         memo.known[i] = true;
-    }
-
-    /// `R` of `slot` from scratch: `Σ_b c_b w(a, b) − w(a, a)`.
-    fn row_sum(&self, slot: usize) -> u64 {
-        let memo = self.memo.as_ref().expect("memo covers the occupied states");
-        let a = self.slot_ids[slot];
-        let sum: u64 = match memo.one_word() {
-            Some(table) => masked_row(table, &self.slot_ids, &self.occupied, &table[a as usize]),
-            None => self
-                .slot_ids
-                .iter()
-                .zip(&self.occupied)
-                .map(|(&b, &(_, c))| c * memo.weight(a, b))
-                .sum(),
-        };
-        sum - memo.weight(a, a)
     }
 
     /// `n(n−1)·scale`, the denominator of `p`, if `W` cannot overflow.
@@ -666,7 +739,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
         u64::try_from(draws).ok()
     }
 
-    /// Builds the row sums from scratch, `O(occupied²)` weight lookups.
+    /// Builds the slot counts from scratch ([`SlotCounts::build`]).
     /// Returns `W`, or `None` when the protocol has no rule masks or `u64`
     /// cannot hold `n(n−1)·scale`.
     fn build_leap(&mut self) -> Option<u64> {
@@ -675,30 +748,23 @@ impl<P: Protocol> SparseCountPopulation<P> {
             let words = self.protocol.rule_masks(self.occupied[0].0)?.init.len();
             self.memo = Some(Memo {
                 words: words.max(1),
-                masks: Vec::new(),
+                classes: Vec::new(),
                 known: Vec::new(),
             });
         }
         for slot in 0..self.slot_ids.len() {
             self.cover(self.slot_ids[slot]);
         }
-        let rows: Vec<u64> = (0..self.occupied.len()).map(|s| self.row_sum(s)).collect();
-        let total = rows
-            .iter()
-            .zip(&self.occupied)
-            .map(|(&r, &(_, c))| c * r)
-            .sum();
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
-        let masks = memo
-            .one_word()
-            .map(|m| self.slot_ids.iter().map(|&id| m[id as usize]).collect());
-        self.leap = Some(LeapRows { rows, masks, total });
+        let leap = SlotCounts::build(memo, &self.occupied, &self.slot_ids);
+        let total = leap.total;
+        self.leap = Some(leap);
         Some(total)
     }
 
-    /// Builds the row sums and enters the leap if [`leaps`] says so at the
-    /// exact `p` (or the population is silent); otherwise drops them and
-    /// stays per step.
+    /// Builds the slot counts and enters the leap if [`leaps`] says so at
+    /// the exact `p` (or the population is silent); otherwise drops them
+    /// and stays per step.
     fn try_leap(&mut self) -> bool {
         let entered = match (self.build_leap(), self.pair_draws()) {
             (Some(total), Some(draws)) => {
@@ -728,104 +794,49 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.window = [self.base_window(), 0, 0];
     }
 
-    /// Samples the ordered slot pair of an effective step,
-    /// `∝ c_a c'_b w(a, b)`: the initiator by rank under `c_a R_a`, then
-    /// the responder by rank under `c'_b w(a, b)`.
-    fn sample_leap_pair(&self, rng: &mut SimRng) -> (usize, usize) {
-        let leap = self.leap.as_ref().expect("leaping");
-        let sa = self.initiator_at(rng.below(leap.total));
-        (sa, self.responder_at(sa, rng.below(leap.rows[sa])))
-    }
-
-    /// The initiator slot of rank `u < W` under the weights `c_a R_a`.
-    fn initiator_at(&self, mut u: u64) -> usize {
-        let leap = self.leap.as_ref().expect("leaping");
-        for (slot, (&r, &(_, c))) in leap.rows.iter().zip(&self.occupied).enumerate() {
-            let m = c * r;
-            if u < m {
-                return slot;
-            }
-            u -= m;
-        }
-        unreachable!("rank exceeded W");
-    }
-
-    /// The responder slot of rank `v < R_a` under the weights
-    /// `c'_b w(a, b)`, `a` the initiator at slot `sa`.
-    fn responder_at(&self, sa: usize, mut v: u64) -> usize {
-        let leap = self.leap.as_ref().expect("leaping");
-        if let Some(masks) = &leap.masks {
-            return pick_responder(masks, &self.occupied, &masks[sa], sa, v);
-        }
-        let memo = self.memo.as_ref().expect("memo covers the occupied states");
-        let a = self.slot_ids[sa];
-        for (slot, (&b, &(_, c))) in self.slot_ids.iter().zip(&self.occupied).enumerate() {
-            let m = (c - u64::from(slot == sa)) * memo.weight(a, b);
-            if v < m {
-                return slot;
-            }
-            v -= m;
-        }
-        unreachable!("rank exceeded the row sum");
-    }
-
-    /// [`SparseCountPopulation::apply`] plus the row-sum upkeep:
-    /// `R_x += Σ_s δ_s w(x, s)` for every slot that was occupied before,
-    /// `R` from scratch for appended slots, then `W`. `O(occupied)`.
+    /// [`SparseCountPopulation::apply`] plus the slot-count upkeep: the
+    /// appended slots' guard classes join the columns, then each of the
+    /// two moves shifts the counts of the rule slots whose class bits
+    /// differ between its two states, and those slots' `W_r` are
+    /// recomputed. `O(set bits)` per move, whatever the occupancy.
     fn apply_leap(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) {
         let (ia, ib) = (self.slot_ids[sa], self.slot_ids[sb]);
-        let appended = self.apply(sa, sb, a2, b2);
-        let (ia2, ib2) = (self.ids[&a2], self.ids[&b2]);
-        let len = self.occupied.len();
-        let kept = len - appended;
-        for slot in kept..len {
-            self.cover(self.slot_ids[slot]);
+        let (ia2, ib2) = self.apply(sa, sb, a2, b2);
+        let kept = self.leap.as_ref().expect("leaping").columns[0].len();
+        for slot in kept..self.occupied.len() {
+            let id = self.slot_ids[slot];
+            self.cover(id);
+            let memo = self.memo.as_ref().expect("memo covers the occupied states");
+            let leap = self.leap.as_mut().expect("leaping");
+            let classes = &memo.classes[id as usize * memo.words..];
+            for (column, &c) in leap.columns.iter_mut().zip(classes) {
+                column.push(c);
+            }
         }
-        // The moves that happened: agents of `from` now in `to`.
-        let moves: Vec<(u32, u32)> = [(ia, ia2), (ib, ib2)]
-            .into_iter()
-            .filter(|(from, to)| from != to)
-            .collect();
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
         let leap = self.leap.as_mut().expect("leaping");
-        let mut total = 0u64;
-        if let (Some(table), Some(masks)) = (memo.one_word(), &mut leap.masks) {
-            for (slot, &id) in self.slot_ids[kept..].iter().enumerate() {
-                masks[kept + slot] = table[id as usize];
-            }
-            let moves: Vec<([u64; 4], [u64; 4])> = moves
-                .iter()
-                .map(|&(from, to)| (table[from as usize], table[to as usize]))
-                .collect();
-            total = update_rows(&mut leap.rows[..kept], &self.occupied, masks, &moves);
-        } else {
-            let old = leap.rows[..kept].iter_mut().zip(&self.occupied);
-            for ((r, &(_, c)), &x) in old.zip(&self.slot_ids) {
-                for &(from, to) in &moves {
-                    *r = *r + memo.weight(x, to) - memo.weight(x, from);
+        for w in 0..memo.words {
+            let classes = |id: u32| memo.classes[id as usize * memo.words + w];
+            let mut touched = 0;
+            for (from, to) in [(ia, ia2), (ib, ib2)] {
+                let (from, to) = (classes(from), classes(to));
+                if from != to {
+                    touched |= leap.shift(w, from, to);
                 }
-                total += c * *r;
+            }
+            if touched != 0 {
+                leap.reweigh(w, touched);
             }
         }
-        for slot in kept..len {
-            let r = self.row_sum(slot);
-            self.leap.as_mut().expect("leaping").rows[slot] = r;
-            total += self.occupied[slot].1 * r;
-        }
-        self.leap.as_mut().expect("leaping").total = total;
         debug_assert!(self.leap_is_consistent());
     }
 
-    /// Debug check: the row sums and `W` equal a recount.
+    /// Debug check: the slot counts, their weights and columns equal a
+    /// recount from scratch.
     fn leap_is_consistent(&self) -> bool {
         self.leap.as_ref().is_none_or(|leap| {
-            let rows: Vec<u64> = (0..self.occupied.len()).map(|s| self.row_sum(s)).collect();
-            let total: u64 = rows
-                .iter()
-                .zip(&self.occupied)
-                .map(|(&r, &(_, c))| c * r)
-                .sum();
-            rows == leap.rows && total == leap.total
+            let memo = self.memo.as_ref().expect("memo covers the occupied states");
+            *leap == SlotCounts::build(memo, &self.occupied, &self.slot_ids)
         })
     }
 }
@@ -857,7 +868,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
 
     /// Adjusts the occupied-state list directly; vacated states are
     /// swap-removed and new states appended, as for interactions. Drops
-    /// the leap's row sums, which the next batch rebuilds.
+    /// the leap's slot counts, which the next batch rebuilds.
     fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
         let states = self.protocol.num_states();
         assert!(from < states, "migrate source state out of range");
@@ -873,7 +884,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        // A lone step keeps no row sums; the next batch rebuilds them.
+        // A lone step keeps no slot counts; the next batch rebuilds them.
         self.leap = None;
         self.steps += 1;
         if self.step_once(rng) {
@@ -938,10 +949,15 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
                     t.leap(skip);
                 }
                 out.executed += skip + 1;
-                let (sa, sb) = self.sample_leap_pair(rng);
+                let (r, sa, sb) = {
+                    let _pick_span = prof::section_if(pf, Section::LeapPick);
+                    let leap = self.leap.as_ref().expect("leaping");
+                    leap.pick(&self.occupied, rng.below(total))
+                };
                 let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
-                let (a2, b2) = self.protocol.interact_reactive(a, b, rng);
+                let (a2, b2) = self.protocol.interact_slot(a, b, r, rng);
                 if (a2, b2) != (a, b) {
+                    let _upkeep_span = prof::section_if(pf, Section::LeapUpkeep);
                     out.changed += 1;
                     self.apply_leap(sa, sb, a2, b2);
                 }
@@ -992,8 +1008,9 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
     /// the regime and the per-step window. The order is RNG-visible —
     /// both samplers map ranks in it and `add` swap-removes vacated
     /// entries — and so are the regime and window, which decide when the
-    /// population leaps. The interned ids, the weight memo, the row sums
-    /// and the block sums are derived and RNG-free, so they are rebuilt.
+    /// population leaps. The interned ids, the guard-class memo, the slot
+    /// counts and the block sums are derived and RNG-free, so they are
+    /// rebuilt.
     fn snapshot(&self) -> Result<Json, String> {
         Ok(Json::obj([
             (
@@ -1102,7 +1119,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
 mod tests {
     use super::*;
     use crate::counts::CountPopulation;
-    use crate::protocol::TableProtocol;
+    use crate::protocol::{RuleMasks, TableProtocol};
     use crate::sim::run_until;
 
     fn epidemic() -> TableProtocol {
@@ -1346,16 +1363,12 @@ mod tests {
         fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
             (a, b)
         }
-        fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-            let pairs = self.of(a).iter().zip(self.of(b));
-            pairs.map(|(ma, mb)| mask_weight(ma, mb) as u32).sum()
-        }
         fn weight_scale(&self) -> u32 {
             64 * self.words as u32
         }
-        fn rule_masks(&self, state: usize) -> Option<crate::protocol::RuleMasks> {
+        fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
             let field = |f: usize| self.of(state).iter().map(|m| m[f]).collect();
-            Some(crate::protocol::RuleMasks {
+            Some(RuleMasks {
                 init: field(0),
                 init_moves: field(1),
                 resp: field(2),
@@ -1364,47 +1377,44 @@ mod tests {
         }
     }
 
-    /// Over every rank, the leap's initiator draw lands on slot `a`
-    /// exactly `c_a R_a` times, and its responder draw for initiator `a`
-    /// on slot `b` exactly `c'_b w(a, b)` times (`c'` without the
-    /// initiator), with `R` and `W` equal to a recount from the protocol's
-    /// weights, with one-word and with three-word masks, from the first
-    /// build and after leap-mode moves that empty, refill and append slots
-    /// and reach states not interned before.
+    /// Over every rank `u < W`, the leap's pick lands on each rule slot
+    /// `r`, initiator state `a` and responder state `b` exactly
+    /// `c_a c'_b [r effective on (a, b)]` times (`c'` without one agent of
+    /// `a`), effectiveness read from the protocol's own masks, so each
+    /// triple has probability `c_a c'_b / W`; and the slot counts equal a
+    /// recount. With one-word and three-word masks, from the first build
+    /// and after leap-mode moves that empty, refill and append slots and
+    /// reach states not interned before.
     #[test]
     fn leap_sampler_draws_pairs_by_exact_weight() {
         fn check<P: Protocol>(pop: &SparseCountPopulation<P>) {
+            assert!(pop.leap_is_consistent(), "slot counts drifted");
             let leap = pop.leap.as_ref().expect("leaping");
-            let n = pop.occupied.len();
-            let c = |s: usize| pop.occupied[s].1;
-            let w = |a: usize, b: usize| {
-                let (sa, sb) = (pop.occupied[a].0, pop.occupied[b].0);
-                u64::from(pop.protocol.reactive_weight(sa, sb))
-            };
-            let rows: Vec<u64> = (0..n)
-                .map(|a| (0..n).map(|b| (c(b) - u64::from(a == b)) * w(a, b)).sum())
+            let slots = 64 * pop.memo.as_ref().expect("memo").words;
+            let masks: Vec<_> = pop
+                .occupied
+                .iter()
+                .map(|&(s, _)| pop.protocol.rule_masks(s).expect("masks"))
                 .collect();
-            assert_eq!(leap.rows, rows, "row sums");
-            let total: u64 = (0..n).map(|a| c(a) * rows[a]).sum();
-            assert_eq!(leap.total, total, "W");
-            let mut initiators = vec![0u64; n];
-            for u in 0..total {
-                initiators[pop.initiator_at(u)] += 1;
-            }
-            assert_eq!(
-                initiators,
-                (0..n).map(|a| c(a) * rows[a]).collect::<Vec<_>>()
-            );
-            for a in 0..n {
-                let mut responders = vec![0u64; n];
-                for v in 0..rows[a] {
-                    responders[pop.responder_at(a, v)] += 1;
+            let mut want = std::collections::BTreeMap::new();
+            for (a, &(sa, ca)) in pop.occupied.iter().enumerate() {
+                for (b, &(sb, cb)) in pop.occupied.iter().enumerate() {
+                    let pairs = ca * (cb - u64::from(a == b));
+                    for r in 0..slots {
+                        if pairs > 0 && RuleMasks::effective(&masks[a], &masks[b], r) {
+                            want.insert((r, sa, sb), pairs);
+                        }
+                    }
                 }
-                let want: Vec<u64> = (0..n)
-                    .map(|b| (c(b) - u64::from(a == b)) * w(a, b))
-                    .collect();
-                assert_eq!(responders, want, "responders of slot {a}");
             }
+            assert_eq!(leap.total, want.values().sum::<u64>(), "W");
+            let mut got = std::collections::BTreeMap::new();
+            for u in 0..leap.total {
+                let (r, a, b) = leap.pick(&pop.occupied, u);
+                *got.entry((r, pop.occupied[a].0, pop.occupied[b].0))
+                    .or_insert(0u64) += 1;
+            }
+            assert_eq!(got, want, "ranks per (slot, initiator, responder)");
         }
         fn run<P: Protocol>(p: P) {
             let k = p.num_states();
@@ -1440,7 +1450,7 @@ mod tests {
     }
 
     /// At n = 2 one effective step can empty every occupied slot before
-    /// the step's additions refill any; the one-word mask rows must still
+    /// the step's additions refill any; the guard-class columns must still
     /// follow the occupied list, whether the two agents leave two states
     /// or one.
     #[test]
@@ -1451,8 +1461,7 @@ mod tests {
             pop.build_leap().expect("the protocol has rule masks");
             pop.apply_leap(0, start.len() - 1, a2, b2);
             let leap = pop.leap.as_ref().expect("leaping");
-            let masks = leap.masks.as_ref().expect("one-word masks");
-            assert_eq!(masks.len(), pop.occupied.len());
+            assert_eq!(leap.columns[0].len(), pop.occupied.len());
             assert!(pop.leap_is_consistent());
         }
     }

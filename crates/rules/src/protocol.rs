@@ -8,7 +8,7 @@
 //! [`ExecutionMode::FirstMatch`]; the paper notes protocols translate
 //! between the conventions.
 
-use crate::rule::{Rule, Ruleset};
+use crate::rule::Ruleset;
 use crate::var::VarSet;
 use pp_engine::protocol::{Protocol, ProtocolSpec, RuleMasks};
 use pp_engine::rng::SimRng;
@@ -96,16 +96,6 @@ impl FlagProtocol {
         &self.ruleset
     }
 
-    /// The rules (replicas included, in ruleset order) effective on the
-    /// ordered pair `(a, b)`.
-    fn effective_rules(&self, a: usize, b: usize) -> impl Iterator<Item = &Rule> + '_ {
-        let (a, b) = (a as u32, b as u32);
-        self.ruleset
-            .rules()
-            .iter()
-            .filter(move |r| r.is_effective_on(a, b))
-    }
-
     /// Renders all rules in the paper's notation, one per line.
     #[must_use]
     pub fn render(&self) -> String {
@@ -151,19 +141,12 @@ impl Protocol for FlagProtocol {
     }
 
     fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.effective_rules(a, b).next().is_some()
+        let (a, b) = (a as u32, b as u32);
+        self.ruleset.rules().iter().any(|r| r.is_effective_on(a, b))
     }
 
-    /// In [`ExecutionMode::UniformRule`], the number of rules (replicas
-    /// included) effective on the pair; in [`ExecutionMode::FirstMatch`],
-    /// [`Protocol::is_reactive`] as 0 or 1.
-    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-        match self.mode {
-            ExecutionMode::UniformRule => self.effective_rules(a, b).count() as u32,
-            ExecutionMode::FirstMatch => u32::from(self.is_reactive(a, b)),
-        }
-    }
-
+    /// In [`ExecutionMode::UniformRule`], the ruleset length (replicas
+    /// included): one slot per rule.
     fn weight_scale(&self) -> u32 {
         match self.mode {
             ExecutionMode::UniformRule => self.ruleset.len() as u32,
@@ -171,21 +154,13 @@ impl Protocol for FlagProtocol {
         }
     }
 
-    /// In [`ExecutionMode::UniformRule`], draws one of the effective rules
-    /// uniformly and applies it with its probability: the uniform rule
-    /// draw of [`Protocol::interact`] conditioned on hitting an effective
-    /// rule, since a drawn rule that is not effective leaves the pair as it
-    /// is.
-    fn interact_reactive(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        if self.mode == ExecutionMode::FirstMatch {
-            return self.interact(a, b, rng);
-        }
-        let weight = self.effective_rules(a, b).count();
-        let pick = rng.index(weight);
-        let rule = self
-            .effective_rules(a, b)
-            .nth(pick)
-            .expect("pick is below the weight");
+    /// Fires rule `slot` with its probability: [`Protocol::interact`] after
+    /// drawing that rule. Only [`ExecutionMode::UniformRule`] has rule
+    /// masks, so only it is asked.
+    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
+        debug_assert_eq!(self.mode, ExecutionMode::UniformRule);
+        let rule = &self.ruleset.rules()[slot];
+        debug_assert!(rule.is_effective_on(a as u32, b as u32));
         if rule.probability >= 1.0 || rng.chance(rule.probability) {
             let (a2, b2) = rule.apply(a as u32, b as u32);
             (a2 as usize, b2 as usize)

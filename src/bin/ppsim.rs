@@ -69,7 +69,7 @@ use population_protocols::core::protocols::plurality::{plurality, plurality_exac
 use population_protocols::core::protocols::semilinear::{
     comparison_and_parity_exact, mod_exact, parity_exact, semilinear_comparison_exact,
 };
-use population_protocols::core::rules::Guard;
+use population_protocols::core::rules::{Guard, Var};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -593,19 +593,49 @@ fn profile_epidemic(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f
     (wall_ns, "convergence time (rounds)", times)
 }
 
-/// Runs plurality-exact-three on the interpreter (2¹⁸ nominal states, so
-/// its scheduler runs take the sparse backend's leap), colours split
-/// 30/33/37%, one iteration at a time until `rounds` parallel rounds have
-/// passed; returns the wall time and each iteration's simulated rounds.
-fn profile_plurality_exact(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
-    let program = plurality_exact_three();
+/// The colour groups of a three-colour plurality program: colours split
+/// 30/33/37%.
+fn three_colour_groups(program: &Program, n: u64) -> Vec<(Vec<Var>, u64)> {
     let colour = |i: usize| program.vars.get(&format!("C{i}")).expect("colour flag");
     let (c1, c2) = (n * 30 / 100, n * 33 / 100);
-    let groups = [
+    vec![
         (vec![colour(1)], c1),
         (vec![colour(2)], c2),
         (vec![colour(3)], n - c1 - c2),
-    ];
+    ]
+}
+
+/// Runs plurality-exact-three (2¹⁸ nominal states, so its scheduler runs
+/// take the sparse backend's leap), plurality(3, 2) or majority(3) on the
+/// interpreter, the colours split 30/33/37%, majority's opinions 53/47%,
+/// one iteration at a time until `rounds` parallel rounds have passed;
+/// returns the wall time and each iteration's simulated rounds.
+fn profile_builtin_program(
+    builtin: &str,
+    n: u64,
+    rounds: u64,
+    seed: u64,
+) -> (u64, &'static str, Vec<f64>) {
+    let (program, groups) = match builtin {
+        "majority" => {
+            let program = majority(3);
+            let a = program.vars.get("A").expect("majority defines A");
+            let b = program.vars.get("B").expect("majority defines B");
+            let na = n * 53 / 100;
+            let groups = vec![(vec![a], na), (vec![b], n - na)];
+            (program, groups)
+        }
+        "plurality" => {
+            let program = plurality(3, 2);
+            let groups = three_colour_groups(&program, n);
+            (program, groups)
+        }
+        _ => {
+            let program = plurality_exact_three();
+            let groups = three_colour_groups(&program, n);
+            (program, groups)
+        }
+    };
     let mut exec = Executor::new(&program, &groups, seed);
     let mut iterations = Vec::new();
     let wall = std::time::Instant::now();
@@ -625,7 +655,8 @@ fn fmt_ms(ns: u64) -> String {
 /// `ppsim profile`: run a built-in protocol under the section profiler and
 /// report a self-time/total-time tree, regime dispatch, and P² percentiles.
 ///
-/// Own grammar (like `lint`): `--builtin oscillator|epidemic|plurality-exact`, `--n N`,
+/// Own grammar (like `lint`):
+/// `--builtin oscillator|epidemic|plurality-exact|plurality|majority`, `--n N`,
 /// `--rounds R`, `--seed S`, `--dispatch FILE` (write the per-batch
 /// dispatch-decision records as JSONL), `--json`.
 #[allow(clippy::too_many_lines)]
@@ -665,7 +696,8 @@ fn run_profile(args: &[String]) -> u8 {
             other => {
                 eprintln!(
                     "error: unknown profile argument {other:?} (usage: ppsim profile \
-                     [--builtin oscillator|epidemic|plurality-exact] [--n N] [--rounds R] \
+                     [--builtin oscillator|epidemic|plurality-exact|plurality|majority] \
+                     [--n N] [--rounds R] \
                      [--seed S] \
                      [--dispatch FILE] [--json])"
                 );
@@ -674,9 +706,13 @@ fn run_profile(args: &[String]) -> u8 {
         }
         i += 1;
     }
-    if !matches!(builtin, "oscillator" | "epidemic" | "plurality-exact") {
+    if !matches!(
+        builtin,
+        "oscillator" | "epidemic" | "plurality-exact" | "plurality" | "majority"
+    ) {
         eprintln!(
-            "error: unknown profile builtin {builtin:?} (oscillator, epidemic or plurality-exact)"
+            "error: unknown profile builtin {builtin:?} (oscillator, epidemic, plurality-exact, \
+             plurality or majority)"
         );
         return 1;
     }
@@ -691,7 +727,7 @@ fn run_profile(args: &[String]) -> u8 {
         match builtin {
             "oscillator" => profile_oscillator(n, rounds, seed),
             "epidemic" => profile_epidemic(n, rounds, seed),
-            _ => profile_plurality_exact(n, rounds, seed),
+            _ => profile_builtin_program(builtin, n, rounds, seed),
         }
     };
     let report = recorder.profile();
@@ -1129,20 +1165,31 @@ fn run_command(
         "plurality" => {
             let colors = flags.num("colors", 3).clamp(2, 8) as usize;
             let program = plurality(colors, 2);
-            // Deterministic skewed shares: color i gets weight i+1.
+            // Deterministic skewed shares: color i gets weight i. Rounding
+            // down can tie the largest shares at small n.
             let weight_total: u64 = (1..=colors as u64).sum();
-            let mut groups = Vec::new();
-            let mut assigned = 0;
-            for i in 1..=colors {
-                let c = program
-                    .vars
-                    .get(&format!("C{i}"))
-                    .expect("plurality defines C1..=colors");
-                let share = n * i as u64 / weight_total;
-                groups.push((vec![c], share));
-                assigned += share;
-            }
-            groups.push((vec![], n - assigned));
+            let shares: Vec<u64> = (1..=colors as u64).map(|i| n * i / weight_total).collect();
+            let mut groups: Vec<_> = shares
+                .iter()
+                .enumerate()
+                .map(|(i, &share)| {
+                    let c = program
+                        .vars
+                        .get(&format!("C{}", i + 1))
+                        .expect("plurality defines C1..=colors");
+                    (vec![c], share)
+                })
+                .collect();
+            groups.push((vec![], n - shares.iter().sum::<u64>()));
+            let top = shares.iter().copied().max().unwrap_or(0);
+            let expected: Vec<usize> = (1..=colors).filter(|&i| shares[i - 1] == top).collect();
+            let expected_text = match expected.as_slice() {
+                [only] => format!("expected {only}"),
+                tied => {
+                    let tied: Vec<String> = tied.iter().map(usize::to_string).collect();
+                    format!("tie between colors {}, any accepted", tied.join(", "))
+                }
+            };
             let mut exec = Executor::new(&program, &groups, seed);
             exec.run_iteration();
             for i in 1..=colors {
@@ -1153,10 +1200,10 @@ fn run_command(
                 let count = exec.count_where(&Guard::var(w));
                 if count == exec.n() {
                     println!(
-                        "plurality winner: color {i} (expected {colors}) after {:.0} rounds",
+                        "plurality winner: color {i} ({expected_text}) after {:.0} rounds",
                         exec.rounds()
                     );
-                    return u8::from(i != colors);
+                    return u8::from(!expected.contains(&i));
                 }
             }
             eprintln!("no unanimous winner (rerun with another seed)");

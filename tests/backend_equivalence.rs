@@ -276,9 +276,11 @@ fn assert_sparse_leap_equivalent<P: Protocol>(
 }
 
 /// A [`TableProtocol`] given rule masks, one slot per table rule `(a, b) →
-/// (a', b')`, so the sparse backend leaps on it: a pair's weight is the
-/// number of its rules that move an agent, over a scale of 1, and the
-/// reactive interaction is the table's own (rule probabilities included).
+/// (a', b')` on distinct pairs, so the sparse backend leaps on it. Its
+/// masks have more slots than its scale of 1, but no pair has more than
+/// one effective slot, so the leap weighs each reactive pair as one
+/// interaction, and the slot's interaction is the table's own (rule
+/// probabilities included).
 struct Slotted {
     table: TableProtocol,
     rules: Vec<[usize; 4]>,
@@ -304,10 +306,6 @@ impl Protocol for Slotted {
     }
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         self.table.is_reactive(a, b)
-    }
-    fn reactive_weight(&self, a: usize, b: usize) -> u32 {
-        let moves = |&&[ra, rb, ra2, rb2]: &&[usize; 4]| (ra, rb) == (a, b) && (ra2, rb2) != (a, b);
-        self.rules.iter().filter(moves).count() as u32
     }
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
         let mut masks = RuleMasks::new(self.rules.len());

@@ -518,7 +518,10 @@ fn interpreted_run(
 /// state spaces exceed 4 096 states (exact-three plurality, the exact
 /// semilinear comparison): their `execute` sites ran on the sparse
 /// backend before the dense site path was removed, and must still end on
-/// the same counts after the same rounds.
+/// the same counts after the same rounds. The exact-three counts were
+/// re-recorded when the leap began to draw its rule slot, initiator and
+/// responder from one rank (slot-sampled leaps); the semilinear run's did
+/// not move.
 #[test]
 fn wide_program_sites_match_pinned_golden() {
     use population_protocols::core::protocols::plurality::plurality_exact_three;
@@ -531,7 +534,7 @@ fn wide_program_sites_match_pinned_golden() {
     let groups = [(vec![c[0]], 22u64), (vec![c[1]], 20), (vec![c[2]], 18)];
     assert_eq!(
         interpreted_run(&program, &groups, 0x5eed_0003, 2),
-        (0xc7b8_e7f0_894c_efe5, 147.396_404_239_995_6)
+        (0x860e_5dfa_27f6_03a7, 147.396_404_239_995_6)
     );
 
     let program = semilinear_comparison_exact(1);

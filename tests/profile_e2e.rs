@@ -198,7 +198,8 @@ fn profile_dispatch_log_is_valid_jsonl() {
 
 /// A program's sites run on the sparse backend, and the
 /// profile names what it ran: `sparse_leap` sections under
-/// `sparse_step_batch`, the leap in the regime counters, and dispatch
+/// `sparse_step_batch`, with `leap_pick` and `leap_upkeep` under them,
+/// the leap in the regime counters, and dispatch
 /// records from `SparseCountPopulation` carrying `p`, the occupancy and
 /// the rule-weighted pair count `W` over its scale.
 #[test]
@@ -221,7 +222,24 @@ fn plurality_exact_profile_names_the_sparse_leap() {
         leap.get("parent").and_then(Json::as_str),
         Some("sparse_step_batch")
     );
-    assert!(leap.get("calls").and_then(Json::as_u64) > Some(0));
+    let calls = |s: &Json| s.get("calls").and_then(Json::as_u64).unwrap_or(0);
+    assert!(calls(leap) > 0);
+    // Under each leap, the pick of the effective step, then the upkeep of
+    // a change: every upkeep follows a pick, and every pick a leap.
+    let child = |name: &str| {
+        sections(&doc)
+            .into_iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} section present"))
+    };
+    let (pick, upkeep) = (child("leap_pick"), child("leap_upkeep"));
+    for section in [pick, upkeep] {
+        assert_eq!(
+            section.get("parent").and_then(Json::as_str),
+            Some("sparse_leap")
+        );
+    }
+    assert!(0 < calls(upkeep) && calls(upkeep) <= calls(pick) && calls(pick) <= calls(leap));
     let regimes = doc.get("regimes").expect("regimes present");
     assert!(regimes.get("leap").and_then(Json::as_u64) > Some(0));
     assert_eq!(doc.get("first_regime").and_then(Json::as_str), Some("leap"));

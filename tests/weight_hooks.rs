@@ -1,22 +1,27 @@
-//! The sparse leap's protocol hooks — `reactive_weight`, `weight_scale`,
-//! `interact_reactive` and `rule_masks` — checked exactly, on every ordered
-//! pair of states of small protocols, against `outcome_table`.
+//! The sparse leap's protocol hooks — `weight_scale`, `rule_masks` and
+//! `interact_slot` — checked exactly, on every ordered pair of states of
+//! small protocols, against `outcome_table` and `interact`.
 //!
-//! The contract is that `interact(a, b)` has the law "with probability
-//! `w / scale` run `interact_reactive(a, b)`, else return `(a, b)`". For
-//! each pair the test lists the effective rule draws from the rule data
-//! itself (their slot counts, probabilities and outcomes), and checks:
+//! The slot contract is that `interact(a, b)` has the law "draw one of
+//! `scale` rule slots uniformly; if the drawn slot `r` is effective on
+//! `(a, b)` run `interact_slot(a, b, r)`, else return `(a, b)`". For each
+//! pair and each slot the test reads, from the rule data itself, the
+//! slot's rule, its firing probability and its outcome, and checks:
 //!
-//! * the weight equals the draws' slot count, and the masks' popcount
-//!   weight equals it too;
-//! * the mixture law built from the draws equals `outcome_table` to 1e-12;
-//! * `interact_reactive` samples exactly that conditional law: on 64
-//!   streams per pair it returns what a reference sampler, drawing the
-//!   same uniform slot among the effective draws and the same firing coin
-//!   from the same stream, returns.
+//! * the masks call slot `r` effective exactly when its rule matches the
+//!   pair and moves an agent;
+//! * the mixture law built from the effective slots equals
+//!   `outcome_table` to 1e-12;
+//! * `interact_slot` samples exactly the slot's law: on 64 streams per
+//!   effective slot it returns what a reference sampler, drawing the same
+//!   firing coin from the same stream, returns;
+//! * `interact` is the contract's two-stage draw: on 64 streams per pair
+//!   it returns what "uniform slot, then `interact_slot` if effective"
+//!   returns from the same stream.
 //!
-//! Protocols on the default hooks (weight 0 or 1 over a scale of 1) must
-//! have an identity `outcome_table` wherever their weight is 0.
+//! Protocols on the default hooks (no masks, scale 1) must have an
+//! identity `outcome_table` wherever `is_reactive` is false, and the
+//! default `interact_slot` is `interact`.
 
 use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::core::engine::rng::SimRng;
@@ -25,12 +30,12 @@ use population_protocols::core::rules::{
     parse::parse_ruleset, ExecutionMode, FlagProtocol, Ruleset, VarSet,
 };
 
-/// One effective rule draw on a pair: its draw slots, its firing
-/// probability, and the pair it yields when it fires.
-type Draw = (u32, f64, (usize, usize));
+/// One rule slot on a pair, from the rule data: whether it is effective,
+/// its firing probability, and the pair it yields when it fires.
+type Slot = (bool, f64, (usize, usize));
 
-/// Streams per pair on which `interact_reactive` is replayed against the
-/// reference sampler.
+/// Streams per pair (and per effective slot) on which the hooks are
+/// replayed against the reference samplers.
 const STREAMS: u64 = 64;
 
 /// Sums `((a', b'), p)` entries by outcome.
@@ -58,60 +63,82 @@ fn assert_same_law(got: &[((usize, usize), f64)], want: &[((usize, usize), f64)]
     }
 }
 
-/// The reference sampler: a uniform slot among the effective draws, then
-/// the firing coin.
-fn reference_draw(draws: &[Draw], pair: (usize, usize), rng: &mut SimRng) -> (usize, usize) {
-    let weight: u32 = draws.iter().map(|&(m, _, _)| m).sum();
-    let mut pick = rng.below(u64::from(weight));
-    for &(m, p, out) in draws {
-        if pick < u64::from(m) {
-            return if p >= 1.0 || rng.chance(p) { out } else { pair };
-        }
-        pick -= u64::from(m);
+/// The reference for one slot: its firing coin, then its outcome.
+fn reference_fire(
+    prob: f64,
+    out: (usize, usize),
+    pair: (usize, usize),
+    rng: &mut SimRng,
+) -> (usize, usize) {
+    if prob >= 1.0 || rng.chance(prob) {
+        out
+    } else {
+        pair
     }
-    unreachable!("pick is below the weight")
 }
 
-/// The exact checks on every ordered pair, with `draws(a, b)` listing the
-/// effective rule draws from the protocol's own rule data.
-fn assert_hooks_exact<P: Protocol>(name: &str, p: &P, draws: impl Fn(usize, usize) -> Vec<Draw>) {
+/// The exact checks on every ordered pair, with `slots(a, b)` listing all
+/// `scale` rule slots on the pair from the protocol's own rule data.
+fn assert_hooks_exact<P: Protocol>(name: &str, p: &P, slots: impl Fn(usize, usize) -> Vec<Slot>) {
     let k = p.num_states();
-    let scale = p.weight_scale();
-    let masks: Option<Vec<RuleMasks>> = (0..k).map(|s| p.rule_masks(s)).collect();
+    let scale = p.weight_scale() as usize;
+    let masks: Vec<RuleMasks> = (0..k)
+        .map(|s| p.rule_masks(s).expect("these protocols have rule masks"))
+        .collect();
     let mut reactive_pairs = 0;
     for a in 0..k {
         for b in 0..k {
             let what = format!("{name} ({a}, {b})");
-            let effective = draws(a, b);
-            let w: u32 = effective.iter().map(|&(m, _, _)| m).sum();
-            assert_eq!(p.reactive_weight(a, b), w, "{what}: weight");
-            assert_eq!(p.is_reactive(a, b), w > 0, "{what}: is_reactive");
-            if let Some(masks) = &masks {
-                assert_eq!(RuleMasks::weight(&masks[a], &masks[b]), w, "{what}: masks");
+            let slots = slots(a, b);
+            assert_eq!(slots.len(), scale, "{what}: one entry per slot");
+            for (r, &(effective, _, _)) in slots.iter().enumerate() {
+                let masked = RuleMasks::effective(&masks[a], &masks[b], r);
+                assert_eq!(masked, effective, "{what}: slot {r} masks");
             }
-            let share = 1.0 / f64::from(scale);
-            let fired = effective.iter().flat_map(|&(m, prob, out)| {
-                let slot = f64::from(m) * share;
-                [(out, slot * prob), ((a, b), slot * (1.0 - prob))]
-            });
-            let idle = ((a, b), 1.0 - f64::from(w) * share);
+            let effective: Vec<(usize, f64, (usize, usize))> = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, &(on, _, _))| on)
+                .map(|(r, &(_, prob, out))| (r, prob, out))
+                .collect();
+            assert_eq!(
+                p.is_reactive(a, b),
+                !effective.is_empty(),
+                "{what}: is_reactive"
+            );
+            let share = 1.0 / scale as f64;
+            let fired = effective
+                .iter()
+                .flat_map(|&(_, prob, out)| [(out, share * prob), ((a, b), share * (1.0 - prob))]);
+            let idle = ((a, b), 1.0 - effective.len() as f64 * share);
             let table = p
                 .outcome_table(a, b)
                 .expect("these protocols list outcomes");
             assert_same_law(&law(table), &law(fired.chain([idle])), &what);
-            if w == 0 {
-                continue;
+            reactive_pairs += usize::from(!effective.is_empty());
+            let seed = |stream: u64| (a * k + b) as u64 * STREAMS + stream;
+            for &(r, prob, out) in &effective {
+                for stream in 0..STREAMS {
+                    let got = p.interact_slot(a, b, r, &mut SimRng::seed_from(seed(stream)));
+                    let want =
+                        reference_fire(prob, out, (a, b), &mut SimRng::seed_from(seed(stream)));
+                    assert_eq!(got, want, "{what}: interact_slot {r} on stream {stream}");
+                }
             }
-            reactive_pairs += 1;
             for stream in 0..STREAMS {
-                let seed = (a * k + b) as u64 * STREAMS + stream;
-                let got = p.interact_reactive(a, b, &mut SimRng::seed_from(seed));
-                let want = reference_draw(&effective, (a, b), &mut SimRng::seed_from(seed));
-                assert_eq!(got, want, "{what}: interact_reactive on stream {stream}");
+                let got = p.interact(a, b, &mut SimRng::seed_from(seed(stream)));
+                let mut rng = SimRng::seed_from(seed(stream));
+                let r = rng.index(scale);
+                let want = if slots[r].0 {
+                    p.interact_slot(a, b, r, &mut rng)
+                } else {
+                    (a, b)
+                };
+                assert_eq!(got, want, "{what}: interact on stream {stream}");
             }
         }
     }
-    assert!(reactive_pairs > 0, "{name}: no pair has a positive weight");
+    assert!(reactive_pairs > 0, "{name}: no pair has an effective slot");
 }
 
 /// Two threads, composed: the epidemic (2 rules, so 3 replicas each) and
@@ -144,37 +171,41 @@ fn flag_protocol_uniform_rule_hooks_match_the_outcome_table() {
     let p = FlagProtocol::new(vars, rules.clone(), "composed");
     assert_eq!(p.weight_scale(), 12);
     assert_hooks_exact("uniform-rule", &p, |a, b| {
+        let (a, b) = (a as u32, b as u32);
         rules
             .rules()
             .iter()
-            .filter(|r| r.is_effective_on(a as u32, b as u32))
             .map(|r| {
-                let (a2, b2) = r.apply(a as u32, b as u32);
-                (1, r.probability, (a2 as usize, b2 as usize))
+                let (a2, b2) = r.apply(a, b);
+                let out = (a2 as usize, b2 as usize);
+                (r.is_effective_on(a, b), r.probability, out)
             })
             .collect()
     });
 }
 
-/// The default hooks: weight 0 or 1 over a scale of 1, no masks, and
-/// `interact_reactive` = `interact`; a pair of weight 0 must be inert.
-fn assert_default_hooks<P: Protocol>(name: &str, p: &P) {
+/// The default hooks: no masks and a scale of 1, so the sparse backend
+/// never leaps on the protocol; a pair that is not reactive must be inert.
+/// With `default_slot`, the protocol also keeps the default
+/// `interact_slot`, which is `interact`.
+fn assert_default_hooks<P: Protocol>(name: &str, p: &P, default_slot: bool) {
     let k = p.num_states();
     assert_eq!(p.weight_scale(), 1, "{name}: scale");
     for a in 0..k {
         assert!(p.rule_masks(a).is_none(), "{name}: masks");
         for b in 0..k {
-            let w = p.reactive_weight(a, b);
-            assert_eq!(w, u32::from(p.is_reactive(a, b)), "{name} ({a}, {b})");
-            if w == 0 {
+            if !p.is_reactive(a, b) {
                 let table = p
                     .outcome_table(a, b)
                     .expect("these protocols list outcomes");
                 assert_same_law(&law(table), &[((a, b), 1.0)], name);
                 continue;
             }
+            if !default_slot {
+                continue;
+            }
             for stream in 0..STREAMS {
-                let got = p.interact_reactive(a, b, &mut SimRng::seed_from(stream));
+                let got = p.interact_slot(a, b, 0, &mut SimRng::seed_from(stream));
                 let want = p.interact(a, b, &mut SimRng::seed_from(stream));
                 assert_eq!(got, want, "{name} ({a}, {b}) on stream {stream}");
             }
@@ -186,13 +217,15 @@ fn assert_default_hooks<P: Protocol>(name: &str, p: &P) {
 fn first_match_and_table_protocols_keep_the_default_hooks() {
     let (vars, rules) = composed();
     let first = FlagProtocol::new(vars, rules, "first").with_mode(ExecutionMode::FirstMatch);
-    assert_default_hooks("first-match", &first);
+    // First-match mode has no masks, so its `interact_slot`, which fires
+    // one rule of the uniform-rule mode, is never asked.
+    assert_default_hooks("first-match", &first, false);
     let table = TableProtocol::new(3, "rps")
         .rule_p(0, 1, 0, 0, 0.5)
         .rule(1, 2, 1, 1)
         .rule_p(2, 0, 2, 2, 0.25)
         .rule_p(2, 0, 1, 0, 0.25);
-    assert_default_hooks("table", &table);
+    assert_default_hooks("table", &table, true);
 }
 
 #[test]
@@ -200,7 +233,8 @@ fn rule_table_protocol_hooks_match_the_outcome_table() {
     // Four states; rule 0 fires on 1 + 0 (certain), rule 1 on any + 2 with
     // probability ½, rule 2 on 3 + 3 with probability ¼ but only moves
     // the responder. Rule 0 holds 3 draw slots, rule 1 two, rule 2 one,
-    // and one slot belongs to a stripped dead rule.
+    // and one slot belongs to a stripped dead rule, so slot numbers and
+    // rule numbers differ.
     let q = 4;
     let table = |ma: &[usize], mb: &[usize], to_a: &[(usize, u32)], to_b: &[(usize, u32)], p| {
         let mut apply_a: Vec<u32> = (0..q as u32).collect();
@@ -224,25 +258,22 @@ fn rule_table_protocol_hooks_match_the_outcome_table() {
         table(&[0, 1, 2, 3], &[2], &[(0, 3), (2, 1)], &[(2, 0)], 0.5),
         table(&[3], &[3], &[], &[(3, 0)], 0.25),
     ];
-    let mult = [3u32, 2, 1];
     let draw = vec![0, 1, 0, 2, NO_RULE, 1, 0];
     let labels = (0..q).map(|s| format!("s{s}")).collect();
-    let p = RuleTableProtocol::with_draw("tables", labels, rules.clone(), draw);
+    let p = RuleTableProtocol::with_draw("tables", labels, rules.clone(), draw.clone());
     assert_eq!(p.weight_scale(), 7);
+    assert_eq!(p.stripped_rules(), 1);
     assert_hooks_exact("rule-table", &p, |a, b| {
-        rules
-            .iter()
-            .zip(mult)
-            .filter(|(r, _)| {
-                r.match_a[a]
-                    && r.match_b[b]
-                    && (r.apply_a[a] as usize != a || r.apply_b[b] as usize != b)
-            })
-            .map(|(r, m)| {
+        draw.iter()
+            .map(|&slot| {
+                let Some(r) = rules.get(slot as usize) else {
+                    return (false, 1.0, (a, b));
+                };
+                let out = (r.apply_a[a] as usize, r.apply_b[b] as usize);
                 (
-                    m,
+                    r.match_a[a] && r.match_b[b] && out != (a, b),
                     r.probability,
-                    (r.apply_a[a] as usize, r.apply_b[b] as usize),
+                    out,
                 )
             })
             .collect()
