@@ -333,8 +333,8 @@ fn write_batch_json(rows: &[BatchRow]) {
     println!("\nwrote {}", path.display());
 }
 
-/// Appends the dense rows to the perf-trajectory history
-/// (`BENCH_history.jsonl`, or `$BENCH_HISTORY`) so `ppsim bench-diff` and
+/// Appends the dense rows to the perf-trajectory history (the file
+/// `$BENCH_HISTORY` names; nothing without it) so `ppsim bench-diff` and
 /// the CI `bench-regression` job can compare runs over time.
 fn append_dense_history(rows: &[DenseRow]) {
     let records: Vec<HistoryRecord> = rows

@@ -10,10 +10,12 @@
 //! fails when a shared metric drops below the committed baseline by more
 //! than the tolerance.
 //!
-//! The destination defaults to `BENCH_history.jsonl` at the workspace root
-//! and can be redirected with the `BENCH_HISTORY` environment variable —
-//! CI writes a fresh file there so the committed baseline stays pristine
-//! for the comparison.
+//! Records are appended only where the `BENCH_HISTORY` environment
+//! variable points; without it nothing is written, so a verification run
+//! (`e10 --quick`, the engine bench) never adds rows to the committed
+//! `BENCH_history.jsonl`. CI writes a fresh file and diffs it against the
+//! committed one; recording a new baseline means pointing the variable at
+//! that file on purpose.
 
 use pp_engine::json::Json;
 use std::path::PathBuf;
@@ -33,17 +35,13 @@ pub struct HistoryRecord {
     pub rate: f64,
 }
 
-/// Where history records go: `$BENCH_HISTORY` if set, else
-/// `BENCH_history.jsonl` at the workspace root.
+/// Where history records go: `$BENCH_HISTORY`, or nowhere when it is
+/// unset or empty.
 #[must_use]
-pub fn history_path() -> PathBuf {
-    if let Ok(p) = std::env::var("BENCH_HISTORY") {
-        return PathBuf::from(p);
-    }
-    std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."))
-        .join("BENCH_history.jsonl")
+pub fn history_path() -> Option<PathBuf> {
+    std::env::var_os("BENCH_HISTORY")
+        .filter(|p| !p.is_empty())
+        .map(PathBuf::from)
 }
 
 /// Short git revision of the working tree, or `"unknown"` outside a
@@ -75,11 +73,14 @@ pub fn record_json(rec: &HistoryRecord, rev: &str, unix_ts: u64) -> Json {
 }
 
 /// Appends `records` to [`history_path`] as JSON Lines, stamping all of
-/// them with the current git revision and wall-clock timestamp. Creates
-/// the file (and parent directories) on first use; errors are reported to
-/// stderr but never fail the bench — losing a history line must not turn
-/// a successful measurement run red.
+/// them with the current git revision and wall-clock timestamp; without
+/// a path it does nothing. Creates the file (and parent directories) on
+/// first use; errors are reported to stderr but never fail the bench —
+/// losing a history line must not turn a successful measurement run red.
 pub fn append(records: &[HistoryRecord]) {
+    let Some(path) = history_path() else {
+        return;
+    };
     if records.is_empty() {
         return;
     }
@@ -87,7 +88,6 @@ pub fn append(records: &[HistoryRecord]) {
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let path = history_path();
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }

@@ -17,7 +17,7 @@
 
 use crate::junta::XControl;
 use crate::oscillator::{Oscillator, NUM_SPECIES};
-use crate::phase_clock::{detector_observe, doubt_consensus, DEFAULT_CONSENSUS_DEPTH};
+use crate::phase_clock::{ClockKernel, ClockLevel};
 use pp_engine::protocol::Protocol;
 use pp_engine::rng::SimRng;
 
@@ -85,9 +85,9 @@ pub struct ControlledClock<O, C> {
     control: C,
     k: u8,
     m: u8,
-    /// Doubt-gated phase consensus depth (see
-    /// [`crate::phase_clock::doubt_consensus`]; 0 disables).
-    consensus_depth: u8,
+    /// The clock thread, with the doubt-gated consensus depth
+    /// ([`ClockKernel`]; 0 disables consensus).
+    kernel: ClockKernel,
     osc_states: usize,
     ctrl_states: usize,
 }
@@ -101,8 +101,7 @@ impl<O: Oscillator, C: XControl> ControlledClock<O, C> {
     /// Panics if `k == 0`, `m == 0`, or `3k ≥ 256`.
     #[must_use]
     pub fn new(oscillator: O, control: C, k: u8, m: u8) -> Self {
-        assert!(k > 0 && m > 0);
-        assert!(3 * (k as usize) < 256);
+        let kernel = ClockKernel::new(k, m);
         let osc_states = oscillator.num_states();
         let ctrl_states = control.num_states();
         Self {
@@ -110,23 +109,23 @@ impl<O: Oscillator, C: XControl> ControlledClock<O, C> {
             control,
             k,
             m,
-            consensus_depth: DEFAULT_CONSENSUS_DEPTH,
+            kernel,
             osc_states,
             ctrl_states,
         }
     }
 
     /// Sets the doubt-gated consensus depth (0 disables; default
-    /// [`DEFAULT_CONSENSUS_DEPTH`]).
+    /// [`crate::phase_clock::DEFAULT_CONSENSUS_DEPTH`]).
     #[must_use]
     pub fn with_consensus_depth(mut self, depth: u8) -> Self {
-        self.consensus_depth = depth;
+        self.kernel = self.kernel.with_consensus_depth(depth);
         self
     }
 
     /// The doubt dimension size (at least 1 even when consensus is off).
     fn doubt_states(&self) -> usize {
-        (self.consensus_depth as usize).max(1)
+        (self.kernel.consensus_depth() as usize).max(1)
     }
 
     /// The oscillator component.
@@ -307,30 +306,27 @@ impl<O: Oscillator, C: XControl> Protocol for ControlledClock<O, C> {
             }
             _ => {
                 // Clock thread: detector observation + doubt-gated consensus.
-                let sp_a = self.oscillator.species_of(osc_a);
-                let sp_b = self.oscillator.species_of(osc_b);
-                let step_a = detector_observe(det_a, self.k, sp_b);
-                let step_b = detector_observe(det_b, self.k, sp_a);
-                let pa = if step_a.ticked {
-                    (ph_a + 1) % self.m
-                } else {
-                    ph_a
+                let mut la = ClockLevel {
+                    osc: 0,
+                    det: det_a,
+                    phase: ph_a,
+                    doubt: db_a,
                 };
-                let pb = if step_b.ticked {
-                    (ph_b + 1) % self.m
-                } else {
-                    ph_b
+                let mut lb = ClockLevel {
+                    det: det_b,
+                    phase: ph_b,
+                    doubt: db_b,
+                    ..la
                 };
-                let (pa2, da2, pb2, db2) = if self.consensus_depth > 0 {
-                    let (na, da) = doubt_consensus(pa, db_a, pb, self.consensus_depth, self.m);
-                    let (nb, db) = doubt_consensus(pb, db_b, pa, self.consensus_depth, self.m);
-                    (na, da, nb, db)
-                } else {
-                    (pa, db_a, pb, db_b)
-                };
+                self.kernel.step(
+                    &mut la,
+                    &mut lb,
+                    self.oscillator.species_of(osc_a),
+                    self.oscillator.species_of(osc_b),
+                );
                 (
-                    self.pack(ctrl_a, osc_a, step_a.position, pa2, da2),
-                    self.pack(ctrl_b, osc_b, step_b.position, pb2, db2),
+                    self.pack(ctrl_a, osc_a, la.det, la.phase, la.doubt),
+                    self.pack(ctrl_b, osc_b, lb.det, lb.phase, lb.doubt),
                 )
             }
         }

@@ -29,26 +29,14 @@
 
 use crate::junta::XControl;
 use crate::oscillator::{Oscillator, NUM_SPECIES};
-use crate::phase_clock::{detector_observe, doubt_consensus, DEFAULT_CONSENSUS_DEPTH};
+use crate::phase_clock::ClockKernel;
+pub use crate::phase_clock::ClockLevel;
 use pp_engine::obj::ObjProtocol;
 use pp_engine::rng::SimRng;
 
 /// Maximum number of clock levels supported (fixed so agent states stay
 /// `Copy` and allocation-free).
 pub const MAX_LEVELS: usize = 4;
-
-/// One clock level's per-agent state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClockLevel {
-    /// Oscillator state (dense index into the oscillator protocol).
-    pub osc: u8,
-    /// Detector position in `0..3k`.
-    pub det: u8,
-    /// Phase counter in `0..m`.
-    pub phase: u8,
-    /// Doubt counter for phase consensus.
-    pub doubt: u8,
-}
 
 /// Per-agent state of the full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +88,8 @@ pub struct ClockHierarchy<O, C> {
     oscillator: O,
     control: C,
     levels: usize,
-    k: u8,
-    m: u8,
-    consensus_depth: u8,
+    /// Detector, phase tick and consensus of every level's clock thread.
+    kernel: ClockKernel,
     /// Oscillator tempo divisor: oscillator rules execute with probability
     /// `1/tempo`, stretching the base period (and hence every leaf window
     /// of a compiled program) by ≈ `tempo`. This realizes the paper's
@@ -126,16 +113,13 @@ impl<O: Oscillator, C: XControl> ClockHierarchy<O, C> {
         assert!((1..=MAX_LEVELS).contains(&levels), "levels out of range");
         assert!(k > 0 && m > 0, "k and m must be positive");
         assert!(m.is_multiple_of(4), "the gating scheme requires 4 | m");
-        assert!(3 * (k as usize) < 256);
         assert!(oscillator.num_states() <= u8::MAX as usize);
         assert!(control.num_states() <= u16::MAX as usize);
         Self {
             oscillator,
             control,
             levels,
-            k,
-            m,
-            consensus_depth: DEFAULT_CONSENSUS_DEPTH,
+            kernel: ClockKernel::new(k, m),
             tempo: 1,
         }
     }
@@ -161,7 +145,7 @@ impl<O: Oscillator, C: XControl> ClockHierarchy<O, C> {
     /// Sets the doubt-gated consensus depth (0 disables).
     #[must_use]
     pub fn with_consensus_depth(mut self, depth: u8) -> Self {
-        self.consensus_depth = depth;
+        self.kernel = self.kernel.with_consensus_depth(depth);
         self
     }
 
@@ -174,7 +158,7 @@ impl<O: Oscillator, C: XControl> ClockHierarchy<O, C> {
     /// Phase modulus `m`.
     #[must_use]
     pub fn modulus(&self) -> u8 {
-        self.m
+        self.kernel.modulus()
     }
 
     /// The control component.
@@ -238,157 +222,100 @@ impl<O: Oscillator, C: XControl> ClockHierarchy<O, C> {
         (0..self.levels).rev().map(|j| agent.cur[j].phase).collect()
     }
 
-    /// One interaction of the level-`j` clock protocol applied to a state
-    /// pair (inner thread choice: oscillator 1/2, detector+consensus 1/2).
+    /// One oscillator interaction on a level's pair of states. `X` agents
+    /// stay pinned to the source state whatever the rule returns (their
+    /// component *is* the source state by invariant).
+    fn oscillator_step(
+        &self,
+        a: &mut ClockLevel,
+        b: &mut ClockLevel,
+        a_is_x: bool,
+        b_is_x: bool,
+        rng: &mut SimRng,
+    ) {
+        let (oa, ob) = self
+            .oscillator
+            .interact(a.osc as usize, b.osc as usize, rng);
+        let x = self.oscillator.x_state() as u8;
+        a.osc = if a_is_x { x } else { oa as u8 };
+        b.osc = if b_is_x { x } else { ob as u8 };
+    }
+
+    /// One detector-plus-consensus interaction on a level's pair of states.
+    fn clock_step(&self, a: &mut ClockLevel, b: &mut ClockLevel) {
+        let sp_a = self.oscillator.species_of(a.osc as usize);
+        let sp_b = self.oscillator.species_of(b.osc as usize);
+        self.kernel.step(a, b, sp_a, sp_b);
+    }
+
+    /// One interaction of a gated level's clock protocol (inner thread
+    /// choice: oscillator 1/2 behind the tempo gate, detector+consensus
+    /// 1/2).
     fn clock_interact(
         &self,
-        a: ClockLevel,
-        b: ClockLevel,
+        mut a: ClockLevel,
+        mut b: ClockLevel,
         a_is_x: bool,
         b_is_x: bool,
         rng: &mut SimRng,
     ) -> (ClockLevel, ClockLevel) {
-        let mut a = a;
-        let mut b = b;
         if rng.chance(0.5) {
             if self.tempo > 1 && rng.index(self.tempo as usize) != 0 {
                 return (a, b);
             }
-            // Oscillator sub-thread. X agents are pinned to the source
-            // state, which the dense oscillator transition handles natively
-            // (their osc component *is* the source state by invariant).
-            let (oa, ob) = self
-                .oscillator
-                .interact(a.osc as usize, b.osc as usize, rng);
-            // Keep X agents pinned to the source regardless of the rule.
-            a.osc = if a_is_x {
-                self.oscillator.x_state() as u8
-            } else {
-                oa as u8
-            };
-            b.osc = if b_is_x {
-                self.oscillator.x_state() as u8
-            } else {
-                ob as u8
-            };
+            self.oscillator_step(&mut a, &mut b, a_is_x, b_is_x, rng);
         } else {
-            let sp_a = self.oscillator.species_of(a.osc as usize);
-            let sp_b = self.oscillator.species_of(b.osc as usize);
-            let step_a = detector_observe(a.det, self.k, sp_b);
-            let step_b = detector_observe(b.det, self.k, sp_a);
-            a.det = step_a.position;
-            b.det = step_b.position;
-            if step_a.ticked {
-                a.phase = (a.phase + 1) % self.m;
-            }
-            if step_b.ticked {
-                b.phase = (b.phase + 1) % self.m;
-            }
-            if self.consensus_depth > 0 {
-                let (pa, da) =
-                    doubt_consensus(a.phase, a.doubt, b.phase, self.consensus_depth, self.m);
-                let (pb, db) =
-                    doubt_consensus(b.phase, b.doubt, a.phase, self.consensus_depth, self.m);
-                a.phase = pa;
-                a.doubt = da;
-                b.phase = pb;
-                b.doubt = db;
-            }
+            self.clock_step(&mut a, &mut b);
         }
         (a, b)
     }
 
-    /// Resamples every level's oscillator component after a control
-    /// transition changed the agent's `X` membership.
-    fn reconcile(&self, agent: &mut HierAgent, was_x: bool, rng: &mut SimRng) {
-        let is_x = self.control.is_x(agent.ctrl as usize);
-        if was_x == is_x {
-            return;
-        }
-        for j in 0..self.levels {
-            let osc = if is_x {
-                self.oscillator.x_state() as u8
-            } else {
-                self.oscillator.species_state(rng.index(NUM_SPECIES)) as u8
-            };
-            agent.cur[j].osc = osc;
-            agent.pending[j].osc = osc;
-        }
+    /// Total weight of the base threads that can act, in units of
+    /// `1/(6·tempo)` of an interaction: control `tempo` (share 1/6),
+    /// level-0 oscillator past its tempo gate 2 (share 1/3 · 1/tempo),
+    /// level-0 clock `3·tempo` (share 1/2). The remaining `2·tempo − 2`
+    /// units are the oscillator's tempo rejections, which leave the pair
+    /// unchanged.
+    #[must_use]
+    pub fn active_weight(&self) -> u64 {
+        4 * u64::from(self.tempo) + 2
     }
-}
 
-impl<O: Oscillator, C: XControl> ObjProtocol for ClockHierarchy<O, C> {
-    type State = HierAgent;
-
-    fn interact(&self, a: &HierAgent, b: &HierAgent, rng: &mut SimRng) -> (HierAgent, HierAgent) {
+    /// The interaction for base-thread draw `u < active_weight()` (control
+    /// for `u < tempo`, the level-0 oscillator for the next 2, the level-0
+    /// clock for the rest), followed by the gated levels' rules.
+    /// [`ObjProtocol::interact`] is this with `u` uniform below
+    /// `6·tempo`, draws of `active_weight()` or more leaving the pair
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u ≥ active_weight()`.
+    #[must_use]
+    pub fn interact_drawn(
+        &self,
+        a: &HierAgent,
+        b: &HierAgent,
+        u: u64,
+        rng: &mut SimRng,
+    ) -> (HierAgent, HierAgent) {
+        assert!(u < self.active_weight(), "base-thread draw out of range");
         let mut a = *a;
         let mut b = *b;
-
-        // Base threads: control 1/6, level-0 oscillator 1/3, level-0 clock 1/2.
-        match rng.index(6) {
-            0 => {
-                let (ca, cb) = self.control.interact(a.ctrl as usize, b.ctrl as usize, rng);
-                let was_xa = self.control.is_x(a.ctrl as usize);
-                let was_xb = self.control.is_x(b.ctrl as usize);
-                a.ctrl = ca as u16;
-                b.ctrl = cb as u16;
-                self.reconcile(&mut a, was_xa, rng);
-                self.reconcile(&mut b, was_xb, rng);
-            }
-            1 | 2 => {
-                if self.tempo > 1 && rng.index(self.tempo as usize) != 0 {
-                    return (a, b);
-                }
-                let a_is_x = self.is_x(&a);
-                let b_is_x = self.is_x(&b);
-                let (oa, ob) =
-                    self.oscillator
-                        .interact(a.cur[0].osc as usize, b.cur[0].osc as usize, rng);
-                a.cur[0].osc = if a_is_x {
-                    self.oscillator.x_state() as u8
-                } else {
-                    oa as u8
-                };
-                b.cur[0].osc = if b_is_x {
-                    self.oscillator.x_state() as u8
-                } else {
-                    ob as u8
-                };
-            }
-            _ => {
-                let sp_a = self.oscillator.species_of(a.cur[0].osc as usize);
-                let sp_b = self.oscillator.species_of(b.cur[0].osc as usize);
-                let step_a = detector_observe(a.cur[0].det, self.k, sp_b);
-                let step_b = detector_observe(b.cur[0].det, self.k, sp_a);
-                a.cur[0].det = step_a.position;
-                b.cur[0].det = step_b.position;
-                if step_a.ticked {
-                    a.cur[0].phase = (a.cur[0].phase + 1) % self.m;
-                }
-                if step_b.ticked {
-                    b.cur[0].phase = (b.cur[0].phase + 1) % self.m;
-                }
-                if self.consensus_depth > 0 {
-                    let (pa, da) = doubt_consensus(
-                        a.cur[0].phase,
-                        a.cur[0].doubt,
-                        b.cur[0].phase,
-                        self.consensus_depth,
-                        self.m,
-                    );
-                    let (pb, db) = doubt_consensus(
-                        b.cur[0].phase,
-                        b.cur[0].doubt,
-                        a.cur[0].phase,
-                        self.consensus_depth,
-                        self.m,
-                    );
-                    a.cur[0].phase = pa;
-                    a.cur[0].doubt = da;
-                    b.cur[0].phase = pb;
-                    b.cur[0].doubt = db;
-                }
-            }
+        let tempo = u64::from(self.tempo);
+        if u < tempo {
+            let (ca, cb) = self.control.interact(a.ctrl as usize, b.ctrl as usize, rng);
+            let was_xa = self.control.is_x(a.ctrl as usize);
+            let was_xb = self.control.is_x(b.ctrl as usize);
+            a.ctrl = ca as u16;
+            b.ctrl = cb as u16;
+            self.reconcile(&mut a, was_xa, rng);
+            self.reconcile(&mut b, was_xb, rng);
+        } else if u < tempo + 2 {
+            let (a_is_x, b_is_x) = (self.is_x(&a), self.is_x(&b));
+            self.oscillator_step(&mut a.cur[0], &mut b.cur[0], a_is_x, b_is_x, rng);
+        } else {
+            self.clock_step(&mut a.cur[0], &mut b.cur[0]);
         }
 
         // Hierarchy rules, composed on top: level j is gated by the phases
@@ -422,6 +349,58 @@ impl<O: Oscillator, C: XControl> ObjProtocol for ClockHierarchy<O, C> {
             }
         }
         (a, b)
+    }
+
+    /// Resamples every level's oscillator component after a control
+    /// transition changed the agent's `X` membership.
+    fn reconcile(&self, agent: &mut HierAgent, was_x: bool, rng: &mut SimRng) {
+        let is_x = self.control.is_x(agent.ctrl as usize);
+        if was_x == is_x {
+            return;
+        }
+        for j in 0..self.levels {
+            let osc = if is_x {
+                self.oscillator.x_state() as u8
+            } else {
+                self.oscillator.species_state(rng.index(NUM_SPECIES)) as u8
+            };
+            agent.cur[j].osc = osc;
+            agent.pending[j].osc = osc;
+        }
+    }
+}
+
+/// The base threads run with shares control 1/6, level-0 oscillator 1/3
+/// (then its tempo gate passes with probability `1/tempo`) and level-0
+/// clock 1/2, drawn as one `u` below `6·tempo` ([`ClockHierarchy::interact_drawn`]).
+/// The oscillator's tempo rejections, a share `idle = ⅓·(1 − 1/tempo)`,
+/// leave every pair unchanged, which is what lets
+/// [`pp_engine::obj::ObjPopulation`] skip them.
+impl<O: Oscillator, C: XControl> ObjProtocol for ClockHierarchy<O, C> {
+    type State = HierAgent;
+
+    fn interact(&self, a: &HierAgent, b: &HierAgent, rng: &mut SimRng) -> (HierAgent, HierAgent) {
+        let u = rng.below(6 * u64::from(self.tempo));
+        if u < self.active_weight() {
+            self.interact_drawn(a, b, u, rng)
+        } else {
+            (*a, *b)
+        }
+    }
+
+    fn idle(&self) -> f64 {
+        let t = f64::from(self.tempo);
+        (t - 1.0) / (3.0 * t)
+    }
+
+    fn interact_active(
+        &self,
+        a: &HierAgent,
+        b: &HierAgent,
+        rng: &mut SimRng,
+    ) -> (HierAgent, HierAgent) {
+        let u = rng.below(self.active_weight());
+        self.interact_drawn(a, b, u, rng)
     }
 }
 

@@ -135,6 +135,214 @@ pub fn doubt_consensus(phase: u8, doubt: u8, partner_phase: u8, depth: u8, m: u8
     }
 }
 
+/// One clock level's per-agent state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClockLevel {
+    /// Oscillator state (dense index into the oscillator protocol).
+    pub osc: u8,
+    /// Detector position in `0..3k`.
+    pub det: u8,
+    /// Phase counter in `0..m`.
+    pub phase: u8,
+    /// Doubt counter for phase consensus.
+    pub doubt: u8,
+}
+
+/// The clock thread of a phase clock — detector observation, phase tick
+/// and doubt-gated consensus — without integer division.
+///
+/// [`detector_observe`] and [`doubt_consensus`] are the specification.
+/// The kernel reads the detector step from a `3k × 4` table built once
+/// (one row per position, one column for a source partner and one per
+/// species), advances the phase with a compare instead of `% m`, and
+/// tests the two benign consensus shapes (agreement, partner one behind)
+/// as `partner == phase` or `tick(partner) == phase` instead of a
+/// `rem_euclid` difference.
+///
+/// # Examples
+///
+/// ```
+/// use pp_clocks::phase_clock::{detector_observe, ClockKernel};
+///
+/// let kernel = ClockKernel::new(4, 12);
+/// assert_eq!(kernel.observe(3, Some(1)), detector_observe(3, 4, Some(1)));
+/// assert_eq!(kernel.tick(11), 0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ClockKernel {
+    /// `detector[4·s + c]`: the step from position `s` on observing class
+    /// `c` (0 = source, `1 + i` = species `i`).
+    detector: Box<[DetectorStep]>,
+    k: u8,
+    m: u8,
+    /// Depth of the doubt-gated phase consensus ([`doubt_consensus`]);
+    /// 0 disables consensus entirely.
+    ///
+    /// Plain adopt-ahead consensus (depth 1) turns a *single* agent's false
+    /// tick into a global phase cascade, while no consensus at all (depth
+    /// 0) lets phase clusters formed during the chaotic startup persist
+    /// forever. The doubt gate requires `depth` consecutive ahead-meetings
+    /// before adopting, which suppresses fluke cascades yet still lets
+    /// genuine tick waves and large stale clusters converge. Experiment E6
+    /// ablates this parameter.
+    consensus_depth: u8,
+}
+
+impl ClockKernel {
+    /// The kernel for confirmation depth `k` and modulus `m`, with the
+    /// default consensus depth [`DEFAULT_CONSENSUS_DEPTH`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, `m == 0`, or `3k ≥ 256`.
+    #[must_use]
+    pub fn new(k: u8, m: u8) -> Self {
+        assert!(k > 0, "confirmation depth must be positive");
+        assert!(m > 0, "modulus must be positive");
+        assert!(3 * (k as usize) < 256, "detector space must fit in u8");
+        // Row s of block b awaits species (b + 1) mod 3: it advances on
+        // that species (ticking into the next block at the block's end),
+        // resets to the block start on another one, and ignores a source.
+        let mut detector = Vec::with_capacity(12 * k as usize);
+        for block in 0..3u8 {
+            let start = block * k;
+            let awaited = (block as usize + 1) % NUM_SPECIES;
+            for s in start..start + k {
+                detector.push(DetectorStep {
+                    position: s,
+                    ticked: false,
+                });
+                for species in 0..NUM_SPECIES {
+                    detector.push(if species != awaited {
+                        DetectorStep {
+                            position: start,
+                            ticked: false,
+                        }
+                    } else if s + 1 < start + k {
+                        DetectorStep {
+                            position: s + 1,
+                            ticked: false,
+                        }
+                    } else {
+                        DetectorStep {
+                            position: awaited as u8 * k,
+                            ticked: true,
+                        }
+                    });
+                }
+            }
+        }
+        let detector = detector.into_boxed_slice();
+        Self {
+            detector,
+            k,
+            m,
+            consensus_depth: DEFAULT_CONSENSUS_DEPTH,
+        }
+    }
+
+    /// Sets the doubt-gated consensus depth (0 disables consensus).
+    #[must_use]
+    pub fn with_consensus_depth(mut self, depth: u8) -> Self {
+        self.consensus_depth = depth;
+        self
+    }
+
+    /// Confirmation depth `k`.
+    #[must_use]
+    pub fn confirmation_depth(&self) -> u8 {
+        self.k
+    }
+
+    /// Phase modulus `m`.
+    #[must_use]
+    pub fn modulus(&self) -> u8 {
+        self.m
+    }
+
+    /// Doubt-gated consensus depth (0 = consensus off).
+    #[must_use]
+    pub fn consensus_depth(&self) -> u8 {
+        self.consensus_depth
+    }
+
+    /// [`detector_observe`]`(s, k, species)`, read from the table.
+    ///
+    /// `species` must be below 3 (checked in debug builds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s ≥ 3k`.
+    #[inline]
+    #[must_use]
+    pub fn observe(&self, s: u8, species: Option<usize>) -> DetectorStep {
+        let class = species.map_or(0, |sp| sp + 1);
+        debug_assert!(class <= NUM_SPECIES, "species out of range");
+        self.detector[4 * s as usize + class]
+    }
+
+    /// `(phase + 1) % m` for `phase < m`.
+    #[inline]
+    #[must_use]
+    pub fn tick(&self, phase: u8) -> u8 {
+        let next = phase + 1;
+        if next == self.m {
+            0
+        } else {
+            next
+        }
+    }
+
+    /// [`doubt_consensus`]`(phase, doubt, partner, depth, m)` for phases
+    /// below `m`.
+    #[inline]
+    #[must_use]
+    pub fn consensus(&self, phase: u8, doubt: u8, partner: u8) -> (u8, u8) {
+        if partner == phase || self.tick(partner) == phase {
+            (phase, 0)
+        } else {
+            let doubt = doubt + 1;
+            if doubt >= self.consensus_depth {
+                (partner, 0)
+            } else {
+                (phase, doubt)
+            }
+        }
+    }
+
+    /// One clock-thread interaction: each agent's detector observes the
+    /// partner's species (`sp_a` is `a`'s, `sp_b` is `b`'s), a completed
+    /// block ticks its phase, then both run doubt-gated consensus against
+    /// the partner's ticked phase (unless the depth is 0).
+    #[inline]
+    pub fn step(
+        &self,
+        a: &mut ClockLevel,
+        b: &mut ClockLevel,
+        sp_a: Option<usize>,
+        sp_b: Option<usize>,
+    ) {
+        let step_a = self.observe(a.det, sp_b);
+        let step_b = self.observe(b.det, sp_a);
+        a.det = step_a.position;
+        b.det = step_b.position;
+        if step_a.ticked {
+            a.phase = self.tick(a.phase);
+        }
+        if step_b.ticked {
+            b.phase = self.tick(b.phase);
+        }
+        if self.consensus_depth > 0 {
+            let (pa, da) = self.consensus(a.phase, a.doubt, b.phase);
+            let (pb, db) = self.consensus(b.phase, b.doubt, a.phase);
+            a.phase = pa;
+            a.doubt = da;
+            b.phase = pb;
+            b.doubt = db;
+        }
+    }
+}
+
 /// The modulo-`m` phase clock protocol `C_o`, a dense composition of an
 /// oscillator with the detector and phase counter.
 ///
@@ -158,17 +366,9 @@ pub struct PhaseClock<O> {
     k: u8,
     /// Phase modulus.
     m: u8,
-    /// Depth of the doubt-gated phase consensus ([`doubt_consensus`]);
-    /// 0 disables consensus entirely.
-    ///
-    /// Plain adopt-ahead consensus (depth 1) turns a *single* agent's false
-    /// tick into a global phase cascade, while no consensus at all (depth
-    /// 0) lets phase clusters formed during the chaotic startup persist
-    /// forever. The doubt gate requires `depth` consecutive ahead-meetings
-    /// before adopting, which suppresses fluke cascades yet still lets
-    /// genuine tick waves and large stale clusters converge. Experiment E6
-    /// ablates this parameter.
-    consensus_depth: u8,
+    /// The clock thread, with the doubt-gated consensus depth
+    /// ([`ClockKernel`]).
+    kernel: ClockKernel,
     osc_states: usize,
 }
 
@@ -180,15 +380,13 @@ impl<O: Oscillator> PhaseClock<O> {
     /// Panics if `k == 0`, `m == 0`, or `3k ≥ 256`.
     #[must_use]
     pub fn new(oscillator: O, k: u8, m: u8) -> Self {
-        assert!(k > 0, "confirmation depth must be positive");
-        assert!(m > 0, "modulus must be positive");
-        assert!(3 * (k as usize) < 256, "detector space must fit in u8");
+        let kernel = ClockKernel::new(k, m);
         let osc_states = oscillator.num_states();
         Self {
             oscillator,
             k,
             m,
-            consensus_depth: DEFAULT_CONSENSUS_DEPTH,
+            kernel,
             osc_states,
         }
     }
@@ -197,13 +395,13 @@ impl<O: Oscillator> PhaseClock<O> {
     /// default [`DEFAULT_CONSENSUS_DEPTH`]).
     #[must_use]
     pub fn with_consensus_depth(mut self, depth: u8) -> Self {
-        self.consensus_depth = depth;
+        self.kernel = self.kernel.with_consensus_depth(depth);
         self
     }
 
     /// The doubt dimension size (at least 1 even when consensus is off).
     fn doubt_states(&self) -> usize {
-        (self.consensus_depth as usize).max(1)
+        (self.kernel.consensus_depth() as usize).max(1)
     }
 
     /// The underlying oscillator.
@@ -331,34 +529,27 @@ impl<O: Oscillator> Protocol for PhaseClock<O> {
         } else {
             // Clock thread: both agents observe the partner's species, then
             // run doubt-gated phase consensus.
-            let sp_a = self.oscillator.species_of(osc_a);
-            let sp_b = self.oscillator.species_of(osc_b);
-            let step_a = detector_observe(det_a, self.k, sp_b);
-            let step_b = detector_observe(det_b, self.k, sp_a);
-            let mut ph_a2 = if step_a.ticked {
-                (ph_a + 1) % self.m
-            } else {
-                ph_a
+            let mut la = ClockLevel {
+                osc: 0,
+                det: det_a,
+                phase: ph_a,
+                doubt: db_a,
             };
-            let mut ph_b2 = if step_b.ticked {
-                (ph_b + 1) % self.m
-            } else {
-                ph_b
+            let mut lb = ClockLevel {
+                det: det_b,
+                phase: ph_b,
+                doubt: db_b,
+                ..la
             };
-            let mut db_a2 = db_a;
-            let mut db_b2 = db_b;
-            if self.consensus_depth > 0 {
-                let (pa, pb) = (ph_a2, ph_b2);
-                let (na, da) = doubt_consensus(pa, db_a, pb, self.consensus_depth, self.m);
-                let (nb, db) = doubt_consensus(pb, db_b, pa, self.consensus_depth, self.m);
-                ph_a2 = na;
-                db_a2 = da;
-                ph_b2 = nb;
-                db_b2 = db;
-            }
+            self.kernel.step(
+                &mut la,
+                &mut lb,
+                self.oscillator.species_of(osc_a),
+                self.oscillator.species_of(osc_b),
+            );
             (
-                self.pack(osc_a, step_a.position, ph_a2, db_a2),
-                self.pack(osc_b, step_b.position, ph_b2, db_b2),
+                self.pack(osc_a, la.det, la.phase, la.doubt),
+                self.pack(osc_b, lb.det, lb.phase, lb.doubt),
             )
         }
     }

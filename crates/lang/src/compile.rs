@@ -78,8 +78,8 @@ impl<O: Oscillator, C: XControl> CompiledProtocol<O, C> {
         let m = 4 * (tree.w_max as u8 + 1);
         // Leaf windows must cover a coupon-collector pass for the largest
         // leaf ruleset: stretch the base period proportionally.
-        let max_rules = tree
-            .leaves()
+        let leaves = tree.leaves();
+        let max_rules = leaves
             .iter()
             .map(|(_, rs)| rs.len())
             .max()
@@ -91,7 +91,7 @@ impl<O: Oscillator, C: XControl> CompiledProtocol<O, C> {
         // Flatten leaves into a dense index by time path.
         let mut leaf_rules = vec![Ruleset::new(); tree.num_leaves()];
         let w = tree.w_max;
-        for (path, ruleset) in tree.leaves() {
+        for (path, ruleset) in leaves {
             // path = (τ_{l_max}, …, τ₁); index row-major with outer level
             // most significant.
             let mut idx = 0usize;
@@ -188,49 +188,64 @@ impl<O: Oscillator, C: XControl> CompiledProtocol<O, C> {
     }
 }
 
-impl<O: Oscillator, C: XControl> ObjProtocol for CompiledProtocol<O, C> {
-    type State = CompiledAgent;
+/// Thread weights of one interaction, in units of `1/(48·tempo)`.
+///
+/// The split is clock hierarchy 1/2, raw threads 1/8, program rules 3/8
+/// (the program thread gets a generous share so per-leaf coupon collection
+/// completes within leaf windows). Inside the hierarchy's half, one of its
+/// units (`1/(6·tempo)`, [`ClockHierarchy::active_weight`]) is 4 of these,
+/// so a draw `u` below the hierarchy's active weight here is the
+/// hierarchy's draw `u / 4`: control `4·tempo`, level-0 oscillator past its
+/// tempo gate 8, level-0 clock `12·tempo`. Raw threads weigh `6·tempo` and
+/// program rules `18·tempo`. The rest, `48·tempo` minus the sum, is idle:
+/// the oscillator's tempo rejections and, without raw threads, their slot.
+impl<O: Oscillator, C: XControl> CompiledProtocol<O, C> {
+    /// Denominator of the thread weights.
+    fn weight_total(&self) -> u64 {
+        48 * u64::from(self.hierarchy.tempo())
+    }
 
-    fn interact(
+    /// Weight of the threads that can act: the hierarchy's active base
+    /// threads, the raw threads (if any) and the program rules.
+    fn active_weight(&self) -> u64 {
+        let tempo = u64::from(self.hierarchy.tempo());
+        let raw = if self.raw.is_some() { 6 * tempo } else { 0 };
+        4 * self.hierarchy.active_weight() + raw + 18 * tempo
+    }
+
+    /// The interaction for thread draw `u < active_weight()`.
+    fn interact_drawn(
         &self,
         a: &CompiledAgent,
         b: &CompiledAgent,
+        u: u64,
         rng: &mut SimRng,
     ) -> (CompiledAgent, CompiledAgent) {
         let mut a = *a;
         let mut b = *b;
-        // Thread split: 1/2 clock hierarchy, 1/8 raw threads (if any),
-        // 3/8 program rules (the program thread gets a generous share so
-        // per-leaf coupon collection completes within leaf windows).
-        let choice = rng.index(8);
-        if choice < 4 {
-            let (ca, cb) = self.hierarchy.interact(&a.clock, &b.clock, rng);
+        let clock = 4 * self.hierarchy.active_weight();
+        if u < clock {
+            let (ca, cb) = self
+                .hierarchy
+                .interact_drawn(&a.clock, &b.clock, u / 4, rng);
             a.clock = ca;
             b.clock = cb;
             return (a, b);
         }
-        if choice == 4 {
-            if let Some(raw) = &self.raw {
-                let rule = &raw.rules()[rng.index(raw.len())];
-                if rule.matches(a.flags, b.flags)
-                    && (rule.probability >= 1.0 || rng.chance(rule.probability))
-                {
-                    let (fa, fb) = rule.apply(a.flags, b.flags);
-                    a.flags = fa;
-                    b.flags = fb;
+        let ruleset = match &self.raw {
+            Some(raw) if u < clock + 6 * u64::from(self.hierarchy.tempo()) => raw,
+            _ => {
+                // Program thread: fire only when both agents agree on an
+                // active leaf (the Π_τ filter).
+                let (Some(la), Some(lb)) = (self.active_leaf(&a), self.active_leaf(&b)) else {
+                    return (a, b);
+                };
+                if la != lb {
+                    return (a, b);
                 }
+                &self.leaf_rules[la]
             }
-            return (a, b);
-        }
-        // Program thread: fire only when both agents agree on an active
-        // leaf (the Π_τ filter).
-        let (Some(la), Some(lb)) = (self.active_leaf(&a), self.active_leaf(&b)) else {
-            return (a, b);
         };
-        if la != lb {
-            return (a, b);
-        }
-        let ruleset = &self.leaf_rules[la];
         if ruleset.is_empty() {
             return (a, b);
         }
@@ -243,6 +258,39 @@ impl<O: Oscillator, C: XControl> ObjProtocol for CompiledProtocol<O, C> {
             b.flags = fb;
         }
         (a, b)
+    }
+}
+
+impl<O: Oscillator, C: XControl> ObjProtocol for CompiledProtocol<O, C> {
+    type State = CompiledAgent;
+
+    fn interact(
+        &self,
+        a: &CompiledAgent,
+        b: &CompiledAgent,
+        rng: &mut SimRng,
+    ) -> (CompiledAgent, CompiledAgent) {
+        let u = rng.below(self.weight_total());
+        if u < self.active_weight() {
+            self.interact_drawn(a, b, u, rng)
+        } else {
+            (*a, *b)
+        }
+    }
+
+    fn idle(&self) -> f64 {
+        let total = self.weight_total();
+        (total - self.active_weight()) as f64 / total as f64
+    }
+
+    fn interact_active(
+        &self,
+        a: &CompiledAgent,
+        b: &CompiledAgent,
+        rng: &mut SimRng,
+    ) -> (CompiledAgent, CompiledAgent) {
+        let u = rng.below(self.active_weight());
+        self.interact_drawn(a, b, u, rng)
     }
 }
 

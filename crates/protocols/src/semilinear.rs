@@ -28,6 +28,7 @@
 //! paper contributes — is implemented exactly as written.
 
 use pp_lang::ast::{build, Program, Thread};
+use pp_lang::interp::Executor;
 use pp_rules::parse::parse_ruleset;
 use pp_rules::{Guard, Ruleset, VarSet};
 
@@ -542,13 +543,49 @@ pub fn semilinear_comparison_exact(c: u32) -> Program {
     base
 }
 
+/// Parallel rounds after which the answer of an exact program is read:
+/// `n² · log₂ n` (at least `n²`).
+///
+/// The slow blackboxes elect one leader by pairwise elimination, `Θ(n)`
+/// expected rounds of its rule slots, and then every follower copies the
+/// leader's output, a coupon collection of `Θ(n log n)` rounds per slot.
+/// The budget leaves a factor `n` over that for the dilution of those
+/// slots among the composed program's rules.
+#[must_use]
+pub fn settle_budget_rounds(n: u64) -> f64 {
+    let n = n as f64;
+    n * n * n.log2().max(1.0)
+}
+
+/// Runs `exec` for [`settle_budget_rounds`] parallel rounds and then as
+/// many again, reading `right` after every iteration. The answer counts
+/// only if every reading from the end of the budget on is right; an
+/// answer the initial state already reads counts for nothing, since
+/// readings start after the first iteration. Returns the iteration from
+/// which every reading was right, or `None` if one at or past the budget
+/// was wrong.
+pub fn run_settled(exec: &mut Executor<'_>, right: impl Fn(&Executor<'_>) -> bool) -> Option<u64> {
+    let budget = settle_budget_rounds(exec.n());
+    let start = exec.rounds();
+    let mut settled = exec.iterations() + 1;
+    while exec.rounds() - start < 2.0 * budget {
+        exec.run_iteration();
+        if !right(exec) {
+            if exec.rounds() - start >= budget {
+                return None;
+            }
+            settled = exec.iterations() + 1;
+        }
+    }
+    Some(settled)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pp_engine::counts::CountPopulation;
     use pp_engine::rng::SimRng;
     use pp_engine::sim::{run_rounds, Simulator};
-    use pp_lang::interp::Executor;
     use pp_rules::FlagProtocol;
 
     #[test]
@@ -658,18 +695,11 @@ mod tests {
             let a = p.vars.get("A").unwrap();
             let out = p.vars.get("P").unwrap();
             let mut exec = Executor::new(&p, &[(vec![a], na), (vec![], 40 - na)], na);
-            // Polynomial budget at n = 40.
-            let done = exec.run_until(600, |e| {
+            let done = run_settled(&mut exec, |e| {
                 let c = e.count_where(&Guard::var(out));
                 (c == e.n()) == expect && (c == 0) != expect
             });
-            assert!(done.is_some(), "parity #A={na} converged");
-            // Stability: keep iterating.
-            for _ in 0..10 {
-                exec.run_iteration();
-                let c = exec.count_where(&Guard::var(out));
-                assert_eq!(c == exec.n(), expect, "parity pinned");
-            }
+            assert!(done.is_some(), "parity #A={na} settled");
         }
     }
 
@@ -680,11 +710,11 @@ mod tests {
             let a = p.vars.get("A").unwrap();
             let out = p.vars.get("P").unwrap();
             let mut exec = Executor::new(&p, &[(vec![a], na), (vec![], 36 - na)], na + 50);
-            let done = exec.run_until(800, |e| {
+            let done = run_settled(&mut exec, |e| {
                 let c = e.count_where(&Guard::var(out));
                 (c == e.n()) == expect && (c == 0) != expect
             });
-            assert!(done.is_some(), "mod-3 #A={na} converged");
+            assert!(done.is_some(), "mod-3 #A={na} settled");
         }
     }
 

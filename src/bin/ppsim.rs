@@ -67,7 +67,8 @@ use population_protocols::core::protocols::leader::{leader_election, leader_elec
 use population_protocols::core::protocols::majority::{majority, majority_exact};
 use population_protocols::core::protocols::plurality::{plurality, plurality_exact_three};
 use population_protocols::core::protocols::semilinear::{
-    comparison_and_parity_exact, mod_exact, parity_exact, semilinear_comparison_exact,
+    comparison_and_parity_exact, mod_exact, parity_exact, run_settled, semilinear_comparison_exact,
+    settle_budget_rounds,
 };
 use population_protocols::core::rules::{Guard, Var};
 use std::collections::HashMap;
@@ -1221,20 +1222,26 @@ fn run_command(
             let truth = a_count % 2 == 1;
             let mut exec =
                 Executor::new(&program, &[(vec![a], a_count), (vec![], n - a_count)], seed);
-            let done = exec.run_until(20_000, |e| {
+            let done = run_settled(&mut exec, |e| {
                 let on = e.count_where(&Guard::var(p));
                 (on == e.n()) == truth && (on == 0) != truth
             });
             match done {
                 Some(iters) => {
                     println!(
-                        "#A = {a_count} is {}; decided after {iters} iterations",
-                        if truth { "odd" } else { "even" }
+                        "#A = {a_count} is {}; settled after {iters} iterations \
+                         (right from there through {:.0} rounds)",
+                        if truth { "odd" } else { "even" },
+                        exec.rounds()
                     );
                     0
                 }
                 None => {
-                    eprintln!("did not converge (parity is exact but polynomial-time)");
+                    eprintln!(
+                        "answer not settled within {:.0} rounds \
+                         (parity is exact but polynomial-time)",
+                        2.0 * settle_budget_rounds(n)
+                    );
                     1
                 }
             }
