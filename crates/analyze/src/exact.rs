@@ -20,9 +20,16 @@
 //! Silence is classified the same way: a configuration is *silent* when no
 //! rule is effective on any ordered pair; a bottom SCC is silent iff it is
 //! a single silent configuration.
+//!
+//! [`transient_counts`] answers the quantitative question for an engine
+//! [`Protocol`]: the exact law of the count vector after `t` interactions,
+//! by powering the configuration chain built from the protocol's outcome
+//! tables. It is the oracle the simulator's batch samplers are tested
+//! against.
 
+use pp_engine::protocol::Protocol;
 use pp_rules::Ruleset;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Maximum population size the checker accepts.
 pub const MAX_EXACT_N: usize = 8;
@@ -163,6 +170,126 @@ pub fn check_stabilization(
     }
 }
 
+/// The exact distribution of the count vector after `t` interactions of
+/// the uniform scheduler on `protocol`, from `initial` agents per state:
+/// `(counts, probability)` pairs over every configuration of positive
+/// probability, sorted by counts.
+///
+/// The chain's states are count vectors; from `c`, the ordered state pair
+/// `(a, b)` is picked with probability `c_a(c_b − [a = b])/(n(n−1))` and
+/// moves to each outcome of [`Protocol::outcome_table`] with its
+/// probability (mass the table leaves out is the identity, as in the
+/// engine). Rows are built for the configurations the distribution
+/// reaches, and the distribution is pushed through them `t` times.
+///
+/// # Panics
+///
+/// Panics when `initial` holds fewer than 2 or more than [`MAX_EXACT_N`]
+/// agents, has more entries than the protocol has states, or a reactive
+/// pair the chain reaches has no outcome table.
+#[must_use]
+pub fn transient_counts(protocol: &dyn Protocol, initial: &[u64], t: u64) -> Vec<(Vec<u64>, f64)> {
+    let n: u64 = initial.iter().sum();
+    assert!(
+        (2..=MAX_EXACT_N as u64).contains(&n),
+        "exact transient handles 2 ≤ n ≤ {MAX_EXACT_N} agents, got {n}"
+    );
+    let k = protocol.num_states();
+    assert!(initial.len() <= k, "more initial counts than states");
+    let mut start = vec![0u64; k];
+    start[..initial.len()].copy_from_slice(initial);
+
+    let mut chain = ConfigChain::default();
+    // Probabilities by configuration id, pushed through the rows in id
+    // order so the sums round the same way on every run.
+    let mut dist = vec![0.0f64; 1];
+    dist[chain.id(&start)] = 1.0;
+    for _ in 0..t {
+        let mut next = vec![0.0f64; chain.configs.len()];
+        for (id, &p) in dist.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            for &(to, q) in chain.row(protocol, id, n) {
+                if to >= next.len() {
+                    next.resize(to + 1, 0.0);
+                }
+                next[to] += p * q;
+            }
+        }
+        dist = next;
+    }
+    let mut out: Vec<(Vec<u64>, f64)> = dist
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, p)| p > 0.0)
+        .map(|(id, p)| (chain.configs[id].clone(), p))
+        .collect();
+    out.sort_by(|x, y| x.0.cmp(&y.0));
+    out
+}
+
+/// The count-vector chain, indexed as configurations are reached; `rows`
+/// holds each built configuration's transition probabilities.
+#[derive(Default)]
+struct ConfigChain {
+    ids: HashMap<Vec<u64>, usize>,
+    configs: Vec<Vec<u64>>,
+    rows: Vec<Option<Vec<(usize, f64)>>>,
+}
+
+impl ConfigChain {
+    fn id(&mut self, config: &[u64]) -> usize {
+        if let Some(&id) = self.ids.get(config) {
+            return id;
+        }
+        self.ids.insert(config.to_vec(), self.configs.len());
+        self.configs.push(config.to_vec());
+        self.rows.push(None);
+        self.configs.len() - 1
+    }
+
+    /// The transition row of configuration `id`, built on first use.
+    fn row(&mut self, protocol: &dyn Protocol, id: usize, n: u64) -> &[(usize, f64)] {
+        if self.rows[id].is_none() {
+            let config = self.configs[id].clone();
+            let pairs = (n * (n - 1)) as f64;
+            let mut row: BTreeMap<usize, f64> = BTreeMap::new();
+            for (a, &ca) in config.iter().enumerate() {
+                for (b, &cb) in config.iter().enumerate() {
+                    let w = ca * cb.saturating_sub(u64::from(a == b));
+                    if w == 0 {
+                        continue;
+                    }
+                    let pick = w as f64 / pairs;
+                    let outcomes = if protocol.is_reactive(a, b) {
+                        protocol.outcome_table(a, b).unwrap_or_else(|| {
+                            panic!("reactive pair ({a}, {b}) has no outcome table")
+                        })
+                    } else {
+                        Vec::new()
+                    };
+                    let mut identity = 1.0f64;
+                    for ((a2, b2), q) in outcomes {
+                        identity -= q;
+                        let mut next = config.clone();
+                        next[a] -= 1;
+                        next[b] -= 1;
+                        next[a2] += 1;
+                        next[b2] += 1;
+                        *row.entry(self.id(&next)).or_insert(0.0) += pick * q;
+                    }
+                    if identity > 0.0 {
+                        *row.entry(id).or_insert(0.0) += pick * identity;
+                    }
+                }
+            }
+            self.rows[id] = Some(row.into_iter().collect());
+        }
+        self.rows[id].as_deref().expect("row built above")
+    }
+}
+
 /// Tarjan SCC (iterative), shared shape with the support-graph version but
 /// kept local: the two graphs index different node kinds.
 fn scc(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
@@ -227,6 +354,21 @@ mod tests {
         let mut vars = VarSet::new();
         let rs = parse_ruleset(text, &mut vars).unwrap();
         (vars, rs)
+    }
+
+    /// One interaction of the epidemic from one infected agent among
+    /// four: the infected agent is in the picked pair with probability ½.
+    #[test]
+    fn transient_counts_of_one_epidemic_step() {
+        use pp_engine::protocol::TableProtocol;
+        let p = TableProtocol::new(2, "epidemic")
+            .rule(1, 0, 1, 1)
+            .rule(0, 1, 1, 1);
+        let dist = transient_counts(&p, &[3, 1], 1);
+        assert_eq!(dist, vec![(vec![2, 2], 0.5), (vec![3, 1], 0.5)]);
+        let total: f64 = transient_counts(&p, &[3, 1], 5).iter().map(|x| x.1).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+        assert_eq!(transient_counts(&p, &[3, 1], 0), vec![(vec![3, 1], 1.0)]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! `PP106`), and checks framework programs for data-flow hygiene and
 //! substrate budgets (`PP2xx`). A separate exact checker
 //! ([`exact::check_stabilization`]) explores the full configuration graph
-//! for tiny populations and verifies claimed stabilization outright.
+//! for tiny populations and verifies claimed stabilization outright, and
+//! [`exact::transient_counts`] gives the exact count law after `t`
+//! interactions, an oracle for the simulator's samplers.
 //!
 //! Diagnostic codes are stable:
 //!
@@ -49,5 +51,5 @@ pub mod reach;
 pub mod ruleset;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use exact::{check_stabilization, StabilizationReport};
+pub use exact::{check_stabilization, transient_counts, StabilizationReport};
 pub use lint::{lint_builtin, lint_program, lint_source};

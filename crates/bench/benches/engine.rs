@@ -187,8 +187,8 @@ fn bench_step_vs_batch() -> Vec<BatchRow> {
         });
 
         // Dense regime: uniform 3-cycle, about a third of ordered pairs
-        // reactive — the batch path runs collision-partitioned √n-sized
-        // contingency-table epochs (DESIGN.md §12).
+        // reactive — the batch path runs √(n·q)-sized collision batches
+        // (DESIGN.md §12).
         let dense = || CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
         let d_step = step_rate(dense(), 21);
         let d_batch = batch_rate(dense(), 22, 1 << 20);

@@ -1,68 +1,74 @@
-//! Exact collision-partitioned batch stepping for reactive-dense regimes.
+//! Exact multibatch stepping for reactive-dense regimes.
 //!
-//! The uniform scheduler picks an ordered agent pair per activation. Viewed
-//! as a stream of single-agent draws (initiator, responder, initiator, …),
-//! the stream stays pairwise distinct for `T ≈ √(πn/2)` draws before the
-//! first repeat — a birthday process whose law [`BirthdayCdf`] tabulates
-//! exactly. Conditioned on distinctness, every distinct draw sequence is
-//! equiprobable, so the drawn agents are a uniform without-replacement
-//! sample from the population and the ordered (initiator, responder) state
-//! pairs of the `⌊T/2⌋` collision-free interactions form a q×q contingency
-//! table whose law depends only on the count vector. [`run_epoch`] samples
-//! that table by a chain of multivariate-hypergeometric conditionals
-//! (margins first, then rows), applies all rule deltas cell-by-cell in
-//! O(q²) distribution draws, then settles the one colliding interaction
-//! individually — Θ(√n) activations for O(q²) work, with the post-epoch
-//! configuration distributed *exactly* as sequential stepping. DESIGN.md
-//! §12 gives the full exactness argument.
+//! The uniform scheduler picks an ordered pair of distinct agents per
+//! interaction. Within a batch of `L` interactions, call an agent *touched*
+//! once some interaction of the batch has picked it. An interaction between
+//! two untouched agents cannot observe any earlier interaction of the batch,
+//! so [`run_epoch`] does not look at its states: it only counts it as a
+//! *deferred* pair. The runs of such interactions have an exact law that
+//! depends only on the number `r` of touched agents, and [`BirthdayCdf`]
+//! inverts it from one prefix table per `n`. An interaction that picks a
+//! touched agent (a collision) is settled on the spot: a touched agent that
+//! sits in a deferred pair first reveals that pair, whose two agents are
+//! drawn without replacement from the urn of unrevealed batch-start states.
+//! At the end of the batch the pairs still deferred are a uniform
+//! without-replacement sample of that urn, paired off uniformly, so their
+//! aggregate is the `q×q` contingency table the margins/rows/settle chain
+//! samples. The post-batch counts have exactly the sequential law;
+//! DESIGN.md §12 gives the argument.
 //!
-//! `CountPopulation` routes through this module when the configuration is
-//! reactive-dense enough that no-op leaping stops paying (see its
-//! three-regime dispatch); the chi-square suite in
-//! `tests/backend_equivalence.rs` pins the step-vs-epoch equivalence.
+//! A batch holds `L = min(c·√(n·q), n/2)` interactions ([`batch_len`]): its
+//! table costs `O(q²)` draws once, and its `≈ 2L²/n` collisions `O(q)`
+//! each. `CountPopulation` routes through this module when the
+//! configuration is reactive-dense enough that no-op leaping stops paying
+//! (see its three-regime dispatch); the chi-square suite in
+//! `tests/backend_equivalence.rs` and the exact transient oracle in
+//! `tests/exact_transient.rs` pin the step-vs-batch equivalence.
 
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::rng::SimRng;
 
-/// Below this tail mass the birthday table stops extending and folds the
-/// remainder into its last entry — the same magnitude as the rounding error
-/// already incurred by accumulating the CDF in `f64`.
-const TAIL_EPSILON: f64 = 1e-18;
+/// The constant `c` of the batch length `L = c·√(n·q)`. Measured on the
+/// oscillator and `dense_cycle3` rows (DESIGN.md §12).
+const BATCH_LEN_FACTOR: f64 = 1.0;
 
-/// The exact distribution of `T`, the number of fresh single-agent draws
-/// the scheduler makes before the first repeat, for a fixed population
-/// size `n`.
+/// Occupied-state count above which [`batch_len`] stops growing with `q`,
+/// which bounds the free-run table at `2c·√(64n)` entries per `n`.
+const BATCH_MAX_STATES: usize = 64;
+
+/// Interactions per batch for `n` agents in `occupied` states at batch
+/// start: `⌈c·√(n·q)⌉` with `q` clamped to `1..=64`, and at most `n/2`, so
+/// a batch never draws more agents than the population holds.
+#[must_use]
+pub fn batch_len(n: u64, occupied: usize) -> u64 {
+    let q = occupied.clamp(1, BATCH_MAX_STATES) as f64;
+    let l = (BATCH_LEN_FACTOR * (n as f64 * q).sqrt()).ceil() as u64;
+    l.min(n / 2).max(1)
+}
+
+/// The exact law of collision-free runs for a fixed population size `n`.
 ///
-/// Draw `d` (1-based) is an initiator when odd and a responder when even.
-/// An initiator is uniform over all `n` agents, so it repeats with hazard
-/// `(d−1)/n`; a responder is uniform over the `n−1` agents other than its
-/// initiator, so it repeats with hazard `(d−2)/(n−1)`. The table stores the
-/// CDF of `T` (support starts at 2 — the first interaction never collides)
-/// and is keyed only on `n`, so one instance serves a population for its
-/// whole lifetime regardless of count-vector churn.
+/// With `r` agents touched, an interaction picks two untouched agents with
+/// probability `f(r) = (n−r)(n−r−1)/(n(n−1))`, after which `r + 2` are
+/// touched, so a run of such interactions is at least `m` long with
+/// probability `∏_{t<m} f(r+2t)`. The table holds, for every `r`, the
+/// prefix sum of `ln f` over the indices below `r` of `r`'s parity (even
+/// and odd `r` interleave), so one uniform and a short search over the
+/// entries `r, r+2, …` invert the run length from any `r`. It is keyed only
+/// on `n`, covers every batch [`batch_len`] allows, and serves a
+/// population for its whole lifetime.
 #[derive(Debug, Clone)]
 pub struct BirthdayCdf {
     n: u64,
-    /// `cdf[i] = P(T ≤ i + 2)`; last entry forced to exactly 1.0.
-    cdf: Vec<f64>,
-    /// Inversion guide: `guide[g]` is the first index whose cdf exceeds
-    /// `g / guide.len()`, so a draw starts its scan almost at the answer.
-    guide: Vec<u32>,
-    /// `E[T]`, accumulated during the build (`≈ √(πn/2) ≈ 1.2533 √n`).
-    expected_t: f64,
+    /// `ln_run[r] = Σ ln f(j)` over `j < r`, `j ≡ r (mod 2)`; `−∞` once
+    /// fewer than two untouched agents remain.
+    ln_run: Vec<f64>,
 }
 
-/// Guide-table resolution for [`BirthdayCdf::sample_t`]; at 4096 buckets
-/// the expected linear scan past the guide entry is ~2 cells.
-const GUIDE_BUCKETS: usize = 4096;
-
 impl BirthdayCdf {
-    /// Builds the table for population size `n`.
-    ///
-    /// Cost is O(√n) time and memory (the support is exhausted once the
-    /// survival probability drops below f64 resolution, after ≈ 9.1 √n
-    /// entries).
+    /// Builds the table for population size `n`: `2·batch_len(n, 64) + 1`
+    /// entries, `O(√n)` time and memory.
     ///
     /// # Panics
     ///
@@ -70,51 +76,21 @@ impl BirthdayCdf {
     #[must_use]
     pub fn new(n: u64) -> Self {
         assert!(n >= 2, "birthday process needs at least two agents");
-        let nf = n as f64;
-        let n1 = (n - 1) as f64;
-        let hazard = |d: u64| -> f64 {
-            if d % 2 == 1 {
-                (d - 1) as f64 / nf
+        let len = 2 * batch_len(n, BATCH_MAX_STATES) as usize + 1;
+        let pairs = (n as f64) * (n - 1) as f64;
+        // f(j) − 1 = −j(2n − j − 1)/(n(n − 1)), to f64 rounding.
+        let ln_f = |j: u64| {
+            if j + 1 >= n {
+                f64::NEG_INFINITY
             } else {
-                (d - 2) as f64 / n1
+                (-(j as f64) * (2 * n - j - 1) as f64 / pairs).ln_1p()
             }
         };
-        let mut cdf = Vec::new();
-        let mut survival = 1.0f64;
-        let mut acc = 0.0f64;
-        let mut expected_t = 0.0f64;
-        let mut t = 2u64;
-        loop {
-            let h = hazard(t + 1);
-            if h >= 1.0 || survival < TAIL_EPSILON {
-                // Collision certain at draw t+1, or the tail is below f64
-                // resolution: fold all remaining mass into P(T = t).
-                expected_t += t as f64 * (1.0 - acc);
-                cdf.push(1.0);
-                break;
-            }
-            let pmf = survival * h;
-            acc += pmf;
-            expected_t += t as f64 * pmf;
-            cdf.push(acc);
-            survival *= 1.0 - h;
-            t += 1;
+        let mut ln_run = vec![0.0f64; len];
+        for r in 2..len {
+            ln_run[r] = ln_run[r - 2] + ln_f(r as u64 - 2);
         }
-        let mut guide = vec![0u32; GUIDE_BUCKETS];
-        let mut idx = 0usize;
-        for (g, slot) in guide.iter_mut().enumerate() {
-            let threshold = g as f64 / GUIDE_BUCKETS as f64;
-            while idx < cdf.len() && cdf[idx] <= threshold {
-                idx += 1;
-            }
-            *slot = idx.min(cdf.len() - 1) as u32;
-        }
-        Self {
-            n,
-            cdf,
-            guide,
-            expected_t,
-        }
+        Self { n, ln_run }
     }
 
     /// The population size this table was built for.
@@ -123,31 +99,74 @@ impl BirthdayCdf {
         self.n
     }
 
-    /// Expected number of collision-free interactions per epoch, `E[T]/2`.
+    /// `E[T]/2`, the expected number of interactions before the first one
+    /// that picks an agent picked before (see [`BirthdayCdf::sample_t`]).
     #[must_use]
     pub fn expected_interactions(&self) -> f64 {
-        self.expected_t / 2.0
+        self.expected_t() / 2.0
     }
 
-    /// Draws one epoch length `T` (always ≥ 2) by guided CDF inversion:
-    /// the guide table pins the start index, then a short linear scan
-    /// finds the first entry exceeding the uniform draw.
+    /// `E[T] = Σ_{t ≥ 1} P(T ≥ t)`: `T ≥ 2m` iff the first `m` interactions
+    /// pick fresh pairs, and `T ≥ 2m + 1` iff the next initiator is fresh
+    /// too, with probability `(n − 2m)/n`.
+    fn expected_t(&self) -> f64 {
+        let nf = self.n as f64;
+        let mut expected_t = 0.0f64;
+        for m in 0..=self.ln_run.len() / 2 {
+            let survive = self.ln_run[2 * m].exp();
+            if m > 0 {
+                expected_t += survive;
+            }
+            expected_t += survive * (nf - 2.0 * m as f64).max(0.0) / nf;
+        }
+        expected_t
+    }
+
+    /// Draws `T`, the number of fresh single-agent draws (initiator,
+    /// responder, initiator, …) the scheduler makes before its first
+    /// repeat (always ≥ 2): a free run from `r = 0`, plus one when the
+    /// colliding interaction's initiator is fresh. Runs longer than the
+    /// table are cut at its end, a tail of mass `e^{−128c²}` at large `n`
+    /// and none at `n ≤ 256c²`.
     #[must_use]
     pub fn sample_t(&self, rng: &mut SimRng) -> u64 {
-        let u = rng.f64();
-        let g = ((u * GUIDE_BUCKETS as f64) as usize).min(GUIDE_BUCKETS - 1);
-        let mut idx = self.guide[g] as usize;
-        while self.cdf[idx] <= u && idx + 1 < self.cdf.len() {
-            idx += 1;
+        let m = self.free_run(0, self.ln_run.len() as u64 / 2, rng);
+        let r = 2 * m;
+        let n = self.n;
+        // Given a collision at r touched, the initiator is fresh (and the
+        // responder touched) with weight (n−r)·r out of r(2n−r−1).
+        r + u64::from(rng.below(2 * n - r - 1) < n.saturating_sub(r))
+    }
+
+    /// Draws the number of consecutive interactions, capped at `cap ≥ 1`,
+    /// that pick two untouched agents when `r` agents are touched.
+    fn free_run(&self, r: u64, cap: u64, rng: &mut SimRng) -> u64 {
+        let r = r as usize;
+        let cap = cap as usize;
+        debug_assert!(r + 2 * cap < self.ln_run.len(), "batch exceeds the table");
+        // The run is ≥ m iff u < ∏ f, i.e. ln_run[r + 2m] > ln_run[r] + ln u.
+        let tail = -rng.f64().ln();
+        let target = self.ln_run[r] - tail;
+        let longer = |m: usize| self.ln_run[r + 2 * m] > target;
+        // Start at the root of ln ∏ f ≈ −2(r·m + m(m−1))/n = ln u and walk
+        // to the largest m that is still longer: a step or two at large n.
+        let b = r as f64 - 1.0;
+        let guess = (b * b + 2.0 * self.n as f64 * tail).sqrt() - b;
+        let mut m = ((guess / 2.0) as usize).min(cap);
+        while !longer(m) {
+            m -= 1;
         }
-        2 + idx as u64
+        while m < cap && longer(m + 1) {
+            m += 1;
+        }
+        m as u64
     }
 }
 
 /// How to settle all interactions of one contingency-table cell `(a, b)`.
 #[derive(Debug, Clone)]
 enum CellPlan {
-    /// `interact(a, b)` is the identity: no deltas, no rng.
+    /// `interact(a, b)` is the identity: no rng.
     NonReactive,
     /// The protocol enumerated its outcome distribution: split the cell
     /// count across outcomes by conditional binomials (an exact multinomial
@@ -161,17 +180,28 @@ enum CellPlan {
 /// Reusable working memory for [`run_epoch`], owned by a backend alongside
 /// its count vector.
 ///
-/// Holds the per-epoch urns (margins, rows, post-state urn, net deltas) and
-/// a cell-plan cache keyed on `(initiator, responder)` state pairs. The
-/// plans depend only on the protocol, which is fixed for a population's
-/// lifetime, so the cache never needs invalidating.
+/// Holds the per-batch urns (unrevealed states, margins, rows, post-state
+/// urn, revealed agents, net deltas) and a cell-plan cache keyed on
+/// `(initiator, responder)` state pairs. The plans depend only on the
+/// protocol, which is fixed for a population's lifetime, so the cache never
+/// needs invalidating.
 #[derive(Debug, Default, Clone)]
 pub struct CollisionScratch {
-    /// States with nonzero count at epoch start.
+    /// States with nonzero count at batch start.
     occupied: Vec<usize>,
-    /// Epoch-start counts of `occupied` (the urn the margins draw from).
-    c_start: Vec<u64>,
-    /// Total drawn agents per occupied state (`W`, margins of the table).
+    /// The unrevealed urn: batch-start states of the agents no collision
+    /// has revealed yet (untouched agents and deferred pairs), over
+    /// `occupied`.
+    urn: Vec<u64>,
+    /// Agents in `urn`.
+    urn_total: u64,
+    /// Revealed agents' current states, as a short `(state, count)` list.
+    revealed: Vec<(usize, u64)>,
+    /// Agents in `revealed`.
+    revealed_total: u64,
+    /// Interactions between two untouched agents not revealed yet.
+    deferred: u64,
+    /// Drawn agents per occupied state (`W`, margins of the table).
     w: Vec<u64>,
     /// Initiator-position margin (`M | W`); responders get `W − M`.
     m: Vec<u64>,
@@ -179,10 +209,10 @@ pub struct CollisionScratch {
     rem_r: Vec<u64>,
     /// Current row of the contingency table.
     row: Vec<u64>,
-    /// Post-interaction states of the 2ℓ touched agents (dense over all
-    /// states: rule outcomes may enter states unoccupied at epoch start).
+    /// Post-interaction states of the table's agents (dense over all
+    /// states: rule outcomes may enter states unoccupied at batch start).
     v: Vec<u64>,
-    /// Net count movement of the epoch's table, dense over all states.
+    /// Net count movement of the batch, dense over all states.
     delta: Vec<i64>,
     /// Cell-plan cache, filled lazily per cell.
     plans: CellPlans,
@@ -192,7 +222,7 @@ pub struct CollisionScratch {
 /// one more than the plan's position in `list`) over the plans made so
 /// far. Four zeroed bytes per cell, so a 512-state protocol's table costs
 /// 1 MB, not the 6 MB of an `Option<CellPlan>` per cell, and only the
-/// cells an epoch meets ever hold a plan.
+/// cells a batch meets ever hold a plan.
 #[derive(Debug, Default, Clone)]
 struct CellPlans {
     index: Vec<u32>,
@@ -232,7 +262,7 @@ impl CollisionScratch {
 
     /// Net per-state count movement of the last [`run_epoch`] call, for
     /// callers that mirror the dense counts into other structures (the
-    /// reactivity index's occupancy, `CountPopulation`'s Fenwick tree).
+    /// reactivity index's occupancy and reactive-pair count).
     #[must_use]
     pub fn delta(&self) -> &[i64] {
         &self.delta
@@ -248,31 +278,93 @@ impl CollisionScratch {
             };
         }
     }
+
+    /// Draws one agent from the unrevealed urn and returns its state.
+    fn draw_unrevealed(&mut self, rng: &mut SimRng) -> usize {
+        let mut x = rng.below(self.urn_total);
+        self.urn_total -= 1;
+        for (i, c) in self.urn.iter_mut().enumerate() {
+            if x < *c {
+                *c -= 1;
+                return self.occupied[i];
+            }
+            x -= *c;
+        }
+        unreachable!("rank draw exceeded the unrevealed urn")
+    }
+
+    /// Adds one revealed agent in state `s`.
+    fn reveal(&mut self, s: usize) {
+        self.revealed_total += 1;
+        match self.revealed.iter_mut().find(|(t, _)| *t == s) {
+            Some((_, c)) => *c += 1,
+            None => self.revealed.push((s, 1)),
+        }
+    }
+
+    /// Takes a uniformly random touched agent out of the batch's touched
+    /// set and returns its current state. A deferred pair it belongs to is
+    /// revealed first: its states are drawn from the unrevealed urn and its
+    /// interaction is settled, and its other agent joins the revealed ones.
+    fn take_touched<P: Protocol + ?Sized>(
+        &mut self,
+        protocol: &P,
+        rng: &mut SimRng,
+        changed: &mut u64,
+    ) -> usize {
+        let mut x = rng.below(self.revealed_total + 2 * self.deferred);
+        if x >= self.revealed_total {
+            self.deferred -= 1;
+            let (a, b) = (self.draw_unrevealed(rng), self.draw_unrevealed(rng));
+            let (a2, b2) = protocol.interact(a, b, rng);
+            *changed += u64::from((a2, b2) != (a, b));
+            // The rank's parity picks the pair's initiator or responder.
+            return if (x - self.revealed_total).is_multiple_of(2) {
+                self.reveal(b2);
+                a2
+            } else {
+                self.reveal(a2);
+                b2
+            };
+        }
+        self.revealed_total -= 1;
+        for i in 0..self.revealed.len() {
+            let (s, c) = &mut self.revealed[i];
+            if x < *c {
+                let s = *s;
+                *c -= 1;
+                if *c == 0 {
+                    self.revealed.swap_remove(i);
+                }
+                return s;
+            }
+            x -= *c;
+        }
+        unreachable!("rank draw exceeded the revealed agents")
+    }
 }
 
-/// What one epoch settled.
+/// What one batch settled.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochOutcome {
-    /// Interactions executed (table cells plus the boundary interaction).
+    /// Interactions executed.
     pub executed: u64,
     /// Interactions that changed at least one agent's state.
     pub changed: u64,
 }
 
-/// Runs one collision-free epoch: samples the epoch length, settles the
-/// collision-free interactions through a contingency-table sample, applies
-/// the colliding boundary interaction individually, and updates `counts`
-/// in place.
+/// Runs one multibatch of `min(batch_len(n, q), remaining)` interactions,
+/// `q` the states occupied at batch start, and updates `counts` in place:
+/// collision-free runs are deferred without looking at their states,
+/// collisions are settled one at a time (revealing the deferred pairs they
+/// touch), and the pairs still deferred at the end are settled through one
+/// contingency-table sample over the unrevealed urn.
 ///
-/// `remaining` caps the interactions executed (≥ 1): when the sampled epoch
-/// is longer than the cap, only the first `remaining` collision-free
-/// interactions are applied and the rest of the epoch is discarded — exact,
-/// because the epoch length was drawn from its true law and the scheduler
-/// is memoryless, so the discarded suffix has the same law as a fresh
-/// epoch's prefix. The boundary interaction is only executed when it fits
-/// inside the cap.
+/// `remaining` caps the interactions executed (≥ 1). Stopping a batch at
+/// any fixed length is exact: the batch is the sequential process itself,
+/// with the states of its deferred pairs sampled late.
 ///
-/// After the call, [`CollisionScratch::delta`] holds the epoch's net
+/// After the call, [`CollisionScratch::delta`] holds the batch's net
 /// per-state movement.
 ///
 /// # Panics
@@ -296,51 +388,120 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     scratch.ensure(k);
 
     scratch.occupied.clear();
-    scratch.c_start.clear();
+    scratch.urn.clear();
     for (s, &c) in counts.iter().enumerate() {
         if c > 0 {
             scratch.occupied.push(s);
-            scratch.c_start.push(c);
+            scratch.urn.push(c);
         }
     }
     let kq = scratch.occupied.len();
+    scratch.urn_total = n;
+    scratch.revealed.clear();
+    scratch.revealed_total = 0;
+    scratch.deferred = 0;
+    let l = batch_len(n, kq).min(remaining);
 
-    let len_span = prof::section_if(pf, Section::EpochLenSample);
-    let t = cdf.sample_t(rng);
-    drop(len_span);
-    let full_l = t / 2;
-    let (l, boundary) = if full_l >= remaining {
-        (remaining, false)
-    } else {
-        (full_l, true)
-    };
-    let draws = 2 * l;
+    // The sequential process, with the pairs of collision-free runs kept
+    // unrevealed: r = revealed + 2·deferred agents are touched.
+    let mut done = 0u64;
+    let mut changed = 0u64;
+    while done < l {
+        let r = scratch.revealed_total + 2 * scratch.deferred;
+        let run = {
+            let _len_span = prof::section_if(pf, Section::EpochLenSample);
+            cdf.free_run(r, l - done, rng)
+        };
+        scratch.deferred += run;
+        done += run;
+        if done == l {
+            break;
+        }
+        let _collision_span = prof::section_if(pf, Section::EpochCollisions);
+        // The interaction picks a touched agent: both (weight r(r−1)), the
+        // initiator only (r(n−r)) or the responder only ((n−r)r).
+        let r = r + 2 * run;
+        let x = rng.below(r * (2 * n - r - 1));
+        let (a, b) = if x < r * (r - 1) {
+            let a = scratch.take_touched(protocol, rng, &mut changed);
+            (a, scratch.take_touched(protocol, rng, &mut changed))
+        } else if x < r * (n - 1) {
+            let a = scratch.take_touched(protocol, rng, &mut changed);
+            (a, scratch.draw_unrevealed(rng))
+        } else {
+            let a = scratch.draw_unrevealed(rng);
+            (a, scratch.take_touched(protocol, rng, &mut changed))
+        };
+        let (a2, b2) = protocol.interact(a, b, rng);
+        changed += u64::from((a2, b2) != (a, b));
+        scratch.reveal(a2);
+        scratch.reveal(b2);
+        done += 1;
+    }
 
-    // Margins: W = state counts of all 2ℓ distinct drawn agents, then the
-    // initiator split M | W (any fixed ℓ positions of an exchangeable
-    // without-replacement sample are again a uniform subsample).
-    let margin_span = prof::section_if(pf, Section::EpochMargins);
+    changed += settle_deferred(protocol, k, scratch, rng, pf);
+
+    // Batch-start agents (`counts` is untouched so far) that left the
+    // unrevealed urn become the revealed agents and the table's post-states.
+    for i in 0..kq {
+        let s = scratch.occupied[i];
+        let left = counts[s] - (scratch.urn[i] - scratch.w[i]);
+        scratch.delta[s] -= left as i64;
+    }
+    for &(s, c) in &scratch.revealed {
+        scratch.delta[s] += c as i64;
+    }
+    for (s, count) in counts.iter_mut().enumerate() {
+        let d = scratch.delta[s] + scratch.v[s] as i64;
+        scratch.delta[s] = d;
+        if d != 0 {
+            *count = (*count as i64 + d) as u64;
+        }
+    }
+    debug_assert_eq!(counts.iter().sum::<u64>(), n);
+    EpochOutcome {
+        executed: l,
+        changed,
+    }
+}
+
+/// Settles the batch's still-deferred pairs: their `2d` agents are a
+/// uniform without-replacement sample of the unrevealed urn, paired off
+/// uniformly, so the margins `W`, the initiator split `M | W` and the rows
+/// of their contingency table follow by multivariate-hypergeometric
+/// conditionals, and each cell's outcomes land in `v`. Leaves `W` in
+/// `scratch.w` and `delta` zeroed; returns how many pairs changed a state.
+fn settle_deferred<P: Protocol + ?Sized>(
+    protocol: &P,
+    k: usize,
+    scratch: &mut CollisionScratch,
+    rng: &mut SimRng,
+    pf: bool,
+) -> u64 {
+    let kq = scratch.occupied.len();
+    let pairs = scratch.deferred;
+    scratch.v.iter_mut().for_each(|x| *x = 0);
+    scratch.delta.iter_mut().for_each(|x| *x = 0);
+    scratch.w.clear();
     scratch.w.resize(kq, 0);
+    if pairs == 0 {
+        return 0;
+    }
+
+    let margin_span = prof::section_if(pf, Section::EpochMargins);
     scratch.m.resize(kq, 0);
     {
         // One span per conditional chain, not per univariate draw: the
         // per-draw guard was 2.6× enabled overhead on the dense path.
         let _pmf_span = prof::section_if(pf, Section::PmfInversion);
-        rng.multivariate_hypergeometric_into(&scratch.c_start, draws, &mut scratch.w);
-        rng.multivariate_hypergeometric_into(&scratch.w, l, &mut scratch.m);
+        rng.multivariate_hypergeometric_into(&scratch.urn, 2 * pairs, &mut scratch.w);
+        rng.multivariate_hypergeometric_into(&scratch.w, pairs, &mut scratch.m);
     }
     scratch.rem_r.clear();
     for i in 0..kq {
         scratch.rem_r.push(scratch.w[i] - scratch.m[i]);
     }
     drop(margin_span);
-
-    for x in &mut scratch.v {
-        *x = 0;
-    }
-    for x in &mut scratch.delta {
-        *x = 0;
-    }
 
     // Rows: conditioned on both margins, initiator↔responder pairing is a
     // uniform bijection of the two margin multisets, so row a is a
@@ -360,7 +521,7 @@ pub fn run_epoch<P: Protocol + ?Sized>(
             rng.multivariate_hypergeometric_into(&scratch.rem_r, mi, &mut scratch.row);
         }
         drop(row_span);
-        let settle_span = prof::section_if(pf, Section::EpochSettle);
+        let _settle_span = prof::section_if(pf, Section::EpochSettle);
         for j in 0..kq {
             let t_ab = scratch.row[j];
             if t_ab == 0 {
@@ -368,98 +529,30 @@ pub fn run_epoch<P: Protocol + ?Sized>(
             }
             scratch.rem_r[j] -= t_ab;
             let b = scratch.occupied[j];
-            changed += apply_cell(
-                protocol,
-                a,
-                b,
-                t_ab,
-                k,
-                &mut scratch.plans,
-                &mut scratch.v,
-                &mut scratch.delta,
-                rng,
-                pf,
-            );
+            let plan = scratch.plans.get(protocol, a, b, k);
+            changed += apply_cell(protocol, plan, a, b, t_ab, &mut scratch.v, rng, pf);
         }
-        drop(settle_span);
     }
     debug_assert_eq!(scratch.rem_r.iter().sum::<u64>(), 0);
-    debug_assert_eq!(scratch.v.iter().sum::<u64>(), draws);
-
-    for (s, c) in counts.iter_mut().enumerate() {
-        let d = scratch.delta[s];
-        if d != 0 {
-            *c = (*c as i64 + d) as u64;
-        }
-    }
-
-    let mut executed = l;
-    if boundary {
-        let _boundary_span = prof::section_if(pf, Section::EpochBoundary);
-        // The (ℓ+1)-th interaction contains the colliding draw. Touched
-        // agents are exchangeable, so the repeated agent's state is ∝ v;
-        // untouched agents still hold their epoch-start states.
-        let (si, sr) = if t.is_multiple_of(2) {
-            // T even: the colliding draw is the initiator; the responder is
-            // an unconditioned draw from the other n−1 agents under the
-            // *current* (post-table) counts.
-            let si = sample_dense(&scratch.v, draws, rng);
-            let sr = sample_counts_minus_one(counts, n, si, rng);
-            (si, sr)
-        } else {
-            // T odd: the initiator was the last fresh draw (uniform over
-            // the untouched pool); the colliding responder is touched.
-            let mut x = rng.below(n - draws);
-            let mut si = usize::MAX;
-            for i in 0..kq {
-                let wgt = scratch.c_start[i] - scratch.w[i];
-                if x < wgt {
-                    si = scratch.occupied[i];
-                    break;
-                }
-                x -= wgt;
-            }
-            debug_assert_ne!(si, usize::MAX);
-            let sr = sample_dense(&scratch.v, draws, rng);
-            (si, sr)
-        };
-        let (a2, b2) = protocol.interact(si, sr, rng);
-        if (a2, b2) != (si, sr) {
-            counts[si] -= 1;
-            counts[sr] -= 1;
-            counts[a2] += 1;
-            counts[b2] += 1;
-            // Mirror into delta so callers syncing from it stay exact.
-            scratch.delta[si] -= 1;
-            scratch.delta[sr] -= 1;
-            scratch.delta[a2] += 1;
-            scratch.delta[b2] += 1;
-            changed += 1;
-        }
-        executed += 1;
-    }
-
-    debug_assert_eq!(counts.iter().sum::<u64>(), n);
-    EpochOutcome { executed, changed }
+    debug_assert_eq!(scratch.v.iter().sum::<u64>(), 2 * pairs);
+    changed
 }
 
-/// Settles all `t_ab` interactions of cell `(a, b)`, accumulating the
-/// post-state urn `v` and net movement `delta`. Returns how many of them
-/// changed a state.
+/// Settles all `t_ab` interactions of cell `(a, b)` by its `plan`, adding
+/// their post-states to the urn `v`. Returns how many of them changed a
+/// state.
 #[allow(clippy::too_many_arguments)]
 fn apply_cell<P: Protocol + ?Sized>(
     protocol: &P,
+    plan: &CellPlan,
     a: usize,
     b: usize,
     t_ab: u64,
-    k: usize,
-    plans: &mut CellPlans,
     v: &mut [u64],
-    delta: &mut [i64],
     rng: &mut SimRng,
     pf: bool,
 ) -> u64 {
-    match plans.get(protocol, a, b, k) {
+    match plan {
         CellPlan::NonReactive => {
             v[a] += t_ab;
             v[b] += t_ab;
@@ -473,7 +566,7 @@ fn apply_cell<P: Protocol + ?Sized>(
             let mut rem_t = t_ab;
             let mut rem_p = 1.0f64;
             let mut changed = 0u64;
-            for &((a2, b2), p) in outcomes.iter() {
+            for &((a2, b2), p) in outcomes {
                 if rem_t == 0 || rem_p <= 0.0 {
                     break;
                 }
@@ -487,10 +580,6 @@ fn apply_cell<P: Protocol + ?Sized>(
                 v[a2] += cnt;
                 v[b2] += cnt;
                 if (a2, b2) != (a, b) {
-                    delta[a] -= cnt as i64;
-                    delta[b] -= cnt as i64;
-                    delta[a2] += cnt as i64;
-                    delta[b2] += cnt as i64;
                     changed += cnt;
                 }
             }
@@ -505,44 +594,11 @@ fn apply_cell<P: Protocol + ?Sized>(
                 let (a2, b2) = protocol.interact(a, b, rng);
                 v[a2] += 1;
                 v[b2] += 1;
-                if (a2, b2) != (a, b) {
-                    delta[a] -= 1;
-                    delta[b] -= 1;
-                    delta[a2] += 1;
-                    delta[b2] += 1;
-                    changed += 1;
-                }
+                changed += u64::from((a2, b2) != (a, b));
             }
             changed
         }
     }
-}
-
-/// Rank-draws one state from a dense weight vector with known `total`.
-fn sample_dense(weights: &[u64], total: u64, rng: &mut SimRng) -> usize {
-    debug_assert!(total > 0);
-    let mut x = rng.below(total);
-    for (s, &w) in weights.iter().enumerate() {
-        if x < w {
-            return s;
-        }
-        x -= w;
-    }
-    unreachable!("rank draw exceeded total weight")
-}
-
-/// Rank-draws one state from `counts` with one agent of state `skip`
-/// removed (the responder draw excludes the current initiator).
-fn sample_counts_minus_one(counts: &[u64], n: u64, skip: usize, rng: &mut SimRng) -> usize {
-    let mut x = rng.below(n - 1);
-    for (s, &c) in counts.iter().enumerate() {
-        let w = c - u64::from(s == skip);
-        if x < w {
-            return s;
-        }
-        x -= w;
-    }
-    unreachable!("rank draw exceeded total weight")
 }
 
 #[cfg(test)]
@@ -574,10 +630,42 @@ mod tests {
         let n = 10_000u64;
         let cdf = BirthdayCdf::new(n);
         let expect = (std::f64::consts::PI * n as f64 / 2.0).sqrt();
-        let rel = (cdf.expected_t / expect - 1.0).abs();
-        assert!(rel < 0.05, "E[T]={} vs {expect}", cdf.expected_t);
-        assert!(cdf.cdf.windows(2).all(|w| w[0] <= w[1]), "CDF monotone");
-        assert_eq!(*cdf.cdf.last().unwrap(), 1.0);
+        let rel = (cdf.expected_t() / expect - 1.0).abs();
+        assert!(rel < 0.05, "E[T]={} vs {expect}", cdf.expected_t());
+        for parity in [0, 1] {
+            let entries = cdf.ln_run.iter().skip(parity).step_by(2);
+            let pairs: Vec<f64> = entries.copied().collect();
+            assert!(pairs.windows(2).all(|w| w[1] <= w[0]), "runs shorten");
+        }
+    }
+
+    /// The run law near the end of a small population: with `r = n − 4`
+    /// touched a run is ≥ 1 long with probability `f(n−4) = 12/(n(n−1))`
+    /// and ≥ 2 long with `f(n−4)·f(n−2)`, after which no fresh pair is
+    /// left.
+    #[test]
+    fn free_runs_follow_the_product_law_near_exhaustion() {
+        let n = 10u64;
+        let cdf = BirthdayCdf::new(n);
+        let mut rng = SimRng::seed_from(5);
+        let trials = 400_000u64;
+        let mut at_least = [0u64; 3];
+        for _ in 0..trials {
+            let m = cdf.free_run(n - 4, 2, &mut rng);
+            for (j, c) in at_least.iter_mut().enumerate() {
+                *c += u64::from(m >= j as u64);
+            }
+        }
+        let nn = (n * (n - 1)) as f64;
+        let want = [1.0, 12.0 / nn, 12.0 / nn * 2.0 / nn];
+        for (j, (&got, &p)) in at_least.iter().zip(&want).enumerate() {
+            let got = got as f64 / trials as f64;
+            let sd = (p * (1.0 - p) / trials as f64).sqrt();
+            assert!(
+                (got - p).abs() <= 5.0 * sd,
+                "P(run ≥ {j}) = {got}, want {p}"
+            );
+        }
     }
 
     #[test]
@@ -622,6 +710,12 @@ mod tests {
         let table_mean = table_sum as f64 / trials as f64;
         let rel = (direct_mean / table_mean - 1.0).abs();
         assert!(rel < 0.03, "direct {direct_mean} vs table {table_mean}");
+        let rel = (table_mean / cdf.expected_t() - 1.0).abs();
+        assert!(
+            rel < 0.03,
+            "sampled {table_mean} vs E[T] {}",
+            cdf.expected_t()
+        );
     }
 
     #[test]
@@ -635,8 +729,13 @@ mod tests {
         let mut mirror = counts.clone();
         let mut total_exec = 0u64;
         while total_exec < 50_000 {
+            let q = counts.iter().filter(|&&c| c > 0).count();
             let out = run_epoch(&p, &mut counts, &cdf, &mut scratch, &mut rng, u64::MAX);
-            assert!(out.executed >= 2, "epoch covers at least one interaction");
+            assert_eq!(
+                out.executed,
+                batch_len(n, q),
+                "a batch runs its full length"
+            );
             assert_eq!(counts.iter().sum::<u64>(), n);
             for (s, m) in mirror.iter_mut().enumerate() {
                 *m = (*m as i64 + scratch.delta()[s]) as u64;
@@ -656,10 +755,18 @@ mod tests {
         let mut rng = SimRng::seed_from(11);
         for remaining in [1u64, 2, 3, 7] {
             let out = run_epoch(&p, &mut counts, &cdf, &mut scratch, &mut rng, remaining);
-            // Either the cap truncated the epoch (executed == remaining) or
-            // the whole epoch incl. boundary fit under it; never over.
-            assert!(out.executed <= remaining);
+            assert_eq!(out.executed, remaining);
             assert_eq!(counts.iter().sum::<u64>(), n);
         }
+    }
+
+    #[test]
+    fn batch_len_grows_with_occupancy_and_stays_below_n() {
+        assert_eq!(batch_len(8, 3), 4, "tiny populations cap at n/2");
+        assert_eq!(batch_len(2, 1), 1);
+        let n = 1_000_000;
+        assert!(batch_len(n, 7) > batch_len(n, 3));
+        assert_eq!(batch_len(n, 64), batch_len(n, 1_000), "q clamps at 64");
+        assert!(batch_len(n, 1_000) * 50 < n);
     }
 }

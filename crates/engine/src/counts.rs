@@ -43,9 +43,9 @@ const BATCH_STATE_LIMIT: usize = 1024;
 /// leap settles the same work with less overhead.
 pub(crate) const COLLISION_MIN_REACTIVE: f64 = 8.0;
 
-/// Expected collision-free interactions per epoch, `E[T]/2 ≈ 0.6267 √n`,
-/// estimated without building the birthday table (used only for regime
-/// dispatch; the exact table is built lazily on first collision use).
+/// Expected interactions before the first collision, `E[T]/2 ≈ 0.6267 √n`,
+/// the regime dispatch's yardstick for how much a collision batch
+/// amortizes (batches themselves run [`collision::batch_len`]).
 pub(crate) fn estimated_epoch_len(n: u64) -> f64 {
     (std::f64::consts::PI * n as f64 / 8.0).sqrt()
 }
@@ -102,12 +102,20 @@ pub(crate) fn parse_count_snapshot(
 #[derive(Debug, Clone)]
 pub struct CountPopulation<P> {
     protocol: P,
+    /// Fenwick tree over the counts, for per-step pair sampling. Stale
+    /// (`tree_stale`) after a collision batch; rebuilt in `O(k)` before the
+    /// next Fenwick-sampled step.
     counts: Fenwick,
+    /// Whether `counts` lags the index's dense counts. Only ever set while
+    /// the index exists; leaps keep a fresh tree fresh and a stale one
+    /// stale.
+    tree_stale: bool,
     n: u64,
     steps: u64,
-    /// Reactivity index over a dense mirror of the Fenwick counts. Built on
-    /// the first `step_batch` call (for `k ≤ BATCH_STATE_LIMIT`);
-    /// invalidated by out-of-band count edits ([`CountPopulation::reassign`]).
+    /// Reactivity index over dense per-state counts, the source of truth
+    /// while it exists. Built on the first `step_batch` call (for
+    /// `k ≤ BATCH_STATE_LIMIT`); invalidated by out-of-band count edits
+    /// ([`CountPopulation::reassign`]).
     index: Option<ReactivityIndex>,
     /// Birthday-process table for the collision-batch regime. Keyed only on
     /// `n`, which never changes, so it survives index invalidations.
@@ -134,6 +142,7 @@ impl<P: Protocol> CountPopulation<P> {
         Self {
             protocol,
             counts: Fenwick::from_weights(&full),
+            tree_stale: false,
             n,
             steps: 0,
             index: None,
@@ -170,10 +179,11 @@ impl<P: Protocol> CountPopulation<P> {
     /// out of range.
     pub fn reassign(&mut self, from: usize, to: usize, how_many: u64) {
         assert!(
-            self.counts.get(from) >= how_many,
+            self.count(from) >= how_many,
             "not enough agents in source state"
         );
         assert!(to < self.protocol.num_states());
+        self.refresh_tree();
         self.counts.add(from, -(how_many as i64));
         self.counts.add(to, how_many as i64);
         // Out-of-band edit: the index's dense mirror and reactive-pair count
@@ -181,9 +191,20 @@ impl<P: Protocol> CountPopulation<P> {
         self.index = None;
     }
 
+    /// Brings the Fenwick tree up to date with the index's dense counts
+    /// after a collision batch left it stale.
+    fn refresh_tree(&mut self) {
+        if self.tree_stale {
+            let index = self.index.as_ref().expect("a stale tree has an index");
+            self.counts = Fenwick::from_weights(index.counts());
+            self.tree_stale = false;
+        }
+    }
+
     /// Samples the states of a uniformly random ordered pair of distinct
-    /// agents without consuming a step.
+    /// agents without consuming a step. Needs a fresh tree.
     fn sample_pair(&mut self, rng: &mut SimRng) -> (usize, usize) {
+        debug_assert!(!self.tree_stale);
         let a = self.counts.find(rng.below(self.n));
         // Remove one agent of state `a`, sample the responder, restore.
         self.counts.add(a, -1);
@@ -192,11 +213,13 @@ impl<P: Protocol> CountPopulation<P> {
         (a, b)
     }
 
-    /// Applies one interaction's count changes to the Fenwick tree and, if
-    /// present, the reactivity index.
+    /// Applies one interaction's count changes to the Fenwick tree, unless
+    /// it is stale, and, if present, the reactivity index.
     fn apply_change(&mut self, a: usize, b: usize, a2: usize, b2: usize) {
-        for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
-            self.counts.add(s, d);
+        if !self.tree_stale {
+            for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
+                self.counts.add(s, d);
+            }
         }
         if let Some(index) = &mut self.index {
             index.apply(&self.protocol, a, b, a2, b2);
@@ -204,11 +227,12 @@ impl<P: Protocol> CountPopulation<P> {
         debug_assert!(self.index_is_consistent());
     }
 
-    /// Debug check: the index agrees with a direct recount and its dense
-    /// mirror with the Fenwick weights.
+    /// Debug check: the index agrees with a direct recount and, unless the
+    /// tree is stale, its dense counts with the Fenwick weights.
     fn index_is_consistent(&self) -> bool {
         self.index.as_ref().is_none_or(|index| {
-            index.is_consistent(&self.protocol) && index.counts() == self.counts.to_weights()
+            index.is_consistent(&self.protocol)
+                && (self.tree_stale || index.counts() == self.counts.to_weights())
         })
     }
 
@@ -241,11 +265,17 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     fn count(&self, state: usize) -> u64 {
-        self.counts.get(state)
+        match &self.index {
+            Some(index) => index.counts()[state],
+            None => self.counts.get(state),
+        }
     }
 
     fn counts(&self) -> Vec<u64> {
-        self.counts.to_weights()
+        match &self.index {
+            Some(index) => index.counts().to_vec(),
+            None => self.counts.to_weights(),
+        }
     }
 
     /// Delegates to [`CountPopulation::reassign`], which invalidates the
@@ -254,7 +284,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let states = self.protocol.num_states();
         assert!(from < states, "migrate source state out of range");
         assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.counts.get(from));
+        let moved = k.min(self.count(from));
         if from == to || moved == 0 {
             return 0;
         }
@@ -263,6 +293,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
+        self.refresh_tree();
         let (a, b) = self.sample_pair(rng);
         self.steps += 1;
         let (a2, b2) = self.protocol.interact(a, b, rng);
@@ -277,8 +308,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     /// the reactive-pair count `R` (`p = R / (n(n−1))`):
     ///
     /// 1. **Collision batches** (reactive-dense, `p · E[T]/2 ≥ 8`): settle
-    ///    ≈ √n activations per [`collision::run_epoch`] contingency-table
-    ///    sample — `O(q²)` distribution draws per epoch.
+    ///    `L = c·√(n·q)` activations per [`collision::run_epoch`] batch —
+    ///    one `O(q²)` contingency-table sample plus `O(q)` per in-batch
+    ///    collision. The batch leaves the Fenwick tree stale.
     /// 2. **No-op leaping** (sparse): between reactive interactions, the
     ///    number of consecutive no-op activations is geometric with success
     ///    probability `p`, so the loop draws the skip length in `O(1)`
@@ -286,7 +318,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     ///    batch budget, the rest of the batch is consumed as no-ops — exact
     ///    by memorylessness of the geometric.
     /// 3. **Per-step** (dense but `n` too small for epochs to pay): plain
-    ///    `O(log k)` Fenwick-sampled steps.
+    ///    `O(log k)` Fenwick-sampled steps, after an `O(k)` rebuild of a
+    ///    stale tree.
     ///
     /// All three sample the same per-step distribution (chi-square
     /// equivalence is pinned in `tests/backend_equivalence.rs`). Reports
@@ -313,7 +346,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             self.steps += out.executed;
             if cap.on {
                 let tally = BatchTally::dense_fallback(self.n);
-                recorder::with(|r| r.record_tallied_batch(&out, tally));
+                recorder::with(|r| r.record_tallied_batch(&out, &tally));
             }
             return out;
         }
@@ -335,7 +368,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             let remaining = max_steps - out.executed;
             let p = pairs as f64 / total_pairs as f64;
             if p * epoch_len >= COLLISION_MIN_REACTIVE {
-                // Collision-batch regime: one contingency-table epoch.
+                // Collision-batch regime: one multibatch.
                 let birthday = self.birthday.get_or_insert_with(|| BirthdayCdf::new(n));
                 let ep = collision::run_epoch(
                     &self.protocol,
@@ -345,16 +378,10 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                     rng,
                     remaining,
                 );
-                // Sync the Fenwick tree, occupancy and reactive-pair count
-                // from the epoch's net movement.
-                let sync_span = prof::section_if(pf, Section::FenwickSync);
-                for (s, &d) in self.scratch.delta().iter().enumerate() {
-                    if d != 0 {
-                        self.counts.add(s, d);
-                    }
-                }
+                // Sync occupancy and the reactive-pair count from the
+                // batch's net movement; the tree waits for a per-step draw.
                 index.sync_epoch(&self.protocol, self.scratch.delta());
-                drop(sync_span);
+                self.tree_stale = true;
                 debug_assert!(self.index_is_consistent());
                 out.executed += ep.executed;
                 out.changed += ep.changed;
@@ -367,6 +394,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 // Reactive-dense but small n: a geometric draw per step
                 // would cost more than it skips, and epochs don't pay yet.
                 let _step_span = prof::section_if(pf, Section::PerStep);
+                self.refresh_tree();
                 let (a, b) = self.sample_pair(rng);
                 out.executed += 1;
                 let (a2, b2) = self.protocol.interact(a, b, rng);
@@ -407,7 +435,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         }
         self.steps += out.executed;
         if let Some(t) = tally {
-            recorder::with(|r| r.record_tallied_batch(&out, t));
+            recorder::with(|r| r.record_tallied_batch(&out, &t));
         }
         out
     }
@@ -420,40 +448,39 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     /// reactivity index, birthday table, and collision scratch are all derived
     /// deterministically (and RNG-free) from the counts, so they are
     /// rebuilt on restore rather than stored — only the *presence* of the
-    /// index is recorded, so that a resumed run rebuilds it at exactly
-    /// the same point in its metrics stream as the uninterrupted run.
+    /// index and the staleness of the tree are recorded, so that a resumed
+    /// run rebuilds them at exactly the same points in its metrics stream
+    /// as the uninterrupted run.
     fn snapshot(&self) -> Result<Json, String> {
         Ok(Json::obj([
             (
                 "counts",
-                Json::Arr(
-                    self.counts
-                        .to_weights()
-                        .iter()
-                        .map(|&c| hex_u64(c))
-                        .collect(),
-                ),
+                Json::Arr(self.counts().iter().map(|&c| hex_u64(c)).collect()),
             ),
             ("steps", hex_u64(self.steps)),
             ("cached", Json::Bool(self.index.is_some())),
+            ("tree_stale", Json::Bool(self.tree_stale)),
         ]))
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), String> {
         let (weights, steps) =
             parse_count_snapshot(state, self.protocol.num_states(), self.n, "counts")?;
-        let cached = state.get("cached").and_then(Json::as_bool).unwrap_or(false);
+        let flag = |key: &str| state.get(key).and_then(Json::as_bool).unwrap_or(false);
         self.counts = Fenwick::from_weights(&weights);
         self.steps = steps;
         self.index = None;
         self.birthday = None;
-        if cached {
+        if flag("cached") {
             // Rebuild eagerly, during restore, so the next batch does not
             // count a rebuild the uninterrupted run never made: that run
             // had the index live at this point. The run's restored
             // recorder is installed only after this returns.
             let _ = self.ensure_index();
         }
+        // A tree the uninterrupted run had left stale is rebuilt (and
+        // counted) at the same per-step draw after the resume.
+        self.tree_stale = self.index.is_some() && flag("tree_stale");
         Ok(())
     }
 }
@@ -537,6 +564,42 @@ mod tests {
         let mean_a = t_agents / runs as f64;
         let rel = (mean_c - mean_a).abs() / mean_a;
         assert!(rel < 0.15, "backend means diverge: {mean_c} vs {mean_a}");
+    }
+
+    /// A collision batch leaves the Fenwick tree stale without rebuilding
+    /// it; the counts come from the index meanwhile, and the next
+    /// Fenwick-sampled step rebuilds the tree once.
+    #[test]
+    fn collision_batches_defer_the_tree_rebuild_to_the_next_step() {
+        let cycle3 = TableProtocol::new(3, "cycle3")
+            .rule(0, 1, 1, 1)
+            .rule(1, 2, 2, 2)
+            .rule(2, 0, 0, 0);
+        let mut pop = CountPopulation::from_counts(cycle3, &[1_000, 1_000, 1_000]);
+        let mut rng = SimRng::seed_from(6);
+        let mut rec = recorder::Recorder::new();
+        {
+            let _installed = rec.install();
+            pop.step_batch(&mut rng, 3_000);
+        }
+        let metrics = rec.metrics();
+        assert!(metrics.counter("collision_epochs") > 0);
+        assert_eq!(metrics.counter("fenwick_rebuilds"), 0);
+        assert!(pop.tree_stale);
+        let counts = pop.counts();
+        assert_eq!(counts.iter().sum::<u64>(), 3_000);
+        assert_eq!(
+            pop.snapshot().unwrap().get("tree_stale"),
+            Some(&Json::Bool(true))
+        );
+        {
+            let _installed = rec.install();
+            pop.step(&mut rng);
+            pop.step(&mut rng);
+        }
+        assert_eq!(rec.metrics().counter("fenwick_rebuilds"), 1);
+        assert!(!pop.tree_stale);
+        assert_eq!(pop.counts.to_weights(), pop.counts());
     }
 
     #[test]

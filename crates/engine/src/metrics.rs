@@ -57,10 +57,10 @@ pub enum Counter {
     FaultInjections,
     /// Agents whose state a fault injection actually changed.
     FaultAgentsMoved,
-    /// Collision-free epochs executed by the contingency-table batch path.
+    /// Collision batches executed ([`crate::collision::run_epoch`]).
     CollisionEpochs,
-    /// Activations settled in bulk via contingency-table epochs (includes
-    /// the per-epoch boundary interaction processed individually).
+    /// Activations settled by collision batches (deferred pairs and
+    /// in-batch collisions alike).
     CollisionBatchedSteps,
 }
 
@@ -121,8 +121,8 @@ pub enum Hist {
     BatchSize,
     /// Wall-clock microseconds per sweep task.
     SweepTaskMicros,
-    /// Activations settled per collision-free epoch (the batch-size
-    /// distribution of the contingency-table path, ≈ √n/2 in expectation).
+    /// Activations settled per collision batch (`batch_len(n, q)` unless
+    /// the `step_batch` budget cuts it).
     EpochLen,
 }
 

@@ -82,10 +82,15 @@ pub enum Section {
     /// A sparse leap's write-back of a change: the occupied-list update
     /// and the per-rule-slot agent counts.
     LeapUpkeep,
-    /// One collision-free contingency-table epoch ([`crate::collision`]).
+    /// One collision batch ([`crate::collision`]).
     CollisionEpoch,
-    /// Epoch-length draw: guided CDF inversion of the birthday law.
+    /// A collision batch's free-run draw: the length of a run of
+    /// interactions between untouched agents, by inversion of its prefix
+    /// table.
     EpochLenSample,
+    /// A collision batch's settling of one interaction that picks a
+    /// touched agent, revealing the deferred pair it touches.
+    EpochCollisions,
     /// Epoch margins: the `W` and `M | W` multivariate-hypergeometric
     /// conditional chains.
     EpochMargins,
@@ -93,10 +98,6 @@ pub enum Section {
     EpochRows,
     /// Table settling: applying one cell's rule deltas (`apply_cell`).
     EpochSettle,
-    /// The per-epoch boundary (colliding) interaction.
-    EpochBoundary,
-    /// Fenwick tree sync from a collision epoch's per-state deltas.
-    FenwickSync,
     /// Fenwick tree construction from a full weight vector.
     FenwickRebuild,
     /// Every exact discrete draw in `SimRng` — binomial and
@@ -115,7 +116,7 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 21] = [
+    pub const ALL: [Section; 20] = [
         Section::BatchCount,
         Section::BatchAgents,
         Section::BatchSparse,
@@ -128,11 +129,10 @@ impl Section {
         Section::LeapUpkeep,
         Section::CollisionEpoch,
         Section::EpochLenSample,
+        Section::EpochCollisions,
         Section::EpochMargins,
         Section::EpochRows,
         Section::EpochSettle,
-        Section::EpochBoundary,
-        Section::FenwickSync,
         Section::FenwickRebuild,
         Section::PmfInversion,
         Section::FaultSplit,
@@ -155,11 +155,10 @@ impl Section {
             Section::LeapUpkeep => "leap_upkeep",
             Section::CollisionEpoch => "collision_epoch",
             Section::EpochLenSample => "epoch_len_sample",
+            Section::EpochCollisions => "epoch_collisions",
             Section::EpochMargins => "epoch_margins",
             Section::EpochRows => "epoch_rows",
             Section::EpochSettle => "epoch_settle",
-            Section::EpochBoundary => "epoch_boundary",
-            Section::FenwickSync => "fenwick_sync",
             Section::FenwickRebuild => "fenwick_rebuild",
             Section::PmfInversion => "pmf_inversion",
             Section::FaultSplit => "fault_split",

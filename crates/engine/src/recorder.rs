@@ -42,7 +42,7 @@
 //! assert!(report.counter("noop_leaps") > 0, "sparse run must leap");
 //! ```
 
-use crate::counts::estimated_epoch_len;
+use crate::collision::batch_len;
 use crate::metrics::{bucket_of, Counter, Hist, MetricsReport, HIST_BUCKETS};
 use crate::prof::{ProfReport, SectionTable};
 use crate::sim::BatchOutcome;
@@ -150,19 +150,17 @@ impl Recorder {
 
     /// Records one count batch: its outcome, its regime tallies, and —
     /// when this recorder keeps a dispatch log — its dispatch record.
-    pub(crate) fn record_tallied_batch(&mut self, out: &BatchOutcome, tally: BatchTally) {
+    pub(crate) fn record_tallied_batch(&mut self, out: &BatchOutcome, tally: &BatchTally) {
         self.record_batch(out);
         if let Some(log) = &mut self.dispatch {
             log.push(tally.dispatch_record(out.executed));
         }
-        self.merge(tally.counts);
+        self.add_counts(&tally.counts);
     }
 
-    /// Adds everything `other` recorded into this recorder; its dispatch
-    /// records follow this one's. Section times merge only when both
-    /// recorders time sections.
-    pub fn merge(&mut self, other: Recorder) {
-        for (a, b) in self.counters.iter_mut().zip(other.counters) {
+    /// Adds `other`'s counters and histograms into this recorder.
+    fn add_counts(&mut self, other: &Recorder) {
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
         for (a, b) in self
@@ -173,6 +171,13 @@ impl Recorder {
         {
             *a += b;
         }
+    }
+
+    /// Adds everything `other` recorded into this recorder; its dispatch
+    /// records follow this one's. Section times merge only when both
+    /// recorders time sections.
+    pub fn merge(&mut self, other: Recorder) {
+        self.add_counts(&other);
         if let (Some(mine), Some(theirs)) = (&mut self.sections, &other.sections) {
             mine.merge(theirs);
         }
@@ -318,8 +323,6 @@ pub(crate) struct BatchTally {
     occupied: Option<u64>,
     pairs: Option<u64>,
     scale: u64,
-    /// Expected collision-epoch length; NaN where the backend has none.
-    expected_epoch: f64,
     /// First regime chosen; `None` when the batch entered silent.
     first: Option<&'static str>,
     counts: Recorder,
@@ -335,7 +338,6 @@ impl BatchTally {
             occupied: Some(occupied),
             pairs: Some(pairs),
             scale: 1,
-            expected_epoch: estimated_epoch_len(n),
             first: None,
             counts: Recorder::new(),
         }
@@ -347,7 +349,6 @@ impl BatchTally {
         let mut tally = Self::new(n, 0, 0);
         tally.occupied = None;
         tally.pairs = None;
-        tally.expected_epoch = f64::NAN;
         tally.first = Some("dense_fallback");
         tally.counts.add(Counter::DenseFallbackEntries, 1);
         tally
@@ -363,13 +364,12 @@ impl BatchTally {
             occupied: Some(occupied),
             pairs: weight,
             scale,
-            expected_epoch: f64::NAN,
             first: None,
             counts: Recorder::new(),
         }
     }
 
-    /// One collision-free epoch that settled `steps` activations.
+    /// One collision batch that settled `steps` activations.
     #[inline]
     pub(crate) fn epoch(&mut self, steps: u64) {
         self.first.get_or_insert("collision");
@@ -421,7 +421,13 @@ impl BatchTally {
             pairs: self.pairs.unwrap_or(0),
             scale: self.scale,
             p,
-            expected_epoch: self.expected_epoch,
+            // The collision batch length at batch entry, for the one
+            // backend with collision batches; worked out here, not per
+            // batch, since only dispatch logs read it.
+            expected_epoch: match (self.backend, self.occupied) {
+                ("CountPopulation", Some(q)) => batch_len(self.n, q as usize) as f64,
+                _ => f64::NAN,
+            },
             regime: self.first.unwrap_or("silent"),
             executed,
             collision_epochs: count(Counter::CollisionEpochs),
@@ -448,7 +454,7 @@ mod tests {
         tally.per_step();
         tally.epoch(500);
         let mut tallied = Recorder::new().with_dispatch_log();
-        tallied.record_tallied_batch(&out, tally);
+        tallied.record_tallied_batch(&out, &tally);
         let mut direct = Recorder::new();
         direct.record_batch(&out);
         direct.add(Counter::NoopLeaps, 2);
@@ -471,20 +477,23 @@ mod tests {
             ("CountPopulation", Some(3), 1)
         );
         assert_eq!(d.p, 0.01);
-        assert_eq!(d.expected_epoch, estimated_epoch_len(1000));
+        assert_eq!(
+            d.expected_epoch,
+            batch_len(1000, d.occupied.unwrap() as usize) as f64
+        );
         // A batch that entered silent, and one on the uncached dense loop,
         // which counts every executed interaction as a per-step one.
-        tallied.record_tallied_batch(&out, BatchTally::new(1000, 1, 0));
-        tallied.record_tallied_batch(&out, BatchTally::dense_fallback(100));
+        tallied.record_tallied_batch(&out, &BatchTally::new(1000, 1, 0));
+        tallied.record_tallied_batch(&out, &BatchTally::dense_fallback(100));
         // A sparse batch that entered leaping with W = 66 over a scale of
         // 33, and one that entered per step, with W unknown.
         let mut leaping = BatchTally::sparse(100, 7, Some(66), 33);
         leaping.leap(3);
         leaping.per_steps(4);
-        tallied.record_tallied_batch(&out, leaping);
+        tallied.record_tallied_batch(&out, &leaping);
         let mut stepping = BatchTally::sparse(100, 7, None, 33);
         stepping.per_steps(520);
-        tallied.record_tallied_batch(&out, stepping);
+        tallied.record_tallied_batch(&out, &stepping);
         let [_, silent, fallback, leaping, stepping] = tallied.dispatch() else {
             panic!("five batches, five records")
         };

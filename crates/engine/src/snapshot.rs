@@ -23,13 +23,15 @@
 //! Two JSON lines. The first is a header
 //! `{"kind":"pp_snapshot","version":V,"checksum":"<crc64 hex>"}`; the
 //! second is the payload object. `V` is [`FORMAT_VERSION`]; the reader also
-//! takes versions 4 and 5 except from the `sparse` backend (bare or wrapped
-//! by `faulty`), whose runs they made without the slot-sampled leap, and
-//! versions 1 and 3 except from `sparse` and from the `counts` and `faulty`
-//! backends, whose binomial and hypergeometric draws those versions made
-//! with the inversion-only samplers; it refuses version 2, whose runs came
-//! from the retired sharded dense engine. None of the refused runs can be
-//! continued byte-identically. The
+//! takes versions 4 to 6 except from the `counts` backend (bare or wrapped
+//! by `faulty`), whose runs they made without multibatch collision epochs,
+//! and versions 4 and 5 except from the `sparse` backend (bare or wrapped),
+//! whose runs they made without the slot-sampled leap, and versions 1 and 3
+//! except from `sparse` and from the `counts` and `faulty` backends, whose
+//! binomial and hypergeometric draws those versions made with the
+//! inversion-only samplers; it refuses version 2, whose runs came from the
+//! retired sharded dense engine. None of the refused runs can be continued
+//! byte-identically. The
 //! checksum is CRC-64 (reflected ECMA-182 polynomial) over the exact
 //! payload-line bytes, so truncation and single-bit flips anywhere in the
 //! payload are detected before any field is parsed; header corruption
@@ -76,13 +78,22 @@ use std::path::{Path, PathBuf};
 /// * version 6 marks the slot-sampled leap (DESIGN.md §9), whose effective
 ///   steps draw their rule slot, initiator and responder from one rank
 ///   and whose dispatch rule weighs the masks' words differently, which
-///   changed the trajectories of leaping `sparse` runs again.
+///   changed the trajectories of leaping `sparse` runs again;
+/// * version 7 marks multibatch collision epochs (DESIGN.md §12), whose
+///   batches run past their collisions and draw their agents in a
+///   different order, which changed the trajectories of `counts` runs in
+///   the collision regime and added the Fenwick tree's staleness to the
+///   `counts` payload.
 ///
-/// The reader accepts version 6; versions 4 and 5 except from `sparse`
-/// (bare or wrapped by `faulty`); and versions 1 and 3 from the backends
-/// that draw nothing from the exact samplers and are not sparse
-/// (`agents`, `matching`).
-pub const FORMAT_VERSION: u64 = 6;
+/// The reader accepts version 7; version 6 except from `counts` (bare or
+/// wrapped by `faulty`); versions 4 and 5 except from `counts` and from
+/// `sparse` (bare or wrapped); and versions 1 and 3 from the backends that
+/// draw nothing from the exact samplers and are not sparse (`agents`,
+/// `matching`).
+pub const FORMAT_VERSION: u64 = 7;
+
+/// The first version whose `sparse` runs drew slot-sampled leaps.
+const SLOT_LEAP_VERSION: u64 = 6;
 
 /// The first version whose `sparse` runs leapt, by rule-weighted row sums.
 const SPARSE_LEAP_VERSION: u64 = 5;
@@ -308,18 +319,25 @@ impl RunSnapshot {
             return Err("not a pp_snapshot document".to_string());
         }
         let version = match header.get("version").and_then(Json::as_u64) {
-            Some(v @ (1 | 3 | EXACT_SAMPLER_VERSION | SPARSE_LEAP_VERSION | FORMAT_VERSION)) => v,
+            Some(
+                v @ (1
+                | 3
+                | EXACT_SAMPLER_VERSION
+                | SPARSE_LEAP_VERSION
+                | SLOT_LEAP_VERSION
+                | FORMAT_VERSION),
+            ) => v,
             Some(SHARDED_FORMAT_VERSION) => {
                 return Err(format!(
                     "snapshot version {SHARDED_FORMAT_VERSION} came from the sharded dense \
                      engine and cannot be continued byte-identically by the exact engine \
-                     (reader supports versions 1, 3, 4, 5 and {FORMAT_VERSION})"
+                     (reader supports versions 1, 3, 4, 5, 6 and {FORMAT_VERSION})"
                 ));
             }
             _ => {
                 return Err(format!(
-                    "unsupported snapshot version (reader supports versions 1, 3, 4, 5 and \
-                     {FORMAT_VERSION})"
+                    "unsupported snapshot version (reader supports versions 1, 3, 4, 5, 6 \
+                     and {FORMAT_VERSION})"
                 ));
             }
         };
@@ -355,14 +373,21 @@ impl RunSnapshot {
             ));
         }
         let inner = payload.get("state").and_then(|s| s.get("inner_backend"));
-        let sparse = backend == "sparse"
-            || (backend == "faulty" && inner.and_then(Json::as_str) == Some("sparse"));
-        if version < FORMAT_VERSION && sparse {
-            let before = if version < SPARSE_LEAP_VERSION {
+        let runs_on = |tag: &str| {
+            backend == tag || (backend == "faulty" && inner.and_then(Json::as_str) == Some(tag))
+        };
+        let before = if runs_on("sparse") && version < SLOT_LEAP_VERSION {
+            Some(if version < SPARSE_LEAP_VERSION {
                 "the sparse leap"
             } else {
                 "slot-sampled leaps"
-            };
+            })
+        } else if runs_on("counts") && version < FORMAT_VERSION {
+            Some("multibatch collision epochs")
+        } else {
+            None
+        };
+        if let Some(before) = before {
             return Err(format!(
                 "snapshot version {version} from the {backend:?} backend was taken before \
                  {before}; cannot be continued byte-identically \
@@ -725,18 +750,12 @@ mod tests {
     #[test]
     fn decode_accepts_previous_format_version() {
         // Versions 1, 3 and 4 have the payload schema of every backend but
-        // `sparse`, version 5 of every backend. The reader keeps accepting
-        // versions 4 and 5 from the backends whose trajectories it did not
-        // change, and versions 1 and 3 from those that also draw nothing
-        // from the exact samplers.
+        // `sparse` and `counts`, versions 5 and 6 of every backend but
+        // `counts`. The reader keeps accepting versions 4 to 6 from the
+        // backends whose trajectories they did not change, and versions 1
+        // and 3 from those that also draw nothing from the exact samplers.
         let counts = sample_snapshot();
-        let mut faulty = counts.clone();
-        faulty.backend = "faulty".to_string();
-        for snap in [&counts, &faulty] {
-            for version in [EXACT_SAMPLER_VERSION, SPARSE_LEAP_VERSION, FORMAT_VERSION] {
-                assert!(RunSnapshot::decode(&encode_as_version(snap, version)).is_ok());
-            }
-        }
+        assert!(RunSnapshot::decode(&counts.encode()).is_ok());
         let agents = agents_snapshot();
         for backend in ["agents", "matching"] {
             let mut snap = agents.clone();
@@ -746,6 +765,7 @@ mod tests {
                 3,
                 EXACT_SAMPLER_VERSION,
                 SPARSE_LEAP_VERSION,
+                SLOT_LEAP_VERSION,
                 FORMAT_VERSION,
             ] {
                 let back = RunSnapshot::decode(&encode_as_version(&snap, version))
@@ -753,6 +773,56 @@ mod tests {
                 assert_eq!(back.backend, backend);
                 assert_eq!(back.rng_words, snap.rng_words);
             }
+        }
+        let faulty = wrapped(&agents);
+        for version in [
+            EXACT_SAMPLER_VERSION,
+            SPARSE_LEAP_VERSION,
+            SLOT_LEAP_VERSION,
+        ] {
+            assert!(RunSnapshot::decode(&encode_as_version(&faulty, version)).is_ok());
+        }
+    }
+
+    /// `snap` inside the fault wrapper.
+    fn wrapped(snap: &RunSnapshot) -> RunSnapshot {
+        let mut faulty = snap.clone();
+        faulty.backend = "faulty".to_string();
+        faulty.state = Json::obj([
+            ("inner_backend", Json::from(snap.backend.as_str())),
+            ("inner", snap.state.clone()),
+        ]);
+        faulty
+    }
+
+    /// A counts run from before multibatch collision epochs, bare or inside
+    /// the fault wrapper, drew its collision epochs in another order, so
+    /// its snapshot is refused with that reason; one taken now decodes.
+    #[test]
+    fn decode_refuses_counts_snapshots_from_before_multibatch_epochs() {
+        let counts = sample_snapshot();
+        for snap in [&counts, &wrapped(&counts)] {
+            for version in [
+                EXACT_SAMPLER_VERSION,
+                SPARSE_LEAP_VERSION,
+                SLOT_LEAP_VERSION,
+            ] {
+                let err = RunSnapshot::decode(&encode_as_version(snap, version)).unwrap_err();
+                assert!(
+                    err.contains(
+                        "taken before multibatch collision epochs; cannot be continued \
+                         byte-identically"
+                    ),
+                    "{err}"
+                );
+                assert!(err.contains(&format!("{:?}", snap.backend)), "{err}");
+                assert!(
+                    err.contains(&format!("version {FORMAT_VERSION} required")),
+                    "{err}"
+                );
+            }
+            let back = RunSnapshot::decode(&snap.encode()).expect("current version decodes");
+            assert_eq!(back.state.render(), snap.state.render());
         }
     }
 
@@ -766,12 +836,7 @@ mod tests {
         let mut rng = SimRng::seed_from(0x5a);
         pop.step_batch(&mut rng, 500);
         let sparse = RunSnapshot::capture(&pop, &rng).expect("sparse backend snapshots");
-        let mut faulty = sparse.clone();
-        faulty.backend = "faulty".to_string();
-        faulty.state = Json::obj([
-            ("inner_backend", Json::from("sparse")),
-            ("inner", sparse.state.clone()),
-        ]);
+        let faulty = wrapped(&sparse);
         [sparse, faulty]
     }
 
@@ -802,10 +867,12 @@ mod tests {
 
     /// A version-5 sparse run leapt by rule-weighted row sums, whose RNG use
     /// the slot-sampled leap does not reproduce, so its snapshot is refused
-    /// with that reason, bare or inside the fault wrapper.
+    /// with that reason, bare or inside the fault wrapper; a version-6 one,
+    /// which multibatch collision epochs left alone, decodes.
     #[test]
     fn decode_refuses_sparse_snapshots_from_before_slot_sampled_leaps() {
         for snap in &sparse_snapshots() {
+            assert!(RunSnapshot::decode(&encode_as_version(snap, SLOT_LEAP_VERSION)).is_ok());
             let err =
                 RunSnapshot::decode(&encode_as_version(snap, SPARSE_LEAP_VERSION)).unwrap_err();
             assert!(

@@ -993,7 +993,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
         self.steps += out.executed;
         match tally {
             Some(t) => {
-                recorder::with(|r| r.record_tallied_batch(&out, t));
+                recorder::with(|r| r.record_tallied_batch(&out, &t));
             }
             None => recorder::record_batch(&out),
         }

@@ -64,8 +64,9 @@ pub struct DispatchRecord {
     /// Probability `p = pairs / (n(n−1)·scale)` that one interaction is
     /// effective; NaN where `pairs` is unknown.
     pub p: f64,
-    /// Expected collision-epoch length `√(πn/8)` (birthday bound); NaN on
-    /// backends without collision epochs.
+    /// Interactions per collision batch at batch entry,
+    /// `collision::batch_len(n, occupied)`; NaN on backends without
+    /// collision batches.
     pub expected_epoch: f64,
     /// First regime chosen at batch entry: `"collision"`, `"per_step"`,
     /// `"leap"`, `"dense_fallback"`, or `"silent"`.

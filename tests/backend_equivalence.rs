@@ -8,6 +8,7 @@
 //! Random cases are drawn from seeded [`SimRng`] streams, so every failure
 //! reproduces from the printed case index.
 
+use population_protocols::core::engine::collision::batch_len;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::matching::MatchingPopulation;
 use population_protocols::core::engine::population::Population;
@@ -403,9 +404,10 @@ const DENSE: DenseInput = DenseInput {
 };
 
 /// The large-n input of the dense suite: one parallel round at n = 48 000,
-/// where each batch chains about twenty collision epochs (≈ 137
-/// interactions each). The chunk of 2 971 does not divide the target, so the last epoch
-/// of every batch is truncated at the boundary. Runs are costly at this
+/// where each batch chains about eight collision batches (at most
+/// `batch_len(48 000, 3)` = 380 interactions each). The chunk of 2 971 does
+/// not divide the target, so the last collision batch of every chunk is
+/// truncated at the boundary. Runs are costly at this
 /// size; 60 runs over 6 bins keep expected bin counts ≈ 10.
 const DENSE_LARGE: DenseInput = DenseInput {
     counts: &[20_000, 14_000, 14_000],
@@ -567,12 +569,19 @@ fn dense_scenario_uses_collision_epochs() {
         panic!("one batch, one dispatch record: {:?}", recorder.dispatch());
     };
     assert_eq!(epochs, dispatch.collision_epochs);
-    // 6000 steps ÷ ≈ 35 steps/epoch ⇒ ≳ 170 epochs.
-    assert!(epochs >= 100, "only {epochs} collision epochs recorded");
     assert!(
         steps >= DENSE.target - 100,
         "only {steps} steps settled via collision batches"
     );
+    // A batch over the three states settles at most batch_len(3000, 3) = 95
+    // steps, so ≥ 5 900 batched steps take ≥ 63 batches.
+    let n: u64 = DENSE.counts.iter().sum();
+    let floor = (DENSE.target - 100).div_ceil(batch_len(n, 3));
+    assert!(
+        epochs >= floor,
+        "only {epochs} collision epochs recorded, need {floor}"
+    );
+    assert_eq!(dispatch.expected_epoch, batch_len(n, 3) as f64);
 }
 
 /// Natural-log factorial table over a large range, for exact pmf

@@ -7,6 +7,7 @@
 //! Every run records into its own recorder, so the tests run in parallel.
 
 use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator};
+use population_protocols::core::engine::collision::batch_len;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::{to_jsonl, Json};
@@ -452,25 +453,28 @@ fn sparse_wide_trajectory_matches_pinned_golden() {
     assert_eq!(rng.state_words(), GOLDEN_RNG);
 }
 
-/// FNV-1a of the dense DK18 run's final counts under the ratio-of-uniforms
-/// and bit-parallel samplers.
-const DENSE_GOLDEN_HASH: u64 = 0x34bb_7419_7dc8_a769;
+/// FNV-1a of the dense DK18 run's final counts under multibatch collision
+/// epochs and the ratio-of-uniforms and bit-parallel samplers.
+const DENSE_GOLDEN_HASH: u64 = 0xa23a_7309_3172_b974;
 
 /// The generator's state words at the end of that run.
 const DENSE_GOLDEN_RNG: [u64; 4] = [
-    0x431e_fa9a_16e1_65b9,
-    0xc82d_d51e_68ac_b21c,
-    0x3035_1557_5dae_46f4,
-    0x1190_ea36_faa1_a1d7,
+    0x834e_1e13_6f40_6756,
+    0x162e_72b6_9b65_b839,
+    0x10a0_e069_55eb_2075,
+    0x5f9b_0097_1ff8_2687,
 ];
 
 /// Pins the dense count backend's trajectory: DK18 at n = 10⁵ settles its
-/// rounds in collision epochs, whose margin and row hypergeometrics take
-/// the ratio-of-uniforms path and whose per-cell binomial splits take the
-/// bit-parallel lanes. The final counts and generator state after three
-/// rounds must equal those recorded with these samplers, so any change to
-/// a sampler's draw order or RNG consumption fails here, while the replay
-/// tests above only compare a sampler with itself.
+/// rounds in multibatch collision epochs, whose free runs invert the run
+/// table, whose margin and row hypergeometrics take the ratio-of-uniforms
+/// path and whose per-cell binomial splits take the bit-parallel lanes.
+/// The final counts and generator state after three rounds must equal
+/// those recorded with this engine, so any change to a batch's or a
+/// sampler's draw order or RNG consumption fails here, while the replay
+/// tests above only compare a run with itself. The values were re-recorded
+/// when batches began to run past their collisions, after the exact
+/// transient oracle (`tests/exact_transient.rs`) passed.
 #[test]
 fn dense_oscillator_trajectory_matches_pinned_golden() {
     let n = 100_000u64;
@@ -484,8 +488,16 @@ fn dense_oscillator_trajectory_matches_pinned_golden() {
             pop.step_batch(&mut rng, n);
         }
     }
-    let epochs = recorder.metrics().counter("collision_epochs");
-    assert!(epochs > 1_000, "only {epochs} collision epochs");
+    // Every interaction of the three rounds is settled by collision
+    // batches, each at most batch_len(n, 7) = 837 long: ≥ 359 batches.
+    let metrics = recorder.metrics();
+    let epochs = metrics.counter("collision_epochs");
+    assert_eq!(metrics.counter("collision_batched_steps"), 3 * n);
+    let floor = (3 * n).div_ceil(batch_len(n, osc.num_states()));
+    assert!(
+        epochs >= floor,
+        "only {epochs} collision epochs, need {floor}"
+    );
     assert_eq!(pop.steps(), 3 * n);
     assert_eq!(fnv1a(&pop.counts()), DENSE_GOLDEN_HASH);
     assert_eq!(rng.state_words(), DENSE_GOLDEN_RNG);

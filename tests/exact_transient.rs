@@ -1,0 +1,207 @@
+//! The dense count backend's samplers against the exact transient law.
+//!
+//! At n = 8 the count vector's law after `t` interactions is computed
+//! exactly by `analyze::exact::transient_counts`. Collision batches
+//! (`collision::run_epoch`, chained until `t` interactions) and per-step
+//! sampling (`CountPopulation::step`) must both reproduce it. A batch at
+//! n = 8 holds `batch_len(8, q) = 4` interactions, so with 8 agents nearly
+//! every batch meets collisions of all three kinds, including the one whose
+//! two touched agents come from the same deferred pair; `t = 12` chains
+//! three batches. Each comparison is a chi-square goodness-of-fit test over
+//! 40 000 independent seeds.
+//!
+//! Three protocols: cycle3; DK18, whose reseeding and weak-predation cells
+//! are randomized; and an age counter whose counts are the histogram of how
+//! often each agent was picked, so any error in which agents a batch picks
+//! shows up directly.
+
+use population_protocols::core::analyze::exact::transient_counts;
+use population_protocols::core::clocks::oscillator::Dk18Oscillator;
+use population_protocols::core::engine::collision::{
+    batch_len, run_epoch, BirthdayCdf, CollisionScratch,
+};
+use population_protocols::core::engine::counts::CountPopulation;
+use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
+use population_protocols::core::engine::rng::SimRng;
+use population_protocols::core::engine::sim::Simulator;
+use population_protocols::core::engine::stats::chi_square_p_value;
+use std::collections::HashMap;
+
+/// Independent runs per side.
+const SEEDS: u64 = 40_000;
+
+/// Interactions per run: three collision batches at n = 8.
+const T: u64 = 12;
+
+/// Family-wise false-alarm rate of the six comparisons in this file; each
+/// is held to `ALPHA / 6` (Bonferroni).
+const ALPHA: f64 = 1e-3;
+
+fn cycle3() -> TableProtocol {
+    TableProtocol::new(3, "cycle3")
+        .rule(0, 1, 1, 1)
+        .rule(1, 2, 2, 2)
+        .rule(2, 0, 0, 0)
+}
+
+/// States of [`ages`].
+const AGES: usize = 4;
+
+/// Every interaction ages both agents by one, up to `AGES − 1`.
+fn ages() -> TableProtocol {
+    let older = |s: usize| (s + 1).min(AGES - 1);
+    (0..AGES)
+        .flat_map(|a| (0..AGES).map(move |b| (a, b)))
+        .filter(|&(a, b)| (older(a), older(b)) != (a, b))
+        .fold(TableProtocol::new(AGES, "ages"), |p, (a, b)| {
+            p.rule(a, b, older(a), older(b))
+        })
+}
+
+/// DK18 at n = 8 with the source, charged and uncharged agents of every
+/// species occupied but one: its reseeding and weak-predation cells are
+/// randomized.
+const DK18_INIT: [u64; 7] = [1, 2, 1, 1, 1, 2, 0];
+
+/// Chi-square goodness of fit of `observed` configuration counts against
+/// the exact law. Configurations expected at least 5 times get a bin each;
+/// the rest share one bin, folded into the smallest bin when it would be
+/// expected fewer than 5 times.
+fn assert_matches_exact(name: &str, exact: &[(Vec<u64>, f64)], observed: &HashMap<Vec<u64>, u64>) {
+    let samples = observed.values().sum::<u64>() as f64;
+    for config in observed.keys() {
+        assert!(
+            exact.iter().any(|(c, _)| c == config),
+            "{name}: configuration {config:?} has probability 0"
+        );
+    }
+    let mut bins: Vec<(f64, f64)> = Vec::new();
+    let mut pooled = (0.0, 0.0);
+    for (config, p) in exact {
+        let expected = p * samples;
+        let got = observed.get(config).copied().unwrap_or(0) as f64;
+        if expected >= 5.0 {
+            bins.push((expected, got));
+        } else {
+            pooled.0 += expected;
+            pooled.1 += got;
+        }
+    }
+    if pooled.0 >= 5.0 {
+        bins.push(pooled);
+    } else {
+        let smallest = bins
+            .iter_mut()
+            .min_by(|x, y| x.0.total_cmp(&y.0))
+            .expect("some configuration is expected 5 times");
+        smallest.0 += pooled.0;
+        smallest.1 += pooled.1;
+    }
+    let stat: f64 = bins.iter().map(|(e, o)| (o - e) * (o - e) / e).sum();
+    let dof = bins.len() - 1;
+    let p = chi_square_p_value(stat, dof);
+    assert!(
+        p > ALPHA / 6.0,
+        "{name}: counts after {T} interactions differ from the exact law \
+         (chi² = {stat:.1}, dof = {dof}, p = {p:.2e})"
+    );
+}
+
+/// Final counts of `SEEDS` runs of collision batches chained to `T`
+/// interactions.
+fn batched<P: Protocol>(protocol: &P, initial: &[u64], seed: u64) -> HashMap<Vec<u64>, u64> {
+    let n: u64 = initial.iter().sum();
+    let cdf = BirthdayCdf::new(n);
+    let mut scratch = CollisionScratch::new();
+    let mut seen = HashMap::new();
+    for run in 0..SEEDS {
+        let mut rng = SimRng::seed_from(seed + run);
+        let mut counts = initial.to_vec();
+        counts.resize(protocol.num_states(), 0);
+        let mut done = 0;
+        while done < T {
+            let q = counts.iter().filter(|&&c| c > 0).count();
+            let out = run_epoch(
+                protocol,
+                &mut counts,
+                &cdf,
+                &mut scratch,
+                &mut rng,
+                T - done,
+            );
+            assert_eq!(out.executed, batch_len(n, q).min(T - done));
+            done += out.executed;
+        }
+        *seen.entry(counts).or_insert(0) += 1;
+    }
+    seen
+}
+
+/// Final counts of `SEEDS` runs of `T` per-step interactions.
+fn stepped<P: Protocol>(protocol: &P, initial: &[u64], seed: u64) -> HashMap<Vec<u64>, u64> {
+    let mut seen = HashMap::new();
+    for run in 0..SEEDS {
+        let mut rng = SimRng::seed_from(seed + run);
+        let mut pop = CountPopulation::from_counts(protocol, initial);
+        for _ in 0..T {
+            pop.step(&mut rng);
+        }
+        *seen.entry(pop.counts()).or_insert(0) += 1;
+    }
+    seen
+}
+
+#[test]
+fn batches_at_n8_hold_several_interactions() {
+    assert_eq!(batch_len(8, 3), 4);
+    assert_eq!(batch_len(8, 6), 4);
+    assert!(T >= 3 * batch_len(8, 1));
+}
+
+#[test]
+fn cycle3_collision_batches_match_the_exact_law() {
+    let initial = [3, 3, 2];
+    let exact = transient_counts(&cycle3(), &initial, T);
+    assert_matches_exact(
+        "cycle3 batches",
+        &exact,
+        &batched(&cycle3(), &initial, 1 << 20),
+    );
+}
+
+#[test]
+fn cycle3_steps_match_the_exact_law() {
+    let initial = [3, 3, 2];
+    let exact = transient_counts(&cycle3(), &initial, T);
+    assert_matches_exact(
+        "cycle3 steps",
+        &exact,
+        &stepped(&cycle3(), &initial, 2 << 20),
+    );
+}
+
+#[test]
+fn dk18_collision_batches_match_the_exact_law() {
+    let osc = Dk18Oscillator::new();
+    let exact = transient_counts(&osc, &DK18_INIT, T);
+    assert_matches_exact("DK18 batches", &exact, &batched(&osc, &DK18_INIT, 3 << 20));
+}
+
+#[test]
+fn dk18_steps_match_the_exact_law() {
+    let osc = Dk18Oscillator::new();
+    let exact = transient_counts(&osc, &DK18_INIT, T);
+    assert_matches_exact("DK18 steps", &exact, &stepped(&osc, &DK18_INIT, 4 << 20));
+}
+
+#[test]
+fn ages_collision_batches_match_the_exact_law() {
+    let exact = transient_counts(&ages(), &[8], T);
+    assert_matches_exact("ages batches", &exact, &batched(&ages(), &[8], 5 << 20));
+}
+
+#[test]
+fn ages_steps_match_the_exact_law() {
+    let exact = transient_counts(&ages(), &[8], T);
+    assert_matches_exact("ages steps", &exact, &stepped(&ages(), &[8], 6 << 20));
+}

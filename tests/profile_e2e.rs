@@ -81,6 +81,16 @@ fn oscillator_profile_attributes_dense_wall_time() {
             "section {name} missing from the report"
         );
     }
+    // In-batch collisions are settled under their batch.
+    let collisions = secs
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("epoch_collisions"))
+        .expect("section epoch_collisions missing from the report");
+    assert_eq!(
+        collisions.get("parent").and_then(Json::as_str),
+        Some("collision_epoch")
+    );
+    assert!(collisions.get("calls").and_then(Json::as_u64) > Some(0));
 
     // Dense oscillator at this size runs in the collision regime, and the
     // dispatch records agree with the regime counters.
