@@ -9,6 +9,12 @@
 //! and cache traffic are independent of `n` — this backend simulates
 //! populations of 10⁸ agents as cheaply as 10³.
 //!
+//! The count vector is the only copy of the configuration. The Fenwick
+//! tree and the reactivity index (`engine::reactivity`) are derived from
+//! it, and `counts()` copies it. One Fenwick-sampled step body serves
+//! [`Simulator::step`], the per-step regime of `step_batch` and the loop
+//! that runs protocols above the batch limit.
+//!
 //! The per-step distribution is *identical* to the agent-array backend
 //! ([`crate::population::Population`]); a property test asserts the
 //! statistical equivalence.
@@ -29,12 +35,13 @@ pub use crate::sparse::SparseCountPopulation;
 
 /// Largest state space for which [`CountPopulation`] builds the reactivity
 /// index that powers batched no-op leaping and collision epochs; above it,
-/// `step_batch` runs a tight Fenwick-sampled loop. The index costs
-/// `O(k + occupied²)` to build. The loop serves the experiments with wide
-/// dense state spaces: E6 (`k = 9 072`), E9's `SyncMajority`
-/// (`k = 2 880`) and E15 (`k = 54 432`). With the index built at every
-/// `k`, E6 at `--quick` scale took ~47 s instead of ~4 s, and E15 at
-/// `--quick` scale aborted.
+/// `step_batch` repeats the Fenwick-sampled step that `step` and the
+/// per-step regime run, and `counts()` copies the count vector, as at every
+/// `k`. The index costs `O(k + occupied²)` to build. The loop above the
+/// limit serves the experiments with wide dense state spaces: E6
+/// (`k = 9 072`), E9's `SyncMajority` (`k = 2 880`) and E15
+/// (`k = 54 432`). With the index built at every `k`, E6 at `--quick`
+/// scale took ~47 s instead of ~4 s, and E15 at `--quick` scale aborted.
 const BATCH_STATE_LIMIT: usize = 1024;
 
 /// Minimum expected number of *reactive* interactions per collision-free
@@ -102,20 +109,20 @@ pub(crate) fn parse_count_snapshot(
 #[derive(Debug, Clone)]
 pub struct CountPopulation<P> {
     protocol: P,
-    /// Fenwick tree over the counts, for per-step pair sampling. Stale
+    /// Agents per state: the configuration. Everything else is derived.
+    counts: Vec<u64>,
+    /// Fenwick tree over `counts`, for per-step pair sampling. Stale
     /// (`tree_stale`) after a collision batch; rebuilt in `O(k)` before the
     /// next Fenwick-sampled step.
-    counts: Fenwick,
-    /// Whether `counts` lags the index's dense counts. Only ever set while
-    /// the index exists; leaps keep a fresh tree fresh and a stale one
-    /// stale.
+    tree: Fenwick,
+    /// Whether `tree` lags `counts`. Only ever set while the index exists;
+    /// leaps keep a fresh tree fresh and a stale one stale.
     tree_stale: bool,
     n: u64,
     steps: u64,
-    /// Reactivity index over dense per-state counts, the source of truth
-    /// while it exists. Built on the first `step_batch` call (for
-    /// `k ≤ BATCH_STATE_LIMIT`); invalidated by out-of-band count edits
-    /// ([`CountPopulation::reassign`]).
+    /// Occupancy and reactive-pair count of `counts`. Built on the first
+    /// `step_batch` call (for `k ≤ BATCH_STATE_LIMIT`); dropped by
+    /// out-of-band count edits ([`Simulator::migrate`]).
     index: Option<ReactivityIndex>,
     /// Birthday-process table for the collision-batch regime. Keyed only on
     /// `n`, which never changes, so it survives index invalidations.
@@ -141,7 +148,8 @@ impl<P: Protocol> CountPopulation<P> {
         full[..counts.len()].copy_from_slice(counts);
         Self {
             protocol,
-            counts: Fenwick::from_weights(&full),
+            tree: Fenwick::from_weights(&full),
+            counts: full,
             tree_stale: false,
             n,
             steps: 0,
@@ -170,69 +178,55 @@ impl<P: Protocol> CountPopulation<P> {
         &self.protocol
     }
 
-    /// Moves `how_many` agents from state `from` to state `to` without
-    /// consuming scheduler steps (test setups, external perturbations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `how_many` agents are in `from` or states are
-    /// out of range.
-    pub fn reassign(&mut self, from: usize, to: usize, how_many: u64) {
-        assert!(
-            self.count(from) >= how_many,
-            "not enough agents in source state"
-        );
-        assert!(to < self.protocol.num_states());
-        self.refresh_tree();
-        self.counts.add(from, -(how_many as i64));
-        self.counts.add(to, how_many as i64);
-        // Out-of-band edit: the index's dense mirror and reactive-pair count
-        // are stale; rebuild lazily on the next step_batch.
-        self.index = None;
-    }
-
-    /// Brings the Fenwick tree up to date with the index's dense counts
-    /// after a collision batch left it stale.
+    /// Rebuilds the Fenwick tree from the counts after a collision batch
+    /// left it stale.
     fn refresh_tree(&mut self) {
         if self.tree_stale {
-            let index = self.index.as_ref().expect("a stale tree has an index");
-            self.counts = Fenwick::from_weights(index.counts());
+            self.tree = Fenwick::from_weights(&self.counts);
             self.tree_stale = false;
         }
     }
 
-    /// Samples the states of a uniformly random ordered pair of distinct
-    /// agents without consuming a step. Needs a fresh tree.
-    fn sample_pair(&mut self, rng: &mut SimRng) -> (usize, usize) {
-        debug_assert!(!self.tree_stale);
-        let a = self.counts.find(rng.below(self.n));
+    /// Runs one Fenwick-sampled interaction, without counting the step:
+    /// samples the states of a uniformly random ordered pair of distinct
+    /// agents and applies the protocol's outcome. Returns whether it
+    /// changed the counts.
+    fn fenwick_step(&mut self, rng: &mut SimRng) -> bool {
+        self.refresh_tree();
+        let a = self.tree.find(rng.below(self.n));
         // Remove one agent of state `a`, sample the responder, restore.
-        self.counts.add(a, -1);
-        let b = self.counts.find(rng.below(self.n - 1));
-        self.counts.add(a, 1);
-        (a, b)
+        self.tree.add(a, -1);
+        let b = self.tree.find(rng.below(self.n - 1));
+        self.tree.add(a, 1);
+        let (a2, b2) = self.protocol.interact(a, b, rng);
+        if (a2, b2) == (a, b) {
+            return false;
+        }
+        self.apply_change(a, b, a2, b2);
+        true
     }
 
-    /// Applies one interaction's count changes to the Fenwick tree, unless
-    /// it is stale, and, if present, the reactivity index.
+    /// Applies one interaction's count changes to the counts, the Fenwick
+    /// tree unless it is stale, and the reactivity index if present.
     fn apply_change(&mut self, a: usize, b: usize, a2: usize, b2: usize) {
-        if !self.tree_stale {
-            for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
-                self.counts.add(s, d);
+        for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
+            self.counts[s] = self.counts[s].wrapping_add_signed(d);
+            if !self.tree_stale {
+                self.tree.add(s, d);
+            }
+            if let Some(index) = &mut self.index {
+                index.add(&self.protocol, &self.counts, s, d);
             }
         }
-        if let Some(index) = &mut self.index {
-            index.apply(&self.protocol, a, b, a2, b2);
-        }
-        debug_assert!(self.index_is_consistent());
+        debug_assert!(self.is_consistent());
     }
 
-    /// Debug check: the index agrees with a direct recount and, unless the
-    /// tree is stale, its dense counts with the Fenwick weights.
-    fn index_is_consistent(&self) -> bool {
+    /// Debug check: the index agrees with a direct recount of the counts
+    /// and, unless the tree is stale, the Fenwick weights with the counts.
+    fn is_consistent(&self) -> bool {
         self.index.as_ref().is_none_or(|index| {
-            index.is_consistent(&self.protocol)
-                && (self.tree_stale || index.counts() == self.counts.to_weights())
+            index.is_consistent(&self.protocol, &self.counts)
+                && (self.tree_stale || self.tree.to_weights() == self.counts)
         })
     }
 
@@ -244,8 +238,7 @@ impl<P: Protocol> CountPopulation<P> {
         }
         if self.index.is_none() {
             recorder::add(Counter::BatchCacheRebuilds, 1);
-            let dense = self.counts.to_weights();
-            self.index = Some(ReactivityIndex::new(&self.protocol, dense));
+            self.index = Some(ReactivityIndex::new(&self.protocol, &self.counts));
         }
         true
     }
@@ -265,43 +258,39 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     fn count(&self, state: usize) -> u64 {
-        match &self.index {
-            Some(index) => index.counts()[state],
-            None => self.counts.get(state),
-        }
+        self.counts[state]
     }
 
     fn counts(&self) -> Vec<u64> {
-        match &self.index {
-            Some(index) => index.counts().to_vec(),
-            None => self.counts.to_weights(),
-        }
+        self.counts.clone()
     }
 
-    /// Delegates to [`CountPopulation::reassign`], which invalidates the
-    /// reactivity index (its dense mirror and reactive-pair count go stale).
+    /// Drops the reactivity index (its reactive-pair count goes stale); the
+    /// next `step_batch` rebuilds it.
     fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
         let states = self.protocol.num_states();
         assert!(from < states, "migrate source state out of range");
         assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.count(from));
+        let moved = k.min(self.counts[from]);
         if from == to || moved == 0 {
             return 0;
         }
-        self.reassign(from, to, moved);
+        self.refresh_tree();
+        self.tree.add(from, -(moved as i64));
+        self.tree.add(to, moved as i64);
+        self.counts[from] -= moved;
+        self.counts[to] += moved;
+        self.index = None;
         moved
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        self.refresh_tree();
-        let (a, b) = self.sample_pair(rng);
         self.steps += 1;
-        let (a2, b2) = self.protocol.interact(a, b, rng);
-        if (a2, b2) == (a, b) {
-            return StepOutcome::Unchanged;
+        if self.fenwick_step(rng) {
+            StepOutcome::Changed
+        } else {
+            StepOutcome::Unchanged
         }
-        self.apply_change(a, b, a2, b2);
-        StepOutcome::Changed
     }
 
     /// Count-vector batching with three regimes, selected per iteration off
@@ -332,16 +321,12 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let _batch_span = prof::section_if(pf, Section::BatchCount);
         let mut out = BatchOutcome::default();
         if !self.ensure_index() {
-            // Huge state space: no reactivity index, just a tight loop.
+            // Huge state space: no reactivity index, one Fenwick step after
+            // another.
             let _fallback_span = prof::section_if(pf, Section::DenseFallback);
             while out.executed < max_steps {
-                let (a, b) = self.sample_pair(rng);
                 out.executed += 1;
-                let (a2, b2) = self.protocol.interact(a, b, rng);
-                if (a2, b2) != (a, b) {
-                    out.changed += 1;
-                    self.apply_change(a, b, a2, b2);
-                }
+                out.changed += u64::from(self.fenwick_step(rng));
             }
             self.steps += out.executed;
             if cap.on {
@@ -372,7 +357,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 let birthday = self.birthday.get_or_insert_with(|| BirthdayCdf::new(n));
                 let ep = collision::run_epoch(
                     &self.protocol,
-                    index.counts_mut(),
+                    &mut self.counts,
                     birthday,
                     &mut self.scratch,
                     rng,
@@ -380,9 +365,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 );
                 // Sync occupancy and the reactive-pair count from the
                 // batch's net movement; the tree waits for a per-step draw.
-                index.sync_epoch(&self.protocol, self.scratch.delta());
+                index.sync_epoch(&self.protocol, &self.counts, self.scratch.delta());
                 self.tree_stale = true;
-                debug_assert!(self.index_is_consistent());
+                debug_assert!(self.is_consistent());
                 out.executed += ep.executed;
                 out.changed += ep.changed;
                 if let Some(t) = &mut tally {
@@ -394,14 +379,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 // Reactive-dense but small n: a geometric draw per step
                 // would cost more than it skips, and epochs don't pay yet.
                 let _step_span = prof::section_if(pf, Section::PerStep);
-                self.refresh_tree();
-                let (a, b) = self.sample_pair(rng);
                 out.executed += 1;
-                let (a2, b2) = self.protocol.interact(a, b, rng);
-                if (a2, b2) != (a, b) {
-                    out.changed += 1;
-                    self.apply_change(a, b, a2, b2);
-                }
+                out.changed += u64::from(self.fenwick_step(rng));
                 if let Some(t) = &mut tally {
                     t.per_step();
                 }
@@ -426,7 +405,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 .index
                 .as_ref()
                 .expect("index built above")
-                .sample_reactive_pair(rng);
+                .sample_reactive_pair(&self.counts, rng);
             let (a2, b2) = self.protocol.interact(a, b, rng);
             if (a2, b2) != (a, b) {
                 out.changed += 1;
@@ -455,7 +434,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         Ok(Json::obj([
             (
                 "counts",
-                Json::Arr(self.counts().iter().map(|&c| hex_u64(c)).collect()),
+                Json::Arr(self.counts.iter().map(|&c| hex_u64(c)).collect()),
             ),
             ("steps", hex_u64(self.steps)),
             ("cached", Json::Bool(self.index.is_some())),
@@ -467,7 +446,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let (weights, steps) =
             parse_count_snapshot(state, self.protocol.num_states(), self.n, "counts")?;
         let flag = |key: &str| state.get(key).and_then(Json::as_bool).unwrap_or(false);
-        self.counts = Fenwick::from_weights(&weights);
+        self.tree = Fenwick::from_weights(&weights);
+        self.counts = weights;
         self.steps = steps;
         self.index = None;
         self.birthday = None;
@@ -599,29 +579,15 @@ mod tests {
         }
         assert_eq!(rec.metrics().counter("fenwick_rebuilds"), 1);
         assert!(!pop.tree_stale);
-        assert_eq!(pop.counts.to_weights(), pop.counts());
-    }
-
-    #[test]
-    fn reassign_moves_agents() {
-        let mut pop = CountPopulation::from_counts(epidemic(), &[10, 0]);
-        pop.reassign(0, 1, 4);
-        assert_eq!(pop.count(0), 6);
-        assert_eq!(pop.count(1), 4);
-        assert_eq!(pop.steps(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not enough agents")]
-    fn reassign_checks_source() {
-        let mut pop = CountPopulation::from_counts(epidemic(), &[2, 0]);
-        pop.reassign(0, 1, 3);
+        assert_eq!(pop.tree.to_weights(), pop.counts);
     }
 
     #[test]
     fn migrate_caps_at_source_count() {
         let mut pop = CountPopulation::from_counts(epidemic(), &[7, 3]);
-        assert_eq!(pop.migrate(0, 1, 100), 7);
+        assert_eq!(pop.migrate(0, 1, 4), 4);
+        assert_eq!((pop.count(0), pop.count(1)), (3, 7));
+        assert_eq!(pop.migrate(0, 1, 100), 3);
         assert_eq!(pop.count(0), 0);
         assert_eq!(pop.count(1), 10);
         assert_eq!(pop.migrate(1, 1, 5), 0, "self-moves are no-ops");

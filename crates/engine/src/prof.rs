@@ -63,7 +63,8 @@ pub enum Section {
     BatchSparse,
     /// One `MatchingPopulation::step_batch` call.
     BatchMatching,
-    /// The no-reactivity-index tight loop (`k > BATCH_STATE_LIMIT`).
+    /// The loop of Fenwick-sampled steps without a reactivity index
+    /// (`k > BATCH_STATE_LIMIT`).
     DenseFallback,
     /// The per-step regime: one Fenwick-sampled step of
     /// `CountPopulation`, or one run of block-sampled steps of

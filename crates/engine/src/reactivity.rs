@@ -1,13 +1,16 @@
 //! The reactivity index of the dense count backend,
 //! [`crate::counts::CountPopulation`].
 //!
-//! It holds the dense counts, the occupied states in ascending order, a
-//! `k × k` memo of [`Protocol::is_reactive`] filled for a pair the first
-//! time both its states are occupied, and `R`, the number of ordered
+//! It is derived from the population's count vector, which it takes by
+//! reference and never holds: it keeps the occupied states in ascending
+//! order, a `k × k` memo of [`Protocol::is_reactive`] filled for a pair the
+//! first time both its states are occupied, and `R`, the number of ordered
 //! reactive pairs of distinct agents. Every scan runs over occupied states
 //! only, so building the index costs `O(k + occupied²)` and a count change
 //! `O(occupied)`: a protocol with 512 declared states of which five are
-//! ever occupied asks about 25 pairs, not 262 144.
+//! ever occupied asks about 25 pairs, not 262 144. Above the population's
+//! batch limit there is no index; its loop shares the per-step body and
+//! reads the same count vector.
 //!
 //! The memo is filled when a state becomes occupied, so the scans read it
 //! as a plain slice. The protocol is needed only then, so the index takes
@@ -28,8 +31,6 @@ const REACTIVE: u8 = 2;
 
 #[derive(Debug, Clone)]
 pub(crate) struct ReactivityIndex {
-    /// Per-state agent counts.
-    dense: Vec<u64>,
     /// States with a nonzero count, ascending.
     occupied: Vec<usize>,
     /// Row-major `k × k` tri-state memo of `is_reactive`.
@@ -39,21 +40,20 @@ pub(crate) struct ReactivityIndex {
 }
 
 impl ReactivityIndex {
-    /// Indexes `dense` (one count per protocol state).
-    pub(crate) fn new(protocol: &dyn Protocol, dense: Vec<u64>) -> Self {
-        let k = dense.len();
+    /// Indexes `counts` (one count per protocol state).
+    pub(crate) fn new(protocol: &dyn Protocol, counts: &[u64]) -> Self {
+        let k = counts.len();
         let mut index = Self {
-            dense,
             occupied: Vec::new(),
             memo: vec![UNKNOWN; k * k],
             pairs: 0,
         };
-        for s in 0..k {
-            if index.dense[s] > 0 {
-                index.occupy(protocol, s);
+        for (s, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                index.occupy(protocol, k, s);
             }
         }
-        index.recount();
+        index.recount(counts);
         index
     }
 
@@ -67,23 +67,11 @@ impl ReactivityIndex {
         self.occupied.len()
     }
 
-    /// Per-state agent counts.
-    pub(crate) fn counts(&self) -> &[u64] {
-        &self.dense
-    }
-
-    /// The counts for an in-place collision epoch; follow it with
-    /// [`ReactivityIndex::sync_epoch`].
-    pub(crate) fn counts_mut(&mut self) -> &mut [u64] {
-        &mut self.dense
-    }
-
     /// Inserts `s` into the occupied list and fills the memo for every pair
-    /// it forms with an occupied state. `O(occupied)`.
-    fn occupy(&mut self, protocol: &dyn Protocol, s: usize) {
+    /// it forms with an occupied state, of `k` states. `O(occupied)`.
+    fn occupy(&mut self, protocol: &dyn Protocol, k: usize, s: usize) {
         let i = self.occupied.binary_search(&s).unwrap_err();
         self.occupied.insert(i, s);
-        let k = self.dense.len();
         for &v in &self.occupied {
             for (a, b) in [(s, v), (v, s)] {
                 let cell = &mut self.memo[a * k + b];
@@ -100,29 +88,29 @@ impl ReactivityIndex {
     }
 
     /// Recounts `R` over occupied pairs. `O(occupied²)`.
-    fn recount(&mut self) {
-        let k = self.dense.len();
+    fn recount(&mut self, counts: &[u64]) {
+        let k = counts.len();
         let mut total = 0u64;
         for &a in &self.occupied {
             let row = &self.memo[a * k..(a + 1) * k];
-            let ca = self.dense[a];
+            let ca = counts[a];
             for &b in &self.occupied {
                 if row[b] == REACTIVE {
-                    total += ca * (self.dense[b] - u64::from(a == b));
+                    total += ca * (counts[b] - u64::from(a == b));
                 }
             }
         }
         self.pairs = total;
     }
 
-    /// Applies `dense[u] += delta` and adjusts `R`. `O(occupied)`.
-    pub(crate) fn add(&mut self, protocol: &dyn Protocol, u: usize, delta: i64) {
-        let k = self.dense.len();
-        let old = self.dense[u] as i64;
-        let cu = old + delta;
-        self.dense[u] = cu as u64;
+    /// Adjusts occupancy and `R` after `counts[u]` changed by `delta`
+    /// (`counts` holds the new value). `O(occupied)`.
+    pub(crate) fn add(&mut self, protocol: &dyn Protocol, counts: &[u64], u: usize, delta: i64) {
+        let k = counts.len();
+        let cu = counts[u] as i64;
+        let old = cu - delta;
         if old == 0 {
-            self.occupy(protocol, u);
+            self.occupy(protocol, k, u);
         }
         let mut d = 0i64;
         for &v in &self.occupied {
@@ -133,7 +121,7 @@ impl ReactivityIndex {
                 }
                 continue;
             }
-            let cv = self.dense[v] as i64;
+            let cv = counts[v] as i64;
             if self.memo[u * k + v] == REACTIVE {
                 d += delta * cv;
             }
@@ -147,48 +135,34 @@ impl ReactivityIndex {
         self.pairs = (self.pairs as i64 + d) as u64;
     }
 
-    /// Applies one interaction `(a, b) → (a2, b2)`.
-    pub(crate) fn apply(
-        &mut self,
-        protocol: &dyn Protocol,
-        a: usize,
-        b: usize,
-        a2: usize,
-        b2: usize,
-    ) {
-        for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
-            self.add(protocol, s, d);
-        }
-    }
-
     /// Brings occupancy and `R` up to date after a collision epoch moved
-    /// `delta` (its net per-state movement) through [`Self::counts_mut`].
-    pub(crate) fn sync_epoch(&mut self, protocol: &dyn Protocol, delta: &[i64]) {
+    /// `delta` (its net per-state movement) into `counts`.
+    pub(crate) fn sync_epoch(&mut self, protocol: &dyn Protocol, counts: &[u64], delta: &[i64]) {
         for (s, &d) in delta.iter().enumerate() {
             if d == 0 {
                 continue;
             }
-            if self.dense[s] as i64 == d {
-                self.occupy(protocol, s);
-            } else if self.dense[s] == 0 {
+            if counts[s] as i64 == d {
+                self.occupy(protocol, counts.len(), s);
+            } else if counts[s] == 0 {
                 self.vacate(s);
             }
         }
-        self.recount();
+        self.recount(counts);
     }
 
     /// Samples an ordered reactive state pair with probability proportional
     /// to the agent pairs realizing it, from one `rng.below(R)` draw.
-    pub(crate) fn sample_reactive_pair(&self, rng: &mut SimRng) -> (usize, usize) {
+    pub(crate) fn sample_reactive_pair(&self, counts: &[u64], rng: &mut SimRng) -> (usize, usize) {
         debug_assert!(self.pairs > 0);
-        let k = self.dense.len();
+        let k = counts.len();
         let mut r = rng.below(self.pairs);
         for &a in &self.occupied {
             let row = &self.memo[a * k..(a + 1) * k];
-            let ca = self.dense[a];
+            let ca = counts[a];
             for &b in &self.occupied {
                 if row[b] == REACTIVE {
-                    let w = ca * (self.dense[b] - u64::from(a == b));
+                    let w = ca * (counts[b] - u64::from(a == b));
                     if r < w {
                         return (a, b);
                     }
@@ -201,8 +175,8 @@ impl ReactivityIndex {
 
     /// Whether the occupied list and `R` match a recount that asks the
     /// protocol directly instead of the memo (for debug assertions).
-    pub(crate) fn is_consistent(&self, protocol: &dyn Protocol) -> bool {
-        let occupied = (0..self.dense.len()).filter(|&s| self.dense[s] > 0);
+    pub(crate) fn is_consistent(&self, protocol: &dyn Protocol, counts: &[u64]) -> bool {
+        let occupied = (0..counts.len()).filter(|&s| counts[s] > 0);
         if !occupied.eq(self.occupied.iter().copied()) {
             return false;
         }
@@ -210,7 +184,7 @@ impl ReactivityIndex {
         for &a in &self.occupied {
             for &b in &self.occupied {
                 if protocol.is_reactive(a, b) {
-                    total += self.dense[a] * (self.dense[b] - u64::from(a == b));
+                    total += counts[a] * (counts[b] - u64::from(a == b));
                 }
             }
         }
@@ -235,17 +209,21 @@ mod tests {
             let all = (0..5).flat_map(|a| (0..5).map(move |b| (a, b)));
             all.filter(|&(a, b)| p.is_reactive(a, b)).map(pair).sum()
         };
-        let mut index = ReactivityIndex::new(&p, vec![5, 0, 7, 0, 1]);
+        let mut counts = vec![5, 0, 7, 0, 1];
+        let mut index = ReactivityIndex::new(&p, &counts);
         let mut rng = SimRng::seed_from(3);
         for _ in 0..2_000 {
-            assert_eq!(index.pairs(), bruteforce(index.counts()));
-            assert!(index.is_consistent(&p));
+            assert_eq!(index.pairs(), bruteforce(&counts));
+            assert!(index.is_consistent(&p, &counts));
             if index.pairs() == 0 {
                 break;
             }
-            let (a, b) = index.sample_reactive_pair(&mut rng);
+            let (a, b) = index.sample_reactive_pair(&counts, &mut rng);
             let (a2, b2) = p.interact(a, b, &mut rng);
-            index.apply(&p, a, b, a2, b2);
+            for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
+                counts[s] = counts[s].wrapping_add_signed(d);
+                index.add(&p, &counts, s, d);
+            }
         }
     }
 }

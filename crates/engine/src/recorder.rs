@@ -155,11 +155,38 @@ impl Recorder {
         if let Some(log) = &mut self.dispatch {
             log.push(tally.dispatch_record(out.executed));
         }
-        self.add_counts(&tally.counts);
+        for (counter, value) in [
+            (Counter::CollisionEpochs, tally.epochs),
+            (Counter::CollisionBatchedSteps, tally.epoch_steps),
+            (Counter::ReactiveDenseSteps, tally.per_steps),
+            (Counter::NoopLeaps, tally.leaps),
+            (Counter::NoopStepsLeaped, tally.leaped),
+            (
+                Counter::DenseFallbackEntries,
+                u64::from(tally.dense_fallback),
+            ),
+        ] {
+            self.add(counter, value);
+        }
+        // No leap or batch of this call settled more than it executed, so
+        // the buckets above `out.executed`'s are empty.
+        let top = bucket_of(out.executed).min(HIST_BUCKETS - 1);
+        for (hist, buckets) in [
+            (Hist::LeapLen, &tally.leap_len),
+            (Hist::EpochLen, &tally.epoch_len),
+        ] {
+            debug_assert!(buckets[top + 1..].iter().all(|&c| c == 0));
+            let mine = &mut self.hists[hist as usize][..=top];
+            for (a, b) in mine.iter_mut().zip(buckets) {
+                *a += b;
+            }
+        }
     }
 
-    /// Adds `other`'s counters and histograms into this recorder.
-    fn add_counts(&mut self, other: &Recorder) {
+    /// Adds everything `other` recorded into this recorder; its dispatch
+    /// records follow this one's. Section times merge only when both
+    /// recorders time sections.
+    pub fn merge(&mut self, other: Recorder) {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
@@ -171,13 +198,6 @@ impl Recorder {
         {
             *a += b;
         }
-    }
-
-    /// Adds everything `other` recorded into this recorder; its dispatch
-    /// records follow this one's. Section times merge only when both
-    /// recorders time sections.
-    pub fn merge(&mut self, other: Recorder) {
-        self.add_counts(&other);
         if let (Some(mine), Some(theirs)) = (&mut self.sections, &other.sections) {
             mine.merge(theirs);
         }
@@ -310,8 +330,9 @@ pub fn installed_metrics() -> Option<MetricsReport> {
 /// One count-backend `step_batch` call's regime tallies.
 ///
 /// Leap- and epoch-heavy batches fire thousands of capture points each;
-/// the batch loop counts them into this local scratch recorder and hands
-/// the tally to the run's recorder once at batch end, where it feeds the
+/// the batch loop counts them into this local tally, which holds only the
+/// regime counters and the two histograms those points touch, and hands
+/// it to the run's recorder once at batch end, where it feeds the
 /// counters and forms the batch's [`DispatchRecord`].
 #[derive(Debug)]
 pub(crate) struct BatchTally {
@@ -325,57 +346,78 @@ pub(crate) struct BatchTally {
     scale: u64,
     /// First regime chosen; `None` when the batch entered silent.
     first: Option<&'static str>,
-    counts: Recorder,
+    /// Collision batches and the activations they settled, per-step steps,
+    /// no-op leaps and the activations they skipped.
+    epochs: u64,
+    epoch_steps: u64,
+    per_steps: u64,
+    leaps: u64,
+    leaped: u64,
+    /// Whether the batch ran the dense loop above the batch state limit.
+    dense_fallback: bool,
+    /// `Hist::LeapLen` and `Hist::EpochLen` buckets.
+    leap_len: [u64; HIST_BUCKETS],
+    epoch_len: [u64; HIST_BUCKETS],
 }
 
 impl BatchTally {
+    /// An empty tally of a `backend` batch entering with `pairs` among `n`
+    /// agents in `occupied` states, over a weight scale of `scale`.
+    fn empty(
+        backend: &'static str,
+        n: u64,
+        occupied: Option<u64>,
+        pairs: Option<u64>,
+        scale: u64,
+    ) -> Self {
+        Self {
+            backend,
+            n,
+            occupied,
+            pairs,
+            scale,
+            first: None,
+            epochs: 0,
+            epoch_steps: 0,
+            per_steps: 0,
+            leaps: 0,
+            leaped: 0,
+            dense_fallback: false,
+            leap_len: [0; HIST_BUCKETS],
+            epoch_len: [0; HIST_BUCKETS],
+        }
+    }
+
     /// An empty `CountPopulation` tally for a batch entering with `pairs`
     /// reactive ordered pairs among `n` agents in `occupied` states.
     pub(crate) fn new(n: u64, occupied: u64, pairs: u64) -> Self {
-        Self {
-            backend: "CountPopulation",
-            n,
-            occupied: Some(occupied),
-            pairs: Some(pairs),
-            scale: 1,
-            first: None,
-            counts: Recorder::new(),
-        }
+        Self::empty("CountPopulation", n, Some(occupied), Some(pairs), 1)
     }
 
     /// A `CountPopulation` batch that ran the uncached dense loop: no
     /// reactivity index, so its occupancy and reactive pairs are unknown.
     pub(crate) fn dense_fallback(n: u64) -> Self {
-        let mut tally = Self::new(n, 0, 0);
-        tally.occupied = None;
-        tally.pairs = None;
-        tally.first = Some("dense_fallback");
-        tally.counts.add(Counter::DenseFallbackEntries, 1);
-        tally
+        Self {
+            first: Some("dense_fallback"),
+            dense_fallback: true,
+            ..Self::empty("CountPopulation", n, None, None, 1)
+        }
     }
 
     /// An empty `SparseCountPopulation` tally: `weight` is `W`, the
     /// rule-weighted reactive pairs over a weight scale of `scale`, known
     /// when the batch enters leaping.
     pub(crate) fn sparse(n: u64, occupied: u64, weight: Option<u64>, scale: u64) -> Self {
-        Self {
-            backend: "SparseCountPopulation",
-            n,
-            occupied: Some(occupied),
-            pairs: weight,
-            scale,
-            first: None,
-            counts: Recorder::new(),
-        }
+        Self::empty("SparseCountPopulation", n, Some(occupied), weight, scale)
     }
 
     /// One collision batch that settled `steps` activations.
     #[inline]
     pub(crate) fn epoch(&mut self, steps: u64) {
         self.first.get_or_insert("collision");
-        self.counts.add(Counter::CollisionEpochs, 1);
-        self.counts.add(Counter::CollisionBatchedSteps, steps);
-        self.counts.observe(Hist::EpochLen, steps);
+        self.epochs += 1;
+        self.epoch_steps += steps;
+        self.epoch_len[bucket_of(steps).min(HIST_BUCKETS - 1)] += 1;
     }
 
     /// One individually sampled step in the per-step regime.
@@ -388,16 +430,16 @@ impl BatchTally {
     #[inline]
     pub(crate) fn per_steps(&mut self, steps: u64) {
         self.first.get_or_insert("per_step");
-        self.counts.add(Counter::ReactiveDenseSteps, steps);
+        self.per_steps += steps;
     }
 
     /// One geometric no-op leap that skipped `skip` activations.
     #[inline]
     pub(crate) fn leap(&mut self, skip: u64) {
         self.first.get_or_insert("leap");
-        self.counts.add(Counter::NoopLeaps, 1);
-        self.counts.add(Counter::NoopStepsLeaped, skip);
-        self.counts.observe(Hist::LeapLen, skip);
+        self.leaps += 1;
+        self.leaped += skip;
+        self.leap_len[bucket_of(skip).min(HIST_BUCKETS - 1)] += 1;
     }
 
     /// The batch's dispatch record. Unknown inputs (a dense-fallback
@@ -405,11 +447,10 @@ impl BatchTally {
     /// rendered as JSON null; a dense-fallback batch counts every executed
     /// interaction as a per-step one.
     fn dispatch_record(&self, executed: u64) -> DispatchRecord {
-        let count = |c: Counter| self.counts.counters[c as usize];
-        let per_steps = if count(Counter::DenseFallbackEntries) > 0 {
+        let per_steps = if self.dense_fallback {
             executed
         } else {
-            count(Counter::ReactiveDenseSteps)
+            self.per_steps
         };
         let p = self.pairs.map_or(f64::NAN, |pairs| {
             pairs as f64 / (self.n * (self.n - 1)) as f64 / self.scale as f64
@@ -430,8 +471,8 @@ impl BatchTally {
             },
             regime: self.first.unwrap_or("silent"),
             executed,
-            collision_epochs: count(Counter::CollisionEpochs),
-            leaps: count(Counter::NoopLeaps),
+            collision_epochs: self.epochs,
+            leaps: self.leaps,
             per_steps,
         }
     }

@@ -1003,8 +1003,8 @@ fn usage() -> ExitCode {
          \t              --churn-every R --churn-pct P --churn-state S\n\
          \t              --byz-count K --byz-state S --byz-every R --window R]\n\
          \t             oscillator under fault injection + recovery report\n\
-         \tprofile      [--builtin oscillator|epidemic|plurality-exact --n --rounds --seed\n\
-         \t              --dispatch FILE --json]\n\
+         \tprofile      [--builtin oscillator|epidemic|plurality-exact|plurality|majority\n\
+         \t              --n --rounds --seed --dispatch FILE --json]\n\
          \t             run with the section profiler on; self/total-time tree report\n\
          \tbench-diff   <baseline.jsonl> <current.jsonl> [--tolerance-pct T]\n\
          \t             compare two BENCH_history.jsonl snapshots (exit 1 on regression)\n\
@@ -1033,7 +1033,8 @@ fn run_command(
     match command {
         "list" => {
             println!(
-                "leader leader-exact majority plurality parity oscillator faults run-file resume lint compile"
+                "leader leader-exact majority plurality parity oscillator faults run-file resume lint \
+                 compile profile bench-diff"
             );
             0
         }

@@ -17,7 +17,7 @@ use population_protocols::core::engine::population::Population;
 use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
+use population_protocols::core::engine::sim::{Simulator, StepOutcome};
 use population_protocols::core::engine::snapshot::RunSnapshot;
 
 /// Rock-paper-scissors cycling: never silent, touches every state.
@@ -74,6 +74,19 @@ const WIDE_STATES: usize = 300;
 /// (n = 1 197).
 fn wide_counts() -> Vec<u64> {
     (0..WIDE_STATES as u64).map(|s| 1 + s % 7).collect()
+}
+
+/// States the above-limit scenario declares: more than `CountPopulation`'s
+/// batch limit of 1 024, so its `step_batch` runs the Fenwick-sampled loop
+/// without a reactivity index. Only three of them take part in rules.
+const ABOVE_LIMIT_STATES: usize = 1_100;
+
+/// [`rps`] declared over [`ABOVE_LIMIT_STATES`] states.
+fn rps_above_limit() -> TableProtocol {
+    TableProtocol::new(ABOVE_LIMIT_STATES, "rps-above-limit")
+        .rule(0, 1, 0, 0)
+        .rule(1, 2, 1, 1)
+        .rule(2, 0, 2, 2)
 }
 
 /// A plan mixing all three injector kinds, compiled fresh per run.
@@ -352,6 +365,16 @@ fn wide_replay_is_byte_identical() {
     assert_replay_byte_identical("wide", &drift(WIDE_STATES), &wide_counts(), 1414, 12);
 }
 
+// Above-limit scenario: rock-paper-scissors declared over 1 100 states,
+// whose fault plan scatters agents over the inert ones. The count backend
+// samples every step from its Fenwick tree.
+const ABOVE_LIMIT: &[u64] = &[400, 300, 300];
+
+#[test]
+fn above_limit_replay_is_byte_identical() {
+    assert_replay_byte_identical("above-limit", &rps_above_limit(), ABOVE_LIMIT, 1732, 12);
+}
+
 // Crash-and-resume at a mid-run checkpoint must be invisible in every
 // artifact, on both dispatch regimes. The cut lands after fault triggers
 // have partially fired, so trigger progress, the event log, and the
@@ -371,6 +394,12 @@ fn dense_resume_is_byte_identical() {
 fn wide_resume_is_byte_identical() {
     let p = drift(WIDE_STATES);
     assert_interrupt_resume_byte_identical("wide", &p, &wide_counts(), 1414, 12, 6);
+}
+
+#[test]
+fn above_limit_resume_is_byte_identical() {
+    let p = rps_above_limit();
+    assert_interrupt_resume_byte_identical("above-limit", &p, ABOVE_LIMIT, 1732, 12, 5);
 }
 
 /// Crash-and-resume while the sparse backend leaps: rock-paper-scissors
@@ -501,6 +530,75 @@ fn dense_oscillator_trajectory_matches_pinned_golden() {
     assert_eq!(pop.steps(), 3 * n);
     assert_eq!(fnv1a(&pop.counts()), DENSE_GOLDEN_HASH);
     assert_eq!(rng.state_words(), DENSE_GOLDEN_RNG);
+}
+
+/// FNV-1a of the above-limit run's final counts.
+const ABOVE_LIMIT_GOLDEN_HASH: u64 = 0x699f_45b7_f8c0_a5f4;
+
+/// The generator's state words at the end of that run.
+const ABOVE_LIMIT_GOLDEN_RNG: [u64; 4] = [
+    0xba00_8f05_d831_a33c,
+    0xa03e_84ce_d7cf_b125,
+    0x77a1_2c05_9590_4652,
+    0xf3cd_ba4c_f613_1ccb,
+];
+
+/// Pins the count backend's trajectory above its batch limit: every batch
+/// of rock-paper-scissors over 1 100 declared states runs the
+/// Fenwick-sampled loop, and the final counts and generator state after
+/// four rounds must equal those recorded before that loop shared its step
+/// with `step` and the per-step regime.
+#[test]
+fn above_limit_trajectory_matches_pinned_golden() {
+    let p = rps_above_limit();
+    let n: u64 = ABOVE_LIMIT.iter().sum();
+    let mut pop = CountPopulation::from_counts(&p, ABOVE_LIMIT);
+    let mut rng = SimRng::seed_from(0xa_b0e);
+    let mut recorder = Recorder::new();
+    {
+        let _installed = recorder.install();
+        for _ in 0..4 {
+            pop.step_batch(&mut rng, n);
+        }
+    }
+    let metrics = recorder.metrics();
+    assert_eq!(metrics.counter("dense_fallback_entries"), 4);
+    assert_eq!(metrics.counter("interactions_executed"), 4 * n);
+    assert_eq!(pop.counts().len(), ABOVE_LIMIT_STATES);
+    assert_eq!(fnv1a(&pop.counts()), ABOVE_LIMIT_GOLDEN_HASH);
+    assert_eq!(rng.state_words(), ABOVE_LIMIT_GOLDEN_RNG);
+}
+
+/// Above the batch limit, `step_batch(t)` and `t` calls of `step` consume
+/// the generator identically and walk the same trajectory, including
+/// across a `migrate` between batches.
+#[test]
+fn above_limit_step_batch_matches_single_steps() {
+    let p = rps_above_limit();
+    let mut batched = CountPopulation::from_counts(&p, ABOVE_LIMIT);
+    let mut stepped = CountPopulation::from_counts(&p, ABOVE_LIMIT);
+    let mut rng_batched = SimRng::seed_from(0x57e9);
+    let mut rng_stepped = SimRng::seed_from(0x57e9);
+    for (i, t) in [1u64, 999, 1_000, 2_500].into_iter().enumerate() {
+        let out = batched.step_batch(&mut rng_batched, t);
+        let changed = (0..t)
+            .filter(|_| stepped.step(&mut rng_stepped) == StepOutcome::Changed)
+            .count() as u64;
+        assert_eq!((out.executed, out.changed), (t, changed), "batch {i}");
+        assert_eq!(batched.counts(), stepped.counts(), "batch {i}");
+        assert_eq!(batched.steps(), stepped.steps(), "batch {i}");
+        assert_eq!(
+            rng_batched.state_words(),
+            rng_stepped.state_words(),
+            "batch {i}"
+        );
+        let from = i % 3;
+        assert_eq!(
+            batched.migrate(from, 1_000 + i, 20),
+            stepped.migrate(from, 1_000 + i, 20)
+        );
+    }
+    assert!(batched.counts()[1_000..].iter().sum::<u64>() > 0);
 }
 
 /// The enumeration backend (analyzer-guided live-state compilation) must

@@ -201,3 +201,51 @@ fn program_commands_survive_tiny_populations() {
         }
     }
 }
+
+/// `ppsim list` names the commands of the usage text but itself, and
+/// every profile builtin the usage text names runs.
+#[test]
+fn ppsim_list_and_usage_name_what_the_binary_accepts() {
+    let ppsim = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ppsim"))
+            .args(args)
+            .output()
+            .expect("spawn ppsim")
+    };
+    let listed = String::from_utf8(ppsim(&["list"]).stdout).expect("utf-8 list");
+    let mut listed: Vec<&str> = listed.split_whitespace().collect();
+    let usage = String::from_utf8(ppsim(&[]).stderr).expect("utf-8 usage");
+    let mut commands: Vec<&str> = usage
+        .lines()
+        .skip_while(|l| !l.starts_with("commands:"))
+        .take_while(|l| !l.starts_with("global flags:"))
+        .filter_map(|l| l.strip_prefix('\t'))
+        .filter(|l| !l.starts_with(' '))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    commands.retain(|&c| c != "list");
+    commands.sort_unstable();
+    listed.sort_unstable();
+    assert_eq!(listed, commands, "`ppsim list` against the usage text");
+    let builtins = usage
+        .lines()
+        .find(|l| l.starts_with("\tprofile"))
+        .and_then(|l| l.split("--builtin ").nth(1))
+        .expect("usage names the profile builtins");
+    for builtin in builtins.split('|') {
+        let out = ppsim(&[
+            "profile",
+            "--builtin",
+            builtin,
+            "--n",
+            "200",
+            "--rounds",
+            "2",
+        ]);
+        assert!(
+            out.status.success(),
+            "ppsim profile --builtin {builtin}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
