@@ -64,19 +64,31 @@ pub fn rotation_violations(events: &[Dominance]) -> usize {
         .count()
 }
 
-/// Measures full oscillation periods: the time between successive dominance
-/// events of the *same* species. Returns one duration per completed cycle.
+/// Walks a dominance sequence cycle by cycle: one `(completion time,
+/// period)` pair per completed cycle, where the period is the time since
+/// the previous dominance event of the *same* species and the completion
+/// time is the event that closed it.
 #[must_use]
-pub fn periods(events: &[Dominance]) -> Vec<f64> {
+pub fn completed_periods(events: &[Dominance]) -> Vec<(f64, f64)> {
     let mut last_seen: [Option<f64>; NUM_SPECIES] = [None; NUM_SPECIES];
     let mut out = Vec::new();
     for e in events {
         if let Some(prev) = last_seen[e.species] {
-            out.push(e.time - prev);
+            out.push((e.time, e.time - prev));
         }
         last_seen[e.species] = Some(e.time);
     }
     out
+}
+
+/// Measures full oscillation periods: the time between successive dominance
+/// events of the *same* species. Returns one duration per completed cycle.
+#[must_use]
+pub fn periods(events: &[Dominance]) -> Vec<f64> {
+    completed_periods(events)
+        .into_iter()
+        .map(|(_, period)| period)
+        .collect()
 }
 
 /// The smallest species count in a row (`a_min` in the paper's notation).
@@ -181,6 +193,7 @@ mod tests {
         ];
         let p = periods(&ev);
         assert_eq!(p, vec![3.5, 3.5]);
+        assert_eq!(completed_periods(&ev), vec![(3.5, 3.5), (4.5, 3.5)]);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Paper-facing diagnostic observers: dominance-rotation recording, per-level
-//! tick tracing, and good-iteration estimation.
+//! Paper-facing diagnostic recorders: per-level tick tracing,
+//! good-iteration estimation, and fault-recovery measurement.
 //!
 //! Where [`crate::detect`] provides pure functions over already-recorded
-//! traces, this module provides the *recorders* that hook into live runs:
+//! traces, this module provides the *recorders* a run feeds as it goes.
+//! Dominance rotation needs no recorder: a run samples species counts
+//! between its own `step_batch` calls and hands the rows to
+//! [`crate::detect`], which measures the `Θ(log n)` rotation period of
+//! Theorem 5.1.
 //!
-//! * [`DominanceRecorder`] — an [`Observer`] that samples species counts on
-//!   a parallel-time grid and summarizes the oscillator's rotation as
-//!   dominance events, period lists, and a log₂ period histogram. Theorem
-//!   5.1 predicts a rotation period of `Θ(log n)`; the recorded median
-//!   period makes that measurable per run.
 //! * [`TickTracer`] — tracks the majority phase of every level of a
 //!   [`crate::hierarchy::ClockHierarchy`] population and records each majority-phase change
 //!   ("tick") with its parallel time. Adjacent levels should tick at rates
@@ -23,150 +22,16 @@
 //!   measurement. The probe timestamps when an arbitrary scalar health
 //!   statistic (majority share, tick rate, `a_min`, …) returns to a
 //!   pre-fault band and stays there; `rotation_recovery` applies the same
-//!   idea to a [`DominanceRecorder`] trace, declaring recovery when the
+//!   idea to a trace of species-count rows, declaring recovery when the
 //!   post-fault rotation period comes back within tolerance of the
 //!   pre-fault median. Together they quantify the self-stabilization the
 //!   clock constructions are claimed to have.
 
-use crate::detect::{dominance_events, periods, Dominance};
+use crate::detect::{completed_periods, dominance_events, periods};
 use crate::hierarchy::HierAgent;
-use crate::oscillator::{Oscillator, NUM_SPECIES};
+use crate::oscillator::NUM_SPECIES;
 use pp_engine::obj::{ObjPopulation, ObjProtocol};
-use pp_engine::observe::Observer;
-use pp_engine::sim::Simulator;
 use pp_engine::trace::Tracer;
-
-/// Records species counts of an oscillator run on a parallel-time grid and
-/// summarizes the dominance rotation.
-///
-/// Attach to any dense-backend run of an [`Oscillator`] protocol via
-/// [`pp_engine::sim::run_rounds`]; afterwards query [`DominanceRecorder::events`],
-/// [`DominanceRecorder::periods`], [`DominanceRecorder::median_period`], or
-/// [`DominanceRecorder::period_histogram`].
-///
-/// # Examples
-///
-/// ```
-/// use pp_clocks::diag::DominanceRecorder;
-/// use pp_clocks::oscillator::{central_init, Dk18Oscillator};
-/// use pp_engine::counts::CountPopulation;
-/// use pp_engine::rng::SimRng;
-/// use pp_engine::sim::run_rounds;
-///
-/// let osc = Dk18Oscillator::new();
-/// let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, 2000, 5));
-/// let mut rec = DominanceRecorder::new(osc, 0.8, 0.5);
-/// let mut rng = SimRng::seed_from(1);
-/// run_rounds(&mut pop, 150.0, &mut rng, &mut [&mut rec]);
-/// assert!(rec.events().len() > 3, "the oscillator rotates");
-/// ```
-#[derive(Debug, Clone)]
-pub struct DominanceRecorder<O> {
-    oscillator: O,
-    threshold: f64,
-    /// Sampling interval in rounds.
-    every_rounds: f64,
-    next_step: u64,
-    rows: Vec<(f64, [u64; NUM_SPECIES])>,
-}
-
-impl<O: Oscillator> DominanceRecorder<O> {
-    /// Creates a recorder sampling every `every_rounds` rounds and calling
-    /// a species dominant when its share exceeds `threshold`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every_rounds <= 0` or `threshold` is not in `(0.5, 1.0)`.
-    #[must_use]
-    pub fn new(oscillator: O, threshold: f64, every_rounds: f64) -> Self {
-        assert!(every_rounds > 0.0);
-        assert!(
-            threshold > 0.5 && threshold < 1.0,
-            "threshold must be in (0.5, 1.0)"
-        );
-        Self {
-            oscillator,
-            threshold,
-            every_rounds,
-            next_step: 0,
-            rows: Vec::new(),
-        }
-    }
-
-    /// The sampled `(time, [#A₁, #A₂, #A₃])` rows.
-    #[must_use]
-    pub fn rows(&self) -> &[(f64, [u64; NUM_SPECIES])] {
-        &self.rows
-    }
-
-    /// Dominance events extracted from the recorded rows.
-    #[must_use]
-    pub fn events(&self) -> Vec<Dominance> {
-        dominance_events(&self.rows, self.threshold)
-    }
-
-    /// Full-cycle periods (same-species return times) in rounds.
-    #[must_use]
-    pub fn periods(&self) -> Vec<f64> {
-        periods(&self.events())
-    }
-
-    /// Median rotation period in rounds, or `None` before the first
-    /// completed cycle. Theorem 5.1 predicts `Θ(log n)`.
-    #[must_use]
-    pub fn median_period(&self) -> Option<f64> {
-        let mut p = self.periods();
-        if p.is_empty() {
-            return None;
-        }
-        p.sort_by(|a, b| a.partial_cmp(b).expect("periods are finite"));
-        Some(p[p.len() / 2])
-    }
-
-    /// Log₂-bucketed histogram of rotation periods: bucket `i` counts
-    /// periods `p` with `⌈p⌉ ∈ [2^{i−1}+1 .. 2^i]` (bucket 0 counts `p ≤ 1`).
-    /// Trailing empty buckets are trimmed.
-    #[must_use]
-    pub fn period_histogram(&self) -> Vec<u64> {
-        let mut hist = Vec::new();
-        for p in self.periods() {
-            let v = p.ceil().max(0.0) as u64;
-            let bucket = if v <= 1 {
-                0
-            } else {
-                (64 - (v - 1).leading_zeros()) as usize
-            };
-            if hist.len() <= bucket {
-                hist.resize(bucket + 1, 0);
-            }
-            hist[bucket] += 1;
-        }
-        hist
-    }
-}
-
-impl<O: Oscillator> Observer for DominanceRecorder<O> {
-    fn observe(&mut self, steps: u64, sim: &dyn Simulator) {
-        if steps < self.next_step {
-            return;
-        }
-        // Accumulate species counts state-by-state: no intermediate
-        // count-vector allocation per checkpoint.
-        let mut counts = [0u64; NUM_SPECIES];
-        for state in 0..self.oscillator.num_states() {
-            if let Some(s) = self.oscillator.species_of(state) {
-                counts[s] += sim.count(state);
-            }
-        }
-        self.rows.push((sim.time(), counts));
-        let stride = (self.every_rounds * sim.n() as f64).max(1.0) as u64;
-        self.next_step = steps + stride;
-    }
-
-    fn stride(&self, steps: u64, _sim: &dyn Simulator) -> u64 {
-        self.next_step.saturating_sub(steps).max(1)
-    }
-}
 
 /// One recorded tick: a level's majority phase changed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -501,7 +366,7 @@ pub struct RotationRecovery {
 }
 
 /// Measures when dominance rotation recovers after a fault at `fault_time`,
-/// from a [`DominanceRecorder`]-style trace of `(time, counts)` rows.
+/// from a trace of `(time, [#A₁, #A₂, #A₃])` rows.
 ///
 /// The pre-fault rows establish a baseline median full-cycle period;
 /// recovery is the completion time of the first *entirely post-fault* cycle
@@ -543,23 +408,14 @@ pub fn rotation_recovery(
         pre_median * (1.0 - tolerance).max(0.0),
         pre_median * (1.0 + tolerance),
     );
-    // Walk post-fault events by hand (rather than through `periods`) to
-    // keep each cycle's completion timestamp.
-    let mut last_seen: [Option<f64>; NUM_SPECIES] = [None; NUM_SPECIES];
-    for e in dominance_events(&post, threshold) {
-        if let Some(prev) = last_seen[e.species] {
-            let period = e.time - prev;
-            if (lo..=hi).contains(&period) {
-                return Some(RotationRecovery {
-                    pre_median,
-                    recovered_at: e.time,
-                    recovery_time: e.time - fault_time,
-                });
-            }
-        }
-        last_seen[e.species] = Some(e.time);
-    }
-    None
+    completed_periods(&dominance_events(&post, threshold))
+        .into_iter()
+        .find(|(_, period)| (lo..=hi).contains(period))
+        .map(|(time, _)| RotationRecovery {
+            pre_median,
+            recovered_at: time,
+            recovery_time: time - fault_time,
+        })
 }
 
 #[cfg(test)]
@@ -567,39 +423,66 @@ mod tests {
     use super::*;
     use crate::hierarchy::ClockHierarchy;
     use crate::junta::PairwiseElimination;
-    use crate::oscillator::{central_init, Dk18Oscillator};
+    use crate::oscillator::{central_init, Dk18Oscillator, Oscillator};
     use pp_engine::counts::CountPopulation;
     use pp_engine::json::parse_jsonl;
     use pp_engine::rng::SimRng;
-    use pp_engine::sim::run_rounds;
+    use pp_engine::sim::{run_rounds, Simulator};
+
+    /// Samples `(time, [#A₁, #A₂, #A₃])` rows over `rounds` parallel
+    /// rounds: one step first, then `⌊every · n⌋` steps per batch, with a
+    /// row after every batch that ran its full length (a final batch cut
+    /// short by the round budget leaves none).
+    fn species_rows<S: Simulator>(
+        osc: &impl Oscillator,
+        pop: &mut S,
+        rounds: f64,
+        every: f64,
+        rng: &mut SimRng,
+    ) -> Vec<(f64, [u64; NUM_SPECIES])> {
+        let target = pop.steps() + (rounds * pop.n() as f64).ceil() as u64;
+        let stride = (every * pop.n() as f64).max(1.0) as u64;
+        let mut batch = 1;
+        let mut rows = Vec::new();
+        while pop.steps() < target {
+            let out = pop.step_batch(rng, batch.min(target - pop.steps()));
+            if out.executed == batch {
+                rows.push((pop.time(), osc.species_counts(&pop.counts())));
+            }
+            if out.silent || out.executed == 0 {
+                break;
+            }
+            batch = stride;
+        }
+        rows
+    }
+
+    /// The median (upper median for an even count) full-cycle period of
+    /// `rows`, or `None` before the first completed cycle.
+    fn median_period(rows: &[(f64, [u64; NUM_SPECIES])]) -> Option<f64> {
+        let mut p = periods(&dominance_events(rows, 0.8));
+        p.sort_by(f64::total_cmp);
+        p.get(p.len() / 2).copied()
+    }
 
     fn median_period_at(n: u64, seed: u64, rounds: f64) -> f64 {
         let osc = Dk18Oscillator::new();
         let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, 5));
-        let mut rec = DominanceRecorder::new(osc, 0.8, 0.5);
         let mut rng = SimRng::seed_from(seed);
-        run_rounds(&mut pop, rounds, &mut rng, &mut [&mut rec]);
-        rec.median_period()
-            .unwrap_or_else(|| panic!("no completed cycle at n={n}"))
+        let rows = species_rows(&osc, &mut pop, rounds, 0.5, &mut rng);
+        median_period(&rows).unwrap_or_else(|| panic!("no completed cycle at n={n}"))
     }
 
     #[test]
     fn dominance_recorder_measures_rotation() {
         let osc = Dk18Oscillator::new();
         let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, 2_000, 5));
-        let mut rec = DominanceRecorder::new(osc, 0.8, 0.5);
         let mut rng = SimRng::seed_from(3);
-        run_rounds(&mut pop, 200.0, &mut rng, &mut [&mut rec]);
-        assert!(rec.rows().len() > 100, "grid sampled: {}", rec.rows().len());
-        let events = rec.events();
+        let rows = species_rows(&osc, &mut pop, 200.0, 0.5, &mut rng);
+        assert!(rows.len() > 100, "grid sampled: {}", rows.len());
+        let events = dominance_events(&rows, 0.8);
         assert!(events.len() > 3, "rotation events: {}", events.len());
-        let hist = rec.period_histogram();
-        assert_eq!(
-            hist.iter().sum::<u64>() as usize,
-            rec.periods().len(),
-            "histogram covers every period"
-        );
-        assert!(rec.median_period().unwrap() > 0.0);
+        assert!(median_period(&rows).unwrap() > 0.0);
     }
 
     #[test]
@@ -732,7 +615,6 @@ mod tests {
     /// clock's junta-elimination layer is what heals `X` pollution; see
     /// `elimination_invariant_survives_churn` below.)
     fn dent_recovery_times(n: u64, seed: u64) -> Vec<f64> {
-        use crate::oscillator::Oscillator;
         use pp_engine::faults::{FaultSpec, FaultyPopulation};
 
         let fault_times = [120.0, 240.0, 360.0];
@@ -741,17 +623,15 @@ mod tests {
         let pin = osc.species_state(0);
         let spec = FaultSpec::new(seed ^ 0xfa17).byzantine((n * 2) / 5, pin, 120.0);
         let mut pop = FaultyPopulation::new(inner, &spec).expect("valid spec");
-        let mut rec = DominanceRecorder::new(osc, 0.8, 0.25);
         let mut rng = SimRng::seed_from(seed);
-        run_rounds(&mut pop, 470.0, &mut rng, &mut [&mut rec]);
+        let rows = species_rows(&osc, &mut pop, 470.0, 0.25, &mut rng);
         assert_eq!(pop.events().len(), 3, "all injections fired");
         fault_times
             .iter()
             .filter_map(|&ft| {
                 // Window each measurement so the next injection cannot
                 // contaminate it.
-                let window: Vec<_> = rec
-                    .rows()
+                let window: Vec<_> = rows
                     .iter()
                     .copied()
                     .filter(|(t, _)| *t <= ft + 110.0)
@@ -811,7 +691,7 @@ mod tests {
         let mut pop = FaultyPopulation::new(inner, &spec).expect("valid spec");
         let mut rng = SimRng::seed_from(78);
         for _ in 0..200 {
-            run_rounds(&mut pop, 1.0, &mut rng, &mut []);
+            run_rounds(&mut pop, 1.0, &mut rng);
             let x = elim.count_x(&pop.counts());
             assert!(x >= 1, "#X >= 1 must survive churn (got {x})");
         }

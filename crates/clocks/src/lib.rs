@@ -26,10 +26,9 @@
 //!   scheduler one activation per outer period, separating adjacent
 //!   levels' tick rates by `Θ(log n)`.
 //! * [`detect`] — measurement utilities: dominance events, rotation order,
-//!   periods, escape times.
+//!   completed cycles and periods, escape times.
 //! * [`diag`] — live diagnostic recorders built on the engine's telemetry:
-//!   dominance-rotation periods, per-level tick rates, good-iteration
-//!   fractions.
+//!   per-level tick rates, good-iteration fractions, fault recovery.
 //!
 //! # Examples
 //!
@@ -67,7 +66,7 @@ pub mod oscillator;
 pub mod phase_clock;
 
 pub use controlled::{ControlledClock, FixedX};
-pub use diag::{DominanceRecorder, GoodIterationEstimator, TickTracer};
+pub use diag::{GoodIterationEstimator, TickTracer};
 pub use hierarchy::{ClockHierarchy, HierAgent};
 pub use junta::{GsJunta, KLevelDecay, PairwiseElimination, XControl};
 pub use oscillator::{Dk18Oscillator, Oscillator, RpsOscillator};

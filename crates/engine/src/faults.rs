@@ -955,7 +955,7 @@ mod tests {
         let spec = FaultSpec::new(3).corrupt(2.0, 0.5, CorruptMode::Zero);
         let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
         let mut rng = SimRng::seed_from(5);
-        run_rounds(&mut pop, 6.0, &mut rng, &mut []);
+        run_rounds(&mut pop, 6.0, &mut rng);
         assert_eq!(pop.events().len(), 1);
         let ev = &pop.events()[0];
         assert_eq!(ev.kind, "corrupt");
@@ -972,7 +972,7 @@ mod tests {
         let spec = FaultSpec::new(4).churn(1.0, 0.1, 0);
         let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
         let mut rng = SimRng::seed_from(6);
-        run_rounds(&mut pop, 5.5, &mut rng, &mut []);
+        run_rounds(&mut pop, 5.5, &mut rng);
         assert_eq!(pop.events().len(), 5, "one churn per round");
         for (i, ev) in pop.events().iter().enumerate() {
             assert_eq!(ev.kind, "churn");
@@ -991,7 +991,7 @@ mod tests {
         let spec = FaultSpec::new(8).byzantine(40, 1, 1.0);
         let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
         let mut rng = SimRng::seed_from(7);
-        run_rounds(&mut pop, 1.0, &mut rng, &mut []);
+        run_rounds(&mut pop, 1.0, &mut rng);
         // The trigger sits exactly at the round boundary; one more step
         // ensures it has fired.
         pop.step_batch(&mut rng, 1);
@@ -1032,7 +1032,7 @@ mod tests {
             let inner = SparseCountPopulation::from_dense(&p, &[400, 100]);
             let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
             let mut rng = SimRng::seed_from(seed);
-            run_rounds(&mut pop, 8.0, &mut rng, &mut []);
+            run_rounds(&mut pop, 8.0, &mut rng);
             (pop.counts(), pop.events().to_vec())
         };
         assert_eq!(run(13), run(13));
@@ -1047,7 +1047,7 @@ mod tests {
             ($inner:expr) => {{
                 let mut pop = FaultyPopulation::new($inner, &spec).unwrap();
                 let mut rng = SimRng::seed_from(17);
-                run_rounds(&mut pop, 3.0, &mut rng, &mut []);
+                run_rounds(&mut pop, 3.0, &mut rng);
                 assert_eq!(pop.events().len(), 1);
                 assert_eq!(total(&pop.counts()), 600, "n is conserved");
             }};
@@ -1064,7 +1064,7 @@ mod tests {
         let spec = FaultSpec::new(1).corrupt(0.5, 1.0, CorruptMode::Zero);
         let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
         let mut rng = SimRng::seed_from(2);
-        run_rounds(&mut pop, 1.0, &mut rng, &mut []);
+        run_rounds(&mut pop, 1.0, &mut rng);
         let rows = crate::json::parse_jsonl(&pop.events_jsonl()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("fault").and_then(Json::as_str), Some("corrupt"));

@@ -6,8 +6,7 @@
 //! reproduction of *Population Protocols Are Fast* (Kosowski & Uznański,
 //! PODC 2018): the protocol crates define transition functions, and this
 //! crate supplies exact schedulers, fast simulation backends, the mean-field
-//! (continuous-limit) integrator, the checkpoint hook that measurement
-//! observers attach to, statistics, and a parallel sweep harness.
+//! (continuous-limit) integrator, statistics, and a parallel sweep harness.
 //!
 //! ## Backends
 //!
@@ -75,7 +74,6 @@ pub mod matching;
 pub mod meanfield;
 pub mod metrics;
 pub mod obj;
-pub mod observe;
 pub mod population;
 pub mod prof;
 pub mod protocol;

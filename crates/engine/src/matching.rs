@@ -320,7 +320,7 @@ mod tests {
         for (seed, rounds) in [(7u64, 0.3f64), (8, 1.7), (9, 5.5), (10, 12.9)] {
             let mut pop = MatchingPopulation::from_counts(swap.clone(), &[n - 1, 1]);
             let mut rng = SimRng::seed_from(seed);
-            crate::sim::run_rounds(&mut pop, rounds, &mut rng, &mut []);
+            crate::sim::run_rounds(&mut pop, rounds, &mut rng);
             let target = (rounds * n as f64).ceil() as u64;
             assert!(
                 pop.steps() >= target,

@@ -6,8 +6,8 @@
 //! backend: interactions executed/changed, no-op leap counts and
 //! leap-length distribution ([`Hist::LeapLen`]), collision epochs and their
 //! lengths, `CountPopulation` dense-fallback entries, Fenwick (re)builds,
-//! batch-cache rebuilds, batch sizes, observer callbacks, matching rounds,
-//! silence detections, fault injections, and sweep task timings.
+//! batch-cache rebuilds, batch sizes, matching rounds, silence detections,
+//! fault injections, and sweep task timings.
 //!
 //! [`crate::recorder::Recorder::metrics`] freezes a recorder into a
 //! [`MetricsReport`] that renders to JSON via [`crate::json`]; `ppsim
@@ -45,8 +45,6 @@ pub enum Counter {
     BatchCacheRebuilds,
     /// `step_batch` calls across all backends.
     Batches,
-    /// Observer checkpoint callbacks delivered by the run loops.
-    ObserverCallbacks,
     /// Batches that ended with the configuration known silent.
     SilenceDetections,
     /// Random-matching rounds executed.
@@ -66,7 +64,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 16] = [
         Counter::InteractionsExecuted,
         Counter::InteractionsChanged,
         Counter::NoopLeaps,
@@ -76,7 +74,6 @@ impl Counter {
         Counter::FenwickRebuilds,
         Counter::BatchCacheRebuilds,
         Counter::Batches,
-        Counter::ObserverCallbacks,
         Counter::SilenceDetections,
         Counter::MatchingRounds,
         Counter::SweepTasks,
@@ -99,7 +96,6 @@ impl Counter {
             Counter::FenwickRebuilds => "fenwick_rebuilds",
             Counter::BatchCacheRebuilds => "batch_cache_rebuilds",
             Counter::Batches => "batches",
-            Counter::ObserverCallbacks => "observer_callbacks",
             Counter::SilenceDetections => "silence_detections",
             Counter::MatchingRounds => "matching_rounds",
             Counter::SweepTasks => "sweep_tasks",
@@ -504,7 +500,8 @@ mod tests {
         // carry 24 counters; the extra four duplicate kept ones and are
         // ignored on read. So are `sweep_retries`, `sweep_panics` and
         // `sweep_timeouts`, retired with the resilient sweep that bumped
-        // them: older reports and snapshot-frozen counters still load.
+        // them, and `observer_callbacks`, retired with the observer stride
+        // hook: older reports and snapshot-frozen counters still load.
         // `ppsim oscillator --n 20000 --rounds 600 --seed 7 --metrics` as
         // written before the drops.
         let text = concat!(
@@ -533,6 +530,11 @@ mod tests {
         assert_eq!(report.counter("noop_leaps"), 110_654);
         assert_eq!(report.counter("regime_collision"), 0, "no longer a counter");
         assert_eq!(report.counter("sweep_retries"), 0, "no longer a counter");
+        assert_eq!(
+            report.counter("observer_callbacks"),
+            0,
+            "no longer a counter"
+        );
         assert_eq!(report.hist_count("epoch_len"), 119_541);
         assert_eq!(report.meta("backend"), Some("CountPopulation"));
         let rendered = report.to_json().render();

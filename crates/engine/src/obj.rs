@@ -279,29 +279,6 @@ impl<P: ObjProtocol> ObjPopulation<P> {
         }
         None
     }
-
-    /// One synchronous random-matching round: a fresh uniform matching, one
-    /// interaction per pair with random orientation (⌊n/2⌋ interactions).
-    pub fn matching_round(&mut self, rng: &mut SimRng) {
-        let n = self.agents.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            let j = rng.index(i + 1);
-            order.swap(i, j);
-        }
-        for pair in order.chunks_exact(2) {
-            let (mut i, mut j) = (pair[0] as usize, pair[1] as usize);
-            if rng.chance(0.5) {
-                std::mem::swap(&mut i, &mut j);
-            }
-            self.steps += 1;
-            let (a2, b2) = self
-                .protocol
-                .interact(&self.agents[i], &self.agents[j], rng);
-            self.agents[i] = a2;
-            self.agents[j] = b2;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -350,16 +327,6 @@ mod tests {
         pop.run_rounds(3.0, &mut rng);
         assert_eq!(pop.steps(), 30);
         assert!((pop.time() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matching_round_touches_half_pairs() {
-        let mut pop = ObjPopulation::from_fn(Annihilate, 9, |_| true);
-        let mut rng = SimRng::seed_from(3);
-        pop.matching_round(&mut rng);
-        assert_eq!(pop.steps(), 4, "⌊9/2⌋ interactions");
-        // Each matched pair annihilates one: exactly 4 lost.
-        assert_eq!(pop.count_where(|&s| s), 5);
     }
 
     #[test]

@@ -105,19 +105,6 @@ impl<P: Protocol> Population<P> {
         self.agents.iter().map(|&s| s as usize)
     }
 
-    /// Overwrites agent `i`'s state (used by schedulers and test setups).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `state` is out of range.
-    pub fn set_agent(&mut self, i: usize, state: usize) {
-        assert!(state < self.protocol.num_states());
-        let old = self.agents[i] as usize;
-        self.counts[old] -= 1;
-        self.counts[state] += 1;
-        self.agents[i] = state as u32;
-    }
-
     /// Applies one interaction to the explicit agent pair `(i, j)`,
     /// counting it as a step. Used by the random-matching scheduler.
     ///
@@ -371,15 +358,6 @@ mod tests {
         let mut pop = Population::from_counts(epidemic(), &[2, 0]);
         let mut rng = SimRng::seed_from(6);
         let _ = pop.interact_pair(1, 1, &mut rng);
-    }
-
-    #[test]
-    fn set_agent_updates_counts() {
-        let mut pop = Population::from_counts(epidemic(), &[2, 0]);
-        pop.set_agent(0, 1);
-        assert_eq!(pop.count(0), 1);
-        assert_eq!(pop.count(1), 1);
-        assert_eq!(pop.agent(0), 1);
     }
 
     #[test]

@@ -435,13 +435,6 @@ impl TableProtocol {
         }
     }
 
-    /// Sets the label of a state, returning `self` for chaining.
-    #[must_use]
-    pub fn with_label(mut self, state: usize, label: impl Into<String>) -> Self {
-        self.labels[state] = label.into();
-        self
-    }
-
     /// Adds a deterministic rule `(a, b) → (a', b')`.
     ///
     /// # Panics

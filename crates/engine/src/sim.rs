@@ -10,19 +10,17 @@
 //!
 //! The hot path of every experiment is "advance the scheduler by many
 //! activations, look at the counts, repeat". Driving that through
-//! [`Simulator::step`] pays per-activation dispatch, outcome matching, and
-//! observer overhead on *every* interaction — at `n ≥ 10⁶` that dominates
-//! wall-clock. [`Simulator::step_batch`] advances up to `max_steps`
-//! activations in one call and reports an aggregate [`BatchOutcome`];
+//! [`Simulator::step`] pays per-activation dispatch and outcome matching
+//! on *every* interaction — at `n ≥ 10⁶` that dominates wall-clock.
+//! [`Simulator::step_batch`] advances up to `max_steps` activations in one
+//! call and reports an aggregate [`BatchOutcome`];
 //! backends override it with tight inner loops (agent-array), count-vector
 //! no-op leaping and collision epochs (count-based), or whole matching
-//! rounds. The run loops ([`run_rounds`], [`run_until`])
-//! size batches from observer checkpoint strides, so measurement granularity
-//! — not per-step callbacks — bounds the batch length.
+//! rounds. [`run_rounds`] runs its whole budget as one batch;
+//! [`run_until`] cuts batches at its predicate's check stride. Callers that
+//! measure a run sample the counts between their own `step_batch` calls.
 
 use crate::json::Json;
-use crate::metrics::Counter;
-use crate::observe::Observer;
 use crate::recorder;
 use crate::rng::SimRng;
 
@@ -203,50 +201,21 @@ pub trait Simulator {
     }
 }
 
-/// Upper bound on one batch given observer checkpoint strides.
-///
-/// The minimum of every observer's declared stride, clamped to `[1,
-/// remaining]`; with no observers the whole remainder runs as one batch.
-fn checkpoint_batch(sim: &dyn Simulator, observers: &[&mut dyn Observer], remaining: u64) -> u64 {
-    let steps = sim.steps();
-    observers
-        .iter()
-        .map(|obs| obs.stride(steps, sim))
-        .min()
-        .unwrap_or(remaining)
-        .clamp(1, remaining)
-}
-
 /// Runs `sim` for a given number of parallel rounds (i.e. `rounds * n`
-/// interactions), notifying `observers` at their checkpoint strides.
-///
-/// Each observer declares via [`Observer::stride`] how many steps may elapse
-/// between its callbacks; the run loop advances in batches sized to the
-/// smallest pending stride and invokes every observer at each batch
-/// boundary. Returns early if the simulation becomes silent, returning the
-/// number of rounds actually simulated.
+/// interactions) in as few `step_batch` calls as the backend allows.
+/// Returns early if the simulation becomes silent, returning the number of
+/// rounds actually simulated.
 ///
 /// Backends whose scheduler granularity is coarser than one interaction can
 /// overshoot the round target: [`crate::matching::MatchingPopulation`] runs
 /// whole matching rounds, so each batch (and hence the whole run) may exceed
 /// its step budget by up to `⌊n/2⌋ − 1` interactions. The returned round
 /// count always reflects the true step delta.
-pub fn run_rounds<S: Simulator>(
-    sim: &mut S,
-    rounds: f64,
-    rng: &mut SimRng,
-    observers: &mut [&mut dyn Observer],
-) -> f64 {
+pub fn run_rounds<S: Simulator>(sim: &mut S, rounds: f64, rng: &mut SimRng) -> f64 {
     let start = sim.steps();
     let target = start + (rounds * sim.n() as f64).ceil() as u64;
     while sim.steps() < target {
-        let remaining = target - sim.steps();
-        let batch = checkpoint_batch(sim, observers, remaining);
-        let outcome = sim.step_batch(rng, batch);
-        recorder::add(Counter::ObserverCallbacks, observers.len() as u64);
-        for obs in observers.iter_mut() {
-            obs.observe(sim.steps(), sim);
-        }
+        let outcome = sim.step_batch(rng, target - sim.steps());
         if outcome.silent || outcome.executed == 0 {
             break;
         }
@@ -309,59 +278,9 @@ mod tests {
         let p = epidemic();
         let mut pop = Population::from_counts(&p, &[99, 1]);
         let mut rng = SimRng::seed_from(1);
-        let ran = run_rounds(&mut pop, 3.0, &mut rng, &mut []);
+        let ran = run_rounds(&mut pop, 3.0, &mut rng);
         assert!((ran - 3.0).abs() < 0.02);
         assert_eq!(pop.steps(), 300);
-    }
-
-    /// Samples every count on a grid of `every` steps and counts its
-    /// callbacks.
-    struct Grid {
-        every: u64,
-        next: u64,
-        calls: u64,
-        rows: Vec<(u64, Vec<u64>)>,
-    }
-
-    impl Observer for Grid {
-        fn observe(&mut self, steps: u64, sim: &dyn Simulator) {
-            self.calls += 1;
-            if steps >= self.next {
-                let counts = (0..sim.num_states()).map(|s| sim.count(s)).collect();
-                self.rows.push((steps, counts));
-                self.next = steps + self.every;
-            }
-        }
-
-        fn stride(&self, steps: u64, _sim: &dyn Simulator) -> u64 {
-            self.next.saturating_sub(steps).max(1)
-        }
-    }
-
-    #[test]
-    fn run_rounds_drives_an_observer_on_its_stride() {
-        let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[63, 1]);
-        let mut grid = Grid {
-            every: 2 * 64,
-            next: 0,
-            calls: 0,
-            rows: Vec::new(),
-        };
-        let mut rng = SimRng::seed_from(1);
-        let mut rec = recorder::Recorder::new();
-        {
-            let _installed = rec.install();
-            run_rounds(&mut pop, 10.0, &mut rng, &mut [&mut grid]);
-        }
-        assert!(grid.rows.len() >= 5, "rows {}", grid.rows.len());
-        for w in grid.rows.windows(2) {
-            assert!(w[1].0 > w[0].0, "step stamps increase");
-        }
-        for (_, counts) in &grid.rows {
-            assert_eq!(counts.iter().sum::<u64>(), 64);
-        }
-        assert_eq!(rec.metrics().counter("observer_callbacks"), grid.calls);
     }
 
     #[test]

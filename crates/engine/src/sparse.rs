@@ -517,7 +517,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
         for &(s, _) in &pairs {
             counts[s] = 0;
         }
-        run_rounds(self, rounds, rng, &mut []);
+        run_rounds(self, rounds, rng);
         for &(state, count) in &self.occupied {
             counts[state] = count;
         }
@@ -1491,7 +1491,7 @@ mod tests {
             counts[s] = 1 + s as u64 % 3;
         }
         let mut reference = SparseCountPopulation::from_dense(Drift(k), &counts);
-        run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11), &mut []);
+        run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11));
         let mut site = SparseCountPopulation::from_dense(Drift(k), &counts);
         let mut occ = occupied(&counts);
         let mut rng = SimRng::seed_from(11);
@@ -1504,7 +1504,7 @@ mod tests {
         counts[0] = n;
         let mut fresh = SparseCountPopulation::from_dense(Drift(k), &counts);
         let mut fresh_rng = rng.clone();
-        run_rounds(&mut fresh, 1.0, &mut fresh_rng, &mut []);
+        run_rounds(&mut fresh, 1.0, &mut fresh_rng);
         occ = vec![0];
         site.run_on(&mut counts, Some(&mut occ), 1.0, &mut rng);
         assert_eq!(counts, fresh.to_dense());

@@ -291,152 +291,6 @@ fn ln_gamma(x: f64) -> f64 {
     -tmp + (2.506_628_274_631_000_5 * ser / x).ln()
 }
 
-/// Streaming quantile estimator: the P² algorithm of Jain & Chlamtac
-/// (1985), dependency-free and `O(1)` per observation.
-///
-/// Five markers track the minimum, the target quantile `q`, the maximum,
-/// and the two midpoints; marker heights are adjusted by a piecewise-
-/// parabolic (hence "P²") interpolation as observations arrive, so the
-/// estimate converges without buffering the sample. Observers use this to
-/// report convergence-time and oscillator-period percentiles online —
-/// a sweep over 10⁶ runs keeps 5 floats per tracked quantile instead of
-/// 10⁶ samples.
-///
-/// Below 5 observations the estimate is *exact* (the observations are
-/// stored directly). The estimator is deterministic: the same observation
-/// sequence always yields bit-identical estimates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights; before 5 observations, the sorted sample itself.
-    heights: [f64; 5],
-    /// Actual marker positions (1-indexed counts, kept as f64).
-    pos: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation desired-position increments.
-    inc: [f64; 5],
-    count: u64,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile (e.g. `0.5` for the
-    /// median, `0.99` for P99).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q < 1`.
-    #[must_use]
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0, 1), got {q}");
-        Self {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            inc: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// The target quantile this estimator tracks.
-    #[must_use]
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations seen.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Feeds one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN.
-    pub fn observe(&mut self, x: f64) {
-        assert!(!x.is_nan(), "P2Quantile cannot rank NaN");
-        if self.count < 5 {
-            // Insertion-sort the bootstrap sample into the height array.
-            let mut i = self.count as usize;
-            self.heights[i] = x;
-            while i > 0 && self.heights[i - 1] > self.heights[i] {
-                self.heights.swap(i - 1, i);
-                i -= 1;
-            }
-            self.count += 1;
-            return;
-        }
-        self.count += 1;
-        // Locate the cell containing x, extending the extremes if needed.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // heights[k] <= x < heights[k+1] for some k in 0..=3.
-            (1..4).take_while(|&i| self.heights[i] <= x).count()
-        };
-        for p in &mut self.pos[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.inc) {
-            *d += inc;
-        }
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            let room_right = self.pos[i + 1] - self.pos[i];
-            let room_left = self.pos[i - 1] - self.pos[i];
-            if (d >= 1.0 && room_right > 1.0) || (d <= -1.0 && room_left < -1.0) {
-                let d = d.signum();
-                let parabolic = self.heights[i]
-                    + d / (self.pos[i + 1] - self.pos[i - 1])
-                        * ((self.pos[i] - self.pos[i - 1] + d)
-                            * (self.heights[i + 1] - self.heights[i])
-                            / room_right
-                            + (self.pos[i + 1] - self.pos[i] - d)
-                                * (self.heights[i] - self.heights[i - 1])
-                                / (self.pos[i] - self.pos[i - 1]));
-                self.heights[i] =
-                    if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                        parabolic
-                    } else {
-                        // Parabolic prediction left the bracket: fall back to
-                        // linear interpolation toward the neighbor in direction d.
-                        let j = if d > 0.0 { i + 1 } else { i - 1 };
-                        self.heights[i]
-                            + d * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-                    };
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    /// Current estimate of the `q`-quantile.
-    ///
-    /// Exact for fewer than 5 observations (linear interpolation over the
-    /// stored sample, matching [`quantile_sorted`]); the P² marker height
-    /// afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no observations have been fed.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        assert!(self.count > 0, "no observations");
-        if self.count < 5 {
-            quantile_sorted(&self.heights[..self.count as usize], self.q)
-        } else {
-            self.heights[2]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,93 +402,5 @@ mod tests {
         assert!((chi_square_p_value(3.841, 1) - 0.05).abs() < 1e-3);
         assert!((chi_square_p_value(5.991, 2) - 0.05).abs() < 1e-3);
         assert!((chi_square_p_value(11.345, 3) - 0.01).abs() < 1e-3);
-    }
-
-    #[test]
-    fn p2_exact_below_five_samples() {
-        let mut sk = P2Quantile::new(0.5);
-        sk.observe(3.0);
-        assert_eq!(sk.value(), 3.0);
-        sk.observe(1.0);
-        sk.observe(2.0);
-        // Exactly quantile_sorted over the sorted bootstrap buffer.
-        assert_eq!(sk.value(), quantile_sorted(&[1.0, 2.0, 3.0], 0.5));
-        assert_eq!(sk.count(), 3);
-    }
-
-    #[test]
-    fn p2_tracks_geometric_quantiles() {
-        // Geometric trial counts are the engine's no-op leap lengths; heavy
-        // discrete right tail. Compare against exact offline quantiles.
-        let mut rng = crate::rng::SimRng::seed_from(0xfeed_0001);
-        let mut samples = Vec::with_capacity(50_000);
-        let mut p50 = P2Quantile::new(0.5);
-        let mut p90 = P2Quantile::new(0.9);
-        let mut p99 = P2Quantile::new(0.99);
-        for _ in 0..50_000 {
-            let x = rng.geometric(0.01) as f64;
-            samples.push(x);
-            p50.observe(x);
-            p90.observe(x);
-            p99.observe(x);
-        }
-        samples.sort_by(f64::total_cmp);
-        for (sk, label) in [(&p50, "p50"), (&p90, "p90"), (&p99, "p99")] {
-            let exact = quantile_sorted(&samples, sk.q());
-            let got = sk.value();
-            let rel = (got - exact).abs() / exact;
-            assert!(
-                rel < 0.05,
-                "{label}: exact {exact}, P2 {got}, rel err {rel}"
-            );
-        }
-    }
-
-    #[test]
-    fn p2_tracks_log_normal_quantiles() {
-        // Log-normal: smooth but skewed, like convergence-time spreads.
-        let mut rng = crate::rng::SimRng::seed_from(0xfeed_0002);
-        let mut samples = Vec::with_capacity(50_000);
-        let mut p50 = P2Quantile::new(0.5);
-        let mut p90 = P2Quantile::new(0.9);
-        for _ in 0..50_000 {
-            let x = (0.5 * rng.normal()).exp();
-            samples.push(x);
-            p50.observe(x);
-            p90.observe(x);
-        }
-        samples.sort_by(f64::total_cmp);
-        for (sk, label) in [(&p50, "p50"), (&p90, "p90")] {
-            let exact = quantile_sorted(&samples, sk.q());
-            let got = sk.value();
-            let rel = (got - exact).abs() / exact;
-            assert!(
-                rel < 0.03,
-                "{label}: exact {exact}, P2 {got}, rel err {rel}"
-            );
-        }
-    }
-
-    #[test]
-    fn p2_is_deterministic_under_replay() {
-        let gen = || {
-            let mut rng = crate::rng::SimRng::seed_from(0xdead_0003);
-            let mut sk = P2Quantile::new(0.9);
-            for _ in 0..10_000 {
-                sk.observe(rng.geometric(0.05) as f64);
-            }
-            sk
-        };
-        let a = gen();
-        let b = gen();
-        // Bit-identical state, not just a close estimate.
-        assert_eq!(a, b);
-        assert_eq!(a.value().to_bits(), b.value().to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in")]
-    fn p2_rejects_out_of_range_quantile() {
-        let _ = P2Quantile::new(1.0);
     }
 }

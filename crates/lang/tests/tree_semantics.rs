@@ -43,7 +43,7 @@ fn run_tree_pass(tree: &CompiledTree, counts: &mut Vec<u64>, rng: &mut SimRng) {
                     }
                     let protocol = FlagProtocol::new(vars.clone(), ruleset.clone(), "leaf");
                     let mut pop = SparseCountPopulation::from_dense(&protocol, counts);
-                    run_rounds(&mut pop, f64::from(*c).max(16.0) * ln_n, rng, &mut []);
+                    run_rounds(&mut pop, f64::from(*c).max(16.0) * ln_n, rng);
                     *counts = pop.counts();
                 }
                 TreeNode::Loop { c, children } => {

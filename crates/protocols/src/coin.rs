@@ -175,7 +175,7 @@ mod tests {
         let p = SyntheticCoin::new(Recorder);
         let mut pop = Population::from_counts(&p, &[1000, 0, 0, 0, 0, 0]);
         let mut rng = SimRng::seed_from(3);
-        run_rounds(&mut pop, 20.0, &mut rng, &mut []);
+        run_rounds(&mut pop, 20.0, &mut rng);
         let heads: u64 = [1usize]
             .iter()
             .map(|&inner| pop.count(p.pack(inner, false)) + pop.count(p.pack(inner, true)))

@@ -620,7 +620,7 @@ mod tests {
         }
         let mut pop = CountPopulation::from_counts(&protocol, &counts);
         let mut rng = SimRng::seed_from(seed);
-        run_rounds(&mut pop, 30_000.0, &mut rng, &mut []);
+        run_rounds(&mut pop, 30_000.0, &mut rng);
         let on: u64 = pop
             .counts()
             .iter()

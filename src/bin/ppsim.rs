@@ -31,7 +31,7 @@
 //! `profile` runs a built-in protocol with the in-engine section profiler
 //! switched on and renders a self-time/total-time tree of where the hot
 //! paths spent their wall time, plus regime counters, dispatch-decision
-//! tallies, and streaming (P²) percentiles of the observable the protocol
+//! tallies, and exact p50/p90/p99 of the observable the protocol
 //! produces. `bench-diff` compares two `BENCH_history.jsonl` snapshots and
 //! exits non-zero when any shared metric regressed beyond the tolerance.
 //!
@@ -58,7 +58,7 @@ use population_protocols::core::engine::sim::{run_until, Simulator};
 use population_protocols::core::engine::snapshot::{
     hex_u64, load_path, parse_hex_u64, RunSnapshot, SnapshotStore,
 };
-use population_protocols::core::engine::stats::P2Quantile;
+use population_protocols::core::engine::stats::quantile_sorted;
 use population_protocols::core::engine::trace::{DispatchRecord, Tracer};
 use population_protocols::core::lang::ast::Program;
 use population_protocols::core::lang::interp::Executor;
@@ -397,7 +397,6 @@ fn run_compile(args: &[String]) -> u8 {
     u8::from(failed)
 }
 
-/// Backend a run command executes on, for the `--metrics` snapshot header.
 /// Periodic crash-safe checkpointing for the long-running commands
 /// (`oscillator`, `faults`), configured by `--checkpoint-every <steps>` plus
 /// `--checkpoint-dir <dir>`. Snapshots are written atomically and rotated
@@ -498,34 +497,45 @@ fn rows_from_json(j: Option<&Json>) -> Result<Vec<(f64, [u64; NUM_SPECIES])>, St
     Ok(rows)
 }
 
-/// Builds the snapshot meta for a checkpointable run: everything `resume`
-/// needs to reconstruct the simulator shape and continue byte-identically.
-#[allow(clippy::too_many_arguments)]
-fn checkpoint_meta(
-    command: &str,
+/// The shape of a checkpointable run (`oscillator`, or `faults` when it
+/// carries a fault spec): everything `resume` reads back from the snapshot
+/// meta to rebuild the simulator and continue byte-identically.
+struct RunShape {
     n: u64,
     x: u64,
     rounds: u64,
     seed: u64,
-    every: u64,
-    next: u64,
-    rows: &[(f64, [u64; NUM_SPECIES])],
-    spec: Option<&FaultSpec>,
-) -> Json {
-    let mut fields = vec![
-        ("command", Json::from(command)),
-        ("n", hex_u64(n)),
-        ("x", hex_u64(x)),
-        ("rounds", hex_u64(rounds)),
-        ("seed", hex_u64(seed)),
-        ("checkpoint_every", hex_u64(every)),
-        ("next_checkpoint", hex_u64(next)),
-        ("rows", rows_to_json(rows)),
-    ];
-    if let Some(spec) = spec {
-        fields.push(("spec", spec.to_json()));
+    /// The injection schedule of a `faults` run; `None` for `oscillator`.
+    spec: Option<FaultSpec>,
+}
+
+impl RunShape {
+    fn command(&self) -> &'static str {
+        if self.spec.is_some() {
+            "faults"
+        } else {
+            "oscillator"
+        }
     }
-    Json::obj(fields)
+
+    /// The snapshot meta for a checkpoint taken with cadence `every`, next
+    /// due at step `next`, after the species rows `rows`.
+    fn checkpoint_meta(&self, every: u64, next: u64, rows: &[(f64, [u64; NUM_SPECIES])]) -> Json {
+        let mut fields = vec![
+            ("command", Json::from(self.command())),
+            ("n", hex_u64(self.n)),
+            ("x", hex_u64(self.x)),
+            ("rounds", hex_u64(self.rounds)),
+            ("seed", hex_u64(self.seed)),
+            ("checkpoint_every", hex_u64(every)),
+            ("next_checkpoint", hex_u64(next)),
+            ("rows", rows_to_json(rows)),
+        ];
+        if let Some(spec) = &self.spec {
+            fields.push(("spec", spec.to_json()));
+        }
+        Json::obj(fields)
+    }
 }
 
 /// Reads a required hex-encoded u64 field from the snapshot meta.
@@ -536,6 +546,7 @@ fn meta_u64(meta: &Json, key: &str) -> Result<u64, String> {
     )
 }
 
+/// Backend a run command executes on, for the `--metrics` snapshot header.
 fn backend_name(command: &str) -> &'static str {
     match command {
         "oscillator" => "CountPopulation",
@@ -548,7 +559,7 @@ fn backend_name(command: &str) -> &'static str {
 }
 
 /// Runs the DK18 oscillator with the profiler on; returns the run-loop wall
-/// time, the label of the streamed observable, and its samples (dominance
+/// time, the label of the observable, and its samples (dominance
 /// periods in rounds).
 fn profile_oscillator(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
     let x = ((n as f64).powf(0.3) as u64).max(1);
@@ -574,7 +585,7 @@ fn profile_oscillator(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec
     (wall_ns, "oscillator period (rounds)", periods(&events))
 }
 
-/// Runs 10 seeded epidemic trials with the profiler on; the streamed
+/// Runs 10 seeded epidemic trials with the profiler on; the
 /// observable is the per-trial convergence time in parallel rounds.
 fn profile_epidemic(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
     let p = TableProtocol::new(2, "epidemic")
@@ -654,7 +665,7 @@ fn fmt_ms(ns: u64) -> String {
 }
 
 /// `ppsim profile`: run a built-in protocol under the section profiler and
-/// report a self-time/total-time tree, regime dispatch, and P² percentiles.
+/// report a self-time/total-time tree, regime dispatch, and percentiles.
 ///
 /// Own grammar (like `lint`):
 /// `--builtin oscillator|epidemic|plurality-exact|plurality|majority`, `--n N`,
@@ -750,16 +761,11 @@ fn run_profile(args: &[String]) -> u8 {
         }
     }
 
-    let mut sketches = [
-        P2Quantile::new(0.5),
-        P2Quantile::new(0.9),
-        P2Quantile::new(0.99),
-    ];
-    for &s in &samples {
-        for sk in &mut sketches {
-            sk.observe(s);
-        }
-    }
+    let mut sorted = samples;
+    sorted.sort_by(f64::total_cmp);
+    // p50, p90 and p99 of the observable; `None` without samples.
+    let quantiles =
+        [0.5, 0.9, 0.99].map(|q| (!sorted.is_empty()).then(|| quantile_sorted(&sorted, q)));
     let regimes = [
         ("collision", snap.counter("collision_epochs")),
         ("leap", snap.counter("noop_leaps")),
@@ -787,21 +793,15 @@ fn run_profile(args: &[String]) -> u8 {
             Json::from(dispatch.len() as u64),
         ));
         pairs.push(("first_regime".to_string(), Json::from(first_regime)));
-        let quant = |sk: &P2Quantile| {
-            if sk.count() == 0 {
-                Json::Null
-            } else {
-                Json::from(sk.value())
-            }
-        };
+        let [p50, p90, p99] = quantiles.map(|q| q.map_or(Json::Null, Json::from));
         pairs.push((
             "quantiles".to_string(),
             Json::obj([
                 ("label", Json::from(quantile_label)),
-                ("count", Json::from(samples.len() as u64)),
-                ("p50", quant(&sketches[0])),
-                ("p90", quant(&sketches[1])),
-                ("p99", quant(&sketches[2])),
+                ("count", Json::from(sorted.len() as u64)),
+                ("p50", p50),
+                ("p90", p90),
+                ("p99", p99),
             ]),
         ));
         println!("{}", Json::Obj(pairs).render());
@@ -822,16 +822,13 @@ fn run_profile(args: &[String]) -> u8 {
         "dispatch: {} records (first regime: {first_regime})",
         dispatch.len()
     );
-    if samples.is_empty() {
-        println!("{quantile_label}: no samples");
-    } else {
+    if let [Some(p50), Some(p90), Some(p99)] = quantiles {
         println!(
-            "{quantile_label} over {} samples (P²): p50={:.1} p90={:.1} p99={:.1}",
-            samples.len(),
-            sketches[0].value(),
-            sketches[1].value(),
-            sketches[2].value()
+            "{quantile_label} over {} samples: p50={p50:.1} p90={p90:.1} p99={p99:.1}",
+            sorted.len()
         );
+    } else {
+        println!("{quantile_label}: no samples");
     }
     0
 }
@@ -1247,19 +1244,26 @@ fn run_command(
                 }
             }
         }
-        "oscillator" => {
-            let x = flags.num("x", ((n as f64).powf(0.3) as u64).max(1));
-            let rounds = flags.num("rounds", 300);
-            let ckpt = match Checkpointer::from_flags(flags) {
-                Ok(c) => c,
+        "oscillator" | "faults" => {
+            let shape = if command == "oscillator" {
+                Ok(RunShape {
+                    n,
+                    x: flags.num("x", ((n as f64).powf(0.3) as u64).max(1)),
+                    rounds: flags.num("rounds", 300),
+                    seed,
+                    spec: None,
+                })
+            } else {
+                faults_shape(flags)
+            };
+            match shape.and_then(|shape| Ok((shape, Checkpointer::from_flags(flags)?))) {
+                Ok((shape, ckpt)) => run_checkpointed(&shape, None, ckpt, flags, None, tracer),
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 1;
+                    1
                 }
-            };
-            run_oscillator(n, x, rounds, seed, None, ckpt, None, tracer)
+            }
         }
-        "faults" => run_faults(flags, tracer),
         "resume" => run_resume(path, flags, recorder, tracer, meta_command),
         _ => {
             let _ = usage();
@@ -1311,59 +1315,63 @@ fn fault_spec_from_flags(flags: &Flags, n: u64, seed: u64) -> Result<FaultSpec, 
     Ok(spec)
 }
 
-/// Restores a snapshot into a freshly built simulator, and its counters
-/// into the run's (not yet installed) recorder; hands back the resumed RNG
-/// plus the trace rows recorded before the checkpoint.
-fn resume_run_state<S: Simulator + ?Sized>(
-    snap: &RunSnapshot,
-    sim: &mut S,
-    trace: &mut Vec<(f64, [u64; NUM_SPECIES])>,
-    recorder: Option<&mut Recorder>,
-) -> Result<SimRng, String> {
-    let rng = match recorder {
-        Some(rec) => snap.resume(sim, rec)?,
-        None => snap.resume_into(sim)?,
-    };
-    *trace = rows_from_json(snap.meta.get("rows"))?;
-    Ok(rng)
+/// The shape of a fresh `ppsim faults` run, from its flags.
+fn faults_shape(flags: &Flags) -> Result<RunShape, String> {
+    let n = flags.num("n", 4_000);
+    let seed = flags.num("seed", 42);
+    Ok(RunShape {
+        n,
+        x: flags.num("x", ((n as f64).powf(0.3) as u64).max(1)),
+        rounds: flags.num("rounds", 470),
+        seed,
+        spec: Some(fault_spec_from_flags(flags, n, seed)?),
+    })
 }
 
-/// `ppsim oscillator` (and its `resume` continuation): run the DK18-style
-/// oscillator, optionally checkpointing every `--checkpoint-every` steps,
-/// and print the dominance summary over the whole run — including rows
-/// carried over in a resumed snapshot's meta.
-#[allow(clippy::too_many_arguments)]
-fn run_oscillator(
-    n: u64,
-    x: u64,
-    rounds: u64,
-    seed: u64,
+/// The run loop `oscillator` and `faults` share, fresh or resumed: one
+/// parallel round per `step_batch`, a species row (and a `batch` trace
+/// event) after each, and a checkpoint whenever the cadence comes due.
+/// A resumed run restores the simulator, the RNG, the counters (into the
+/// recorder, which it then installs) and the rows recorded before the
+/// checkpoint. Returns every row of the run, or `None` when the snapshot
+/// does not restore.
+fn species_rows<S: Simulator>(
+    shape: &RunShape,
+    pop: &mut S,
     resume: Option<&RunSnapshot>,
     mut ckpt: Option<Checkpointer>,
     mut recorder: Option<&mut Recorder>,
     tracer: &mut Option<Tracer>,
-) -> u8 {
+) -> Option<Vec<(f64, [u64; NUM_SPECIES])>> {
     let osc = Dk18Oscillator::new();
-    let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
-    let mut trace: Vec<(f64, [u64; NUM_SPECIES])> = Vec::new();
-    let mut rng = if let Some(snap) = resume {
-        match resume_run_state(snap, &mut pop, &mut trace, recorder.as_deref_mut()) {
-            Ok(rng) => rng,
-            Err(e) => {
-                eprintln!("error: cannot resume: {e}");
-                return 1;
+    let mut rows = Vec::new();
+    let mut rng = match resume {
+        None => SimRng::seed_from(shape.seed),
+        Some(snap) => {
+            let restored = match recorder.as_deref_mut() {
+                Some(rec) => snap.resume(pop, rec),
+                None => snap.resume_into(pop),
+            };
+            let with_rows = restored.and_then(|rng| {
+                rows = rows_from_json(snap.meta.get("rows"))?;
+                Ok(rng)
+            });
+            match with_rows {
+                Ok(rng) => rng,
+                Err(e) => {
+                    eprintln!("error: cannot resume: {e}");
+                    return None;
+                }
             }
         }
-    } else {
-        SimRng::seed_from(seed)
     };
     // Only a resumed run hands its recorder down: it is installed once the
     // snapshot's counters are in it. A fresh run's was installed by `main`.
     let _installed = recorder.map(Recorder::install);
-    while pop.time() < rounds as f64 {
-        let out = pop.step_batch(&mut rng, n);
+    while pop.time() < shape.rounds as f64 {
+        let out = pop.step_batch(&mut rng, shape.n);
         let sp = osc.species_counts(&pop.counts());
-        trace.push((pop.time(), sp));
+        rows.push((pop.time(), sp));
         if let Some(tr) = tracer.as_mut() {
             tr.event(
                 "batch",
@@ -1377,95 +1385,40 @@ fn run_oscillator(
         }
         if let Some(c) = ckpt.as_mut() {
             c.maybe_save(pop.steps(), |every, next| {
-                RunSnapshot::capture(&pop, &rng).map(|s| {
-                    s.with_meta(checkpoint_meta(
-                        "oscillator",
-                        n,
-                        x,
-                        rounds,
-                        seed,
-                        every,
-                        next,
-                        &trace,
-                        None,
-                    ))
-                })
+                RunSnapshot::capture(&*pop, &rng)
+                    .map(|s| s.with_meta(shape.checkpoint_meta(every, next, &rows)))
             });
         }
         if out.silent && out.executed == 0 {
             break;
         }
     }
-    let events = dominance_events(&trace, 0.8);
-    let per = periods(&events);
-    let mean = per.iter().sum::<f64>() / per.len().max(1) as f64;
-    // Stream the periods through P² sketches — the same online
-    // estimator observers use, so the printed percentiles match
-    // what a long sweep would report without buffering samples.
-    let mut p50 = P2Quantile::new(0.5);
-    let mut p90 = P2Quantile::new(0.9);
-    for &p in &per {
-        p50.observe(p);
-        p90.observe(p);
-    }
-    let (q50, q90) = if per.is_empty() {
-        (f64::NAN, f64::NAN)
-    } else {
-        (p50.value(), p90.value())
-    };
-    println!(
-        "oscillator n={n} #X={x}: {} dominance events, {} rotation violations, mean period {:.1} rounds, p50 {q50:.1}, p90 {q90:.1} (log2 n = {:.1})",
-        events.len(),
-        rotation_violations(&events),
-        mean,
-        (n as f64).log2()
-    );
-    0
+    Some(rows)
 }
 
-/// `ppsim faults`: run the oscillator under an injection schedule and
-/// report, per injection, whether dominance rotation returned to its
-/// pre-fault period statistics. Exit code 1 if any injection failed to
-/// recover within the measurement window.
-fn run_faults(flags: &Flags, tracer: &mut Option<Tracer>) -> u8 {
-    let n = flags.num("n", 4_000);
-    let seed = flags.num("seed", 42);
-    let rounds = flags.num("rounds", 470);
-    let x = flags.num("x", ((n as f64).powf(0.3) as u64).max(1));
-    let spec = match fault_spec_from_flags(flags, n, seed) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let ckpt = match Checkpointer::from_flags(flags) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    run_faults_core(n, x, rounds, seed, &spec, None, ckpt, flags, None, tracer)
-}
-
-/// The checkpointable faults run loop, shared by `ppsim faults` and its
-/// `resume` continuation.
-#[allow(clippy::too_many_arguments)]
-fn run_faults_core(
-    n: u64,
-    x: u64,
-    rounds: u64,
-    seed: u64,
-    spec: &FaultSpec,
+/// Runs a checkpointable command, fresh or resumed, and prints its report:
+/// `oscillator` prints the dominance summary over the whole run (rows a
+/// resumed snapshot carried included); `faults` reports, per injection,
+/// whether dominance rotation returned to its pre-fault period statistics,
+/// and exits 1 if any injection failed to recover within the measurement
+/// window.
+fn run_checkpointed(
+    shape: &RunShape,
     resume: Option<&RunSnapshot>,
-    mut ckpt: Option<Checkpointer>,
+    ckpt: Option<Checkpointer>,
     flags: &Flags,
-    mut recorder: Option<&mut Recorder>,
+    recorder: Option<&mut Recorder>,
     tracer: &mut Option<Tracer>,
 ) -> u8 {
     let osc = Dk18Oscillator::new();
-    let inner = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
+    let mut inner = CountPopulation::from_counts(&osc, &central_init(&osc, shape.n, shape.x));
+    let Some(spec) = &shape.spec else {
+        let Some(rows) = species_rows(shape, &mut inner, resume, ckpt, recorder, tracer) else {
+            return 1;
+        };
+        oscillator_report(shape, &rows);
+        return 0;
+    };
     let mut pop = match FaultyPopulation::new(inner, spec) {
         Ok(p) => p,
         Err(e) => {
@@ -1473,43 +1426,9 @@ fn run_faults_core(
             return 1;
         }
     };
-    let mut trace: Vec<(f64, [u64; NUM_SPECIES])> = Vec::new();
-    let mut rng = if let Some(snap) = resume {
-        match resume_run_state(snap, &mut pop, &mut trace, recorder.as_deref_mut()) {
-            Ok(rng) => rng,
-            Err(e) => {
-                eprintln!("error: cannot resume: {e}");
-                return 1;
-            }
-        }
-    } else {
-        SimRng::seed_from(seed)
+    let Some(rows) = species_rows(shape, &mut pop, resume, ckpt, recorder, tracer) else {
+        return 1;
     };
-    let _installed = recorder.map(Recorder::install);
-    while pop.time() < rounds as f64 {
-        let out = pop.step_batch(&mut rng, n);
-        trace.push((pop.time(), osc.species_counts(&pop.counts())));
-        if let Some(c) = ckpt.as_mut() {
-            c.maybe_save(pop.steps(), |every, next| {
-                RunSnapshot::capture(&pop, &rng).map(|s| {
-                    s.with_meta(checkpoint_meta(
-                        "faults",
-                        n,
-                        x,
-                        rounds,
-                        seed,
-                        every,
-                        next,
-                        &trace,
-                        Some(spec),
-                    ))
-                })
-            });
-        }
-        if out.silent && out.executed == 0 {
-            break;
-        }
-    }
     if let Some(tr) = tracer.as_mut() {
         for e in pop.events() {
             tr.event(
@@ -1530,6 +1449,9 @@ fn run_faults_core(
         }
     }
     let window = flags.num("window", 110) as f64;
+    let &RunShape {
+        n, x, rounds, seed, ..
+    } = shape;
     println!(
         "faults n={n} #X={x} seed={seed}: {} injections over {rounds} rounds ({})",
         pop.events().len(),
@@ -1539,7 +1461,7 @@ fn run_faults_core(
     for e in pop.events() {
         // Window each measurement so the next injection cannot contaminate
         // it; rotation_recovery builds its baseline from pre-fault rows.
-        let rows: Vec<_> = trace
+        let rows: Vec<_> = rows
             .iter()
             .copied()
             .filter(|(t, _)| *t <= e.time + window)
@@ -1559,6 +1481,28 @@ fn run_faults_core(
         }
     }
     u8::from(failed > 0)
+}
+
+/// The `oscillator` summary line: dominance events, rotation violations,
+/// and the mean, median and 90th-percentile rotation period.
+fn oscillator_report(shape: &RunShape, rows: &[(f64, [u64; NUM_SPECIES])]) {
+    let &RunShape { n, x, .. } = shape;
+    let events = dominance_events(rows, 0.8);
+    let mut per = periods(&events);
+    let mean = per.iter().sum::<f64>() / per.len().max(1) as f64;
+    per.sort_by(f64::total_cmp);
+    let (q50, q90) = if per.is_empty() {
+        (f64::NAN, f64::NAN)
+    } else {
+        (quantile_sorted(&per, 0.5), quantile_sorted(&per, 0.9))
+    };
+    println!(
+        "oscillator n={n} #X={x}: {} dominance events, {} rotation violations, mean period {:.1} rounds, p50 {q50:.1}, p90 {q90:.1} (log2 n = {:.1})",
+        events.len(),
+        rotation_violations(&events),
+        mean,
+        (n as f64).log2()
+    );
 }
 
 /// Generation number encoded in a rotating-store file name, if it is one.
@@ -1703,40 +1647,32 @@ fn run_resume(
             None
         }
     });
-    match command.as_str() {
-        "oscillator" => run_oscillator(n, x, rounds, seed, Some(&snap), ckpt, recorder, tracer),
-        "faults" => {
-            let spec = match meta.get("spec") {
-                Some(j) => match FaultSpec::parse(&j.render()) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: snapshot carries an invalid fault spec: {e}");
-                        return 1;
-                    }
-                },
-                None => {
-                    eprintln!("error: faults snapshot is missing its fault spec");
-                    return 1;
-                }
-            };
-            run_faults_core(
-                n,
-                x,
-                rounds,
-                seed,
-                &spec,
-                Some(&snap),
-                ckpt,
-                flags,
-                recorder,
-                tracer,
-            )
+    let spec = match (command.as_str(), meta.get("spec")) {
+        ("oscillator", _) => None,
+        ("faults", Some(j)) => match FaultSpec::parse(&j.render()) {
+            Ok(s) => Some(s),
+            Err(e) => {
+                eprintln!("error: snapshot carries an invalid fault spec: {e}");
+                return 1;
+            }
+        },
+        ("faults", None) => {
+            eprintln!("error: faults snapshot is missing its fault spec");
+            return 1;
         }
-        other => {
+        (other, _) => {
             eprintln!("error: snapshot was produced by non-resumable command {other:?}");
-            1
+            return 1;
         }
-    }
+    };
+    let shape = RunShape {
+        n,
+        x,
+        rounds,
+        seed,
+        spec,
+    };
+    run_checkpointed(&shape, Some(&snap), ckpt, flags, recorder, tracer)
 }
 
 fn main() -> ExitCode {

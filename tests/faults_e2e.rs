@@ -1,30 +1,18 @@
 //! End-to-end fault injection: a seeded run corrupts ≥10% of all agents
 //! mid-run and the oscillator's dominance rotation, measured through
-//! [`RecoveryProbe`], returns to its pre-fault period statistics.
+//! [`RecoveryProbe`], returns to its pre-fault period statistics; and a
+//! checkpointed `ppsim faults` run resumed from a mid-run generation
+//! reports what the uninterrupted run reports.
 
-use population_protocols::core::clocks::detect::{dominance_events, Dominance};
+use population_protocols::core::clocks::detect::{completed_periods, dominance_events};
 use population_protocols::core::clocks::diag::RecoveryProbe;
-use population_protocols::core::clocks::oscillator::{
-    central_init, Dk18Oscillator, Oscillator, NUM_SPECIES,
-};
+use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator, Oscillator};
 use population_protocols::core::engine::counts::CountPopulation;
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
-
-/// Completed rotation periods as `(completion_time, period)` pairs: the
-/// time between successive dominance events of the same species.
-fn completed_periods(events: &[Dominance]) -> Vec<(f64, f64)> {
-    let mut last_seen: [Option<f64>; NUM_SPECIES] = [None; NUM_SPECIES];
-    let mut out = Vec::new();
-    for e in events {
-        if let Some(prev) = last_seen[e.species] {
-            out.push((e.time, e.time - prev));
-        }
-        last_seen[e.species] = Some(e.time);
-    }
-    out
-}
+use std::path::Path;
+use std::process::Command;
 
 #[test]
 fn corrupting_15_percent_of_agents_recovers_rotation_periods() {
@@ -79,4 +67,72 @@ fn corrupting_15_percent_of_agents_recovers_rotation_periods() {
         rt < 250.0,
         "recovery should happen well inside the run, took {rt}"
     );
+}
+
+/// Runs `ppsim` with `args` plus `--metrics <metrics>`, returning its
+/// stdout; the run must exit 0.
+fn ppsim(args: &[&str], metrics: &Path) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(args)
+        .arg("--metrics")
+        .arg(metrics)
+        .output()
+        .expect("spawn ppsim");
+    assert!(
+        out.status.success(),
+        "ppsim {args:?} exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn faults_resume_from_a_middle_generation_is_byte_identical() {
+    // 2000 agents for 300 rounds with byzantine dents at rounds 120 and
+    // 240; checkpoints every 75 rounds keep generations 1-3 (rounds 150,
+    // 225 and 300). Generation 2 lies between the two dents, so the
+    // resumed run replays the second one.
+    let dir = std::env::temp_dir().join(format!("ppsim-faults-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let run = ["faults", "--n", "2000", "--rounds", "300", "--seed", "5"];
+    let reference = ppsim(&run, &dir.join("ref.json"));
+    let ck_dir = dir.join("ck");
+    let ck_dir_arg = ck_dir.to_str().expect("utf-8 temp path");
+    let checkpointed = ppsim(
+        &[
+            &run[..],
+            &[
+                "--checkpoint-every",
+                "150000",
+                "--checkpoint-dir",
+                ck_dir_arg,
+            ],
+        ]
+        .concat(),
+        &dir.join("ck.json"),
+    );
+    let mut generations: Vec<_> = std::fs::read_dir(&ck_dir)
+        .expect("checkpoint dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    generations.sort();
+    assert_eq!(generations.len(), 3, "the store keeps three generations");
+    let middle = generations[1].to_str().expect("utf-8 temp path");
+    assert!(middle.ends_with("gen-0000000002.snap"), "{middle}");
+    let resumed = ppsim(&["resume", middle], &dir.join("resumed.json"));
+
+    let text = String::from_utf8_lossy(&reference);
+    assert!(text.contains("2 injections over 300 rounds"), "{text}");
+    assert_eq!(checkpointed, reference, "checkpointing changes no verdict");
+    assert_eq!(resumed, reference, "resumed verdict lines differ");
+    let metrics = |name: &str| std::fs::read(dir.join(name)).expect("metrics file");
+    assert_eq!(metrics("ck.json"), metrics("ref.json"));
+    assert_eq!(
+        metrics("resumed.json"),
+        metrics("ref.json"),
+        "resumed metrics differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -102,7 +102,7 @@ fn oscillator_profile_attributes_dense_wall_time() {
         Some("collision")
     );
 
-    // The P² percentiles of the oscillator period came out of the run.
+    // The exact percentiles of the oscillator period came out of the run.
     let q = doc.get("quantiles").expect("quantiles present");
     assert_eq!(
         q.get("label").and_then(Json::as_str),
