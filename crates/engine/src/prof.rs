@@ -78,10 +78,11 @@ pub enum Section {
     /// [`Section::LeapUpkeep`]).
     SparseLeap,
     /// A sparse leap's pick of the effective step: the rule slot, then
-    /// the initiator and the responder by bit-filtered scans.
+    /// the initiator and the responder by walks of the slot's class
+    /// members (built here on the slot's first pick).
     LeapPick,
-    /// A sparse leap's write-back of a change: the occupied-list update
-    /// and the per-rule-slot agent counts.
+    /// A sparse leap's write-back of a change: the occupied-list update,
+    /// the per-rule-slot agent counts and the built class members.
     LeapUpkeep,
     /// One collision batch ([`crate::collision`]).
     CollisionEpoch,

@@ -24,12 +24,19 @@
 //!   steps before the next effective one is geometric; the leap draws it,
 //!   picks `(r, a, b)` with probability `c_a c'_b / W` among the effective
 //!   triples (`c'` without one agent of `a`) — the slot by `W_r`, the
-//!   initiator and the responder by bit-filtered scans of the occupied
-//!   list — and calls [`Protocol::interact_slot`]. By the slot contract
-//!   this is the law of the stepped chain (thinning; DESIGN.md §9). A
-//!   change costs `O(set bits)` upkeep: an agent's move shifts only the
-//!   counts of the rule slots whose class bits differ between its two
-//!   states.
+//!   initiator and the responder by walks of the slot's class members —
+//!   and calls [`Protocol::interact_slot`]. By the slot contract this is
+//!   the law of the stepped chain (thinning; DESIGN.md §9). A change costs
+//!   `O(set bits)` upkeep: an agent's move shifts only the counts of the
+//!   rule slots whose class bits differ between its two states.
+//!
+//! The class members are per-rule-slot bitsets over the occupied list,
+//! one per class, built for a slot at its first pick after the slot
+//! counts are (re)built and kept up by appends and swap-removes of
+//! occupied slots only; a count change touches none. A walk visits the
+//! set bits in ascending slot order, which are exactly the rows a scan of
+//! the occupied list filtered by the class bit visits, in the same order,
+//! so the rank → `(r, a, b)` map is that of the filtered scans.
 //!
 //! Only a protocol with rule masks leaps; any other stays per step. A
 //! state's masks are asked for at most once over the population's life,
@@ -55,15 +62,18 @@ const SLOT_BLOCK: usize = 32;
 /// `slot_of` entry of an interned state that is not occupied.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Occupied-slot visits one leap event costs beyond its two bit-filtered
-/// scans of the occupied list: the geometric draw, the rule-slot pick,
-/// the slot's interaction and the write-back with its slot-count upkeep,
-/// for rule masks of one word.
+/// Occupied-slot visits one leap event costs beyond its two walks, which
+/// [`leaps`] counts as one visit per occupied slot each, as when they were
+/// filtered scans of the occupied list; walking the picked slot's class
+/// members visits fewer, and the overstatement is left in place because
+/// these constants decide which regime runs, and with it trajectories.
+/// The rest is the geometric draw, the rule-slot pick, the slot's
+/// interaction and the write-back with its slot-count upkeep, for rule
+/// masks of one word.
 const LEAP_EVENT_SLOTS: f64 = 80.0;
 
 /// Occupied-slot visits each further mask word adds to a leap event: the
-/// slot-count upkeep and the guard-class columns visit every word of the
-/// moved states.
+/// slot-count upkeep visits every word of the moved states.
 const LEAP_WORD_SLOTS: f64 = 100.0;
 
 /// Occupied-slot visits per step the leap may spend and still beat the
@@ -202,51 +212,66 @@ struct Memo {
     known: Vec<bool>,
 }
 
-/// The leap regime's per-rule-slot agent counts, valid while leaping.
-/// Sized by the rule slots (`64 · words`), not by the occupied states.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl Memo {
+    /// The guard classes of id `id`, one entry per mask word.
+    fn of(&self, id: u32) -> &[[u64; 4]] {
+        let i = id as usize * self.words;
+        &self.classes[i..i + self.words]
+    }
+}
+
+/// The leap regime's per-rule-slot agent counts and class members, valid
+/// while `live`. Sized by the rule slots (`64 · words`) and, for the
+/// members, by the occupied list. A stale one keeps its buffers, which the
+/// next build refills in place.
+#[derive(Debug, Clone, Default)]
 struct SlotCounts {
+    /// Whether the counts describe the occupied list.
+    live: bool,
     /// Per rule slot: the agents in `[IM, I0, B, BM, IM ∩ B, I0 ∩ BM]`.
     counts: Vec<[u64; 6]>,
     /// `W_r` per rule slot.
     weights: Vec<u64>,
     /// `Σ W_r` per mask word.
     word_totals: Vec<u64>,
-    /// Per mask word, each occupied slot's guard classes, parallel to the
-    /// occupied list: the scans' contiguous rows.
-    columns: Vec<Vec<[u64; 4]>>,
     /// `W = Σ_r W_r`.
     total: u64,
+    /// Per rule slot `r`, the occupied slots in each of its classes
+    /// `[IM_r, I0_r, B_r, BM_r]`: bit `s % 64` of `members[r][s / 64][k]`
+    /// is set when occupied slot `s` is in class `k`. Built on `r`'s first
+    /// pick, and meaningful only where `built` has `r`'s bit; words past
+    /// the occupied list are zero.
+    members: Vec<Vec<[u64; 4]>>,
+    /// Per mask word, the rule slots whose members are built.
+    built: Vec<u64>,
+    /// The occupied slots the members cover.
+    covered: usize,
 }
 
 impl SlotCounts {
     /// Counts the occupied states from scratch, `O(occupied · words)` plus
-    /// one visit per set class bit.
-    fn build(memo: &Memo, occupied: &[(usize, u64)], ids: &[u32]) -> Self {
+    /// one visit per set class bit, and marks every slot's members unbuilt.
+    fn rebuild(&mut self, memo: &Memo, occupied: &[(usize, u64)], ids: &[u32]) {
         let words = memo.words;
-        let columns: Vec<Vec<[u64; 4]>> = (0..words)
-            .map(|w| {
-                ids.iter()
-                    .map(|&id| memo.classes[id as usize * words + w])
-                    .collect()
-            })
-            .collect();
-        let mut leap = Self {
-            counts: vec![[0; 6]; words * 64],
-            weights: vec![0; words * 64],
-            word_totals: vec![0; words],
-            columns: Vec::new(),
-            total: 0,
-        };
-        for (w, column) in columns.iter().enumerate() {
-            let mut touched = 0;
-            for (&classes, &(_, c)) in column.iter().zip(occupied) {
-                touched |= leap.add_state(w, classes, c);
-            }
-            leap.reweigh(w, touched);
+        fn fresh<T: Clone>(v: &mut Vec<T>, len: usize, zero: T) {
+            v.clear();
+            v.resize(len, zero);
         }
-        leap.columns = columns;
-        leap
+        fresh(&mut self.counts, words * 64, [0; 6]);
+        fresh(&mut self.weights, words * 64, 0);
+        fresh(&mut self.word_totals, words, 0);
+        fresh(&mut self.built, words, 0);
+        self.members.resize_with(words * 64, Vec::new);
+        self.total = 0;
+        self.covered = ids.len();
+        for w in 0..words {
+            let mut touched = 0;
+            for (&id, &(_, c)) in ids.iter().zip(occupied) {
+                touched |= self.add_state(w, memo.of(id)[w], c);
+            }
+            self.reweigh(w, touched);
+        }
+        self.live = true;
     }
 
     /// Adds `delta` agents (modulo 2⁶⁴, so a wrapped negative removes) of a
@@ -295,15 +320,87 @@ impl SlotCounts {
         }
     }
 
+    /// Builds rule slot `r`'s members from the memo: one pass over the
+    /// occupied ids.
+    fn build_members(&mut self, memo: &Memo, ids: &[u32], r: usize) {
+        let (w, bit) = (r / 64, r % 64);
+        let rows = &mut self.members[r];
+        rows.clear();
+        rows.resize(ids.len().div_ceil(64), [0; 4]);
+        for (s, &id) in ids.iter().enumerate() {
+            let classes = memo.of(id)[w];
+            let row = &mut rows[s / 64];
+            for k in 0..4 {
+                row[k] |= (classes[k] >> bit & 1) << (s % 64);
+            }
+        }
+        self.built[w] |= 1 << bit;
+    }
+
+    /// Sets or clears occupied slot `s`'s bit in class `k` of every built
+    /// rule slot of word `w` among `rules`.
+    #[inline]
+    fn mark(&mut self, w: usize, k: usize, rules: u64, s: usize, on: bool) {
+        for r in bit_positions(rules & self.built[w]) {
+            let rows = &mut self.members[w * 64 + r];
+            if rows.len() <= s / 64 {
+                rows.resize(s / 64 + 1, [0; 4]);
+            }
+            let word = &mut rows[s / 64][k];
+            if on {
+                *word |= 1 << (s % 64);
+            } else {
+                *word &= !(1 << (s % 64));
+            }
+        }
+    }
+
+    /// Appends an occupied slot, whose guard classes per mask word are
+    /// `classes`, to the built members.
+    fn push_row(&mut self, classes: &[[u64; 4]]) {
+        let s = self.covered;
+        self.covered += 1;
+        for (w, c) in classes.iter().enumerate() {
+            for (k, &rules) in c.iter().enumerate() {
+                self.mark(w, k, rules, s, true);
+            }
+        }
+    }
+
+    /// Swap-removes occupied slot `slot`, whose classes were `gone`, from
+    /// the built members: the last slot, with classes `moved`, takes its
+    /// place unless it was the last.
+    fn swap_remove_row(&mut self, slot: usize, gone: &[[u64; 4]], moved: &[[u64; 4]]) {
+        self.covered -= 1;
+        let last = self.covered;
+        for (w, (g, m)) in gone.iter().zip(moved).enumerate() {
+            for k in 0..4 {
+                self.mark(w, k, g[k], slot, false);
+                if slot < last {
+                    self.mark(w, k, m[k], last, false);
+                    self.mark(w, k, m[k], slot, true);
+                }
+            }
+        }
+    }
+
     /// The effective step of rank `u < W`: its rule slot, initiator slot
     /// and responder slot, each `(r, a, b)` of weight `c_a c'_b` taking
     /// that many ranks (`c'` without one agent of the initiator's state).
     /// The rank picks `r` under `W_r` and one of its two terms, then the
     /// initiator under `c_a · (|Y| − [a ∈ Y])` among the term's initiator
     /// class, `Y` its responder class; what is left of the rank, modulo
-    /// `|Y| − [a ∈ Y]`, picks the responder among `Y`. One bit-filtered
-    /// scan of the occupied list each.
-    fn pick(&self, occupied: &[(usize, u64)], mut u: u64) -> (usize, usize, usize) {
+    /// `|Y| − [a ∈ Y]`, picks the responder among `Y`. Each walks its
+    /// class's members in ascending slot order, the rows a scan of the
+    /// occupied list filtered by the class bit would visit; `r`'s members
+    /// are built first if they are not yet.
+    fn pick(
+        &mut self,
+        memo: &Memo,
+        occupied: &[(usize, u64)],
+        ids: &[u32],
+        mut u: u64,
+    ) -> (usize, usize, usize) {
         let mut w = 0;
         while u >= self.word_totals[w] {
             u -= self.word_totals[w];
@@ -322,36 +419,40 @@ impl SlotCounts {
             u -= first;
             (1, 3, c[3])
         };
-        let bit = 1u64 << (r % 64);
-        let column = &self.columns[w];
-        let rows = column.iter().zip(occupied).enumerate();
-        let (sa, others) = rows
-            .clone()
-            .filter(|(_, (classes, _))| classes[init] & bit != 0)
-            .find_map(|(slot, (classes, &(_, count)))| {
-                let others = size - u64::from(classes[resp] & bit != 0);
-                let m = count * others;
-                if u < m {
-                    return Some((slot, others));
-                }
-                u -= m;
-                None
-            })
-            .expect("rank exceeded W");
-        let mut v = u % others;
-        let sb = rows
-            .filter(|(_, (classes, _))| classes[resp] & bit != 0)
-            .find_map(|(slot, (_, &(_, count)))| {
-                let m = count - u64::from(slot == sa);
-                if v < m {
-                    return Some(slot);
-                }
-                v -= m;
-                None
-            })
+        if self.built[w] >> (r % 64) & 1 == 0 {
+            self.build_members(memo, ids, r);
+        }
+        let rows = &self.members[r];
+        let others = |s: usize| size - (rows[s / 64][resp] >> (s % 64) & 1);
+        let (sa, u) = walk(rows, init, u, |s| occupied[s].1 * others(s)).expect("rank exceeded W");
+        let v = u % others(sa);
+        let (sb, _) = walk(rows, resp, v, |s| occupied[s].1 - u64::from(s == sa))
             .expect("rank exceeded the responder class");
         (r, sa, sb)
     }
+}
+
+/// Walks the members of class `k` in `rows` in ascending slot order,
+/// taking `weight(s)` off `u` at each, and returns the member at which
+/// `u` falls below its weight, with what is left of `u` there.
+#[inline]
+fn walk(
+    rows: &[[u64; 4]],
+    k: usize,
+    mut u: u64,
+    weight: impl Fn(usize) -> u64,
+) -> Option<(usize, u64)> {
+    for (j, row) in rows.iter().enumerate() {
+        for b in bit_positions(row[k]) {
+            let s = j * 64 + b;
+            let m = weight(s);
+            if u < m {
+                return Some((s, u));
+            }
+            u -= m;
+        }
+    }
+    None
 }
 
 /// Which regime the population is in.
@@ -390,9 +491,9 @@ impl Regime {
 /// per step regardless; this backend stores only the occupied states, so
 /// construction is `O(occupied)`. A per-step step costs
 /// `O(occupied/B + B)` with `B = 32`; where few steps change anything, it
-/// leaps over the ineffective ones at two bit-filtered `O(occupied)` scans
-/// and `O(set bits)` upkeep per effective step (see the module
-/// documentation).
+/// leaps over the ineffective ones at two walks of the picked rule slot's
+/// class members, `O(occupied/64 + members)`, and `O(set bits)` upkeep per
+/// effective step (see the module documentation).
 ///
 /// The sampled process is identical in distribution to the dense backends.
 ///
@@ -431,8 +532,8 @@ pub struct SparseCountPopulation<P> {
     /// Built on the first leap; stays `None` for a protocol without rule
     /// masks, which never leaps.
     memo: Option<Memo>,
-    /// Present while leaping; dropped by out-of-band edits.
-    leap: Option<SlotCounts>,
+    /// Live while leaping; out-of-band edits and reloads leave it stale.
+    leap: SlotCounts,
     regime: Regime,
     /// Per-step window: length, steps seen, changes seen.
     window: [u64; 3],
@@ -458,7 +559,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
             n: 0,
             steps: 0,
             memo: None,
-            leap: None,
+            leap: SlotCounts::default(),
             regime: Regime::Undecided,
             window: [0; 3],
         };
@@ -510,7 +611,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
         }
         self.occupied.clear();
         self.slot_ids.clear();
-        self.leap = None;
+        self.leap.live = false;
         if let Err(e) = self.fill(&pairs) {
             panic!("{e}");
         }
@@ -590,8 +691,8 @@ impl<P: Protocol> SparseCountPopulation<P> {
     }
 
     /// Adds `delta` agents to `state`, appending a slot if it was empty;
-    /// returns the state's interned id. An appended slot's guard-class
-    /// columns are the leap's to fill ([`Self::apply_leap`]).
+    /// returns the state's interned id. An appended slot's class members
+    /// are the leap's to fill ([`Self::apply_leap`]).
     fn add(&mut self, state: usize, delta: i64) -> u32 {
         let id = self.intern(state);
         let slot = self.slot_of[id as usize];
@@ -630,10 +731,10 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.occupied.swap_remove(slot);
         let id = self.slot_ids.swap_remove(slot);
         self.slot_of[id as usize] = NO_SLOT;
-        if let Some(leap) = &mut self.leap {
-            for column in &mut leap.columns {
-                column.swap_remove(slot);
-            }
+        if self.leap.live {
+            let memo = self.memo.as_ref().expect("memo covers the occupied states");
+            let moved = self.slot_ids.get(slot).copied().unwrap_or(id);
+            self.leap.swap_remove_row(slot, memo.of(id), memo.of(moved));
         }
         let moved_from = (slot < last).then(|| {
             let moved = self.occupied[slot].1;
@@ -756,10 +857,8 @@ impl<P: Protocol> SparseCountPopulation<P> {
             self.cover(self.slot_ids[slot]);
         }
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
-        let leap = SlotCounts::build(memo, &self.occupied, &self.slot_ids);
-        let total = leap.total;
-        self.leap = Some(leap);
-        Some(total)
+        self.leap.rebuild(memo, &self.occupied, &self.slot_ids);
+        Some(self.leap.total)
     }
 
     /// Builds the slot counts and enters the leap if [`leaps`] says so at
@@ -776,7 +875,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
         if entered {
             self.regime = Regime::Leap;
         } else {
-            self.leap = None;
+            self.leap.live = false;
             self.regime = Regime::PerStep;
         }
         entered
@@ -789,32 +888,28 @@ impl<P: Protocol> SparseCountPopulation<P> {
 
     /// Leaves the leap for the per-step regime with a fresh window.
     fn leave_leap(&mut self) {
-        self.leap = None;
+        self.leap.live = false;
         self.regime = Regime::PerStep;
         self.window = [self.base_window(), 0, 0];
     }
 
     /// [`SparseCountPopulation::apply`] plus the slot-count upkeep: the
-    /// appended slots' guard classes join the columns, then each of the
-    /// two moves shifts the counts of the rule slots whose class bits
-    /// differ between its two states, and those slots' `W_r` are
-    /// recomputed. `O(set bits)` per move, whatever the occupancy.
+    /// removals swap their slots out of the built members and the appended
+    /// slots join them, then each of the two moves shifts the counts of the
+    /// rule slots whose class bits differ between its two states, and those
+    /// slots' `W_r` are recomputed. `O(set bits)` per move, whatever the
+    /// occupancy; a count that changes touches no member bit.
     fn apply_leap(&mut self, sa: usize, sb: usize, a2: usize, b2: usize) {
         let (ia, ib) = (self.slot_ids[sa], self.slot_ids[sb]);
         let (ia2, ib2) = self.apply(sa, sb, a2, b2);
-        let kept = self.leap.as_ref().expect("leaping").columns[0].len();
-        for slot in kept..self.occupied.len() {
+        for slot in self.leap.covered..self.occupied.len() {
             let id = self.slot_ids[slot];
             self.cover(id);
             let memo = self.memo.as_ref().expect("memo covers the occupied states");
-            let leap = self.leap.as_mut().expect("leaping");
-            let classes = &memo.classes[id as usize * memo.words..];
-            for (column, &c) in leap.columns.iter_mut().zip(classes) {
-                column.push(c);
-            }
+            self.leap.push_row(memo.of(id));
         }
         let memo = self.memo.as_ref().expect("memo covers the occupied states");
-        let leap = self.leap.as_mut().expect("leaping");
+        let leap = &mut self.leap;
         for w in 0..memo.words {
             let classes = |id: u32| memo.classes[id as usize * memo.words + w];
             let mut touched = 0;
@@ -831,13 +926,34 @@ impl<P: Protocol> SparseCountPopulation<P> {
         debug_assert!(self.leap_is_consistent());
     }
 
-    /// Debug check: the slot counts, their weights and columns equal a
-    /// recount from scratch.
+    /// Debug check: the slot counts and their weights equal a recount from
+    /// scratch, the members cover the occupied list, and every built rule
+    /// slot's members are those the memo gives.
     fn leap_is_consistent(&self) -> bool {
-        self.leap.as_ref().is_none_or(|leap| {
-            let memo = self.memo.as_ref().expect("memo covers the occupied states");
-            *leap == SlotCounts::build(memo, &self.occupied, &self.slot_ids)
-        })
+        let leap = &self.leap;
+        if !leap.live {
+            return true;
+        }
+        let memo = self.memo.as_ref().expect("memo covers the occupied states");
+        let mut recount = SlotCounts::default();
+        recount.rebuild(memo, &self.occupied, &self.slot_ids);
+        let counted = (&leap.counts, &leap.weights, &leap.word_totals, leap.total)
+            == (
+                &recount.counts,
+                &recount.weights,
+                &recount.word_totals,
+                recount.total,
+            );
+        let built = (0..leap.counts.len()).filter(|&r| leap.built[r / 64] >> (r % 64) & 1 == 1);
+        counted
+            && leap.covered == self.occupied.len()
+            && built.into_iter().all(|r| {
+                recount.build_members(memo, &self.slot_ids, r);
+                let (got, want) = (&leap.members[r], &recount.members[r]);
+                let zero = |rows: &[[u64; 4]]| rows.iter().all(|row| *row == [0; 4]);
+                let common = got.len().min(want.len());
+                got[..common] == want[..common] && zero(&got[common..]) && zero(&want[common..])
+            })
     }
 }
 
@@ -877,7 +993,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
         if from == to || moved == 0 {
             return 0;
         }
-        self.leap = None;
+        self.leap.live = false;
         self.add(from, -(moved as i64));
         self.add(to, moved as i64);
         moved
@@ -885,7 +1001,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
         // A lone step keeps no slot counts; the next batch rebuilds them.
-        self.leap = None;
+        self.leap.live = false;
         self.steps += 1;
         if self.step_once(rng) {
             StepOutcome::Changed
@@ -905,8 +1021,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
         let pf = cap.sections;
         let _batch_span = prof::section_if(pf, Section::BatchSparse);
         let mut out = BatchOutcome::default();
-        if self.regime == Regime::Undecided || (self.regime == Regime::Leap && self.leap.is_none())
-        {
+        if self.regime == Regime::Undecided || (self.regime == Regime::Leap && !self.leap.live) {
             self.try_leap();
         }
         let draws = self.pair_draws().unwrap_or(u64::MAX);
@@ -914,17 +1029,17 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
             BatchTally::sparse(
                 self.n,
                 self.occupied.len() as u64,
-                self.leap.as_ref().map(|l| l.total),
+                self.leap.live.then_some(self.leap.total),
                 u64::from(self.protocol.weight_scale().max(1)),
             )
         });
         while out.executed < max_steps {
             let remaining = max_steps - out.executed;
             if self.regime == Regime::Leap {
-                if self.leap.is_none() && !self.try_leap() {
+                if !self.leap.live && !self.try_leap() {
                     continue;
                 }
-                let total = self.leap.as_ref().expect("leaping").total;
+                let total = self.leap.total;
                 if total == 0 {
                     out.silent = true;
                     break;
@@ -951,8 +1066,9 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
                 out.executed += skip + 1;
                 let (r, sa, sb) = {
                     let _pick_span = prof::section_if(pf, Section::LeapPick);
-                    let leap = self.leap.as_ref().expect("leaping");
-                    leap.pick(&self.occupied, rng.below(total))
+                    let memo = self.memo.as_ref().expect("leaping");
+                    let u = rng.below(total);
+                    self.leap.pick(memo, &self.occupied, &self.slot_ids, u)
                 };
                 let (a, b) = (self.occupied[sa].0, self.occupied[sb].0);
                 let (a2, b2) = self.protocol.interact_slot(a, b, r, rng);
@@ -1087,7 +1203,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
             n: 0,
             steps: 0,
             memo: None,
-            leap: None,
+            leap: SlotCounts::default(),
             regime,
             window,
         };
@@ -1107,7 +1223,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
         self.ids = ids;
         self.states = states;
         self.slot_of = slot_of;
-        self.leap = None;
+        self.leap.live = false;
         self.steps = steps;
         self.regime = regime;
         self.window = window;
@@ -1229,6 +1345,12 @@ mod tests {
             unreachable!("rank exceeded population");
         }
 
+        /// The leap's pick at rank `u`.
+        fn pick_rank(&mut self, u: u64) -> (usize, usize, usize) {
+            let memo = self.memo.as_ref().expect("leaping");
+            self.leap.pick(memo, &self.occupied, &self.slot_ids, u)
+        }
+
         /// The slot of each occupied state, by state.
         fn slot_map(&self) -> Vec<(usize, u32)> {
             let mut map: Vec<(usize, u32)> = self
@@ -1340,6 +1462,7 @@ mod tests {
     /// A protocol whose `64 · words` rule slots are given per state as
     /// masks, `[init, init_moves, resp, resp_moves]` per word at
     /// `masks[state · words ..]`; `interact` leaves every pair as it is.
+    #[derive(Clone)]
     struct Masked {
         words: usize,
         masks: Vec<[u64; 4]>,
@@ -1381,15 +1504,21 @@ mod tests {
     /// `r`, initiator state `a` and responder state `b` exactly
     /// `c_a c'_b [r effective on (a, b)]` times (`c'` without one agent of
     /// `a`), effectiveness read from the protocol's own masks, so each
-    /// triple has probability `c_a c'_b / W`; and the slot counts equal a
-    /// recount. With one-word and three-word masks, from the first build
-    /// and after leap-mode moves that empty, refill and append slots and
-    /// reach states not interned before.
+    /// triple has probability `c_a c'_b / W`; and the slot counts and every
+    /// built rule slot's members equal a recount. With one-word and
+    /// three-word masks over a few states, and one-word masks over more
+    /// than two member words of occupied states; from the first build and
+    /// after leap-mode moves that empty, refill and append slots, reach
+    /// states not interned before and swap the last slot across member
+    /// words, with some rule slots' members built before the moves and
+    /// others first built after them.
     #[test]
     fn leap_sampler_draws_pairs_by_exact_weight() {
-        fn check<P: Protocol>(pop: &SparseCountPopulation<P>) {
+        /// Sweeps every rank on a copy, which builds the members of every
+        /// rule slot with a positive weight.
+        fn check<P: Protocol + Clone>(pop: &SparseCountPopulation<P>) {
             assert!(pop.leap_is_consistent(), "slot counts drifted");
-            let leap = pop.leap.as_ref().expect("leaping");
+            let mut pop = pop.clone();
             let slots = 64 * pop.memo.as_ref().expect("memo").words;
             let masks: Vec<_> = pop
                 .occupied
@@ -1407,50 +1536,95 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(leap.total, want.values().sum::<u64>(), "W");
+            assert_eq!(pop.leap.total, want.values().sum::<u64>(), "W");
             let mut got = std::collections::BTreeMap::new();
-            for u in 0..leap.total {
-                let (r, a, b) = leap.pick(&pop.occupied, u);
+            for u in 0..pop.leap.total {
+                let (r, a, b) = pop.pick_rank(u);
                 *got.entry((r, pop.occupied[a].0, pop.occupied[b].0))
                     .or_insert(0u64) += 1;
             }
             assert_eq!(got, want, "ranks per (slot, initiator, responder)");
+            assert!(pop.leap_is_consistent(), "members built by the sweep");
         }
-        fn run<P: Protocol>(p: P) {
+        /// Occupies the first `start` even states with 1 to `max_count`
+        /// agents each (odd states start empty, so the moves intern them
+        /// mid-leap), then makes `moves` leap-mode moves, checking every
+        /// `every` of them.
+        fn run<P: Protocol + Clone>(
+            p: P,
+            start: usize,
+            max_count: u64,
+            moves: usize,
+            every: usize,
+        ) {
             let k = p.num_states();
-            // Odd states start empty, so the moves intern them mid-leap.
             let pairs: Vec<(usize, u64)> = (0..k)
                 .step_by(2)
-                .map(|s| (s, 2 + (s as u64 * 7) % 4))
+                .take(start)
+                .map(|s| (s, 1 + (s as u64 * 7) % max_count))
                 .collect();
             let mut pop = SparseCountPopulation::from_pairs(p, &pairs);
             pop.build_leap().expect("the protocol has rule masks");
-            check(&pop);
             let mut rng = SimRng::seed_from(0x1ea9);
-            for _ in 0..60 {
-                let sa = rng.index(pop.occupied.len());
+            // Some rule slots' members are built before any move.
+            for _ in 0..3 {
+                pop.pick_rank(rng.below(pop.leap.total));
+            }
+            check(&pop);
+            let mut crossings = 0;
+            for step in 0..moves {
+                let len = pop.occupied.len();
+                // Every other move empties a one-agent slot of the first
+                // member word when it can: the last slot then moves into
+                // it, from another member word once more than 64 are
+                // occupied.
+                let lone = (step % 2 == 0)
+                    .then(|| (0..len.min(64)).find(|&s| pop.occupied[s].1 == 1))
+                    .flatten();
+                let sa = lone.unwrap_or_else(|| rng.index(len));
+                crossings += usize::from(lone.is_some() && len > 64);
                 let sb = loop {
-                    let sb = rng.index(pop.occupied.len());
+                    let sb = rng.index(len);
                     if sb != sa || pop.occupied[sa].1 > 1 {
                         break sb;
                     }
                 };
                 let (a2, b2) = (rng.index(k), rng.index(k));
                 pop.apply_leap(sa, sb, a2, b2);
-                check(&pop);
+                // A random pick builds members after the moves so far.
+                if pop.leap.total > 0 {
+                    pop.pick_rank(rng.below(pop.leap.total));
+                }
+                if (step + 1) % every == 0 {
+                    assert!(start <= 128 || pop.occupied.len() > 128, "fewer words");
+                    check(&pop);
+                }
             }
+            assert!(start <= 64 || crossings > 0, "no swap crossed a word");
         }
         let mut rng = SimRng::seed_from(0x3a5c);
-        for words in [1, 3] {
-            let masks = (0..6 * words)
-                .map(|_| [0; 4].map(|_: u64| rng.next_u64()))
+        let mut random_masks = |states: usize, words: usize, sparse: bool| {
+            let mut mask = || {
+                if sparse {
+                    rng.next_u64() & rng.next_u64()
+                } else {
+                    rng.next_u64()
+                }
+            };
+            let masks = (0..states * words)
+                .map(|_| [0; 4].map(|_: u64| mask()))
                 .collect();
-            run(Masked::new(words, masks));
+            Masked::new(words, masks)
+        };
+        for words in [1, 3] {
+            run(random_masks(6, words, false), 3, 4, 60, 1);
         }
+        let wide = random_masks(400, 1, true);
+        run(&wide, 150, 3, 30, 10);
     }
 
     /// At n = 2 one effective step can empty every occupied slot before
-    /// the step's additions refill any; the guard-class columns must still
+    /// the step's additions refill any; the built members must still
     /// follow the occupied list, whether the two agents leave two states
     /// or one.
     #[test]
@@ -1459,9 +1633,10 @@ mod tests {
         for (start, (a2, b2)) in [(vec![(0, 1), (1, 1)], (2, 3)), (vec![(0, 2)], (1, 1))] {
             let mut pop = SparseCountPopulation::from_pairs(&p, &start);
             pop.build_leap().expect("the protocol has rule masks");
+            pop.pick_rank(0);
+            assert_ne!(pop.leap.built, [0], "the pick built its slot's members");
             pop.apply_leap(0, start.len() - 1, a2, b2);
-            let leap = pop.leap.as_ref().expect("leaping");
-            assert_eq!(leap.columns[0].len(), pop.occupied.len());
+            assert_eq!(pop.leap.covered, pop.occupied.len());
             assert!(pop.leap_is_consistent());
         }
     }
@@ -1530,7 +1705,7 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         for _ in 0..20 {
             pop.step_batch(&mut rng, 1_000);
-            assert!(pop.memo.is_none() && pop.leap.is_none());
+            assert!(pop.memo.is_none() && !pop.leap.live);
             assert_ne!(pop.regime, Regime::Leap);
         }
     }

@@ -38,8 +38,10 @@
 //! `faults` runs the oscillator under an injection schedule (a JSON spec
 //! file via `--spec`, or composed from `--corrupt-*` / `--churn-*` /
 //! `--byz-*` flags) and reports, per injection, whether dominance rotation
-//! recovered its pre-fault period statistics. Fractions are given as
-//! integer percents (`--corrupt-pct 10` = 10%).
+//! recovered its pre-fault period statistics within `--window` rounds;
+//! one that moved no agent, or came less than a window before the run's
+//! end, is reported as not judged. Fractions are given as integer percents
+//! (`--corrupt-pct 10` = 10%).
 
 use population_protocols::core::analyze::{lint_builtin, lint_source};
 use population_protocols::core::clocks::detect::{dominance_events, periods, rotation_violations};
@@ -1401,7 +1403,8 @@ fn species_rows<S: Simulator>(
 /// resumed snapshot carried included); `faults` reports, per injection,
 /// whether dominance rotation returned to its pre-fault period statistics,
 /// and exits 1 if any injection failed to recover within the measurement
-/// window.
+/// window. An injection that moved no agent, or that left less than a
+/// window of rows after it, is reported as not judged and fails nothing.
 fn run_checkpointed(
     shape: &RunShape,
     resume: Option<&RunSnapshot>,
@@ -1457,28 +1460,39 @@ fn run_checkpointed(
         pop.events().len(),
         spec.to_json().render(),
     );
+    let end = rows.last().map_or(0.0, |&(t, _)| t);
     let mut failed = 0usize;
     for e in pop.events() {
-        // Window each measurement so the next injection cannot contaminate
-        // it; rotation_recovery builds its baseline from pre-fault rows.
-        let rows: Vec<_> = rows
-            .iter()
-            .copied()
-            .filter(|(t, _)| *t <= e.time + window)
-            .collect();
-        match rotation_recovery(&rows, 0.8, e.time, 0.35) {
-            Some(r) => println!(
-                "  t={:7.1} {:<9} hit={:<6} moved={:<6} recovered in {:.1} rounds (pre-fault period {:.1})",
-                e.time, e.kind, e.hit, e.moved, r.recovery_time, r.pre_median
-            ),
-            None => {
-                failed += 1;
-                println!(
-                    "  t={:7.1} {:<9} hit={:<6} moved={:<6} NOT recovered within {window} rounds",
-                    e.time, e.kind, e.hit, e.moved
-                );
+        // A dent that moved nobody, or one with less than a window of rows
+        // after it, has no recovery to judge.
+        let verdict = if e.moved == 0 {
+            "not judged: no agent moved".to_string()
+        } else if end - e.time < window {
+            format!("not judged: {:.1} of {window} rounds remain", end - e.time)
+        } else {
+            // Window each measurement so the next injection cannot
+            // contaminate it; rotation_recovery builds its baseline from
+            // pre-fault rows.
+            let rows: Vec<_> = rows
+                .iter()
+                .copied()
+                .filter(|(t, _)| *t <= e.time + window)
+                .collect();
+            match rotation_recovery(&rows, 0.8, e.time, 0.35) {
+                Some(r) => format!(
+                    "recovered in {:.1} rounds (pre-fault period {:.1})",
+                    r.recovery_time, r.pre_median
+                ),
+                None => {
+                    failed += 1;
+                    format!("NOT recovered within {window} rounds")
+                }
             }
-        }
+        };
+        println!(
+            "  t={:7.1} {:<9} hit={:<6} moved={:<6} {verdict}",
+            e.time, e.kind, e.hit, e.moved
+        );
     }
     u8::from(failed > 0)
 }

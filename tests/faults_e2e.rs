@@ -2,7 +2,9 @@
 //! mid-run and the oscillator's dominance rotation, measured through
 //! [`RecoveryProbe`], returns to its pre-fault period statistics; and a
 //! checkpointed `ppsim faults` run resumed from a mid-run generation
-//! reports what the uninterrupted run reports.
+//! reports what the uninterrupted run reports; and an injection with no
+//! window of rows after it, or that moved nobody, is reported as not
+//! judged rather than failed.
 
 use population_protocols::core::clocks::detect::{completed_periods, dominance_events};
 use population_protocols::core::clocks::diag::RecoveryProbe;
@@ -134,5 +136,55 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
         metrics("ref.json"),
         "resumed metrics differ"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `faults` report line of the injection at round `t`.
+fn injection_line(stdout: &[u8], t: &str) -> String {
+    let text = String::from_utf8_lossy(stdout);
+    let prefix = format!("t={t:>7} ");
+    text.lines()
+        .find(|l| l.trim_start().starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no injection at t = {t}:\n{text}"))
+        .to_string()
+}
+
+#[test]
+fn faults_that_cannot_be_judged_fail_nothing() {
+    let dir = std::env::temp_dir().join(format!("ppsim-faults-unjudged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    // The second dent fires on the last batch: no rows follow it, while the
+    // first one, 120 rounds earlier, has a whole window to recover in.
+    let out = ppsim(
+        &["faults", "--n", "2000", "--rounds", "240", "--seed", "5"],
+        &dir.join("end.json"),
+    );
+    let first = injection_line(&out, "120.0");
+    assert!(first.contains("recovered in"), "{first}");
+    let last = injection_line(&out, "240.0");
+    assert!(
+        last.contains("not judged: 0.0 of 110 rounds remain"),
+        "{last}"
+    );
+    // The byzantine top-up at round 120 finds its pinned state already
+    // full and moves nobody: ordinary rotation is no recovery.
+    let out = ppsim(
+        &[
+            "faults",
+            "--n",
+            "1000",
+            "--rounds",
+            "300",
+            "--seed",
+            "4",
+            "--byz-every",
+            "60",
+        ],
+        &dir.join("idle.json"),
+    );
+    let idle = injection_line(&out, "120.0");
+    assert!(idle.contains("moved=0 "), "{idle}");
+    assert!(idle.contains("not judged: no agent moved"), "{idle}");
+    assert!(!idle.contains("recovered"), "{idle}");
     let _ = std::fs::remove_dir_all(&dir);
 }
