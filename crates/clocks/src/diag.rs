@@ -12,7 +12,7 @@
 //!   [`crate::hierarchy::ClockHierarchy`] population and records each majority-phase change
 //!   ("tick") with its parallel time. Adjacent levels should tick at rates
 //!   separated by `Θ(log n)` (Section 5.3); the per-level tick lists expose
-//!   exactly that. Ticks can be re-emitted as [`pp_engine::trace`] events.
+//!   exactly that.
 //! * [`GoodIterationEstimator`] — accumulates per-iteration good/bad
 //!   verdicts for compiled-program runs and reports the good fraction. The
 //!   paper's simulation argument needs most gated windows to be "good"
@@ -31,7 +31,6 @@ use crate::detect::{completed_periods, dominance_events, periods};
 use crate::hierarchy::HierAgent;
 use crate::oscillator::NUM_SPECIES;
 use pp_engine::obj::{ObjPopulation, ObjProtocol};
-use pp_engine::trace::Tracer;
 
 /// One recorded tick: a level's majority phase changed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,24 +130,6 @@ impl TickTracer {
             return None;
         }
         Some(self.ticks[level].len() as f64 / span)
-    }
-
-    /// Emits every recorded tick as a `"tick"` event on `tracer`, with
-    /// `level`, `phase`, and simulation-`time` fields.
-    pub fn write_events(&self, tracer: &mut Tracer) {
-        use pp_engine::json::Json;
-        for (level, ticks) in self.ticks.iter().enumerate() {
-            for t in ticks {
-                tracer.event(
-                    "tick",
-                    &[
-                        ("level", Json::from(level)),
-                        ("phase", Json::from(u64::from(t.phase))),
-                        ("time", Json::from(t.time)),
-                    ],
-                );
-            }
-        }
     }
 }
 
@@ -425,7 +406,6 @@ mod tests {
     use crate::junta::PairwiseElimination;
     use crate::oscillator::{central_init, Dk18Oscillator, Oscillator};
     use pp_engine::counts::CountPopulation;
-    use pp_engine::json::parse_jsonl;
     use pp_engine::rng::SimRng;
     use pp_engine::sim::{run_rounds, Simulator};
 
@@ -518,37 +498,6 @@ mod tests {
             assert!(t.time > 0.0);
         }
         assert!(tracer.rate(0).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn tick_tracer_events_roundtrip_through_jsonl() {
-        let mut tt = TickTracer::new(2, 4);
-        tt.last = vec![Some(0), Some(0)];
-        tt.first_time = Some(0.0);
-        tt.ticks[0].push(Tick {
-            time: 1.5,
-            phase: 1,
-        });
-        tt.ticks[1].push(Tick {
-            time: 9.0,
-            phase: 3,
-        });
-        let mut tr = Tracer::new();
-        tt.write_events(&mut tr);
-        let records = parse_jsonl(&tr.to_jsonl()).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            records[1]
-                .get("level")
-                .and_then(pp_engine::json::Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            records[1]
-                .get("time")
-                .and_then(pp_engine::json::Json::as_f64),
-            Some(9.0)
-        );
     }
 
     #[test]

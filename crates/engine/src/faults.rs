@@ -778,20 +778,6 @@ impl<S: Simulator> FaultyPopulation<S> {
         let rows: Vec<Json> = self.plan.events().iter().map(FaultEvent::to_json).collect();
         crate::json::to_jsonl(&rows)
     }
-
-    /// Writes the injection log as JSON Lines to `path`, creating parent
-    /// directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from directory creation or the write.
-    pub fn write_events_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.events_jsonl())
-    }
 }
 
 impl<S: Simulator> Simulator for FaultyPopulation<S> {

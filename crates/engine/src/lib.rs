@@ -38,12 +38,11 @@
 //! Every backend hot path carries capture points for the run's
 //! [`recorder::Recorder`]: [`metrics`] counters and log₂ histograms, scoped
 //! timers for the hierarchical [`prof`] section profiler, and per-batch
-//! regime-dispatch records ([`trace::DispatchRecord`]). A run installs its
-//! recorder on its thread; with none installed, a backend pays one
+//! regime-dispatch records ([`recorder::DispatchRecord`]). A run installs
+//! its recorder on its thread; with none installed, a backend pays one
 //! thread-local load per batch. Sweeps give each task its own recorder and
-//! merge them in task order. [`trace`] records span/event timelines as JSON
-//! Lines via the in-repo [`json`] writer/reader. See `DESIGN.md` §10 and
-//! §14.
+//! merge them in task order. Reports render through the in-repo [`json`]
+//! writer/reader. See `DESIGN.md` §10 and §14.
 //!
 //! ## Example
 //!
@@ -87,7 +86,6 @@ pub mod snapshot;
 mod sparse;
 pub mod stats;
 pub mod sweep;
-pub mod trace;
 
 pub use protocol::{Protocol, ProtocolSpec};
 pub use rng::SimRng;

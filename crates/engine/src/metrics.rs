@@ -10,9 +10,9 @@
 //! fault injections, and sweep task timings.
 //!
 //! [`crate::recorder::Recorder::metrics`] freezes a recorder into a
-//! [`MetricsReport`] that renders to JSON via [`crate::json`]; `ppsim
-//! --metrics <path>` and the experiment binaries write these reports next
-//! to their other outputs.
+//! [`MetricsReport`] that renders to JSON via [`crate::json`]; it is the
+//! footer line of a `ppsim --record` run record, and the experiment
+//! binaries write it next to their other outputs.
 
 use crate::json::Json;
 
@@ -26,7 +26,9 @@ pub const HIST_BUCKETS: usize = 64;
 pub enum Counter {
     /// Scheduler activations executed (including leaped-over no-ops).
     InteractionsExecuted,
-    /// Activations that changed at least one agent's state.
+    /// Activations that changed at least one agent's state. Agent-object
+    /// batches ([`crate::obj::ObjPopulation`]) add 0: counting them would
+    /// compare both agents' states after every interaction.
     InteractionsChanged,
     /// Geometric no-op leaps taken (each skips ≥ 0 activations in `O(1)`).
     NoopLeaps,
@@ -156,10 +158,6 @@ pub fn bucket_of(value: u64) -> usize {
 pub struct MetricsReport {
     counters: Vec<(&'static str, u64)>,
     hists: Vec<(&'static str, Vec<u64>)>,
-    /// Free-form header describing the run that produced the snapshot
-    /// (backend name, command, …) — set by the harness via
-    /// [`MetricsReport::set_meta`], round-tripped through the JSON form.
-    meta: Vec<(String, String)>,
 }
 
 /// Upper-exclusive value bound of log₂ bucket `i`: bucket 0 holds only the
@@ -193,11 +191,7 @@ impl MetricsReport {
                 (h.name(), buckets)
             })
             .collect();
-        MetricsReport {
-            counters,
-            hists,
-            meta: Vec::new(),
-        }
+        MetricsReport { counters, hists }
     }
 
     /// The value of a counter by report name (0 if unknown).
@@ -225,26 +219,6 @@ impl MetricsReport {
         self.hist(name).map_or(0, |b| b.iter().sum())
     }
 
-    /// Attaches (or overwrites) a header entry describing the run — e.g.
-    /// which backend executed it. Meta entries render under `"meta"` in the
-    /// JSON form and survive [`MetricsReport::parse`].
-    pub fn set_meta(&mut self, key: &str, value: &str) {
-        if let Some(slot) = self.meta.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value.to_string();
-        } else {
-            self.meta.push((key.to_string(), value.to_string()));
-        }
-    }
-
-    /// A header entry by key, if set.
-    #[must_use]
-    pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Renders the report as a JSON document.
     ///
     /// Each histogram carries its `log2_buckets` counts alongside
@@ -253,11 +227,6 @@ impl MetricsReport {
     /// document, not an implicit convention of the reader.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let meta = Json::obj(
-            self.meta
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(v.clone()))),
-        );
         let counters = Json::obj(self.counters.iter().map(|&(name, v)| (name, Json::from(v))));
         let hists = Json::obj(self.hists.iter().map(|(name, buckets)| {
             (
@@ -277,7 +246,6 @@ impl MetricsReport {
         }));
         Json::obj([
             ("kind", Json::from("metrics_report")),
-            ("meta", meta),
             ("counters", counters),
             ("histograms", hists),
         ])
@@ -357,18 +325,7 @@ impl MetricsReport {
             }
             hists.push((known.name(), buckets));
         }
-        let mut meta = Vec::new();
-        if let Some(pairs) = doc.get("meta").and_then(Json::as_obj) {
-            for (k, v) in pairs {
-                let v = v.as_str().ok_or_else(|| bad("non-string meta value"))?;
-                meta.push((k.clone(), v.to_string()));
-            }
-        }
-        Ok(MetricsReport {
-            counters,
-            hists,
-            meta,
-        })
+        Ok(MetricsReport { counters, hists })
     }
 }
 
@@ -404,7 +361,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let mut report = MetricsReport {
+        let report = MetricsReport {
             counters: Counter::ALL
                 .iter()
                 .enumerate()
@@ -414,21 +371,18 @@ mod tests {
                 .iter()
                 .map(|&h| (h.name(), vec![1, 0, 3]))
                 .collect(),
-            meta: Vec::new(),
         };
-        report.set_meta("backend", "CountPopulation");
         let text = report.to_json().render();
         let back = MetricsReport::parse(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.hist_count("leap_len"), 4);
-        assert_eq!(back.meta("backend"), Some("CountPopulation"));
     }
 
     #[test]
     fn report_roundtrip_property_seeded() {
         // Randomized round-trip: any report the writer can produce must
         // parse back bit-identically — counters, every histogram shape the
-        // snapshot trimmer can emit, and meta headers included.
+        // snapshot trimmer can emit.
         let mut rng = crate::rng::SimRng::seed_from(0x5eed_4e7a);
         for case in 0..200 {
             let counters: Vec<(&'static str, u64)> = Counter::ALL
@@ -458,17 +412,7 @@ mod tests {
                     (h.name(), buckets)
                 })
                 .collect();
-            let mut report = MetricsReport {
-                counters,
-                hists,
-                meta: Vec::new(),
-            };
-            for m in 0..rng.below(4) {
-                report.set_meta(
-                    &format!("key{m}"),
-                    &format!("value {} #{case}", rng.below(99)),
-                );
-            }
+            let report = MetricsReport { counters, hists };
             let text = report.to_json().render();
             let back = MetricsReport::parse(&text)
                 .unwrap_or_else(|e| panic!("case {case} failed to parse: {e:?}"));
@@ -501,7 +445,9 @@ mod tests {
         // ignored on read. So are `sweep_retries`, `sweep_panics` and
         // `sweep_timeouts`, retired with the resilient sweep that bumped
         // them, and `observer_callbacks`, retired with the observer stride
-        // hook: older reports and snapshot-frozen counters still load.
+        // hook: older reports and snapshot-frozen counters still load. Their
+        // `meta` header, retired when the run record's header took over
+        // command and backend, is ignored too.
         // `ppsim oscillator --n 20000 --rounds 600 --seed 7 --metrics` as
         // written before the drops.
         let text = concat!(
@@ -536,9 +482,9 @@ mod tests {
             "no longer a counter"
         );
         assert_eq!(report.hist_count("epoch_len"), 119_541);
-        assert_eq!(report.meta("backend"), Some("CountPopulation"));
         let rendered = report.to_json().render();
         assert!(!rendered.contains("regime_"), "{rendered}");
+        assert!(!rendered.contains("meta"), "{rendered}");
         assert_eq!(MetricsReport::parse(&rendered).unwrap(), report);
     }
 

@@ -43,10 +43,10 @@
 //! ```
 
 use crate::collision::batch_len;
+use crate::json::Json;
 use crate::metrics::{bucket_of, Counter, Hist, MetricsReport, HIST_BUCKETS};
 use crate::prof::{ProfReport, SectionTable};
 use crate::sim::BatchOutcome;
-use crate::trace::DispatchRecord;
 use std::cell::Cell;
 use std::ptr;
 
@@ -327,6 +327,70 @@ pub fn installed_metrics() -> Option<MetricsReport> {
     with(|r| r.metrics())
 }
 
+/// One regime-dispatch decision: why a dense backend's `step_batch` picked
+/// the regime it did, and what then actually ran.
+///
+/// `regime` is the first regime chosen at batch entry; a long batch may
+/// cross regime boundaries as counts evolve, so the per-regime tallies
+/// (`collision_epochs`, `leaps`, `per_steps`) describe the whole batch.
+/// Serialized as a `{"kind":"dispatch",...}` line of a `ppsim --record`
+/// run record (`DESIGN.md` §14).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DispatchRecord {
+    /// Backend type name (e.g. `"CountPopulation"`).
+    pub backend: &'static str,
+    /// Population size `n`.
+    pub n: u64,
+    /// Occupied states at batch entry, where the backend tracks them.
+    pub occupied: Option<u64>,
+    /// Reactive ordered agent pairs at batch entry, each counted with its
+    /// rule weight (`W` of the sparse leap; plain pairs on
+    /// `CountPopulation`, whose scale is 1); 0 where unknown.
+    pub pairs: u64,
+    /// The weight scale: rule draws per interaction.
+    pub scale: u64,
+    /// Probability `p = pairs / (n(n−1)·scale)` that one interaction is
+    /// effective; NaN where `pairs` is unknown.
+    pub p: f64,
+    /// Interactions per collision batch at batch entry,
+    /// `collision::batch_len(n, occupied)`; NaN on backends without
+    /// collision batches.
+    pub expected_epoch: f64,
+    /// First regime chosen at batch entry: `"collision"`, `"per_step"`,
+    /// `"leap"`, `"dense_fallback"`, or `"silent"`.
+    pub regime: &'static str,
+    /// Interactions executed by the batch.
+    pub executed: u64,
+    /// Collision epochs run during the batch.
+    pub collision_epochs: u64,
+    /// Geometric no-op leaps taken during the batch.
+    pub leaps: u64,
+    /// Individually sampled (per-step / dense-fallback) interactions.
+    pub per_steps: u64,
+}
+
+impl DispatchRecord {
+    /// Renders the record as a `{"kind":"dispatch",...}` JSON document.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("kind", Json::from("dispatch")),
+            ("backend", Json::from(self.backend)),
+            ("n", Json::from(self.n)),
+            ("occupied", self.occupied.map_or(Json::Null, Json::from)),
+            ("pairs", Json::from(self.pairs)),
+            ("scale", Json::from(self.scale)),
+            ("p", Json::from(self.p)),
+            ("expected_epoch", Json::from(self.expected_epoch)),
+            ("regime", Json::from(self.regime)),
+            ("executed", Json::from(self.executed)),
+            ("collision_epochs", Json::from(self.collision_epochs)),
+            ("leaps", Json::from(self.leaps)),
+            ("per_steps", Json::from(self.per_steps)),
+        ])
+    }
+}
+
 /// One count-backend `step_batch` call's regime tallies.
 ///
 /// Leap- and epoch-heavy batches fire thousands of capture points each;
@@ -561,6 +625,33 @@ mod tests {
         assert_eq!(
             tallied.metrics().counter("reactive_dense_steps"),
             1 + 4 + 520
+        );
+    }
+
+    #[test]
+    fn dispatch_record_renders_as_jsonl_object() {
+        let rec = DispatchRecord {
+            backend: "CountPopulation",
+            n: 1_000_000,
+            occupied: Some(3),
+            pairs: 999_999_000_000,
+            scale: 1,
+            p: 0.999_999,
+            expected_epoch: 626.657,
+            regime: "collision",
+            executed: 1_000_000,
+            collision_epochs: 1595,
+            leaps: 0,
+            per_steps: 0,
+        };
+        let doc = rec.to_json();
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("dispatch"));
+        assert_eq!(doc.get("n").and_then(Json::as_u64), Some(1_000_000));
+        let back = Json::parse(&doc.render()).unwrap();
+        assert_eq!(back.get("regime").and_then(Json::as_str), Some("collision"));
+        assert_eq!(
+            back.get("collision_epochs").and_then(Json::as_u64),
+            Some(1595)
         );
     }
 

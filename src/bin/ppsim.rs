@@ -12,15 +12,21 @@
 //! ppsim parity        --n 200 --a 7
 //! ppsim oscillator    --n 50000 --rounds 300
 //! ppsim faults        --n 4000 --byz-count 1600 --byz-every 120
-//! ppsim resume        /tmp/ck --metrics out.json
+//! ppsim resume        /tmp/ck --record run.jsonl
 //! ppsim profile       --builtin oscillator --n 100000 --json
 //! ppsim bench-diff    BENCH_history.jsonl new_history.jsonl --tolerance-pct 25
 //! ```
 //!
-//! Every command additionally accepts `--metrics <path>` (write an engine
-//! metrics snapshot as JSON) and `--trace <path>` (write a span/event run
-//! trace as JSON Lines; regime-dispatch decision records ride along as
-//! `dispatch` events). Unknown flags are errors.
+//! Every run command (`run-file`, `leader`, `leader-exact`, `majority`,
+//! `plurality`, `parity`, `oscillator`, `faults`, `resume`) and `profile`
+//! accept `--record <path>`, which writes the run record: one JSON Lines
+//! file that opens with a `{"kind":"run",…}` header (run id, command,
+//! arguments, `n`, seed, backend, host cores), continues with the run's
+//! events (the paper observables, each naming the run id, then for
+//! `faults` one `fault_event` line per injection, then one `dispatch` line
+//! per engine batch) and closes with the engine's `metrics_report`.
+//! No line carries a wall-clock time, so two runs with the same arguments
+//! write the same bytes (DESIGN.md §14). Unknown flags are errors.
 //!
 //! The long-running commands (`oscillator`, `faults`) accept
 //! `--checkpoint-every <steps> --checkpoint-dir <dir>` to write crash-safe
@@ -44,24 +50,27 @@
 //! (`--corrupt-pct 10` = 10%).
 
 use population_protocols::core::analyze::{lint_builtin, lint_source};
-use population_protocols::core::clocks::detect::{dominance_events, periods, rotation_violations};
+use population_protocols::core::clocks::detect::{
+    completed_periods, dominance_events, periods, rotation_violations,
+};
 use population_protocols::core::clocks::diag::rotation_recovery;
 use population_protocols::core::clocks::oscillator::{
     central_init, Dk18Oscillator, Oscillator, NUM_SPECIES,
 };
 use population_protocols::core::engine::counts::CountPopulation;
-use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
-use population_protocols::core::engine::json::Json;
+use population_protocols::core::engine::faults::{
+    CorruptMode, FaultEvent, FaultSpec, FaultyPopulation,
+};
+use population_protocols::core::engine::json::{to_jsonl, Json};
 use population_protocols::core::engine::prof;
 use population_protocols::core::engine::protocol::TableProtocol;
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::{run_until, Simulator};
 use population_protocols::core::engine::snapshot::{
-    hex_u64, load_path, parse_hex_u64, RunSnapshot, SnapshotStore,
+    crc64, hex_u64, load_path, parse_hex_u64, RunSnapshot, SnapshotStore,
 };
 use population_protocols::core::engine::stats::quantile_sorted;
-use population_protocols::core::engine::trace::{DispatchRecord, Tracer};
 use population_protocols::core::lang::ast::Program;
 use population_protocols::core::lang::interp::Executor;
 use population_protocols::core::lang::parse::parse_program;
@@ -74,6 +83,7 @@ use population_protocols::core::protocols::semilinear::{
 };
 use population_protocols::core::rules::{Guard, Var};
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -100,14 +110,7 @@ const NUM_FLAGS: &[&str] = &[
     "checkpoint-every",
 ];
 /// String-valued flags (paths plus `--corrupt-mode randomize|zero`).
-const STR_FLAGS: &[&str] = &[
-    "metrics",
-    "trace",
-    "spec",
-    "faults-log",
-    "corrupt-mode",
-    "checkpoint-dir",
-];
+const STR_FLAGS: &[&str] = &["record", "spec", "corrupt-mode", "checkpoint-dir"];
 
 #[derive(Default)]
 struct Flags {
@@ -503,6 +506,8 @@ fn rows_from_json(j: Option<&Json>) -> Result<Vec<(f64, [u64; NUM_SPECIES])>, St
 /// carries a fault spec): everything `resume` reads back from the snapshot
 /// meta to rebuild the simulator and continue byte-identically.
 struct RunShape {
+    /// The run id of the run's record header; resumed runs keep it.
+    run: String,
     n: u64,
     x: u64,
     rounds: u64,
@@ -525,6 +530,7 @@ impl RunShape {
     fn checkpoint_meta(&self, every: u64, next: u64, rows: &[(f64, [u64; NUM_SPECIES])]) -> Json {
         let mut fields = vec![
             ("command", Json::from(self.command())),
+            ("run", Json::from(self.run.as_str())),
             ("n", hex_u64(self.n)),
             ("x", hex_u64(self.x)),
             ("rounds", hex_u64(self.rounds)),
@@ -548,16 +554,86 @@ fn meta_u64(meta: &Json, key: &str) -> Result<u64, String> {
     )
 }
 
-/// Backend a run command executes on, for the `--metrics` snapshot header.
+/// Backend a run command executes on, for the run record's header.
 fn backend_name(command: &str) -> &'static str {
     match command {
-        "oscillator" => "CountPopulation",
+        "oscillator" | "epidemic" => "CountPopulation",
         "faults" => "FaultyPopulation<CountPopulation>",
-        "run-file" | "leader" | "leader-exact" | "majority" | "plurality" | "parity" => {
+        "run-file" | "leader" | "leader-exact" | "majority" | "plurality" | "parity"
+        | "plurality-exact" => {
             "Executor (SparseCountPopulation per site, with rule-weighted leaps)"
         }
         _ => "none",
     }
+}
+
+/// A command's arguments without `--record <path>`: what the run record's
+/// header names, and what its run id is derived from.
+fn record_args(args: &[String]) -> Vec<String> {
+    let mut kept = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--record" {
+            it.next();
+        } else {
+            kept.push(arg.clone());
+        }
+    }
+    kept
+}
+
+/// The run id: a checksum of the command and its arguments, with no clock
+/// or random component, so reruns share it.
+fn run_id(command: &str, args: &[String]) -> String {
+    let line = Json::arr(
+        std::iter::once(command)
+            .chain(args.iter().map(String::as_str))
+            .map(Json::from),
+    );
+    format!("{:016x}", crc64(line.render().as_bytes()))
+}
+
+/// The header line of a run record.
+fn record_header(
+    run: &str,
+    command: &str,
+    args: &[String],
+    n: u64,
+    seed: u64,
+    backend: &str,
+) -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    Json::obj([
+        ("kind", Json::from("run")),
+        ("run", Json::from(run)),
+        ("command", Json::from(command)),
+        (
+            "args",
+            Json::arr(args.iter().map(|a| Json::from(a.as_str()))),
+        ),
+        ("n", Json::from(n)),
+        ("seed", Json::from(seed)),
+        ("backend", Json::from(backend)),
+        ("host_cores", Json::from(cores as u64)),
+    ])
+}
+
+/// Writes a run record to `path`: `lines` (the header and the paper
+/// observables), one line per dispatch record, and the metrics report as
+/// the footer. Dispatch lines are rendered one at a time, since a long
+/// program run keeps millions of them.
+fn write_record(path: &str, lines: &[Json], recorder: &Recorder) -> std::io::Result<()> {
+    let path = Path::new(path);
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    out.write_all(to_jsonl(lines).as_bytes())?;
+    for d in recorder.dispatch() {
+        writeln!(out, "{}", d.to_json().render())?;
+    }
+    writeln!(out, "{}", recorder.metrics().to_json().render())?;
+    out.flush()
 }
 
 /// Runs the DK18 oscillator with the profiler on; returns the run-loop wall
@@ -671,8 +747,8 @@ fn fmt_ms(ns: u64) -> String {
 ///
 /// Own grammar (like `lint`):
 /// `--builtin oscillator|epidemic|plurality-exact|plurality|majority`, `--n N`,
-/// `--rounds R`, `--seed S`, `--dispatch FILE` (write the per-batch
-/// dispatch-decision records as JSONL), `--json`.
+/// `--rounds R`, `--seed S`, `--record FILE` (write the run record, whose
+/// event lines are the per-batch dispatch decisions), `--json`.
 #[allow(clippy::too_many_lines)]
 fn run_profile(args: &[String]) -> u8 {
     let mut builtin: &str = "oscillator";
@@ -680,19 +756,19 @@ fn run_profile(args: &[String]) -> u8 {
     let mut rounds = 300u64;
     let mut seed = 42u64;
     let mut json = false;
-    let mut dispatch_path: Option<&str> = None;
+    let mut record_path: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--json" => json = true,
-            key @ ("--builtin" | "--n" | "--rounds" | "--seed" | "--dispatch") => {
+            key @ ("--builtin" | "--n" | "--rounds" | "--seed" | "--record") => {
                 let Some(value) = args.get(i + 1) else {
                     eprintln!("error: flag {key} is missing a value");
                     return 1;
                 };
                 match key {
                     "--builtin" => builtin = value,
-                    "--dispatch" => dispatch_path = Some(value),
+                    "--record" => record_path = Some(value),
                     _ => {
                         let Ok(parsed) = value.parse() else {
                             eprintln!("error: flag {key} needs an integer value, got {value:?}");
@@ -713,7 +789,7 @@ fn run_profile(args: &[String]) -> u8 {
                      [--builtin oscillator|epidemic|plurality-exact|plurality|majority] \
                      [--n N] [--rounds R] \
                      [--seed S] \
-                     [--dispatch FILE] [--json])"
+                     [--record FILE] [--json])"
                 );
                 return 1;
             }
@@ -748,17 +824,12 @@ fn run_profile(args: &[String]) -> u8 {
     let snap = recorder.metrics();
     let dispatch = recorder.dispatch();
 
-    if let Some(path) = dispatch_path {
-        let text: String = dispatch
-            .iter()
-            .map(|d| {
-                let mut line = d.to_json().render();
-                line.push('\n');
-                line
-            })
-            .collect();
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("cannot write dispatch log {path}: {e}");
+    if let Some(path) = record_path {
+        let args = record_args(args);
+        let run = run_id("profile", &args);
+        let header = record_header(&run, "profile", &args, n, seed, backend_name(builtin));
+        if let Err(e) = write_record(path, &[header], &recorder) {
+            eprintln!("cannot write record {path}: {e}");
             return 1;
         }
     }
@@ -982,7 +1053,7 @@ fn run_bench_diff(args: &[String]) -> u8 {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ppsim <command> [--n N] [--seed S] [--metrics FILE] [--trace FILE] [...]\n\
+        "usage: ppsim <command> [--n N] [--seed S] [--record FILE] [...]\n\
          commands:\n\
          \tlist                         list available protocols\n\
          \tlint [protocol.pp ...] [--builtin NAME|all] [--json]  static analysis\n\
@@ -997,20 +1068,20 @@ fn usage() -> ExitCode {
          \toscillator   [--n --x --rounds --seed]  the DK18-style oscillator\n\
          \tresume       <snapshot.snap|checkpoint-dir>  continue an interrupted\n\
          \t             checkpointed oscillator/faults run, byte-identically\n\
-         \tfaults       [--n --x --rounds --seed --spec FILE --faults-log FILE\n\
+         \tfaults       [--n --x --rounds --seed --spec FILE\n\
          \t              --corrupt-at R --corrupt-pct P --corrupt-mode randomize|zero\n\
          \t              --churn-every R --churn-pct P --churn-state S\n\
          \t              --byz-count K --byz-state S --byz-every R --window R]\n\
          \t             oscillator under fault injection + recovery report\n\
          \tprofile      [--builtin oscillator|epidemic|plurality-exact|plurality|majority\n\
-         \t              --n --rounds --seed --dispatch FILE --json]\n\
+         \t              --n --rounds --seed --record FILE --json]\n\
          \t             run with the section profiler on; self/total-time tree report\n\
          \tbench-diff   <baseline.jsonl> <current.jsonl> [--tolerance-pct T]\n\
          \t             compare two BENCH_history.jsonl snapshots (exit 1 on regression)\n\
          global flags:\n\
-         \t--metrics FILE   write an engine metrics snapshot (JSON) on exit\n\
-         \t--trace FILE     write a span/event run trace (JSON Lines) on exit,\n\
-         \t                 including per-batch regime-dispatch decision events\n\
+         \t--record FILE    write the run record (JSON Lines) on exit: a header,\n\
+         \t                 the paper observables, per-batch dispatch decisions,\n\
+         \t                 fault events, and the engine metrics as the footer\n\
          \t--checkpoint-every N --checkpoint-dir DIR  (oscillator, faults)\n\
          \t                 write a crash-safe rotating snapshot every N steps;\n\
          \t                 resume with `ppsim resume DIR`"
@@ -1018,13 +1089,27 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// A paper-observable line of the run record: its kind, the run id, then
+/// `fields`.
+fn observable<const N: usize>(kind: &str, run: &str, fields: [(&str, Json); N]) -> Json {
+    Json::obj(
+        [("kind", Json::from(kind)), ("run", Json::from(run))]
+            .into_iter()
+            .chain(fields),
+    )
+}
+
+/// Runs one command. `args` are its arguments without `--record` and `run`
+/// its run id, for the record header `resume` writes; `record` collects
+/// the run record's observable lines when `--record` is given.
 #[allow(clippy::too_many_lines)]
 fn run_command(
     command: &str,
     path: Option<&str>,
+    args: &[String],
     flags: &Flags,
-    tracer: &mut Option<Tracer>,
-    meta_command: &mut String,
+    run: &str,
+    mut record: Option<&mut Vec<Json>>,
     recorder: Option<&mut Recorder>,
 ) -> u8 {
     let n = flags.num("n", 1_000);
@@ -1080,14 +1165,15 @@ fn run_command(
             let mut exec = Executor::new(&program, &groups, seed);
             for i in 0..iters {
                 exec.run_iteration();
-                if let Some(tr) = tracer.as_mut() {
-                    tr.event(
+                if let Some(r) = record.as_deref_mut() {
+                    r.push(observable(
                         "iteration",
-                        &[
-                            ("iter", Json::from(i + 1)),
+                        run,
+                        [
+                            ("iteration", Json::from(i + 1)),
                             ("rounds", Json::from(exec.rounds())),
                         ],
-                    );
+                    ));
                 }
             }
             println!("after {iters} iterations ≈ {:.0} rounds:", exec.rounds());
@@ -1104,17 +1190,23 @@ fn run_command(
             };
             let l = program.vars.get("L").expect("leader programs define L");
             let mut exec = Executor::new(&program, &[(vec![], n)], seed);
-            match exec.run_until(5_000, |e| e.count_where(&Guard::var(l)) == 1) {
+            let converged = exec.run_until(5_000, |e| {
+                let leaders = e.count_where(&Guard::var(l));
+                if let Some(r) = record.as_deref_mut() {
+                    r.push(observable(
+                        "leaders",
+                        run,
+                        [
+                            ("iteration", Json::from(e.iterations())),
+                            ("rounds", Json::from(e.rounds())),
+                            ("count", Json::from(leaders)),
+                        ],
+                    ));
+                }
+                leaders == 1
+            });
+            match converged {
                 Some(iters) => {
-                    if let Some(tr) = tracer.as_mut() {
-                        tr.event(
-                            "converged",
-                            &[
-                                ("iterations", Json::from(iters)),
-                                ("rounds", Json::from(exec.rounds())),
-                            ],
-                        );
-                    }
                     println!(
                         "unique leader after {iters} iterations ≈ {:.0} parallel rounds (n = {n})",
                         exec.rounds()
@@ -1249,6 +1341,7 @@ fn run_command(
         "oscillator" | "faults" => {
             let shape = if command == "oscillator" {
                 Ok(RunShape {
+                    run: run.to_string(),
                     n,
                     x: flags.num("x", ((n as f64).powf(0.3) as u64).max(1)),
                     rounds: flags.num("rounds", 300),
@@ -1256,17 +1349,17 @@ fn run_command(
                     spec: None,
                 })
             } else {
-                faults_shape(flags)
+                faults_shape(flags, run)
             };
             match shape.and_then(|shape| Ok((shape, Checkpointer::from_flags(flags)?))) {
-                Ok((shape, ckpt)) => run_checkpointed(&shape, None, ckpt, flags, None, tracer),
+                Ok((shape, ckpt)) => run_checkpointed(&shape, None, ckpt, flags, None, record),
                 Err(e) => {
                     eprintln!("error: {e}");
                     1
                 }
             }
         }
-        "resume" => run_resume(path, flags, recorder, tracer, meta_command),
+        "resume" => run_resume(path, args, flags, run, recorder, record),
         _ => {
             let _ = usage();
             1
@@ -1317,11 +1410,15 @@ fn fault_spec_from_flags(flags: &Flags, n: u64, seed: u64) -> Result<FaultSpec, 
     Ok(spec)
 }
 
-/// The shape of a fresh `ppsim faults` run, from its flags.
-fn faults_shape(flags: &Flags) -> Result<RunShape, String> {
-    let n = flags.num("n", 4_000);
+/// Population size of a `ppsim faults` run without `--n`.
+const FAULTS_N: u64 = 4_000;
+
+/// The shape of a fresh `ppsim faults` run with id `run`, from its flags.
+fn faults_shape(flags: &Flags, run: &str) -> Result<RunShape, String> {
+    let n = flags.num("n", FAULTS_N);
     let seed = flags.num("seed", 42);
     Ok(RunShape {
+        run: run.to_string(),
         n,
         x: flags.num("x", ((n as f64).powf(0.3) as u64).max(1)),
         rounds: flags.num("rounds", 470),
@@ -1331,8 +1428,8 @@ fn faults_shape(flags: &Flags) -> Result<RunShape, String> {
 }
 
 /// The run loop `oscillator` and `faults` share, fresh or resumed: one
-/// parallel round per `step_batch`, a species row (and a `batch` trace
-/// event) after each, and a checkpoint whenever the cadence comes due.
+/// parallel round per `step_batch`, a species row after each, and a
+/// checkpoint whenever the cadence comes due.
 /// A resumed run restores the simulator, the RNG, the counters (into the
 /// recorder, which it then installs) and the rows recorded before the
 /// checkpoint. Returns every row of the run, or `None` when the snapshot
@@ -1343,7 +1440,6 @@ fn species_rows<S: Simulator>(
     resume: Option<&RunSnapshot>,
     mut ckpt: Option<Checkpointer>,
     mut recorder: Option<&mut Recorder>,
-    tracer: &mut Option<Tracer>,
 ) -> Option<Vec<(f64, [u64; NUM_SPECIES])>> {
     let osc = Dk18Oscillator::new();
     let mut rows = Vec::new();
@@ -1372,19 +1468,7 @@ fn species_rows<S: Simulator>(
     let _installed = recorder.map(Recorder::install);
     while pop.time() < shape.rounds as f64 {
         let out = pop.step_batch(&mut rng, shape.n);
-        let sp = osc.species_counts(&pop.counts());
-        rows.push((pop.time(), sp));
-        if let Some(tr) = tracer.as_mut() {
-            tr.event(
-                "batch",
-                &[
-                    ("time", Json::from(pop.time())),
-                    ("a1", Json::from(sp[0])),
-                    ("a2", Json::from(sp[1])),
-                    ("a3", Json::from(sp[2])),
-                ],
-            );
-        }
+        rows.push((pop.time(), osc.species_counts(&pop.counts())));
         if let Some(c) = ckpt.as_mut() {
             c.maybe_save(pop.steps(), |every, next| {
                 RunSnapshot::capture(&*pop, &rng)
@@ -1405,21 +1489,23 @@ fn species_rows<S: Simulator>(
 /// and exits 1 if any injection failed to recover within the measurement
 /// window. An injection that moved no agent, or that left less than a
 /// window of rows after it, is reported as not judged and fails nothing.
+/// The record gets every species row of the run, and the dominance periods
+/// (`oscillator`) or the fault events (`faults`).
 fn run_checkpointed(
     shape: &RunShape,
     resume: Option<&RunSnapshot>,
     ckpt: Option<Checkpointer>,
     flags: &Flags,
     recorder: Option<&mut Recorder>,
-    tracer: &mut Option<Tracer>,
+    record: Option<&mut Vec<Json>>,
 ) -> u8 {
     let osc = Dk18Oscillator::new();
     let mut inner = CountPopulation::from_counts(&osc, &central_init(&osc, shape.n, shape.x));
     let Some(spec) = &shape.spec else {
-        let Some(rows) = species_rows(shape, &mut inner, resume, ckpt, recorder, tracer) else {
+        let Some(rows) = species_rows(shape, &mut inner, resume, ckpt, recorder) else {
             return 1;
         };
-        oscillator_report(shape, &rows);
+        oscillator_report(shape, &rows, record);
         return 0;
     };
     let mut pop = match FaultyPopulation::new(inner, spec) {
@@ -1429,27 +1515,12 @@ fn run_checkpointed(
             return 1;
         }
     };
-    let Some(rows) = species_rows(shape, &mut pop, resume, ckpt, recorder, tracer) else {
+    let Some(rows) = species_rows(shape, &mut pop, resume, ckpt, recorder) else {
         return 1;
     };
-    if let Some(tr) = tracer.as_mut() {
-        for e in pop.events() {
-            tr.event(
-                "fault",
-                &[
-                    ("fault", Json::from(e.kind)),
-                    ("time", Json::from(e.time)),
-                    ("hit", Json::from(e.hit)),
-                    ("moved", Json::from(e.moved)),
-                ],
-            );
-        }
-    }
-    if let Some(path) = flags.strs.get("faults-log") {
-        if let Err(e) = pop.write_events_jsonl(path) {
-            eprintln!("cannot write faults log {path}: {e}");
-            return 1;
-        }
+    if let Some(r) = record {
+        r.extend(species_lines(&shape.run, &rows));
+        r.extend(pop.events().iter().map(FaultEvent::to_json));
     }
     let window = flags.num("window", 110) as f64;
     let &RunShape {
@@ -1497,12 +1568,43 @@ fn run_checkpointed(
     u8::from(failed > 0)
 }
 
+/// The run record's species lines, one per row.
+fn species_lines<'a>(
+    run: &'a str,
+    rows: &'a [(f64, [u64; NUM_SPECIES])],
+) -> impl Iterator<Item = Json> + 'a {
+    rows.iter().map(move |(t, sp)| {
+        let counts = Json::arr(sp.iter().map(|&c| Json::from(c)));
+        observable(
+            "species",
+            run,
+            [("time", Json::from(*t)), ("counts", counts)],
+        )
+    })
+}
+
 /// The `oscillator` summary line: dominance events, rotation violations,
-/// and the mean, median and 90th-percentile rotation period.
-fn oscillator_report(shape: &RunShape, rows: &[(f64, [u64; NUM_SPECIES])]) {
+/// and the mean, median and 90th-percentile rotation period. The record,
+/// if any, gets the species rows and the periods the summary is made of.
+fn oscillator_report(
+    shape: &RunShape,
+    rows: &[(f64, [u64; NUM_SPECIES])],
+    record: Option<&mut Vec<Json>>,
+) {
     let &RunShape { n, x, .. } = shape;
     let events = dominance_events(rows, 0.8);
-    let mut per = periods(&events);
+    let done = completed_periods(&events);
+    if let Some(r) = record {
+        r.extend(species_lines(&shape.run, rows));
+        r.extend(done.iter().map(|&(t, p)| {
+            observable(
+                "period",
+                &shape.run,
+                [("time", Json::from(t)), ("rounds", Json::from(p))],
+            )
+        }));
+    }
+    let mut per: Vec<f64> = done.iter().map(|&(_, p)| p).collect();
     let mean = per.iter().sum::<f64>() / per.len().max(1) as f64;
     per.sort_by(f64::total_cmp);
     let (q50, q90) = if per.is_empty() {
@@ -1531,9 +1633,10 @@ fn snapshot_generation(path: &Path) -> Option<u64> {
 /// Loads the snapshot to resume from, degrading gracefully past corruption:
 /// a directory resumes from its newest valid generation (each rejected one
 /// is reported and skipped); a corrupt file falls back to older generations
-/// in its own directory. Returns the snapshot plus the checkpoint directory
-/// the continued run should keep writing into.
-fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
+/// in its own directory. Returns the snapshot, the checkpoint directory the
+/// continued run should keep writing into, and the snapshot's generation
+/// when it came from a rotating store.
+fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>, Option<u64>)> {
     let p = Path::new(path);
     if p.is_dir() {
         let store = match SnapshotStore::open(p, CHECKPOINT_KEEP) {
@@ -1550,7 +1653,7 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
         return match found {
             Some((gen, file, snap)) => {
                 eprintln!("resuming from {} (generation {gen})", file.display());
-                Some((snap, Some(p.to_path_buf())))
+                Some((snap, Some(p.to_path_buf()), Some(gen)))
             }
             None => {
                 eprintln!("error: no valid snapshot generation in {path}; start a fresh run");
@@ -1562,10 +1665,9 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
         Ok(snap) => {
             // A generation file keeps checkpointing into its own store;
             // a free-standing snapshot continues without checkpoints.
-            let dir = snapshot_generation(p)
-                .and_then(|_| p.parent())
-                .map(Path::to_path_buf);
-            Some((snap, dir))
+            let gen = snapshot_generation(p);
+            let dir = gen.and_then(|_| p.parent()).map(Path::to_path_buf);
+            Some((snap, dir, gen))
         }
         Err(detail) => {
             eprintln!("warning: snapshot_corrupt: {path}: {detail}");
@@ -1590,7 +1692,7 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
             match found {
                 Some((gen, file, snap)) => {
                     eprintln!("falling back to {} (generation {gen})", file.display());
-                    Some((snap, Some(dir.to_path_buf())))
+                    Some((snap, Some(dir.to_path_buf()), Some(gen)))
                 }
                 None => {
                     eprintln!(
@@ -1606,22 +1708,24 @@ fn load_resume_snapshot(path: &str) -> Option<(RunSnapshot, Option<PathBuf>)> {
 
 /// `ppsim resume <snapshot.snap|checkpoint-dir>`: continue an interrupted
 /// checkpointed run. The run shape (command, n, x, rounds, seed, fault
-/// spec, checkpoint cadence) comes from the snapshot meta, so the
-/// continuation is byte-identical to the uninterrupted run; `--metrics` /
-/// `--trace` / `--faults-log` / `--window` are given on the resume command
-/// line as usual.
+/// spec, checkpoint cadence, run id) comes from the snapshot meta, so the
+/// continuation is byte-identical to the uninterrupted run; `--record` and
+/// `--window` are given on the resume command line as usual. The record's
+/// header keeps the resumed run's id (`run` is the fallback for snapshots
+/// that carry none) and names the generation it continues from.
 fn run_resume(
     path: Option<&str>,
+    args: &[String],
     flags: &Flags,
+    run: &str,
     recorder: Option<&mut Recorder>,
-    tracer: &mut Option<Tracer>,
-    meta_command: &mut String,
+    mut record: Option<&mut Vec<Json>>,
 ) -> u8 {
     let Some(path) = path else {
-        eprintln!("usage: ppsim resume <snapshot.snap|checkpoint-dir> [--metrics FILE] [...]");
+        eprintln!("usage: ppsim resume <snapshot.snap|checkpoint-dir> [--record FILE] [...]");
         return 1;
     };
-    let Some((snap, store_dir)) = load_resume_snapshot(path) else {
+    let Some((snap, store_dir, generation)) = load_resume_snapshot(path) else {
         return 1;
     };
     let meta = &snap.meta;
@@ -1647,10 +1751,7 @@ fn run_resume(
             return 1;
         }
     };
-    // Report the ORIGINAL command in the metrics meta: a resumed run's
-    // metrics file must diff byte-identically against the uninterrupted
-    // reference run.
-    *meta_command = command.clone();
+    let run = meta.get("run").and_then(Json::as_str).unwrap_or(run);
     let ckpt = store_dir.and_then(|dir| match SnapshotStore::open(&dir, CHECKPOINT_KEEP) {
         Ok(store) => Some(Checkpointer { store, every, next }),
         Err(e) => {
@@ -1679,14 +1780,26 @@ fn run_resume(
             return 1;
         }
     };
+    if let Some(r) = &mut record {
+        let mut header = record_header(run, "resume", args, n, seed, backend_name(&command));
+        if let Json::Obj(fields) = &mut header {
+            let from = [
+                ("command", Json::from(command.as_str())),
+                ("generation", generation.map_or(Json::Null, Json::from)),
+            ];
+            fields.push(("resumed_from".to_string(), Json::obj(from)));
+        }
+        r.push(header);
+    }
     let shape = RunShape {
+        run: run.to_string(),
         n,
         x,
         rounds,
         seed,
         spec,
     };
-    run_checkpointed(&shape, Some(&snap), ckpt, flags, recorder, tracer)
+    run_checkpointed(&shape, Some(&snap), ckpt, flags, recorder, record)
 }
 
 fn main() -> ExitCode {
@@ -1727,98 +1840,49 @@ fn main() -> ExitCode {
         }
     };
 
-    let metrics_path = flags.strs.get("metrics").cloned();
-    let trace_path = flags.strs.get("trace").cloned();
-    let mut tracer = trace_path.is_some().then(Tracer::new);
-    // Dispatch decisions ride along in the trace as `dispatch` events.
-    let mut recorder = (metrics_path.is_some() || tracer.is_some()).then(|| {
-        let rec = Recorder::new();
-        if tracer.is_some() {
-            rec.with_dispatch_log()
-        } else {
-            rec
+    let header_args = record_args(&args[1..]);
+    let run = run_id(command, &header_args);
+    let record_path = flags.strs.get("record");
+    let mut recorder = record_path.map(|_| Recorder::new().with_dispatch_log());
+    // `resume` writes its own header, from the snapshot it continues.
+    let mut record = record_path.map(|_| {
+        if command == "resume" {
+            return Vec::new();
         }
-    });
-    let root = tracer.as_mut().map(|tr| {
-        tr.begin_span(
-            "run",
-            &[
-                ("command", Json::from(command)),
-                ("n", Json::from(flags.num("n", 1_000))),
-                ("seed", Json::from(flags.num("seed", 42))),
-            ],
-        )
+        let n = flags.num("n", if command == "faults" { FAULTS_N } else { 1_000 });
+        let seed = flags.num("seed", 42);
+        vec![record_header(
+            &run,
+            command,
+            &header_args,
+            n,
+            seed,
+            backend_name(command),
+        )]
     });
 
-    // `resume` rewrites this to the command that produced the snapshot, so
-    // the metrics meta (and backend header) of a resumed run match the
-    // uninterrupted reference byte for byte.
-    let mut meta_command = command.to_string();
-    let code = if command == "resume" {
-        // The snapshot's counters must reach the recorder before it is
-        // installed, so the resumed run installs it after the restore.
-        run_command(
-            command,
-            path,
-            &flags,
-            &mut tracer,
-            &mut meta_command,
-            recorder.as_mut(),
-        )
-    } else {
-        let _installed = recorder.as_mut().map(Recorder::install);
-        run_command(command, path, &flags, &mut tracer, &mut meta_command, None)
+    let code = {
+        // The snapshot's counters must reach a resumed run's recorder before
+        // it is installed, so `resume` installs it after the restore.
+        let (_installed, handed) = if command == "resume" {
+            (None, recorder.as_mut())
+        } else {
+            (recorder.as_mut().map(Recorder::install), None)
+        };
+        let record = record.as_mut();
+        run_command(command, path, &header_args, &flags, &run, record, handed)
     };
 
-    if let (Some(tr), Some(rec)) = (tracer.as_mut(), &recorder) {
-        for d in rec.dispatch() {
-            tr.event("dispatch", &dispatch_fields(d));
-        }
-    }
-    if let (Some(tr), Some(span)) = (tracer.as_mut(), root) {
-        tr.end_span(span, &[("exit_code", Json::from(u64::from(code)))]);
-    }
-    if let (Some(tr), Some(path)) = (tracer.as_mut(), trace_path) {
-        if let Err(e) = tr.write_jsonl(&path) {
-            eprintln!("cannot write trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let (Some(path), Some(rec)) = (metrics_path, &recorder) {
-        let mut snapshot = rec.metrics();
-        // Header: which backend executed the run, and how the three-regime
-        // dispatcher split the work, both in the snapshot meta and echoed
-        // on stdout.
-        snapshot.set_meta("command", &meta_command);
-        snapshot.set_meta("backend", backend_name(&meta_command));
-        println!(
-            "metrics: backend={} | regimes: collision={} leap={} per_step={} dense_fallback={}",
-            backend_name(&meta_command),
-            snapshot.counter("collision_epochs"),
-            snapshot.counter("noop_leaps"),
-            snapshot.counter("reactive_dense_steps"),
-            snapshot.counter("dense_fallback_entries"),
-        );
-        if let Err(e) = snapshot.write_json(&path) {
-            eprintln!("cannot write metrics {path}: {e}");
+    // A resume that found nothing to continue wrote no header: no record.
+    if let (Some(path), Some(rec), Some(lines)) = (
+        record_path,
+        &recorder,
+        record.filter(|lines| !lines.is_empty()),
+    ) {
+        if let Err(e) = write_record(path, &lines, rec) {
+            eprintln!("cannot write record {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
     ExitCode::from(code)
-}
-
-/// Flattens a [`DispatchRecord`] into tracer event fields.
-fn dispatch_fields(d: &DispatchRecord) -> Vec<(&'static str, Json)> {
-    vec![
-        ("backend", Json::from(d.backend)),
-        ("n", Json::from(d.n)),
-        ("pairs", Json::from(d.pairs)),
-        ("p", Json::from(d.p)),
-        ("expected_epoch", Json::from(d.expected_epoch)),
-        ("regime", Json::from(d.regime)),
-        ("executed", Json::from(d.executed)),
-        ("collision_epochs", Json::from(d.collision_epochs)),
-        ("leaps", Json::from(d.leaps)),
-        ("per_steps", Json::from(d.per_steps)),
-    ]
 }

@@ -2,7 +2,8 @@
 //! mid-run and the oscillator's dominance rotation, measured through
 //! [`RecoveryProbe`], returns to its pre-fault period statistics; and a
 //! checkpointed `ppsim faults` run resumed from a mid-run generation
-//! reports what the uninterrupted run reports; and an injection with no
+//! reports what the uninterrupted run reports, its run record closing on
+//! the same metrics under the killed run's id; and an injection with no
 //! window of rows after it, or that moved nobody, is reported as not
 //! judged rather than failed.
 
@@ -11,6 +12,7 @@ use population_protocols::core::clocks::diag::RecoveryProbe;
 use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator, Oscillator};
 use population_protocols::core::engine::counts::CountPopulation;
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
+use population_protocols::core::engine::json::Json;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
 use std::path::Path;
@@ -71,13 +73,13 @@ fn corrupting_15_percent_of_agents_recovers_rotation_periods() {
     );
 }
 
-/// Runs `ppsim` with `args` plus `--metrics <metrics>`, returning its
+/// Runs `ppsim` with `args` plus `--record <record>`, returning its
 /// stdout; the run must exit 0.
-fn ppsim(args: &[&str], metrics: &Path) -> Vec<u8> {
+fn ppsim(args: &[&str], record: &Path) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
         .args(args)
-        .arg("--metrics")
-        .arg(metrics)
+        .arg("--record")
+        .arg(record)
         .output()
         .expect("spawn ppsim");
     assert!(
@@ -99,7 +101,7 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let run = ["faults", "--n", "2000", "--rounds", "300", "--seed", "5"];
-    let reference = ppsim(&run, &dir.join("ref.json"));
+    let reference = ppsim(&run, &dir.join("ref.jsonl"));
     let ck_dir = dir.join("ck");
     let ck_dir_arg = ck_dir.to_str().expect("utf-8 temp path");
     let checkpointed = ppsim(
@@ -113,7 +115,7 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
             ],
         ]
         .concat(),
-        &dir.join("ck.json"),
+        &dir.join("ck.jsonl"),
     );
     let mut generations: Vec<_> = std::fs::read_dir(&ck_dir)
         .expect("checkpoint dir exists")
@@ -123,18 +125,37 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
     assert_eq!(generations.len(), 3, "the store keeps three generations");
     let middle = generations[1].to_str().expect("utf-8 temp path");
     assert!(middle.ends_with("gen-0000000002.snap"), "{middle}");
-    let resumed = ppsim(&["resume", middle], &dir.join("resumed.json"));
+    let resumed = ppsim(&["resume", middle], &dir.join("resumed.jsonl"));
 
     let text = String::from_utf8_lossy(&reference);
     assert!(text.contains("2 injections over 300 rounds"), "{text}");
     assert_eq!(checkpointed, reference, "checkpointing changes no verdict");
     assert_eq!(resumed, reference, "resumed verdict lines differ");
-    let metrics = |name: &str| std::fs::read(dir.join(name)).expect("metrics file");
-    assert_eq!(metrics("ck.json"), metrics("ref.json"));
+    let record = |name: &str| std::fs::read_to_string(dir.join(name)).expect("run record");
+    let footer = |name: &str| record(name).lines().last().expect("footer").to_string();
+    let header = |name: &str| {
+        let text = record(name);
+        Json::parse(text.lines().next().expect("header")).expect("header parses")
+    };
+    assert_eq!(footer("ck.jsonl"), footer("ref.jsonl"));
     assert_eq!(
-        metrics("resumed.json"),
-        metrics("ref.json"),
+        footer("resumed.jsonl"),
+        footer("ref.jsonl"),
         "resumed metrics differ"
+    );
+    let (killed, continued) = (header("ck.jsonl"), header("resumed.jsonl"));
+    assert_eq!(
+        continued.get("run"),
+        killed.get("run"),
+        "the run id carries over"
+    );
+    let from = continued.get("resumed_from").expect("names its snapshot");
+    assert_eq!(from.get("generation").and_then(Json::as_u64), Some(2));
+    assert_eq!(from.get("command").and_then(Json::as_str), Some("faults"));
+    // Every fault event of the run, the two before the snapshot included.
+    assert_eq!(
+        record("resumed.jsonl").matches("\"fault_event\"").count(),
+        2
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -157,7 +178,7 @@ fn faults_that_cannot_be_judged_fail_nothing() {
     // first one, 120 rounds earlier, has a whole window to recover in.
     let out = ppsim(
         &["faults", "--n", "2000", "--rounds", "240", "--seed", "5"],
-        &dir.join("end.json"),
+        &dir.join("end.jsonl"),
     );
     let first = injection_line(&out, "120.0");
     assert!(first.contains("recovered in"), "{first}");
@@ -180,7 +201,7 @@ fn faults_that_cannot_be_judged_fail_nothing() {
             "--byz-every",
             "60",
         ],
-        &dir.join("idle.json"),
+        &dir.join("idle.jsonl"),
     );
     let idle = injection_line(&out, "120.0");
     assert!(idle.contains("moved=0 "), "{idle}");

@@ -1,8 +1,11 @@
 //! End-to-end checks on `ppsim profile`: the JSON report must attribute
 //! nearly all dense-run wall time to named sections, keep the pmf-inversion
-//! chain separately visible, and carry the regime-dispatch evidence.
+//! chain separately visible, and carry the regime-dispatch evidence; its
+//! `--record` file holds one dispatch line per batch between the run
+//! header and the metrics footer.
 
 use population_protocols::core::engine::json::{parse_jsonl, Json};
+use population_protocols::core::engine::metrics::MetricsReport;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -24,6 +27,24 @@ fn profile_json(args: &[&str]) -> Json {
     );
     let text = String::from_utf8(out.stdout).expect("utf8 stdout");
     Json::parse(text.trim()).expect("profile --json emits one JSON document")
+}
+
+/// The dispatch lines of the run record at `path`, after checking that it
+/// opens with the `profile` header and closes with the metrics footer.
+fn dispatch_lines(path: &std::path::Path) -> Vec<Json> {
+    let text = std::fs::read_to_string(path).expect("run record written");
+    let _ = std::fs::remove_file(path);
+    let mut records = parse_jsonl(&text).expect("the run record parses as JSONL");
+    let header = records.remove(0);
+    assert_eq!(header.get("kind").and_then(Json::as_str), Some("run"));
+    assert_eq!(
+        header.get("command").and_then(Json::as_str),
+        Some("profile")
+    );
+    let footer = text.lines().last().expect("a footer line");
+    MetricsReport::parse(footer).expect("the footer is a metrics report");
+    records.pop();
+    records
 }
 
 fn sections(doc: &Json) -> Vec<&Json> {
@@ -119,7 +140,7 @@ fn oscillator_profile_attributes_dense_wall_time() {
 
 #[test]
 fn profile_dispatch_log_is_valid_jsonl() {
-    let path = tmp("dispatch.jsonl");
+    let path = tmp("epidemic-record.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
         .args([
             "profile",
@@ -130,7 +151,7 @@ fn profile_dispatch_log_is_valid_jsonl() {
             "--rounds",
             "80",
         ])
-        .arg("--dispatch")
+        .arg("--record")
         .arg(&path)
         .output()
         .expect("spawn ppsim profile");
@@ -139,9 +160,7 @@ fn profile_dispatch_log_is_valid_jsonl() {
         "ppsim profile failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = std::fs::read_to_string(&path).expect("dispatch log written");
-    let _ = std::fs::remove_file(&path);
-    let records = parse_jsonl(&text).expect("dispatch log parses as JSONL");
+    let records = dispatch_lines(&path);
     assert!(!records.is_empty(), "no dispatch records for a dense run");
     for rec in &records {
         assert_eq!(rec.get("kind").and_then(Json::as_str), Some("dispatch"));
@@ -214,14 +233,14 @@ fn profile_dispatch_log_is_valid_jsonl() {
 /// the rule-weighted pair count `W` over its scale.
 #[test]
 fn plurality_exact_profile_names_the_sparse_leap() {
-    let log = tmp("sparse-dispatch.jsonl");
+    let log = tmp("sparse-record.jsonl");
     let log_arg = log.to_str().expect("utf8 temp path");
     let doc = profile_json(&[
         "--builtin",
         "plurality-exact",
         "--n",
         "2000",
-        "--dispatch",
+        "--record",
         log_arg,
     ]);
     let leap = sections(&doc)
@@ -253,9 +272,7 @@ fn plurality_exact_profile_names_the_sparse_leap() {
     let regimes = doc.get("regimes").expect("regimes present");
     assert!(regimes.get("leap").and_then(Json::as_u64) > Some(0));
     assert_eq!(doc.get("first_regime").and_then(Json::as_str), Some("leap"));
-    let text = std::fs::read_to_string(&log).expect("dispatch log written");
-    let _ = std::fs::remove_file(&log);
-    let records = parse_jsonl(&text).expect("dispatch log is JSONL");
+    let records = dispatch_lines(&log);
     assert!(!records.is_empty(), "one record per batch");
     for r in &records {
         assert_eq!(
