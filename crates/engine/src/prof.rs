@@ -111,8 +111,9 @@ pub enum Section {
     /// Fault-plan trigger splitting and due-injection application in
     /// `FaultyPopulation::step_batch`.
     FaultSplit,
-    /// Caller-side observation work (species counts, dominance tracking)
-    /// recorded by `ppsim profile` so run-loop analysis is attributed too.
+    /// Caller-side observation work: the species-row sampling of the
+    /// `ppsim oscillator` and `faults` run loop, so that a profiled run
+    /// loop is attributed too.
     Observer,
 }
 

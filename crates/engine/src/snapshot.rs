@@ -22,16 +22,9 @@
 //!
 //! Two JSON lines. The first is a header
 //! `{"kind":"pp_snapshot","version":V,"checksum":"<crc64 hex>"}`; the
-//! second is the payload object. `V` is [`FORMAT_VERSION`]; the reader also
-//! takes versions 4 to 6 except from the `counts` backend (bare or wrapped
-//! by `faulty`), whose runs they made without multibatch collision epochs,
-//! and versions 4 and 5 except from the `sparse` backend (bare or wrapped),
-//! whose runs they made without the slot-sampled leap, and versions 1 and 3
-//! except from `sparse` and from the `counts` and `faulty` backends, whose
-//! binomial and hypergeometric draws those versions made with the
-//! inversion-only samplers; it refuses version 2, whose runs came from the
-//! retired sharded dense engine. None of the refused runs can be continued
-//! byte-identically. The
+//! second is the payload object. `V` is [`FORMAT_VERSION`], the only
+//! version the reader takes: every earlier one was written by an engine
+//! whose trajectories this one does not continue byte-identically. The
 //! checksum is CRC-64 (reflected ECMA-182 polynomial) over the exact
 //! payload-line bytes, so truncation and single-bit flips anywhere in the
 //! payload are detected before any field is parsed; header corruption
@@ -58,57 +51,12 @@ use crate::sim::Simulator;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Version tag of the on-disk snapshot format. Bumped on any change to the
-/// header or payload schema, and on semantic boundaries where an older
-/// engine's trajectory cannot be continued byte-identically:
-///
-/// * version 1 came from the exact engine before sharding;
-/// * version 2 came from the engine that settled large dense batches in
-///   sharded super-epochs against frozen window-start counts, a law the
-///   exact engine does not reproduce, so [`RunSnapshot::decode`] rejects it;
-/// * version 3 marks the return to one exact collision-epoch chain
-///   (DESIGN.md §16);
-/// * version 4 marks the exact ratio-of-uniforms and bit-parallel samplers
-///   (DESIGN.md §12), which changed the trajectories of every backend that
-///   draws binomials or hypergeometrics: `counts` (collision epochs) and
-///   `faulty` (corruption splits);
-/// * version 5 marks the sparse backend's rule-weighted leap (DESIGN.md
-///   §9), which changed the trajectories of `sparse` runs and added their
-///   regime and per-step window to the `sparse` payload;
-/// * version 6 marks the slot-sampled leap (DESIGN.md §9), whose effective
-///   steps draw their rule slot, initiator and responder from one rank
-///   and whose dispatch rule weighs the masks' words differently, which
-///   changed the trajectories of leaping `sparse` runs again;
-/// * version 7 marks multibatch collision epochs (DESIGN.md §12), whose
-///   batches run past their collisions and draw their agents in a
-///   different order, which changed the trajectories of `counts` runs in
-///   the collision regime and added the Fenwick tree's staleness to the
-///   `counts` payload.
-///
-/// The reader accepts version 7; version 6 except from `counts` (bare or
-/// wrapped by `faulty`); versions 4 and 5 except from `counts` and from
-/// `sparse` (bare or wrapped); and versions 1 and 3 from the backends that
-/// draw nothing from the exact samplers and are not sparse (`agents`,
-/// `matching`).
+/// Version tag of the on-disk snapshot format, the only one
+/// [`RunSnapshot::decode`] accepts. Bumped on any change to the header or
+/// payload schema, and whenever an engine change moves a trajectory, so
+/// that a snapshot is never continued by an engine that would not have
+/// produced its run; DESIGN.md §15 lists what each version marked.
 pub const FORMAT_VERSION: u64 = 7;
-
-/// The first version whose `sparse` runs drew slot-sampled leaps.
-const SLOT_LEAP_VERSION: u64 = 6;
-
-/// The first version whose `sparse` runs leapt, by rule-weighted row sums.
-const SPARSE_LEAP_VERSION: u64 = 5;
-
-/// The version written by the sharded dense engine, refused on read.
-const SHARDED_FORMAT_VERSION: u64 = 2;
-
-/// The first version whose `counts` and `faulty` runs used the exact
-/// ratio-of-uniforms and bit-parallel samplers.
-const EXACT_SAMPLER_VERSION: u64 = 4;
-
-/// Backends whose runs draw from [`SimRng::binomial`] or
-/// [`SimRng::hypergeometric`]; their snapshots from before
-/// [`EXACT_SAMPLER_VERSION`] are refused on read.
-const SAMPLER_BACKENDS: [&str; 2] = ["counts", "faulty"];
 
 /// CRC-64 (reflected ECMA-182 polynomial, as used by XZ) over `bytes`.
 ///
@@ -318,29 +266,16 @@ impl RunSnapshot {
         if header.get("kind").and_then(Json::as_str) != Some("pp_snapshot") {
             return Err("not a pp_snapshot document".to_string());
         }
-        let version = match header.get("version").and_then(Json::as_u64) {
-            Some(
-                v @ (1
-                | 3
-                | EXACT_SAMPLER_VERSION
-                | SPARSE_LEAP_VERSION
-                | SLOT_LEAP_VERSION
-                | FORMAT_VERSION),
-            ) => v,
-            Some(SHARDED_FORMAT_VERSION) => {
+        match header.get("version").and_then(Json::as_u64) {
+            Some(FORMAT_VERSION) => {}
+            found => {
+                let found = found.map_or_else(|| "none".to_string(), |v| v.to_string());
                 return Err(format!(
-                    "snapshot version {SHARDED_FORMAT_VERSION} came from the sharded dense \
-                     engine and cannot be continued byte-identically by the exact engine \
-                     (reader supports versions 1, 3, 4, 5, 6 and {FORMAT_VERSION})"
+                    "snapshot version {found} cannot be continued byte-identically by this \
+                     engine (version {FORMAT_VERSION} required)"
                 ));
             }
-            _ => {
-                return Err(format!(
-                    "unsupported snapshot version (reader supports versions 1, 3, 4, 5, 6 \
-                     and {FORMAT_VERSION})"
-                ));
-            }
-        };
+        }
         let stored = header
             .get("checksum")
             .ok_or_else(|| "snapshot header is missing its checksum".to_string())
@@ -365,35 +300,6 @@ impl RunSnapshot {
             .and_then(Json::as_str)
             .ok_or_else(|| "snapshot payload is missing its backend tag".to_string())?
             .to_string();
-        if version < EXACT_SAMPLER_VERSION && SAMPLER_BACKENDS.contains(&backend.as_str()) {
-            return Err(format!(
-                "snapshot version {version} from the {backend:?} backend was drawn by the \
-                 inversion-only samplers; cannot be continued byte-identically \
-                 (version {EXACT_SAMPLER_VERSION} or later required)"
-            ));
-        }
-        let inner = payload.get("state").and_then(|s| s.get("inner_backend"));
-        let runs_on = |tag: &str| {
-            backend == tag || (backend == "faulty" && inner.and_then(Json::as_str) == Some(tag))
-        };
-        let before = if runs_on("sparse") && version < SLOT_LEAP_VERSION {
-            Some(if version < SPARSE_LEAP_VERSION {
-                "the sparse leap"
-            } else {
-                "slot-sampled leaps"
-            })
-        } else if runs_on("counts") && version < FORMAT_VERSION {
-            Some("multibatch collision epochs")
-        } else {
-            None
-        };
-        if let Some(before) = before {
-            return Err(format!(
-                "snapshot version {version} from the {backend:?} backend was taken before \
-                 {before}; cannot be continued byte-identically \
-                 (version {FORMAT_VERSION} required)"
-            ));
-        }
         let words_json = payload
             .get("rng")
             .and_then(|r| r.get("words"))
@@ -709,8 +615,7 @@ mod tests {
         rewritten
     }
 
-    /// A snapshot of the agent backend, which draws nothing from the
-    /// binomial or hypergeometric samplers.
+    /// A snapshot of the agent backend.
     fn agents_snapshot() -> RunSnapshot {
         let p = TableProtocol::new(2, "epidemic")
             .rule(1, 0, 1, 1)
@@ -721,67 +626,16 @@ mod tests {
         RunSnapshot::capture(&pop, &rng).expect("agents backend supports snapshots")
     }
 
-    #[test]
-    fn decode_rejects_version_and_kind_mismatch() {
-        let snap = sample_snapshot();
-        let text = snap.encode();
-        assert!(RunSnapshot::decode(&encode_as_version(&snap, 999)).is_err());
-        let err = RunSnapshot::decode(&encode_as_version(&snap, 2)).unwrap_err();
-        assert!(err.contains("sharded dense engine"), "{err}");
-        assert!(err.contains("byte-identically"), "{err}");
-        // Counts and faulty snapshots from versions 1 and 3 were drawn by
-        // the inversion-only samplers and are refused with that reason.
-        let mut faulty = snap.clone();
-        faulty.backend = "faulty".to_string();
-        for old in [&snap, &faulty] {
-            for version in [1, 3] {
-                let err = RunSnapshot::decode(&encode_as_version(old, version)).unwrap_err();
-                assert!(
-                    err.contains("drawn by the inversion-only samplers; cannot be continued byte-identically"),
-                    "{err}"
-                );
-                assert!(err.contains(&format!("{:?}", old.backend)), "{err}");
-            }
-        }
-        let foreign = text.replacen("pp_snapshot", "pp_snapshoT", 1);
-        assert!(RunSnapshot::decode(&foreign).is_err());
-    }
-
-    #[test]
-    fn decode_accepts_previous_format_version() {
-        // Versions 1, 3 and 4 have the payload schema of every backend but
-        // `sparse` and `counts`, versions 5 and 6 of every backend but
-        // `counts`. The reader keeps accepting versions 4 to 6 from the
-        // backends whose trajectories they did not change, and versions 1
-        // and 3 from those that also draw nothing from the exact samplers.
-        let counts = sample_snapshot();
-        assert!(RunSnapshot::decode(&counts.encode()).is_ok());
-        let agents = agents_snapshot();
-        for backend in ["agents", "matching"] {
-            let mut snap = agents.clone();
-            snap.backend = backend.to_string();
-            for version in [
-                1,
-                3,
-                EXACT_SAMPLER_VERSION,
-                SPARSE_LEAP_VERSION,
-                SLOT_LEAP_VERSION,
-                FORMAT_VERSION,
-            ] {
-                let back = RunSnapshot::decode(&encode_as_version(&snap, version))
-                    .unwrap_or_else(|e| panic!("{backend} v{version}: {e}"));
-                assert_eq!(back.backend, backend);
-                assert_eq!(back.rng_words, snap.rng_words);
-            }
-        }
-        let faulty = wrapped(&agents);
-        for version in [
-            EXACT_SAMPLER_VERSION,
-            SPARSE_LEAP_VERSION,
-            SLOT_LEAP_VERSION,
-        ] {
-            assert!(RunSnapshot::decode(&encode_as_version(&faulty, version)).is_ok());
-        }
+    /// A snapshot of the sparse backend.
+    fn sparse_snapshot() -> RunSnapshot {
+        let p = TableProtocol::new(3, "cycle")
+            .rule(0, 1, 1, 1)
+            .rule(1, 2, 2, 2)
+            .rule(2, 0, 0, 0);
+        let mut pop = crate::counts::SparseCountPopulation::from_pairs(&p, &[(0, 40), (1, 30)]);
+        let mut rng = SimRng::seed_from(0x5a);
+        pop.step_batch(&mut rng, 500);
+        RunSnapshot::capture(&pop, &rng).expect("sparse backend snapshots")
     }
 
     /// `snap` inside the fault wrapper.
@@ -795,98 +649,36 @@ mod tests {
         faulty
     }
 
-    /// A counts run from before multibatch collision epochs, bare or inside
-    /// the fault wrapper, drew its collision epochs in another order, so
-    /// its snapshot is refused with that reason; one taken now decodes.
+    /// The reader takes [`FORMAT_VERSION`] only: whatever backend wrote a
+    /// snapshot, any other version is refused with one message naming the
+    /// version found and the one required. So is a document of another
+    /// kind.
     #[test]
-    fn decode_refuses_counts_snapshots_from_before_multibatch_epochs() {
+    fn decode_refuses_every_other_version_and_kind() {
         let counts = sample_snapshot();
-        for snap in [&counts, &wrapped(&counts)] {
-            for version in [
-                EXACT_SAMPLER_VERSION,
-                SPARSE_LEAP_VERSION,
-                SLOT_LEAP_VERSION,
-            ] {
-                let err = RunSnapshot::decode(&encode_as_version(snap, version)).unwrap_err();
-                assert!(
-                    err.contains(
-                        "taken before multibatch collision epochs; cannot be continued \
-                         byte-identically"
-                    ),
-                    "{err}"
-                );
-                assert!(err.contains(&format!("{:?}", snap.backend)), "{err}");
-                assert!(
-                    err.contains(&format!("version {FORMAT_VERSION} required")),
-                    "{err}"
-                );
-            }
+        for snap in [
+            &counts,
+            &wrapped(&counts),
+            &agents_snapshot(),
+            &sparse_snapshot(),
+        ] {
             let back = RunSnapshot::decode(&snap.encode()).expect("current version decodes");
             assert_eq!(back.state.render(), snap.state.render());
-        }
-    }
-
-    /// A sparse snapshot, bare and inside the fault wrapper.
-    fn sparse_snapshots() -> [RunSnapshot; 2] {
-        let p = TableProtocol::new(3, "cycle")
-            .rule(0, 1, 1, 1)
-            .rule(1, 2, 2, 2)
-            .rule(2, 0, 0, 0);
-        let mut pop = crate::counts::SparseCountPopulation::from_pairs(&p, &[(0, 40), (1, 30)]);
-        let mut rng = SimRng::seed_from(0x5a);
-        pop.step_batch(&mut rng, 500);
-        let sparse = RunSnapshot::capture(&pop, &rng).expect("sparse backend snapshots");
-        let faulty = wrapped(&sparse);
-        [sparse, faulty]
-    }
-
-    /// A sparse run from before the rule-weighted leap, bare or inside the
-    /// fault wrapper, cannot be continued byte-identically, so its
-    /// snapshot is refused with that reason; one taken now decodes.
-    #[test]
-    fn decode_refuses_sparse_snapshots_from_before_the_leap() {
-        for snap in &sparse_snapshots() {
-            for version in [1, 3, EXACT_SAMPLER_VERSION] {
+            for version in (1..FORMAT_VERSION).chain([999]) {
                 let err = RunSnapshot::decode(&encode_as_version(snap, version)).unwrap_err();
-                if snap.backend == "faulty" && version < EXACT_SAMPLER_VERSION {
-                    assert!(err.contains("inversion-only samplers"), "{err}");
-                    continue;
-                }
-                assert!(
-                    err.contains(
-                        "taken before the sparse leap; cannot be continued byte-identically"
+                assert_eq!(
+                    err,
+                    format!(
+                        "snapshot version {version} cannot be continued byte-identically by \
+                         this engine (version {FORMAT_VERSION} required)"
                     ),
-                    "{err}"
+                    "{} v{version}",
+                    snap.backend
                 );
-                assert!(err.contains(&format!("{:?}", snap.backend)), "{err}");
             }
-            let back = RunSnapshot::decode(&snap.encode()).expect("current version decodes");
-            assert_eq!(back.state.render(), snap.state.render());
         }
-    }
-
-    /// A version-5 sparse run leapt by rule-weighted row sums, whose RNG use
-    /// the slot-sampled leap does not reproduce, so its snapshot is refused
-    /// with that reason, bare or inside the fault wrapper; a version-6 one,
-    /// which multibatch collision epochs left alone, decodes.
-    #[test]
-    fn decode_refuses_sparse_snapshots_from_before_slot_sampled_leaps() {
-        for snap in &sparse_snapshots() {
-            assert!(RunSnapshot::decode(&encode_as_version(snap, SLOT_LEAP_VERSION)).is_ok());
-            let err =
-                RunSnapshot::decode(&encode_as_version(snap, SPARSE_LEAP_VERSION)).unwrap_err();
-            assert!(
-                err.contains(
-                    "taken before slot-sampled leaps; cannot be continued byte-identically"
-                ),
-                "{err}"
-            );
-            assert!(err.contains(&format!("{:?}", snap.backend)), "{err}");
-            assert!(
-                err.contains(&format!("version {FORMAT_VERSION} required")),
-                "{err}"
-            );
-        }
+        let foreign = counts.encode().replacen("pp_snapshot", "pp_snapshoT", 1);
+        assert!(RunSnapshot::decode(&foreign).is_err());
     }
 
     #[test]

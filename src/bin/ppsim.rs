@@ -5,6 +5,7 @@
 //! ppsim lint          protocol.pp --builtin leader --json
 //! ppsim compile       protocol.pp --builtin all --json
 //! ppsim run-file      protocol.pp --n 500 --iters 30
+//! ppsim run-file      --builtin plurality-exact-three --n 3000 --in-C1 1000
 //! ppsim leader        --n 10000 --seed 7
 //! ppsim leader-exact  --n 1000
 //! ppsim majority      --n 10000 --a 5001 --b 4999
@@ -13,20 +14,21 @@
 //! ppsim oscillator    --n 50000 --rounds 300
 //! ppsim faults        --n 4000 --byz-count 1600 --byz-every 120
 //! ppsim resume        /tmp/ck --record run.jsonl
-//! ppsim profile       --builtin oscillator --n 100000 --json
+//! ppsim profile       oscillator --n 100000 --record run.jsonl
 //! ppsim bench-diff    BENCH_history.jsonl new_history.jsonl --tolerance-pct 25
 //! ```
 //!
 //! Every run command (`run-file`, `leader`, `leader-exact`, `majority`,
-//! `plurality`, `parity`, `oscillator`, `faults`, `resume`) and `profile`
-//! accept `--record <path>`, which writes the run record: one JSON Lines
+//! `plurality`, `parity`, `oscillator`, `faults`, `resume`) accepts
+//! `--record <path>`, which writes the run record: one JSON Lines
 //! file that opens with a `{"kind":"run",…}` header (run id, command,
 //! arguments, `n`, seed, backend, host cores), continues with the run's
 //! events (the paper observables, each naming the run id, then for
 //! `faults` one `fault_event` line per injection, then one `dispatch` line
 //! per engine batch) and closes with the engine's `metrics_report`.
-//! No line carries a wall-clock time, so two runs with the same arguments
-//! write the same bytes (DESIGN.md §14). Unknown flags are errors.
+//! Unprofiled, no line carries a wall-clock time, so two runs with the
+//! same arguments write the same bytes (DESIGN.md §14). Unknown flags are
+//! errors.
 //!
 //! The long-running commands (`oscillator`, `faults`) accept
 //! `--checkpoint-every <steps> --checkpoint-dir <dir>` to write crash-safe
@@ -34,12 +36,15 @@
 //! interrupted run byte-identically (DESIGN.md §15), degrading gracefully
 //! past corrupt generations.
 //!
-//! `profile` runs a built-in protocol with the in-engine section profiler
-//! switched on and renders a self-time/total-time tree of where the hot
-//! paths spent their wall time, plus regime counters, dispatch-decision
-//! tallies, and exact p50/p90/p99 of the observable the protocol
-//! produces. `bench-diff` compares two `BENCH_history.jsonl` snapshots and
-//! exits non-zero when any shared metric regressed beyond the tolerance.
+//! `profile <command> [its flags]` runs a run command exactly as it runs
+//! alone, with the in-engine section profiler switched on: the command's
+//! own output comes first, then a self-time/total-time tree of where the
+//! hot paths spent their wall time and one `regimes:` line of the regime
+//! counters. Its run record is the unprofiled one plus a `profile_report`
+//! line (the tree, the wall time and the attributed fraction) before the
+//! footer, the one record line that carries times. `bench-diff` compares
+//! two `BENCH_history.jsonl` snapshots and exits non-zero when any shared
+//! metric regressed beyond the tolerance.
 //!
 //! `faults` runs the oscillator under an injection schedule (a JSON spec
 //! file via `--spec`, or composed from `--corrupt-*` / `--churn-*` /
@@ -51,7 +56,7 @@
 
 use population_protocols::core::analyze::{lint_builtin, lint_source};
 use population_protocols::core::clocks::detect::{
-    completed_periods, dominance_events, periods, rotation_violations,
+    completed_periods, dominance_events, rotation_violations,
 };
 use population_protocols::core::clocks::diag::rotation_recovery;
 use population_protocols::core::clocks::oscillator::{
@@ -63,10 +68,9 @@ use population_protocols::core::engine::faults::{
 };
 use population_protocols::core::engine::json::{to_jsonl, Json};
 use population_protocols::core::engine::prof;
-use population_protocols::core::engine::protocol::TableProtocol;
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::{run_until, Simulator};
+use population_protocols::core::engine::sim::Simulator;
 use population_protocols::core::engine::snapshot::{
     crc64, hex_u64, load_path, parse_hex_u64, RunSnapshot, SnapshotStore,
 };
@@ -109,8 +113,15 @@ const NUM_FLAGS: &[&str] = &[
     "window",
     "checkpoint-every",
 ];
-/// String-valued flags (paths plus `--corrupt-mode randomize|zero`).
-const STR_FLAGS: &[&str] = &["record", "spec", "corrupt-mode", "checkpoint-dir"];
+/// String-valued flags (paths, `--corrupt-mode randomize|zero` and
+/// `run-file`'s `--builtin NAME`).
+const STR_FLAGS: &[&str] = &[
+    "record",
+    "spec",
+    "corrupt-mode",
+    "checkpoint-dir",
+    "builtin",
+];
 
 #[derive(Default)]
 struct Flags {
@@ -557,10 +568,9 @@ fn meta_u64(meta: &Json, key: &str) -> Result<u64, String> {
 /// Backend a run command executes on, for the run record's header.
 fn backend_name(command: &str) -> &'static str {
     match command {
-        "oscillator" | "epidemic" => "CountPopulation",
+        "oscillator" => "CountPopulation",
         "faults" => "FaultyPopulation<CountPopulation>",
-        "run-file" | "leader" | "leader-exact" | "majority" | "plurality" | "parity"
-        | "plurality-exact" => {
+        "run-file" | "leader" | "leader-exact" | "majority" | "plurality" | "parity" => {
             "Executor (SparseCountPopulation per site, with rule-weighted leaps)"
         }
         _ => "none",
@@ -619,10 +629,15 @@ fn record_header(
 }
 
 /// Writes a run record to `path`: `lines` (the header and the paper
-/// observables), one line per dispatch record, and the metrics report as
-/// the footer. Dispatch lines are rendered one at a time, since a long
-/// program run keeps millions of them.
-fn write_record(path: &str, lines: &[Json], recorder: &Recorder) -> std::io::Result<()> {
+/// observables), one line per dispatch record, the `profile_report` of a
+/// profiled run, and the metrics report as the footer. Dispatch lines are
+/// rendered one at a time, since a long program run keeps millions of them.
+fn write_record(
+    path: &str,
+    lines: &[Json],
+    recorder: &Recorder,
+    profile: Option<&Json>,
+) -> std::io::Result<()> {
     let path = Path::new(path);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -632,278 +647,11 @@ fn write_record(path: &str, lines: &[Json], recorder: &Recorder) -> std::io::Res
     for d in recorder.dispatch() {
         writeln!(out, "{}", d.to_json().render())?;
     }
+    if let Some(report) = profile {
+        writeln!(out, "{}", report.render())?;
+    }
     writeln!(out, "{}", recorder.metrics().to_json().render())?;
     out.flush()
-}
-
-/// Runs the DK18 oscillator with the profiler on; returns the run-loop wall
-/// time, the label of the observable, and its samples (dominance
-/// periods in rounds).
-fn profile_oscillator(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
-    let x = ((n as f64).powf(0.3) as u64).max(1);
-    let osc = Dk18Oscillator::new();
-    let mut pop = CountPopulation::from_counts(&osc, &central_init(&osc, n, x));
-    let mut rng = SimRng::seed_from(seed);
-    let mut rows = Vec::new();
-    let wall = std::time::Instant::now();
-    while pop.time() < rounds as f64 {
-        let out = pop.step_batch(&mut rng, n);
-        {
-            // Measurement work is part of the run loop's wall time; give it
-            // its own section so it cannot masquerade as engine time.
-            let _obs = prof::section(prof::Section::Observer);
-            rows.push((pop.time(), osc.species_counts(&pop.counts())));
-        }
-        if out.silent && out.executed == 0 {
-            break;
-        }
-    }
-    let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let events = dominance_events(&rows, 0.8);
-    (wall_ns, "oscillator period (rounds)", periods(&events))
-}
-
-/// Runs 10 seeded epidemic trials with the profiler on; the
-/// observable is the per-trial convergence time in parallel rounds.
-fn profile_epidemic(n: u64, rounds: u64, seed: u64) -> (u64, &'static str, Vec<f64>) {
-    let p = TableProtocol::new(2, "epidemic")
-        .rule(1, 0, 1, 1)
-        .rule(0, 1, 1, 1);
-    let mut times = Vec::new();
-    let wall = std::time::Instant::now();
-    for trial in 0..10 {
-        let mut pop = CountPopulation::from_counts(&p, &[n - 1, 1]);
-        let mut rng = SimRng::seed_from(seed.wrapping_add(trial));
-        if let Some(t) = run_until(&mut pop, &mut rng, rounds as f64, n, |s| s.count(0) == 0) {
-            let _obs = prof::section(prof::Section::Observer);
-            times.push(t);
-        }
-    }
-    let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (wall_ns, "convergence time (rounds)", times)
-}
-
-/// The colour groups of a three-colour plurality program: colours split
-/// 30/33/37%.
-fn three_colour_groups(program: &Program, n: u64) -> Vec<(Vec<Var>, u64)> {
-    let colour = |i: usize| program.vars.get(&format!("C{i}")).expect("colour flag");
-    let (c1, c2) = (n * 30 / 100, n * 33 / 100);
-    vec![
-        (vec![colour(1)], c1),
-        (vec![colour(2)], c2),
-        (vec![colour(3)], n - c1 - c2),
-    ]
-}
-
-/// Runs plurality-exact-three (2¹⁸ nominal states, so its scheduler runs
-/// take the sparse backend's leap), plurality(3, 2) or majority(3) on the
-/// interpreter, the colours split 30/33/37%, majority's opinions 53/47%,
-/// one iteration at a time until `rounds` parallel rounds have passed;
-/// returns the wall time and each iteration's simulated rounds.
-fn profile_builtin_program(
-    builtin: &str,
-    n: u64,
-    rounds: u64,
-    seed: u64,
-) -> (u64, &'static str, Vec<f64>) {
-    let (program, groups) = match builtin {
-        "majority" => {
-            let program = majority(3);
-            let a = program.vars.get("A").expect("majority defines A");
-            let b = program.vars.get("B").expect("majority defines B");
-            let na = n * 53 / 100;
-            let groups = vec![(vec![a], na), (vec![b], n - na)];
-            (program, groups)
-        }
-        "plurality" => {
-            let program = plurality(3, 2);
-            let groups = three_colour_groups(&program, n);
-            (program, groups)
-        }
-        _ => {
-            let program = plurality_exact_three();
-            let groups = three_colour_groups(&program, n);
-            (program, groups)
-        }
-    };
-    let mut exec = Executor::new(&program, &groups, seed);
-    let mut iterations = Vec::new();
-    let wall = std::time::Instant::now();
-    while exec.rounds() < rounds as f64 {
-        let before = exec.rounds();
-        exec.run_iteration();
-        iterations.push(exec.rounds() - before);
-    }
-    let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (wall_ns, "iteration length (rounds)", iterations)
-}
-
-fn fmt_ms(ns: u64) -> String {
-    format!("{:.2} ms", ns as f64 / 1e6)
-}
-
-/// `ppsim profile`: run a built-in protocol under the section profiler and
-/// report a self-time/total-time tree, regime dispatch, and percentiles.
-///
-/// Own grammar (like `lint`):
-/// `--builtin oscillator|epidemic|plurality-exact|plurality|majority`, `--n N`,
-/// `--rounds R`, `--seed S`, `--record FILE` (write the run record, whose
-/// event lines are the per-batch dispatch decisions), `--json`.
-#[allow(clippy::too_many_lines)]
-fn run_profile(args: &[String]) -> u8 {
-    let mut builtin: &str = "oscillator";
-    let mut n = 100_000u64;
-    let mut rounds = 300u64;
-    let mut seed = 42u64;
-    let mut json = false;
-    let mut record_path: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            key @ ("--builtin" | "--n" | "--rounds" | "--seed" | "--record") => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("error: flag {key} is missing a value");
-                    return 1;
-                };
-                match key {
-                    "--builtin" => builtin = value,
-                    "--record" => record_path = Some(value),
-                    _ => {
-                        let Ok(parsed) = value.parse() else {
-                            eprintln!("error: flag {key} needs an integer value, got {value:?}");
-                            return 1;
-                        };
-                        match key {
-                            "--n" => n = parsed,
-                            "--rounds" => rounds = parsed,
-                            _ => seed = parsed,
-                        }
-                    }
-                }
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "error: unknown profile argument {other:?} (usage: ppsim profile \
-                     [--builtin oscillator|epidemic|plurality-exact|plurality|majority] \
-                     [--n N] [--rounds R] \
-                     [--seed S] \
-                     [--record FILE] [--json])"
-                );
-                return 1;
-            }
-        }
-        i += 1;
-    }
-    if !matches!(
-        builtin,
-        "oscillator" | "epidemic" | "plurality-exact" | "plurality" | "majority"
-    ) {
-        eprintln!(
-            "error: unknown profile builtin {builtin:?} (oscillator, epidemic, plurality-exact, \
-             plurality or majority)"
-        );
-        return 1;
-    }
-    if n < 2 {
-        eprintln!("error: profile needs --n >= 2");
-        return 1;
-    }
-
-    let mut recorder = Recorder::new().with_sections().with_dispatch_log();
-    let (wall_ns, quantile_label, samples) = {
-        let _installed = recorder.install();
-        match builtin {
-            "oscillator" => profile_oscillator(n, rounds, seed),
-            "epidemic" => profile_epidemic(n, rounds, seed),
-            _ => profile_builtin_program(builtin, n, rounds, seed),
-        }
-    };
-    let report = recorder.profile();
-    let snap = recorder.metrics();
-    let dispatch = recorder.dispatch();
-
-    if let Some(path) = record_path {
-        let args = record_args(args);
-        let run = run_id("profile", &args);
-        let header = record_header(&run, "profile", &args, n, seed, backend_name(builtin));
-        if let Err(e) = write_record(path, &[header], &recorder) {
-            eprintln!("cannot write record {path}: {e}");
-            return 1;
-        }
-    }
-
-    let mut sorted = samples;
-    sorted.sort_by(f64::total_cmp);
-    // p50, p90 and p99 of the observable; `None` without samples.
-    let quantiles =
-        [0.5, 0.9, 0.99].map(|q| (!sorted.is_empty()).then(|| quantile_sorted(&sorted, q)));
-    let regimes = [
-        ("collision", snap.counter("collision_epochs")),
-        ("leap", snap.counter("noop_leaps")),
-        ("per_step", snap.counter("reactive_dense_steps")),
-        ("dense_fallback", snap.counter("dense_fallback_entries")),
-    ];
-    let first_regime = dispatch.first().map_or("none", |d| d.regime);
-    let attributed = report.attributed_ns();
-    let frac = attributed as f64 / wall_ns.max(1) as f64;
-
-    if json {
-        let Json::Obj(mut pairs) = report.to_json(Some(wall_ns)) else {
-            unreachable!("ProfReport::to_json returns an object");
-        };
-        pairs.push(("builtin".to_string(), Json::from(builtin)));
-        pairs.push(("n".to_string(), Json::from(n)));
-        pairs.push(("rounds".to_string(), Json::from(rounds)));
-        pairs.push(("seed".to_string(), Json::from(seed)));
-        pairs.push((
-            "regimes".to_string(),
-            Json::obj(regimes.map(|(k, v)| (k, Json::from(v)))),
-        ));
-        pairs.push((
-            "dispatch_records".to_string(),
-            Json::from(dispatch.len() as u64),
-        ));
-        pairs.push(("first_regime".to_string(), Json::from(first_regime)));
-        let [p50, p90, p99] = quantiles.map(|q| q.map_or(Json::Null, Json::from));
-        pairs.push((
-            "quantiles".to_string(),
-            Json::obj([
-                ("label", Json::from(quantile_label)),
-                ("count", Json::from(sorted.len() as u64)),
-                ("p50", p50),
-                ("p90", p90),
-                ("p99", p99),
-            ]),
-        ));
-        println!("{}", Json::Obj(pairs).render());
-        return 0;
-    }
-
-    println!("profile: builtin={builtin} n={n} rounds={rounds} seed={seed}");
-    println!(
-        "wall {} · attributed {} ({:.1}%)",
-        fmt_ms(wall_ns),
-        fmt_ms(attributed),
-        frac * 100.0
-    );
-    print!("{}", report.render_tree());
-    let regime_line: Vec<String> = regimes.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    println!("regimes: {}", regime_line.join(" "));
-    println!(
-        "dispatch: {} records (first regime: {first_regime})",
-        dispatch.len()
-    );
-    if let [Some(p50), Some(p90), Some(p99)] = quantiles {
-        println!(
-            "{quantile_label} over {} samples: p50={p50:.1} p90={p90:.1} p99={p99:.1}",
-            sorted.len()
-        );
-    } else {
-        println!("{quantile_label}: no samples");
-    }
-    0
 }
 
 /// Loads the `(bench/scenario/n/metric, rate)` rows of a
@@ -1059,7 +807,8 @@ fn usage() -> ExitCode {
          \tlint [protocol.pp ...] [--builtin NAME|all] [--json]  static analysis\n\
          \tcompile [protocol.pp ...] [--builtin NAME|all] [--json]  backend decision\n\
          \t             (hierarchy / enumerated live-state stats / interpreted)\n\
-         \trun-file <protocol.pp> [--n --seed --iters --in-NAME C]  run a .pp program\n\
+         \trun-file     <protocol.pp>|--builtin NAME [--n --seed --iters --in-NAME C]\n\
+         \t             run a .pp program or a builtin one (names as for lint)\n\
          \tleader       [--n --seed]    w.h.p. leader election (Thm 3.1)\n\
          \tleader-exact [--n --seed]    always-correct leader election (Thm 6.1)\n\
          \tmajority     [--n --a --b --seed]  exact majority (Thm 3.2)\n\
@@ -1073,9 +822,9 @@ fn usage() -> ExitCode {
          \t              --churn-every R --churn-pct P --churn-state S\n\
          \t              --byz-count K --byz-state S --byz-every R --window R]\n\
          \t             oscillator under fault injection + recovery report\n\
-         \tprofile      [--builtin oscillator|epidemic|plurality-exact|plurality|majority\n\
-         \t              --n --rounds --seed --record FILE --json]\n\
-         \t             run with the section profiler on; self/total-time tree report\n\
+         \tprofile      <{}> [its flags]\n\
+         \t             run a run command with the section profiler on: its output,\n\
+         \t             then the self/total-time tree and the regime counts\n\
          \tbench-diff   <baseline.jsonl> <current.jsonl> [--tolerance-pct T]\n\
          \t             compare two BENCH_history.jsonl snapshots (exit 1 on regression)\n\
          global flags:\n\
@@ -1084,7 +833,8 @@ fn usage() -> ExitCode {
          \t                 fault events, and the engine metrics as the footer\n\
          \t--checkpoint-every N --checkpoint-dir DIR  (oscillator, faults)\n\
          \t                 write a crash-safe rotating snapshot every N steps;\n\
-         \t                 resume with `ppsim resume DIR`"
+         \t                 resume with `ppsim resume DIR`",
+        RUN_COMMANDS.join("|")
     );
     ExitCode::FAILURE
 }
@@ -1123,21 +873,23 @@ fn run_command(
             0
         }
         "run-file" => {
-            let Some(path) = path else {
-                eprintln!("usage: ppsim run-file <protocol.pp> [--n N] [--seed S] [--iters I]");
-                return 1;
+            let program = match (path, flags.strs.get("builtin")) {
+                (Some(path), None) => std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))
+                    .and_then(|source| parse_program(&source).map_err(|e| format!("{path}:{e}"))),
+                (None, Some(name)) => builtin_program(name).ok_or_else(|| {
+                    format!("unknown builtin {name:?} (one of: {})", BUILTINS.join(" "))
+                }),
+                _ => Err(
+                    "usage: ppsim run-file <protocol.pp>|--builtin NAME [--n N] [--seed S] \
+                          [--iters I] [--in-NAME C]"
+                        .to_string(),
+                ),
             };
-            let source = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return 1;
-                }
-            };
-            let program = match parse_program(&source) {
+            let program = match program {
                 Ok(p) => p,
                 Err(e) => {
-                    eprintln!("{path}:{e}");
+                    eprintln!("{e}");
                     return 1;
                 }
             };
@@ -1145,7 +897,7 @@ fn run_command(
             println!("{}", program.render());
             // Input groups: `--in-NAME count` puts `count` agents with the
             // input flag NAME set; the rest start blank.
-            let mut groups: Vec<(Vec<population_protocols::core::rules::Var>, u64)> = Vec::new();
+            let mut groups: Vec<(Vec<Var>, u64)> = Vec::new();
             let mut assigned = 0u64;
             for (key, &count) in &flags.nums {
                 if let Some(name) = key.strip_prefix("in-") {
@@ -1468,7 +1220,12 @@ fn species_rows<S: Simulator>(
     let _installed = recorder.map(Recorder::install);
     while pop.time() < shape.rounds as f64 {
         let out = pop.step_batch(&mut rng, shape.n);
-        rows.push((pop.time(), osc.species_counts(&pop.counts())));
+        {
+            // A profiled run times the sampling on its own, so it cannot
+            // pass for engine time.
+            let _obs = prof::section(prof::Section::Observer);
+            rows.push((pop.time(), osc.species_counts(&pop.counts())));
+        }
         if let Some(c) = ckpt.as_mut() {
             c.maybe_save(pop.steps(), |every, next| {
                 RunSnapshot::capture(&*pop, &rng)
@@ -1802,8 +1559,37 @@ fn run_resume(
     run_checkpointed(&shape, Some(&snap), ckpt, flags, recorder, record)
 }
 
+/// The run commands: the commands `--record` and `profile` apply to.
+const RUN_COMMANDS: &[&str] = &[
+    "run-file",
+    "leader",
+    "leader-exact",
+    "majority",
+    "plurality",
+    "parity",
+    "oscillator",
+    "faults",
+    "resume",
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let all: Vec<String> = std::env::args().skip(1).collect();
+    // `profile <command> …` runs a run command as it runs alone, with the
+    // section profiler on.
+    let profiled = all.first().is_some_and(|c| c == "profile");
+    let args = &all[usize::from(profiled)..];
+    if profiled
+        && !args
+            .first()
+            .is_some_and(|c| RUN_COMMANDS.contains(&c.as_str()))
+    {
+        eprintln!(
+            "error: usage: ppsim profile <command> [its flags], where <command> is a run \
+             command: {}",
+            RUN_COMMANDS.join(" ")
+        );
+        return ExitCode::FAILURE;
+    }
     let Some(command) = args.first().map(String::as_str) else {
         return usage();
     };
@@ -1816,10 +1602,7 @@ fn main() -> ExitCode {
     if command == "compile" {
         return ExitCode::from(run_compile(&args[1..]));
     }
-    // `profile` and `bench-diff` also carry their own grammars.
-    if command == "profile" {
-        return ExitCode::from(run_profile(&args[1..]));
-    }
+    // `bench-diff` also carries its own grammar.
     if command == "bench-diff" {
         return ExitCode::from(run_bench_diff(&args[1..]));
     }
@@ -1843,7 +1626,19 @@ fn main() -> ExitCode {
     let header_args = record_args(&args[1..]);
     let run = run_id(command, &header_args);
     let record_path = flags.strs.get("record");
-    let mut recorder = record_path.map(|_| Recorder::new().with_dispatch_log());
+    let mut recorder = (record_path.is_some() || profiled).then(|| {
+        let recorder = Recorder::new();
+        let recorder = if record_path.is_some() {
+            recorder.with_dispatch_log()
+        } else {
+            recorder
+        };
+        if profiled {
+            recorder.with_sections()
+        } else {
+            recorder
+        }
+    });
     // `resume` writes its own header, from the snapshot it continues.
     let mut record = record_path.map(|_| {
         if command == "resume" {
@@ -1861,6 +1656,7 @@ fn main() -> ExitCode {
         )]
     });
 
+    let started = std::time::Instant::now();
     let code = {
         // The snapshot's counters must reach a resumed run's recorder before
         // it is installed, so `resume` installs it after the restore.
@@ -1872,6 +1668,22 @@ fn main() -> ExitCode {
         let record = record.as_mut();
         run_command(command, path, &header_args, &flags, &run, record, handed)
     };
+    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+
+    let profile = recorder.as_ref().filter(|_| profiled).map(|rec| {
+        let report = rec.profile();
+        print!("{}", report.render_tree());
+        let counters = rec.metrics();
+        let regimes = [
+            ("collision", "collision_epochs"),
+            ("leap", "noop_leaps"),
+            ("per_step", "reactive_dense_steps"),
+            ("dense_fallback", "dense_fallback_entries"),
+        ]
+        .map(|(regime, counter)| format!("{regime}={}", counters.counter(counter)));
+        println!("regimes: {}", regimes.join(" "));
+        report.to_json(Some(wall_ns))
+    });
 
     // A resume that found nothing to continue wrote no header: no record.
     if let (Some(path), Some(rec), Some(lines)) = (
@@ -1879,7 +1691,7 @@ fn main() -> ExitCode {
         &recorder,
         record.filter(|lines| !lines.is_empty()),
     ) {
-        if let Err(e) = write_record(path, &lines, rec) {
+        if let Err(e) = write_record(path, &lines, rec, profile.as_ref()) {
             eprintln!("cannot write record {path}: {e}");
             return ExitCode::FAILURE;
         }

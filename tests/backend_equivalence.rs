@@ -584,6 +584,61 @@ fn dense_scenario_uses_collision_epochs() {
     assert_eq!(dispatch.expected_epoch, batch_len(n, 3) as f64);
 }
 
+/// An epidemic from one infected agent starts sparse and fills up, so the
+/// dispatch log must show the dense backend's reactive probability `p`
+/// rising and its first leap coming before its first collision epoch;
+/// every non-silent batch decomposes into regime events.
+#[test]
+fn epidemic_dispatch_log_leaps_before_collision_epochs() {
+    let p = TableProtocol::new(2, "epidemic")
+        .rule(1, 0, 1, 1)
+        .rule(0, 1, 1, 1);
+    let n = 20_000u64;
+    let mut recorder = Recorder::new().with_dispatch_log();
+    let mut first_trial_len = 0;
+    for trial in 0..10 {
+        let mut pop = CountPopulation::from_counts(&p, &[n - 1, 1]);
+        let mut rng = SimRng::seed_from(42 + trial);
+        {
+            let _installed = recorder.install();
+            run_until(&mut pop, &mut rng, 80.0, n, |s| s.count(0) == 0);
+        }
+        if trial == 0 {
+            first_trial_len = recorder.dispatch().len();
+        }
+    }
+    let records = recorder.dispatch();
+    assert!(!records.is_empty(), "no dispatch records for a dense run");
+    for rec in records {
+        assert_eq!(rec.backend, "CountPopulation");
+        assert!(
+            ["collision", "leap", "per_step", "dense_fallback", "silent"].contains(&rec.regime),
+            "unexpected regime {:?}",
+            rec.regime
+        );
+        assert!(
+            rec.executed == 0 || rec.collision_epochs + rec.leaps + rec.per_steps > 0,
+            "batch executed {} steps with no regime tallies",
+            rec.executed
+        );
+    }
+    let first = &records[..first_trial_len];
+    let start = first[0].p;
+    assert!(
+        first.iter().any(|r| r.p > start),
+        "reactive probability did not rise in the first trial: {:?}",
+        first.iter().map(|r| r.p).collect::<Vec<_>>()
+    );
+    let first_of = |regime: &str| first.iter().position(|r| r.regime == regime);
+    match (first_of("leap"), first_of("collision")) {
+        (Some(leap), Some(collision)) => assert!(
+            leap < collision,
+            "the first trial reached collision epochs before leaping"
+        ),
+        other => panic!("the first trial lacks a leap or collision record: {other:?}"),
+    }
+}
+
 /// Natural-log factorial table over a large range, for exact pmf
 /// evaluation in the marginal tests (`ln x!` via cumulative sums — no
 /// approximation beyond f64 rounding).

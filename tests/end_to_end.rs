@@ -164,14 +164,15 @@ fn deterministic_given_seed() {
 #[test]
 fn program_commands_survive_tiny_populations() {
     let protocol_file = concat!(env!("CARGO_MANIFEST_DIR"), "/protocols/leader_election.pp");
-    let commands: [&[&str]; 7] = [
+    let commands: [&[&str]; 8] = [
         &["leader"],
         &["leader-exact"],
         &["majority"],
         &["plurality"],
         &["parity", "--a", "1"],
         &["run-file", protocol_file],
-        &["profile", "--builtin", "plurality-exact"],
+        &["run-file", "--builtin", "plurality-exact-three"],
+        &["profile", "parity", "--a", "1"],
     ];
     for n in ["2", "3"] {
         for args in commands {
@@ -202,8 +203,10 @@ fn program_commands_survive_tiny_populations() {
     }
 }
 
-/// `ppsim list` names the commands of the usage text but itself, and
-/// every profile builtin the usage text names runs.
+/// `ppsim list` names the commands of the usage text but itself;
+/// `ppsim profile` runs every run command the usage text names for it but
+/// `resume` (which needs a checkpoint) and refuses anything else, naming
+/// the run commands.
 #[test]
 fn ppsim_list_and_usage_name_what_the_binary_accepts() {
     let ppsim = |args: &[&str]| {
@@ -227,25 +230,49 @@ fn ppsim_list_and_usage_name_what_the_binary_accepts() {
     commands.sort_unstable();
     listed.sort_unstable();
     assert_eq!(listed, commands, "`ppsim list` against the usage text");
-    let builtins = usage
+    let run_commands: Vec<&str> = usage
         .lines()
         .find(|l| l.starts_with("\tprofile"))
-        .and_then(|l| l.split("--builtin ").nth(1))
-        .expect("usage names the profile builtins");
-    for builtin in builtins.split('|') {
-        let out = ppsim(&[
-            "profile",
-            "--builtin",
-            builtin,
-            "--n",
-            "200",
-            "--rounds",
-            "2",
-        ]);
+        .and_then(|l| l.split(['<', '>']).nth(1))
+        .expect("usage names the run commands profile takes")
+        .split('|')
+        .collect();
+    assert!(run_commands.contains(&"resume"), "{run_commands:?}");
+    let protocol_file = concat!(env!("CARGO_MANIFEST_DIR"), "/protocols/leader_election.pp");
+    for &command in run_commands.iter().filter(|&&c| c != "resume") {
+        let mut args = vec!["profile", command];
+        if command == "run-file" {
+            args.push(protocol_file);
+        }
+        args.extend(["--n", "200"]);
+        let out = ppsim(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // The command's own exit code: a wrong answer at n = 200 is 1.
         assert!(
-            out.status.success(),
-            "ppsim profile --builtin {builtin}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            matches!(out.status.code(), Some(0 | 1)) && !stderr.contains("panicked"),
+            "ppsim {args:?}: {}\n{stderr}",
+            out.status
+        );
+        assert!(
+            stdout.contains("\nsection ")
+                && stdout
+                    .lines()
+                    .last()
+                    .is_some_and(|l| l.starts_with("regimes: ")),
+            "ppsim {args:?} printed no profile:\n{stdout}"
+        );
+    }
+    for refused in [
+        &["profile", "--builtin", "oscillator"][..],
+        &["profile", "lint"],
+    ] {
+        let out = ppsim(refused);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "ppsim {refused:?} ran");
+        assert!(
+            run_commands.iter().all(|c| stderr.contains(c)),
+            "ppsim {refused:?} does not name the run commands: {stderr}"
         );
     }
 }

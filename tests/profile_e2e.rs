@@ -1,8 +1,9 @@
-//! End-to-end checks on `ppsim profile`: the JSON report must attribute
-//! nearly all dense-run wall time to named sections, keep the pmf-inversion
-//! chain separately visible, and carry the regime-dispatch evidence; its
-//! `--record` file holds one dispatch line per batch between the run
-//! header and the metrics footer.
+//! End-to-end checks on `ppsim profile <command>`: the run record of a
+//! profiled run is the unprofiled record plus one `profile_report` line
+//! before the metrics footer. That report must attribute nearly all
+//! dense-run wall time to named sections, keep the pmf-inversion chain
+//! separately visible and name the sparse leap's parts, and the record's
+//! dispatch lines carry the regime-dispatch evidence.
 
 use population_protocols::core::engine::json::{parse_jsonl, Json};
 use population_protocols::core::engine::metrics::MetricsReport;
@@ -13,59 +14,120 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ppsim-profile-{}-{name}", std::process::id()))
 }
 
-fn profile_json(args: &[&str]) -> Json {
+/// The profiled plurality-exact-three workload: colours split 30/33/37%,
+/// two iterations.
+const PLURALITY_EXACT: [&str; 13] = [
+    "run-file",
+    "--builtin",
+    "plurality-exact-three",
+    "--n",
+    "2000",
+    "--in-C1",
+    "600",
+    "--in-C2",
+    "660",
+    "--in-C3",
+    "740",
+    "--iters",
+    "2",
+];
+
+/// Runs `ppsim <args> --record <tmp>`; returns its stdout and the record's
+/// bytes.
+fn run_recorded(name: &str, args: &[&str]) -> (String, String) {
+    let path = tmp(name);
     let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
-        .arg("profile")
         .args(args)
-        .arg("--json")
+        .arg("--record")
+        .arg(&path)
         .output()
-        .expect("spawn ppsim profile");
+        .expect("spawn ppsim");
     assert!(
         out.status.success(),
-        "ppsim profile failed: {}",
+        "ppsim {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = String::from_utf8(out.stdout).expect("utf8 stdout");
-    Json::parse(text.trim()).expect("profile --json emits one JSON document")
+    let record = std::fs::read_to_string(&path).expect("run record written");
+    let _ = std::fs::remove_file(&path);
+    (String::from_utf8(out.stdout).expect("utf8 stdout"), record)
 }
 
-/// The dispatch lines of the run record at `path`, after checking that it
-/// opens with the `profile` header and closes with the metrics footer.
-fn dispatch_lines(path: &std::path::Path) -> Vec<Json> {
-    let text = std::fs::read_to_string(path).expect("run record written");
-    let _ = std::fs::remove_file(path);
-    let mut records = parse_jsonl(&text).expect("the run record parses as JSONL");
-    let header = records.remove(0);
+/// A profiled run's record: its header (naming `command`), the event lines
+/// between header and report, and the `profile_report` line, after checking
+/// that the report sits just before the metrics footer.
+struct Profiled {
+    events: Vec<Json>,
+    report: Json,
+    metrics: MetricsReport,
+}
+
+fn profile(name: &str, args: &[&str]) -> Profiled {
+    let profiled: Vec<&str> = std::iter::once("profile")
+        .chain(args.iter().copied())
+        .collect();
+    let (_, text) = run_recorded(name, &profiled);
+    let mut lines = parse_jsonl(&text).expect("the run record parses as JSONL");
+    let header = lines.remove(0);
     assert_eq!(header.get("kind").and_then(Json::as_str), Some("run"));
-    assert_eq!(
-        header.get("command").and_then(Json::as_str),
-        Some("profile")
-    );
+    assert_eq!(header.get("command").and_then(Json::as_str), Some(args[0]));
     let footer = text.lines().last().expect("a footer line");
-    MetricsReport::parse(footer).expect("the footer is a metrics report");
-    records.pop();
-    records
+    let metrics = MetricsReport::parse(footer).expect("the footer is a metrics report");
+    lines.pop();
+    let report = lines.pop().expect("a profile_report line");
+    assert_eq!(
+        report.get("kind").and_then(Json::as_str),
+        Some("profile_report")
+    );
+    Profiled {
+        events: lines,
+        report,
+        metrics,
+    }
 }
 
-fn sections(doc: &Json) -> Vec<&Json> {
-    doc.get("sections")
-        .and_then(Json::as_arr)
-        .expect("profile report carries sections")
-        .iter()
-        .collect()
+impl Profiled {
+    fn sections(&self) -> &[Json] {
+        self.report
+            .get("sections")
+            .and_then(Json::as_arr)
+            .expect("profile report carries sections")
+    }
+
+    /// The first section edge named `name`.
+    fn section(&self, name: &str) -> &Json {
+        self.sections()
+            .iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("section {name} missing from the report"))
+    }
+
+    fn of_kind(&self, kind: &str) -> Vec<&Json> {
+        self.events
+            .iter()
+            .filter(|e| e.get("kind").and_then(Json::as_str) == Some(kind))
+            .collect()
+    }
+}
+
+fn parent_of(section: &Json) -> Option<&str> {
+    section.get("parent").and_then(Json::as_str)
+}
+
+fn calls(section: &Json) -> u64 {
+    section.get("calls").and_then(Json::as_u64).unwrap_or(0)
 }
 
 #[test]
 fn oscillator_profile_attributes_dense_wall_time() {
-    let doc = profile_json(&["--builtin", "oscillator", "--n", "50000", "--rounds", "200"]);
-    assert_eq!(
-        doc.get("kind").and_then(Json::as_str),
-        Some("profile_report")
+    let run = profile(
+        "oscillator.jsonl",
+        &["oscillator", "--n", "50000", "--rounds", "200"],
     );
 
-    // Acceptance bar: ≥ 90% of the dense-run wall time lands in named
+    // Acceptance bar: ≥ 90% of the run's wall time lands in named
     // sections. (In practice the top-level batch section alone covers it.)
-    let frac = doc
+    let frac = run
+        .report
         .get("attributed_frac")
         .and_then(Json::as_f64)
         .expect("attributed_frac present");
@@ -77,18 +139,16 @@ fn oscillator_profile_attributes_dense_wall_time() {
 
     // The pmf-inversion chain is separately visible, attributed under the
     // collision-epoch stages rather than folded into them.
-    let secs = sections(&doc);
-    let pmf_calls: u64 = secs
+    let pmf: Vec<&Json> = run
+        .sections()
         .iter()
         .filter(|s| s.get("name").and_then(Json::as_str) == Some("pmf_inversion"))
-        .filter_map(|s| s.get("calls").and_then(Json::as_u64))
-        .sum();
-    assert!(pmf_calls > 0, "pmf_inversion sections never fired");
-    let pmf_parents: Vec<&str> = secs
-        .iter()
-        .filter(|s| s.get("name").and_then(Json::as_str) == Some("pmf_inversion"))
-        .filter_map(|s| s.get("parent").and_then(Json::as_str))
         .collect();
+    assert!(
+        pmf.iter().map(|s| calls(s)).sum::<u64>() > 0,
+        "pmf_inversion sections never fired"
+    );
+    let pmf_parents: Vec<&str> = pmf.iter().filter_map(|s| parent_of(s)).collect();
     assert!(
         pmf_parents
             .iter()
@@ -96,133 +156,30 @@ fn oscillator_profile_attributes_dense_wall_time() {
         "pmf_inversion not attributed under the epoch chain: {pmf_parents:?}"
     );
     for name in ["count_step_batch", "collision_epoch", "epoch_len_sample"] {
-        assert!(
-            secs.iter()
-                .any(|s| s.get("name").and_then(Json::as_str) == Some(name)),
-            "section {name} missing from the report"
-        );
+        run.section(name);
     }
     // In-batch collisions are settled under their batch.
-    let collisions = secs
-        .iter()
-        .find(|s| s.get("name").and_then(Json::as_str) == Some("epoch_collisions"))
-        .expect("section epoch_collisions missing from the report");
-    assert_eq!(
-        collisions.get("parent").and_then(Json::as_str),
-        Some("collision_epoch")
-    );
-    assert!(collisions.get("calls").and_then(Json::as_u64) > Some(0));
+    let collisions = run.section("epoch_collisions");
+    assert_eq!(parent_of(collisions), Some("collision_epoch"));
+    assert!(calls(collisions) > 0);
+    // The species-row sampling is timed apart from the engine.
+    assert_eq!(calls(run.section("observer")), 200);
 
     // Dense oscillator at this size runs in the collision regime, and the
     // dispatch records agree with the regime counters.
-    let regimes = doc.get("regimes").expect("regimes present");
-    assert!(regimes.get("collision").and_then(Json::as_u64) > Some(0));
-    assert!(doc.get("dispatch_records").and_then(Json::as_u64) > Some(0));
+    assert!(run.metrics.counter("collision_epochs") > 0);
+    let dispatch = run.of_kind("dispatch");
+    assert_eq!(dispatch.len(), 200, "one dispatch line per batch");
     assert_eq!(
-        doc.get("first_regime").and_then(Json::as_str),
+        dispatch[0].get("regime").and_then(Json::as_str),
         Some("collision")
     );
-
-    // The exact percentiles of the oscillator period came out of the run.
-    let q = doc.get("quantiles").expect("quantiles present");
-    assert_eq!(
-        q.get("label").and_then(Json::as_str),
-        Some("oscillator period (rounds)")
-    );
-    assert!(q.get("count").and_then(Json::as_u64) > Some(0));
-    let p50 = q.get("p50").and_then(Json::as_f64).expect("p50 present");
-    let p99 = q.get("p99").and_then(Json::as_f64).expect("p99 present");
-    assert!(
-        p50 > 0.0 && p99 >= p50,
-        "percentiles disordered: {p50} {p99}"
-    );
-}
-
-#[test]
-fn profile_dispatch_log_is_valid_jsonl() {
-    let path = tmp("epidemic-record.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
-        .args([
-            "profile",
-            "--builtin",
-            "epidemic",
-            "--n",
-            "20000",
-            "--rounds",
-            "80",
-        ])
-        .arg("--record")
-        .arg(&path)
-        .output()
-        .expect("spawn ppsim profile");
-    assert!(
-        out.status.success(),
-        "ppsim profile failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let records = dispatch_lines(&path);
-    assert!(!records.is_empty(), "no dispatch records for a dense run");
-    for rec in &records {
-        assert_eq!(rec.get("kind").and_then(Json::as_str), Some("dispatch"));
-        assert_eq!(
-            rec.get("backend").and_then(Json::as_str),
-            Some("CountPopulation")
-        );
-        let regime = rec.get("regime").and_then(Json::as_str).expect("regime");
-        assert!(
-            ["collision", "leap", "per_step", "dense_fallback", "silent"].contains(&regime),
-            "unexpected regime {regime:?}"
-        );
-        let executed = rec
-            .get("executed")
-            .and_then(Json::as_u64)
-            .expect("executed");
-        let parts = rec.get("collision_epochs").and_then(Json::as_u64).unwrap()
-            + rec.get("leaps").and_then(Json::as_u64).unwrap()
-            + rec.get("per_steps").and_then(Json::as_u64).unwrap();
-        // Every non-silent batch decomposes into at least one regime event.
-        assert!(
-            executed == 0 || parts > 0,
-            "batch executed {executed} steps with no regime tallies"
-        );
-    }
-    // The epidemic run crosses from the leap regime into collision epochs
-    // as the infection spreads — the decision inputs must show p rising.
-    // The log concatenates 10 trials, each starting at p = 2/n (one
-    // infected agent) and ending near S = 1 at the same p, so the first
-    // trial is the prefix up to the first record that falls back to the
-    // starting p after rising above it.
-    let ps: Vec<f64> = records
+    // The dominance periods the summary is made of came out of the run.
+    let periods = run.of_kind("period");
+    assert!(!periods.is_empty(), "no completed rotation period");
+    assert!(periods
         .iter()
-        .map(|r| r.get("p").and_then(Json::as_f64).expect("p"))
-        .collect();
-    let start = ps[0];
-    let rise = ps
-        .iter()
-        .position(|&p| p > start)
-        .unwrap_or_else(|| panic!("reactive probability never rose: {ps:?}"));
-    let end = ps[rise..]
-        .iter()
-        .position(|&p| p <= start)
-        .map_or(ps.len(), |i| rise + i);
-    let peak = ps[..end].iter().copied().fold(start, f64::max);
-    assert!(
-        peak > start,
-        "reactive probability did not rise in the first trial: {:?}",
-        &ps[..end]
-    );
-    let first_of = |regime: &str| {
-        records[..end]
-            .iter()
-            .position(|r| r.get("regime").and_then(Json::as_str) == Some(regime))
-    };
-    match (first_of("leap"), first_of("collision")) {
-        (Some(leap), Some(collision)) => assert!(
-            leap < collision,
-            "the first trial reached collision epochs before leaping"
-        ),
-        other => panic!("the first trial lacks a leap or collision record: {other:?}"),
-    }
+        .all(|p| p.get("rounds").and_then(Json::as_f64) > Some(0.0)));
 }
 
 /// A program's sites run on the sparse backend, and the
@@ -233,47 +190,24 @@ fn profile_dispatch_log_is_valid_jsonl() {
 /// the rule-weighted pair count `W` over its scale.
 #[test]
 fn plurality_exact_profile_names_the_sparse_leap() {
-    let log = tmp("sparse-record.jsonl");
-    let log_arg = log.to_str().expect("utf8 temp path");
-    let doc = profile_json(&[
-        "--builtin",
-        "plurality-exact",
-        "--n",
-        "2000",
-        "--record",
-        log_arg,
-    ]);
-    let leap = sections(&doc)
-        .into_iter()
-        .find(|s| s.get("name").and_then(Json::as_str) == Some("sparse_leap"))
-        .expect("sparse_leap section present");
-    assert_eq!(
-        leap.get("parent").and_then(Json::as_str),
-        Some("sparse_step_batch")
-    );
-    let calls = |s: &Json| s.get("calls").and_then(Json::as_u64).unwrap_or(0);
+    let run = profile("sparse.jsonl", &PLURALITY_EXACT);
+    let leap = run.section("sparse_leap");
+    assert_eq!(parent_of(leap), Some("sparse_step_batch"));
     assert!(calls(leap) > 0);
     // Under each leap, the pick of the effective step, then the upkeep of
     // a change: every upkeep follows a pick, and every pick a leap.
-    let child = |name: &str| {
-        sections(&doc)
-            .into_iter()
-            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("{name} section present"))
-    };
-    let (pick, upkeep) = (child("leap_pick"), child("leap_upkeep"));
+    let (pick, upkeep) = (run.section("leap_pick"), run.section("leap_upkeep"));
     for section in [pick, upkeep] {
-        assert_eq!(
-            section.get("parent").and_then(Json::as_str),
-            Some("sparse_leap")
-        );
+        assert_eq!(parent_of(section), Some("sparse_leap"));
     }
     assert!(0 < calls(upkeep) && calls(upkeep) <= calls(pick) && calls(pick) <= calls(leap));
-    let regimes = doc.get("regimes").expect("regimes present");
-    assert!(regimes.get("leap").and_then(Json::as_u64) > Some(0));
-    assert_eq!(doc.get("first_regime").and_then(Json::as_str), Some("leap"));
-    let records = dispatch_lines(&log);
+    assert!(run.metrics.counter("noop_leaps") > 0);
+    let records = run.of_kind("dispatch");
     assert!(!records.is_empty(), "one record per batch");
+    assert_eq!(
+        records[0].get("regime").and_then(Json::as_str),
+        Some("leap")
+    );
     for r in &records {
         assert_eq!(
             r.get("backend").and_then(Json::as_str),
@@ -292,5 +226,39 @@ fn plurality_exact_profile_names_the_sparse_leap() {
                 "p = W/(n(n-1)·scale)"
             );
         }
+    }
+}
+
+/// Profiling changes what a run prints and records only by appending: the
+/// profiled stdout starts with the unprofiled stdout, and the profiled
+/// record without its `profile_report` line is the unprofiled record,
+/// byte for byte.
+#[test]
+fn profiled_run_appends_to_the_unprofiled_output() {
+    let oscillator: &[&str] = &["oscillator", "--n", "3000", "--rounds", "100"];
+    for args in [oscillator, &PLURALITY_EXACT] {
+        let (plain_out, plain_record) = run_recorded("plain.jsonl", args);
+        let profiled: Vec<&str> = std::iter::once("profile")
+            .chain(args.iter().copied())
+            .collect();
+        let (out, record) = run_recorded("profiled.jsonl", &profiled);
+        let tree = out
+            .strip_prefix(plain_out.as_str())
+            .unwrap_or_else(|| panic!("ppsim profile {args:?} changed the command's output"));
+        assert!(tree.starts_with("section"), "{tree}");
+        assert!(
+            tree.lines().last().unwrap().starts_with("regimes: "),
+            "{tree}"
+        );
+        let without_report: String = record
+            .lines()
+            .filter(|l| !l.contains("\"profile_report\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(record.lines().count(), plain_record.lines().count() + 1);
+        assert!(
+            without_report == plain_record,
+            "ppsim profile {args:?} changed the run record"
+        );
     }
 }
