@@ -1,0 +1,151 @@
+//! E6 — Theorem 5.2: the modulo-`m` phase clock operates correctly when
+//! `0 < #X < n^c`: all agents agree on the phase up to ±1 (w.h.p.), ticks
+//! advance in clean cyclic order, and the tick gap is `Θ(log n)`.
+//!
+//! Also ablates the consensus rule: depth-0 (no consensus — permanent
+//! startup clusters) and depth-1 (plain adopt-ahead — fluke cascades)
+//! against the default doubt-gated depth.
+
+use crate::n_ladder;
+use pp_clocks::controlled::{fixed_x_init, ControlledClock, FixedX};
+use pp_clocks::oscillator::Dk18Oscillator;
+use pp_engine::counts::CountPopulation;
+use pp_engine::report::{fmt_f64, Table};
+use pp_engine::rng::SimRng;
+use pp_engine::sim::Simulator;
+use pp_engine::stats::fit_polylog_exponent;
+
+struct ClockStats {
+    ticks: usize,
+    mean_gap: f64,
+    bad_seq: usize,
+    adj2_mean: f64,
+    adj2_min: f64,
+}
+
+fn measure_k(k: u8, depth: u8, n: u64, horizon: f64, seed: u64) -> ClockStats {
+    let clock = ControlledClock::new(Dk18Oscillator::new(), FixedX::new(), k, 12)
+        .with_consensus_depth(depth);
+    let x = ((n as f64).powf(0.3) as u64).max(1);
+    let mut pop = CountPopulation::from_counts(&clock, &fixed_x_init(&clock, n, x));
+    let mut rng = SimRng::seed_from(seed);
+    let warmup = horizon * 0.3;
+    let mut last_phase = None;
+    let mut ticks = Vec::new();
+    let mut adj2_sum = 0.0;
+    let mut adj2_min = f64::INFINITY;
+    let mut samples = 0u32;
+    while pop.time() < horizon {
+        let out = pop.step_batch(&mut rng, n);
+        if out.silent && out.executed == 0 {
+            break;
+        }
+        if pop.time() < warmup {
+            continue;
+        }
+        let hist = clock.phase_histogram(&pop.counts());
+        let total: u64 = hist.iter().sum();
+        let m = hist.len();
+        let best2 = (0..m)
+            .map(|i| hist[i] + hist[(i + 1) % m])
+            .max()
+            .unwrap_or(0) as f64
+            / total.max(1) as f64;
+        adj2_sum += best2;
+        adj2_min = adj2_min.min(best2);
+        samples += 1;
+        let (phase, _) = clock.majority_phase(&pop.counts());
+        if last_phase != Some(phase) {
+            ticks.push((pop.time(), phase));
+            last_phase = Some(phase);
+        }
+    }
+    let gaps: Vec<f64> = ticks.windows(2).map(|w| w[1].0 - w[0].0).collect();
+    let mean_gap = gaps.iter().sum::<f64>() / gaps.len().max(1) as f64;
+    let bad_seq = ticks
+        .windows(2)
+        .filter(|w| (w[1].1 + 12 - w[0].1) % 12 != 1)
+        .count();
+    ClockStats {
+        ticks: ticks.len(),
+        mean_gap,
+        bad_seq,
+        adj2_mean: adj2_sum / f64::from(samples.max(1)),
+        adj2_min,
+    }
+}
+
+pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
+    let scale = ctx.scale();
+    let ns = n_ladder(2_000, 5, scale.pick(2, 3, 4));
+    let horizon = scale.pick(500.0, 900.0, 1500.0);
+
+    let mut table = Table::new(vec![
+        "n",
+        "consensus",
+        "ticks",
+        "gap_mean",
+        "bad_seq",
+        "agree±1_mean",
+        "agree±1_min",
+    ]);
+    let mut gap_pts = Vec::new();
+    for &n in &ns {
+        for (label, depth) in [("doubt-3", 3u8), ("off", 0), ("adopt-ahead", 1)] {
+            // Ablations only at the smallest n to bound runtime.
+            if depth != 3 && n != ns[0] {
+                continue;
+            }
+            let s = measure_k(6, depth, n, horizon, 0xE6_0000 + n + u64::from(depth));
+            if depth == 3 {
+                gap_pts.push((n as f64, s.mean_gap));
+            }
+            table.row(vec![
+                n.to_string(),
+                label.into(),
+                s.ticks.to_string(),
+                fmt_f64(s.mean_gap),
+                s.bad_seq.to_string(),
+                fmt_f64(s.adj2_mean),
+                fmt_f64(s.adj2_min),
+            ]);
+        }
+    }
+    // Detector confirmation-depth ablation (DESIGN §6): small k admits
+    // false ticks (sequence violations, short gaps); large k delays ticks.
+    let mut ktable = Table::new(vec![
+        "k",
+        "n",
+        "ticks",
+        "gap_mean",
+        "bad_seq",
+        "agree±1_mean",
+    ]);
+    for k in [2u8, 4, 6, 10] {
+        let s = measure_k(k, 3, ns[0], horizon, 0xE6_7000 + u64::from(k));
+        ktable.row(vec![
+            k.to_string(),
+            ns[0].to_string(),
+            s.ticks.to_string(),
+            fmt_f64(s.mean_gap),
+            s.bad_seq.to_string(),
+            fmt_f64(s.adj2_mean),
+        ]);
+    }
+    println!("E6 — Theorem 5.2: phase clock correctness and tick rate\n");
+    ctx.emit("e6_phase_clock", &table);
+    println!("\ndetector confirmation-depth ablation (n = {}):\n", ns[0]);
+    ctx.emit("e6_detector_depth", &ktable);
+    if gap_pts.len() >= 2 {
+        let f = fit_polylog_exponent(&gap_pts);
+        println!(
+            "\ntick gap ~ (log n)^{:.2} (R²={:.3}; theory Θ(log n), exponent 1)",
+            f.slope, f.r_squared
+        );
+    }
+    println!(
+        "(ablation reading: 'off' shows stale startup clusters — low ±1 agreement; \
+         'adopt-ahead' shows fluke cascades — short gaps and sequence violations)"
+    );
+    0
+}

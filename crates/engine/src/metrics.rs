@@ -251,22 +251,7 @@ impl MetricsReport {
         ])
     }
 
-    /// Writes the JSON rendering to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from directory creation or the write.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut text = self.to_json().render();
-        text.push('\n');
-        std::fs::write(path, text)
-    }
-
-    /// Parses a report previously written by [`MetricsReport::write_json`].
+    /// Parses a report rendered by [`MetricsReport::to_json`].
     ///
     /// # Errors
     ///

@@ -60,6 +60,18 @@ impl Table {
         self.rows.push(cells);
     }
 
+    /// The column headers.
+    #[must_use]
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
+    /// The data rows, each as wide as the header.
+    #[must_use]
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {

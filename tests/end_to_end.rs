@@ -157,14 +157,16 @@ fn deterministic_given_seed() {
     assert_ne!(run(77), run(78), "different seeds should differ");
 }
 
-/// Every program command of the `ppsim` binary finishes at n = 2 and
-/// n = 3 with its answer's exit code (0 or 1), never a panic: one step
-/// there can empty every occupied state at once, and a protocol can fall
-/// silent in its first batch. Plurality at n = 3 must also answer right.
+/// Every program command of the `ppsim` binary, the oscillator and its
+/// fault-injected run included, finishes at n = 2 and n = 3 with its
+/// answer's exit code (0 or 1), never a panic: one step there can empty
+/// every occupied state at once, and a protocol can fall silent in its
+/// first batch. Plurality at n = 3 must also answer right. At n = 0 and
+/// n = 1 no pair can interact: each command refuses the run, naming `--n`.
 #[test]
 fn program_commands_survive_tiny_populations() {
     let protocol_file = concat!(env!("CARGO_MANIFEST_DIR"), "/protocols/leader_election.pp");
-    let commands: [&[&str]; 8] = [
+    let commands: [&[&str]; 10] = [
         &["leader"],
         &["leader-exact"],
         &["majority"],
@@ -173,8 +175,10 @@ fn program_commands_survive_tiny_populations() {
         &["run-file", protocol_file],
         &["run-file", "--builtin", "plurality-exact-three"],
         &["profile", "parity", "--a", "1"],
+        &["oscillator", "--rounds", "60"],
+        &["faults", "--rounds", "60"],
     ];
-    for n in ["2", "3"] {
+    for n in ["0", "1", "2", "3"] {
         for args in commands {
             for seed in ["1", "2"] {
                 let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppsim"))
@@ -184,7 +188,20 @@ fn program_commands_survive_tiny_populations() {
                     .expect("spawn ppsim");
                 let stderr = String::from_utf8_lossy(&out.stderr);
                 assert!(
-                    matches!(out.status.code(), Some(0 | 1)) && !stderr.contains("panicked"),
+                    !stderr.contains("panicked"),
+                    "ppsim {args:?} --n {n} --seed {seed}: {}\n{stderr}",
+                    out.status
+                );
+                if n == "0" || n == "1" {
+                    assert!(
+                        !out.status.success() && stderr.contains("flag --n "),
+                        "ppsim {args:?} --n {n} ran: {}\n{stderr}",
+                        out.status
+                    );
+                    continue;
+                }
+                assert!(
+                    matches!(out.status.code(), Some(0 | 1)),
                     "ppsim {args:?} --n {n} --seed {seed}: {}\n{stderr}",
                     out.status
                 );
@@ -203,10 +220,47 @@ fn program_commands_survive_tiny_populations() {
     }
 }
 
+/// `run-file --in-NAME` sets an input variable; naming any other variable
+/// (or none) is refused, naming the flag, instead of panicking.
+#[test]
+fn run_file_refuses_groups_on_non_inputs() {
+    let protocol_file = concat!(env!("CARGO_MANIFEST_DIR"), "/protocols/leader_election.pp");
+    for flag in ["--in-L", "--in-NOPE"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppsim"))
+            .args(["run-file", protocol_file, "--n", "100", flag, "5"])
+            .output()
+            .expect("spawn ppsim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code() == Some(2) && stderr.contains(&format!("flag {flag}:")),
+            "ppsim run-file {flag} 5: {}\n{stderr}",
+            out.status
+        );
+    }
+}
+
+/// A run whose species never rotate completes no period: the oscillator
+/// summary then prints its mean period as it prints its quantiles, `NaN`,
+/// not the `-0.0` of an empty sum.
+#[test]
+fn oscillator_without_a_period_prints_nan_means() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(["oscillator", "--n", "100", "--rounds", "5"])
+        .output()
+        .expect("spawn ppsim");
+    assert!(out.status.success(), "{}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("0 dominance events")
+            && stdout.contains("mean period NaN rounds, p50 NaN, p90 NaN"),
+        "{stdout}"
+    );
+}
+
 /// `ppsim list` names the commands of the usage text but itself;
 /// `ppsim profile` runs every run command the usage text names for it but
-/// `resume` (which needs a checkpoint) and refuses anything else, naming
-/// the run commands.
+/// `resume` (which needs a checkpoint), and one experiment at `--quick`
+/// (experiments take no `--n`), and refuses anything else, naming them.
 #[test]
 fn ppsim_list_and_usage_name_what_the_binary_accepts() {
     let ppsim = |args: &[&str]| {
@@ -221,7 +275,7 @@ fn ppsim_list_and_usage_name_what_the_binary_accepts() {
     let mut commands: Vec<&str> = usage
         .lines()
         .skip_while(|l| !l.starts_with("commands:"))
-        .take_while(|l| !l.starts_with("global flags:"))
+        .take_while(|l| !l.starts_with("flags:"))
         .filter_map(|l| l.strip_prefix('\t'))
         .filter(|l| !l.starts_with(' '))
         .filter_map(|l| l.split_whitespace().next())
@@ -237,14 +291,19 @@ fn ppsim_list_and_usage_name_what_the_binary_accepts() {
         .expect("usage names the run commands profile takes")
         .split('|')
         .collect();
-    assert!(run_commands.contains(&"resume"), "{run_commands:?}");
+    for named in ["resume", "e3_x_elimination", "e15_silence"] {
+        assert!(run_commands.contains(&named), "{run_commands:?}");
+    }
     let protocol_file = concat!(env!("CARGO_MANIFEST_DIR"), "/protocols/leader_election.pp");
-    for &command in run_commands.iter().filter(|&&c| c != "resume") {
+    for &command in &run_commands {
         let mut args = vec!["profile", command];
-        if command == "run-file" {
-            args.push(protocol_file);
+        match command {
+            "resume" => continue,
+            "e3_x_elimination" => args.push("--quick"),
+            experiment if experiment.starts_with('e') => continue,
+            "run-file" => args.extend([protocol_file, "--n", "200"]),
+            _ => args.extend(["--n", "200"]),
         }
-        args.extend(["--n", "200"]);
         let out = ppsim(&args);
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);

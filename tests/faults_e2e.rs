@@ -160,6 +160,48 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpointed run keeps counting into its checkpoints without
+/// `--record`: resumed with `--record` from an early generation, its footer
+/// is the uninterrupted run's, byte for byte.
+#[test]
+fn resumed_footer_counts_the_whole_run() {
+    let dir = std::env::temp_dir().join(format!("ppsim-resume-footer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let run = [
+        "oscillator",
+        "--n",
+        "3000",
+        "--rounds",
+        "200",
+        "--seed",
+        "3",
+    ];
+    let reference = ppsim(&run, &dir.join("ref.jsonl"));
+    let ck_dir = dir.join("ck");
+    let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(run)
+        .args(["--checkpoint-every", "100000", "--checkpoint-dir"])
+        .arg(&ck_dir)
+        .output()
+        .expect("spawn ppsim");
+    assert!(out.status.success(), "{}", out.status);
+    let mut generations: Vec<_> = std::fs::read_dir(&ck_dir)
+        .expect("checkpoint dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    generations.sort();
+    let oldest = generations[0].to_str().expect("utf-8 temp path");
+    let resumed = ppsim(&["resume", oldest], &dir.join("resumed.jsonl"));
+    assert_eq!(resumed, reference, "resumed summary differs");
+    let footer = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).expect("run record");
+        text.lines().last().expect("footer").to_string()
+    };
+    assert_eq!(footer("resumed.jsonl"), footer("ref.jsonl"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `faults` report line of the injection at round `t`.
 fn injection_line(stdout: &[u8], t: &str) -> String {
     let text = String::from_utf8_lossy(stdout);

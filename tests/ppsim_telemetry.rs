@@ -206,6 +206,58 @@ fn same_seed_runs_write_identical_records() {
     }
 }
 
+/// An experiment run through `ppsim` with `--record` writes a header that
+/// names it, one `row` line per row of its table, and the metrics footer of
+/// its sweeps; it keeps no dispatch log. Its stdout is the unrecorded
+/// run's, and two runs write the same lines up to the footer, whose
+/// `sweep_task_micros` histogram holds the sweep tasks' wall times.
+#[test]
+fn experiment_record_holds_its_table_rows() {
+    let args = ["e3_x_elimination", "--quick"];
+    let (stdout, bytes) = run_recorded("e3", &args);
+    let (_, again) = run_recorded("e3-again", &args);
+    let body = |b: &[u8]| {
+        let text = String::from_utf8_lossy(b).into_owned();
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let footer = MetricsReport::parse(lines.last().expect("a footer")).expect("footer");
+        (
+            lines[..lines.len() - 1].to_vec(),
+            footer.counter("interactions_executed"),
+        )
+    };
+    assert_eq!(body(&bytes), body(&again), "e3 records differ");
+    let plain = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(args)
+        .output()
+        .expect("spawn ppsim");
+    assert_eq!(String::from_utf8_lossy(&plain.stdout), stdout);
+    let text = String::from_utf8(bytes).expect("utf8 record");
+    let mut lines = parse_jsonl(&text).expect("the record is JSONL");
+    let footer = MetricsReport::parse(text.lines().last().expect("a footer"))
+        .expect("the footer is a metrics report");
+    assert!(footer.counter("interactions_executed") > 0, "sweeps count");
+    lines.pop();
+    let header = lines.remove(0);
+    assert_eq!(header.get("kind").and_then(Json::as_str), Some("run"));
+    assert_eq!(
+        header.get("command").and_then(Json::as_str),
+        Some("e3_x_elimination")
+    );
+    let run = header.get("run").and_then(Json::as_str).expect("run id");
+    // Two values of eps over the three --quick population sizes.
+    assert_eq!(lines.len(), 6, "{text}");
+    for row in &lines {
+        assert_eq!(row.get("kind").and_then(Json::as_str), Some("row"));
+        assert_eq!(row.get("run").and_then(Json::as_str), Some(run));
+        assert_eq!(
+            row.get("table").and_then(Json::as_str),
+            Some("e3_x_elimination")
+        );
+        let cells = row.get("cells").expect("cells");
+        assert!(cells.get("n").and_then(Json::as_str).is_some(), "{row:?}");
+    }
+}
+
 #[test]
 fn unknown_flag_is_a_hard_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
@@ -216,6 +268,30 @@ fn unknown_flag_is_a_hard_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --bogus"), "stderr: {stderr}");
 
+    // Each command takes only the flags its row of the command table
+    // declares, experiments (run through `ppsim`) included.
+    for args in [
+        &["leader", "--n", "100", "--builtin", "nope", "--spec", "x"][..],
+        &["majority", "--n", "100", "--checkpoint-every", "10"],
+        &["oscillator", "--iters", "5", "--a", "3"],
+        &["e3_x_elimination", "--quick", "--bogus"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+            .args(args)
+            .output()
+            .expect("spawn ppsim");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args
+            .iter()
+            .find(|a| a.starts_with("--") && **a != "--n" && **a != "--quick");
+        let flag = flag.expect("a foreign flag");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} ")),
+            "{args:?}: {stderr}"
+        );
+    }
+
     // Runs are single-threaded and exact; there is no thread knob. The
     // output flags `--record` replaced are gone too.
     for (command, flag) in [
@@ -223,6 +299,7 @@ fn unknown_flag_is_a_hard_error() {
         ("oscillator", "--metrics"),
         ("leader", "--trace"),
         ("faults", "--faults-log"),
+        ("e3_x_elimination", "--no-metrics"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
             .args([command, flag, "2"])
