@@ -1,30 +1,33 @@
-//! Micro-benchmarks for the simulation substrate: per-interaction
-//! throughput of every backend, Fenwick vs linear sampling, geometric
-//! no-op leaping (E14 / design-ablation benches from DESIGN.md §6),
-//! and the headline `step` vs `step_batch` comparison on
-//! `CountPopulation`, whose results are written to `BENCH_batch.json` at
-//! the workspace root. The reactive-dense rows (collision-batch regime,
-//! DESIGN.md §12) are additionally written to `BENCH_dense.json` together
-//! with the per-epoch batch-size distribution.
+//! The engine's micro-benchmarks: `step` vs `step_batch` throughput on
+//! `CountPopulation` in the reactive-sparse (`sparse_token`, leaps) and
+//! reactive-dense (`dense_cycle3`, collision batches, DESIGN.md §12)
+//! regimes, the same batch loop under an empty-plan `FaultyPopulation` and
+//! under an installed recorder, and the print-only ablation rows of
+//! DESIGN.md §6 / E14 (per-interaction cost per backend, Fenwick vs linear
+//! sampling, geometric no-op leaping, epidemic completion).
 //!
-//! Run with: `cargo bench --bench engine`
+//! Each workload is timed once per run. Its rates go to the perf-trajectory
+//! history (`pp_bench::history`): appended to the file `BENCH_HISTORY`
+//! names, nothing without it, so a run never writes into the checkout.
 //!
-//! CI smoke mode: `cargo bench --bench engine -- --smoke` runs only the
-//! dense rows at reduced n, writes `BENCH_dense.json`, and exits nonzero
-//! unless the collision-batch speedup at the largest smoke size exceeds
-//! 10×.
+//! Run with: `cargo bench -p pp-bench --bench engine`
+//!
+//! CI smoke mode: `cargo bench -p pp-bench --bench engine -- --smoke` times
+//! only the dense rows at n = 10⁴ and 10⁶ and the recorder rows, and exits
+//! nonzero unless the dense run at n = 10⁶ took collision epochs with a
+//! step → batch speedup above 10×, a counters-only recorder counted the
+//! epochs and a sections recorder attributed time.
 
 use pp_bench::history::{self, HistoryRecord};
 use pp_bench::timing::{bench, throughput};
 use pp_engine::counts::CountPopulation;
+use pp_engine::faults::{FaultSpec, FaultyPopulation};
 use pp_engine::fenwick::Fenwick;
-use pp_engine::json::Json;
 use pp_engine::population::Population;
 use pp_engine::protocol::TableProtocol;
 use pp_engine::recorder::Recorder;
 use pp_engine::rng::SimRng;
 use pp_engine::sim::Simulator;
-use std::path::PathBuf;
 
 fn epidemic() -> TableProtocol {
     TableProtocol::new(2, "epidemic")
@@ -56,7 +59,7 @@ fn bench_backends() {
             bench(&format!("agent_array/step n={n}"), || pop.step(&mut rng));
         }
         {
-            let mut pop = CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
+            let mut pop = dense_cycle3(n);
             let mut rng = SimRng::seed_from(1);
             bench(&format!("count_fenwick/step n={n}"), || pop.step(&mut rng));
         }
@@ -132,270 +135,196 @@ fn bench_epidemic_completion() {
     }
 }
 
-/// Interactions per second when driving `pop` with per-interaction
-/// `step()`.
-fn step_rate(mut pop: CountPopulation<TableProtocol>, seed: u64) -> f64 {
-    let mut rng = SimRng::seed_from(seed);
-    throughput(|| {
-        for _ in 0..4096 {
-            pop.step(&mut rng);
-        }
-        4096
-    })
+/// Ten tokens among `n` agents.
+fn sparse_token(n: u64) -> CountPopulation<TableProtocol> {
+    CountPopulation::from_counts(token(), &[n - 10, 10])
+}
+
+/// The uniform 3-cycle, with about a third of ordered pairs reactive.
+fn dense_cycle3(n: u64) -> CountPopulation<TableProtocol> {
+    CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)])
 }
 
 /// Interactions per second when driving `pop` with `step_batch(chunk)`.
-fn batch_rate(mut pop: CountPopulation<TableProtocol>, seed: u64, chunk: u64) -> f64 {
+fn batch_rate(mut pop: impl Simulator, seed: u64, chunk: u64) -> f64 {
     let mut rng = SimRng::seed_from(seed);
     throughput(|| pop.step_batch(&mut rng, chunk).executed)
 }
 
-/// Cores visible to this bench run, recorded alongside the rates so the
-/// numbers are interpretable. Each run is single-threaded.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-struct BatchRow {
+/// A `CountPopulation` workload, timed per interaction (`step`) and per
+/// batch (`step_batch(chunk)`).
+struct Workload {
+    bench: &'static str,
     scenario: &'static str,
-    n: u64,
-    step_per_sec: f64,
-    batch_per_sec: f64,
+    make: fn(u64) -> CountPopulation<TableProtocol>,
+    step_seed: u64,
+    batch_seed: u64,
+    chunk: u64,
 }
 
-fn bench_step_vs_batch() -> Vec<BatchRow> {
-    println!("\n== step vs step_batch on CountPopulation ==");
-    let mut rows = Vec::new();
-    for n in [10_000u64, 1_000_000, 100_000_000] {
-        // Sparse regime: 10 tokens — the batch path leaps over the
-        // overwhelmingly non-reactive schedule. Chunk sized so one call
-        // stays well under a millisecond even at small n.
-        let sparse = || CountPopulation::from_counts(token(), &[n - 10, 10]);
-        let s_step = step_rate(sparse(), 11);
-        let s_batch = batch_rate(sparse(), 12, 1 << 26);
-        println!(
-            "sparse_token   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)",
-            s_step,
-            s_batch,
-            s_batch / s_step
-        );
-        rows.push(BatchRow {
-            scenario: "sparse_token",
+/// The batch path leaps over the overwhelmingly non-reactive schedule. The
+/// chunk keeps one call well under a millisecond even at small n.
+const SPARSE: Workload = Workload {
+    bench: "engine_batch",
+    scenario: "sparse_token",
+    make: sparse_token,
+    step_seed: 11,
+    batch_seed: 12,
+    chunk: 1 << 26,
+};
+
+/// The batch path runs √(n·q)-sized collision batches.
+const DENSE: Workload = Workload {
+    bench: "engine_dense",
+    scenario: "dense_cycle3",
+    make: dense_cycle3,
+    step_seed: 21,
+    batch_seed: 22,
+    chunk: 1 << 20,
+};
+
+impl Workload {
+    fn record(&self, n: u64, metric: &'static str, rate: f64) -> HistoryRecord {
+        HistoryRecord {
+            bench: self.bench,
+            scenario: self.scenario,
             n,
-            step_per_sec: s_step,
-            batch_per_sec: s_batch,
-        });
-
-        // Dense regime: uniform 3-cycle, about a third of ordered pairs
-        // reactive — the batch path runs √(n·q)-sized collision batches
-        // (DESIGN.md §12).
-        let dense = || CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
-        let d_step = step_rate(dense(), 21);
-        let d_batch = batch_rate(dense(), 22, 1 << 20);
-        println!(
-            "dense_cycle3   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)",
-            d_step,
-            d_batch,
-            d_batch / d_step
-        );
-        rows.push(BatchRow {
-            scenario: "dense_cycle3",
-            n,
-            step_per_sec: d_step,
-            batch_per_sec: d_batch,
-        });
-    }
-    rows
-}
-
-struct DenseRow {
-    n: u64,
-    step_per_sec: f64,
-    batch_per_sec: f64,
-    collision_epochs: u64,
-    collision_batched_steps: u64,
-    mean_epoch_len: f64,
-    epoch_len_log2_buckets: Vec<u64>,
-}
-
-/// Dense `cycle3` rows for `BENCH_dense.json`: step vs collision-batch
-/// throughput at each n, plus the observed per-epoch batch-size
-/// distribution (log2-bucketed `epoch_len` histogram) captured from a
-/// separate recorded run so the instrumentation never taxes
-/// the timed loops.
-fn bench_dense(ns: &[u64]) -> Vec<DenseRow> {
-    println!("\n== dense collision-batch rows (cycle3) ==");
-    let mut rows = Vec::new();
-    for &n in ns {
-        let dense = || CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
-        let step_per_sec = step_rate(dense(), 21);
-        let batch_per_sec = batch_rate(dense(), 22, 1 << 20);
-
-        // Distribution capture: enough steps for thousands of epochs at
-        // every n without dominating wall-clock at n = 1e8.
-        let capture_steps = (4 * n).min((2_000_000u64).max(n / 4));
-        let mut recorder = Recorder::new();
-        {
-            let _installed = recorder.install();
-            let mut pop = dense();
-            let mut rng = SimRng::seed_from(23);
-            pop.step_batch(&mut rng, capture_steps);
+            metric,
+            rate,
         }
-        let snap = recorder.metrics();
-        let collision_epochs = snap.counter("collision_epochs");
-        let collision_batched_steps = snap.counter("collision_batched_steps");
-        let mean_epoch_len = if collision_epochs > 0 {
-            collision_batched_steps as f64 / collision_epochs as f64
-        } else {
-            0.0
-        };
-        let epoch_len_log2_buckets = snap.hist("epoch_len").unwrap_or(&[]).to_vec();
+    }
 
-        println!(
-            "dense_cycle3   n={n:<11} step {:>14.3e}/s   batch {:>14.3e}/s   ({:.1}x)   mean epoch {:.1}",
-            step_per_sec,
-            batch_per_sec,
-            batch_per_sec / step_per_sec,
-            mean_epoch_len
-        );
-        rows.push(DenseRow {
-            n,
-            step_per_sec,
-            batch_per_sec,
-            collision_epochs,
-            collision_batched_steps,
-            mean_epoch_len,
-            epoch_len_log2_buckets,
+    /// Times `step` and `step_batch` at `n`, and with `wrapped` also
+    /// `step_batch` under an empty fault plan (same seed and chunk as the
+    /// raw batch, so the gap is the wrapper's per-batch trigger check);
+    /// prints one line, pushes the rates onto `records` and returns the
+    /// step and batch rates.
+    fn rates(&self, n: u64, wrapped: bool, records: &mut Vec<HistoryRecord>) -> (f64, f64) {
+        let mut step_pop = (self.make)(n);
+        let mut rng = SimRng::seed_from(self.step_seed);
+        let step = throughput(|| {
+            for _ in 0..4096 {
+                step_pop.step(&mut rng);
+            }
+            4096
         });
+        let batch = batch_rate((self.make)(n), self.batch_seed, self.chunk);
+        records.push(self.record(n, "step_per_sec", step));
+        records.push(self.record(n, "batch_per_sec", batch));
+        let mut line = format!(
+            "{:<14} n={n:<11} step {step:>12.3e}/s   batch {batch:>12.3e}/s   ({:.1}x)",
+            self.scenario,
+            batch / step
+        );
+        if wrapped {
+            let faulty = FaultyPopulation::new((self.make)(n), &FaultSpec::new(0))
+                .expect("an empty spec is valid");
+            let rate = batch_rate(faulty, self.batch_seed, self.chunk);
+            records.push(self.record(n, "empty_plan_batch_per_sec", rate));
+            line.push_str(&format!(
+                "   empty plan {rate:>12.3e}/s ({:+.1}%)",
+                (rate - batch) / batch * 100.0
+            ));
+        }
+        println!("{line}");
+        (step, batch)
     }
-    rows
 }
 
-fn workspace_root() -> PathBuf {
-    std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."))
-}
-
-fn write_dense_json(rows: &[DenseRow]) {
-    let doc = Json::obj([
-        ("bench", Json::from("dense_collision_batch")),
-        ("backend", Json::from("CountPopulation")),
-        ("scenario", Json::from("dense_cycle3")),
-        ("unit", Json::from("interactions_per_second")),
-        ("host_cores", Json::from(host_cores() as u64)),
-        (
-            "rows",
-            Json::arr(rows.iter().map(|r| {
-                Json::obj([
-                    ("n", Json::from(r.n)),
-                    ("step_per_sec", Json::from(r.step_per_sec)),
-                    ("batch_per_sec", Json::from(r.batch_per_sec)),
-                    ("speedup", Json::from(r.batch_per_sec / r.step_per_sec)),
-                    ("collision_epochs", Json::from(r.collision_epochs)),
-                    (
-                        "collision_batched_steps",
-                        Json::from(r.collision_batched_steps),
-                    ),
-                    ("mean_epoch_len", Json::from(r.mean_epoch_len)),
-                    (
-                        "epoch_len_log2_buckets",
-                        Json::arr(r.epoch_len_log2_buckets.iter().copied().map(Json::from)),
-                    ),
-                ])
-            })),
-        ),
-    ]);
-    let path = workspace_root().join("BENCH_dense.json");
-    std::fs::write(&path, format!("{}\n", doc.render())).expect("write BENCH_dense.json");
-    println!("wrote {}", path.display());
-}
-
-fn write_batch_json(rows: &[BatchRow]) {
-    let root = workspace_root();
-    let mut out = String::from(
-        "{\n  \"bench\": \"step_vs_step_batch\",\n  \"backend\": \"CountPopulation\",\n  \"unit\": \"interactions_per_second\",\n  \"rows\": [\n",
+/// Collision epochs of a recorded dense run at `n`, separate from the timed
+/// loops so the instrumentation never taxes them; prints the mean epoch
+/// length.
+fn dense_collision_epochs(n: u64) -> u64 {
+    // Enough steps for thousands of epochs at every n without dominating
+    // wall-clock at n = 1e8.
+    let capture_steps = (4 * n).min((2_000_000u64).max(n / 4));
+    let mut recorder = Recorder::new();
+    {
+        let _installed = recorder.install();
+        let mut rng = SimRng::seed_from(23);
+        dense_cycle3(n).step_batch(&mut rng, capture_steps);
+    }
+    let snap = recorder.metrics();
+    let epochs = snap.counter("collision_epochs");
+    let mean = snap.counter("collision_batched_steps") as f64 / epochs.max(1) as f64;
+    println!(
+        "{:<14} n={n:<11} {epochs} collision epochs, mean length {mean:.1}",
+        ""
     );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"n\": {}, \"step_per_sec\": {:.4e}, \"batch_per_sec\": {:.4e}, \"speedup\": {:.2}}}{sep}\n",
-            r.scenario,
-            r.n,
-            r.step_per_sec,
-            r.batch_per_sec,
-            r.batch_per_sec / r.step_per_sec
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = root.join("BENCH_batch.json");
-    std::fs::write(&path, out).expect("write BENCH_batch.json");
-    println!("\nwrote {}", path.display());
+    epochs
 }
 
-/// Appends the dense rows to the perf-trajectory history (the file
-/// `$BENCH_HISTORY` names; nothing without it) so `ppsim bench-diff` and
-/// the CI `bench-regression` job can compare runs over time.
-fn append_dense_history(rows: &[DenseRow]) {
-    let records: Vec<HistoryRecord> = rows
-        .iter()
-        .flat_map(|r| {
-            [
-                HistoryRecord {
-                    bench: "engine_dense",
-                    scenario: "dense_cycle3",
-                    n: r.n,
-                    metric: "step_per_sec",
-                    rate: r.step_per_sec,
-                },
-                HistoryRecord {
-                    bench: "engine_dense",
-                    scenario: "dense_cycle3",
-                    n: r.n,
-                    metric: "batch_per_sec",
-                    rate: r.batch_per_sec,
-                },
-            ]
-        })
-        .collect();
-    history::append(&records);
-}
-
-/// Reduced-n CI gate: dense rows only, written to `BENCH_dense.json`, and
-/// the collision-batch speedup at the largest smoke size must clear 10×.
-fn run_smoke() {
-    println!("engine bench smoke (dense collision-batch gate)");
-    let rows = bench_dense(&[10_000, 1_000_000]);
-    write_dense_json(&rows);
-    append_dense_history(&rows);
-    let last = rows.last().expect("smoke rows");
-    let speedup = last.batch_per_sec / last.step_per_sec;
+/// The dense batch rate at `n` under a counters-only recorder and under
+/// one that also times sections, against `none`, the rate without one.
+/// Backends read the thread's recorder slot once per batch (DESIGN.md §10,
+/// §14); sections cost two monotonic-clock reads per scope, which is why
+/// they are opt-in. Panics if either recorder saw nothing.
+fn recorder_overhead(n: u64, none: f64, records: &mut Vec<HistoryRecord>) {
+    let under = |mut rec: Recorder| {
+        let rate = {
+            let _installed = rec.install();
+            batch_rate(dense_cycle3(n), DENSE.batch_seed, DENSE.chunk)
+        };
+        (rate, rec)
+    };
+    let (counted, counters) = under(Recorder::new());
+    let (timed, sections) = under(Recorder::new().with_sections());
+    println!(
+        "{:<14} n={n:<11} counters {counted:>12.3e}/s ({:.1}% overhead)   \
+         sections {timed:>12.3e}/s ({:.2}x slower)",
+        "recorder",
+        (none - counted) / none * 100.0,
+        none / timed
+    );
+    records.push(DENSE.record(n, "counters_batch_per_sec", counted));
+    records.push(DENSE.record(n, "sections_batch_per_sec", timed));
     assert!(
-        last.collision_epochs > 0,
-        "smoke: dense run at n={} never took the collision-epoch path",
-        last.n
+        counters.metrics().counter("collision_epochs") > 0,
+        "counters-only run recorded no epochs — instrumentation is dead"
     );
     assert!(
-        speedup > 10.0,
-        "smoke: dense collision-batch speedup at n={} is {speedup:.1}x, need > 10x",
-        last.n
+        sections.profile().attributed_ns() > 0,
+        "sections run recorded no sections — instrumentation is dead"
     );
-    println!("smoke OK: dense speedup {speedup:.1}x at n={}", last.n);
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-        return;
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut records = Vec::new();
+    let dense_ns: &[u64] = if smoke {
+        println!("engine bench smoke (dense collision-batch and recorder gates)");
+        &[10_000, 1_000_000]
+    } else {
+        println!("engine micro-benchmarks (median of 5 samples per line)");
+        bench_backends();
+        bench_fenwick();
+        bench_noop_leap();
+        bench_epidemic_completion();
+        println!("\n== step vs step_batch on CountPopulation ==");
+        for n in [10_000u64, 1_000_000, 100_000_000] {
+            SPARSE.rates(n, n <= 1_000_000, &mut records);
+        }
+        &[10_000, 1_000_000, 100_000_000]
+    };
+    let mut gate = None;
+    for &n in dense_ns {
+        let (step, batch) = DENSE.rates(n, !smoke && n <= 1_000_000, &mut records);
+        let epochs = dense_collision_epochs(n);
+        if n == 1_000_000 {
+            recorder_overhead(n, batch, &mut records);
+            gate = Some((batch / step, epochs));
+        }
     }
-    println!("engine micro-benchmarks (median of 5 samples per line)");
-    bench_backends();
-    bench_fenwick();
-    bench_noop_leap();
-    bench_epidemic_completion();
-    let rows = bench_step_vs_batch();
-    write_batch_json(&rows);
-    let dense_rows = bench_dense(&[10_000, 1_000_000, 100_000_000]);
-    write_dense_json(&dense_rows);
-    append_dense_history(&dense_rows);
+    history::append(&records);
+
+    let (speedup, epochs) = gate.expect("the dense rows include n = 10⁶");
+    assert!(
+        epochs > 0,
+        "dense run at n = 10⁶ never took the collision-epoch path"
+    );
+    assert!(
+        speedup > 10.0,
+        "dense collision-batch speedup at n = 10⁶ is {speedup:.1}x, need > 10x"
+    );
+    println!("OK: dense speedup {speedup:.1}x at n = 10⁶");
 }

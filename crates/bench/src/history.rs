@@ -1,13 +1,13 @@
 //! Perf-trajectory history: append-only `BENCH_history.jsonl` records.
 //!
-//! The repo's `BENCH_*.json` files are *snapshots* — each bench run
-//! overwrites them, so regressions between runs are invisible. This module
-//! gives every bench run a trajectory instead: each measurement appends one
+//! Every bench measurement (the engine bench, e10, e11) is one
 //! `{"kind":"bench_run",...}` JSON line carrying the bench id, scenario,
-//! population size, metric name, rate, the git revision the harness ran
-//! at, and a unix timestamp. `ppsim bench-diff` compares two such files
-//! (last occurrence of each key wins) and the CI `bench-regression` job
-//! fails when a shared metric drops below the committed baseline by more
+//! population size, metric name and rate, stamped with the git revision
+//! the harness ran at, a unix timestamp and the host's core count. There
+//! are no snapshot files: a regression shows as the difference between two
+//! such files. `ppsim bench-diff` compares them (last occurrence of each
+//! `bench/scenario/n/metric` key wins) and the CI `bench-regression` job
+//! fails when a shared rate drops below the committed baseline by more
 //! than the tolerance.
 //!
 //! Records are appended only where the `BENCH_HISTORY` environment
@@ -57,9 +57,16 @@ pub fn git_rev() -> String {
         .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
+/// Cores visible to this process; every record states them, since a rate
+/// only compares against one measured on the same host.
+#[must_use]
+pub fn host_cores() -> u64 {
+    std::thread::available_parallelism().map_or(1, |c| c.get() as u64)
+}
+
 /// Renders one record as its `bench_run` JSON document.
 #[must_use]
-pub fn record_json(rec: &HistoryRecord, rev: &str, unix_ts: u64) -> Json {
+pub fn record_json(rec: &HistoryRecord, rev: &str, unix_ts: u64, host_cores: u64) -> Json {
     Json::obj([
         ("kind", Json::from("bench_run")),
         ("bench", Json::from(rec.bench)),
@@ -69,14 +76,16 @@ pub fn record_json(rec: &HistoryRecord, rev: &str, unix_ts: u64) -> Json {
         ("rate", Json::from(rec.rate)),
         ("git_rev", Json::from(rev)),
         ("unix_ts", Json::from(unix_ts)),
+        ("host_cores", Json::from(host_cores)),
     ])
 }
 
 /// Appends `records` to [`history_path`] as JSON Lines, stamping all of
-/// them with the current git revision and wall-clock timestamp; without
-/// a path it does nothing. Creates the file (and parent directories) on
-/// first use; errors are reported to stderr but never fail the bench —
-/// losing a history line must not turn a successful measurement run red.
+/// them with the current git revision, wall-clock timestamp and
+/// [`host_cores`]; without a path it does nothing. Creates the file (and
+/// parent directories) on first use; errors are reported to stderr but
+/// never fail the bench — losing a history line must not turn a successful
+/// measurement run red.
 pub fn append(records: &[HistoryRecord]) {
     let Some(path) = history_path() else {
         return;
@@ -85,6 +94,7 @@ pub fn append(records: &[HistoryRecord]) {
         return;
     }
     let rev = git_rev();
+    let cores = host_cores();
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -102,7 +112,7 @@ pub fn append(records: &[HistoryRecord]) {
         .open(&path)
         .and_then(|mut f| {
             for rec in records {
-                let mut line = record_json(rec, &rev, unix_ts).render();
+                let mut line = record_json(rec, &rev, unix_ts, cores).render();
                 line.push('\n');
                 f.write_all(line.as_bytes())?;
             }
@@ -134,7 +144,7 @@ mod tests {
             metric: "batch_per_sec",
             rate: 5.7e8,
         };
-        let doc = record_json(&rec, "abc1234", 1_754_000_000);
+        let doc = record_json(&rec, "abc1234", 1_754_000_000, 2);
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("bench_run"));
         assert_eq!(
             doc.get("bench").and_then(Json::as_str),
@@ -155,6 +165,7 @@ mod tests {
             doc.get("unix_ts").and_then(Json::as_u64),
             Some(1_754_000_000)
         );
+        assert_eq!(doc.get("host_cores").and_then(Json::as_u64), Some(2));
         // The rendered line parses back — bench-diff reads these verbatim.
         let back = Json::parse(&doc.render()).expect("bench_run line parses");
         assert_eq!(back, doc);

@@ -439,7 +439,6 @@ impl Ctx {
 
     /// The header line of the run record.
     pub fn header(&self, n: Option<u64>, seed: Option<u64>, backend: &str) -> Json {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let args = Json::arr(self.args.iter().map(|a| Json::from(a.as_str())));
         let mut fields = vec![
             ("kind", Json::from("run")),
@@ -450,7 +449,7 @@ impl Ctx {
         fields.extend(n.map(|n| ("n", Json::from(n))));
         fields.extend(seed.map(|s| ("seed", Json::from(s))));
         fields.push(("backend", Json::from(backend)));
-        fields.push(("host_cores", Json::from(cores as u64)));
+        fields.push(("host_cores", Json::from(crate::history::host_cores())));
         Json::obj(fields)
     }
 

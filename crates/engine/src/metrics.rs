@@ -117,8 +117,6 @@ pub enum Hist {
     LeapLen,
     /// Activations executed per `step_batch` call.
     BatchSize,
-    /// Wall-clock microseconds per sweep task.
-    SweepTaskMicros,
     /// Activations settled per collision batch (`batch_len(n, q)` unless
     /// the `step_batch` budget cuts it).
     EpochLen,
@@ -126,12 +124,7 @@ pub enum Hist {
 
 impl Hist {
     /// All histograms, in report order.
-    pub const ALL: [Hist; 4] = [
-        Hist::LeapLen,
-        Hist::BatchSize,
-        Hist::SweepTaskMicros,
-        Hist::EpochLen,
-    ];
+    pub const ALL: [Hist; 3] = [Hist::LeapLen, Hist::BatchSize, Hist::EpochLen];
 
     /// Stable snake_case name used in reports.
     #[must_use]
@@ -139,7 +132,6 @@ impl Hist {
         match self {
             Hist::LeapLen => "leap_len",
             Hist::BatchSize => "batch_size",
-            Hist::SweepTaskMicros => "sweep_task_micros",
             Hist::EpochLen => "epoch_len",
         }
     }
@@ -432,7 +424,9 @@ mod tests {
         // them, and `observer_callbacks`, retired with the observer stride
         // hook: older reports and snapshot-frozen counters still load. Their
         // `meta` header, retired when the run record's header took over
-        // command and backend, is ignored too.
+        // command and backend, is ignored too, and so is the
+        // `sweep_task_micros` histogram, retired because it held wall
+        // times.
         // `ppsim oscillator --n 20000 --rounds 600 --seed 7 --metrics` as
         // written before the drops.
         let text = concat!(
@@ -470,6 +464,7 @@ mod tests {
         let rendered = report.to_json().render();
         assert!(!rendered.contains("regime_"), "{rendered}");
         assert!(!rendered.contains("meta"), "{rendered}");
+        assert!(!rendered.contains("sweep_task_micros"), "{rendered}");
         assert_eq!(MetricsReport::parse(&rendered).unwrap(), report);
     }
 

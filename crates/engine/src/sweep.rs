@@ -11,15 +11,13 @@
 //!
 //! When the caller has a [`Recorder`] installed, every task runs under a
 //! fresh recorder configured like it, which also counts the task
-//! (`sweep_tasks`) and its wall time (`sweep_task_micros`). After the join
-//! the task recorders merge into the caller's in task-index order, so the
-//! merged report, dispatch log included, does not depend on the worker
-//! count (the wall-time histogram aside).
+//! (`sweep_tasks`). After the join the task recorders merge into the
+//! caller's in task-index order, so the merged report, dispatch log
+//! included, does not depend on the worker count.
 
-use crate::metrics::{Counter, Hist};
+use crate::metrics::Counter;
 use crate::recorder::{self, Recorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Reads the `PP_THREADS` environment override: a positive integer selects
 /// that worker count; unset, empty, zero, or unparsable values mean "no
@@ -93,14 +91,12 @@ where
                 return done;
             }
             let mut rec = template.as_ref().map(Recorder::like);
-            let t0 = Instant::now();
             let value = {
                 let _installed = rec.as_mut().map(Recorder::install);
                 task(i)
             };
             if let Some(rec) = &mut rec {
                 rec.add(Counter::SweepTasks, 1);
-                rec.observe(Hist::SweepTaskMicros, t0.elapsed().as_micros() as u64);
             }
             done.push((i, value, rec));
         }
@@ -231,7 +227,6 @@ mod tests {
         }
         let snap = rec.metrics();
         assert_eq!(snap.counter("sweep_tasks"), 5);
-        assert_eq!(snap.hist_count("sweep_task_micros"), 5);
         assert_eq!(snap.counter("matching_rounds"), 10);
         // Without a recorder the tasks get none either.
         let installed = run_indexed(3, 2, |_| crate::recorder::installed_metrics().is_some());

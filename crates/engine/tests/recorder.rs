@@ -4,7 +4,6 @@
 
 use pp_engine::counts::CountPopulation;
 use pp_engine::fenwick::Fenwick;
-use pp_engine::json::Json;
 use pp_engine::prof::{section, Section};
 use pp_engine::protocol::TableProtocol;
 use pp_engine::recorder::{installed_metrics, Recorder};
@@ -108,18 +107,9 @@ fn cycle() -> TableProtocol {
         .rule(2, 0, 0, 0)
 }
 
-/// A recorder's metrics (without `sweep_task_micros`, the one wall-clock
-/// histogram) and dispatch log, rendered.
+/// A recorder's metrics and dispatch log, rendered.
 fn render(rec: &Recorder) -> String {
-    let mut doc = rec.metrics().to_json();
-    if let Json::Obj(pairs) = &mut doc {
-        for (key, value) in pairs.iter_mut() {
-            if let ("histograms", Json::Obj(hists)) = (key.as_str(), value) {
-                hists.retain(|(name, _)| name != "sweep_task_micros");
-            }
-        }
-    }
-    let mut text = doc.render();
+    let mut text = rec.metrics().to_json().render();
     for d in rec.dispatch() {
         text.push('\n');
         text.push_str(&d.to_json().render());
@@ -181,7 +171,6 @@ fn sweep_reports_do_not_depend_on_worker_count() {
         };
         let m = rec.metrics();
         assert_eq!(m.counter("sweep_tasks"), 8);
-        assert_eq!(m.hist_count("sweep_task_micros"), 8);
         (finals, m.counter("batches"), render(&rec))
     };
     let (one, batches, one_text) = sweep(1);

@@ -699,8 +699,8 @@ impl<'p> EnumExecutor<'p> {
         }
     }
 
-    /// Applies an assignment to every agent (modulo injected failures),
-    /// remapping the id-indexed count vector.
+    /// Applies an assignment to every agent, remapping the id-indexed count
+    /// vector.
     fn exec_assign(&mut self, var: Var, value: &AssignValue) {
         let q = self.counts.len();
         let id_of = |t: u32| {
@@ -715,31 +715,24 @@ impl<'p> EnumExecutor<'p> {
                 continue;
             }
             let s = self.live[id];
-            let (applied, skipped) = if self.opts.assign_failure > 0.0 {
-                let skipped = self.rng.binomial(c, self.opts.assign_failure);
-                (c - skipped, skipped)
-            } else {
-                (c, 0)
-            };
-            next[id] += skipped;
             match value {
                 AssignValue::Formula(g) => {
-                    next[id_of(var.assign(s, g.eval(s)))] += applied;
+                    next[id_of(var.assign(s, g.eval(s)))] += c;
                 }
                 AssignValue::RandomBit => {
-                    let ones = self.rng.binomial(applied, 0.5);
+                    let ones = self.rng.binomial(c, 0.5);
                     next[id_of(var.assign(s, true))] += ones;
-                    next[id_of(var.assign(s, false))] += applied - ones;
+                    next[id_of(var.assign(s, false))] += c - ones;
                 }
             }
         }
         self.counts = next;
     }
 
-    /// Charges `loops · overhead_c · ln n` rounds of parallel time, during
-    /// which raw threads continue to run.
+    /// Charges `loops · ln n` rounds of parallel time (c = 1, as the
+    /// interpreter), during which raw threads continue to run.
     fn charge_overhead(&mut self, loops: u32) {
-        let duration = (loops * self.opts.overhead_c) as f64 * self.ln_n;
+        let duration = f64::from(loops) * self.ln_n;
         self.rounds += duration;
         if let Some(site) = &mut self.overhead {
             site.run_on(&mut self.counts, None, duration, &mut self.rng);

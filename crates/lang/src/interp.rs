@@ -12,9 +12,10 @@
 //! * `execute for ≥ c ln n rounds` runs the ruleset — composed with all raw
 //!   threads — under the exact fair scheduler for `c ln n` rounds;
 //! * assignments and `if exists` evaluations reach their expected outcome
-//!   (with an optional failure-injection knob for ablations) and are
-//!   charged the parallel time their compiled form costs (two `c ln n`
-//!   loops each, per Section 4), during which raw threads keep running;
+//!   (`if exists` with an optional failure-injection knob for ablations)
+//!   and are charged the parallel time their compiled form costs (two
+//!   `c ln n` loops each at c = 1, per Section 4), during which raw threads
+//!   keep running;
 //! * `repeat ≥ c ln n times` performs exactly `⌈c ln n⌉` passes.
 //!
 //! Time accounting therefore reproduces the paper's round counts:
@@ -31,29 +32,12 @@ use pp_rules::{FlagProtocol, Guard, Ruleset, Var};
 /// (no ruleset lives at address 0).
 const OVERHEAD_SITE: usize = 0;
 
-/// Tuning and fault-injection options for the executor.
-#[derive(Debug, Clone)]
+/// Fault-injection options for the executor.
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Probability that an `if exists` evaluation returns the wrong branch
     /// (ablation knob; 0 = exact, the good-iteration default).
     pub exists_failure: f64,
-    /// Probability that an assignment skips a given agent (ablation knob;
-    /// 0 = exact).
-    pub assign_failure: f64,
-    /// The `c` used to charge time for the lowered form of assignments and
-    /// condition evaluations (each costs `2 · c ln n` rounds in Section 4's
-    /// compilation).
-    pub overhead_c: u32,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        Self {
-            exists_failure: 0.0,
-            assign_failure: 0.0,
-            overhead_c: 1,
-        }
-    }
 }
 
 /// Executes a [`Program`] over a population of `n` agents under
@@ -284,31 +268,23 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Applies an assignment to every agent (modulo injected failures).
-    /// Visits the occupied states in ascending order, so the failure and
-    /// coin draws come in the order a scan over all states would make them.
-    /// `O(occupied)`.
+    /// Applies an assignment to every agent. Visits the occupied states in
+    /// ascending order, so the coin draws come in the order a scan over all
+    /// states would make them. `O(occupied)`.
     fn exec_assign(&mut self, var: Var, value: &AssignValue) {
         let occupied = std::mem::take(&mut self.occupied);
         let mut moved: Vec<(usize, u64)> = Vec::with_capacity(2 * occupied.len());
         for &s in &occupied {
             let c = self.counts[s];
-            let (applied, skipped) = if self.opts.assign_failure > 0.0 {
-                let skipped = self.rng.binomial(c, self.opts.assign_failure);
-                (c - skipped, skipped)
-            } else {
-                (c, 0)
-            };
-            moved.push((s, skipped));
             match value {
                 AssignValue::Formula(g) => {
                     let target = var.assign(s as u32, g.eval(s as u32)) as usize;
-                    moved.push((target, applied));
+                    moved.push((target, c));
                 }
                 AssignValue::RandomBit => {
-                    let ones = self.rng.binomial(applied, 0.5);
+                    let ones = self.rng.binomial(c, 0.5);
                     moved.push((var.assign(s as u32, true) as usize, ones));
-                    moved.push((var.assign(s as u32, false) as usize, applied - ones));
+                    moved.push((var.assign(s as u32, false) as usize, c - ones));
                 }
             }
         }
@@ -327,10 +303,11 @@ impl<'p> Executor<'p> {
         self.occupied.dedup();
     }
 
-    /// Charges `loops · overhead_c · ln n` rounds of parallel time, during
-    /// which raw threads continue to run.
+    /// Charges `loops · ln n` rounds of parallel time (Section 4's lowered
+    /// assignments and conditions at c = 1), during which raw threads
+    /// continue to run.
     fn charge_overhead(&mut self, loops: u32) {
-        let duration = (loops * self.opts.overhead_c) as f64 * self.ln_n;
+        let duration = f64::from(loops) * self.ln_n;
         self.run_scheduler(OVERHEAD_SITE, None, duration);
     }
 
@@ -565,7 +542,6 @@ mod tests {
         );
         let opts = ExecOptions {
             exists_failure: 1.0,
-            ..ExecOptions::default()
         };
         let mut exec = Executor::with_options(&p, &[(vec![], 50)], 8, opts);
         exec.run_iteration();

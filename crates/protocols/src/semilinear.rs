@@ -790,7 +790,6 @@ mod tests {
         let out = p.vars.get("P").unwrap();
         let opts = ExecOptions {
             exists_failure: 0.3,
-            ..ExecOptions::default()
         };
         // Truth: #A − #B = 20 ≥ 1 → P should eventually be on.
         let mut exec =

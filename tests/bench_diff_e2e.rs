@@ -206,3 +206,30 @@ fn unusable_input_exits_two() {
     let _ = std::fs::remove_file(&base);
     assert_eq!(code, 2, "tolerance must lie in [0, 100)");
 }
+
+#[test]
+fn host_cores_stamp_leaves_key_and_verdict_alone() {
+    // `pp_bench::history::append` stamps every line with `host_cores`;
+    // the committed history's older lines carry none. Both diff under the
+    // same `bench/scenario/n/metric` key with the same verdict.
+    let base = write_history("cores-base.jsonl", &[(1_000_000, "batch_per_sec", 3.0e8)]);
+    for (rate, want) in [(2.9e8, 0), (2.1e8, 1)] {
+        let plain = write_history("cores-plain.jsonl", &[(1_000_000, "batch_per_sec", rate)]);
+        let stamped = tmp("cores-stamped.jsonl");
+        let line =
+            history_line(1_000_000, "batch_per_sec", rate).replace("}\n", ",\"host_cores\":2}\n");
+        std::fs::write(&stamped, line).expect("write fixture");
+        let (plain_code, plain_text) =
+            bench_diff(&[base.to_str().unwrap(), plain.to_str().unwrap()]);
+        let (code, text) = bench_diff(&[base.to_str().unwrap(), stamped.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&plain);
+        let _ = std::fs::remove_file(&stamped);
+        assert_eq!(code, want, "{text}");
+        assert_eq!((code, &text), (plain_code, &plain_text));
+        assert!(
+            text.contains("engine_dense/dense_cycle3/n=1000000/batch_per_sec: 3.000e8 ->"),
+            "the key is shared: {text}"
+        );
+    }
+    let _ = std::fs::remove_file(&base);
+}
