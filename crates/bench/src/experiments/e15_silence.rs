@@ -58,12 +58,12 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
             if out.silent && out.executed == 0 {
                 break;
             }
-            let counts = pop.counts();
             if x_death.is_none() {
-                if clock.count_x(&counts) == 0 {
+                let counts = pop.counts_slice();
+                if clock.count_x(counts) == 0 {
                     x_death = Some(pop.time());
                 } else {
-                    let (phase, _) = clock.majority_phase(&counts);
+                    let (phase, _) = clock.majority_phase(counts);
                     if last_phase != Some(phase) {
                         ticks_before_death += 1;
                         last_phase = Some(phase);

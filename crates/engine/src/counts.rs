@@ -178,6 +178,13 @@ impl<P: Protocol> CountPopulation<P> {
         &self.protocol
     }
 
+    /// The count of every state, indexed by state, borrowed: what
+    /// [`Simulator::counts`] returns, without its copy.
+    #[must_use]
+    pub fn counts_slice(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Rebuilds the Fenwick tree from the counts after a collision batch
     /// left it stale.
     fn refresh_tree(&mut self) {

@@ -130,23 +130,6 @@ impl Hasher for StateHasher {
 
 type StateIds = HashMap<usize, u32, BuildHasherDefault<StateHasher>>;
 
-/// The `(state, count)` pairs of a dense count vector's nonzero entries,
-/// in ascending state order.
-fn dense_pairs(counts: &[u64]) -> Vec<(usize, u64)> {
-    // Wide flag spaces are mostly zeros: one OR over a chunk skips it
-    // before any single count is looked at.
-    const CHUNK: usize = 16;
-    let mut pairs = Vec::new();
-    for (j, chunk) in counts.chunks(CHUNK).enumerate() {
-        if chunk.iter().fold(0, |acc, &c| acc | c) == 0 {
-            continue;
-        }
-        let occupied = chunk.iter().enumerate().filter(|&(_, &c)| c > 0);
-        pairs.extend(occupied.map(|(i, &c)| (j * CHUNK + i, c)));
-    }
-    pairs
-}
-
 /// Per-block count sums of an occupied list.
 fn block_sums(occupied: &[(usize, u64)]) -> Vec<u64> {
     occupied
@@ -577,56 +560,43 @@ impl<P: Protocol> SparseCountPopulation<P> {
     /// As [`SparseCountPopulation::from_pairs`].
     #[must_use]
     pub fn from_dense(protocol: P, counts: &[u64]) -> Self {
-        Self::from_pairs(protocol, &dense_pairs(counts))
+        let pairs: Vec<_> = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(s, &c)| (s, c))
+            .collect();
+        Self::from_pairs(protocol, &pairs)
     }
 
-    /// Runs the protocol for `rounds` parallel rounds on the dense count
-    /// vector `counts`, in place: the run of a program site, which keeps
-    /// one population across runs on counts changed in between. The
-    /// population takes over `counts`, occupied in ascending state order
-    /// as [`SparseCountPopulation::from_dense`] would, but keeps its
+    /// Runs the protocol for `rounds` parallel rounds on the configuration
+    /// `pairs`, in place: the run of a program site, which keeps one
+    /// population across runs on configurations changed in between. The
+    /// population takes over `pairs` (distinct `(state, count)` pairs in
+    /// ascending state order; zero counts are skipped), occupied in that
+    /// order as [`SparseCountPopulation::from_pairs`] would, but keeps its
     /// interned states, their guard-class memo, the regime and the step
-    /// count, so set-up and write-back cost `O(occupied)`. A caller that
-    /// tracks its occupied states passes them as `occupied`, in ascending
-    /// order, and gets them back updated; without them the run finds them
-    /// with one scan of `counts`.
+    /// count, so set-up and write-back cost `O(occupied)`. On return
+    /// `pairs` holds the configuration after the run: its occupied states,
+    /// ascending, each with a nonzero count.
     ///
     /// # Panics
     ///
-    /// Panics if `counts` holds fewer than 2 agents or occupies a state
-    /// the protocol does not have.
-    pub fn run_on(
-        &mut self,
-        counts: &mut [u64],
-        occupied: Option<&mut Vec<usize>>,
-        rounds: f64,
-        rng: &mut SimRng,
-    ) {
-        let pairs = match &occupied {
-            Some(occupied) => occupied.iter().map(|&s| (s, counts[s])).collect(),
-            None => dense_pairs(counts),
-        };
+    /// Panics if `pairs` holds fewer than 2 agents, repeats a state or
+    /// occupies a state the protocol does not have.
+    pub fn run_on(&mut self, pairs: &mut Vec<(usize, u64)>, rounds: f64, rng: &mut SimRng) {
         for &id in &self.slot_ids {
             self.slot_of[id as usize] = NO_SLOT;
         }
         self.occupied.clear();
         self.slot_ids.clear();
         self.leap.live = false;
-        if let Err(e) = self.fill(&pairs) {
+        if let Err(e) = self.fill(pairs) {
             panic!("{e}");
         }
-        for &(s, _) in &pairs {
-            counts[s] = 0;
-        }
         run_rounds(self, rounds, rng);
-        for &(state, count) in &self.occupied {
-            counts[state] = count;
-        }
-        if let Some(occupied) = occupied {
-            occupied.clear();
-            occupied.extend(self.occupied.iter().map(|&(s, _)| s));
-            occupied.sort_unstable();
-        }
+        pairs.clone_from(&self.occupied);
+        pairs.sort_unstable_by_key(|&(state, _)| state);
     }
 
     /// Occupies `pairs` in order on an empty occupied list and sets `n`.
@@ -1654,46 +1624,50 @@ mod tests {
         }
     }
 
-    /// `run_on` leaves exactly the counts of a fresh run from the same
-    /// start and seed, in place, with its occupied states tracked or not,
-    /// and its next run continues from counts edited in between.
+    /// `run_on` hands back the configuration of a fresh run from the same
+    /// start and seed: the occupied states in ascending order, each with a
+    /// nonzero count, those that emptied dropped and those first reached
+    /// added; and its next run continues from a configuration edited in
+    /// between.
     #[test]
-    fn run_on_writes_back_a_fresh_run() {
+    fn run_on_hands_back_a_fresh_run() {
         let k = 600;
-        let occupied = |counts: &[u64]| (0..k).filter(|&s| counts[s] > 0).collect::<Vec<_>>();
-        let mut counts = vec![0u64; k];
-        for s in (0..k).step_by(97) {
-            counts[s] = 1 + s as u64 % 3;
-        }
-        let mut reference = SparseCountPopulation::from_dense(Drift(k), &counts);
-        run_rounds(&mut reference, 3.0, &mut SimRng::seed_from(11));
-        let mut site = SparseCountPopulation::from_dense(Drift(k), &counts);
-        let mut occ = occupied(&counts);
+        let start: Vec<(usize, u64)> = (0..k).step_by(97).map(|s| (s, 1 + s as u64 % 3)).collect();
+        let n: u64 = start.iter().map(|&(_, c)| c).sum();
+        let fresh_run = |pairs: &[(usize, u64)], rounds: f64, rng: &mut SimRng| {
+            let mut fresh = SparseCountPopulation::from_pairs(Drift(k), pairs);
+            run_rounds(&mut fresh, rounds, rng);
+            fresh.occupied.sort_unstable();
+            fresh.occupied
+        };
+        let assert_well_formed = |pairs: &[(usize, u64)]| {
+            assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+            assert!(pairs.iter().all(|&(_, c)| c > 0), "nonzero");
+            assert_eq!(pairs.iter().map(|&(_, c)| c).sum::<u64>(), n);
+        };
+        let mut site = SparseCountPopulation::from_pairs(Drift(k), &start);
+        let mut pairs = start.clone();
         let mut rng = SimRng::seed_from(11);
-        site.run_on(&mut counts, Some(&mut occ), 3.0, &mut rng);
-        assert_eq!(counts, reference.to_dense());
-        assert_eq!(occ, occupied(&counts));
-        // Move everyone to state 0; the next run starts from there.
-        let n: u64 = counts.iter().sum();
-        counts.iter_mut().for_each(|c| *c = 0);
-        counts[0] = n;
-        let mut fresh = SparseCountPopulation::from_dense(Drift(k), &counts);
-        let mut fresh_rng = rng.clone();
-        run_rounds(&mut fresh, 1.0, &mut fresh_rng);
-        occ = vec![0];
-        site.run_on(&mut counts, Some(&mut occ), 1.0, &mut rng);
-        assert_eq!(counts, fresh.to_dense());
-        assert_eq!(occ, occupied(&counts));
-        // A caller that does not track its occupied states gets the same
-        // run from the same start.
-        let before = counts.clone();
-        let mut untracked = site.clone();
-        let mut untracked_counts = counts.clone();
-        let mut untracked_rng = rng.clone();
-        site.run_on(&mut counts, Some(&mut occ), 1.0, &mut rng);
-        untracked.run_on(&mut untracked_counts, None, 1.0, &mut untracked_rng);
-        assert_ne!(counts, before);
-        assert_eq!(untracked_counts, counts);
+        site.run_on(&mut pairs, 3.0, &mut rng);
+        assert_well_formed(&pairs);
+        assert_eq!(pairs, fresh_run(&start, 3.0, &mut SimRng::seed_from(11)));
+        let held = |pairs: &[(usize, u64)], s: usize| pairs.iter().any(|&(t, _)| t == s);
+        assert!(
+            start.iter().any(|&(s, _)| !held(&pairs, s)),
+            "a state emptied"
+        );
+        assert!(
+            pairs.iter().any(|&(s, _)| !held(&start, s)),
+            "a state was reached"
+        );
+        // Move everyone to state 0; the next run starts from there, and a
+        // zero count names no occupied state.
+        let edited = [(0, n), (1, 0)];
+        let expected = fresh_run(&edited, 1.0, &mut rng.clone());
+        pairs = edited.to_vec();
+        site.run_on(&mut pairs, 1.0, &mut rng);
+        assert_well_formed(&pairs);
+        assert_eq!(pairs, expected);
     }
 
     /// A protocol without rule masks never leaps, however rarely its steps

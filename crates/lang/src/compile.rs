@@ -100,12 +100,8 @@ impl<O: Oscillator, C: XControl> CompiledProtocol<O, C> {
             }
             leaf_rules[idx] = ruleset.clone();
         }
-        let raws: Vec<Ruleset> = program.raw_threads().map(|(_, rs)| rs.clone()).collect();
-        let raw = if raws.is_empty() {
-            None
-        } else {
-            Some(Ruleset::compose(&raws))
-        };
+        let raws: Vec<&Ruleset> = program.raw_threads().map(|(_, rs)| rs).collect();
+        let raw = (!raws.is_empty()).then(|| Ruleset::compose(raws));
         let program_clone = program.clone();
         let initial_flags_fn: InitFn =
             Box::new(move |inputs_on: &[Var]| program_clone.initial_state(inputs_on));

@@ -514,12 +514,8 @@ impl<'p> EnumExecutor<'p> {
             Ok::<_, EnumError>(SparseCountPopulation::from_dense(lowered, &counts))
         };
 
-        let raws: Vec<Ruleset> = program.raw_threads().map(|(_, rs)| rs.clone()).collect();
-        let raw = if raws.is_empty() {
-            None
-        } else {
-            Some(Ruleset::compose(&raws))
-        };
+        let raws: Vec<&Ruleset> = program.raw_threads().map(|(_, rs)| rs).collect();
+        let raw = (!raws.is_empty()).then(|| Ruleset::compose(raws));
         let overhead = match &raw {
             Some(r) if !r.is_empty() => Some(site(r, &format!("{}/raw", program.name))?),
             _ => None,
@@ -535,7 +531,7 @@ impl<'p> EnumExecutor<'p> {
                 continue;
             }
             let composed = match &raw {
-                Some(r) => Ruleset::compose(&[ruleset.clone(), r.clone()]),
+                Some(r) => Ruleset::compose([ruleset, r]),
                 None => ruleset.clone(),
             };
             if composed.is_empty() {
@@ -693,7 +689,7 @@ impl<'p> EnumExecutor<'p> {
                 self.rounds += duration;
                 let key = std::ptr::from_ref(ruleset) as usize;
                 if let Some(site) = self.sites.get_mut(&key) {
-                    site.run_on(&mut self.counts, None, duration, &mut self.rng);
+                    run_site(site, &mut self.counts, duration, &mut self.rng);
                 }
             }
         }
@@ -735,8 +731,32 @@ impl<'p> EnumExecutor<'p> {
         let duration = f64::from(loops) * self.ln_n;
         self.rounds += duration;
         if let Some(site) = &mut self.overhead {
-            site.run_on(&mut self.counts, None, duration, &mut self.rng);
+            run_site(site, &mut self.counts, duration, &mut self.rng);
         }
+    }
+}
+
+/// Runs `site` for `rounds` rounds on the id-indexed `counts`, in place,
+/// handing [`SparseCountPopulation::run_on`] the occupied ids in ascending
+/// order.
+fn run_site(
+    site: &mut SparseCountPopulation<RuleTableProtocol>,
+    counts: &mut [u64],
+    rounds: f64,
+    rng: &mut SimRng,
+) {
+    let mut pairs: Vec<(usize, u64)> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(id, &c)| (id, c))
+        .collect();
+    for &(id, _) in &pairs {
+        counts[id] = 0;
+    }
+    site.run_on(&mut pairs, rounds, rng);
+    for &(id, c) in &pairs {
+        counts[id] = c;
     }
 }
 

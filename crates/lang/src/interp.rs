@@ -20,8 +20,17 @@
 //!
 //! Time accounting therefore reproduces the paper's round counts:
 //! `O((log n)^{c+1})` rounds per iteration for loop depth `c`.
+//!
+//! The configuration is the list of occupied states with their counts,
+//! ascending by state ([`Executor::occupied`]): a program over `v` flags
+//! has `2^v` nominal states but a run occupies few of them, so set-up,
+//! assignments, `if exists` and every `execute` site cost `O(occupied)`.
+//! Each site keeps one [`SparseCountPopulation`] and runs it on those
+//! pairs ([`SparseCountPopulation::run_on`]); only [`Executor::counts`]
+//! builds a `2^v`-long vector, on request.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
 use pp_engine::counts::SparseCountPopulation;
@@ -72,21 +81,24 @@ pub struct ExecOptions {
 pub struct Executor<'p> {
     program: &'p Program,
     n: u64,
-    counts: Vec<u64>,
-    /// The states with a nonzero count, ascending.
-    occupied: Vec<usize>,
+    /// The configuration: each occupied state with its nonzero count,
+    /// ascending by state.
+    config: Vec<(usize, u64)>,
+    /// The dense copy [`Executor::counts`] builds; cleared whenever the
+    /// configuration changes.
+    dense: OnceLock<Vec<u64>>,
     rng: SimRng,
     rounds: f64,
     iterations: u64,
     raw: Option<Ruleset>,
     opts: ExecOptions,
     ln_n: f64,
-    /// Per-site populations, built from the counts at first use and kept
-    /// across the site's runs: each `execute` site (keyed by its ruleset's
-    /// address inside the borrowed program, stable for the executor's
-    /// life) composed with the raw threads, and the raw threads alone
-    /// under [`OVERHEAD_SITE`]. `None` where the composition has no rule
-    /// to run.
+    /// Per-site populations, built from the configuration at first use
+    /// and kept across the site's runs: each `execute` site (keyed by its
+    /// ruleset's address inside the borrowed program, stable for the
+    /// executor's life) composed with the raw threads, and the raw threads
+    /// alone under [`OVERHEAD_SITE`]. `None` where the composition has no
+    /// rule to run.
     sites: HashMap<usize, Option<SparseCountPopulation<FlagProtocol>>>,
 }
 
@@ -115,31 +127,20 @@ impl<'p> Executor<'p> {
         seed: u64,
         opts: ExecOptions,
     ) -> Self {
-        let mut counts = vec![0u64; program.vars.num_states()];
-        let mut n = 0u64;
-        for (vars_on, count) in groups {
-            counts[program.initial_state(vars_on) as usize] += count;
-            n += count;
-        }
-        assert!(n >= 2, "population must have at least 2 agents");
-        let mut occupied: Vec<usize> = groups
+        let mut config: Vec<(usize, u64)> = groups
             .iter()
-            .filter(|(_, count)| *count > 0)
-            .map(|(vars_on, _)| program.initial_state(vars_on) as usize)
+            .map(|(vars_on, count)| (program.initial_state(vars_on) as usize, *count))
             .collect();
-        occupied.sort_unstable();
-        occupied.dedup();
-        let raws: Vec<Ruleset> = program.raw_threads().map(|(_, rs)| rs.clone()).collect();
-        let raw = if raws.is_empty() {
-            None
-        } else {
-            Some(Ruleset::compose(&raws))
-        };
+        merge(&mut config);
+        let n: u64 = config.iter().map(|&(_, c)| c).sum();
+        assert!(n >= 2, "population must have at least 2 agents");
+        let raws: Vec<&Ruleset> = program.raw_threads().map(|(_, rs)| rs).collect();
+        let raw = (!raws.is_empty()).then(|| Ruleset::compose(raws));
         Self {
             program,
             n,
-            counts,
-            occupied,
+            config,
+            dense: OnceLock::new(),
             rng: SimRng::seed_from(seed),
             rounds: 0.0,
             iterations: 0,
@@ -174,19 +175,35 @@ impl<'p> Executor<'p> {
         self.iterations
     }
 
-    /// State counts, indexed by packed variable mask.
+    /// The configuration: each occupied state (a packed variable mask)
+    /// with its nonzero count, ascending by state.
+    #[must_use]
+    pub fn occupied(&self) -> &[(usize, u64)] {
+        &self.config
+    }
+
+    /// State counts, indexed by packed variable mask: a dense copy of
+    /// [`Executor::occupied`], `2^vars` long. The first call after the
+    /// configuration changed builds it in `O(2^vars)`; later calls reuse
+    /// it until the next iteration.
     #[must_use]
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.dense.get_or_init(|| {
+            let mut counts = vec![0u64; self.program.vars.num_states()];
+            for &(s, c) in &self.config {
+                counts[s] = c;
+            }
+            counts
+        })
     }
 
     /// Number of agents satisfying a guard.
     #[must_use]
     pub fn count_where(&self, guard: &Guard) -> u64 {
-        self.occupied
+        self.config
             .iter()
-            .filter(|&&s| guard.eval(s as u32))
-            .map(|&s| self.counts[s])
+            .filter(|&&(s, _)| guard.eval(s as u32))
+            .map(|&(_, c)| c)
             .sum()
     }
 
@@ -194,6 +211,7 @@ impl<'p> Executor<'p> {
     /// body (threads executed in declaration order), with raw threads
     /// running throughout.
     pub fn run_iteration(&mut self) {
+        self.dense.take();
         let program = self.program;
         for thread in &program.threads {
             if let Thread::Structured { body, .. } = thread {
@@ -272,10 +290,8 @@ impl<'p> Executor<'p> {
     /// ascending order, so the coin draws come in the order a scan over all
     /// states would make them. `O(occupied)`.
     fn exec_assign(&mut self, var: Var, value: &AssignValue) {
-        let occupied = std::mem::take(&mut self.occupied);
-        let mut moved: Vec<(usize, u64)> = Vec::with_capacity(2 * occupied.len());
-        for &s in &occupied {
-            let c = self.counts[s];
+        let mut moved: Vec<(usize, u64)> = Vec::with_capacity(2 * self.config.len());
+        for &(s, c) in &self.config {
             match value {
                 AssignValue::Formula(g) => {
                     let target = var.assign(s as u32, g.eval(s as u32)) as usize;
@@ -288,19 +304,8 @@ impl<'p> Executor<'p> {
                 }
             }
         }
-        for &s in &occupied {
-            self.counts[s] = 0;
-        }
-        for &(t, c) in &moved {
-            self.counts[t] += c;
-        }
-        self.occupied = moved
-            .into_iter()
-            .filter(|&(_, c)| c > 0)
-            .map(|(t, _)| t)
-            .collect();
-        self.occupied.sort_unstable();
-        self.occupied.dedup();
+        merge(&mut moved);
+        self.config = moved;
     }
 
     /// Charges `loops · ln n` rounds of parallel time (Section 4's lowered
@@ -315,30 +320,37 @@ impl<'p> Executor<'p> {
     /// scheduler for `duration` rounds, on the site `key`'s population.
     fn run_scheduler(&mut self, key: usize, ruleset: Option<&Ruleset>, duration: f64) {
         self.rounds += duration;
-        let (program, raw, counts) = (self.program, &self.raw, &self.counts);
-        let occupied = &self.occupied;
+        let (program, raw, config) = (self.program, &self.raw, &self.config);
         let site = self.sites.entry(key).or_insert_with(|| {
             let combined = match (ruleset, raw) {
-                (Some(rs), Some(raw)) => Ruleset::compose(&[rs.clone(), raw.clone()]),
+                (Some(rs), Some(raw)) => Ruleset::compose([rs, raw]),
                 (Some(rs), None) => rs.clone(),
                 (None, Some(raw)) => raw.clone(),
                 (None, None) => return None,
             };
             (!combined.is_empty()).then(|| {
                 let protocol = FlagProtocol::new(program.vars.clone(), combined, "exec");
-                let pairs: Vec<_> = occupied.iter().map(|&s| (s, counts[s])).collect();
-                SparseCountPopulation::from_pairs(protocol, &pairs)
+                SparseCountPopulation::from_pairs(protocol, config)
             })
         });
         if let Some(site) = site {
-            site.run_on(
-                &mut self.counts,
-                Some(&mut self.occupied),
-                duration,
-                &mut self.rng,
-            );
+            site.run_on(&mut self.config, duration, &mut self.rng);
         }
     }
+}
+
+/// Sorts `pairs` by state, merges the pairs of one state into one and
+/// drops zero counts.
+fn merge(pairs: &mut Vec<(usize, u64)>) {
+    pairs.sort_unstable_by_key(|&(s, _)| s);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    pairs.retain(|&(_, c)| c > 0);
 }
 
 #[cfg(test)]
@@ -346,7 +358,7 @@ mod tests {
     use super::*;
     use crate::ast::build::*;
     use pp_rules::parse::parse_ruleset;
-    use pp_rules::VarSet;
+    use pp_rules::{VarSet, MAX_VARS};
 
     fn program_with(vars: VarSet, threads: Vec<Thread>) -> Program {
         Program {
@@ -547,6 +559,48 @@ mod tests {
         exec.run_iteration();
         // With guaranteed misdetection the then-branch ran: Y stays off.
         assert_eq!(exec.count_where(&Guard::var(y)), 0);
+    }
+
+    /// At the variable budget the nominal space is `2^MAX_VARS` states;
+    /// `counts` is the dense copy of the current configuration, never of
+    /// a stale one.
+    #[test]
+    fn counts_at_the_variable_budget_follow_the_configuration() {
+        let mut vars = VarSet::new();
+        let flags: Vec<Var> = (0..MAX_VARS).map(|i| vars.add(&format!("F{i}"))).collect();
+        let rs = parse_ruleset("(F0) + (!F0) -> (F0 & F10) + (F0)", &mut vars).unwrap();
+        let body = vec![
+            assign_coin(flags[0]),
+            assign_coin(flags[MAX_VARS - 1]),
+            execute(1, rs),
+        ];
+        let p = program_with(
+            vars,
+            vec![Thread::Structured {
+                name: "Main".into(),
+                body,
+            }],
+        );
+        let n = 1_000;
+        let agrees = |exec: &Executor| {
+            let counts = exec.counts();
+            assert_eq!(counts.len(), 1 << MAX_VARS);
+            assert_eq!(counts.iter().sum::<u64>(), n);
+            for &(s, c) in exec.occupied() {
+                assert_eq!(counts[s], c, "state {s}");
+            }
+        };
+        let mut exec = Executor::new(&p, &[(vec![], n)], 10);
+        exec.run_iteration();
+        agrees(&exec);
+        let first = exec.counts().to_vec();
+        exec.run_iteration();
+        agrees(&exec);
+        assert_ne!(
+            exec.counts(),
+            &first[..],
+            "the second iteration moved agents"
+        );
     }
 
     #[test]

@@ -248,13 +248,15 @@ impl Ruleset {
     /// constant number of copies of the respective rules up to the least
     /// common multiple of the number of rules of respective threads").
     /// Threads that are empty contribute a single identity no-op rule so
-    /// they still consume their fair share of the schedule.
+    /// they still consume their fair share of the schedule. The threads are
+    /// borrowed, so each rule is cloned once, into the composition.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is empty.
     #[must_use]
-    pub fn compose(threads: &[Ruleset]) -> Ruleset {
+    pub fn compose<'a>(threads: impl IntoIterator<Item = &'a Ruleset>) -> Ruleset {
+        let threads: Vec<&Ruleset> = threads.into_iter().collect();
         assert!(!threads.is_empty(), "compose requires at least one thread");
         let noop = Rule {
             guard_a: Guard::True,
