@@ -12,9 +12,10 @@
 //! (DESIGN.md §14). The record holds:
 //! - a `run` header: run id, command, arguments, `n` and seed where the
 //!   command takes them, backend and host cores;
-//! - the run's lines: paper observables, fault events, an experiment's
-//!   table rows, and for run commands one `dispatch` line per engine batch;
-//! - the engine's `metrics_report` as the footer.
+//! - the run's lines: paper observables, fault events and an experiment's
+//!   table rows;
+//! - the engine's `metrics_report` as the footer, whose regime counters
+//!   count every regime decision the engine made.
 //!
 //! `profile <command>` runs either kind with the section profiler on and
 //! adds a `profile_report` line before the footer. A recorder is installed
@@ -25,8 +26,7 @@ use crate::{commands, experiments, Scale};
 use pp_engine::json::{to_jsonl, Json};
 use pp_engine::recorder::Recorder;
 use pp_engine::report::Table;
-use pp_engine::snapshot::{crc64, load_path, RunSnapshot, SnapshotStore};
-use std::io::Write;
+use pp_engine::snapshot::{crc64, file_generation, load_path, RunSnapshot, SnapshotStore};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -92,10 +92,9 @@ const SCALE: &[Flag] = &[switch("quick"), switch("full"), RECORD];
 enum Role {
     /// Prints a result; no record, no profile.
     Tool,
-    /// A simulation run: its record holds one `dispatch` line per batch.
+    /// A simulation run or an experiment: recorded and profiled alike; an
+    /// experiment's record holds one `row` line per table row.
     Run,
-    /// An experiment: its record holds one `row` line per table row.
-    Experiment,
 }
 
 /// One row of the command table.
@@ -140,7 +139,7 @@ const COUNTS: &str = "CountPopulation";
 #[rustfmt::skip]
 static COMMANDS: &[Command] = {
     use experiments::*;
-    use Role::{Experiment as E, Run as R, Tool as T};
+    use Role::{Run as R, Tool as T};
     &[
     row(T, "list", NO_ARGS, &[], "none", list, "list the commands"),
     row(T, "lint", FILES, TARGETS, "none", commands::lint,
@@ -180,33 +179,33 @@ static COMMANDS: &[Command] = {
     row(T, "bench-diff", ("<baseline.jsonl> <current.jsonl>", 2, 2),
         &[text("tolerance-pct", "T")], "none", commands::bench_diff,
         "compare two BENCH_history.jsonl snapshots (exit 1 on regression)"),
-    row(E, "e1_leader_whp", NO_ARGS, SCALE, EXECUTOR, e1_leader_whp::run,
+    row(R, "e1_leader_whp", NO_ARGS, SCALE, EXECUTOR, e1_leader_whp::run,
         "E1: LeaderElection in O(log^2 n) rounds (Thm 3.1)"),
-    row(E, "e2_majority_whp", NO_ARGS, SCALE, EXECUTOR, e2_majority_whp::run,
+    row(R, "e2_majority_whp", NO_ARGS, SCALE, EXECUTOR, e2_majority_whp::run,
         "E2: Majority correct for any gap (Thm 3.2)"),
-    row(E, "e3_x_elimination", NO_ARGS, SCALE, COUNTS, e3_x_elimination::run,
+    row(R, "e3_x_elimination", NO_ARGS, SCALE, COUNTS, e3_x_elimination::run,
         "E3: #X elimination in O(n^eps) rounds (Prop 5.3)"),
-    row(E, "e4_klevel_decay", NO_ARGS, SCALE, COUNTS, e4_klevel_decay::run,
+    row(R, "e4_klevel_decay", NO_ARGS, SCALE, COUNTS, e4_klevel_decay::run,
         "E4: k-level decay and its mean-field limit (Prop 5.5)"),
-    row(E, "e5_oscillator", NO_ARGS, SCALE, "CountPopulation, MatchingPopulation",
+    row(R, "e5_oscillator", NO_ARGS, SCALE, "CountPopulation, MatchingPopulation",
         e5_oscillator::run, "E5: oscillator escape and rotation (Thm 5.1)"),
-    row(E, "e6_phase_clock", NO_ARGS, SCALE, COUNTS, e6_phase_clock::run,
+    row(R, "e6_phase_clock", NO_ARGS, SCALE, COUNTS, e6_phase_clock::run,
         "E6: phase clock correctness and tick rate (Thm 5.2)"),
-    row(E, "e7_hierarchy", NO_ARGS, SCALE, "ObjPopulation", e7_hierarchy::run,
+    row(R, "e7_hierarchy", NO_ARGS, SCALE, "ObjPopulation", e7_hierarchy::run,
         "E7: clock hierarchy rate separation (Sec 5.3)"),
-    row(E, "e8_exact", NO_ARGS, SCALE, EXECUTOR, e8_exact::run,
+    row(R, "e8_exact", NO_ARGS, SCALE, EXECUTOR, e8_exact::run,
         "E8: always-correct protocols (Thms 6.1-6.3)"),
-    row(E, "e9_comparison", NO_ARGS, SCALE, "CountPopulation, Executor", e9_comparison::run,
+    row(R, "e9_comparison", NO_ARGS, SCALE, "CountPopulation, Executor", e9_comparison::run,
         "E9: states against time across the protocol landscape"),
-    row(E, "e10_semilinear", NO_ARGS, SCALE, "Executor, EnumExecutor", e10_semilinear::run,
+    row(R, "e10_semilinear", NO_ARGS, SCALE, "Executor, EnumExecutor", e10_semilinear::run,
         "E10: semi-linear predicates; compiled against interpreted (Thm 6.4)"),
-    row(E, "e11_plurality", NO_ARGS, SCALE, "Executor, EnumExecutor", e11_plurality::run,
+    row(R, "e11_plurality", NO_ARGS, SCALE, "Executor, EnumExecutor", e11_plurality::run,
         "E11: plurality consensus; compiled against interpreted"),
-    row(E, "e12_schedulers", NO_ARGS, SCALE, "CountPopulation, MatchingPopulation, Population",
+    row(R, "e12_schedulers", NO_ARGS, SCALE, "CountPopulation, MatchingPopulation, Population",
         e12_schedulers::run, "E12: asynchronous against random-matching schedulers"),
-    row(E, "e13_full_stack", NO_ARGS, SCALE, "ObjPopulation", e13_full_stack::run,
+    row(R, "e13_full_stack", NO_ARGS, SCALE, "ObjPopulation", e13_full_stack::run,
         "E13: compiled programs on the real clock hierarchy (Thm 2.4)"),
-    row(E, "e15_silence", NO_ARGS, SCALE, COUNTS, e15_silence::run,
+    row(R, "e15_silence", NO_ARGS, SCALE, COUNTS, e15_silence::run,
         "E15: quiescence of the w.h.p. clock stack"),
     ]
 };
@@ -518,9 +517,8 @@ fn run_id(command: &str, args: &[String]) -> String {
 }
 
 /// Writes a run record to `path`: `lines` (the header and the run's
-/// lines), one line per dispatch record, the `profile_report` of a
-/// profiled run, and the metrics report as the footer. Dispatch lines are
-/// rendered one at a time, since a long program run keeps millions of them.
+/// lines), the `profile_report` of a profiled run, and the metrics report
+/// as the footer.
 fn write_record(
     path: &str,
     lines: &[Json],
@@ -531,16 +529,12 @@ fn write_record(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    out.write_all(to_jsonl(lines).as_bytes())?;
-    for d in recorder.dispatch() {
-        writeln!(out, "{}", d.to_json().render())?;
+    let mut text = to_jsonl(lines);
+    for line in profile.into_iter().chain([&recorder.metrics().to_json()]) {
+        text.push_str(&line.render());
+        text.push('\n');
     }
-    if let Some(report) = profile {
-        writeln!(out, "{}", report.render())?;
-    }
-    writeln!(out, "{}", recorder.metrics().to_json().render())?;
-    out.flush()
+    std::fs::write(path, text)
 }
 
 /// Runs `cmd` on `args` (the arguments after its name). `invoked` is how
@@ -558,14 +552,11 @@ fn run(invoked: &str, cmd: &'static Command, profiled: bool, args: &[String]) ->
     let resume = cmd.name == "resume";
     let checkpointed = resume || ctx.given("checkpoint-every").is_some();
     let mut recorder = (record_path.is_some() || profiled || checkpointed).then(|| {
-        let mut recorder = Recorder::new();
-        if record_path.is_some() && cmd.role == Role::Run {
-            recorder = recorder.with_dispatch_log();
-        }
         if profiled {
-            recorder = recorder.with_sections();
+            Recorder::new().with_sections()
+        } else {
+            Recorder::new()
         }
-        recorder
     });
     if record_path.is_some() {
         // `resume` writes its own header, from the snapshot it continues.
@@ -705,15 +696,6 @@ impl Checkpointer {
     }
 }
 
-/// Generation number encoded in a rotating-store file name, if it is one.
-fn snapshot_generation(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix("gen-")?
-        .strip_suffix(".snap")?
-        .parse()
-        .ok()
-}
-
 /// The newest valid generation of the store in `dir`, at most `max_gen`
 /// when given; each rejected one is reported and skipped.
 fn latest_in(dir: &Path, max_gen: Option<u64>) -> Option<(u64, PathBuf, RunSnapshot)> {
@@ -755,7 +737,7 @@ pub(crate) fn load_resume_snapshot(
         Ok(snap) => {
             // A generation file keeps checkpointing into its own store;
             // a free-standing snapshot continues without checkpoints.
-            let gen = snapshot_generation(p);
+            let gen = file_generation(p);
             let dir = gen.and_then(|_| p.parent()).map(Path::to_path_buf);
             Some((snap, dir, gen))
         }
@@ -763,7 +745,7 @@ pub(crate) fn load_resume_snapshot(
             eprintln!("warning: snapshot_corrupt: {path}: {detail}");
             let (Some(dir), Some(prev)) = (
                 p.parent(),
-                snapshot_generation(p).and_then(|g| g.checked_sub(1)),
+                file_generation(p).and_then(|g| g.checked_sub(1)),
             ) else {
                 eprintln!("error: corrupt snapshot has no older generation to fall back to");
                 return None;

@@ -1,10 +1,9 @@
 //! The self-contained phase clock: an [`XControl`] process composed under
 //! the oscillator, detector, and phase counter.
 //!
-//! [`crate::phase_clock::PhaseClock`] treats the source count `#X` as part
-//! of the initial configuration. The full construction of the paper instead
-//! *derives* membership of `X` from a control process (Propositions
-//! 5.3–5.5) running as a separate thread: an agent acts as an oscillator
+//! The paper *derives* membership of `X` from a control process
+//! (Propositions 5.3–5.5) running as a separate thread, rather than fixing
+//! `#X` in the initial configuration: an agent acts as an oscillator
 //! source exactly while the control process keeps its `X` flag set. When an
 //! agent leaves `X` it re-enters the oscillator as a uniformly random
 //! species; when (never, for the provided processes) it joins `X`, its

@@ -10,10 +10,10 @@
 //!   dominant species rotates with period `Θ(log n)` whenever
 //!   `1 ≤ #X ≤ n^{1−ε}`. Includes the plain-RPS ablation, which never
 //!   self-organizes — the reason the paper builds on \[DK18\].
-//! * [`phase_clock`] — the modulo-`m` clock (Theorem 5.2): a detector that
-//!   confirms species takeovers via `k` consecutive meetings, a phase
-//!   counter ticking once per takeover, and fluke-robust doubt-gated
-//!   consensus.
+//! * [`phase_clock`] — the clock thread of the modulo-`m` clock
+//!   (Theorem 5.2): a detector that confirms species takeovers via `k`
+//!   consecutive meetings, a phase counter ticking once per takeover, and
+//!   fluke-robust doubt-gated consensus ([`phase_clock::ClockKernel`]).
 //! * [`junta`] — control of `#X`: pairwise elimination (Proposition 5.3,
 //!   for always-correct protocols), the `k`-level decay signal
 //!   (Proposition 5.5, for w.h.p. protocols), and a GS18-style junta
@@ -70,4 +70,3 @@ pub use diag::{GoodIterationEstimator, TickTracer};
 pub use hierarchy::{ClockHierarchy, HierAgent};
 pub use junta::{GsJunta, KLevelDecay, PairwiseElimination, XControl};
 pub use oscillator::{Dk18Oscillator, Oscillator, RpsOscillator};
-pub use phase_clock::PhaseClock;

@@ -1,4 +1,6 @@
-//! The modulo-`m` phase clock built on an oscillator (Section 5.2).
+//! The clock thread of the modulo-`m` phase clock (Section 5.2), shared by
+//! [`crate::controlled::ControlledClock`] and
+//! [`crate::hierarchy::ClockHierarchy`].
 //!
 //! Each agent composes three components:
 //!
@@ -19,9 +21,7 @@
 //! `Θ(log n)` rounds apart, and a full phase cycle takes `Θ(m log n)`
 //! rounds. Experiment E6 measures phase agreement and tick spacing.
 
-use crate::oscillator::{Oscillator, NUM_SPECIES};
-use pp_engine::protocol::Protocol;
-use pp_engine::rng::SimRng;
+use crate::oscillator::NUM_SPECIES;
 
 /// Default doubt-gated consensus depth (empirically tuned: deep enough to
 /// suppress fluke cascades, shallow enough to absorb tick waves quickly).
@@ -343,231 +343,9 @@ impl ClockKernel {
     }
 }
 
-/// The modulo-`m` phase clock protocol `C_o`, a dense composition of an
-/// oscillator with the detector and phase counter.
-///
-/// State packing: `osc + osc_states · (detector + 3k · (phase + m · doubt))`.
-///
-/// # Examples
-///
-/// ```
-/// use pp_clocks::oscillator::Dk18Oscillator;
-/// use pp_clocks::phase_clock::PhaseClock;
-/// use pp_engine::Protocol;
-///
-/// let clock = PhaseClock::new(Dk18Oscillator::new(), 4, 12);
-/// // osc(7) × detector(3·4) × phase(12) × doubt(3)
-/// assert_eq!(clock.num_states(), 7 * 12 * 12 * 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PhaseClock<O> {
-    oscillator: O,
-    /// Confirmation depth: consecutive meetings required per block.
-    k: u8,
-    /// Phase modulus.
-    m: u8,
-    /// The clock thread, with the doubt-gated consensus depth
-    /// ([`ClockKernel`]).
-    kernel: ClockKernel,
-    osc_states: usize,
-}
-
-impl<O: Oscillator> PhaseClock<O> {
-    /// Creates a phase clock with confirmation depth `k` and modulus `m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `m == 0`, or `3k ≥ 256`.
-    #[must_use]
-    pub fn new(oscillator: O, k: u8, m: u8) -> Self {
-        let kernel = ClockKernel::new(k, m);
-        let osc_states = oscillator.num_states();
-        Self {
-            oscillator,
-            k,
-            m,
-            kernel,
-            osc_states,
-        }
-    }
-
-    /// Sets the doubt-gated consensus depth (0 disables consensus;
-    /// default [`DEFAULT_CONSENSUS_DEPTH`]).
-    #[must_use]
-    pub fn with_consensus_depth(mut self, depth: u8) -> Self {
-        self.kernel = self.kernel.with_consensus_depth(depth);
-        self
-    }
-
-    /// The doubt dimension size (at least 1 even when consensus is off).
-    fn doubt_states(&self) -> usize {
-        (self.kernel.consensus_depth() as usize).max(1)
-    }
-
-    /// The underlying oscillator.
-    #[must_use]
-    pub fn oscillator(&self) -> &O {
-        &self.oscillator
-    }
-
-    /// Confirmation depth `k`.
-    #[must_use]
-    pub fn confirmation_depth(&self) -> u8 {
-        self.k
-    }
-
-    /// Phase modulus `m`.
-    #[must_use]
-    pub fn modulus(&self) -> u8 {
-        self.m
-    }
-
-    /// Packs components into a dense state index.
-    #[must_use]
-    pub fn pack(&self, osc: usize, detector: u8, phase: u8, doubt: u8) -> usize {
-        debug_assert!(osc < self.osc_states);
-        debug_assert!((detector as usize) < 3 * self.k as usize);
-        debug_assert!(phase < self.m);
-        debug_assert!((doubt as usize) < self.doubt_states());
-        osc + self.osc_states
-            * (detector as usize
-                + 3 * self.k as usize * (phase as usize + self.m as usize * doubt as usize))
-    }
-
-    /// Unpacks a dense state index into `(osc, detector, phase, doubt)`.
-    #[must_use]
-    pub fn unpack(&self, state: usize) -> (usize, u8, u8, u8) {
-        let osc = state % self.osc_states;
-        let rest = state / self.osc_states;
-        let det = (rest % (3 * self.k as usize)) as u8;
-        let rest = rest / (3 * self.k as usize);
-        let phase = (rest % self.m as usize) as u8;
-        let doubt = (rest / self.m as usize) as u8;
-        (osc, det, phase, doubt)
-    }
-
-    /// The phase of a packed state.
-    #[must_use]
-    pub fn phase_of(&self, state: usize) -> u8 {
-        self.unpack(state).2
-    }
-
-    /// Initial state: oscillator state `osc`, detector at block 0 start,
-    /// phase 0, no doubt.
-    #[must_use]
-    pub fn initial(&self, osc: usize) -> usize {
-        self.pack(osc, 0, 0, 0)
-    }
-
-    /// Histogram of phases given full state counts.
-    #[must_use]
-    pub fn phase_histogram(&self, counts: &[u64]) -> Vec<u64> {
-        let mut hist = vec![0u64; self.m as usize];
-        for (state, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                hist[self.phase_of(state) as usize] += c;
-            }
-        }
-        hist
-    }
-
-    /// The majority phase and its share of the population, from counts.
-    #[must_use]
-    pub fn majority_phase(&self, counts: &[u64]) -> (u8, f64) {
-        let hist = self.phase_histogram(counts);
-        let total: u64 = hist.iter().sum();
-        let (phase, &max) = hist
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| *c)
-            .expect("non-empty histogram");
-        (phase as u8, max as f64 / total.max(1) as f64)
-    }
-
-    /// Maximum circular phase distance between any two occupied phases —
-    /// the paper's agreement measure ("up to a difference of at most 1").
-    #[must_use]
-    pub fn phase_spread(&self, counts: &[u64]) -> u8 {
-        let hist = self.phase_histogram(counts);
-        let occupied: Vec<usize> = hist
-            .iter()
-            .enumerate()
-            .filter(|&(_, c)| *c > 0)
-            .map(|(p, _)| p)
-            .collect();
-        if occupied.len() <= 1 {
-            return 0;
-        }
-        let m = self.m as usize;
-        // The spread is m minus the largest gap between consecutive
-        // occupied phases on the circle.
-        let mut max_gap = 0;
-        for (i, &p) in occupied.iter().enumerate() {
-            let next = occupied[(i + 1) % occupied.len()];
-            let gap = (next + m - p) % m;
-            max_gap = max_gap.max(gap);
-        }
-        (m - max_gap) as u8
-    }
-}
-
-impl<O: Oscillator> Protocol for PhaseClock<O> {
-    fn num_states(&self) -> usize {
-        self.osc_states * 3 * self.k as usize * self.m as usize * self.doubt_states()
-    }
-
-    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        let (osc_a, det_a, ph_a, db_a) = self.unpack(a);
-        let (osc_b, det_b, ph_b, db_b) = self.unpack(b);
-        if rng.chance(0.5) {
-            // Oscillator thread.
-            let (osc_a2, osc_b2) = self.oscillator.interact(osc_a, osc_b, rng);
-            (
-                self.pack(osc_a2, det_a, ph_a, db_a),
-                self.pack(osc_b2, det_b, ph_b, db_b),
-            )
-        } else {
-            // Clock thread: both agents observe the partner's species, then
-            // run doubt-gated phase consensus.
-            let mut la = ClockLevel {
-                osc: 0,
-                det: det_a,
-                phase: ph_a,
-                doubt: db_a,
-            };
-            let mut lb = ClockLevel {
-                det: det_b,
-                phase: ph_b,
-                doubt: db_b,
-                ..la
-            };
-            self.kernel.step(
-                &mut la,
-                &mut lb,
-                self.oscillator.species_of(osc_a),
-                self.oscillator.species_of(osc_b),
-            );
-            (
-                self.pack(osc_a, la.det, la.phase, la.doubt),
-                self.pack(osc_b, lb.det, lb.phase, lb.doubt),
-            )
-        }
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        let (osc, det, ph, _) = self.unpack(state);
-        format!("({},d{},p{})", self.oscillator.state_label(osc), det, ph)
-    }
-
-    fn name(&self) -> &str {
-        "phase-clock"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oscillator::Dk18Oscillator;
 
     #[test]
     fn detector_advances_on_awaited_species() {
@@ -669,53 +447,5 @@ mod tests {
         // And an agent behind a far cluster adopts forward too.
         let (p, d) = doubt_consensus(2, 2, 5, 3, m);
         assert_eq!((p, d), (5, 0));
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let clock = PhaseClock::new(Dk18Oscillator::new(), 4, 12);
-        for state in 0..clock.num_states() {
-            let (o, d, p, q) = clock.unpack(state);
-            assert_eq!(clock.pack(o, d, p, q), state);
-        }
-    }
-
-    #[test]
-    fn phase_histogram_and_majority() {
-        let clock = PhaseClock::new(Dk18Oscillator::new(), 2, 4);
-        let mut counts = vec![0u64; clock.num_states()];
-        counts[clock.pack(1, 0, 2, 0)] = 70;
-        counts[clock.pack(3, 4, 3, 1)] = 30;
-        let hist = clock.phase_histogram(&counts);
-        assert_eq!(hist, vec![0, 0, 70, 30]);
-        let (phase, share) = clock.majority_phase(&counts);
-        assert_eq!(phase, 2);
-        assert!((share - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_spread_measures_circular_distance() {
-        let clock = PhaseClock::new(Dk18Oscillator::new(), 2, 12);
-        let mut counts = vec![0u64; clock.num_states()];
-        counts[clock.pack(1, 0, 11, 0)] = 5;
-        counts[clock.pack(1, 0, 0, 0)] = 5;
-        assert_eq!(clock.phase_spread(&counts), 1, "11 and 0 are adjacent");
-        counts[clock.pack(1, 0, 6, 1)] = 1;
-        assert!(clock.phase_spread(&counts) > 1);
-    }
-
-    #[test]
-    fn interact_preserves_component_structure() {
-        let clock = PhaseClock::new(Dk18Oscillator::new(), 4, 12);
-        let mut rng = SimRng::seed_from(1);
-        let a = clock.pack(1, 3, 7, 0);
-        let b = clock.pack(4, 9, 7, 2);
-        for _ in 0..200 {
-            let (a2, b2) = clock.interact(a, b, &mut rng);
-            let (_, _, pa, _) = clock.unpack(a2);
-            let (_, _, pb, _) = clock.unpack(b2);
-            assert!(pa < 12 && pb < 12);
-            assert!(a2 < clock.num_states() && b2 < clock.num_states());
-        }
     }
 }

@@ -337,7 +337,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             }
             self.steps += out.executed;
             if cap.on {
-                let tally = BatchTally::dense_fallback(self.n);
+                let tally = BatchTally::dense_fallback();
                 recorder::with(|r| r.record_tallied_batch(&out, &tally));
             }
             return out;
@@ -345,11 +345,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let n = self.n;
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
-        let entry = self.index.as_ref().expect("index built above");
-        let (entry_occupied, entry_pairs) = (entry.occupied() as u64, entry.pairs());
-        let mut tally = cap
-            .on
-            .then(|| BatchTally::new(n, entry_occupied, entry_pairs));
+        let mut tally = cap.on.then(BatchTally::new);
         while out.executed < max_steps {
             let index = self.index.as_mut().expect("index built above");
             let pairs = index.pairs();

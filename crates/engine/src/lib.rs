@@ -36,9 +36,9 @@
 //! ## Telemetry
 //!
 //! Every backend hot path carries capture points for the run's
-//! [`recorder::Recorder`]: [`metrics`] counters and log₂ histograms, scoped
-//! timers for the hierarchical [`prof`] section profiler, and per-batch
-//! regime-dispatch records ([`recorder::DispatchRecord`]). A run installs
+//! [`recorder::Recorder`]: [`metrics`] counters and log₂ histograms (the
+//! regime counters among them count every regime decision) and scoped
+//! timers for the hierarchical [`prof`] section profiler. A run installs
 //! its recorder on its thread; with none installed, a backend pays one
 //! thread-local load per batch. Sweeps give each task its own recorder and
 //! merge them in task order. Reports render through the in-repo [`json`]

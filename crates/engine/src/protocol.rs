@@ -259,151 +259,6 @@ pub trait ProtocolSpec: Protocol {
     fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)>;
 }
 
-/// A composition of protocols into *threads* sharing a scheduler
-/// (Section 1.3 of the paper).
-///
-/// The composite state is the Cartesian product of the thread states, packed
-/// as a mixed-radix integer with thread 0 as the least significant digit. At
-/// every interaction one thread is selected uniformly at random and its
-/// protocol is applied to the corresponding components; the other components
-/// are untouched. This realizes the paper's convention that "interacting
-/// agents pick a rule corresponding to the current step of each of the
-/// threads, choosing a thread u.a.r.".
-///
-/// Note this models *independent* (non-communicating) thread composition —
-/// "composing P₂ on top of P₁". Protocols whose threads share variables are
-/// instead expressed as a single protocol over the shared flag space (see the
-/// `pp-rules` crate).
-///
-/// # Examples
-///
-/// ```
-/// use pp_engine::protocol::{Protocol, Threads};
-/// use pp_engine::rng::SimRng;
-///
-/// struct Noop(usize);
-/// impl Protocol for Noop {
-///     fn num_states(&self) -> usize { self.0 }
-///     fn interact(&self, a: usize, b: usize, _r: &mut SimRng) -> (usize, usize) { (a, b) }
-/// }
-///
-/// let t = Threads::new(vec![Box::new(Noop(3)), Box::new(Noop(4))]);
-/// assert_eq!(t.num_states(), 12);
-/// let packed = t.pack(&[2, 3]);
-/// assert_eq!(t.unpack(packed), vec![2, 3]);
-/// ```
-pub struct Threads {
-    threads: Vec<Box<dyn Protocol + Send + Sync>>,
-    radices: Vec<usize>,
-    total: usize,
-    name: String,
-}
-
-impl Threads {
-    /// Composes the given protocols as independent threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is empty, if any thread has zero states, or if the
-    /// product state space overflows `usize`.
-    #[must_use]
-    pub fn new(threads: Vec<Box<dyn Protocol + Send + Sync>>) -> Self {
-        assert!(!threads.is_empty(), "Threads requires at least one thread");
-        let radices: Vec<usize> = threads.iter().map(|t| t.num_states()).collect();
-        assert!(
-            radices.iter().all(|&r| r > 0),
-            "every thread must have at least one state"
-        );
-        let total = radices
-            .iter()
-            .try_fold(1usize, |acc, &r| acc.checked_mul(r))
-            .expect("composite state space overflows usize");
-        let name = format!("threads[{}]", threads.len());
-        Self {
-            threads,
-            radices,
-            total,
-            name,
-        }
-    }
-
-    /// Number of composed threads.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Whether the composition is empty (never true; kept for API symmetry).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.threads.is_empty()
-    }
-
-    /// Packs per-thread component states into a composite state index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of components or any component is out of range.
-    #[must_use]
-    pub fn pack(&self, components: &[usize]) -> usize {
-        assert_eq!(components.len(), self.threads.len());
-        let mut acc = 0usize;
-        for (i, (&c, &r)) in components.iter().zip(&self.radices).enumerate().rev() {
-            assert!(c < r, "component {i} out of range: {c} >= {r}");
-            acc = acc * r + c;
-        }
-        acc
-    }
-
-    /// Unpacks a composite state index into per-thread component states.
-    #[must_use]
-    pub fn unpack(&self, mut state: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.radices.len());
-        for &r in &self.radices {
-            out.push(state % r);
-            state /= r;
-        }
-        out
-    }
-}
-
-impl Protocol for Threads {
-    fn num_states(&self) -> usize {
-        self.total
-    }
-
-    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        let k = rng.index(self.threads.len());
-        // Extract the k-th component of both states.
-        let mut div = 1usize;
-        for &r in &self.radices[..k] {
-            div *= r;
-        }
-        let r = self.radices[k];
-        let ca = (a / div) % r;
-        let cb = (b / div) % r;
-        let (na, nb) = self.threads[k].interact(ca, cb, rng);
-        debug_assert!(na < r && nb < r);
-        let a2 = (a as isize + (na as isize - ca as isize) * div as isize) as usize;
-        let b2 = (b as isize + (nb as isize - cb as isize) * div as isize) as usize;
-        (a2, b2)
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        let comps = self.unpack(state);
-        let parts: Vec<String> = comps
-            .iter()
-            .zip(&self.threads)
-            .map(|(&c, t)| t.state_label(c))
-            .collect();
-        format!("({})", parts.join(","))
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// A protocol defined by an explicit outcome table, convenient for tests and
 /// for small hand-written dynamics.
 ///
@@ -523,70 +378,6 @@ impl ProtocolSpec for TableProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Swap(usize);
-    impl Protocol for Swap {
-        fn num_states(&self) -> usize {
-            self.0
-        }
-        fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-            (b, a)
-        }
-    }
-
-    #[test]
-    fn threads_pack_unpack_roundtrip() {
-        let t = Threads::new(vec![
-            Box::new(Swap(3)),
-            Box::new(Swap(5)),
-            Box::new(Swap(2)),
-        ]);
-        assert_eq!(t.num_states(), 30);
-        for s in 0..30 {
-            assert_eq!(t.pack(&t.unpack(s)), s);
-        }
-    }
-
-    #[test]
-    fn threads_only_touch_selected_component() {
-        let t = Threads::new(vec![Box::new(Swap(4)), Box::new(Swap(4))]);
-        let mut rng = SimRng::seed_from(1);
-        let a = t.pack(&[1, 2]);
-        let b = t.pack(&[3, 0]);
-        for _ in 0..100 {
-            let (a2, b2) = t.interact(a, b, &mut rng);
-            let ca = t.unpack(a2);
-            let cb = t.unpack(b2);
-            // Exactly one component swapped, the other intact.
-            let swapped0 = ca[0] == 3 && cb[0] == 1 && ca[1] == 2 && cb[1] == 0;
-            let swapped1 = ca[1] == 0 && cb[1] == 2 && ca[0] == 1 && cb[0] == 3;
-            assert!(swapped0 ^ swapped1, "unexpected outcome {ca:?} {cb:?}");
-        }
-    }
-
-    #[test]
-    fn threads_select_uniformly() {
-        let t = Threads::new(vec![Box::new(Swap(4)), Box::new(Swap(4))]);
-        let mut rng = SimRng::seed_from(2);
-        let a = t.pack(&[1, 2]);
-        let b = t.pack(&[3, 0]);
-        let mut first = 0;
-        let trials = 10_000;
-        for _ in 0..trials {
-            let (a2, _) = t.interact(a, b, &mut rng);
-            if t.unpack(a2)[0] == 3 {
-                first += 1;
-            }
-        }
-        let rate = first as f64 / trials as f64;
-        assert!((rate - 0.5).abs() < 0.03, "thread-0 rate {rate}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn threads_reject_empty() {
-        let _ = Threads::new(vec![]);
-    }
 
     #[test]
     fn table_protocol_identity_by_default() {

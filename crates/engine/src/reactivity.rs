@@ -62,11 +62,6 @@ impl ReactivityIndex {
         self.pairs
     }
 
-    /// Number of occupied states.
-    pub(crate) fn occupied(&self) -> usize {
-        self.occupied.len()
-    }
-
     /// Inserts `s` into the occupied list and fills the memo for every pair
     /// it forms with an occupied state, of `k` states. `O(occupied)`.
     fn occupy(&mut self, protocol: &dyn Protocol, k: usize, s: usize) {

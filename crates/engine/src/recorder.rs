@@ -2,8 +2,9 @@
 //!
 //! A recorder holds the run's counters and log₂ histograms
 //! ([`crate::metrics`]) and, when built with them, its edge-keyed section
-//! times ([`crate::prof`]) and its per-batch regime-dispatch log
-//! ([`DispatchRecord`]). Nothing is process-global: a run builds a
+//! times ([`crate::prof`]). The regime counters (`collision_epochs`,
+//! `noop_leaps`, `reactive_dense_steps`, `dense_fallback_entries`) are the
+//! record of every regime decision. Nothing is process-global: a run builds a
 //! recorder, [`Recorder::install`]s it on its thread for the duration of
 //! the run, and reads the reports off it afterwards. Runs on other threads
 //! — concurrent tests, sweep tasks, abandoned sweep attempts — record into
@@ -42,8 +43,6 @@
 //! assert!(report.counter("noop_leaps") > 0, "sparse run must leap");
 //! ```
 
-use crate::collision::batch_len;
-use crate::json::Json;
 use crate::metrics::{bucket_of, Counter, Hist, MetricsReport, HIST_BUCKETS};
 use crate::prof::{ProfReport, SectionTable};
 use crate::sim::BatchOutcome;
@@ -59,13 +58,12 @@ thread_local! {
 }
 
 /// Everything one run measures: counters and histograms always, section
-/// times and the dispatch log when built with them.
+/// times when built with them.
 #[derive(Debug)]
 pub struct Recorder {
     counters: [u64; NUM_COUNTERS],
     hists: [[u64; HIST_BUCKETS]; NUM_HISTS],
     pub(crate) sections: Option<Box<SectionTable>>,
-    dispatch: Option<Vec<DispatchRecord>>,
 }
 
 impl Default for Recorder {
@@ -82,7 +80,6 @@ impl Recorder {
             counters: [0; NUM_COUNTERS],
             hists: [[0; HIST_BUCKETS]; NUM_HISTS],
             sections: None,
-            dispatch: None,
         }
     }
 
@@ -94,19 +91,11 @@ impl Recorder {
         self
     }
 
-    /// Also keeps one [`DispatchRecord`] per dense `step_batch` call.
-    #[must_use]
-    pub fn with_dispatch_log(mut self) -> Self {
-        self.dispatch = Some(Vec::new());
-        self
-    }
-
     /// An empty recorder that captures what this one captures.
     #[must_use]
     pub fn like(&self) -> Self {
         Self {
             sections: self.sections.as_ref().map(|_| Box::default()),
-            dispatch: self.dispatch.as_ref().map(|_| Vec::new()),
             ..Self::new()
         }
     }
@@ -148,13 +137,9 @@ impl Recorder {
         self.add(Counter::SilenceDetections, u64::from(out.silent));
     }
 
-    /// Records one count batch: its outcome, its regime tallies, and —
-    /// when this recorder keeps a dispatch log — its dispatch record.
+    /// Records one count batch: its outcome and its regime tallies.
     pub(crate) fn record_tallied_batch(&mut self, out: &BatchOutcome, tally: &BatchTally) {
         self.record_batch(out);
-        if let Some(log) = &mut self.dispatch {
-            log.push(tally.dispatch_record(out.executed));
-        }
         for (counter, value) in [
             (Counter::CollisionEpochs, tally.epochs),
             (Counter::CollisionBatchedSteps, tally.epoch_steps),
@@ -183,9 +168,8 @@ impl Recorder {
         }
     }
 
-    /// Adds everything `other` recorded into this recorder; its dispatch
-    /// records follow this one's. Section times merge only when both
-    /// recorders time sections.
+    /// Adds everything `other` recorded into this recorder. Section times
+    /// merge only when both recorders time sections.
     pub fn merge(&mut self, other: Recorder) {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
@@ -200,9 +184,6 @@ impl Recorder {
         }
         if let (Some(mine), Some(theirs)) = (&mut self.sections, &other.sections) {
             mine.merge(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (&mut self.dispatch, other.dispatch) {
-            mine.extend(theirs);
         }
     }
 
@@ -232,13 +213,6 @@ impl Recorder {
         self.sections
             .as_ref()
             .map_or_else(ProfReport::default, |t| t.report())
-    }
-
-    /// The dispatch records in arrival order (empty unless built
-    /// [`Recorder::with_dispatch_log`]).
-    #[must_use]
-    pub fn dispatch(&self) -> &[DispatchRecord] {
-        self.dispatch.as_deref().unwrap_or(&[])
     }
 }
 
@@ -327,89 +301,15 @@ pub fn installed_metrics() -> Option<MetricsReport> {
     with(|r| r.metrics())
 }
 
-/// One regime-dispatch decision: why a dense backend's `step_batch` picked
-/// the regime it did, and what then actually ran.
-///
-/// `regime` is the first regime chosen at batch entry; a long batch may
-/// cross regime boundaries as counts evolve, so the per-regime tallies
-/// (`collision_epochs`, `leaps`, `per_steps`) describe the whole batch.
-/// Serialized as a `{"kind":"dispatch",...}` line of a `ppsim --record`
-/// run record (`DESIGN.md` §14).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DispatchRecord {
-    /// Backend type name (e.g. `"CountPopulation"`).
-    pub backend: &'static str,
-    /// Population size `n`.
-    pub n: u64,
-    /// Occupied states at batch entry, where the backend tracks them.
-    pub occupied: Option<u64>,
-    /// Reactive ordered agent pairs at batch entry, each counted with its
-    /// rule weight (`W` of the sparse leap; plain pairs on
-    /// `CountPopulation`, whose scale is 1); 0 where unknown.
-    pub pairs: u64,
-    /// The weight scale: rule draws per interaction.
-    pub scale: u64,
-    /// Probability `p = pairs / (n(n−1)·scale)` that one interaction is
-    /// effective; NaN where `pairs` is unknown.
-    pub p: f64,
-    /// Interactions per collision batch at batch entry,
-    /// `collision::batch_len(n, occupied)`; NaN on backends without
-    /// collision batches.
-    pub expected_epoch: f64,
-    /// First regime chosen at batch entry: `"collision"`, `"per_step"`,
-    /// `"leap"`, `"dense_fallback"`, or `"silent"`.
-    pub regime: &'static str,
-    /// Interactions executed by the batch.
-    pub executed: u64,
-    /// Collision epochs run during the batch.
-    pub collision_epochs: u64,
-    /// Geometric no-op leaps taken during the batch.
-    pub leaps: u64,
-    /// Individually sampled (per-step / dense-fallback) interactions.
-    pub per_steps: u64,
-}
-
-impl DispatchRecord {
-    /// Renders the record as a `{"kind":"dispatch",...}` JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::from("dispatch")),
-            ("backend", Json::from(self.backend)),
-            ("n", Json::from(self.n)),
-            ("occupied", self.occupied.map_or(Json::Null, Json::from)),
-            ("pairs", Json::from(self.pairs)),
-            ("scale", Json::from(self.scale)),
-            ("p", Json::from(self.p)),
-            ("expected_epoch", Json::from(self.expected_epoch)),
-            ("regime", Json::from(self.regime)),
-            ("executed", Json::from(self.executed)),
-            ("collision_epochs", Json::from(self.collision_epochs)),
-            ("leaps", Json::from(self.leaps)),
-            ("per_steps", Json::from(self.per_steps)),
-        ])
-    }
-}
-
 /// One count-backend `step_batch` call's regime tallies.
 ///
 /// Leap- and epoch-heavy batches fire thousands of capture points each;
 /// the batch loop counts them into this local tally, which holds only the
 /// regime counters and the two histograms those points touch, and hands
 /// it to the run's recorder once at batch end, where it feeds the
-/// counters and forms the batch's [`DispatchRecord`].
+/// counters.
 #[derive(Debug)]
 pub(crate) struct BatchTally {
-    backend: &'static str,
-    /// Population size, occupied states (when tracked) and weighted
-    /// reactive ordered pairs (when known) at batch entry, and the weight
-    /// scale: `p = pairs / (n(n−1)·scale)`.
-    n: u64,
-    occupied: Option<u64>,
-    pairs: Option<u64>,
-    scale: u64,
-    /// First regime chosen; `None` when the batch entered silent.
-    first: Option<&'static str>,
     /// Collision batches and the activations they settled, per-step steps,
     /// no-op leaps and the activations they skipped.
     epochs: u64,
@@ -425,22 +325,9 @@ pub(crate) struct BatchTally {
 }
 
 impl BatchTally {
-    /// An empty tally of a `backend` batch entering with `pairs` among `n`
-    /// agents in `occupied` states, over a weight scale of `scale`.
-    fn empty(
-        backend: &'static str,
-        n: u64,
-        occupied: Option<u64>,
-        pairs: Option<u64>,
-        scale: u64,
-    ) -> Self {
+    /// An empty tally.
+    pub(crate) fn new() -> Self {
         Self {
-            backend,
-            n,
-            occupied,
-            pairs,
-            scale,
-            first: None,
             epochs: 0,
             epoch_steps: 0,
             per_steps: 0,
@@ -452,33 +339,17 @@ impl BatchTally {
         }
     }
 
-    /// An empty `CountPopulation` tally for a batch entering with `pairs`
-    /// reactive ordered pairs among `n` agents in `occupied` states.
-    pub(crate) fn new(n: u64, occupied: u64, pairs: u64) -> Self {
-        Self::empty("CountPopulation", n, Some(occupied), Some(pairs), 1)
-    }
-
-    /// A `CountPopulation` batch that ran the uncached dense loop: no
-    /// reactivity index, so its occupancy and reactive pairs are unknown.
-    pub(crate) fn dense_fallback(n: u64) -> Self {
+    /// A `CountPopulation` batch that ran the uncached dense loop.
+    pub(crate) fn dense_fallback() -> Self {
         Self {
-            first: Some("dense_fallback"),
             dense_fallback: true,
-            ..Self::empty("CountPopulation", n, None, None, 1)
+            ..Self::new()
         }
-    }
-
-    /// An empty `SparseCountPopulation` tally: `weight` is `W`, the
-    /// rule-weighted reactive pairs over a weight scale of `scale`, known
-    /// when the batch enters leaping.
-    pub(crate) fn sparse(n: u64, occupied: u64, weight: Option<u64>, scale: u64) -> Self {
-        Self::empty("SparseCountPopulation", n, Some(occupied), weight, scale)
     }
 
     /// One collision batch that settled `steps` activations.
     #[inline]
     pub(crate) fn epoch(&mut self, steps: u64) {
-        self.first.get_or_insert("collision");
         self.epochs += 1;
         self.epoch_steps += steps;
         self.epoch_len[bucket_of(steps).min(HIST_BUCKETS - 1)] += 1;
@@ -493,52 +364,15 @@ impl BatchTally {
     /// `steps` individually sampled steps in the per-step regime.
     #[inline]
     pub(crate) fn per_steps(&mut self, steps: u64) {
-        self.first.get_or_insert("per_step");
         self.per_steps += steps;
     }
 
     /// One geometric no-op leap that skipped `skip` activations.
     #[inline]
     pub(crate) fn leap(&mut self, skip: u64) {
-        self.first.get_or_insert("leap");
         self.leaps += 1;
         self.leaped += skip;
         self.leap_len[bucket_of(skip).min(HIST_BUCKETS - 1)] += 1;
-    }
-
-    /// The batch's dispatch record. Unknown inputs (a dense-fallback
-    /// batch's pairs, a per-step sparse batch's `W`) give a NaN `p`,
-    /// rendered as JSON null; a dense-fallback batch counts every executed
-    /// interaction as a per-step one.
-    fn dispatch_record(&self, executed: u64) -> DispatchRecord {
-        let per_steps = if self.dense_fallback {
-            executed
-        } else {
-            self.per_steps
-        };
-        let p = self.pairs.map_or(f64::NAN, |pairs| {
-            pairs as f64 / (self.n * (self.n - 1)) as f64 / self.scale as f64
-        });
-        DispatchRecord {
-            backend: self.backend,
-            n: self.n,
-            occupied: self.occupied,
-            pairs: self.pairs.unwrap_or(0),
-            scale: self.scale,
-            p,
-            // The collision batch length at batch entry, for the one
-            // backend with collision batches; worked out here, not per
-            // batch, since only dispatch logs read it.
-            expected_epoch: match (self.backend, self.occupied) {
-                ("CountPopulation", Some(q)) => batch_len(self.n, q as usize) as f64,
-                _ => f64::NAN,
-            },
-            regime: self.first.unwrap_or("silent"),
-            executed,
-            collision_epochs: self.epochs,
-            leaps: self.leaps,
-            per_steps,
-        }
     }
 }
 
@@ -547,18 +381,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tally_feeds_the_counters_and_forms_the_dispatch_record() {
+    fn tally_feeds_the_counters() {
         let out = BatchOutcome {
             executed: 520,
             changed: 9,
             silent: true,
         };
-        let mut tally = BatchTally::new(1000, 3, 9_990);
+        let mut tally = BatchTally::new();
         tally.leap(5);
         tally.leap(9);
         tally.per_step();
         tally.epoch(500);
-        let mut tallied = Recorder::new().with_dispatch_log();
+        let mut tallied = Recorder::new();
         tallied.record_tallied_batch(&out, &tally);
         let mut direct = Recorder::new();
         direct.record_batch(&out);
@@ -571,88 +405,18 @@ mod tests {
         direct.add(Counter::CollisionBatchedSteps, 500);
         direct.observe(Hist::EpochLen, 500);
         assert_eq!(tallied.metrics(), direct.metrics());
-        let [d] = tallied.dispatch() else {
-            panic!("one batch, one record")
-        };
-        assert_eq!(d.regime, "leap", "first regime chosen wins");
-        assert_eq!((d.collision_epochs, d.leaps, d.per_steps), (1, 2, 1));
-        assert_eq!((d.n, d.pairs, d.executed), (1000, 9_990, 520));
-        assert_eq!(
-            (d.backend, d.occupied, d.scale),
-            ("CountPopulation", Some(3), 1)
-        );
-        assert_eq!(d.p, 0.01);
-        assert_eq!(
-            d.expected_epoch,
-            batch_len(1000, d.occupied.unwrap() as usize) as f64
-        );
-        // A batch that entered silent, and one on the uncached dense loop,
-        // which counts every executed interaction as a per-step one.
-        tallied.record_tallied_batch(&out, &BatchTally::new(1000, 1, 0));
-        tallied.record_tallied_batch(&out, &BatchTally::dense_fallback(100));
-        // A sparse batch that entered leaping with W = 66 over a scale of
-        // 33, and one that entered per step, with W unknown.
-        let mut leaping = BatchTally::sparse(100, 7, Some(66), 33);
-        leaping.leap(3);
-        leaping.per_steps(4);
-        tallied.record_tallied_batch(&out, &leaping);
-        let mut stepping = BatchTally::sparse(100, 7, None, 33);
+        // An empty tally adds only the batch; a batch on the uncached dense
+        // loop adds a dense-fallback entry and no per-step count.
+        tallied.record_tallied_batch(&out, &BatchTally::new());
+        tallied.record_tallied_batch(&out, &BatchTally::dense_fallback());
+        let mut stepping = BatchTally::new();
         stepping.per_steps(520);
         tallied.record_tallied_batch(&out, &stepping);
-        let [_, silent, fallback, leaping, stepping] = tallied.dispatch() else {
-            panic!("five batches, five records")
-        };
-        assert_eq!(leaping.backend, "SparseCountPopulation");
-        assert_eq!(
-            (leaping.regime, leaping.leaps, leaping.per_steps),
-            ("leap", 1, 4)
-        );
-        assert_eq!(
-            (leaping.pairs, leaping.scale, leaping.occupied),
-            (66, 33, Some(7))
-        );
-        assert_eq!(leaping.p, 66.0 / 9_900.0 / 33.0);
-        assert!(leaping.expected_epoch.is_nan());
-        assert_eq!((stepping.regime, stepping.per_steps), ("per_step", 520));
-        assert!(stepping.p.is_nan());
-        assert_eq!(silent.regime, "silent");
-        assert_eq!(
-            (fallback.regime, fallback.per_steps),
-            ("dense_fallback", 520)
-        );
-        assert!(fallback.p.is_nan() && fallback.expected_epoch.is_nan());
-        assert_eq!(tallied.metrics().counter("dense_fallback_entries"), 1);
-        assert_eq!(
-            tallied.metrics().counter("reactive_dense_steps"),
-            1 + 4 + 520
-        );
-    }
-
-    #[test]
-    fn dispatch_record_renders_as_jsonl_object() {
-        let rec = DispatchRecord {
-            backend: "CountPopulation",
-            n: 1_000_000,
-            occupied: Some(3),
-            pairs: 999_999_000_000,
-            scale: 1,
-            p: 0.999_999,
-            expected_epoch: 626.657,
-            regime: "collision",
-            executed: 1_000_000,
-            collision_epochs: 1595,
-            leaps: 0,
-            per_steps: 0,
-        };
-        let doc = rec.to_json();
-        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("dispatch"));
-        assert_eq!(doc.get("n").and_then(Json::as_u64), Some(1_000_000));
-        let back = Json::parse(&doc.render()).unwrap();
-        assert_eq!(back.get("regime").and_then(Json::as_str), Some("collision"));
-        assert_eq!(
-            back.get("collision_epochs").and_then(Json::as_u64),
-            Some(1595)
-        );
+        let m = tallied.metrics();
+        assert_eq!(m.counter("batches"), 4);
+        assert_eq!(m.counter("dense_fallback_entries"), 1);
+        assert_eq!(m.counter("reactive_dense_steps"), 1 + 520);
+        assert_eq!(m.counter("noop_leaps"), 2);
     }
 
     #[test]

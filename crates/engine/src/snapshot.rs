@@ -411,8 +411,10 @@ pub struct SnapshotStore {
     next_gen: u64,
 }
 
-/// Generation number encoded in a snapshot file name, if it is one.
-fn file_generation(path: &Path) -> Option<u64> {
+/// Generation number encoded in a snapshot file name (`gen-N.snap`), if
+/// it is one.
+#[must_use]
+pub fn file_generation(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     name.strip_prefix("gen-")?
         .strip_suffix(".snap")?

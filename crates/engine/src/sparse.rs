@@ -995,14 +995,7 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
             self.try_leap();
         }
         let draws = self.pair_draws().unwrap_or(u64::MAX);
-        let mut tally = cap.on.then(|| {
-            BatchTally::sparse(
-                self.n,
-                self.occupied.len() as u64,
-                self.leap.live.then_some(self.leap.total),
-                u64::from(self.protocol.weight_scale().max(1)),
-            )
-        });
+        let mut tally = cap.on.then(BatchTally::new);
         while out.executed < max_steps {
             let remaining = max_steps - out.executed;
             if self.regime == Regime::Leap {
@@ -1077,11 +1070,8 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
             }
         }
         self.steps += out.executed;
-        match tally {
-            Some(t) => {
-                recorder::with(|r| r.record_tallied_batch(&out, &t));
-            }
-            None => recorder::record_batch(&out),
+        if let Some(t) = tally {
+            recorder::with(|r| r.record_tallied_batch(&out, &t));
         }
         out
     }

@@ -12,8 +12,8 @@
 //! When the caller has a [`Recorder`] installed, every task runs under a
 //! fresh recorder configured like it, which also counts the task
 //! (`sweep_tasks`). After the join the task recorders merge into the
-//! caller's in task-index order, so the merged report, dispatch log
-//! included, does not depend on the worker count.
+//! caller's in task-index order, so the merged report does not depend on
+//! the worker count.
 
 use crate::metrics::Counter;
 use crate::recorder::{self, Recorder};

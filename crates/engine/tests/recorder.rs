@@ -4,6 +4,7 @@
 
 use pp_engine::counts::CountPopulation;
 use pp_engine::fenwick::Fenwick;
+use pp_engine::metrics::MetricsReport;
 use pp_engine::prof::{section, Section};
 use pp_engine::protocol::TableProtocol;
 use pp_engine::recorder::{installed_metrics, Recorder};
@@ -72,11 +73,11 @@ fn a_leaked_guard_keeps_its_copy_installed() {
 }
 
 #[test]
-fn merge_adds_counts_sections_and_dispatch_in_order() {
-    let mut a = Recorder::new().with_sections().with_dispatch_log();
+fn merge_adds_counts_and_sections() {
+    let mut a = Recorder::new().with_sections();
     let mut b = a.like();
     assert!(
-        b.dispatch().is_empty() && rebuilds(&b) == 0,
+        b.profile().calls_of("count_step_batch") == 0 && rebuilds(&b) == 0,
         "like() starts empty"
     );
     for (rec, steps) in [(&mut a, 1_000), (&mut b, 2_000)] {
@@ -88,8 +89,9 @@ fn merge_adds_counts_sections_and_dispatch_in_order() {
     let (pa, pb) = (a.profile(), b.profile());
     a.merge(b);
     assert_eq!(rebuilds(&a), 2);
-    let executed: Vec<u64> = a.dispatch().iter().map(|d| d.executed).collect();
-    assert_eq!(executed, [1_000, 2_000]);
+    let merged = a.metrics();
+    assert_eq!(merged.counter("batches"), 2);
+    assert_eq!(merged.counter("interactions_executed"), 3_000);
     let edge = |p: &pp_engine::prof::ProfReport| {
         p.edge(Some("observer"), "count_step_batch")
             .unwrap()
@@ -107,14 +109,9 @@ fn cycle() -> TableProtocol {
         .rule(2, 0, 0, 0)
 }
 
-/// A recorder's metrics and dispatch log, rendered.
+/// A recorder's metrics, rendered.
 fn render(rec: &Recorder) -> String {
-    let mut text = rec.metrics().to_json().render();
-    for d in rec.dispatch() {
-        text.push('\n');
-        text.push_str(&d.to_json().render());
-    }
-    text
+    rec.metrics().to_json().render()
 }
 
 /// A dense cycle run under its own recorder, rendered; waits on `start`
@@ -122,7 +119,7 @@ fn render(rec: &Recorder) -> String {
 fn dense_run(counts: &[u64], seed: u64, start: Option<&Barrier>) -> String {
     let mut pop = CountPopulation::from_counts(cycle(), counts);
     let mut rng = SimRng::seed_from(seed);
-    let mut rec = Recorder::new().with_dispatch_log();
+    let mut rec = Recorder::new();
     {
         let _installed = rec.install();
         if let Some(b) = start {
@@ -142,7 +139,9 @@ fn concurrent_runs_report_exactly_what_they_report_alone() {
     let alone_a = dense_run(&a_counts, 11, None);
     let alone_b = dense_run(&b_counts, 12, None);
     assert_ne!(alone_a, alone_b);
-    assert!(alone_a.contains(r#""regime":"collision""#), "{alone_a}");
+    let report = MetricsReport::parse(&alone_a).expect("a metrics report");
+    assert_eq!(report.counter("batches"), 20);
+    assert!(report.counter("collision_epochs") > 0, "{alone_a}");
     let start = Barrier::new(2);
     let (together_a, together_b) = std::thread::scope(|s| {
         let a = s.spawn(|| dense_run(&a_counts, 11, Some(&start)));
@@ -157,7 +156,7 @@ fn concurrent_runs_report_exactly_what_they_report_alone() {
 fn sweep_reports_do_not_depend_on_worker_count() {
     let seeds: Vec<u64> = (0..8).collect();
     let sweep = |workers| {
-        let mut rec = Recorder::new().with_dispatch_log();
+        let mut rec = Recorder::new();
         let finals = {
             let _installed = rec.install();
             map_configs(&seeds, workers, |&seed| {
@@ -177,10 +176,5 @@ fn sweep_reports_do_not_depend_on_worker_count() {
     let (four, _, four_text) = sweep(4);
     assert_eq!(one, four);
     assert_eq!(batches, 24);
-    assert_eq!(
-        one_text.lines().count(),
-        1 + 24,
-        "one dispatch record per batch"
-    );
     assert_eq!(one_text, four_text);
 }

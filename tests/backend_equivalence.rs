@@ -555,7 +555,7 @@ fn dense_step_batch_matches_step_on_matching_population() {
 fn dense_scenario_uses_collision_epochs() {
     let mut pop = CountPopulation::from_counts(cycle(), DENSE.counts);
     let mut rng = SimRng::seed_from(77);
-    let mut recorder = Recorder::new().with_dispatch_log();
+    let mut recorder = Recorder::new();
     {
         let _installed = recorder.install();
         pop.step_batch(&mut rng, DENSE.target);
@@ -565,10 +565,6 @@ fn dense_scenario_uses_collision_epochs() {
     let steps = report.counter("collision_batched_steps");
     assert_eq!(report.counter("interactions_executed"), DENSE.target);
     assert_eq!(report.counter("batches"), 1);
-    let [dispatch] = recorder.dispatch() else {
-        panic!("one batch, one dispatch record: {:?}", recorder.dispatch());
-    };
-    assert_eq!(epochs, dispatch.collision_epochs);
     assert!(
         steps >= DENSE.target - 100,
         "only {steps} steps settled via collision batches"
@@ -581,61 +577,55 @@ fn dense_scenario_uses_collision_epochs() {
         epochs >= floor,
         "only {epochs} collision epochs recorded, need {floor}"
     );
-    assert_eq!(dispatch.expected_epoch, batch_len(n, 3) as f64);
 }
 
-/// An epidemic from one infected agent starts sparse and fills up, so the
-/// dispatch log must show the dense backend's reactive probability `p`
-/// rising and its first leap coming before its first collision epoch;
-/// every non-silent batch decomposes into regime events.
+/// An epidemic from one infected agent starts sparse and fills up, so,
+/// batch by batch, the dense backend's changed interactions rise and its
+/// first leap comes before its first collision epoch; every non-silent
+/// batch decomposes into regime events. Each batch records into a
+/// recorder of its own.
 #[test]
-fn epidemic_dispatch_log_leaps_before_collision_epochs() {
+fn epidemic_batches_leap_before_collision_epochs() {
     let p = TableProtocol::new(2, "epidemic")
         .rule(1, 0, 1, 1)
         .rule(0, 1, 1, 1);
     let n = 20_000u64;
-    let mut recorder = Recorder::new().with_dispatch_log();
-    let mut first_trial_len = 0;
     for trial in 0..10 {
         let mut pop = CountPopulation::from_counts(&p, &[n - 1, 1]);
         let mut rng = SimRng::seed_from(42 + trial);
-        {
-            let _installed = recorder.install();
-            run_until(&mut pop, &mut rng, 80.0, n, |s| s.count(0) == 0);
+        let mut batches = Vec::new();
+        while pop.count(0) > 0 && pop.time() < 80.0 {
+            let mut recorder = Recorder::new();
+            {
+                let _installed = recorder.install();
+                pop.step_batch(&mut rng, n);
+            }
+            batches.push(recorder.metrics());
         }
-        if trial == 0 {
-            first_trial_len = recorder.dispatch().len();
+        for (i, m) in batches.iter().enumerate() {
+            let regimes =
+                ["collision_epochs", "noop_leaps", "reactive_dense_steps"].map(|c| m.counter(c));
+            assert!(
+                m.counter("silence_detections") == 1 || regimes.iter().sum::<u64>() > 0,
+                "trial {trial}: batch {i} ran no regime: {regimes:?}"
+            );
         }
-    }
-    let records = recorder.dispatch();
-    assert!(!records.is_empty(), "no dispatch records for a dense run");
-    for rec in records {
-        assert_eq!(rec.backend, "CountPopulation");
+        let changed: Vec<u64> = batches
+            .iter()
+            .map(|m| m.counter("interactions_changed"))
+            .collect();
         assert!(
-            ["collision", "leap", "per_step", "dense_fallback", "silent"].contains(&rec.regime),
-            "unexpected regime {:?}",
-            rec.regime
+            changed.iter().any(|&c| c > changed[0]),
+            "trial {trial}: changed interactions did not rise: {changed:?}"
         );
-        assert!(
-            rec.executed == 0 || rec.collision_epochs + rec.leaps + rec.per_steps > 0,
-            "batch executed {} steps with no regime tallies",
-            rec.executed
-        );
-    }
-    let first = &records[..first_trial_len];
-    let start = first[0].p;
-    assert!(
-        first.iter().any(|r| r.p > start),
-        "reactive probability did not rise in the first trial: {:?}",
-        first.iter().map(|r| r.p).collect::<Vec<_>>()
-    );
-    let first_of = |regime: &str| first.iter().position(|r| r.regime == regime);
-    match (first_of("leap"), first_of("collision")) {
-        (Some(leap), Some(collision)) => assert!(
-            leap < collision,
-            "the first trial reached collision epochs before leaping"
-        ),
-        other => panic!("the first trial lacks a leap or collision record: {other:?}"),
+        let first = |counter| batches.iter().position(|m| m.counter(counter) > 0);
+        match (first("noop_leaps"), first("collision_epochs")) {
+            (Some(leap), Some(epoch)) => assert!(
+                leap < epoch,
+                "trial {trial}: collision epochs at batch {epoch} before leaps at {leap}"
+            ),
+            other => panic!("trial {trial} lacks a leap or a collision epoch: {other:?}"),
+        }
     }
 }
 

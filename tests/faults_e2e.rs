@@ -2,8 +2,8 @@
 //! mid-run and the oscillator's dominance rotation, measured through
 //! [`RecoveryProbe`], returns to its pre-fault period statistics; and a
 //! checkpointed `ppsim faults` run resumed from a mid-run generation
-//! reports what the uninterrupted run reports, its run record closing on
-//! the same metrics under the killed run's id; and an injection with no
+//! reports what the uninterrupted run reports, its run record after the
+//! header being the killed run's, line for line; and an injection with no
 //! window of rows after it, or that moved nobody, is reported as not
 //! judged rather than failed.
 
@@ -138,11 +138,17 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
         Json::parse(text.lines().next().expect("header")).expect("header parses")
     };
     assert_eq!(footer("ck.jsonl"), footer("ref.jsonl"));
+    // Under the killed run's id, the resumed record after the header is
+    // the checkpointed run's: every fault event and the footer.
+    let (ck, resumed) = (record("ck.jsonl"), record("resumed.jsonl"));
     assert_eq!(
-        footer("resumed.jsonl"),
-        footer("ref.jsonl"),
-        "resumed metrics differ"
+        resumed.lines().count(),
+        ck.lines().count(),
+        "resumed record length"
     );
+    for (i, (a, b)) in resumed.lines().zip(ck.lines()).enumerate().skip(1) {
+        assert_eq!(a, b, "line {} of the resumed record differs", i + 1);
+    }
     let (killed, continued) = (header("ck.jsonl"), header("resumed.jsonl"));
     assert_eq!(
         continued.get("run"),
@@ -161,8 +167,10 @@ fn faults_resume_from_a_middle_generation_is_byte_identical() {
 }
 
 /// A checkpointed run keeps counting into its checkpoints without
-/// `--record`: resumed with `--record` from an early generation, its footer
-/// is the uninterrupted run's, byte for byte.
+/// `--record`: resumed with `--record` from an early generation, its record
+/// after the header is the uninterrupted run's, byte for byte once the run
+/// ids (which name each run's own arguments) are taken out — the species
+/// rows from before the snapshot and the footer included.
 #[test]
 fn resumed_footer_counts_the_whole_run() {
     let dir = std::env::temp_dir().join(format!("ppsim-resume-footer-{}", std::process::id()));
@@ -194,11 +202,18 @@ fn resumed_footer_counts_the_whole_run() {
     let oldest = generations[0].to_str().expect("utf-8 temp path");
     let resumed = ppsim(&["resume", oldest], &dir.join("resumed.jsonl"));
     assert_eq!(resumed, reference, "resumed summary differs");
-    let footer = |name: &str| {
+    let body = |name: &str| {
         let text = std::fs::read_to_string(dir.join(name)).expect("run record");
-        text.lines().last().expect("footer").to_string()
+        let header = Json::parse(text.lines().next().expect("header")).expect("header parses");
+        let run = header.get("run").and_then(Json::as_str).expect("run id");
+        text.lines()
+            .skip(1)
+            .map(|l| l.replace(&format!(r#""run":"{run}","#), ""))
+            .collect::<Vec<_>>()
     };
-    assert_eq!(footer("resumed.jsonl"), footer("ref.jsonl"));
+    let (resumed, reference) = (body("resumed.jsonl"), body("ref.jsonl"));
+    assert!(resumed.len() > 200, "one species row per round");
+    assert_eq!(resumed, reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

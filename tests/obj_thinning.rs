@@ -18,7 +18,7 @@
 //!   `doubt_consensus` on every input with `k ≤ 85` and `m ≤ 252`;
 //! * byte-identical trajectories, pinned by hash from the code before
 //!   thinning: an `ObjPopulation` on the default hooks, `ClockHierarchy`
-//!   at tempo 1 (the E7 configuration) and the two dense clocks that share
+//!   at tempo 1 (the E7 configuration) and the dense `ControlledClock` on
 //!   the kernel.
 
 use std::collections::BTreeMap;
@@ -26,13 +26,12 @@ use std::collections::BTreeMap;
 use population_protocols::core::clocks::controlled::{fixed_x_init, ControlledClock, FixedX};
 use population_protocols::core::clocks::hierarchy::{ClockHierarchy, ClockLevel, HierAgent};
 use population_protocols::core::clocks::junta::PairwiseElimination;
-use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator};
+use population_protocols::core::clocks::oscillator::Dk18Oscillator;
 use population_protocols::core::clocks::phase_clock::{
-    detector_observe, doubt_consensus, ClockKernel, PhaseClock,
+    detector_observe, doubt_consensus, ClockKernel,
 };
 use population_protocols::core::engine::counts::CountPopulation;
 use population_protocols::core::engine::obj::{ObjPopulation, ObjProtocol};
-use population_protocols::core::engine::protocol::Protocol;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
 use population_protocols::core::engine::stats::{chi_square_p_value, chi_square_two_sample};
@@ -397,21 +396,4 @@ fn dense_clocks_on_the_kernel_replay_the_pinned_trajectories() {
     let mut words = pop.counts();
     words.extend(rng.state_words());
     assert_eq!(fnv1a(&words), 0x7830_998d_d708_7f8f, "ControlledClock");
-
-    let clock = PhaseClock::new(Dk18Oscillator::new(), 6, 12);
-    let mut counts = vec![0u64; clock.num_states()];
-    for (osc, &c) in central_init(&Dk18Oscillator::new(), 3000, 20)
-        .iter()
-        .enumerate()
-    {
-        counts[clock.initial(osc)] += c;
-    }
-    let mut pop = CountPopulation::from_counts(&clock, &counts);
-    let mut rng = SimRng::seed_from(0x9c);
-    for _ in 0..200 {
-        pop.step_batch(&mut rng, 3000);
-    }
-    let mut words = pop.counts();
-    words.extend(rng.state_words());
-    assert_eq!(fnv1a(&words), 0x1bf7_b24e_6ac4_1d37, "PhaseClock");
 }

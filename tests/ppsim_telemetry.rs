@@ -1,7 +1,9 @@
 //! End-to-end check on the `ppsim` run record: `--record` writes one JSON
 //! Lines file (a `run` header, the run's event lines, and the engine's
 //! metrics report as the footer) that round-trips through the in-repo JSON
-//! readers, and two runs with the same arguments write the same bytes.
+//! readers, and two runs with the same arguments write the same bytes. The
+//! footer's counters are the one record of the engine's batches and regime
+//! decisions: no line is written per batch.
 //!
 //! This is the same validation the CI smoke job performs, kept as a test so
 //! it runs under plain `cargo test` too.
@@ -99,21 +101,18 @@ impl Record {
         lines
     }
 
-    /// One dispatch line per batch the engine ran.
-    fn assert_dispatch_per_batch(&self) {
-        assert_eq!(
-            self.of("dispatch").len() as u64,
-            self.footer.counter("batches"),
-            "one dispatch line per batch"
-        );
+    /// The engine's batches are counted in the footer, not logged one line
+    /// each.
+    fn assert_no_dispatch_line(&self) {
+        assert!(self.of("dispatch").is_empty(), "a per-batch dispatch line");
     }
 }
 
 #[test]
 fn leader_telemetry_round_trips() {
     // The CI smoke configuration. The w.h.p. leader program runs no engine
-    // batch (its sites hold no rules), so its footer counts nothing and it
-    // holds no dispatch line; the always-correct program runs sparse sites.
+    // batch (its sites hold no rules), so its footer counts none; the
+    // always-correct program runs sparse sites.
     for command in ["leader", "leader-exact"] {
         let (_, bytes) = run_recorded(command, &[command, "--n", "2000"]);
         let record = Record::parse(&bytes, command);
@@ -133,10 +132,13 @@ fn leader_telemetry_round_trips() {
             "{command}: everyone starts a leader"
         );
         assert_eq!(counts.last(), Some(&1), "{command}: one leader at the end");
-        record.assert_dispatch_per_batch();
-        if command == "leader-exact" {
-            assert!(!record.of("dispatch").is_empty(), "sparse sites dispatch");
-        }
+        record.assert_no_dispatch_line();
+        let batches = record.footer.counter("batches");
+        assert_eq!(
+            batches > 0,
+            command == "leader-exact",
+            "{command}: {batches} batches"
+        );
     }
 }
 
@@ -150,7 +152,7 @@ fn oscillator_telemetry_round_trips() {
     assert_eq!(record.footer.counter("interactions_executed"), 20_000);
     assert!(record.footer.counter("batches") > 0);
     assert!(record.footer.hist_count("batch_size") > 0);
-    record.assert_dispatch_per_batch();
+    record.assert_no_dispatch_line();
     assert_eq!(
         record.observables("species").len(),
         10,
@@ -170,7 +172,7 @@ fn oscillator_telemetry_round_trips() {
     ];
     let (stdout, bytes) = run_recorded("oscillator-long", &args);
     let record = Record::parse(&bytes, "oscillator");
-    record.assert_dispatch_per_batch();
+    record.assert_no_dispatch_line();
     let periods: Vec<f64> = record
         .observables("period")
         .iter()
@@ -182,6 +184,19 @@ fn oscillator_telemetry_round_trips() {
         stdout.contains(&format!("mean period {mean:.1} rounds")),
         "record mean {mean:.1} vs {stdout}"
     );
+}
+
+/// An exact program runs one engine batch per site of every iteration,
+/// and polynomially many iterations: its record is still the header and the
+/// footer alone, the footer counting every batch.
+#[test]
+fn exact_program_record_is_header_and_footer() {
+    let (_, bytes) = run_recorded("parity", &["parity", "--n", "200", "--seed", "9"]);
+    let text = std::str::from_utf8(&bytes).expect("utf8 record");
+    assert_eq!(text.lines().count(), 2, "header and footer only");
+    let record = Record::parse(&bytes, "parity");
+    assert!(record.events.is_empty());
+    assert!(record.footer.counter("batches") > 1, "every batch counted");
 }
 
 #[test]
@@ -208,7 +223,7 @@ fn same_seed_runs_write_identical_records() {
 
 /// An experiment run through `ppsim` with `--record` writes a header that
 /// names it, one `row` line per row of its table, and the metrics footer of
-/// its sweeps; it keeps no dispatch log. Its stdout is the unrecorded
+/// its sweeps. Its stdout is the unrecorded
 /// run's, and two runs write the same bytes, footer included: no line
 /// carries a wall time.
 #[test]
