@@ -163,17 +163,6 @@ impl KLevelDecay {
     pub fn has_z(&self, state: usize) -> bool {
         self.unpack(state).0 > 0
     }
-
-    /// Total `#Z` given a state-count vector.
-    #[must_use]
-    pub fn count_z(&self, counts: &[u64]) -> u64 {
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| self.has_z(s))
-            .map(|(_, &c)| c)
-            .sum()
-    }
 }
 
 impl Protocol for KLevelDecay {

@@ -80,23 +80,6 @@ pub fn detector_observe(s: u8, k: u8, species: Option<usize>) -> DetectorStep {
     }
 }
 
-/// Phase-consensus resolution: given own phase `a` and partner phase `b`
-/// modulo `m`, returns the phase to adopt — the partner's if it is *ahead*
-/// by at most half the cycle, otherwise keep one's own.
-///
-/// **Caution:** applying this rule unconditionally lets a single agent's
-/// false tick cascade through the whole population (it is an epidemic OR).
-/// Use [`doubt_consensus`] for the fluke-robust variant.
-#[must_use]
-pub fn phase_consensus(a: u8, b: u8, m: u8) -> u8 {
-    let ahead = (b as i32 - a as i32).rem_euclid(m as i32);
-    if ahead >= 1 && ahead <= (m / 2) as i32 {
-        b
-    } else {
-        a
-    }
-}
-
 /// Fluke-robust ("doubt-gated") phase consensus.
 ///
 /// Phase disagreement has two benign shapes that must *not* trigger
@@ -173,7 +156,6 @@ pub struct ClockKernel {
     /// `detector[4·s + c]`: the step from position `s` on observing class
     /// `c` (0 = source, `1 + i` = species `i`).
     detector: Box<[DetectorStep]>,
-    k: u8,
     m: u8,
     /// Depth of the doubt-gated phase consensus ([`doubt_consensus`]);
     /// 0 disables consensus entirely.
@@ -235,7 +217,6 @@ impl ClockKernel {
         let detector = detector.into_boxed_slice();
         Self {
             detector,
-            k,
             m,
             consensus_depth: DEFAULT_CONSENSUS_DEPTH,
         }
@@ -246,12 +227,6 @@ impl ClockKernel {
     pub fn with_consensus_depth(mut self, depth: u8) -> Self {
         self.consensus_depth = depth;
         self
-    }
-
-    /// Confirmation depth `k`.
-    #[must_use]
-    pub fn confirmation_depth(&self) -> u8 {
-        self.k
     }
 
     /// Phase modulus `m`.
@@ -401,18 +376,6 @@ mod tests {
         }
         assert_eq!(ticks, 3);
         assert_eq!(pos, 0, "back to block 0");
-    }
-
-    #[test]
-    fn phase_consensus_adopts_ahead_partner() {
-        assert_eq!(phase_consensus(3, 4, 12), 4);
-        assert_eq!(phase_consensus(3, 9, 12), 9);
-        // Partner behind: keep own.
-        assert_eq!(phase_consensus(4, 3, 12), 4);
-        // Wrap-around: 11 sees 1 as ahead by 2.
-        assert_eq!(phase_consensus(11, 1, 12), 1);
-        // Same phase: keep.
-        assert_eq!(phase_consensus(5, 5, 12), 5);
     }
 
     #[test]

@@ -173,15 +173,6 @@ impl<O: Oscillator, C: XControl> CompiledProtocol<O, C> {
         }
         Some(idx)
     }
-
-    /// Counts agents whose program flags satisfy `guard`.
-    pub fn count_flags<'a>(
-        &self,
-        agents: impl Iterator<Item = &'a CompiledAgent>,
-        guard: &pp_rules::Guard,
-    ) -> u64 {
-        agents.filter(|a| guard.eval(a.flags)).count() as u64
-    }
 }
 
 /// Thread weights of one interaction, in units of `1/(48·tempo)`.

@@ -15,16 +15,13 @@
 //! lowers every scheduler-visible ruleset into per-rule dense tables
 //! ([`RuleTableProtocol`]) that run on the sparse count backend's
 //! rule-weighted leap. Program structure (assignments, branches,
-//! loops) is executed by [`EnumExecutor`] under exactly the good-iteration
-//! semantics of [`crate::interp::Executor`], with identical time
-//! accounting — only the state space is id-compressed, never the dynamics:
-//!
-//! * scheduler runs use the same LCM-composed rulesets and the same
-//!   uniform-rule draw distribution (dead rules are stripped from the
-//!   tables but keep their draw share as no-ops);
-//! * assignments remap whole id-count vectors through the same
-//!   formula/coin semantics (binomial coin splits included);
-//! * `if exists`, `repeat ≥ c ln n`, and overhead charging are unchanged.
+//! loops) is executed by [`EnumExecutor`], which is the interpreter's own
+//! walk ([`crate::interp::ProgramExecutor`]) on the [`Enumerated`] state
+//! space: the good-iteration semantics and time accounting are the same
+//! code, and only the state space is id-compressed, never the dynamics.
+//! Scheduler runs use the same LCM-composed rulesets and the same
+//! uniform-rule draw distribution (dead rules are stripped from the
+//! tables but keep their draw share as no-ops).
 //!
 //! Soundness: the closure *over-approximates* support, so every state any
 //! real run can produce has an id — enumeration can mark extra states live
@@ -39,12 +36,12 @@
 //! interpreter.
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
-use crate::interp::ExecOptions;
+use crate::interp::{initial_config, ExecOptions, ProgramExecutor, StateSpace};
 use pp_engine::counts::SparseCountPopulation;
 use pp_engine::rng::SimRng;
 use pp_engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
 use pp_rules::reach::{support_closure, AbstractAssign, SupportModel};
-use pp_rules::{Guard, Ruleset, Var, VarSet};
+use pp_rules::{Ruleset, Var, VarSet};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -399,14 +396,64 @@ fn escaped(vars: &VarSet, rule: &pp_rules::Rule, s: u32, t: u32) -> EnumError {
     ))
 }
 
+/// The enumerated state space: the live states of [`plan`], as dense ids
+/// ascending with their packed masks, and one [`SparseCountPopulation`]
+/// per scheduler site over the lowered [`RuleTableProtocol`] tables, built
+/// from the initial configuration when the executor is.
+pub struct Enumerated {
+    live: Vec<u32>,
+    dead_rules: usize,
+    total_rules: usize,
+    /// Raw threads composed, lowered once (runs during overhead charging).
+    overhead: Option<SparseCountPopulation<RuleTableProtocol>>,
+    /// Per-`execute`-site lowered protocols (site ruleset LCM-composed
+    /// with the raw threads), keyed by the ruleset's address inside the
+    /// borrowed program — stable for the executor's lifetime.
+    sites: HashMap<usize, SparseCountPopulation<RuleTableProtocol>>,
+}
+
+impl StateSpace for Enumerated {
+    fn num_states(&self) -> usize {
+        self.live.len()
+    }
+
+    fn packed(&self, state: usize) -> u32 {
+        self.live[state]
+    }
+
+    fn state(&self, packed: u32) -> usize {
+        self.live
+            .binary_search(&packed)
+            .expect("verified: every reachable state is enumerated")
+    }
+
+    fn schedule(
+        &mut self,
+        ruleset: Option<&Ruleset>,
+        config: &mut Vec<(usize, u64)>,
+        rounds: f64,
+        rng: &mut SimRng,
+    ) {
+        let site = match ruleset {
+            Some(rs) => self.sites.get_mut(&(std::ptr::from_ref(rs) as usize)),
+            None => self.overhead.as_mut(),
+        };
+        if let Some(site) = site {
+            site.run_on(config, rounds, rng);
+        }
+    }
+}
+
 /// Executes a [`Program`] under good-iteration semantics on the enumerated
 /// state space — the drop-in compiled counterpart of
-/// [`crate::interp::Executor`].
+/// [`crate::interp::Executor`], walking the same
+/// [`crate::interp::ProgramExecutor`] code.
 ///
-/// Counts are indexed by dense live-state id; scheduler runs go through
-/// one [`SparseCountPopulation`] per site, kept across the site's runs,
-/// over the `q = live` states of the tabulated [`RuleTableProtocol`]
-/// instead of the interpreter's `2^bits` nominal space.
+/// States are dense live-state ids ([`EnumExecutor::live_states`] maps
+/// them to packed masks); scheduler runs go through one
+/// [`SparseCountPopulation`] per site over the `q = live` states of the
+/// tabulated [`RuleTableProtocol`] instead of the interpreter's `2^bits`
+/// nominal space.
 ///
 /// # Examples
 ///
@@ -434,25 +481,7 @@ fn escaped(vars: &VarSet, rule: &pp_rules::Rule, s: u32, t: u32) -> EnumError {
 /// exec.run_iteration();
 /// assert_eq!(exec.count_where(&Guard::var(y)), 100);
 /// ```
-pub struct EnumExecutor<'p> {
-    program: &'p Program,
-    live: Vec<u32>,
-    dead_rules: usize,
-    total_rules: usize,
-    n: u64,
-    counts: Vec<u64>,
-    rng: SimRng,
-    rounds: f64,
-    iterations: u64,
-    opts: ExecOptions,
-    ln_n: f64,
-    /// Raw threads composed, lowered once (runs during overhead charging).
-    overhead: Option<SparseCountPopulation<RuleTableProtocol>>,
-    /// Per-`execute`-site lowered protocols (site ruleset LCM-composed
-    /// with the raw threads), keyed by the ruleset's address inside the
-    /// borrowed program — stable for the executor's lifetime.
-    sites: HashMap<usize, SparseCountPopulation<RuleTableProtocol>>,
-}
+pub type EnumExecutor<'p> = ProgramExecutor<'p, Enumerated>;
 
 impl<'p> EnumExecutor<'p> {
     /// Creates an enumeration-compiled executor. `groups` lists `(input
@@ -472,24 +501,6 @@ impl<'p> EnumExecutor<'p> {
         groups: &[(Vec<Var>, u64)],
         seed: u64,
     ) -> Result<Self, EnumError> {
-        Self::with_options(program, groups, seed, ExecOptions::default())
-    }
-
-    /// Creates an enumeration-compiled executor with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// As [`EnumExecutor::new`].
-    ///
-    /// # Panics
-    ///
-    /// As [`EnumExecutor::new`].
-    pub fn with_options(
-        program: &'p Program,
-        groups: &[(Vec<Var>, u64)],
-        seed: u64,
-        opts: ExecOptions,
-    ) -> Result<Self, EnumError> {
         let plan = plan(program)?;
         // Closed-loop verification: the compiler and analyzer certify each
         // other before any table is trusted.
@@ -497,21 +508,14 @@ impl<'p> EnumExecutor<'p> {
         verify_enumeration(&program.vars, &plan.live, &model.rulesets, &model.assigns)
             .map_err(EnumError::Verification)?;
 
-        let mut counts = vec![0u64; plan.live.len()];
-        let mut n = 0u64;
-        for (vars_on, count) in groups {
-            let packed = program.initial_state(vars_on);
-            let id = plan
-                .live
-                .binary_search(&packed)
-                .expect("initial states are enumerated by construction");
-            counts[id] += count;
-            n += count;
-        }
-        assert!(n >= 2, "population must have at least 2 agents");
+        let live = plan.live;
+        let config = initial_config(program, groups, |packed| {
+            live.binary_search(&packed)
+                .expect("initial states are enumerated by construction")
+        });
         let site = |ruleset: &Ruleset, name: &str| {
-            let lowered = lower_ruleset(&program.vars, ruleset, &plan.live, name)?;
-            Ok::<_, EnumError>(SparseCountPopulation::from_dense(lowered, &counts))
+            let lowered = lower_ruleset(&program.vars, ruleset, &live, name)?;
+            Ok::<_, EnumError>(SparseCountPopulation::from_pairs(lowered, &config))
         };
 
         let raws: Vec<&Ruleset> = program.raw_threads().map(|(_, rs)| rs).collect();
@@ -542,221 +546,38 @@ impl<'p> EnumExecutor<'p> {
                 site(&composed, &format!("{}/enum", program.name))?,
             );
         }
-        Ok(Self {
-            program,
+        let space = Enumerated {
+            live,
             dead_rules: plan.dead_rules,
             total_rules: plan.total_rules,
-            live: plan.live,
-            n,
-            counts,
-            rng: SimRng::seed_from(seed),
-            rounds: 0.0,
-            iterations: 0,
-            opts,
-            ln_n: (n as f64).ln(),
             overhead,
             sites,
-        })
+        };
+        Ok(Self::start(
+            program,
+            config,
+            seed,
+            ExecOptions::default(),
+            space,
+        ))
     }
 
-    /// Population size.
-    #[must_use]
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The enumerated packed states (dense id `i` ↦ `live()[i]`).
+    /// The enumerated packed states (dense id `i` ↦ `live_states()[i]`).
     #[must_use]
     pub fn live_states(&self) -> &[u32] {
-        &self.live
+        &self.space.live
     }
 
     /// Source-level rules proved dead (stripped from the lowered tables).
     #[must_use]
     pub fn dead_rules(&self) -> usize {
-        self.dead_rules
+        self.space.dead_rules
     }
 
     /// Source-level rule count across all rulesets.
     #[must_use]
     pub fn total_rules(&self) -> usize {
-        self.total_rules
-    }
-
-    /// Replaces the executor options.
-    pub fn set_options(&mut self, opts: ExecOptions) {
-        self.opts = opts;
-    }
-
-    /// Parallel time consumed so far, in rounds.
-    #[must_use]
-    pub fn rounds(&self) -> f64 {
-        self.rounds
-    }
-
-    /// Completed iterations of the outermost `repeat:` loops.
-    #[must_use]
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// State counts, indexed by dense live-state id.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of agents satisfying a guard.
-    #[must_use]
-    pub fn count_where(&self, guard: &Guard) -> u64 {
-        self.counts
-            .iter()
-            .zip(&self.live)
-            .filter(|&(&c, &s)| c > 0 && guard.eval(s))
-            .map(|(&c, _)| c)
-            .sum()
-    }
-
-    /// Runs one good iteration: a full pass of every structured thread's
-    /// body (threads executed in declaration order), with raw threads
-    /// running throughout.
-    pub fn run_iteration(&mut self) {
-        let program = self.program;
-        for thread in &program.threads {
-            if let Thread::Structured { body, .. } = thread {
-                self.exec_block(body);
-            }
-        }
-        self.iterations += 1;
-    }
-
-    /// Runs good iterations until `stop` returns true, up to
-    /// `max_iterations`. Returns the number of iterations executed when
-    /// `stop` first held, or `None` on timeout.
-    pub fn run_until(
-        &mut self,
-        max_iterations: u64,
-        mut stop: impl FnMut(&Self) -> bool,
-    ) -> Option<u64> {
-        if stop(self) {
-            return Some(self.iterations);
-        }
-        for _ in 0..max_iterations {
-            self.run_iteration();
-            if stop(self) {
-                return Some(self.iterations);
-            }
-        }
-        None
-    }
-
-    fn exec_block(&mut self, instrs: &'p [Instr]) {
-        for instr in instrs {
-            self.exec_instr(instr);
-        }
-    }
-
-    fn exec_instr(&mut self, instr: &'p Instr) {
-        match instr {
-            Instr::Assign { var, value } => {
-                self.exec_assign(*var, value);
-                self.charge_overhead(2);
-            }
-            Instr::IfExists {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let mut exists = self.count_where(cond) > 0;
-                if self.opts.exists_failure > 0.0 && self.rng.chance(self.opts.exists_failure) {
-                    exists = !exists;
-                }
-                self.charge_overhead(2);
-                if exists {
-                    self.exec_block(then_branch);
-                } else {
-                    self.exec_block(else_branch);
-                }
-            }
-            Instr::RepeatLog { c, body } => {
-                let times = (*c as f64 * self.ln_n).ceil().max(1.0) as u64;
-                for _ in 0..times {
-                    self.exec_block(body);
-                }
-            }
-            Instr::Execute { c, ruleset } => {
-                let duration = *c as f64 * self.ln_n;
-                self.rounds += duration;
-                let key = std::ptr::from_ref(ruleset) as usize;
-                if let Some(site) = self.sites.get_mut(&key) {
-                    run_site(site, &mut self.counts, duration, &mut self.rng);
-                }
-            }
-        }
-    }
-
-    /// Applies an assignment to every agent, remapping the id-indexed count
-    /// vector.
-    fn exec_assign(&mut self, var: Var, value: &AssignValue) {
-        let q = self.counts.len();
-        let id_of = |t: u32| {
-            self.live
-                .binary_search(&t)
-                .expect("verified: assignments are closed over the enumerated set")
-        };
-        let mut next = vec![0u64; q];
-        for id in 0..q {
-            let c = self.counts[id];
-            if c == 0 {
-                continue;
-            }
-            let s = self.live[id];
-            match value {
-                AssignValue::Formula(g) => {
-                    next[id_of(var.assign(s, g.eval(s)))] += c;
-                }
-                AssignValue::RandomBit => {
-                    let ones = self.rng.binomial(c, 0.5);
-                    next[id_of(var.assign(s, true))] += ones;
-                    next[id_of(var.assign(s, false))] += c - ones;
-                }
-            }
-        }
-        self.counts = next;
-    }
-
-    /// Charges `loops · ln n` rounds of parallel time (c = 1, as the
-    /// interpreter), during which raw threads continue to run.
-    fn charge_overhead(&mut self, loops: u32) {
-        let duration = f64::from(loops) * self.ln_n;
-        self.rounds += duration;
-        if let Some(site) = &mut self.overhead {
-            run_site(site, &mut self.counts, duration, &mut self.rng);
-        }
-    }
-}
-
-/// Runs `site` for `rounds` rounds on the id-indexed `counts`, in place,
-/// handing [`SparseCountPopulation::run_on`] the occupied ids in ascending
-/// order.
-fn run_site(
-    site: &mut SparseCountPopulation<RuleTableProtocol>,
-    counts: &mut [u64],
-    rounds: f64,
-    rng: &mut SimRng,
-) {
-    let mut pairs: Vec<(usize, u64)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(id, &c)| (id, c))
-        .collect();
-    for &(id, _) in &pairs {
-        counts[id] = 0;
-    }
-    site.run_on(&mut pairs, rounds, rng);
-    for &(id, c) in &pairs {
-        counts[id] = c;
+        self.space.total_rules
     }
 }
 
@@ -766,6 +587,7 @@ mod tests {
     use crate::ast::build;
     use crate::interp::Executor;
     use pp_rules::parse::parse_ruleset;
+    use pp_rules::Guard;
 
     fn program_with(vars: VarSet, inputs: Vec<Var>, threads: Vec<Thread>) -> Program {
         Program {

@@ -21,13 +21,22 @@
 //! Time accounting therefore reproduces the paper's round counts:
 //! `O((log n)^{c+1})` rounds per iteration for loop depth `c`.
 //!
+//! One walk serves both program executors: [`ProgramExecutor`] is generic
+//! over the [`StateSpace`] it runs on. [`Executor`] walks the packed
+//! variable masks ([`Packed`]); `enumerate::EnumExecutor` walks the dense
+//! ids of the enumerated live states. The walk — iterations, blocks,
+//! assignments, `if exists`, loops, overhead charging and the round count —
+//! is written once, so both executors keep identical semantics and time
+//! accounting by construction.
+//!
 //! The configuration is the list of occupied states with their counts,
 //! ascending by state ([`Executor::occupied`]): a program over `v` flags
 //! has `2^v` nominal states but a run occupies few of them, so set-up,
 //! assignments, `if exists` and every `execute` site cost `O(occupied)`.
 //! Each site keeps one [`SparseCountPopulation`] and runs it on those
-//! pairs ([`SparseCountPopulation::run_on`]); only [`Executor::counts`]
-//! builds a `2^v`-long vector, on request.
+//! pairs ([`SparseCountPopulation::run_on`]); only
+//! [`ProgramExecutor::counts`] builds a vector over every state, on
+//! request.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -35,7 +44,7 @@ use std::sync::OnceLock;
 use crate::ast::{AssignValue, Instr, Program, Thread};
 use pp_engine::counts::SparseCountPopulation;
 use pp_engine::rng::SimRng;
-use pp_rules::{FlagProtocol, Guard, Ruleset, Var};
+use pp_rules::{FlagProtocol, Guard, Ruleset, Var, VarSet};
 
 /// Site key of the raw-only run that charges assignments and conditions
 /// (no ruleset lives at address 0).
@@ -49,8 +58,109 @@ pub struct ExecOptions {
     pub exists_failure: f64,
 }
 
+/// The states a [`ProgramExecutor`] walks and the scheduler sites it runs
+/// on them. A state is an index into [`ProgramExecutor::counts`]; states
+/// ascend with their packed variable masks, so a walk over ascending
+/// states visits the masks in ascending order.
+pub trait StateSpace {
+    /// Number of states.
+    fn num_states(&self) -> usize;
+
+    /// The packed variable mask of `state`.
+    fn packed(&self, state: usize) -> u32;
+
+    /// The state of the packed variable mask `packed`.
+    fn state(&self, packed: u32) -> usize;
+
+    /// Runs `ruleset` composed with the program's raw threads — the raw
+    /// threads alone for `None`, the overhead site — under the fair
+    /// scheduler for `rounds` rounds on `config`, in place (see
+    /// [`SparseCountPopulation::run_on`]). A site with no rule to run
+    /// leaves `config` as it is.
+    fn schedule(
+        &mut self,
+        ruleset: Option<&Ruleset>,
+        config: &mut Vec<(usize, u64)>,
+        rounds: f64,
+        rng: &mut SimRng,
+    );
+}
+
 /// Executes a [`Program`] over a population of `n` agents under
-/// good-iteration semantics.
+/// good-iteration semantics, on the state space `S`.
+pub struct ProgramExecutor<'p, S> {
+    program: &'p Program,
+    n: u64,
+    /// The configuration: each occupied state with its nonzero count,
+    /// ascending by state.
+    config: Vec<(usize, u64)>,
+    /// The dense copy [`ProgramExecutor::counts`] builds; cleared whenever
+    /// the configuration changes.
+    dense: OnceLock<Vec<u64>>,
+    rng: SimRng,
+    rounds: f64,
+    iterations: u64,
+    opts: ExecOptions,
+    ln_n: f64,
+    pub(crate) space: S,
+}
+
+/// The interpreter's state space: every packed variable mask of the
+/// program is a state (`2^vars` of them).
+pub struct Packed<'p> {
+    vars: &'p VarSet,
+    /// The raw threads composed, if the program has any.
+    raw: Option<Ruleset>,
+    /// Per-site populations, built from the configuration at first use
+    /// and kept across the site's runs: each `execute` site (keyed by its
+    /// ruleset's address inside the borrowed program, stable for the
+    /// executor's life) composed with the raw threads, and the raw threads
+    /// alone under [`OVERHEAD_SITE`]. `None` where the composition has no
+    /// rule to run.
+    sites: HashMap<usize, Option<SparseCountPopulation<FlagProtocol>>>,
+}
+
+impl StateSpace for Packed<'_> {
+    fn num_states(&self) -> usize {
+        self.vars.num_states()
+    }
+
+    fn packed(&self, state: usize) -> u32 {
+        state as u32
+    }
+
+    fn state(&self, packed: u32) -> usize {
+        packed as usize
+    }
+
+    fn schedule(
+        &mut self,
+        ruleset: Option<&Ruleset>,
+        config: &mut Vec<(usize, u64)>,
+        rounds: f64,
+        rng: &mut SimRng,
+    ) {
+        let key = ruleset.map_or(OVERHEAD_SITE, |rs| std::ptr::from_ref(rs) as usize);
+        let (vars, raw) = (self.vars, &self.raw);
+        let site = self.sites.entry(key).or_insert_with(|| {
+            let combined = match (ruleset, raw) {
+                (Some(rs), Some(raw)) => Ruleset::compose([rs, raw]),
+                (Some(rs), None) => rs.clone(),
+                (None, Some(raw)) => raw.clone(),
+                (None, None) => return None,
+            };
+            (!combined.is_empty()).then(|| {
+                let protocol = FlagProtocol::new(vars.clone(), combined, "exec");
+                SparseCountPopulation::from_pairs(protocol, config)
+            })
+        });
+        if let Some(site) = site {
+            site.run_on(config, rounds, rng);
+        }
+    }
+}
+
+/// The good-iteration executor over the packed variable masks.
 ///
 /// # Examples
 ///
@@ -78,29 +188,7 @@ pub struct ExecOptions {
 /// exec.run_iteration();
 /// assert_eq!(exec.count_where(&Guard::var(y)), 100);
 /// ```
-pub struct Executor<'p> {
-    program: &'p Program,
-    n: u64,
-    /// The configuration: each occupied state with its nonzero count,
-    /// ascending by state.
-    config: Vec<(usize, u64)>,
-    /// The dense copy [`Executor::counts`] builds; cleared whenever the
-    /// configuration changes.
-    dense: OnceLock<Vec<u64>>,
-    rng: SimRng,
-    rounds: f64,
-    iterations: u64,
-    raw: Option<Ruleset>,
-    opts: ExecOptions,
-    ln_n: f64,
-    /// Per-site populations, built from the configuration at first use
-    /// and kept across the site's runs: each `execute` site (keyed by its
-    /// ruleset's address inside the borrowed program, stable for the
-    /// executor's life) composed with the raw threads, and the raw threads
-    /// alone under [`OVERHEAD_SITE`]. `None` where the composition has no
-    /// rule to run.
-    sites: HashMap<usize, Option<SparseCountPopulation<FlagProtocol>>>,
-}
+pub type Executor<'p> = ProgramExecutor<'p, Packed<'p>>;
 
 impl<'p> Executor<'p> {
     /// Creates an executor. `groups` lists `(input variables on, agent
@@ -127,15 +215,64 @@ impl<'p> Executor<'p> {
         seed: u64,
         opts: ExecOptions,
     ) -> Self {
-        let mut config: Vec<(usize, u64)> = groups
-            .iter()
-            .map(|(vars_on, count)| (program.initial_state(vars_on) as usize, *count))
-            .collect();
-        merge(&mut config);
-        let n: u64 = config.iter().map(|&(_, c)| c).sum();
-        assert!(n >= 2, "population must have at least 2 agents");
+        let config = initial_config(program, groups, |packed| packed as usize);
         let raws: Vec<&Ruleset> = program.raw_threads().map(|(_, rs)| rs).collect();
-        let raw = (!raws.is_empty()).then(|| Ruleset::compose(raws));
+        let space = Packed {
+            vars: &program.vars,
+            raw: (!raws.is_empty()).then(|| Ruleset::compose(raws)),
+            sites: HashMap::new(),
+        };
+        Self::start(program, config, seed, opts, space)
+    }
+
+    /// Replaces the executor options (e.g. to stop fault injection after a
+    /// warm-up phase).
+    pub fn set_options(&mut self, opts: ExecOptions) {
+        self.opts = opts;
+    }
+
+    /// The configuration: each occupied state (a packed variable mask)
+    /// with its nonzero count, ascending by state.
+    #[must_use]
+    pub fn occupied(&self) -> &[(usize, u64)] {
+        &self.config
+    }
+}
+
+/// The initial configuration of `groups` (see [`Executor::new`]), each
+/// agent's packed initial state mapped through `state`.
+///
+/// # Panics
+///
+/// Panics if the total population is smaller than 2.
+pub(crate) fn initial_config(
+    program: &Program,
+    groups: &[(Vec<Var>, u64)],
+    state: impl Fn(u32) -> usize,
+) -> Vec<(usize, u64)> {
+    let mut config: Vec<(usize, u64)> = groups
+        .iter()
+        .map(|(vars_on, count)| (state(program.initial_state(vars_on)), *count))
+        .collect();
+    merge(&mut config);
+    assert!(
+        config.iter().map(|&(_, c)| c).sum::<u64>() >= 2,
+        "population must have at least 2 agents"
+    );
+    config
+}
+
+impl<'p, S: StateSpace> ProgramExecutor<'p, S> {
+    /// Starts the walk of `program` from the initial configuration
+    /// `config` (from [`initial_config`]) on `space`.
+    pub(crate) fn start(
+        program: &'p Program,
+        config: Vec<(usize, u64)>,
+        seed: u64,
+        opts: ExecOptions,
+        space: S,
+    ) -> Self {
+        let n: u64 = config.iter().map(|&(_, c)| c).sum();
         Self {
             program,
             n,
@@ -144,10 +281,9 @@ impl<'p> Executor<'p> {
             rng: SimRng::seed_from(seed),
             rounds: 0.0,
             iterations: 0,
-            raw,
             opts,
             ln_n: (n as f64).ln(),
-            sites: HashMap::new(),
+            space,
         }
     }
 
@@ -155,12 +291,6 @@ impl<'p> Executor<'p> {
     #[must_use]
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// Replaces the executor options (e.g. to stop fault injection after a
-    /// warm-up phase).
-    pub fn set_options(&mut self, opts: ExecOptions) {
-        self.opts = opts;
     }
 
     /// Parallel time consumed so far, in rounds.
@@ -175,21 +305,14 @@ impl<'p> Executor<'p> {
         self.iterations
     }
 
-    /// The configuration: each occupied state (a packed variable mask)
-    /// with its nonzero count, ascending by state.
-    #[must_use]
-    pub fn occupied(&self) -> &[(usize, u64)] {
-        &self.config
-    }
-
-    /// State counts, indexed by packed variable mask: a dense copy of
-    /// [`Executor::occupied`], `2^vars` long. The first call after the
-    /// configuration changed builds it in `O(2^vars)`; later calls reuse
-    /// it until the next iteration.
+    /// State counts, indexed by state: by packed variable mask (`2^vars`
+    /// long) for [`Executor`], by dense live-state id for the enumerated
+    /// executor. The first call after the configuration changed builds it
+    /// in `O(states)`; later calls reuse it until the next iteration.
     #[must_use]
     pub fn counts(&self) -> &[u64] {
         self.dense.get_or_init(|| {
-            let mut counts = vec![0u64; self.program.vars.num_states()];
+            let mut counts = vec![0u64; self.space.num_states()];
             for &(s, c) in &self.config {
                 counts[s] = c;
             }
@@ -202,7 +325,7 @@ impl<'p> Executor<'p> {
     pub fn count_where(&self, guard: &Guard) -> u64 {
         self.config
             .iter()
-            .filter(|&&(s, _)| guard.eval(s as u32))
+            .filter(|&&(s, _)| guard.eval(self.space.packed(s)))
             .map(|&(_, c)| c)
             .sum()
     }
@@ -276,12 +399,7 @@ impl<'p> Executor<'p> {
                 }
             }
             Instr::Execute { c, ruleset } => {
-                let duration = *c as f64 * self.ln_n;
-                self.run_scheduler(
-                    std::ptr::from_ref(ruleset) as usize,
-                    Some(ruleset),
-                    duration,
-                );
+                self.run_scheduler(Some(ruleset), *c as f64 * self.ln_n);
             }
         }
     }
@@ -290,17 +408,18 @@ impl<'p> Executor<'p> {
     /// ascending order, so the coin draws come in the order a scan over all
     /// states would make them. `O(occupied)`.
     fn exec_assign(&mut self, var: Var, value: &AssignValue) {
+        let space = &self.space;
         let mut moved: Vec<(usize, u64)> = Vec::with_capacity(2 * self.config.len());
         for &(s, c) in &self.config {
+            let packed = space.packed(s);
             match value {
                 AssignValue::Formula(g) => {
-                    let target = var.assign(s as u32, g.eval(s as u32)) as usize;
-                    moved.push((target, c));
+                    moved.push((space.state(var.assign(packed, g.eval(packed))), c));
                 }
                 AssignValue::RandomBit => {
                     let ones = self.rng.binomial(c, 0.5);
-                    moved.push((var.assign(s as u32, true) as usize, ones));
-                    moved.push((var.assign(s as u32, false) as usize, c - ones));
+                    moved.push((space.state(var.assign(packed, true)), ones));
+                    moved.push((space.state(var.assign(packed, false)), c - ones));
                 }
             }
         }
@@ -312,30 +431,15 @@ impl<'p> Executor<'p> {
     /// assignments and conditions at c = 1), during which raw threads
     /// continue to run.
     fn charge_overhead(&mut self, loops: u32) {
-        let duration = f64::from(loops) * self.ln_n;
-        self.run_scheduler(OVERHEAD_SITE, None, duration);
+        self.run_scheduler(None, f64::from(loops) * self.ln_n);
     }
 
     /// Runs `ruleset` (if any) composed with the raw threads under the fair
-    /// scheduler for `duration` rounds, on the site `key`'s population.
-    fn run_scheduler(&mut self, key: usize, ruleset: Option<&Ruleset>, duration: f64) {
+    /// scheduler for `duration` rounds.
+    fn run_scheduler(&mut self, ruleset: Option<&Ruleset>, duration: f64) {
         self.rounds += duration;
-        let (program, raw, config) = (self.program, &self.raw, &self.config);
-        let site = self.sites.entry(key).or_insert_with(|| {
-            let combined = match (ruleset, raw) {
-                (Some(rs), Some(raw)) => Ruleset::compose([rs, raw]),
-                (Some(rs), None) => rs.clone(),
-                (None, Some(raw)) => raw.clone(),
-                (None, None) => return None,
-            };
-            (!combined.is_empty()).then(|| {
-                let protocol = FlagProtocol::new(program.vars.clone(), combined, "exec");
-                SparseCountPopulation::from_pairs(protocol, config)
-            })
-        });
-        if let Some(site) = site {
-            site.run_on(&mut self.config, duration, &mut self.rng);
-        }
+        self.space
+            .schedule(ruleset, &mut self.config, duration, &mut self.rng);
     }
 }
 

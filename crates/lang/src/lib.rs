@@ -28,8 +28,10 @@
 //! * [`enumerate`] — the analyzer-guided backend for programs beyond the
 //!   precompile flag budget: enumerates the reachable-support states,
 //!   interns them into dense ids, and lowers rulesets to count-backend
-//!   tables ([`pp_engine::ruletable::RuleTableProtocol`]), executed under
-//!   the same good-iteration semantics by [`enumerate::EnumExecutor`].
+//!   tables ([`pp_engine::ruletable::RuleTableProtocol`]).
+//!   [`enumerate::EnumExecutor`] runs them through the interpreter's own
+//!   walk ([`interp::ProgramExecutor`]) on the enumerated state space, so
+//!   the good-iteration semantics are the same code, not a copy.
 //!
 //! # Examples
 //!
