@@ -436,7 +436,8 @@ impl Ctx {
         }
     }
 
-    /// The header line of the run record.
+    /// The header line of the run record, stamped with the host's cores
+    /// and the git revision.
     pub fn header(&self, n: Option<u64>, seed: Option<u64>, backend: &str) -> Json {
         let args = Json::arr(self.args.iter().map(|a| Json::from(a.as_str())));
         let mut fields = vec![
@@ -449,6 +450,7 @@ impl Ctx {
         fields.extend(seed.map(|s| ("seed", Json::from(s))));
         fields.push(("backend", Json::from(backend)));
         fields.push(("host_cores", Json::from(crate::history::host_cores())));
+        fields.push(("git_rev", Json::from(crate::history::git_rev())));
         Json::obj(fields)
     }
 

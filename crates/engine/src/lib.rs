@@ -12,8 +12,9 @@
 //!
 //! Every backend implements [`sim::Simulator`], including the batched
 //! stepping entry point [`sim::Simulator::step_batch`] that the run loops
-//! ([`sim::run_rounds`], [`sim::run_until`]) drive; per-interaction
-//! [`sim::Simulator::step`] remains for fine-grained control. Batch cost is
+//! ([`sim::run_steps`], [`sim::run_rounds`], [`sim::run_until`]) drive;
+//! per-interaction [`sim::Simulator::step`] remains for fine-grained
+//! control. Batch cost is
 //! what matters on hot paths: it is paid once per *reactive* interaction (or
 //! per executed step where no reactivity information exists), with no-op
 //! stretches leaped over in `O(1)`.
@@ -89,4 +90,6 @@ pub mod sweep;
 
 pub use protocol::{Protocol, ProtocolSpec};
 pub use rng::SimRng;
-pub use sim::{run_rounds, run_until, BatchOutcome, Simulator, StepOutcome};
+pub use sim::{
+    round_steps, run_rounds, run_steps, run_until, BatchOutcome, Simulator, StepOutcome,
+};

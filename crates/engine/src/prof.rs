@@ -115,11 +115,18 @@ pub enum Section {
     /// `ppsim oscillator` and `faults` run loop, so that a profiled run
     /// loop is attributed too.
     Observer,
+    /// One run of a program's scheduler site (`pp_lang::interp::Site`),
+    /// composed or factored: the site's engine batches run under it.
+    ProgramSite,
+    /// A factored site's relabelling of the joint configuration after one
+    /// component ran: the origin classes' multivariate-hypergeometric
+    /// splits.
+    SiteRelabel,
 }
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 20] = [
+    pub const ALL: [Section; 22] = [
         Section::BatchCount,
         Section::BatchAgents,
         Section::BatchSparse,
@@ -140,6 +147,8 @@ impl Section {
         Section::PmfInversion,
         Section::FaultSplit,
         Section::Observer,
+        Section::ProgramSite,
+        Section::SiteRelabel,
     ];
 
     /// Stable snake_case name used in reports.
@@ -166,6 +175,8 @@ impl Section {
             Section::PmfInversion => "pmf_inversion",
             Section::FaultSplit => "fault_split",
             Section::Observer => "observer",
+            Section::ProgramSite => "program_site",
+            Section::SiteRelabel => "site_relabel",
         }
     }
 }

@@ -201,26 +201,40 @@ pub trait Simulator {
     }
 }
 
-/// Runs `sim` for a given number of parallel rounds (i.e. `rounds * n`
-/// interactions) in as few `step_batch` calls as the backend allows.
-/// Returns early if the simulation becomes silent, returning the number of
-/// rounds actually simulated.
+/// The interactions in `rounds` parallel rounds of `n` agents:
+/// `⌈rounds · n⌉`, the budget [`run_rounds`] gives [`run_steps`].
+#[must_use]
+pub fn round_steps(rounds: f64, n: u64) -> u64 {
+    (rounds * n as f64).ceil() as u64
+}
+
+/// Runs `sim` for `steps` interactions in as few `step_batch` calls as the
+/// backend allows. Returns early if the simulation becomes silent,
+/// returning the number of interactions actually simulated.
 ///
 /// Backends whose scheduler granularity is coarser than one interaction can
-/// overshoot the round target: [`crate::matching::MatchingPopulation`] runs
+/// overshoot the target: [`crate::matching::MatchingPopulation`] runs
 /// whole matching rounds, so each batch (and hence the whole run) may exceed
-/// its step budget by up to `⌊n/2⌋ − 1` interactions. The returned round
-/// count always reflects the true step delta.
-pub fn run_rounds<S: Simulator>(sim: &mut S, rounds: f64, rng: &mut SimRng) -> f64 {
+/// its step budget by up to `⌊n/2⌋ − 1` interactions. The returned count
+/// always reflects the true step delta.
+pub fn run_steps<S: Simulator>(sim: &mut S, steps: u64, rng: &mut SimRng) -> u64 {
     let start = sim.steps();
-    let target = start + (rounds * sim.n() as f64).ceil() as u64;
+    let target = start + steps;
     while sim.steps() < target {
         let outcome = sim.step_batch(rng, target - sim.steps());
         if outcome.silent || outcome.executed == 0 {
             break;
         }
     }
-    (sim.steps() - start) as f64 / sim.n() as f64
+    sim.steps() - start
+}
+
+/// Runs `sim` for a given number of parallel rounds, i.e.
+/// [`round_steps`] interactions through [`run_steps`]. Returns the number
+/// of rounds actually simulated, which is short if the simulation becomes
+/// silent and may overshoot on coarse schedulers (see [`run_steps`]).
+pub fn run_rounds<S: Simulator>(sim: &mut S, rounds: f64, rng: &mut SimRng) -> f64 {
+    run_steps(sim, round_steps(rounds, sim.n()), rng) as f64 / sim.n() as f64
 }
 
 /// Runs `sim` until `stop` returns true (checked every `check_every` steps)

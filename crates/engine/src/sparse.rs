@@ -51,7 +51,7 @@ use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
-use crate::sim::{run_rounds, BatchOutcome, Simulator, StepOutcome};
+use crate::sim::{run_steps, BatchOutcome, Simulator, StepOutcome};
 use crate::snapshot::{hex_u64, parse_hex_u64};
 
 /// Occupied slots per block of the per-step sampler's second level. With
@@ -569,9 +569,10 @@ impl<P: Protocol> SparseCountPopulation<P> {
         Self::from_pairs(protocol, &pairs)
     }
 
-    /// Runs the protocol for `rounds` parallel rounds on the configuration
-    /// `pairs`, in place: the run of a program site, which keeps one
-    /// population across runs on configurations changed in between. The
+    /// Runs exactly `steps` interactions of the protocol (fewer if it falls
+    /// silent, which has the same law) on the configuration `pairs`, in
+    /// place: the run of a program site, which keeps one population across
+    /// runs on configurations changed in between. The
     /// population takes over `pairs` (distinct `(state, count)` pairs in
     /// ascending state order; zero counts are skipped), occupied in that
     /// order as [`SparseCountPopulation::from_pairs`] would, but keeps its
@@ -584,7 +585,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
     ///
     /// Panics if `pairs` holds fewer than 2 agents, repeats a state or
     /// occupies a state the protocol does not have.
-    pub fn run_on(&mut self, pairs: &mut Vec<(usize, u64)>, rounds: f64, rng: &mut SimRng) {
+    pub fn run_on(&mut self, pairs: &mut Vec<(usize, u64)>, steps: u64, rng: &mut SimRng) {
         for &id in &self.slot_ids {
             self.slot_of[id as usize] = NO_SLOT;
         }
@@ -594,7 +595,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
         if let Err(e) = self.fill(pairs) {
             panic!("{e}");
         }
-        run_rounds(self, rounds, rng);
+        run_steps(self, steps, rng);
         pairs.clone_from(&self.occupied);
         pairs.sort_unstable_by_key(|&(state, _)| state);
     }
@@ -1196,7 +1197,7 @@ mod tests {
     use super::*;
     use crate::counts::CountPopulation;
     use crate::protocol::{RuleMasks, TableProtocol};
-    use crate::sim::run_until;
+    use crate::sim::{run_rounds, run_until};
 
     fn epidemic() -> TableProtocol {
         TableProtocol::new(2, "epidemic")
@@ -1638,7 +1639,7 @@ mod tests {
         let mut site = SparseCountPopulation::from_pairs(Drift(k), &start);
         let mut pairs = start.clone();
         let mut rng = SimRng::seed_from(11);
-        site.run_on(&mut pairs, 3.0, &mut rng);
+        site.run_on(&mut pairs, 3 * n, &mut rng);
         assert_well_formed(&pairs);
         assert_eq!(pairs, fresh_run(&start, 3.0, &mut SimRng::seed_from(11)));
         let held = |pairs: &[(usize, u64)], s: usize| pairs.iter().any(|&(t, _)| t == s);
@@ -1655,7 +1656,7 @@ mod tests {
         let edited = [(0, n), (1, 0)];
         let expected = fresh_run(&edited, 1.0, &mut rng.clone());
         pairs = edited.to_vec();
-        site.run_on(&mut pairs, 1.0, &mut rng);
+        site.run_on(&mut pairs, n, &mut rng);
         assert_well_formed(&pairs);
         assert_eq!(pairs, expected);
     }

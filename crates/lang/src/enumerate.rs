@@ -431,7 +431,7 @@ impl StateSpace for Enumerated {
         &mut self,
         ruleset: Option<&Ruleset>,
         config: &mut Vec<(usize, u64)>,
-        rounds: f64,
+        steps: u64,
         rng: &mut SimRng,
     ) {
         let site = match ruleset {
@@ -439,7 +439,7 @@ impl StateSpace for Enumerated {
             None => self.overhead.as_mut(),
         };
         if let Some(site) = site {
-            site.run_on(config, rounds, rng);
+            site.run_on(config, steps, rng);
         }
     }
 }

@@ -33,18 +33,22 @@
 //! ascending by state ([`Executor::occupied`]): a program over `v` flags
 //! has `2^v` nominal states but a run occupies few of them, so set-up,
 //! assignments, `if exists` and every `execute` site cost `O(occupied)`.
-//! Each site keeps one [`SparseCountPopulation`] and runs it on those
-//! pairs ([`SparseCountPopulation::run_on`]); only
-//! [`ProgramExecutor::counts`] builds a vector over every state, on
-//! request.
+//! Each site ([`Site`]) keeps one [`SparseCountPopulation`] and runs it on
+//! those pairs ([`SparseCountPopulation::run_on`]), or, where its
+//! composition splits into independent components whose product outgrows
+//! them, one per component; only [`ProgramExecutor::counts`] builds a
+//! vector over every state, on request.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
 use pp_engine::counts::SparseCountPopulation;
+use pp_engine::prof::{self, Section};
+use pp_engine::protocol::{Protocol, RuleMasks};
 use pp_engine::rng::SimRng;
-use pp_rules::{FlagProtocol, Guard, Ruleset, Var, VarSet};
+use pp_engine::sim::round_steps;
+use pp_rules::{FlagProtocol, Guard, Rule, Ruleset, Var, VarSet, MAX_VARS};
 
 /// Site key of the raw-only run that charges assignments and conditions
 /// (no ruleset lives at address 0).
@@ -72,16 +76,16 @@ pub trait StateSpace {
     /// The state of the packed variable mask `packed`.
     fn state(&self, packed: u32) -> usize;
 
-    /// Runs `ruleset` composed with the program's raw threads — the raw
-    /// threads alone for `None`, the overhead site — under the fair
-    /// scheduler for `rounds` rounds on `config`, in place (see
+    /// Runs exactly `steps` interactions of `ruleset` composed with the
+    /// program's raw threads — the raw threads alone for `None`, the
+    /// overhead site — under the fair scheduler on `config`, in place (see
     /// [`SparseCountPopulation::run_on`]). A site with no rule to run
     /// leaves `config` as it is.
     fn schedule(
         &mut self,
         ruleset: Option<&Ruleset>,
         config: &mut Vec<(usize, u64)>,
-        rounds: f64,
+        steps: u64,
         rng: &mut SimRng,
     );
 }
@@ -111,13 +115,12 @@ pub struct Packed<'p> {
     vars: &'p VarSet,
     /// The raw threads composed, if the program has any.
     raw: Option<Ruleset>,
-    /// Per-site populations, built from the configuration at first use
-    /// and kept across the site's runs: each `execute` site (keyed by its
-    /// ruleset's address inside the borrowed program, stable for the
-    /// executor's life) composed with the raw threads, and the raw threads
-    /// alone under [`OVERHEAD_SITE`]. `None` where the composition has no
-    /// rule to run.
-    sites: HashMap<usize, Option<SparseCountPopulation<FlagProtocol>>>,
+    /// Per-site runners, built at the site's first run and kept across its
+    /// runs: each `execute` site (keyed by its ruleset's address inside the
+    /// borrowed program, stable for the executor's life) composed with the
+    /// raw threads, and the raw threads alone under [`OVERHEAD_SITE`].
+    /// `None` where the composition has no rule to run.
+    sites: HashMap<usize, Option<Site>>,
 }
 
 impl StateSpace for Packed<'_> {
@@ -137,7 +140,7 @@ impl StateSpace for Packed<'_> {
         &mut self,
         ruleset: Option<&Ruleset>,
         config: &mut Vec<(usize, u64)>,
-        rounds: f64,
+        steps: u64,
         rng: &mut SimRng,
     ) {
         let key = ruleset.map_or(OVERHEAD_SITE, |rs| std::ptr::from_ref(rs) as usize);
@@ -149,14 +152,381 @@ impl StateSpace for Packed<'_> {
                 (None, Some(raw)) => raw.clone(),
                 (None, None) => return None,
             };
-            (!combined.is_empty()).then(|| {
-                let protocol = FlagProtocol::new(vars.clone(), combined, "exec");
-                SparseCountPopulation::from_pairs(protocol, config)
-            })
+            (!combined.is_empty()).then(|| Site::new(vars, combined, config))
         });
         if let Some(site) = site {
-            site.run_on(config, rounds, rng);
+            site.run(config, steps, rng);
         }
+    }
+}
+
+/// Bit offset of the origin tag in a component state ([`Tagged`]): packed
+/// masks use the bits below it.
+const ORIGIN: usize = MAX_VARS;
+
+/// The current packed mask of a component state.
+const CURRENT: usize = (1 << ORIGIN) - 1;
+
+const _: () = assert!(
+    2 * ORIGIN < usize::BITS as usize,
+    "a component state holds two masks"
+);
+
+/// One scheduler site: a composed ruleset under the fair scheduler, run on
+/// the executor's configuration (DESIGN.md §9, "Factored sites").
+///
+/// A composition splits into *components*: two rules are joined when one
+/// writes a flag the other reads or writes, so flags no rule writes
+/// (inputs) may be read by several components. A rule that writes nothing
+/// is a no-op wherever the scheduler picks it and belongs to none. When
+/// two or more components are live and the dispatch rule says so, the
+/// site runs one [`SparseCountPopulation`] per component on (origin,
+/// current) projections of that component's flags instead of one
+/// population over the components' product:
+///
+/// * the `steps` interactions are split by a multinomial over the
+///   components' rule slots in the composition (replicas included; the
+///   no-op slots keep their share), and each component runs exactly its
+///   share — the slot a step draws is independent of its pair, and a
+///   component's steps touch only its own flags;
+/// * each agent's component flags end where its component run took an
+///   agent of the same origin projection: agents that start with the same
+///   projection are exchangeable in that run, so the joint configuration
+///   is rebuilt by relabelling each component's flags within its origin
+///   classes through multivariate-hypergeometric splits.
+///
+/// That is the composed site's law exactly, at any `n`;
+/// `tests/factored_sites.rs` checks it against the exact transient law.
+pub struct Site {
+    /// The composed ruleset as one protocol over whole packed masks.
+    composed: FlagProtocol,
+    /// Its population, built at the site's first composed run.
+    whole: Option<SparseCountPopulation<FlagProtocol>>,
+    /// The live components, in order of their first rule slot; empty when
+    /// there are fewer than two.
+    parts: Vec<Part>,
+    /// Whether [`Site::run`] goes through the components, as
+    /// [`Site::factors`] decided at the site's first run.
+    factored: bool,
+}
+
+/// A component of a site's composition and its population.
+struct Part {
+    /// Flags its rules read or write.
+    flags: usize,
+    /// Flags its rules write.
+    writes: usize,
+    /// Its rule slots in the composition, replicas included.
+    slots: u64,
+    protocol: Tagged,
+    /// Built at the site's first factored run.
+    pop: Option<SparseCountPopulation<Tagged>>,
+}
+
+impl Part {
+    /// The component state of an agent in packed state `s` at the start of
+    /// a run: its current projection, tagged with the written flags as its
+    /// origin.
+    fn tag(&self, s: usize) -> usize {
+        (s & self.flags) | (s & self.writes) << ORIGIN
+    }
+}
+
+impl Site {
+    /// The runner of the composed ruleset `combined` over `vars`, built at
+    /// its first run, on `config`, which decides its dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `combined` is empty.
+    #[must_use]
+    pub fn new(vars: &VarSet, combined: Ruleset, config: &[(usize, u64)]) -> Self {
+        let parts = components(vars, &combined);
+        let mut site = Self {
+            composed: FlagProtocol::new(vars.clone(), combined, "exec"),
+            whole: None,
+            parts: if parts.len() >= 2 { parts } else { Vec::new() },
+            factored: false,
+        };
+        site.factored = site.factors(config);
+        site
+    }
+
+    /// Number of live components of the composition, 0 when it has fewer
+    /// than two (and so always runs composed).
+    #[must_use]
+    pub fn components(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The dispatch rule (DESIGN.md §9): whether the site runs factored,
+    /// from its composition and the configuration `config` of its first
+    /// run. A run moves only written flags, so the composed population
+    /// ranges over `k_fixed · Π_c 2^{w_c}` states, `k_fixed` the values the
+    /// unwritten flags take in `config` and `w_c` the flags component `c`
+    /// writes; component `c` ranges over `u_c · 4^{w_c}` (origin, current)
+    /// pairs, `u_c` the values of the unwritten flags it reads. The site
+    /// factors when `Σ_c u_c · 4^{w_c} < k_fixed · Π_c 2^{w_c}`. Two
+    /// components with at most two fixed values never do, since
+    /// `4^a + 4^b ≥ 2 · 2^{a+b}`: factoring pays where the components' product
+    /// outgrows their pairs.
+    fn factors(&self, config: &[(usize, u64)]) -> bool {
+        if self.parts.is_empty() {
+            return false;
+        }
+        let values = |mask: usize| {
+            let mut v: Vec<usize> = config.iter().map(|&(s, _)| s & mask).collect();
+            v.sort_unstable();
+            v.dedup();
+            v.len() as u128
+        };
+        let written = self.parts.iter().fold(0, |m, p| m | p.writes);
+        let pairs: u128 = self
+            .parts
+            .iter()
+            .map(|p| values(p.flags & !p.writes) << (2 * p.writes.count_ones()))
+            .sum();
+        pairs < values(CURRENT & !written) << written.count_ones()
+    }
+
+    /// Runs exactly `steps` interactions of the site on `config`, in place:
+    /// composed or factored, as [`Site::factors`] decided.
+    pub(crate) fn run(&mut self, config: &mut Vec<(usize, u64)>, steps: u64, rng: &mut SimRng) {
+        let _site_span = prof::section(Section::ProgramSite);
+        if self.factored {
+            self.run_factored(config, steps, rng);
+        } else {
+            self.run_composed(config, steps, rng);
+        }
+    }
+
+    /// Runs the composition as one population over whole packed masks.
+    fn run_composed(&mut self, config: &mut Vec<(usize, u64)>, steps: u64, rng: &mut SimRng) {
+        let composed = &self.composed;
+        self.whole
+            .get_or_insert_with(|| SparseCountPopulation::from_pairs(composed.clone(), config))
+            .run_on(config, steps, rng);
+    }
+
+    /// Runs the composition as one population per component, then
+    /// relabels the joint configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the composition has fewer than two live components.
+    pub fn run_factored(&mut self, config: &mut Vec<(usize, u64)>, steps: u64, rng: &mut SimRng) {
+        assert!(!self.parts.is_empty(), "a single component runs composed");
+        let mut left = steps;
+        let mut slots_left = self.composed.ruleset().len() as u64;
+        let shares: Vec<u64> = self
+            .parts
+            .iter()
+            .map(|part| {
+                let share = if part.slots == slots_left {
+                    left
+                } else {
+                    rng.binomial(left, part.slots as f64 / slots_left as f64)
+                };
+                left -= share;
+                slots_left -= part.slots;
+                share
+            })
+            .collect();
+        let mut ran = Vec::new();
+        for (part, share) in self.parts.iter_mut().zip(shares) {
+            if share == 0 {
+                continue;
+            }
+            ran.clear();
+            ran.extend(config.iter().map(|&(s, c)| (part.tag(s), c)));
+            merge(&mut ran);
+            let protocol = &part.protocol;
+            part.pop
+                .get_or_insert_with(|| SparseCountPopulation::from_pairs(protocol.clone(), &ran))
+                .run_on(&mut ran, share, rng);
+            relabel(config, part, &ran, rng);
+        }
+    }
+}
+
+/// Rebuilds the joint configuration `config` after `part` ran to `ran`:
+/// the agents of each joint state take their component's written flags
+/// from the outcomes of their origin class, in a multivariate
+/// hypergeometric split of what the class still holds. Joint states are
+/// visited in ascending order and each class's outcomes from the largest,
+/// so most splits end at their first draw; the draws are deterministic.
+fn relabel(config: &mut Vec<(usize, u64)>, part: &Part, ran: &[(usize, u64)], rng: &mut SimRng) {
+    let (flags, writes) = (part.flags, part.writes);
+    // (origin class, written flags now, agents), by class, then the
+    // largest outcome first.
+    let mut urns: Vec<(usize, usize, u64)> = ran
+        .iter()
+        .map(|&(t, c)| ((t & CURRENT & !writes) | t >> ORIGIN, t & writes, c))
+        .collect();
+    if urns.iter().all(|&(class, now, _)| class & writes == now) {
+        return;
+    }
+    let _relabel_span = prof::section(Section::SiteRelabel);
+    urns.sort_unstable_by_key(|&(class, now, c)| (class, std::cmp::Reverse(c), now));
+    let mut moved = Vec::with_capacity(config.len() + urns.len());
+    for &(s, count) in config.iter() {
+        let class = s & flags;
+        let start = urns.partition_point(|u| u.0 < class);
+        let len = urns[start..].partition_point(|u| u.0 == class);
+        let urn = &mut urns[start..start + len];
+        let mut total: u64 = urn.iter().map(|u| u.2).sum();
+        let mut draws = count;
+        for outcome in urn {
+            let x = if outcome.2 == total {
+                draws
+            } else if draws == 1 {
+                u64::from(rng.below(total) < outcome.2)
+            } else {
+                rng.hypergeometric(total, outcome.2, draws)
+            };
+            total -= outcome.2;
+            outcome.2 -= x;
+            draws -= x;
+            if x > 0 {
+                moved.push(((s & !writes) | outcome.1, x));
+            }
+            if draws == 0 {
+                break;
+            }
+        }
+        debug_assert_eq!(draws, 0, "an origin class holds its agents");
+    }
+    merge(&mut moved);
+    *config = moved;
+}
+
+/// The live components of the composition `rules` over `vars`, in order of
+/// their first rule slot. A component's protocol lists each of its distinct
+/// rules its slot count over the greatest common divisor of those counts,
+/// so a uniform pick among them is one among its slots.
+fn components(vars: &VarSet, rules: &Ruleset) -> Vec<Part> {
+    let rules = rules.rules();
+    let written: Vec<usize> = rules
+        .iter()
+        .map(|r| (r.update_a.set | r.update_a.clear | r.update_b.set | r.update_b.clear) as usize)
+        .collect();
+    let touched: Vec<usize> = rules
+        .iter()
+        .zip(&written)
+        .map(|(r, &w)| {
+            let read = r.guard_a.vars().into_iter().chain(r.guard_b.vars());
+            read.fold(w, |m, v| m | v.mask() as usize)
+        })
+        .collect();
+    let mut root: Vec<usize> = (0..rules.len()).collect();
+    fn find(root: &mut [usize], mut i: usize) -> usize {
+        while root[i] != i {
+            root[i] = root[root[i]];
+            i = root[i];
+        }
+        i
+    }
+    // A flag some rule writes joins every rule that touches it and writes
+    // anything; a rule that writes nothing is a no-op and joins nothing.
+    for bit in (0..MAX_VARS).map(|f| 1 << f) {
+        if written.iter().all(|&w| w & bit == 0) {
+            continue;
+        }
+        let mut joined = (0..rules.len()).filter(|&i| touched[i] & bit != 0 && written[i] != 0);
+        if let Some(first) = joined.next() {
+            for i in joined {
+                let (a, b) = (find(&mut root, first), find(&mut root, i));
+                root[b] = a;
+            }
+        }
+    }
+    let root_of: Vec<usize> = (0..rules.len()).map(|i| find(&mut root, i)).collect();
+    let mut roots: Vec<usize> = Vec::new();
+    for i in (0..rules.len()).filter(|&i| written[i] != 0) {
+        if !roots.contains(&root_of[i]) {
+            roots.push(root_of[i]);
+        }
+    }
+    roots
+        .into_iter()
+        .map(|r| {
+            let members: Vec<usize> = (0..rules.len())
+                .filter(|&i| written[i] != 0 && root_of[i] == r)
+                .collect();
+            let mut distinct: Vec<(&Rule, u64)> = Vec::new();
+            for &i in &members {
+                match distinct.iter_mut().find(|(seen, _)| **seen == rules[i]) {
+                    Some((_, m)) => *m += 1,
+                    None => distinct.push((&rules[i], 1)),
+                }
+            }
+            let g = distinct.iter().fold(0, |g, &(_, m)| gcd(g, m));
+            let ruleset = distinct
+                .iter()
+                .flat_map(|&(rule, m)| std::iter::repeat_n(rule.clone(), (m / g) as usize))
+                .collect();
+            Part {
+                flags: members.iter().fold(0, |m, &i| m | touched[i]),
+                writes: members.iter().fold(0, |m, &i| m | written[i]),
+                slots: members.len() as u64,
+                protocol: Tagged(FlagProtocol::new(vars.clone(), ruleset, "exec")),
+                pop: None,
+            }
+        })
+        .collect()
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// A component's protocol on (origin, current) pairs: its rules act on the
+/// current packed mask below [`ORIGIN`]; the origin's written flags ride
+/// above it untouched, so agents of different origins stay apart.
+#[derive(Clone)]
+struct Tagged(FlagProtocol);
+
+impl Tagged {
+    fn retag((a2, b2): (usize, usize), a: usize, b: usize) -> (usize, usize) {
+        (a2 | (a & !CURRENT), b2 | (b & !CURRENT))
+    }
+}
+
+impl Protocol for Tagged {
+    fn num_states(&self) -> usize {
+        1 << (2 * ORIGIN)
+    }
+
+    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+        Self::retag(self.0.interact(a & CURRENT, b & CURRENT, rng), a, b)
+    }
+
+    fn is_reactive(&self, a: usize, b: usize) -> bool {
+        self.0.is_reactive(a & CURRENT, b & CURRENT)
+    }
+
+    fn weight_scale(&self) -> u32 {
+        self.0.weight_scale()
+    }
+
+    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
+        Self::retag(
+            self.0.interact_slot(a & CURRENT, b & CURRENT, slot, rng),
+            a,
+            b,
+        )
+    }
+
+    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
+        self.0.rule_masks(state & CURRENT)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
     }
 }
 
@@ -236,6 +606,17 @@ impl<'p> Executor<'p> {
     #[must_use]
     pub fn occupied(&self) -> &[(usize, u64)] {
         &self.config
+    }
+
+    /// The scheduler sites built so far, ascending: for each, its live
+    /// components ([`Site::components`]) and whether it runs factored, as
+    /// the dispatch rule decided at its first run (DESIGN.md §9).
+    #[must_use]
+    pub fn sites(&self) -> Vec<(usize, bool)> {
+        let sites = self.space.sites.values().flatten();
+        let mut sites: Vec<(usize, bool)> = sites.map(|s| (s.components(), s.factored)).collect();
+        sites.sort_unstable();
+        sites
     }
 }
 
@@ -435,11 +816,12 @@ impl<'p, S: StateSpace> ProgramExecutor<'p, S> {
     }
 
     /// Runs `ruleset` (if any) composed with the raw threads under the fair
-    /// scheduler for `duration` rounds.
+    /// scheduler for `duration` rounds: `⌈duration · n⌉` interactions.
     fn run_scheduler(&mut self, ruleset: Option<&Ruleset>, duration: f64) {
         self.rounds += duration;
+        let steps = round_steps(duration, self.n);
         self.space
-            .schedule(ruleset, &mut self.config, duration, &mut self.rng);
+            .schedule(ruleset, &mut self.config, steps, &mut self.rng);
     }
 }
 
@@ -462,7 +844,6 @@ mod tests {
     use super::*;
     use crate::ast::build::*;
     use pp_rules::parse::parse_ruleset;
-    use pp_rules::{VarSet, MAX_VARS};
 
     fn program_with(vars: VarSet, threads: Vec<Thread>) -> Program {
         Program {

@@ -630,8 +630,9 @@ fn interpreted_run(
 /// backend before the dense site path was removed, and must still end on
 /// the same counts after the same rounds. The exact-three counts were
 /// re-recorded when the leap began to draw its rule slot, initiator and
-/// responder from one rank (slot-sampled leaps); the semilinear run's did
-/// not move.
+/// responder from one rank (slot-sampled leaps); both were re-recorded
+/// when their sites began to run one population per independent thread
+/// component (factored sites), which draws differently from the same law.
 #[test]
 fn wide_program_sites_match_pinned_golden() {
     use population_protocols::core::protocols::plurality::plurality_exact_three;
@@ -644,7 +645,7 @@ fn wide_program_sites_match_pinned_golden() {
     let groups = [(vec![c[0]], 22u64), (vec![c[1]], 20), (vec![c[2]], 18)];
     assert_eq!(
         interpreted_run(&program, &groups, 0x5eed_0003, 2),
-        (0x860e_5dfa_27f6_03a7, 147.396_404_239_995_6)
+        (0xbe64_94c2_3731_8665, 147.396_404_239_995_6)
     );
 
     let program = semilinear_comparison_exact(1);
@@ -653,6 +654,6 @@ fn wide_program_sites_match_pinned_golden() {
     let groups = [(vec![a], 26u64), (vec![b], 26), (vec![], 8)];
     assert_eq!(
         interpreted_run(&program, &groups, 0x5eed_0021, 1),
-        (0xcf12_4f85_6286_aec5, 171.962_471_613_328_26)
+        (0xdfc4_cd4c_2140_9d25, 171.962_471_613_328_26)
     );
 }

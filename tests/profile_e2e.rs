@@ -183,13 +183,33 @@ fn oscillator_profile_attributes_dense_wall_time() {
 }
 
 /// A program's sites run on the sparse backend, and the
-/// profile names what it ran: `sparse_leap` sections under
+/// profile names what it ran: each site run a `program_site`, its
+/// factored components' `sparse_step_batch` sections and its
+/// `site_relabel` under it, `sparse_leap` sections under
 /// `sparse_step_batch`, with `leap_pick` and `leap_upkeep` under them,
 /// and the leap in the regime counters: leaps skip most interactions and
-/// no collision epoch runs.
+/// no collision epoch runs. The named sections hold nearly all of the
+/// run's wall time.
 #[test]
 fn plurality_exact_profile_names_the_sparse_leap() {
     let run = profile("sparse.jsonl", &PLURALITY_EXACT);
+    let frac = run
+        .report
+        .get("attributed_frac")
+        .and_then(Json::as_f64)
+        .expect("attributed_frac present");
+    assert!(
+        frac >= 0.9,
+        "profile attributed only {:.1}% of wall time",
+        frac * 100.0
+    );
+    let site = run.section("program_site");
+    assert_eq!(parent_of(site), None);
+    for name in ["sparse_step_batch", "site_relabel"] {
+        let section = run.section(name);
+        assert_eq!(parent_of(section), Some("program_site"), "{name}");
+        assert!(calls(section) > 0, "{name}");
+    }
     let leap = run.section("sparse_leap");
     assert_eq!(parent_of(leap), Some("sparse_step_batch"));
     assert!(calls(leap) > 0);
