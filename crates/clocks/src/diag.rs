@@ -110,16 +110,6 @@ impl TickTracer {
         &self.ticks[level]
     }
 
-    /// Number of ticks recorded at `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range.
-    #[must_use]
-    pub fn tick_count(&self, level: usize) -> usize {
-        self.ticks[level].len()
-    }
-
     /// Ticks per round at `level` over the observed window, or `None` if
     /// no time has elapsed. Adjacent levels should differ by `Θ(log n)`.
     #[must_use]
@@ -489,9 +479,9 @@ mod tests {
             tracer.observe(&pop);
         }
         assert!(
-            tracer.tick_count(0) > 3,
+            tracer.ticks(0).len() > 3,
             "base clock ticks: {}",
-            tracer.tick_count(0)
+            tracer.ticks(0).len()
         );
         for t in tracer.ticks(0) {
             assert!(t.phase < 12);

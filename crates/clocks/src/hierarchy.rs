@@ -215,13 +215,6 @@ impl<O: Oscillator, C: XControl> ClockHierarchy<O, C> {
         agent.cur[level].phase
     }
 
-    /// The full time path of an agent: phases of all levels, outermost
-    /// first (the paper's `τ = (τ_{l_max}, …, τ₁)`).
-    #[must_use]
-    pub fn time_path(&self, agent: &HierAgent) -> Vec<u8> {
-        (0..self.levels).rev().map(|j| agent.cur[j].phase).collect()
-    }
-
     /// One oscillator interaction on a level's pair of states. `X` agents
     /// stay pinned to the source state whatever the rule returns (their
     /// component *is* the source state by invariant).
@@ -429,7 +422,7 @@ mod tests {
         assert!(h.is_x(&a));
         assert_eq!(a.cur[0].osc as usize, h.oscillator().x_state());
         assert!(a.armed(1) && a.armed(2));
-        assert_eq!(h.time_path(&a), vec![0, 0, 0]);
+        assert!((0..3).all(|level| h.phase(&a, level) == 0));
     }
 
     #[test]

@@ -206,39 +206,20 @@ impl Oscillator for RpsOscillator {
 /// * `A_i^hi + A_{i−1}^* → A_i^lo + A_i^lo` — a charged predator converts
 ///   prey, spending its charge;
 /// * `A_i^lo + A_{i−1}^* → A_i^lo + A_i^lo` with probability
-///   [`Dk18Oscillator::weak_predation`] — residual predation keeping the
-///   dynamic close to plain RPS.
-#[derive(Debug, Clone, Copy)]
-pub struct Dk18Oscillator {
-    /// Probability that an uncharged predator still converts prey.
-    weak_predation: f64,
-}
+///   [`WEAK_PREDATION`] — residual predation keeping the dynamic close to
+///   plain RPS.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Dk18Oscillator;
+
+/// Probability that an uncharged [`Dk18Oscillator`] predator still
+/// converts prey.
+pub const WEAK_PREDATION: f64 = 0.25;
 
 impl Dk18Oscillator {
-    /// Creates the oscillator with the default weak-predation rate (¼).
+    /// Creates the oscillator.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            weak_predation: 0.25,
-        }
-    }
-
-    /// Overrides the uncharged predation probability (ablation knob).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    #[must_use]
-    pub fn with_weak_predation(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        self.weak_predation = p;
-        self
-    }
-
-    /// The configured uncharged predation probability.
-    #[must_use]
-    pub fn weak_predation(&self) -> f64 {
-        self.weak_predation
+        Self
     }
 
     fn charge_of(state: usize) -> bool {
@@ -248,12 +229,6 @@ impl Dk18Oscillator {
 
     fn make_state(species: usize, hi: bool) -> usize {
         1 + 2 * species + usize::from(hi)
-    }
-}
-
-impl Default for Dk18Oscillator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -332,11 +307,7 @@ impl Dk18Oscillator {
         pred_first: bool,
     ) -> (usize, usize) {
         let charged = Self::charge_of(pred_state);
-        let converts = if charged {
-            true
-        } else {
-            self.weak_predation > 0.0 && rng.chance(self.weak_predation)
-        };
+        let converts = charged || rng.chance(WEAK_PREDATION);
         if !converts {
             return if pred_first {
                 (pred_state, prey_state)
@@ -398,7 +369,7 @@ impl Dk18Oscillator {
         pred_first: bool,
     ) -> Vec<((usize, usize), f64)> {
         let charged = Self::charge_of(pred_state);
-        let p_convert = if charged { 1.0 } else { self.weak_predation };
+        let p_convert = if charged { 1.0 } else { WEAK_PREDATION };
         let new_pred = Self::make_state(pred_species, false);
         let converted = (new_pred, new_pred);
         let unchanged = if pred_first {
@@ -452,21 +423,6 @@ pub fn central_init<O: Oscillator>(osc: &O, n: u64, x: u64) -> Vec<u64> {
     for s in 0..NUM_SPECIES {
         counts[osc.species_state(s)] = rest / 3 + u64::from((rest % 3) as usize > s);
     }
-    counts
-}
-
-/// Builds an initial count vector with `x` source agents and all remaining
-/// agents in one species (a post-takeover configuration).
-///
-/// # Panics
-///
-/// Panics if `x > n` or `species >= 3`.
-#[must_use]
-pub fn dominant_init<O: Oscillator>(osc: &O, n: u64, x: u64, species: usize) -> Vec<u64> {
-    assert!(x <= n);
-    let mut counts = vec![0u64; osc.num_states()];
-    counts[osc.x_state()] = x;
-    counts[osc.species_state(species)] = n - x;
     counts
 }
 
@@ -569,7 +525,7 @@ mod tests {
 
     #[test]
     fn dk18_weak_predation_rate() {
-        let osc = Dk18Oscillator::new().with_weak_predation(0.25);
+        let osc = Dk18Oscillator::new();
         let mut rng = SimRng::seed_from(6);
         let pred_lo = Dk18Oscillator::make_state(1, false);
         let prey = Dk18Oscillator::make_state(0, false);
@@ -577,7 +533,7 @@ mod tests {
             .filter(|_| osc.interact(pred_lo, prey, &mut rng).1 != prey)
             .count();
         let rate = converted as f64 / 40_000.0;
-        assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
+        assert!((rate - WEAK_PREDATION).abs() < 0.01, "rate {rate}");
     }
 
     #[test]
@@ -593,14 +549,11 @@ mod tests {
     }
 
     #[test]
-    fn init_builders_preserve_population() {
+    fn central_init_preserves_population() {
         let osc = Dk18Oscillator::new();
         let c = central_init(&osc, 1000, 5);
         assert_eq!(c.iter().sum::<u64>(), 1000);
         assert_eq!(c[osc.x_state()], 5);
-        let d = dominant_init(&osc, 100, 1, 2);
-        assert_eq!(d.iter().sum::<u64>(), 100);
-        assert_eq!(d[osc.species_state(2)], 99);
     }
 
     #[test]
@@ -617,7 +570,9 @@ mod tests {
     fn source_keeps_every_species_alive() {
         // With a source present, no species can stay extinct long.
         let osc = Dk18Oscillator::new();
-        let init = dominant_init(&osc, 500, 2, 0);
+        let mut init = vec![0u64; osc.num_states()];
+        init[osc.x_state()] = 2;
+        init[osc.species_state(0)] = 498;
         let mut pop = CountPopulation::from_counts(&osc, &init);
         let mut rng = SimRng::seed_from(7);
         let mut seen = [false; NUM_SPECIES];

@@ -57,39 +57,6 @@ pub(crate) fn estimated_epoch_len(n: u64) -> f64 {
     (std::f64::consts::PI * n as f64 / 8.0).sqrt()
 }
 
-/// Parses the `counts` array and step counter of a dense count backend's
-/// snapshot, checking them against the simulator's `k` states and `n`
-/// agents.
-pub(crate) fn parse_count_snapshot(
-    state: &Json,
-    k: usize,
-    n: u64,
-    backend: &str,
-) -> Result<(Vec<u64>, u64), String> {
-    let arr = state
-        .get("counts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{backend} snapshot missing count array"))?;
-    if arr.len() != k {
-        return Err(format!(
-            "snapshot has {} states, simulator protocol has {k}",
-            arr.len()
-        ));
-    }
-    let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
-    let counts = arr
-        .iter()
-        .map(parse_hex_u64)
-        .collect::<Result<Vec<_>, _>>()?;
-    let total: u64 = counts.iter().sum();
-    if total != n {
-        return Err(format!(
-            "snapshot population {total} does not match simulator population {n}"
-        ));
-    }
-    Ok((counts, steps))
-}
-
 /// A population represented by per-state agent counts.
 ///
 /// # Examples
@@ -446,8 +413,29 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let (weights, steps) =
-            parse_count_snapshot(state, self.protocol.num_states(), self.n, "counts")?;
+        let k = self.protocol.num_states();
+        let arr = state
+            .get("counts")
+            .and_then(Json::as_arr)
+            .ok_or("counts snapshot missing count array")?;
+        if arr.len() != k {
+            return Err(format!(
+                "snapshot has {} states, simulator protocol has {k}",
+                arr.len()
+            ));
+        }
+        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
+        let weights = arr
+            .iter()
+            .map(parse_hex_u64)
+            .collect::<Result<Vec<_>, _>>()?;
+        let total: u64 = weights.iter().sum();
+        if total != self.n {
+            return Err(format!(
+                "snapshot population {total} does not match simulator population {}",
+                self.n
+            ));
+        }
         let flag = |key: &str| state.get(key).and_then(Json::as_bool).unwrap_or(false);
         self.tree = Fenwick::from_weights(&weights);
         self.counts = weights;

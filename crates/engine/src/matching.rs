@@ -10,14 +10,12 @@
 //! hierarchy, is claimed to hold under both the asynchronous and the
 //! random-matching scheduler; experiment E12 checks this empirically.
 
-use crate::json::Json;
 use crate::metrics::Counter;
 use crate::population::Population;
 use crate::protocol::Protocol;
 use crate::recorder;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
-use crate::snapshot::{hex_u64, parse_hex_u64};
 
 /// A population driven by the random-matching synchronous scheduler.
 ///
@@ -187,63 +185,6 @@ impl<P: Protocol> Simulator for MatchingPopulation<P> {
             r.record_batch(&out);
         });
         out
-    }
-
-    fn backend_tag(&self) -> &'static str {
-        "matching"
-    }
-
-    /// Serializes the inner agent array, the shuffle buffer (its order
-    /// persists across rounds and seeds the next Fisher–Yates pass, so it is
-    /// RNG-visible), and the round counter.
-    fn snapshot(&self) -> Result<Json, String> {
-        Ok(Json::obj([
-            ("inner", self.inner.snapshot()?),
-            (
-                "order",
-                Json::Arr(
-                    self.order
-                        .iter()
-                        .map(|&i| Json::from(u64::from(i)))
-                        .collect(),
-                ),
-            ),
-            ("rounds", hex_u64(self.rounds)),
-        ]))
-    }
-
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let inner_state = state
-            .get("inner")
-            .ok_or("matching snapshot missing inner")?;
-        let arr = state
-            .get("order")
-            .and_then(Json::as_arr)
-            .ok_or("matching snapshot missing shuffle order")?;
-        let rounds = parse_hex_u64(state.get("rounds").unwrap_or(&Json::Null))?;
-        let n = self.order.len();
-        if arr.len() != n {
-            return Err(format!(
-                "snapshot shuffle order has {} entries, population has {n}",
-                arr.len()
-            ));
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for j in arr {
-            let i = j.as_u64().ok_or("shuffle entry is not an integer")? as usize;
-            if i >= n || seen[i] {
-                return Err(format!("shuffle order is not a permutation (entry {i})"));
-            }
-            seen[i] = true;
-            order.push(i as u32);
-        }
-        // Restore the inner population last so an order error leaves the
-        // simulator untouched.
-        self.inner.restore(inner_state)?;
-        self.order = order;
-        self.rounds = rounds;
-        Ok(())
     }
 }
 

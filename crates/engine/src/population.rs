@@ -6,12 +6,10 @@
 //! which the count-based backends cannot, and is the backend the
 //! random-matching scheduler ([`crate::matching`]) builds on.
 
-use crate::json::Json;
 use crate::protocol::Protocol;
 use crate::recorder;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
-use crate::snapshot::{hex_u64, parse_hex_u64};
 
 /// A population of `n` explicitly stored agents running protocol `P`.
 ///
@@ -220,58 +218,6 @@ impl<P: Protocol> Simulator for Population<P> {
         };
         recorder::record_batch(&out);
         out
-    }
-
-    fn backend_tag(&self) -> &'static str {
-        "agents"
-    }
-
-    /// Serializes the full agent array (the per-agent layout is part of the
-    /// RNG-visible state: `step` samples indices) plus the step counter; the
-    /// count vector is derived and rebuilt on restore.
-    fn snapshot(&self) -> Result<Json, String> {
-        Ok(Json::obj([
-            (
-                "agents",
-                Json::Arr(
-                    self.agents
-                        .iter()
-                        .map(|&a| Json::from(u64::from(a)))
-                        .collect(),
-                ),
-            ),
-            ("steps", hex_u64(self.steps)),
-        ]))
-    }
-
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let arr = state
-            .get("agents")
-            .and_then(Json::as_arr)
-            .ok_or("agents snapshot missing agent array")?;
-        if arr.len() != self.agents.len() {
-            return Err(format!(
-                "snapshot population {} does not match simulator population {}",
-                arr.len(),
-                self.agents.len()
-            ));
-        }
-        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
-        let k = self.protocol.num_states();
-        let mut agents = Vec::with_capacity(arr.len());
-        let mut counts = vec![0u64; k];
-        for j in arr {
-            let s = j.as_u64().ok_or("agent state is not an integer")? as usize;
-            if s >= k {
-                return Err(format!("agent state {s} out of range (k = {k})"));
-            }
-            counts[s] += 1;
-            agents.push(s as u32);
-        }
-        self.agents = agents;
-        self.counts = counts;
-        self.steps = steps;
-        Ok(())
     }
 }
 

@@ -147,8 +147,10 @@ pub trait Simulator {
         states.iter().map(|&s| self.count(s)).sum()
     }
 
-    /// Stable tag naming this backend in snapshot headers (`"agents"`,
-    /// `"counts"`, `"sparse"`, `"matching"`, `"faulty"`).
+    /// Stable tag naming this backend in snapshot headers: `"counts"` for
+    /// [`crate::counts::CountPopulation`] and `"faulty"` for
+    /// [`crate::faults::FaultyPopulation`], the two backends that
+    /// checkpoint.
     ///
     /// [`Simulator::restore`] refuses state saved under a different tag, so
     /// a snapshot can never be silently deserialized into the wrong backend
@@ -172,14 +174,12 @@ pub trait Simulator {
     ///
     /// # Errors
     ///
-    /// The default implementation reports that the backend has no snapshot
-    /// support; the four native backends and
-    /// [`crate::faults::FaultyPopulation`] never fail.
+    /// The default implementation declines with an error naming the
+    /// backend's type. [`crate::counts::CountPopulation`] overrides it and
+    /// never fails; [`crate::faults::FaultyPopulation`] fails only when its
+    /// inner backend declines.
     fn snapshot(&self) -> Result<Json, String> {
-        Err(format!(
-            "backend {:?} does not support snapshots",
-            self.backend_tag()
-        ))
+        Err(no_snapshots::<Self>())
     }
 
     /// Restores state previously produced by [`Simulator::snapshot`] into
@@ -191,14 +191,20 @@ pub trait Simulator {
     /// Returns a description of the mismatch when `state` was saved by a
     /// different backend, disagrees with this simulator's population size
     /// or state space, or is structurally malformed. On error the
-    /// simulator is left unchanged.
+    /// simulator is left unchanged. The default implementation declines as
+    /// [`Simulator::snapshot`] does.
     fn restore(&mut self, state: &Json) -> Result<(), String> {
         let _ = state;
-        Err(format!(
-            "backend {:?} does not support snapshots",
-            self.backend_tag()
-        ))
+        Err(no_snapshots::<Self>())
     }
+}
+
+/// The error of a backend without snapshots, naming its type.
+fn no_snapshots<S: ?Sized>() -> String {
+    format!(
+        "backend {} does not support snapshots",
+        std::any::type_name::<S>()
+    )
 }
 
 /// The interactions in `rounds` parallel rounds of `n` agents:

@@ -1,5 +1,12 @@
 //! Crash-safe checkpointing and exact resume.
 //!
+//! The runs that are checkpointed — the oscillator's and the fault
+//! recovery's, through `ppsim oscillator`, `ppsim faults` and
+//! `ppsim resume` — run on [`crate::counts::CountPopulation`], alone or
+//! inside [`crate::faults::FaultyPopulation`]; those two are the backends
+//! that implement [`Simulator::snapshot`]. Every other backend declines
+//! with an error naming it, so a snapshot is never partial.
+//!
 //! Long runs at production scale (hours at `n = 10⁸`) must survive process
 //! kills without throwing completed work away. Determinism makes that cheap: a
 //! run is a pure function of `(initial configuration, RNG state)`, so a
@@ -12,8 +19,9 @@
 //! [`RunSnapshot`] bundles the backend tag, the four xoshiro256\*\* state
 //! words plus the banked Box–Muller spare ([`SimRng::state_words`] /
 //! [`SimRng::spare_normal_bits`]), the backend's own resumable state from
-//! [`Simulator::snapshot`] (counts / agent arrays / fault-trigger progress;
-//! derived caches are rebuilt on restore), the counters of the run's
+//! [`Simulator::snapshot`] (the count vector, and the fault-trigger
+//! progress and event log when the fault wrapper is on top; derived caches
+//! are rebuilt on restore), the counters of the run's
 //! [`Recorder`] when one was installed, so a resumed process continues
 //! counting where the interrupted one stopped, and a free-form `meta`
 //! object for the harness (command, n, seed, checkpoint cadence, …).
@@ -38,10 +46,10 @@
 //! atomically renames it over the target (then fsyncs the directory), so a
 //! kill at any instant leaves either the old snapshot or the new one —
 //! never a torn file. [`SnapshotStore`] rotates the last `keep`
-//! generations; [`SnapshotStore::load_latest`] validates newest-first,
-//! reporting each corrupt generation as a [`Rejected`] record and degrading
-//! to the previous one (or to a clean restart when none survive) instead of
-//! aborting.
+//! generations; [`SnapshotStore::load_latest_at_most`] validates
+//! newest-first, reporting each corrupt generation as a [`Rejected`] record
+//! and degrading to the previous one (or to a clean restart when none
+//! survive) instead of aborting.
 
 use crate::json::Json;
 use crate::metrics::MetricsReport;
@@ -382,7 +390,8 @@ pub fn load_path(path: &Path) -> Result<RunSnapshot, String> {
     RunSnapshot::decode(&text)
 }
 
-/// One snapshot generation that [`SnapshotStore::load_latest`] skipped.
+/// One snapshot generation that [`SnapshotStore::load_latest_at_most`]
+/// skipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rejected {
     /// The skipped generation (0 when the directory scan itself failed).
@@ -454,16 +463,6 @@ impl SnapshotStore {
         Ok(gens)
     }
 
-    /// All snapshot generations currently on disk, ascending. Files that
-    /// do not match the generation naming scheme are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from reading the directory.
-    pub fn generations(&self) -> std::io::Result<Vec<(u64, PathBuf)>> {
-        Self::scan(&self.dir)
-    }
-
     /// Writes `snap` as the next generation (crash-safely, via
     /// [`write_atomic`]) and prunes generations beyond the last `keep`.
     /// Returns the path written.
@@ -484,19 +483,13 @@ impl SnapshotStore {
         Ok(path)
     }
 
-    /// Loads the newest valid snapshot, degrading past corruption instead
+    /// Loads the newest valid snapshot, of generation `≤ max_gen` when a
+    /// bound is given (used to resume from "the named snapshot or anything
+    /// older", never something newer), degrading past corruption instead
     /// of aborting: each unreadable or checksum-rejected generation is
     /// recorded as [`Rejected`] and the next-older one is tried. Returns
     /// `None` with the rejections when no generation survives — the caller
     /// falls back to a clean restart.
-    #[must_use]
-    pub fn load_latest(&self) -> (Option<(u64, PathBuf, RunSnapshot)>, Vec<Rejected>) {
-        self.load_latest_at_most(None)
-    }
-
-    /// Like [`SnapshotStore::load_latest`], but only considers generations
-    /// `≤ max_gen` when a bound is given (used to resume from "the named
-    /// snapshot or anything older", never something newer).
     #[must_use]
     pub fn load_latest_at_most(
         &self,
@@ -528,7 +521,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::counts::CountPopulation;
-    use crate::population::Population;
+    use crate::faults::{CorruptMode, FaultSpec, FaultyPopulation};
     use crate::protocol::TableProtocol;
     use crate::sim::Simulator;
 
@@ -617,53 +610,29 @@ mod tests {
         rewritten
     }
 
-    /// A snapshot of the agent backend.
-    fn agents_snapshot() -> RunSnapshot {
+    /// A snapshot of the fault wrapper over the counts backend, taken
+    /// after its corruption has fired.
+    fn faulty_snapshot() -> RunSnapshot {
         let p = TableProtocol::new(2, "epidemic")
             .rule(1, 0, 1, 1)
             .rule(0, 1, 1, 1);
-        let mut pop = Population::from_counts(p, &[50, 2]);
+        let spec = FaultSpec::new(0xfa11).corrupt(1.0, 0.1, CorruptMode::Randomize);
+        let mut pop = FaultyPopulation::new(CountPopulation::from_counts(&p, &[50, 2]), &spec)
+            .expect("valid spec");
         let mut rng = SimRng::seed_from(0xbeef);
-        pop.step_batch(&mut rng, 70);
-        RunSnapshot::capture(&pop, &rng).expect("agents backend supports snapshots")
+        pop.step_batch(&mut rng, 104);
+        assert!(!pop.events().is_empty(), "the corruption fired");
+        RunSnapshot::capture(&pop, &rng).expect("the fault wrapper snapshots")
     }
 
-    /// A snapshot of the sparse backend.
-    fn sparse_snapshot() -> RunSnapshot {
-        let p = TableProtocol::new(3, "cycle")
-            .rule(0, 1, 1, 1)
-            .rule(1, 2, 2, 2)
-            .rule(2, 0, 0, 0);
-        let mut pop = crate::counts::SparseCountPopulation::from_pairs(&p, &[(0, 40), (1, 30)]);
-        let mut rng = SimRng::seed_from(0x5a);
-        pop.step_batch(&mut rng, 500);
-        RunSnapshot::capture(&pop, &rng).expect("sparse backend snapshots")
-    }
-
-    /// `snap` inside the fault wrapper.
-    fn wrapped(snap: &RunSnapshot) -> RunSnapshot {
-        let mut faulty = snap.clone();
-        faulty.backend = "faulty".to_string();
-        faulty.state = Json::obj([
-            ("inner_backend", Json::from(snap.backend.as_str())),
-            ("inner", snap.state.clone()),
-        ]);
-        faulty
-    }
-
-    /// The reader takes [`FORMAT_VERSION`] only: whatever backend wrote a
-    /// snapshot, any other version is refused with one message naming the
+    /// The reader takes [`FORMAT_VERSION`] only: whichever of the two
+    /// checkpointed backends wrote a snapshot, any other version is refused with one message naming the
     /// version found and the one required. So is a document of another
     /// kind.
     #[test]
     fn decode_refuses_every_other_version_and_kind() {
         let counts = sample_snapshot();
-        for snap in [
-            &counts,
-            &wrapped(&counts),
-            &agents_snapshot(),
-            &sparse_snapshot(),
-        ] {
+        for snap in [&counts, &faulty_snapshot()] {
             let back = RunSnapshot::decode(&snap.encode()).expect("current version decodes");
             assert_eq!(back.state.render(), snap.state.render());
             for version in (1..FORMAT_VERSION).chain([999]) {
@@ -718,7 +687,7 @@ mod tests {
         for _ in 0..5 {
             paths.push(store.save(&snap).unwrap());
         }
-        let gens = store.generations().unwrap();
+        let gens = SnapshotStore::scan(&dir).unwrap();
         assert_eq!(
             gens.iter().map(|&(g, _)| g).collect::<Vec<_>>(),
             vec![2, 3, 4],
@@ -730,7 +699,7 @@ mod tests {
         let flip = bytes.len() - 10;
         bytes[flip] ^= 0x01;
         std::fs::write(newest, &bytes).unwrap();
-        let (loaded, rejected) = store.load_latest();
+        let (loaded, rejected) = store.load_latest_at_most(None);
         let (gen, path, _) = loaded.expect("older generation must survive");
         assert_eq!(gen, 3, "fallback picks the previous generation");
         assert_eq!(path, gens[1].1);
@@ -750,11 +719,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pp_snap_empty_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::open(&dir, 2).unwrap();
-        let (loaded, rejected) = store.load_latest();
+        let (loaded, rejected) = store.load_latest_at_most(None);
         assert!(loaded.is_none());
         assert!(rejected.is_empty());
         std::fs::write(dir.join("gen-0000000000.snap"), "garbage\n{oops").unwrap();
-        let (loaded, rejected) = store.load_latest();
+        let (loaded, rejected) = store.load_latest_at_most(None);
         assert!(loaded.is_none(), "garbage never parses into a state");
         assert_eq!(rejected.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);

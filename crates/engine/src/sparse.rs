@@ -46,13 +46,11 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::json::Json;
 use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
 use crate::sim::{run_steps, BatchOutcome, Simulator, StepOutcome};
-use crate::snapshot::{hex_u64, parse_hex_u64};
 
 /// Occupied slots per block of the per-step sampler's second level. With
 /// at most this many occupied states there is one block, and a draw is the
@@ -449,22 +447,6 @@ enum Regime {
     Leap,
 }
 
-impl Regime {
-    fn name(self) -> &'static str {
-        match self {
-            Regime::Undecided => "undecided",
-            Regime::PerStep => "per_step",
-            Regime::Leap => "leap",
-        }
-    }
-
-    fn parse(name: &str) -> Option<Self> {
-        [Regime::Undecided, Regime::PerStep, Regime::Leap]
-            .into_iter()
-            .find(|r| r.name() == name)
-    }
-}
-
 /// A population represented by a *sparse* map of per-state agent counts.
 ///
 /// Protocol compositions over boolean flag spaces can have huge nominal
@@ -546,9 +528,7 @@ impl<P: Protocol> SparseCountPopulation<P> {
             regime: Regime::Undecided,
             window: [0; 3],
         };
-        if let Err(e) = pop.fill(pairs) {
-            panic!("{e}");
-        }
+        pop.fill(pairs);
         pop.window[0] = pop.base_window();
         pop
     }
@@ -592,40 +572,38 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.occupied.clear();
         self.slot_ids.clear();
         self.leap.live = false;
-        if let Err(e) = self.fill(pairs) {
-            panic!("{e}");
-        }
+        self.fill(pairs);
         run_steps(self, steps, rng);
         pairs.clone_from(&self.occupied);
         pairs.sort_unstable_by_key(|&(state, _)| state);
     }
 
     /// Occupies `pairs` in order on an empty occupied list and sets `n`.
-    fn fill(&mut self, pairs: &[(usize, u64)]) -> Result<(), String> {
+    ///
+    /// # Panics
+    ///
+    /// As [`SparseCountPopulation::from_pairs`].
+    fn fill(&mut self, pairs: &[(usize, u64)]) {
         let k = self.protocol.num_states();
         let mut n = 0u64;
         for &(state, count) in pairs {
-            if state >= k {
-                return Err(format!("state {state} out of range (k = {k})"));
-            }
+            assert!(state < k, "state {state} out of range (k = {k})");
             if count == 0 {
                 continue;
             }
             let id = self.intern(state);
-            if self.slot_of[id as usize] != NO_SLOT {
-                return Err(format!("state {state} listed twice"));
-            }
+            assert!(
+                self.slot_of[id as usize] == NO_SLOT,
+                "state {state} listed twice"
+            );
             self.slot_of[id as usize] = self.occupied.len() as u32;
             self.occupied.push((state, count));
             self.slot_ids.push(id);
             n += count;
         }
-        if n < 2 {
-            return Err("population must have at least 2 agents".to_string());
-        }
+        assert!(n >= 2, "population must have at least 2 agents");
         self.blocks = block_sums(&self.occupied);
         self.n = n;
-        Ok(())
     }
 
     /// The per-step window length a fresh window starts with.
@@ -1075,120 +1053,6 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
             recorder::with(|r| r.record_tallied_batch(&out, &t));
         }
         out
-    }
-
-    fn backend_tag(&self) -> &'static str {
-        "sparse"
-    }
-
-    /// Serializes the occupied list *in insertion order*, the step counter,
-    /// the regime and the per-step window. The order is RNG-visible —
-    /// both samplers map ranks in it and `add` swap-removes vacated
-    /// entries — and so are the regime and window, which decide when the
-    /// population leaps. The interned ids, the guard-class memo, the slot
-    /// counts and the block sums are derived and RNG-free, so they are
-    /// rebuilt.
-    fn snapshot(&self) -> Result<Json, String> {
-        Ok(Json::obj([
-            (
-                "occupied",
-                Json::Arr(
-                    self.occupied
-                        .iter()
-                        .map(|&(s, c)| Json::Arr(vec![Json::from(s as u64), hex_u64(c)]))
-                        .collect(),
-                ),
-            ),
-            ("steps", hex_u64(self.steps)),
-            ("regime", Json::from(self.regime.name())),
-            (
-                "window",
-                Json::Arr(self.window.iter().map(|&w| hex_u64(w)).collect()),
-            ),
-        ]))
-    }
-
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let arr = state
-            .get("occupied")
-            .and_then(Json::as_arr)
-            .ok_or("sparse snapshot missing occupied list")?;
-        let steps = parse_hex_u64(state.get("steps").unwrap_or(&Json::Null))?;
-        let regime = state
-            .get("regime")
-            .and_then(Json::as_str)
-            .and_then(Regime::parse)
-            .ok_or("sparse snapshot missing its regime")?;
-        let window = state
-            .get("window")
-            .and_then(Json::as_arr)
-            .filter(|w| w.len() == 3)
-            .ok_or("sparse snapshot window needs 3 entries")?;
-        let window = [
-            parse_hex_u64(&window[0])?,
-            parse_hex_u64(&window[1])?,
-            parse_hex_u64(&window[2])?,
-        ];
-        if window[0] == 0 || window[1] >= window[0] || window[2] > window[1] {
-            return Err("sparse snapshot window is inconsistent".to_string());
-        }
-        let mut pairs = Vec::with_capacity(arr.len());
-        for j in arr {
-            let pair = j
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("bad occupied entry")?;
-            let s = pair[0].as_u64().ok_or("occupied state is not an integer")? as usize;
-            let c = parse_hex_u64(&pair[1])?;
-            if c == 0 {
-                return Err(format!("occupied state {s} empty"));
-            }
-            pairs.push((s, c));
-        }
-        let total: u64 = pairs.iter().map(|&(_, c)| c).sum();
-        if total != self.n {
-            return Err(format!(
-                "snapshot population {total} does not match simulator population {}",
-                self.n
-            ));
-        }
-        // Fill a scratch copy so a bad list leaves the simulator untouched.
-        let mut restored = SparseCountPopulation {
-            protocol: &self.protocol,
-            occupied: Vec::new(),
-            slot_ids: Vec::new(),
-            blocks: Vec::new(),
-            ids: self.ids.clone(),
-            states: self.states.clone(),
-            slot_of: vec![NO_SLOT; self.states.len()],
-            n: 0,
-            steps: 0,
-            memo: None,
-            leap: SlotCounts::default(),
-            regime,
-            window,
-        };
-        restored.fill(&pairs)?;
-        let SparseCountPopulation {
-            occupied,
-            slot_ids,
-            blocks,
-            ids,
-            states,
-            slot_of,
-            ..
-        } = restored;
-        self.occupied = occupied;
-        self.slot_ids = slot_ids;
-        self.blocks = blocks;
-        self.ids = ids;
-        self.states = states;
-        self.slot_of = slot_of;
-        self.leap.live = false;
-        self.steps = steps;
-        self.regime = regime;
-        self.window = window;
-        Ok(())
     }
 }
 

@@ -86,16 +86,6 @@ impl<P: CoinProtocol> SyntheticCoin<P> {
     pub fn unpack(&self, state: usize) -> (usize, bool) {
         (state / 2, state % 2 == 1)
     }
-
-    /// The inner-state counts from a full count vector.
-    #[must_use]
-    pub fn inner_counts(&self, counts: &[u64]) -> Vec<u64> {
-        let mut out = vec![0u64; self.inner.num_states()];
-        for (s, &c) in counts.iter().enumerate() {
-            out[s / 2] += c;
-        }
-        out
-    }
 }
 
 impl<P: CoinProtocol> Protocol for SyntheticCoin<P> {
@@ -223,15 +213,5 @@ mod tests {
         };
         let t = run_until(&mut pop, &mut rng, 1e6, 16, |s| leaders(s) == 1);
         assert!(t.is_some(), "duel converges to one leader");
-    }
-
-    #[test]
-    fn inner_counts_aggregates_bits() {
-        let p = SyntheticCoin::new(Recorder);
-        let mut counts = vec![0u64; 6];
-        counts[p.pack(1, false)] = 3;
-        counts[p.pack(1, true)] = 4;
-        counts[p.pack(2, true)] = 5;
-        assert_eq!(p.inner_counts(&counts), vec![0, 7, 5]);
     }
 }

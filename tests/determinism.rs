@@ -1,6 +1,9 @@
 //! Replay determinism: the same `(seed, backend, protocol)` triple must
 //! yield byte-identical trace, fault-event, and metrics output across two
-//! runs, for all four backends under fault injection.
+//! runs, for all four backends under fault injection; and a run of the
+//! checkpointed backend, the count backend inside the fault wrapper,
+//! interrupted and resumed from its snapshot must yield the same bytes as
+//! the uninterrupted run.
 //!
 //! This is what makes injected-fault debugging workable: any incident from
 //! a sweep or CI run replays exactly from its seed, fault RNG included.
@@ -133,15 +136,14 @@ fn run_once<S: Simulator>(inner: S, seed: u64, n: u64, rounds: u64) -> (String, 
 /// (counters attached, via the full on-disk text encoding), discards the
 /// simulator and the recorder, then restores both into fresh ones —
 /// exactly what `ppsim resume` does after a SIGKILL — and finishes the run.
-/// The returned artifacts must be byte-identical to [`run_once`]'s; the
-/// snapshot's text comes last.
+/// The returned artifacts must be byte-identical to [`run_once`]'s.
 fn run_interrupted<S: Simulator>(
     make: impl Fn() -> S,
     seed: u64,
     n: u64,
     rounds: u64,
     cut: u64,
-) -> (String, String, String, String) {
+) -> (String, String, String) {
     // Build before installing the recorder, matching `run_once`'s
     // call-site argument evaluation — construction-time counter bumps are
     // not part of the recorded run in either flow.
@@ -184,7 +186,7 @@ fn run_interrupted<S: Simulator>(
     }
     drop(installed);
     let report = recorder.metrics().to_json().render();
-    (to_jsonl(&rows), pop.events_jsonl(), report, text)
+    (to_jsonl(&rows), pop.events_jsonl(), report)
 }
 
 /// Replays every backend twice on one scenario and asserts byte equality
@@ -236,9 +238,9 @@ fn assert_replay_byte_identical(
     }
 }
 
-/// Interrupts every backend at round `cut`, resumes from the checkpoint,
-/// and asserts the continued run's trace, fault events, and metrics are
-/// byte-identical to the uninterrupted run's.
+/// Interrupts the count backend at round `cut`, resumes from the
+/// checkpoint, and asserts the continued run's trace, fault events, and
+/// metrics are byte-identical to the uninterrupted run's.
 fn assert_interrupt_resume_byte_identical(
     scenario: &str,
     p: &TableProtocol,
@@ -248,60 +250,21 @@ fn assert_interrupt_resume_byte_identical(
     cut: u64,
 ) {
     let n: u64 = counts.iter().sum();
-    let backends: &[&str] = &["agents", "counts", "sparse", "matching"];
-    for &backend in backends {
-        let full = match backend {
-            "agents" => run_once(Population::from_counts(p, counts), seed, n, rounds),
-            "counts" => run_once(CountPopulation::from_counts(p, counts), seed, n, rounds),
-            "sparse" => run_once(
-                SparseCountPopulation::from_dense(p, counts),
-                seed,
-                n,
-                rounds,
-            ),
-            "matching" => run_once(MatchingPopulation::from_counts(p, counts), seed, n, rounds),
-            _ => unreachable!("unknown backend"),
-        };
-        let resumed = match backend {
-            "agents" => {
-                run_interrupted(|| Population::from_counts(p, counts), seed, n, rounds, cut)
-            }
-            "counts" => run_interrupted(
-                || CountPopulation::from_counts(p, counts),
-                seed,
-                n,
-                rounds,
-                cut,
-            ),
-            "sparse" => run_interrupted(
-                || SparseCountPopulation::from_dense(p, counts),
-                seed,
-                n,
-                rounds,
-                cut,
-            ),
-            "matching" => run_interrupted(
-                || MatchingPopulation::from_counts(p, counts),
-                seed,
-                n,
-                rounds,
-                cut,
-            ),
-            _ => unreachable!("unknown backend"),
-        };
-        assert_eq!(
-            full.0, resumed.0,
-            "{scenario}/{backend}: resumed trace must be byte-identical"
-        );
-        assert_eq!(
-            full.1, resumed.1,
-            "{scenario}/{backend}: resumed fault events must be byte-identical"
-        );
-        assert_eq!(
-            full.2, resumed.2,
-            "{scenario}/{backend}: resumed metrics must be byte-identical"
-        );
-    }
+    let make = || CountPopulation::from_counts(p, counts);
+    let full = run_once(make(), seed, n, rounds);
+    let resumed = run_interrupted(make, seed, n, rounds, cut);
+    assert_eq!(
+        full.0, resumed.0,
+        "{scenario}: resumed trace must be byte-identical"
+    );
+    assert_eq!(
+        full.1, resumed.1,
+        "{scenario}: resumed fault events must be byte-identical"
+    );
+    assert_eq!(
+        full.2, resumed.2,
+        "{scenario}: resumed metrics must be byte-identical"
+    );
 }
 
 /// Runs the enumeration-compiled executor (dense live-state ids +
@@ -358,8 +321,7 @@ fn dense_replay_is_byte_identical() {
 }
 
 // Wide scenario: hundreds of occupied states, so the sparse backend's
-// block sums are maintained through swap-removes across blocks and, on
-// resume, rebuilt from the restored occupied list.
+// block sums are maintained through swap-removes across blocks.
 #[test]
 fn wide_replay_is_byte_identical() {
     assert_replay_byte_identical("wide", &drift(WIDE_STATES), &wide_counts(), 1414, 12);
@@ -375,10 +337,10 @@ fn above_limit_replay_is_byte_identical() {
     assert_replay_byte_identical("above-limit", &rps_above_limit(), ABOVE_LIMIT, 1732, 12);
 }
 
-// Crash-and-resume at a mid-run checkpoint must be invisible in every
-// artifact, on both dispatch regimes. The cut lands after fault triggers
-// have partially fired, so trigger progress, the event log, and the
-// recorder's counters all ride through the snapshot.
+// Crash-and-resume at a mid-run checkpoint of the count backend must be
+// invisible in every artifact, on every dispatch regime. The cut lands
+// after fault triggers have partially fired, so trigger progress, the
+// event log, and the recorder's counters all ride through the snapshot.
 
 #[test]
 fn leap_resume_is_byte_identical() {
@@ -402,36 +364,34 @@ fn above_limit_resume_is_byte_identical() {
     assert_interrupt_resume_byte_identical("above-limit", &p, ABOVE_LIMIT, 1732, 12, 5);
 }
 
-/// Crash-and-resume while the sparse backend leaps: rock-paper-scissors
-/// (with rule masks) from a dominant state (n = 1 000, about 2% of pairs reactive) leaps
-/// until the fault plan's corruption spreads the agents out, then steps.
-/// The cut lands in the leap, so the regime and the per-step window ride
-/// through the snapshot, and the interned states, weight memo and row sums
-/// are rebuilt from the counts.
+/// Replay while the sparse backend switches regime: rock-paper-scissors
+/// (with rule masks) from a dominant state (n = 1 000, about 2% of pairs
+/// reactive) leaps until the fault plan's corruption spreads the agents
+/// out, then steps. Two runs must agree byte for byte across that switch.
 #[test]
-fn sparse_leap_resume_is_byte_identical() {
+fn sparse_leap_replay_is_byte_identical() {
     let p = SlottedRps(rps());
     let counts = [980, 10, 10];
-    let make = || SparseCountPopulation::from_dense(&p, &counts);
-    let full = run_once(make(), 2024, 1_000, 12);
-    let (trace, events, metrics, snapshot) = run_interrupted(make, 2024, 1_000, 12, 3);
-    assert!(
-        snapshot.contains("\"regime\":\"leap\""),
-        "the cut must land in the leap"
+    let run = || {
+        run_once(
+            SparseCountPopulation::from_dense(&p, &counts),
+            2024,
+            1_000,
+            12,
+        )
+    };
+    let (trace_a, events_a, metrics_a) = run();
+    let (trace_b, events_b, metrics_b) = run();
+    assert_eq!(trace_a, trace_b, "sparse leap: trace must replay exactly");
+    assert_eq!(
+        events_a, events_b,
+        "sparse leap: fault events must replay exactly"
     );
     assert_eq!(
-        full.0, trace,
-        "sparse leap: resumed trace must be byte-identical"
+        metrics_a, metrics_b,
+        "sparse leap: metrics must replay exactly"
     );
-    assert_eq!(
-        full.1, events,
-        "sparse leap: resumed fault events must be byte-identical"
-    );
-    assert_eq!(
-        full.2, metrics,
-        "sparse leap: resumed metrics must be byte-identical"
-    );
-    let report = MetricsReport::parse(&metrics).expect("metrics parse");
+    let report = MetricsReport::parse(&metrics_a).expect("metrics parse");
     assert!(report.counter("noop_leaps") > 0, "the run leapt");
     assert!(
         report.counter("reactive_dense_steps") > 0,

@@ -1,6 +1,8 @@
-//! Snapshot/restore round-trips: every backend checkpointed at arbitrary
-//! batch boundaries must continue exactly as if never interrupted, and the
-//! on-disk format must reject any corruption.
+//! Snapshot/restore round-trips: the checkpointed backends (the count
+//! backend, alone and inside the fault wrapper) snapshotted at arbitrary
+//! batch boundaries must continue exactly as if never interrupted, every
+//! other backend must decline by name, and the on-disk format must reject
+//! any corruption.
 //!
 //! These tests install no recorder: metrics-stream equality across an
 //! interrupt is pinned by `tests/determinism.rs`.
@@ -87,32 +89,23 @@ fn assert_roundtrip_exact<S: Simulator>(
     }
 }
 
+/// Both checkpointed backends, at deterministically "random" cut points
+/// that differ per repetition and cover cut-at-zero as well as deep cuts.
 #[test]
 fn every_backend_roundtrips_at_random_batch_boundaries() {
     let counts = [500u64, 300, 200];
     let n: u64 = counts.iter().sum();
-    // Wide sparse input: 300 occupied states of 1–7 agents, so the sparse
-    // snapshot restores into ten slot blocks whose sums it must rebuild.
+    // Wide input: 300 occupied states of 1–7 agents.
     let wide_p = drift(300);
     let wide: Vec<u64> = (0..300).map(|s| 1 + s % 7).collect();
     let wide_n: u64 = wide.iter().sum();
-    // Deterministically "random" cut points, different per backend and per
-    // repetition, covering cut-at-zero as well as deep cuts.
+    let spec = mixed_spec();
     let mut picker = SimRng::seed_from(0x5eed_cafe);
     for rep in 0..4u64 {
         let cut = picker.below(9);
         let tail = 1 + picker.below(6);
         let seed = 0x1000 + rep;
         let p = rps();
-        assert_roundtrip_exact(
-            "agents",
-            Population::from_counts(&p, &counts),
-            Population::from_counts(&p, &counts),
-            seed,
-            n,
-            cut,
-            tail,
-        );
         assert_roundtrip_exact(
             "counts",
             CountPopulation::from_counts(&p, &counts),
@@ -123,33 +116,55 @@ fn every_backend_roundtrips_at_random_batch_boundaries() {
             tail,
         );
         assert_roundtrip_exact(
-            "sparse",
-            SparseCountPopulation::from_dense(&p, &counts),
-            SparseCountPopulation::from_dense(&p, &counts),
-            seed,
-            n,
-            cut,
-            tail,
-        );
-        assert_roundtrip_exact(
-            "sparse",
-            SparseCountPopulation::from_dense(&wide_p, &wide),
-            SparseCountPopulation::from_dense(&wide_p, &wide),
+            "counts",
+            CountPopulation::from_counts(&wide_p, &wide),
+            CountPopulation::from_counts(&wide_p, &wide),
             seed,
             wide_n,
             cut,
             tail,
         );
-        assert_roundtrip_exact(
-            "matching",
-            MatchingPopulation::from_counts(&p, &counts),
-            MatchingPopulation::from_counts(&p, &counts),
-            seed,
-            n,
-            cut,
-            tail,
-        );
+        let faulty = || {
+            FaultyPopulation::new(CountPopulation::from_counts(&p, &counts), &spec)
+                .expect("valid mixed spec")
+        };
+        assert_roundtrip_exact("faulty", faulty(), faulty(), seed, n, cut, tail);
     }
+}
+
+/// The agent-array, matching and sparse backends, and the fault wrapper
+/// over the sparse one, have no snapshot: capture declines with an error
+/// naming the backend, so no partial state is ever written.
+#[test]
+fn backends_without_snapshots_decline_by_name() {
+    let counts = [500u64, 300, 200];
+    let p = rps();
+    let rng = SimRng::seed_from(1);
+    let declines = |err: Result<RunSnapshot, String>, name: &str| {
+        let err = err.expect_err("capture must decline");
+        assert!(
+            err.contains(name) && err.contains("does not support snapshots"),
+            "{name}: {err}"
+        );
+    };
+    declines(
+        RunSnapshot::capture(&Population::from_counts(&p, &counts), &rng),
+        "Population",
+    );
+    declines(
+        RunSnapshot::capture(&MatchingPopulation::from_counts(&p, &counts), &rng),
+        "MatchingPopulation",
+    );
+    declines(
+        RunSnapshot::capture(&SparseCountPopulation::from_dense(&p, &counts), &rng),
+        "SparseCountPopulation",
+    );
+    let faulty = FaultyPopulation::new(
+        SparseCountPopulation::from_dense(&p, &counts),
+        &mixed_spec(),
+    )
+    .expect("valid mixed spec");
+    declines(RunSnapshot::capture(&faulty, &rng), "SparseCountPopulation");
 }
 
 /// A plan mixing all three injector kinds.
@@ -216,9 +231,14 @@ fn truncated_snapshots_are_rejected_at_every_length() {
 #[test]
 fn bit_flipped_snapshots_are_rejected_by_the_checksum() {
     let p = rps();
-    let mut pop = SparseCountPopulation::from_dense(&p, &[400, 300, 300]);
+    let mut pop = FaultyPopulation::new(
+        CountPopulation::from_counts(&p, &[400, 300, 300]),
+        &mixed_spec(),
+    )
+    .expect("valid mixed spec");
     let mut rng = SimRng::seed_from(10);
-    pop.step_batch(&mut rng, 1_000);
+    pop.step_batch(&mut rng, 4_000);
+    assert!(!pop.events().is_empty(), "the payload holds fault events");
     let text = RunSnapshot::capture(&pop, &rng).expect("snapshot").encode();
     let bytes = text.as_bytes();
     let mut fuzz = SimRng::seed_from(0xb17_f11b);
