@@ -3,8 +3,8 @@
 //! reactive-dense (`dense_cycle3`, collision batches, DESIGN.md §12)
 //! regimes, the same batch loop under an empty-plan `FaultyPopulation` and
 //! under an installed recorder, and the print-only ablation rows of
-//! DESIGN.md §6 / E14 (per-interaction cost per backend, Fenwick vs linear
-//! sampling, geometric no-op leaping, epidemic completion).
+//! DESIGN.md §6 / E14 (per-interaction cost, Fenwick vs linear sampling,
+//! geometric no-op leaping, epidemic completion).
 //!
 //! Each workload is timed once per run. Its rates go to the perf-trajectory
 //! history (`pp_bench::history`): appended to the file `BENCH_HISTORY`
@@ -23,7 +23,6 @@ use pp_bench::timing::{bench, throughput};
 use pp_engine::counts::CountPopulation;
 use pp_engine::faults::{FaultSpec, FaultyPopulation};
 use pp_engine::fenwick::Fenwick;
-use pp_engine::population::Population;
 use pp_engine::protocol::TableProtocol;
 use pp_engine::recorder::Recorder;
 use pp_engine::rng::SimRng;
@@ -53,16 +52,9 @@ fn token() -> TableProtocol {
 fn bench_backends() {
     println!("\n== backend_step (per-interaction cost) ==");
     for n in [1_000u64, 100_000] {
-        {
-            let mut pop = Population::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)]);
-            let mut rng = SimRng::seed_from(1);
-            bench(&format!("agent_array/step n={n}"), || pop.step(&mut rng));
-        }
-        {
-            let mut pop = dense_cycle3(n);
-            let mut rng = SimRng::seed_from(1);
-            bench(&format!("count_fenwick/step n={n}"), || pop.step(&mut rng));
-        }
+        let mut pop = dense_cycle3(n);
+        let mut rng = SimRng::seed_from(1);
+        bench(&format!("count_fenwick/step n={n}"), || pop.step(&mut rng));
     }
 }
 

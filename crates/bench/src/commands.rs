@@ -688,7 +688,9 @@ pub(crate) fn oscillator(ctx: &mut Ctx) -> u8 {
     let fresh = spec.transpose().and_then(|spec| {
         let ckpt = match (ctx.given("checkpoint-every"), ctx.text("checkpoint-dir")) {
             (None, None) => None,
-            (Some(every), Some(dir)) => Some(Checkpointer::open(Path::new(dir), every, every)?),
+            (Some(every), Some(dir)) => {
+                Some(Checkpointer::open(Path::new(dir), every, every, None)?)
+            }
             _ => return Err("--checkpoint-every and --checkpoint-dir go together".into()),
         };
         Ok((RunShape::from_flags(ctx, spec)?, ckpt))
@@ -948,13 +950,15 @@ pub(crate) fn resume(ctx: &mut Ctx) -> u8 {
             return 1;
         }
     };
-    let ckpt = store_dir.and_then(|dir| match Checkpointer::open(&dir, every, next) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("warning: {e}; continuing without checkpoints");
-            None
-        }
-    });
+    let ckpt = store_dir.and_then(
+        |dir| match Checkpointer::open(&dir, every, next, generation) {
+            Ok(c) => Some(c),
+            Err(e) => {
+                eprintln!("warning: {e}; continuing without checkpoints");
+                None
+            }
+        },
+    );
     let command = shape.command();
     let mut header = ctx.header(Some(shape.n), Some(shape.seed), backend_of(command));
     if let Json::Obj(fields) = &mut header {

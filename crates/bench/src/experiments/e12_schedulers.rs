@@ -8,8 +8,8 @@
 use super::e5_oscillator::{run_async, run_matching};
 use pp_clocks::detect::{dominance_events, escape_time, periods};
 use pp_clocks::oscillator::Dk18Oscillator;
+use pp_engine::counts::CountPopulation;
 use pp_engine::matching::MatchingPopulation;
-use pp_engine::population::Population;
 use pp_engine::protocol::TableProtocol;
 use pp_engine::report::{fmt_f64, Table};
 use pp_engine::rng::SimRng;
@@ -70,7 +70,7 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
     let mut t_match = Vec::new();
     for seed in 0..seeds {
         let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[n - 1, 1]);
+        let mut pop = CountPopulation::from_counts(&p, &[n - 1, 1]);
         let mut rng = SimRng::seed_from(0xEC_2000 + seed);
         t_async.push(
             run_until(&mut pop, &mut rng, 1e5, 64, |s| s.count(0) == 0)

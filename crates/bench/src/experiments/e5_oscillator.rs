@@ -59,6 +59,26 @@ pub(crate) fn run_matching<O: Oscillator + Clone + Send + Sync>(
     trace
 }
 
+/// One run's escape time (if it escaped), dominance periods and rotation
+/// violations.
+type RotationStats = (Option<f64>, Vec<f64>, usize);
+
+fn rotation_stats(trace: &[(f64, [u64; 3])], bound: u64) -> RotationStats {
+    let ev = dominance_events(trace, 0.8);
+    (
+        escape_time(trace, bound),
+        periods(&ev),
+        rotation_violations(&ev),
+    )
+}
+
+/// Every run's escape times and periods, and the violations summed.
+fn pool(stats: &[RotationStats]) -> (Vec<f64>, Vec<f64>, usize) {
+    let escapes = stats.iter().filter_map(|s| s.0).collect();
+    let all_periods = stats.iter().flat_map(|s| s.1.clone()).collect();
+    (escapes, all_periods, stats.iter().map(|s| s.2).sum())
+}
+
 pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
     let scale = ctx.scale();
     let ns = n_ladder(1_000, 10, scale.pick(2, 3, 4));
@@ -85,15 +105,9 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
         let stats = per_seed(seeds, |seed| {
             let osc = Dk18Oscillator::new();
             let trace = run_async(&osc, n, x, horizon, 0xE5_0000 + seed * 7 + n);
-            let esc = escape_time(&trace, bound);
-            let ev = dominance_events(&trace, 0.8);
-            let per = periods(&ev);
-            let viol = rotation_violations(&ev);
-            (esc, per, viol)
+            rotation_stats(&trace, bound)
         });
-        let escapes: Vec<f64> = stats.iter().filter_map(|s| s.0).collect();
-        let all_periods: Vec<f64> = stats.iter().flat_map(|s| s.1.clone()).collect();
-        let viols: usize = stats.iter().map(|s| s.2).sum();
+        let (escapes, all_periods, viols) = pool(&stats);
         let esc = Summary::of(&escapes);
         let per = Summary::of(&all_periods);
         escape_pts.push((n as f64, esc.median));
@@ -109,24 +123,28 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
             fmt_f64((n as f64).log2()),
         ]);
 
-        // DK18, random-matching scheduler (single seed per n).
-        let osc = Dk18Oscillator::new();
-        let trace = run_matching(&osc, n, x, horizon as u64, 0xE5_1111 + n);
-        let ev = dominance_events(&trace, 0.8);
-        let per = periods(&ev);
-        let esc = escape_time(&trace, bound);
+        // DK18, random-matching scheduler, on the same number of seeds.
+        let stats = per_seed(seeds, |seed| {
+            let osc = Dk18Oscillator::new();
+            let trace = run_matching(&osc, n, x, horizon as u64, 0xE5_1111 + seed * 7 + n);
+            rotation_stats(&trace, bound)
+        });
+        let (escapes, all_periods, viols) = pool(&stats);
+        let median_or_dash = |data: &[f64]| {
+            if data.is_empty() {
+                "-".into()
+            } else {
+                fmt_f64(Summary::of(data).median)
+            }
+        };
         table.row(vec![
             "dk18".into(),
             "matching".into(),
             n.to_string(),
             x.to_string(),
-            esc.map_or("-".into(), fmt_f64),
-            if per.is_empty() {
-                "-".into()
-            } else {
-                fmt_f64(Summary::of(&per).median)
-            },
-            rotation_violations(&ev).to_string(),
+            median_or_dash(&escapes),
+            median_or_dash(&all_periods),
+            viols.to_string(),
             fmt_f64((n as f64).log2()),
         ]);
 

@@ -201,7 +201,7 @@ static COMMANDS: &[Command] = {
         "E10: semi-linear predicates; compiled against interpreted (Thm 6.4)"),
     row(R, "e11_plurality", NO_ARGS, SCALE, "Executor, EnumExecutor", e11_plurality::run,
         "E11: plurality consensus; compiled against interpreted"),
-    row(R, "e12_schedulers", NO_ARGS, SCALE, "CountPopulation, MatchingPopulation, Population",
+    row(R, "e12_schedulers", NO_ARGS, SCALE, "CountPopulation, MatchingPopulation",
         e12_schedulers::run, "E12: asynchronous against random-matching schedulers"),
     row(R, "e13_full_stack", NO_ARGS, SCALE, "ObjPopulation", e13_full_stack::run,
         "E13: compiled programs on the real clock hierarchy (Thm 2.4)"),
@@ -668,10 +668,14 @@ pub(crate) struct Checkpointer {
 
 impl Checkpointer {
     /// A checkpointer writing into `dir` every `every` steps, next at
-    /// step `next`.
-    pub fn open(dir: &Path, every: u64, next: u64) -> Result<Self, String> {
-        let store = SnapshotStore::open(dir, CHECKPOINT_KEEP)
+    /// step `next`; a run resumed from generation `resumed` numbers its
+    /// checkpoints after it ([`SnapshotStore::continue_after`]).
+    pub fn open(dir: &Path, every: u64, next: u64, resumed: Option<u64>) -> Result<Self, String> {
+        let mut store = SnapshotStore::open(dir, CHECKPOINT_KEEP)
             .map_err(|e| format!("cannot open checkpoint dir {}: {e}", dir.display()))?;
+        if let Some(generation) = resumed {
+            store.continue_after(generation);
+        }
         Ok(Self { store, every, next })
     }
 
@@ -730,6 +734,10 @@ pub(crate) fn load_resume_snapshot(
     path: &str,
 ) -> Option<(RunSnapshot, Option<PathBuf>, Option<u64>)> {
     let p = Path::new(path);
+    if !p.exists() {
+        eprintln!("error: snapshot {path} is missing");
+        return None;
+    }
     if p.is_dir() {
         let (gen, file, snap) = latest_in(p, None)?;
         eprintln!("resuming from {} (generation {gen})", file.display());

@@ -15,7 +15,9 @@
 //! without-replacement sample of that urn, paired off uniformly, so their
 //! aggregate is the `q×q` contingency table the margins/rows/settle chain
 //! samples. The post-batch counts have exactly the sequential law;
-//! DESIGN.md §12 gives the argument.
+//! DESIGN.md §12 gives the argument. A round of the random-matching
+//! scheduler is that settle step alone, with every agent in a deferred
+//! pair ([`run_matching_round`]).
 //!
 //! A batch holds `L = min(c·√(n·q), n/2)` interactions ([`batch_len`]): its
 //! table costs `O(q²)` draws once, and its `≈ 2L²/n` collisions `O(q)`
@@ -385,22 +387,8 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
     debug_assert!(remaining >= 1);
     let k = counts.len();
-    scratch.ensure(k);
-
-    scratch.occupied.clear();
-    scratch.urn.clear();
-    for (s, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            scratch.occupied.push(s);
-            scratch.urn.push(c);
-        }
-    }
-    let kq = scratch.occupied.len();
-    scratch.urn_total = n;
-    scratch.revealed.clear();
-    scratch.revealed_total = 0;
-    scratch.deferred = 0;
-    let l = batch_len(n, kq).min(remaining);
+    load_urn(counts, n, scratch);
+    let l = batch_len(n, scratch.occupied.len()).min(remaining);
 
     // The sequential process, with the pairs of collision-free runs kept
     // unrevealed: r = revealed + 2·deferred agents are touched.
@@ -440,10 +428,78 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     }
 
     changed += settle_deferred(protocol, k, scratch, rng, pf);
+    fold_back(counts, scratch);
+    debug_assert_eq!(counts.iter().sum::<u64>(), n);
+    EpochOutcome {
+        executed: l,
+        changed,
+    }
+}
 
-    // Batch-start agents (`counts` is untouched so far) that left the
-    // unrevealed urn become the revealed agents and the table's post-states.
-    for i in 0..kq {
+/// Runs one round of the random-matching scheduler on `counts`, `n`
+/// agents: `⌊n/2⌋` interactions along a uniformly random matching, each
+/// pair oriented uniformly at random, and with odd `n` one uniformly
+/// random agent idle. Updates `counts` in place.
+///
+/// The round is the settle step of a batch whose every agent is still
+/// unrevealed and whose `⌊n/2⌋` pairs are all deferred: the `2⌊n/2⌋`
+/// agents drawn for the margins are a uniform subset (so the one left out
+/// is a uniform idle agent), and a uniform initiator half with a uniform
+/// initiator-to-responder bijection is a uniform matching with a uniform
+/// orientation per pair (DESIGN.md §12). Orientation needs no draw of its
+/// own.
+///
+/// After the call, [`CollisionScratch::delta`] holds the round's net
+/// per-state movement.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if `counts` does not sum to `n`.
+pub fn run_matching_round<P: Protocol + ?Sized>(
+    protocol: &P,
+    counts: &mut [u64],
+    n: u64,
+    scratch: &mut CollisionScratch,
+    rng: &mut SimRng,
+) -> EpochOutcome {
+    let pf = crate::recorder::capture().sections;
+    debug_assert_eq!(counts.iter().sum::<u64>(), n);
+    load_urn(counts, n, scratch);
+    scratch.deferred = n / 2;
+    let changed = settle_deferred(protocol, counts.len(), scratch, rng, pf);
+    fold_back(counts, scratch);
+    debug_assert_eq!(counts.iter().sum::<u64>(), n);
+    EpochOutcome {
+        executed: n / 2,
+        changed,
+    }
+}
+
+/// A batch's prologue: every one of the `n` agents of `counts` sits in the
+/// unrevealed urn, over the occupied states; no agent is revealed and no
+/// pair deferred.
+fn load_urn(counts: &[u64], n: u64, scratch: &mut CollisionScratch) {
+    scratch.ensure(counts.len());
+    scratch.occupied.clear();
+    scratch.urn.clear();
+    for (s, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            scratch.occupied.push(s);
+            scratch.urn.push(c);
+        }
+    }
+    scratch.urn_total = n;
+    scratch.revealed.clear();
+    scratch.revealed_total = 0;
+    scratch.deferred = 0;
+}
+
+/// A batch's epilogue, after [`settle_deferred`]: the batch-start agents
+/// (`counts` is untouched so far) that left the unrevealed urn become the
+/// revealed agents and the table's post-states `v`. Leaves the net
+/// movement in `delta`.
+fn fold_back(counts: &mut [u64], scratch: &mut CollisionScratch) {
+    for i in 0..scratch.occupied.len() {
         let s = scratch.occupied[i];
         let left = counts[s] - (scratch.urn[i] - scratch.w[i]);
         scratch.delta[s] -= left as i64;
@@ -457,11 +513,6 @@ pub fn run_epoch<P: Protocol + ?Sized>(
         if d != 0 {
             *count = (*count as i64 + d) as u64;
         }
-    }
-    debug_assert_eq!(counts.iter().sum::<u64>(), n);
-    EpochOutcome {
-        executed: l,
-        changed,
     }
 }
 

@@ -889,7 +889,6 @@ mod tests {
     use super::*;
     use crate::counts::{CountPopulation, SparseCountPopulation};
     use crate::matching::MatchingPopulation;
-    use crate::population::Population;
     use crate::protocol::TableProtocol;
     use crate::sim::run_rounds;
 
@@ -1038,7 +1037,6 @@ mod tests {
                 assert_eq!(total(&pop.counts()), 600, "n is conserved");
             }};
         }
-        check!(Population::from_counts(&p, &[100, 500]));
         check!(CountPopulation::from_counts(&p, &[100, 500]));
         check!(SparseCountPopulation::from_dense(&p, &[100, 500]));
         check!(MatchingPopulation::from_counts(&p, &[100, 500]));

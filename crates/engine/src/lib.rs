@@ -21,10 +21,9 @@
 //!
 //! | Backend | Representation | Per-step cost | Batch cost (per `step_batch` of `m` steps) | Use case |
 //! |---|---|---|---|---|
-//! | [`population::Population`] | explicit agent array | `O(1)` | `O(m)` tight loop | per-agent inspection, matching scheduler |
 //! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
 //! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums; interned ids with a guard-class memo; per-rule-slot agent counts and lazily built class-member bitsets while leaping | `O(occupied/B + B)`, `B = 32` | two walks of the picked rule slot's class members, `O(occupied/64 + members)`, plus `O(set bits)` upkeep per effective step and `O(1)` per stretch of ineffective rule draws where `p · (occupied + 80 + 100 · (words − 1)) < 25`; `O(m · (occupied/B + B))` otherwise | huge nominal `k`, few occupied states; every program executor site ([`counts::SparseCountPopulation::run_on`]) |
-//! | [`matching::MatchingPopulation`] | agent array | `O(n)` per round | whole rounds, `O(1)` amortized per step | random-matching scheduler (§5.3) |
+//! | [`matching::MatchingPopulation`] | state-count vector | `O(q²)` draws per round, `q` occupied states (`k ≤ 1024`) | whole rounds: each one collision-batch settle step with all `⌊n/2⌋` pairs deferred | random-matching scheduler (§5.3) |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
 //! All stochastic backends implement the same distribution over runs, and
@@ -74,7 +73,6 @@ pub mod matching;
 pub mod meanfield;
 pub mod metrics;
 pub mod obj;
-pub mod population;
 pub mod prof;
 pub mod protocol;
 pub(crate) mod reactivity;

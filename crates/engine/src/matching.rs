@@ -6,12 +6,19 @@
 //! random (near-)perfect matching on the agents and applies one interaction
 //! per matched pair, with a uniformly random orientation.
 //!
+//! Agents are indistinguishable, so a round runs on the count vector: it is
+//! the settle step of a collision batch whose every agent is deferred
+//! ([`collision::run_matching_round`]), `O(q²)` draws for `q` occupied
+//! states, whatever `n`.
+//!
 //! Theorem 5.1's oscillator analysis, and consequently the whole clock
 //! hierarchy, is claimed to hold under both the asynchronous and the
 //! random-matching scheduler; experiment E12 checks this empirically.
 
+use crate::collision::{self, CollisionScratch};
+use crate::counts::BATCH_STATE_LIMIT;
 use crate::metrics::Counter;
-use crate::population::Population;
+use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::recorder;
 use crate::rng::SimRng;
@@ -43,9 +50,13 @@ use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MatchingPopulation<P> {
-    inner: Population<P>,
-    /// Shuffle buffer of agent indices, reused across rounds.
-    order: Vec<u32>,
+    protocol: P,
+    /// Agents per state: the configuration.
+    counts: Vec<u64>,
+    /// Working memory of the round's settle step (urns + cell-plan cache).
+    scratch: CollisionScratch,
+    n: u64,
+    steps: u64,
     rounds: u64,
 }
 
@@ -54,14 +65,29 @@ impl<P: Protocol> MatchingPopulation<P> {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Population::from_counts`].
+    /// Panics if `counts` is longer than the state space, if the population
+    /// has fewer than 2 agents, or if the protocol has more states than
+    /// `CountPopulation` batches (1 024): the round's cell-plan index is
+    /// `k × k`.
     #[must_use]
     pub fn from_counts(protocol: P, counts: &[u64]) -> Self {
-        let inner = Population::from_counts(protocol, counts);
-        let order = (0..inner.n() as u32).collect();
+        let k = protocol.num_states();
+        assert!(
+            k <= BATCH_STATE_LIMIT,
+            "the matching scheduler runs protocols of at most {BATCH_STATE_LIMIT} states, \
+             this one has {k}"
+        );
+        assert!(counts.len() <= k, "more initial counts than states");
+        let n: u64 = counts.iter().sum();
+        assert!(n >= 2, "population must have at least 2 agents");
+        let mut full = vec![0u64; k];
+        full[..counts.len()].copy_from_slice(counts);
         Self {
-            inner,
-            order,
+            protocol,
+            counts: full,
+            scratch: CollisionScratch::new(),
+            n,
+            steps: 0,
             rounds: 0,
         }
     }
@@ -72,48 +98,40 @@ impl<P: Protocol> MatchingPopulation<P> {
         self.rounds
     }
 
-    /// Access to the underlying explicit population.
-    #[must_use]
-    pub fn population(&self) -> &Population<P> {
-        &self.inner
-    }
-
     /// Executes one round: a fresh uniform random matching, one interaction
     /// per matched pair with random orientation. Returns how many of the
     /// round's interactions changed at least one agent's state.
     pub fn round(&mut self, rng: &mut SimRng) -> u64 {
-        // Fisher–Yates shuffle; consecutive entries are matched.
-        let n = self.order.len();
-        for i in (1..n).rev() {
-            let j = rng.index(i + 1);
-            self.order.swap(i, j);
-        }
-        let mut changed = 0u64;
-        for pair in self.order.chunks_exact(2) {
-            let (mut i, mut j) = (pair[0] as usize, pair[1] as usize);
-            if rng.chance(0.5) {
-                std::mem::swap(&mut i, &mut j);
-            }
-            if self.inner.interact_pair(i, j, rng) == StepOutcome::Changed {
-                changed += 1;
-            }
-        }
+        let _batch_span = prof::section(Section::BatchMatching);
+        self.settle_round(rng)
+    }
+
+    /// One round, without a section of its own.
+    fn settle_round(&mut self, rng: &mut SimRng) -> u64 {
+        let out = collision::run_matching_round(
+            &self.protocol,
+            &mut self.counts,
+            self.n,
+            &mut self.scratch,
+            rng,
+        );
+        self.steps += out.executed;
         self.rounds += 1;
-        changed
+        out.changed
     }
 
     /// Runs until `stop` holds (checked once per round) or `max_rounds`
     /// pass; returns the round count at which `stop` first held.
     pub fn run_until<F>(&mut self, rng: &mut SimRng, max_rounds: u64, mut stop: F) -> Option<u64>
     where
-        F: FnMut(&Population<P>) -> bool,
+        F: FnMut(&Self) -> bool,
     {
-        if stop(&self.inner) {
+        if stop(self) {
             return Some(self.rounds);
         }
         for _ in 0..max_rounds {
             self.round(rng);
-            if stop(&self.inner) {
+            if stop(self) {
                 return Some(self.rounds);
             }
         }
@@ -123,15 +141,15 @@ impl<P: Protocol> MatchingPopulation<P> {
 
 impl<P: Protocol> Simulator for MatchingPopulation<P> {
     fn n(&self) -> u64 {
-        self.inner.n()
+        self.n
     }
 
     fn num_states(&self) -> usize {
-        self.inner.num_states()
+        self.protocol.num_states()
     }
 
     fn steps(&self) -> u64 {
-        self.inner.steps()
+        self.steps
     }
 
     /// Parallel time under the matching scheduler is the round count.
@@ -140,17 +158,26 @@ impl<P: Protocol> Simulator for MatchingPopulation<P> {
     }
 
     fn count(&self, state: usize) -> u64 {
-        self.inner.count(state)
+        self.counts[state]
     }
 
     fn counts(&self) -> Vec<u64> {
-        self.inner.counts()
+        self.counts.clone()
     }
 
-    /// Delegates to the underlying agent array; migrated agents take part
-    /// in the next matching round under their new state.
+    /// Moves up to `k` agents between states; migrated agents take part in
+    /// the next matching round under their new state.
     fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        self.inner.migrate(from, to, k)
+        let states = self.protocol.num_states();
+        assert!(from < states, "migrate source state out of range");
+        assert!(to < states, "migrate target state out of range");
+        let moved = k.min(self.counts[from]);
+        if from == to {
+            return 0;
+        }
+        self.counts[from] -= moved;
+        self.counts[to] += moved;
+        moved
     }
 
     /// A single scheduler activation is a whole matching round.
@@ -168,15 +195,15 @@ impl<P: Protocol> Simulator for MatchingPopulation<P> {
     /// one round minus one interaction; `executed` reports the true step
     /// delta. Never reports silence.
     fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
-        let _batch_span = crate::prof::section(crate::prof::Section::BatchMatching);
-        let start = self.inner.steps();
+        let _batch_span = prof::section(Section::BatchMatching);
+        let start = self.steps;
         let start_rounds = self.rounds;
         let mut changed = 0u64;
-        while self.inner.steps() - start < max_steps {
-            changed += self.round(rng);
+        while self.steps - start < max_steps {
+            changed += self.settle_round(rng);
         }
         let out = BatchOutcome {
-            executed: self.inner.steps() - start,
+            executed: self.steps - start,
             changed,
             silent: false,
         };
@@ -197,23 +224,6 @@ mod tests {
         TableProtocol::new(2, "epidemic")
             .rule(1, 0, 1, 1)
             .rule(0, 1, 1, 1)
-    }
-
-    #[test]
-    fn each_agent_interacts_at_most_once_per_round() {
-        // With the swap protocol, counts are invariant, but every matched
-        // pair swaps; after one round each agent took part in ≤ 1 pair.
-        // We verify indirectly: a 2-agent population swaps exactly once.
-        let swap = TableProtocol::new(2, "swap")
-            .rule(0, 1, 1, 0)
-            .rule(1, 0, 0, 1);
-        let mut pop = MatchingPopulation::from_counts(swap, &[1, 1]);
-        let mut rng = SimRng::seed_from(1);
-        let before = pop.population().agent(0);
-        pop.round(&mut rng);
-        let after = pop.population().agent(0);
-        assert_ne!(before, after, "the unique pair must have swapped");
-        assert_eq!(pop.steps(), 1);
     }
 
     #[test]
@@ -278,12 +288,20 @@ mod tests {
     }
 
     #[test]
-    fn migrate_delegates_to_inner_population() {
+    fn migrate_moves_counts_without_steps() {
         let mut pop = MatchingPopulation::from_counts(epidemic(), &[6, 2]);
-        assert_eq!(pop.migrate(1, 0, 2), 2);
+        assert_eq!(pop.migrate(1, 0, 5), 2, "capped at the source count");
         assert_eq!(pop.count(0), 8);
         assert_eq!(pop.count(1), 0);
+        assert_eq!(pop.migrate(0, 0, 3), 0, "self-moves are no-ops");
         assert_eq!(pop.steps(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1024 states")]
+    fn protocols_above_the_batch_limit_are_refused() {
+        let wide = TableProtocol::new(BATCH_STATE_LIMIT + 1, "wide").rule(0, 1, 1, 1);
+        let _ = MatchingPopulation::from_counts(wide, &[5, 5]);
     }
 
     #[test]

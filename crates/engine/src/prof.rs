@@ -55,13 +55,14 @@ use std::time::Instant;
 pub enum Section {
     /// One `CountPopulation::step_batch` call (the three-regime dispatcher).
     BatchCount,
-    /// One agent-array `Population::step_batch` call.
-    BatchAgents,
     /// One `SparseCountPopulation::step_batch` call: the leap/per-step
     /// dispatcher, whose regimes open [`Section::SparseLeap`] and
     /// [`Section::PerStep`].
     BatchSparse,
-    /// One `MatchingPopulation::step_batch` call.
+    /// One `MatchingPopulation::step_batch` call, or one
+    /// `MatchingPopulation::round` called directly: the settle step's
+    /// [`Section::EpochMargins`], [`Section::EpochRows`] and
+    /// [`Section::EpochSettle`] nest under it.
     BatchMatching,
     /// The loop of Fenwick-sampled steps without a reactivity index
     /// (`k > BATCH_STATE_LIMIT`).
@@ -126,9 +127,8 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 22] = [
+    pub const ALL: [Section; 21] = [
         Section::BatchCount,
-        Section::BatchAgents,
         Section::BatchSparse,
         Section::BatchMatching,
         Section::DenseFallback,
@@ -156,7 +156,6 @@ impl Section {
     pub const fn name(self) -> &'static str {
         match self {
             Section::BatchCount => "count_step_batch",
-            Section::BatchAgents => "agents_step_batch",
             Section::BatchSparse => "sparse_step_batch",
             Section::BatchMatching => "matching_step_batch",
             Section::DenseFallback => "dense_fallback",

@@ -37,7 +37,7 @@ use crate::rng::SimRng;
 /// states and produces their successor states, possibly consuming
 /// randomness. Under the standard asynchronous scheduler the pair is chosen
 /// uniformly at random among all `n(n−1)` ordered pairs; see
-/// [`crate::population::Population`] and [`crate::counts::CountPopulation`].
+/// [`crate::counts::CountPopulation`].
 ///
 /// Implementations must be deterministic functions of `(a, b)` and the RNG
 /// stream: given the same RNG state they must return the same result. This is

@@ -1,5 +1,5 @@
-//! Common simulator interface shared by the agent-array and count-based
-//! backends, plus generic run loops.
+//! Common simulator interface shared by the count-based backends and the
+//! random-matching scheduler, plus generic run loops.
 //!
 //! A *step* is one interaction of an ordered agent pair under the standard
 //! asynchronous scheduler (uniform over the `n(n−1)` ordered pairs). The
@@ -14,14 +14,12 @@
 //! on *every* interaction — at `n ≥ 10⁶` that dominates wall-clock.
 //! [`Simulator::step_batch`] advances up to `max_steps` activations in one
 //! call and reports an aggregate [`BatchOutcome`];
-//! backends override it with tight inner loops (agent-array), count-vector
-//! no-op leaping and collision epochs (count-based), or whole matching
-//! rounds. [`run_rounds`] runs its whole budget as one batch;
+//! backends run it with count-vector no-op leaping and collision epochs
+//! (count-based), or whole matching rounds. [`run_rounds`] runs its whole budget as one batch;
 //! [`run_until`] cuts batches at its predicate's check stride. Callers that
 //! measure a run sample the counts between their own `step_batch` calls.
 
 use crate::json::Json;
-use crate::recorder;
 use crate::rng::SimRng;
 
 /// Result of advancing a simulator by one scheduler activation.
@@ -50,24 +48,13 @@ pub struct BatchOutcome {
     pub silent: bool,
 }
 
-impl BatchOutcome {
-    /// Merges a per-step outcome into the aggregate.
-    fn absorb(&mut self, outcome: StepOutcome) {
-        match outcome {
-            StepOutcome::Changed => self.changed += 1,
-            StepOutcome::Unchanged => {}
-            StepOutcome::Silent => self.silent = true,
-        }
-    }
-}
-
 /// Common interface over population-protocol simulation backends.
 ///
-/// Implementations: [`crate::population::Population`] (explicit agent
-/// array), [`crate::counts::CountPopulation`] (state-count vector with
-/// Fenwick sampling), [`crate::counts::SparseCountPopulation`] (occupied
-/// states only), [`crate::matching::MatchingPopulation`] (random-matching
-/// scheduler).
+/// Implementations: [`crate::counts::CountPopulation`] (state-count vector
+/// with Fenwick sampling), [`crate::counts::SparseCountPopulation`]
+/// (occupied states only), [`crate::matching::MatchingPopulation`]
+/// (random-matching scheduler on the count vector) and the fault wrapper
+/// [`crate::faults::FaultyPopulation`].
 ///
 /// A simulator runs on the calling thread, so its trajectory is a function
 /// of the initial configuration and the RNG alone. Parallelism belongs
@@ -124,23 +111,10 @@ pub trait Simulator {
     ///
     /// The sampled process is identical in distribution to calling
     /// [`Simulator::step`] `max_steps` times — batching is an execution
-    /// strategy, not an approximation, at every `n`. The default implementation loops
-    /// `step()`; backends override it with tight inner loops and no-op
-    /// leaping (an order of magnitude faster at large `n`).
-    fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
-        let start = self.steps();
-        let mut out = BatchOutcome::default();
-        while self.steps() < start + max_steps {
-            let outcome = self.step(rng);
-            out.absorb(outcome);
-            if out.silent {
-                break;
-            }
-        }
-        out.executed = self.steps() - start;
-        recorder::record_batch(&out);
-        out
-    }
+    /// strategy, not an approximation, at every `n`. Backends run it with
+    /// tight inner loops, no-op leaping and collision batches (an order of
+    /// magnitude faster than per-step driving at large `n`).
+    fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome;
 
     /// Sum of counts over a set of states (a "boolean formula" count).
     fn count_any(&self, states: &[usize]) -> u64 {
@@ -284,7 +258,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::Population;
+    use crate::counts::CountPopulation;
     use crate::protocol::TableProtocol;
 
     fn epidemic() -> TableProtocol {
@@ -296,7 +270,7 @@ mod tests {
     #[test]
     fn run_rounds_advances_time() {
         let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[99, 1]);
+        let mut pop = CountPopulation::from_counts(&p, &[99, 1]);
         let mut rng = SimRng::seed_from(1);
         let ran = run_rounds(&mut pop, 3.0, &mut rng);
         assert!((ran - 3.0).abs() < 0.02);
@@ -306,7 +280,7 @@ mod tests {
     #[test]
     fn run_until_detects_epidemic_completion() {
         let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[999, 1]);
+        let mut pop = CountPopulation::from_counts(&p, &[999, 1]);
         let mut rng = SimRng::seed_from(2);
         let t = run_until(&mut pop, &mut rng, 200.0, 16, |s| s.count(0) == 0)
             .expect("epidemic should finish");
@@ -317,7 +291,7 @@ mod tests {
     #[test]
     fn run_until_times_out() {
         let p = TableProtocol::new(2, "noop");
-        let mut pop = Population::from_counts(&p, &[5, 5]);
+        let mut pop = CountPopulation::from_counts(&p, &[5, 5]);
         let mut rng = SimRng::seed_from(3);
         let t = run_until(&mut pop, &mut rng, 1.0, 1, |s| s.count(0) == 0);
         assert_eq!(t, None);
@@ -326,7 +300,7 @@ mod tests {
     #[test]
     fn run_until_immediate_hit_costs_no_steps() {
         let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[0, 10]);
+        let mut pop = CountPopulation::from_counts(&p, &[0, 10]);
         let mut rng = SimRng::seed_from(4);
         let t = run_until(&mut pop, &mut rng, 10.0, 1, |s| s.count(0) == 0);
         assert_eq!(t, Some(0.0));
@@ -334,9 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn default_step_batch_accounts_exactly() {
-        let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[63, 1]);
+    fn step_batch_accounts_exactly() {
+        let p = TableProtocol::new(2, "swap")
+            .rule(0, 1, 1, 0)
+            .rule(1, 0, 0, 1);
+        let mut pop = CountPopulation::from_counts(&p, &[63, 1]);
         let mut rng = SimRng::seed_from(5);
         let before = pop.steps();
         let out = pop.step_batch(&mut rng, 1000);
@@ -352,7 +328,7 @@ mod tests {
         // completion can happen mid-batch; the run loop only guarantees
         // detection within one stride of the true hitting time.
         let p = epidemic();
-        let mut pop = Population::from_counts(&p, &[127, 1]);
+        let mut pop = CountPopulation::from_counts(&p, &[127, 1]);
         let mut rng = SimRng::seed_from(6);
         let t = run_until(&mut pop, &mut rng, 500.0, 7, |s| s.count(0) == 0)
             .expect("epidemic completes");

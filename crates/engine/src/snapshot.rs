@@ -463,6 +463,15 @@ impl SnapshotStore {
         Ok(gens)
     }
 
+    /// Numbers the next save `generation + 1`, for a run resumed from
+    /// `generation`. The resumed run replays the run that wrote any later
+    /// generations byte for byte, so its saves replace them in place; a
+    /// store numbered after the highest generation on disk would instead
+    /// give older run times higher numbers.
+    pub fn continue_after(&mut self, generation: u64) {
+        self.next_gen = generation + 1;
+    }
+
     /// Writes `snap` as the next generation (crash-safely, via
     /// [`write_atomic`]) and prunes generations beyond the last `keep`.
     /// Returns the path written.
@@ -711,6 +720,31 @@ mod tests {
         let mut reopened = SnapshotStore::open(&dir, 3).unwrap();
         let next = reopened.save(&snap).unwrap();
         assert_eq!(file_generation(&next), Some(5));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store continued after an older generation overwrites the later
+    /// ones in place.
+    #[test]
+    fn store_continued_after_a_generation_replaces_the_later_ones() {
+        let dir = std::env::temp_dir().join(format!("pp_snap_continue_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = SnapshotStore::open(&dir, 3).unwrap();
+        let snap = sample_snapshot();
+        for _ in 0..3 {
+            store.save(&snap).unwrap();
+        }
+        let mut resumed = SnapshotStore::open(&dir, 3).unwrap();
+        resumed.continue_after(0);
+        assert_eq!(file_generation(&resumed.save(&snap).unwrap()), Some(1));
+        let gens = |dir: &Path| {
+            let scan = SnapshotStore::scan(dir).unwrap();
+            scan.iter().map(|&(g, _)| g).collect::<Vec<_>>()
+        };
+        assert_eq!(gens(&dir), vec![0, 1, 2], "generation 2 stays");
+        assert_eq!(file_generation(&resumed.save(&snap).unwrap()), Some(2));
+        assert_eq!(file_generation(&resumed.save(&snap).unwrap()), Some(3));
+        assert_eq!(gens(&dir), vec![1, 2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

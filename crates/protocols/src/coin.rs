@@ -116,7 +116,6 @@ impl<P: CoinProtocol> Protocol for SyntheticCoin<P> {
 mod tests {
     use super::*;
     use pp_engine::counts::CountPopulation;
-    use pp_engine::population::Population;
     use pp_engine::sim::{run_rounds, run_until, Simulator};
 
     /// A trivial inner protocol that records the observed coin in the
@@ -163,7 +162,7 @@ mod tests {
         // Start everyone with bit = 0 (worst case); after a burn-in, the
         // coins observed by initiators should be close to fair.
         let p = SyntheticCoin::new(Recorder);
-        let mut pop = Population::from_counts(&p, &[1000, 0, 0, 0, 0, 0]);
+        let mut pop = CountPopulation::from_counts(&p, &[1000, 0, 0, 0, 0, 0]);
         let mut rng = SimRng::seed_from(3);
         run_rounds(&mut pop, 20.0, &mut rng);
         let heads: u64 = [1usize]

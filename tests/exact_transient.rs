@@ -2,8 +2,10 @@
 //!
 //! At n = 8 the count vector's law after `t` interactions is computed
 //! exactly by `analyze::exact::transient_counts`. Collision batches
-//! (`collision::run_epoch`, chained until `t` interactions) and per-step
-//! sampling (`CountPopulation::step`) must both reproduce it. A batch at
+//! (`collision::run_epoch`, chained until `t` interactions), per-step
+//! sampling (`CountPopulation::step`) and the sparse backend, stepped
+//! (`SparseCountPopulation::step`) and batched
+//! (`SparseCountPopulation::step_batch`), must all reproduce it. A batch at
 //! n = 8 holds `batch_len(8, q) = 4` interactions, so with 8 agents nearly
 //! every batch meets collisions of all three kinds, including the one whose
 //! two touched agents come from the same deferred pair; `t = 12` chains
@@ -20,7 +22,7 @@ use population_protocols::core::clocks::oscillator::Dk18Oscillator;
 use population_protocols::core::engine::collision::{
     batch_len, run_epoch, BirthdayCdf, CollisionScratch,
 };
-use population_protocols::core::engine::counts::CountPopulation;
+use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
@@ -34,8 +36,9 @@ const SEEDS: u64 = 40_000;
 /// Interactions per run: three collision batches at n = 8.
 const T: u64 = 12;
 
-/// Family-wise false-alarm rate of the six comparisons in this file; each
-/// is held to `ALPHA / 6` (Bonferroni).
+/// Family-wise false-alarm rate of the twelve comparisons in this file
+/// (three protocols, four samplers); each is held to `ALPHA / 12`
+/// (Bonferroni).
 const ALPHA: f64 = 1e-3;
 
 fn cycle3() -> TableProtocol {
@@ -64,10 +67,10 @@ fn ages() -> TableProtocol {
 /// randomized.
 const DK18_INIT: [u64; 7] = [1, 2, 1, 1, 1, 2, 0];
 
-/// [`common::assert_matches_exact`] at this file's level, `ALPHA / 6`.
+/// [`common::assert_matches_exact`] at this file's level, `ALPHA / 12`.
 fn assert_matches_exact(name: &str, exact: &[(Vec<u64>, f64)], observed: &HashMap<Vec<u64>, u64>) {
     let name = format!("{name} after {T} interactions");
-    common::assert_matches_exact(&name, exact, observed, ALPHA / 6.0);
+    common::assert_matches_exact(&name, exact, observed, ALPHA / 12.0);
 }
 
 /// Final counts of `SEEDS` runs of collision batches chained to `T`
@@ -108,6 +111,31 @@ fn stepped<P: Protocol>(protocol: &P, initial: &[u64], seed: u64) -> HashMap<Vec
         let mut pop = CountPopulation::from_counts(protocol, initial);
         for _ in 0..T {
             pop.step(&mut rng);
+        }
+        *seen.entry(pop.counts()).or_insert(0) += 1;
+    }
+    seen
+}
+
+/// Final counts of `SEEDS` runs of `T` interactions on the sparse backend,
+/// by `T` calls of `step` or by `step_batch` calls until `T` interactions
+/// ran or the configuration fell silent.
+fn sparse<P: Protocol>(
+    protocol: &P,
+    initial: &[u64],
+    seed: u64,
+    batched: bool,
+) -> HashMap<Vec<u64>, u64> {
+    let mut seen = HashMap::new();
+    for run in 0..SEEDS {
+        let mut rng = SimRng::seed_from(seed + run);
+        let mut pop = SparseCountPopulation::from_dense(protocol, initial);
+        if batched {
+            while pop.steps() < T && !pop.step_batch(&mut rng, T - pop.steps()).silent {}
+        } else {
+            for _ in 0..T {
+                pop.step(&mut rng);
+            }
         }
         *seen.entry(pop.counts()).or_insert(0) += 1;
     }
@@ -167,4 +195,33 @@ fn ages_collision_batches_match_the_exact_law() {
 fn ages_steps_match_the_exact_law() {
     let exact = transient_counts(&ages(), &[8], T);
     assert_matches_exact("ages steps", &exact, &stepped(&ages(), &[8], 6 << 20));
+}
+
+#[test]
+fn cycle3_sparse_backend_matches_the_exact_law() {
+    let initial = [3, 3, 2];
+    let exact = transient_counts(&cycle3(), &initial, T);
+    let steps = sparse(&cycle3(), &initial, 7 << 20, false);
+    assert_matches_exact("cycle3 sparse steps", &exact, &steps);
+    let batches = sparse(&cycle3(), &initial, 8 << 20, true);
+    assert_matches_exact("cycle3 sparse batches", &exact, &batches);
+}
+
+#[test]
+fn dk18_sparse_backend_matches_the_exact_law() {
+    let osc = Dk18Oscillator::new();
+    let exact = transient_counts(&osc, &DK18_INIT, T);
+    let steps = sparse(&osc, &DK18_INIT, 9 << 20, false);
+    assert_matches_exact("DK18 sparse steps", &exact, &steps);
+    let batches = sparse(&osc, &DK18_INIT, 10 << 20, true);
+    assert_matches_exact("DK18 sparse batches", &exact, &batches);
+}
+
+#[test]
+fn ages_sparse_backend_matches_the_exact_law() {
+    let exact = transient_counts(&ages(), &[8], T);
+    let steps = sparse(&ages(), &[8], 11 << 20, false);
+    assert_matches_exact("ages sparse steps", &exact, &steps);
+    let batches = sparse(&ages(), &[8], 12 << 20, true);
+    assert_matches_exact("ages sparse batches", &exact, &batches);
 }

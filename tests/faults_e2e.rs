@@ -3,7 +3,8 @@
 //! [`RecoveryProbe`], returns to its pre-fault period statistics; and a
 //! checkpointed `ppsim faults` run resumed from a mid-run generation
 //! reports what the uninterrupted run reports, its run record after the
-//! header being the killed run's, line for line; and an injection with no
+//! header being the killed run's, line for line, and resuming twice from
+//! older generations of one directory works; and an injection with no
 //! window of rows after it, or that moved nobody, is reported as not
 //! judged rather than failed.
 
@@ -214,6 +215,81 @@ fn resumed_footer_counts_the_whole_run() {
     let (resumed, reference) = (body("resumed.jsonl"), body("ref.jsonl"));
     assert!(resumed.len() > 200, "one species row per round");
     assert_eq!(resumed, reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run resumed from an older generation numbers its checkpoints after
+/// that generation, replacing the later ones in place, so the directory
+/// stays resumable from each of them: resuming from generation 0 and then
+/// from generation 1 both continue the uninterrupted run, and a named
+/// generation that does not exist is reported as missing.
+#[test]
+fn resumes_from_generation_0_then_1_of_one_directory_succeed() {
+    let dir = std::env::temp_dir().join(format!("ppsim-resume-twice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let run = [
+        "oscillator",
+        "--n",
+        "3000",
+        "--rounds",
+        "200",
+        "--seed",
+        "3",
+    ];
+    let reference = ppsim(&run, &dir.join("ref.jsonl"));
+    let ck_dir = dir.join("ck");
+    let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(run)
+        .args(["--checkpoint-every", "200000", "--checkpoint-dir"])
+        .arg(&ck_dir)
+        .output()
+        .expect("spawn ppsim");
+    assert!(out.status.success(), "{}", out.status);
+    let generation = |g: u64| ck_dir.join(format!("gen-{g:010}.snap"));
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&ck_dir)
+            .expect("checkpoint dir exists")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+    let written = listing();
+    let body = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).expect("run record");
+        let header = Json::parse(text.lines().next().expect("header")).expect("header parses");
+        let run = header.get("run").and_then(Json::as_str).expect("run id");
+        text.lines()
+            .skip(1)
+            .map(|l| l.replace(&format!(r#""run":"{run}","#), ""))
+            .collect::<Vec<_>>()
+    };
+    for g in [0u64, 1] {
+        let path = generation(g);
+        let record = format!("resumed-{g}.jsonl");
+        let resumed = ppsim(
+            &["resume", path.to_str().expect("utf-8 temp path")],
+            &dir.join(&record),
+        );
+        assert_eq!(resumed, reference, "summary resumed from generation {g}");
+        assert_eq!(body(&record), body("ref.jsonl"), "record resumed from {g}");
+        assert_eq!(listing(), written, "generations replaced in place");
+    }
+    let missing = generation(7);
+    let out = Command::new(env!("CARGO_BIN_EXE_ppsim"))
+        .args(["resume", missing.to_str().expect("utf-8 temp path")])
+        .output()
+        .expect("spawn ppsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("is missing"), "{stderr}");
+    assert!(!stderr.contains("snapshot_corrupt"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

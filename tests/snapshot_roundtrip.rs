@@ -11,7 +11,6 @@ use population_protocols::core::engine::counts::{CountPopulation, SparseCountPop
 use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::json::Json;
 use population_protocols::core::engine::matching::MatchingPopulation;
-use population_protocols::core::engine::population::Population;
 use population_protocols::core::engine::protocol::TableProtocol;
 use population_protocols::core::engine::rng::SimRng;
 use population_protocols::core::engine::sim::Simulator;
@@ -132,7 +131,7 @@ fn every_backend_roundtrips_at_random_batch_boundaries() {
     }
 }
 
-/// The agent-array, matching and sparse backends, and the fault wrapper
+/// The matching and sparse backends, and the fault wrapper
 /// over the sparse one, have no snapshot: capture declines with an error
 /// naming the backend, so no partial state is ever written.
 #[test]
@@ -147,10 +146,6 @@ fn backends_without_snapshots_decline_by_name() {
             "{name}: {err}"
         );
     };
-    declines(
-        RunSnapshot::capture(&Population::from_counts(&p, &counts), &rng),
-        "Population",
-    );
     declines(
         RunSnapshot::capture(&MatchingPopulation::from_counts(&p, &counts), &rng),
         "MatchingPopulation",
