@@ -27,6 +27,7 @@
 //! tables. It is the oracle the simulator's batch samplers are tested
 //! against.
 
+use crate::reach::strongly_connected_components;
 use pp_engine::protocol::Protocol;
 use pp_rules::Ruleset;
 use std::collections::{BTreeMap, HashMap};
@@ -133,7 +134,7 @@ pub fn check_stabilization(
     }
 
     // Bottom SCCs: components with no edge to a different component.
-    let components = scc(&edges);
+    let components = strongly_connected_components(&edges);
     let mut component_of = vec![0usize; configs.len()];
     for (c, members) in components.iter().enumerate() {
         for &v in members {
@@ -288,60 +289,6 @@ impl ConfigChain {
         }
         self.rows[id].as_deref().expect("row built above")
     }
-}
-
-/// Tarjan SCC (iterative), shared shape with the support-graph version but
-/// kept local: the two graphs index different node kinds.
-fn scc(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = edges.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut next_index = 0usize;
-    let mut components = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut dfs: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, child)) = dfs.last() {
-            if child == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if child < edges[v].len() {
-                dfs.last_mut().expect("nonempty").1 += 1;
-                let w = edges[v][child];
-                if index[w] == usize::MAX {
-                    dfs.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    component.sort_unstable();
-                    components.push(component);
-                }
-                dfs.pop();
-                if let Some(&(parent, _)) = dfs.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-            }
-        }
-    }
-    components
 }
 
 #[cfg(test)]

@@ -208,8 +208,9 @@ pub fn non_silent_cycles(
 }
 
 /// Iterative Tarjan SCC over an adjacency list; returns components as
-/// sorted vertex lists.
-fn strongly_connected_components(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// sorted vertex lists. Serves both the support graph here and the
+/// exact chain's configuration graph (`crate::exact`).
+pub(crate) fn strongly_connected_components(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = edges.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];

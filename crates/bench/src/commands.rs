@@ -15,8 +15,7 @@ use pp_engine::json::Json;
 use pp_engine::prof;
 use pp_engine::recorder::Recorder;
 use pp_engine::rng::SimRng;
-use pp_engine::sim::Simulator;
-use pp_engine::snapshot::{hex_u64, parse_hex_u64, RunSnapshot};
+use pp_engine::snapshot::{hex_u64, parse_hex_u64, Checkpoint, RunSnapshot};
 use pp_engine::stats::quantile_sorted;
 use pp_lang::ast::Program;
 use pp_lang::interp::Executor;
@@ -752,7 +751,7 @@ fn fault_spec_from_flags(ctx: &Ctx) -> Result<FaultSpec, String> {
 /// recorder, which it then installs) and the rows recorded before the
 /// checkpoint. Returns every row of the run, or `None` when the snapshot
 /// does not restore.
-fn species_rows<S: Simulator>(
+fn species_rows<S: Checkpoint>(
     shape: &RunShape,
     pop: &mut S,
     resume: Option<&RunSnapshot>,
@@ -795,7 +794,7 @@ fn species_rows<S: Simulator>(
         if let Some(c) = ckpt.as_mut() {
             c.maybe_save(pop.steps(), |every, next| {
                 RunSnapshot::capture(&*pop, &rng)
-                    .map(|s| s.with_meta(shape.checkpoint_meta(every, next, &rows)))
+                    .with_meta(shape.checkpoint_meta(every, next, &rows))
             });
         }
         if out.silent && out.executed == 0 {

@@ -3,18 +3,19 @@
 //! carry over between the asynchronous and random-matching schedulers.
 //!
 //! Compares escape time, period, and epidemic/majority convergence under
-//! both schedulers at matched population sizes.
+//! both schedulers at matched population sizes. Each row gives the median
+//! over seeds and its quartiles.
 
 use super::e5_oscillator::{run_async, run_matching};
+use super::median_quartiles;
 use pp_clocks::detect::{dominance_events, escape_time, periods};
 use pp_clocks::oscillator::Dk18Oscillator;
 use pp_engine::counts::CountPopulation;
 use pp_engine::matching::MatchingPopulation;
 use pp_engine::protocol::TableProtocol;
-use pp_engine::report::{fmt_f64, Table};
+use pp_engine::report::Table;
 use pp_engine::rng::SimRng;
 use pp_engine::sim::{run_until, Simulator};
-use pp_engine::stats::Summary;
 
 fn epidemic() -> TableProtocol {
     TableProtocol::new(2, "epidemic")
@@ -28,7 +29,14 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
     let seeds = scale.pick(5u64, 10, 20);
     let horizon = scale.pick(300.0, 400.0, 600.0);
 
-    let mut table = Table::new(vec!["measurement", "scheduler", "n", "value_med"]);
+    let mut table = Table::new(vec![
+        "measurement",
+        "scheduler",
+        "n",
+        "value_med",
+        "value_q1",
+        "value_q3",
+    ]);
     println!("E12 — scheduler robustness (n = {n})\n");
 
     // Oscillator under both schedulers.
@@ -51,19 +59,15 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
         }
         per_match.extend(periods(&dominance_events(&trace, 0.8)));
     }
-    for (what, sched, data) in [
-        ("oscillator escape", "async", &esc_async),
-        ("oscillator escape", "matching", &esc_match),
-        ("oscillator period", "async", &per_async),
-        ("oscillator period", "matching", &per_match),
-    ] {
-        let v = if data.is_empty() {
-            f64::NAN
-        } else {
-            Summary::of(data).median
-        };
-        table.row(vec![what.into(), sched.into(), n.to_string(), fmt_f64(v)]);
-    }
+    let mut row = |what: &str, sched: &str, data: &[f64]| {
+        let mut cells = vec![what.into(), sched.into(), n.to_string()];
+        cells.extend(median_quartiles(data));
+        table.row(cells);
+    };
+    row("oscillator escape", "async", &esc_async);
+    row("oscillator escape", "matching", &esc_match);
+    row("oscillator period", "async", &per_async);
+    row("oscillator period", "matching", &per_match);
 
     // Epidemic completion under both schedulers.
     let mut t_async = Vec::new();
@@ -85,18 +89,8 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
             .expect("the epidemic completes");
         t_match.push(r as f64);
     }
-    table.row(vec![
-        "epidemic completion".into(),
-        "async".into(),
-        n.to_string(),
-        fmt_f64(Summary::of(&t_async).median),
-    ]);
-    table.row(vec![
-        "epidemic completion".into(),
-        "matching".into(),
-        n.to_string(),
-        fmt_f64(Summary::of(&t_match).median),
-    ]);
+    row("epidemic completion", "async", &t_async);
+    row("epidemic completion", "matching", &t_match);
 
     ctx.emit("e12_schedulers", &table);
     println!(

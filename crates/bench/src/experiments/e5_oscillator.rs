@@ -4,9 +4,11 @@
 //!
 //! Also ablates the DK18-style charge mechanism against plain
 //! rock–paper–scissors, demonstrating why the paper builds on \[DK18\]: the
-//! plain dynamic never leaves the central fixed point at scale.
+//! plain dynamic never leaves the central fixed point at scale. Each DK18
+//! row gives the median escape time over seeds and the median period over
+//! every seed's periods, each with its quartiles.
 
-use super::per_seed;
+use super::{median_quartiles, per_seed};
 use crate::n_ladder;
 use pp_clocks::detect::{dominance_events, escape_time, periods, rotation_violations};
 use pp_clocks::oscillator::{central_init, Dk18Oscillator, Oscillator, RpsOscillator};
@@ -54,7 +56,7 @@ pub(crate) fn run_matching<O: Oscillator + Clone + Send + Sync>(
     let mut trace = Vec::new();
     for _ in 0..rounds {
         pop.round(&mut rng);
-        trace.push((pop.rounds() as f64, osc.species_counts(&pop.counts())));
+        trace.push((pop.rounds() as f64, osc.species_counts(pop.counts())));
     }
     trace
 }
@@ -79,6 +81,27 @@ fn pool(stats: &[RotationStats]) -> (Vec<f64>, Vec<f64>, usize) {
     (escapes, all_periods, stats.iter().map(|s| s.2).sum())
 }
 
+/// A DK18 row: the escape and period medians with their quartiles.
+fn dk18_row(
+    scheduler: &str,
+    n: u64,
+    x: u64,
+    escapes: &[f64],
+    all_periods: &[f64],
+    viols: usize,
+) -> Vec<String> {
+    let mut cells = vec![
+        "dk18".into(),
+        scheduler.into(),
+        n.to_string(),
+        x.to_string(),
+    ];
+    cells.extend(median_quartiles(escapes));
+    cells.extend(median_quartiles(all_periods));
+    cells.extend([viols.to_string(), fmt_f64((n as f64).log2())]);
+    cells
+}
+
 pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
     let scale = ctx.scale();
     let ns = n_ladder(1_000, 10, scale.pick(2, 3, 4));
@@ -91,7 +114,11 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
         "n",
         "#X",
         "escape_med",
+        "escape_q1",
+        "escape_q3",
         "period_med",
+        "period_q1",
+        "period_q3",
         "rot_viol",
         "log2 n",
     ]);
@@ -108,20 +135,9 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
             rotation_stats(&trace, bound)
         });
         let (escapes, all_periods, viols) = pool(&stats);
-        let esc = Summary::of(&escapes);
-        let per = Summary::of(&all_periods);
-        escape_pts.push((n as f64, esc.median));
-        period_pts.push((n as f64, per.median));
-        table.row(vec![
-            "dk18".into(),
-            "async".into(),
-            n.to_string(),
-            x.to_string(),
-            fmt_f64(esc.median),
-            fmt_f64(per.median),
-            viols.to_string(),
-            fmt_f64((n as f64).log2()),
-        ]);
+        escape_pts.push((n as f64, Summary::of(&escapes).median));
+        period_pts.push((n as f64, Summary::of(&all_periods).median));
+        table.row(dk18_row("async", n, x, &escapes, &all_periods, viols));
 
         // DK18, random-matching scheduler, on the same number of seeds.
         let stats = per_seed(seeds, |seed| {
@@ -130,42 +146,32 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
             rotation_stats(&trace, bound)
         });
         let (escapes, all_periods, viols) = pool(&stats);
-        let median_or_dash = |data: &[f64]| {
-            if data.is_empty() {
-                "-".into()
-            } else {
-                fmt_f64(Summary::of(data).median)
-            }
-        };
-        table.row(vec![
-            "dk18".into(),
-            "matching".into(),
-            n.to_string(),
-            x.to_string(),
-            median_or_dash(&escapes),
-            median_or_dash(&all_periods),
-            viols.to_string(),
-            fmt_f64((n as f64).log2()),
-        ]);
+        table.row(dk18_row("matching", n, x, &escapes, &all_periods, viols));
 
-        // Plain RPS ablation (single seed per n).
+        // Plain RPS ablation (single seed per n, so its escape time has no
+        // quartiles).
         let osc = RpsOscillator::new();
         let trace = run_async(&osc, n, x, horizon, 0xE5_2222 + n);
         let ev = dominance_events(&trace, 0.8);
-        table.row(vec![
+        let mut cells = vec![
             "plain-rps".into(),
             "async".into(),
             n.to_string(),
             x.to_string(),
             escape_time(&trace, bound).map_or("-".into(), fmt_f64),
-            if ev.len() < 4 {
-                "- (stuck)".into()
-            } else {
-                fmt_f64(Summary::of(&periods(&ev)).median)
-            },
+            "-".into(),
+            "-".into(),
+        ];
+        if ev.len() < 4 {
+            cells.extend(["- (stuck)".into(), "-".into(), "-".into()]);
+        } else {
+            cells.extend(median_quartiles(&periods(&ev)));
+        }
+        cells.extend([
             rotation_violations(&ev).to_string(),
             fmt_f64((n as f64).log2()),
         ]);
+        table.row(cells);
     }
 
     println!("E5 — Theorem 5.1: oscillator escape and rotation\n");

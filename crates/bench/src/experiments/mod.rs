@@ -6,6 +6,8 @@
 
 use crate::history::{self, HistoryRecord};
 use crate::timing::throughput;
+use pp_engine::report::fmt_f64;
+use pp_engine::stats::quantile_sorted;
 use pp_lang::ast::Program;
 use pp_lang::enumerate::EnumExecutor;
 use pp_lang::interp::Executor;
@@ -31,6 +33,18 @@ pub(crate) mod e9_comparison;
 pub(crate) fn per_seed<T: Send>(seeds: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let configs: Vec<u64> = (0..seeds).collect();
     pp_engine::sweep::map_configs(&configs, 0, |&seed| f(seed))
+}
+
+/// Table cells of `data`'s median and quartiles, `[median, q1, q3]`, so
+/// that a row shows its spread over seeds beside its median; `-` in each
+/// for no data.
+pub(crate) fn median_quartiles(data: &[f64]) -> [String; 3] {
+    if data.is_empty() {
+        return ["-".into(), "-".into(), "-".into()];
+    }
+    let mut sorted = data.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.5, 0.25, 0.75].map(|q| fmt_f64(quantile_sorted(&sorted, q)))
 }
 
 /// How many of `runs` hold `true`, and the median of their values.

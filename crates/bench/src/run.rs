@@ -686,7 +686,7 @@ impl Checkpointer {
     /// losing a checkpoint must not kill the run it protects.
     pub fn maybe_save<F>(&mut self, steps: u64, snap: F)
     where
-        F: FnOnce(u64, u64) -> Result<RunSnapshot, String>,
+        F: FnOnce(u64, u64) -> RunSnapshot,
     {
         if steps < self.next {
             return;
@@ -694,9 +694,7 @@ impl Checkpointer {
         while self.next <= steps {
             self.next += self.every;
         }
-        let saved = snap(self.every, self.next)
-            .and_then(|s| self.store.save(&s).map(|_| ()).map_err(|e| e.to_string()));
-        if let Err(e) = saved {
+        if let Err(e) = self.store.save(&snap(self.every, self.next)) {
             eprintln!("warning: checkpoint save failed: {e}");
         }
     }

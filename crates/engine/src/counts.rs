@@ -28,7 +28,7 @@ use crate::reactivity::ReactivityIndex;
 use crate::recorder::{self, BatchTally};
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
-use crate::snapshot::{hex_u64, parse_hex_u64};
+use crate::snapshot::{hex_u64, parse_hex_u64, Checkpoint};
 
 pub use crate::sparse::SparseCountPopulation;
 
@@ -88,7 +88,7 @@ pub struct CountPopulation<P> {
     steps: u64,
     /// Occupancy and reactive-pair count of `counts`. Built on the first
     /// `step_batch` call (for `k ≤ BATCH_STATE_LIMIT`); dropped by
-    /// out-of-band count edits ([`Simulator::migrate`]).
+    /// out-of-band count edits ([`CountPopulation::migrate`]).
     index: Option<ReactivityIndex>,
     /// Birthday-process table for the collision-batch regime. Keyed only on
     /// `n`, which never changes, so it survives index invalidations.
@@ -149,6 +149,35 @@ impl<P: Protocol> CountPopulation<P> {
     #[must_use]
     pub fn counts_slice(&self) -> &[u64] {
         &self.counts
+    }
+
+    /// Moves up to `k` agents from state `from` to state `to` *out of band*
+    /// — no scheduler steps are consumed and no transition is applied.
+    ///
+    /// Returns how many agents actually moved, which is `min(k, count(from))`
+    /// (`from == to` moves nothing). This is the count surgery the fault
+    /// wrapper ([`crate::faults`]) composes corruption, churn, and
+    /// Byzantine pinning from. Drops the reactivity index (its
+    /// reactive-pair count goes stale); the next `step_batch` rebuilds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` is out of range.
+    pub fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
+        let states = self.protocol.num_states();
+        assert!(from < states, "migrate source state out of range");
+        assert!(to < states, "migrate target state out of range");
+        let moved = k.min(self.counts[from]);
+        if from == to || moved == 0 {
+            return 0;
+        }
+        self.refresh_tree();
+        self.tree.add(from, -(moved as i64));
+        self.tree.add(to, moved as i64);
+        self.counts[from] -= moved;
+        self.counts[to] += moved;
+        self.index = None;
+        moved
     }
 
     /// Rebuilds the Fenwick tree from the counts after a collision batch
@@ -236,25 +265,6 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
 
     fn counts(&self) -> Vec<u64> {
         self.counts.clone()
-    }
-
-    /// Drops the reactivity index (its reactive-pair count goes stale); the
-    /// next `step_batch` rebuilds it.
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        let states = self.protocol.num_states();
-        assert!(from < states, "migrate source state out of range");
-        assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.counts[from]);
-        if from == to || moved == 0 {
-            return 0;
-        }
-        self.refresh_tree();
-        self.tree.add(from, -(moved as i64));
-        self.tree.add(to, moved as i64);
-        self.counts[from] -= moved;
-        self.counts[to] += moved;
-        self.index = None;
-        moved
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
@@ -387,7 +397,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         }
         out
     }
+}
 
+impl<P: Protocol> Checkpoint for CountPopulation<P> {
     fn backend_tag(&self) -> &'static str {
         "counts"
     }
@@ -399,8 +411,8 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     /// index and the staleness of the tree are recorded, so that a resumed
     /// run rebuilds them at exactly the same points in its metrics stream
     /// as the uninterrupted run.
-    fn snapshot(&self) -> Result<Json, String> {
-        Ok(Json::obj([
+    fn snapshot(&self) -> Json {
+        Json::obj([
             (
                 "counts",
                 Json::Arr(self.counts.iter().map(|&c| hex_u64(c)).collect()),
@@ -408,7 +420,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
             ("steps", hex_u64(self.steps)),
             ("cached", Json::Bool(self.index.is_some())),
             ("tree_stale", Json::Bool(self.tree_stale)),
-        ]))
+        ])
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), String> {
@@ -533,10 +545,7 @@ mod tests {
         assert!(pop.tree_stale);
         let counts = pop.counts();
         assert_eq!(counts.iter().sum::<u64>(), 3_000);
-        assert_eq!(
-            pop.snapshot().unwrap().get("tree_stale"),
-            Some(&Json::Bool(true))
-        );
+        assert_eq!(pop.snapshot().get("tree_stale"), Some(&Json::Bool(true)));
         {
             let _installed = rec.install();
             pop.step(&mut rng);

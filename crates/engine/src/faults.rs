@@ -12,16 +12,18 @@
 //!   plus an RNG stream independent of the scheduler's, so the *same*
 //!   simulation seed with and without faults sees identical scheduling up to
 //!   the first injection;
-//! * [`FaultyPopulation`] — a wrapper implementing [`Simulator`] over any
-//!   backend. Batches are split at trigger boundaries, injections are
-//!   applied through [`Simulator::migrate`] (count-level state surgery, no
+//! * [`FaultyPopulation`] — a wrapper implementing [`Simulator`] over the
+//!   count backend ([`CountPopulation`]), the one backend the fault runs
+//!   use. Batches are split at trigger boundaries, injections are applied
+//!   through [`CountPopulation::migrate`] (count-level state surgery, no
 //!   scheduler steps consumed), and every injection is recorded as a
 //!   [`FaultEvent`] and counted by the run's [`crate::recorder::Recorder`].
+//!   Faults run under the uniform pair scheduler only.
 //!
 //! ## The fault model
 //!
-//! Agents are exchangeable in every backend, so all injectable faults are
-//! expressible as count movements:
+//! Agents are exchangeable, so all injectable faults are expressible as
+//! count movements:
 //!
 //! * **Transient corruption** — at a given parallel time, each agent
 //!   independently has its state overwritten with probability `frac`:
@@ -30,7 +32,7 @@
 //! * **Agent churn** — every `every_rounds` rounds, each agent crashes with
 //!   probability `frac` and is immediately replaced by a fresh agent in
 //!   `reset_state` (the standard balanced crash+join model that keeps `n`
-//!   fixed; all backends size their structures to a constant `n`).
+//!   fixed; the count backend sizes its structures to a constant `n`).
 //! * **Byzantine pinning** — every `every_rounds` rounds, an adversary
 //!   (re)establishes `count` agents in an adversarial state `pin_state`,
 //!   pulling victims proportionally from the other states. Between
@@ -40,12 +42,14 @@
 //! Injections never consume scheduler steps; parallel time is still
 //! `steps / n`, so recovery measurements downstream compare like with like.
 
+use crate::counts::CountPopulation;
 use crate::json::{Json, JsonError};
 use crate::metrics::Counter;
+use crate::protocol::Protocol;
 use crate::recorder;
 use crate::rng::SimRng;
 use crate::sim::{BatchOutcome, Simulator, StepOutcome};
-use crate::snapshot::{hex_u64, parse_hex_u64};
+use crate::snapshot::{hex_u64, parse_hex_u64, rng_from_json, rng_to_json, Checkpoint};
 
 /// What corruption writes into a corrupted agent's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -450,7 +454,7 @@ impl FaultPlan {
 
     /// Applies every fault due at or before `sim.steps()` and re-arms
     /// recurring triggers. Returns how many injections fired.
-    fn apply_due<S: Simulator>(&mut self, sim: &mut S) -> usize {
+    fn apply_due<P: Protocol>(&mut self, sim: &mut CountPopulation<P>) -> usize {
         let now = sim.steps();
         let mut fired = 0;
         for i in 0..self.faults.len() {
@@ -499,19 +503,7 @@ impl FaultPlan {
     /// spec when the restoring process reconstructs the plan.
     fn snapshot(&self) -> Json {
         Json::obj([
-            (
-                "rng",
-                Json::obj([
-                    (
-                        "words",
-                        Json::Arr(self.rng.state_words().iter().map(|&w| hex_u64(w)).collect()),
-                    ),
-                    (
-                        "spare_normal",
-                        self.rng.spare_normal_bits().map_or(Json::Null, hex_u64),
-                    ),
-                ]),
-            ),
+            ("rng", rng_to_json(&self.rng)),
             (
                 "triggers",
                 Json::Arr(self.triggers.iter().map(|t| hex_u64(t.next)).collect()),
@@ -539,21 +531,8 @@ impl FaultPlan {
     /// Restores trigger progress, the fault RNG, and the event log into a
     /// freshly compiled plan for the same spec.
     fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let rng_obj = state.get("rng").ok_or("fault plan snapshot missing rng")?;
-        let words_arr = rng_obj
-            .get("words")
-            .and_then(Json::as_arr)
-            .filter(|w| w.len() == 4)
-            .ok_or("fault plan rng needs exactly 4 state words")?;
-        let mut words = [0u64; 4];
-        for (slot, j) in words.iter_mut().zip(words_arr) {
-            *slot = parse_hex_u64(j)?;
-        }
-        let spare = match rng_obj.get("spare_normal") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(parse_hex_u64(j)?),
-        };
-        let rng = SimRng::from_state(words, spare).ok_or("fault plan rng state is all-zero")?;
+        let rng = rng_from_json(state.get("rng").ok_or("fault plan snapshot missing rng")?)
+            .map_err(|e| format!("fault plan {e}"))?;
         let trigger_arr = state
             .get("triggers")
             .and_then(Json::as_arr)
@@ -605,8 +584,8 @@ impl FaultPlan {
 /// probability `frac`. Exchangeability makes this exact at the count level:
 /// the number corrupted out of state `s` is `Binomial(count(s), frac)`, and
 /// randomize-mode targets are split uniformly by sequential binomial draws.
-fn corrupt<S: Simulator>(
-    sim: &mut S,
+fn corrupt<P: Protocol>(
+    sim: &mut CountPopulation<P>,
     rng: &mut SimRng,
     frac: f64,
     mode: CorruptMode,
@@ -651,7 +630,12 @@ fn corrupt<S: Simulator>(
 
 /// Balanced crash+join churn: each agent independently crashes with
 /// probability `frac` and is replaced by a fresh agent in `reset_state`.
-fn churn<S: Simulator>(sim: &mut S, rng: &mut SimRng, frac: f64, reset_state: usize) -> (u64, u64) {
+fn churn<P: Protocol>(
+    sim: &mut CountPopulation<P>,
+    rng: &mut SimRng,
+    frac: f64,
+    reset_state: usize,
+) -> (u64, u64) {
     let counts = sim.counts();
     let mut hit = 0u64;
     let mut moved = 0u64;
@@ -675,8 +659,8 @@ fn churn<S: Simulator>(sim: &mut S, rng: &mut SimRng, frac: f64, reset_state: us
 /// agents, pulling victims from the other states proportionally to their
 /// counts (a sequential-binomial approximation of a uniform draw without
 /// replacement, followed by a greedy fill for rounding leftovers).
-fn pin_byzantine<S: Simulator>(
-    sim: &mut S,
+fn pin_byzantine<P: Protocol>(
+    sim: &mut CountPopulation<P>,
     rng: &mut SimRng,
     count: u64,
     pin_state: usize,
@@ -719,7 +703,7 @@ fn pin_byzantine<S: Simulator>(
     (moved, moved)
 }
 
-/// A simulation backend wrapped with a fault-injection plan.
+/// The count backend wrapped with a fault-injection plan.
 ///
 /// Implements [`Simulator`] by delegation; [`Simulator::step_batch`] splits
 /// batches at trigger boundaries so injections fire at the scheduled step
@@ -744,25 +728,25 @@ fn pin_byzantine<S: Simulator>(
 /// assert_eq!(pop.events().len(), 1, "the corruption fired mid-batch");
 /// ```
 #[derive(Debug, Clone)]
-pub struct FaultyPopulation<S> {
-    inner: S,
+pub struct FaultyPopulation<P> {
+    inner: CountPopulation<P>,
     plan: FaultPlan,
 }
 
-impl<S: Simulator> FaultyPopulation<S> {
+impl<P: Protocol> FaultyPopulation<P> {
     /// Wraps `inner` with the faults described by `spec`.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first invalid fault in the spec.
-    pub fn new(inner: S, spec: &FaultSpec) -> Result<Self, String> {
+    pub fn new(inner: CountPopulation<P>, spec: &FaultSpec) -> Result<Self, String> {
         let plan = FaultPlan::compile(spec, inner.n(), inner.num_states())?;
         Ok(Self { inner, plan })
     }
 
     /// The wrapped backend.
     #[must_use]
-    pub fn inner(&self) -> &S {
+    pub fn inner(&self) -> &CountPopulation<P> {
         &self.inner
     }
 
@@ -780,7 +764,7 @@ impl<S: Simulator> FaultyPopulation<S> {
     }
 }
 
-impl<S: Simulator> Simulator for FaultyPopulation<S> {
+impl<P: Protocol> Simulator for FaultyPopulation<P> {
     fn n(&self) -> u64 {
         self.inner.n()
     }
@@ -799,10 +783,6 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
 
     fn counts(&self) -> Vec<u64> {
         self.inner.counts()
-    }
-
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        self.inner.migrate(from, to, k)
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
@@ -843,22 +823,24 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
         }
         out
     }
+}
 
+impl<P: Protocol> Checkpoint for FaultyPopulation<P> {
     fn backend_tag(&self) -> &'static str {
         "faulty"
     }
 
-    /// Serializes the inner backend's state (tagged, so a restore into a
-    /// wrapper over a different backend is rejected) together with the fault
-    /// plan's resumable state: its RNG, per-trigger progress, and the event
-    /// log. The fault *spec* is not stored; restore targets a freshly built
-    /// wrapper compiled from the same spec.
-    fn snapshot(&self) -> Result<Json, String> {
-        Ok(Json::obj([
+    /// Serializes the inner backend's state (tagged with the inner
+    /// backend's name) together with the fault plan's resumable state: its
+    /// RNG, per-trigger progress, and the event log. The fault *spec* is
+    /// not stored; restore targets a freshly built wrapper compiled from
+    /// the same spec.
+    fn snapshot(&self) -> Json {
+        Json::obj([
             ("inner_backend", Json::from(self.inner.backend_tag())),
-            ("inner", self.inner.snapshot()?),
+            ("inner", self.inner.snapshot()),
             ("plan", self.plan.snapshot()),
-        ]))
+        ])
     }
 
     fn restore(&mut self, state: &Json) -> Result<(), String> {
@@ -887,8 +869,6 @@ impl<S: Simulator> Simulator for FaultyPopulation<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counts::{CountPopulation, SparseCountPopulation};
-    use crate::matching::MatchingPopulation;
     use crate::protocol::TableProtocol;
     use crate::sim::run_rounds;
 
@@ -1014,7 +994,7 @@ mod tests {
             .corrupt(1.0, 0.3, CorruptMode::Randomize)
             .churn(2.0, 0.05, 0);
         let run = |seed: u64| {
-            let inner = SparseCountPopulation::from_dense(&p, &[400, 100]);
+            let inner = CountPopulation::from_counts(&p, &[400, 100]);
             let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
             let mut rng = SimRng::seed_from(seed);
             run_rounds(&mut pop, 8.0, &mut rng);
@@ -1024,22 +1004,14 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_works_over_every_backend() {
-        let p = epidemic();
+    fn corruption_conserves_the_population() {
         let spec = FaultSpec::new(2).corrupt(1.0, 0.25, CorruptMode::Zero);
-        let total = |counts: &[u64]| counts.iter().sum::<u64>();
-        macro_rules! check {
-            ($inner:expr) => {{
-                let mut pop = FaultyPopulation::new($inner, &spec).unwrap();
-                let mut rng = SimRng::seed_from(17);
-                run_rounds(&mut pop, 3.0, &mut rng);
-                assert_eq!(pop.events().len(), 1);
-                assert_eq!(total(&pop.counts()), 600, "n is conserved");
-            }};
-        }
-        check!(CountPopulation::from_counts(&p, &[100, 500]));
-        check!(SparseCountPopulation::from_dense(&p, &[100, 500]));
-        check!(MatchingPopulation::from_counts(&p, &[100, 500]));
+        let inner = CountPopulation::from_counts(epidemic(), &[100, 500]);
+        let mut pop = FaultyPopulation::new(inner, &spec).unwrap();
+        let mut rng = SimRng::seed_from(17);
+        run_rounds(&mut pop, 3.0, &mut rng);
+        assert_eq!(pop.events().len(), 1);
+        assert_eq!(pop.counts().iter().sum::<u64>(), 600, "n is conserved");
     }
 
     #[test]

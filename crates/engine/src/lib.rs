@@ -10,11 +10,16 @@
 //!
 //! ## Backends
 //!
-//! Every backend implements [`sim::Simulator`], including the batched
-//! stepping entry point [`sim::Simulator::step_batch`] that the run loops
-//! ([`sim::run_steps`], [`sim::run_rounds`], [`sim::run_until`]) drive;
-//! per-interaction [`sim::Simulator::step`] remains for fine-grained
-//! control. Batch cost is
+//! The asynchronous-scheduler backends implement [`sim::Simulator`],
+//! including the batched stepping entry point
+//! [`sim::Simulator::step_batch`] that the run loops ([`sim::run_steps`],
+//! [`sim::run_rounds`], [`sim::run_until`]) drive; per-interaction
+//! [`sim::Simulator::step`] remains for fine-grained control. The
+//! random-matching scheduler runs by rounds
+//! ([`matching::MatchingPopulation::round`]) and is not a `Simulator`.
+//! Fault injection ([`faults::FaultyPopulation`]) and checkpoints
+//! ([`snapshot::Checkpoint`]) belong to [`counts::CountPopulation`]. Batch
+//! cost is
 //! what matters on hot paths: it is paid once per *reactive* interaction (or
 //! per executed step where no reactivity information exists), with no-op
 //! stretches leaped over in `O(1)`.
@@ -23,10 +28,10 @@
 //! |---|---|---|---|---|
 //! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
 //! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums; interned ids with a guard-class memo; per-rule-slot agent counts and lazily built class-member bitsets while leaping | `O(occupied/B + B)`, `B = 32` | two walks of the picked rule slot's class members, `O(occupied/64 + members)`, plus `O(set bits)` upkeep per effective step and `O(1)` per stretch of ineffective rule draws where `p · (occupied + 80 + 100 · (words − 1)) < 25`; `O(m · (occupied/B + B))` otherwise | huge nominal `k`, few occupied states; every program executor site ([`counts::SparseCountPopulation::run_on`]) |
-//! | [`matching::MatchingPopulation`] | state-count vector | `O(q²)` draws per round, `q` occupied states (`k ≤ 1024`) | whole rounds: each one collision-batch settle step with all `⌊n/2⌋` pairs deferred | random-matching scheduler (§5.3) |
+//! | [`matching::MatchingPopulation`] | state-count vector | — (not a `Simulator`) | `O(q²)` draws per round, `q` occupied states (`k ≤ 1024`): one collision-batch settle step with all `⌊n/2⌋` pairs deferred | random-matching scheduler (§5.3), E5 and E12 |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
-//! All stochastic backends implement the same distribution over runs, and
+//! The asynchronous backends implement the same distribution over runs, and
 //! `step_batch` induces the same run distribution as iterated `step` — the
 //! leaping backends are exact because they only skip interactions that
 //! provably cannot change state, or, on the sparse backend, rule draws

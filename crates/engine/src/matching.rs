@@ -13,7 +13,16 @@
 //!
 //! Theorem 5.1's oscillator analysis, and consequently the whole clock
 //! hierarchy, is claimed to hold under both the asynchronous and the
-//! random-matching scheduler; experiment E12 checks this empirically.
+//! random-matching scheduler; experiments E5 and E12 check this
+//! empirically, round by round.
+//!
+//! The scheduler is not a [`crate::sim::Simulator`]: its unit is the round,
+//! which no step budget divides, so it keeps its own round API
+//! ([`MatchingPopulation::round`], [`MatchingPopulation::rounds`],
+//! [`MatchingPopulation::run_until`]). Each round feeds the run's
+//! recorder: `matching_rounds`, and the batch counters (`batches`,
+//! `interactions_executed`, `interactions_changed`, the `batch_size`
+//! histogram) with the round as the batch.
 
 use crate::collision::{self, CollisionScratch};
 use crate::counts::BATCH_STATE_LIMIT;
@@ -22,7 +31,7 @@ use crate::prof::{self, Section};
 use crate::protocol::Protocol;
 use crate::recorder;
 use crate::rng::SimRng;
-use crate::sim::{BatchOutcome, Simulator, StepOutcome};
+use crate::sim::BatchOutcome;
 
 /// A population driven by the random-matching synchronous scheduler.
 ///
@@ -37,7 +46,6 @@ use crate::sim::{BatchOutcome, Simulator, StepOutcome};
 /// use pp_engine::matching::MatchingPopulation;
 /// use pp_engine::protocol::TableProtocol;
 /// use pp_engine::rng::SimRng;
-/// use pp_engine::sim::Simulator;
 ///
 /// let p = TableProtocol::new(2, "epidemic").rule(1, 0, 1, 1).rule(0, 1, 1, 1);
 /// let mut pop = MatchingPopulation::from_counts(&p, &[127, 1]);
@@ -92,7 +100,32 @@ impl<P: Protocol> MatchingPopulation<P> {
         }
     }
 
-    /// Number of matching rounds executed.
+    /// Population size `n`.
+    #[must_use]
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// Interactions executed so far: `⌊n/2⌋` per round.
+    #[must_use]
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Number of agents currently in `state`.
+    #[must_use]
+    pub fn count(&self, state: usize) -> u64 {
+        self.counts[state]
+    }
+
+    /// The count of every state, indexed by state.
+    #[must_use]
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Number of matching rounds executed: the parallel time, one unit per
+    /// round.
     #[must_use]
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -102,12 +135,7 @@ impl<P: Protocol> MatchingPopulation<P> {
     /// per matched pair with random orientation. Returns how many of the
     /// round's interactions changed at least one agent's state.
     pub fn round(&mut self, rng: &mut SimRng) -> u64 {
-        let _batch_span = prof::section(Section::BatchMatching);
-        self.settle_round(rng)
-    }
-
-    /// One round, without a section of its own.
-    fn settle_round(&mut self, rng: &mut SimRng) -> u64 {
+        let _round_span = prof::section(Section::MatchingRound);
         let out = collision::run_matching_round(
             &self.protocol,
             &mut self.counts,
@@ -117,6 +145,14 @@ impl<P: Protocol> MatchingPopulation<P> {
         );
         self.steps += out.executed;
         self.rounds += 1;
+        recorder::with(|r| {
+            r.add(Counter::MatchingRounds, 1);
+            r.record_batch(&BatchOutcome {
+                executed: out.executed,
+                changed: out.changed,
+                silent: false,
+            });
+        });
         out.changed
     }
 
@@ -136,82 +172,6 @@ impl<P: Protocol> MatchingPopulation<P> {
             }
         }
         None
-    }
-}
-
-impl<P: Protocol> Simulator for MatchingPopulation<P> {
-    fn n(&self) -> u64 {
-        self.n
-    }
-
-    fn num_states(&self) -> usize {
-        self.protocol.num_states()
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Parallel time under the matching scheduler is the round count.
-    fn time(&self) -> f64 {
-        self.rounds as f64
-    }
-
-    fn count(&self, state: usize) -> u64 {
-        self.counts[state]
-    }
-
-    fn counts(&self) -> Vec<u64> {
-        self.counts.clone()
-    }
-
-    /// Moves up to `k` agents between states; migrated agents take part in
-    /// the next matching round under their new state.
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        let states = self.protocol.num_states();
-        assert!(from < states, "migrate source state out of range");
-        assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.counts[from]);
-        if from == to {
-            return 0;
-        }
-        self.counts[from] -= moved;
-        self.counts[to] += moved;
-        moved
-    }
-
-    /// A single scheduler activation is a whole matching round.
-    fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
-        if self.round(rng) > 0 {
-            StepOutcome::Changed
-        } else {
-            StepOutcome::Unchanged
-        }
-    }
-
-    /// Runs whole matching rounds until at least `max_steps` interactions
-    /// (`⌊n/2⌋` per round) have been executed. The matching scheduler has no
-    /// sub-round granularity, so a batch may overshoot `max_steps` by up to
-    /// one round minus one interaction; `executed` reports the true step
-    /// delta. Never reports silence.
-    fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome {
-        let _batch_span = prof::section(Section::BatchMatching);
-        let start = self.steps;
-        let start_rounds = self.rounds;
-        let mut changed = 0u64;
-        while self.steps - start < max_steps {
-            changed += self.settle_round(rng);
-        }
-        let out = BatchOutcome {
-            executed: self.steps - start,
-            changed,
-            silent: false,
-        };
-        recorder::with(|r| {
-            r.add(Counter::MatchingRounds, self.rounds - start_rounds);
-            r.record_batch(&out);
-        });
-        out
     }
 }
 
@@ -258,59 +218,32 @@ mod tests {
     }
 
     #[test]
-    fn run_rounds_overshoot_is_below_half_n() {
-        // `run_rounds` asks for a step budget, but this backend only runs
-        // whole matching rounds, so it may overshoot — by strictly less than
-        // one round, i.e. < ⌊n/2⌋ interactions. Use a count-invariant swap
-        // protocol (never silent) and fractional round targets so the step
-        // target never aligns with a round boundary.
-        let swap = TableProtocol::new(2, "swap")
-            .rule(0, 1, 1, 0)
-            .rule(1, 0, 0, 1);
-        let n: u64 = 101;
-        for (seed, rounds) in [(7u64, 0.3f64), (8, 1.7), (9, 5.5), (10, 12.9)] {
-            let mut pop = MatchingPopulation::from_counts(swap.clone(), &[n - 1, 1]);
-            let mut rng = SimRng::seed_from(seed);
-            crate::sim::run_rounds(&mut pop, rounds, &mut rng);
-            let target = (rounds * n as f64).ceil() as u64;
-            assert!(
-                pop.steps() >= target,
-                "undershoot: {} < {target}",
-                pop.steps()
-            );
-            assert!(
-                pop.steps() - target < n / 2,
-                "overshoot {} must be < ⌊n/2⌋ = {} (target {target})",
-                pop.steps() - target,
-                n / 2
-            );
-        }
-    }
-
-    #[test]
-    fn migrate_moves_counts_without_steps() {
-        let mut pop = MatchingPopulation::from_counts(epidemic(), &[6, 2]);
-        assert_eq!(pop.migrate(1, 0, 5), 2, "capped at the source count");
-        assert_eq!(pop.count(0), 8);
-        assert_eq!(pop.count(1), 0);
-        assert_eq!(pop.migrate(0, 0, 3), 0, "self-moves are no-ops");
-        assert_eq!(pop.steps(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at most 1024 states")]
     fn protocols_above_the_batch_limit_are_refused() {
         let wide = TableProtocol::new(BATCH_STATE_LIMIT + 1, "wide").rule(0, 1, 1, 1);
         let _ = MatchingPopulation::from_counts(wide, &[5, 5]);
     }
 
+    /// Each round is one batch of the run's recorder, so the footer of a
+    /// run that drives rounds counts them.
     #[test]
-    fn simulator_time_counts_rounds() {
-        let mut pop = MatchingPopulation::from_counts(epidemic(), &[10, 10]);
+    fn rounds_feed_the_recorder() {
+        let mut pop = MatchingPopulation::from_counts(epidemic(), &[10, 11]);
         let mut rng = SimRng::seed_from(5);
-        pop.round(&mut rng);
-        pop.round(&mut rng);
-        assert_eq!(pop.time(), 2.0);
-        assert_eq!(pop.rounds(), 2);
+        let mut rec = recorder::Recorder::new();
+        let mut changed = 0;
+        {
+            let _installed = rec.install();
+            for _ in 0..3 {
+                changed += pop.round(&mut rng);
+            }
+        }
+        let metrics = rec.metrics();
+        assert_eq!(pop.rounds(), 3);
+        assert_eq!(metrics.counter("matching_rounds"), pop.rounds());
+        assert_eq!(metrics.counter("batches"), pop.rounds());
+        assert_eq!(metrics.counter("interactions_executed"), pop.steps());
+        assert_eq!(pop.steps(), 3 * 10, "⌊21/2⌋ interactions per round");
+        assert_eq!(metrics.counter("interactions_changed"), changed);
     }
 }

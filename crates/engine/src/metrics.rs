@@ -45,7 +45,8 @@ pub enum Counter {
     /// `CountPopulation` reactivity indexes built (first batch, or after an
     /// out-of-band count edit invalidated the index).
     BatchCacheRebuilds,
-    /// `step_batch` calls across all backends.
+    /// `step_batch` calls across all backends, and matching rounds (one
+    /// batch each).
     Batches,
     /// Batches that ended with the configuration known silent.
     SilenceDetections,

@@ -59,11 +59,10 @@ pub enum Section {
     /// dispatcher, whose regimes open [`Section::SparseLeap`] and
     /// [`Section::PerStep`].
     BatchSparse,
-    /// One `MatchingPopulation::step_batch` call, or one
-    /// `MatchingPopulation::round` called directly: the settle step's
+    /// One `MatchingPopulation::round`: the settle step's
     /// [`Section::EpochMargins`], [`Section::EpochRows`] and
     /// [`Section::EpochSettle`] nest under it.
-    BatchMatching,
+    MatchingRound,
     /// The loop of Fenwick-sampled steps without a reactivity index
     /// (`k > BATCH_STATE_LIMIT`).
     DenseFallback,
@@ -130,7 +129,7 @@ impl Section {
     pub const ALL: [Section; 21] = [
         Section::BatchCount,
         Section::BatchSparse,
-        Section::BatchMatching,
+        Section::MatchingRound,
         Section::DenseFallback,
         Section::PerStep,
         Section::Leap,
@@ -157,7 +156,7 @@ impl Section {
         match self {
             Section::BatchCount => "count_step_batch",
             Section::BatchSparse => "sparse_step_batch",
-            Section::BatchMatching => "matching_step_batch",
+            Section::MatchingRound => "matching_round",
             Section::DenseFallback => "dense_fallback",
             Section::PerStep => "per_step",
             Section::Leap => "noop_leap",

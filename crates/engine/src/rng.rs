@@ -6,7 +6,7 @@
 //! SplitMix64 — rather than depending on the platform entropy source or an
 //! external crate. All sampling primitives the simulators need (uniform
 //! integers, Bernoulli, binomial, hypergeometric, multivariate
-//! hypergeometric, geometric, normal) are inherent methods.
+//! hypergeometric, geometric) are inherent methods.
 //!
 //! The binomial and hypergeometric samplers are *exact* — no normal
 //! approximation anywhere — and pick one of three paths per draw:
@@ -276,9 +276,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
-    /// Bit pattern of the unused Box–Muller sine-branch sample, if one is
-    /// banked from the previous [`SimRng::normal`] call.
-    spare_normal: Option<u64>,
 }
 
 impl SimRng {
@@ -298,45 +295,32 @@ impl SimRng {
         // All-zero state is the one forbidden fixed point; SplitMix64 cannot
         // produce four consecutive zeros, but guard anyway.
         debug_assert!(s.iter().any(|&w| w != 0));
-        Self {
-            s,
-            spare_normal: None,
-        }
+        Self { s }
     }
 
     /// The four xoshiro256\*\* state words, exactly as they are now.
     ///
-    /// Together with [`SimRng::spare_normal_bits`] this is the *complete*
-    /// generator state: reconstructing via [`SimRng::from_state`] continues
-    /// the identical output stream word-for-word. Used by the snapshot
-    /// layer ([`crate::snapshot`]) for exact resume.
+    /// This is the *complete* generator state: reconstructing via
+    /// [`SimRng::from_state`] continues the identical output stream
+    /// word-for-word. Used by the snapshot layer ([`crate::snapshot`]) for
+    /// exact resume.
     #[must_use]
     pub fn state_words(&self) -> [u64; 4] {
         self.s
     }
 
-    /// Bit pattern of the banked Box–Muller sine-branch sample, if the last
-    /// [`SimRng::normal`] call left one unconsumed.
-    #[must_use]
-    pub fn spare_normal_bits(&self) -> Option<u64> {
-        self.spare_normal
-    }
-
     /// Reconstructs a generator from state previously read with
-    /// [`SimRng::state_words`] / [`SimRng::spare_normal_bits`].
+    /// [`SimRng::state_words`].
     ///
     /// Returns `None` for the all-zero word vector: that is the one
     /// forbidden xoshiro fixed point and can never arise from a genuine
     /// running generator, so it only appears in corrupted input.
     #[must_use]
-    pub fn from_state(words: [u64; 4], spare_normal: Option<u64>) -> Option<Self> {
+    pub fn from_state(words: [u64; 4]) -> Option<Self> {
         if words.iter().all(|&w| w == 0) {
             return None;
         }
-        Some(Self {
-            s: words,
-            spare_normal,
-        })
+        Some(Self { s: words })
     }
 
     /// Returns a uniformly random value in `0..bound`.
@@ -692,29 +676,6 @@ impl SimRng {
         debug_assert_eq!(rem_draws, 0);
     }
 
-    /// Samples a standard normal via the Box–Muller transform.
-    ///
-    /// Each transform yields two independent samples (the cosine and sine
-    /// branches); the sine branch is banked and returned by the next call,
-    /// so the uniforms and transcendental work amortize over two samples.
-    #[inline]
-    pub fn normal(&mut self) -> f64 {
-        if let Some(bits) = self.spare_normal.take() {
-            return f64::from_bits(bits);
-        }
-        let u1 = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare_normal = Some((r * theta.sin()).to_bits());
-        r * theta.cos()
-    }
-
     /// Samples a geometric random variable: the number of independent
     /// Bernoulli(`p`) failures before the first success (support `0, 1, …`).
     ///
@@ -1050,55 +1011,5 @@ mod tests {
         // Drawing the whole urn returns it exactly.
         rng.multivariate_hypergeometric_into(&weights, 1000, &mut out);
         assert_eq!(out, weights);
-    }
-
-    #[test]
-    fn normal_moments_match_standard_gaussian() {
-        // Moment-matching for the pair-caching Box–Muller: mean, variance,
-        // skewness, and excess kurtosis over both branches.
-        let mut rng = SimRng::seed_from(27);
-        let samples: Vec<f64> = (0..100_000).map(|_| rng.normal()).collect();
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        let sd = var.sqrt();
-        let skew = samples
-            .iter()
-            .map(|x| ((x - mean) / sd).powi(3))
-            .sum::<f64>()
-            / n;
-        let kurt = samples
-            .iter()
-            .map(|x| ((x - mean) / sd).powi(4))
-            .sum::<f64>()
-            / n;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "variance {var}");
-        assert!(skew.abs() < 0.05, "skewness {skew}");
-        assert!((kurt - 3.0).abs() < 0.1, "kurtosis {kurt}");
-    }
-
-    #[test]
-    fn normal_spare_sample_is_banked_not_dropped() {
-        // Two calls must consume exactly one Box–Muller transform (two
-        // uniforms): replaying the raw stream reproduces both branches.
-        let mut rng = SimRng::seed_from(53);
-        let mut raw = rng.clone();
-        let a = rng.normal();
-        let b = rng.normal();
-        let u1 = raw.f64();
-        let u2 = raw.f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        assert_eq!(a, r * theta.cos());
-        assert_eq!(b, r * theta.sin());
-        // The third call starts a fresh transform.
-        let c = rng.normal();
-        let u1 = raw.f64();
-        let u2 = raw.f64();
-        assert_eq!(
-            c,
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        );
     }
 }

@@ -1,10 +1,12 @@
-//! Common simulator interface shared by the count-based backends and the
-//! random-matching scheduler, plus generic run loops.
+//! Common simulator interface of the asynchronous-scheduler backends, plus
+//! generic run loops.
 //!
 //! A *step* is one interaction of an ordered agent pair under the standard
 //! asynchronous scheduler (uniform over the `n(n−1)` ordered pairs). The
 //! standard *parallel time* measure is `steps / n`, reported by
-//! [`Simulator::time`]; one unit is called a *round*.
+//! [`Simulator::time`]; one unit is called a *round*. The random-matching
+//! scheduler ([`crate::matching::MatchingPopulation`]) is not a
+//! [`Simulator`]: it runs whole rounds through its own round API.
 //!
 //! ## Batched stepping
 //!
@@ -12,14 +14,13 @@
 //! activations, look at the counts, repeat". Driving that through
 //! [`Simulator::step`] pays per-activation dispatch and outcome matching
 //! on *every* interaction — at `n ≥ 10⁶` that dominates wall-clock.
-//! [`Simulator::step_batch`] advances up to `max_steps` activations in one
-//! call and reports an aggregate [`BatchOutcome`];
-//! backends run it with count-vector no-op leaping and collision epochs
-//! (count-based), or whole matching rounds. [`run_rounds`] runs its whole budget as one batch;
+//! [`Simulator::step_batch`] advances exactly `max_steps` activations in
+//! one call, fewer only once the run is silent, and reports an aggregate
+//! [`BatchOutcome`]; backends run it with count-vector no-op leaping and
+//! collision epochs. [`run_rounds`] runs its whole budget as one batch;
 //! [`run_until`] cuts batches at its predicate's check stride. Callers that
 //! measure a run sample the counts between their own `step_batch` calls.
 
-use crate::json::Json;
 use crate::rng::SimRng;
 
 /// Result of advancing a simulator by one scheduler activation.
@@ -29,10 +30,6 @@ pub enum StepOutcome {
     Changed,
     /// The interaction was a no-op (identity transition).
     Unchanged,
-    /// The configuration is *silent*: no reachable interaction can change any
-    /// state, so the simulation is finished. Only backends that track
-    /// reactivity report this.
-    Silent,
 }
 
 /// Aggregate result of advancing a simulator by a batch of activations.
@@ -44,17 +41,17 @@ pub struct BatchOutcome {
     /// How many of those activations changed at least one agent's state.
     pub changed: u64,
     /// The configuration is silent: no reachable interaction can ever change
-    /// any state again. Backends without reactivity tracking never set this.
+    /// any state again.
     pub silent: bool,
 }
 
-/// Common interface over population-protocol simulation backends.
+/// Common interface over the asynchronous-scheduler simulation backends.
 ///
 /// Implementations: [`crate::counts::CountPopulation`] (state-count vector
 /// with Fenwick sampling), [`crate::counts::SparseCountPopulation`]
-/// (occupied states only), [`crate::matching::MatchingPopulation`]
-/// (random-matching scheduler on the count vector) and the fault wrapper
-/// [`crate::faults::FaultyPopulation`].
+/// (occupied states only) and the fault wrapper
+/// [`crate::faults::FaultyPopulation`] over the former. The two
+/// checkpointed ones also implement [`crate::snapshot::Checkpoint`].
 ///
 /// A simulator runs on the calling thread, so its trajectory is a function
 /// of the initial configuration and the RNG alone. Parallelism belongs
@@ -83,31 +80,15 @@ pub trait Simulator {
         (0..self.num_states()).map(|s| self.count(s)).collect()
     }
 
-    /// Moves up to `k` agents from state `from` to state `to` *out of band*
-    /// — no scheduler steps are consumed and no transition is applied.
-    ///
-    /// Returns how many agents actually moved, which is `min(k, count(from))`
-    /// (`from == to` moves nothing). This is the mutation primitive the
-    /// fault-injection layer ([`crate::faults`]) composes corruption, churn,
-    /// and Byzantine pinning from; it is also useful for test setups.
-    /// Backends that cache reactivity or pair structure must invalidate or
-    /// repair those caches here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` or `to` is out of range.
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64;
-
     /// Executes one scheduler activation.
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome;
 
-    /// Executes up to `max_steps` scheduler activations as one batch.
+    /// Executes `max_steps` scheduler activations as one batch.
     ///
-    /// Returns the number of activations actually consumed (`executed`, equal
-    /// to the change in [`Simulator::steps`]), how many changed state, and
-    /// whether the configuration is now known to be silent. A batch ends
-    /// early only on silence; otherwise `executed == max_steps` for the
-    /// native backend implementations.
+    /// Returns the number of activations consumed (`executed`, equal to the
+    /// change in [`Simulator::steps`]), how many changed state, and whether
+    /// the configuration is now known to be silent. `executed == max_steps`
+    /// unless the batch ended early on silence.
     ///
     /// The sampled process is identical in distribution to calling
     /// [`Simulator::step`] `max_steps` times — batching is an execution
@@ -115,70 +96,6 @@ pub trait Simulator {
     /// tight inner loops, no-op leaping and collision batches (an order of
     /// magnitude faster than per-step driving at large `n`).
     fn step_batch(&mut self, rng: &mut SimRng, max_steps: u64) -> BatchOutcome;
-
-    /// Sum of counts over a set of states (a "boolean formula" count).
-    fn count_any(&self, states: &[usize]) -> u64 {
-        states.iter().map(|&s| self.count(s)).sum()
-    }
-
-    /// Stable tag naming this backend in snapshot headers: `"counts"` for
-    /// [`crate::counts::CountPopulation`] and `"faulty"` for
-    /// [`crate::faults::FaultyPopulation`], the two backends that
-    /// checkpoint.
-    ///
-    /// [`Simulator::restore`] refuses state saved under a different tag, so
-    /// a snapshot can never be silently deserialized into the wrong backend
-    /// shape. The default marks the backend as snapshot-incapable.
-    fn backend_tag(&self) -> &'static str {
-        "unsupported"
-    }
-
-    /// Serializes the complete resumable simulation state as a JSON value.
-    ///
-    /// "Complete" means: restoring this value into a freshly constructed
-    /// simulator of the same protocol and initial shape (via
-    /// [`Simulator::restore`]) and driving it with the same RNG stream
-    /// continues the run *exactly* — identical counts, step counter, and
-    /// RNG consumption — as if the run had never been interrupted. Derived
-    /// caches (Fenwick trees, reactivity indexes) are *not*
-    /// serialized; restore rebuilds them deterministically.
-    ///
-    /// The RNG itself is external to the simulator and saved separately by
-    /// [`crate::snapshot::RunSnapshot`].
-    ///
-    /// # Errors
-    ///
-    /// The default implementation declines with an error naming the
-    /// backend's type. [`crate::counts::CountPopulation`] overrides it and
-    /// never fails; [`crate::faults::FaultyPopulation`] fails only when its
-    /// inner backend declines.
-    fn snapshot(&self) -> Result<Json, String> {
-        Err(no_snapshots::<Self>())
-    }
-
-    /// Restores state previously produced by [`Simulator::snapshot`] into
-    /// this simulator, which must have been constructed with the same
-    /// protocol and population size as the saved run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch when `state` was saved by a
-    /// different backend, disagrees with this simulator's population size
-    /// or state space, or is structurally malformed. On error the
-    /// simulator is left unchanged. The default implementation declines as
-    /// [`Simulator::snapshot`] does.
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let _ = state;
-        Err(no_snapshots::<Self>())
-    }
-}
-
-/// The error of a backend without snapshots, naming its type.
-fn no_snapshots<S: ?Sized>() -> String {
-    format!(
-        "backend {} does not support snapshots",
-        std::any::type_name::<S>()
-    )
 }
 
 /// The interactions in `rounds` parallel rounds of `n` agents:
@@ -191,12 +108,6 @@ pub fn round_steps(rounds: f64, n: u64) -> u64 {
 /// Runs `sim` for `steps` interactions in as few `step_batch` calls as the
 /// backend allows. Returns early if the simulation becomes silent,
 /// returning the number of interactions actually simulated.
-///
-/// Backends whose scheduler granularity is coarser than one interaction can
-/// overshoot the target: [`crate::matching::MatchingPopulation`] runs
-/// whole matching rounds, so each batch (and hence the whole run) may exceed
-/// its step budget by up to `⌊n/2⌋ − 1` interactions. The returned count
-/// always reflects the true step delta.
 pub fn run_steps<S: Simulator>(sim: &mut S, steps: u64, rng: &mut SimRng) -> u64 {
     let start = sim.steps();
     let target = start + steps;
@@ -212,7 +123,7 @@ pub fn run_steps<S: Simulator>(sim: &mut S, steps: u64, rng: &mut SimRng) -> u64
 /// Runs `sim` for a given number of parallel rounds, i.e.
 /// [`round_steps`] interactions through [`run_steps`]. Returns the number
 /// of rounds actually simulated, which is short if the simulation becomes
-/// silent and may overshoot on coarse schedulers (see [`run_steps`]).
+/// silent.
 pub fn run_rounds<S: Simulator>(sim: &mut S, rounds: f64, rng: &mut SimRng) -> f64 {
     run_steps(sim, round_steps(rounds, sim.n()), rng) as f64 / sim.n() as f64
 }

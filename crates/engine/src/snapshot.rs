@@ -4,8 +4,8 @@
 //! recovery's, through `ppsim oscillator`, `ppsim faults` and
 //! `ppsim resume` — run on [`crate::counts::CountPopulation`], alone or
 //! inside [`crate::faults::FaultyPopulation`]; those two are the backends
-//! that implement [`Simulator::snapshot`]. Every other backend declines
-//! with an error naming it, so a snapshot is never partial.
+//! that implement [`Checkpoint`], and [`RunSnapshot::capture`] takes no
+//! other, so a snapshot is never partial.
 //!
 //! Long runs at production scale (hours at `n = 10⁸`) must survive process
 //! kills without throwing completed work away. Determinism makes that cheap: a
@@ -17,9 +17,8 @@
 //! ## What a snapshot contains
 //!
 //! [`RunSnapshot`] bundles the backend tag, the four xoshiro256\*\* state
-//! words plus the banked Box–Muller spare ([`SimRng::state_words`] /
-//! [`SimRng::spare_normal_bits`]), the backend's own resumable state from
-//! [`Simulator::snapshot`] (the count vector, and the fault-trigger
+//! words ([`SimRng::state_words`]), the backend's own resumable state from
+//! [`Checkpoint::snapshot`] (the count vector, and the fault-trigger
 //! progress and event log when the fault wrapper is on top; derived caches
 //! are rebuilt on restore), the counters of the run's
 //! [`Recorder`] when one was installed, so a resumed process continues
@@ -118,17 +117,85 @@ pub fn parse_hex_u64(j: &Json) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|e| format!("bad hex u64 {s:?}: {e}"))
 }
 
+/// Encodes a generator's four state words as the `rng` object of a
+/// snapshot payload or a fault plan's state.
+pub(crate) fn rng_to_json(rng: &SimRng) -> Json {
+    Json::obj([(
+        "words",
+        Json::arr(rng.state_words().iter().map(|&w| hex_u64(w))),
+    )])
+}
+
+/// Decodes an `rng` object written by [`rng_to_json`]. A `spare_normal`
+/// field, which engines that banked a Box–Muller sample wrote, is taken
+/// when absent or `null` and refused otherwise: no generator that could
+/// bank one is left to continue it.
+pub(crate) fn rng_from_json(rng: &Json) -> Result<SimRng, String> {
+    let words = rng
+        .get("words")
+        .and_then(Json::as_arr)
+        .ok_or("rng is missing its state words")?;
+    if words.len() != 4 {
+        return Err(format!(
+            "rng.words must hold 4 state words, found {}",
+            words.len()
+        ));
+    }
+    if !matches!(rng.get("spare_normal"), None | Some(Json::Null)) {
+        return Err("rng carries a banked normal sample this engine cannot continue".into());
+    }
+    let mut state = [0u64; 4];
+    for (slot, j) in state.iter_mut().zip(words) {
+        *slot = parse_hex_u64(j)?;
+    }
+    SimRng::from_state(state).ok_or_else(|| "rng state is all-zero".to_string())
+}
+
+/// A simulator whose run can be checkpointed and resumed exactly: the
+/// count backend ([`crate::counts::CountPopulation`], tag `counts`) and
+/// the fault wrapper over it ([`crate::faults::FaultyPopulation`], tag
+/// `faulty`). [`RunSnapshot::capture`] takes only these, so a backend
+/// without a snapshot cannot be handed to it.
+pub trait Checkpoint: Simulator {
+    /// Stable tag naming this backend in snapshot payloads.
+    /// [`RunSnapshot::resume_into`] refuses state saved under a different
+    /// tag, so a snapshot can never be silently deserialized into the
+    /// wrong backend shape.
+    fn backend_tag(&self) -> &'static str;
+
+    /// Serializes the complete resumable simulation state as a JSON value.
+    ///
+    /// "Complete" means: restoring this value into a freshly constructed
+    /// simulator of the same protocol and initial shape (via
+    /// [`Checkpoint::restore`]) and driving it with the same RNG stream
+    /// continues the run *exactly* — identical counts, step counter, and
+    /// RNG consumption — as if the run had never been interrupted. Derived
+    /// caches (Fenwick trees, reactivity indexes) are *not* serialized;
+    /// restore rebuilds them deterministically. The RNG itself is external
+    /// to the simulator and saved separately by [`RunSnapshot`].
+    fn snapshot(&self) -> Json;
+
+    /// Restores state previously produced by [`Checkpoint::snapshot`] into
+    /// this simulator, which must have been constructed with the same
+    /// protocol and population size as the saved run.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the mismatch when `state` disagrees with
+    /// this simulator's population size, state space or fault plan, or is
+    /// structurally malformed. On error the simulator is left unchanged.
+    fn restore(&mut self, state: &Json) -> Result<(), String>;
+}
+
 /// A complete resumable checkpoint of one run: backend state, word-exact
 /// RNG state, the run's recorded counters, and harness metadata.
 #[derive(Debug, Clone)]
 pub struct RunSnapshot {
-    /// [`Simulator::backend_tag`] of the simulator that produced `state`.
+    /// [`Checkpoint::backend_tag`] of the simulator that produced `state`.
     pub backend: String,
-    /// The four xoshiro256\*\* state words at the checkpoint.
-    pub rng_words: [u64; 4],
-    /// Banked Box–Muller sine-branch bits, if one sample was unconsumed.
-    pub spare_normal: Option<u64>,
-    /// Backend-specific resumable state from [`Simulator::snapshot`].
+    /// The generator at the checkpoint.
+    pub rng: SimRng,
+    /// Backend-specific resumable state from [`Checkpoint::snapshot`].
     pub state: Json,
     /// The run's counters at the checkpoint, when it had a recorder
     /// installed; [`RunSnapshot::resume`] restores them so counting
@@ -144,18 +211,41 @@ impl RunSnapshot {
     /// of the recorder installed on this thread, if any (no meta — attach
     /// it with [`RunSnapshot::with_meta`]).
     ///
-    /// # Errors
+    /// Only a [`Checkpoint`] backend can be captured:
     ///
-    /// Returns the backend's error when it does not support snapshots.
-    pub fn capture<S: Simulator + ?Sized>(sim: &S, rng: &SimRng) -> Result<Self, String> {
-        Ok(Self {
+    /// ```
+    /// use pp_engine::counts::CountPopulation;
+    /// use pp_engine::protocol::TableProtocol;
+    /// use pp_engine::rng::SimRng;
+    /// use pp_engine::snapshot::RunSnapshot;
+    ///
+    /// let p = TableProtocol::new(2, "epidemic").rule(1, 0, 1, 1);
+    /// let pop = CountPopulation::from_counts(&p, &[9, 1]);
+    /// assert_eq!(RunSnapshot::capture(&pop, &SimRng::seed_from(0)).backend, "counts");
+    /// ```
+    ///
+    /// The sparse backend has no snapshot, so capturing it does not
+    /// compile:
+    ///
+    /// ```compile_fail,E0277
+    /// use pp_engine::counts::SparseCountPopulation;
+    /// use pp_engine::protocol::TableProtocol;
+    /// use pp_engine::rng::SimRng;
+    /// use pp_engine::snapshot::RunSnapshot;
+    ///
+    /// let p = TableProtocol::new(2, "epidemic").rule(1, 0, 1, 1);
+    /// let pop = SparseCountPopulation::from_dense(&p, &[9, 1]);
+    /// let _ = RunSnapshot::capture(&pop, &SimRng::seed_from(0));
+    /// ```
+    #[must_use]
+    pub fn capture<S: Checkpoint + ?Sized>(sim: &S, rng: &SimRng) -> Self {
+        Self {
             backend: sim.backend_tag().to_string(),
-            rng_words: rng.state_words(),
-            spare_normal: rng.spare_normal_bits(),
-            state: sim.snapshot()?,
+            rng: rng.clone(),
+            state: sim.snapshot(),
             metrics: recorder::installed_metrics(),
             meta: Json::Null,
-        })
+        }
     }
 
     /// Attaches harness metadata to the snapshot.
@@ -163,17 +253,6 @@ impl RunSnapshot {
     pub fn with_meta(mut self, meta: Json) -> Self {
         self.meta = meta;
         self
-    }
-
-    /// Reconstructs the RNG exactly as it was at the checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for the all-zero word vector, which cannot arise
-    /// from a genuine running generator.
-    pub fn rng(&self) -> Result<SimRng, String> {
-        SimRng::from_state(self.rng_words, self.spare_normal)
-            .ok_or_else(|| "snapshot holds an all-zero RNG state".to_string())
     }
 
     /// Restores the snapshot into `sim` (which must be freshly constructed
@@ -185,7 +264,7 @@ impl RunSnapshot {
     ///
     /// Returns a description when the snapshot was taken by a different
     /// backend or the state does not fit `sim`; `sim` is unchanged then.
-    pub fn resume_into<S: Simulator + ?Sized>(&self, sim: &mut S) -> Result<SimRng, String> {
+    pub fn resume_into<S: Checkpoint + ?Sized>(&self, sim: &mut S) -> Result<SimRng, String> {
         if sim.backend_tag() != self.backend {
             return Err(format!(
                 "snapshot was taken by backend {:?}, cannot restore into {:?}",
@@ -193,9 +272,8 @@ impl RunSnapshot {
                 sim.backend_tag()
             ));
         }
-        let rng = self.rng()?;
         sim.restore(&self.state)?;
-        Ok(rng)
+        Ok(self.rng.clone())
     }
 
     /// [`RunSnapshot::resume_into`], then restores the saved counters into
@@ -209,7 +287,7 @@ impl RunSnapshot {
     /// # Errors
     ///
     /// As [`RunSnapshot::resume_into`]; `recorder` is unchanged then.
-    pub fn resume<S: Simulator + ?Sized>(
+    pub fn resume<S: Checkpoint + ?Sized>(
         &self,
         sim: &mut S,
         recorder: &mut Recorder,
@@ -224,19 +302,9 @@ impl RunSnapshot {
     /// Serializes the snapshot to its two-line on-disk text form.
     #[must_use]
     pub fn encode(&self) -> String {
-        let rng = Json::obj([
-            (
-                "words",
-                Json::arr(self.rng_words.iter().map(|&w| hex_u64(w))),
-            ),
-            (
-                "spare_normal",
-                self.spare_normal.map_or(Json::Null, hex_u64),
-            ),
-        ]);
         let payload = Json::obj([
             ("backend", Json::from(self.backend.as_str())),
-            ("rng", rng),
+            ("rng", rng_to_json(&self.rng)),
             ("state", self.state.clone()),
             (
                 "metrics",
@@ -308,25 +376,11 @@ impl RunSnapshot {
             .and_then(Json::as_str)
             .ok_or_else(|| "snapshot payload is missing its backend tag".to_string())?
             .to_string();
-        let words_json = payload
-            .get("rng")
-            .and_then(|r| r.get("words"))
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "snapshot payload is missing rng.words".to_string())?;
-        if words_json.len() != 4 {
-            return Err(format!(
-                "rng.words must hold 4 state words, found {}",
-                words_json.len()
-            ));
-        }
-        let mut rng_words = [0u64; 4];
-        for (slot, j) in rng_words.iter_mut().zip(words_json) {
-            *slot = parse_hex_u64(j)?;
-        }
-        let spare_normal = match payload.get("rng").and_then(|r| r.get("spare_normal")) {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(parse_hex_u64(j)?),
-        };
+        let rng = rng_from_json(
+            payload
+                .get("rng")
+                .ok_or_else(|| "snapshot payload is missing its rng".to_string())?,
+        )?;
         let state = payload
             .get("state")
             .cloned()
@@ -341,8 +395,7 @@ impl RunSnapshot {
         let meta = payload.get("meta").cloned().unwrap_or(Json::Null);
         Ok(Self {
             backend,
-            rng_words,
-            spare_normal,
+            rng,
             state,
             metrics,
             meta,
@@ -541,9 +594,7 @@ mod tests {
         let mut pop = CountPopulation::from_counts(&p, &[500, 12]);
         let mut rng = SimRng::seed_from(0xfeed);
         pop.step_batch(&mut rng, 700);
-        RunSnapshot::capture(&pop, &rng)
-            .expect("counts backend supports snapshots")
-            .with_meta(Json::obj([("n", Json::from(512u64))]))
+        RunSnapshot::capture(&pop, &rng).with_meta(Json::obj([("n", Json::from(512u64))]))
     }
 
     #[test]
@@ -589,8 +640,7 @@ mod tests {
         let text = snap.encode();
         let back = RunSnapshot::decode(&text).expect("own encoding must decode");
         assert_eq!(back.backend, snap.backend);
-        assert_eq!(back.rng_words, snap.rng_words);
-        assert_eq!(back.spare_normal, snap.spare_normal);
+        assert_eq!(back.rng, snap.rng);
         assert_eq!(back.state.render(), snap.state.render());
         assert_eq!(back.meta.render(), snap.meta.render());
         assert!(back.metrics.is_none());
@@ -631,7 +681,7 @@ mod tests {
         let mut rng = SimRng::seed_from(0xbeef);
         pop.step_batch(&mut rng, 104);
         assert!(!pop.events().is_empty(), "the corruption fired");
-        RunSnapshot::capture(&pop, &rng).expect("the fault wrapper snapshots")
+        RunSnapshot::capture(&pop, &rng)
     }
 
     /// The reader takes [`FORMAT_VERSION`] only: whichever of the two
@@ -679,11 +729,39 @@ mod tests {
         assert_eq!(pop.steps(), 0);
     }
 
+    /// `payload` under a current header with its checksum.
+    fn sealed(payload: &str) -> String {
+        let header = Json::obj([
+            ("kind", Json::from("pp_snapshot")),
+            ("version", Json::from(FORMAT_VERSION)),
+            ("checksum", hex_u64(crc64(payload.as_bytes()))),
+        ]);
+        format!("{}\n{payload}\n", header.render())
+    }
+
+    /// Version-7 snapshots written while the generator could bank a
+    /// Box–Muller sample carry `"spare_normal":null` in their `rng`
+    /// object: they decode to the same generator. A banked sample, which
+    /// no version-7 engine wrote, and all-zero words are refused.
     #[test]
-    fn zero_rng_words_cannot_resume() {
-        let mut snap = sample_snapshot();
-        snap.rng_words = [0; 4];
-        assert!(snap.rng().is_err());
+    fn decode_takes_a_null_spare_normal_and_refuses_a_banked_one() {
+        let snap = sample_snapshot();
+        let text = snap.encode();
+        let payload = text.lines().nth(1).expect("payload line");
+        let rng = rng_to_json(&snap.rng).render();
+        let with_spare = |spare: &str| {
+            let rewritten = format!("{},\"spare_normal\":{spare}}}", &rng[..rng.len() - 1]);
+            let changed = payload.replacen(&rng, &rewritten, 1);
+            assert_ne!(changed, payload, "the rng object was rewritten");
+            sealed(&changed)
+        };
+        let back = RunSnapshot::decode(&with_spare("null")).expect("a null spare decodes");
+        assert_eq!(back.rng, snap.rng);
+        assert_eq!(back.state.render(), snap.state.render());
+        let err = RunSnapshot::decode(&with_spare("\"3ff0000000000000\"")).unwrap_err();
+        assert!(err.contains("banked normal"), "{err}");
+        let zero = Json::obj([("words", Json::arr((0..4).map(|_| hex_u64(0))))]);
+        assert!(rng_from_json(&zero).is_err());
     }
 
     #[test]

@@ -931,23 +931,6 @@ impl<P: Protocol> Simulator for SparseCountPopulation<P> {
         self.to_dense()
     }
 
-    /// Adjusts the occupied-state list directly; vacated states are
-    /// swap-removed and new states appended, as for interactions. Drops
-    /// the leap's slot counts, which the next batch rebuilds.
-    fn migrate(&mut self, from: usize, to: usize, k: u64) -> u64 {
-        let states = self.protocol.num_states();
-        assert!(from < states, "migrate source state out of range");
-        assert!(to < states, "migrate target state out of range");
-        let moved = k.min(self.count(from));
-        if from == to || moved == 0 {
-            return 0;
-        }
-        self.leap.live = false;
-        self.add(from, -(moved as i64));
-        self.add(to, moved as i64);
-        moved
-    }
-
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
         // A lone step keeps no slot counts; the next batch rebuilds them.
         self.leap.live = false;
@@ -1156,6 +1139,17 @@ mod tests {
     }
 
     impl<P: Protocol> SparseCountPopulation<P> {
+        /// Moves `k` of the agents in `from` to `to` outside the
+        /// scheduler (nothing when `from == to`): vacated states are
+        /// swap-removed and new states appended, as for interactions.
+        fn move_agents(&mut self, from: usize, to: usize, k: u64) {
+            assert!(k <= self.count(from));
+            if from != to {
+                self.add(from, -(k as i64));
+                self.add(to, k as i64);
+            }
+        }
+
         /// The single-level sampler the block sampler replaced: a linear
         /// scan in insertion order, returning a state and excluding one
         /// agent of state `exclude`.
@@ -1233,11 +1227,11 @@ mod tests {
                         break s;
                     }
                 };
-                assert_eq!(pop.migrate(from, fresh, 1), 1);
+                pop.move_agents(from, fresh, 1);
             } else {
                 let (from, count) = random_slot(&pop, &mut rng);
                 let (to, _) = random_slot(&pop, &mut rng);
-                pop.migrate(from, to, count);
+                pop.move_agents(from, to, count);
             }
             assert_sampler_matches_reference(&pop);
         }
@@ -1248,7 +1242,7 @@ mod tests {
             let (from, count) = random_slot(&pop, &mut rng);
             let (to, _) = random_slot(&pop, &mut rng);
             let amount = if rng.chance(0.2) { 1 } else { count };
-            pop.migrate(from, to, amount);
+            pop.move_agents(from, to, amount);
             assert_sampler_matches_reference(&pop);
         }
         assert_eq!(pop.blocks, vec![n]);
@@ -1537,18 +1531,5 @@ mod tests {
             assert!(pop.memo.is_none() && !pop.leap.live);
             assert_ne!(pop.regime, Regime::Leap);
         }
-    }
-
-    #[test]
-    fn migrate_updates_occupied_list() {
-        let p = epidemic();
-        let mut pop = SparseCountPopulation::from_pairs(&p, &[(0, 6), (1, 2)]);
-        assert_eq!(pop.migrate(0, 1, 6), 6, "vacating a state is allowed");
-        assert_eq!(pop.occupied_states(), 1);
-        assert_eq!(pop.count(1), 8);
-        assert_eq!(pop.migrate(1, 0, 3), 3, "repopulating a state re-adds it");
-        assert_eq!(pop.occupied_states(), 2);
-        assert_eq!(pop.migrate(0, 0, 2), 0);
-        assert_eq!(pop.steps(), 0);
     }
 }

@@ -9,11 +9,11 @@
 
 use population_protocols::core::engine::collision::batch_len;
 use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
-use population_protocols::core::engine::matching::MatchingPopulation;
+use population_protocols::core::engine::faults::{FaultSpec, FaultyPopulation};
 use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::{run_until, Simulator, StepOutcome};
+use population_protocols::core::engine::sim::{run_until, Simulator};
 use population_protocols::core::engine::stats::{
     chi_square_p_value, chi_square_two_sample, Summary,
 };
@@ -71,12 +71,10 @@ const EQUIV_N: [u64; 3] = [80, 80, 80];
 const EQUIV_RUNS: u64 = 120;
 const EQUIV_TARGET_STEPS: u64 = 240 * 4; // 4 parallel rounds at n = 240
 
-/// Advances `sim` to at least `target` steps using per-interaction `step()`.
+/// Advances `sim` to `target` steps using per-interaction `step()`.
 fn drive_stepwise(sim: &mut dyn Simulator, rng: &mut SimRng, target: u64) {
     while sim.steps() < target {
-        if sim.step(rng) == StepOutcome::Silent {
-            break;
-        }
+        sim.step(rng);
     }
 }
 
@@ -165,15 +163,6 @@ fn step_batch_matches_step_on_sparse_count_population() {
         "SparseCountPopulation",
         || SparseCountPopulation::from_dense(cycle(), &EQUIV_N),
         300,
-    );
-}
-
-#[test]
-fn step_batch_matches_step_on_matching_population() {
-    assert_step_batch_equivalent(
-        "MatchingPopulation",
-        || MatchingPopulation::from_counts(cycle(), &EQUIV_N),
-        500,
     );
 }
 
@@ -508,16 +497,6 @@ fn churn_step_batch_matches_step_on_count_backends() {
         || CountPopulation::from_counts(ring(), RING.counts),
         &RING,
         2_100,
-    );
-}
-
-#[test]
-fn dense_step_batch_matches_step_on_matching_population() {
-    assert_dense_step_batch_equivalent(
-        "MatchingPopulation",
-        || MatchingPopulation::from_counts(cycle(), DENSE.counts),
-        &DENSE,
-        1_500,
     );
 }
 
@@ -883,10 +862,17 @@ fn count_population_leaping_batch_matches_step_distribution() {
     );
 }
 
-/// `BatchOutcome::executed` accounting: the reported count must equal the
-/// change in `steps()` exactly, on every backend, for random batch sizes.
+/// `BatchOutcome::executed` accounting: on every `Simulator` — the count
+/// and sparse backends, and the fault wrapper under an empty plan and
+/// under a churn plan whose triggers split the batch — the reported count
+/// equals the change in `steps()` and the request, for random batch sizes.
+/// The cyclic protocol is never silent.
 #[test]
 fn batch_executed_matches_steps_delta_exactly() {
+    let faulty = |spec: &FaultSpec| {
+        FaultyPopulation::new(CountPopulation::from_counts(cycle(), &EQUIV_N), spec)
+            .expect("valid spec")
+    };
     for case in 0..60u64 {
         let mut rng = SimRng::seed_from(10_000 + case);
         let max_steps = 1 + rng.below(2_000);
@@ -902,8 +888,12 @@ fn batch_executed_matches_steps_delta_exactly() {
                 Box::new(SparseCountPopulation::from_dense(cycle(), &EQUIV_N)),
             ),
             (
-                "matching",
-                Box::new(MatchingPopulation::from_counts(cycle(), &EQUIV_N)),
+                "faulty, empty plan",
+                Box::new(faulty(&FaultSpec::new(case))),
+            ),
+            (
+                "faulty, churn plan",
+                Box::new(faulty(&FaultSpec::new(case).churn(0.5, 0.2, 0))),
             ),
         ];
         for (name, sim) in checks.iter_mut() {
@@ -920,20 +910,10 @@ fn batch_executed_matches_steps_delta_exactly() {
                 out.changed <= out.executed,
                 "case {case} {name}: more changes than steps"
             );
-            if *name == "matching" {
-                // Whole rounds only: may overshoot by < ⌊n/2⌋.
-                let n = sim.n();
-                assert!(
-                    out.executed >= max_steps && out.executed < max_steps + n / 2,
-                    "case {case} matching: executed {} for request {max_steps}",
-                    out.executed
-                );
-            } else {
-                assert_eq!(
-                    out.executed, max_steps,
-                    "case {case} {name}: non-silent batch must execute exactly"
-                );
-            }
+            assert_eq!(
+                out.executed, max_steps,
+                "case {case} {name}: non-silent batch must execute exactly"
+            );
         }
     }
 }

@@ -19,7 +19,6 @@ use population_protocols::core::clocks::oscillator::Dk18Oscillator;
 use population_protocols::core::engine::matching::MatchingPopulation;
 use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
 use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
 use std::collections::HashMap;
 
 mod common;
@@ -196,7 +195,7 @@ fn sampled<P: Protocol>(protocol: &P, initial: &[u64], seed: u64) -> Vec<HashMap
             while pop.rounds() < rounds {
                 pop.round(&mut rng);
             }
-            *seen[slot].entry(pop.counts()).or_insert(0) += 1;
+            *seen[slot].entry(pop.counts().to_vec()).or_insert(0) += 1;
         }
     }
     seen
