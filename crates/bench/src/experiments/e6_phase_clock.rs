@@ -9,7 +9,7 @@
 use crate::n_ladder;
 use pp_clocks::controlled::{fixed_x_init, ControlledClock, FixedX};
 use pp_clocks::oscillator::Dk18Oscillator;
-use pp_engine::counts::CountPopulation;
+use pp_engine::counts::SparseCountPopulation;
 use pp_engine::report::{fmt_f64, Table};
 use pp_engine::rng::SimRng;
 use pp_engine::sim::Simulator;
@@ -27,7 +27,7 @@ fn measure_k(k: u8, depth: u8, n: u64, horizon: f64, seed: u64) -> ClockStats {
     let clock = ControlledClock::new(Dk18Oscillator::new(), FixedX::new(), k, 12)
         .with_consensus_depth(depth);
     let x = ((n as f64).powf(0.3) as u64).max(1);
-    let mut pop = CountPopulation::from_counts(&clock, &fixed_x_init(&clock, n, x));
+    let mut pop = SparseCountPopulation::from_dense(&clock, &fixed_x_init(&clock, n, x));
     let mut rng = SimRng::seed_from(seed);
     let warmup = horizon * 0.3;
     let mut last_phase = None;
@@ -43,7 +43,7 @@ fn measure_k(k: u8, depth: u8, n: u64, horizon: f64, seed: u64) -> ClockStats {
         if pop.time() < warmup {
             continue;
         }
-        let hist = clock.phase_histogram(&pop.counts());
+        let hist = clock.phase_histogram(pop.occupied());
         let total: u64 = hist.iter().sum();
         let m = hist.len();
         let best2 = (0..m)
@@ -54,7 +54,7 @@ fn measure_k(k: u8, depth: u8, n: u64, horizon: f64, seed: u64) -> ClockStats {
         adj2_sum += best2;
         adj2_min = adj2_min.min(best2);
         samples += 1;
-        let (phase, _) = clock.majority_phase(&pop.counts());
+        let (phase, _) = clock.majority_phase(pop.occupied());
         if last_phase != Some(phase) {
             ticks.push((pop.time(), phase));
             last_phase = Some(phase);

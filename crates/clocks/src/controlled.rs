@@ -199,33 +199,31 @@ impl<O: Oscillator, C: XControl> ControlledClock<O, C> {
         counts
     }
 
-    /// Current `#X` from a state-count vector.
+    /// Current `#X` from occupied `(state, count)` pairs.
     #[must_use]
-    pub fn count_x(&self, counts: &[u64]) -> u64 {
-        counts
+    pub fn count_x(&self, occupied: &[(usize, u64)]) -> u64 {
+        occupied
             .iter()
-            .enumerate()
-            .filter(|&(s, &c)| c > 0 && self.control.is_x(self.unpack(s).0))
-            .map(|(_, &c)| c)
+            .filter(|&&(s, _)| self.control.is_x(self.unpack(s).0))
+            .map(|&(_, c)| c)
             .sum()
     }
 
-    /// Histogram of phases from a state-count vector.
+    /// Histogram of phases from occupied `(state, count)` pairs.
     #[must_use]
-    pub fn phase_histogram(&self, counts: &[u64]) -> Vec<u64> {
+    pub fn phase_histogram(&self, occupied: &[(usize, u64)]) -> Vec<u64> {
         let mut hist = vec![0u64; self.m as usize];
-        for (state, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                hist[self.phase_of(state) as usize] += c;
-            }
+        for &(state, c) in occupied {
+            hist[self.phase_of(state) as usize] += c;
         }
         hist
     }
 
-    /// Majority phase and its population share.
+    /// Majority phase and its population share, from occupied
+    /// `(state, count)` pairs.
     #[must_use]
-    pub fn majority_phase(&self, counts: &[u64]) -> (u8, f64) {
-        let hist = self.phase_histogram(counts);
+    pub fn majority_phase(&self, occupied: &[(usize, u64)]) -> (u8, f64) {
+        let hist = self.phase_histogram(occupied);
         let total: u64 = hist.iter().sum();
         let (phase, &max) = hist
             .iter()
@@ -235,15 +233,14 @@ impl<O: Oscillator, C: XControl> ControlledClock<O, C> {
         (phase as u8, max as f64 / total.max(1) as f64)
     }
 
-    /// Species counts (from the oscillator components).
+    /// Species counts (from the oscillator components), from occupied
+    /// `(state, count)` pairs.
     #[must_use]
-    pub fn species_counts(&self, counts: &[u64]) -> [u64; NUM_SPECIES] {
+    pub fn species_counts(&self, occupied: &[(usize, u64)]) -> [u64; NUM_SPECIES] {
         let mut out = [0u64; NUM_SPECIES];
-        for (state, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                if let Some(sp) = self.oscillator.species_of(self.unpack(state).1) {
-                    out[sp] += c;
-                }
+        for &(state, c) in occupied {
+            if let Some(sp) = self.oscillator.species_of(self.unpack(state).1) {
+                out[sp] += c;
             }
         }
         out
@@ -371,7 +368,7 @@ mod tests {
     use super::*;
     use crate::junta::PairwiseElimination;
     use crate::oscillator::Dk18Oscillator;
-    use pp_engine::counts::CountPopulation;
+    use pp_engine::counts::SparseCountPopulation;
     use pp_engine::sim::Simulator;
 
     fn clock() -> ControlledClock<Dk18Oscillator, PairwiseElimination> {
@@ -399,15 +396,12 @@ mod tests {
     #[test]
     fn invariant_x_flag_matches_source_state() {
         let c = clock();
-        let mut pop = CountPopulation::from_counts(&c, &c.initial_counts(128));
+        let mut pop = SparseCountPopulation::from_dense(&c, &c.initial_counts(128));
         let mut rng = SimRng::seed_from(1);
         for _ in 0..128 * 100 {
             pop.step(&mut rng);
         }
-        for (state, &count) in pop.counts().iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
+        for &(state, _) in pop.occupied() {
             let (ctrl, osc, _, _, _) = c.unpack(state);
             assert_eq!(
                 c.control().is_x(ctrl),
@@ -420,12 +414,12 @@ mod tests {
     #[test]
     fn x_count_shrinks_but_stays_positive() {
         let c = clock();
-        let mut pop = CountPopulation::from_counts(&c, &c.initial_counts(256));
+        let mut pop = SparseCountPopulation::from_dense(&c, &c.initial_counts(256));
         let mut rng = SimRng::seed_from(2);
         for _ in 0..256 * 300 {
             pop.step(&mut rng);
         }
-        let x = c.count_x(&pop.counts());
+        let x = c.count_x(pop.occupied());
         assert!(x >= 1);
         assert!(x < 64, "#X should have shrunk, got {x}");
     }
@@ -435,8 +429,9 @@ mod tests {
         let c = ControlledClock::new(Dk18Oscillator::new(), FixedX::new(), 4, 12);
         let counts = fixed_x_init(&c, 100, 7);
         assert_eq!(counts.iter().sum::<u64>(), 100);
-        assert_eq!(c.count_x(&counts), 7);
-        let sc = c.species_counts(&counts);
+        let pop = SparseCountPopulation::from_dense(&c, &counts);
+        assert_eq!(c.count_x(pop.occupied()), 7);
+        let sc = c.species_counts(pop.occupied());
         assert_eq!(sc.iter().sum::<u64>(), 93);
         assert!(sc.iter().all(|&s| s == 31) || sc.contains(&31));
     }
@@ -444,23 +439,23 @@ mod tests {
     #[test]
     fn fixed_x_membership_is_static() {
         let c = ControlledClock::new(Dk18Oscillator::new(), FixedX::new(), 4, 12);
-        let mut pop = CountPopulation::from_counts(&c, &fixed_x_init(&c, 200, 5));
+        let mut pop = SparseCountPopulation::from_dense(&c, &fixed_x_init(&c, 200, 5));
         let mut rng = SimRng::seed_from(3);
         for _ in 0..200 * 50 {
             pop.step(&mut rng);
         }
-        assert_eq!(c.count_x(&pop.counts()), 5);
+        assert_eq!(c.count_x(pop.occupied()), 5);
     }
 
     #[test]
     fn phase_histogram_sums_to_population() {
         let c = clock();
-        let mut pop = CountPopulation::from_counts(&c, &c.initial_counts(64));
+        let mut pop = SparseCountPopulation::from_dense(&c, &c.initial_counts(64));
         let mut rng = SimRng::seed_from(4);
         for _ in 0..64 * 20 {
             pop.step(&mut rng);
         }
-        let hist = c.phase_histogram(&pop.counts());
+        let hist = c.phase_histogram(pop.occupied());
         assert_eq!(hist.iter().sum::<u64>(), 64);
     }
 }

@@ -617,6 +617,13 @@ impl<P: Protocol> SparseCountPopulation<P> {
         self.occupied.len()
     }
 
+    /// The occupied states and their counts, in insertion order: the
+    /// configuration without the zeros of [`Simulator::counts`], borrowed.
+    #[must_use]
+    pub fn occupied(&self) -> &[(usize, u64)] {
+        &self.occupied
+    }
+
     /// The dense count vector (mostly zeros; allocates `num_states`).
     #[must_use]
     pub fn to_dense(&self) -> Vec<u64> {
