@@ -3,8 +3,8 @@
 //! reactive-dense (`dense_cycle3`, collision batches, DESIGN.md §12)
 //! regimes, the same batch loop under an empty-plan `FaultyPopulation` and
 //! under an installed recorder, and the print-only ablation rows of
-//! DESIGN.md §6 / E14 (per-interaction cost, Fenwick vs linear sampling,
-//! geometric no-op leaping, epidemic completion).
+//! DESIGN.md §6 / E14 (per-interaction cost, geometric no-op leaping,
+//! epidemic completion).
 //!
 //! Each workload is timed once per run. Its rates go to the perf-trajectory
 //! history (`pp_bench::history`): appended to the file `BENCH_HISTORY`
@@ -22,7 +22,6 @@ use pp_bench::history::{self, HistoryRecord};
 use pp_bench::timing::{bench, throughput};
 use pp_engine::counts::CountPopulation;
 use pp_engine::faults::{FaultSpec, FaultyPopulation};
-use pp_engine::fenwick::Fenwick;
 use pp_engine::protocol::TableProtocol;
 use pp_engine::recorder::Recorder;
 use pp_engine::rng::SimRng;
@@ -54,7 +53,7 @@ fn bench_backends() {
     for n in [1_000u64, 100_000] {
         let mut pop = dense_cycle3(n);
         let mut rng = SimRng::seed_from(1);
-        bench(&format!("count_fenwick/step n={n}"), || pop.step(&mut rng));
+        bench(&format!("count_step n={n}"), || pop.step(&mut rng));
     }
 }
 
@@ -81,36 +80,6 @@ fn bench_noop_leap() {
         }
         pop.steps()
     });
-}
-
-fn bench_fenwick() {
-    println!("\n== fenwick_sampling ==");
-    for k in [16usize, 256, 4096] {
-        let weights: Vec<u64> = (0..k as u64).map(|i| i % 17 + 1).collect();
-        {
-            let f = Fenwick::from_weights(&weights);
-            let mut rng = SimRng::seed_from(3);
-            bench(&format!("fenwick_find k={k}"), || {
-                f.find(rng.below(f.total()))
-            });
-        }
-        {
-            let total: u64 = weights.iter().sum();
-            let mut rng = SimRng::seed_from(3);
-            bench(&format!("linear_scan k={k}"), || {
-                let mut r = rng.below(total);
-                let mut idx = 0;
-                for (i, &w) in weights.iter().enumerate() {
-                    if r < w {
-                        idx = i;
-                        break;
-                    }
-                    r -= w;
-                }
-                idx
-            });
-        }
-    }
 }
 
 fn bench_epidemic_completion() {
@@ -289,7 +258,6 @@ fn main() {
     } else {
         println!("engine micro-benchmarks (median of 5 samples per line)");
         bench_backends();
-        bench_fenwick();
         bench_noop_leap();
         bench_epidemic_completion();
         println!("\n== step vs step_batch on CountPopulation ==");

@@ -591,7 +591,6 @@ fn run(invoked: &str, cmd: &'static Command, profiled: bool, args: &[String]) ->
             ("collision", "collision_epochs"),
             ("leap", "noop_leaps"),
             ("per_step", "reactive_dense_steps"),
-            ("dense_fallback", "dense_fallback_entries"),
         ]
         .map(|(regime, counter)| format!("{regime}={}", counters.counter(counter)));
         println!("regimes: {}", regimes.join(" "));

@@ -5,21 +5,19 @@
 //! equivalent to sampling the initiator's state with probability `c_a / n`
 //! and then the responder's state with probability `c'_b / (n − 1)`, where
 //! `c'` is the count vector with one agent of the initiator's state removed.
-//! Both draws are `O(log k)` with a Fenwick tree over the counts, so memory
-//! and cache traffic are independent of `n` — this backend simulates
-//! populations of 10⁸ agents as cheaply as 10³.
+//! Both draws map a uniform rank to a state by a scan of the reactivity
+//! index's ascending occupied list (`engine::reactivity`), `O(occupied)`,
+//! so memory and cache traffic are independent of `n` — this backend
+//! simulates populations of 10⁸ agents as cheaply as 10³.
 //!
-//! The count vector is the only copy of the configuration. The Fenwick
-//! tree and the reactivity index (`engine::reactivity`) are derived from
-//! it, and `counts()` copies it. One Fenwick-sampled step body serves
-//! [`Simulator::step`], the per-step regime of `step_batch` and the loop
-//! that runs protocols above the batch limit.
+//! The count vector is the only copy of the configuration. The reactivity
+//! index is derived from it, and `counts()` copies it. One step body serves
+//! [`Simulator::step`] and the per-step regime of `step_batch`.
 //!
 //! Per-step sampling and every batch regime are checked against the exact
 //! count law at `n ≤ 8` (`tests/exact_transient.rs`).
 
 use crate::collision::{self, BirthdayCdf, CollisionScratch};
-use crate::fenwick::Fenwick;
 use crate::json::Json;
 use crate::metrics::Counter;
 use crate::prof::{self, Section};
@@ -32,15 +30,11 @@ use crate::snapshot::{hex_u64, parse_hex_u64, Checkpoint};
 
 pub use crate::sparse::SparseCountPopulation;
 
-/// Largest state space for which [`CountPopulation`] builds the reactivity
-/// index that powers batched no-op leaping and collision epochs; above it,
-/// `step_batch` repeats the Fenwick-sampled step that `step` and the
-/// per-step regime run, and `counts()` copies the count vector, as at every
-/// `k`. The index costs `O(k + occupied²)` to build. The loop above the
-/// limit serves the experiments with wide dense state spaces: E6
-/// (`k = 9 072`), E9's `SyncMajority` (`k = 2 880`) and E15
-/// (`k = 54 432`). With the index built at every `k`, E6 at `--quick`
-/// scale took ~47 s instead of ~4 s, and E15 at `--quick` scale aborted.
+/// Largest state space [`CountPopulation`] runs: its reactivity index, from
+/// which every draw samples, holds a `k × k` memo and costs
+/// `O(k + occupied²)` to build. A population above it refuses its first
+/// draw; protocols with wide state spaces (E6, E9's `SyncMajority`, E15)
+/// run on [`SparseCountPopulation`], which keeps only occupied states.
 pub(crate) const BATCH_STATE_LIMIT: usize = 1024;
 
 /// Minimum expected number of *reactive* interactions per collision-free
@@ -77,18 +71,11 @@ pub struct CountPopulation<P> {
     protocol: P,
     /// Agents per state: the configuration. Everything else is derived.
     counts: Vec<u64>,
-    /// Fenwick tree over `counts`, for per-step pair sampling. Stale
-    /// (`tree_stale`) after a collision batch; rebuilt in `O(k)` before the
-    /// next Fenwick-sampled step.
-    tree: Fenwick,
-    /// Whether `tree` lags `counts`. Only ever set while the index exists;
-    /// leaps keep a fresh tree fresh and a stale one stale.
-    tree_stale: bool,
     n: u64,
     steps: u64,
-    /// Occupancy and reactive-pair count of `counts`. Built on the first
-    /// `step_batch` call (for `k ≤ BATCH_STATE_LIMIT`); dropped by
-    /// out-of-band count edits ([`CountPopulation::migrate`]).
+    /// Occupancy and reactive-pair count of `counts`. Built at the first
+    /// draw (`step` or `step_batch`); dropped by out-of-band count edits
+    /// ([`CountPopulation::migrate`]).
     index: Option<ReactivityIndex>,
     /// Birthday-process table for the collision-batch regime. Keyed only on
     /// `n`, which never changes, so it survives index invalidations.
@@ -98,7 +85,9 @@ pub struct CountPopulation<P> {
 }
 
 impl<P: Protocol> CountPopulation<P> {
-    /// Creates a population with `counts[s]` agents in state `s`.
+    /// Creates a population with `counts[s]` agents in state `s`. The
+    /// protocol may declare more than [`BATCH_STATE_LIMIT`] states, but
+    /// then the population refuses its first draw.
     ///
     /// # Panics
     ///
@@ -114,9 +103,7 @@ impl<P: Protocol> CountPopulation<P> {
         full[..counts.len()].copy_from_slice(counts);
         Self {
             protocol,
-            tree: Fenwick::from_weights(&full),
             counts: full,
-            tree_stale: false,
             n,
             steps: 0,
             index: None,
@@ -144,13 +131,6 @@ impl<P: Protocol> CountPopulation<P> {
         &self.protocol
     }
 
-    /// The count of every state, indexed by state, borrowed: what
-    /// [`Simulator::counts`] returns, without its copy.
-    #[must_use]
-    pub fn counts_slice(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Moves up to `k` agents from state `from` to state `to` *out of band*
     /// — no scheduler steps are consumed and no transition is applied.
     ///
@@ -171,35 +151,20 @@ impl<P: Protocol> CountPopulation<P> {
         if from == to || moved == 0 {
             return 0;
         }
-        self.refresh_tree();
-        self.tree.add(from, -(moved as i64));
-        self.tree.add(to, moved as i64);
         self.counts[from] -= moved;
         self.counts[to] += moved;
         self.index = None;
         moved
     }
 
-    /// Rebuilds the Fenwick tree from the counts after a collision batch
-    /// left it stale.
-    fn refresh_tree(&mut self) {
-        if self.tree_stale {
-            self.tree = Fenwick::from_weights(&self.counts);
-            self.tree_stale = false;
-        }
-    }
-
-    /// Runs one Fenwick-sampled interaction, without counting the step:
-    /// samples the states of a uniformly random ordered pair of distinct
-    /// agents and applies the protocol's outcome. Returns whether it
-    /// changed the counts.
-    fn fenwick_step(&mut self, rng: &mut SimRng) -> bool {
-        self.refresh_tree();
-        let a = self.tree.find(rng.below(self.n));
-        // Remove one agent of state `a`, sample the responder, restore.
-        self.tree.add(a, -1);
-        let b = self.tree.find(rng.below(self.n - 1));
-        self.tree.add(a, 1);
+    /// Runs one interaction, without counting the step: samples the
+    /// states of a uniformly random ordered pair of distinct agents by rank
+    /// over the index's occupied list and applies the protocol's outcome.
+    /// Returns whether it changed the counts.
+    fn step_once(&mut self, rng: &mut SimRng) -> bool {
+        let index = self.index.as_ref().expect("index built before a draw");
+        let a = index.state_at(&self.counts, rng.below(self.n), None);
+        let b = index.state_at(&self.counts, rng.below(self.n - 1), Some(a));
         let (a2, b2) = self.protocol.interact(a, b, rng);
         if (a2, b2) == (a, b) {
             return false;
@@ -208,41 +173,35 @@ impl<P: Protocol> CountPopulation<P> {
         true
     }
 
-    /// Applies one interaction's count changes to the counts, the Fenwick
-    /// tree unless it is stale, and the reactivity index if present.
+    /// Applies one interaction's count changes to the counts and the
+    /// reactivity index.
     fn apply_change(&mut self, a: usize, b: usize, a2: usize, b2: usize) {
+        let index = self.index.as_mut().expect("index built before a draw");
         for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
             self.counts[s] = self.counts[s].wrapping_add_signed(d);
-            if !self.tree_stale {
-                self.tree.add(s, d);
-            }
-            if let Some(index) = &mut self.index {
-                index.add(&self.protocol, &self.counts, s, d);
-            }
+            index.add(&self.protocol, &self.counts, s, d);
         }
-        debug_assert!(self.is_consistent());
+        debug_assert!(index.is_consistent(&self.protocol, &self.counts));
     }
 
-    /// Debug check: the index agrees with a direct recount of the counts
-    /// and, unless the tree is stale, the Fenwick weights with the counts.
-    fn is_consistent(&self) -> bool {
-        self.index.as_ref().is_none_or(|index| {
-            index.is_consistent(&self.protocol, &self.counts)
-                && (self.tree_stale || self.tree.to_weights() == self.counts)
-        })
-    }
-
-    /// Ensures the reactivity index exists; returns false above
-    /// `BATCH_STATE_LIMIT`.
-    fn ensure_index(&mut self) -> bool {
-        if self.protocol.num_states() > BATCH_STATE_LIMIT {
-            return false;
-        }
+    /// Builds the reactivity index if it is missing: at the first draw, and
+    /// after an out-of-band count edit.
+    ///
+    /// # Panics
+    ///
+    /// Panics above [`BATCH_STATE_LIMIT`] states.
+    fn ensure_index(&mut self) {
+        let k = self.protocol.num_states();
+        assert!(
+            k <= BATCH_STATE_LIMIT,
+            "CountPopulation runs protocols of at most {BATCH_STATE_LIMIT} states, \
+             and {} has {k}: run it on SparseCountPopulation",
+            self.protocol.name()
+        );
         if self.index.is_none() {
             recorder::add(Counter::BatchCacheRebuilds, 1);
             self.index = Some(ReactivityIndex::new(&self.protocol, &self.counts));
         }
-        true
     }
 }
 
@@ -268,8 +227,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     }
 
     fn step(&mut self, rng: &mut SimRng) -> StepOutcome {
+        self.ensure_index();
         self.steps += 1;
-        if self.fenwick_step(rng) {
+        if self.step_once(rng) {
             StepOutcome::Changed
         } else {
             StepOutcome::Unchanged
@@ -282,7 +242,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     /// 1. **Collision batches** (reactive-dense, `p · E[T]/2 ≥ 8`): settle
     ///    `L = c·√(n·q)` activations per [`collision::run_epoch`] batch —
     ///    one `O(q²)` contingency-table sample plus `O(q)` per in-batch
-    ///    collision. The batch leaves the Fenwick tree stale.
+    ///    collision.
     /// 2. **No-op leaping** (sparse): between reactive interactions, the
     ///    number of consecutive no-op activations is geometric with success
     ///    probability `p`, so the loop draws the skip length in `O(1)`
@@ -290,8 +250,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
     ///    batch budget, the rest of the batch is consumed as no-ops — exact
     ///    by memorylessness of the geometric.
     /// 3. **Per-step** (dense but `n` too small for epochs to pay): plain
-    ///    `O(log k)` Fenwick-sampled steps, after an `O(k)` rebuild of a
-    ///    stale tree.
+    ///    steps, each two `O(occupied)` rank draws.
     ///
     /// All three sample the same per-step distribution (chi-square
     /// equivalence is pinned in `tests/backend_equivalence.rs`). Reports
@@ -303,21 +262,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let pf = cap.sections;
         let _batch_span = prof::section_if(pf, Section::BatchCount);
         let mut out = BatchOutcome::default();
-        if !self.ensure_index() {
-            // Huge state space: no reactivity index, one Fenwick step after
-            // another.
-            let _fallback_span = prof::section_if(pf, Section::DenseFallback);
-            while out.executed < max_steps {
-                out.executed += 1;
-                out.changed += u64::from(self.fenwick_step(rng));
-            }
-            self.steps += out.executed;
-            if cap.on {
-                let tally = BatchTally::dense_fallback();
-                recorder::with(|r| r.record_tallied_batch(&out, &tally));
-            }
-            return out;
-        }
+        self.ensure_index();
         let n = self.n;
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
@@ -343,10 +288,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                     remaining,
                 );
                 // Sync occupancy and the reactive-pair count from the
-                // batch's net movement; the tree waits for a per-step draw.
+                // batch's net movement.
                 index.sync_epoch(&self.protocol, &self.counts, self.scratch.delta());
-                self.tree_stale = true;
-                debug_assert!(self.is_consistent());
+                debug_assert!(index.is_consistent(&self.protocol, &self.counts));
                 out.executed += ep.executed;
                 out.changed += ep.changed;
                 if let Some(t) = &mut tally {
@@ -359,7 +303,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 // would cost more than it skips, and epochs don't pay yet.
                 let _step_span = prof::section_if(pf, Section::PerStep);
                 out.executed += 1;
-                out.changed += u64::from(self.fenwick_step(rng));
+                out.changed += u64::from(self.step_once(rng));
                 if let Some(t) = &mut tally {
                     t.per_step();
                 }
@@ -404,13 +348,12 @@ impl<P: Protocol> Checkpoint for CountPopulation<P> {
         "counts"
     }
 
-    /// Serializes the count vector and step counter. The Fenwick tree,
-    /// reactivity index, birthday table, and collision scratch are all derived
+    /// Serializes the count vector and step counter. The reactivity index,
+    /// birthday table, and collision scratch are all derived
     /// deterministically (and RNG-free) from the counts, so they are
     /// rebuilt on restore rather than stored — only the *presence* of the
-    /// index and the staleness of the tree are recorded, so that a resumed
-    /// run rebuilds them at exactly the same points in its metrics stream
-    /// as the uninterrupted run.
+    /// index is recorded, so that a resumed run rebuilds it at exactly the
+    /// same point in its metrics stream as the uninterrupted run.
     fn snapshot(&self) -> Json {
         Json::obj([
             (
@@ -419,7 +362,6 @@ impl<P: Protocol> Checkpoint for CountPopulation<P> {
             ),
             ("steps", hex_u64(self.steps)),
             ("cached", Json::Bool(self.index.is_some())),
-            ("tree_stale", Json::Bool(self.tree_stale)),
         ])
     }
 
@@ -447,22 +389,19 @@ impl<P: Protocol> Checkpoint for CountPopulation<P> {
                 self.n
             ));
         }
-        let flag = |key: &str| state.get(key).and_then(Json::as_bool).unwrap_or(false);
-        self.tree = Fenwick::from_weights(&weights);
         self.counts = weights;
         self.steps = steps;
         self.index = None;
         self.birthday = None;
-        if flag("cached") {
+        // Snapshots written before the Fenwick tree went also carry a
+        // `tree_stale` flag; nothing reads it.
+        if state.get("cached").and_then(Json::as_bool) == Some(true) {
             // Rebuild eagerly, during restore, so the next batch does not
             // count a rebuild the uninterrupted run never made: that run
             // had the index live at this point. The run's restored
             // recorder is installed only after this returns.
-            let _ = self.ensure_index();
+            self.ensure_index();
         }
-        // A tree the uninterrupted run had left stale is rebuilt (and
-        // counted) at the same per-step draw after the resume.
-        self.tree_stale = self.index.is_some() && flag("tree_stale");
         Ok(())
     }
 }
@@ -523,37 +462,29 @@ mod tests {
         assert_eq!(pop.count(1), 1, "odd survivor remains");
     }
 
-    /// A collision batch leaves the Fenwick tree stale without rebuilding
-    /// it; the counts come from the index meanwhile, and the next
-    /// Fenwick-sampled step rebuilds the tree once.
+    /// The reactivity index is built at the first draw, not at
+    /// construction, and only once across steps and collision batches.
     #[test]
-    fn collision_batches_defer_the_tree_rebuild_to_the_next_step() {
+    fn the_index_is_built_once_at_the_first_draw() {
         let cycle3 = TableProtocol::new(3, "cycle3")
             .rule(0, 1, 1, 1)
             .rule(1, 2, 2, 2)
             .rule(2, 0, 0, 0);
         let mut pop = CountPopulation::from_counts(cycle3, &[1_000, 1_000, 1_000]);
+        assert!(pop.index.is_none());
         let mut rng = SimRng::seed_from(6);
         let mut rec = recorder::Recorder::new();
         {
             let _installed = rec.install();
             pop.step_batch(&mut rng, 3_000);
+            pop.step(&mut rng);
+            pop.step(&mut rng);
         }
         let metrics = rec.metrics();
         assert!(metrics.counter("collision_epochs") > 0);
-        assert_eq!(metrics.counter("fenwick_rebuilds"), 0);
-        assert!(pop.tree_stale);
-        let counts = pop.counts();
-        assert_eq!(counts.iter().sum::<u64>(), 3_000);
-        assert_eq!(pop.snapshot().get("tree_stale"), Some(&Json::Bool(true)));
-        {
-            let _installed = rec.install();
-            pop.step(&mut rng);
-            pop.step(&mut rng);
-        }
-        assert_eq!(rec.metrics().counter("fenwick_rebuilds"), 1);
-        assert!(!pop.tree_stale);
-        assert_eq!(pop.tree.to_weights(), pop.counts);
+        assert_eq!(metrics.counter("batch_cache_rebuilds"), 1);
+        assert_eq!(pop.counts().iter().sum::<u64>(), 3_000);
+        assert_eq!(pop.snapshot().get("tree_stale"), None);
     }
 
     #[test]

@@ -24,9 +24,14 @@
 //! per executed step where no reactivity information exists), with no-op
 //! stretches leaped over in `O(1)`.
 //!
+//! Each state-space size has one count backend: up to 1 024 declared
+//! states, [`counts::CountPopulation`] with its three regimes (collision
+//! batches, leaps, plain steps); above that, [`counts::SparseCountPopulation`],
+//! which a `CountPopulation` names when it refuses its first draw.
+//!
 //! | Backend | Representation | Per-step cost | Batch cost (per `step_batch` of `m` steps) | Use case |
 //! |---|---|---|---|---|
-//! | [`counts::CountPopulation`] | state-count vector + Fenwick | `O(log k)` | `O(occupied)` per reactive interaction, `O(1)` per no-op stretch (`k ≤ 1024`); `O(m log k)` otherwise | very large `n`, sparse dynamics, silence detection |
+//! | [`counts::CountPopulation`] (`k ≤ 1024`) | state-count vector + reactivity index (ascending occupied list, `k × k` reactivity memo) | `O(occupied)` | `O(q²)` draws plus `O(q)` per in-batch collision per collision batch of `≈ √(n·q)` steps; `O(occupied)` per reactive interaction and `O(1)` per no-op stretch; `O(occupied)` per plain step | very large `n`, dense and sparse dynamics, silence detection, faults and checkpoints |
 //! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums; interned ids with a guard-class memo; per-rule-slot agent counts and lazily built class-member bitsets while leaping | `O(occupied/B + B)`, `B = 32` | two walks of the picked rule slot's class members, `O(occupied/64 + members)`, plus `O(set bits)` upkeep per effective step and `O(1)` per stretch of ineffective rule draws where `p · (occupied + 80 + 100 · (words − 1)) < 25`; `O(m · (occupied/B + B))` otherwise | huge nominal `k`, few occupied states; every program executor site ([`counts::SparseCountPopulation::run_on`]) |
 //! | [`matching::MatchingPopulation`] | state-count vector | — (not a `Simulator`) | `O(q²)` draws per round, `q` occupied states (`k ≤ 1024`): one collision-batch settle step with all `⌊n/2⌋` pairs deferred | random-matching scheduler (§5.3), E5 and E12 |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
@@ -72,7 +77,6 @@
 pub mod collision;
 pub mod counts;
 pub mod faults;
-pub mod fenwick;
 pub mod json;
 pub mod matching;
 pub mod meanfield;

@@ -5,8 +5,7 @@
 //! this module names them. Capture points sit on the hot paths of every
 //! backend: interactions executed/changed, no-op leap counts and
 //! leap-length distribution ([`Hist::LeapLen`]), collision epochs and their
-//! lengths, `CountPopulation` dense-fallback entries, Fenwick (re)builds,
-//! batch-cache rebuilds, batch sizes, matching rounds, silence detections,
+//! lengths, reactivity-index builds, batch sizes, matching rounds, silence detections,
 //! fault injections, and sweep task timings.
 //!
 //! [`crate::recorder::Recorder::metrics`] freezes a recorder into a
@@ -34,15 +33,10 @@ pub enum Counter {
     NoopLeaps,
     /// Total activations skipped by no-op leaps.
     NoopStepsLeaped,
-    /// `step_batch` calls that ran without a reactivity index because the
-    /// state space exceeds `CountPopulation`'s `BATCH_STATE_LIMIT`.
-    DenseFallbackEntries,
-    /// Plain Fenwick-sampled steps taken in the reactive-dense regime,
-    /// where a geometric draw would cost more than it skips.
+    /// Plain steps taken in the reactive-dense regime, where a geometric
+    /// draw would cost more than it skips.
     ReactiveDenseSteps,
-    /// Fenwick trees built from a full weight vector.
-    FenwickRebuilds,
-    /// `CountPopulation` reactivity indexes built (first batch, or after an
+    /// `CountPopulation` reactivity indexes built (first draw, or after an
     /// out-of-band count edit invalidated the index).
     BatchCacheRebuilds,
     /// `step_batch` calls across all backends, and matching rounds (one
@@ -67,14 +61,12 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 14] = [
         Counter::InteractionsExecuted,
         Counter::InteractionsChanged,
         Counter::NoopLeaps,
         Counter::NoopStepsLeaped,
-        Counter::DenseFallbackEntries,
         Counter::ReactiveDenseSteps,
-        Counter::FenwickRebuilds,
         Counter::BatchCacheRebuilds,
         Counter::Batches,
         Counter::SilenceDetections,
@@ -94,9 +86,7 @@ impl Counter {
             Counter::InteractionsChanged => "interactions_changed",
             Counter::NoopLeaps => "noop_leaps",
             Counter::NoopStepsLeaped => "noop_steps_leaped",
-            Counter::DenseFallbackEntries => "dense_fallback_entries",
             Counter::ReactiveDenseSteps => "reactive_dense_steps",
-            Counter::FenwickRebuilds => "fenwick_rebuilds",
             Counter::BatchCacheRebuilds => "batch_cache_rebuilds",
             Counter::Batches => "batches",
             Counter::SilenceDetections => "silence_detections",
@@ -422,8 +412,10 @@ mod tests {
         // carry 24 counters; the extra four duplicate kept ones and are
         // ignored on read. So are `sweep_retries`, `sweep_panics` and
         // `sweep_timeouts`, retired with the resilient sweep that bumped
-        // them, and `observer_callbacks`, retired with the observer stride
-        // hook: older reports and snapshot-frozen counters still load. Their
+        // them, `observer_callbacks`, retired with the observer stride
+        // hook, and `dense_fallback_entries` and `fenwick_rebuilds`, retired
+        // with the Fenwick-sampled loop: older reports and snapshot-frozen
+        // counters still load. Their
         // `meta` header, retired when the run record's header took over
         // command and backend, is ignored too, and so is the
         // `sweep_task_micros` histogram, retired because it held wall
@@ -456,6 +448,7 @@ mod tests {
         assert_eq!(report.counter("noop_leaps"), 110_654);
         assert_eq!(report.counter("regime_collision"), 0, "no longer a counter");
         assert_eq!(report.counter("sweep_retries"), 0, "no longer a counter");
+        assert_eq!(report.counter("fenwick_rebuilds"), 0, "no longer a counter");
         assert_eq!(
             report.counter("observer_callbacks"),
             0,
@@ -464,6 +457,7 @@ mod tests {
         assert_eq!(report.hist_count("epoch_len"), 119_541);
         let rendered = report.to_json().render();
         assert!(!rendered.contains("regime_"), "{rendered}");
+        assert!(!rendered.contains("fenwick"), "{rendered}");
         assert!(!rendered.contains("meta"), "{rendered}");
         assert!(!rendered.contains("sweep_task_micros"), "{rendered}");
         assert_eq!(MetricsReport::parse(&rendered).unwrap(), report);

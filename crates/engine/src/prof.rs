@@ -63,12 +63,9 @@ pub enum Section {
     /// [`Section::EpochMargins`], [`Section::EpochRows`] and
     /// [`Section::EpochSettle`] nest under it.
     MatchingRound,
-    /// The loop of Fenwick-sampled steps without a reactivity index
-    /// (`k > BATCH_STATE_LIMIT`).
-    DenseFallback,
-    /// The per-step regime: one Fenwick-sampled step of
-    /// `CountPopulation`, or one run of block-sampled steps of
-    /// `SparseCountPopulation` up to its next window check.
+    /// The per-step regime: one step of `CountPopulation`, or one run of
+    /// block-sampled steps of `SparseCountPopulation` up to its next window
+    /// check.
     PerStep,
     /// One geometric no-op leap plus its reactive interaction.
     Leap,
@@ -100,8 +97,6 @@ pub enum Section {
     EpochRows,
     /// Table settling: applying one cell's rule deltas (`apply_cell`).
     EpochSettle,
-    /// Fenwick tree construction from a full weight vector.
-    FenwickRebuild,
     /// Every exact discrete draw in `SimRng` — binomial and
     /// hypergeometric, by bit-parallel lanes, mode-centred inversion or
     /// ratio of uniforms — that is, the collision chain's conditionals.
@@ -126,11 +121,10 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 21] = [
+    pub const ALL: [Section; 19] = [
         Section::BatchCount,
         Section::BatchSparse,
         Section::MatchingRound,
-        Section::DenseFallback,
         Section::PerStep,
         Section::Leap,
         Section::SparseLeap,
@@ -142,7 +136,6 @@ impl Section {
         Section::EpochMargins,
         Section::EpochRows,
         Section::EpochSettle,
-        Section::FenwickRebuild,
         Section::PmfInversion,
         Section::FaultSplit,
         Section::Observer,
@@ -157,7 +150,6 @@ impl Section {
             Section::BatchCount => "count_step_batch",
             Section::BatchSparse => "sparse_step_batch",
             Section::MatchingRound => "matching_round",
-            Section::DenseFallback => "dense_fallback",
             Section::PerStep => "per_step",
             Section::Leap => "noop_leap",
             Section::SparseLeap => "sparse_leap",
@@ -169,7 +161,6 @@ impl Section {
             Section::EpochMargins => "epoch_margins",
             Section::EpochRows => "epoch_rows",
             Section::EpochSettle => "epoch_settle",
-            Section::FenwickRebuild => "fenwick_rebuild",
             Section::PmfInversion => "pmf_inversion",
             Section::FaultSplit => "fault_split",
             Section::Observer => "observer",

@@ -8,9 +8,9 @@
 //! reactive pairs of distinct agents. Every scan runs over occupied states
 //! only, so building the index costs `O(k + occupied²)` and a count change
 //! `O(occupied)`: a protocol with 512 declared states of which five are
-//! ever occupied asks about 25 pairs, not 262 144. Above the population's
-//! batch limit there is no index; its loop shares the per-step body and
-//! reads the same count vector.
+//! ever occupied asks about 25 pairs, not 262 144. Every draw of the
+//! population samples from it: a reactive pair for a leap, or one agent's
+//! state by rank ([`ReactivityIndex::state_at`]) for a plain step.
 //!
 //! The memo is filled when a state becomes occupied, so the scans read it
 //! as a plain slice. The protocol is needed only then, so the index takes
@@ -18,7 +18,8 @@
 //! Because occupied states are kept in ascending order and empty states
 //! carry zero weight, the rank → pair map of
 //! [`ReactivityIndex::sample_reactive_pair`] is the one a scan over all
-//! `k × k` pairs would give.
+//! `k × k` pairs would give, and the rank → state map of
+//! [`ReactivityIndex::state_at`] the one a scan over all `k` counts would.
 
 use crate::protocol::Protocol;
 use crate::rng::SimRng;
@@ -144,6 +145,21 @@ impl ReactivityIndex {
             }
         }
         self.recount(counts);
+    }
+
+    /// The state of the agent at `rank` in ascending state order, with one
+    /// agent of state `exclude` left out: the initiator's draw takes
+    /// `rank < n` and no exclusion, the responder's `rank < n − 1` and the
+    /// initiator's state. `O(occupied)`.
+    pub(crate) fn state_at(&self, counts: &[u64], mut rank: u64, exclude: Option<usize>) -> usize {
+        for &s in &self.occupied {
+            let c = counts[s] - u64::from(Some(s) == exclude);
+            if rank < c {
+                return s;
+            }
+            rank -= c;
+        }
+        unreachable!("rank exceeded the population");
     }
 
     /// Samples an ordered reactive state pair with probability proportional

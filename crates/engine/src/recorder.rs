@@ -3,8 +3,8 @@
 //! A recorder holds the run's counters and log₂ histograms
 //! ([`crate::metrics`]) and, when built with them, its edge-keyed section
 //! times ([`crate::prof`]). The regime counters (`collision_epochs`,
-//! `noop_leaps`, `reactive_dense_steps`, `dense_fallback_entries`) are the
-//! record of every regime decision. Nothing is process-global: a run builds a
+//! `noop_leaps`, `reactive_dense_steps`) are the record of every regime
+//! decision. Nothing is process-global: a run builds a
 //! recorder, [`Recorder::install`]s it on its thread for the duration of
 //! the run, and reads the reports off it afterwards. Runs on other threads
 //! — concurrent tests, sweep tasks, abandoned sweep attempts — record into
@@ -146,10 +146,6 @@ impl Recorder {
             (Counter::ReactiveDenseSteps, tally.per_steps),
             (Counter::NoopLeaps, tally.leaps),
             (Counter::NoopStepsLeaped, tally.leaped),
-            (
-                Counter::DenseFallbackEntries,
-                u64::from(tally.dense_fallback),
-            ),
         ] {
             self.add(counter, value);
         }
@@ -317,8 +313,6 @@ pub(crate) struct BatchTally {
     per_steps: u64,
     leaps: u64,
     leaped: u64,
-    /// Whether the batch ran the dense loop above the batch state limit.
-    dense_fallback: bool,
     /// `Hist::LeapLen` and `Hist::EpochLen` buckets.
     leap_len: [u64; HIST_BUCKETS],
     epoch_len: [u64; HIST_BUCKETS],
@@ -333,17 +327,8 @@ impl BatchTally {
             per_steps: 0,
             leaps: 0,
             leaped: 0,
-            dense_fallback: false,
             leap_len: [0; HIST_BUCKETS],
             epoch_len: [0; HIST_BUCKETS],
-        }
-    }
-
-    /// A `CountPopulation` batch that ran the uncached dense loop.
-    pub(crate) fn dense_fallback() -> Self {
-        Self {
-            dense_fallback: true,
-            ..Self::new()
         }
     }
 
@@ -405,16 +390,13 @@ mod tests {
         direct.add(Counter::CollisionBatchedSteps, 500);
         direct.observe(Hist::EpochLen, 500);
         assert_eq!(tallied.metrics(), direct.metrics());
-        // An empty tally adds only the batch; a batch on the uncached dense
-        // loop adds a dense-fallback entry and no per-step count.
+        // An empty tally adds only the batch.
         tallied.record_tallied_batch(&out, &BatchTally::new());
-        tallied.record_tallied_batch(&out, &BatchTally::dense_fallback());
         let mut stepping = BatchTally::new();
         stepping.per_steps(520);
         tallied.record_tallied_batch(&out, &stepping);
         let m = tallied.metrics();
-        assert_eq!(m.counter("batches"), 4);
-        assert_eq!(m.counter("dense_fallback_entries"), 1);
+        assert_eq!(m.counter("batches"), 3);
         assert_eq!(m.counter("reactive_dense_steps"), 1 + 520);
         assert_eq!(m.counter("noop_leaps"), 2);
     }
@@ -422,7 +404,7 @@ mod tests {
     #[test]
     fn load_replaces_counters_and_histograms() {
         let mut saved = Recorder::new();
-        saved.add(Counter::FenwickRebuilds, 4);
+        saved.add(Counter::CollisionEpochs, 4);
         saved.observe(Hist::EpochLen, 3);
         let report = saved.metrics();
         let mut rec = Recorder::new();

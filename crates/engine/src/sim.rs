@@ -48,7 +48,7 @@ pub struct BatchOutcome {
 /// Common interface over the asynchronous-scheduler simulation backends.
 ///
 /// Implementations: [`crate::counts::CountPopulation`] (state-count vector
-/// with Fenwick sampling), [`crate::counts::SparseCountPopulation`]
+/// with a reactivity index, `k ≤ 1024`), [`crate::counts::SparseCountPopulation`]
 /// (occupied states only) and the fault wrapper
 /// [`crate::faults::FaultyPopulation`] over the former. The two
 /// checkpointed ones also implement [`crate::snapshot::Checkpoint`].

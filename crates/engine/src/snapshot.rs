@@ -170,7 +170,7 @@ pub trait Checkpoint: Simulator {
     /// [`Checkpoint::restore`]) and driving it with the same RNG stream
     /// continues the run *exactly* — identical counts, step counter, and
     /// RNG consumption — as if the run had never been interrupted. Derived
-    /// caches (Fenwick trees, reactivity indexes) are *not* serialized;
+    /// caches (reactivity indexes, collision tables) are *not* serialized;
     /// restore rebuilds them deterministically. The RNG itself is external
     /// to the simulator and saved separately by [`RunSnapshot`].
     fn snapshot(&self) -> Json;
@@ -280,8 +280,8 @@ impl RunSnapshot {
     /// `recorder` (left as it is when the snapshot carries none).
     ///
     /// `recorder` is borrowed here, so it cannot be installed while `sim`
-    /// is restored: counters that reconstruction bumps (Fenwick recounts,
-    /// index rebuilds) never reach it. Install it afterwards and the
+    /// is restored: counters that reconstruction bumps (index rebuilds)
+    /// never reach it. Install it afterwards and the
     /// continued run counts exactly as the uninterrupted one did.
     ///
     /// # Errors

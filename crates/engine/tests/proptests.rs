@@ -3,73 +3,12 @@
 //! property-testing dependency: cases are drawn from [`SimRng`], so every
 //! failure is reproducible from the printed case index).
 
-use pp_engine::fenwick::Fenwick;
 use pp_engine::meanfield;
 use pp_engine::protocol::{Protocol, ProtocolSpec, TableProtocol};
 use pp_engine::rng::SimRng;
 use pp_engine::stats::{fit_line, quantile_sorted, Summary};
 
 const CASES: u64 = 256;
-
-/// Generates a random weight vector with entries in `0..bound`.
-fn random_weights(rng: &mut SimRng, max_len: usize, bound: u64) -> Vec<u64> {
-    let len = 1 + rng.index(max_len);
-    (0..len).map(|_| rng.below(bound)).collect()
-}
-
-/// Fenwick prefix sums always equal naive prefix sums.
-#[test]
-fn fenwick_matches_naive() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from(100 + case);
-        let weights = random_weights(&mut rng, 64, 100);
-        let f = Fenwick::from_weights(&weights);
-        let mut acc = 0u64;
-        for i in 0..=weights.len() {
-            assert_eq!(f.prefix(i), acc, "case {case}, prefix {i}");
-            if i < weights.len() {
-                acc += weights[i];
-            }
-        }
-        assert_eq!(f.total(), acc, "case {case}");
-    }
-}
-
-/// Fenwick find() returns the slot containing the rank.
-#[test]
-fn fenwick_find_is_consistent() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from(200 + case);
-        let weights = random_weights(&mut rng, 64, 20);
-        let f = Fenwick::from_weights(&weights);
-        if f.total() == 0 {
-            continue;
-        }
-        let r = rng.below(f.total());
-        let slot = f.find(r);
-        assert!(f.prefix(slot) <= r, "case {case}");
-        assert!(r < f.prefix(slot + 1), "case {case}");
-    }
-}
-
-/// Incremental add/remove keeps the tree equal to a rebuilt tree.
-#[test]
-fn fenwick_incremental_equals_rebuild() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from(300 + case);
-        let len = 2 + rng.index(30);
-        let mut w: Vec<u64> = (0..len).map(|_| 1 + rng.below(49)).collect();
-        let mut f = Fenwick::from_weights(&w);
-        let updates = rng.index(32);
-        for _ in 0..updates {
-            let slot = rng.index(w.len());
-            let delta = (rng.below(11) as i64 - 5).max(-(w[slot] as i64));
-            w[slot] = (w[slot] as i64 + delta) as u64;
-            f.add(slot, delta);
-        }
-        assert_eq!(f, Fenwick::from_weights(&w), "case {case}");
-    }
-}
 
 /// Binomial samples stay in range for arbitrary parameters.
 #[test]

@@ -3,7 +3,6 @@
 //! report exactly what their own work recorded.
 
 use pp_engine::counts::CountPopulation;
-use pp_engine::fenwick::Fenwick;
 use pp_engine::metrics::MetricsReport;
 use pp_engine::prof::{section, Section};
 use pp_engine::protocol::TableProtocol;
@@ -13,13 +12,15 @@ use pp_engine::sim::Simulator;
 use pp_engine::sweep::map_configs;
 use std::sync::Barrier;
 
-/// A public capture point: every tree built bumps `fenwick_rebuilds`.
+/// A public capture point: a population's first draw builds its
+/// reactivity index, which bumps `batch_cache_rebuilds`.
 fn bump() {
-    let _ = Fenwick::from_weights(&[1, 2]);
+    let mut pop = CountPopulation::from_counts(cycle(), &[1, 1]);
+    pop.step(&mut SimRng::seed_from(0));
 }
 
 fn rebuilds(rec: &Recorder) -> u64 {
-    rec.metrics().counter("fenwick_rebuilds")
+    rec.metrics().counter("batch_cache_rebuilds")
 }
 
 #[test]
@@ -66,7 +67,7 @@ fn a_leaked_guard_keeps_its_copy_installed() {
         drop(rec);
         bump();
         let installed = installed_metrics().expect("still installed");
-        assert_eq!(installed.counter("fenwick_rebuilds"), 2);
+        assert_eq!(installed.counter("batch_cache_rebuilds"), 2);
     })
     .join()
     .unwrap();

@@ -371,7 +371,7 @@ impl Protocol for SyncMajority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::counts::CountPopulation;
+    use pp_engine::counts::{CountPopulation, SparseCountPopulation};
     use pp_engine::sim::{run_until, Simulator};
 
     #[test]
@@ -481,7 +481,7 @@ mod tests {
         let mut counts = vec![0u64; p.num_states()];
         counts[p.initial(Some(true))] = n / 2 + 1;
         counts[p.initial(Some(false))] = n / 2 - 1;
-        let mut pop = CountPopulation::from_counts(p, &counts);
+        let mut pop = SparseCountPopulation::from_dense(p, &counts);
         let mut rng = SimRng::seed_from(5);
         let t = run_until(&mut pop, &mut rng, 5_000.0, 64, |s| {
             let (a, b) = p.votes(&s.counts());

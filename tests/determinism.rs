@@ -20,7 +20,7 @@ use population_protocols::core::engine::metrics::MetricsReport;
 use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::core::engine::recorder::Recorder;
 use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::{Simulator, StepOutcome};
+use population_protocols::core::engine::sim::Simulator;
 use population_protocols::core::engine::snapshot::RunSnapshot;
 
 /// A run's deterministic artifacts: a JSONL trace of `(steps, counts)`
@@ -85,8 +85,8 @@ fn wide_counts() -> Vec<u64> {
 }
 
 /// States the above-limit scenario declares: more than `CountPopulation`'s
-/// batch limit of 1 024, so its `step_batch` runs the Fenwick-sampled loop
-/// without a reactivity index. Only three of them take part in rules.
+/// limit of 1 024, which it refuses, so the scenario runs on the sparse
+/// backend. Only three of them take part in rules.
 const ABOVE_LIMIT_STATES: usize = 1_100;
 
 /// [`rps`] declared over [`ABOVE_LIMIT_STATES`] states.
@@ -362,17 +362,17 @@ fn wide_replay_is_byte_identical() {
     );
 }
 
-// Above-limit scenario: rock-paper-scissors declared over 1 100 states,
-// whose fault plan scatters agents over the inert ones. The count backend
-// samples every step from its Fenwick tree; the matching scheduler refuses
-// protocols above the limit, so it sits this scenario out.
+// Above-limit scenario: rock-paper-scissors declared over 1 100 states.
+// The count backend refuses protocols above the limit at its first draw
+// and the matching scheduler at construction, so the sparse backend runs
+// it alone.
 const ABOVE_LIMIT: &[u64] = &[400, 300, 300];
 
 #[test]
 fn above_limit_replay_is_byte_identical() {
     assert_replay_byte_identical(
         "above-limit",
-        &["counts", "sparse"],
+        &["sparse"],
         &rps_above_limit(),
         ABOVE_LIMIT,
         1732,
@@ -399,12 +399,6 @@ fn dense_resume_is_byte_identical() {
 fn wide_resume_is_byte_identical() {
     let p = drift(WIDE_STATES);
     assert_interrupt_resume_byte_identical("wide", &p, &wide_counts(), 1414, 12, 6);
-}
-
-#[test]
-fn above_limit_resume_is_byte_identical() {
-    let p = rps_above_limit();
-    assert_interrupt_resume_byte_identical("above-limit", &p, ABOVE_LIMIT, 1732, 12, 5);
 }
 
 /// Replay while the sparse backend switches regime: rock-paper-scissors
@@ -532,73 +526,33 @@ fn dense_oscillator_trajectory_matches_pinned_golden() {
     assert_eq!(rng.state_words(), DENSE_GOLDEN_RNG);
 }
 
-/// FNV-1a of the above-limit run's final counts.
-const ABOVE_LIMIT_GOLDEN_HASH: u64 = 0x699f_45b7_f8c0_a5f4;
-
-/// The generator's state words at the end of that run.
-const ABOVE_LIMIT_GOLDEN_RNG: [u64; 4] = [
-    0xba00_8f05_d831_a33c,
-    0xa03e_84ce_d7cf_b125,
-    0x77a1_2c05_9590_4652,
-    0xf3cd_ba4c_f613_1ccb,
-];
-
-/// Pins the count backend's trajectory above its batch limit: every batch
-/// of rock-paper-scissors over 1 100 declared states runs the
-/// Fenwick-sampled loop, and the final counts and generator state after
-/// four rounds must equal those recorded before that loop shared its step
-/// with `step` and the per-step regime.
+/// `CountPopulation` builds above its state limit, but refuses its first
+/// draw, `step` or `step_batch`, and names the sparse backend.
 #[test]
-fn above_limit_trajectory_matches_pinned_golden() {
+fn above_limit_count_backend_refuses_its_first_draw() {
     let p = rps_above_limit();
-    let n: u64 = ABOVE_LIMIT.iter().sum();
-    let mut pop = CountPopulation::from_counts(&p, ABOVE_LIMIT);
-    let mut rng = SimRng::seed_from(0xa_b0e);
-    let mut recorder = Recorder::new();
-    {
-        let _installed = recorder.install();
-        for _ in 0..4 {
-            pop.step_batch(&mut rng, n);
-        }
+    let draws: [fn(&mut CountPopulation<&TableProtocol>, &mut SimRng); 2] = [
+        |pop, rng| {
+            pop.step(rng);
+        },
+        |pop, rng| {
+            pop.step_batch(rng, 1_000);
+        },
+    ];
+    for draw in draws {
+        let mut pop = CountPopulation::from_counts(&p, ABOVE_LIMIT);
+        let mut rng = SimRng::seed_from(1);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            draw(&mut pop, &mut rng);
+        }))
+        .expect_err("a draw above the limit must panic");
+        let message = refused
+            .downcast_ref::<String>()
+            .map_or("", String::as_str);
+        assert!(message.contains("SparseCountPopulation"), "{message}");
+        assert!(message.contains("1100"), "{message}");
+        assert_eq!(pop.steps(), 0);
     }
-    let metrics = recorder.metrics();
-    assert_eq!(metrics.counter("dense_fallback_entries"), 4);
-    assert_eq!(metrics.counter("interactions_executed"), 4 * n);
-    assert_eq!(pop.counts().len(), ABOVE_LIMIT_STATES);
-    assert_eq!(fnv1a(&pop.counts()), ABOVE_LIMIT_GOLDEN_HASH);
-    assert_eq!(rng.state_words(), ABOVE_LIMIT_GOLDEN_RNG);
-}
-
-/// Above the batch limit, `step_batch(t)` and `t` calls of `step` consume
-/// the generator identically and walk the same trajectory, including
-/// across a `migrate` between batches.
-#[test]
-fn above_limit_step_batch_matches_single_steps() {
-    let p = rps_above_limit();
-    let mut batched = CountPopulation::from_counts(&p, ABOVE_LIMIT);
-    let mut stepped = CountPopulation::from_counts(&p, ABOVE_LIMIT);
-    let mut rng_batched = SimRng::seed_from(0x57e9);
-    let mut rng_stepped = SimRng::seed_from(0x57e9);
-    for (i, t) in [1u64, 999, 1_000, 2_500].into_iter().enumerate() {
-        let out = batched.step_batch(&mut rng_batched, t);
-        let changed = (0..t)
-            .filter(|_| stepped.step(&mut rng_stepped) == StepOutcome::Changed)
-            .count() as u64;
-        assert_eq!((out.executed, out.changed), (t, changed), "batch {i}");
-        assert_eq!(batched.counts(), stepped.counts(), "batch {i}");
-        assert_eq!(batched.steps(), stepped.steps(), "batch {i}");
-        assert_eq!(
-            rng_batched.state_words(),
-            rng_stepped.state_words(),
-            "batch {i}"
-        );
-        let from = i % 3;
-        assert_eq!(
-            batched.migrate(from, 1_000 + i, 20),
-            stepped.migrate(from, 1_000 + i, 20)
-        );
-    }
-    assert!(batched.counts()[1_000..].iter().sum::<u64>() > 0);
 }
 
 /// The enumeration backend (analyzer-guided live-state compilation) must
