@@ -226,8 +226,10 @@ fn print_backend(target: &str, program: &Program, json: bool) {
 }
 
 /// Loads the `(bench/scenario/n/metric, rate)` rows of a
-/// `BENCH_history.jsonl` snapshot, keeping the last occurrence of each key
-/// (histories append, so the newest run is the snapshot value).
+/// `BENCH_history.jsonl` snapshot, one per key in first-seen order, with
+/// the median of the key's records as its rate: repeated bench runs append
+/// one record per key each, and one timing per run spreads too widely to
+/// gate on. A key recorded once keeps its one rate.
 fn bench_history_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Histories are appended to by concurrently running benches; a crash
@@ -236,7 +238,7 @@ fn bench_history_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
     // file is real corruption and stays a hard error.
     let complete = text.ends_with('\n');
     let line_count = text.lines().count();
-    let mut rates: Vec<(String, f64)> = Vec::new();
+    let mut rates: Vec<(String, Vec<f64>)> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -268,16 +270,23 @@ fn bench_history_rates(path: &str) -> Result<Vec<(String, f64)>, String> {
         };
         let key = format!("{bench}/{scenario}/n={n}/{metric}");
         if let Some(slot) = rates.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = rate;
+            slot.1.push(rate);
         } else {
-            rates.push((key, rate));
+            rates.push((key, vec![rate]));
         }
     }
-    Ok(rates)
+    Ok(rates
+        .into_iter()
+        .map(|(key, mut runs)| {
+            runs.sort_by(f64::total_cmp);
+            (key, quantile_sorted(&runs, 0.5))
+        })
+        .collect())
 }
 
 /// `ppsim bench-diff`: compare two `BENCH_history.jsonl` snapshots.
 ///
+/// Each file's rate for a key is the median of its records of that key.
 /// Exit 0 when every shared rate is within tolerance, 1 when any shared
 /// rate fell more than `--tolerance-pct` (default 25) below its baseline,
 /// 2 on usage or input errors (including snapshots that share no rate —

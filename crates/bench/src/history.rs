@@ -5,9 +5,11 @@
 //! population size, metric name and rate, stamped with the git revision
 //! the harness ran at, a unix timestamp and the host's core count. There
 //! are no snapshot files: a regression shows as the difference between two
-//! such files. `ppsim bench-diff` compares them (last occurrence of each
-//! `bench/scenario/n/metric` key wins) and the CI `bench-regression` job
-//! fails when a shared rate drops below the committed baseline by more
+//! such files. `ppsim bench-diff` compares them (each file's rate for a
+//! `bench/scenario/n/metric` key is the median of its records of that
+//! key), and the CI `bench-regression` job, which appends five alternating
+//! engine smoke runs of the parent and of the change to one file each,
+//! fails when a shared rate of the change drops below the parent's by more
 //! than the tolerance.
 //!
 //! Records are appended only where the `BENCH_HISTORY` environment

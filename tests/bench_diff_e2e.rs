@@ -154,23 +154,47 @@ fn falling_ratios_are_reported_not_gated() {
 }
 
 #[test]
-fn last_record_per_key_wins() {
-    // History files are append-only; only the newest record per key counts.
+fn median_record_per_key_is_compared() {
+    // A history file holds one record per key for each bench run appended
+    // to it; each side's rate is the median of its records. Comparing the
+    // last records instead would fail here on both sides' outliers.
     let base = write_history(
-        "dup-base.jsonl",
+        "median-base.jsonl",
         &[
-            (1_000_000, "batch_per_sec", 9.0e8), // stale entry, superseded below
             (1_000_000, "batch_per_sec", 3.0e8),
+            (1_000_000, "batch_per_sec", 3.1e8),
+            (1_000_000, "batch_per_sec", 9.0e8), // one fast outlier
         ],
     );
-    let cur = write_history("dup-cur.jsonl", &[(1_000_000, "batch_per_sec", 2.9e8)]);
-    let (code, text) = bench_diff(&[base.to_str().unwrap(), cur.to_str().unwrap()]);
-    let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&cur);
-    assert_eq!(
-        code, 0,
-        "diff must compare against the latest baseline record, not a stale one: {text}"
+    let cur = write_history(
+        "median-cur.jsonl",
+        &[
+            (1_000_000, "batch_per_sec", 2.9e8),
+            (1_000_000, "batch_per_sec", 2.95e8),
+            (1_000_000, "batch_per_sec", 1.0e8), // one slow outlier
+        ],
     );
+    let (code, text) = bench_diff(&[base.to_str().unwrap(), cur.to_str().unwrap()]);
+    assert_eq!(code, 0, "the medians differ by 6.5%: {text}");
+    assert!(
+        text.contains("n=1000000/batch_per_sec: 3.100e8 -> 2.900e8"),
+        "each side reads its median: {text}"
+    );
+
+    // An even number of records reads the mean of the middle two.
+    let slow = write_history(
+        "median-slow.jsonl",
+        &[
+            (1_000_000, "batch_per_sec", 2.0e8),
+            (1_000_000, "batch_per_sec", 2.2e8),
+        ],
+    );
+    let (code, text) = bench_diff(&[base.to_str().unwrap(), slow.to_str().unwrap()]);
+    for path in [&base, &cur, &slow] {
+        let _ = std::fs::remove_file(path);
+    }
+    assert_eq!(code, 1, "a median 32% below the baseline's fails: {text}");
+    assert!(text.contains("3.100e8 -> 2.100e8"), "{text}");
 }
 
 #[test]
