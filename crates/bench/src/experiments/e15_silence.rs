@@ -95,10 +95,14 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
         "quiescence_q3",
     ]);
     println!("E15 — quiescence of the w.h.p. clock stack (n = {n}, {seeds} seeds per k)\n");
-    for k in 2u8..=3 {
-        let runs = per_seed(seeds, |seed| {
-            quiescence(k, n, horizon, 0xEE_0000 + (u64::from(k) << 8) + seed)
-        });
+    // Both depths' runs in one sweep, so no worker idles between them;
+    // the slower depth-3 runs are handed out first.
+    let depths = [3u8, 2];
+    let all = per_seed(depths.len() as u64 * seeds, |i| {
+        let (k, seed) = (depths[(i / seeds) as usize], i % seeds);
+        quiescence(k, n, horizon, 0xEE_0000 + (u64::from(k) << 8) + seed)
+    });
+    for (&k, runs) in depths.iter().zip(all.chunks(seeds as usize)).rev() {
         let column = |f: fn(&Quiescence) -> f64| runs.iter().map(f).collect::<Vec<_>>();
         let deaths: Vec<f64> = runs.iter().filter_map(|r| r.x_death).collect();
         let died = format!("{}/{seeds}", deaths.len());
