@@ -106,7 +106,8 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
         let column = |f: fn(&Quiescence) -> f64| runs.iter().map(f).collect::<Vec<_>>();
         let deaths: Vec<f64> = runs.iter().filter_map(|r| r.x_death).collect();
         let died = format!("{}/{seeds}", deaths.len());
-        let [ticks, ticks_q1, ticks_q3] = median_quartiles(&column(|r| r.ticks_before_death as f64));
+        let [ticks, ticks_q1, ticks_q3] =
+            median_quartiles(&column(|r| r.ticks_before_death as f64));
         let [death, ..] = median_quartiles(&deaths);
         let [early, ..] = median_quartiles(&column(|r| r.early_rate));
         let [late, ..] = median_quartiles(&column(|r| r.late_rate));

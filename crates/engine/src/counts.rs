@@ -86,8 +86,9 @@ pub struct CountPopulation<P> {
 
 impl<P: Protocol> CountPopulation<P> {
     /// Creates a population with `counts[s]` agents in state `s`. The
-    /// protocol may declare more than [`BATCH_STATE_LIMIT`] states, but
-    /// then the population refuses its first draw.
+    /// protocol may declare more than 1 024 states, but then the
+    /// population refuses its first draw: run it on
+    /// [`SparseCountPopulation`].
     ///
     /// # Panics
     ///
@@ -393,8 +394,6 @@ impl<P: Protocol> Checkpoint for CountPopulation<P> {
         self.steps = steps;
         self.index = None;
         self.birthday = None;
-        // Snapshots written before the Fenwick tree went also carry a
-        // `tree_stale` flag; nothing reads it.
         if state.get("cached").and_then(Json::as_bool) == Some(true) {
             // Rebuild eagerly, during restore, so the next batch does not
             // count a rebuild the uninterrupted run never made: that run
@@ -484,7 +483,22 @@ mod tests {
         assert!(metrics.counter("collision_epochs") > 0);
         assert_eq!(metrics.counter("batch_cache_rebuilds"), 1);
         assert_eq!(pop.counts().iter().sum::<u64>(), 3_000);
-        assert_eq!(pop.snapshot().get("tree_stale"), None);
+    }
+
+    /// Snapshots written while a Fenwick tree served the plain steps carry
+    /// its `tree_stale` flag beside `cached`; they restore, flag ignored.
+    #[test]
+    fn restores_snapshots_that_carry_the_retired_tree_flag() {
+        let mut pop = CountPopulation::from_counts(epidemic(), &[7, 3]);
+        let old = Json::obj([
+            ("counts", Json::arr([hex_u64(4), hex_u64(6)])),
+            ("steps", hex_u64(12)),
+            ("cached", Json::Bool(true)),
+            ("tree_stale", Json::Bool(true)),
+        ]);
+        pop.restore(&old).expect("a snapshot with tree_stale restores");
+        assert_eq!((pop.counts(), pop.steps()), (vec![4, 6], 12));
+        assert!(pop.index.is_some(), "cached: the index is rebuilt eagerly");
     }
 
     #[test]

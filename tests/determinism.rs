@@ -546,9 +546,7 @@ fn above_limit_count_backend_refuses_its_first_draw() {
             draw(&mut pop, &mut rng);
         }))
         .expect_err("a draw above the limit must panic");
-        let message = refused
-            .downcast_ref::<String>()
-            .map_or("", String::as_str);
+        let message = refused.downcast_ref::<String>().map_or("", String::as_str);
         assert!(message.contains("SparseCountPopulation"), "{message}");
         assert!(message.contains("1100"), "{message}");
         assert_eq!(pop.steps(), 0);
