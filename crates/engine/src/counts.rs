@@ -496,7 +496,8 @@ mod tests {
             ("cached", Json::Bool(true)),
             ("tree_stale", Json::Bool(true)),
         ]);
-        pop.restore(&old).expect("a snapshot with tree_stale restores");
+        pop.restore(&old)
+            .expect("a snapshot with tree_stale restores");
         assert_eq!((pop.counts(), pop.steps()), (vec![4, 6], 12));
         assert!(pop.index.is_some(), "cached: the index is rebuilt eagerly");
     }

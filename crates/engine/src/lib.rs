@@ -24,15 +24,10 @@
 //! per executed step where no reactivity information exists), with no-op
 //! stretches leaped over in `O(1)`.
 //!
-//! Each state-space size has one count backend: up to 1 024 declared
-//! states, [`counts::CountPopulation`] with its three regimes (collision
-//! batches, leaps, plain steps); above that, [`counts::SparseCountPopulation`],
-//! which a `CountPopulation` names when it refuses its first draw.
-//!
 //! | Backend | Representation | Per-step cost | Batch cost (per `step_batch` of `m` steps) | Use case |
 //! |---|---|---|---|---|
 //! | [`counts::CountPopulation`] (`k ≤ 1024`) | state-count vector + reactivity index (ascending occupied list, `k × k` reactivity memo) | `O(occupied)` | `O(q²)` draws plus `O(q)` per in-batch collision per collision batch of `≈ √(n·q)` steps; `O(occupied)` per reactive interaction and `O(1)` per no-op stretch; `O(occupied)` per plain step | very large `n`, dense and sparse dynamics, silence detection, faults and checkpoints |
-//! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums; interned ids with a guard-class memo; per-rule-slot agent counts and lazily built class-member bitsets while leaping | `O(occupied/B + B)`, `B = 32` | two walks of the picked rule slot's class members, `O(occupied/64 + members)`, plus `O(set bits)` upkeep per effective step and `O(1)` per stretch of ineffective rule draws where `p · (occupied + 80 + 100 · (words − 1)) < 25`; `O(m · (occupied/B + B))` otherwise | huge nominal `k`, few occupied states; every program executor site ([`counts::SparseCountPopulation::run_on`]) |
+//! | [`counts::SparseCountPopulation`] | occupied states + per-block count sums; interned ids with a guard-class memo; per-rule-slot agent counts and lazily built class-member bitsets while leaping | `O(occupied/B + B)`, `B = 32` | two walks of the picked rule slot's class members, `O(occupied/64 + members)`, plus `O(set bits)` upkeep per effective step and `O(1)` per stretch of ineffective rule draws where `p · (occupied + 80 + 100 · (words − 1)) < 25`; `O(m · (occupied/B + B))` otherwise | every protocol above 1 024 declared states (E6, E9's `SyncMajority`, E15), which `CountPopulation` refuses; every program executor site ([`counts::SparseCountPopulation::run_on`]) |
 //! | [`matching::MatchingPopulation`] | state-count vector | — (not a `Simulator`) | `O(q²)` draws per round, `q` occupied states (`k ≤ 1024`): one collision-batch settle step with all `⌊n/2⌋` pairs deferred | random-matching scheduler (§5.3), E5 and E12 |
 //! | [`meanfield`] | fraction vector | `O(k²)` per ODE step | — (deterministic) | `n → ∞` limit |
 //!
