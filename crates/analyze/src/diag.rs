@@ -88,7 +88,7 @@ impl Diagnostic {
     /// Renders the diagnostic rustc-style:
     ///
     /// ```text
-    /// warning[PP103]: rule 3 is shadowed under first-match scheduling
+    /// warning[PP102]: rule is a no-op: `(A) + (.) -> (A) + (.)` never changes a matching pair
     ///   --> line 7, col 9
     ///    |   > (A) + (.) -> (A) + (.)
     ///    |     ^^^^^^^^^^^^^^^^^^^^^^

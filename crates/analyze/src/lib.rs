@@ -3,8 +3,8 @@
 //!
 //! The analyzer inspects protocols *without running them*: it decides
 //! guard satisfiability exactly over the packed state space, detects rules
-//! that can never fire or never change anything, flags first-match
-//! shadowing and uniform-mode outcome conflicts, over-approximates
+//! that can never fire or never change anything, flags uniform-mode
+//! outcome conflicts, over-approximates
 //! reachable agent states from the declared initial supports (`PP105`,
 //! `PP106`), and checks framework programs for data-flow hygiene and
 //! substrate budgets (`PP2xx`). A separate exact checker
@@ -22,7 +22,6 @@
 //! | `PP003` | contradictory post-condition     | error           |
 //! | `PP101` | dead rule (unsatisfiable guard)  | error           |
 //! | `PP102` | no-op rule                       | warning         |
-//! | `PP103` | first-match shadowed rule        | warning         |
 //! | `PP104` | uniform-mode outcome conflict    | warning         |
 //! | `PP105` | unreachable rule                 | warning         |
 //! | `PP106` | possible non-silent execution    | warning         |

@@ -337,25 +337,25 @@ def protocol Bad
     #[test]
     fn ruleset_findings_carry_rule_spans() {
         let source = "\
-def protocol Shadow
-  var A, B as output:
+def protocol Conflict
+  var A as input, B as output:
   thread T:
     execute ruleset:
-      > (A) + (.) -> (!A & B) + (.)
+      > (A) + (.) -> (B) + (.)
       > (A & B) + (.) -> (!B) + (.)
 ";
         let report = lint_source(source);
-        let shadowed = report
+        let conflict = report
             .diagnostics
             .iter()
-            .find(|d| d.code == "PP103")
-            .expect("PP103");
-        assert_eq!(shadowed.span.unwrap().line, 6, "{shadowed:?}");
+            .find(|d| d.code == "PP104")
+            .expect("PP104");
+        assert_eq!(conflict.span.unwrap().line, 6, "{conflict:?}");
         assert!(
-            shadowed.snippet.as_deref().unwrap().contains("(A & B)"),
-            "{shadowed:?}"
+            conflict.snippet.as_deref().unwrap().contains("(A & B)"),
+            "{conflict:?}"
         );
-        assert!(shadowed.message.contains("thread T"), "{shadowed:?}");
+        assert!(conflict.message.contains("thread T"), "{conflict:?}");
     }
 
     #[test]

@@ -1,22 +1,15 @@
 //! Ruleset analyses: guard satisfiability and dead rules (PP101), no-op
-//! rules (PP102), first-match shadowing (PP103), and uniform-mode outcome
-//! conflicts (PP104).
+//! rules (PP102), and uniform-mode outcome conflicts (PP104).
 //!
 //! All checks are *exact* over the packed state space: guards mention a
 //! handful of variables, so enumerating every assignment of the mentioned
-//! variables decides satisfiability and pairwise overlap precisely. Joint
-//! pair checks (shadowing, conflicts) enumerate initiator × responder
-//! assignments and are skipped with an info diagnostic when the combined
-//! variable count exceeds [`PAIR_VAR_CAP`] (2^14 pairs).
+//! variables decides satisfiability precisely, and the conflict check
+//! needs no pair enumeration because `matches(a, b)` factors per side.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::reach::SupportClosure;
 use pp_rules::parse::Span;
 use pp_rules::{Guard, Rule, Ruleset, Var, VarSet};
-
-/// Maximum combined (initiator + responder) mentioned-variable count for
-/// the joint pair enumerations of PP103/PP104.
-pub const PAIR_VAR_CAP: usize = 14;
 
 /// Attaches rule locations (spans + snippets) to ruleset diagnostics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,7 +90,7 @@ fn is_noop(rule: &Rule) -> bool {
     !changes
 }
 
-/// Runs the per-ruleset checks (PP101–PP104), decorating findings via
+/// Runs the per-ruleset checks (PP101, PP102, PP104), decorating findings via
 /// `locator`. `label` names the ruleset in messages (e.g. a thread name);
 /// empty for standalone rulesets.
 #[must_use]
@@ -166,73 +159,6 @@ pub fn analyze_ruleset_with(
                     format!(
                         "rule{ctx} is a no-op: `{}` never changes a matching pair",
                         rule.render(vars)
-                    ),
-                ),
-                i,
-            ));
-        }
-    }
-
-    // Joint pair checks need the combined mentioned-variable sets.
-    let mut skipped_note = false;
-    let mut skip = |out: &mut Vec<Diagnostic>| {
-        if !skipped_note {
-            skipped_note = true;
-            out.push(Diagnostic::new(
-                "PP190",
-                Severity::Info,
-                format!(
-                    "shadowing checks skipped{ctx}: rules mention more than \
-                     {PAIR_VAR_CAP} combined variables"
-                ),
-            ));
-        }
-    };
-
-    // PP103: first-match shadowing — every pair matching rule i is already
-    // matched by an earlier rule, so under first-match scheduling rule i
-    // never fires.
-    for i in 1..rules.len() {
-        if dead[i] {
-            continue;
-        }
-        let mut a_vars: Vec<Var> = Vec::new();
-        let mut b_vars: Vec<Var> = Vec::new();
-        for rule in &rules[..=i] {
-            a_vars.extend(rule.guard_a.vars());
-            b_vars.extend(rule.guard_b.vars());
-        }
-        a_vars.sort();
-        a_vars.dedup();
-        b_vars.sort();
-        b_vars.dedup();
-        if a_vars.len() + b_vars.len() > PAIR_VAR_CAP {
-            skip(&mut out);
-            continue;
-        }
-        let mut unshadowed = false;
-        for_each_assignment(&a_vars, |a| {
-            if unshadowed || !rules[i].guard_a.eval(a) {
-                return;
-            }
-            for_each_assignment(&b_vars, |b| {
-                if unshadowed || !rules[i].guard_b.eval(b) {
-                    return;
-                }
-                if !rules[..i].iter().any(|r| r.matches(a, b)) {
-                    unshadowed = true;
-                }
-            });
-        });
-        if !unshadowed {
-            out.push(locator.attach(
-                Diagnostic::new(
-                    "PP103",
-                    Severity::Warning,
-                    format!(
-                        "rule{ctx} is shadowed under first-match scheduling: every pair \
-                         matching `{}` is matched by an earlier rule",
-                        rules[i].render(vars)
                     ),
                 ),
                 i,
@@ -349,22 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn shadowed_rule_detected_with_span() {
+    fn rules_that_agree_on_shared_variables_pass() {
+        // Both rules match (A & B, anything); each clears its own flag.
         let text = "(A) + (.) -> (!A) + (.)\n(A & B) + (.) -> (!B) + (.)";
-        let (diags, _) = analyzed(text);
-        assert_eq!(codes(&diags), vec!["PP103"]);
-        let span = diags[0].span.unwrap();
-        assert_eq!(span.line, 2, "span points at the shadowed rule");
-        assert!(
-            diags[0].message.contains("first-match"),
-            "framed as a first-match concern: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn non_shadowed_rules_pass() {
-        // Second rule matches pairs the first does not (B without A).
-        let text = "(A) + (.) -> (!A) + (.)\n(B) + (.) -> (!B) + (.)";
         let (diags, _) = analyzed(text);
         assert!(diags.is_empty(), "{diags:?}");
     }

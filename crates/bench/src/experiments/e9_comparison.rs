@@ -97,14 +97,17 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
         // over seeds print below the table.
         let rounds = per_seed(seeds, |seed| {
             let p = SyncMajority::for_population(n);
-            let mut counts = vec![0u64; p.num_states()];
-            counts[p.initial(Some(true))] = na;
-            counts[p.initial(Some(false))] = nb;
-            counts[p.initial(None)] = n - na - nb;
-            let mut pop = SparseCountPopulation::from_dense(p, &counts);
+            // Ascending states, as a dense count vector would list them.
+            let mut start = [
+                (p.initial(Some(true)), na),
+                (p.initial(Some(false)), nb),
+                (p.initial(None), n - na - nb),
+            ];
+            start.sort_unstable();
+            let mut pop = SparseCountPopulation::from_pairs(p, &start);
             let mut rng = SimRng::seed_from(0xE9_2000 + seed + n);
             run_until(&mut pop, &mut rng, 1e6, 64, |s| {
-                let (a, b) = p.votes(&s.counts());
+                let (a, b) = p.votes(s.occupied());
                 (a == 0) != (b == 0)
             })
             .unwrap_or(f64::NAN)

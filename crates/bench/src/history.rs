@@ -15,9 +15,10 @@
 //! Records are appended only where the `BENCH_HISTORY` environment
 //! variable points; without it nothing is written, so a verification run
 //! (`e10 --quick`, the engine bench) never adds rows to the committed
-//! `BENCH_history.jsonl`. CI writes a fresh file and diffs it against the
-//! committed one; recording a new baseline means pointing the variable at
-//! that file on purpose.
+//! `BENCH_history.jsonl`. CI diffs the parent against the change: it runs
+//! both revisions' smoke benches on one runner, each into a fresh file of
+//! its own, and `bench-diff`s the two. The committed file is historical —
+//! records from other hosts — and no build, test or CI step reads it.
 
 use pp_engine::json::Json;
 use std::path::PathBuf;

@@ -46,14 +46,6 @@ impl Protocol for FixedX {
         false
     }
 
-    fn state_label(&self, state: usize) -> String {
-        if state == 1 {
-            "X".into()
-        } else {
-            "!X".into()
-        }
-    }
-
     fn name(&self) -> &str {
         "fixed-x"
     }
@@ -326,15 +318,6 @@ impl<O: Oscillator, C: XControl> Protocol for ControlledClock<O, C> {
                 )
             }
         }
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        let (ctrl, osc, det, ph, _) = self.unpack(state);
-        format!(
-            "({},{},d{det},p{ph})",
-            self.control.state_label(ctrl),
-            self.oscillator.state_label(osc)
-        )
     }
 
     fn name(&self) -> &str {

@@ -74,14 +74,6 @@ impl Protocol for PairwiseElimination {
         a == 1 && b == 1
     }
 
-    fn state_label(&self, state: usize) -> String {
-        if state == 1 {
-            "X".into()
-        } else {
-            "!X".into()
-        }
-    }
-
     fn name(&self) -> &str {
         "pairwise-elimination"
     }
@@ -200,19 +192,9 @@ impl Protocol for KLevelDecay {
         self.interact_deterministic(a, b) != a
     }
 
-    fn state_label(&self, state: usize) -> String {
-        let (z, x) = self.unpack(state);
-        let zs = if z == 0 {
-            "!Z".to_string()
-        } else {
-            format!("Z{}", z - 1)
-        };
-        let xs = if x == 0 {
-            "!X".to_string()
-        } else {
-            format!("X{}", x - 1)
-        };
-        format!("({zs},{xs})")
+    /// The transition is deterministic: one outcome per pair.
+    fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+        Some(vec![((self.interact_deterministic(a, b), b), 1.0)])
     }
 
     fn name(&self) -> &str {
@@ -225,13 +207,6 @@ impl KLevelDecay {
     fn interact_deterministic(&self, a: usize, b: usize) -> usize {
         let mut rng = SimRng::seed_from(0); // transition is RNG-free
         self.interact(a, b, &mut rng).0
-    }
-}
-
-impl pp_engine::protocol::ProtocolSpec for KLevelDecay {
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
-        // The transition is deterministic.
-        vec![((self.interact_deterministic(a, b), b), 1.0)]
     }
 }
 
@@ -336,11 +311,6 @@ impl Protocol for GsJunta {
         }
         let max = la.max(lb).max(ma).max(mb);
         (self.pack(la, sa, max), self.pack(lb, sb, max))
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        let (l, s, m) = self.unpack(state);
-        format!("(l{l}{},m{m})", if s { "s" } else { "" })
     }
 
     fn name(&self) -> &str {

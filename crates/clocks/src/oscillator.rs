@@ -31,7 +31,7 @@
 //! Both implement [`Oscillator`], the interface consumed by the phase-clock
 //! detector: a map from protocol state to species.
 
-use pp_engine::protocol::{Protocol, ProtocolSpec};
+use pp_engine::protocol::Protocol;
 use pp_engine::rng::SimRng;
 
 /// Number of species in the rock–paper–scissors cycle.
@@ -133,24 +133,7 @@ impl Protocol for RpsOscillator {
     }
 
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
-        Some(ProtocolSpec::outcomes(self, a, b))
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        match self.species_of(state) {
-            None => "X".to_string(),
-            Some(s) => format!("A{}", s + 1),
-        }
-    }
-
-    fn name(&self) -> &str {
-        "rps-oscillator"
-    }
-}
-
-impl ProtocolSpec for RpsOscillator {
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
-        match (self.species_of(a), self.species_of(b)) {
+        Some(match (self.species_of(a), self.species_of(b)) {
             (None, Some(_)) => {
                 let p = 1.0 / NUM_SPECIES as f64;
                 (0..NUM_SPECIES).map(|s| ((a, 1 + s), p)).collect()
@@ -169,7 +152,11 @@ impl ProtocolSpec for RpsOscillator {
                 }
             }
             (None, None) => vec![((a, b), 1.0)],
-        }
+        })
+    }
+
+    fn name(&self) -> &str {
+        "rps-oscillator"
     }
 }
 
@@ -276,17 +263,36 @@ impl Protocol for Dk18Oscillator {
     }
 
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
-        Some(ProtocolSpec::outcomes(self, a, b))
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        match self.species_of(state) {
-            None => "X".to_string(),
-            Some(s) => {
-                let charge = if Self::charge_of(state) { "++" } else { "+" };
-                format!("A{}{}", s + 1, charge)
+        Some(match (self.species_of(a), self.species_of(b)) {
+            (None, None) => vec![((a, b), 1.0)],
+            (None, Some(_)) => {
+                let p = 1.0 / NUM_SPECIES as f64;
+                (0..NUM_SPECIES)
+                    .map(|s| ((a, Self::make_state(s, false)), p))
+                    .collect()
             }
-        }
+            (Some(_), None) => {
+                let p = 1.0 / NUM_SPECIES as f64;
+                (0..NUM_SPECIES)
+                    .map(|s| ((Self::make_state(s, false), b), p))
+                    .collect()
+            }
+            (Some(sa), Some(sb)) => {
+                if sa == sb {
+                    if !Self::charge_of(a) && !Self::charge_of(b) {
+                        vec![((Self::make_state(sa, true), b), 1.0)]
+                    } else {
+                        vec![((a, b), 1.0)]
+                    }
+                } else if sb == prey_of(sa) {
+                    self.predation_outcomes(a, b, sa, true)
+                } else if sa == prey_of(sb) {
+                    self.predation_outcomes(b, a, sb, false)
+                } else {
+                    vec![((a, b), 1.0)]
+                }
+            }
+        })
     }
 
     fn name(&self) -> &str {
@@ -323,44 +329,7 @@ impl Dk18Oscillator {
             (new_prey, new_pred)
         }
     }
-}
 
-impl ProtocolSpec for Dk18Oscillator {
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
-        match (self.species_of(a), self.species_of(b)) {
-            (None, None) => vec![((a, b), 1.0)],
-            (None, Some(_)) => {
-                let p = 1.0 / NUM_SPECIES as f64;
-                (0..NUM_SPECIES)
-                    .map(|s| ((a, Self::make_state(s, false)), p))
-                    .collect()
-            }
-            (Some(_), None) => {
-                let p = 1.0 / NUM_SPECIES as f64;
-                (0..NUM_SPECIES)
-                    .map(|s| ((Self::make_state(s, false), b), p))
-                    .collect()
-            }
-            (Some(sa), Some(sb)) => {
-                if sa == sb {
-                    if !Self::charge_of(a) && !Self::charge_of(b) {
-                        vec![((Self::make_state(sa, true), b), 1.0)]
-                    } else {
-                        vec![((a, b), 1.0)]
-                    }
-                } else if sb == prey_of(sa) {
-                    self.predation_outcomes(a, b, sa, true)
-                } else if sa == prey_of(sb) {
-                    self.predation_outcomes(b, a, sb, false)
-                } else {
-                    vec![((a, b), 1.0)]
-                }
-            }
-        }
-    }
-}
-
-impl Dk18Oscillator {
     fn predation_outcomes(
         &self,
         pred_state: usize,
@@ -481,7 +450,7 @@ mod tests {
         let osc = RpsOscillator::new();
         for a in 0..4 {
             for b in 0..4 {
-                let outs = osc.outcomes(a, b);
+                let outs = osc.outcome_table(a, b).unwrap();
                 let total: f64 = outs.iter().map(|&(_, p)| p).sum();
                 assert!((total - 1.0).abs() < 1e-12, "({a},{b})");
             }
@@ -541,7 +510,7 @@ mod tests {
         let osc = Dk18Oscillator::new();
         for a in 0..7 {
             for b in 0..7 {
-                let outs = osc.outcomes(a, b);
+                let outs = osc.outcome_table(a, b).unwrap();
                 let total: f64 = outs.iter().map(|&(_, p)| p).sum();
                 assert!((total - 1.0).abs() < 1e-12, "({a},{b}) -> {outs:?}");
             }

@@ -90,7 +90,7 @@ mod sparse;
 pub mod stats;
 pub mod sweep;
 
-pub use protocol::{Protocol, ProtocolSpec};
+pub use protocol::Protocol;
 pub use rng::SimRng;
 pub use sim::{
     round_steps, run_rounds, run_steps, run_until, BatchOutcome, Simulator, StepOutcome,

@@ -13,13 +13,14 @@
 //!
 //! where `Δ_s` counts the net change of state-`s` agents in the transition
 //! (−2, −1, 0, 1, or 2). This module computes that vector field from any
-//! [`ProtocolSpec`] and integrates it with classic fixed-step RK4.
+//! protocol that lists its outcomes ([`Protocol::outcome_table`]) and
+//! integrates it with classic fixed-step RK4.
 //!
 //! The experiments use this to overlay stochastic trajectories on their
 //! deterministic limits (e.g. the `|X| ≈ n·e^{−t^{1/k}}` decay of
 //! Proposition 5.5) and to locate fixed points of the oscillator dynamics.
 
-use crate::protocol::ProtocolSpec;
+use crate::protocol::Protocol;
 
 /// Computes the mean-field drift `dx/dt` at fractions `x`.
 ///
@@ -28,9 +29,10 @@ use crate::protocol::ProtocolSpec;
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != protocol.num_states()`.
+/// Panics if `x.len() != protocol.num_states()`, or if the protocol lists
+/// no outcomes for a pair of occupied states.
 #[must_use]
-pub fn drift<P: ProtocolSpec + ?Sized>(protocol: &P, x: &[f64]) -> Vec<f64> {
+pub fn drift<P: Protocol + ?Sized>(protocol: &P, x: &[f64]) -> Vec<f64> {
     let k = protocol.num_states();
     assert_eq!(x.len(), k, "fraction vector has wrong length");
     let mut dx = vec![0.0; k];
@@ -43,7 +45,13 @@ pub fn drift<P: ProtocolSpec + ?Sized>(protocol: &P, x: &[f64]) -> Vec<f64> {
                 continue;
             }
             let rate = x[a] * x[b];
-            for ((a2, b2), p) in protocol.outcomes(a, b) {
+            let outcomes = protocol.outcome_table(a, b).unwrap_or_else(|| {
+                panic!(
+                    "mean-field drift needs the outcome table of `{}`",
+                    protocol.name()
+                )
+            });
+            for ((a2, b2), p) in outcomes {
                 if (a2, b2) == (a, b) || p == 0.0 {
                     continue;
                 }
@@ -99,9 +107,10 @@ impl Trajectory {
 ///
 /// # Panics
 ///
-/// Panics if `dt <= 0`, `duration < 0`, or `x0` has the wrong length.
+/// Panics if `dt <= 0`, `duration < 0`, `x0` has the wrong length, or the
+/// protocol lists no outcomes ([`drift`]).
 #[must_use]
-pub fn integrate<P: ProtocolSpec + ?Sized>(
+pub fn integrate<P: Protocol + ?Sized>(
     protocol: &P,
     x0: &[f64],
     duration: f64,
@@ -213,6 +222,24 @@ mod tests {
         let p = epidemic();
         let traj = integrate(&p, &[0.0, 1.0], 5.0, 0.01, 0);
         assert!((traj.last()[1] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "outcome table of `no-table`")]
+    fn protocols_without_an_outcome_table_are_named() {
+        struct NoTable;
+        impl Protocol for NoTable {
+            fn num_states(&self) -> usize {
+                2
+            }
+            fn interact(&self, a: usize, b: usize, _: &mut crate::rng::SimRng) -> (usize, usize) {
+                (a, b)
+            }
+            fn name(&self) -> &str {
+                "no-table"
+            }
+        }
+        let _ = drift(&NoTable, &[0.5, 0.5]);
     }
 
     #[test]

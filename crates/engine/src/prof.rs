@@ -3,9 +3,11 @@
 //! Where [`crate::metrics`] counts *how often* things happen, this module
 //! measures *where the time goes*: monotonic-clock scoped timers attached to
 //! a fixed set of named [`Section`]s, stacked so nested sections attribute
-//! self-time vs child-time correctly. Aggregation is keyed on (parent,
-//! child) edges, so the same section (say [`Section::PmfInversion`]) shows
-//! up separately under each caller in the rendered tree.
+//! self-time vs child-time correctly. Aggregation is keyed on a section's
+//! full path of enclosing sections, so the same section (say
+//! [`Section::PmfInversion`]) shows up separately under each caller in the
+//! rendered tree, and a section reached by two paths counts each path's
+//! own calls.
 //!
 //! Section times belong to the run's [`crate::recorder::Recorder`], and
 //! only to one built [`with_sections`](crate::recorder::Recorder::with_sections):
@@ -17,7 +19,7 @@
 //! * **Timing:** opening a scope pushes a frame on the recorder's stack and
 //!   reads the monotonic clock; closing it reads the clock again, subtracts
 //!   accumulated child time, and adds (calls, total, self) to the
-//!   recorder's (parent, child) edge.
+//!   recorder's node for the section's path.
 //!
 //! Sections were chosen over sampling deliberately: the hot paths are a few
 //! microseconds per epoch and heavily regime-dependent, so a statistical
@@ -171,43 +173,79 @@ impl Section {
 }
 
 const NUM_SECTIONS: usize = Section::ALL.len();
-/// Parent slots: index 0 is "root" (no enclosing section), `s + 1` is
-/// section `s`.
-const NUM_PARENTS: usize = NUM_SECTIONS + 1;
-const NUM_EDGES: usize = NUM_PARENTS * NUM_SECTIONS;
+/// A node index of the section tree; [`ROOT`] encloses the top level.
+type NodeId = u32;
+const ROOT: NodeId = 0;
+/// "No such child" in [`Node::children`].
+const NO_NODE: NodeId = NodeId::MAX;
+
+/// One section under one full path of enclosing sections.
+#[derive(Debug, Clone)]
+struct Node {
+    /// The section, or `NUM_SECTIONS` for the root.
+    section: usize,
+    /// The node of each child section opened directly inside this one.
+    children: [NodeId; NUM_SECTIONS],
+    calls: u64,
+    total_ns: u64,
+    self_ns: u64,
+}
+
+impl Node {
+    fn new(section: usize) -> Self {
+        Self {
+            section,
+            children: [NO_NODE; NUM_SECTIONS],
+            calls: 0,
+            total_ns: 0,
+            self_ns: 0,
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Frame {
-    section: usize,
+    node: NodeId,
     start: Instant,
     child_ns: u64,
 }
 
-/// A recorder's section times: (calls, total, self) per (parent, child)
-/// edge, plus the stack of open sections.
+/// A recorder's section times: (calls, total, self) per path of the
+/// section tree, plus the stack of open sections.
 #[derive(Debug)]
 pub(crate) struct SectionTable {
-    calls: [u64; NUM_EDGES],
-    total_ns: [u64; NUM_EDGES],
-    self_ns: [u64; NUM_EDGES],
+    /// The tree's nodes; `nodes[ROOT]` is the root, never timed.
+    nodes: Vec<Node>,
     stack: Vec<Frame>,
 }
 
 impl Default for SectionTable {
     fn default() -> Self {
         Self {
-            calls: [0; NUM_EDGES],
-            total_ns: [0; NUM_EDGES],
-            self_ns: [0; NUM_EDGES],
+            nodes: vec![Node::new(NUM_SECTIONS)],
             stack: Vec::new(),
         }
     }
 }
 
 impl SectionTable {
+    /// The node of section `s` directly inside `parent`, made on first use.
+    fn child(&mut self, parent: NodeId, s: usize) -> NodeId {
+        let id = self.nodes[parent as usize].children[s];
+        if id != NO_NODE {
+            return id;
+        }
+        let id = self.nodes.len() as NodeId;
+        self.nodes.push(Node::new(s));
+        self.nodes[parent as usize].children[s] = id;
+        id
+    }
+
     pub(crate) fn open(&mut self, s: Section) {
+        let parent = self.stack.last().map_or(ROOT, |f| f.node);
+        let node = self.child(parent, s as usize);
         self.stack.push(Frame {
-            section: s as usize,
+            node,
             start: Instant::now(),
             child_ns: 0,
         });
@@ -220,46 +258,62 @@ impl SectionTable {
             return;
         };
         let elapsed = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let self_ns = elapsed.saturating_sub(frame.child_ns);
-        let parent = match self.stack.last_mut() {
-            Some(p) => {
-                p.child_ns = p.child_ns.saturating_add(elapsed);
-                p.section + 1
-            }
-            None => 0,
-        };
-        let edge = parent * NUM_SECTIONS + frame.section;
-        self.calls[edge] += 1;
-        self.total_ns[edge] += elapsed;
-        self.self_ns[edge] += self_ns;
+        if let Some(p) = self.stack.last_mut() {
+            p.child_ns = p.child_ns.saturating_add(elapsed);
+        }
+        let node = &mut self.nodes[frame.node as usize];
+        node.calls += 1;
+        node.total_ns += elapsed;
+        node.self_ns += elapsed.saturating_sub(frame.child_ns);
     }
 
+    /// Adds `other`'s times path by path.
     pub(crate) fn merge(&mut self, other: &SectionTable) {
-        for edge in 0..NUM_EDGES {
-            self.calls[edge] += other.calls[edge];
-            self.total_ns[edge] += other.total_ns[edge];
-            self.self_ns[edge] += other.self_ns[edge];
+        self.merge_below(ROOT, other, ROOT);
+    }
+
+    fn merge_below(&mut self, mine: NodeId, other: &SectionTable, theirs: NodeId) {
+        for (s, &child) in other.nodes[theirs as usize].children.iter().enumerate() {
+            if child == NO_NODE {
+                continue;
+            }
+            let id = self.child(mine, s);
+            let (from, to) = (&other.nodes[child as usize], &mut self.nodes[id as usize]);
+            to.calls += from.calls;
+            to.total_ns += from.total_ns;
+            to.self_ns += from.self_ns;
+            self.merge_below(id, other, child);
         }
     }
 
     pub(crate) fn report(&self) -> ProfReport {
         let mut edges = Vec::new();
-        for parent in 0..NUM_PARENTS {
-            for child in 0..NUM_SECTIONS {
-                let edge = parent * NUM_SECTIONS + child;
-                if self.calls[edge] == 0 {
-                    continue;
-                }
+        self.report_below(ROOT, &mut Vec::new(), &mut edges);
+        ProfReport { edges }
+    }
+
+    /// Appends the nodes below `node` depth first, children in section-enum
+    /// order; `path` holds the names of `node` and its enclosing sections.
+    fn report_below(&self, node: NodeId, path: &mut Vec<&'static str>, edges: &mut Vec<ProfEdge>) {
+        for &child in &self.nodes[node as usize].children {
+            if child == NO_NODE {
+                continue;
+            }
+            let n = &self.nodes[child as usize];
+            let name = Section::ALL[n.section].name();
+            if n.calls > 0 {
                 edges.push(ProfEdge {
-                    parent: parent.checked_sub(1).map(|p| Section::ALL[p].name()),
-                    name: Section::ALL[child].name(),
-                    calls: self.calls[edge],
-                    total_ns: self.total_ns[edge],
-                    self_ns: self.self_ns[edge],
+                    path: path.clone(),
+                    name,
+                    calls: n.calls,
+                    total_ns: n.total_ns,
+                    self_ns: n.self_ns,
                 });
             }
+            path.push(name);
+            self.report_below(child, path, edges);
+            path.pop();
         }
-        ProfReport { edges }
     }
 }
 
@@ -304,16 +358,18 @@ impl Drop for SectionGuard {
     }
 }
 
-/// One aggregated (parent, child) edge of the section tree.
+/// One aggregated node of the section tree: a section under one full path
+/// of enclosing sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfEdge {
-    /// Enclosing section name, or `None` for sections opened at top level.
-    pub parent: Option<&'static str>,
+    /// The enclosing sections' names, outermost first; empty for sections
+    /// opened at top level.
+    pub path: Vec<&'static str>,
     /// Section name.
     pub name: &'static str,
-    /// Times this section was entered under this parent.
+    /// Times this section was entered under this path.
     pub calls: u64,
-    /// Total wall nanoseconds inside this section under this parent
+    /// Total wall nanoseconds inside this section under this path
     /// (children included).
     pub total_ns: u64,
     /// Nanoseconds not attributed to any child section.
@@ -323,7 +379,7 @@ pub struct ProfEdge {
 /// A frozen copy of a recorder's section times.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfReport {
-    /// Non-empty edges, in section-enum order grouped by parent.
+    /// Non-empty nodes, depth first, siblings in section-enum order.
     pub edges: Vec<ProfEdge>,
 }
 
@@ -348,7 +404,7 @@ impl ProfReport {
     pub fn attributed_ns(&self) -> u64 {
         self.edges
             .iter()
-            .filter(|e| e.parent.is_none())
+            .filter(|e| e.path.is_empty())
             .map(|e| e.total_ns)
             .sum()
     }
@@ -363,16 +419,23 @@ impl ProfReport {
             .sum()
     }
 
-    /// The edge for `name` directly under `parent` (`None` = top level).
+    /// The node for `name` under exactly the enclosing sections `path`
+    /// (outermost first; empty = top level).
     #[must_use]
-    pub fn edge(&self, parent: Option<&str>, name: &str) -> Option<&ProfEdge> {
-        self.edges
-            .iter()
-            .find(|e| e.name == name && e.parent == parent)
+    pub fn edge(&self, path: &[&str], name: &str) -> Option<&ProfEdge> {
+        self.edges.iter().find(|e| e.name == name && e.path == path)
     }
 
-    fn render_children(&self, parent: Option<&'static str>, depth: usize, out: &mut String) {
-        for e in self.edges.iter().filter(|e| e.parent == parent) {
+    /// Renders the section tree as aligned text: calls, total time, and
+    /// self time per path, children indented under their parent.
+    #[must_use]
+    pub fn render_tree(&self) -> String {
+        let mut out = format!(
+            "{:<28} {:>12} {:>12} {:>12}\n",
+            "section", "calls", "total", "self"
+        );
+        for e in &self.edges {
+            let depth = e.path.len();
             out.push_str(&format!(
                 "{:indent$}{:<width$} {:>12} {:>12} {:>12}\n",
                 "",
@@ -383,24 +446,7 @@ impl ProfReport {
                 indent = 2 * depth,
                 width = 28usize.saturating_sub(2 * depth),
             ));
-            // Recurse only when the child actually encloses something, and
-            // guard against self-edges (a section nested in itself) so the
-            // renderer cannot loop.
-            if e.parent != Some(e.name) {
-                self.render_children(Some(e.name), depth + 1, out);
-            }
         }
-    }
-
-    /// Renders the section tree as aligned text: calls, total time, and
-    /// self time per (parent, child) edge, children indented.
-    #[must_use]
-    pub fn render_tree(&self) -> String {
-        let mut out = format!(
-            "{:<28} {:>12} {:>12} {:>12}\n",
-            "section", "calls", "total", "self"
-        );
-        self.render_children(None, 0, &mut out);
         out
     }
 
@@ -428,8 +474,9 @@ impl ProfReport {
                 Json::obj([
                     (
                         "parent",
-                        e.parent.map_or(Json::Null, |p| Json::from(p.to_string())),
+                        e.path.last().map_or(Json::Null, |&p| Json::from(p)),
                     ),
+                    ("path", Json::arr(e.path.iter().map(|&p| Json::from(p)))),
                     ("name", Json::from(e.name)),
                     ("calls", Json::from(e.calls)),
                     ("total_ns", Json::from(e.total_ns)),
@@ -477,9 +524,9 @@ mod tests {
         }
         let report = rec.profile();
         assert_eq!(report.edges.len(), 2, "{report:?}");
-        let outer = report.edge(None, "observer").expect("outer edge").clone();
+        let outer = report.edge(&[], "observer").expect("outer edge").clone();
         let inner = report
-            .edge(Some("observer"), "fault_split")
+            .edge(&["observer"], "fault_split")
             .expect("inner edge")
             .clone();
         assert_eq!(outer.calls, 1);
@@ -536,14 +583,80 @@ mod tests {
         }
         let report = rec.profile();
         assert_eq!(report.edges.len(), 2);
-        let outer = report.edge(None, "observer").expect("outer").clone();
+        let outer = report.edge(&[], "observer").expect("outer").clone();
         let inner = report
-            .edge(Some("observer"), "epoch_len_sample")
+            .edge(&["observer"], "epoch_len_sample")
             .expect("inner")
             .clone();
         assert_eq!(outer.calls, 100);
         assert_eq!(inner.calls, 300);
         assert!(outer.total_ns >= inner.total_ns);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
+    }
+
+    /// A section reached by two paths counts each path's own calls: with
+    /// A → C → D run twice and B → C → D three times, each D node holds
+    /// its own path's calls, and merging keeps the paths apart.
+    #[test]
+    fn sections_are_keyed_on_their_full_path() {
+        let (a, b, c, d) = (
+            Section::Observer,
+            Section::FaultSplit,
+            Section::BatchSparse,
+            Section::SparseLeap,
+        );
+        let run = |outer: Section, times: usize, rec: &mut Recorder| {
+            let _installed = rec.install();
+            for _ in 0..times {
+                let _outer = section(outer);
+                let _c = section(c);
+                let _d = section(d);
+            }
+        };
+        let mut rec = Recorder::new().with_sections();
+        run(a, 2, &mut rec);
+        run(b, 3, &mut rec);
+        let report = rec.profile();
+        let calls = |path: &[&str]| {
+            let (name, path) = path.split_last().unwrap();
+            report.edge(path, name).map(|e| e.calls)
+        };
+        assert_eq!(
+            calls(&["observer", "sparse_step_batch", "sparse_leap"]),
+            Some(2)
+        );
+        assert_eq!(
+            calls(&["fault_split", "sparse_step_batch", "sparse_leap"]),
+            Some(3)
+        );
+        assert_eq!(calls(&["observer", "sparse_step_batch"]), Some(2));
+        assert_eq!(calls(&["fault_split", "sparse_step_batch"]), Some(3));
+        assert_eq!(report.calls_of("sparse_leap"), 5);
+        assert_eq!(report.edges.len(), 6, "{report:?}");
+        // The tree prints each path once, under its own parent (siblings in
+        // section-enum order: fault_split before observer).
+        let tree = report.render_tree();
+        let leaps: Vec<(usize, &str)> = tree
+            .lines()
+            .filter(|l| l.trim_start().starts_with("sparse_leap"))
+            .map(|l| {
+                (
+                    l.len() - l.trim_start().len(),
+                    l.split_whitespace().nth(1).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(leaps, vec![(4, "3"), (4, "2")], "{tree}");
+
+        let mut other = Recorder::new().with_sections();
+        run(b, 1, &mut other);
+        rec.merge(other);
+        let report = rec.profile();
+        let leap = |outer| {
+            report
+                .edge(&[outer, "sparse_step_batch"], "sparse_leap")
+                .map(|e| e.calls)
+        };
+        assert_eq!((leap("observer"), leap("fault_split")), (Some(2), Some(4)));
     }
 }

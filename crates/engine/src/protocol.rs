@@ -106,23 +106,23 @@ pub trait Protocol {
     /// protocol can enumerate it: `((a', b'), probability)` entries summing
     /// to 1.
     ///
-    /// This is an optional *performance* hook consumed by the exact
-    /// collision-batch stepper ([`crate::collision`]): when a contingency
-    /// table says an ordered state pair interacted `t` times inside a batch,
-    /// an enumerated cell lets the engine split the `t` interactions across
-    /// outcomes with `O(outcomes)` binomial draws instead of `t` calls to
-    /// [`Protocol::interact`]. Returning `None` (the default) is always
-    /// correct — the engine falls back to per-interaction `interact` calls.
+    /// The one way to ask a protocol for its transition law. Its readers:
+    ///
+    /// * the exact collision-batch stepper ([`crate::collision`]): when a
+    ///   contingency table says an ordered state pair interacted `t` times
+    ///   inside a batch, an enumerated cell splits the `t` interactions
+    ///   across outcomes with `O(outcomes)` binomial draws instead of `t`
+    ///   calls to [`Protocol::interact`]; with `None` (the default) it
+    ///   falls back to per-interaction `interact` calls;
+    /// * the mean-field integrator ([`crate::meanfield`]), which needs it
+    ///   and panics without it;
+    /// * `pp-analyze`'s exact small-`n` checkers.
+    ///
     /// A `Some` answer must agree exactly with `interact`: sampling the
     /// listed distribution must be equivalent to calling it.
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         let _ = (a, b);
         None
-    }
-
-    /// Human-readable label for a state, used in traces and reports.
-    fn state_label(&self, state: usize) -> String {
-        format!("s{state}")
     }
 
     /// Short protocol name for reports.
@@ -131,7 +131,7 @@ pub trait Protocol {
     }
 }
 
-// Allow `&P` and boxed protocols wherever a protocol is expected.
+// Allow `&P` wherever a protocol is expected.
 impl<P: Protocol + ?Sized> Protocol for &P {
     fn num_states(&self) -> usize {
         (**self).num_states()
@@ -153,39 +153,6 @@ impl<P: Protocol + ?Sized> Protocol for &P {
     }
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         (**self).outcome_table(a, b)
-    }
-    fn state_label(&self, state: usize) -> String {
-        (**self).state_label(state)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
-impl<P: Protocol + ?Sized> Protocol for Box<P> {
-    fn num_states(&self) -> usize {
-        (**self).num_states()
-    }
-    fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
-        (**self).interact(a, b, rng)
-    }
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        (**self).is_reactive(a, b)
-    }
-    fn weight_scale(&self) -> u32 {
-        (**self).weight_scale()
-    }
-    fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
-        (**self).interact_slot(a, b, slot, rng)
-    }
-    fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
-        (**self).rule_masks(state)
-    }
-    fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
-        (**self).outcome_table(a, b)
-    }
-    fn state_label(&self, state: usize) -> String {
-        (**self).state_label(state)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -244,21 +211,6 @@ impl RuleMasks {
     }
 }
 
-/// A protocol that can enumerate its interaction outcome distribution.
-///
-/// This is the interface consumed by the mean-field integrator
-/// ([`crate::meanfield`]): for each ordered state pair it lists every
-/// possible outcome together with its probability. The probabilities for a
-/// fixed input pair must sum to 1.
-///
-/// `interact` and `outcomes` must agree: sampling from the listed
-/// distribution must be equivalent to calling `interact`.
-pub trait ProtocolSpec: Protocol {
-    /// Returns the outcome distribution for the ordered input pair `(a, b)`
-    /// as `((a', b'), probability)` entries.
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)>;
-}
-
 /// A protocol defined by an explicit outcome table, convenient for tests and
 /// for small hand-written dynamics.
 ///
@@ -268,7 +220,6 @@ pub trait ProtocolSpec: Protocol {
 pub struct TableProtocol {
     states: usize,
     name: String,
-    labels: Vec<String>,
     /// `rules[a * states + b]` = list of `((a', b'), prob)`.
     rules: Vec<Vec<((usize, usize), f64)>>,
 }
@@ -285,7 +236,6 @@ impl TableProtocol {
         Self {
             states,
             name: name.into(),
-            labels: (0..states).map(|s| format!("s{s}")).collect(),
             rules: vec![Vec::new(); states * states],
         }
     }
@@ -351,27 +301,17 @@ impl Protocol for TableProtocol {
     }
 
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
-        Some(ProtocolSpec::outcomes(self, a, b))
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        self.labels[state].clone()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl ProtocolSpec for TableProtocol {
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
         let cell = &self.rules[a * self.states + b];
         let mut out = cell.clone();
         let listed: f64 = cell.iter().map(|&(_, p)| p).sum();
         if listed < 1.0 - 1e-12 {
             out.push(((a, b), 1.0 - listed));
         }
-        out
+        Some(out)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -417,7 +357,7 @@ mod tests {
         let p = TableProtocol::new(3, "x")
             .rule_p(0, 1, 2, 2, 0.5)
             .rule_p(0, 1, 1, 0, 0.25);
-        let outs = p.outcomes(0, 1);
+        let outs = p.outcome_table(0, 1).unwrap();
         let total: f64 = outs.iter().map(|&(_, q)| q).sum();
         assert!((total - 1.0).abs() < 1e-12);
         assert!(outs.contains(&((0, 1), 0.25)));
@@ -436,7 +376,5 @@ mod tests {
         let p = TableProtocol::new(2, "e").rule(1, 0, 1, 1);
         let r = &p;
         assert_eq!(r.num_states(), 2);
-        let boxed: Box<dyn Protocol> = Box::new(p);
-        assert_eq!(boxed.num_states(), 2);
     }
 }

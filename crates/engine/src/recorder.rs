@@ -1,7 +1,7 @@
 //! Run-scoped telemetry: one [`Recorder`] owns everything a run measures.
 //!
 //! A recorder holds the run's counters and log₂ histograms
-//! ([`crate::metrics`]) and, when built with them, its edge-keyed section
+//! ([`crate::metrics`]) and, when built with them, its path-keyed section
 //! times ([`crate::prof`]). The regime counters (`collision_epochs`,
 //! `noop_leaps`, `reactive_dense_steps`) are the record of every regime
 //! decision. Nothing is process-global: a run builds a

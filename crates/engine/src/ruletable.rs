@@ -55,7 +55,8 @@ pub const NO_RULE: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct RuleTableProtocol {
     name: String,
-    labels: Vec<String>,
+    /// `q`, the number of enumerated states.
+    num_states: usize,
     rules: Vec<RuleTable>,
     /// Uniform-draw slot map: `draw[i]` is an index into `rules`, or
     /// [`NO_RULE`] for a stripped dead rule's share.
@@ -67,21 +68,21 @@ pub struct RuleTableProtocol {
 }
 
 impl RuleTableProtocol {
-    /// Builds a table protocol with one draw slot per rule. `labels` names
-    /// the `q` enumerated states; every table in `rules` must have length
-    /// `q`. `total_rules` is the rule count *before* dead-rule stripping
+    /// Builds a table protocol with one draw slot per rule over
+    /// `num_states` (`q`) enumerated states; every table in `rules` must
+    /// have length `q`. `total_rules` is the rule count *before* dead-rule stripping
     /// (the uniform-draw denominator); pass `rules.len()` when nothing was
     /// stripped.
     ///
     /// # Panics
     ///
     /// Panics if `total_rules < rules.len()`, `total_rules == 0`, any
-    /// table length disagrees with `labels.len()`, or any successor id is
+    /// table length disagrees with `num_states`, or any successor id is
     /// out of range.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
-        labels: Vec<String>,
+        num_states: usize,
         rules: Vec<RuleTable>,
         total_rules: usize,
     ) -> Self {
@@ -91,7 +92,7 @@ impl RuleTableProtocol {
         );
         let mut draw: Vec<u32> = (0..rules.len() as u32).collect();
         draw.resize(total_rules, NO_RULE);
-        Self::with_draw(name, labels, rules, draw)
+        Self::with_draw(name, num_states, rules, draw)
     }
 
     /// Builds a table protocol with an explicit draw-slot map, letting
@@ -100,17 +101,17 @@ impl RuleTableProtocol {
     /// # Panics
     ///
     /// Panics if `draw` is empty, any non-[`NO_RULE`] slot is out of range,
-    /// any rule has no slot, any table length disagrees with
-    /// `labels.len()`, or any successor id is out of range.
+    /// any rule has no slot, any table length disagrees with `num_states`,
+    /// or any successor id is out of range.
     #[must_use]
     pub fn with_draw(
         name: impl Into<String>,
-        labels: Vec<String>,
+        num_states: usize,
         rules: Vec<RuleTable>,
         draw: Vec<u32>,
     ) -> Self {
         assert!(!draw.is_empty(), "a protocol needs at least one rule slot");
-        let q = labels.len();
+        let q = num_states;
         for (i, r) in rules.iter().enumerate() {
             assert!(
                 r.match_a.len() == q
@@ -148,7 +149,7 @@ impl RuleTableProtocol {
         );
         Self {
             name: name.into(),
-            labels,
+            num_states,
             rules,
             draw,
             mult,
@@ -177,7 +178,7 @@ impl RuleTableProtocol {
 
 impl Protocol for RuleTableProtocol {
     fn num_states(&self) -> usize {
-        self.labels.len()
+        self.num_states
     }
 
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
@@ -260,10 +261,6 @@ impl Protocol for RuleTableProtocol {
         Some(out)
     }
 
-    fn state_label(&self, state: usize) -> String {
-        self.labels[state].clone()
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -295,7 +292,7 @@ mod tests {
         };
         RuleTableProtocol::new(
             "epi",
-            vec!["s".into(), "i".into()],
+            2,
             vec![rule],
             2, // one dead rule stripped
         )
@@ -353,12 +350,7 @@ mod tests {
             apply_b: vec![1, 1],
             probability: 1.0,
         };
-        let p = RuleTableProtocol::with_draw(
-            "shared",
-            vec!["s".into(), "i".into()],
-            vec![rule],
-            vec![0, 0, 0, NO_RULE],
-        );
+        let p = RuleTableProtocol::with_draw("shared", 2, vec![rule], vec![0, 0, 0, NO_RULE]);
         assert_eq!(p.total_rules(), 4);
         assert_eq!(p.stripped_rules(), 1);
         let table = p.outcome_table(0, 1).unwrap();
@@ -375,9 +367,8 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_name_round_trip() {
+    fn name_and_sizes_round_trip() {
         let p = epidemic_with_stripped_tail();
-        assert_eq!(p.state_label(1), "i");
         assert_eq!(p.name(), "epi");
         assert_eq!(p.num_states(), 2);
         assert_eq!(p.stripped_rules(), 1);

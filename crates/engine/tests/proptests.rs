@@ -4,7 +4,7 @@
 //! failure is reproducible from the printed case index).
 
 use pp_engine::meanfield;
-use pp_engine::protocol::{Protocol, ProtocolSpec, TableProtocol};
+use pp_engine::protocol::{Protocol, TableProtocol};
 use pp_engine::rng::SimRng;
 use pp_engine::stats::{fit_line, quantile_sorted, Summary};
 
@@ -73,7 +73,7 @@ fn outcomes_normalized() {
             .rule_p(0, 1, 2, 2, p1)
             .rule_p(0, 1, 1, 0, p2)
             .rule(2, 2, 0, 0);
-        let outs = proto.outcomes(a, b);
+        let outs = proto.outcome_table(a, b).unwrap();
         let total: f64 = outs.iter().map(|&(_, q)| q).sum();
         assert!((total - 1.0).abs() < 1e-9, "case {case}: total {total}");
     }
@@ -90,7 +90,7 @@ fn interact_supported_by_outcomes() {
             .rule_p(0, 1, 2, 2, 0.5)
             .rule(1, 2, 0, 0);
         let result = proto.interact(a, b, &mut rng);
-        let outs = proto.outcomes(a, b);
+        let outs = proto.outcome_table(a, b).unwrap();
         assert!(
             outs.iter().any(|&(o, q)| o == result && q > 0.0),
             "case {case}: result {result:?} not in {outs:?}"

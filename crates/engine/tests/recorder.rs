@@ -94,9 +94,7 @@ fn merge_adds_counts_and_sections() {
     assert_eq!(merged.counter("batches"), 2);
     assert_eq!(merged.counter("interactions_executed"), 3_000);
     let edge = |p: &pp_engine::prof::ProfReport| {
-        p.edge(Some("observer"), "count_step_batch")
-            .unwrap()
-            .total_ns
+        p.edge(&["observer"], "count_step_batch").unwrap().total_ns
     };
     let merged = a.profile();
     assert_eq!(merged.calls_of("count_step_batch"), 2);

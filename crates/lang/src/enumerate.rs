@@ -36,7 +36,7 @@
 //! interpreter.
 
 use crate::ast::{AssignValue, Instr, Program, Thread};
-use crate::interp::{initial_config, ExecOptions, ProgramExecutor, StateSpace};
+use crate::interp::{initial_config, ProgramExecutor, StateSpace};
 use pp_engine::counts::SparseCountPopulation;
 use pp_engine::rng::SimRng;
 use pp_engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
@@ -383,8 +383,7 @@ pub fn lower_ruleset(
         });
     }
     let draw: Vec<u32> = slot_of_rule.iter().map(|&d| table_of[d]).collect();
-    let labels: Vec<String> = live.iter().map(|&s| vars.render_state(s)).collect();
-    Ok(RuleTableProtocol::with_draw(name, labels, tables, draw))
+    Ok(RuleTableProtocol::with_draw(name, q, tables, draw))
 }
 
 fn escaped(vars: &VarSet, rule: &pp_rules::Rule, s: u32, t: u32) -> EnumError {
@@ -553,13 +552,7 @@ impl<'p> EnumExecutor<'p> {
             overhead,
             sites,
         };
-        Ok(Self::start(
-            program,
-            config,
-            seed,
-            ExecOptions::default(),
-            space,
-        ))
+        Ok(Self::start(program, config, seed, space))
     }
 
     /// The enumerated packed states (dense id `i` ↦ `live_states()[i]`).

@@ -570,21 +570,6 @@ impl<'p> Executor<'p> {
     /// names a non-input variable.
     #[must_use]
     pub fn new(program: &'p Program, groups: &[(Vec<Var>, u64)], seed: u64) -> Self {
-        Self::with_options(program, groups, seed, ExecOptions::default())
-    }
-
-    /// Creates an executor with explicit options.
-    ///
-    /// # Panics
-    ///
-    /// As [`Executor::new`].
-    #[must_use]
-    pub fn with_options(
-        program: &'p Program,
-        groups: &[(Vec<Var>, u64)],
-        seed: u64,
-        opts: ExecOptions,
-    ) -> Self {
         let config = initial_config(program, groups, |packed| packed as usize);
         let raws: Vec<&Ruleset> = program.raw_threads().map(|(_, rs)| rs).collect();
         let space = Packed {
@@ -592,7 +577,7 @@ impl<'p> Executor<'p> {
             raw: (!raws.is_empty()).then(|| Ruleset::compose(raws)),
             sites: HashMap::new(),
         };
-        Self::start(program, config, seed, opts, space)
+        Self::start(program, config, seed, space)
     }
 
     /// Replaces the executor options (e.g. to stop fault injection after a
@@ -650,7 +635,6 @@ impl<'p, S: StateSpace> ProgramExecutor<'p, S> {
         program: &'p Program,
         config: Vec<(usize, u64)>,
         seed: u64,
-        opts: ExecOptions,
         space: S,
     ) -> Self {
         let n: u64 = config.iter().map(|&(_, c)| c).sum();
@@ -662,7 +646,7 @@ impl<'p, S: StateSpace> ProgramExecutor<'p, S> {
             rng: SimRng::seed_from(seed),
             rounds: 0.0,
             iterations: 0,
-            opts,
+            opts: ExecOptions::default(),
             ln_n: (n as f64).ln(),
             space,
         }
@@ -1040,7 +1024,8 @@ mod tests {
         let opts = ExecOptions {
             exists_failure: 1.0,
         };
-        let mut exec = Executor::with_options(&p, &[(vec![], 50)], 8, opts);
+        let mut exec = Executor::new(&p, &[(vec![], 50)], 8);
+        exec.set_options(opts);
         exec.run_iteration();
         // With guaranteed misdetection the then-branch ran: Y stays off.
         assert_eq!(exec.count_where(&Guard::var(y)), 0);

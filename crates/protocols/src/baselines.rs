@@ -12,7 +12,7 @@
 //! `O(1)` states *and* polylogarithmic time (w.h.p.), which experiment E9
 //! verifies by measuring all rows on the same workloads.
 
-use pp_engine::protocol::{Protocol, ProtocolSpec};
+use pp_engine::protocol::Protocol;
 use pp_engine::rng::SimRng;
 
 /// The 3-state approximate-majority protocol of Angluin, Aspnes, and
@@ -61,19 +61,14 @@ impl Protocol for ApproxMajority {
         a != b
     }
 
-    fn state_label(&self, state: usize) -> String {
-        ["blank", "A", "B"][state].to_string()
+    /// The transition is deterministic: one outcome per pair.
+    fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+        let mut rng = SimRng::seed_from(0);
+        Some(vec![(self.interact(a, b, &mut rng), 1.0)])
     }
 
     fn name(&self) -> &str {
         "approx-majority-3"
-    }
-}
-
-impl ProtocolSpec for ApproxMajority {
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
-        let mut rng = SimRng::seed_from(0); // transition is deterministic
-        vec![((self.interact(a, b, &mut rng)), 1.0)]
     }
 }
 
@@ -135,10 +130,6 @@ impl Protocol for FourStateMajority {
         self.interact(a, b, &mut rng) != (a, b)
     }
 
-    fn state_label(&self, state: usize) -> String {
-        ["A", "B", "a", "b"][state].to_string()
-    }
-
     fn name(&self) -> &str {
         "exact-majority-4"
     }
@@ -178,10 +169,6 @@ impl Protocol for LotteryLeader {
 
     fn is_reactive(&self, a: usize, b: usize) -> bool {
         a == Self::LEADER && b == Self::LEADER
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        ["F", "L"][state].to_string()
     }
 
     fn name(&self) -> &str {
@@ -265,16 +252,13 @@ impl SyncMajority {
         self.pack(0, 0, opinion)
     }
 
-    /// Counts `(A-votes, B-votes)` from a state-count vector (marked and
-    /// unmarked both count).
+    /// Counts `(A-votes, B-votes)` from occupied `(state, count)` pairs
+    /// (marked and unmarked both count).
     #[must_use]
-    pub fn votes(&self, counts: &[u64]) -> (u64, u64) {
+    pub fn votes(&self, occupied: &[(usize, u64)]) -> (u64, u64) {
         let mut a = 0;
         let mut b = 0;
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for &(s, c) in occupied {
             match self.unpack(s).2 {
                 Self::OP_A | Self::OP_A_MARKED => a += c,
                 Self::OP_B | Self::OP_B_MARKED => b += c,
@@ -355,12 +339,6 @@ impl Protocol for SyncMajority {
             }
         }
         (self.pack(pa2, ta2, oa2), self.pack(pb2, tb2, ob2))
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        let (p, t, o) = self.unpack(state);
-        let op = ["·", "A", "B", "A*", "B*"][o];
-        format!("(p{p},t{t},{op})")
     }
 
     fn name(&self) -> &str {
@@ -484,7 +462,7 @@ mod tests {
         let mut pop = SparseCountPopulation::from_dense(p, &counts);
         let mut rng = SimRng::seed_from(5);
         let t = run_until(&mut pop, &mut rng, 5_000.0, 64, |s| {
-            let (a, b) = p.votes(&s.counts());
+            let (a, b) = p.votes(s.occupied());
             b == 0 && a > 0
         });
         assert!(t.is_some(), "synchronized cancel/double decides gap 2");

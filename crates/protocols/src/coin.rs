@@ -102,11 +102,6 @@ impl<P: CoinProtocol> Protocol for SyntheticCoin<P> {
         (self.pack(ia2, !bit_a), self.pack(ib2, !bit_b))
     }
 
-    fn state_label(&self, state: usize) -> String {
-        let (inner, bit) = self.unpack(state);
-        format!("(s{inner},{})", u8::from(bit))
-    }
-
     fn name(&self) -> &str {
         "synthetic-coin"
     }

@@ -792,8 +792,8 @@ mod tests {
             exists_failure: 0.3,
         };
         // Truth: #A − #B = 20 ≥ 1 → P should eventually be on.
-        let mut exec =
-            Executor::with_options(&p, &[(vec![a], 40), (vec![b], 20), (vec![], 10)], 5, opts);
+        let mut exec = Executor::new(&p, &[(vec![a], 40), (vec![b], 20), (vec![], 10)], 5);
+        exec.set_options(opts);
         for _ in 0..80 {
             exec.run_iteration();
         }

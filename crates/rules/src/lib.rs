@@ -17,8 +17,7 @@
 //! * [`rule`] — rules, minimal updates, rulesets, and the paper's
 //!   LCM-padding thread composition,
 //! * [`protocol`] — the [`FlagProtocol`] adapter to the simulation engine,
-//!   supporting both the uniform-random-rule and first-match scheduling
-//!   conventions,
+//!   under the paper's uniform-random-rule scheduling convention,
 //! * [`parse`] — a text parser for the paper notation (ASCII and Unicode),
 //! * [`reach`] — the `{0, ≥1}`-support reachability closure over packed
 //!   states, shared by the analyzer's lint checks and the enumeration
@@ -61,6 +60,6 @@ pub mod rule;
 pub mod var;
 
 pub use guard::Guard;
-pub use protocol::{ExecutionMode, FlagProtocol};
+pub use protocol::FlagProtocol;
 pub use rule::{Rule, RuleError, Ruleset, Update};
 pub use var::{Var, VarSet, MAX_VARS};

@@ -1,28 +1,14 @@
 //! Adapter from rulesets to the engine's [`Protocol`] trait.
 //!
-//! The paper's scheduling convention is: "the scheduler picks exactly one
-//! rule uniformly at random from the set of rules of the protocol, and
-//! executes it for the interacting agent pair if it is matching." That is
-//! the default [`ExecutionMode::UniformRule`]. The alternative systematic
-//! convention (execute the first matching rule, top-down) is available as
-//! [`ExecutionMode::FirstMatch`]; the paper notes protocols translate
-//! between the conventions.
+//! The paper's scheduling convention (Section 1.3) is: "the scheduler picks
+//! exactly one rule uniformly at random from the set of rules of the
+//! protocol, and executes it for the interacting agent pair if it is
+//! matching." [`FlagProtocol`] runs every ruleset that way.
 
 use crate::rule::Ruleset;
 use crate::var::VarSet;
-use pp_engine::protocol::{Protocol, ProtocolSpec, RuleMasks};
+use pp_engine::protocol::{Protocol, RuleMasks};
 use pp_engine::rng::SimRng;
-
-/// How a ruleset resolves an interaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Pick one rule uniformly at random; execute it if matching (paper
-    /// convention, default).
-    #[default]
-    UniformRule,
-    /// Execute the first matching rule in ruleset order.
-    FirstMatch,
-}
 
 /// A population protocol defined by a [`Ruleset`] over a [`VarSet`].
 ///
@@ -56,12 +42,11 @@ pub enum ExecutionMode {
 pub struct FlagProtocol {
     vars: VarSet,
     ruleset: Ruleset,
-    mode: ExecutionMode,
     name: String,
 }
 
 impl FlagProtocol {
-    /// Creates a protocol with the default (uniform-rule) execution mode.
+    /// Creates the protocol.
     ///
     /// # Panics
     ///
@@ -72,16 +57,8 @@ impl FlagProtocol {
         Self {
             vars,
             ruleset,
-            mode: ExecutionMode::UniformRule,
             name: name.into(),
         }
-    }
-
-    /// Switches the execution mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// The variable registry.
@@ -115,28 +92,12 @@ impl Protocol for FlagProtocol {
 
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
         let (a, b) = (a as u32, b as u32);
-        match self.mode {
-            ExecutionMode::UniformRule => {
-                let rule = &self.ruleset.rules()[rng.index(self.ruleset.len())];
-                if rule.matches(a, b) && (rule.probability >= 1.0 || rng.chance(rule.probability)) {
-                    let (a2, b2) = rule.apply(a, b);
-                    (a2 as usize, b2 as usize)
-                } else {
-                    (a as usize, b as usize)
-                }
-            }
-            ExecutionMode::FirstMatch => {
-                for rule in self.ruleset.rules() {
-                    if rule.matches(a, b) {
-                        if rule.probability >= 1.0 || rng.chance(rule.probability) {
-                            let (a2, b2) = rule.apply(a, b);
-                            return (a2 as usize, b2 as usize);
-                        }
-                        return (a as usize, b as usize);
-                    }
-                }
-                (a as usize, b as usize)
-            }
+        let rule = &self.ruleset.rules()[rng.index(self.ruleset.len())];
+        if rule.matches(a, b) && (rule.probability >= 1.0 || rng.chance(rule.probability)) {
+            let (a2, b2) = rule.apply(a, b);
+            (a2 as usize, b2 as usize)
+        } else {
+            (a as usize, b as usize)
         }
     }
 
@@ -145,20 +106,14 @@ impl Protocol for FlagProtocol {
         self.ruleset.rules().iter().any(|r| r.is_effective_on(a, b))
     }
 
-    /// In [`ExecutionMode::UniformRule`], the ruleset length (replicas
-    /// included): one slot per rule.
+    /// The ruleset length (replicas included): one slot per rule.
     fn weight_scale(&self) -> u32 {
-        match self.mode {
-            ExecutionMode::UniformRule => self.ruleset.len() as u32,
-            ExecutionMode::FirstMatch => 1,
-        }
+        self.ruleset.len() as u32
     }
 
     /// Fires rule `slot` with its probability: [`Protocol::interact`] after
-    /// drawing that rule. Only [`ExecutionMode::UniformRule`] has rule
-    /// masks, so only it is asked.
+    /// drawing that rule.
     fn interact_slot(&self, a: usize, b: usize, slot: usize, rng: &mut SimRng) -> (usize, usize) {
-        debug_assert_eq!(self.mode, ExecutionMode::UniformRule);
         let rule = &self.ruleset.rules()[slot];
         debug_assert!(rule.is_effective_on(a as u32, b as u32));
         if rule.probability >= 1.0 || rng.chance(rule.probability) {
@@ -170,9 +125,6 @@ impl Protocol for FlagProtocol {
     }
 
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
-        if self.mode == ExecutionMode::FirstMatch {
-            return None;
-        }
         let s = state as u32;
         let mut masks = RuleMasks::new(self.ruleset.len());
         for (r, rule) in self.ruleset.rules().iter().enumerate() {
@@ -188,57 +140,28 @@ impl Protocol for FlagProtocol {
     }
 
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
-        Some(ProtocolSpec::outcomes(self, a, b))
-    }
-
-    fn state_label(&self, state: usize) -> String {
-        self.vars.render_state(state as u32)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl ProtocolSpec for FlagProtocol {
-    fn outcomes(&self, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
         let (a32, b32) = (a as u32, b as u32);
         let mut out: Vec<((usize, usize), f64)> = Vec::new();
         let mut identity = 0.0;
-        match self.mode {
-            ExecutionMode::UniformRule => {
-                let per_rule = 1.0 / self.ruleset.len() as f64;
-                for rule in self.ruleset.rules() {
-                    if rule.matches(a32, b32) {
-                        let (a2, b2) = rule.apply(a32, b32);
-                        let p = per_rule * rule.probability;
-                        push_outcome(&mut out, (a2 as usize, b2 as usize), p);
-                        identity += per_rule * (1.0 - rule.probability);
-                    } else {
-                        identity += per_rule;
-                    }
-                }
-            }
-            ExecutionMode::FirstMatch => {
-                let mut matched = false;
-                for rule in self.ruleset.rules() {
-                    if rule.matches(a32, b32) {
-                        let (a2, b2) = rule.apply(a32, b32);
-                        push_outcome(&mut out, (a2 as usize, b2 as usize), rule.probability);
-                        identity += 1.0 - rule.probability;
-                        matched = true;
-                        break;
-                    }
-                }
-                if !matched {
-                    identity = 1.0;
-                }
+        let per_rule = 1.0 / self.ruleset.len() as f64;
+        for rule in self.ruleset.rules() {
+            if rule.matches(a32, b32) {
+                let (a2, b2) = rule.apply(a32, b32);
+                let p = per_rule * rule.probability;
+                push_outcome(&mut out, (a2 as usize, b2 as usize), p);
+                identity += per_rule * (1.0 - rule.probability);
+            } else {
+                identity += per_rule;
             }
         }
         if identity > 0.0 {
             push_outcome(&mut out, (a, b), identity);
         }
-        out
+        Some(out)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 }
 
@@ -329,27 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn first_match_mode_is_deterministic() {
-        let mut vars = VarSet::new();
-        let a = vars.add("A");
-        let b = vars.add("B");
-        // Two rules both matching state 0: first sets A, second sets B.
-        let r1 = Rule::new(Guard::True, Guard::True, &Guard::var(a), &Guard::True).unwrap();
-        let r2 = Rule::new(Guard::True, Guard::True, &Guard::var(b), &Guard::True).unwrap();
-        let p = FlagProtocol::new(vars, Ruleset::from_rules(vec![r1, r2]), "fm")
-            .with_mode(ExecutionMode::FirstMatch);
-        let mut rng = SimRng::seed_from(5);
-        for _ in 0..10 {
-            let (a2, _) = p.interact(0, 0, &mut rng);
-            assert_eq!(a2 as u32, a.mask(), "first rule must win");
-        }
-    }
-
-    #[test]
     fn outcomes_sum_to_one() {
         let (p, l, m) = fratricide();
         for &(a, b) in &[(l, l), (0, l), (l | m, l), (0, 0)] {
-            let outs = p.outcomes(a as usize, b as usize);
+            let outs = p.outcome_table(a as usize, b as usize).unwrap();
             let total: f64 = outs.iter().map(|&(_, q)| q).sum();
             assert!((total - 1.0).abs() < 1e-12, "pair ({a},{b}) total {total}");
         }
@@ -363,7 +269,7 @@ mod tests {
             .unwrap()
             .with_probability(0.25);
         let p = FlagProtocol::new(vars, Ruleset::from_rules(vec![r]), "prob");
-        let outs = p.outcomes(0, 0);
+        let outs = p.outcome_table(0, 0).unwrap();
         let fire = outs.iter().find(|(k, _)| *k == (1, 0)).unwrap().1;
         let stay = outs.iter().find(|(k, _)| *k == (0, 0)).unwrap().1;
         assert!((fire - 0.25).abs() < 1e-12);

@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run --release --example chemical_oscillator [n]`
 
-use population_protocols::core::clocks::detect::{dominance_events, periods, rotation_violations};
-use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator, Oscillator};
-use population_protocols::core::engine::counts::CountPopulation;
-use population_protocols::core::engine::meanfield;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
+use population_protocols::clocks::detect::{dominance_events, periods, rotation_violations};
+use population_protocols::clocks::oscillator::{central_init, Dk18Oscillator, Oscillator};
+use population_protocols::engine::counts::CountPopulation;
+use population_protocols::engine::meanfield;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::Simulator;
 
 fn bar(fraction: f64, width: usize) -> String {
     "#".repeat((fraction * width as f64).round() as usize)

@@ -7,10 +7,10 @@
 //!
 //! Run with: `cargo run --release --example custom_protocol_dsl`
 
-use population_protocols::core::engine::counts::CountPopulation;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::{run_until, Simulator};
-use population_protocols::core::rules::{parse::parse_ruleset, FlagProtocol, VarSet};
+use population_protocols::engine::counts::CountPopulation;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::{run_until, Simulator};
+use population_protocols::rules::{parse::parse_ruleset, FlagProtocol, VarSet};
 
 fn main() {
     // R = has heard the rumor, S = skeptic (retracts once).

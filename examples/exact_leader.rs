@@ -9,9 +9,9 @@
 //!
 //! Run with: `cargo run --release --example exact_leader [n]`
 
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::protocols::leader::leader_election_exact;
-use population_protocols::core::rules::Guard;
+use population_protocols::lang::interp::Executor;
+use population_protocols::protocols::leader::leader_election_exact;
+use population_protocols::rules::Guard;
 
 fn main() {
     let n: u64 = std::env::args()

@@ -11,13 +11,13 @@
 //!
 //! Run with: `cargo run --release --example full_stack_clock [n]`
 
-use population_protocols::core::clocks::junta::PairwiseElimination;
-use population_protocols::core::clocks::oscillator::Dk18Oscillator;
-use population_protocols::core::engine::obj::ObjPopulation;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::lang::ast::{build, Program, Thread};
-use population_protocols::core::lang::compile::CompiledProtocol;
-use population_protocols::core::rules::{Guard, VarSet};
+use population_protocols::clocks::junta::PairwiseElimination;
+use population_protocols::clocks::oscillator::Dk18Oscillator;
+use population_protocols::engine::obj::ObjPopulation;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::lang::ast::{build, Program, Thread};
+use population_protocols::lang::compile::CompiledProtocol;
+use population_protocols::rules::{Guard, VarSet};
 
 fn main() {
     let n: usize = std::env::args()

@@ -9,9 +9,9 @@
 //!
 //! Run with: `cargo run --release --example majority_vote [n] [margin]`
 
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::protocols::majority::majority;
-use population_protocols::core::rules::Guard;
+use population_protocols::lang::interp::Executor;
+use population_protocols::protocols::majority::majority;
+use population_protocols::rules::Guard;
 
 fn main() {
     let mut args = std::env::args().skip(1);

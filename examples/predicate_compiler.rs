@@ -5,11 +5,11 @@
 //!
 //! Run with: `cargo run --release --example predicate_compiler`
 
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::protocols::semilinear::{
+use population_protocols::lang::interp::Executor;
+use population_protocols::protocols::semilinear::{
     parity_exact, semilinear_comparison_exact, Predicate,
 };
-use population_protocols::core::rules::Guard;
+use population_protocols::rules::Guard;
 
 fn main() {
     // --- Comparison predicate, full composition -------------------------

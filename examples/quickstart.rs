@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart [n] [seed]`
 
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::protocols::leader::leader_election;
-use population_protocols::core::rules::Guard;
+use population_protocols::lang::interp::Executor;
+use population_protocols::protocols::leader::leader_election;
+use population_protocols::rules::Guard;
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -7,17 +7,15 @@
 //! Random cases are drawn from seeded [`SimRng`] streams, so every failure
 //! reproduces from the printed case index.
 
-use population_protocols::core::engine::collision::batch_len;
-use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
-use population_protocols::core::engine::faults::{FaultSpec, FaultyPopulation};
-use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
-use population_protocols::core::engine::recorder::Recorder;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::{run_until, Simulator};
-use population_protocols::core::engine::stats::{
-    chi_square_p_value, chi_square_two_sample, Summary,
-};
-use population_protocols::core::rules::{parse::parse_ruleset, FlagProtocol, VarSet};
+use population_protocols::engine::collision::batch_len;
+use population_protocols::engine::counts::{CountPopulation, SparseCountPopulation};
+use population_protocols::engine::faults::{FaultSpec, FaultyPopulation};
+use population_protocols::engine::protocol::{Protocol, RuleMasks, TableProtocol};
+use population_protocols::engine::recorder::Recorder;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::{run_until, Simulator};
+use population_protocols::engine::stats::{chi_square_p_value, chi_square_two_sample, Summary};
+use population_protocols::rules::{parse::parse_ruleset, FlagProtocol, VarSet};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -177,7 +175,7 @@ const LEAP_ALPHA: f64 = 0.001;
 /// replicated 3×) composed with a 3-rule mixing thread (replicated 2×)
 /// whose rules fire with probability ½ or ¼, one of them on a disjunctive
 /// guard. Eight states, 12 rule slots.
-fn leap_ruleset() -> (VarSet, population_protocols::core::rules::Ruleset) {
+fn leap_ruleset() -> (VarSet, population_protocols::rules::Ruleset) {
     let mut vars = VarSet::new();
     let epidemic = parse_ruleset(
         "(I) + (!I) -> (.) + (I)\n(!I) + (I) -> (I) + (.)",
@@ -191,7 +189,7 @@ fn leap_ruleset() -> (VarSet, population_protocols::core::rules::Ruleset) {
         &mut vars,
     )
     .unwrap();
-    let composed = population_protocols::core::rules::Ruleset::compose(&[epidemic, mixer]);
+    let composed = population_protocols::rules::Ruleset::compose(&[epidemic, mixer]);
     (vars, composed)
 }
 
@@ -310,13 +308,9 @@ fn sparse_leap_matches_stepwise_distribution() {
     );
     assert!(leaps > 0, "FlagProtocol: the batched run never leapt");
     let live: Vec<u32> = (0..8).collect();
-    let tables = population_protocols::core::lang::enumerate::lower_ruleset(
-        &vars,
-        &rules,
-        &live,
-        "leap-tables",
-    )
-    .unwrap();
+    let tables =
+        population_protocols::lang::enumerate::lower_ruleset(&vars, &rules, &live, "leap-tables")
+            .unwrap();
     let (leaps, _) = assert_sparse_leap_equivalent(
         "RuleTableProtocol",
         || SparseCountPopulation::from_dense(&tables, &LEAP_FLAG_COUNTS),

@@ -1,6 +1,6 @@
 //! Shared by the tests that check a sampler against an exact law.
 
-use population_protocols::core::engine::stats::chi_square_p_value;
+use population_protocols::engine::stats::chi_square_p_value;
 use std::collections::HashMap;
 
 /// Chi-square goodness of fit of `observed` configuration counts against

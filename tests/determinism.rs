@@ -10,18 +10,18 @@
 //! a sweep or CI run replays exactly from its seed, fault RNG included.
 //! Every run records into its own recorder, so the tests run in parallel.
 
-use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator};
-use population_protocols::core::engine::collision::batch_len;
-use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
-use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
-use population_protocols::core::engine::json::{to_jsonl, Json};
-use population_protocols::core::engine::matching::MatchingPopulation;
-use population_protocols::core::engine::metrics::MetricsReport;
-use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
-use population_protocols::core::engine::recorder::Recorder;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
-use population_protocols::core::engine::snapshot::RunSnapshot;
+use population_protocols::clocks::oscillator::{central_init, Dk18Oscillator};
+use population_protocols::engine::collision::batch_len;
+use population_protocols::engine::counts::{CountPopulation, SparseCountPopulation};
+use population_protocols::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
+use population_protocols::engine::json::{to_jsonl, Json};
+use population_protocols::engine::matching::MatchingPopulation;
+use population_protocols::engine::metrics::MetricsReport;
+use population_protocols::engine::protocol::{Protocol, RuleMasks, TableProtocol};
+use population_protocols::engine::recorder::Recorder;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::Simulator;
+use population_protocols::engine::snapshot::RunSnapshot;
 
 /// A run's deterministic artifacts: a JSONL trace of `(steps, counts)`
 /// rows, the fault-event JSONL (empty without the fault wrapper), and the
@@ -300,8 +300,8 @@ fn assert_interrupt_resume_byte_identical(
 /// same seed and asserts the full artifact — per-state counts, rounds, and
 /// iterations — replays byte-identically once rendered.
 fn assert_enumerated_replay_byte_identical(seed: u64) {
-    use population_protocols::core::lang::enumerate::EnumExecutor;
-    use population_protocols::core::protocols::plurality::plurality;
+    use population_protocols::lang::enumerate::EnumExecutor;
+    use population_protocols::protocols::plurality::plurality;
 
     let program = plurality(3, 2);
     let c: Vec<_> = (1..=3)
@@ -563,12 +563,12 @@ fn enumerated_replay_is_byte_identical() {
 /// Runs the interpreter on `program` for `iterations` good iterations
 /// and returns the FNV-1a of its final dense counts and its rounds.
 fn interpreted_run(
-    program: &population_protocols::core::lang::ast::Program,
-    groups: &[(Vec<population_protocols::core::rules::Var>, u64)],
+    program: &population_protocols::lang::ast::Program,
+    groups: &[(Vec<population_protocols::rules::Var>, u64)],
     seed: u64,
     iterations: u64,
 ) -> (u64, f64) {
-    use population_protocols::core::lang::interp::Executor;
+    use population_protocols::lang::interp::Executor;
     let mut exec = Executor::new(program, groups, seed);
     for _ in 0..iterations {
         exec.run_iteration();
@@ -587,8 +587,8 @@ fn interpreted_run(
 /// component (factored sites), which draws differently from the same law.
 #[test]
 fn wide_program_sites_match_pinned_golden() {
-    use population_protocols::core::protocols::plurality::plurality_exact_three;
-    use population_protocols::core::protocols::semilinear::semilinear_comparison_exact;
+    use population_protocols::protocols::plurality::plurality_exact_three;
+    use population_protocols::protocols::semilinear::semilinear_comparison_exact;
 
     let program = plurality_exact_three();
     let c: Vec<_> = (1..=3)

@@ -1,17 +1,17 @@
 //! Cross-crate integration tests: whole-pipeline behavior at moderate
 //! population sizes with fixed seeds.
 
-use population_protocols::core::clocks::junta::PairwiseElimination;
-use population_protocols::core::clocks::oscillator::Dk18Oscillator;
-use population_protocols::core::engine::obj::ObjPopulation;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::lang::ast::{build, Program, Thread};
-use population_protocols::core::lang::compile::CompiledProtocol;
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::protocols::leader::{leader_election, leader_election_exact};
-use population_protocols::core::protocols::majority::{majority, majority_exact};
-use population_protocols::core::protocols::plurality::plurality;
-use population_protocols::core::rules::{Guard, VarSet};
+use population_protocols::clocks::junta::PairwiseElimination;
+use population_protocols::clocks::oscillator::Dk18Oscillator;
+use population_protocols::engine::obj::ObjPopulation;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::lang::ast::{build, Program, Thread};
+use population_protocols::lang::compile::CompiledProtocol;
+use population_protocols::lang::interp::Executor;
+use population_protocols::protocols::leader::{leader_election, leader_election_exact};
+use population_protocols::protocols::majority::{majority, majority_exact};
+use population_protocols::protocols::plurality::plurality;
+use population_protocols::rules::{Guard, VarSet};
 
 #[test]
 fn leader_election_scales_polylogarithmically() {

@@ -10,13 +10,13 @@
 //! between the two backends' samples at α = 0.001 — the pattern of
 //! `tests/backend_equivalence.rs`.
 
-use population_protocols::core::engine::stats::{chi_square_p_value, chi_square_two_sample};
-use population_protocols::core::lang::ast::Program;
-use population_protocols::core::lang::enumerate::EnumExecutor;
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::protocols::plurality::{plurality, plurality_exact_three};
-use population_protocols::core::protocols::semilinear::semilinear_comparison_exact;
-use population_protocols::core::rules::{Guard, Var};
+use population_protocols::engine::stats::{chi_square_p_value, chi_square_two_sample};
+use population_protocols::lang::ast::Program;
+use population_protocols::lang::enumerate::EnumExecutor;
+use population_protocols::lang::interp::Executor;
+use population_protocols::protocols::plurality::{plurality, plurality_exact_three};
+use population_protocols::protocols::semilinear::semilinear_comparison_exact;
+use population_protocols::rules::{Guard, Var};
 
 const RUNS: u64 = 40;
 

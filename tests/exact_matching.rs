@@ -15,10 +15,10 @@
 //! randomized; and a one-way rule (`1, 0 → 1, 1`), which fires in one
 //! orientation only.
 
-use population_protocols::core::clocks::oscillator::Dk18Oscillator;
-use population_protocols::core::engine::matching::MatchingPopulation;
-use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
-use population_protocols::core::engine::rng::SimRng;
+use population_protocols::clocks::oscillator::Dk18Oscillator;
+use population_protocols::engine::matching::MatchingPopulation;
+use population_protocols::engine::protocol::{Protocol, TableProtocol};
+use population_protocols::engine::rng::SimRng;
 use std::collections::HashMap;
 
 mod common;

@@ -12,20 +12,24 @@
 //! three batches. Each comparison is a chi-square goodness-of-fit test over
 //! 40 000 independent seeds.
 //!
-//! Three protocols: cycle3; DK18, whose reseeding and weak-predation cells
-//! are randomized; and an age counter whose counts are the histogram of how
+//! Five protocols: cycle3; DK18, whose reseeding and weak-predation cells
+//! are randomized; an age counter whose counts are the histogram of how
 //! often each agent was picked, so any error in which agents a batch picks
-//! shows up directly.
+//! shows up directly; and the 3-state approximate majority and the k = 1
+//! ladder decay, whose listed outcomes make their collision-batch cells
+//! enumerated (checked on batches and on steps).
 
-use population_protocols::core::analyze::exact::transient_counts;
-use population_protocols::core::clocks::oscillator::Dk18Oscillator;
-use population_protocols::core::engine::collision::{
+use population_protocols::analyze::exact::transient_counts;
+use population_protocols::clocks::junta::KLevelDecay;
+use population_protocols::clocks::oscillator::Dk18Oscillator;
+use population_protocols::engine::collision::{
     batch_len, run_epoch, BirthdayCdf, CollisionScratch,
 };
-use population_protocols::core::engine::counts::{CountPopulation, SparseCountPopulation};
-use population_protocols::core::engine::protocol::{Protocol, TableProtocol};
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
+use population_protocols::engine::counts::{CountPopulation, SparseCountPopulation};
+use population_protocols::engine::protocol::{Protocol, TableProtocol};
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::Simulator;
+use population_protocols::protocols::baselines::ApproxMajority;
 use std::collections::HashMap;
 
 mod common;
@@ -36,10 +40,12 @@ const SEEDS: u64 = 40_000;
 /// Interactions per run: three collision batches at n = 8.
 const T: u64 = 12;
 
-/// Family-wise false-alarm rate of the twelve comparisons in this file
-/// (three protocols, four samplers); each is held to `ALPHA / 12`
-/// (Bonferroni).
+/// Family-wise false-alarm rate of the [`COMPARISONS`] comparisons in this
+/// file; each is held to `ALPHA / COMPARISONS` (Bonferroni).
 const ALPHA: f64 = 1e-3;
+
+/// Three protocols on four samplers, two on batches and steps.
+const COMPARISONS: f64 = 16.0;
 
 fn cycle3() -> TableProtocol {
     TableProtocol::new(3, "cycle3")
@@ -67,10 +73,18 @@ fn ages() -> TableProtocol {
 /// randomized.
 const DK18_INIT: [u64; 7] = [1, 2, 1, 1, 1, 2, 0];
 
-/// [`common::assert_matches_exact`] at this file's level, `ALPHA / 12`.
+/// Approximate majority at n = 8: blanks, `A`s and `B`s all present.
+const APPROX_INIT: [u64; 3] = [2, 3, 3];
+
+/// The k = 1 ladder decay at n = 8: every `(Z, X)` rung occupied, most
+/// agents in the initial state.
+const DECAY_INIT: [u64; 6] = [1, 1, 1, 3, 1, 1];
+
+/// [`common::assert_matches_exact`] at this file's level,
+/// `ALPHA / COMPARISONS`.
 fn assert_matches_exact(name: &str, exact: &[(Vec<u64>, f64)], observed: &HashMap<Vec<u64>, u64>) {
     let name = format!("{name} after {T} interactions");
-    common::assert_matches_exact(&name, exact, observed, ALPHA / 12.0);
+    common::assert_matches_exact(&name, exact, observed, ALPHA / COMPARISONS);
 }
 
 /// Final counts of `SEEDS` runs of collision batches chained to `T`
@@ -224,4 +238,36 @@ fn ages_sparse_backend_matches_the_exact_law() {
     assert_matches_exact("ages sparse steps", &exact, &steps);
     let batches = sparse(&ages(), &[8], 12 << 20, true);
     assert_matches_exact("ages sparse batches", &exact, &batches);
+}
+
+#[test]
+fn approx_majority_collision_batches_match_the_exact_law() {
+    let p = ApproxMajority::new();
+    let exact = transient_counts(&p, &APPROX_INIT, T);
+    let batches = batched(&p, &APPROX_INIT, 13 << 20);
+    assert_matches_exact("approx-majority batches", &exact, &batches);
+}
+
+#[test]
+fn approx_majority_steps_match_the_exact_law() {
+    let p = ApproxMajority::new();
+    let exact = transient_counts(&p, &APPROX_INIT, T);
+    let steps = stepped(&p, &APPROX_INIT, 14 << 20);
+    assert_matches_exact("approx-majority steps", &exact, &steps);
+}
+
+#[test]
+fn klevel_decay_collision_batches_match_the_exact_law() {
+    let p = KLevelDecay::new(1);
+    let exact = transient_counts(&p, &DECAY_INIT, T);
+    let batches = batched(&p, &DECAY_INIT, 15 << 20);
+    assert_matches_exact("k-level decay batches", &exact, &batches);
+}
+
+#[test]
+fn klevel_decay_steps_match_the_exact_law() {
+    let p = KLevelDecay::new(1);
+    let exact = transient_counts(&p, &DECAY_INIT, T);
+    let steps = stepped(&p, &DECAY_INIT, 16 << 20);
+    assert_matches_exact("k-level decay steps", &exact, &steps);
 }

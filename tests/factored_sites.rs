@@ -16,18 +16,18 @@
 //! sites, and the exact semilinear comparison, all of whose sites factor,
 //! still settles a wrong fast answer through its slow blackbox.
 
-use population_protocols::core::analyze::exact::transient_counts;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::lang::ast::Program;
-use population_protocols::core::lang::interp::{Executor, Site};
-use population_protocols::core::protocols::leader::{leader_election, leader_election_exact};
-use population_protocols::core::protocols::majority::{majority, majority_exact};
-use population_protocols::core::protocols::plurality::{plurality, plurality_exact_three};
-use population_protocols::core::protocols::semilinear::{
+use population_protocols::analyze::exact::transient_counts;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::lang::ast::Program;
+use population_protocols::lang::interp::{Executor, Site};
+use population_protocols::protocols::leader::{leader_election, leader_election_exact};
+use population_protocols::protocols::majority::{majority, majority_exact};
+use population_protocols::protocols::plurality::{plurality, plurality_exact_three};
+use population_protocols::protocols::semilinear::{
     comparison_and_parity_exact, mod_exact, parity_exact, semilinear_comparison_exact,
 };
-use population_protocols::core::rules::parse::parse_ruleset;
-use population_protocols::core::rules::{FlagProtocol, Guard, Ruleset, Var, VarSet};
+use population_protocols::rules::parse::parse_ruleset;
+use population_protocols::rules::{FlagProtocol, Guard, Ruleset, Var, VarSet};
 use std::collections::HashMap;
 
 mod common;

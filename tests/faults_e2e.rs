@@ -8,14 +8,14 @@
 //! window of rows after it, or that moved nobody, is reported as not
 //! judged rather than failed.
 
-use population_protocols::core::clocks::detect::{completed_periods, dominance_events};
-use population_protocols::core::clocks::diag::RecoveryProbe;
-use population_protocols::core::clocks::oscillator::{central_init, Dk18Oscillator, Oscillator};
-use population_protocols::core::engine::counts::CountPopulation;
-use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
-use population_protocols::core::engine::json::Json;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
+use population_protocols::clocks::detect::{completed_periods, dominance_events};
+use population_protocols::clocks::diag::RecoveryProbe;
+use population_protocols::clocks::oscillator::{central_init, Dk18Oscillator, Oscillator};
+use population_protocols::engine::counts::CountPopulation;
+use population_protocols::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
+use population_protocols::engine::json::Json;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::Simulator;
 use std::path::Path;
 use std::process::Command;
 

@@ -23,23 +23,21 @@
 
 use std::collections::BTreeMap;
 
-use population_protocols::core::clocks::controlled::{fixed_x_init, ControlledClock, FixedX};
-use population_protocols::core::clocks::hierarchy::{ClockHierarchy, ClockLevel, HierAgent};
-use population_protocols::core::clocks::junta::PairwiseElimination;
-use population_protocols::core::clocks::oscillator::Dk18Oscillator;
-use population_protocols::core::clocks::phase_clock::{
-    detector_observe, doubt_consensus, ClockKernel,
-};
-use population_protocols::core::engine::counts::SparseCountPopulation;
-use population_protocols::core::engine::obj::{ObjPopulation, ObjProtocol};
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
-use population_protocols::core::engine::stats::{chi_square_p_value, chi_square_two_sample};
-use population_protocols::core::lang::ast::{build, Program, Thread};
-use population_protocols::core::lang::compile::{CompiledAgent, CompiledProtocol};
-use population_protocols::core::protocols::leader::{leader_election, leader_election_exact};
-use population_protocols::core::rules::parse::parse_ruleset;
-use population_protocols::core::rules::{Guard, VarSet};
+use population_protocols::clocks::controlled::{fixed_x_init, ControlledClock, FixedX};
+use population_protocols::clocks::hierarchy::{ClockHierarchy, ClockLevel, HierAgent};
+use population_protocols::clocks::junta::PairwiseElimination;
+use population_protocols::clocks::oscillator::Dk18Oscillator;
+use population_protocols::clocks::phase_clock::{detector_observe, doubt_consensus, ClockKernel};
+use population_protocols::engine::counts::SparseCountPopulation;
+use population_protocols::engine::obj::{ObjPopulation, ObjProtocol};
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::Simulator;
+use population_protocols::engine::stats::{chi_square_p_value, chi_square_two_sample};
+use population_protocols::lang::ast::{build, Program, Thread};
+use population_protocols::lang::compile::{CompiledAgent, CompiledProtocol};
+use population_protocols::protocols::leader::{leader_election, leader_election_exact};
+use population_protocols::rules::parse::parse_ruleset;
+use population_protocols::rules::{Guard, VarSet};
 
 /// Family-wise error rate of the contract tests, split evenly (Bonferroni)
 /// over every agent pair they test.

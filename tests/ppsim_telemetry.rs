@@ -8,8 +8,8 @@
 //! This is the same validation the CI smoke job performs, kept as a test so
 //! it runs under plain `cargo test` too.
 
-use population_protocols::core::engine::json::{parse_jsonl, Json};
-use population_protocols::core::engine::metrics::MetricsReport;
+use population_protocols::engine::json::{parse_jsonl, Json};
+use population_protocols::engine::metrics::MetricsReport;
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -5,8 +5,8 @@
 //! separately visible and name the sparse leap's parts, and the footer's
 //! regime counters carry the regime-dispatch evidence.
 
-use population_protocols::core::engine::json::{parse_jsonl, Json};
-use population_protocols::core::engine::metrics::MetricsReport;
+use population_protocols::engine::json::{parse_jsonl, Json};
+use population_protocols::engine::metrics::MetricsReport;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -99,6 +99,21 @@ impl Profiled {
             .iter()
             .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
             .unwrap_or_else(|| panic!("section {name} missing from the report"))
+    }
+
+    /// The calls of `name` under exactly the enclosing sections `path`
+    /// (outermost first), or 0 when the report has no such node.
+    fn calls_at(&self, path: &[&str], name: &str) -> u64 {
+        self.sections()
+            .iter()
+            .find(|s| {
+                let at: Option<Vec<&str>> = s
+                    .get("path")
+                    .and_then(Json::as_arr)
+                    .map(|p| p.iter().filter_map(Json::as_str).collect());
+                s.get("name").and_then(Json::as_str) == Some(name) && at.as_deref() == Some(path)
+            })
+            .map_or(0, calls)
     }
 
     fn of_kind(&self, kind: &str) -> Vec<&Json> {
@@ -231,6 +246,28 @@ fn plurality_exact_profile_names_the_sparse_leap() {
         counter("noop_steps_leaped") * 10 > counter("interactions_executed") * 9,
         "leaps skip under 90% of the run"
     );
+}
+
+/// E12 settles its asynchronous runs' collision batches and its matching
+/// rounds through the same epoch chain, so `epoch_margins` and the
+/// `pmf_inversion` under it are reached by two paths. Each path keeps its
+/// own calls: one margins chain per matching round, one per collision
+/// batch, never the two merged.
+#[test]
+fn a_section_reached_by_two_paths_counts_each_path_apart() {
+    let run = profile("e12.jsonl", &["e12_schedulers", "--quick"]);
+    let rounds = run.calls_at(&[], "matching_round");
+    assert_eq!(rounds, run.metrics.counter("matching_rounds"));
+    assert!(rounds > 0);
+    let matching = ["matching_round", "epoch_margins"];
+    assert_eq!(run.calls_at(&matching[..1], "epoch_margins"), rounds);
+    assert_eq!(run.calls_at(&matching, "pmf_inversion"), rounds);
+    let epochs = run.calls_at(&["count_step_batch"], "collision_epoch");
+    assert_eq!(epochs, run.metrics.counter("collision_epochs"));
+    let collision = ["count_step_batch", "collision_epoch", "epoch_margins"];
+    assert_eq!(run.calls_at(&collision[..2], "epoch_margins"), epochs);
+    assert_eq!(run.calls_at(&collision, "pmf_inversion"), epochs);
+    assert_ne!(epochs, rounds, "the two paths must be told apart");
 }
 
 /// Profiling changes what a run prints and records only by appending: the

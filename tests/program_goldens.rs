@@ -57,11 +57,11 @@ fn program_commands_print_their_golden_stdout() {
 /// length, then every nonzero `id:count`).
 fn enumerated_trace(
     name: &str,
-    program: &population_protocols::core::lang::ast::Program,
-    groups: &[(Vec<population_protocols::core::rules::Var>, u64)],
+    program: &population_protocols::lang::ast::Program,
+    groups: &[(Vec<population_protocols::rules::Var>, u64)],
     seed: u64,
 ) -> String {
-    use population_protocols::core::lang::enumerate::EnumExecutor;
+    use population_protocols::lang::enumerate::EnumExecutor;
     use std::fmt::Write;
 
     let mut exec = EnumExecutor::new(program, groups, seed).expect("the program enumerates");
@@ -93,10 +93,10 @@ fn enumerated_trace(
 /// here as a diff of `tests/golden/enumerated.txt`.
 #[test]
 fn enumerated_programs_replay_their_golden_trajectories() {
-    use population_protocols::core::protocols::plurality::{plurality, plurality_exact_three};
-    use population_protocols::core::protocols::semilinear::semilinear_comparison_exact;
+    use population_protocols::protocols::plurality::{plurality, plurality_exact_three};
+    use population_protocols::protocols::semilinear::semilinear_comparison_exact;
 
-    let colors = |p: &population_protocols::core::lang::ast::Program| {
+    let colors = |p: &population_protocols::lang::ast::Program| {
         (1..=3)
             .map(|i| p.vars.get(&format!("C{i}")).unwrap())
             .collect::<Vec<_>>()

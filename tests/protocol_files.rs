@@ -1,8 +1,8 @@
 //! The `.pp` protocol files shipped in `protocols/` must parse and run.
 
-use population_protocols::core::lang::interp::Executor;
-use population_protocols::core::lang::parse::parse_program;
-use population_protocols::core::rules::Guard;
+use population_protocols::lang::interp::Executor;
+use population_protocols::lang::parse::parse_program;
+use population_protocols::rules::Guard;
 use std::fs;
 
 #[test]

@@ -8,13 +8,13 @@
 //! These tests install no recorder: metrics-stream equality across an
 //! interrupt is pinned by `tests/determinism.rs`.
 
-use population_protocols::core::engine::counts::CountPopulation;
-use population_protocols::core::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
-use population_protocols::core::engine::json::Json;
-use population_protocols::core::engine::protocol::TableProtocol;
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::sim::Simulator;
-use population_protocols::core::engine::snapshot::{hex_u64, Checkpoint, RunSnapshot};
+use population_protocols::engine::counts::CountPopulation;
+use population_protocols::engine::faults::{CorruptMode, FaultSpec, FaultyPopulation};
+use population_protocols::engine::json::Json;
+use population_protocols::engine::protocol::TableProtocol;
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::sim::Simulator;
+use population_protocols::engine::snapshot::{hex_u64, Checkpoint, RunSnapshot};
 
 /// Rock-paper-scissors cycling: never silent, touches every state.
 fn rps() -> TableProtocol {

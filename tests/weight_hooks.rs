@@ -23,12 +23,10 @@
 //! identity `outcome_table` wherever `is_reactive` is false, and the
 //! default `interact_slot` is `interact`.
 
-use population_protocols::core::engine::protocol::{Protocol, RuleMasks, TableProtocol};
-use population_protocols::core::engine::rng::SimRng;
-use population_protocols::core::engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
-use population_protocols::core::rules::{
-    parse::parse_ruleset, ExecutionMode, FlagProtocol, Ruleset, VarSet,
-};
+use population_protocols::engine::protocol::{Protocol, RuleMasks, TableProtocol};
+use population_protocols::engine::rng::SimRng;
+use population_protocols::engine::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
+use population_protocols::rules::{parse::parse_ruleset, FlagProtocol, Ruleset, VarSet};
 
 /// One rule slot on a pair, from the rule data: whether it is effective,
 /// its firing probability, and the pair it yields when it fires.
@@ -185,10 +183,9 @@ fn flag_protocol_uniform_rule_hooks_match_the_outcome_table() {
 }
 
 /// The default hooks: no masks and a scale of 1, so the sparse backend
-/// never leaps on the protocol; a pair that is not reactive must be inert.
-/// With `default_slot`, the protocol also keeps the default
-/// `interact_slot`, which is `interact`.
-fn assert_default_hooks<P: Protocol>(name: &str, p: &P, default_slot: bool) {
+/// never leaps on the protocol; a pair that is not reactive must be inert,
+/// and the default `interact_slot` is `interact`.
+fn assert_default_hooks<P: Protocol>(name: &str, p: &P) {
     let k = p.num_states();
     assert_eq!(p.weight_scale(), 1, "{name}: scale");
     for a in 0..k {
@@ -201,9 +198,6 @@ fn assert_default_hooks<P: Protocol>(name: &str, p: &P, default_slot: bool) {
                 assert_same_law(&law(table), &[((a, b), 1.0)], name);
                 continue;
             }
-            if !default_slot {
-                continue;
-            }
             for stream in 0..STREAMS {
                 let got = p.interact_slot(a, b, 0, &mut SimRng::seed_from(stream));
                 let want = p.interact(a, b, &mut SimRng::seed_from(stream));
@@ -214,18 +208,13 @@ fn assert_default_hooks<P: Protocol>(name: &str, p: &P, default_slot: bool) {
 }
 
 #[test]
-fn first_match_and_table_protocols_keep_the_default_hooks() {
-    let (vars, rules) = composed();
-    let first = FlagProtocol::new(vars, rules, "first").with_mode(ExecutionMode::FirstMatch);
-    // First-match mode has no masks, so its `interact_slot`, which fires
-    // one rule of the uniform-rule mode, is never asked.
-    assert_default_hooks("first-match", &first, false);
+fn table_protocol_keeps_the_default_hooks() {
     let table = TableProtocol::new(3, "rps")
         .rule_p(0, 1, 0, 0, 0.5)
         .rule(1, 2, 1, 1)
         .rule_p(2, 0, 2, 2, 0.25)
         .rule_p(2, 0, 1, 0, 0.25);
-    assert_default_hooks("table", &table, true);
+    assert_default_hooks("table", &table);
 }
 
 #[test]
@@ -259,8 +248,7 @@ fn rule_table_protocol_hooks_match_the_outcome_table() {
         table(&[3], &[3], &[], &[(3, 0)], 0.25),
     ];
     let draw = vec![0, 1, 0, 2, NO_RULE, 1, 0];
-    let labels = (0..q).map(|s| format!("s{s}")).collect();
-    let p = RuleTableProtocol::with_draw("tables", labels, rules.clone(), draw.clone());
+    let p = RuleTableProtocol::with_draw("tables", q, rules.clone(), draw.clone());
     assert_eq!(p.weight_scale(), 7);
     assert_eq!(p.stripped_rules(), 1);
     assert_hooks_exact("rule-table", &p, |a, b| {
