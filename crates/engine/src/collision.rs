@@ -165,18 +165,66 @@ impl BirthdayCdf {
     }
 }
 
-/// How to settle all interactions of one contingency-table cell `(a, b)`.
-#[derive(Debug, Clone)]
+/// How to settle all interactions of one contingency-table cell `(a, b)`,
+/// resolved once when the cell is first met.
+#[derive(Debug, Clone, PartialEq)]
 enum CellPlan {
     /// `interact(a, b)` is the identity: no rng.
     NonReactive,
+    /// One outcome of probability exactly 1: every interaction lands on
+    /// it, no rng.
+    Deterministic(usize, usize),
     /// The protocol enumerated its outcome distribution: split the cell
     /// count across outcomes by conditional binomials (an exact multinomial
-    /// decomposition).
-    Enumerated(Vec<((usize, usize), f64)>),
+    /// decomposition). `draws` holds each outcome's conditional
+    /// probability `p / (1 − mass before it)`, stopping at the first
+    /// outcome that takes everything left (conditional 1) or once no mass
+    /// is left, and without the outcomes of conditional 0, which never
+    /// draw; what no draw took lands on `rest`, that last outcome or the
+    /// identity.
+    Enumerated {
+        draws: Vec<(usize, usize, f64)>,
+        rest: (usize, usize),
+    },
     /// Opaque randomized cell: call `interact` once per interaction (still
     /// exact, still skips all agent sampling).
     Fallback,
+}
+
+impl CellPlan {
+    /// The plan of cell `(a, b)` of `protocol`.
+    fn new<P: Protocol + ?Sized>(protocol: &P, a: usize, b: usize) -> Self {
+        if !protocol.is_reactive(a, b) {
+            return CellPlan::NonReactive;
+        }
+        let Some(outcomes) = protocol.outcome_table(a, b) else {
+            return CellPlan::Fallback;
+        };
+        #[allow(clippy::float_cmp)]
+        if let [((a2, b2), p)] = outcomes[..] {
+            if p == 1.0 {
+                return CellPlan::Deterministic(a2, b2);
+            }
+        }
+        let mut draws = Vec::with_capacity(outcomes.len());
+        let mut rest = (a, b);
+        let mut rem_p = 1.0f64;
+        for ((a2, b2), p) in outcomes {
+            if rem_p <= 0.0 {
+                break;
+            }
+            let q = (p / rem_p).clamp(0.0, 1.0);
+            rem_p -= p;
+            if q == 1.0 {
+                rest = (a2, b2);
+                break;
+            }
+            if q > 0.0 {
+                draws.push((a2, b2, q));
+            }
+        }
+        CellPlan::Enumerated { draws, rest }
+    }
 }
 
 /// Reusable working memory for [`run_epoch`], owned by a backend alongside
@@ -199,6 +247,9 @@ pub struct CollisionScratch {
     urn_total: u64,
     /// Revealed agents' current states, as a short `(state, count)` list.
     revealed: Vec<(usize, u64)>,
+    /// Dense over all states: one more than the state's position in
+    /// `revealed`, 0 when it is not there.
+    revealed_pos: Vec<u32>,
     /// Agents in `revealed`.
     revealed_total: u64,
     /// Interactions between two untouched agents not revealed yet.
@@ -242,13 +293,7 @@ impl CellPlans {
     ) -> &CellPlan {
         let slot = &mut self.index[a * k + b];
         if *slot == 0 {
-            self.list.push(if !protocol.is_reactive(a, b) {
-                CellPlan::NonReactive
-            } else if let Some(outcomes) = protocol.outcome_table(a, b) {
-                CellPlan::Enumerated(outcomes)
-            } else {
-                CellPlan::Fallback
-            });
+            self.list.push(CellPlan::new(protocol, a, b));
             *slot = u32::try_from(self.list.len()).expect("fewer than 2³² planned cells");
         }
         &self.list[*slot as usize - 1]
@@ -274,6 +319,8 @@ impl CollisionScratch {
         if self.v.len() != k {
             self.v.resize(k, 0);
             self.delta.resize(k, 0);
+            self.revealed.clear();
+            self.revealed_pos = vec![0; k];
             self.plans = CellPlans {
                 index: vec![0; k * k],
                 list: Vec::new(),
@@ -283,25 +330,32 @@ impl CollisionScratch {
 
     /// Draws one agent from the unrevealed urn and returns its state.
     fn draw_unrevealed(&mut self, rng: &mut SimRng) -> usize {
-        let mut x = rng.below(self.urn_total);
+        let x = rng.below(self.urn_total);
         self.urn_total -= 1;
-        for (i, c) in self.urn.iter_mut().enumerate() {
-            if x < *c {
-                *c -= 1;
-                return self.occupied[i];
-            }
-            x -= *c;
-        }
-        unreachable!("rank draw exceeded the unrevealed urn")
+        let i = rank_slot(&self.urn, x, |&c| c);
+        self.urn[i] -= 1;
+        self.occupied[i]
     }
 
     /// Adds one revealed agent in state `s`.
     fn reveal(&mut self, s: usize) {
         self.revealed_total += 1;
-        match self.revealed.iter_mut().find(|(t, _)| *t == s) {
-            Some((_, c)) => *c += 1,
-            None => self.revealed.push((s, 1)),
+        match self.revealed_pos[s] {
+            0 => {
+                self.revealed.push((s, 1));
+                self.revealed_pos[s] = self.revealed.len() as u32;
+            }
+            pos => self.revealed[pos as usize - 1].1 += 1,
         }
+    }
+
+    /// Empties `revealed` and its position index.
+    fn clear_revealed(&mut self) {
+        for &(s, _) in &self.revealed {
+            self.revealed_pos[s] = 0;
+        }
+        self.revealed.clear();
+        self.revealed_total = 0;
     }
 
     /// Takes a uniformly random touched agent out of the batch's touched
@@ -314,7 +368,7 @@ impl CollisionScratch {
         rng: &mut SimRng,
         changed: &mut u64,
     ) -> usize {
-        let mut x = rng.below(self.revealed_total + 2 * self.deferred);
+        let x = rng.below(self.revealed_total + 2 * self.deferred);
         if x >= self.revealed_total {
             self.deferred -= 1;
             let (a, b) = (self.draw_unrevealed(rng), self.draw_unrevealed(rng));
@@ -330,20 +384,35 @@ impl CollisionScratch {
             };
         }
         self.revealed_total -= 1;
-        for i in 0..self.revealed.len() {
-            let (s, c) = &mut self.revealed[i];
-            if x < *c {
-                let s = *s;
-                *c -= 1;
-                if *c == 0 {
-                    self.revealed.swap_remove(i);
-                }
-                return s;
+        let i = rank_slot(&self.revealed, x, |&(_, c)| c);
+        let (s, c) = &mut self.revealed[i];
+        let s = *s;
+        *c -= 1;
+        if *c == 0 {
+            self.revealed.swap_remove(i);
+            self.revealed_pos[s] = 0;
+            if let Some(&(moved, _)) = self.revealed.get(i) {
+                self.revealed_pos[moved] = i as u32 + 1;
             }
-            x -= *c;
         }
-        unreachable!("rank draw exceeded the revealed agents")
+        s
     }
+}
+
+/// The slot of rank `x` in a list of counts: the number of prefix sums at
+/// or below `x`, counted over the whole list without an early exit, so the
+/// short lists a batch walks cost no mispredicted branch. Empty slots are
+/// skipped because their prefix sum equals the one before.
+#[inline]
+fn rank_slot<T>(list: &[T], x: u64, count: impl Fn(&T) -> u64) -> usize {
+    let mut prefix = 0u64;
+    let mut slot = 0usize;
+    for item in list {
+        prefix += count(item);
+        slot += usize::from(prefix <= x);
+    }
+    debug_assert!(slot < list.len(), "rank draw exceeded its list");
+    slot
 }
 
 /// What one batch settled.
@@ -489,8 +558,7 @@ fn load_urn(counts: &[u64], n: u64, scratch: &mut CollisionScratch) {
         }
     }
     scratch.urn_total = n;
-    scratch.revealed.clear();
-    scratch.revealed_total = 0;
+    scratch.clear_revealed();
     scratch.deferred = 0;
 }
 
@@ -609,21 +677,27 @@ fn apply_cell<P: Protocol + ?Sized>(
             v[b] += t_ab;
             0
         }
-        CellPlan::Enumerated(outcomes) => {
+        &CellPlan::Deterministic(a2, b2) => {
+            v[a2] += t_ab;
+            v[b2] += t_ab;
+            if (a2, b2) == (a, b) {
+                0
+            } else {
+                t_ab
+            }
+        }
+        CellPlan::Enumerated { draws, rest } => {
             // Multinomial split via sequential conditional binomials: each
             // of the t_ab interactions independently picks an outcome. One
             // span per cell's whole conditional chain (see the margins note).
-            let _pmf_span = prof::section_if(pf, Section::PmfInversion);
+            let _pmf_span = prof::section_if(pf && !draws.is_empty(), Section::PmfInversion);
             let mut rem_t = t_ab;
-            let mut rem_p = 1.0f64;
             let mut changed = 0u64;
-            for &((a2, b2), p) in outcomes {
-                if rem_t == 0 || rem_p <= 0.0 {
+            for &(a2, b2, q) in draws {
+                if rem_t == 0 {
                     break;
                 }
-                let q = (p / rem_p).clamp(0.0, 1.0);
                 let cnt = rng.binomial(rem_t, q);
-                rem_p -= p;
                 if cnt == 0 {
                     continue;
                 }
@@ -634,9 +708,11 @@ fn apply_cell<P: Protocol + ?Sized>(
                     changed += cnt;
                 }
             }
-            // Residual mass the table did not cover is the identity.
-            v[a] += rem_t;
-            v[b] += rem_t;
+            v[rest.0] += rem_t;
+            v[rest.1] += rem_t;
+            if *rest != (a, b) {
+                changed += rem_t;
+            }
             changed
         }
         CellPlan::Fallback => {
@@ -652,10 +728,144 @@ fn apply_cell<P: Protocol + ?Sized>(
     }
 }
 
+/// Checks every cell plan of `protocol` against the per-draw law it
+/// replaces, and returns the first disagreement.
+///
+/// On every cell `(a, b)`: the plan is `NonReactive` iff `(a, b)` is not
+/// reactive, `Fallback` iff a reactive cell has no outcome table, and
+/// `Deterministic` iff a reactive cell's table is one outcome of
+/// probability exactly 1. A reactive enumerated cell's conditional
+/// probabilities equal, bit for bit, those the per-draw loop computes
+/// (`p / rem_p`, clamped, until the mass is spent), the mass no draw takes
+/// lands on the identity unless some outcome's conditional is 1, and
+/// settling `t` interactions by the plan leaves the same post-states,
+/// change count and rng state as the per-draw loop. Tests run it on every
+/// protocol type that enumerates its outcomes.
+///
+/// # Errors
+///
+/// A message naming the first cell whose plan disagrees.
+pub fn check_cell_plans<P: Protocol + ?Sized>(protocol: &P) -> Result<(), String> {
+    let k = protocol.num_states();
+    for a in 0..k {
+        for b in 0..k {
+            let plan = CellPlan::new(protocol, a, b);
+            check_cell_plan(protocol, &plan, a, b, k)
+                .map_err(|what| format!("cell ({a}, {b}): {what}; plan {plan:?}"))?;
+        }
+    }
+    Ok(())
+}
+
+fn check_cell_plan<P: Protocol + ?Sized>(
+    protocol: &P,
+    plan: &CellPlan,
+    a: usize,
+    b: usize,
+    k: usize,
+) -> Result<(), String> {
+    let reactive = protocol.is_reactive(a, b);
+    if (*plan == CellPlan::NonReactive) == reactive {
+        return Err(format!("NonReactive plan for is_reactive = {reactive}"));
+    }
+    let table = protocol.outcome_table(a, b);
+    if (*plan == CellPlan::Fallback) != (reactive && table.is_none()) {
+        return Err("Fallback plan disagrees with the outcome table".into());
+    }
+    let (true, Some(outcomes)) = (reactive, table) else {
+        return Ok(());
+    };
+    #[allow(clippy::float_cmp)]
+    let certain = matches!(outcomes[..], [(_, p)] if p == 1.0);
+    let (draws, rest) = match plan {
+        &CellPlan::Deterministic(a2, b2) if certain => (&[][..], (a2, b2)),
+        CellPlan::Enumerated { draws, rest } if !certain => (&draws[..], *rest),
+        _ => return Err("Deterministic plan disagrees with the outcome table".into()),
+    };
+    // The conditionals the per-draw loop passed to `binomial`, of which
+    // the ones in (0, 1) draw and a 1 takes the rest.
+    let mut want = Vec::new();
+    let mut want_rest = (a, b);
+    let mut rem_p = 1.0f64;
+    for &((a2, b2), p) in &outcomes {
+        if rem_p <= 0.0 {
+            break;
+        }
+        let q = (p / rem_p).clamp(0.0, 1.0);
+        rem_p -= p;
+        if q >= 1.0 {
+            want_rest = (a2, b2);
+            break;
+        }
+        if q > 0.0 {
+            want.push((a2, b2, q.to_bits()));
+        }
+    }
+    let got: Vec<_> = draws
+        .iter()
+        .map(|&(a2, b2, q)| (a2, b2, q.to_bits()))
+        .collect();
+    if got != want {
+        return Err(format!("conditionals {got:?}, per-draw loop {want:?}"));
+    }
+    if rest != want_rest {
+        return Err(format!("residual lands on {rest:?}, not {want_rest:?}"));
+    }
+    for (seed, t) in [(1u64, 1u64), (2, 7), (3, 64), (4, 1_000), (5, 1 << 20)] {
+        let (mut v_plan, mut v_loop) = (vec![0u64; k], vec![0u64; k]);
+        let (mut rng_plan, mut rng_loop) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+        let by_plan = apply_cell(protocol, plan, a, b, t, &mut v_plan, &mut rng_plan, false);
+        let by_loop = settle_per_draw(&outcomes, a, b, t, &mut v_loop, &mut rng_loop);
+        if (by_plan, &v_plan) != (by_loop, &v_loop) || rng_plan.next_u64() != rng_loop.next_u64() {
+            return Err(format!(
+                "settling {t} interactions differs from the per-draw loop"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The per-draw settle loop the precomputed plans replace: one division
+/// and one `binomial` call per outcome, stopping once the cell count or
+/// the probability mass is spent, the residual count on the identity.
+fn settle_per_draw(
+    outcomes: &[((usize, usize), f64)],
+    a: usize,
+    b: usize,
+    t_ab: u64,
+    v: &mut [u64],
+    rng: &mut SimRng,
+) -> u64 {
+    let mut rem_t = t_ab;
+    let mut rem_p = 1.0f64;
+    let mut changed = 0u64;
+    for &((a2, b2), p) in outcomes {
+        if rem_t == 0 || rem_p <= 0.0 {
+            break;
+        }
+        let q = (p / rem_p).clamp(0.0, 1.0);
+        let cnt = rng.binomial(rem_t, q);
+        rem_p -= p;
+        if cnt == 0 {
+            continue;
+        }
+        rem_t -= cnt;
+        v[a2] += cnt;
+        v[b2] += cnt;
+        if (a2, b2) != (a, b) {
+            changed += cnt;
+        }
+    }
+    v[a] += rem_t;
+    v[b] += rem_t;
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::TableProtocol;
+    use crate::ruletable::{RuleTable, RuleTableProtocol, NO_RULE};
 
     fn cycle3() -> TableProtocol {
         TableProtocol::new(3, "cycle3")
@@ -809,6 +1019,153 @@ mod tests {
             assert_eq!(out.executed, remaining);
             assert_eq!(counts.iter().sum::<u64>(), n);
         }
+    }
+
+    /// A protocol whose tables leave residual mass unlisted: every cell
+    /// `(a, b)` with `a < b` moves to `(b, b)` with probability ¼, and
+    /// the other ¾ is the identity by omission.
+    struct Partial;
+
+    impl Protocol for Partial {
+        fn num_states(&self) -> usize {
+            3
+        }
+        fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+            if a < b && rng.chance(0.25) {
+                (b, b)
+            } else {
+                (a, b)
+            }
+        }
+        fn is_reactive(&self, a: usize, b: usize) -> bool {
+            a < b
+        }
+        fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+            Some(if a < b { vec![((b, b), 0.25)] } else { vec![] })
+        }
+    }
+
+    /// A protocol with no outcome tables: reactive cells fall back.
+    struct Opaque;
+
+    impl Protocol for Opaque {
+        fn num_states(&self) -> usize {
+            2
+        }
+        fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
+            if a != b && rng.chance(0.5) {
+                (b, a)
+            } else {
+                (a, b)
+            }
+        }
+        fn is_reactive(&self, a: usize, b: usize) -> bool {
+            a != b
+        }
+    }
+
+    fn rule_table() -> RuleTableProtocol {
+        let rule = |match_a, match_b, apply_a, apply_b, probability| RuleTable {
+            match_a,
+            match_b,
+            apply_a,
+            apply_b,
+            probability,
+        };
+        RuleTableProtocol::with_draw(
+            "mixed",
+            3,
+            vec![
+                rule(
+                    vec![true, false, false],
+                    vec![false, true, true],
+                    vec![2, 1, 2],
+                    vec![0, 2, 2],
+                    1.0,
+                ),
+                rule(
+                    vec![true, true, false],
+                    vec![true, true, true],
+                    vec![1, 2, 2],
+                    vec![0, 1, 2],
+                    0.3,
+                ),
+                rule(
+                    vec![false, false, true],
+                    vec![true, false, false],
+                    vec![0, 1, 0],
+                    vec![2, 1, 2],
+                    1.0,
+                ),
+            ],
+            vec![0, 1, 1, 2, NO_RULE, 0, NO_RULE],
+        )
+    }
+
+    #[test]
+    fn cell_plans_equal_the_per_draw_law() {
+        let tables = TableProtocol::new(4, "mixed")
+            .rule(0, 1, 1, 1)
+            .rule_p(1, 2, 2, 2, 0.25)
+            .rule_p(2, 3, 3, 3, 1.0 / 3.0)
+            .rule_p(2, 3, 0, 0, 1.0 / 3.0)
+            .rule_p(2, 3, 3, 2, 1.0 / 3.0)
+            .rule_p(3, 0, 0, 0, 0.5)
+            .rule_p(3, 0, 1, 1, 0.5);
+        check_cell_plans(&cycle3()).unwrap();
+        check_cell_plans(&tables).unwrap();
+        check_cell_plans(&rule_table()).unwrap();
+        check_cell_plans(&Partial).unwrap();
+        check_cell_plans(&Opaque).unwrap();
+
+        // The plan kinds each protocol resolves to.
+        assert_eq!(
+            CellPlan::new(&cycle3(), 0, 1),
+            CellPlan::Deterministic(1, 1)
+        );
+        assert_eq!(CellPlan::new(&cycle3(), 1, 0), CellPlan::NonReactive);
+        assert_eq!(
+            CellPlan::new(&Partial, 0, 2),
+            CellPlan::Enumerated {
+                draws: vec![(2, 2, 0.25)],
+                rest: (0, 2)
+            },
+            "unlisted mass settles as the identity"
+        );
+        assert_eq!(CellPlan::new(&Opaque, 0, 1), CellPlan::Fallback);
+        assert_eq!(
+            CellPlan::new(&tables, 3, 0),
+            CellPlan::Enumerated {
+                draws: vec![(0, 0, 0.5)],
+                rest: (1, 1)
+            },
+            "the second half takes the rest"
+        );
+    }
+
+    #[test]
+    fn cell_plan_check_catches_a_changed_law() {
+        let p = Partial;
+        let wrong = [
+            CellPlan::Enumerated {
+                draws: vec![(2, 2, 0.25f64.next_up())],
+                rest: (0, 2),
+            },
+            CellPlan::Enumerated {
+                draws: vec![(2, 2, 0.25)],
+                rest: (2, 2),
+            },
+            CellPlan::Deterministic(2, 2),
+            CellPlan::Fallback,
+            CellPlan::NonReactive,
+        ];
+        for plan in &wrong {
+            assert!(
+                check_cell_plan(&p, plan, 0, 2, 3).is_err(),
+                "{plan:?} passed"
+            );
+        }
+        assert!(check_cell_plan(&p, &CellPlan::new(&p, 0, 2), 0, 2, 3).is_ok());
     }
 
     #[test]

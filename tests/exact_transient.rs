@@ -18,18 +18,25 @@
 //! shows up directly; and the 3-state approximate majority and the k = 1
 //! ladder decay, whose listed outcomes make their collision-batch cells
 //! enumerated (checked on batches and on steps).
+//!
+//! Each protocol type with outcome tables also has every cell plan checked
+//! against the per-draw settle law it replaces
+//! (`collision::check_cell_plans`).
 
 use population_protocols::analyze::exact::transient_counts;
 use population_protocols::clocks::junta::KLevelDecay;
 use population_protocols::clocks::oscillator::Dk18Oscillator;
+use population_protocols::clocks::oscillator::RpsOscillator;
 use population_protocols::engine::collision::{
-    batch_len, run_epoch, BirthdayCdf, CollisionScratch,
+    batch_len, check_cell_plans, run_epoch, BirthdayCdf, CollisionScratch,
 };
 use population_protocols::engine::counts::{CountPopulation, SparseCountPopulation};
 use population_protocols::engine::protocol::{Protocol, TableProtocol};
 use population_protocols::engine::rng::SimRng;
 use population_protocols::engine::sim::Simulator;
+use population_protocols::lang::enumerate::lower_ruleset;
 use population_protocols::protocols::baselines::ApproxMajority;
+use population_protocols::rules::{FlagProtocol, Guard, Rule, Ruleset, VarSet};
 use std::collections::HashMap;
 
 mod common;
@@ -270,4 +277,46 @@ fn klevel_decay_steps_match_the_exact_law() {
     let exact = transient_counts(&p, &DECAY_INIT, T);
     let steps = stepped(&p, &DECAY_INIT, 16 << 20);
     assert_matches_exact("k-level decay steps", &exact, &steps);
+}
+
+/// Every protocol type that lists its outcome tables, on every cell: the
+/// plan kinds, the precomputed conditionals bit for bit and the settled
+/// counts against the per-draw loop. The flag ruleset mixes a certain
+/// rule, a probabilistic one and a rule that matches but never moves, and
+/// is checked both as a `FlagProtocol` and lowered to a rule table.
+#[test]
+fn cell_plans_equal_the_per_draw_law_for_every_protocol() {
+    check_cell_plans(&cycle3()).unwrap();
+    check_cell_plans(&ages()).unwrap();
+    check_cell_plans(&Dk18Oscillator::new()).unwrap();
+    check_cell_plans(&RpsOscillator::new()).unwrap();
+    check_cell_plans(&ApproxMajority::new()).unwrap();
+    for k in 1..=3 {
+        check_cell_plans(&KLevelDecay::new(k)).unwrap();
+    }
+
+    let mut vars = VarSet::new();
+    let (a, b) = (vars.add("A"), vars.add("B"));
+    let rules = Ruleset::from_rules(vec![
+        Rule::new(
+            Guard::var(a),
+            Guard::not_var(a),
+            &Guard::True,
+            &Guard::var(a),
+        )
+        .unwrap(),
+        Rule::new(
+            Guard::True,
+            Guard::var(b),
+            &Guard::var(b),
+            &Guard::not_var(b),
+        )
+        .unwrap()
+        .with_probability(0.3),
+        Rule::new(Guard::var(a), Guard::var(a), &Guard::var(a), &Guard::True).unwrap(),
+    ]);
+    let live: Vec<u32> = (0..4).collect();
+    let table = lower_ruleset(&vars, &rules, &live, "mixed").unwrap();
+    check_cell_plans(&table).unwrap();
+    check_cell_plans(&FlagProtocol::new(vars, rules, "mixed")).unwrap();
 }
