@@ -463,18 +463,15 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     // unrevealed: r = revealed + 2·deferred agents are touched.
     let mut done = 0u64;
     let mut changed = 0u64;
+    let collisions_span = prof::section_if(pf, Section::EpochCollisions);
     while done < l {
         let r = scratch.revealed_total + 2 * scratch.deferred;
-        let run = {
-            let _len_span = prof::section_if(pf, Section::EpochLenSample);
-            cdf.free_run(r, l - done, rng)
-        };
+        let run = cdf.free_run(r, l - done, rng);
         scratch.deferred += run;
         done += run;
         if done == l {
             break;
         }
-        let _collision_span = prof::section_if(pf, Section::EpochCollisions);
         // The interaction picks a touched agent: both (weight r(r−1)), the
         // initiator only (r(n−r)) or the responder only ((n−r)r).
         let r = r + 2 * run;
@@ -495,6 +492,7 @@ pub fn run_epoch<P: Protocol + ?Sized>(
         scratch.reveal(b2);
         done += 1;
     }
+    drop(collisions_span);
 
     changed += settle_deferred(protocol, k, scratch, rng, pf);
     fold_back(counts, scratch);

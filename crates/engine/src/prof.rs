@@ -85,12 +85,10 @@ pub enum Section {
     LeapUpkeep,
     /// One collision batch ([`crate::collision`]).
     CollisionEpoch,
-    /// A collision batch's free-run draw: the length of a run of
-    /// interactions between untouched agents, by inversion of its prefix
-    /// table.
-    EpochLenSample,
-    /// A collision batch's settling of one interaction that picks a
-    /// touched agent, revealing the deferred pair it touches.
+    /// A collision batch's sequential loop, one section per batch: the
+    /// free-run draws (runs of interactions between untouched agents, by
+    /// inversion of their prefix table) and the interactions that pick a
+    /// touched agent, each revealing the deferred pair it touches.
     EpochCollisions,
     /// Epoch margins: the `W` and `M | W` multivariate-hypergeometric
     /// conditional chains.
@@ -123,7 +121,7 @@ pub enum Section {
 
 impl Section {
     /// All sections, in report order.
-    pub const ALL: [Section; 19] = [
+    pub const ALL: [Section; 18] = [
         Section::BatchCount,
         Section::BatchSparse,
         Section::MatchingRound,
@@ -133,7 +131,6 @@ impl Section {
         Section::LeapPick,
         Section::LeapUpkeep,
         Section::CollisionEpoch,
-        Section::EpochLenSample,
         Section::EpochCollisions,
         Section::EpochMargins,
         Section::EpochRows,
@@ -158,7 +155,6 @@ impl Section {
             Section::LeapPick => "leap_pick",
             Section::LeapUpkeep => "leap_upkeep",
             Section::CollisionEpoch => "collision_epoch",
-            Section::EpochLenSample => "epoch_len_sample",
             Section::EpochCollisions => "epoch_collisions",
             Section::EpochMargins => "epoch_margins",
             Section::EpochRows => "epoch_rows",
@@ -577,7 +573,7 @@ mod tests {
             for _ in 0..100 {
                 let _outer = section(Section::Observer);
                 for _ in 0..3 {
-                    let _inner = section(Section::EpochLenSample);
+                    let _inner = section(Section::EpochCollisions);
                 }
             }
         }
@@ -585,7 +581,7 @@ mod tests {
         assert_eq!(report.edges.len(), 2);
         let outer = report.edge(&[], "observer").expect("outer").clone();
         let inner = report
-            .edge(&["observer"], "epoch_len_sample")
+            .edge(&["observer"], "epoch_collisions")
             .expect("inner")
             .clone();
         assert_eq!(outer.calls, 100);

@@ -170,13 +170,14 @@ fn oscillator_profile_attributes_dense_wall_time() {
             .any(|p| ["epoch_margins", "epoch_rows", "epoch_settle"].contains(p)),
         "pmf_inversion not attributed under the epoch chain: {pmf_parents:?}"
     );
-    for name in ["count_step_batch", "collision_epoch", "epoch_len_sample"] {
+    for name in ["count_step_batch", "collision_epoch"] {
         run.section(name);
     }
-    // In-batch collisions are settled under their batch.
+    // Each batch's sequential loop, free runs and collisions, is one
+    // section under its batch.
     let collisions = run.section("epoch_collisions");
     assert_eq!(parent_of(collisions), Some("collision_epoch"));
-    assert!(calls(collisions) > 0);
+    assert_eq!(calls(collisions), calls(run.section("collision_epoch")));
     // The species-row sampling is timed apart from the engine.
     assert_eq!(calls(run.section("observer")), 200);
 
