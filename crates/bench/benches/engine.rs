@@ -1,7 +1,7 @@
 //! The engine's micro-benchmarks: `step` vs `step_batch` throughput on
 //! `CountPopulation` in the reactive-sparse (`sparse_token`, leaps) and
-//! reactive-dense (`dense_cycle3`, collision batches, DESIGN.md §12)
-//! regimes, the same batch loop under an empty-plan `FaultyPopulation` and
+//! reactive-dense (`dense_cycle3` and `dk18_oscillator`, collision batches,
+//! DESIGN.md §12) regimes, the same batch loop under an empty-plan `FaultyPopulation` and
 //! under an installed recorder, and the print-only ablation rows of
 //! DESIGN.md §6 / E14 (per-interaction cost, geometric no-op leaping,
 //! epidemic completion).
@@ -13,16 +13,18 @@
 //! Run with: `cargo bench -p pp-bench --bench engine`
 //!
 //! CI smoke mode: `cargo bench -p pp-bench --bench engine -- --smoke` times
-//! only the dense rows at n = 10⁴ and 10⁶ and the recorder rows, and exits
+//! only the dense rows (cycle3 at n = 10⁴ and 10⁶, DK18 at n = 10⁶) and the
+//! recorder rows, and exits
 //! nonzero unless the dense run at n = 10⁶ took collision epochs with a
 //! step → batch speedup above 10×, a counters-only recorder counted the
 //! epochs and a sections recorder attributed time.
 
 use pp_bench::history::{self, HistoryRecord};
 use pp_bench::timing::{bench, throughput};
+use pp_clocks::oscillator::{central_init, Dk18Oscillator};
 use pp_engine::counts::CountPopulation;
 use pp_engine::faults::{FaultSpec, FaultyPopulation};
-use pp_engine::protocol::TableProtocol;
+use pp_engine::protocol::{Protocol, TableProtocol};
 use pp_engine::recorder::Recorder;
 use pp_engine::rng::SimRng;
 use pp_engine::sim::Simulator;
@@ -106,6 +108,15 @@ fn dense_cycle3(n: u64) -> CountPopulation<TableProtocol> {
     CountPopulation::from_counts(cycle3(), &[n / 3, n / 3, n - 2 * (n / 3)])
 }
 
+/// The DK18 oscillator from its central configuration, `x = ⌊n^0.3⌋`
+/// sources: seven occupied states, enumerated reseeding and
+/// weak-predation cells beside deterministic ones.
+fn dense_dk18(n: u64) -> CountPopulation<Dk18Oscillator> {
+    let osc = Dk18Oscillator::new();
+    let x = ((n as f64).powf(0.3) as u64).max(1);
+    CountPopulation::from_counts(osc, &central_init(&osc, n, x))
+}
+
 /// Interactions per second when driving `pop` with `step_batch(chunk)`.
 fn batch_rate(mut pop: impl Simulator, seed: u64, chunk: u64) -> f64 {
     let mut rng = SimRng::seed_from(seed);
@@ -114,10 +125,10 @@ fn batch_rate(mut pop: impl Simulator, seed: u64, chunk: u64) -> f64 {
 
 /// A `CountPopulation` workload, timed per interaction (`step`) and per
 /// batch (`step_batch(chunk)`).
-struct Workload {
+struct Workload<P> {
     bench: &'static str,
     scenario: &'static str,
-    make: fn(u64) -> CountPopulation<TableProtocol>,
+    make: fn(u64) -> CountPopulation<P>,
     step_seed: u64,
     batch_seed: u64,
     chunk: u64,
@@ -125,7 +136,7 @@ struct Workload {
 
 /// The batch path leaps over the overwhelmingly non-reactive schedule. The
 /// chunk keeps one call well under a millisecond even at small n.
-const SPARSE: Workload = Workload {
+const SPARSE: Workload<TableProtocol> = Workload {
     bench: "engine_batch",
     scenario: "sparse_token",
     make: sparse_token,
@@ -135,7 +146,7 @@ const SPARSE: Workload = Workload {
 };
 
 /// The batch path runs √(n·q)-sized collision batches.
-const DENSE: Workload = Workload {
+const DENSE: Workload<TableProtocol> = Workload {
     bench: "engine_dense",
     scenario: "dense_cycle3",
     make: dense_cycle3,
@@ -144,7 +155,17 @@ const DENSE: Workload = Workload {
     chunk: 1 << 20,
 };
 
-impl Workload {
+/// Collision batches over seven states whose enumerated cells draw.
+const DK18: Workload<Dk18Oscillator> = Workload {
+    bench: "engine_dense",
+    scenario: "dk18_oscillator",
+    make: dense_dk18,
+    step_seed: 31,
+    batch_seed: 32,
+    chunk: 1 << 20,
+};
+
+impl<P: Protocol> Workload<P> {
     fn record(&self, n: u64, metric: &'static str, rate: f64) -> HistoryRecord {
         HistoryRecord {
             bench: self.bench,
@@ -173,7 +194,7 @@ impl Workload {
         records.push(self.record(n, "step_per_sec", step));
         records.push(self.record(n, "batch_per_sec", batch));
         let mut line = format!(
-            "{:<14} n={n:<11} step {step:>12.3e}/s   batch {batch:>12.3e}/s   ({:.1}x)",
+            "{:<15} n={n:<11} step {step:>12.3e}/s   batch {batch:>12.3e}/s   ({:.1}x)",
             self.scenario,
             batch / step
         );
@@ -190,29 +211,29 @@ impl Workload {
         println!("{line}");
         (step, batch)
     }
-}
 
-/// Collision epochs of a recorded dense run at `n`, separate from the timed
-/// loops so the instrumentation never taxes them; prints the mean epoch
-/// length.
-fn dense_collision_epochs(n: u64) -> u64 {
-    // Enough steps for thousands of epochs at every n without dominating
-    // wall-clock at n = 1e8.
-    let capture_steps = (4 * n).min((2_000_000u64).max(n / 4));
-    let mut recorder = Recorder::new();
-    {
-        let _installed = recorder.install();
-        let mut rng = SimRng::seed_from(23);
-        dense_cycle3(n).step_batch(&mut rng, capture_steps);
+    /// Collision epochs of a recorded batch run at `n`, separate from the
+    /// timed loops so the instrumentation never taxes them; prints the
+    /// mean epoch length.
+    fn collision_epochs(&self, n: u64) -> u64 {
+        // Enough steps for thousands of epochs at every n without
+        // dominating wall-clock at n = 1e8.
+        let capture_steps = (4 * n).min((2_000_000u64).max(n / 4));
+        let mut recorder = Recorder::new();
+        {
+            let _installed = recorder.install();
+            let mut rng = SimRng::seed_from(23);
+            (self.make)(n).step_batch(&mut rng, capture_steps);
+        }
+        let snap = recorder.metrics();
+        let epochs = snap.counter("collision_epochs");
+        let mean = snap.counter("collision_batched_steps") as f64 / epochs.max(1) as f64;
+        println!(
+            "{:<15} n={n:<11} {epochs} collision epochs, mean length {mean:.1}",
+            ""
+        );
+        epochs
     }
-    let snap = recorder.metrics();
-    let epochs = snap.counter("collision_epochs");
-    let mean = snap.counter("collision_batched_steps") as f64 / epochs.max(1) as f64;
-    println!(
-        "{:<14} n={n:<11} {epochs} collision epochs, mean length {mean:.1}",
-        ""
-    );
-    epochs
 }
 
 /// The dense batch rate at `n` under a counters-only recorder and under
@@ -231,7 +252,7 @@ fn recorder_overhead(n: u64, none: f64, records: &mut Vec<HistoryRecord>) {
     let (counted, counters) = under(Recorder::new());
     let (timed, sections) = under(Recorder::new().with_sections());
     println!(
-        "{:<14} n={n:<11} counters {counted:>12.3e}/s ({:.1}% overhead)   \
+        "{:<15} n={n:<11} counters {counted:>12.3e}/s ({:.1}% overhead)   \
          sections {timed:>12.3e}/s ({:.2}x slower)",
         "recorder",
         (none - counted) / none * 100.0,
@@ -269,10 +290,12 @@ fn main() {
     let mut gate = None;
     for &n in dense_ns {
         let (step, batch) = DENSE.rates(n, !smoke && n <= 1_000_000, &mut records);
-        let epochs = dense_collision_epochs(n);
+        let epochs = DENSE.collision_epochs(n);
         if n == 1_000_000 {
             recorder_overhead(n, batch, &mut records);
             gate = Some((batch / step, epochs));
+            DK18.rates(n, false, &mut records);
+            DK18.collision_epochs(n);
         }
     }
     history::append(&records);
