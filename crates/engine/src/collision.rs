@@ -11,7 +11,9 @@
 //! touched agent (a collision) is settled on the spot: a touched agent that
 //! sits in a deferred pair first reveals that pair, whose two agents are
 //! drawn without replacement from the urn of unrevealed batch-start states.
-//! At the end of the batch the pairs still deferred are a uniform
+//! Each such interaction is drawn through its cell's plan: one uniform
+//! picks between at most two outcomes, and only a cell with more outcomes
+//! or no outcome table calls the protocol's `interact`. At the end of the batch the pairs still deferred are a uniform
 //! without-replacement sample of that urn, paired off uniformly, so their
 //! aggregate is the `q×q` contingency table the margins/rows/settle chain
 //! samples. The post-batch counts have exactly the sequential law;
@@ -33,7 +35,7 @@ use crate::rng::SimRng;
 
 /// The constant `c` of the batch length `L = c·√(n·q)`. Measured on the
 /// oscillator and `dense_cycle3` rows (DESIGN.md §12).
-const BATCH_LEN_FACTOR: f64 = 1.0;
+const BATCH_LEN_FACTOR: f64 = 1.5;
 
 /// Occupied-state count above which [`batch_len`] stops growing with `q`,
 /// which bounds the free-run table at `2c·√(64n)` entries per `n`.
@@ -56,8 +58,9 @@ pub fn batch_len(n: u64, occupied: usize) -> u64 {
 /// touched, so a run of such interactions is at least `m` long with
 /// probability `∏_{t<m} f(r+2t)`. The table holds, for every `r`, the
 /// prefix sum of `ln f` over the indices below `r` of `r`'s parity (even
-/// and odd `r` interleave), so one uniform and a short search over the
-/// entries `r, r+2, …` invert the run length from any `r`. It is keyed only
+/// and odd `r` interleave), so one exponential variate (`−ln u`, drawn by
+/// [`SimRng::exponential`]) and a short search over the entries
+/// `r, r+2, …` invert the run length from any `r`. It is keyed only
 /// on `n`, covers every batch [`batch_len`] allows, and serves a
 /// population for its whole lifetime.
 #[derive(Debug, Clone)]
@@ -146,16 +149,17 @@ impl BirthdayCdf {
         let r = r as usize;
         let cap = cap as usize;
         debug_assert!(r + 2 * cap < self.ln_run.len(), "batch exceeds the table");
-        // The run is ≥ m iff u < ∏ f, i.e. ln_run[r + 2m] > ln_run[r] + ln u.
-        let tail = -rng.f64().ln();
+        // The run is ≥ m iff u < ∏ f, i.e. ln_run[r + 2m] > ln_run[r] − E
+        // with E = −ln u a standard exponential; every run is ≥ 0.
+        let tail = rng.exponential();
         let target = self.ln_run[r] - tail;
         let longer = |m: usize| self.ln_run[r + 2 * m] > target;
-        // Start at the root of ln ∏ f ≈ −2(r·m + m(m−1))/n = ln u and walk
+        // Start at the root of ln ∏ f ≈ −2(r·m + m(m−1))/n = −E and walk
         // to the largest m that is still longer: a step or two at large n.
         let b = r as f64 - 1.0;
         let guess = (b * b + 2.0 * self.n as f64 * tail).sqrt() - b;
         let mut m = ((guess / 2.0) as usize).min(cap);
-        while !longer(m) {
+        while m > 0 && !longer(m) {
             m -= 1;
         }
         while m < cap && longer(m + 1) {
@@ -225,6 +229,38 @@ impl CellPlan {
         }
         CellPlan::Enumerated { draws, rest }
     }
+
+    /// How the collision loop draws one interaction of this cell `(a, b)`:
+    /// a two-way pick, or `None` when the cell has more than two outcomes
+    /// or no table and the protocol's `interact` decides.
+    fn pick(&self, a: usize, b: usize) -> Option<Pick> {
+        let certain = |out| Pick {
+            p: 0.0,
+            outcomes: [out, out],
+        };
+        match self {
+            CellPlan::NonReactive => Some(certain((a, b))),
+            &CellPlan::Deterministic(a2, b2) => Some(certain((a2, b2))),
+            CellPlan::Enumerated { draws, rest } => match draws[..] {
+                [] => Some(certain(*rest)),
+                [(a2, b2, p)] => Some(Pick {
+                    p,
+                    outcomes: [*rest, (a2, b2)],
+                }),
+                _ => None,
+            },
+            CellPlan::Fallback => None,
+        }
+    }
+}
+
+/// One interaction of a cell with at most two outcomes: `outcomes[1]` iff
+/// a uniform falls below `p`. Every pick draws its uniform, even a certain
+/// one, so the collision loop takes no branch on the cell's kind.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    p: f64,
+    outcomes: [(usize, usize); 2],
 }
 
 /// Reusable working memory for [`run_epoch`], owned by a backend alongside
@@ -273,30 +309,28 @@ pub struct CollisionScratch {
 
 /// The cell-plan cache: a row-major k×k index (0 = not planned yet, else
 /// one more than the plan's position in `list`) over the plans made so
-/// far. Four zeroed bytes per cell, so a 512-state protocol's table costs
-/// 1 MB, not the 6 MB of an `Option<CellPlan>` per cell, and only the
-/// cells a batch meets ever hold a plan.
+/// far, each with its collision-loop pick beside it in `picks`. Four
+/// zeroed bytes per cell, so a 512-state protocol's table costs 1 MB, not
+/// the 6 MB of an `Option<CellPlan>` per cell, and only the cells a batch
+/// meets ever hold a plan.
 #[derive(Debug, Default, Clone)]
 struct CellPlans {
     index: Vec<u32>,
     list: Vec<CellPlan>,
+    picks: Vec<Option<Pick>>,
 }
 
 impl CellPlans {
-    /// The plan of cell `(a, b)`, made on first use.
-    fn get<P: Protocol + ?Sized>(
-        &mut self,
-        protocol: &P,
-        a: usize,
-        b: usize,
-        k: usize,
-    ) -> &CellPlan {
+    /// The position of cell `(a, b)`'s plan in `list`, made on first use.
+    fn slot<P: Protocol + ?Sized>(&mut self, protocol: &P, a: usize, b: usize, k: usize) -> usize {
         let slot = &mut self.index[a * k + b];
         if *slot == 0 {
-            self.list.push(CellPlan::new(protocol, a, b));
+            let plan = CellPlan::new(protocol, a, b);
+            self.picks.push(plan.pick(a, b));
+            self.list.push(plan);
             *slot = u32::try_from(self.list.len()).expect("fewer than 2³² planned cells");
         }
-        &self.list[*slot as usize - 1]
+        *slot as usize - 1
     }
 }
 
@@ -323,7 +357,7 @@ impl CollisionScratch {
             self.revealed_pos = vec![0; k];
             self.plans = CellPlans {
                 index: vec![0; k * k],
-                list: Vec::new(),
+                ..CellPlans::default()
             };
         }
     }
@@ -335,6 +369,21 @@ impl CollisionScratch {
         let i = rank_slot(&self.urn, x, |&c| c);
         self.urn[i] -= 1;
         self.occupied[i]
+    }
+
+    /// Draws one interaction of the pair `(a, b)` by its cell's plan.
+    fn interact<P: Protocol + ?Sized>(
+        &mut self,
+        protocol: &P,
+        a: usize,
+        b: usize,
+        rng: &mut SimRng,
+    ) -> (usize, usize) {
+        let slot = self.plans.slot(protocol, a, b, self.v.len());
+        match self.plans.picks[slot] {
+            Some(pick) => pick.outcomes[usize::from(rng.f64() < pick.p)],
+            None => protocol.interact(a, b, rng),
+        }
     }
 
     /// Adds one revealed agent in state `s`.
@@ -372,7 +421,7 @@ impl CollisionScratch {
         if x >= self.revealed_total {
             self.deferred -= 1;
             let (a, b) = (self.draw_unrevealed(rng), self.draw_unrevealed(rng));
-            let (a2, b2) = protocol.interact(a, b, rng);
+            let (a2, b2) = self.interact(protocol, a, b, rng);
             *changed += u64::from((a2, b2) != (a, b));
             // The rank's parity picks the pair's initiator or responder.
             return if (x - self.revealed_total).is_multiple_of(2) {
@@ -486,7 +535,7 @@ pub fn run_epoch<P: Protocol + ?Sized>(
             let a = scratch.draw_unrevealed(rng);
             (a, scratch.take_touched(protocol, rng, &mut changed))
         };
-        let (a2, b2) = protocol.interact(a, b, rng);
+        let (a2, b2) = scratch.interact(protocol, a, b, rng);
         changed += u64::from((a2, b2) != (a, b));
         scratch.reveal(a2);
         scratch.reveal(b2);
@@ -646,7 +695,8 @@ fn settle_deferred<P: Protocol + ?Sized>(
             }
             scratch.rem_r[j] -= t_ab;
             let b = scratch.occupied[j];
-            let plan = scratch.plans.get(protocol, a, b, k);
+            let slot = scratch.plans.slot(protocol, a, b, k);
+            let plan = &scratch.plans.list[slot];
             changed += apply_cell(protocol, plan, a, b, t_ab, &mut scratch.v, rng, pf);
         }
     }
@@ -737,8 +787,10 @@ fn apply_cell<P: Protocol + ?Sized>(
 /// (`p / rem_p`, clamped, until the mass is spent), the mass no draw takes
 /// lands on the identity unless some outcome's conditional is 1, and
 /// settling `t` interactions by the plan leaves the same post-states,
-/// change count and rng state as the per-draw loop. Tests run it on every
-/// protocol type that enumerates its outcomes.
+/// change count and rng state as the per-draw loop. The collision loop's
+/// pick, where the cell has one, draws one interaction by the table's law
+/// (to f64 rounding); a non-reactive cell picks the identity. Tests run it
+/// on every protocol type that enumerates its outcomes.
 ///
 /// # Errors
 ///
@@ -771,7 +823,14 @@ fn check_cell_plan<P: Protocol + ?Sized>(
         return Err("Fallback plan disagrees with the outcome table".into());
     }
     let (true, Some(outcomes)) = (reactive, table) else {
-        return Ok(());
+        // A non-reactive cell picks the identity; one without a table
+        // leaves the pick to `interact`.
+        let pick = plan.pick(a, b).map(|pick| pick.outcomes == [(a, b); 2]);
+        return if pick == (!reactive).then_some(true) {
+            Ok(())
+        } else {
+            Err("the pick disagrees with the plan".into())
+        };
     };
     #[allow(clippy::float_cmp)]
     let certain = matches!(outcomes[..], [(_, p)] if p == 1.0);
@@ -809,6 +868,7 @@ fn check_cell_plan<P: Protocol + ?Sized>(
     if rest != want_rest {
         return Err(format!("residual lands on {rest:?}, not {want_rest:?}"));
     }
+    check_pick(plan.pick(a, b), &outcomes, a, b)?;
     for (seed, t) in [(1u64, 1u64), (2, 7), (3, 64), (4, 1_000), (5, 1 << 20)] {
         let (mut v_plan, mut v_loop) = (vec![0u64; k], vec![0u64; k]);
         let (mut rng_plan, mut rng_loop) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
@@ -821,6 +881,53 @@ fn check_cell_plan<P: Protocol + ?Sized>(
         }
     }
     Ok(())
+}
+
+/// Checks that `pick` draws one interaction of cell `(a, b)` by the law of
+/// its `outcomes`: the probability of every outcome agrees to f64
+/// rounding. A cell without a pick is drawn by `interact`.
+fn check_pick(
+    pick: Option<Pick>,
+    outcomes: &[((usize, usize), f64)],
+    a: usize,
+    b: usize,
+) -> Result<(), String> {
+    let Some(pick) = pick else {
+        return Ok(());
+    };
+    let law = law_of(a, b, outcomes.iter().copied());
+    let [miss, hit] = pick.outcomes;
+    let drawn = law_of(a, b, [(miss, 1.0 - pick.p), (hit, pick.p)]);
+    let agrees = drawn.len() == law.len()
+        && law.iter().all(|&(out, p)| {
+            drawn
+                .iter()
+                .any(|&(o, q)| o == out && (p - q).abs() <= 1e-12)
+        });
+    if agrees {
+        Ok(())
+    } else {
+        Err(format!("pick draws {drawn:?}, the table's law is {law:?}"))
+    }
+}
+
+/// The outcomes of positive mass of a cell `(a, b)` that lists
+/// `outcomes`, each listed once, the unlisted mass on the identity.
+fn law_of(
+    a: usize,
+    b: usize,
+    outcomes: impl IntoIterator<Item = ((usize, usize), f64)>,
+) -> Vec<((usize, usize), f64)> {
+    let mut law = vec![((a, b), 1.0)];
+    for (out, p) in outcomes {
+        law[0].1 -= p;
+        match law.iter_mut().find(|(o, _)| *o == out) {
+            Some(entry) => entry.1 += p,
+            None => law.push((out, p)),
+        }
+    }
+    law.retain(|&(_, p)| p > 1e-12);
+    law
 }
 
 /// The per-draw settle loop the precomputed plans replace: one division
@@ -1164,6 +1271,18 @@ mod tests {
             );
         }
         assert!(check_cell_plan(&p, &CellPlan::new(&p, 0, 2), 0, 2, 3).is_ok());
+        let table = p.outcome_table(0, 2).unwrap();
+        for (p_hit, outcomes) in [
+            (0.3, [(0, 2), (2, 2)]),
+            (0.25, [(2, 2), (0, 2)]),
+            (0.25, [(0, 2), (2, 0)]),
+        ] {
+            let pick = Pick { p: p_hit, outcomes };
+            assert!(
+                check_pick(Some(pick), &table, 0, 2).is_err(),
+                "{pick:?} passed"
+            );
+        }
     }
 
     #[test]

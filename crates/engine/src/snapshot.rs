@@ -63,7 +63,7 @@ use std::path::{Path, PathBuf};
 /// payload schema, and whenever an engine change moves a trajectory, so
 /// that a snapshot is never continued by an engine that would not have
 /// produced its run; DESIGN.md §15 lists what each version marked.
-pub const FORMAT_VERSION: u64 = 7;
+pub const FORMAT_VERSION: u64 = 8;
 
 /// CRC-64 (reflected ECMA-182 polynomial, as used by XZ) over `bytes`.
 ///
@@ -739,10 +739,10 @@ mod tests {
         format!("{}\n{payload}\n", header.render())
     }
 
-    /// Version-7 snapshots written while the generator could bank a
-    /// Box–Muller sample carry `"spare_normal":null` in their `rng`
-    /// object: they decode to the same generator. A banked sample, which
-    /// no version-7 engine wrote, and all-zero words are refused.
+    /// An `rng` object carrying `"spare_normal":null`, as engines that
+    /// could bank a Box–Muller sample wrote it, decodes to the same
+    /// generator. A banked sample, which no engine left can continue, and
+    /// all-zero words are refused.
     #[test]
     fn decode_takes_a_null_spare_normal_and_refuses_a_banked_one() {
         let snap = sample_snapshot();

@@ -320,8 +320,10 @@ fn faults_that_cannot_be_judged_fail_nothing() {
         last.contains("not judged: 0.0 of 110 rounds remain"),
         "{last}"
     );
-    // The byzantine top-up at round 120 finds its pinned state already
-    // full and moves nobody: ordinary rotation is no recovery.
+    // A top-up of five agents into the source state X, which holds its
+    // x = ⌊1000^0.3⌋ = 7 agents for the whole run, finds its pinned state
+    // already full and moves nobody, whatever the trajectory: ordinary
+    // rotation is no recovery.
     let out = ppsim(
         &[
             "faults",
@@ -333,6 +335,10 @@ fn faults_that_cannot_be_judged_fail_nothing() {
             "4",
             "--byz-every",
             "60",
+            "--byz-state",
+            "0",
+            "--byz-count",
+            "5",
         ],
         &dir.join("idle.jsonl"),
     );

@@ -172,6 +172,43 @@ fn faulty_wrapper_roundtrips_with_a_mixed_fault_plan() {
     );
 }
 
+/// Version 8 marked the collision batches' exponential free runs,
+/// collision picks and `c = 1.5`, so a `counts` snapshot of version 7 or
+/// earlier, bare or wrapped by `faulty`, is one this engine would not
+/// continue byte-identically: it is refused, naming both versions.
+#[test]
+fn counts_snapshots_before_version_8_are_refused() {
+    let p = rps();
+    let counts = [400u64, 300, 200];
+    let mut rng = SimRng::seed_from(0x7e8);
+    let mut bare = CountPopulation::from_counts(&p, &counts);
+    bare.step_batch(&mut rng, 900);
+    let mut wrapped =
+        FaultyPopulation::new(CountPopulation::from_counts(&p, &counts), &mixed_spec())
+            .expect("valid mixed spec");
+    wrapped.step_batch(&mut rng, 900);
+    for text in [
+        RunSnapshot::capture(&bare, &rng).encode(),
+        RunSnapshot::capture(&wrapped, &rng).encode(),
+    ] {
+        assert!(
+            text.starts_with(r#"{"kind":"pp_snapshot","version":8,"#),
+            "{text}"
+        );
+        assert!(RunSnapshot::decode(&text).is_ok());
+        for old in 1..=7 {
+            let older = text.replacen("\"version\":8", &format!("\"version\":{old}"), 1);
+            assert_eq!(
+                RunSnapshot::decode(&older).unwrap_err(),
+                format!(
+                    "snapshot version {old} cannot be continued byte-identically by this \
+                     engine (version 8 required)"
+                )
+            );
+        }
+    }
+}
+
 #[test]
 fn truncated_snapshots_are_rejected_at_every_length() {
     let p = rps();
