@@ -1,10 +1,10 @@
 //! The engine's micro-benchmarks: `step` vs `step_batch` throughput on
 //! `CountPopulation` in the reactive-sparse (`sparse_token`, leaps) and
 //! reactive-dense (`dense_cycle3` and `dk18_oscillator`, collision batches,
-//! DESIGN.md §12) regimes, the same batch loop under an empty-plan `FaultyPopulation` and
-//! under an installed recorder, and the print-only ablation rows of
-//! DESIGN.md §6 / E14 (per-interaction cost, geometric no-op leaping,
-//! epidemic completion).
+//! DESIGN.md §12) regimes, the same batch loop under an empty-plan
+//! `FaultyPopulation` and under an installed recorder, and the print-only
+//! ablation rows of DESIGN.md §6 / E14 (per-interaction cost, geometric
+//! no-op leaping, epidemic completion).
 //!
 //! Each workload is timed once per run. Its rates go to the perf-trajectory
 //! history (`pp_bench::history`): appended to the file `BENCH_HISTORY`
@@ -14,10 +14,9 @@
 //!
 //! CI smoke mode: `cargo bench -p pp-bench --bench engine -- --smoke` times
 //! only the dense rows (cycle3 at n = 10⁴ and 10⁶, DK18 at n = 10⁶) and the
-//! recorder rows, and exits
-//! nonzero unless the dense run at n = 10⁶ took collision epochs with a
-//! step → batch speedup above 10×, a counters-only recorder counted the
-//! epochs and a sections recorder attributed time.
+//! recorder rows, and exits nonzero unless the dense run at n = 10⁶ took
+//! collision epochs with a step → batch speedup above 10×, a counters-only
+//! recorder counted the epochs and a sections recorder attributed time.
 
 use pp_bench::history::{self, HistoryRecord};
 use pp_bench::timing::{bench, throughput};

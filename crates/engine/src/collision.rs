@@ -13,13 +13,13 @@
 //! drawn without replacement from the urn of unrevealed batch-start states.
 //! Each such interaction is drawn through its cell's plan: one uniform
 //! picks between at most two outcomes, and only a cell with more outcomes
-//! or no outcome table calls the protocol's `interact`. At the end of the batch the pairs still deferred are a uniform
-//! without-replacement sample of that urn, paired off uniformly, so their
-//! aggregate is the `q×q` contingency table the margins/rows/settle chain
-//! samples. The post-batch counts have exactly the sequential law;
-//! DESIGN.md §12 gives the argument. A round of the random-matching
-//! scheduler is that settle step alone, with every agent in a deferred
-//! pair ([`run_matching_round`]).
+//! or no outcome table calls the protocol's `interact`. At the end of the
+//! batch the pairs still deferred are a uniform without-replacement sample
+//! of that urn, paired off uniformly, so their aggregate is the `q×q`
+//! contingency table the margins/rows/settle chain samples. The post-batch
+//! counts have exactly the sequential law; DESIGN.md §12 gives the
+//! argument. A round of the random-matching scheduler is that settle step
+//! alone, with every agent in a deferred pair ([`run_matching_round`]).
 //!
 //! A batch holds `L = min(c·√(n·q), n/2)` interactions ([`batch_len`]): its
 //! table costs `O(q²)` draws once, and its `≈ 2L²/n` collisions `O(q)`
