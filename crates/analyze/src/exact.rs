@@ -186,8 +186,8 @@ pub fn check_stabilization(
 /// # Panics
 ///
 /// Panics when `initial` holds fewer than 2 or more than [`MAX_EXACT_N`]
-/// agents, has more entries than the protocol has states, or a reactive
-/// pair the chain reaches has no outcome table.
+/// agents, has more entries than the protocol has states, or a pair the
+/// chain reaches has no outcome table.
 #[must_use]
 pub fn transient_counts(protocol: &dyn Protocol, initial: &[u64], t: u64) -> Vec<(Vec<u64>, f64)> {
     let n: u64 = initial.iter().sum();
@@ -263,13 +263,9 @@ impl ConfigChain {
                         continue;
                     }
                     let pick = w as f64 / pairs;
-                    let outcomes = if protocol.is_reactive(a, b) {
-                        protocol.outcome_table(a, b).unwrap_or_else(|| {
-                            panic!("reactive pair ({a}, {b}) has no outcome table")
-                        })
-                    } else {
-                        Vec::new()
-                    };
+                    let outcomes = protocol
+                        .outcome_table(a, b)
+                        .unwrap_or_else(|| panic!("pair ({a}, {b}) has no outcome table"));
                     let mut identity = 1.0f64;
                     for ((a2, b2), q) in outcomes {
                         identity -= q;

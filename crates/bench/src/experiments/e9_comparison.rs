@@ -13,7 +13,7 @@
 
 use super::{count_and_median, median_quartiles, per_seed};
 use crate::n_ladder;
-use pp_clocks::junta::{GsJunta, XControl};
+use pp_clocks::junta::{GsJunta, PairwiseElimination, XControl};
 use pp_engine::counts::{CountPopulation, SparseCountPopulation};
 use pp_engine::protocol::Protocol;
 use pp_engine::report::{fmt_f64, Table};
@@ -21,7 +21,7 @@ use pp_engine::rng::SimRng;
 use pp_engine::sim::{run_until, Simulator};
 use pp_engine::stats::Summary;
 use pp_lang::interp::Executor;
-use pp_protocols::baselines::{ApproxMajority, FourStateMajority, LotteryLeader, SyncMajority};
+use pp_protocols::baselines::{ApproxMajority, FourStateMajority, SyncMajority};
 use pp_protocols::leader::leader_election;
 use pp_protocols::majority::majority;
 use pp_rules::Guard;
@@ -149,15 +149,13 @@ pub(crate) fn run(ctx: &mut crate::run::Ctx) -> u8 {
             format!("{correct}/{seeds}"),
         ]);
 
-        // Leader election: fratricide baseline.
+        // Leader election: fratricide baseline, the elimination process of
+        // Proposition 5.3 run to a single leader (`X`, state 1).
         let t = median(seeds, |seed| {
-            let p = LotteryLeader::new();
+            let p = PairwiseElimination::new();
             let mut pop = CountPopulation::from_counts(p, &[0, n]);
             let mut rng = SimRng::seed_from(0xE9_4000 + seed + n);
-            run_until(&mut pop, &mut rng, 1e8, 16, |s| {
-                s.count(LotteryLeader::LEADER) == 1
-            })
-            .unwrap_or(f64::NAN)
+            run_until(&mut pop, &mut rng, 1e8, 16, |s| s.count(1) == 1).unwrap_or(f64::NAN)
         });
         table.row(vec![
             "leader".into(),

@@ -42,10 +42,6 @@ impl Protocol for FixedX {
         (a, b)
     }
 
-    fn is_reactive(&self, _a: usize, _b: usize) -> bool {
-        false
-    }
-
     fn name(&self) -> &str {
         "fixed-x"
     }

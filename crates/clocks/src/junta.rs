@@ -63,19 +63,26 @@ impl Protocol for PairwiseElimination {
     }
 
     fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-        if a == 1 && b == 1 {
-            (1, 0)
-        } else {
-            (a, b)
-        }
+        eliminate(a, b)
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        a == 1 && b == 1
+    /// The transition is deterministic: one outcome per pair.
+    fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+        Some(vec![(eliminate(a, b), 1.0)])
     }
 
     fn name(&self) -> &str {
         "pairwise-elimination"
+    }
+}
+
+/// `X + X → X + ¬X`; every other pair is unchanged.
+#[inline]
+fn eliminate(a: usize, b: usize) -> (usize, usize) {
+    if a == 1 && b == 1 {
+        (1, 0)
+    } else {
+        (a, b)
     }
 }
 
@@ -188,25 +195,14 @@ impl Protocol for KLevelDecay {
         (self.pack(za2, xa2), b)
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.interact_deterministic(a, b) != a
-    }
-
-    /// The transition is deterministic: one outcome per pair.
+    /// The transition is deterministic and draws nothing: one outcome per
+    /// pair.
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
-        Some(vec![((self.interact_deterministic(a, b), b), 1.0)])
+        Some(vec![(self.interact(a, b, &mut SimRng::seed_from(0)), 1.0)])
     }
 
     fn name(&self) -> &str {
         "k-level-decay"
-    }
-}
-
-impl KLevelDecay {
-    /// The (deterministic) initiator successor — used for reactivity.
-    fn interact_deterministic(&self, a: usize, b: usize) -> usize {
-        let mut rng = SimRng::seed_from(0); // transition is RNG-free
-        self.interact(a, b, &mut rng).0
     }
 }
 
@@ -356,6 +352,17 @@ mod tests {
         let t = run_until(&mut pop, &mut rng, 10_000.0, 16, |s| s.count(1) < 32)
             .expect("reaches n^{1/2}");
         assert!(t < 500.0, "took {t} rounds");
+    }
+
+    /// Run to a single `X`, elimination is the folklore fratricide leader
+    /// election: `Θ(n)` rounds, hundreds at n = 500.
+    #[test]
+    fn pairwise_elimination_elects_one_leader_in_linear_time() {
+        let p = PairwiseElimination::new();
+        let mut pop = CountPopulation::from_counts(p, &[0, 500]);
+        let mut rng = SimRng::seed_from(4);
+        let t = run_until(&mut pop, &mut rng, 1e6, 16, |s| s.count(1) == 1).expect("unique leader");
+        assert!(t > 50.0, "fratricide is linear-time: {t}");
     }
 
     #[test]

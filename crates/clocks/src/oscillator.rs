@@ -124,14 +124,6 @@ impl Protocol for RpsOscillator {
         }
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        match (self.species_of(a), self.species_of(b)) {
-            (None, Some(_)) | (Some(_), None) => true,
-            (Some(sa), Some(sb)) => sb == prey_of(sa) || sa == prey_of(sb),
-            (None, None) => false,
-        }
-    }
-
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         Some(match (self.species_of(a), self.species_of(b)) {
             (None, Some(_)) => {
@@ -243,20 +235,6 @@ impl Protocol for Dk18Oscillator {
                     self.predate(b, a, sb, rng, false)
                 } else {
                     (a, b)
-                }
-            }
-        }
-    }
-
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        match (self.species_of(a), self.species_of(b)) {
-            (None, None) => false,
-            (None, Some(_)) | (Some(_), None) => true,
-            (Some(sa), Some(sb)) => {
-                if sa == sb {
-                    !Self::charge_of(a) && !Self::charge_of(b)
-                } else {
-                    sb == prey_of(sa) || sa == prey_of(sb)
                 }
             }
         }
@@ -427,7 +405,7 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         // A1 (species 0) vs A1: no predation.
         assert_eq!(osc.interact(1, 1, &mut rng), (1, 1));
-        assert!(!osc.is_reactive(1, 1));
+        assert_eq!(osc.outcome_table(1, 1), Some(vec![((1, 1), 1.0)]));
     }
 
     #[test]

@@ -170,14 +170,11 @@ impl BirthdayCdf {
 }
 
 /// How to settle all interactions of one contingency-table cell `(a, b)`,
-/// resolved once when the cell is first met.
+/// resolved once when the cell is first met. It is everything the
+/// population knows about the pair: a cell is *reactive* unless its plan
+/// is the identity ([`CellPlan::inert`]).
 #[derive(Debug, Clone, PartialEq)]
 enum CellPlan {
-    /// `interact(a, b)` is the identity: no rng.
-    NonReactive,
-    /// One outcome of probability exactly 1: every interaction lands on
-    /// it, no rng.
-    Deterministic(usize, usize),
     /// The protocol enumerated its outcome distribution: split the cell
     /// count across outcomes by conditional binomials (an exact multinomial
     /// decomposition). `draws` holds each outcome's conditional
@@ -185,7 +182,9 @@ enum CellPlan {
     /// outcome that takes everything left (conditional 1) or once no mass
     /// is left, and without the outcomes of conditional 0, which never
     /// draw; what no draw took lands on `rest`, that last outcome or the
-    /// identity.
+    /// identity. With no draws every interaction lands on `rest` without
+    /// a draw: the identity of a cell whose table lists no other outcome of
+    /// positive mass, or a deterministic cell's one outcome.
     Enumerated {
         draws: Vec<(usize, usize, f64)>,
         rest: (usize, usize),
@@ -196,22 +195,18 @@ enum CellPlan {
 }
 
 impl CellPlan {
-    /// The plan of cell `(a, b)` of `protocol`.
+    /// The plan of cell `(a, b)` of `protocol`. A cell is reactive iff its
+    /// table lists an outcome other than `(a, b)` with positive mass; a
+    /// cell without a table is reactive.
     fn new<P: Protocol + ?Sized>(protocol: &P, a: usize, b: usize) -> Self {
-        if !protocol.is_reactive(a, b) {
-            return CellPlan::NonReactive;
-        }
         let Some(outcomes) = protocol.outcome_table(a, b) else {
             return CellPlan::Fallback;
         };
-        #[allow(clippy::float_cmp)]
-        if let [((a2, b2), p)] = outcomes[..] {
-            if p == 1.0 {
-                return CellPlan::Deterministic(a2, b2);
-            }
-        }
-        let mut draws = Vec::with_capacity(outcomes.len());
+        let mut draws = Vec::new();
         let mut rest = (a, b);
+        if !outcomes.iter().any(|&(out, p)| out != (a, b) && p > 0.0) {
+            return CellPlan::Enumerated { draws, rest };
+        }
         let mut rem_p = 1.0f64;
         for ((a2, b2), p) in outcomes {
             if rem_p <= 0.0 {
@@ -230,19 +225,22 @@ impl CellPlan {
         CellPlan::Enumerated { draws, rest }
     }
 
-    /// How the collision loop draws one interaction of this cell `(a, b)`:
-    /// a two-way pick, or `None` when the cell has more than two outcomes
-    /// or no table and the protocol's `interact` decides.
-    fn pick(&self, a: usize, b: usize) -> Option<Pick> {
-        let certain = |out| Pick {
-            p: 0.0,
-            outcomes: [out, out],
-        };
+    /// Whether this plan of cell `(a, b)` is the identity: no interaction
+    /// of the cell changes a state.
+    fn inert(&self, a: usize, b: usize) -> bool {
+        matches!(self, CellPlan::Enumerated { draws, rest } if draws.is_empty() && *rest == (a, b))
+    }
+
+    /// How the collision loop draws one interaction of this cell: a
+    /// two-way pick, or `None` when the cell has more than two outcomes or
+    /// no table and the protocol's `interact` decides.
+    fn pick(&self) -> Option<Pick> {
         match self {
-            CellPlan::NonReactive => Some(certain((a, b))),
-            &CellPlan::Deterministic(a2, b2) => Some(certain((a2, b2))),
             CellPlan::Enumerated { draws, rest } => match draws[..] {
-                [] => Some(certain(*rest)),
+                [] => Some(Pick {
+                    p: 0.0,
+                    outcomes: [*rest, *rest],
+                }),
                 [(a2, b2, p)] => Some(Pick {
                     p,
                     outcomes: [*rest, (a2, b2)],
@@ -267,10 +265,11 @@ struct Pick {
 /// its count vector.
 ///
 /// Holds the per-batch urns (unrevealed states, margins, rows, post-state
-/// urn, revealed agents, net deltas) and a cell-plan cache keyed on
+/// urn, revealed agents, net deltas) and the cell-plan table keyed on
 /// `(initiator, responder)` state pairs. The plans depend only on the
-/// protocol, which is fixed for a population's lifetime, so the cache never
-/// needs invalidating.
+/// protocol, which is fixed for a population's lifetime, so the table never
+/// needs invalidating; `CountPopulation`'s reactivity index reads each
+/// occupied pair's reactivity from it.
 #[derive(Debug, Default, Clone)]
 pub struct CollisionScratch {
     /// States with nonzero count at batch start.
@@ -303,34 +302,75 @@ pub struct CollisionScratch {
     v: Vec<u64>,
     /// Net count movement of the batch, dense over all states.
     delta: Vec<i64>,
-    /// Cell-plan cache, filled lazily per cell.
+    /// Cell-plan table, filled lazily per cell.
     plans: CellPlans,
 }
 
-/// The cell-plan cache: a row-major k×k index (0 = not planned yet, else
-/// one more than the plan's position in `list`) over the plans made so
-/// far, each with its collision-loop pick beside it in `picks`. Four
-/// zeroed bytes per cell, so a 512-state protocol's table costs 1 MB, not
-/// the 6 MB of an `Option<CellPlan>` per cell, and only the cells a batch
-/// meets ever hold a plan.
+/// The cell-plan table, the one per-pair table of a population: a
+/// row-major `k × k` index over the plans made so far, each with its
+/// collision-loop pick beside it in `picks`. An index entry is 0 while the
+/// cell is not planned, else one more than the plan's position in `list`,
+/// with the [`INERT`] bit set when the plan is the identity, so the
+/// reactivity index reads a pair's reactivity from the entry alone
+/// ([`reactive`]). Four zeroed bytes per cell, so the table costs 4 MB at
+/// the 1 024-state limit, not the 6 MB per 512 states of an
+/// `Option<CellPlan>` per cell, and only the cells a population meets ever
+/// hold a plan.
 #[derive(Debug, Default, Clone)]
-struct CellPlans {
+pub(crate) struct CellPlans {
+    k: usize,
     index: Vec<u32>,
     list: Vec<CellPlan>,
     picks: Vec<Option<Pick>>,
 }
 
+/// The index-entry bit of a cell whose plan is the identity.
+const INERT: u32 = 1 << 31;
+
+/// Whether a planned cell's index entry ([`CellPlans::row`]) is reactive.
+#[inline]
+pub(crate) fn reactive(entry: u32) -> bool {
+    debug_assert!(entry != 0, "the cell is planned");
+    entry < INERT
+}
+
 impl CellPlans {
-    /// The position of cell `(a, b)`'s plan in `list`, made on first use.
-    fn slot<P: Protocol + ?Sized>(&mut self, protocol: &P, a: usize, b: usize, k: usize) -> usize {
-        let slot = &mut self.index[a * k + b];
-        if *slot == 0 {
-            let plan = CellPlan::new(protocol, a, b);
-            self.picks.push(plan.pick(a, b));
-            self.list.push(plan);
-            *slot = u32::try_from(self.list.len()).expect("fewer than 2³² planned cells");
+    /// Sizes the table for `k` states; a table of another size is dropped.
+    fn ensure(&mut self, k: usize) {
+        if self.k != k {
+            *self = CellPlans {
+                k,
+                index: vec![0; k * k],
+                ..CellPlans::default()
+            };
         }
-        *slot as usize - 1
+    }
+
+    /// Cell `(a, b)`'s index entry, its plan made on first use.
+    pub(crate) fn plan<P: Protocol + ?Sized>(&mut self, protocol: &P, a: usize, b: usize) -> u32 {
+        let entry = &mut self.index[a * self.k + b];
+        if *entry == 0 {
+            let plan = CellPlan::new(protocol, a, b);
+            let inert = if plan.inert(a, b) { INERT } else { 0 };
+            self.picks.push(plan.pick());
+            self.list.push(plan);
+            let pos = u32::try_from(self.list.len())
+                .ok()
+                .filter(|&pos| pos < INERT)
+                .expect("fewer than 2³¹ planned cells");
+            *entry = pos | inert;
+        }
+        *entry
+    }
+
+    /// The position of cell `(a, b)`'s plan in `list`, made on first use.
+    fn slot<P: Protocol + ?Sized>(&mut self, protocol: &P, a: usize, b: usize) -> usize {
+        (self.plan(protocol, a, b) & !INERT) as usize - 1
+    }
+
+    /// Row `a` of the index: entry `b` is cell `(a, b)`'s.
+    pub(crate) fn row(&self, a: usize) -> &[u32] {
+        &self.index[a * self.k..(a + 1) * self.k]
     }
 }
 
@@ -349,16 +389,24 @@ impl CollisionScratch {
         &self.delta
     }
 
+    /// The cell-plan table, sized for `k` states.
+    pub(crate) fn plans(&mut self, k: usize) -> &mut CellPlans {
+        self.plans.ensure(k);
+        &mut self.plans
+    }
+
+    /// The cell-plan table beside the last batch's [`CollisionScratch::delta`].
+    pub(crate) fn plans_and_delta(&mut self) -> (&mut CellPlans, &[i64]) {
+        (&mut self.plans, &self.delta)
+    }
+
     fn ensure(&mut self, k: usize) {
+        self.plans.ensure(k);
         if self.v.len() != k {
             self.v.resize(k, 0);
             self.delta.resize(k, 0);
             self.revealed.clear();
             self.revealed_pos = vec![0; k];
-            self.plans = CellPlans {
-                index: vec![0; k * k],
-                ..CellPlans::default()
-            };
         }
     }
 
@@ -379,7 +427,7 @@ impl CollisionScratch {
         b: usize,
         rng: &mut SimRng,
     ) -> (usize, usize) {
-        let slot = self.plans.slot(protocol, a, b, self.v.len());
+        let slot = self.plans.slot(protocol, a, b);
         match self.plans.picks[slot] {
             Some(pick) => pick.outcomes[usize::from(rng.f64() < pick.p)],
             None => protocol.interact(a, b, rng),
@@ -504,7 +552,6 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     let n = cdf.n();
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
     debug_assert!(remaining >= 1);
-    let k = counts.len();
     load_urn(counts, n, scratch);
     let l = batch_len(n, scratch.occupied.len()).min(remaining);
 
@@ -543,7 +590,7 @@ pub fn run_epoch<P: Protocol + ?Sized>(
     }
     drop(collisions_span);
 
-    changed += settle_deferred(protocol, k, scratch, rng, pf);
+    changed += settle_deferred(protocol, scratch, rng, pf);
     fold_back(counts, scratch);
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
     EpochOutcome {
@@ -582,7 +629,7 @@ pub fn run_matching_round<P: Protocol + ?Sized>(
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
     load_urn(counts, n, scratch);
     scratch.deferred = n / 2;
-    let changed = settle_deferred(protocol, counts.len(), scratch, rng, pf);
+    let changed = settle_deferred(protocol, scratch, rng, pf);
     fold_back(counts, scratch);
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
     EpochOutcome {
@@ -639,7 +686,6 @@ fn fold_back(counts: &mut [u64], scratch: &mut CollisionScratch) {
 /// `scratch.w` and `delta` zeroed; returns how many pairs changed a state.
 fn settle_deferred<P: Protocol + ?Sized>(
     protocol: &P,
-    k: usize,
     scratch: &mut CollisionScratch,
     rng: &mut SimRng,
     pf: bool,
@@ -695,7 +741,7 @@ fn settle_deferred<P: Protocol + ?Sized>(
             }
             scratch.rem_r[j] -= t_ab;
             let b = scratch.occupied[j];
-            let slot = scratch.plans.slot(protocol, a, b, k);
+            let slot = scratch.plans.slot(protocol, a, b);
             let plan = &scratch.plans.list[slot];
             changed += apply_cell(protocol, plan, a, b, t_ab, &mut scratch.v, rng, pf);
         }
@@ -720,20 +766,6 @@ fn apply_cell<P: Protocol + ?Sized>(
     pf: bool,
 ) -> u64 {
     match plan {
-        CellPlan::NonReactive => {
-            v[a] += t_ab;
-            v[b] += t_ab;
-            0
-        }
-        &CellPlan::Deterministic(a2, b2) => {
-            v[a2] += t_ab;
-            v[b2] += t_ab;
-            if (a2, b2) == (a, b) {
-                0
-            } else {
-                t_ab
-            }
-        }
         CellPlan::Enumerated { draws, rest } => {
             // Multinomial split via sequential conditional binomials: each
             // of the t_ab interactions independently picks an outcome. One
@@ -779,18 +811,17 @@ fn apply_cell<P: Protocol + ?Sized>(
 /// Checks every cell plan of `protocol` against the per-draw law it
 /// replaces, and returns the first disagreement.
 ///
-/// On every cell `(a, b)`: the plan is `NonReactive` iff `(a, b)` is not
-/// reactive, `Fallback` iff a reactive cell has no outcome table, and
-/// `Deterministic` iff a reactive cell's table is one outcome of
-/// probability exactly 1. A reactive enumerated cell's conditional
-/// probabilities equal, bit for bit, those the per-draw loop computes
-/// (`p / rem_p`, clamped, until the mass is spent), the mass no draw takes
-/// lands on the identity unless some outcome's conditional is 1, and
-/// settling `t` interactions by the plan leaves the same post-states,
-/// change count and rng state as the per-draw loop. The collision loop's
-/// pick, where the cell has one, draws one interaction by the table's law
-/// (to f64 rounding); a non-reactive cell picks the identity. Tests run it
-/// on every protocol type that enumerates its outcomes.
+/// On every cell `(a, b)`: the plan is `Fallback` iff the cell has no
+/// outcome table, and the identity iff its table lists no outcome other
+/// than `(a, b)` with positive mass. A reactive enumerated cell's
+/// conditional probabilities equal, bit for bit, those the per-draw loop
+/// computes (`p / rem_p`, clamped, until the mass is spent), the mass no
+/// draw takes lands on the identity unless some outcome's conditional is
+/// 1, and settling `t` interactions by the plan leaves the same
+/// post-states, change count and rng state as the per-draw loop. The
+/// collision loop's pick, where the cell has one, draws one interaction by
+/// the table's law (to f64 rounding). Tests run it on every protocol type
+/// that enumerates its outcomes.
 ///
 /// # Errors
 ///
@@ -814,31 +845,25 @@ fn check_cell_plan<P: Protocol + ?Sized>(
     b: usize,
     k: usize,
 ) -> Result<(), String> {
-    let reactive = protocol.is_reactive(a, b);
-    if (*plan == CellPlan::NonReactive) == reactive {
-        return Err(format!("NonReactive plan for is_reactive = {reactive}"));
-    }
-    let table = protocol.outcome_table(a, b);
-    if (*plan == CellPlan::Fallback) != (reactive && table.is_none()) {
-        return Err("Fallback plan disagrees with the outcome table".into());
-    }
-    let (true, Some(outcomes)) = (reactive, table) else {
-        // A non-reactive cell picks the identity; one without a table
-        // leaves the pick to `interact`.
-        let pick = plan.pick(a, b).map(|pick| pick.outcomes == [(a, b); 2]);
-        return if pick == (!reactive).then_some(true) {
+    let Some(outcomes) = protocol.outcome_table(a, b) else {
+        // Without a table the cell is reactive and `interact` settles it.
+        return if *plan == CellPlan::Fallback {
             Ok(())
         } else {
-            Err("the pick disagrees with the plan".into())
+            Err("a cell without a table must fall back".into())
         };
     };
-    #[allow(clippy::float_cmp)]
-    let certain = matches!(outcomes[..], [(_, p)] if p == 1.0);
-    let (draws, rest) = match plan {
-        &CellPlan::Deterministic(a2, b2) if certain => (&[][..], (a2, b2)),
-        CellPlan::Enumerated { draws, rest } if !certain => (&draws[..], *rest),
-        _ => return Err("Deterministic plan disagrees with the outcome table".into()),
+    let CellPlan::Enumerated { draws, rest } = plan else {
+        return Err("Fallback plan for a cell with a table".into());
     };
+    check_pick(plan.pick(), &outcomes, a, b)?;
+    let reactive = outcomes.iter().any(|&(out, p)| out != (a, b) && p > 0.0);
+    if plan.inert(a, b) == reactive {
+        return Err(format!("identity plan for a reactive = {reactive} table"));
+    }
+    if !reactive {
+        return Ok(());
+    }
     // The conditionals the per-draw loop passed to `binomial`, of which
     // the ones in (0, 1) draw and a 1 takes the rest.
     let mut want = Vec::new();
@@ -865,10 +890,9 @@ fn check_cell_plan<P: Protocol + ?Sized>(
     if got != want {
         return Err(format!("conditionals {got:?}, per-draw loop {want:?}"));
     }
-    if rest != want_rest {
+    if *rest != want_rest {
         return Err(format!("residual lands on {rest:?}, not {want_rest:?}"));
     }
-    check_pick(plan.pick(a, b), &outcomes, a, b)?;
     for (seed, t) in [(1u64, 1u64), (2, 7), (3, 64), (4, 1_000), (5, 1 << 20)] {
         let (mut v_plan, mut v_loop) = (vec![0u64; k], vec![0u64; k]);
         let (mut rng_plan, mut rng_loop) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
@@ -1142,15 +1166,13 @@ mod tests {
                 (a, b)
             }
         }
-        fn is_reactive(&self, a: usize, b: usize) -> bool {
-            a < b
-        }
         fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
             Some(if a < b { vec![((b, b), 0.25)] } else { vec![] })
         }
     }
 
-    /// A protocol with no outcome tables: reactive cells fall back.
+    /// A protocol with no outcome tables: every cell is reactive and falls
+    /// back.
     struct Opaque;
 
     impl Protocol for Opaque {
@@ -1163,9 +1185,6 @@ mod tests {
             } else {
                 (a, b)
             }
-        }
-        fn is_reactive(&self, a: usize, b: usize) -> bool {
-            a != b
         }
     }
 
@@ -1223,12 +1242,19 @@ mod tests {
         check_cell_plans(&Partial).unwrap();
         check_cell_plans(&Opaque).unwrap();
 
-        // The plan kinds each protocol resolves to.
-        assert_eq!(
-            CellPlan::new(&cycle3(), 0, 1),
-            CellPlan::Deterministic(1, 1)
+        // The plans each protocol resolves to.
+        let certain = |rest| CellPlan::Enumerated {
+            draws: vec![],
+            rest,
+        };
+        assert_eq!(CellPlan::new(&cycle3(), 0, 1), certain((1, 1)));
+        assert_eq!(CellPlan::new(&cycle3(), 1, 0), certain((1, 0)));
+        assert!(CellPlan::new(&cycle3(), 1, 0).inert(1, 0));
+        assert!(!CellPlan::new(&cycle3(), 0, 1).inert(0, 1));
+        assert!(
+            CellPlan::new(&Partial, 2, 0).inert(2, 0),
+            "an empty table is the identity"
         );
-        assert_eq!(CellPlan::new(&cycle3(), 1, 0), CellPlan::NonReactive);
         assert_eq!(
             CellPlan::new(&Partial, 0, 2),
             CellPlan::Enumerated {
@@ -1238,6 +1264,21 @@ mod tests {
             "unlisted mass settles as the identity"
         );
         assert_eq!(CellPlan::new(&Opaque, 0, 1), CellPlan::Fallback);
+        assert_eq!(
+            CellPlan::new(&Opaque, 0, 0),
+            CellPlan::Fallback,
+            "a protocol with no table is reactive on every pair"
+        );
+        // The mass no rule takes is left out of a rule table, so it is the
+        // residual and the cell draws once, with a pick.
+        let (plan, rules) = (CellPlan::new(&rule_table(), 0, 0), rule_table());
+        let CellPlan::Enumerated { draws, rest } = &plan else {
+            panic!("a rule table enumerates: {plan:?}");
+        };
+        assert_eq!((draws.len(), *rest), (1, (0, 0)), "{plan:?}");
+        let pick = plan.pick().expect("one draw has a pick");
+        assert_eq!(pick.outcomes, [(0, 0), (draws[0].0, draws[0].1)]);
+        assert_eq!(rules.outcome_table(0, 0).map(|t| t.len()), Some(1));
         assert_eq!(
             CellPlan::new(&tables, 3, 0),
             CellPlan::Enumerated {
@@ -1260,9 +1301,15 @@ mod tests {
                 draws: vec![(2, 2, 0.25)],
                 rest: (2, 2),
             },
-            CellPlan::Deterministic(2, 2),
+            CellPlan::Enumerated {
+                draws: vec![],
+                rest: (2, 2),
+            },
             CellPlan::Fallback,
-            CellPlan::NonReactive,
+            CellPlan::Enumerated {
+                draws: vec![],
+                rest: (0, 2),
+            },
         ];
         for plan in &wrong {
             assert!(

@@ -31,8 +31,8 @@ use crate::snapshot::{hex_u64, parse_hex_u64, Checkpoint};
 pub use crate::sparse::SparseCountPopulation;
 
 /// Largest state space [`CountPopulation`] runs: its reactivity index, from
-/// which every draw samples, holds a `k × k` memo and costs
-/// `O(k + occupied²)` to build. A population above it refuses its first
+/// which every draw samples, reads a `k × k` table of cell plans (4 bytes
+/// per cell, 4 MB at the limit). A population above it refuses its first
 /// draw; protocols with wide state spaces (E6, E9's `SyncMajority`, E15)
 /// run on [`SparseCountPopulation`], which keeps only occupied states.
 pub(crate) const BATCH_STATE_LIMIT: usize = 1024;
@@ -80,7 +80,9 @@ pub struct CountPopulation<P> {
     /// Birthday-process table for the collision-batch regime. Keyed only on
     /// `n`, which never changes, so it survives index invalidations.
     birthday: Option<BirthdayCdf>,
-    /// Working memory for collision epochs (urns + cell-plan cache).
+    /// Working memory for collision epochs: the urns, and the cell-plan
+    /// table, the population's one per-pair table, from which the index
+    /// reads reactivity. It lives as long as the population.
     scratch: CollisionScratch,
 }
 
@@ -139,7 +141,9 @@ impl<P: Protocol> CountPopulation<P> {
     /// (`from == to` moves nothing). This is the count surgery the fault
     /// wrapper ([`crate::faults`]) composes corruption, churn, and
     /// Byzantine pinning from. Drops the reactivity index (its
-    /// reactive-pair count goes stale); the next `step_batch` rebuilds it.
+    /// reactive-pair count goes stale); the next `step_batch` rebuilds it
+    /// from the cell-plan table, asking the protocol only about pairs it
+    /// never met.
     ///
     /// # Panics
     ///
@@ -178,11 +182,12 @@ impl<P: Protocol> CountPopulation<P> {
     /// reactivity index.
     fn apply_change(&mut self, a: usize, b: usize, a2: usize, b2: usize) {
         let index = self.index.as_mut().expect("index built before a draw");
+        let plans = self.scratch.plans(self.counts.len());
         for (s, d) in [(a, -1i64), (b, -1), (a2, 1), (b2, 1)] {
             self.counts[s] = self.counts[s].wrapping_add_signed(d);
-            index.add(&self.protocol, &self.counts, s, d);
+            index.add(&self.protocol, plans, &self.counts, s, d);
         }
-        debug_assert!(index.is_consistent(&self.protocol, &self.counts));
+        debug_assert!(index.is_consistent(plans, &self.counts));
     }
 
     /// Builds the reactivity index if it is missing: at the first draw, and
@@ -201,7 +206,8 @@ impl<P: Protocol> CountPopulation<P> {
         );
         if self.index.is_none() {
             recorder::add(Counter::BatchCacheRebuilds, 1);
-            self.index = Some(ReactivityIndex::new(&self.protocol, &self.counts));
+            let plans = self.scratch.plans(k);
+            self.index = Some(ReactivityIndex::new(&self.protocol, plans, &self.counts));
         }
     }
 }
@@ -265,6 +271,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
         let mut out = BatchOutcome::default();
         self.ensure_index();
         let n = self.n;
+        let k = self.counts.len();
         let total_pairs = n * (n - 1);
         let epoch_len = estimated_epoch_len(n);
         let mut tally = cap.on.then(BatchTally::new);
@@ -290,8 +297,9 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 );
                 // Sync occupancy and the reactive-pair count from the
                 // batch's net movement.
-                index.sync_epoch(&self.protocol, &self.counts, self.scratch.delta());
-                debug_assert!(index.is_consistent(&self.protocol, &self.counts));
+                let (plans, delta) = self.scratch.plans_and_delta();
+                index.sync_epoch(&self.protocol, plans, &self.counts, delta);
+                debug_assert!(index.is_consistent(plans, &self.counts));
                 out.executed += ep.executed;
                 out.changed += ep.changed;
                 if let Some(t) = &mut tally {
@@ -329,7 +337,7 @@ impl<P: Protocol> Simulator for CountPopulation<P> {
                 .index
                 .as_ref()
                 .expect("index built above")
-                .sample_reactive_pair(&self.counts, rng);
+                .sample_reactive_pair(self.scratch.plans(k), &self.counts, rng);
             let (a2, b2) = self.protocol.interact(a, b, rng);
             if (a2, b2) != (a, b) {
                 out.changed += 1;

@@ -52,18 +52,6 @@ pub trait Protocol {
     /// has no applicable rule must be returned unchanged.
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize);
 
-    /// Whether an interaction between states `a` and `b` can possibly change
-    /// either state.
-    ///
-    /// This is a *conservative* hint consumed by the no-op leaping of
-    /// [`crate::counts::CountPopulation`]: returning `false` asserts that
-    /// `interact(a, b, _) == (a, b)` always. Returning `true` is always safe.
-    /// The default claims every pair is reactive, which disables leaping.
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        let _ = (a, b);
-        true
-    }
-
     /// The number of equally likely rule slots an interaction draws from,
     /// the denominator of the slot contract ([`Protocol::interact_slot`]).
     /// At least 1.
@@ -103,17 +91,24 @@ pub trait Protocol {
     }
 
     /// The full outcome distribution of an interaction `(a, b)`, if the
-    /// protocol can enumerate it: `((a', b'), probability)` entries summing
-    /// to 1.
+    /// protocol can enumerate it: `((a', b'), probability)` entries of
+    /// total mass at most 1. The mass a table leaves out is the identity
+    /// `(a, b)`, which a table may also list.
     ///
-    /// The one way to ask a protocol for its transition law. Its readers:
+    /// The one way to ask a protocol for its transition law, reactivity
+    /// included: a pair is *reactive* iff its table lists an outcome other
+    /// than `(a, b)` with positive mass, and a protocol with no table (the
+    /// default `None`) is reactive on every pair. Its readers:
     ///
-    /// * the exact collision-batch stepper ([`crate::collision`]): when a
-    ///   contingency table says an ordered state pair interacted `t` times
-    ///   inside a batch, an enumerated cell splits the `t` interactions
-    ///   across outcomes with `O(outcomes)` binomial draws instead of `t`
-    ///   calls to [`Protocol::interact`]; with `None` (the default) it
-    ///   falls back to per-interaction `interact` calls;
+    /// * the collision-batch cell plans ([`crate::collision`]), which
+    ///   [`crate::counts::CountPopulation`] keeps as its one per-pair table:
+    ///   its reactivity index reads from them which pairs can change a
+    ///   state (no-op leaping), and when a contingency table says an
+    ///   ordered state pair interacted `t` times inside a batch, an
+    ///   enumerated cell splits the `t` interactions across outcomes with
+    ///   `O(outcomes)` binomial draws instead of `t` calls to
+    ///   [`Protocol::interact`]; a cell without a table falls back to
+    ///   per-interaction `interact` calls;
     /// * the mean-field integrator ([`crate::meanfield`]), which needs it
     ///   and panics without it;
     /// * `pp-analyze`'s exact small-`n` checkers.
@@ -138,9 +133,6 @@ impl<P: Protocol + ?Sized> Protocol for &P {
     }
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
         (**self).interact(a, b, rng)
-    }
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        (**self).is_reactive(a, b)
     }
     fn weight_scale(&self) -> u32 {
         (**self).weight_scale()
@@ -294,12 +286,6 @@ impl Protocol for TableProtocol {
         (a, b)
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.rules[a * self.states + b]
-            .iter()
-            .any(|&((a2, b2), _)| (a2, b2) != (a, b))
-    }
-
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         let cell = &self.rules[a * self.states + b];
         let mut out = cell.clone();
@@ -324,7 +310,7 @@ mod tests {
         let p = TableProtocol::new(3, "t");
         let mut rng = SimRng::seed_from(0);
         assert_eq!(p.interact(1, 2, &mut rng), (1, 2));
-        assert!(!p.is_reactive(1, 2));
+        assert_eq!(p.outcome_table(1, 2), Some(vec![((1, 2), 1.0)]));
     }
 
     #[test]
@@ -336,8 +322,8 @@ mod tests {
         assert_eq!(p.interact(1, 0, &mut rng), (1, 1));
         assert_eq!(p.interact(0, 1, &mut rng), (1, 1));
         assert_eq!(p.interact(0, 0, &mut rng), (0, 0));
-        assert!(p.is_reactive(1, 0));
-        assert!(!p.is_reactive(0, 0));
+        assert_eq!(p.outcome_table(1, 0), Some(vec![((1, 1), 1.0)]));
+        assert_eq!(p.outcome_table(0, 0), Some(vec![((0, 0), 1.0)]));
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! guard evaluation cost drops to a single bounds check.
 //!
 //! Because every rule is tabulated, the protocol also implements the
-//! batching hooks exactly: [`Protocol::is_reactive`] (no-op leaping),
-//! [`Protocol::outcome_table`] (collision-epoch binomial splits), and
-//! per-draw-slot [`Protocol::rule_masks`] with [`Protocol::interact_slot`]
-//! (the sparse backend's leap), so enumerated protocols ride the fast
-//! count-backend paths.
+//! batching hooks exactly: [`Protocol::outcome_table`] (reactivity and
+//! collision-epoch binomial splits) and per-draw-slot
+//! [`Protocol::rule_masks`] with [`Protocol::interact_slot`] (the sparse
+//! backend's leap), so enumerated protocols ride the fast count-backend
+//! paths.
 
 use crate::protocol::{Protocol, RuleMasks};
 use crate::rng::SimRng;
@@ -198,14 +198,6 @@ impl Protocol for RuleTableProtocol {
         }
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.rules.iter().any(|r| {
-            r.match_a[a]
-                && r.match_b[b]
-                && (r.apply_a[a] as usize != a || r.apply_b[b] as usize != b)
-        })
-    }
-
     fn weight_scale(&self) -> u32 {
         self.draw.len() as u32
     }
@@ -241,22 +233,17 @@ impl Protocol for RuleTableProtocol {
         Some(masks)
     }
 
+    /// The outcomes of the rules that move an agent of `(a, b)`, each
+    /// with its draw share times its probability; the rest, the identity,
+    /// is left out.
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         let mut out: Vec<((usize, usize), f64)> = Vec::new();
         let per_slot = 1.0 / self.draw.len() as f64;
-        let mut identity = self.noop_slots as f64 * per_slot;
         for (rule, &m) in self.rules.iter().zip(&self.mult) {
-            let share = per_slot * f64::from(m);
-            if rule.match_a[a] && rule.match_b[b] {
-                let key = (rule.apply_a[a] as usize, rule.apply_b[b] as usize);
-                push_outcome(&mut out, key, share * rule.probability);
-                identity += share * (1.0 - rule.probability);
-            } else {
-                identity += share;
+            let key = (rule.apply_a[a] as usize, rule.apply_b[b] as usize);
+            if rule.match_a[a] && rule.match_b[b] && key != (a, b) {
+                push_outcome(&mut out, key, per_slot * f64::from(m) * rule.probability);
             }
-        }
-        if identity > 0.0 {
-            push_outcome(&mut out, (a, b), identity);
         }
         Some(out)
     }
@@ -322,20 +309,16 @@ mod tests {
     fn outcome_table_matches_draw_shares() {
         let p = epidemic_with_stripped_tail();
         let table = p.outcome_table(0, 1).unwrap();
-        let total: f64 = table.iter().map(|&(_, w)| w).sum();
-        assert!((total - 1.0).abs() < 1e-12);
+        assert_eq!(table.len(), 1, "the identity is left out: {table:?}");
         let fire = table.iter().find(|&&(k, _)| k == (1, 1)).unwrap().1;
-        let stay = table.iter().find(|&&(k, _)| k == (0, 1)).unwrap().1;
         assert!((fire - 0.5).abs() < 1e-12, "live rule share");
-        assert!((stay - 0.5).abs() < 1e-12, "stripped dead-rule share");
     }
 
     #[test]
     fn reactivity_tracks_actual_change() {
         let p = epidemic_with_stripped_tail();
-        assert!(p.is_reactive(0, 1));
-        assert!(!p.is_reactive(1, 0), "unmatched order");
-        assert!(!p.is_reactive(1, 1), "identity successor");
+        assert_eq!(p.outcome_table(1, 0), Some(vec![]), "unmatched order");
+        assert_eq!(p.outcome_table(1, 1), Some(vec![]), "identity successor");
     }
 
     #[test]
@@ -355,9 +338,8 @@ mod tests {
         assert_eq!(p.stripped_rules(), 1);
         let table = p.outcome_table(0, 1).unwrap();
         let fire = table.iter().find(|&&(k, _)| k == (1, 1)).unwrap().1;
-        let stay = table.iter().find(|&&(k, _)| k == (0, 1)).unwrap().1;
         assert!((fire - 0.75).abs() < 1e-12, "3 of 4 slots fire");
-        assert!((stay - 0.25).abs() < 1e-12, "the no-op slot stays");
+        assert_eq!(table.len(), 1, "the no-op slot's quarter is left out");
         // The interactive draw follows the same shares.
         let mut rng = SimRng::seed_from(7);
         let fired = (0..4000)

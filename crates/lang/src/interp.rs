@@ -505,10 +505,6 @@ impl Protocol for Tagged {
         Self::retag(self.0.interact(a & CURRENT, b & CURRENT, rng), a, b)
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.0.is_reactive(a & CURRENT, b & CURRENT)
-    }
-
     fn weight_scale(&self) -> u32 {
         self.0.weight_scale()
     }

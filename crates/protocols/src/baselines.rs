@@ -5,7 +5,7 @@
 //! |---|---|---|---|
 //! | [`ApproxMajority`] \[AAE08a\] | 3 | `O(log n)` | needs gap `Ω(√(n log n))` |
 //! | [`FourStateMajority`] [DV12, MNRS14] | 4 | `O(n log n)` (worse for small gaps) | exact but slow |
-//! | [`LotteryLeader`] (folklore) | 4 | `Θ(n)` | exact but linear |
+//! | fratricide (folklore, `pp_clocks::junta::PairwiseElimination`) | 2 | `Θ(n)` | exact but linear |
 //! | [`SyncMajority`] (AAG18-style) | `O(log n)` phases × counter | `O(log² n)` | super-constant states |
 //!
 //! The paper's contribution is beating all of these trade-offs at once:
@@ -57,10 +57,6 @@ impl Protocol for ApproxMajority {
         }
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        a != b
-    }
-
     /// The transition is deterministic: one outcome per pair.
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
         let mut rng = SimRng::seed_from(0);
@@ -103,14 +99,9 @@ impl FourStateMajority {
     pub fn votes_a(state: usize) -> bool {
         state == Self::SA || state == Self::WA
     }
-}
 
-impl Protocol for FourStateMajority {
-    fn num_states(&self) -> usize {
-        4
-    }
-
-    fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+    /// The successor pair of `(a, b)`.
+    fn step(a: usize, b: usize) -> (usize, usize) {
         use FourStateMajority as M;
         match (a, b) {
             // Strong opposites annihilate into weak states.
@@ -124,55 +115,24 @@ impl Protocol for FourStateMajority {
             _ => (a, b),
         }
     }
+}
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        let mut rng = SimRng::seed_from(0);
-        self.interact(a, b, &mut rng) != (a, b)
+impl Protocol for FourStateMajority {
+    fn num_states(&self) -> usize {
+        4
+    }
+
+    fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
+        Self::step(a, b)
+    }
+
+    /// The transition is deterministic: one outcome per pair.
+    fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+        Some(vec![(Self::step(a, b), 1.0)])
     }
 
     fn name(&self) -> &str {
         "exact-majority-4"
-    }
-}
-
-/// Folklore exact leader election: pairwise fratricide
-/// `L + L → L + follower`, converging in `Θ(n)` rounds — the baseline the
-/// paper's `O(log² n)`-round protocol improves exponentially.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LotteryLeader;
-
-impl LotteryLeader {
-    /// Follower state.
-    pub const FOLLOWER: usize = 0;
-    /// Leader state.
-    pub const LEADER: usize = 1;
-
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Protocol for LotteryLeader {
-    fn num_states(&self) -> usize {
-        2
-    }
-
-    fn interact(&self, a: usize, b: usize, _rng: &mut SimRng) -> (usize, usize) {
-        if a == Self::LEADER && b == Self::LEADER {
-            (Self::LEADER, Self::FOLLOWER)
-        } else {
-            (a, b)
-        }
-    }
-
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        a == Self::LEADER && b == Self::LEADER
-    }
-
-    fn name(&self) -> &str {
-        "lottery-leader"
     }
 }
 
@@ -428,19 +388,6 @@ mod tests {
             t > 50.0,
             "4-state majority at gap 2 should be much slower than polylog: {t}"
         );
-    }
-
-    #[test]
-    fn lottery_leader_linear_time() {
-        let p = LotteryLeader::new();
-        let mut pop = CountPopulation::from_counts(p, &[0, 500]);
-        let mut rng = SimRng::seed_from(4);
-        let t = run_until(&mut pop, &mut rng, 1e6, 16, |s| {
-            s.count(LotteryLeader::LEADER) == 1
-        })
-        .expect("unique leader");
-        // Coupon-collector-like Θ(n): at n=500 expect hundreds of rounds.
-        assert!(t > 50.0, "fratricide is linear-time: {t}");
     }
 
     #[test]

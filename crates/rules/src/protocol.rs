@@ -101,11 +101,6 @@ impl Protocol for FlagProtocol {
         }
     }
 
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (a as u32, b as u32);
-        self.ruleset.rules().iter().any(|r| r.is_effective_on(a, b))
-    }
-
     /// The ruleset length (replicas included): one slot per rule.
     fn weight_scale(&self) -> u32 {
         self.ruleset.len() as u32
@@ -225,8 +220,10 @@ mod tests {
         let (p, l, _) = fratricide();
         let mut rng = SimRng::seed_from(3);
         assert_eq!(p.interact(0, l as usize, &mut rng), (0, l as usize));
-        assert!(!p.is_reactive(0, l as usize));
-        assert!(p.is_reactive(l as usize, l as usize));
+        let l = l as usize;
+        assert_eq!(p.outcome_table(0, l), Some(vec![((0, l), 1.0)]));
+        let moves = p.outcome_table(l, l).unwrap();
+        assert!(moves.iter().any(|&(out, q)| out != (l, l) && q > 0.0));
     }
 
     #[test]

@@ -275,9 +275,6 @@ impl Protocol for Slotted {
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
         self.table.interact(a, b, rng)
     }
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.table.is_reactive(a, b)
-    }
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
         let mut masks = RuleMasks::new(self.rules.len());
         for (r, &[a, b, a2, b2]) in self.rules.iter().enumerate() {
@@ -1003,7 +1000,7 @@ fn count_silence_is_sound() {
     }
 }
 
-/// A protocol wrapper that records every [`Protocol::is_reactive`] query.
+/// A protocol wrapper that records every [`Protocol::outcome_table`] query.
 struct AskCounter {
     inner: TableProtocol,
     asked: RefCell<HashMap<(usize, usize), u64>>,
@@ -1016,34 +1013,34 @@ impl Protocol for AskCounter {
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
         self.inner.interact(a, b, rng)
     }
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        *self.asked.borrow_mut().entry((a, b)).or_default() += 1;
-        self.inner.is_reactive(a, b)
-    }
     fn outcome_table(&self, a: usize, b: usize) -> Option<Vec<((usize, usize), f64)>> {
+        *self.asked.borrow_mut().entry((a, b)).or_default() += 1;
         self.inner.outcome_table(a, b)
     }
 }
 
 /// With 1 024 declared states (the batching limit) and only states 0–2
-/// ever occupied, the count backend asks `is_reactive` about at most
-/// 3² = 9 pairs; an eager `k × k` table would ask 1 048 576 times. Debug
-/// builds also recount every occupied pair through the protocol in their
-/// consistency assertions, so the total number of calls is pinned in
-/// release builds only; the pairs asked about are pinned in both.
+/// ever occupied, the count backend asks for the outcome table of each
+/// occupied ordered pair at most once, 3² = 9 calls in all, where an eager
+/// `k × k` table would ask 1 048 576 times: the reactivity index and the
+/// collision batches read one per-pair table. That table outlives the
+/// index, so a batch after an out-of-band `migrate`, which drops the
+/// index, asks nothing new.
 #[test]
 fn count_backends_ask_only_about_occupied_pairs() {
     let counts = [9_000u64, 10, 10];
-    let check = |p: &AskCounter, what: &str| {
+    let calls = |p: &AskCounter, what: &str| -> u64 {
         let asked = p.asked.borrow();
         let outside = asked.keys().filter(|&&(a, b)| a >= 3 || b >= 3).count();
         assert_eq!(outside, 0, "{what} asked about {outside} unoccupied pairs");
-        let calls: u64 = asked.values().sum();
-        if cfg!(not(debug_assertions)) {
-            assert!(calls <= 9, "{what} made {calls} is_reactive calls");
+        for (pair, &times) in asked.iter() {
+            assert_eq!(times, 1, "{what} asked about {pair:?} {times} times");
         }
+        let calls: u64 = asked.values().sum();
+        assert!(calls <= 9, "{what} made {calls} outcome_table calls");
+        calls
     };
-    let protocol = || AskCounter {
+    let p = AskCounter {
         inner: TableProtocol::new(1_024, "cycle")
             .rule(0, 1, 1, 1)
             .rule(1, 2, 2, 2)
@@ -1051,8 +1048,12 @@ fn count_backends_ask_only_about_occupied_pairs() {
         asked: RefCell::new(HashMap::new()),
     };
     let mut rng = SimRng::seed_from(61);
-    let p = protocol();
     let mut pop = CountPopulation::from_counts(&p, &counts);
     pop.step_batch(&mut rng, 9_020);
-    check(&p, "CountPopulation::step_batch");
+    let before = calls(&p, "CountPopulation::step_batch");
+    let from = (0..3).max_by_key(|&s| pop.count(s)).expect("three states");
+    assert_eq!(pop.migrate(from, (from + 1) % 3, 5), 5);
+    pop.step_batch(&mut rng, 9_020);
+    let after = calls(&p, "a batch after migrate");
+    assert_eq!(after, before, "the batch after migrate asked again");
 }

@@ -48,9 +48,6 @@ impl Protocol for SlottedRps {
     fn interact(&self, a: usize, b: usize, rng: &mut SimRng) -> (usize, usize) {
         self.0.interact(a, b, rng)
     }
-    fn is_reactive(&self, a: usize, b: usize) -> bool {
-        self.0.is_reactive(a, b)
-    }
     fn rule_masks(&self, state: usize) -> Option<RuleMasks> {
         let mut masks = RuleMasks::new(3);
         for r in 0..3 {

@@ -57,12 +57,9 @@ fn one_way() -> TableProtocol {
 /// The law of one ordered cell `(a, b)`: its outcome table, with the mass
 /// the table leaves out on the identity.
 fn cell(protocol: &dyn Protocol, a: usize, b: usize) -> Vec<((usize, usize), f64)> {
-    if !protocol.is_reactive(a, b) {
-        return vec![((a, b), 1.0)];
-    }
     let mut outcomes = protocol
         .outcome_table(a, b)
-        .unwrap_or_else(|| panic!("reactive pair ({a}, {b}) has no outcome table"));
+        .unwrap_or_else(|| panic!("pair ({a}, {b}) has no outcome table"));
     let identity = 1.0 - outcomes.iter().map(|o| o.1).sum::<f64>();
     if identity > 0.0 {
         outcomes.push(((a, b), identity));

@@ -12,11 +12,12 @@
 //! three batches. Each comparison is a chi-square goodness-of-fit test over
 //! 40 000 independent seeds.
 //!
-//! Five protocols: cycle3; DK18, whose reseeding and weak-predation cells
+//! Seven protocols: cycle3; DK18, whose reseeding and weak-predation cells
 //! are randomized; an age counter whose counts are the histogram of how
 //! often each agent was picked, so any error in which agents a batch picks
-//! shows up directly; and the 3-state approximate majority and the k = 1
-//! ladder decay, whose listed outcomes make their collision-batch cells
+//! shows up directly; and the 3-state approximate majority, the k = 1
+//! ladder decay, the pairwise elimination of `X` and the 4-state exact
+//! majority, whose listed outcomes make their collision-batch cells
 //! enumerated (checked on batches and on steps).
 //!
 //! Each protocol type with outcome tables also has every cell plan checked
@@ -24,7 +25,7 @@
 //! (`collision::check_cell_plans`).
 
 use population_protocols::analyze::exact::transient_counts;
-use population_protocols::clocks::junta::KLevelDecay;
+use population_protocols::clocks::junta::{KLevelDecay, PairwiseElimination};
 use population_protocols::clocks::oscillator::Dk18Oscillator;
 use population_protocols::clocks::oscillator::RpsOscillator;
 use population_protocols::engine::collision::{
@@ -35,7 +36,7 @@ use population_protocols::engine::protocol::{Protocol, TableProtocol};
 use population_protocols::engine::rng::SimRng;
 use population_protocols::engine::sim::Simulator;
 use population_protocols::lang::enumerate::lower_ruleset;
-use population_protocols::protocols::baselines::ApproxMajority;
+use population_protocols::protocols::baselines::{ApproxMajority, FourStateMajority};
 use population_protocols::rules::{FlagProtocol, Guard, Rule, Ruleset, VarSet};
 use std::collections::HashMap;
 
@@ -51,8 +52,8 @@ const T: u64 = 12;
 /// file; each is held to `ALPHA / COMPARISONS` (Bonferroni).
 const ALPHA: f64 = 1e-3;
 
-/// Three protocols on four samplers, two on batches and steps.
-const COMPARISONS: f64 = 16.0;
+/// Three protocols on four samplers, four on batches and steps.
+const COMPARISONS: f64 = 20.0;
 
 fn cycle3() -> TableProtocol {
     TableProtocol::new(3, "cycle3")
@@ -86,6 +87,13 @@ const APPROX_INIT: [u64; 3] = [2, 3, 3];
 /// The k = 1 ladder decay at n = 8: every `(Z, X)` rung occupied, most
 /// agents in the initial state.
 const DECAY_INIT: [u64; 6] = [1, 1, 1, 3, 1, 1];
+
+/// Pairwise elimination at n = 8: six `X` agents and two `¬X`.
+const ELIMINATION_INIT: [u64; 2] = [2, 6];
+
+/// The 4-state exact majority at n = 8: strong `A`, strong `B`, weak `a`
+/// and weak `b` all present.
+const FOUR_STATE_INIT: [u64; 4] = [3, 2, 1, 2];
 
 /// [`common::assert_matches_exact`] at this file's level,
 /// `ALPHA / COMPARISONS`.
@@ -279,8 +287,66 @@ fn klevel_decay_steps_match_the_exact_law() {
     assert_matches_exact("k-level decay steps", &exact, &steps);
 }
 
+#[test]
+fn pairwise_elimination_collision_batches_match_the_exact_law() {
+    let p = PairwiseElimination::new();
+    let exact = transient_counts(&p, &ELIMINATION_INIT, T);
+    let batches = batched(&p, &ELIMINATION_INIT, 17 << 20);
+    assert_matches_exact("pairwise-elimination batches", &exact, &batches);
+}
+
+#[test]
+fn pairwise_elimination_steps_match_the_exact_law() {
+    let p = PairwiseElimination::new();
+    let exact = transient_counts(&p, &ELIMINATION_INIT, T);
+    let steps = stepped(&p, &ELIMINATION_INIT, 18 << 20);
+    assert_matches_exact("pairwise-elimination steps", &exact, &steps);
+}
+
+#[test]
+fn four_state_majority_collision_batches_match_the_exact_law() {
+    let p = FourStateMajority::new();
+    let exact = transient_counts(&p, &FOUR_STATE_INIT, T);
+    let batches = batched(&p, &FOUR_STATE_INIT, 19 << 20);
+    assert_matches_exact("4-state majority batches", &exact, &batches);
+}
+
+#[test]
+fn four_state_majority_steps_match_the_exact_law() {
+    let p = FourStateMajority::new();
+    let exact = transient_counts(&p, &FOUR_STATE_INIT, T);
+    let steps = stepped(&p, &FOUR_STATE_INIT, 20 << 20);
+    assert_matches_exact("4-state majority steps", &exact, &steps);
+}
+
+/// The deterministic tables: on every pair of the pairwise elimination
+/// and the 4-state majority, the table lists one outcome of probability 1,
+/// and `interact` returns it.
+#[test]
+fn deterministic_tables_list_what_interact_returns() {
+    fn check<P: Protocol>(p: &P) {
+        let k = p.num_states();
+        let mut rng = SimRng::seed_from(21);
+        let mut moving = 0;
+        for a in 0..k {
+            for b in 0..k {
+                let table = p.outcome_table(a, b).expect("a listed table");
+                let [(out, prob)] = table[..] else {
+                    panic!("{}: ({a}, {b}) lists {table:?}", p.name());
+                };
+                assert_eq!(prob, 1.0, "{}: ({a}, {b})", p.name());
+                assert_eq!(p.interact(a, b, &mut rng), out, "{}: ({a}, {b})", p.name());
+                moving += usize::from(out != (a, b));
+            }
+        }
+        assert!(moving > 0, "{}: no pair moves", p.name());
+    }
+    check(&PairwiseElimination::new());
+    check(&FourStateMajority::new());
+}
+
 /// Every protocol type that lists its outcome tables, on every cell: the
-/// plan kinds, the precomputed conditionals bit for bit and the settled
+/// identity plans, the precomputed conditionals bit for bit and the settled
 /// counts against the per-draw loop. The flag ruleset mixes a certain
 /// rule, a probabilistic one and a rule that matches but never moves, and
 /// is checked both as a `FlagProtocol` and lowered to a rule table.
@@ -291,6 +357,8 @@ fn cell_plans_equal_the_per_draw_law_for_every_protocol() {
     check_cell_plans(&Dk18Oscillator::new()).unwrap();
     check_cell_plans(&RpsOscillator::new()).unwrap();
     check_cell_plans(&ApproxMajority::new()).unwrap();
+    check_cell_plans(&PairwiseElimination::new()).unwrap();
+    check_cell_plans(&FourStateMajority::new()).unwrap();
     for k in 1..=3 {
         check_cell_plans(&KLevelDecay::new(k)).unwrap();
     }

@@ -19,9 +19,9 @@
 //!   it returns what "uniform slot, then `interact_slot` if effective"
 //!   returns from the same stream.
 //!
-//! Protocols on the default hooks (no masks, scale 1) must have an
-//! identity `outcome_table` wherever `is_reactive` is false, and the
-//! default `interact_slot` is `interact`.
+//! On protocols with the default hooks (no masks, scale 1) the default
+//! `interact_slot` is `interact` on every pair whose `outcome_table` moves
+//! an agent.
 
 use population_protocols::engine::protocol::{Protocol, RuleMasks, TableProtocol};
 use population_protocols::engine::rng::SimRng;
@@ -99,11 +99,6 @@ fn assert_hooks_exact<P: Protocol>(name: &str, p: &P, slots: impl Fn(usize, usiz
                 .filter(|(_, &(on, _, _))| on)
                 .map(|(r, &(_, prob, out))| (r, prob, out))
                 .collect();
-            assert_eq!(
-                p.is_reactive(a, b),
-                !effective.is_empty(),
-                "{what}: is_reactive"
-            );
             let share = 1.0 / scale as f64;
             let fired = effective
                 .iter()
@@ -112,7 +107,13 @@ fn assert_hooks_exact<P: Protocol>(name: &str, p: &P, slots: impl Fn(usize, usiz
             let table = p
                 .outcome_table(a, b)
                 .expect("these protocols list outcomes");
-            assert_same_law(&law(table), &law(fired.chain([idle])), &what);
+            let listed: f64 = table.iter().map(|&(_, q)| q).sum();
+            let unlisted = ((a, b), 1.0 - listed);
+            assert_same_law(
+                &law(table.into_iter().chain([unlisted])),
+                &law(fired.chain([idle])),
+                &what,
+            );
             reactive_pairs += usize::from(!effective.is_empty());
             let seed = |stream: u64| (a * k + b) as u64 * STREAMS + stream;
             for &(r, prob, out) in &effective {
@@ -183,19 +184,18 @@ fn flag_protocol_uniform_rule_hooks_match_the_outcome_table() {
 }
 
 /// The default hooks: no masks and a scale of 1, so the sparse backend
-/// never leaps on the protocol; a pair that is not reactive must be inert,
-/// and the default `interact_slot` is `interact`.
+/// never leaps on the protocol, and the default `interact_slot` is
+/// `interact` on every pair the table moves.
 fn assert_default_hooks<P: Protocol>(name: &str, p: &P) {
     let k = p.num_states();
     assert_eq!(p.weight_scale(), 1, "{name}: scale");
     for a in 0..k {
         assert!(p.rule_masks(a).is_none(), "{name}: masks");
         for b in 0..k {
-            if !p.is_reactive(a, b) {
-                let table = p
-                    .outcome_table(a, b)
-                    .expect("these protocols list outcomes");
-                assert_same_law(&law(table), &[((a, b), 1.0)], name);
+            let table = p
+                .outcome_table(a, b)
+                .expect("these protocols list outcomes");
+            if !table.iter().any(|&(out, q)| out != (a, b) && q > 0.0) {
                 continue;
             }
             for stream in 0..STREAMS {
